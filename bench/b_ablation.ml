@@ -7,6 +7,11 @@
 
 module Kernel = Spin.Kernel
 module Dispatcher = Spin_core.Dispatcher
+
+let install r = ignore (Dispatcher.ok_exn ~site:"b_ablation" r)
+
+(* Set when a neutrality check prints MISMATCH; the run then exits 1. *)
+let mismatch = ref false
 module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Machine = Spin_machine.Machine
@@ -79,9 +84,10 @@ let fast_path () =
   let slow = Dispatcher.declare k.Kernel.dispatcher ~name:"A.Slow" ~owner:"A"
       (fun () -> ()) in
   (* Any guard forces the dispatcher to take an active role. *)
-  ignore (Dispatcher.remove_primary slow ~requester:"A" |> ignore;
-          Dispatcher.install_exn slow ~installer:"A" ~guard:(fun () -> true)
-            (fun () -> ()));
+  ignore (Dispatcher.remove_primary slow ~requester:"A");
+  install
+    (Dispatcher.install slow ~installer:"A" ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
+       (fun () -> ()));
   let f = Kernel.stamp_us k (fun () -> Dispatcher.raise_event fast ()) in
   let s = Kernel.stamp_us k (fun () -> Dispatcher.raise_event slow ()) in
   Printf.printf "  single unguarded handler (procedure call): %5.2f us\n" f;
@@ -94,8 +100,9 @@ let fast_path () =
           ~name:(Printf.sprintf "A.N%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) (fun () -> ()) in
       for _ = 1 to n do
-        ignore (Dispatcher.install_exn e ~installer:"w" ~guard:(fun () -> true)
-                  (fun () -> ()))
+        install
+          (Dispatcher.install e ~installer:"w" ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
+             (fun () -> ()))
       done;
       let us = Kernel.stamp_us k (fun () -> Dispatcher.raise_event e ()) in
       Printf.printf "    %4d handlers: %8.1f us\n" n us)
@@ -115,17 +122,19 @@ let guards () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let hits = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
-    ignore (Dispatcher.install_exn guarded ~installer:"proto"
-              ~guard:(fun proto -> proto = p)
-              (fun _ -> hits.(p) <- hits.(p) + 1))
+    install
+      (Dispatcher.install guarded ~installer:"proto"
+         ~spec:(Dispatcher.Handler_spec.guarded (fun proto -> proto = p))
+         (fun _ -> hits.(p) <- hits.(p) + 1))
   done;
   (* Unguarded: every handler runs and tests the protocol itself. *)
   let unguarded = Dispatcher.declare k.Kernel.dispatcher ~name:"A.U" ~owner:"A"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let hits' = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
-    ignore (Dispatcher.install_exn unguarded ~installer:"proto"
-              (fun proto -> if proto = p then hits'.(p) <- hits'.(p) + 1))
+    install
+      (Dispatcher.install unguarded ~installer:"proto"
+         (fun proto -> if proto = p then hits'.(p) <- hits'.(p) + 1))
   done;
   let g = Kernel.stamp_us k (fun () ->
     for p = 0 to protocols - 1 do Dispatcher.raise_event guarded p done) in
@@ -154,17 +163,17 @@ let indexed_dispatch () =
           ~name:(Printf.sprintf "L%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
-        ignore (Dispatcher.install_exn linear ~installer:"svc"
-                  ~guard:(fun x -> x = p) (fun _ -> ()))
+        install
+          (Dispatcher.install linear ~installer:"svc"
+             ~spec:(Dispatcher.Handler_spec.guarded (fun x -> x = p)) (fun _ -> ()))
       done;
       let indexed = Dispatcher.declare k.Kernel.dispatcher
           ~name:(Printf.sprintf "I%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) ~index:(fun x -> x) (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
-        match Dispatcher.install_indexed indexed ~installer:"svc" ~key:p
-                (fun _ -> ()) with
-        | Ok _ -> ()
-        | Error _ -> () 
+        install
+          (Dispatcher.install indexed ~installer:"svc"
+             ~spec:(Dispatcher.Handler_spec.indexed p) (fun _ -> ()))
       done;
       let l = Kernel.stamp_us k (fun () -> Dispatcher.raise_event linear (n - 1)) in
       let i = Kernel.stamp_us k (fun () -> Dispatcher.raise_event indexed (n - 1)) in
@@ -195,8 +204,9 @@ let little_language () =
   let guarded = Dispatcher.declare k.Kernel.dispatcher ~name:"F.G" ~owner:"F"
       ~combine:(fun _ -> ()) (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
-    ignore (Dispatcher.install_exn guarded ~installer:"svc"
-              ~guard:(fun pkt -> port_of pkt = p) (fun _ -> ()))
+    install
+      (Dispatcher.install guarded ~installer:"svc"
+         ~spec:(Dispatcher.Handler_spec.guarded (fun pkt -> port_of pkt = p)) (fun _ -> ()))
   done;
   (* (b) interpreted filters, evaluated by a demux handler *)
   let programs =
@@ -210,9 +220,9 @@ let little_language () =
   let indexed = Dispatcher.declare k.Kernel.dispatcher ~name:"F.I" ~owner:"F"
       ~combine:(fun _ -> ()) ~index:port_of (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
-    (match Dispatcher.install_indexed indexed ~installer:"svc" ~key:p
-             (fun _ -> ()) with
-     | Ok _ -> () | Error _ -> ())
+    install
+      (Dispatcher.install indexed ~installer:"svc"
+         ~spec:(Dispatcher.Handler_spec.indexed p) (fun _ -> ()))
   done;
   let pkt = frame (endpoints - 1) in
   let g = Kernel.stamp_us k (fun () -> Dispatcher.raise_event guarded pkt) in
@@ -291,6 +301,7 @@ let trace_overhead () =
   Printf.printf "    tracer disabled: %8.4f host-us/raise\n" off;
   Printf.printf "    tracer enabled:  %8.4f host-us/raise  (%.1fx)\n"
     on_ (if off > 0. then on_ /. off else 0.);
+  if v_off <> v_on then mismatch := true;
   Printf.printf "    virtual cycles charged: disabled=%d enabled=%d %s\n"
     v_off v_on
     (if v_off = v_on then "(equal: tracing is virtual-time neutral)"
@@ -328,6 +339,7 @@ let fuzz_overhead () =
   let detached = workload ~fuzzed:true in
   Printf.printf "  virtual cycles, 4 strands x 25 yield+sleep rounds:\n";
   Printf.printf "    never attached:      %10d\n" plain;
+  if plain <> detached then mismatch := true;
   Printf.printf "    attached, detached:  %10d  %s\n" detached
     (if plain = detached then "(equal: disabled fuzzing is free)"
      else "(MISMATCH: fuzz hooks perturbed the schedule!)");
@@ -344,4 +356,8 @@ let run () =
   little_language ();
   gc_pause ();
   trace_overhead ();
-  fuzz_overhead ()
+  fuzz_overhead ();
+  if !mismatch then begin
+    Report.write_json ();
+    exit 1
+  end

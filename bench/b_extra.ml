@@ -32,9 +32,11 @@ let udp_rtt_with_watchers ~count ~pass =
      on the server. *)
   for _ = 1 to count do
     ignore
-      (Dispatcher.install_exn (Udp.packet_arrived b.Host.udp)
-         ~installer:"watcher" ~guard:(fun _ -> pass)
-         (fun _ -> ()))
+      (Dispatcher.ok_exn ~site:"b_extra"
+         (Dispatcher.install (Udp.packet_arrived b.Host.udp)
+            ~installer:"watcher"
+            ~spec:(Dispatcher.Handler_spec.guarded (fun _ -> pass))
+            (fun _ -> ())))
   done;
   ignore (Udp.listen b.Host.udp ~port:7 ~installer:"echo" (fun d ->
     ignore (Udp.send_pkt b.Host.udp ~src_port:7 ~dst:d.Udp.src

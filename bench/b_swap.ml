@@ -46,7 +46,8 @@ let webgen ~version http =
     | None -> ()
     | Some ev ->
       ignore
-        (Dispatcher.install_exn ev ~installer:"WebGen" (fun path ->
+        (Dispatcher.ok_exn ~site:"b_swap" @@
+         Dispatcher.install ev ~installer:"WebGen" (fun path ->
            if String.equal path "live" then begin
              incr served;
              Some

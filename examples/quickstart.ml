@@ -84,8 +84,10 @@ let () =
 
   (* --- A passive monitoring extension --------------------------- *)
   let writes = ref 0 in
-  ignore (Dispatcher.install_exn write_event ~installer:"Monitor"
-            (fun _ -> incr writes));
+  ignore
+    (Dispatcher.ok_exn ~site:"quickstart"
+       (Dispatcher.install write_event ~installer:"Monitor"
+          (fun _ -> incr writes)));
   let c = Capability.mint ~owner:"Console" "console0" in
   Dispatcher.raise_event write_event (c, "one more line\n");
   Printf.printf "monitor extension observed %d write event(s)\n" !writes;

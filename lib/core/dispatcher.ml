@@ -114,24 +114,6 @@ and registration = {
   reg_trusted : unit -> int;
 }
 
-type ('a, 'r) handler = {
-  h_id : int;
-  installer : string;
-  fn : 'a -> 'r;
-  mutable guards : ('a -> bool) list;
-  mutable bound : int option;
-  async : bool;
-  policy : failure_policy;
-  h_indexed : bool;                      (* lives in an index bucket *)
-  (* The trusted-fast predicate: present iff the handler's bytecode
-     passed the install-time verifier and no runtime check (closure
-     guard, cycle bound) was requested alongside it. Dispatch runs it
-     with zero per-event safety checks. *)
-  mutable trusted : ('a -> bool) option;
-  mutable active : bool;
-  mutable revive : unit -> unit;
-}
-
 type stats = {
   raises : int;
   fast_path : int;
@@ -154,7 +136,25 @@ type 'a decision =
 
 let allow = Allow { guard = None; bound_cycles = None; force_async = false }
 
-type ('a, 'r) event = {
+type ('a, 'r) handler = {
+  h_id : int;
+  installer : string;
+  fn : 'a -> 'r;
+  mutable guards : ('a -> bool) list;
+  bound : int option;
+  async : bool;
+  policy : failure_policy;
+  h_indexed : bool;                      (* lives in an index bucket *)
+  (* The trusted-fast predicate: present iff the handler's bytecode
+     passed the install-time verifier and no runtime check (closure
+     guard, cycle bound) was requested alongside it. Dispatch runs it
+     with zero per-event safety checks. *)
+  mutable trusted : ('a -> bool) option;
+  mutable active : bool;
+  h_event : ('a, 'r) event;
+}
+
+and ('a, 'r) event = {
   e_name : string;
   e_owner : string;
   e_ty : Ty.t option;
@@ -167,14 +167,15 @@ type ('a, 'r) event = {
   allow_remove : requester:string -> bool;
   default_handler : ('a, 'r) handler;
   mutable primary_active : bool;
-  mutable extra : ('a, 'r) handler list;  (* installation order *)
+  mutable extra : ('a, 'r) handler list;  (* active, dispatch order *)
   (* Active handlers across all index buckets. Buckets deliberately
      retain inactive handlers (dispatch filters on [active], reviving
      is a flag flip), so [Hashtbl.length indexed] counts buckets ever
-     used, not live handlers — the fast-path guard must not use it. *)
+     used, not live handlers — the plan must not use it. *)
   mutable n_indexed_active : int;
-  (* Dispatches currently iterating this event's handler list; the
-     invariant audit requires 0 at quiescence. *)
+  mutable plan : ('a, 'r) plan;
+  (* Dispatches currently running this event's plan; the invariant
+     audit requires 0 at quiescence. *)
   mutable in_flight : int;
   (* Swap window: while gated, raises hold at the top of the dispatch
      (via the scheduler's [gate_wait]) until the replacement handlers
@@ -190,6 +191,15 @@ type ('a, 'r) event = {
   mutable s_stale_skips : int;
   mutable s_trusted : int;
 }
+
+(* How a raise dispatches, worked out whenever the handler set changes
+   rather than on every raise. A General plan's list is immutable, so
+   a dispatch keeps the snapshot it started with while handlers come
+   and go underneath it. *)
+and ('a, 'r) plan =
+  | Direct of ('a, 'r) handler       (* sole unguarded synchronous handler *)
+  | Trusted of ('a, 'r) handler * ('a -> bool)  (* sole verified handler *)
+  | General of ('a, 'r) handler list (* primary (if active) and extras *)
 
 exception No_handler of string
 
@@ -225,14 +235,46 @@ let last_result name results =
   | r :: _ -> r
   | [] -> raise (No_handler name)
 
+(* A live indexed handler forces the General plan: only its index
+   lookup finds the handler. *)
+let plan_of e =
+  let handlers =
+    if e.primary_active then e.default_handler :: e.extra else e.extra in
+  match handlers with
+  | [ { async = false; trusted = Some pred; _ } as h ]
+    when e.n_indexed_active = 0 -> Trusted (h, pred)
+  | [ { async = false; trusted = None; guards = []; bound = None; _ } as h ]
+    when e.n_indexed_active = 0 -> Direct h
+  | _ -> General handlers
+
+(* Every change to an event's handler set ends here. It charges no
+   virtual cycles: planning is the simulator's bookkeeping, not work
+   the modelled kernel does per raise. *)
+let replan e = e.plan <- plan_of e
+
+let same_plan a b =
+  match a, b with
+  | Direct h, Direct h' | Trusted (h, _), Trusted (h', _) -> h == h'
+  | General hs, General hs' -> List.equal ( == ) hs hs'
+  | (Direct _ | Trusted _ | General _), _ -> false
+
 (* Every site that retires a handler funnels through here so the
-   active-indexed count stays exact: the fast-path guard depends on
-   it (one stale increment would disable the fast path forever, one
-   stale decrement would skip live indexed handlers). *)
-let deactivate e h =
+   active-indexed count stays exact and the plan never names a retired
+   handler. An indexed handler stays in its bucket. *)
+let uninstall e h =
   if h.active then begin
     h.active <- false;
     if h.h_indexed then e.n_indexed_active <- e.n_indexed_active - 1
+    else e.extra <- List.filter (fun x -> x != h) e.extra;
+    replan e
+  end
+
+let link e h =
+  if not h.active then begin
+    h.active <- true;
+    if h.h_indexed then e.n_indexed_active <- e.n_indexed_active + 1
+    else e.extra <- e.extra @ [ h ];
+    replan e
   end
 
 let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
@@ -243,20 +285,21 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     match allow_remove_primary with
     | Some f -> f
     | None -> fun ~requester:_ -> false in
-  let default_handler =
-    { h_id = fresh_handler_id t; installer = owner; fn = default; guards = [];
-      bound = None; async = false; policy = Uninstall; h_indexed = false;
-      trusted = None; active = true; revive = (fun () -> ()) } in
-  let e =
+  let rec e =
     { e_name = name; e_owner = owner; e_ty = ty; e_layout = layout;
       disp = t; combine; auth;
       index; indexed = Hashtbl.create 8;
-      allow_remove; default_handler; primary_active = true; extra = [];
-      n_indexed_active = 0; in_flight = 0;
+      allow_remove; primary_active = true; extra = [];
+      default_handler =
+        { h_id = fresh_handler_id t; installer = owner; fn = default;
+          guards = []; bound = None; async = false; policy = Uninstall;
+          h_indexed = false; trusted = None; active = true; h_event = e };
+      n_indexed_active = 0; plan = General []; in_flight = 0;
       gated = false; s_gated_waits = 0;
       s_raises = 0; s_fast = 0; s_invocations = 0;
       s_guard_rejections = 0; s_aborted = 0; s_failed = 0;
       s_stale_skips = 0; s_trusted = 0 } in
+  replan e;
   (* Every per-handler enumeration below reads from this one view, so
      hot-swap gating, supervisor sweeps, and audits agree on what is
      installed (linear and indexed alike). *)
@@ -280,28 +323,18 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
      whole domain by sweeping every event through the registry. *)
   let reg_remove installer =
     let removed = ref 0 in
-    List.iter
-      (fun h ->
-        if h.active && String.equal h.installer installer then begin
-          deactivate e h; incr removed
-        end)
-      e.extra;
-    e.extra <- List.filter (fun h -> h.active) e.extra;
-    Hashtbl.iter
-      (fun _ b ->
-        List.iter
-          (fun h ->
-            if h.active && String.equal h.installer installer then begin
-              deactivate e h; incr removed
-            end)
-          !b)
-      e.indexed;
+    let sweep h =
+      if h.active && String.equal h.installer installer then begin
+        uninstall e h; incr removed
+      end in
+    List.iter sweep e.extra;
+    Hashtbl.iter (fun _ b -> List.iter sweep !b) e.indexed;
     !removed in
   (* Structural-coherence audit, type-erased so the checkers can sweep
      every event: stale inactive handlers in the linear list, a drifted
-     active-indexed count (the fast-path guard feeds on it), or a
-     dispatch recorded as still in flight all indicate handler-list
-     mutation went around the safe paths. *)
+     active-indexed count, a cached plan that a fresh recompute
+     disagrees with, or a dispatch recorded as still in flight all
+     indicate handler-list mutation went around the safe paths. *)
   let reg_audit report =
     List.iter
       (fun h ->
@@ -320,6 +353,10 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
       report
         (Printf.sprintf "%s: indexed-active count %d disagrees with recount %d"
            name e.n_indexed_active live);
+    if not (same_plan e.plan (plan_of e)) then
+      report
+        (Printf.sprintf "%s: cached dispatch plan disagrees with a recompute"
+           name);
     if e.in_flight <> 0 then
       report
         (Printf.sprintf "%s: %d raise(s) still marked in flight at audit"
@@ -358,6 +395,11 @@ let install_error_to_string = function
   | Denied -> "denied by the primary module"
   | No_index -> "event has no index"
   | Rejected e -> "verifier rejected: " ^ Ebc.error_to_string e
+
+let ok_exn ~site = function
+  | Ok h -> h
+  | Error err ->
+    invalid_arg (Printf.sprintf "%s: %s" site (install_error_to_string err))
 
 (* The one install path. Bytecode in the spec is verified here —
    against the event's published layout and the spec's capability
@@ -424,111 +466,48 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
              async = s.Handler_spec.async || force_async;
              policy = s.Handler_spec.on_failure;
              h_indexed = s.Handler_spec.index_key <> None;
-             trusted; active = true; revive = (fun () -> ()) } in
-         (match s.Handler_spec.index_key with
-          | Some key ->
-            (* The bucket keeps inactive handlers (dispatch filters on
-               [active]), so reviving is just a flag flip. *)
-            h.revive <- (fun () ->
-              if not h.active then begin
-                h.active <- true;
-                e.n_indexed_active <- e.n_indexed_active + 1
-              end);
-            let bucket =
-              match Hashtbl.find_opt e.indexed key with
-              | Some b -> b
-              | None -> let b = ref [] in Hashtbl.replace e.indexed key b; b in
-            bucket := !bucket @ [ h ];
-            e.n_indexed_active <- e.n_indexed_active + 1
-          | None ->
-            h.revive <- (fun () ->
-              if not h.active then begin
-                h.active <- true;
-                e.extra <- e.extra @ [ h ]
-              end);
-            e.extra <- e.extra @ [ h ]);
+             trusted; active = false; h_event = e } in
+         Option.iter
+           (fun key ->
+             match Hashtbl.find_opt e.indexed key with
+             | Some b -> b := !b @ [ h ]
+             | None -> Hashtbl.replace e.indexed key (ref [ h ]))
+           s.Handler_spec.index_key;
+         link e h;
          Ok h)
-
-(* Deprecated shims (one release): the optional-argument entry points,
-   re-expressed over the spec record. *)
-
-let spec_of ?guard ?bound_cycles ?(async = false) ?(on_failure = Uninstall)
-    ?index_key () =
-  { Handler_spec.default with Handler_spec.guard; bound_cycles; async;
-    on_failure; index_key }
-
-let install_exn e ~installer ?guard ?bound_cycles ?async ?on_failure fn =
-  match
-    install e ~installer ~spec:(spec_of ?guard ?bound_cycles ?async ?on_failure ())
-      fn
-  with
-  | Ok h -> h
-  | Error err ->
-    invalid_arg
-      (Printf.sprintf "Dispatcher: %s rejected a handler from %s (%s)" e.e_name
-         installer (install_error_to_string err))
-
-let install_indexed e ~installer ~key ?bound_cycles ?async ?on_failure fn =
-  match
-    install e ~installer
-      ~spec:(spec_of ?bound_cycles ?async ?on_failure ~index_key:key ()) fn
-  with
-  | Ok h -> Ok h
-  | Error No_index -> Error `No_index
-  | Error _ -> Error `Denied
-
-let install_with_closure e ~installer ~closure ?guard ?bound_cycles ?async
-    ?on_failure fn =
-  let guard = Option.map (fun g -> g closure) guard in
-  match
-    install e ~installer ~spec:(spec_of ?guard ?bound_cycles ?async ?on_failure ())
-      (fn closure)
-  with
-  | Ok h -> Ok h
-  | Error _ -> Error `Denied
 
 (* Stacking a closure guard on a trusted handler forfeits the trusted
    path: the compiled predicate demotes to the front of the guard
    stack and dispatch reverts to the guarded (policed) path. *)
 let add_guard h g =
-  (match h.trusted with
-   | Some pred ->
-     h.trusted <- None;
-     h.guards <- h.guards @ [ pred ]
-   | None -> ());
-  h.guards <- h.guards @ [ g ]
-
-let uninstall e h =
-  deactivate e h;
-  e.extra <- List.filter (fun x -> x != h) e.extra
+  h.guards <- h.guards @ Option.to_list h.trusted @ [ g ];
+  h.trusted <- None;
+  replan h.h_event
 
 let remove_primary e ~requester =
   if e.allow_remove ~requester then begin
     e.primary_active <- false;
+    replan e;
     Ok ()
   end else Error `Denied
 
-let reinstate_primary e = e.primary_active <- true
-
-let active_handlers e =
-  let primary = if e.primary_active then [ e.default_handler ] else [] in
-  primary @ e.extra
+let reinstate_primary e =
+  e.primary_active <- true;
+  replan e
 
 let guards_pass e h arg =
-  let clock = e.disp.clock in
-  let rec eval = function
-    | [] -> true
-    | g :: rest ->
-      Spin_machine.Clock.charge clock e.disp.costs.guard_eval;
-      if g arg then eval rest
-      else begin
+  List.for_all
+    (fun g ->
+      Spin_machine.Clock.charge e.disp.clock e.disp.costs.guard_eval;
+      g arg
+      || begin
         e.s_guard_rejections <- e.s_guard_rejections + 1;
         if Trace.on e.disp.tracer then
           Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
             ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
         false
-      end in
-  eval h.guards
+      end)
+    h.guards
 
 (* The thunk runs after the raise returns — on a freshly spawned strand
    or at the next [flush_deferred] — so the handler can be uninstalled
@@ -550,7 +529,7 @@ let report_fault e h kind ~removed =
     f { fault_event = e.e_name; fault_owner = e.e_owner;
         fault_installer = h.installer; fault_policy = h.policy;
         fault_kind = kind; fault_handler_id = h.h_id;
-        fault_removed = removed; fault_reinstall = h.revive }
+        fault_removed = removed; fault_reinstall = (fun () -> link e h) }
 
 (* A failing extension handler is isolated: the exception is caught,
    counted, and reported — "the failure of an extension is no more
@@ -586,10 +565,7 @@ let run_sync e h arg acc =
         let keep_installed =
           e.disp.on_fault <> None
           && (match h.policy with Quarantine _ -> true | _ -> false) in
-        if not keep_installed then begin
-          deactivate e h;
-          e.extra <- List.filter (fun x -> x != h) e.extra
-        end;
+        if not keep_installed then uninstall e h;
         report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
         None in
   match h.bound with
@@ -610,10 +586,95 @@ let run_sync e h arg acc =
     end else
       match !result with Some r -> r :: acc | None -> acc
 
+(* One handler's turn in a General dispatch. A handler evicted
+   mid-dispatch (a supervisor quarantine triggered by an earlier
+   handler's fault) is skipped. A verified handler runs its compiled
+   predicate in place of the guard stack and is invoked unpoliced. *)
+let step e arg acc h =
+  if not h.active then acc
+  else
+    let clock = e.disp.clock and costs = e.disp.costs in
+    let admitted =
+      match h.trusted with
+      | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
+      | None -> guards_pass e h arg in
+    if not admitted then acc
+    else begin
+      let trusted = h.trusted <> None in
+      if trusted then e.s_trusted <- e.s_trusted + 1;
+      Spin_machine.Clock.charge clock
+        (if trusted then costs.trusted_invoke else costs.handler_invoke);
+      if Trace.on e.disp.tracer then
+        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"invoke"
+          ~args:[ ("event", e.e_name); ("installer", h.installer);
+                  (if trusted then ("path", "trusted")
+                   else ("async", string_of_bool h.async)) ] ();
+      if h.async then begin
+        e.s_invocations <- e.s_invocations + 1;
+        run_async e h arg;
+        acc
+      end else run_sync e h arg acc
+    end
+
+(* One match on the cached plan. Each route charges what the paper's
+   dispatcher would: a procedure call for Direct; the compiled
+   predicate and an unpoliced call for Trusted; the fixed dispatch
+   cost, the index lookup, and per-handler guard and invoke costs for
+   General. *)
+let dispatch e arg =
+  let clock = e.disp.clock and costs = e.disp.costs and tr = e.disp.tracer in
+  match e.plan with
+  | Direct h ->
+    e.s_fast <- e.s_fast + 1;
+    Spin_machine.Clock.charge clock
+      (Spin_machine.Clock.cost clock).Spin_machine.Cost.cross_module_call;
+    Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
+      ~args:[ ("path", "fast") ] (fun () ->
+        (* Only the trusted primary gets the raw call — its exceptions
+           propagate to the raiser, as a direct procedure call's
+           would. A sole extension handler still goes through
+           [run_sync] so its faults are caught, counted, and
+           reported. *)
+        if h == e.default_handler then begin
+          e.s_invocations <- e.s_invocations + 1;
+          h.fn arg
+        end else e.combine (run_sync e h arg []))
+  | Trusted (h, pred) ->
+    Spin_machine.Clock.charge clock costs.trusted_eval;
+    if not (pred arg) then e.combine []
+    else begin
+      e.s_trusted <- e.s_trusted + 1;
+      Spin_machine.Clock.charge clock costs.trusted_invoke;
+      Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
+        ~args:[ ("path", "trusted") ] (fun () ->
+          e.combine (run_sync e h arg []))
+    end
+  | General handlers ->
+    Spin_machine.Clock.charge clock costs.dispatch_fixed;
+    Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
+      ~args:[ ("path", "slow") ] (fun () ->
+        (* Indexed handlers are found by hashing, not by walking
+           guards: one lookup regardless of how many keys are
+           registered, filtered before any handler runs. *)
+        let indexed =
+          match e.index with
+          | None -> []
+          | Some index ->
+            Spin_machine.Clock.charge clock costs.guard_eval;
+            (match Hashtbl.find_opt e.indexed (index arg) with
+             | Some bucket -> List.filter (fun h -> h.active) !bucket
+             | None -> []) in
+        let step = step e arg in
+        e.combine
+          (List.rev (List.fold_left step (List.fold_left step [] handlers)
+                       indexed)))
+
 (* Hold at a closed gate until the swap that closed it drains us. A
    wait hook that answers false exempts the caller (the swap strand
    itself must dispatch through its own gate); with no hook installed
-   — no scheduler to park on — the raise passes through. *)
+   — no scheduler to park on — the raise passes through. The plan is
+   read only after the hold, so a held raise dispatches against the
+   handlers the swap installed. *)
 let gate_hold e =
   if e.gated then
     match e.disp.gate_wait with
@@ -628,129 +689,12 @@ let gate_hold e =
 
 let raise_event e arg =
   gate_hold e;
-  let clock = e.disp.clock in
-  let costs = e.disp.costs in
-  let tr = e.disp.tracer in
   e.s_raises <- e.s_raises + 1;
-  (* The handler list is snapshotted below ([active_handlers] and the
-     bucket filter build fresh lists), and every retirement site flips
-     [active] before unlinking, so mutation during the dispatch — a
-     handler uninstalling its neighbor, a supervisor sweep triggered by
-     an earlier handler's fault — is honored by the per-handler
-     [active] checks without corrupting the iteration. [in_flight]
-     records the dispatch for the invariant audit. *)
+  (* [in_flight] records the dispatch for the invariant audit. *)
   e.in_flight <- e.in_flight + 1;
-  Fun.protect ~finally:(fun () -> e.in_flight <- e.in_flight - 1) @@ fun () ->
-  match active_handlers e with
-  | [ h ] when h.trusted <> None && not h.async && e.n_indexed_active = 0 ->
-    (* Trusted-fast path: the predicate was proven at install time, so
-       the raise charges only the compiled-predicate and trusted-call
-       costs — no guard-stack walk, no bound stamping. *)
-    let pred = match h.trusted with Some p -> p | None -> assert false in
-    Spin_machine.Clock.charge clock costs.trusted_eval;
-    if pred arg then begin
-      e.s_trusted <- e.s_trusted + 1;
-      Spin_machine.Clock.charge clock costs.trusted_invoke;
-      if Trace.on tr then begin
-        let sp =
-          Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-            ~args:[ ("path", "trusted") ] () in
-        Fun.protect ~finally:(fun () -> Trace.end_span tr sp)
-          (fun () -> e.combine (List.rev (run_sync e h arg [])))
-      end
-      else e.combine (List.rev (run_sync e h arg []))
-    end
-    else e.combine []
-  | [ h ] when h.guards = [] && h.trusted = None && not h.async
-            && h.bound = None && e.n_indexed_active = 0 ->
-    (* Fast path: a raise is a protected procedure call. The guard
-       checks the *active* indexed count — [Hashtbl.length e.indexed]
-       counts buckets, which retain uninstalled handlers. *)
-    e.s_fast <- e.s_fast + 1;
-    Spin_machine.Clock.charge clock
-      (Spin_machine.Clock.cost clock).Spin_machine.Cost.cross_module_call;
-    if Trace.on tr then begin
-      let sp =
-        Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-          ~args:[ ("path", "fast") ] () in
-      Fun.protect ~finally:(fun () -> Trace.end_span tr sp)
-        (fun () ->
-           if h == e.default_handler then begin
-             e.s_invocations <- e.s_invocations + 1;
-             h.fn arg
-           end else e.combine (List.rev (run_sync e h arg [])))
-    end
-    else if h == e.default_handler then begin
-      (* Only the trusted primary gets the raw call — its exceptions
-         propagate to the raiser, as a direct procedure call's would.
-         A sole extension handler still goes through [run_sync] so its
-         faults are caught, counted, and reported. *)
-      e.s_invocations <- e.s_invocations + 1;
-      h.fn arg
-    end else
-      e.combine (List.rev (run_sync e h arg []))
-  | handlers ->
-    Spin_machine.Clock.charge clock costs.dispatch_fixed;
-    let sp =
-      if Trace.on tr then
-        Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-          ~args:[ ("path", "slow") ] ()
-      else Trace.null_span in
-    (* Indexed handlers are found by hashing, not by walking guards:
-       one lookup regardless of how many keys are registered. *)
-    let indexed_handlers =
-      match e.index with
-      | None -> []
-      | Some index ->
-        Spin_machine.Clock.charge clock costs.guard_eval;
-        (match Hashtbl.find_opt e.indexed (index arg) with
-         | Some bucket -> List.filter (fun h -> h.active) !bucket
-         | None -> []) in
-    let results =
-      List.fold_left
-        (fun acc h ->
-          (* A handler may be evicted mid-dispatch (supervisor
-             quarantine triggered by an earlier handler's fault):
-             honor the eviction before invoking. *)
-          if not h.active then acc
-          else
-            match h.trusted with
-            | Some pred ->
-              (* Verified handler among many: still no guard stack and
-                 no bound stamping, just the compiled predicate. *)
-              Spin_machine.Clock.charge clock costs.trusted_eval;
-              if not (pred arg) then acc
-              else begin
-                e.s_trusted <- e.s_trusted + 1;
-                Spin_machine.Clock.charge clock costs.trusted_invoke;
-                if Trace.on tr then
-                  Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
-                    ~args:[ ("event", e.e_name); ("installer", h.installer);
-                            ("path", "trusted") ] ();
-                if h.async then begin
-                  e.s_invocations <- e.s_invocations + 1;
-                  run_async e h arg;
-                  acc
-                end else run_sync e h arg acc
-              end
-            | None ->
-              if not (guards_pass e h arg) then acc
-              else begin
-                Spin_machine.Clock.charge clock costs.handler_invoke;
-                if Trace.on tr then
-                  Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
-                    ~args:[ ("event", e.e_name); ("installer", h.installer);
-                            ("async", string_of_bool h.async) ] ();
-                if h.async then begin
-                  e.s_invocations <- e.s_invocations + 1;
-                  run_async e h arg;
-                  acc
-                end else run_sync e h arg acc
-              end)
-        [] (handlers @ indexed_handlers) in
-    match e.combine (List.rev results) with
-    | r -> Trace.end_span tr sp; r
-    | exception exn -> Trace.end_span tr sp; raise exn
+  match dispatch e arg with
+  | r -> e.in_flight <- e.in_flight - 1; r
+  | exception exn -> e.in_flight <- e.in_flight - 1; raise exn
 
 let raise_default e fallback arg =
   match raise_event e arg with
@@ -760,10 +704,8 @@ let raise_default e fallback arg =
 let indexed_active e = e.n_indexed_active
 
 let handler_count e =
-  List.length (active_handlers e)
-  + Hashtbl.fold
-      (fun _ b acc -> acc + List.length (List.filter (fun h -> h.active) !b))
-      e.indexed 0
+  (if e.primary_active then 1 else 0)
+  + List.length e.extra + e.n_indexed_active
 
 let stats e = {
   raises = e.s_raises;

@@ -7,26 +7,32 @@
     (possibly attaching guards and execution constraints), and may
     permit removal of the primary handler.
 
-    Dispatch semantics follow the paper:
-    - with a single unguarded synchronous handler, a raise is a direct
-      procedure call (the 0.13 us protected in-kernel call of Table 2);
-    - otherwise the dispatcher evaluates each handler's guard stack and
-      invokes the passing handlers, charging per-guard and per-handler
-      costs (the linear scaling measured in section 5.5);
-    - handlers may be asynchronous (decoupling the raiser from handler
-      latency) or bounded in time (aborted — result discarded — when
-      they overrun);
-    - one result is returned, by default that of the final handler
-      executed; an event may install a result-combination function.
+    Each event keeps a {e dispatch plan}, rebuilt whenever its handler
+    set changes (install, uninstall, eviction, revival, an added
+    guard, primary removal or reinstatement) and never on a raise. A
+    raise is one match on the plan:
+    - [Direct]: a single unguarded, unbounded synchronous handler and
+      no live indexed handler — the raise is a direct procedure call
+      (the 0.13 us protected in-kernel call of Table 2);
+    - [Trusted]: a single verified synchronous handler and no live
+      indexed handler — beyond the paper, a handler whose predicate is
+      {!Ebc} bytecode that passed the install-time verifier runs its
+      compiled predicate and is invoked with zero per-event safety
+      checks (no guard-stack interpretation, no overrun stamping);
+    - [General]: anything else — the dispatcher looks the argument up
+      in the event's index (when it has one), then evaluates each
+      handler's guard stack (or verified predicate) and invokes the
+      passing handlers, charging per-guard and per-handler costs (the
+      linear scaling measured in section 5.5). The handler list is a
+      snapshot: a dispatch sees the handlers installed when it began,
+      and skips any evicted before its turn.
 
-    Beyond the paper: a handler whose predicate is expressed as
-    {!Ebc} bytecode and passes the install-time verifier takes the
-    {e trusted-fast} path — the dispatcher runs the compiled predicate
-    and invokes the handler with zero per-event safety checks (no
-    guard-stack interpretation, no overrun stamping), the runtime
-    checks having been discharged once at install. Installation goes
-    through a single entry point taking a {!Handler_spec.t}; the old
-    optional-argument entry points remain as deprecated shims. *)
+    Handlers may be asynchronous (decoupling the raiser from handler
+    latency) or bounded in time (aborted — result discarded — when
+    they overrun). One result is returned, by default that of the
+    final handler executed; an event may install a result-combination
+    function. Installation goes through one entry point, {!install},
+    taking a {!Handler_spec.t}. *)
 
 type t
 (** A dispatcher instance (one per kernel). *)
@@ -47,9 +53,10 @@ val default_costs : costs
 val create : ?costs:costs -> Spin_machine.Clock.t -> t
 
 val tracer : t -> Spin_machine.Trace.t
-(** The clock-shared tracer dispatch records into (raise spans with a
-    fast/slow path tag, guard rejections, handler invocations, fault
-    markers). Disabled tracing costs one bool check per site. *)
+(** The clock-shared tracer dispatch records into (raise spans tagged
+    with the plan's path — fast, trusted or slow — guard rejections,
+    handler invocations, fault markers). Disabled tracing costs one
+    bool check per site. *)
 
 val set_async_spawn : t -> ((unit -> unit) -> unit) -> unit
 (** Installs the thread-spawn hook used for asynchronous handlers.
@@ -167,9 +174,10 @@ val audit : t -> (string -> unit) -> unit
 (** Sweeps every declared event and reports structural violations:
     inactive handlers lingering in a linear handler list, an
     active-indexed count that disagrees with a recount of the index
-    buckets (the fast-path guard feeds on that count), or dispatches
-    still marked in flight at a quiescent point. Cheap enough to run
-    after every test; the fuzzer runs it at every scheduling point. *)
+    buckets, a cached dispatch plan that differs from a fresh
+    recompute, or dispatches still marked in flight at a quiescent
+    point. Cheap enough to run after every test; the fuzzer runs it at
+    every scheduling point. *)
 
 val flush_deferred : t -> int
 (** Runs handlers deferred while no spawn hook was installed; returns
@@ -239,59 +247,29 @@ val install :
     linked in — a rejection installs nothing and returns [Rejected].
     On success the handler takes the trusted-fast path, unless a
     closure guard or bound was also requested, in which case the
-    compiled program demotes to an ordinary guard. Closure
-    pre-application (the old [install_with_closure]) is expressed by
-    partially applying [fn]. *)
+    compiled program demotes to an ordinary guard.
 
-val install_exn :
-  ('a, 'r) event ->
-  installer:string ->
-  ?guard:('a -> bool) ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('a -> 'r) ->
-  ('a, 'r) handler
-(** @deprecated Shim over {!install} + {!Handler_spec} (one release);
-    raises [Invalid_argument] on any install error. *)
-
-val install_indexed :
-  ('a, 'r) event ->
-  installer:string ->
-  key:int ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('a -> 'r) ->
-  (('a, 'r) handler, [ `Denied | `No_index ]) result
-(** The optimization section 5.5 leaves as future work ("representing
-    guard predicates as decision trees"): when the event was declared
-    with an [index] function, handlers registered under a key are
+    A [spec.index_key] installs into the event's index bucket for that
+    key — the optimization section 5.5 leaves as future work
+    ("representing guard predicates as decision trees"): handlers are
     found by hashing the raised argument's index instead of walking a
-    linear guard list — equality guards in O(1).
-    @deprecated Shim over {!install} with [Handler_spec.indexed]. *)
+    linear guard list, equality guards in O(1). The paper's footnote 1
+    closure ("an additional closure to be passed to the handler during
+    event processing", one handler procedure serving several contexts)
+    is partial application: install [fn closure] with a guard built
+    from [closure]. *)
 
-val install_with_closure :
-  ('a, 'r) event ->
-  installer:string ->
-  closure:'c ->
-  ?guard:('c -> 'a -> bool) ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('c -> 'a -> 'r) ->
-  (('a, 'r) handler, [ `Denied ]) result
-(** The paper's footnote 1: "the dispatcher also allows a handler to
-    specify an additional closure to be passed to the handler during
-    event processing", letting one handler procedure serve several
-    contexts. The closure is passed to the guard as well.
-    @deprecated Shim over {!install}: partially apply the closure. *)
+val ok_exn : site:string -> ('h, install_error) result -> 'h
+(** The handler an install returned; an [Error] raises
+    [Invalid_argument] naming [site] and the error. For installs only
+    a misconfigured kernel could see refused. *)
 
 val add_guard : ('a, 'r) handler -> ('a -> bool) -> unit
-(** Stacks one more guard on a handler (conjunction). On a trusted
-    handler this forfeits the trusted-fast path: the compiled verified
-    predicate demotes to the front of the guard stack and the handler
-    reverts to the guarded (policed) path. *)
+(** Stacks one more guard on a handler (conjunction) and rebuilds its
+    event's plan. On a trusted handler this forfeits the trusted-fast
+    path: the compiled verified predicate demotes to the front of the
+    guard stack and the handler reverts to the guarded (policed)
+    path. *)
 
 val uninstall : ('a, 'r) event -> ('a, 'r) handler -> unit
 
@@ -314,10 +292,9 @@ val handler_count : ('a, 'r) event -> int
 (** Active handlers, including the primary. *)
 
 val indexed_active : ('a, 'r) event -> int
-(** Active handlers across the event's index buckets. This — not the
-    bucket count, which retains uninstalled handlers — feeds the
-    fast-path guard, so it drops back to 0 (and the fast path resumes)
-    once every indexed handler is uninstalled or quarantined. *)
+(** Active handlers across the event's index buckets (buckets retain
+    uninstalled handlers). Any live one forces the [General] plan; at 0
+    the fast path resumes. *)
 
 type stats = {
   raises : int;

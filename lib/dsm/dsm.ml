@@ -311,16 +311,14 @@ let create vm host ~manager =
     Rpc.export host.Host.rpc ~name:"dsm.write" (with_src serve_write)
   end;
   (* Fault handlers, guarded to our regions. *)
-  ignore
-    (Dispatcher.install_exn (Translation.page_not_present vm.Vm.trans)
-       ~installer:owner_name
-       ~guard:(fun f -> Option.is_some (region_of_fault t f))
-       (handle_not_present t));
-  ignore
-    (Dispatcher.install_exn (Translation.protection_fault vm.Vm.trans)
-       ~installer:owner_name
-       ~guard:(fun f -> Option.is_some (region_of_fault t f))
-       (handle_protection t));
+  let spec =
+    Dispatcher.Handler_spec.guarded (fun f -> Option.is_some (region_of_fault t f)) in
+  let install ev handler =
+    ignore
+      (Dispatcher.ok_exn ~site:"Dsm.create"
+         (Dispatcher.install ev ~installer:owner_name ~spec handler)) in
+  install (Translation.page_not_present vm.Vm.trans) (handle_not_present t);
+  install (Translation.protection_fault vm.Vm.trans) (handle_protection t);
   t
 
 let attach t ctx ~region_id ~pages =

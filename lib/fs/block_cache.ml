@@ -89,15 +89,16 @@ let create ?(capacity_blocks = 2048) ?(owner = "BlockCache") ~phys
   (* Volunteer under memory pressure: when the chosen candidate is
      already one of our pages, substitute the coldest one instead so
      the hot end of the cache survives. *)
+  let ours candidate =
+    Lru.length t.cache > 0
+    && (match Phys_addr.page_owner candidate with
+        | Some o -> String.equal o owner
+        | None -> false) in
   ignore
-    (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
-       ~installer:owner
-       ~guard:(fun candidate ->
-         Lru.length t.cache > 0
-         && (match Phys_addr.page_owner candidate with
-             | Some o -> String.equal o owner
-             | None -> false))
-       (fun _candidate -> coldest_page t));
+    (Dispatcher.ok_exn ~site:"Block_cache.create"
+       (Dispatcher.install (Phys_addr.reclaim_event phys) ~installer:owner
+          ~spec:(Dispatcher.Handler_spec.guarded ours)
+          (fun _candidate -> coldest_page t)));
   Phys_addr.add_invalidate phys (forget t);
   t
 
@@ -139,10 +140,10 @@ let slot_off block = slot_of block * Disk.block_size
 let read t ~block =
   let group = group_of block in
   let bit = 1 lsl slot_of block in
-  (* Miss path for a group we hold no page for: read the block, then
-     try to take a page; under hopeless pressure serve uncached. *)
-  let fill_new () =
-    let data = disk_read t block in
+  (* Cache a block just read from disk in the group's page if one is
+     resident now, else in a fresh page; under hopeless pressure serve
+     it uncached. *)
+  let cache_read data =
     (* Re-check after the wait: a concurrent reader of the same group
        may have cached it while we slept; a second Lru.add would leak
        its page (replacement bypasses the eviction callback). *)
@@ -172,19 +173,22 @@ let read t ~block =
       (* The page is resident but this slot was never filled. *)
       t.misses <- t.misses + 1;
       let data = disk_read t block in
-      Phys_addr.touch t.phys e.page;
-      Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-      e.valid <- e.valid lor bit;
-      data
+      (* Reclaim may have taken the page during the wait. *)
+      if Capability.is_valid e.page then begin
+        Phys_addr.touch t.phys e.page;
+        Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
+        e.valid <- e.valid lor bit;
+        data
+      end else cache_read data
     end
   | Some _ ->
     (* Lost the page behind our back; treat as a cold miss. *)
     Lru.remove t.cache group;
     t.misses <- t.misses + 1;
-    fill_new ()
+    cache_read (disk_read t block)
   | None ->
     t.misses <- t.misses + 1;
-    fill_new ()
+    cache_read (disk_read t block)
 
 let read_uncached t ~block =
   t.misses <- t.misses + 1;

@@ -74,15 +74,16 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ?(large_threshold = 64 * 1024)
         bytes_held = 0; hit_count = 0; miss_count = 0; large_count = 0;
         reclaim_count = 0; degraded_count = 0 } in
   let t = Lazy.force t in
+  let ours candidate =
+    Lru.length t.cache > 0
+    && (match Phys_addr.page_owner candidate with
+        | Some o -> String.equal o owner
+        | None -> false) in
   ignore
-    (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
-       ~installer:owner
-       ~guard:(fun candidate ->
-         Lru.length t.cache > 0
-         && (match Phys_addr.page_owner candidate with
-             | Some o -> String.equal o owner
-             | None -> false))
-       (fun _candidate -> coldest_page t));
+    (Dispatcher.ok_exn ~site:"File_cache.create"
+       (Dispatcher.install (Phys_addr.reclaim_event phys) ~installer:owner
+          ~spec:(Dispatcher.Handler_spec.guarded ours)
+          (fun _candidate -> coldest_page t)));
   Phys_addr.add_invalidate phys (forget t);
   t
 

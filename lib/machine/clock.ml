@@ -1,3 +1,5 @@
+type tracer = ..
+
 type t = {
   cost : Cost.t;
   mutable now : int;
@@ -19,11 +21,12 @@ type t = {
      degenerates to the original [now <- now + c]. *)
   mutable parallel : int;
   mutable carry : int;
+  mutable tracer : tracer option;
 }
 
 let create cost =
   { cost; now = 0; hooks = [||]; n_hooks = 0; in_hook = false; idle = 0;
-    parallel = 1; carry = 0 }
+    parallel = 1; carry = 0; tracer = None }
 
 let cost t = t.cost
 
@@ -92,3 +95,7 @@ let stamp t f =
   let before = t.now in
   f ();
   t.now - before
+
+let tracer t = t.tracer
+
+let set_tracer t tr = t.tracer <- Some tr

@@ -53,3 +53,11 @@ val add_hook : t -> (t -> unit) -> unit
 
 val stamp : t -> (unit -> unit) -> int
 (** [stamp t f] runs [f] and returns the cycles it consumed. *)
+
+type tracer = ..
+(** The per-clock slot {!Trace.of_clock} keeps the clock's tracer in,
+    so the tracer lives exactly as long as its clock. *)
+
+val tracer : t -> tracer option
+
+val set_tracer : t -> tracer -> unit

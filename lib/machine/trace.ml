@@ -96,16 +96,16 @@ let create ?(capacity = 16384) clock =
 
 (* One tracer per clock: subsystems sharing a clock (every machine on
    one simulation) share a timeline, so cross-host packet flows land
-   in one trace. The registry association is physical — clocks are
-   mutable records created once per simulation. *)
-let registry : (Clock.t * t) list ref = ref []
+   in one trace. The tracer sits in the clock's own slot, so a
+   finished simulation takes its tracer with it. *)
+type Clock.tracer += Tracer of t
 
 let of_clock ?capacity clock =
-  match List.find_opt (fun (c, _) -> c == clock) !registry with
-  | Some (_, t) -> t
-  | None ->
+  match Clock.tracer clock with
+  | Some (Tracer t) -> t
+  | Some _ | None ->
     let t = create ?capacity clock in
-    registry := (clock, t) :: !registry;
+    Clock.set_tracer clock (Tracer t);
     t
 
 let clock t = t.clock

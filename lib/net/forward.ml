@@ -48,9 +48,11 @@ let create ?tcp ip ~proto ~port ~to_ =
     forwarded = 0;
   } in
   t.handler <-
-    Some (Dispatcher.install_exn (Ip.packet_arrived ip) ~installer:"Forward"
-            ~guard:(interesting t)
-            (reroute t));
+    Some
+      (Dispatcher.ok_exn ~site:"Forward.create"
+         (Dispatcher.install (Ip.packet_arrived ip) ~installer:"Forward"
+            ~spec:(Dispatcher.Handler_spec.guarded (interesting t))
+            (reroute t)));
   (match tcp with
    | Some engine ->
      Tcp.add_demux_filter engine (fun ~dport ~sport ->

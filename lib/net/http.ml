@@ -147,21 +147,16 @@ let install_route t ~installer ?(prefix = false) ?(spec = Dispatcher.Handler_spe
         String.length req >= String.length path
         && String.sub req 0 (String.length path) = path
       else req = path in
+    let install spec = Dispatcher.install ev ~installer ~spec handler in
     let closure_install () =
-      Dispatcher.install_exn ev ~installer
-        ?bound_cycles:spec.Dispatcher.Handler_spec.bound_cycles
-        ~async:spec.Dispatcher.Handler_spec.async
-        ~on_failure:spec.Dispatcher.Handler_spec.on_failure
-        ~guard:closure_guard handler in
+      Dispatcher.ok_exn ~site:"Http.install_route"
+        (install
+           { spec with Dispatcher.Handler_spec.guard = Some closure_guard }) in
     match spec.Dispatcher.Handler_spec.bound_cycles with
     | Some _ -> Some (closure_install ())
     | None ->
       let prog = Ebc.match_string ~prefix path in
-      (match
-         Dispatcher.install ev ~installer
-           ~spec:{ spec with Dispatcher.Handler_spec.verified = Some prog }
-           handler
-       with
+      (match install { spec with verified = Some prog } with
        | Ok h -> Some h
        | Error _ -> Some (closure_install ()))
 

@@ -224,9 +224,10 @@ let add_interface t netif ~addr =
   | Ok _ -> ()
   | Error _ ->
     ignore
-      (Dispatcher.install_exn (Netif.rx_event netif) ~installer:"IP"
-         ~guard:frame_is_ip
-         (fun frame -> input t frame))
+      (Dispatcher.ok_exn ~site:"Ip.add_interface"
+         (Dispatcher.install (Netif.rx_event netif) ~installer:"IP"
+            ~spec:(Dispatcher.Handler_spec.guarded frame_is_ip)
+            (fun frame -> input t frame)))
 
 let add_route t ~dst netif = t.routes <- (dst, netif) :: t.routes
 
@@ -246,9 +247,11 @@ let attach t ~protos ~installer handler =
   with
   | Ok h -> h
   | Error _ ->
-    Dispatcher.install_exn t.event ~installer
-      ~guard:(fun pkt -> List.mem pkt.proto protos)
-      handler
+    Dispatcher.ok_exn ~site:"Ip.attach"
+      (Dispatcher.install t.event ~installer
+         ~spec:
+           (Dispatcher.Handler_spec.guarded (fun pkt -> List.mem pkt.proto protos))
+         handler)
 
 let stats t = {
   received = t.s_received;

@@ -441,7 +441,9 @@ let create machine sched dispatcher ip =
            Dispatcher.raise_default t.event () (seg, pkt.Ip.src)
          | None -> ()));
   t.demux <-
-    Some (Dispatcher.install_exn t.event ~installer:"TCP" (handle_segment t));
+    Some
+      (Dispatcher.ok_exn ~site:"Tcp.create"
+         (Dispatcher.install t.event ~installer:"TCP" (handle_segment t)));
   t
 
 (* Another extension (e.g. Forward) claims some segments: stack a

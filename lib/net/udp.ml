@@ -84,21 +84,21 @@ let packet_arrived t = t.event
    wants the handler body policed per event, which is exactly what the
    trusted path forgoes: that case (and any verification failure)
    installs the closure guard instead. *)
-let listen ?bound_cycles ?async ?on_failure t ~port ~installer handler =
+let listen ?bound_cycles ?(async = false) ?(on_failure = Dispatcher.Uninstall)
+    t ~port ~installer handler =
+  let spec =
+    { Dispatcher.Handler_spec.default with bound_cycles; async; on_failure } in
+  let install spec = Dispatcher.install t.event ~installer ~spec handler in
   let closure_install () =
-    Dispatcher.install_exn t.event ~installer ?bound_cycles ?async ?on_failure
-      ~guard:(fun d -> d.dst_port = port)
-      handler in
+    Dispatcher.ok_exn ~site:"Udp.listen"
+      (install { spec with guard = Some (fun d -> d.dst_port = port) }) in
   match bound_cycles with
   | Some _ -> closure_install ()
   | None ->
-    let spec =
-      { (Dispatcher.Handler_spec.verified
-           (Ebc.match_field ~slot:dst_port_slot port))
-        with Dispatcher.Handler_spec.async = Option.value async ~default:false;
-             on_failure =
-               Option.value on_failure ~default:Dispatcher.Uninstall } in
-    (match Dispatcher.install t.event ~installer ~spec handler with
+    (match
+       install
+         { spec with verified = Some (Ebc.match_field ~slot:dst_port_slot port) }
+     with
      | Ok h -> h
      | Error _ -> closure_install ())
 

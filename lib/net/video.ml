@@ -37,12 +37,7 @@ let default_send server (payload, _seq) =
    codec generation's handler and install the next under the
    replacement domain's name. *)
 let install_mcast ?(patch_cost = 45) server ~installer =
-  (function
-    | Ok h -> h
-    | Error err ->
-      invalid_arg
-        (Printf.sprintf "Video.install_mcast: %s"
-           (Dispatcher.install_error_to_string err))) @@
+  Dispatcher.ok_exn ~site:"Video.install_mcast" @@
   Dispatcher.install server.send_packet ~installer
     (fun (payload, _seq) ->
       let datagram =

@@ -630,17 +630,10 @@ let set_affinity t s affinity =
   | Some _ | None -> ()
 
 let install_handler_guarded event ~installer ~cap fn =
-  match
-    Dispatcher.install event ~installer
-      ~spec:(Dispatcher.Handler_spec.guarded (fun s ->
-                 Strand.holds_capability cap s))
-      fn
-  with
-  | Ok h -> h
-  | Error err ->
-    invalid_arg
-      (Printf.sprintf "Sched.install_handler_guarded: %s"
-         (Dispatcher.install_error_to_string err))
+  Dispatcher.ok_exn ~site:"Sched.install_handler_guarded"
+    (Dispatcher.install event ~installer
+       ~spec:(Dispatcher.Handler_spec.guarded (Strand.holds_capability cap))
+       fn)
 
 let stats t = {
   switches = t.s_switches;

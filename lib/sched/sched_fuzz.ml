@@ -77,9 +77,10 @@ let attach ?cpu ?(cpus = []) ?dispatcher ?(mean_period = 2_000) ~seed sched =
      so the lost-wakeup checker knows who could be stranded. *)
   let track s = Hashtbl.replace t.strands s.Strand.id s in
   let ev = Sched.events sched in
-  t.trackers <-
-    [ (ev.Sched.resume, Dispatcher.install_exn ev.Sched.resume ~installer:owner track);
-      (ev.Sched.block, Dispatcher.install_exn ev.Sched.block ~installer:owner track) ];
+  let tracker e =
+    (e, Dispatcher.ok_exn ~site:"Sched_fuzz.attach"
+          (Dispatcher.install e ~installer:owner track)) in
+  t.trackers <- [ tracker ev.Sched.resume; tracker ev.Sched.block ];
   (* Random schedule: replace the policy, not the mechanism. *)
   Sched.set_selector sched
     (Some (fun candidates ->

@@ -94,23 +94,24 @@ let resolve_write_fault mgr space va =
 
 let create_manager vm =
   let mgr = { vm; spaces = []; refcounts = Hashtbl.create 256; cow_copies = 0 } in
+  let cow_write f =
+    f.Translation.access = Mmu.Write
+    && List.exists
+         (fun s -> s.live
+                   && Translation.context_id s.ctx
+                      = Translation.context_id f.Translation.ctx)
+         mgr.spaces in
   ignore
-    (Dispatcher.install_exn (Translation.protection_fault vm.Vm.trans)
-       ~installer:owner
-       ~guard:(fun f ->
-         f.Translation.access = Mmu.Write
-         && List.exists
-              (fun s -> s.live
-                        && Translation.context_id s.ctx
-                           = Translation.context_id f.Translation.ctx)
-              mgr.spaces)
-       (fun f ->
-         let space =
-           List.find
-             (fun s -> Translation.context_id s.ctx
-                       = Translation.context_id f.Translation.ctx)
-             mgr.spaces in
-         resolve_write_fault mgr space f.Translation.va));
+    (Dispatcher.ok_exn ~site:"Addr_space.create_manager"
+       (Dispatcher.install (Translation.protection_fault vm.Vm.trans)
+          ~installer:owner ~spec:(Dispatcher.Handler_spec.guarded cow_write)
+          (fun f ->
+            let space =
+              List.find
+                (fun s -> Translation.context_id s.ctx
+                          = Translation.context_id f.Translation.ctx)
+                mgr.spaces in
+            resolve_write_fault mgr space f.Translation.va)));
   mgr
 
 let vm mgr = mgr.vm

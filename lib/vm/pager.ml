@@ -118,14 +118,14 @@ let create vm sched ~disk =
          | None -> ());
         drain () in
     drain ());
+  let paged f =
+    Option.is_some
+      (find_page t (Translation.context_id f.Translation.ctx) f.Translation.va) in
   ignore
-    (Dispatcher.install_exn (Translation.page_not_present vm.Vm.trans)
-       ~installer:owner
-       ~guard:(fun f ->
-         Option.is_some
-           (find_page t (Translation.context_id f.Translation.ctx)
-              f.Translation.va))
-       (handle_fault t));
+    (Dispatcher.ok_exn ~site:"Pager.create"
+       (Dispatcher.install (Translation.page_not_present vm.Vm.trans)
+          ~installer:owner ~spec:(Dispatcher.Handler_spec.guarded paged)
+          (handle_fault t)));
   (* Reclamation can take one of our frames out from under us. The
      translation service already unmapped it; here we save its
      contents to backing store (fire-and-forget write, nobody waits)

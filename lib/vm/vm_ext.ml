@@ -62,18 +62,18 @@ let clear_fault_handler t =
 let on_protection_fault t proc =
   clear_fault_handler t;
   t.user_proc <- Some proc;
+  let ours f =
+    Translation.context_id f.Translation.ctx = Translation.context_id t.ctx in
   let h =
-    Dispatcher.install_exn (Translation.protection_fault t.vm.Vm.trans)
-      ~installer:t.app
-      ~guard:(fun f ->
-        Translation.context_id f.Translation.ctx = Translation.context_id t.ctx)
+    Dispatcher.install (Translation.protection_fault t.vm.Vm.trans)
+      ~installer:t.app ~spec:(Dispatcher.Handler_spec.guarded ours)
       (fun f ->
         t.faults <- t.faults + 1;
         let page = (f.Translation.va - base_va t) / Addr.page_size in
         match t.user_proc with
         | Some proc -> proc page
         | None -> ()) in
-  t.handler <- Some h
+  t.handler <- Some (Dispatcher.ok_exn ~site:"Vm_ext.on_protection_fault" h)
 
 let destroy t =
   clear_fault_handler t;

@@ -310,6 +310,10 @@ let mk_dispatcher () =
   let c = clock () in
   (c, Dispatcher.create c)
 
+let must r = Dispatcher.ok_exn ~site:"test_core" r
+
+let async = { Dispatcher.Handler_spec.default with async = true }
+
 let test_dispatch_fast_path_is_a_call () =
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Console.Write" ~owner:"Console"
@@ -325,8 +329,8 @@ let test_dispatch_fast_path_is_a_call () =
 let test_dispatch_multiple_handlers_last_wins () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun () -> "primary") in
-  let _ = Dispatcher.install_exn e ~installer:"ext1" (fun () -> "ext1") in
-  let _ = Dispatcher.install_exn e ~installer:"ext2" (fun () -> "ext2") in
+  ignore (must (Dispatcher.install e ~installer:"ext1" (fun () -> "ext1")));
+  ignore (must (Dispatcher.install e ~installer:"ext2" (fun () -> "ext2")));
   check string "result of final handler" "ext2" (Dispatcher.raise_event e ());
   check int "three handlers" 3 (Dispatcher.handler_count e)
 
@@ -336,10 +340,16 @@ let test_dispatch_guards () =
   let log = ref [] in
   let e = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let _ = Dispatcher.install_exn e ~installer:"UDP"
-      ~guard:(fun proto -> proto = 17) (fun _ -> log := "udp" :: !log) in
-  let _ = Dispatcher.install_exn e ~installer:"TCP"
-      ~guard:(fun proto -> proto = 6) (fun _ -> log := "tcp" :: !log) in
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"UDP"
+          ~spec:(Dispatcher.Handler_spec.guarded (fun proto -> proto = 17))
+          (fun _ -> log := "udp" :: !log)));
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"TCP"
+          ~spec:(Dispatcher.Handler_spec.guarded (fun proto -> proto = 6))
+          (fun _ -> log := "tcp" :: !log)));
   Dispatcher.raise_event e 17;
   Dispatcher.raise_event e 6;
   Dispatcher.raise_event e 1;              (* ICMP: nobody but primary *)
@@ -354,8 +364,11 @@ let test_dispatch_guard_costs_linear () =
   let e = Dispatcher.declare d ~name:"UDP.PacketArrived" ~owner:"UDP"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
   for _ = 1 to 50 do
-    ignore (Dispatcher.install_exn e ~installer:"watcher"
-              ~guard:(fun _ -> false) (fun _ -> ()))
+    ignore
+      (must
+         (Dispatcher.install e ~installer:"watcher"
+            ~spec:(Dispatcher.Handler_spec.guarded (fun _ -> false))
+            (fun _ -> ())))
   done;
   let spent = Clock.stamp c (fun () -> Dispatcher.raise_event e ()) in
   let costs = Dispatcher.default_costs in
@@ -370,8 +383,11 @@ let test_dispatch_stacked_guards_conjoin () =
   let hits = ref 0 in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let h = Dispatcher.install_exn e ~installer:"ext"
-      ~guard:(fun x -> x > 0) (fun _ -> incr hits) in
+  let h =
+    must
+      (Dispatcher.install e ~installer:"ext"
+         ~spec:(Dispatcher.Handler_spec.guarded (fun x -> x > 0))
+         (fun _ -> incr hits)) in
   Dispatcher.add_guard h (fun x -> x < 10);
   Dispatcher.raise_event e 5;              (* passes both *)
   Dispatcher.raise_event e 50;             (* fails second *)
@@ -407,8 +423,7 @@ let test_dispatch_auth_imposed_guard () =
           guard = Some (fun proto -> proto = 17);
           bound_cycles = None; force_async = false })
       (fun _ -> ()) in
-  let _ = Dispatcher.install_exn e ~installer:"udp"
-      (fun p -> seen := p :: !seen) in
+  ignore (must (Dispatcher.install e ~installer:"udp" (fun p -> seen := p :: !seen)));
   Dispatcher.raise_event e 17;
   Dispatcher.raise_event e 6;
   check (list int) "primary's guard filters" [ 17 ] (List.rev !seen)
@@ -421,7 +436,7 @@ let test_dispatch_remove_primary () =
   (match Dispatcher.remove_primary e ~requester:"rogue" with
    | Error `Denied -> ()
    | Ok () -> fail "rogue removal admitted");
-  let _ = Dispatcher.install_exn e ~installer:"new-impl" (fun () -> "new") in
+  ignore (must (Dispatcher.install e ~installer:"new-impl" (fun () -> "new")));
   (match Dispatcher.remove_primary e ~requester:"new-impl" with
    | Ok () -> ()
    | Error `Denied -> fail "authorized removal denied");
@@ -449,8 +464,8 @@ let test_dispatch_combiner () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Sum" ~owner:"M"
       ~combine:(List.fold_left ( + ) 0) (fun x -> x) in
-  let _ = Dispatcher.install_exn e ~installer:"a" (fun x -> x * 10) in
-  let _ = Dispatcher.install_exn e ~installer:"b" (fun x -> x * 100) in
+  ignore (must (Dispatcher.install e ~installer:"a" (fun x -> x * 10)));
+  ignore (must (Dispatcher.install e ~installer:"b" (fun x -> x * 100)));
   check int "combined result" 333 (Dispatcher.raise_event e 3)
 
 let test_dispatch_async_deferred () =
@@ -458,8 +473,7 @@ let test_dispatch_async_deferred () =
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let _ = Dispatcher.install_exn e ~installer:"bg" ~async:true
-      (fun _ -> ran := true) in
+  ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)));
   Dispatcher.raise_event e ();
   check bool "raiser not blocked on handler" false !ran;
   check int "one deferred" 1 (Dispatcher.flush_deferred d);
@@ -473,8 +487,7 @@ let test_dispatch_async_uninstall_before_flush () =
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let h = Dispatcher.install_exn e ~installer:"bg" ~async:true
-      (fun _ -> ran := true) in
+  let h = must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)) in
   Dispatcher.raise_event e ();
   Dispatcher.uninstall e h;
   ignore (Dispatcher.flush_deferred d);
@@ -491,14 +504,19 @@ let test_dispatch_uninstall_during_raise () =
       ~combine:(fun _ -> ()) (fun _ -> order := "primary" :: !order) in
   let violations = ref [] in
   Dispatcher.set_violation_hook d (Some (fun m -> violations := m :: !violations));
-  let _ = Dispatcher.install_exn e ~installer:"evictor"
-      (fun _ ->
-        order := "evictor" :: !order;
-        ignore (Dispatcher.uninstall_installer d ~installer:"victim")) in
-  let _ = Dispatcher.install_exn e ~installer:"victim"
-      (fun _ -> order := "victim" :: !order) in
-  let _ = Dispatcher.install_exn e ~installer:"bystander"
-      (fun _ -> order := "bystander" :: !order) in
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"evictor" (fun _ ->
+            order := "evictor" :: !order;
+            ignore (Dispatcher.uninstall_installer d ~installer:"victim"))));
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"victim" (fun _ ->
+            order := "victim" :: !order)));
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"bystander" (fun _ ->
+            order := "bystander" :: !order)));
   Dispatcher.raise_event e ();
   check (list string) "victim skipped, bystander still runs"
     [ "primary"; "evictor"; "bystander" ] (List.rev !order);
@@ -513,14 +531,16 @@ let test_dispatch_audit_clean_after_churn () =
       ~combine:(fun _ -> ()) ~index:(fun x -> x) (fun (_ : int) -> ()) in
   let hs =
     List.init 8 (fun i ->
-      Dispatcher.install_exn e ~installer:(Printf.sprintf "s%d" i)
-        ~guard:(fun x -> x = i) (fun _ -> ())) in
+      must
+        (Dispatcher.install e ~installer:(Printf.sprintf "s%d" i)
+           ~spec:(Dispatcher.Handler_spec.guarded (fun x -> x = i))
+           (fun _ -> ()))) in
   List.iteri
     (fun i _ ->
-      match Dispatcher.install_indexed e ~installer:"idx" ~key:i (fun _ -> ())
-      with
-      | Ok _ -> ()
-      | Error _ -> fail "indexed install")
+      ignore
+        (must
+           (Dispatcher.install e ~installer:"idx"
+              ~spec:(Dispatcher.Handler_spec.indexed i) (fun _ -> ()))))
     hs;
   List.iter (fun h -> Dispatcher.uninstall e h) hs;
   ignore (Dispatcher.uninstall_installer d ~installer:"idx");
@@ -535,15 +555,18 @@ let test_dispatch_async_spawn_hook () =
   Dispatcher.set_async_spawn d (fun thunk -> incr spawned; thunk ());
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let _ = Dispatcher.install_exn e ~installer:"bg" ~async:true (fun _ -> ()) in
+  ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ())));
   Dispatcher.raise_event e ();
   check int "spawned through hook" 1 !spawned
 
 let test_dispatch_bounded_abort () =
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun () -> "primary") in
-  let _ = Dispatcher.install_exn e ~installer:"slow" ~bound_cycles:100
-      (fun () -> Clock.charge c 10_000; "slow") in
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"slow"
+          ~spec:(Dispatcher.Handler_spec.bounded 100)
+          (fun () -> Clock.charge c 10_000; "slow")));
   (* The slow handler overruns its bound: aborted, result discarded,
      so the primary's result is the final one. *)
   check string "aborted handler's result dropped" "primary"
@@ -554,8 +577,11 @@ let test_dispatch_bounded_abort () =
 let test_dispatch_bounded_within () =
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun () -> "primary") in
-  let _ = Dispatcher.install_exn e ~installer:"quick" ~bound_cycles:1000
-      (fun () -> Clock.charge c 10; "quick") in
+  ignore
+    (must
+       (Dispatcher.install e ~installer:"quick"
+          ~spec:(Dispatcher.Handler_spec.bounded 1000)
+          (fun () -> Clock.charge c 10; "quick")));
   check string "bounded handler in budget" "quick" (Dispatcher.raise_event e ());
   check int "no abort" 0 (Dispatcher.stats e).Dispatcher.aborted
 
@@ -564,7 +590,7 @@ let test_dispatch_uninstall () =
   let hits = ref 0 in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let h = Dispatcher.install_exn e ~installer:"x" (fun _ -> incr hits) in
+  let h = must (Dispatcher.install e ~installer:"x" (fun _ -> incr hits)) in
   Dispatcher.raise_event e ();
   Dispatcher.uninstall e h;
   Dispatcher.raise_event e ();
@@ -580,10 +606,11 @@ let test_dispatch_indexed () =
       (fun _ -> ()) in
   let log = ref [] in
   for p = 0 to 49 do
-    (match Dispatcher.install_indexed e ~installer:"svc" ~key:p
-             (fun _ -> log := p :: !log) with
-     | Ok _ -> ()
-     | Error _ -> fail "indexed install failed")
+    ignore
+      (must
+         (Dispatcher.install e ~installer:"svc"
+            ~spec:(Dispatcher.Handler_spec.indexed p)
+            (fun _ -> log := p :: !log)))
   done;
   Dispatcher.raise_event e 17;
   Dispatcher.raise_event e 3;
@@ -600,7 +627,7 @@ let test_dispatch_indexed () =
 let test_dispatch_fast_path_resumes_after_indexed_uninstall () =
   (* The fast-path guard must count *active* indexed handlers, not
      index buckets: buckets deliberately retain uninstalled handlers,
-     so one install_indexed must not disable the fast path forever. *)
+     so one indexed install must not disable the fast path forever. *)
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Pkt.Demux" ~owner:"Filter"
       ~combine:(fun _ -> ())
@@ -610,9 +637,9 @@ let test_dispatch_fast_path_resumes_after_indexed_uninstall () =
   check int "fast before any indexed install" 1
     (Dispatcher.stats e).Dispatcher.fast_path;
   let h =
-    match Dispatcher.install_indexed e ~installer:"svc" ~key:7 (fun _ -> ()) with
-    | Ok h -> h
-    | Error _ -> fail "indexed install failed" in
+    must
+      (Dispatcher.install e ~installer:"svc"
+         ~spec:(Dispatcher.Handler_spec.indexed 7) (fun _ -> ())) in
   check int "one active indexed handler" 1 (Dispatcher.indexed_active e);
   Dispatcher.raise_event e 7;
   check int "slow while an indexed handler is live" 1
@@ -626,9 +653,12 @@ let test_dispatch_fast_path_resumes_after_indexed_uninstall () =
 let test_dispatch_indexed_requires_index () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Plain" ~owner:"M" (fun () -> ()) in
-  (match Dispatcher.install_indexed e ~installer:"x" ~key:1 (fun () -> ()) with
-   | Error `No_index -> ()
-   | Ok _ | Error `Denied -> fail "index required")
+  (match
+     Dispatcher.install e ~installer:"x"
+       ~spec:(Dispatcher.Handler_spec.indexed 1) (fun () -> ())
+   with
+   | Error Dispatcher.No_index -> ()
+   | Ok _ | Error _ -> fail "index required")
 
 let test_dispatch_topology () =
   let _, d = mk_dispatcher () in
@@ -636,7 +666,7 @@ let test_dispatch_topology () =
       ~combine:(fun _ -> ()) (fun _ -> ()) in
   let _e2 = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  let _ = Dispatcher.install_exn e1 ~installer:"IP" (fun _ -> ()) in
+  ignore (must (Dispatcher.install e1 ~installer:"IP" (fun _ -> ())));
   (match Dispatcher.topology d with
    | [ ("Ether.PktArrived", "Ether", handlers); ("IP.PacketArrived", "IP", _) ] ->
      check (list string) "handlers listed" [ "Ether"; "IP" ] handlers
@@ -663,7 +693,7 @@ let test_dispatch_gate_installers_and_hook () =
       ~combine:(fun rs -> List.fold_left ( + ) 0 rs) (fun (_ : int) -> 0) in
   let cold = Dispatcher.declare d ~name:"Svc.Cold" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn hot ~installer:"ext" (fun _ -> 7));
+  ignore (must (Dispatcher.install hot ~installer:"ext" (fun _ -> 7)));
   let gated = Dispatcher.gate_installers d ~installers:[ "ext" ] in
   check (list string) "only the installer's event closed" [ "Svc.Hot" ] gated;
   check bool "other event untouched" false (Dispatcher.is_gated cold);

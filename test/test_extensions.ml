@@ -124,14 +124,19 @@ let test_closure_handler_contexts () =
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let log = ref [] in
-  (* One handler procedure serves two contexts via closures. *)
+  (* One handler procedure serves two contexts: each install partially
+     applies it to its own closure. *)
   let handler ctx arg = log := (ctx, arg) :: !log in
-  (match Dispatcher.install_with_closure e ~installer:"x" ~closure:"ctx-A"
-           ~guard:(fun _ arg -> arg mod 2 = 0) handler with
-   | Ok _ -> () | Error `Denied -> fail "denied");
-  (match Dispatcher.install_with_closure e ~installer:"x" ~closure:"ctx-B"
-           ~guard:(fun _ arg -> arg mod 2 = 1) handler with
-   | Ok _ -> () | Error `Denied -> fail "denied");
+  let serve ctx parity =
+    match
+      Dispatcher.install e ~installer:"x"
+        ~spec:(Dispatcher.Handler_spec.guarded (fun arg -> arg mod 2 = parity))
+        (handler ctx)
+    with
+    | Ok _ -> ()
+    | Error err -> fail (Dispatcher.install_error_to_string err) in
+  serve "ctx-A" 0;
+  serve "ctx-B" 1;
   List.iter (Dispatcher.raise_event e) [ 1; 2; 3 ];
   check (list (pair string int)) "closures distinguish contexts"
     [ ("ctx-B", 1); ("ctx-A", 2); ("ctx-B", 3) ]

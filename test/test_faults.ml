@@ -20,6 +20,10 @@ module Supervisor = Spin.Supervisor
 module Kernel = Spin.Kernel
 module Monitor = Spin.Monitor
 
+let must r = Dispatcher.ok_exn ~site:"test_faults" r
+
+let with_policy on_failure = { Dispatcher.Handler_spec.default with on_failure }
+
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
 
@@ -126,9 +130,9 @@ let test_handler_exception_isolated () =
   let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let healthy = ref 0 in
-  ignore (Dispatcher.install_exn e ~installer:"rogue"
+  ignore (must @@ Dispatcher.install e ~installer:"rogue"
             (fun _ -> failwith "rogue extension bug"));
-  ignore (Dispatcher.install_exn e ~installer:"healthy"
+  ignore (must @@ Dispatcher.install e ~installer:"healthy"
             (fun _ -> incr healthy));
   (* The raise survives and the healthy handler still runs. *)
   Dispatcher.raise_event e 1;
@@ -164,7 +168,7 @@ let test_fast_path_sole_extension_fault_contained () =
       (fun (_ : int) -> ()) in
   check bool "primary removed" true
     (Dispatcher.remove_primary e ~requester:"ext" = Ok ());
-  ignore (Dispatcher.install_exn e ~installer:"ext"
+  ignore (must @@ Dispatcher.install e ~installer:"ext"
             (fun _ -> failwith "sole extension bug"));
   (* Must not escape, even though dispatch collapses to the fast path. *)
   Dispatcher.raise_event e 1;
@@ -184,7 +188,7 @@ let test_rogue_packet_handler_does_not_kill_network () =
   let a = Host.create sim ~name:"a" ~addr:addr_a in
   let b = Host.create sim ~name:"b" ~addr:addr_b in
   ignore (Host.wire a b ~kind:Nic.Lance);
-  ignore (Dispatcher.install_exn (Udp.packet_arrived b.Host.udp)
+  ignore (must @@ Dispatcher.install (Udp.packet_arrived b.Host.udp)
             ~installer:"rogue" (fun _ -> failwith "boom"));
   let got = ref 0 in
   ignore (Udp.listen b.Host.udp ~port:9 ~installer:"svc" (fun _ -> incr got));
@@ -245,16 +249,16 @@ let test_supervisor_quarantines_domain () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let ev_b = Dispatcher.declare d ~name:"Net.B" ~owner:"Net"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev_a ~installer:"filter"
-            ~on_failure:(Dispatcher.Quarantine
+  ignore (must @@ Dispatcher.install ev_a ~installer:"filter"
+            ~spec:(with_policy @@ Dispatcher.Quarantine
                            { window_us = 1_000_000.; max_faults = 3 })
             (fun _ -> failwith "filter bug"));
   let filter_b = ref 0 and peer = ref 0 in
-  ignore (Dispatcher.install_exn ev_b ~installer:"filter"
+  ignore (must @@ Dispatcher.install ev_b ~installer:"filter"
             (fun _ -> incr filter_b));
-  ignore (Dispatcher.install_exn ev_a ~installer:"peer" (fun _ -> incr peer));
+  ignore (must @@ Dispatcher.install ev_a ~installer:"peer" (fun _ -> incr peer));
   let announced = ref [] in
-  ignore (Dispatcher.install_exn (Supervisor.quarantined_event sup)
+  ignore (must @@ Dispatcher.install (Supervisor.quarantined_event sup)
             ~installer:"watcher"
             (fun q -> announced := q.Supervisor.q_domain :: !announced));
   (* Two faults: tolerated, the handler stays installed. *)
@@ -294,12 +298,12 @@ let test_supervisor_restart_with_backoff () =
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let attempts = ref [] in
-  ignore (Dispatcher.install_exn (Supervisor.restarted_event sup)
+  ignore (must @@ Dispatcher.install (Supervisor.restarted_event sup)
             ~installer:"watcher"
             (fun r -> attempts := r.Supervisor.r_attempt :: !attempts));
   let calls = ref 0 and served = ref 0 in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
+  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
+            ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
             (fun _ ->
               incr calls;
@@ -328,8 +332,8 @@ let test_supervisor_restart_gives_up () =
   let _, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"hopeless"
-            ~on_failure:(Dispatcher.Restart
+  ignore (must @@ Dispatcher.install ev ~installer:"hopeless"
+            ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 500.; backoff = 2.; max_restarts = 2 })
             (fun _ -> failwith "always broken"));
   for i = 1 to 4 do
@@ -350,8 +354,8 @@ let test_supervisor_backoff_cap () =
   Supervisor.set_restart_tuning sup ~max_delay_us:3_000. ();
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
+  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
+            ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 1_000.; backoff = 4.; max_restarts = 5 })
             (fun _ -> failwith "still broken"));
   Dispatcher.raise_event ev 1;               (* fault #1: delay 1000 *)
@@ -381,8 +385,8 @@ let test_supervisor_backoff_resets_after_grace () =
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let calls = ref 0 in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
+  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
+            ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
             (fun _ ->
               incr calls;
@@ -413,7 +417,7 @@ let test_supervisor_counts_revoked_faults () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let cap = Capability.mint ~owner:"OldGen" "resource" in
   ignore (Capability.advance_epoch ~owner:"OldGen");
-  ignore (Dispatcher.install_exn ev ~installer:"staleuser"
+  ignore (must @@ Dispatcher.install ev ~installer:"staleuser"
             (fun _ -> ignore (Capability.deref cap)));
   let m = Monitor.create clock in
   Monitor.watch_supervisor m sup;
@@ -437,12 +441,12 @@ let test_supervisor_domain_budget_groups_installers () =
   Supervisor.register_domain sup ~name:"plugins"
     ~installers:[ "plug-a"; "plug-b" ]
     ~budget:{ Supervisor.window_us = 1_000_000.; max_faults = 2 } ();
-  ignore (Dispatcher.install_exn ev ~installer:"plug-a"
+  ignore (must @@ Dispatcher.install ev ~installer:"plug-a"
             (fun _ -> failwith "a is broken"));
-  ignore (Dispatcher.install_exn ev ~installer:"plug-b"
+  ignore (must @@ Dispatcher.install ev ~installer:"plug-b"
             (fun _ -> failwith "b is broken"));
   let healthy_runs = ref 0 in
-  ignore (Dispatcher.install_exn ev2 ~installer:"plug-b"
+  ignore (must @@ Dispatcher.install ev2 ~installer:"plug-b"
             (fun _ -> incr healthy_runs));
   (* One raise: both broken handlers fault, pooling two faults on the
      "plugins" domain — which is exactly its budget. *)
@@ -468,8 +472,8 @@ let test_supervisor_budget_beyond_log_cap () =
     ~budget:{ Supervisor.window_us = 1_000_000_000.; max_faults = 300 } ();
   (* A tolerant per-handler policy keeps the handler installed so every
      raise produces a fresh fault against the domain budget. *)
-  ignore (Dispatcher.install_exn ev ~installer:"chatty"
-            ~on_failure:(Dispatcher.Quarantine
+  ignore (must @@ Dispatcher.install ev ~installer:"chatty"
+            ~spec:(with_policy @@ Dispatcher.Quarantine
                            { window_us = 1_000_000_000.; max_faults = max_int })
             (fun _ -> failwith "chatty bug"));
   for i = 1 to 299 do
@@ -492,8 +496,8 @@ let test_kernel_quarantine_unlinks_service () =
   Kernel.publish k ~name:"FilterService" filter;
   let ev = Dispatcher.declare k.Kernel.dispatcher ~name:"Net.Filter"
       ~owner:"Net" ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"Filter"
-            ~on_failure:(Dispatcher.Quarantine
+  ignore (must @@ Dispatcher.install ev ~installer:"Filter"
+            ~spec:(with_policy @@ Dispatcher.Quarantine
                            { window_us = 1_000_000.; max_faults = 1 })
             (fun _ -> failwith "filter bug"));
   let me = { Nameserver.who = "test" } in
@@ -537,12 +541,12 @@ let test_http_degrades_when_generator_quarantined () =
     Http.set_fallback h (Bytes.of_string "<h1>degraded</h1>");
     (match Http.content_event h with
      | Some ev ->
-       ignore (Dispatcher.install_exn ev ~installer:"cms"
-                 ~on_failure:(Dispatcher.Quarantine
+       ignore (must @@ Dispatcher.install ev ~installer:"cms"
+                 ~spec:(with_policy @@ Dispatcher.Quarantine
                                 { window_us = 1_000_000_000.; max_faults = 2 })
                  (fun path ->
                     if path = "boom" then failwith "cms bug" else None));
-       ignore (Dispatcher.install_exn ev ~installer:"status-page"
+       ignore (must @@ Dispatcher.install ev ~installer:"status-page"
                  (fun path ->
                     if path = "status" then
                       Some (Bytes.of_string "<h1>ok</h1>")

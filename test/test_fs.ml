@@ -107,6 +107,47 @@ let test_block_cache_concurrent_same_block () =
   (* One request in flight, everyone joined it. *)
   check int "single disk read" 1 (Disk.reads disk)
 
+(* Regression: reading a resident page's unfilled slot waits on the
+   disk, and reclaim may take the page during that wait. Filling the
+   revoked page raised [Capability.Revoked] and killed the reading
+   strand (under the web server, an HTTP request whose client then
+   hung). The read must fall back to a fresh page. *)
+let test_block_cache_page_reclaimed_during_fill () =
+  let m = Machine.create ~name:"fstest" ~mem_mb:4 () in
+  let d = Dispatcher.create m.Machine.clock in
+  let sched = Sched.create m.Machine.sim d in
+  let phys = Phys_addr.create m d in
+  ignore (Spin_vm.Reclaim_policy.install_second_chance phys);
+  let disk = Machine.add_disk ~blocks:8192 m in
+  let cache = Block_cache.create ~phys m sched disk in
+  let data = Bytes.make Disk.block_size 'r' in
+  let waiting = ref false and result = ref None in
+  ignore (Sched.spawn sched ~name:"reader" (fun () ->
+    result :=
+      Some
+        (try
+           Block_cache.write cache ~block:17 data;
+           ignore (Block_cache.read cache ~block:16);  (* the group's page *)
+           waiting := true;
+           Ok (Block_cache.read cache ~block:17)       (* its unfilled slot *)
+         with e -> Error (Printexc.to_string e))));
+  ignore (Sched.spawn sched ~name:"pressure" (fun () ->
+    while not !waiting do Sched.sleep_us sched 10. done;
+    ignore (Phys_addr.force_reclaim phys)));
+  Sched.run sched;
+  check int "reclaim took the cache's page mid-read" 1
+    (Block_cache.stats cache).Cache_stats.reclaims;
+  (match !result with
+   | Some (Ok got) -> check bytes "read completes with the data" data got
+   | Some (Error e) -> fail ("read killed: " ^ e)
+   | None -> fail "reader never finished");
+  let hits = (Block_cache.stats cache).Cache_stats.hits in
+  ignore (Sched.spawn sched ~name:"again" (fun () ->
+    ignore (Block_cache.read cache ~block:17)));
+  Sched.run sched;
+  check int "the block was cached on a fresh page" (hits + 1)
+    (Block_cache.stats cache).Cache_stats.hits
+
 (* ------------------------------------------------------------------ *)
 (* Simple_fs                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -347,6 +388,8 @@ let () =
           test_case "survives reclaim" `Quick test_block_cache_survives_reclaim;
           test_case "concurrent same-block readers" `Quick
             test_block_cache_concurrent_same_block;
+          test_case "page reclaimed during a fill" `Quick
+            test_block_cache_page_reclaimed_during_fill;
         ] );
       ( "simple_fs",
         [

@@ -15,6 +15,8 @@ module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
 module Monitor = Spin.Monitor
 
+let must r = Dispatcher.ok_exn ~site:"test_integration" r
+
 let addr_server = Ip.addr_of_quad 10 0 0 1
 let addr_fwd = Ip.addr_of_quad 10 0 0 2
 let addr_client = Ip.addr_of_quad 10 0 0 3
@@ -155,7 +157,7 @@ let test_world_survives_rogue_extension () =
   (* A rogue extension watches every IP packet on the server and
      crashes on the third one. *)
   let seen = ref 0 in
-  ignore (Dispatcher.install_exn (Ip.packet_arrived w.server.Host.ip)
+  ignore (must @@ Dispatcher.install (Ip.packet_arrived w.server.Host.ip)
             ~installer:"rogue" (fun _ ->
               incr seen;
               if !seen = 3 then failwith "rogue dies"));

@@ -19,6 +19,8 @@ module Sched = Spin_sched.Sched
 module Kthread = Spin_sched.Kthread
 module Translation = Spin_vm.Translation
 
+let must r = Dispatcher.ok_exn ~site:"test_more" r
+
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
 
@@ -40,7 +42,7 @@ let test_extension_imports_translation_event () =
   Object_file.Builder.set_init b (fun () ->
     match Option.bind !cell (Univ.unpack Kernel.translation_event_tag) with
     | Some event ->
-      ignore (Dispatcher.install_exn event ~installer:"vmwatch"
+      ignore (must @@ Dispatcher.install event ~installer:"vmwatch"
                 (fun _ -> incr seen))
     | None -> fail "import did not resolve to the event");
   (match Kernel.load_extension k (Object_file.Builder.build b) with
@@ -222,7 +224,7 @@ let test_video_send_packet_stacking () =
   let s = Option.get !v in
   Video.add_client s addr_b;
   let observed = ref 0 in
-  ignore (Dispatcher.install_exn (Video.send_packet_event s)
+  ignore (must @@ Dispatcher.install (Video.send_packet_event s)
             ~installer:"traffic-monitor" (fun (_, _) -> incr observed; 0));
   ignore (Sched.spawn server.Host.sched ~name:"stream" (fun () ->
     Video.stream s ~fps:30 ~duration_s:0.2));

@@ -14,6 +14,8 @@ module Dispatcher = Spin_core.Dispatcher
 module Virt_addr = Spin_vm.Virt_addr
 module Simple_fs = Spin_fs.Simple_fs
 
+let must r = Dispatcher.ok_exn ~site:"test_properties" r
+
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
 
@@ -144,8 +146,9 @@ let prop_dispatcher_guard_semantics =
       let fired = ref [] in
       List.iteri
         (fun i (m, r) ->
-          ignore (Dispatcher.install_exn e ~installer:"p"
-                    ~guard:(fun x -> x mod m = r mod m)
+          ignore (must @@ Dispatcher.install e ~installer:"p"
+                    ~spec:(Dispatcher.Handler_spec.guarded (fun x ->
+                             x mod m = r mod m))
                     (fun _ -> fired := i :: !fired)))
         handler_specs;
       Dispatcher.raise_event e v;
@@ -167,7 +170,7 @@ let prop_dispatcher_uninstall_complete =
       let handlers =
         List.mapi
           (fun i _ ->
-            Dispatcher.install_exn e ~installer:"p"
+            must @@ Dispatcher.install e ~installer:"p"
               (fun () -> fired := i :: !fired))
           keep_mask in
       List.iteri

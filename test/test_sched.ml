@@ -10,6 +10,8 @@ module Capability = Spin_core.Capability
 module Intr = Spin_machine.Intr
 module Monitor = Spin.Monitor
 
+let must r = Dispatcher.ok_exn ~site:"test_sched" r
+
 let kernel () =
   let m = Machine.create ~name:"t" ~mem_mb:4 () in
   let d = Dispatcher.create m.Machine.clock in
@@ -180,9 +182,9 @@ let test_checkpoint_resume_events_fire () =
   let _, d, s = kernel () in
   let ev = Sched.events s in
   let resumes = ref 0 and checkpoints = ref 0 in
-  ignore (Dispatcher.install_exn ev.Sched.resume ~installer:"spy"
+  ignore (must @@ Dispatcher.install ev.Sched.resume ~installer:"spy"
             (fun _ -> incr resumes));
-  ignore (Dispatcher.install_exn ev.Sched.checkpoint ~installer:"spy"
+  ignore (must @@ Dispatcher.install ev.Sched.checkpoint ~installer:"spy"
             (fun _ -> incr checkpoints));
   ignore d;
   ignore (Sched.spawn s ~name:"x" (fun () -> Sched.yield s));
@@ -227,7 +229,8 @@ let test_async_dispatcher_handlers_run_on_strands () =
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  ignore (Dispatcher.install_exn e ~installer:"bg" ~async:true
+  ignore (must @@ Dispatcher.install e ~installer:"bg"
+            ~spec:{ Dispatcher.Handler_spec.default with async = true }
             (fun _ -> ran := true));
   Dispatcher.raise_event e ();
   check bool "deferred to a strand" false !ran;

@@ -16,6 +16,8 @@ module Extern_ref = Spin_core.Extern_ref
 module Univ = Spin_core.Univ
 module Sched = Spin_sched.Sched
 
+let must r = Dispatcher.ok_exn ~site:"test_swap" r
+
 let count_tag : int Univ.tag = Univ.tag ~name:"Counter.State" ()
 
 let fixture () =
@@ -38,7 +40,7 @@ let counter ~version ?(with_checkpoint = true) ?(with_restore = true)
   Object_file.Builder.set_version b version;
   Object_file.Builder.set_init b (fun () ->
     ignore
-      (Dispatcher.install_exn tick ~installer:"Counter" (fun () ->
+      (must @@ Dispatcher.install tick ~installer:"Counter" (fun () ->
            incr count)));
   if with_checkpoint then
     Object_file.Builder.export b Swap.checkpoint_sym
@@ -100,7 +102,7 @@ let test_checkpoint_carries_state_across_swap () =
   ignore (load_exn k obj1);
   let announced = ref [] in
   ignore
-    (Dispatcher.install_exn (Swap.swapped_event k.Kernel.swap)
+    (must @@ Dispatcher.install (Swap.swapped_event k.Kernel.swap)
        ~installer:"observer" (fun o ->
          announced := o.Swap.sw_domain :: !announced));
   for _ = 1 to 5 do Dispatcher.raise_event tick () done;
@@ -247,10 +249,12 @@ let test_swap_cancels_pending_restart () =
       ~safety:Object_file.Compiler_signed () in
   Object_file.Builder.set_init b (fun () ->
     ignore
-      (Dispatcher.install_exn tick ~installer:"Counter"
-         ~on_failure:
-           (Dispatcher.Restart
-              { delay_us = 1_000.; backoff = 2.; max_restarts = 3 })
+      (must @@ Dispatcher.install tick ~installer:"Counter"
+         ~spec:
+           { Dispatcher.Handler_spec.default with
+             on_failure =
+               Dispatcher.Restart
+                 { delay_us = 1_000.; backoff = 2.; max_restarts = 3 } }
          (fun () -> incr calls; failwith "flaky")));
   ignore (load_exn k (Object_file.Builder.build b));
   Dispatcher.raise_event tick ();   (* fault: a restart is now pending *)

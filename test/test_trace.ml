@@ -130,6 +130,33 @@ let test_disabled_tracer_records_nothing () =
   check int "recording after enable" 1 (List.length (Trace.records t))
 
 (* ------------------------------------------------------------------ *)
+(* One tracer per clock, and no longer than the clock                 *)
+(* ------------------------------------------------------------------ *)
+
+let[@inline never] trace_a_dropped_clock weak =
+  let clock = Clock.create Cost.alpha_133 in
+  let t = Trace.of_clock clock in
+  Trace.enable t;
+  Trace.instant t ~cat:"test" ~name:"last words" ();
+  Weak.set weak 0 (Some t)
+
+(* Regression: [of_clock] kept every clock's tracer in a global list,
+   so each finished simulation stayed reachable through its tracer's
+   clock and ring for the life of the process. *)
+let test_tracer_dies_with_its_clock () =
+  let weak = Weak.create 1 in
+  trace_a_dropped_clock weak;
+  Gc.full_major ();
+  Gc.full_major ();
+  check bool "a dropped clock's tracer is collected" false (Weak.check weak 0);
+  let clock = Clock.create Cost.alpha_133 in
+  let t = Trace.of_clock ~capacity:64 clock in
+  check bool "one tracer per clock" true
+    (Trace.of_clock ~capacity:8 clock == t);
+  check int "capacity honoured on first use" 64 (Trace.capacity t);
+  ignore (Sys.opaque_identity clock)
+
+(* ------------------------------------------------------------------ *)
 (* A minimal JSON well-formedness checker (no external deps).         *)
 (* ------------------------------------------------------------------ *)
 
@@ -339,6 +366,11 @@ let () =
         [
           test_case "disabled tracer records nothing" `Quick
             test_disabled_tracer_records_nothing;
+        ] );
+      ( "of_clock",
+        [
+          test_case "tracer dies with its clock" `Quick
+            test_tracer_dies_with_its_clock;
         ] );
       ( "export",
         [

@@ -14,6 +14,8 @@ module Capability = Spin_core.Capability
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
 
+let must r = Dispatcher.ok_exn ~site:"test_vm" r
+
 let boot () =
   let m = Machine.create ~name:"vmtest" ~mem_mb:2 () in
   let d = Dispatcher.create m.Machine.clock in
@@ -57,7 +59,7 @@ let test_phys_reclaim_event () =
   let first = Phys_addr.allocate vm.Vm.phys ~owner:"old" ~bytes:Addr.page_size in
   let sacrificial =
     Phys_addr.allocate vm.Vm.phys ~owner:"cache" ~bytes:Addr.page_size in
-  ignore (Dispatcher.install_exn (Phys_addr.reclaim_event vm.Vm.phys)
+  ignore (must @@ Dispatcher.install (Phys_addr.reclaim_event vm.Vm.phys)
             ~installer:"cache"
             (fun _candidate -> sacrificial));
   (* Grab everything that's left, then one more to force reclamation. *)
@@ -87,7 +89,7 @@ let test_phys_reclaim_reentrancy () =
   let _hog =
     Phys_addr.allocate phys ~owner:"hog" ~bytes:(total * Addr.page_size) in
   let saw_clean_oom = ref false in
-  ignore (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
+  ignore (must @@ Dispatcher.install (Phys_addr.reclaim_event phys)
             ~installer:"evil" (fun candidate ->
               (match
                  Phys_addr.allocate phys ~owner:"evil" ~bytes:Addr.page_size
@@ -237,7 +239,7 @@ let test_translation_events_classified () =
   (* Protection fault: write a read-only page; handler upgrades it. *)
   ignore (Translation.protect vm.Vm.trans ctx ~va:region.Virt_addr.va
             ~npages:1 Addr.prot_read);
-  ignore (Dispatcher.install_exn (Translation.protection_fault vm.Vm.trans)
+  ignore (must @@ Dispatcher.install (Translation.protection_fault vm.Vm.trans)
             ~installer:"fixer"
             (fun f ->
               ignore (Translation.protect vm.Vm.trans f.Translation.ctx
@@ -264,7 +266,7 @@ let test_translation_page_not_present_event () =
   Translation.attach_region ctx (Virt_addr.region vaddr);
   Cpu.set_context m.Machine.cpu (Some (Translation.mmu_context ctx));
   (* Lazy mapping: fault in a zero page on first touch. *)
-  ignore (Dispatcher.install_exn (Translation.page_not_present vm.Vm.trans)
+  ignore (must @@ Dispatcher.install (Translation.page_not_present vm.Vm.trans)
             ~installer:"lazy"
             (fun f ->
               let page = Phys_addr.allocate vm.Vm.phys ~owner:"lazy"
