@@ -10,8 +10,6 @@ module Dispatcher = Spin_core.Dispatcher
 
 let install r = ignore (Dispatcher.ok_exn ~site:"b_ablation" r)
 
-(* Set when a neutrality check prints MISMATCH; the run then exits 1. *)
-let mismatch = ref false
 module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Machine = Spin_machine.Machine
@@ -301,7 +299,7 @@ let trace_overhead () =
   Printf.printf "    tracer disabled: %8.4f host-us/raise\n" off;
   Printf.printf "    tracer enabled:  %8.4f host-us/raise  (%.1fx)\n"
     on_ (if off > 0. then on_ /. off else 0.);
-  if v_off <> v_on then mismatch := true;
+  Report.require ~name:"tracing is virtual-time neutral" (v_off = v_on);
   Printf.printf "    virtual cycles charged: disabled=%d enabled=%d %s\n"
     v_off v_on
     (if v_off = v_on then "(equal: tracing is virtual-time neutral)"
@@ -339,7 +337,7 @@ let fuzz_overhead () =
   let detached = workload ~fuzzed:true in
   Printf.printf "  virtual cycles, 4 strands x 25 yield+sleep rounds:\n";
   Printf.printf "    never attached:      %10d\n" plain;
-  if plain <> detached then mismatch := true;
+  Report.require ~name:"detached fuzz hooks are free" (plain = detached);
   Printf.printf "    attached, detached:  %10d  %s\n" detached
     (if plain = detached then "(equal: disabled fuzzing is free)"
      else "(MISMATCH: fuzz hooks perturbed the schedule!)");
@@ -356,8 +354,4 @@ let run () =
   little_language ();
   gc_pause ();
   trace_overhead ();
-  fuzz_overhead ();
-  if !mismatch then begin
-    Report.write_json ();
-    exit 1
-  end
+  fuzz_overhead ()

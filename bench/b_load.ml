@@ -141,7 +141,8 @@ let alloc_comparison () =
     ratio;
   Report.metric ~unit_:"B" ~name:"alloc/pkt seed Pkt" legacy;
   Report.metric ~unit_:"B" ~name:"alloc/pkt zero-copy" zerocopy;
-  Report.metric ~unit_:"x" ~name:"alloc ratio" ratio
+  Report.metric ~unit_:"x" ~name:"alloc ratio" ratio;
+  Report.require ~name:"alloc ratio >= 2" (ratio >= 2.)
 
 (* ------------------------------------------------------------------ *)
 

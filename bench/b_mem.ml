@@ -193,6 +193,7 @@ let run () =
       (100. *. o.hit_rate);
     Report.metric ~unit_:"count" ~name:(Printf.sprintf "fetch failures %s" case)
       (float_of_int o.fetch_failures);
+    Report.require ~name:("0 fetch failures " ^ case) (o.fetch_failures = 0);
     Report.metric ~unit_:"count" ~name:(Printf.sprintf "hog oom %s" case)
       (float_of_int o.hog_oom) in
   m "control" control;
@@ -203,9 +204,12 @@ let run () =
   Report.metric ~unit_:"count" ~name:"pageout released"
     (float_of_int pressure.released);
   Report.metric ~unit_:"x" ~name:"ablation p99 ratio" ratio;
+  Report.require ~name:"ablation p99 ratio >= 2" (ratio >= 2.);
+  (* The reclaim path itself must not regress. *)
   (match pressure.reclaim_span with
    | Some s ->
-     (* Gated in CI: the reclaim path itself must not regress. *)
-     Report.metric ~unit_:"us" ~name:"reclaim p50 us" s.Trace.p50_us;
-     Report.metric ~unit_:"us" ~name:"reclaim p99 us" s.Trace.p99_us
+     Report.metric ~gate:Ceiling ~unit_:"us" ~name:"reclaim p50 us"
+       s.Trace.p50_us;
+     Report.metric ~gate:Ceiling ~unit_:"us" ~name:"reclaim p99 us"
+       s.Trace.p99_us
    | None -> ())

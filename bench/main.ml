@@ -6,6 +6,8 @@
      dune exec bench/main.exe bechamel       -- host-time costs (Bechamel)
      dune exec bench/main.exe -- --json OUT.json table2
                                              -- also write metrics as JSON
+     dune exec bench/main.exe -- --check bench/reference.json load ...
+                                             -- gate against the reference
 
    Virtual times are microseconds on the simulated 133 MHz Alpha; see
    DESIGN.md for the cost model and EXPERIMENTS.md for the recorded
@@ -36,12 +38,13 @@ let experiments = [
 ]
 
 let usage () =
-  print_endline "usage: main.exe [--json FILE] [experiment...]";
+  print_endline "usage: main.exe [--json FILE] [--check REF] [experiment...]";
   print_endline "experiments:";
   List.iter (fun (name, desc, _) -> Printf.printf "  %-12s %s\n" name desc)
     experiments;
   print_endline "  all          every experiment except bechamel and fuzz";
   print_endline "  --json FILE  also write measured metrics to FILE";
+  print_endline "  --check REF  fail unless every gated row is within 10% of REF";
   print_endline "  --seeds N    fuzz: run seeds 1..N (default 50)";
   print_endline "  --replay S   fuzz: replay one seed deterministically";
   print_endline "  --cpus N     fuzz: N-CPU hosts; smp: ramp 1,2,..,N (default 8)"
@@ -57,34 +60,28 @@ let run_all () =
     experiments
 
 let () =
+  let die msg = print_endline msg; usage (); exit 1 in
+  let positive flag n =
+    match int_of_string_opt n with
+    | Some n when n > 0 -> n
+    | Some _ | None -> die (flag ^ " needs a positive integer") in
+  let reference = ref None in
   let rec parse = function
     | "--json" :: path :: rest -> Report.set_json path; parse rest
-    | "--json" :: [] ->
-      print_endline "--json needs a file argument"; usage (); exit 1
-    | "--seeds" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n > 0 -> B_fuzz.seeds := n; parse rest
-       | Some _ | None ->
-         print_endline "--seeds needs a positive integer"; usage (); exit 1)
-    | "--seeds" :: [] ->
-      print_endline "--seeds needs an integer argument"; usage (); exit 1
+    | "--check" :: path :: rest ->
+      reference := Some (Report.read_json path); parse rest
+    | "--seeds" :: n :: rest -> B_fuzz.seeds := positive "--seeds" n; parse rest
     | "--replay" :: s :: rest ->
       (match int_of_string_opt s with
        | Some s -> B_fuzz.replay := Some s; parse rest
-       | None ->
-         print_endline "--replay needs an integer seed"; usage (); exit 1)
-    | "--replay" :: [] ->
-      print_endline "--replay needs a seed argument"; usage (); exit 1
+       | None -> die "--replay needs an integer seed")
     | "--cpus" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 ->
-         B_fuzz.cpus := Some n;
-         B_smp.max_cpus := n;
-         parse rest
-       | Some _ | None ->
-         print_endline "--cpus needs a positive integer"; usage (); exit 1)
-    | "--cpus" :: [] ->
-      print_endline "--cpus needs an integer argument"; usage (); exit 1
+      let n = positive "--cpus" n in
+      B_fuzz.cpus := Some n;
+      B_smp.max_cpus := n;
+      parse rest
+    | [ ("--json" | "--check" | "--seeds" | "--replay" | "--cpus") as flag ] ->
+      die (flag ^ " needs an argument")
     | arg :: rest -> arg :: parse rest
     | [] -> [] in
   (match parse (List.tl (Array.to_list Sys.argv)) with
@@ -95,9 +92,8 @@ let () =
        (fun name ->
          match List.find_opt (fun (n, _, _) -> n = name) experiments with
          | Some e -> run_one e
-         | None ->
-           Printf.printf "unknown experiment %S\n" name;
-           usage ();
-           exit 1)
+         | None -> die (Printf.sprintf "unknown experiment %S" name))
        names);
-  Report.write_json ()
+  Report.write_json ();
+  Option.iter (fun reference -> Report.check ~reference) !reference;
+  exit (Report.exit_code ())
