@@ -285,16 +285,16 @@ let trace_overhead () =
     for _ = 1 to iters do Dispatcher.raise_event e () done;
     (Report.wall_s () -. t0) *. 1e6 /. float_of_int iters in
   ignore (host_us_per_raise ());                       (* warm up *)
-  Spin.Trace.disable tr;
+  Spin_machine.Trace.disable tr;
   let clock = k.Kernel.machine.Machine.clock in
   let v0 = Clock.now clock in
   let off = host_us_per_raise () in
   let v_off = Clock.now clock - v0 in
-  Spin.Trace.enable tr;
+  Spin_machine.Trace.enable tr;
   let v1 = Clock.now clock in
   let on_ = host_us_per_raise () in
   let v_on = Clock.now clock - v1 in
-  Spin.Trace.disable tr;
+  Spin_machine.Trace.disable tr;
   Printf.printf "  %d raises of a fast-path event:\n" iters;
   Printf.printf "    tracer disabled: %8.4f host-us/raise\n" off;
   Printf.printf "    tracer enabled:  %8.4f host-us/raise  (%.1fx)\n"

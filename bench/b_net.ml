@@ -11,7 +11,6 @@ module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
 module Sched = Spin_sched.Sched
-module Bl_net = Spin_baseline.Bl_net
 module Bl_path = Spin_baseline.Bl_path
 module Os_costs = Spin_baseline.Os_costs
 module Machine = Spin_machine.Machine

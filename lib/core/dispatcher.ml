@@ -384,8 +384,6 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
 
 let event_name e = e.e_name
 
-let event_owner e = e.e_owner
-
 type install_error =
   | Denied
   | No_index
@@ -758,8 +756,6 @@ let topology t =
     (fun r -> (r.reg_name, r.reg_owner, r.reg_installers ()))
     t.registry
 
-let handler_installer h = h.installer
-
 let handler_id h = h.h_id
 
 let uninstall_installer t ~installer =
@@ -780,3 +776,14 @@ let installed_specs t ~installer =
     (fun (i : Handler_spec.info) ->
       String.equal i.Handler_spec.i_installer installer)
     (handler_specs t)
+
+let gauges t =
+  [ ("dispatch.trusted_handlers",
+     fun () ->
+       List.length
+         (List.filter
+            (fun (i : Handler_spec.info) ->
+              i.Handler_spec.i_trusted && i.Handler_spec.i_active)
+            (handler_specs t)));
+    ("dispatch.trusted_fast", fun () -> trusted_total t);
+    ("dispatch.verifier_rejections", fun () -> verifier_rejections t) ]

@@ -223,8 +223,6 @@ val declare :
 
 val event_name : ('a, 'r) event -> string
 
-val event_owner : ('a, 'r) event -> string
-
 type install_error =
   | Denied                 (** the primary module refused the installer *)
   | No_index               (** [index_key] on an event with no index *)
@@ -338,11 +336,16 @@ val handler_specs : t -> Handler_spec.info list
 val installed_specs : t -> installer:string -> Handler_spec.info list
 (** {!handler_specs} filtered to one installer (a domain). *)
 
+val gauges : t -> (string * (unit -> int)) list
+(** The trusted path's health: [dispatch.trusted_handlers] (active
+    handlers dispatching with zero per-event checks),
+    [.trusted_fast] ({!trusted_total}) and [.verifier_rejections]. A
+    nonzero rejection gauge during a fuzz campaign means some
+    extension is feeding the verifier garbage. *)
+
 val topology : t -> (string * string * string list) list
 (** [(event, owner, handler installers)] for every declared event, in
     declaration order — the data behind Figure 5. *)
-
-val handler_installer : ('a, 'r) handler -> string
 
 val handler_id : ('a, 'r) handler -> int
 (** Stable identity assigned at install, preserved across supervisor

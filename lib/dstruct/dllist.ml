@@ -62,12 +62,6 @@ let pop_back t =
   | None -> None
   | Some n -> unlink t n; Some n.value
 
-let peek_front t =
-  match t.head with None -> None | Some n -> Some n.value
-
-let peek_back t =
-  match t.tail with None -> None | Some n -> Some n.value
-
 let value n = n.value
 
 let is_linked n = n.linked

@@ -30,10 +30,6 @@ val pop_front : 'a t -> 'a option
 val pop_back : 'a t -> 'a option
 (** [pop_back t] removes and returns the last element. *)
 
-val peek_front : 'a t -> 'a option
-
-val peek_back : 'a t -> 'a option
-
 val remove : 'a t -> 'a node -> unit
 (** [remove t n] unlinks [n] from [t]. No-op if already removed.
     Raises [Invalid_argument] if [n] belongs to a different list. *)

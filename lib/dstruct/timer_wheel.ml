@@ -104,8 +104,6 @@ let now t = t.w_now
 
 let size t = t.live
 
-let due_size t = t.due_n
-
 let pool_stats t = { pool_hits = t.hits; pool_misses = t.misses }
 
 (* ------------------------------------------------------------------ *)

@@ -35,9 +35,6 @@ val now : 'a t -> int
 val size : 'a t -> int
 (** Live entries (scheduled or due-but-unpopped); O(1). *)
 
-val due_size : 'a t -> int
-(** Entries already collected as due but not yet popped; O(1). *)
-
 val add : 'a t -> time:int -> 'a -> 'a handle
 (** [add t ~time v] schedules [v] at absolute [time]. Past deadlines
     ([time <= now t]) clamp to "due immediately". *)

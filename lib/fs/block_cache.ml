@@ -208,12 +208,6 @@ let write t ~block data =
   | Some _ -> Lru.remove t.cache (group_of block)
   | None -> ()
 
-let write_uncached t ~block data =
-  (match Lru.peek t.cache (group_of block) with
-   | Some e -> e.valid <- e.valid land lnot (1 lsl slot_of block)
-   | None -> ());
-  write_block t block data
-
 let flush t =
   (* [Lru.clear] skips the eviction callback; return the pages by
      hand. *)

@@ -41,8 +41,6 @@ val write : t -> block:int -> Bytes.t -> unit
 (** Write-through; updates the cached page when the block's group is
     resident. *)
 
-val write_uncached : t -> block:int -> Bytes.t -> unit
-
 val flush : t -> unit
 (** Drop every cached block and return the pages. *)
 

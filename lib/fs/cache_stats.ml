@@ -5,20 +5,14 @@ type t = {
   reclaims : int;
 }
 
-module type S = sig
-  type cache
-
-  val stats : cache -> t
-end
-
-let zero = { hits = 0; misses = 0; bytes_cached = 0; reclaims = 0 }
-
 let lookups t = t.hits + t.misses
 
 let hit_rate t =
   let n = lookups t in
   if n = 0 then 0. else float_of_int t.hits /. float_of_int n
 
-let to_string t =
-  Printf.sprintf "hits %d  misses %d (%.1f%%)  cached %d B  reclaims %d"
-    t.hits t.misses (100. *. hit_rate t) t.bytes_cached t.reclaims
+let gauges ~name sample =
+  [ (name ^ ".hits", fun () -> (sample ()).hits);
+    (name ^ ".misses", fun () -> (sample ()).misses);
+    (name ^ ".bytes_cached", fun () -> (sample ()).bytes_cached);
+    (name ^ ".reclaims", fun () -> (sample ()).reclaims) ]

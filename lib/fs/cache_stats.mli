@@ -1,11 +1,10 @@
 (** The one cache-statistics vocabulary.
 
     Every cache in the tree ({!Block_cache}, {!File_cache}) reports
-    through this record, and {!S} is the signature a cache implements
-    so consumers — [Monitor] gauges, the benchmarks — need only one
-    shape. [reclaims] counts entries lost to the physical address
-    service's memory-pressure reclamation, as opposed to ordinary
-    capacity eviction. *)
+    through this record, so consumers — the {!gauges} a monitor
+    registers, the benchmarks — need only one shape. [reclaims] counts
+    entries lost to the physical address service's memory-pressure
+    reclamation, as opposed to ordinary capacity eviction. *)
 
 type t = {
   hits : int;
@@ -14,19 +13,13 @@ type t = {
   reclaims : int;               (** entries torn down under pressure *)
 }
 
-module type S = sig
-  type cache
-
-  val stats : cache -> t
-end
-
-val zero : t
-
 val lookups : t -> int
 (** [hits + misses]. *)
 
 val hit_rate : t -> float
 (** Hits per lookup in [0, 1]; [0.] before any lookup. *)
 
-val to_string : t -> string
-(** One-line rendering for reports and examples. *)
+val gauges : name:string -> (unit -> t) -> (string * (unit -> int)) list
+(** [name.hits], [.misses], [.bytes_cached] and [.reclaims] over any
+    cache's stats sampler, e.g.
+    [gauges ~name:"block_cache" (fun () -> Block_cache.stats c)]. *)

@@ -23,11 +23,6 @@ let puts t s = String.iter (putc t) s
 
 let output t = Buffer.contents t.out
 
-let flush_output t =
-  let s = Buffer.contents t.out in
-  Buffer.clear t.out;
-  s
-
 let inject_input t s =
   String.iter
     (fun c -> if not (Spin_dstruct.Ring.push t.input c) then t.dropped <- t.dropped + 1)

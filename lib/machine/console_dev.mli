@@ -12,9 +12,7 @@ val putc : t -> char -> unit
 val puts : t -> string -> unit
 
 val output : t -> string
-(** Everything written since boot (or the last {!flush_output}). *)
-
-val flush_output : t -> string
+(** Everything written since boot. *)
 
 val inject_input : t -> string -> unit
 (** Models typing: queues characters and posts the console interrupt

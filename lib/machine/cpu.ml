@@ -71,11 +71,6 @@ let set_context t ctx =
 
 let context t = t.ctx
 
-let in_user_mode t f =
-  let saved = t.mode in
-  t.mode <- User;
-  Fun.protect ~finally:(fun () -> t.mode <- saved) f
-
 let max_fault_retries = 16
 
 let resolve t ~va access =

@@ -82,10 +82,6 @@ val set_context : t -> Mmu.context option -> unit
 val context : t -> Mmu.context option
 (** The user translation context currently installed, if any. *)
 
-val in_user_mode : t -> (unit -> 'a) -> 'a
-(** Runs [f] with the CPU in user mode (for code standing in for an
-    application binary). *)
-
 val load_word : t -> va:int -> int64
 (** User-context 8-byte load; faults are trapped and the access
     retried. Charges the per-access cost. *)

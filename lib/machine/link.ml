@@ -10,7 +10,6 @@ type t = {
   mutable busy_until_ab : int;   (* cycles: wire free time, A->B direction *)
   mutable busy_until_ba : int;
   mutable frames : int;
-  mutable bytes : int;
   mutable loss_every : int;               (* 0 = lossless *)
   mutable dropped : int;
 }
@@ -19,7 +18,7 @@ let create sim ?(latency_us = 5.) ?(frame_overhead = 42) ~mbps () =
   if mbps <= 0. then invalid_arg "Link.create: bad line rate";
   { sim; latency_us; frame_overhead; mbps;
     rx_a = None; rx_b = None; busy_until_ab = 0; busy_until_ba = 0;
-    frames = 0; bytes = 0; loss_every = 0; dropped = 0 }
+    frames = 0; loss_every = 0; dropped = 0 }
 
 let mbps t = t.mbps
 
@@ -43,7 +42,6 @@ let send t ~from frame =
    | A -> t.busy_until_ab <- done_tx
    | B -> t.busy_until_ba <- done_tx);
   t.frames <- t.frames + 1;
-  t.bytes <- t.bytes + Bytes.length frame;
   if t.loss_every > 0 && t.frames mod t.loss_every = 0 then
     t.dropped <- t.dropped + 1
   else
@@ -59,7 +57,3 @@ let set_loss t ~every =
   t.loss_every <- every
 
 let frames_dropped t = t.dropped
-
-let frames_sent t = t.frames
-
-let bytes_sent t = t.bytes

@@ -31,7 +31,3 @@ val set_loss : t -> every:int -> unit
     Deterministic, so tests reproduce. *)
 
 val frames_dropped : t -> int
-
-val frames_sent : t -> int
-
-val bytes_sent : t -> int

@@ -99,6 +99,8 @@ let rx_pending t = Spin_dstruct.Ring.length t.rx_ring
 
 let rx_dropped t = t.rx_dropped
 
+let gauges t = [ (kind_name t.kind ^ ".rx_dropped", fun () -> t.rx_dropped) ]
+
 let frames_tx t = t.frames_tx
 
 let frames_rx t = t.frames_rx

@@ -72,6 +72,14 @@ let stats t =
     pool_hits = p.Timer_wheel.pool_hits;
     pool_misses = p.Timer_wheel.pool_misses }
 
+let gauges t =
+  let stat f () = f (stats t) in
+  [ ("engine.events_live", stat (fun s -> s.live));
+    ("engine.events_fired", stat (fun s -> s.fired));
+    ("engine.events_cancelled", stat (fun s -> s.cancelled));
+    ("engine.event_pool_hits", stat (fun s -> s.pool_hits));
+    ("engine.event_pool_misses", stat (fun s -> s.pool_misses)) ]
+
 let next_deadline t = Timer_wheel.next_deadline t.wheel
 
 let idle_step t =
@@ -80,5 +88,3 @@ let idle_step t =
   | Some time -> Clock.skip_to t.clock time; fire_due t; true
 
 let run t = while idle_step t do () done
-
-let quiesce t = fire_due t

@@ -58,6 +58,12 @@ type stats = {
 
 val stats : t -> stats
 
+val gauges : t -> (string * (unit -> int)) list
+(** The engine's own host-side health, not that of anything
+    simulated: [engine.events_live], [.events_fired],
+    [.events_cancelled], [.event_pool_hits] and
+    [.event_pool_misses]. *)
+
 val next_deadline : t -> int option
 
 val idle_step : t -> bool
@@ -66,6 +72,3 @@ val idle_step : t -> bool
 
 val run : t -> unit
 (** [idle_step] until the queue drains. *)
-
-val quiesce : t -> unit
-(** Fire everything already due at the current time. *)

@@ -139,6 +139,12 @@ let pool_stats t =
     span_hits = t.p_span_hits;
     span_misses = t.p_span_misses }
 
+let gauges t =
+  [ ("trace.ring_reused", fun () -> t.p_ring_reused);
+    ("trace.ring_fresh", fun () -> t.p_ring_fresh);
+    ("trace.span_pool_hits", fun () -> t.p_span_hits);
+    ("trace.span_pool_misses", fun () -> t.p_span_misses) ]
+
 let dropped t = t.n_dropped
 
 (* ------------------------------------------------------------------ *)

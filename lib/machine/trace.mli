@@ -141,3 +141,7 @@ val pool_stats : t -> pool_stats
 (** Once the ring has revolved and the span pool warmed, steady-state
     tracing allocates only argument lists — [ring_fresh] and
     [span_misses] stop growing. *)
+
+val gauges : t -> (string * (unit -> int)) list
+(** The pool counters as [trace.ring_reused], [.ring_fresh],
+    [.span_pool_hits] and [.span_pool_misses]. *)

@@ -170,14 +170,6 @@ let send t ?(ttl = 64) ?src ~dst ~proto payload =
         false
       end else transmit_on t netif pkt
 
-let send_bytes t ?ttl ?src ~dst ~proto payload =
-  (* The application hand-off: one charged copy into a fresh buffer
-     with header room, then the zero-copy path. *)
-  Clock.charge t.machine.Machine.clock
-    (Spin_machine.Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
-       ~bytes:(Bytes.length payload));
-  send t ?ttl ?src ~dst ~proto (Pkt.of_payload payload)
-
 let forward t pkt =
   if pkt.ttl <= 1 then begin
     t.s_dropped <- t.s_dropped + 1;

@@ -81,12 +81,6 @@ val send :
     [false] when no route exists or the datagram exceeds the route's
     MTU (no fragmentation). Local destinations loop back. *)
 
-val send_bytes :
-  t -> ?ttl:int -> ?src:addr -> dst:addr -> proto:int -> Bytes.t -> bool
-(** [send] for callers holding plain bytes: one charged copy into a
-    fresh headroomed buffer (the application hand-off), then the
-    zero-copy path. The caller keeps ownership of [payload]. *)
-
 val mtu_toward : t -> addr -> int option
 (** Usable payload bytes toward a destination. *)
 

@@ -225,3 +225,5 @@ let shard_frames t = Array.copy t.shard_rx
 let rx_shards t = t.rx_shards
 
 let drops t = Nic.rx_dropped t.nic
+
+let gauges t = [ (t.name ^ ".rx_dropped", fun () -> drops t) ]

@@ -112,5 +112,7 @@ val shard_frames : t -> int array
 val drops : t -> int
 (** Frames the NIC dropped on receive-ring overflow — the device's
     {!Spin_machine.Nic.rx_dropped}, surfaced at the driver so overload
-    is observable (e.g. via [Monitor.watch_netif]) instead of a
-    silent drop. *)
+    is observable (e.g. via {!gauges}) instead of a silent drop. *)
+
+val gauges : t -> (string * (unit -> int)) list
+(** [<name>.rx_dropped], sampling {!drops}. *)

@@ -99,21 +99,9 @@ let set_u8 t i v =
   if i < 0 || i >= t.len then invalid_arg "Pkt.set_u8";
   Bytes.set_uint8 t.buf (t.off + i) v
 
-let set_u16_le t i v =
-  if i < 0 || i + 2 > t.len then invalid_arg "Pkt.set_u16_le";
-  Bytes.set_uint16_le t.buf (t.off + i) v
-
-let set_u32_le t i v =
-  if i < 0 || i + 4 > t.len then invalid_arg "Pkt.set_u32_le";
-  Bytes.set_int32_le t.buf (t.off + i) (Int32.of_int v)
-
 let blit_to t ~pos dst ~dst_pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pkt.blit_to";
   Bytes.blit t.buf (t.off + pos) dst dst_pos len
-
-let blit_from src ~src_pos t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pkt.blit_from";
-  Bytes.blit src src_pos t.buf (t.off + pos) len
 
 let add_to_buffer b t = Buffer.add_subbytes b t.buf t.off t.len
 

@@ -117,14 +117,9 @@ val get_u16_le : t -> int -> int
 val get_u32_le : t -> int -> int
 val get_i64_le : t -> int -> int64
 val set_u8 : t -> int -> int -> unit
-val set_u16_le : t -> int -> int -> unit
-val set_u32_le : t -> int -> int -> unit
 
 val blit_to : t -> pos:int -> Bytes.t -> dst_pos:int -> len:int -> unit
 (** Copy out of the view. *)
-
-val blit_from : Bytes.t -> src_pos:int -> t -> pos:int -> len:int -> unit
-(** Copy into the view (filling a freshly {!alloc}ed payload). *)
 
 val add_to_buffer : Buffer.t -> t -> unit
 (** Append the view to a [Buffer.t] (TCP reassembly) — copies, charge

@@ -556,8 +556,6 @@ let state conn = conn.st
 
 let peer conn = (conn.r_addr, conn.r_port)
 
-let local_port conn = conn.l_port
-
 let stats t = {
   segments_sent = t.s_out;
   segments_received = t.s_in;

@@ -86,8 +86,6 @@ val state : conn -> state
 
 val peer : conn -> Ip.addr * int
 
-val local_port : conn -> int
-
 type stats = {
   segments_sent : int;
   segments_received : int;

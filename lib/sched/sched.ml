@@ -677,6 +677,15 @@ let pending_ipi_count t = Hashtbl.length t.ipi_pending
 let ipis_undelivered t =
   match t.intr with Some intr -> Intr.ipis_pending intr | None -> 0
 
+let gauges t =
+  [ ("sched.runnable", fun () -> runnable_count t);
+    ("sched.switches", fun () -> t.s_switches);
+    ("sched.preemptions", fun () -> t.s_preempt);
+    ("sched.steals", fun () -> t.s_steals);
+    ("sched.ipi_wakeups", fun () -> t.s_ipi_wakeups);
+    ("sched.ipis_in_flight", fun () -> pending_ipi_count t);
+    ("sched.pending_wakeups", fun () -> pending_wakeup_count t) ]
+
 let audit t report =
   (* Run-queue membership: every queued strand is Runnable with a live
      back-pointer, queued on the CPU its [qcpu] claims (and its pinned

@@ -222,6 +222,13 @@ val ipis_undelivered : t -> int
 (** IPIs sitting in the interrupt controller's inboxes (0 without an
     [intr]); the transport-level view of {!pending_ipi_count}. *)
 
+val gauges : t -> (string * (unit -> int)) list
+(** Health gauges, summed across every CPU: [sched.runnable],
+    [.switches], [.preemptions], [.steals], [.ipi_wakeups],
+    [.ipis_in_flight] and [.pending_wakeups]. The in-flight gauge
+    matters on multiprocessors: a wakeup travelling as an IPI is
+    pending work that no run-queue depth shows. *)
+
 (** {2 Schedule exploration and invariant checking}
 
     The paper's replaceable-scheduler interface (section 5.2), plus

@@ -76,6 +76,10 @@ type stats = {
 
 val stats : t -> stats
 
+val gauges : t -> (string * (unit -> int)) list
+(** [fuzz.seed], [.decisions], [.injected_preempts] and
+    [.violations]. *)
+
 val seed : t -> int
 (** The seed this fuzzer was attached with. *)
 

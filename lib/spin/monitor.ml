@@ -6,13 +6,11 @@ type t = {
   clock : Clock.t;
   mutable counters : (string * int ref) list;
   mutable gauges : (string * (unit -> int)) list;
-  mutable tracers : Trace.t list;
   started_at : int;
 }
 
 let create clock =
-  { clock; counters = []; gauges = []; tracers = [];
-    started_at = Clock.now clock }
+  { clock; counters = []; gauges = []; started_at = Clock.now clock }
 
 let counter t name =
   match List.assoc_opt name t.counters with
@@ -25,14 +23,7 @@ let counter t name =
 (* Counting happens in a guard that always declines, so the monitor
    works on events of any result type and never contributes a result
    to the raiser. *)
-let watch t event =
-  let c = counter t (Dispatcher.event_name event) in
-  ignore
-    (Dispatcher.install event ~installer:"Monitor"
-       ~spec:(Dispatcher.Handler_spec.guarded (fun _ -> incr c; false))
-       (fun _ -> assert false))
-
-let watch_with t event ~interest =
+let watch ?(interest = fun _ -> true) t event =
   let c = counter t (Dispatcher.event_name event) in
   ignore
     (Dispatcher.install event ~installer:"Monitor"
@@ -44,115 +35,10 @@ let watch_with t event ~interest =
 
 (* Gauges sample state owned elsewhere (device drop counters, the
    supervisor's fault ledger) at report time — overload and failure
-   are visible in the same report as event rates, instead of silent. *)
-let gauge t ~name sample = t.gauges <- t.gauges @ [ (name, sample) ]
-
-let watch_nic t nic =
-  let name = Spin_machine.Nic.kind_name (Spin_machine.Nic.kind nic) in
-  gauge t ~name:(name ^ ".rx_dropped")
-    (fun () -> Spin_machine.Nic.rx_dropped nic)
-
-let watch_netif t netif =
-  gauge t ~name:(Spin_net.Netif.name netif ^ ".rx_dropped")
-    (fun () -> Spin_net.Netif.drops netif)
-
-let watch_supervisor t sup =
-  gauge t ~name:"supervisor.faults"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_faults);
-  gauge t ~name:"supervisor.restarts"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_restarts);
-  gauge t ~name:"supervisor.quarantines"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_quarantines);
-  gauge t ~name:"supervisor.backoff_capped"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_backoff_capped);
-  gauge t ~name:"supervisor.backoff_resets"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_backoff_resets);
-  gauge t ~name:"supervisor.revoked_uses"
-    (fun () -> (Supervisor.stats sup).Supervisor.s_revoked)
-
-(* The trusted path's observability: how many handlers currently
-   dispatch with zero per-event checks, how many raises went through
-   them, and how many install attempts the verifier turned away. A
-   nonzero rejection gauge during a fuzz campaign means some extension
-   is feeding the verifier garbage — visible here instead of silent. *)
-let watch_dispatcher t disp =
-  gauge t ~name:"dispatch.trusted_handlers"
-    (fun () ->
-      List.length
-        (List.filter
-           (fun (i : Dispatcher.Handler_spec.info) ->
-             i.Dispatcher.Handler_spec.i_trusted
-             && i.Dispatcher.Handler_spec.i_active)
-           (Dispatcher.handler_specs disp)));
-  gauge t ~name:"dispatch.trusted_fast"
-    (fun () -> Dispatcher.trusted_total disp);
-  gauge t ~name:"dispatch.verifier_rejections"
-    (fun () -> Dispatcher.verifier_rejections disp)
-
-let watch_swap t sw =
-  gauge t ~name:"swap.swaps" (fun () -> (Swap.stats sw).Swap.swaps);
-  gauge t ~name:"swap.failed" (fun () -> (Swap.stats sw).Swap.failed_swaps);
-  gauge t ~name:"swap.held_raises"
-    (fun () -> (Swap.stats sw).Swap.held_raises);
-  gauge t ~name:"swap.swept_handlers"
-    (fun () -> (Swap.stats sw).Swap.swept_handlers)
-
-(* Scheduler health, summed machine-wide: on a multiprocessor the
-   queue-depth gauge spans every CPU's run queue and the in-flight
-   gauges count wakeups still travelling as IPIs — work a single-queue
-   view would silently miss. *)
-let watch_sched t sched =
-  let module S = Spin_sched.Sched in
-  gauge t ~name:"sched.runnable" (fun () -> S.runnable_count sched);
-  gauge t ~name:"sched.switches" (fun () -> (S.stats sched).S.switches);
-  gauge t ~name:"sched.preemptions" (fun () -> (S.stats sched).S.preemptions);
-  gauge t ~name:"sched.steals" (fun () -> (S.stats sched).S.steals);
-  gauge t ~name:"sched.ipi_wakeups" (fun () -> (S.stats sched).S.ipi_wakeups);
-  gauge t ~name:"sched.ipis_in_flight" (fun () -> S.pending_ipi_count sched);
-  gauge t ~name:"sched.pending_wakeups"
-    (fun () -> S.pending_wakeup_count sched)
-
-let watch_fuzz t fz =
-  let module F = Spin_sched.Sched_fuzz in
-  gauge t ~name:"fuzz.seed" (fun () -> (F.stats fz).F.seed);
-  gauge t ~name:"fuzz.decisions" (fun () -> (F.stats fz).F.decisions);
-  gauge t ~name:"fuzz.injected_preempts"
-    (fun () -> (F.stats fz).F.injected_preempts);
-  gauge t ~name:"fuzz.violations" (fun () -> (F.stats fz).F.violations)
-
-let watch_mem t phys =
-  let module P = Spin_vm.Phys_addr in
-  gauge t ~name:"mem.total_pages" (fun () -> P.total_pages phys);
-  gauge t ~name:"mem.free_pages" (fun () -> P.free_pages phys);
-  gauge t ~name:"mem.reclaims" (fun () -> P.reclaims phys);
-  gauge t ~name:"mem.oom_failures" (fun () -> P.oom_failures phys)
-
-let watch_cache t ~name sample =
-  let module C = Spin_fs.Cache_stats in
-  gauge t ~name:(name ^ ".hits") (fun () -> (sample ()).C.hits);
-  gauge t ~name:(name ^ ".misses") (fun () -> (sample ()).C.misses);
-  gauge t ~name:(name ^ ".bytes_cached") (fun () -> (sample ()).C.bytes_cached);
-  gauge t ~name:(name ^ ".reclaims") (fun () -> (sample ()).C.reclaims)
-
-let watch_engine t sim =
-  let module Sim = Spin_machine.Sim in
-  let stat f = fun () -> f (Sim.stats sim) in
-  gauge t ~name:"engine.events_live" (stat (fun s -> s.Sim.live));
-  gauge t ~name:"engine.events_fired" (stat (fun s -> s.Sim.fired));
-  gauge t ~name:"engine.events_cancelled" (stat (fun s -> s.Sim.cancelled));
-  gauge t ~name:"engine.event_pool_hits" (stat (fun s -> s.Sim.pool_hits));
-  gauge t ~name:"engine.event_pool_misses" (stat (fun s -> s.Sim.pool_misses))
-
-let watch_trace t tracer =
-  if not (List.memq tracer t.tracers) then begin
-    t.tracers <- t.tracers @ [ tracer ];
-    let stat f = fun () -> f (Trace.pool_stats tracer) in
-    gauge t ~name:"trace.ring_reused" (stat (fun p -> p.Trace.ring_reused));
-    gauge t ~name:"trace.ring_fresh" (stat (fun p -> p.Trace.ring_fresh));
-    gauge t ~name:"trace.span_pool_hits" (stat (fun p -> p.Trace.span_hits));
-    gauge t ~name:"trace.span_pool_misses"
-      (stat (fun p -> p.Trace.span_misses))
-  end
+   are visible in the same report as event rates, instead of silent.
+   Which samples describe a subsystem is the subsystem's call: each
+   exports its own [gauges] list. *)
+let watch_gauges t gauges = t.gauges <- t.gauges @ gauges
 
 let counts t = List.map (fun (name, c) -> (name, !c)) t.counters
 
@@ -182,19 +68,7 @@ let report t =
          Buffer.add_string buf
            (Printf.sprintf "  %-28s %8d\n" name (sample ())))
        gauges);
-  List.iter
-    (fun tr ->
-       match Trace.summaries tr with
-       | [] -> ()
-       | summaries ->
-         Buffer.add_string buf "latency (virtual us):\n";
-         List.iter
-           (fun (key, s) ->
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "  %-28s n=%-6d p50=%8.2f p90=%8.2f p99=%8.2f max=%8.2f\n"
-                   key s.Trace.count s.Trace.p50_us s.Trace.p90_us
-                   s.Trace.p99_us s.Trace.max_us))
-           summaries)
-    t.tracers;
+  let tracer = Trace.of_clock t.clock in
+  if Trace.summaries tracer <> [] then
+    Buffer.add_string buf (Trace.report tracer);
   Buffer.contents buf

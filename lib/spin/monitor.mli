@@ -5,86 +5,38 @@
     The monitor installs counting handlers on events of interest —
     optionally guarded, so it can watch a single instance — and
     reports per-event rates over virtual time. It never perturbs
-    results: its handlers cost one dispatch each and return nothing. *)
+    results: its handlers cost one dispatch each and return nothing.
+
+    Health gauges come from the subsystems themselves: each exports a
+    [gauges] list ({!Spin_sched.Sched.gauges},
+    {!Spin_net.Netif.gauges}, {!Supervisor.gauges}, ...) naming the
+    samples that describe it, and {!watch_gauges} registers any such
+    list. *)
 
 type t
 
 val create : Spin_machine.Clock.t -> t
 
-val watch : t -> ('a, 'r) Spin_core.Dispatcher.event -> unit
-(** Count every raise of the event. *)
-
-val watch_with :
-  t -> ('a, 'r) Spin_core.Dispatcher.event -> interest:('a -> bool) -> unit
-(** Count only raises whose argument satisfies [interest] (a guard —
-    per-instance monitoring). *)
+val watch :
+  ?interest:('a -> bool) -> t -> ('a, 'r) Spin_core.Dispatcher.event -> unit
+(** Count every raise of the event, or only raises whose argument
+    satisfies [interest] (a guard — per-instance monitoring). *)
 
 val counts : t -> (string * int) list
 (** Events in watch order with their observed raise counts. *)
 
-val gauge : t -> name:string -> (unit -> int) -> unit
-(** Registers a named health gauge, sampled at {!report} /
-    {!gauges} time. Gauges surface state the monitor does not own —
-    device drop counters, supervisor fault tallies — so overload and
-    failure show up in the same report as event rates. *)
-
-val watch_nic : t -> Spin_machine.Nic.t -> unit
-(** Gauge on the NIC's receive-ring drop counter: overflow is
-    observable rather than a silent drop. *)
-
-val watch_netif : t -> Spin_net.Netif.t -> unit
-(** Same, at the driver level (the interface's NIC). *)
-
-val watch_supervisor : t -> Supervisor.t -> unit
-(** Gauges on the supervisor's fault, restart, and quarantine totals,
-    plus the backoff hygiene counters (delays capped, attempt counts
-    reset after a healthy grace period) and stale-reference
-    ([Capability.Revoked]) fault count. *)
-
-val watch_dispatcher : t -> Spin_core.Dispatcher.t -> unit
-(** Gauges on the trusted-fast (verified bytecode) path: handlers
-    currently dispatching with zero per-event checks, raises that went
-    through them, and install attempts the verifier rejected — so a
-    fuzz campaign's quiescence checks cover the new path. *)
-
-val watch_swap : t -> Swap.t -> unit
-(** Gauges on hot-swap activity: committed and failed swaps, raises
-    held at swap gates, and old handlers swept. *)
-
-val watch_sched : t -> Spin_sched.Sched.t -> unit
-(** Gauges on scheduler health, summed across every CPU: machine-wide
-    run-queue depth, switches, preemptions, steals, cross-CPU (IPI)
-    wakeups, wakeup IPIs still in flight, and raced wakeups recorded.
-    The in-flight gauges matter on multiprocessors: a wakeup travelling
-    as an IPI is pending work that no run-queue depth shows. *)
-
-val watch_fuzz : t -> Spin_sched.Sched_fuzz.t -> unit
-(** Gauges on a schedule-fuzzing run: the seed in play, scheduling
-    decisions made, preemptions injected, and invariant violations
-    found. *)
-
-val watch_mem : t -> Spin_vm.Phys_addr.t -> unit
-(** Gauges on the physical address service: total and free pages,
-    reclaims, and allocation failures. *)
-
-val watch_cache :
-  t -> name:string -> (unit -> Spin_fs.Cache_stats.t) -> unit
-(** Gauges ([name].hits/.misses/.bytes_cached/.reclaims) over any
-    cache that reports through {!Spin_fs.Cache_stats}. *)
+val watch_gauges : t -> (string * (unit -> int)) list -> unit
+(** Registers named health gauges, sampled at {!report} / {!gauges}
+    time, after those already registered. Gauges surface state the
+    monitor does not own — device drop counters, supervisor fault
+    tallies — so overload and failure show up in the same report as
+    event rates. *)
 
 val gauges : t -> (string * int) list
 (** Registered gauges with their current samples. *)
 
-val watch_engine : t -> Spin_machine.Sim.t -> unit
-(** Gauges on the discrete-event engine itself: live/fired/cancelled
-    event counts and the event-record pool's hit/miss totals — the
-    host-side health of the simulator, not of anything simulated. *)
-
-val watch_trace : t -> Spin_machine.Trace.t -> unit
-(** Folds the tracer's latency histograms (p50/p90/p99 per key) into
-    {!report}, and adds gauges on the tracer's ring-record and
-    span-token pools. *)
-
 val report : t -> string
 (** Human-readable counts and rates per virtual second, followed by
-    the health gauges. *)
+    the health gauges and, when the clock's tracer
+    ({!Spin_machine.Trace.of_clock}) holds latency histograms, its
+    {!Spin_machine.Trace.report}. *)

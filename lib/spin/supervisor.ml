@@ -339,6 +339,14 @@ let stats t = {
   s_revoked = t.m_revoked;
 }
 
+let gauges t =
+  [ ("supervisor.faults", fun () -> t.m_faults);
+    ("supervisor.restarts", fun () -> t.m_restarts);
+    ("supervisor.quarantines", fun () -> t.m_quarantines);
+    ("supervisor.backoff_capped", fun () -> t.m_backoff_capped);
+    ("supervisor.backoff_resets", fun () -> t.m_backoff_resets);
+    ("supervisor.revoked_uses", fun () -> t.m_revoked) ]
+
 let report t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf

@@ -124,5 +124,10 @@ type stats = {
 
 val stats : t -> stats
 
+val gauges : t -> (string * (unit -> int)) list
+(** [supervisor.faults], [.restarts], [.quarantines],
+    [.backoff_capped], [.backoff_resets] and [.revoked_uses] (the
+    [s_revoked] count). *)
+
 val report : t -> string
 (** Human-readable ledger. *)

@@ -337,3 +337,9 @@ let stats t = {
   held_raises = t.s_held;
   swept_handlers = t.s_swept;
 }
+
+let gauges t =
+  [ ("swap.swaps", fun () -> t.s_swaps);
+    ("swap.failed", fun () -> t.s_failed);
+    ("swap.held_raises", fun () -> t.s_held);
+    ("swap.swept_handlers", fun () -> t.s_swept) ]

@@ -138,3 +138,6 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val gauges : t -> (string * (unit -> int)) list
+(** [swap.swaps], [.failed], [.held_raises] and [.swept_handlers]. *)

@@ -86,8 +86,6 @@ let select_victim_event t = t.select_victim
 
 let add_invalidate t f = t.invalidates <- t.invalidates @ [ f ]
 
-let set_invalidate = add_invalidate
-
 let set_reclaim_enabled t enabled = t.reclaim_enabled <- enabled
 
 let reclaim_enabled t = t.reclaim_enabled
@@ -95,6 +93,12 @@ let reclaim_enabled t = t.reclaim_enabled
 let reclaims t = t.reclaim_count
 
 let oom_failures t = t.oom_count
+
+let gauges t =
+  [ ("mem.total_pages", fun () -> total_pages t);
+    ("mem.free_pages", fun () -> free_pages t);
+    ("mem.reclaims", fun () -> t.reclaim_count);
+    ("mem.oom_failures", fun () -> t.oom_count) ]
 
 let live_pages t = t.live
 

@@ -74,10 +74,6 @@ val add_invalidate : t -> (page -> unit) -> unit
     being reclaimed, while its capability is still valid: the
     translation service unmaps it, caches drop the entry. *)
 
-val set_invalidate : t -> (page -> unit) -> unit
-(** Historical name of {!add_invalidate}; it has always been additive
-    across services, so both append. *)
-
 val force_reclaim : t -> page option
 (** Reclaims one victim page now (for tests and the pageout daemon).
     The returned page has been invalidated and freed; [None] when no
@@ -98,6 +94,10 @@ val reclaims : t -> int
 
 val oom_failures : t -> int
 (** Allocations that raised {!Out_of_memory}. *)
+
+val gauges : t -> (string * (unit -> int)) list
+(** [mem.total_pages], [.free_pages], [.reclaims] and
+    [.oom_failures]. *)
 
 val live_pages : t -> page list
 (** Live allocations, newest first. Policy handlers walk this. *)

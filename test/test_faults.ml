@@ -420,7 +420,7 @@ let test_supervisor_counts_revoked_faults () =
   ignore (must @@ Dispatcher.install ev ~installer:"staleuser"
             (fun _ -> ignore (Capability.deref cap)));
   let m = Monitor.create clock in
-  Monitor.watch_supervisor m sup;
+  Monitor.watch_gauges m (Supervisor.gauges sup);
   Dispatcher.raise_event ev 0;
   let st = Supervisor.stats sup in
   check int "revoked use counted apart" 1 st.Supervisor.s_revoked;
@@ -624,7 +624,7 @@ let test_rx_overflow_observable () =
   (* Never started: the ring is never drained, as in a stalled host. *)
   let nb = Netif.create b sched disp nic_b ~name:"Ether" in
   let m = Monitor.create clock in
-  Monitor.watch_netif m nb;
+  Monitor.watch_gauges m (Netif.gauges nb);
   for _ = 1 to 80 do
     ignore (Nic.transmit nic_a (Bytes.create 64))
   done;

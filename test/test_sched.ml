@@ -786,7 +786,7 @@ let test_monitor_gauges_are_machine_wide () =
      in-flight IPI wakeups (pending work no run-queue depth shows). *)
   let m, _, s = smp_kernel () in
   let mon = Monitor.create m.Machine.clock in
-  Monitor.watch_sched mon s;
+  Monitor.watch_gauges mon (Sched.gauges s);
   let sleeper = ref None in
   let mid_flight = ref (-1) in
   let sl = Sched.spawn s ~name:"sleeper" (fun () ->
