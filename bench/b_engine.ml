@@ -30,7 +30,6 @@ module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Machine = Spin_machine.Machine
-module Trace = Spin_machine.Trace
 module Sched = Spin_sched.Sched
 module Sched_fuzz = Spin_sched.Sched_fuzz
 module Pqueue = Spin_dstruct.Pqueue
@@ -185,21 +184,17 @@ let http_clients = 8
 let http_requests_per_client = 20
 
 let http_replay () =
-  let clock, client, server = B_extra.web_fixture () in
-  let total = http_clients * http_requests_per_client in
-  ignore (Sched.spawn client.Host.sched ~name:"driver" (fun () ->
-    B_extra.http_get clock client;                     (* warm caches *)
-    for c = 1 to http_clients do
-      ignore (Sched.spawn client.Host.sched
-                ~name:(Printf.sprintf "client-%d" c) (fun () ->
-                  for _ = 1 to http_requests_per_client do
-                    B_extra.http_get clock client
-                  done))
-    done));
-  let v0 = Clock.now_us clock in
-  let r = measured (fun () -> Host.run_all [ client; server ]; total) in
-  (r, Clock.now_us clock -. v0,
-   (Sim.stats client.Host.machine.Machine.sim).Sim.fired)
+  let w = B_web.fixture () in
+  let _rps =
+    B_web.closed_loop ~clients:http_clients ~requests:http_requests_per_client
+      w in
+  let v0 = Clock.now_us w.B_web.clock in
+  let r =
+    measured (fun () ->
+      B_web.run w;
+      http_clients * http_requests_per_client) in
+  (r, Clock.now_us w.B_web.clock -. v0,
+   (Sim.stats w.B_web.client.Host.machine.Machine.sim).Sim.fired)
 
 let fuzz_seeds = 6
 
@@ -213,7 +208,7 @@ let fuzz_slice () =
         let d = Spin_core.Dispatcher.create m.Machine.clock in
         let s = Sched.create m.Machine.sim d in
         let fz =
-          Sched_fuzz.attach ~cpu:m.Machine.cpu ~dispatcher:d
+          Sched_fuzz.attach ~cpus:[ m.Machine.cpu ] ~dispatcher:d
             ~mean_period:200 ~seed s in
         for i = 1 to 8 do
           ignore (Sched.spawn s ~name:(Printf.sprintf "w%d" i) (fun () ->

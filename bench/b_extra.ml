@@ -1,6 +1,5 @@
-(* Section 5.5 measurements: dispatcher scalability with guards, the
-   impact of automatic storage management, and the web-server
-   comparison of section 5.4. *)
+(* Section 5.5 measurements: dispatcher scalability with guards and
+   the impact of automatic storage management. *)
 
 open Spin_net
 module Kernel = Spin.Kernel
@@ -10,10 +9,7 @@ module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
 module Sched = Spin_sched.Sched
-module Machine = Spin_machine.Machine
 module Kheap = Spin_kgc.Kheap
-module Bl_path = Spin_baseline.Bl_path
-module Os_costs = Spin_baseline.Os_costs
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -111,112 +107,3 @@ let gc_impact () =
     (Cost.cycles_to_us Cost.alpha_133 st.Kheap.pause_cycles);
   Printf.printf "  heap after storm: %d words live of %d allocated\n"
     (Kheap.live_words heap) (Kheap.heap_words heap)
-
-(* ------------------------------------------------------------------ *)
-(* Web server: SPIN in-kernel vs user-level on OSF/1                  *)
-(* ------------------------------------------------------------------ *)
-
-let web_fixture ?cpus ?(kind = Nic.Lance) ?mbps () =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let server = Host.create ?cpus sim ~name:"www" ~addr:addr_b in
-  let client = Host.create ?cpus sim ~name:"client" ~addr:addr_a in
-  ignore (Host.wire ?mbps client server ~kind);
-  let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
-  let bc = Spin_fs.Block_cache.create ~phys:server.Host.phys server.Host.machine server.Host.sched disk in
-  let cache = ref None in
-  ignore (Sched.spawn server.Host.sched ~name:"setup" (fun () ->
-    let fs = Spin_fs.Simple_fs.format bc ~blocks:65536 () in
-    Spin_fs.Simple_fs.create fs ~name:"index.html";
-    Spin_fs.Simple_fs.write fs ~name:"index.html"
-      (Bytes.of_string (String.make 2048 'x'));
-    let c = Spin_fs.File_cache.create ~phys:server.Host.phys fs in
-    ignore (Http.create server.Host.machine server.Host.sched server.Host.tcp c);
-    cache := Some c));
-  Host.run_all [ client; server ];
-  (clock, client, server)
-
-(* The same server with its dispatcher passed to [Http.create], so
-   [HTTP.GenContent] is declared and loadable extensions can serve
-   dynamic paths — the fixture the hot-swap experiments replace
-   content generators on. Also returns the server handle. *)
-let web_fixture_full ?cpus () =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let server = Host.create ?cpus sim ~name:"www" ~addr:addr_b in
-  let client = Host.create ?cpus sim ~name:"client" ~addr:addr_a in
-  ignore (Host.wire client server ~kind:Nic.Lance);
-  let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
-  let bc = Spin_fs.Block_cache.create ~phys:server.Host.phys server.Host.machine server.Host.sched disk in
-  let http = ref None in
-  ignore (Sched.spawn server.Host.sched ~name:"setup" (fun () ->
-    let fs = Spin_fs.Simple_fs.format bc ~blocks:65536 () in
-    Spin_fs.Simple_fs.create fs ~name:"index.html";
-    Spin_fs.Simple_fs.write fs ~name:"index.html"
-      (Bytes.of_string (String.make 2048 'x'));
-    let c = Spin_fs.File_cache.create ~phys:server.Host.phys fs in
-    http := Some (Http.create ~dispatcher:server.Host.dispatcher
-                    server.Host.machine server.Host.sched server.Host.tcp c)));
-  Host.run_all [ client; server ];
-  (clock, client, server, Option.get !http)
-
-let http_get ?(user_level = false) ?(path = "index.html") clock client =
-  let osf = Os_costs.osf1 in
-  match Tcp.connect client.Host.tcp ~dst:addr_b ~dst_port:80 with
-  | None -> ()
-  | Some conn ->
-    if user_level then begin
-      (* The user-level server's per-request work: accept returns to
-         user space, the request is read, the file is fetched through
-         the (double-buffered) file system, the response is written —
-         each step a crossing with copies. *)
-      Bl_path.null_syscall clock osf;                      (* accept *)
-      (* A 1995 user-level httpd forks a worker per request: the
-         copy-on-write address-space setup over the server image
-         dominates (the structural reason the paper's user-level
-         server needs 8 ms where SPIN needs 5). *)
-      let server_image_pages = 120 in
-      Clock.charge clock
-        (server_image_pages
-         * ((2 * (Clock.cost clock).Spin_machine.Cost.mmu_map_op)
-            + osf.Os_costs.vm_layer_per_page));
-      Clock.charge clock (2 * (Clock.cost clock).Spin_machine.Cost.addr_space_switch);
-      Bl_path.user_recv_overhead clock osf ~bytes:64;      (* read request *)
-      Bl_path.null_syscall clock osf;                      (* open *)
-      Bl_path.null_syscall clock osf;                      (* stat *)
-      Clock.charge clock (2 * Bl_path.copy_cost clock ~bytes:2048);
-      (* FS cache -> user buffer -> socket: double buffering *)
-      Bl_path.user_send_overhead clock osf ~bytes:2048;    (* write reply *)
-      Bl_path.null_syscall clock osf;                      (* close *)
-      Bl_path.null_syscall clock osf                       (* wait/exit *)
-    end;
-    Tcp.send client.Host.tcp conn
-      (Bytes.of_string (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" path));
-    let rec drain () =
-      let data = Tcp.read client.Host.tcp conn in
-      if Bytes.length data > 0 then drain () in
-    drain ()
-
-let web_latency ~user_level =
-  let clock, client, server = web_fixture () in
-  let out = ref 0. in
-  ignore (Sched.spawn client.Host.sched ~name:"client" (fun () ->
-    (* Warm the object cache. *)
-    http_get ~user_level:false clock client;
-    let samples = ref [] in
-    for _ = 1 to 5 do
-      let t0 = Clock.now_us clock in
-      http_get ~user_level clock client;
-      samples := (Clock.now_us clock -. t0) :: !samples
-    done;
-    out := Report.mean !samples));
-  Host.run_all [ client; server ];
-  !out /. 1000.
-
-let web () =
-  Report.header "Section 5.4: web server, client-side latency (ms, cached file)";
-  Printf.printf "%-42s %10s %10s\n" "server" "paper" "measured";
-  Printf.printf "%-42s %10.0f %10.2f\n" "SPIN in-kernel HTTP + hybrid cache" 5.
-    (web_latency ~user_level:false);
-  Printf.printf "%-42s %10.0f %10.2f\n" "user-level server on the caching FS" 8.
-    (web_latency ~user_level:true)

@@ -14,7 +14,6 @@ module Sched = Spin_sched.Sched
 module Strand = Spin_sched.Strand
 module Kthread = Spin_sched.Kthread
 module Sched_fuzz = Spin_sched.Sched_fuzz
-module Clock = Spin_machine.Clock
 module Machine = Spin_machine.Machine
 module Trace = Spin_machine.Trace
 open Spin_net
@@ -47,8 +46,10 @@ let attach_host ~seed host =
    hot-swaps the content generator twice, mid-request-storm, so the
    fuzzer can preempt inside the swap window itself. *)
 let run_seed ~seed ~traced =
-  let clock, client, server, http = B_extra.web_fixture_full ?cpus:!cpus () in
-  let tr = Trace.of_clock clock in
+  let w = B_web.fixture ?cpus:!cpus () in
+  let client = w.B_web.client and server = w.B_web.server
+  and http = w.B_web.http in
+  let tr = Trace.of_clock w.B_web.clock in
   if traced then Trace.enable tr;
   (* Distinct streams per host; both derived from the seed alone. *)
   let fz_client = attach_host ~seed client in
@@ -79,7 +80,7 @@ let run_seed ~seed ~traced =
     let path = if c mod 2 = 0 then "live" else "index.html" in
     ignore (Sched.spawn client.Host.sched
               ~name:(Printf.sprintf "fuzz-client-%d" c) (fun () ->
-      for _ = 1 to 5 do B_extra.http_get ~path clock client done))
+      for _ = 1 to 5 do ignore (B_web.get ~path w) done))
   done;
   for i = 1 to 3 do
     ignore (Sched.spawn server.Host.sched
@@ -119,7 +120,7 @@ let run_seed ~seed ~traced =
           end)
       done))
   done;
-  Host.run_all [ client; server ];
+  B_web.run w;
   Sched_fuzz.check_quiescence ~exempt:daemon fz_client;
   Sched_fuzz.check_quiescence ~exempt:daemon fz_server;
   if !consumed <> items then

@@ -9,57 +9,31 @@
      dune exec bench/main.exe -- --json BENCH_load.json load *)
 
 open Spin_net
-module Clock = Spin_machine.Clock
 module Trace = Spin_machine.Trace
-module Sched = Spin_sched.Sched
 
 (* ------------------------------------------------------------------ *)
 (* Closed-loop ramp against the in-kernel server                      *)
 (* ------------------------------------------------------------------ *)
 
 let requests_per_client = 20
-let latency_key = "load.request"
 
-(* One ramp level: [clients] strands on the client host, each running
-   a closed loop of connect / GET / drain / close against the server's
-   cached 2 KB index.html. With [traced] the per-request latencies
-   feed a {!Trace} histogram; untraced, the pass measures host-side
-   allocation per request instead (the tracer itself allocates, so the
-   two measurements run separately). *)
+(* One ramp level of {!B_web.closed_loop}. With [traced] the
+   per-request latencies feed a {!Trace} histogram; untraced, the pass
+   measures host-side allocation per request instead (the tracer
+   itself allocates, so the two measurements run separately). *)
 let run_level ~clients ~traced =
-  let clock, client, server = B_extra.web_fixture () in
-  let tr = Trace.of_clock clock in
+  let w = B_web.fixture () in
+  let tr = Trace.of_clock w.B_web.clock in
   if traced then Trace.enable tr;
-  let total = clients * requests_per_client in
-  let completed = ref 0 in
-  let t_start = ref 0. and t_end = ref 0. in
-  let client_loop () =
-    for _ = 1 to requests_per_client do
-      let t0 = Clock.now clock in
-      B_extra.http_get clock client;
-      Trace.record_latency tr ~key:latency_key (Clock.now clock - t0);
-      incr completed;
-      if !completed = total then t_end := Clock.now_us clock
-    done in
-  ignore (Sched.spawn client.Host.sched ~name:"driver" (fun () ->
-    (* Warm the file/object caches outside the measurement. *)
-    B_extra.http_get clock client;
-    t_start := Clock.now_us clock;
-    for c = 1 to clients do
-      ignore (Sched.spawn client.Host.sched
-                ~name:(Printf.sprintf "client-%d" c) client_loop)
-    done));
+  let rps = B_web.closed_loop ~clients ~requests:requests_per_client w in
   let host_alloc0 = Gc.allocated_bytes () in
-  Host.run_all [ client; server ];
+  B_web.run w;
   let alloc_per_req =
-    (Gc.allocated_bytes () -. host_alloc0) /. float_of_int total in
-  let elapsed_us = !t_end -. !t_start in
-  let rps =
-    if elapsed_us > 0. then float_of_int total /. (elapsed_us /. 1e6)
-    else nan in
-  match Trace.summary tr ~key:latency_key with
-  | Some s when traced -> (rps, s.Trace.p50_us, s.Trace.p99_us, alloc_per_req)
-  | _ -> (rps, nan, nan, alloc_per_req)
+    (Gc.allocated_bytes () -. host_alloc0)
+    /. float_of_int (clients * requests_per_client) in
+  match Trace.summary tr ~key:B_web.latency_key with
+  | Some s -> (rps (), s.Trace.p50_us, s.Trace.p99_us, alloc_per_req)
+  | None -> (rps (), nan, nan, alloc_per_req)
 
 (* ------------------------------------------------------------------ *)
 (* Host allocation per forwarded packet, before vs after              *)
@@ -157,9 +131,10 @@ let run () =
        let _, _, _, alloc = run_level ~clients ~traced:false in
        Printf.printf "%-8d %10.0f %12.0f %12.0f %14.0f\n"
          clients rps p50 p99 alloc;
-       let m name unit_ v =
-         Report.metric ~unit_ ~name:(Printf.sprintf "%s clients=%d" name clients) v in
-       m "req/s" "req/s" rps;
+       let m ?gate name unit_ v =
+         Report.metric ?gate ~unit_
+           ~name:(Printf.sprintf "%s clients=%d" name clients) v in
+       m ~gate:Floor "req/s" "req/s" rps;
        m "p50" "us" p50;
        m "p99" "us" p99;
        m "host alloc/req" "B" alloc)

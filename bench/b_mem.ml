@@ -10,66 +10,19 @@
      dune exec bench/main.exe -- --json BENCH_mem.json mem *)
 
 open Spin_net
-module Machine = Spin_machine.Machine
 module Clock = Spin_machine.Clock
-module Cost = Spin_machine.Cost
-module Sim = Spin_machine.Sim
-module Nic = Spin_machine.Nic
 module Trace = Spin_machine.Trace
 module Sched = Spin_sched.Sched
 module Phys_addr = Spin_vm.Phys_addr
 module Pageout = Spin_vm.Pageout
-
-let addr_server = Ip.addr_of_quad 10 0 9 1
-let addr_client = Ip.addr_of_quad 10 0 9 2
 
 let n_files = 8
 let file_bytes = 6 * 1024
 let requests = 320
 let latency_key = "mem.fetch"
 
-(* A small server: 2 MB of physical memory (256 pages) so cache
-   capacity and hog pressure meet quickly. *)
-let fixture () =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let server = Host.create ~mem_mb:2 sim ~name:"www" ~addr:addr_server in
-  let client = Host.create sim ~name:"client" ~addr:addr_client in
-  ignore (Host.wire client server ~kind:Nic.Lance);
-  let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
-  let bc = Spin_fs.Block_cache.create ~capacity_blocks:512
-      ~phys:server.Host.phys server.Host.machine server.Host.sched disk in
-  let cache = ref None in
-  ignore (Sched.spawn server.Host.sched ~name:"setup" (fun () ->
-    let fs = Spin_fs.Simple_fs.format bc ~blocks:65536 () in
-    for i = 0 to n_files - 1 do
-      let name = Printf.sprintf "f%d.html" i in
-      Spin_fs.Simple_fs.create fs ~name;
-      Spin_fs.Simple_fs.write fs ~name (Bytes.make file_bytes 'x')
-    done;
-    let c = Spin_fs.File_cache.create ~capacity_bytes:(192 * 1024)
-        ~phys:server.Host.phys fs in
-    ignore (Http.create server.Host.machine server.Host.sched
-              server.Host.tcp c);
-    cache := Some c));
-  Host.run_all [ client; server ];
-  (clock, client, server, bc, Option.get !cache)
-
-let http_get client ~path =
-  match Tcp.connect client.Host.tcp ~dst:addr_server ~dst_port:80 with
-  | None -> false
-  | Some conn ->
-    Tcp.send client.Host.tcp conn
-      (Bytes.of_string (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" path));
-    let got = ref 0 in
-    let rec drain () =
-      let data = Tcp.read client.Host.tcp conn in
-      if Bytes.length data > 0 then begin
-        got := !got + Bytes.length data;
-        drain ()
-      end in
-    drain ();
-    !got > file_bytes
+(* A fetch succeeds when the whole file came back, headers on top. *)
+let fetch w ~path = B_web.get ~path w > file_bytes
 
 type outcome = {
   p50 : float;
@@ -86,7 +39,15 @@ type outcome = {
 (* One run: [hog] turns the allocation antagonist on; [reclaim] is
    the ablation switch for the whole reclamation protocol. *)
 let run_case ~hog ~reclaim =
-  let clock, client, server, bc, cache = fixture () in
+  (* A small server: 2 MB of physical memory (256 pages) so cache
+     capacity and hog pressure meet quickly. *)
+  let files =
+    List.init n_files (fun i -> (Printf.sprintf "f%d.html" i, file_bytes)) in
+  let w =
+    B_web.fixture ~mem_mb:2 ~cache_blocks:512 ~cache_bytes:(192 * 1024) ~files
+      () in
+  let clock = w.B_web.clock and client = w.B_web.client
+  and server = w.B_web.server in
   let phys = server.Host.phys in
   if not reclaim then Phys_addr.set_reclaim_enabled phys false;
   let tr = Trace.of_clock clock in
@@ -125,17 +86,17 @@ let run_case ~hog ~reclaim =
        pressure (the warm pass is not measured). *)
     Sched.sleep_us client.Host.sched 2_000.;
     for i = 0 to n_files - 1 do
-      ignore (http_get client ~path:(Printf.sprintf "f%d.html" i))
+      ignore (fetch w ~path:(Printf.sprintf "f%d.html" i))
     done;
     for r = 0 to requests - 1 do
       let path = Printf.sprintf "f%d.html" (r mod n_files) in
       let t0 = Clock.now clock in
-      if not (http_get client ~path) then incr fetch_failures;
+      if not (fetch w ~path) then incr fetch_failures;
       Trace.record_latency tr ~key:latency_key (Clock.now clock - t0)
     done;
     stop := true;
     Option.iter Pageout.stop pd));
-  Host.run_all [ client; server ];
+  B_web.run w;
   let fetch = Trace.summary tr ~key:latency_key in
   let p50, p99 =
     match fetch with
@@ -144,13 +105,15 @@ let run_case ~hog ~reclaim =
   {
     p50;
     p99;
-    hit_rate = Spin_fs.Cache_stats.hit_rate (Spin_fs.File_cache.stats cache);
+    hit_rate =
+      Spin_fs.Cache_stats.hit_rate (Spin_fs.File_cache.stats w.B_web.file_cache);
     reclaims = Phys_addr.reclaims phys;
     released = (match pd with Some pd -> Pageout.released pd | None -> 0);
     hog_oom = !hog_oom;
     fetch_failures = !fetch_failures;
     degraded =
-      Spin_fs.File_cache.degraded cache + Spin_fs.Block_cache.degraded bc;
+      Spin_fs.File_cache.degraded w.B_web.file_cache
+      + Spin_fs.Block_cache.degraded w.B_web.block_cache;
     reclaim_span = Trace.summary tr ~key:"vm.reclaim";
   }
 

@@ -16,7 +16,6 @@
    when absolute throughput holds. *)
 
 open Spin_net
-module Clock = Spin_machine.Clock
 module Trace = Spin_machine.Trace
 module Sched = Spin_sched.Sched
 
@@ -25,7 +24,6 @@ let max_cpus = ref 8
 
 let clients = 16
 let requests_per_client = 20
-let latency_key = "smp.request"
 
 (* Scheduler activity that only exists on a multiprocessor — stolen
    strands and cross-CPU wakeups — summed over both hosts so the table
@@ -46,40 +44,16 @@ let smp_activity host_a host_b =
 let link_kind = Spin_machine.Nic.T3
 let link_mbps = 622.
 
-let run_level ~cpus ~traced =
-  let clock, client, server =
-    B_extra.web_fixture ~cpus ~kind:link_kind ~mbps:link_mbps () in
-  let tr = Trace.of_clock clock in
-  if traced then Trace.enable tr;
-  let total = clients * requests_per_client in
-  let completed = ref 0 in
-  let t_start = ref 0. and t_end = ref 0. in
-  let client_loop () =
-    for _ = 1 to requests_per_client do
-      let t0 = Clock.now clock in
-      B_extra.http_get clock client;
-      Trace.record_latency tr ~key:latency_key (Clock.now clock - t0);
-      incr completed;
-      if !completed = total then t_end := Clock.now_us clock
-    done in
-  ignore (Sched.spawn client.Host.sched ~name:"driver" (fun () ->
-    (* Warm the file/object caches outside the measurement. *)
-    B_extra.http_get clock client;
-    t_start := Clock.now_us clock;
-    for c = 1 to clients do
-      ignore (Sched.spawn client.Host.sched
-                ~name:(Printf.sprintf "client-%d" c) client_loop)
-    done));
-  Host.run_all [ client; server ];
-  let elapsed_us = !t_end -. !t_start in
-  let rps =
-    if elapsed_us > 0. then float_of_int total /. (elapsed_us /. 1e6)
-    else nan in
-  let steals, ipis = smp_activity client server in
-  match Trace.summary tr ~key:latency_key with
-  | Some s when traced ->
-    (rps, s.Trace.p50_us, s.Trace.p99_us, steals, ipis)
-  | _ -> (rps, nan, nan, steals, ipis)
+let run_level ~cpus =
+  let w = B_web.fixture ~cpus ~kind:link_kind ~mbps:link_mbps () in
+  let tr = Trace.of_clock w.B_web.clock in
+  Trace.enable tr;
+  let rps = B_web.closed_loop ~clients ~requests:requests_per_client w in
+  B_web.run w;
+  let steals, ipis = smp_activity w.B_web.client w.B_web.server in
+  match Trace.summary tr ~key:B_web.latency_key with
+  | Some s -> (rps (), s.Trace.p50_us, s.Trace.p99_us, steals, ipis)
+  | None -> (rps (), nan, nan, steals, ipis)
 
 let ramp () =
   let rec levels n = if n > !max_cpus then [] else n :: levels (2 * n) in
@@ -96,7 +70,7 @@ let run () =
   let speedups =
     List.map
       (fun cpus ->
-         let rps, p50, p99, steals, ipis = run_level ~cpus ~traced:true in
+         let rps, p50, p99, steals, ipis = run_level ~cpus in
          if Float.is_nan !base then base := rps;
          let speedup = rps /. !base in
          Printf.printf "%-6d %10.0f %8.2fx %12.0f %12.0f %8d %8d\n"

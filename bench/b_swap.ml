@@ -74,8 +74,10 @@ let requests_per_client = 25
 let http_swaps = 8
 
 let http_half () =
-  let clock, client, server, http = B_extra.web_fixture_full () in
-  let tr = Trace.of_clock clock in
+  let w = B_web.fixture () in
+  let client = w.B_web.client and server = w.B_web.server
+  and http = w.B_web.http in
+  let tr = Trace.of_clock w.B_web.clock in
   Trace.enable tr;
   let swap = Swap.create server.Host.sched server.Host.dispatcher in
   (* Generation 1 comes up before the load does. *)
@@ -91,7 +93,7 @@ let http_half () =
       (Sched.spawn client.Host.sched ~name:(Printf.sprintf "load-%d" c)
          (fun () ->
            for _ = 1 to requests_per_client do
-             B_extra.http_get ~path:"live" clock client
+             ignore (B_web.get ~path:"live" w)
            done))
   done;
   let outcomes = ref [] and failures = ref [] in
@@ -111,7 +113,7 @@ let http_half () =
          | Ok o -> outcomes := o :: !outcomes
          | Error e -> failures := Swap.error_to_string e :: !failures
        done));
-  Host.run_all [ client; server ];
+  B_web.run w;
   let st = Http.stats http in
   let expected = http_clients * requests_per_client in
   let dropped = expected - st.Http.ok in

@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe                -- everything
      dune exec bench/main.exe table4         -- one experiment
-     dune exec bench/main.exe bechamel       -- host-time costs (Bechamel)
      dune exec bench/main.exe -- --json OUT.json table2
                                              -- also write metrics as JSON
      dune exec bench/main.exe -- --check bench/reference.json load ...
@@ -25,7 +24,7 @@ let experiments = [
   ("figure6", "video server utilization", B_video.figure6);
   ("dispatcher", "dispatcher scalability (5.5)", B_extra.dispatcher_scaling);
   ("gc", "automatic storage management (5.5)", B_extra.gc_impact);
-  ("web", "web server latency (5.4)", B_extra.web);
+  ("web", "web server latency (5.4)", B_web.web);
   ("load", "HTTP load scaling over the zero-copy path (5.4)", B_load.run);
   ("smp", "SMP scaling of the HTTP ramp vs CPUs per host", B_smp.run);
   ("mem", "memory pressure and reclamation (5.2)", B_mem.run);
@@ -34,7 +33,6 @@ let experiments = [
   ("verifier", "install-time verification vs guarded dispatch", B_verifier.run);
   ("engine", "host-side engine throughput", B_engine.run);
   ("fuzz", "schedule fuzzing with seeded replay", B_fuzz.run);
-  ("bechamel", "host-time simulation costs", B_bechamel.run);
 ]
 
 let usage () =
@@ -42,7 +40,7 @@ let usage () =
   print_endline "experiments:";
   List.iter (fun (name, desc, _) -> Printf.printf "  %-12s %s\n" name desc)
     experiments;
-  print_endline "  all          every experiment except bechamel and fuzz";
+  print_endline "  all          every experiment except fuzz";
   print_endline "  --json FILE  also write measured metrics to FILE";
   print_endline "  --check REF  fail unless every gated row is within 10% of REF";
   print_endline "  --seeds N    fuzz: run seeds 1..N (default 50)";
@@ -56,7 +54,7 @@ let run_one (name, _, f) =
 let run_all () =
   List.iter
     (fun ((name, _, _) as e) ->
-      if name <> "bechamel" && name <> "fuzz" then run_one e)
+      if name <> "fuzz" then run_one e)
     experiments
 
 let () =

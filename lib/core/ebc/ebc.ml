@@ -488,22 +488,10 @@ let verify_cycles code =
 let step_cycles = 2
 
 (* Builders for the predicate shapes the facades compile. Register
-   discipline: r0 scratch loads, r1 immediates, r2 accumulator,
-   r3 per-term scratch. *)
+   discipline: r0 scratch loads, r1 immediates, r2 accumulator. *)
 
 let match_field ~slot v =
   [| Ldf (0, slot); Ldi (1, v); Eq (2, 0, 1); Ret 2 |]
-
-let match_field_any ~slot vs =
-  match vs with
-  | [] -> [| Ldi (0, 0); Ret 0 |]
-  | v0 :: rest ->
-    let body =
-      List.concat_map
-        (fun v -> [ Ldi (1, v); Eq (3, 0, 1); Or (2, 2, 3) ])
-        rest in
-    Array.of_list
-      ((Ldf (0, slot) :: Ldi (1, v0) :: Eq (2, 0, 1) :: body) @ [ Ret 2 ])
 
 let match_string ?(prefix = false) s =
   let n = String.length s in

@@ -173,9 +173,6 @@ val step_cycles : int
 val match_field : slot:int -> int -> program
 (** [field slot = v]. *)
 
-val match_field_any : slot:int -> int list -> program
-(** [field slot ∈ vs] (constant-false program when [vs] is empty). *)
-
 val match_string : ?prefix:bool -> string -> program
 (** Payload equals the string ([?prefix] drops the length check). *)
 

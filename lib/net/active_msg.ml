@@ -41,7 +41,7 @@ let create machine dispatcher ip =
     handlers = Spin_dstruct.Idtable.create ();
     s_sent = 0; s_delivered = 0; s_dropped = 0;
   } in
-  ignore (Ip.attach ip ~protos:[ proto ] ~installer:"A.M." (input t));
+  ignore (Ip.attach ip ~proto ~installer:"A.M." (input t));
   t
 
 let register t handler = Spin_dstruct.Idtable.insert t.handlers handler

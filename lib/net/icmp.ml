@@ -41,7 +41,7 @@ let input t (pkt : Ip.packet) =
 
 let create _dispatcher ip =
   let t = { ip; waiting = []; served = 0; replies = 0 } in
-  ignore (Ip.attach ip ~protos:[ Ip.proto_icmp ] ~installer:"ICMP" (input t));
+  ignore (Ip.attach ip ~proto:Ip.proto_icmp ~installer:"ICMP" (input t));
   t
 
 let ping t ~dst ~seq ?(payload = Bytes.create 16) k =

@@ -201,9 +201,6 @@ let input t frame =
     if is_local t dst then deliver t pkt else forward t pkt
   end
 
-let frame_is_ip frame =
-  Pkt.length frame >= link_header && Pkt.get_u16_le frame 0 = ethertype_ip
-
 (* The ethertype check as bytecode: a short-frame [Ldw] reads 0, which
    is not the ethertype, so the length test is implied. *)
 let frame_is_ip_prog =
@@ -211,15 +208,10 @@ let frame_is_ip_prog =
 
 let add_interface t netif ~addr =
   t.ifaces <- t.ifaces @ [ { netif; addr } ];
-  match Netif.add_filter netif ~installer:"IP" frame_is_ip_prog
-          (fun frame -> input t frame) with
-  | Ok _ -> ()
-  | Error _ ->
-    ignore
-      (Dispatcher.ok_exn ~site:"Ip.add_interface"
-         (Dispatcher.install (Netif.rx_event netif) ~installer:"IP"
-            ~spec:(Dispatcher.Handler_spec.guarded frame_is_ip)
-            (fun frame -> input t frame)))
+  ignore
+    (Dispatcher.ok_exn ~site:"Ip.add_interface"
+       (Netif.add_filter netif ~installer:"IP" frame_is_ip_prog
+          (fun frame -> input t frame)))
 
 let add_route t ~dst netif = t.routes <- (dst, netif) :: t.routes
 
@@ -227,23 +219,15 @@ let add_route t ~dst netif = t.routes <- (dst, netif) :: t.routes
    PacketArrived event, upon each installation constructs a guard that
    compares the type field in the header of the incoming packet
    against the set of IP protocol types that the handler may
-   service." The guard is now constructed as bytecode and verified at
-   install, so protocol demux dispatches trusted-fast; if verification
-   fails (it cannot, for this generated shape, but the fallback keeps
-   the facade total) the same predicate installs as a closure guard. *)
-let attach t ~protos ~installer handler =
-  let prog = Ebc.match_field_any ~slot:proto_slot protos in
-  match
-    Dispatcher.install t.event ~installer
-      ~spec:(Dispatcher.Handler_spec.verified prog) handler
-  with
-  | Ok h -> h
-  | Error _ ->
-    Dispatcher.ok_exn ~site:"Ip.attach"
-      (Dispatcher.install t.event ~installer
-         ~spec:
-           (Dispatcher.Handler_spec.guarded (fun pkt -> List.mem pkt.proto protos))
-         handler)
+   service." The guard is constructed as bytecode and verified at
+   install, so protocol demux dispatches trusted-fast. *)
+let attach t ~proto ~installer handler =
+  Dispatcher.ok_exn ~site:"Ip.attach"
+    (Dispatcher.install t.event ~installer
+       ~spec:
+         (Dispatcher.Handler_spec.verified
+            (Ebc.match_field ~slot:proto_slot proto))
+       handler)
 
 let stats t = {
   received = t.s_received;

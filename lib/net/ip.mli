@@ -60,12 +60,11 @@ val proto_slot : int
     protocol-demux program loads. *)
 
 val attach :
-  t -> protos:int list -> installer:string -> (packet -> unit) ->
+  t -> proto:int -> installer:string -> (packet -> unit) ->
   (packet, unit) Spin_core.Dispatcher.handler
-(** Installs a handler; the IP module supplies the protocol-type
-    guard, compiled to verified bytecode — protocol demux dispatches
-    on the trusted-fast path (closure-guard fallback if verification
-    ever fails). *)
+(** Installs a handler for one IP protocol; the IP module supplies the
+    protocol-type guard, compiled to verified bytecode — protocol
+    demux dispatches on the trusted-fast path. *)
 
 val encode_frame :
   src:addr -> dst:addr -> proto:int -> Bytes.t -> Pkt.t

@@ -434,7 +434,7 @@ let create machine sched dispatcher ip =
     s_out = 0; s_in = 0; s_rexmit = 0; s_rst = 0; s_accept = 0;
   } in
   ignore
-    (Ip.attach ip ~protos:[ Ip.proto_tcp ] ~installer:"TCP"
+    (Ip.attach ip ~proto:Ip.proto_tcp ~installer:"TCP"
        (fun pkt ->
          match decode pkt.Ip.payload with
          | Some seg ->

@@ -73,7 +73,7 @@ let create machine dispatcher ip =
       ~layout:datagram_layout
       ~combine:(fun _ -> ()) (fun (_ : datagram) -> ()) in
   let t = { machine; ip; event; s_sent = 0; s_received = 0 } in
-  ignore (Ip.attach ip ~protos:[ Ip.proto_udp ] ~installer:"UDP" (input t));
+  ignore (Ip.attach ip ~proto:Ip.proto_udp ~installer:"UDP" (input t));
   t
 
 let packet_arrived t = t.event
@@ -82,25 +82,19 @@ let packet_arrived t = t.event
    verified bytecode when no runtime bound was requested, so port
    demux dispatches trusted-fast. A caller asking for [bound_cycles]
    wants the handler body policed per event, which is exactly what the
-   trusted path forgoes: that case (and any verification failure)
-   installs the closure guard instead. *)
+   trusted path forgoes: that case installs the closure guard
+   instead. *)
 let listen ?bound_cycles ?(async = false) ?(on_failure = Dispatcher.Uninstall)
     t ~port ~installer handler =
   let spec =
     { Dispatcher.Handler_spec.default with bound_cycles; async; on_failure } in
-  let install spec = Dispatcher.install t.event ~installer ~spec handler in
-  let closure_install () =
-    Dispatcher.ok_exn ~site:"Udp.listen"
-      (install { spec with guard = Some (fun d -> d.dst_port = port) }) in
-  match bound_cycles with
-  | Some _ -> closure_install ()
-  | None ->
-    (match
-       install
-         { spec with verified = Some (Ebc.match_field ~slot:dst_port_slot port) }
-     with
-     | Ok h -> h
-     | Error _ -> closure_install ())
+  let spec =
+    match bound_cycles with
+    | Some _ -> { spec with guard = Some (fun d -> d.dst_port = port) }
+    | None ->
+      { spec with verified = Some (Ebc.match_field ~slot:dst_port_slot port) } in
+  Dispatcher.ok_exn ~site:"Udp.listen"
+    (Dispatcher.install t.event ~installer ~spec handler)
 
 let unlisten t h = Dispatcher.uninstall t.event h
 

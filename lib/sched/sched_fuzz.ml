@@ -24,7 +24,7 @@ type t = {
   clock : Clock.t;
   sim : Sim.t;
   cpus : Cpu.t list;
-  dispatcher : Dispatcher.t option;
+  dispatcher : Dispatcher.t;
   rng : Rng.t;
   fz_seed : int;
   mean_period : int;
@@ -51,16 +51,13 @@ let record t msg =
 
 let audit_now t =
   Sched.audit t.sched (fun m -> record t ("sched: " ^ m));
-  match t.dispatcher with
-  | Some d -> Dispatcher.audit d (fun m -> record t ("dispatcher: " ^ m))
-  | None -> ()
+  Dispatcher.audit t.dispatcher (fun m -> record t ("dispatcher: " ^ m))
 
 let schedule_next_preempt t =
   t.next_preempt <-
     Clock.now t.clock + 1 + Rng.below t.rng (2 * t.mean_period)
 
-let attach ?cpu ?(cpus = []) ?dispatcher ?(mean_period = 2_000) ~seed sched =
-  let cpus = match cpu with Some c -> c :: cpus | None -> cpus in
+let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
   let t = {
     sched; clock = Sched.clock sched; sim = Sched.sim sched;
     cpus; dispatcher;
@@ -107,10 +104,8 @@ let attach ?cpu ?(cpus = []) ?dispatcher ?(mean_period = 2_000) ~seed sched =
          | i -> Some (List.nth candidates (i - 1))))
   end;
   Sched.set_violation_hook sched (Some (fun m -> record t ("sched: " ^ m)));
-  (match dispatcher with
-   | Some d ->
-     Dispatcher.set_violation_hook d (Some (fun m -> record t ("dispatcher: " ^ m)))
-   | None -> ());
+  Dispatcher.set_violation_hook dispatcher
+    (Some (fun m -> record t ("dispatcher: " ^ m)));
   Sched.set_schedule_probe sched (Some (fun () -> audit_now t));
   schedule_next_preempt t;
   (* Preemption injection: every Clock.charge boundary is a potential
@@ -131,9 +126,7 @@ let detach t =
   Sched.set_steal_policy t.sched None;
   Sched.set_schedule_probe t.sched None;
   Sched.set_violation_hook t.sched None;
-  (match t.dispatcher with
-   | Some d -> Dispatcher.set_violation_hook d None
-   | None -> ());
+  Dispatcher.set_violation_hook t.dispatcher None;
   List.iter (fun (e, h) -> Dispatcher.uninstall e h) t.trackers;
   t.trackers <- []
 

@@ -37,17 +37,15 @@ type t
     seed). *)
 
 val attach :
-  ?cpu:Spin_machine.Cpu.t ->
-  ?cpus:Spin_machine.Cpu.t list ->
-  ?dispatcher:Spin_core.Dispatcher.t ->
+  cpus:Spin_machine.Cpu.t list ->
+  dispatcher:Spin_core.Dispatcher.t ->
   ?mean_period:int ->
   seed:int ->
   Sched.t -> t
-(** Installs the fuzzing scheduler and checkers on a kernel. [cpu]
-    and/or [cpus] enable the trap-balance checker on those processors
-    (pass every CPU of a multiprocessor — [cpu] exists for single-CPU
-    callers and is simply consed onto [cpus]); [dispatcher] enables
-    the handler-list checkers. [mean_period] is the average gap, in
+(** Installs the fuzzing scheduler and checkers on a kernel. [cpus]
+    are the processors whose trap balance is checked (pass every CPU
+    of a multiprocessor); [dispatcher] is the kernel's dispatcher,
+    whose handler lists are audited. [mean_period] is the average gap, in
     cycles, between injected preemptions (default 2000 — about 25
     forced switches per default quantum). *)
 

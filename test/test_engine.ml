@@ -34,7 +34,7 @@ let digest_of seed =
   let tr = Trace.of_clock m.Machine.clock in
   Trace.enable tr;
   let fz =
-    Sched_fuzz.attach ~cpu:m.Machine.cpu ~dispatcher:d ~mean_period:200
+    Sched_fuzz.attach ~cpus:[ m.Machine.cpu ] ~dispatcher:d ~mean_period:200
       ~seed s in
   for i = 1 to 4 do
     ignore (Sched.spawn s ~name:(Printf.sprintf "w%d" i) (fun () ->

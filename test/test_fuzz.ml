@@ -26,7 +26,7 @@ let run_planted ?seed ?(traced = false) () =
   let fz =
     Option.map
       (fun seed ->
-        Sched_fuzz.attach ~cpu:m.Machine.cpu ~dispatcher:d ~mean_period:150
+        Sched_fuzz.attach ~cpus:[ m.Machine.cpu ] ~dispatcher:d ~mean_period:150
           ~seed s)
       seed in
   let flag = ref false in

@@ -405,7 +405,7 @@ let prop_fuzz_seed_replays_identically =
         let tr = Spin_machine.Trace.of_clock m.Machine.clock in
         Spin_machine.Trace.enable tr;
         let fz =
-          Spin_sched.Sched_fuzz.attach ~cpu:m.Machine.cpu ~dispatcher:d
+          Spin_sched.Sched_fuzz.attach ~cpus:[ m.Machine.cpu ] ~dispatcher:d
             ~mean_period:200 ~seed s in
         for i = 1 to 4 do
           ignore (Sched.spawn s ~name:(Printf.sprintf "w%d" i) (fun () ->
