@@ -304,8 +304,8 @@ let trace_overhead () =
     v_off v_on
     (if v_off = v_on then "(equal: tracing is virtual-time neutral)"
      else "(MISMATCH: tracing perturbed the simulation!)");
-  Report.metric ~name:"fast path, tracer off" ~unit_:"host-us" off;
-  Report.metric ~name:"fast path, tracer on" ~unit_:"host-us" on_
+  Report.host ~name:"fast path, tracer off" ~unit_:"host-us" off;
+  Report.host ~name:"fast path, tracer on" ~unit_:"host-us" on_
 
 (* ------------------------------------------------------------------ *)
 (* Ablation 6: schedule-fuzzing hooks when fuzzing is off             *)

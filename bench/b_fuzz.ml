@@ -4,11 +4,13 @@
    schedule exactly.
 
      dune exec bench/main.exe -- fuzz --seeds 200
-     dune exec bench/main.exe -- fuzz --replay 17
+     dune exec bench/main.exe -- fuzz --replay 17 --cpus 4
 
-   A campaign runs seeds 1..N and exits nonzero on the first seed with
-   invariant violations, after writing fuzz-artifacts/failing-seed.txt
-   and a Chrome trace of the deterministic replay. *)
+   A campaign runs seeds 1..N (or the one --replay seed) on 1-CPU and
+   on 4-CPU hosts (--cpus N picks one size) and stops at the first
+   seed with invariant violations, writing
+   fuzz-artifacts/failing-seed-cpusN.txt and a Chrome trace of the
+   deterministic replay; the run then exits nonzero. *)
 
 module Sched = Spin_sched.Sched
 module Strand = Spin_sched.Strand
@@ -22,6 +24,8 @@ open Spin_net
 let seeds = ref 50
 let replay = ref None
 let cpus : int option ref = ref None
+
+let sizes () = match !cpus with Some n -> [ n ] | None -> [ 1; 4 ]
 
 let artifact_dir = "fuzz-artifacts"
 
@@ -45,8 +49,8 @@ let attach_host ~seed host =
    producer-consumer pair on the client — and a swapper strand that
    hot-swaps the content generator twice, mid-request-storm, so the
    fuzzer can preempt inside the swap window itself. *)
-let run_seed ~seed ~traced =
-  let w = B_web.fixture ?cpus:!cpus () in
+let run_seed ~cpus ~seed ~traced =
+  let w = B_web.fixture ~cpus () in
   let client = w.B_web.client and server = w.B_web.server
   and http = w.B_web.http in
   let tr = Trace.of_clock w.B_web.clock in
@@ -165,19 +169,22 @@ let run_seed ~seed ~traced =
   Sched_fuzz.detach fz_server;
   (violations, stats, tr)
 
-let write_artifacts ~seed violations =
+let write_artifacts ~cpus ~seed violations =
   (try Sys.mkdir artifact_dir 0o755 with Sys_error _ -> ());
-  let seed_file = Filename.concat artifact_dir "failing-seed.txt" in
+  let seed_file =
+    Filename.concat artifact_dir (Printf.sprintf "failing-seed-cpus%d.txt" cpus) in
   let oc = open_out seed_file in
-  Printf.fprintf oc "seed %d\nreplay: dune exec bench/main.exe -- fuzz --replay %d\n\n"
-    seed seed;
+  Printf.fprintf oc
+    "seed %d\nreplay: dune exec bench/main.exe -- fuzz --replay %d --cpus %d\n\n"
+    seed seed cpus;
   List.iter (fun v -> Printf.fprintf oc "%s\n" v) violations;
   close_out oc;
   (* The schedule is a pure function of the seed: re-run it traced and
      keep the Chrome timeline of the failing interleaving. *)
-  let _, _, tr = run_seed ~seed ~traced:true in
+  let _, _, tr = run_seed ~cpus ~seed ~traced:true in
   let trace_file =
-    Filename.concat artifact_dir (Printf.sprintf "seed-%d.trace.json" seed) in
+    Filename.concat artifact_dir
+      (Printf.sprintf "seed-%d-cpus%d.trace.json" seed cpus) in
   let oc = open_out trace_file in
   output_string oc (Trace.to_chrome_json tr);
   close_out oc;
@@ -191,50 +198,46 @@ let report_seed ~seed (violations, _stats, _) =
   end;
   total
 
-let run () =
-  Report.header "Schedule fuzzing (seeded, deterministic replay)";
-  (match !cpus with
-   | Some n when n > 1 ->
-     Printf.printf "  hosts built with %d CPUs: the seed also drives which\n" n;
-     Printf.printf "  CPU advances and every steal decision\n"
-   | _ -> ());
-  match !replay with
-  | Some seed ->
-    Printf.printf "  replaying seed %d\n" seed;
-    let result = run_seed ~seed ~traced:false in
-    let bad = report_seed ~seed result in
-    if bad = 0 then Printf.printf "  seed %d: clean\n" seed
-    else begin
-      write_artifacts ~seed (let v, _, _ = result in v);
-      Report.write_json ();
-      exit 1
-    end
-  | None ->
-    let n = !seeds in
-    let decisions = ref 0 and injected = ref 0 in
-    let failed = ref None in
-    let s = ref 1 in
-    while !failed = None && !s <= n do
-      let seed = !s in
-      let (violations, stats, _) as result = run_seed ~seed ~traced:false in
+(* Runs [seeds] in order on [cpus]-CPU hosts and stops at the first
+   with violations, returning it. The totals are virtual work, so the
+   gate pins them. *)
+let campaign ~cpus seeds =
+  let ran = ref 0 and decisions = ref 0 and injected = ref 0 in
+  let rec go = function
+    | [] -> None
+    | seed :: rest ->
+      let (violations, stats, _) as result = run_seed ~cpus ~seed ~traced:false in
+      incr ran;
       List.iter
         (fun st ->
           decisions := !decisions + st.Sched_fuzz.decisions;
           injected := !injected + st.Sched_fuzz.injected_preempts)
         stats;
-      if report_seed ~seed result > 0 then failed := Some (seed, violations);
-      incr s
-    done;
-    let ran = !s - 1 in
-    Printf.printf
-      "  %d seed(s): %d scheduling decisions, %d injected preemptions\n"
-      ran !decisions !injected;
-    Report.metric ~name:"seeds run" ~unit_:"count" (float_of_int ran);
-    Report.metric ~name:"scheduling decisions" ~unit_:"count"
-      (float_of_int !decisions);
-    (match !failed with
-     | None -> Printf.printf "  no invariant violations\n"
-     | Some (seed, violations) ->
-       write_artifacts ~seed violations;
-       Report.write_json ();
-       exit 1)
+      if report_seed ~seed result > 0 then Some (seed, violations) else go rest in
+  let failed = go seeds in
+  Printf.printf
+    "  %d-CPU hosts, %d seed(s): %d scheduling decisions, %d injected preemptions\n"
+    cpus !ran !decisions !injected;
+  let name n = Printf.sprintf "%s cpus=%d" n cpus in
+  Report.metric ~name:(name "seeds run") ~unit_:"count" (float_of_int !ran);
+  Report.metric ~name:(name "scheduling decisions") ~unit_:"count"
+    (float_of_int !decisions);
+  failed
+
+let run () =
+  Report.header "Schedule fuzzing (seeded, deterministic replay)";
+  Printf.printf "  on multi-CPU hosts the seed also drives which CPU advances\n";
+  Printf.printf "  and every steal decision\n";
+  let seeds =
+    match !replay with Some seed -> [ seed ] | None -> List.init !seeds succ in
+  List.iter
+    (fun cpus ->
+       Option.iter
+         (fun (seed, violations) ->
+            write_artifacts ~cpus ~seed violations;
+            Report.require
+              ~name:(Printf.sprintf "seed %d on %d-CPU hosts: %d violation(s), see %s"
+                       seed cpus (List.length violations) artifact_dir)
+              false)
+         (campaign ~cpus seeds))
+    (sizes ())

@@ -113,9 +113,9 @@ let alloc_comparison () =
   Printf.printf "%-42s %12.0f\n" "zero-copy views (this tree)" zerocopy;
   Printf.printf "  ratio: %.1fx fewer host bytes per packet (>= 2x required)\n"
     ratio;
-  Report.metric ~unit_:"B" ~name:"alloc/pkt seed Pkt" legacy;
-  Report.metric ~unit_:"B" ~name:"alloc/pkt zero-copy" zerocopy;
-  Report.metric ~unit_:"x" ~name:"alloc ratio" ratio;
+  Report.host ~unit_:"B" ~name:"alloc/pkt seed Pkt" legacy;
+  Report.host ~unit_:"B" ~name:"alloc/pkt zero-copy" zerocopy;
+  Report.host ~unit_:"x" ~name:"alloc ratio" ratio;
   Report.require ~name:"alloc ratio >= 2" (ratio >= 2.)
 
 (* ------------------------------------------------------------------ *)
@@ -131,13 +131,11 @@ let run () =
        let _, _, _, alloc = run_level ~clients ~traced:false in
        Printf.printf "%-8d %10.0f %12.0f %12.0f %14.0f\n"
          clients rps p50 p99 alloc;
-       let m ?gate name unit_ v =
-         Report.metric ?gate ~unit_
-           ~name:(Printf.sprintf "%s clients=%d" name clients) v in
-       m ~gate:Floor "req/s" "req/s" rps;
-       m "p50" "us" p50;
-       m "p99" "us" p99;
-       m "host alloc/req" "B" alloc)
+       let name n = Printf.sprintf "%s clients=%d" n clients in
+       Report.metric ~unit_:"req/s" ~name:(name "req/s") rps;
+       Report.metric ~name:(name "p50") p50;
+       Report.metric ~name:(name "p99") p99;
+       Report.host ~unit_:"B" ~name:(name "host alloc/req") alloc)
     [ 1; 2; 4; 8; 16 ];
   Report.note
     "  Latency grows with queueing at the single-CPU server while\n\

@@ -180,11 +180,10 @@ let udp_bandwidth sys kind ~payload_bytes ~bursts =
 let table5 () =
   Report.header "Table 5: UDP latency (us) and receive bandwidth (Mb/s)";
   Printf.printf "%-22s %-12s %10s %10s\n" "metric" "system" "paper" "measured";
-  (* Latencies are gated as ceilings; bandwidths are recorded only. *)
   let row ?(qual = "") ?(unit_ = "us") metric sys paper measured =
     Printf.printf "%-22s %-12s %10.1f %10.1f\n" metric (sys_name sys)
       paper measured;
-    Report.metric ~unit_ ?gate:(if unit_ = "us" then Some Ceiling else None)
+    Report.metric ~unit_
       ~name:(Printf.sprintf "%s %s%s" metric (sys_name sys) qual) measured in
   row "Ethernet latency" Osf_sys 789. (udp_latency Osf_sys Nic.Lance);
   row "Ethernet latency" Spin_sys 565. (udp_latency Spin_sys Nic.Lance);

@@ -42,10 +42,12 @@ let usage () =
     experiments;
   print_endline "  all          every experiment except fuzz";
   print_endline "  --json FILE  also write measured metrics to FILE";
-  print_endline "  --check REF  fail unless every gated row is within 10% of REF";
+  print_endline "  --check REF  fail unless every virtual row equals REF's and host";
+  print_endline "               ceilings stay within 10% of REF's";
   print_endline "  --seeds N    fuzz: run seeds 1..N (default 50)";
   print_endline "  --replay S   fuzz: replay one seed deterministically";
-  print_endline "  --cpus N     fuzz: N-CPU hosts; smp: ramp 1,2,..,N (default 8)"
+  print_endline "  --cpus N     fuzz: N-CPU hosts (default 1 and 4);";
+  print_endline "               smp: ramp 1,2,..,N (default 8)"
 
 let run_one (name, _, f) =
   Report.experiment name;

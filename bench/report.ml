@@ -3,24 +3,27 @@
    record machine-readable metrics: --json FILE writes them, and
    --check REFERENCE gates them.
 
-   This is the one definition of a gate. A metric declares at its
-   emission site whether it is gated and which way a regression goes:
-   [Ceiling] rows (latencies, costs, allocation) fail when they grow
-   more than [tolerance] past the reference, [Floor] rows (speedups,
-   counted work) when they drop more than [tolerance] below it. The
-   direction is written into the spin-bench/1 row, so the reference
-   file carries it too. Checks that compare against no reference
-   (neutrality, zero drops) go through [require]. Every failure lands
-   in one sink, and [main] exits 1 when it is not empty. *)
+   This is the one definition of a gate, and it keeps the two clocks
+   apart. A row is virtual (simulated time or work, deterministic)
+   unless it is emitted with [host]; the gate holds a virtual row to
+   the reference exactly, with no direction and no tolerance. A host
+   row (wall clock, [Gc], host microseconds) is trended, not gated,
+   unless it declares a [Ceiling]: then it fails when it grows more
+   than [tolerance] past the reference. The clock travels in the
+   spin-bench/1 row, and the reference file is the re-record command's
+   own --json output, so its diff shows exactly which rows moved.
+   Checks against no reference go through [require]; every failure
+   lands in one sink, and [main] exits 1 when it is not empty. *)
 
-type gate = Floor | Ceiling
+type host_gate = Trend | Ceiling
+type clock = Virtual | Host of host_gate
 
 type metric = {
   experiment : string;
   name : string;
   value : float;
   unit_ : string;
-  gate : gate option;
+  clock : clock;
 }
 
 (* Host wall-clock for throughput measurements. CLOCK_MONOTONIC via
@@ -38,10 +41,13 @@ let set_json path = json_path := Some path
 
 let experiment name = current_experiment := name
 
-let metric ?(unit_ = "us") ?gate ~name value =
-  metrics :=
-    { experiment = !current_experiment; name; value; unit_; gate }
-    :: !metrics
+let add clock ~unit_ ~name value =
+  let m = { experiment = !current_experiment; name; value; unit_; clock } in
+  metrics := m :: !metrics
+
+let metric ?(unit_ = "us") ~name value = add Virtual ~unit_ ~name value
+
+let host ?(gate = Trend) ~unit_ ~name value = add (Host gate) ~unit_ ~name value
 
 let require ~name cond =
   if not cond then
@@ -66,6 +72,9 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* Values are written with 17 significant digits, enough for every
+   float to read back bit for bit: the gate compares virtual rows
+   exactly. *)
 let write_json () =
   match !json_path with
   | None -> ()
@@ -76,13 +85,13 @@ let write_json () =
       (fun i m ->
          if i > 0 then output_string oc ",\n";
          Printf.fprintf oc
-           "{\"experiment\":\"%s\",\"name\":\"%s\",\"value\":%g,\"unit\":\"%s\"%s}"
+           "{\"experiment\":\"%s\",\"name\":\"%s\",\"value\":%.17g,\"unit\":\"%s\"%s}"
            (json_escape m.experiment) (json_escape m.name) m.value
            (json_escape m.unit_)
-           (match m.gate with
-            | None -> ""
-            | Some Floor -> ",\"gate\":\"floor\""
-            | Some Ceiling -> ",\"gate\":\"ceiling\""))
+           (match m.clock with
+            | Virtual -> ""
+            | Host Trend -> ",\"host\":\"trend\""
+            | Host Ceiling -> ",\"host\":\"ceiling\""))
       (List.rev !metrics);
     output_string oc "\n]}\n";
     close_out oc;
@@ -126,7 +135,7 @@ let read_json path =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let empty =
-    { experiment = ""; name = ""; value = nan; unit_ = ""; gate = None } in
+    { experiment = ""; name = ""; value = nan; unit_ = ""; clock = Virtual } in
   let rec rows row acc = function
     | Str key :: Sym ':' :: v :: rest ->
       let row =
@@ -135,9 +144,9 @@ let read_json path =
         | "name", Str n -> { row with name = n }
         | "value", Num x -> { row with value = x }
         | "unit", Str u -> { row with unit_ = u }
-        | "gate", Str "floor" -> { row with gate = Some Floor }
-        | "gate", Str "ceiling" -> { row with gate = Some Ceiling }
-        | "gate", _ -> failwith (path ^ ": unknown gate in " ^ row.name)
+        | "host", Str "trend" -> { row with clock = Host Trend }
+        | "host", Str "ceiling" -> { row with clock = Host Ceiling }
+        | "host", _ -> failwith (path ^ ": unknown host gate in " ^ row.name)
         | _ -> row in
       rows row acc rest
     | Sym '}' :: rest when row.experiment <> "" -> rows empty (row :: acc) rest
@@ -166,57 +175,55 @@ let mean = function
 (* The gate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The host ceiling's headroom; virtual rows have none. *)
 let tolerance = 0.10
 
 type finding =
-  | Within of metric * metric           (* reference, current *)
-  | Regressed of metric * metric        (* reference, current *)
+  | Pass of metric * metric             (* reference, current *)
+  | Fail of metric * metric             (* reference, current *)
   | Missing of metric                   (* gated reference row, not measured *)
   | Unreferenced of metric              (* gated current row, no reference *)
 
-(* A row is its experiment, name and direction: a row whose direction
-   changed since the reference was recorded is both missing and
-   unreferenced. *)
-let same_row a b =
-  a.experiment = b.experiment && a.name = b.name && a.gate = b.gate
+let gated m = m.clock <> Host Trend
 
-let within gate ~reference v =
-  match gate with
-  | Ceiling -> v <= reference *. (1. +. tolerance)
-  | Floor -> v >= reference *. (1. -. tolerance)
+(* A row is its experiment, name and clock: a row whose clock changed
+   since the reference was recorded is both missing and unreferenced. *)
+let same_row a b =
+  a.experiment = b.experiment && a.name = b.name && a.clock = b.clock
+
+let holds ~reference c =
+  match c.clock with
+  | Virtual -> Float.equal c.value reference.value
+  | Host _ -> c.value <= reference.value *. (1. +. tolerance)
 
 let compare ~reference current =
-  let gated = List.filter (fun m -> m.gate <> None) in
   let judged =
     List.map
       (fun r ->
-         match List.find_opt (same_row r) current, r.gate with
-         | Some c, Some g ->
-           if within g ~reference:r.value c.value then Within (r, c)
-           else Regressed (r, c)
-         | _ -> Missing r)
-      (gated reference) in
+         match List.find_opt (same_row r) current with
+         | Some c -> if holds ~reference:r c then Pass (r, c) else Fail (r, c)
+         | None -> Missing r)
+      (List.filter gated reference) in
   let unreferenced =
     List.filter_map
       (fun c ->
          if List.exists (same_row c) reference then None
          else Some (Unreferenced c))
-      (gated current) in
+      (List.filter gated current) in
   judged @ unreferenced
 
 let describe finding =
   let row m = m.experiment ^ ": " ^ m.name in
   match finding with
-  | Within (r, c) ->
+  | Pass (r, c) ->
     Printf.sprintf "ok            %-44s %g (reference %g)" (row c) c.value
       r.value
-  | Regressed (r, c) ->
-    let bound, sign, dir =
-      match c.gate with
-      | Some Floor -> (r.value *. (1. -. tolerance), '<', "floor")
-      | _ -> (r.value *. (1. +. tolerance), '>', "ceiling") in
-    Printf.sprintf "FAIL          %-44s %g %c %g (reference %g, %.0f%% %s)"
-      (row c) c.value sign bound r.value (tolerance *. 100.) dir
+  | Fail (r, ({ clock = Virtual; _ } as c)) ->
+    Printf.sprintf "FAIL          %-44s %.17g (reference %.17g, exact)"
+      (row c) c.value r.value
+  | Fail (r, c) ->
+    Printf.sprintf "FAIL          %-44s %g > %g (reference %g, %.0f%% ceiling)"
+      (row c) c.value (r.value *. (1. +. tolerance)) r.value (tolerance *. 100.)
   | Missing r ->
     Printf.sprintf "MISSING       %-44s reference %g, not measured" (row r)
       r.value
@@ -224,16 +231,13 @@ let describe finding =
     Printf.sprintf "UNREFERENCED  %-44s %g, no reference row" (row c) c.value
 
 (* Gates everything measured so far against [reference]: every verdict
-   prints, and every one but [Within] joins [failures]. *)
+   prints, and every one but [Pass] joins [failures]. *)
 let check ~reference =
   header
-    (Printf.sprintf "Gate: gated rows vs reference (%.0f%% tolerance)"
+    (Printf.sprintf "Gate: virtual rows exact, host ceilings at %.0f%%"
        (tolerance *. 100.));
   let findings = compare ~reference (List.rev !metrics) in
-  let failed =
-    List.filter
-      (function Within _ -> false | Regressed _ | Missing _ | Unreferenced _ -> true)
-      findings in
+  let failed = List.filter (function Pass _ -> false | _ -> true) findings in
   List.iter (fun f -> print_endline (describe f)) findings;
   List.iter (fun f -> failures := describe f :: !failures) failed;
   Printf.printf "%d gated rows, %d failure(s)\n" (List.length findings)

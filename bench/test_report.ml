@@ -1,18 +1,21 @@
-(* The gate's own checks: the +-10% comparison in both directions, the
-   rows it must refuse to pass silently (missing, unreferenced), a
-   failed requirement failing the run, and the spin-bench/1 JSON round
-   trip of a row that carries its gate direction. *)
+(* The gate's own checks: virtual rows held exactly, host ceilings at
+   +10%, host trend rows ignored, the rows it must refuse to pass
+   silently (missing, unreferenced), a failed requirement failing the
+   run, and the spin-bench/1 JSON round trip of values and clocks. *)
 
 open Report
 
-let row ?gate ?(experiment = "exp") name value =
-  { experiment; name; value; unit_ = "us"; gate }
+let row ?(clock = Virtual) ?(experiment = "exp") name value =
+  { experiment; name; value; unit_ = "us"; clock }
+
+let ceiling = Host Ceiling
+let trend = Host Trend
 
 let verdicts ~reference current =
   List.map
     (function
-      | Within _ -> "ok"
-      | Regressed _ -> "FAIL"
+      | Pass _ -> "ok"
+      | Fail _ -> "FAIL"
       | Missing _ -> "MISSING"
       | Unreferenced _ -> "UNREFERENCED")
     (compare ~reference current)
@@ -20,36 +23,37 @@ let verdicts ~reference current =
 let check_verdicts msg expected ~reference current =
   Alcotest.(check (list string)) msg expected (verdicts ~reference current)
 
-let test_ceiling () =
-  let reference = [ row ~gate:Ceiling "latency" 100. ] in
-  check_verdicts "9.9% slower passes" [ "ok" ] ~reference
-    [ row ~gate:Ceiling "latency" 109.9 ];
-  check_verdicts "10.1% slower fails" [ "FAIL" ] ~reference
-    [ row ~gate:Ceiling "latency" 110.1 ];
-  check_verdicts "any improvement passes" [ "ok" ] ~reference
-    [ row ~gate:Ceiling "latency" 1. ]
+let test_exact () =
+  let v = 530.3609022556391 in
+  let reference = [ row "latency" v ] in
+  check_verdicts "the same float passes" [ "ok" ] ~reference [ row "latency" v ];
+  check_verdicts "one ulp more fails" [ "FAIL" ] ~reference
+    [ row "latency" (Float.succ v) ];
+  check_verdicts "one ulp less fails too" [ "FAIL" ] ~reference
+    [ row "latency" (Float.pred v) ]
 
-let test_floor () =
-  let reference = [ row ~gate:Floor "speedup" 100. ] in
-  check_verdicts "9.9% lower passes" [ "ok" ] ~reference
-    [ row ~gate:Floor "speedup" 90.1 ];
-  check_verdicts "10.1% lower fails" [ "FAIL" ] ~reference
-    [ row ~gate:Floor "speedup" 89.9 ];
+let test_ceiling () =
+  let reference = [ row ~clock:ceiling "words" 100. ] in
+  check_verdicts "9.9% more passes" [ "ok" ] ~reference
+    [ row ~clock:ceiling "words" 109.9 ];
+  check_verdicts "10.1% more fails" [ "FAIL" ] ~reference
+    [ row ~clock:ceiling "words" 110.1 ];
   check_verdicts "any improvement passes" [ "ok" ] ~reference
-    [ row ~gate:Floor "speedup" 1000. ]
+    [ row ~clock:ceiling "words" 1. ]
 
 let test_missing_unreferenced () =
-  let gated = row ~gate:Ceiling "latency" 100. in
-  check_verdicts "gated reference row not measured" [ "MISSING" ]
-    ~reference:[ gated ] [];
+  let pinned = row "latency" 100. in
+  check_verdicts "reference row not measured" [ "MISSING" ]
+    ~reference:[ pinned ] [];
   check_verdicts "same name in another experiment" [ "MISSING"; "UNREFERENCED" ]
-    ~reference:[ gated ] [ row ~gate:Ceiling ~experiment:"other" "latency" 100. ];
-  check_verdicts "gated row without a reference" [ "UNREFERENCED" ]
-    ~reference:[] [ gated ];
-  check_verdicts "direction changed" [ "MISSING"; "UNREFERENCED" ]
-    ~reference:[ gated ] [ row ~gate:Floor "latency" 100. ];
-  check_verdicts "ungated rows are ignored on both sides" []
-    ~reference:[ row "trend" 1. ] [ row "trend" 50.; row "new" 2. ]
+    ~reference:[ pinned ] [ row ~experiment:"other" "latency" 100. ];
+  check_verdicts "row without a reference" [ "UNREFERENCED" ]
+    ~reference:[] [ pinned ];
+  check_verdicts "clock changed" [ "MISSING"; "UNREFERENCED" ]
+    ~reference:[ pinned ] [ row ~clock:ceiling "latency" 100. ];
+  check_verdicts "host trend rows are ignored on both sides" []
+    ~reference:[ row ~clock:trend "rate" 1.; row ~clock:trend "gone" 1. ]
+    [ row ~clock:trend "rate" 50.; row ~clock:trend "new" 2. ]
 
 let test_require () =
   Alcotest.(check int) "nothing failed yet" 0 (exit_code ());
@@ -62,20 +66,21 @@ let test_round_trip () =
   let path = "report_round_trip.json" in
   set_json path;
   experiment "round trip";
-  metric ~gate:Ceiling ~name:"p99 \"quoted\"\\path" 1013.66;
-  metric ~gate:Floor ~unit_:"x" ~name:"speedup 4cpu" 2.92494;
-  metric ~unit_:"count" ~name:"ungated" 310000.;
+  metric ~name:"p99 \"quoted\"\\path" 530.3609022556391;
+  metric ~unit_:"x" ~name:"needs 17 digits" (0.1 +. 0.2);
+  host ?gate:(Some Ceiling) ~unit_:"words" ~name:"minor words" 16094.;
+  host ~unit_:"ev/s" ~name:"rate" 1245540.25;
   write_json ();
   let read = read_json path in
   Sys.remove path;
-  Alcotest.(check bool) "rows, units and gates survive" true
+  Alcotest.(check bool) "values, units and clocks survive bit for bit" true
     (read = List.rev !metrics)
 
 let () =
   Alcotest.run "bench_report"
     [ ("compare",
-       [ Alcotest.test_case "ceiling at +-10%" `Quick test_ceiling;
-         Alcotest.test_case "floor at +-10%" `Quick test_floor;
+       [ Alcotest.test_case "virtual rows exact" `Quick test_exact;
+         Alcotest.test_case "ceiling at +-10%" `Quick test_ceiling;
          Alcotest.test_case "missing and unreferenced" `Quick
            test_missing_unreferenced ]);
       ("failures", [ Alcotest.test_case "require" `Quick test_require ]);
