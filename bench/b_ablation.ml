@@ -62,8 +62,14 @@ let colocation () =
   let (f0, a0) = measure ~colocated:false in
   Printf.printf "%-34s %12s %12s %8s\n" "workload" "co-located" "user-level"
     "ratio";
-  Printf.printf "%-34s %10.1fus %10.1fus %7.1fx\n" "Fault" f1 f0 (f0 /. f1);
-  Printf.printf "%-34s %10.1fus %10.1fus %7.1fx\n" "Appel1" a1 a0 (a0 /. a1);
+  let row name colocated user =
+    Printf.printf "%-34s %10.1fus %10.1fus %7.1fx\n" name colocated user
+      (user /. colocated);
+    Report.metric ~name:(name ^ " co-located") colocated;
+    Report.metric ~name:(name ^ " user-level") user;
+    Report.metric ~unit_:"x" ~name:(name ^ " ratio") (user /. colocated) in
+  row "Fault" f1 f0;
+  row "Appel1" a1 a0;
   Report.note
     "  Boundary crossings alone double the fault path. The baselines\n\
     \  are another ~5x worse again because their *generic* delivery\n\
@@ -90,6 +96,8 @@ let fast_path () =
   let s = Kernel.stamp_us k (fun () -> Dispatcher.raise_event slow ()) in
   Printf.printf "  single unguarded handler (procedure call): %5.2f us\n" f;
   Printf.printf "  same handler behind one guard:             %5.2f us\n" s;
+  Report.metric ~name:"single unguarded handler (procedure call)" f;
+  Report.metric ~name:"same handler behind one guard" s;
   (* Scaling with handler count. *)
   Printf.printf "  dispatch cost vs installed handlers:\n";
   List.iter
@@ -103,7 +111,8 @@ let fast_path () =
              (fun () -> ()))
       done;
       let us = Kernel.stamp_us k (fun () -> Dispatcher.raise_event e ()) in
-      Printf.printf "    %4d handlers: %8.1f us\n" n us)
+      Printf.printf "    %4d handlers: %8.1f us\n" n us;
+      Report.metric ~name:(Printf.sprintf "dispatch cost, %d handlers" n) us)
     [ 1; 10; 25; 50; 100 ]
 
 (* ------------------------------------------------------------------ *)
@@ -145,7 +154,10 @@ let guards () =
   Printf.printf "    guard evaluation (%d cyc) is cheaper than handler\n"
     Dispatcher.default_costs.Dispatcher.guard_eval;
   Printf.printf "    invocation (%d cyc): dispatcher-side filtering wins %.1fx\n"
-    Dispatcher.default_costs.Dispatcher.handler_invoke (u /. g)
+    Dispatcher.default_costs.Dispatcher.handler_invoke (u /. g);
+  Report.metric ~name:"guards filter before invocation" g;
+  Report.metric ~name:"every handler invoked" u;
+  Report.metric ~unit_:"x" ~name:"dispatcher-side filtering wins" (u /. g)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation 3b: linear guards vs indexed dispatch (5.5 future work)   *)
@@ -175,7 +187,9 @@ let indexed_dispatch () =
       done;
       let l = Kernel.stamp_us k (fun () -> Dispatcher.raise_event linear (n - 1)) in
       let i = Kernel.stamp_us k (fun () -> Dispatcher.raise_event indexed (n - 1)) in
-      Printf.printf "  %8d %14.2f %14.2f\n" n l i)
+      Printf.printf "  %8d %14.2f %14.2f\n" n l i;
+      Report.metric ~name:(Printf.sprintf "guards, %d keys" n) l;
+      Report.metric ~name:(Printf.sprintf "indexed, %d keys" n) i)
     [ 5; 25; 50; 100 ];
   Report.note
     "  Hashing the demultiplexing key keeps dispatch flat while linear\n\
@@ -231,6 +245,11 @@ let little_language () =
   Printf.printf "    interpreted filter programs:   %8.1f us  (%.1fx guards)\n"
     i (i /. g);
   Printf.printf "    indexed dispatch:              %8.1f us\n" x;
+  Report.metric ~name:"compiled procedure guards" g;
+  Report.metric ~name:"interpreted filter programs" i;
+  Report.metric ~unit_:"x" ~name:"interpreted filter programs vs guards"
+    (i /. g);
+  Report.metric ~name:"indexed dispatch" x;
   Report.note
     "  Section 2's claim, measured: interpretation overhead dominates,\n\
     \  while compiled guards stay linear and indexing stays flat.\n"
@@ -257,8 +276,12 @@ let gc_pause () =
         Cost.cycles_to_us Cost.alpha_133
           (Clock.stamp clock (fun () -> Kheap.collect h)) in
       let live = live_objects * 32 in
-      Printf.printf "  %12d %12.1f %14.2f\n" live pause
-        (if live = 0 then 0. else pause /. (float_of_int live /. 1000.)))
+      let per_kword =
+        if live = 0 then 0. else pause /. (float_of_int live /. 1000.) in
+      Printf.printf "  %12d %12.1f %14.2f\n" live pause per_kword;
+      Report.metric ~name:(Printf.sprintf "pause, %d live words" live) pause;
+      Report.metric ~unit_:"us/Kword"
+        ~name:(Printf.sprintf "us/Kword live, %d live words" live) per_kword)
     [ 0; 8; 32; 128; 512 ];
   Report.note
     "  Copying-collector pauses scale with live data, not heap size —\n\

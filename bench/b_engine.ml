@@ -185,9 +185,9 @@ let http_requests_per_client = 20
 
 let http_replay () =
   let w = B_web.fixture () in
-  let _rps =
-    B_web.closed_loop ~clients:http_clients ~requests:http_requests_per_client
-      w in
+  ignore
+    (B_web.closed_loop ~clients:http_clients ~requests:http_requests_per_client
+       w);
   let v0 = Clock.now_us w.B_web.clock in
   let r =
     measured (fun () ->

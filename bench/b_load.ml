@@ -1,15 +1,15 @@
 (* HTTP load scaling over the zero-copy packet path (section 5.4,
    extended): a closed loop of 1..N simulated clients against the
-   in-kernel web server, reporting requests/sec and p50/p99 request
-   latency from the tracer's histograms — plus a direct before/after
-   measurement of host allocation per forwarded packet, replaying the
-   seed Pkt's copy discipline against today's view discipline.
+   in-kernel web server, reporting requests/sec, exact nearest-rank
+   p50/p99 request latency and host allocation per request — plus a
+   direct before/after measurement of host allocation per forwarded
+   packet, replaying the seed Pkt's copy discipline against today's
+   view discipline.
 
      dune exec bench/main.exe load
      dune exec bench/main.exe -- --json BENCH_load.json load *)
 
 open Spin_net
-module Trace = Spin_machine.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Closed-loop ramp against the in-kernel server                      *)
@@ -17,23 +17,20 @@ module Trace = Spin_machine.Trace
 
 let requests_per_client = 20
 
-(* One ramp level of {!B_web.closed_loop}. With [traced] the
-   per-request latencies feed a {!Trace} histogram; untraced, the pass
-   measures host-side allocation per request instead (the tracer
-   itself allocates, so the two measurements run separately). *)
-let run_level ~clients ~traced =
+(* One ramp level of {!B_web.closed_loop}: requests/sec, the p50 and
+   p99 of its per-request latencies, and host bytes allocated per
+   request. *)
+let run_level ~clients =
   let w = B_web.fixture () in
-  let tr = Trace.of_clock w.B_web.clock in
-  if traced then Trace.enable tr;
-  let rps = B_web.closed_loop ~clients ~requests:requests_per_client w in
+  let rps, latencies =
+    B_web.closed_loop ~clients ~requests:requests_per_client w in
   let host_alloc0 = Gc.allocated_bytes () in
   B_web.run w;
   let alloc_per_req =
     (Gc.allocated_bytes () -. host_alloc0)
     /. float_of_int (clients * requests_per_client) in
-  match Trace.summary tr ~key:B_web.latency_key with
-  | Some s -> (rps (), s.Trace.p50_us, s.Trace.p99_us, alloc_per_req)
-  | None -> (rps (), nan, nan, alloc_per_req)
+  (rps (), B_web.percentile_us w latencies 50,
+   B_web.percentile_us w latencies 99, alloc_per_req)
 
 (* ------------------------------------------------------------------ *)
 (* Host allocation per forwarded packet, before vs after              *)
@@ -127,8 +124,7 @@ let run () =
     "clients" "req/s" "p50 (us)" "p99 (us)" "host B/req";
   List.iter
     (fun clients ->
-       let rps, p50, p99, _ = run_level ~clients ~traced:true in
-       let _, _, _, alloc = run_level ~clients ~traced:false in
+       let rps, p50, p99, alloc = run_level ~clients in
        Printf.printf "%-8d %10.0f %12.0f %12.0f %14.0f\n"
          clients rps p50 p99 alloc;
        let name n = Printf.sprintf "%s clients=%d" n clients in

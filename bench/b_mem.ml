@@ -19,7 +19,6 @@ module Pageout = Spin_vm.Pageout
 let n_files = 8
 let file_bytes = 6 * 1024
 let requests = 320
-let latency_key = "mem.fetch"
 
 (* A fetch succeeds when the whole file came back, headers on top. *)
 let fetch w ~path = B_web.get ~path w > file_bytes
@@ -33,7 +32,7 @@ type outcome = {
   hog_oom : int;                        (* hog allocations refused *)
   fetch_failures : int;                 (* short or failed responses *)
   degraded : int;                       (* cache inserts refused *)
-  reclaim_span : Trace.summary option;  (* the vm.reclaim histogram *)
+  reclaim_span : Trace.summary option;  (* the vm.reclaim aggregate *)
 }
 
 (* One run: [hog] turns the allocation antagonist on; [reclaim] is
@@ -81,6 +80,7 @@ let run_case ~hog ~reclaim =
       Some pd
     end else None in
   let fetch_failures = ref 0 in
+  let latencies = E2e.Stats.samples () in
   ignore (Sched.spawn client.Host.sched ~name:"driver" (fun () ->
     (* Let the hog empty the pool first, then warm the caches under
        pressure (the warm pass is not measured). *)
@@ -92,19 +92,14 @@ let run_case ~hog ~reclaim =
       let path = Printf.sprintf "f%d.html" (r mod n_files) in
       let t0 = Clock.now clock in
       if not (fetch w ~path) then incr fetch_failures;
-      Trace.record_latency tr ~key:latency_key (Clock.now clock - t0)
+      E2e.Stats.add latencies (Clock.now clock - t0)
     done;
     stop := true;
     Option.iter Pageout.stop pd));
   B_web.run w;
-  let fetch = Trace.summary tr ~key:latency_key in
-  let p50, p99 =
-    match fetch with
-    | Some s -> (s.Trace.p50_us, s.Trace.p99_us)
-    | None -> (nan, nan) in
   {
-    p50;
-    p99;
+    p50 = B_web.percentile_us w latencies 50;
+    p99 = B_web.percentile_us w latencies 99;
     hit_rate =
       Spin_fs.Cache_stats.hit_rate (Spin_fs.File_cache.stats w.B_web.file_cache);
     reclaims = Phys_addr.reclaims phys;
@@ -141,8 +136,8 @@ let run () =
   (match pressure.reclaim_span with
    | Some s ->
      Printf.printf
-       "  reclaim path: %d reclaims traced, p50 %.1f us, p99 %.1f us\n"
-       s.Trace.count s.Trace.p50_us s.Trace.p99_us
+       "  reclaim path: %d reclaims traced, mean %.1f us, max %.1f us\n"
+       s.Trace.count s.Trace.mean_us s.Trace.max_us
    | None -> print_endline "  reclaim path: no spans traced");
   Report.note
     "  The fetch loop never sees Out_of_memory in any case: with the\n\
@@ -170,6 +165,6 @@ let run () =
   Report.require ~name:"ablation p99 ratio >= 2" (ratio >= 2.);
   (match pressure.reclaim_span with
    | Some s ->
-     Report.metric ~name:"reclaim p50 us" s.Trace.p50_us;
-     Report.metric ~name:"reclaim p99 us" s.Trace.p99_us
+     Report.metric ~name:"reclaim mean us" s.Trace.mean_us;
+     Report.metric ~name:"reclaim max us" s.Trace.max_us
    | None -> ())

@@ -139,18 +139,15 @@ let udp_bandwidth sys kind ~payload_bytes ~bursts =
   let acked = ref 0 in
   ignore (Udp.listen a.Host.udp ~port:9091 ~installer:"acks" (fun _ -> incr acked));
   let t_start = ref 0. and t_end = ref 0. in
-  let tx_samples = ref [] in
   ignore (Sched.spawn a.Host.sched ~name:"blast" (fun () ->
     t_start := Clock.now_us clock;
     for burst = 1 to bursts do
       for _ = 1 to window do
-        let t0 = Clock.now_us clock in
         (match sys with
          | Spin_sys -> ()
          | Osf_sys -> Bl_path.user_send_overhead clock osf ~bytes:payload_bytes);
         ignore (Udp.send a.Host.udp ~src_port:9091 ~dst:addr_b ~port:9
-                  (Bytes.create payload_bytes));
-        tx_samples := (Clock.now_us clock -. t0) :: !tx_samples
+                  (Bytes.create payload_bytes))
       done;
       while !acked < burst do Sched.sleep_us a.Host.sched 100. done
     done;
@@ -166,15 +163,11 @@ let udp_bandwidth sys kind ~payload_bytes ~bursts =
     Cost.cycles_to_us cost (Clock.idle_cycles clock - idle0) in
   let packets = bursts * window in
   let busy_us = (!t_end -. !t_start) -. idle_us in
-  ignore !tx_samples;
   let tx_us = measure_tx sys ~kind ~payload_bytes in
   let rx_us = (busy_us /. float_of_int packets) -. tx_us in
   let wire_us =
     float_of_int ((payload_bytes + 90) * 8) /. Nic.link_mbps kind in
   let stage_us = max tx_us (max rx_us wire_us) in
-  if Sys.getenv_opt "SPIN_BENCH_DEBUG" <> None then
-    Printf.eprintf "  [debug %s] tx=%.0f rx=%.0f wire=%.0f us/packet\n"
-      (sys_name sys) tx_us rx_us wire_us;
   float_of_int (payload_bytes * 8) /. stage_us   (* Mb/s *)
 
 let table5 () =

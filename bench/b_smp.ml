@@ -12,7 +12,6 @@
      dune exec bench/main.exe -- smp --cpus 4    # ramp only up to 4 *)
 
 open Spin_net
-module Trace = Spin_machine.Trace
 module Sched = Spin_sched.Sched
 
 (* Highest CPU count in the ramp (overridden by main.exe --cpus). *)
@@ -42,14 +41,12 @@ let link_mbps = 622.
 
 let run_level ~cpus =
   let w = B_web.fixture ~cpus ~kind:link_kind ~mbps:link_mbps () in
-  let tr = Trace.of_clock w.B_web.clock in
-  Trace.enable tr;
-  let rps = B_web.closed_loop ~clients ~requests:requests_per_client w in
+  let rps, latencies =
+    B_web.closed_loop ~clients ~requests:requests_per_client w in
   B_web.run w;
   let steals, ipis = smp_activity w.B_web.client w.B_web.server in
-  match Trace.summary tr ~key:B_web.latency_key with
-  | Some s -> (rps (), s.Trace.p50_us, s.Trace.p99_us, steals, ipis)
-  | None -> (rps (), nan, nan, steals, ipis)
+  (rps (), B_web.percentile_us w latencies 50,
+   B_web.percentile_us w latencies 99, steals, ipis)
 
 let ramp () =
   let rec levels n = if n > !max_cpus then [] else n :: levels (2 * n) in

@@ -1,9 +1,10 @@
 (* The web workload of section 5.4, defined once: the two-host fixture
    (a client and the in-kernel HTTP server over one wire), the GET
    client, and the closed loop behind every HTTP experiment — load,
-   smp, engine, mem, swap and fuzz build on these. The [web] experiment
-   itself compares SPIN's in-kernel server against a user-level server
-   on OSF/1.
+   smp, engine, mem, swap and fuzz build on these. Request latencies
+   are kept as per-request samples and ranked exactly with spinbench's
+   [E2e.Stats] ({!percentile_us}). The [web] experiment itself compares
+   SPIN's in-kernel server against a user-level server on OSF/1.
 
      dune exec bench/main.exe web *)
 
@@ -13,7 +14,7 @@ module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
 module Machine = Spin_machine.Machine
-module Trace = Spin_machine.Trace
+module Stats = E2e.Stats
 module Sched = Spin_sched.Sched
 module Block_cache = Spin_fs.Block_cache
 module File_cache = Spin_fs.File_cache
@@ -112,17 +113,19 @@ let get ?(user_level = false) ?(path = "index.html") w =
       if n > 0 then drain (got + n) else got in
     drain 0
 
+(* A nearest-rank percentile of latency samples, in virtual us. *)
+let percentile_us w samples pct =
+  Cost.cycles_to_us (Clock.cost w.clock) (Stats.percentile samples pct)
+
 (* The closed loop: a driver strand on the client warms the caches
    with one GET outside the measurement, then starts [clients] strands
-   that each issue [requests] GETs back to back, recording each
-   latency under [latency_key] (a no-op unless the clock's tracer is
-   on). The caller runs the hosts; the returned thunk then gives the
-   measured requests per virtual second. *)
-let latency_key = "web.request"
-
+   that each issue [requests] GETs back to back, adding each request's
+   virtual cycles to the returned samples (no virtual cost). The
+   caller runs the hosts; the returned thunk then gives the measured
+   requests per virtual second. *)
 let closed_loop ~clients ~requests w =
   let clock = w.clock in
-  let tr = Trace.of_clock clock in
+  let latencies = Stats.samples () in
   let total = clients * requests in
   let completed = ref 0 in
   let t_start = ref 0. and t_end = ref 0. in
@@ -130,7 +133,7 @@ let closed_loop ~clients ~requests w =
     for _ = 1 to requests do
       let t0 = Clock.now clock in
       ignore (get w);
-      Trace.record_latency tr ~key:latency_key (Clock.now clock - t0);
+      Stats.add latencies (Clock.now clock - t0);
       incr completed;
       if !completed = total then t_end := Clock.now_us clock
     done in
@@ -142,10 +145,11 @@ let closed_loop ~clients ~requests w =
       ignore (Sched.spawn sched ~name:(Printf.sprintf "client-%d" c)
                 client_loop)
     done));
-  fun () ->
+  let rps () =
     let elapsed_us = !t_end -. !t_start in
     if elapsed_us > 0. then float_of_int total /. (elapsed_us /. 1e6)
-    else nan
+    else nan in
+  (rps, latencies)
 
 (* ------------------------------------------------------------------ *)
 (* Web server: SPIN in-kernel vs user-level on OSF/1                  *)

@@ -144,7 +144,7 @@ type ('a, 'r) handler = {
   bound : int option;
   async : bool;
   policy : failure_policy;
-  h_indexed : bool;                      (* lives in an index bucket *)
+  h_indexed : bool;                      (* lives in an index slot *)
   (* The trusted-fast predicate: present iff the handler's bytecode
      passed the install-time verifier and no runtime check (closure
      guard, cycle bound) was requested alongside it. Dispatch runs it
@@ -168,9 +168,9 @@ and ('a, 'r) event = {
   default_handler : ('a, 'r) handler;
   mutable primary_active : bool;
   mutable extra : ('a, 'r) handler list;  (* active, dispatch order *)
-  (* Active handlers across all index buckets. Buckets deliberately
+  (* Active handlers across all index slots. Slots deliberately
      retain inactive handlers (dispatch filters on [active], reviving
-     is a flag flip), so [Hashtbl.length indexed] counts buckets ever
+     is a flag flip), so [Hashtbl.length indexed] counts keys ever
      used, not live handlers — the plan must not use it. *)
   mutable n_indexed_active : int;
   mutable plan : ('a, 'r) plan;
@@ -260,7 +260,7 @@ let same_plan a b =
 
 (* Every site that retires a handler funnels through here so the
    active-indexed count stays exact and the plan never names a retired
-   handler. An indexed handler stays in its bucket. *)
+   handler. An indexed handler stays in its slot. *)
 let uninstall e h =
   if h.active then begin
     h.active <- false;
@@ -660,7 +660,7 @@ let dispatch e arg =
           | Some index ->
             Spin_machine.Clock.charge clock costs.guard_eval;
             (match Hashtbl.find_opt e.indexed (index arg) with
-             | Some bucket -> List.filter (fun h -> h.active) !bucket
+             | Some slot -> List.filter (fun h -> h.active) !slot
              | None -> []) in
         let step = step e arg in
         e.combine

@@ -122,7 +122,7 @@ module Handler_spec : sig
             install-time step budget instead of a per-event stamp *)
     async : bool;
     index_key : int option;
-        (** install into the event's index bucket for this key *)
+        (** install into the event's index slot for this key *)
     on_failure : failure_policy;
     verified : Ebc.program option;
         (** bytecode predicate, verified at install; on success and
@@ -174,7 +174,7 @@ val audit : t -> (string -> unit) -> unit
 (** Sweeps every declared event and reports structural violations:
     inactive handlers lingering in a linear handler list, an
     active-indexed count that disagrees with a recount of the index
-    buckets, a cached dispatch plan that differs from a fresh
+    slots, a cached dispatch plan that differs from a fresh
     recompute, or dispatches still marked in flight at a quiescent
     point. Cheap enough to run after every test; the fuzzer runs it at
     every scheduling point. *)
@@ -247,7 +247,7 @@ val install :
     closure guard or bound was also requested, in which case the
     compiled program demotes to an ordinary guard.
 
-    A [spec.index_key] installs into the event's index bucket for that
+    A [spec.index_key] installs into the event's index slot for that
     key — the optimization section 5.5 leaves as future work
     ("representing guard predicates as decision trees"): handlers are
     found by hashing the raised argument's index instead of walking a
@@ -290,7 +290,7 @@ val handler_count : ('a, 'r) event -> int
 (** Active handlers, including the primary. *)
 
 val indexed_active : ('a, 'r) event -> int
-(** Active handlers across the event's index buckets (buckets retain
+(** Active handlers across the event's index slots (slots retain
     uninstalled handlers). Any live one forces the [General] plan; at 0
     the fast path resumes. *)
 

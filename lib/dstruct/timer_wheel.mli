@@ -1,10 +1,10 @@
 (** Hierarchical timer wheel (Varghese & Lauck scheme 6).
 
     The discrete-event engine's deadline structure: four levels of 256
-    power-of-two-bucketed slots cover the next 2^32 ticks, so [add]
-    and [cancel] are O(1) — an intrusive doubly-linked unlink, no heap
-    sift — and advancing the wheel cascades higher-level buckets down
-    as their windows open. Deadlines beyond the wheel's range wait in
+    slots, each spanning a power of two of ticks, cover the next 2^32
+    ticks, so [add] and [cancel] are O(1) — an intrusive
+    doubly-linked unlink, no heap sift — and advancing the wheel
+    cascades higher-level slots down as their windows open. Deadlines beyond the wheel's range wait in
     an overflow {!Pqueue} and migrate in lazily.
 
     Firing preserves exactly the order a binary heap with an insertion

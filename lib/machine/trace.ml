@@ -31,20 +31,14 @@ type span = {
 let rec null_span =
   { sid = -1; t0 = 0; scat = ""; sname = ""; s_link = null_span }
 
-(* Latency histogram with log2 buckets: bucket [i] counts samples
-   whose cycle count has its highest set bit at position [i]. Exact
-   count/sum/min/max ride along; percentiles are read from the
-   buckets (upper bound of the bucket, clamped to the observed
-   range), which is within 2x of the true value — plenty for p50/p99
-   triage. *)
-let n_buckets = 63
-
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-  buckets : int array;
+(* Per-key latency aggregate: exact count, sum, min and max, so the
+   mean and the extremes are exact. No percentile is estimated here;
+   a caller that needs order statistics keeps its own samples. *)
+type agg = {
+  mutable a_count : int;
+  mutable a_sum : int;
+  mutable a_min : int;
+  mutable a_max : int;
 }
 
 type summary = {
@@ -52,9 +46,6 @@ type summary = {
   mean_us : float;
   min_us : float;
   max_us : float;
-  p50_us : float;
-  p90_us : float;
-  p99_us : float;
 }
 
 type pool_stats = {
@@ -78,8 +69,8 @@ type t = {
   mutable p_ring_fresh : int;
   mutable p_span_hits : int;
   mutable p_span_misses : int;
-  hists : (string, hist) Hashtbl.t;
-  mutable hist_order : string list;       (* first-use order *)
+  aggs : (string, agg) Hashtbl.t;
+  mutable agg_order : string list;        (* first-use order *)
 }
 
 (* All slots alias [dummy] until first written; [push] detects the
@@ -92,7 +83,7 @@ let create ?(capacity = 16384) clock =
     on = false; head = 0; len = 0; n_dropped = 0; next_span = 1;
     span_pool = null_span;
     p_ring_reused = 0; p_ring_fresh = 0; p_span_hits = 0; p_span_misses = 0;
-    hists = Hashtbl.create 32; hist_order = [] }
+    aggs = Hashtbl.create 32; agg_order = [] }
 
 (* One tracer per clock: subsystems sharing a clock (every machine on
    one simulation) share a timeline, so cross-host packet flows land
@@ -130,8 +121,8 @@ let clear t =
          r.ts <- 0; r.kind <- Instant; r.cat <- ""; r.name <- ""; r.args <- []
        end)
     t.buf;
-  Hashtbl.reset t.hists;
-  t.hist_order <- []
+  Hashtbl.reset t.aggs;
+  t.agg_order <- []
 
 let pool_stats t =
   { ring_reused = t.p_ring_reused;
@@ -173,34 +164,23 @@ let push t ~ts ~kind ~cat ~name ~args =
   r.args <- args;
   t.head <- (t.head + 1) mod t.capacity
 
-let bucket_of cycles =
-  if cycles <= 0 then 0
-  else begin
-    let i = ref 0 and v = ref cycles in
-    while !v > 1 do incr i; v := !v lsr 1 done;
-    min !i (n_buckets - 1)
-  end
-
-let hist t key =
-  match Hashtbl.find_opt t.hists key with
-  | Some h -> h
+let agg t key =
+  match Hashtbl.find_opt t.aggs key with
+  | Some a -> a
   | None ->
-    let h = { h_count = 0; h_sum = 0; h_min = max_int; h_max = 0;
-              buckets = Array.make n_buckets 0 } in
-    Hashtbl.replace t.hists key h;
-    t.hist_order <- t.hist_order @ [ key ];
-    h
+    let a = { a_count = 0; a_sum = 0; a_min = max_int; a_max = 0 } in
+    Hashtbl.replace t.aggs key a;
+    t.agg_order <- t.agg_order @ [ key ];
+    a
 
 let record_latency t ~key cycles =
   if t.on then begin
     let cycles = max 0 cycles in
-    let h = hist t key in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + cycles;
-    if cycles < h.h_min then h.h_min <- cycles;
-    if cycles > h.h_max then h.h_max <- cycles;
-    let b = bucket_of cycles in
-    h.buckets.(b) <- h.buckets.(b) + 1
+    let a = agg t key in
+    a.a_count <- a.a_count + 1;
+    a.a_sum <- a.a_sum + cycles;
+    if cycles < a.a_min then a.a_min <- cycles;
+    if cycles > a.a_max then a.a_max <- cycles
   end
 
 let instant t ~cat ~name ?(args = []) () =
@@ -287,48 +267,24 @@ let paired_spans t =
     (records t)
 
 (* ------------------------------------------------------------------ *)
-(* Histograms                                                         *)
+(* Latency aggregates                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let percentile_cycles h q =
-  if h.h_count = 0 then 0.
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let rec scan i acc =
-      if i >= n_buckets then float_of_int h.h_max
-      else begin
-        let acc = acc + h.buckets.(i) in
-        if float_of_int acc >= target then
-          (* upper bound of bucket i, clamped to the observed range *)
-          let upper = if i >= 62 then max_int else (1 lsl (i + 1)) - 1 in
-          float_of_int (max h.h_min (min h.h_max upper))
-        else scan (i + 1) acc
-      end in
-    scan 0 0
-  end
-
-let summary_of t h =
+(* An aggregate exists only once a sample has landed in it, so the
+   count is never zero here. *)
+let summary_of t a =
   let us c = Cost.cycles_to_us (Clock.cost t.clock) c in
-  let usf c = Cost.cycles_to_us (Clock.cost t.clock) (int_of_float c) in
-  { count = h.h_count;
-    mean_us =
-      (if h.h_count = 0 then 0.
-       else us h.h_sum /. float_of_int h.h_count);
-    min_us = us (if h.h_count = 0 then 0 else h.h_min);
-    max_us = us h.h_max;
-    p50_us = usf (percentile_cycles h 0.50);
-    p90_us = usf (percentile_cycles h 0.90);
-    p99_us = usf (percentile_cycles h 0.99) }
+  { count = a.a_count;
+    mean_us = us a.a_sum /. float_of_int a.a_count;
+    min_us = us a.a_min;
+    max_us = us a.a_max }
 
 let summary t ~key =
-  Hashtbl.find_opt t.hists key |> Option.map (summary_of t)
+  Hashtbl.find_opt t.aggs key |> Option.map (summary_of t)
 
 let summaries t =
-  List.filter_map
-    (fun key ->
-       Hashtbl.find_opt t.hists key
-       |> Option.map (fun h -> (key, summary_of t h)))
-    t.hist_order
+  List.map (fun key -> (key, summary_of t (Hashtbl.find t.aggs key)))
+    t.agg_order
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                          *)
@@ -394,13 +350,12 @@ let to_chrome_json t =
 let report t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "trace: %d records (%d dropped), %d histograms\n"
-       t.len t.n_dropped (Hashtbl.length t.hists));
+    (Printf.sprintf "trace: %d records (%d dropped), %d latency keys\n"
+       t.len t.n_dropped (Hashtbl.length t.aggs));
   List.iter
     (fun (key, s) ->
        Buffer.add_string buf
-         (Printf.sprintf
-            "  %-28s n=%-6d mean=%8.2fus p50=%8.2fus p90=%8.2fus p99=%8.2fus max=%8.2fus\n"
-            key s.count s.mean_us s.p50_us s.p90_us s.p99_us s.max_us))
+         (Printf.sprintf "  %-28s n=%-6d mean=%8.2fus min=%8.2fus max=%8.2fus\n"
+            key s.count s.mean_us s.min_us s.max_us))
     (summaries t);
   Buffer.contents buf

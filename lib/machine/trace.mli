@@ -2,10 +2,13 @@
 
     A bounded ring buffer of sim-clock-timestamped records — instant
     markers and begin/end spans, each with a category, a name, and
-    optional string arguments — plus per-key latency histograms with
-    log2 buckets. The ring exports as Chrome [trace_event] JSON
-    (loadable in chrome://tracing or Perfetto); the histograms report
-    p50/p90/p99/min/max/mean in virtual microseconds.
+    optional string arguments — plus per-key latency aggregates. The
+    ring exports as Chrome [trace_event] JSON (loadable in
+    chrome://tracing or Perfetto); each aggregate keeps the exact
+    count, sum, min and max of its samples, so it reports an exact
+    mean, min and max in virtual microseconds. There is no percentile
+    estimate: a caller that needs order statistics keeps every sample
+    and ranks it (the benchmarks use spinbench's [Stats]).
 
     Tracing is off by default and compile-out cheap: every recording
     entry point is behind a single mutable-bool check ({!on}), so the
@@ -64,7 +67,7 @@ val on : t -> bool
     construction behind [if Trace.on tr then ...]. *)
 
 val clear : t -> unit
-(** Drops all records and histograms; keeps the enabled flag. *)
+(** Drops all records and latency aggregates; keeps the enabled flag. *)
 
 val dropped : t -> int
 (** Records evicted by ring overflow since the last {!clear}. *)
@@ -80,8 +83,8 @@ val begin_span :
   unit -> span
 
 val end_span : ?args:(string * string) list -> t -> span -> unit
-(** Closes the span and records its duration in the ["cat.name"]
-    latency histogram. The token is retired and recycled; ending the
+(** Closes the span and records its duration under the ["cat.name"]
+    latency key. The token is retired and recycled; ending the
     same token twice is a no-op. *)
 
 val with_span :
@@ -92,7 +95,7 @@ val with_span :
     and a direct call. *)
 
 val record_latency : t -> key:string -> int -> unit
-(** Feeds a cycle count straight into a histogram, without ring
+(** Feeds a cycle count straight into a key's aggregate, without ring
     records. *)
 
 (** {2 Reading back} *)
@@ -109,15 +112,14 @@ type summary = {
   mean_us : float;
   min_us : float;
   max_us : float;
-  p50_us : float;   (** log2-bucket estimate, within 2x *)
-  p90_us : float;
-  p99_us : float;
 }
+(** Exact over every sample recorded under the key since the last
+    {!clear}. *)
 
 val summary : t -> key:string -> summary option
 
 val summaries : t -> (string * summary) list
-(** Every histogram, in first-use order. *)
+(** Every latency key, in first-use order. *)
 
 val to_chrome_json : t -> string
 (** The ring as Chrome [trace_event] JSON ([{"traceEvents": [...]}]).
@@ -126,7 +128,7 @@ val to_chrome_json : t -> string
     ["ph":"i"]. Timestamps are virtual microseconds. *)
 
 val report : t -> string
-(** Human-readable histogram percentiles. *)
+(** Human-readable count, mean, min and max per latency key. *)
 
 (** {2 Allocation pooling} *)
 

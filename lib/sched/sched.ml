@@ -457,7 +457,7 @@ let execute t ~cpu s =
     | Some c -> c
     | None -> invalid_arg "Sched: strand has no kernel context" in
   (* The span key is the strand name, so each strand gets its own
-     run-time histogram. *)
+     run-time aggregate. *)
   let run_span =
     if Trace.on tr then
       Trace.begin_span tr ~cat:"sched" ~name:s.Strand.name ()

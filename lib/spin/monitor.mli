@@ -38,5 +38,5 @@ val gauges : t -> (string * int) list
 val report : t -> string
 (** Human-readable counts and rates per virtual second, followed by
     the health gauges and, when the clock's tracer
-    ({!Spin_machine.Trace.of_clock}) holds latency histograms, its
+    ({!Spin_machine.Trace.of_clock}) holds latency aggregates, its
     {!Spin_machine.Trace.report}. *)

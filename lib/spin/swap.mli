@@ -34,8 +34,8 @@
     → sweep old handlers and cancel their pending restarts → unlink →
     initialize the replacement (its initializer installs the new
     handlers) → restore → advance epochs → ungate and drain parked
-    strands. The window's length is recorded in the ["swap.pause"]
-    trace histogram. *)
+    strands. The window's length is recorded under the tracer's ["swap.pause"]
+    latency key. *)
 
 (** {2 The Checkpointable convention}
 

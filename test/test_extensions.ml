@@ -219,7 +219,7 @@ let test_subsystem_gauge_names () =
     (Trace.pool_stats tr).Trace.span_misses (g "trace.span_pool_misses");
   check int "Ether.rx_dropped samples the driver" (Netif.drops netif)
     (g "Ether.rx_dropped");
-  check bool "report appends the clock's latency histograms" true
+  check bool "report appends the clock's latency aggregates" true
     (contains (Monitor.report m) "test.span")
 
 (* ------------------------------------------------------------------ *)
