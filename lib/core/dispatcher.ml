@@ -538,7 +538,25 @@ let report_fault e h kind ~removed =
    (Quarantine counts faults against the domain's budget), comes back
    after a delay (Restart), or goes away (Uninstall). The primary
    implementation is trusted: its exceptions propagate to the raiser,
-   as a direct procedure call's would. *)
+   as a direct procedure call's would. [invoke] answers [None] for a
+   handler that faulted. *)
+let invoke e h arg =
+  if h == e.default_handler then Some (h.fn arg)
+  else
+    try Some (h.fn arg)
+    with exn ->
+      e.s_failed <- e.s_failed + 1;
+      if Trace.on e.disp.tracer then
+        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
+          ~args:[ ("event", e.e_name); ("installer", h.installer);
+                  ("exn", Printexc.to_string exn) ] ();
+      let keep_installed =
+        e.disp.on_fault <> None
+        && (match h.policy with Quarantine _ -> true | _ -> false) in
+      if not keep_installed then uninstall e h;
+      report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
+      None
+
 let run_sync e h arg acc =
   let clock = e.disp.clock in
   (* Checker probe: every synchronous invocation funnels through here,
@@ -550,39 +568,24 @@ let run_sync e h arg acc =
       (Printf.sprintf "%s: invoking inactive handler from %s"
          e.e_name h.installer);
   e.s_invocations <- e.s_invocations + 1;
-  let invoke () =
-    if h == e.default_handler then Some (h.fn arg)
-    else
-      try Some (h.fn arg)
-      with exn ->
-        e.s_failed <- e.s_failed + 1;
-        if Trace.on e.disp.tracer then
-          Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
-            ~args:[ ("event", e.e_name); ("installer", h.installer);
-                    ("exn", Printexc.to_string exn) ] ();
-        let keep_installed =
-          e.disp.on_fault <> None
-          && (match h.policy with Quarantine _ -> true | _ -> false) in
-        if not keep_installed then uninstall e h;
-        report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
-        None in
   match h.bound with
   | None ->
-    (match invoke () with Some r -> r :: acc | None -> acc)
+    (match invoke e h arg with Some r -> r :: acc | None -> acc)
   | Some bound ->
-    let result = ref None in
-    let spent = Spin_machine.Clock.stamp clock (fun () -> result := invoke ()) in
+    let before = Spin_machine.Clock.now clock in
+    let result = invoke e h arg in
+    let spent = Spin_machine.Clock.now clock - before in
     if spent > bound then begin
       (* Overran its quantum: the dispatcher aborts the handler and
          discards its result. The overrun is reported but the handler
          stays installed — repeat offenders are the supervisor's call. *)
       e.s_aborted <- e.s_aborted + 1;
       (* [invoke] already reported if the handler threw. *)
-      if h != e.default_handler && !result <> None then
+      if h != e.default_handler && result <> None then
         report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
       acc
     end else
-      match !result with Some r -> r :: acc | None -> acc
+      match result with Some r -> r :: acc | None -> acc
 
 (* One handler's turn in a General dispatch. A handler evicted
    mid-dispatch (a supervisor quarantine triggered by an earlier
@@ -626,26 +629,35 @@ let dispatch e arg =
     e.s_fast <- e.s_fast + 1;
     Spin_machine.Clock.charge clock
       (Spin_machine.Clock.cost clock).Spin_machine.Cost.cross_module_call;
-    Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
-      ~args:[ ("path", "fast") ] (fun () ->
-        (* Only the trusted primary gets the raw call — its exceptions
-           propagate to the raiser, as a direct procedure call's
-           would. A sole extension handler still goes through
-           [run_sync] so its faults are caught, counted, and
-           reported. *)
-        if h == e.default_handler then begin
-          e.s_invocations <- e.s_invocations + 1;
-          h.fn arg
-        end else e.combine (run_sync e h arg []))
+    (* The fast path builds no closure: the span is opened and closed
+       around a plain match, a null token when tracing is off. *)
+    let sp =
+      Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
+        ~args:[ ("path", "fast") ] () in
+    (* Only the trusted primary gets the raw call — its exceptions
+       propagate to the raiser, as a direct procedure call's would. A
+       sole extension handler still goes through [run_sync] so its
+       faults are caught, counted, and reported. *)
+    (match
+       if h == e.default_handler then begin
+         e.s_invocations <- e.s_invocations + 1;
+         h.fn arg
+       end else e.combine (run_sync e h arg [])
+     with
+     | r -> Trace.end_span tr sp; r
+     | exception exn -> Trace.end_span tr sp; raise exn)
   | Trusted (h, pred) ->
     Spin_machine.Clock.charge clock costs.trusted_eval;
     if not (pred arg) then e.combine []
     else begin
       e.s_trusted <- e.s_trusted + 1;
       Spin_machine.Clock.charge clock costs.trusted_invoke;
-      Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
-        ~args:[ ("path", "trusted") ] (fun () ->
-          e.combine (run_sync e h arg []))
+      let sp =
+        Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
+          ~args:[ ("path", "trusted") ] () in
+      match e.combine (run_sync e h arg []) with
+      | r -> Trace.end_span tr sp; r
+      | exception exn -> Trace.end_span tr sp; raise exn
     end
   | General handlers ->
     Spin_machine.Clock.charge clock costs.dispatch_fixed;

@@ -256,8 +256,29 @@ let dir_entries t =
       | None -> loop (off + dirent_size) acc in
   loop 0 []
 
+(* Whether the dirent at [off] names [name], compared in place over
+   the directory bytes: it matches [decode_dirent]'s name (stops at the
+   first NUL or at [max_name]) without building it. *)
+let rec dirent_names data off name i =
+  if i = String.length name then
+    i > 0 && (i = max_name || Bytes.get data (off + i) = '\000')
+  else
+    i < max_name
+    && (let c = Bytes.get data (off + i) in c <> '\000' && c = name.[i])
+    && dirent_names data off name (i + 1)
+
+(* Offset of the first dirent at or after [off] naming [name]. *)
+let rec find_dirent data name off =
+  if off + dirent_size > Bytes.length data then None
+  else if dirent_names data off name 0 then Some off
+  else find_dirent data name (off + dirent_size)
+
 let dir_lookup t name =
-  List.assoc_opt name (dir_entries t)
+  let root = read_inode t root_inode in
+  let data = read_inode_data t root ~off:0 ~len:root.size in
+  match find_dirent data name 0 with
+  | Some off -> Some (get32 data (off + dirent_size - 4))
+  | None -> None
 
 let dir_add t name inum =
   if String.length name > max_name then raise (Fs_error Name_too_long);
@@ -278,15 +299,11 @@ let dir_add t name inum =
 let dir_remove t name =
   let root = read_inode t root_inode in
   let data = read_inode_data t root ~off:0 ~len:root.size in
-  let rec loop off =
-    if off + dirent_size > Bytes.length data then ()
-    else
-      match decode_dirent data off with
-      | Some (n, _) when String.equal n name ->
-        write_inode_data t root ~off (Bytes.make dirent_size '\000');
-        write_inode t root_inode root
-      | Some _ | None -> loop (off + dirent_size) in
-  loop 0
+  match find_dirent data name 0 with
+  | Some off ->
+    write_inode_data t root ~off (Bytes.make dirent_size '\000');
+    write_inode t root_inode root
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                   *)

@@ -34,6 +34,9 @@ let now t = t.now
 
 let now_us t = Cost.cycles_to_us t.cost t.now
 
+(* Every charge passes through here, so it must not allocate: the
+   re-entrancy flag is reset in an exception arm, not in a [~finally]
+   closure built per call. *)
 let run_hooks t =
   if not t.in_hook then begin
     t.in_hook <- true;
@@ -41,11 +44,13 @@ let run_hooks t =
        from inside an event) first run on the next advance, as the old
        captured-list iteration did. *)
     let hooks = t.hooks and n = t.n_hooks in
-    Fun.protect ~finally:(fun () -> t.in_hook <- false)
-      (fun () ->
-        for i = 0 to n - 1 do
-          hooks.(i) t
-        done)
+    match
+      for i = 0 to n - 1 do
+        hooks.(i) t
+      done
+    with
+    | () -> t.in_hook <- false
+    | exception e -> t.in_hook <- false; raise e
   end
 
 let charge t c =

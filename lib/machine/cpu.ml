@@ -35,26 +35,27 @@ let set_trap_handler t h = t.handler <- Some h
 
 (* Entry and exit costs are charged symmetrically: the return-from-trap
    sequence (mode restore, pipeline drain) executes whether the handler
-   returns or raises, so the exit charge lives in the finally block
-   alongside the mode restore. A handler that raises used to skip it,
-   which undercharged every fault path that aborts. *)
+   returns or raises, so [trap_exit] runs on both arms alongside the
+   mode restore. A handler that raises used to skip it, which
+   undercharged every fault path that aborts. *)
+let trap_exit t saved =
+  t.mode <- saved;
+  t.trap_depth <- t.trap_depth - 1;
+  t.trap_exits <- t.trap_exits + 1;
+  Clock.charge t.clock (Clock.cost t.clock).Cost.trap_exit
+
 let trap t tr =
   match t.handler with
   | None -> raise (Unhandled_trap tr)
   | Some handler ->
-    let cost = Clock.cost t.clock in
-    Clock.charge t.clock cost.Cost.trap_entry;
+    Clock.charge t.clock (Clock.cost t.clock).Cost.trap_entry;
     t.trap_entries <- t.trap_entries + 1;
     t.trap_depth <- t.trap_depth + 1;
     let saved = t.mode in
     t.mode <- Kernel;
-    Fun.protect
-      ~finally:(fun () ->
-        t.mode <- saved;
-        t.trap_depth <- t.trap_depth - 1;
-        t.trap_exits <- t.trap_exits + 1;
-        Clock.charge t.clock cost.Cost.trap_exit)
-      (fun () -> handler tr)
+    match handler tr with
+    | r -> trap_exit t saved; r
+    | exception e -> trap_exit t saved; raise e
 
 let syscall t ~number ~args = trap t (Syscall { number; args })
 

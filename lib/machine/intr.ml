@@ -49,6 +49,16 @@ let active_cpu t = t.active
 
 let register t ~line h = Hashtbl.replace t.handlers line h
 
+(* Handlers and IPI actions run in interrupt context: masked, and
+   unmasked again however they exit. The unmask sits in an exception
+   arm, not in a [~finally] closure that would allocate on every
+   delivery. *)
+let run_masked t action =
+  t.mask_depth <- t.mask_depth + 1;
+  match action () with
+  | () -> t.mask_depth <- t.mask_depth - 1
+  | exception e -> t.mask_depth <- t.mask_depth - 1; raise e
+
 let deliver t line =
   match Hashtbl.find_opt t.handlers line with
   | None -> t.spurious <- t.spurious + 1
@@ -57,8 +67,7 @@ let deliver t line =
     Clock.charge t.clock cost.Cost.interrupt_entry;
     t.delivered <- t.delivered + 1;
     (* handlers run with further interrupts masked, as on real hardware *)
-    t.mask_depth <- t.mask_depth + 1;
-    Fun.protect ~finally:(fun () -> t.mask_depth <- t.mask_depth - 1) h;
+    run_masked t h;
     Clock.charge t.clock cost.Cost.interrupt_exit
 
 let rec drain t =
@@ -104,9 +113,7 @@ let drain_ipis t ~cpu =
     t.ipis_delivered <- t.ipis_delivered + 1;
     incr n;
     (* IPI actions run in interrupt context on the target CPU. *)
-    t.mask_depth <- t.mask_depth + 1;
-    Fun.protect ~finally:(fun () -> t.mask_depth <- t.mask_depth - 1)
-      action
+    run_masked t action
   done;
   !n
 
@@ -128,9 +135,7 @@ let broadcast_sync t ~from action =
       t.ipis_sent <- t.ipis_sent + 1;
       Clock.charge t.clock cost.Cost.ipi_deliver;
       t.ipis_delivered <- t.ipis_delivered + 1;
-      t.mask_depth <- t.mask_depth + 1;
-      Fun.protect ~finally:(fun () -> t.mask_depth <- t.mask_depth - 1)
-        (fun () -> action ~cpu);
+      run_masked t (fun () -> action ~cpu);
       incr n
     end
   done;

@@ -20,29 +20,34 @@ type t = {
   mutable n_cancelled : int;
 }
 
-let rec create clock =
+let rec fire_loop t =
+  (* Re-advance each iteration: the action just fired may have charged
+     the clock (recursion is suppressed by [firing]). Advancing to an
+     unchanged time is a single comparison. *)
+  Timer_wheel.advance t.wheel (Clock.now t.clock);
+  match Timer_wheel.pop_due t.wheel with
+  | Some action ->
+    t.n_fired <- t.n_fired + 1;
+    action ();
+    fire_loop t
+  | None -> ()
+
+(* A clock hook, so it runs on every charge: a pass with nothing due
+   allocates nothing ([firing] is reset in an exception arm, not in a
+   [~finally] closure built per call). *)
+let fire_due t =
+  if not t.firing then begin
+    t.firing <- true;
+    match fire_loop t with
+    | () -> t.firing <- false
+    | exception e -> t.firing <- false; raise e
+  end
+
+let create clock =
   let wheel = Timer_wheel.create ~start:(Clock.now clock) ~dummy:nop () in
   let t = { clock; wheel; firing = false; n_fired = 0; n_cancelled = 0 } in
   Clock.add_hook clock (fun _ -> fire_due t);
   t
-
-and fire_due t =
-  if not t.firing then begin
-    t.firing <- true;
-    Fun.protect ~finally:(fun () -> t.firing <- false) (fun () ->
-      let rec loop () =
-        (* Re-advance each iteration: the action just fired may have
-           charged the clock (recursion is suppressed by [firing]).
-           Advancing to an unchanged time is a single comparison. *)
-        Timer_wheel.advance t.wheel (Clock.now t.clock);
-        match Timer_wheel.pop_due t.wheel with
-        | Some action ->
-          t.n_fired <- t.n_fired + 1;
-          action ();
-          loop ()
-        | None -> () in
-      loop ())
-  end
 
 let clock t = t.clock
 

@@ -63,6 +63,17 @@ let serve_miss t conn name =
       t.s_not_found <- t.s_not_found + 1;
       respond t conn ~status:"404 Not Found" ~body:Bytes.empty
 
+let serve t conn request =
+  match parse_request request with
+  | None -> respond t conn ~status:"400 Bad Request" ~body:Bytes.empty
+  | Some name ->
+    match File_cache.fetch t.cache ~name with
+    | Some body ->
+      t.s_ok <- t.s_ok + 1;
+      t.s_bytes <- t.s_bytes + Bytes.length body;
+      respond t conn ~status:"200 OK" ~body
+    | None -> serve_miss t conn name
+
 let handle_request t conn request =
   Clock.charge t.machine.Machine.clock parse_cost;
   t.s_requests <- t.s_requests + 1;
@@ -75,16 +86,9 @@ let handle_request t conn request =
                  | Some name -> "/" ^ name
                  | None -> "<bad>") ] ()
     else Trace.null_span in
-  Fun.protect ~finally:(fun () -> Trace.end_span tr sp) @@ fun () ->
-  match parse_request request with
-  | None -> respond t conn ~status:"400 Bad Request" ~body:Bytes.empty
-  | Some name ->
-    match File_cache.fetch t.cache ~name with
-    | Some body ->
-      t.s_ok <- t.s_ok + 1;
-      t.s_bytes <- t.s_bytes + Bytes.length body;
-      respond t conn ~status:"200 OK" ~body
-    | None -> serve_miss t conn name
+  match serve t conn request with
+  | () -> Trace.end_span tr sp
+  | exception e -> Trace.end_span tr sp; raise e
 
 (* The bytecode view of a request: the path is the payload (a string
    is immutable; the unsafe cast is a read-only view, never written),

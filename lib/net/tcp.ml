@@ -350,19 +350,7 @@ let handle_established t conn seg =
      | _ -> ())
   end
 
-let handle_segment t (seg, src) =
-  t.s_in <- t.s_in + 1;
-  charge t;
-  let tr = Trace.of_clock t.machine.Machine.clock in
-  let sp =
-    if Trace.on tr then
-      Trace.begin_span tr ~cat:"tcp" ~name:"rx_segment"
-        ~args:[ ("seq", string_of_int seg.seq);
-                ("flags", flags_to_string seg.flags);
-                ("dport", string_of_int seg.dport);
-                ("bytes", string_of_int (Pkt.length seg.data)) ] ()
-    else Trace.null_span in
-  Fun.protect ~finally:(fun () -> Trace.end_span tr sp) @@ fun () ->
+let segment_arrived t seg src =
   match Hashtbl.find_opt t.conns (seg.dport, src, seg.sport) with
   | Some conn ->
     (match conn.st with
@@ -417,6 +405,22 @@ let handle_segment t (seg, src) =
         { sport = seg.dport; dport = seg.sport;
           seq = seg.ack; ack = seg.seq; flags = flag_rst; data = Pkt.empty () }
     end
+
+let handle_segment t (seg, src) =
+  t.s_in <- t.s_in + 1;
+  charge t;
+  let tr = Trace.of_clock t.machine.Machine.clock in
+  let sp =
+    if Trace.on tr then
+      Trace.begin_span tr ~cat:"tcp" ~name:"rx_segment"
+        ~args:[ ("seq", string_of_int seg.seq);
+                ("flags", flags_to_string seg.flags);
+                ("dport", string_of_int seg.dport);
+                ("bytes", string_of_int (Pkt.length seg.data)) ] ()
+    else Trace.null_span in
+  match segment_arrived t seg src with
+  | () -> Trace.end_span tr sp
+  | exception e -> Trace.end_span tr sp; raise e
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                   *)

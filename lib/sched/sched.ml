@@ -524,6 +524,26 @@ let drain_all_ipis t =
       ignore (Intr.drain_ipis intr ~cpu:c)
     done
 
+let rec try_pick t =
+  match pick_cpu t with
+  | None -> false
+  | Some cpu ->
+    match next_runnable t ~cpu with
+    | None -> try_pick t                  (* queue held only stale entries *)
+    | Some s ->
+      (* Wall-clock concurrency: every other CPU with queued work runs
+         its own slice during this one, so work cycles charged here
+         advance wall time at 1/K. *)
+      let busy = ref 1 in
+      for c = 0 to t.cpus - 1 do
+        if c <> cpu && queued_on t ~cpu:c > 0 then incr busy
+      done;
+      Clock.set_parallel t.clock !busy;
+      (match execute t ~cpu s with
+       | () -> Clock.set_parallel t.clock 1
+       | exception e -> Clock.set_parallel t.clock 1; raise e);
+      true
+
 let step t =
   (* Scheduling point. Deliver pending IPIs first — every CPU is at an
      instruction boundary between slices — so checkers observe the
@@ -532,24 +552,7 @@ let step t =
   drain_all_ipis t;
   (match t.probe with Some f -> f () | None -> ());
   rebalance t;
-  let rec try_pick () =
-    match pick_cpu t with
-    | None -> false
-    | Some cpu ->
-      match next_runnable t ~cpu with
-      | None -> try_pick ()               (* queue held only stale entries *)
-      | Some s ->
-        (* Wall-clock concurrency: every other CPU with queued work
-           runs its own slice during this one, so work cycles charged
-           here advance wall time at 1/K. *)
-        let busy =
-          1 + List.length (List.filter (fun c -> c <> cpu) (busy_cpus t)) in
-        Clock.set_parallel t.clock busy;
-        Fun.protect
-          ~finally:(fun () -> Clock.set_parallel t.clock 1)
-          (fun () -> execute t ~cpu s);
-        true in
-  try_pick ()
+  try_pick t
 
 let run ?(until = fun () -> false) t =
   let rec loop () =

@@ -256,6 +256,49 @@ let test_fs_mount_rejects_garbage () =
     (try ignore (Simple_fs.mount cache); fail "expected mount failure"
      with Simple_fs.Fs_error Simple_fs.No_such_file -> ()))
 
+(* The directory lookup compares names in place over the dirent bytes;
+   the reference is the decoded listing. Names share prefixes (a
+   lookup of "f1" must not stop at "f10"), fill a dirent's 27-byte
+   name field exactly, and reuse slots that deletes tombstoned. The
+   queries add names that can never be stored: too long, empty, or
+   cut short by a NUL. *)
+let test_fs_lookup_matches_listing () =
+  let longest = String.make 27 'n' in
+  let stored =
+    [ "f"; "f1"; "f10"; "f100"; "f1000"; "g"; longest;
+      String.sub longest 0 26 ] in
+  let queries = stored @ [ longest ^ "n"; ""; "f1\000"; "f10\000x" ] in
+  with_fs_machine (fun _ _ _ cache _ ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    (try Simple_fs.create fs ~name:(longest ^ "n"); fail "expected Name_too_long"
+     with Simple_fs.Fs_error Simple_fs.Name_too_long -> ());
+    let model = Hashtbl.create 16 in
+    let rng = Random.State.make [| 18 |] in
+    for step = 1 to 300 do
+      let name = List.nth stored (Random.State.int rng (List.length stored)) in
+      if Hashtbl.mem model name then begin
+        Simple_fs.delete fs ~name;
+        Hashtbl.remove model name
+      end else begin
+        let size = Random.State.int rng 3000 in
+        Simple_fs.create fs ~name;
+        Simple_fs.write fs ~name (Bytes.make size 'd');
+        Hashtbl.replace model name size
+      end;
+      let listed = Simple_fs.list_files fs in
+      List.iter (fun name ->
+        let tag what = Printf.sprintf "step %d %S %s" step name what in
+        let present = List.mem name listed in
+        check bool (tag "listed as the model says") (Hashtbl.mem model name)
+          present;
+        check bool (tag "exists agrees with the listing") present
+          (Simple_fs.exists fs ~name);
+        if present then
+          check int (tag "size") (Hashtbl.find model name)
+            (Simple_fs.size fs ~name))
+        queries
+    done)
+
 (* ------------------------------------------------------------------ *)
 (* File cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -403,6 +446,8 @@ let () =
           test_case "many files" `Quick test_fs_many_files_listed;
           test_case "persists across mount" `Quick test_fs_persists_across_mount;
           test_case "mount rejects garbage" `Quick test_fs_mount_rejects_garbage;
+          test_case "lookup matches the listing" `Quick
+            test_fs_lookup_matches_listing;
         ] );
       ( "file_cache",
         [

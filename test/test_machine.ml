@@ -657,6 +657,89 @@ let test_machine_isolated_clocks () =
   Clock.charge m1.Machine.clock 500;
   check int "m2 unaffected" 0 (Clock.now m2.Machine.clock)
 
+(* ------------------------------------------------------------------ *)
+(* Hot paths: allocation and exception safety                         *)
+(* ------------------------------------------------------------------ *)
+
+module Dispatcher = Spin_core.Dispatcher
+module Sched = Spin_sched.Sched
+
+(* Minor words allocated by [n] calls of [f]. Native code keeps both
+   readings unboxed, so the measurement itself allocates nothing. *)
+let minor_words_over n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  Gc.minor_words () -. w0
+
+let test_charge_allocates_nothing () =
+  (* Every modeled cost goes through [Clock.charge] and, from there,
+     every clock hook: the Sim's timer pass and the Sched's quantum
+     check. With nothing due, none of it may touch the host heap. *)
+  let m = fresh () in
+  let clock = m.Machine.clock in
+  ignore (Sched.create m.Machine.sim (Dispatcher.create clock));
+  ignore (Sim.after m.Machine.sim 1_000_000_000 (fun () -> ()));
+  let charge () = Clock.charge clock 1 in
+  check (float 0.) "minor words over 10,000 charges" 0.
+    (minor_words_over 10_000 charge)
+
+let test_direct_raise_allocates_nothing () =
+  let d = Dispatcher.create (Clock.create Cost.alpha_133) in
+  let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun x -> x + 1) in
+  let raise_one () = ignore (Dispatcher.raise_event e 41) in
+  check (float 0.) "minor words over 10,000 raises" 0.
+    (minor_words_over 10_000 raise_one);
+  check int "every raise took the fast path" 10_000
+    (Dispatcher.stats e).Dispatcher.fast_path
+
+let test_clock_hook_raise_keeps_hooks () =
+  let clock = Clock.create Cost.alpha_133 in
+  let calls = ref 0 in
+  Clock.add_hook clock (fun _ ->
+    incr calls;
+    if !calls = 1 then failwith "hook");
+  check_raises "the hook's exception reaches the charger" (Failure "hook")
+    (fun () -> Clock.charge clock 10);
+  Clock.charge clock 10;
+  check int "hooks still run on the next charge" 2 !calls
+
+let test_sim_raising_action_does_not_wedge () =
+  let clock = Clock.create Cost.alpha_133 in
+  let sim = Sim.create clock in
+  let later = ref false in
+  ignore (Sim.after sim 10 (fun () -> failwith "action"));
+  ignore (Sim.after sim 100 (fun () -> later := true));
+  check_raises "the action's exception reaches the charger" (Failure "action")
+    (fun () -> Clock.charge clock 20);
+  Clock.charge clock 200;
+  check bool "a later due event still fires" true !later
+
+let test_intr_raising_handler_unmasks () =
+  let m = fresh () in
+  let intr = m.Machine.intr in
+  Intr.register intr ~line:3 (fun () -> failwith "handler");
+  check_raises "the handler's exception reaches the poster" (Failure "handler")
+    (fun () -> Intr.post intr ~line:3);
+  check bool "unmasked after a raising handler" false (Intr.masked intr);
+  Intr.post_ipi intr ~cpu:0 (fun () -> failwith "ipi");
+  check_raises "the IPI action's exception reaches the drainer" (Failure "ipi")
+    (fun () -> ignore (Intr.drain_ipis intr ~cpu:0));
+  check bool "unmasked after a raising IPI action" false (Intr.masked intr)
+
+let test_direct_raise_closes_span () =
+  let d = Dispatcher.create (Clock.create Cost.alpha_133) in
+  let tr = Dispatcher.tracer d in
+  Trace.enable tr;
+  let e =
+    Dispatcher.declare d ~name:"Boom" ~owner:"M" (fun () -> failwith "primary") in
+  check_raises "the primary's exception reaches the raiser" (Failure "primary")
+    (fun () -> Dispatcher.raise_event e ());
+  check int "the dispatcher span closed" 1
+    (match Trace.summary tr ~key:"dispatcher.Boom" with
+     | Some s -> s.Trace.count
+     | None -> 0);
+  check int "begin and end paired" 1 (List.length (Trace.paired_spans tr))
+
 let () =
   Alcotest.run "spin_machine"
     [
@@ -738,5 +821,20 @@ let () =
             test_machine_connect_requires_shared_sim;
           Alcotest.test_case "loss validation" `Quick test_link_loss_validation;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
+        ] );
+      ( "hot paths",
+        [
+          Alcotest.test_case "charge allocates nothing" `Quick
+            test_charge_allocates_nothing;
+          Alcotest.test_case "direct raise allocates nothing" `Quick
+            test_direct_raise_allocates_nothing;
+          Alcotest.test_case "raising clock hook keeps hooks running" `Quick
+            test_clock_hook_raise_keeps_hooks;
+          Alcotest.test_case "raising sim action does not wedge firing" `Quick
+            test_sim_raising_action_does_not_wedge;
+          Alcotest.test_case "raising interrupt handler unmasks" `Quick
+            test_intr_raising_handler_unmasks;
+          Alcotest.test_case "raising direct handler closes its span" `Quick
+            test_direct_raise_closes_span;
         ] );
     ]
