@@ -17,6 +17,13 @@ open Spin_net
 
 let requests_per_client = 20
 
+(* Host bytes allocated on the minor heap so far. Unlike
+   [Gc.allocated_bytes], which nets out words promoted by whichever
+   minor collections fall inside a window (so it moves with GC phase),
+   this is exact for a given amount of work — spinbench's
+   [host_words_per_op] counts the same way. *)
+let minor_bytes () = Gc.minor_words () *. float_of_int (Sys.word_size / 8)
+
 (* One ramp level of {!B_web.closed_loop}: requests/sec, the p50 and
    p99 of its per-request latencies, and host bytes allocated per
    request. *)
@@ -24,10 +31,10 @@ let run_level ~clients =
   let w = B_web.fixture () in
   let rps, latencies =
     B_web.closed_loop ~clients ~requests:requests_per_client w in
-  let host_alloc0 = Gc.allocated_bytes () in
+  let host_alloc0 = minor_bytes () in
   B_web.run w;
   let alloc_per_req =
-    (Gc.allocated_bytes () -. host_alloc0)
+    (minor_bytes () -. host_alloc0)
     /. float_of_int (clients * requests_per_client) in
   (rps (), B_web.percentile_us w latencies 50,
    B_web.percentile_us w latencies 99, alloc_per_req)
@@ -95,9 +102,9 @@ let alloc_per_packet f =
   Bytes.set_uint16_le frame 0 0x0800;
   for _ = 1 to 256 do ignore (Sys.opaque_identity (f frame)) done;
   let iters = 20_000 in
-  let before = Gc.allocated_bytes () in
+  let before = minor_bytes () in
   for _ = 1 to iters do ignore (Sys.opaque_identity (f frame)) done;
-  (Gc.allocated_bytes () -. before) /. float_of_int iters
+  (minor_bytes () -. before) /. float_of_int iters
 
 let alloc_comparison () =
   Report.header

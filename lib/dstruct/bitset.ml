@@ -35,13 +35,27 @@ let clear t i =
 
 let count t = t.set_count
 
-let find_first p t =
-  let rec loop i = if i >= t.nbits then None else if p (mem t i) then Some i else loop (i + 1) in
-  loop 0
+(* [set]/[clear] never touch the bits past [nbits] in the last byte, so
+   they read as zero. *)
+let blit_to t dst off = Bytes.blit t.bits 0 dst off (Bytes.length t.bits)
 
-let find_first_clear t = find_first not t
+let rec lowest_bit b k = if b land (1 lsl k) <> 0 then k else lowest_bit b (k + 1)
 
-let find_first_set t = find_first (fun b -> b) t
+(* The lowest bit at or after byte [i] that differs from [skip] (0xff
+   finds a clear bit, 0 a set one), a byte at a time. The padding past
+   [nbits] is clear, so a clear "hit" there means none. *)
+let rec first_differing t skip i =
+  if i >= Bytes.length t.bits then None
+  else
+    let b = Char.code (Bytes.unsafe_get t.bits i) lxor skip in
+    if b = 0 then first_differing t skip (i + 1)
+    else
+      let idx = (i * 8) + lowest_bit b 0 in
+      if idx < t.nbits then Some idx else None
+
+let find_first_clear t = first_differing t 0xff 0
+
+let find_first_set t = first_differing t 0 0
 
 let find_clear_run t k =
   if k <= 0 then invalid_arg "Bitset.find_clear_run: run must be positive";

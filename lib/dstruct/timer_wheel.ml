@@ -62,6 +62,10 @@ type 'a t = {
   mutable due_n : int;
   mutable wheel_n : int;                 (* entries linked into slots *)
   mutable approx_next : int;             (* lower bound, max_int if none *)
+  (* [approx_next] is exactly the earliest non-due deadline: set by a
+     slow advance, kept by [place]/[add] (a min), cleared by cancelling
+     an entry at that deadline. *)
+  mutable exact : bool;
   nil : 'a entry;                        (* free-list terminator *)
   mutable pool : 'a entry;
   mutable hits : int;
@@ -97,7 +101,7 @@ let create ?(start = 0) ~dummy () =
           else if a.e_time > b.e_time then 1
           else a.e_seq - b.e_seq);
     next_seq = 0; live = 0; due_n = 0; wheel_n = 0; approx_next = max_int;
-    nil; pool = nil; hits = 0; misses = 0;
+    exact = true; nil; pool = nil; hits = 0; misses = 0;
     scratch = [||]; scratch_n = 0; reloc = [||]; reloc_n = 0 }
 
 let now t = t.w_now
@@ -215,6 +219,9 @@ let cancel t h =
   let e = h.h_ent in
   if e.e_seq <> h.h_seq || e.e_where = w_free then false
   else begin
+    (* Removing the earliest non-due deadline leaves [approx_next] a
+       lower bound only. *)
+    if e.e_where <> w_due && e.e_time <= t.approx_next then t.exact <- false;
     if e.e_where = w_overflow then
       (match e.e_ovf with
        | Some pe -> Pqueue.remove t.overflow pe
@@ -407,7 +414,8 @@ let slow_advance t target =
     Array.iter (fun e -> push_due t e) batch;
     t.scratch_n <- 0
   end;
-  t.approx_next <- scan_next t
+  t.approx_next <- scan_next t;
+  t.exact <- true
 
 let advance t target =
   if target > t.w_now then begin
@@ -433,14 +441,12 @@ let pop_due t =
   end
 
 let next_deadline t =
-  (* Catch the cascade position up to the clock first: the ordered
-     scan requires it, and crossing the pending windows may surface
-     due entries (none should exist — the fast path never crosses a
-     deadline — but the walk is the authority). *)
-  if t.due_n = 0 && t.live > 0 && t.cascaded < t.w_now then
-    slow_advance t t.w_now;
+  (* O(1) while [exact] holds. Otherwise a slow advance to now catches
+     the cascade position up (the ordered scan requires it) and
+     re-derives the minimum; the walk surfaces no due entry, because
+     the fast path never crosses a deadline, so skipping it while
+     [exact] holds leaves the later advance the same sorted batch. *)
+  if t.due_n = 0 && t.live > 0 && not t.exact then slow_advance t t.w_now;
   if t.due_n > 0 then Some t.due.e_next.e_time
-  else if t.live = 0 then None
-  else
-    let m = scan_next t in
-    if m = max_int then None else Some m
+  else if t.live = 0 || t.approx_next = max_int then None
+  else Some t.approx_next

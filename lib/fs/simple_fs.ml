@@ -68,16 +68,12 @@ let decode_inode b off =
     indirect = get32 b (off + 4 + (ndirect * 4)) }
 
 let encode_bitset set =
-  (* One bit per entry, packed into whole blocks. *)
+  (* One bit per entry, packed into whole blocks: [Bitset]'s own layout
+     (bit i at byte i/8, bit i mod 8), so one blit. *)
   let nbits = Bitset.length set in
   let blocks = (((nbits + 7) / 8) + bs - 1) / bs in
   let b = Bytes.make (blocks * bs) '\000' in
-  for i = 0 to nbits - 1 do
-    if Bitset.mem set i then begin
-      let byte = Char.code (Bytes.get b (i / 8)) in
-      Bytes.set b (i / 8) (Char.chr (byte lor (1 lsl (i mod 8))))
-    end
-  done;
+  Bitset.blit_to set b 0;
   b
 
 let decode_bitset b nbits =

@@ -67,3 +67,7 @@ val delete : t -> name:string -> unit
 val list_files : t -> string list
 
 val free_blocks : t -> int
+
+val encode_bitset : Spin_dstruct.Bitset.t -> Bytes.t
+(** The on-disk form of an inode or data-block bitmap: bit [i] at bit
+    [i mod 8] of byte [i / 8], zero-padded to whole blocks. *)

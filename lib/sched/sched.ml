@@ -57,6 +57,10 @@ type t = {
      remote CPU's queue is reached only through an IPI or the steal
      path, never by direct mutation from another CPU's context. *)
   queues : Strand.t Dllist.t array array;
+  (* queued.(cpu) = the sum of that CPU's queue lengths, kept by the
+     four sites that link or unlink a queue node, so a scheduling point
+     reads each CPU's load without folding 32 lists. *)
+  queued : int array;
   mutable current : Strand.t option;
   mutable exec_cpu : int;                 (* CPU currently dispatching *)
   mutable rr_cpu : int;                   (* round-robin CPU cursor *)
@@ -94,26 +98,33 @@ let owner_name = "GlobalSched"
 let report_violation t msg =
   match t.on_violation with Some f -> f msg | None -> ()
 
+(* Unlinks [s]'s queue node, counting it only if it was still linked. *)
+let unlink_node t s node =
+  if Dllist.is_linked node then begin
+    let cpu = s.Strand.qcpu in
+    Dllist.remove t.queues.(cpu).(s.Strand.priority) node;
+    t.queued.(cpu) <- t.queued.(cpu) - 1
+  end
+
 let enqueue t ~cpu s =
   (* Double enqueue would strand a stale node in the run queue (the
      handle in [qnode] is overwritten); every enqueue site guards on
      state, so reaching here queued is an invariant break. *)
-  if s.Strand.qnode <> None then begin
-    report_violation t
-      (Printf.sprintf "double enqueue of %s" (Strand.to_string s));
-    (match s.Strand.qnode with
-     | Some node ->
-       Dllist.remove t.queues.(s.Strand.qcpu).(s.Strand.priority) node
-     | None -> ())
-  end;
+  (match s.Strand.qnode with
+   | Some node ->
+     report_violation t
+       (Printf.sprintf "double enqueue of %s" (Strand.to_string s));
+     unlink_node t s node
+   | None -> ());
   s.Strand.state <- Strand.Runnable;
   s.Strand.qcpu <- cpu;
-  s.Strand.qnode <- Some (Dllist.push_back t.queues.(cpu).(s.Strand.priority) s)
+  s.Strand.qnode <- Some (Dllist.push_back t.queues.(cpu).(s.Strand.priority) s);
+  t.queued.(cpu) <- t.queued.(cpu) + 1
 
 let dequeue t s =
   match s.Strand.qnode with
   | Some node ->
-    Dllist.remove t.queues.(s.Strand.qcpu).(s.Strand.priority) node;
+    unlink_node t s node;
     s.Strand.qnode <- None
   | None -> ()
 
@@ -235,6 +246,7 @@ let create ?(params = default_params) ?cpus ?intr sim dispatcher =
          queues =
            Array.init cpus (fun _ ->
              Array.init (Strand.max_priority + 1) (fun _ -> Dllist.create ()));
+         queued = Array.make cpus 0;
          current = None; exec_cpu = 0; rr_cpu = 0;
          pending_wakeups = Hashtbl.create 16;
          ipi_pending = Hashtbl.create 16;
@@ -309,16 +321,19 @@ let runnable_strands t =
   done;
   List.rev !acc
 
-let scan t ~cpu =
-  let rec go p =
-    if p < 0 then None
-    else
-      match Dllist.pop_front t.queues.(cpu).(p) with
-      | Some s ->
-        s.Strand.qnode <- None;
-        if s.Strand.state = Strand.Runnable then Some s else go p
-      | None -> go (p - 1) in
-  go Strand.max_priority
+(* Top level, not a local [let rec]: a closure over [t] would be
+   allocated at every scheduling point. *)
+let rec scan_from t ~cpu p =
+  if p < 0 then None
+  else
+    match Dllist.pop_front t.queues.(cpu).(p) with
+    | Some s ->
+      t.queued.(cpu) <- t.queued.(cpu) - 1;
+      s.Strand.qnode <- None;
+      if s.Strand.state = Strand.Runnable then Some s else scan_from t ~cpu p
+    | None -> scan_from t ~cpu (p - 1)
+
+let scan t ~cpu = scan_from t ~cpu Strand.max_priority
 
 let next_runnable t ~cpu =
   match t.selector with
@@ -343,9 +358,6 @@ let next_runnable t ~cpu =
             scan t ~cpu
           end))
 
-let queued_on t ~cpu =
-  Array.fold_left (fun acc q -> acc + Dllist.length q) 0 t.queues.(cpu)
-
 (* --- work stealing ------------------------------------------------- *)
 
 (* What an idle [thief] may take: strands queued on CPUs holding at
@@ -357,9 +369,9 @@ let queued_on t ~cpu =
 let stealable t ~thief =
   let victims =
     List.init t.cpus (fun c -> c)
-    |> List.filter (fun c -> c <> thief && queued_on t ~cpu:c >= 2)
+    |> List.filter (fun c -> c <> thief && t.queued.(c) >= 2)
     |> List.stable_sort
-         (fun a b -> compare (queued_on t ~cpu:b) (queued_on t ~cpu:a)) in
+         (fun a b -> compare t.queued.(b) t.queued.(a)) in
   List.concat_map
     (fun v ->
       List.filter
@@ -384,7 +396,7 @@ let try_steal t ~thief =
        if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
           && s.Strand.qcpu <> thief
           && (match s.Strand.affinity with None -> true | Some a -> a = thief)
-          && queued_on t ~cpu:s.Strand.qcpu >= 2
+          && t.queued.(s.Strand.qcpu) >= 2
        then begin
          dequeue t s;
          enqueue t ~cpu:thief s;
@@ -394,12 +406,17 @@ let try_steal t ~thief =
            (Printf.sprintf "steal policy picked unstealable strand %s"
               (Strand.to_string s)))
 
+(* Whether some CPU at or after [c] holds at least two strands — the
+   only state in which [stealable] can offer anything. *)
+let rec surplus_from t c =
+  c < t.cpus && (t.queued.(c) >= 2 || surplus_from t (c + 1))
+
 (* Idle-time balancing, run at every scheduling point: each CPU with
    an empty queue pulls at most one strand. *)
 let rebalance t =
-  if t.cpus > 1 then
+  if t.cpus > 1 && surplus_from t 0 then
     for thief = 0 to t.cpus - 1 do
-      if queued_on t ~cpu:thief = 0 then try_steal t ~thief
+      if t.queued.(thief) = 0 then try_steal t ~thief
     done
 
 (* --- dispatch ------------------------------------------------------ *)
@@ -484,37 +501,45 @@ let execute t ~cpu s =
     end else if s.Strand.state = Strand.Running then
       s.Strand.state <- Strand.Blocked
 
+(* The first CPU at or after [c] with queued work; [t.cpus] if none. *)
+let rec busy_from t c =
+  if c >= t.cpus || t.queued.(c) > 0 then c else busy_from t (c + 1)
+
+(* The list a {!cpu_selector} is offered: busy CPUs, ascending. *)
 let busy_cpus t =
   let acc = ref [] in
   for c = t.cpus - 1 downto 0 do
-    if queued_on t ~cpu:c > 0 then acc := c :: !acc
+    if t.queued.(c) > 0 then acc := c :: !acc
   done;
   !acc
 
-let default_pick t candidates =
-  (* First candidate at or after the round-robin cursor, wrapping. *)
-  match List.find_opt (fun c -> c >= t.rr_cpu) candidates with
-  | Some c -> c
-  | None -> List.hd candidates
+let default_pick t =
+  (* First busy CPU at or after the round-robin cursor, wrapping. *)
+  let c = busy_from t t.rr_cpu in
+  if c < t.cpus then c else busy_from t 0
 
+(* Only two or more busy CPUs are a choice: the selector, and the list
+   it is offered, are reached only then. *)
 let pick_cpu t =
-  match busy_cpus t with
-  | [] -> None
-  | [ c ] -> Some c
-  | candidates ->
+  let first = busy_from t 0 in
+  if first >= t.cpus then None
+  else if busy_from t (first + 1) >= t.cpus then Some first
+  else begin
     let c =
       match t.cpu_selector with
-      | None -> default_pick t candidates
+      | None -> default_pick t
       | Some select ->
+        let candidates = busy_cpus t in
         (match select candidates with
          | Some c when List.mem c candidates -> c
          | Some c ->
            report_violation t
              (Printf.sprintf "cpu selector picked CPU %d with no work" c);
-           default_pick t candidates
-         | None -> default_pick t candidates) in
+           default_pick t
+         | None -> default_pick t) in
     t.rr_cpu <- (c + 1) mod t.cpus;
     Some c
+  end
 
 let drain_all_ipis t =
   match t.intr with
@@ -536,7 +561,7 @@ let rec try_pick t =
          advance wall time at 1/K. *)
       let busy = ref 1 in
       for c = 0 to t.cpus - 1 do
-        if c <> cpu && queued_on t ~cpu:c > 0 then incr busy
+        if c <> cpu && t.queued.(c) > 0 then incr busy
       done;
       Clock.set_parallel t.clock !busy;
       (match execute t ~cpu s with
@@ -654,7 +679,7 @@ let stats t = {
 let runnable_count t =
   let n = ref 0 in
   for cpu = 0 to t.cpus - 1 do
-    n := !n + queued_on t ~cpu
+    n := !n + t.queued.(cpu)
   done;
   !n
 
@@ -692,7 +717,8 @@ let gauges t =
 let audit t report =
   (* Run-queue membership: every queued strand is Runnable with a live
      back-pointer, queued on the CPU its [qcpu] claims (and its pinned
-     CPU if any), and no strand is queued twice machine-wide. *)
+     CPU if any), no strand is queued twice machine-wide, and each
+     CPU's queued count equals its queue lengths. *)
   let seen = Hashtbl.create 16 in
   Array.iteri
     (fun cpu per_prio ->
@@ -723,7 +749,12 @@ let audit t report =
                           (Strand.to_string s) a cpu)
               | Some _ | None -> ())
             (Dllist.to_list q))
-        per_prio)
+        per_prio;
+      (* The O(1) load count every scheduling point reads. *)
+      let len = Array.fold_left (fun n q -> n + Dllist.length q) 0 per_prio in
+      if t.queued.(cpu) <> len then
+        report (Printf.sprintf "CPU %d queued count %d, its queues hold %d"
+                  cpu t.queued.(cpu) len))
     t.queues;
   (* Raced-wakeup entries exist only for Running strands; with no
      strand running, a surviving entry is a leak. *)

@@ -301,6 +301,8 @@ val audit : t -> (string -> unit) -> unit
 (** Structural invariant sweep across every CPU's queues: run-queue
     membership (queued strands are Runnable, linked, at their own
     priority, on the CPU their [qcpu] — and pinned affinity, if any —
-    says, and queued once machine-wide), pending-wakeup staleness at
+    says, and queued once machine-wide), each CPU's queued count (the
+    O(1) load every scheduling point reads) against the sum of its
+    queue lengths, pending-wakeup staleness at
     quiescent points, and wakeup-IPI markers with no IPI in flight.
     Reports each violation; cheap enough to run after every test. *)

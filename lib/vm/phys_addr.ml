@@ -199,44 +199,50 @@ let release_frames t run =
     Bitset.clear t.referenced i
   done
 
+let pick_and_release t ~requester ~needed =
+  match
+    Dispatcher.raise_event t.select_victim { requester; needed_pages = needed }
+  with
+  | None -> None
+  | Some candidate ->
+    let victim = Dispatcher.raise_event t.reclaim candidate in
+    (* A handler may only substitute a page this service minted and
+       still tracks; anything else falls back to the candidate. *)
+    let victim =
+      if List.exists (Capability.equal victim) t.live then victim
+      else candidate in
+    match Capability.deref_opt victim with
+    | None -> None
+    | Some run ->
+      List.iter (fun f -> f victim) t.invalidates;
+      release_frames t run;
+      Capability.revoke victim;
+      t.live <- List.filter (fun p -> not (Capability.equal p victim)) t.live;
+      t.reclaim_count <- t.reclaim_count + 1;
+      Some victim
+
 let do_reclaim t ~requester ~needed =
   (* A reclaim handler that itself allocates must see a clean
-     Out_of_memory, never recurse back in here. *)
+     Out_of_memory, never recurse back in here. [in_reclaim] is reset
+     in an exception arm, not in a [Fun.protect] closure per call. *)
   if t.in_reclaim || not t.reclaim_enabled then None
   else begin
     t.in_reclaim <- true;
-    Fun.protect ~finally:(fun () -> t.in_reclaim <- false) @@ fun () ->
     let tr = Trace.of_clock t.machine.Machine.clock in
     let sp =
       if Trace.on tr then
         Trace.begin_span tr ~cat:"vm" ~name:"reclaim"
           ~args:[ ("requester", requester) ] ()
       else Trace.null_span in
-    let finish outcome =
-      Trace.end_span tr sp
-        ~args:[ ("outcome", match outcome with Some _ -> "freed" | None -> "empty") ];
-      outcome in
-    match
-      Dispatcher.raise_event t.select_victim
-        { requester; needed_pages = needed }
-    with
-    | None -> finish None
-    | Some candidate ->
-      let victim = Dispatcher.raise_event t.reclaim candidate in
-      (* A handler may only substitute a page this service minted and
-         still tracks; anything else falls back to the candidate. *)
-      let victim =
-        if List.exists (Capability.equal victim) t.live then victim
-        else candidate in
-      match Capability.deref_opt victim with
-      | None -> finish None
-      | Some run ->
-        List.iter (fun f -> f victim) t.invalidates;
-        release_frames t run;
-        Capability.revoke victim;
-        t.live <- List.filter (fun p -> not (Capability.equal p victim)) t.live;
-        t.reclaim_count <- t.reclaim_count + 1;
-        finish (Some victim)
+    match pick_and_release t ~requester ~needed with
+    | outcome ->
+      t.in_reclaim <- false;
+      if Trace.on tr then
+        Trace.end_span tr sp
+          ~args:[ ("outcome",
+                   match outcome with Some _ -> "freed" | None -> "empty") ];
+      outcome
+    | exception e -> t.in_reclaim <- false; raise e
   end
 
 let force_reclaim t = do_reclaim t ~requester:"PhysAddr" ~needed:1

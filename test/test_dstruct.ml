@@ -319,13 +319,15 @@ let test_wheel_pool_recycles () =
 
 (* The equivalence property the engine swap rests on: against a binary
    heap keyed by (deadline, insertion-seq) — exactly the old [Sim]
-   queue — a random interleaving of adds (all levels and the overflow),
-   cancels, and uneven advances fires the same events in the same
-   order. *)
+   queue — a random interleaving of adds (all levels, the overflow and
+   at now), cancels (random, of the earliest entry, of due entries),
+   and uneven advances (some leaving the due entries unpopped) fires
+   the same events in the same order, and after every operation
+   [next_deadline] is the heap's minimum. *)
 let prop_wheel_matches_heap =
   QCheck2.Test.make ~name:"timer wheel fires like a FIFO-tie heap" ~count:150
     QCheck2.Gen.(list_size (int_range 1 60)
-                   (pair (int_range 0 5) (int_range 0 2000)))
+                   (pair (int_range 0 8) (int_range 0 2000)))
     (fun ops ->
       let w = Timer_wheel.create ~dummy:(-1) () in
       let cmp (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2) in
@@ -353,28 +355,47 @@ let prop_wheel_matches_heap =
         let e = Pqueue.add model (time, !seq, v) in
         incr seq;
         outstanding := (h, e) :: !outstanding in
+      let cancel k =
+        let h, e = List.nth !outstanding k in
+        let cw = Timer_wheel.cancel w h in
+        let cm = Pqueue.mem e in
+        if cm then Pqueue.remove model e;
+        if cw <> cm then agree := false;
+        outstanding := List.filteri (fun i _ -> i <> k) !outstanding in
+      (* The outstanding entry the heap fires first (due ones included). *)
+      let earliest () =
+        let best = ref None in
+        List.iteri
+          (fun i (_, e) ->
+            if Pqueue.mem e then
+              match !best with
+              | Some (_, b) when cmp b (Pqueue.value e) <= 0 -> ()
+              | Some _ | None -> best := Some (i, Pqueue.value e))
+          !outstanding;
+        Option.map fst !best in
+      let deadline_agrees () =
+        let m = Option.map (fun (t, _, _) -> t) (Pqueue.peek model) in
+        if Timer_wheel.next_deadline w <> m then agree := false in
       List.iter
         (fun (tag, n) ->
-          match tag with
-          | 0 -> add n                         (* level 0 *)
-          | 1 -> add (n * 4096)                (* levels 1-2 *)
-          | 2 -> add (n * (1 lsl 23))          (* level 3 and overflow *)
-          | 3 | 4 ->
-            let target =
-              Timer_wheel.now w + (if tag = 3 then n else n * 65536) in
-            Timer_wheel.advance w target;
-            drain_due target
-          | _ ->
-            (match !outstanding with
-             | [] -> ()
-             | hs ->
-               let k = n mod List.length hs in
-               let h, e = List.nth hs k in
-               let cw = Timer_wheel.cancel w h in
-               let cm = Pqueue.mem e in
-               if cm then Pqueue.remove model e;
-               if cw <> cm then agree := false;
-               outstanding := List.filteri (fun i _ -> i <> k) hs))
+          (match tag with
+           | 0 -> add n                        (* level 0 *)
+           | 1 -> add (n * 4096)               (* levels 1-2 *)
+           | 2 -> add (n * (1 lsl 23))         (* level 3 and overflow *)
+           | 3 | 4 ->
+             let target =
+               Timer_wheel.now w + (if tag = 3 then n else n * 65536) in
+             Timer_wheel.advance w target;
+             drain_due target
+           | 5 ->
+             if !outstanding <> [] then cancel (n mod List.length !outstanding)
+           | 6 -> add 0                        (* due at once *)
+           | 7 -> Option.iter cancel (earliest ())
+           | _ ->
+             (* Advance but leave the due entries queued, so later
+                cancels and deadline queries meet them. *)
+             Timer_wheel.advance w (Timer_wheel.now w + n));
+          deadline_agrees ())
         ops;
       let rounds = ref 0 in
       while (Timer_wheel.size w > 0 || not (Pqueue.is_empty model))
@@ -467,6 +488,31 @@ let test_bitset_range_check () =
   let b = Bitset.create 4 in
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of range")
     (fun () -> Bitset.set b 4)
+
+(* The byte-at-a-time searches against a per-bit scan, on lengths that
+   end mid-byte, with dense sets (so the first clear bit sits late or
+   only in the padding) and sparse ones. *)
+let test_bitset_find_matches_scan () =
+  let rng = Random.State.make [| 20 |] in
+  let scan b want =
+    let rec go i =
+      if i >= Bitset.length b then None
+      else if Bitset.mem b i = want then Some i
+      else go (i + 1) in
+    go 0 in
+  List.iter (fun n ->
+    for density = 0 to 4 do
+      let b = Bitset.create n in
+      for i = 0 to n - 1 do
+        if Random.State.int rng 4 < density then Bitset.set b i
+      done;
+      let tag what = Printf.sprintf "%d bits, density %d/4, %s" n density what in
+      check (option int) (tag "first clear") (scan b false)
+        (Bitset.find_first_clear b);
+      check (option int) (tag "first set") (scan b true)
+        (Bitset.find_first_set b)
+    done)
+    [ 0; 1; 5; 8; 13; 64; 100; 1021 ]
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                *)
@@ -602,6 +648,8 @@ let () =
           Alcotest.test_case "find first" `Quick test_bitset_find;
           Alcotest.test_case "clear runs" `Quick test_bitset_run;
           Alcotest.test_case "range check" `Quick test_bitset_range_check;
+          Alcotest.test_case "find first matches a per-bit scan" `Quick
+            test_bitset_find_matches_scan;
         ] );
       ( "lru",
         [

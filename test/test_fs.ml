@@ -9,6 +9,7 @@ module Clock = Spin_machine.Clock
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
 module Phys_addr = Spin_vm.Phys_addr
+module Bitset = Spin_dstruct.Bitset
 
 (* Everything runs in strand context; this helper boots a machine and
    runs the body as a kernel thread. The caches are page-backed, so
@@ -299,6 +300,93 @@ let test_fs_lookup_matches_listing () =
         queries
     done)
 
+(* The bitmap codec blits [Bitset]'s bytes; the reference packs one
+   [Bitset.mem] at a time into whole zeroed blocks. Lengths straddle
+   byte and block edges, and each is tried all-clear, all-set, random,
+   and all-set with random bits cleared again (clears must leave the
+   last byte's padding zero). *)
+let reference_encode set =
+  let nbits = Bitset.length set in
+  let blocks = (((nbits + 7) / 8) + Disk.block_size - 1) / Disk.block_size in
+  let b = Bytes.make (blocks * Disk.block_size) '\000' in
+  for i = 0 to nbits - 1 do
+    if Bitset.mem set i then
+      Bytes.set b (i / 8)
+        (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
+  done;
+  b
+
+let test_fs_bitmap_codec () =
+  let rng = Random.State.make [| 20 |] in
+  List.iter (fun n ->
+    let random () =
+      let set = Bitset.create n in
+      for i = 0 to n - 1 do
+        if Random.State.bool rng then Bitset.set set i
+      done;
+      set in
+    let cleared () =
+      let set = Bitset.create n in
+      Bitset.fill set;
+      for i = 0 to n - 1 do
+        if Random.State.bool rng then Bitset.clear set i
+      done;
+      set in
+    let full () = let set = Bitset.create n in Bitset.fill set; set in
+    List.iter (fun (what, make) ->
+      let set = make () in
+      check bytes (Printf.sprintf "%d bits, %s" n what)
+        (reference_encode set) (Simple_fs.encode_bitset set))
+      [ ("all clear", (fun () -> Bitset.create n)); ("all set", full);
+        ("random", random); ("random again", random);
+        ("set then cleared", cleared) ])
+    [ 0; 1; 7; 8; 9; 63; 100; 511; 4095; 4096; 4097; 4103; 8183; 8192 ]
+
+(* Format, then creates, writes and deletes (leaving holes in both
+   bitmaps), then a remount from the disk blocks alone: the mounted
+   bitmaps agree with the ones that were written, so free space, the
+   listing and every file's bytes survive, and new files still fit. *)
+let test_fs_remount_keeps_every_file () =
+  with_fs_machine (fun _ _ _ cache _ ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    let rng = Random.State.make [| 21 |] in
+    let files = Hashtbl.create 32 in
+    for i = 0 to 39 do
+      let name = Printf.sprintf "file%02d" i in
+      let size = Random.State.int rng 30_000 in
+      let body = Bytes.init size (fun k -> Char.chr ((i + k) land 0xff)) in
+      Simple_fs.create fs ~name;
+      Simple_fs.write fs ~name body;
+      Hashtbl.replace files name body
+    done;
+    for i = 0 to 39 do
+      if i mod 3 = 0 then begin
+        let name = Printf.sprintf "file%02d" i in
+        Simple_fs.delete fs ~name;
+        Hashtbl.remove files name
+      end
+    done;
+    Block_cache.flush cache;
+    let fs2 = Simple_fs.mount cache in
+    check int "free blocks survive remount"
+      (Simple_fs.free_blocks fs) (Simple_fs.free_blocks fs2);
+    check (list string) "listing survives remount"
+      (List.sort compare (Simple_fs.list_files fs))
+      (List.sort compare (Simple_fs.list_files fs2));
+    Hashtbl.iter (fun name body ->
+      check bytes (name ^ " survives remount") body
+        (Simple_fs.read fs2 ~name))
+      files;
+    let free = Simple_fs.free_blocks fs2 in
+    Simple_fs.create fs2 ~name:"late";
+    Simple_fs.write fs2 ~name:"late" (Bytes.make 5000 'l');
+    check bool "the remounted bitmap allocates" true
+      (Simple_fs.free_blocks fs2 < free);
+    Hashtbl.iter (fun name body ->
+      check bytes (name ^ " untouched by a later allocation") body
+        (Simple_fs.read fs2 ~name))
+      files)
+
 (* ------------------------------------------------------------------ *)
 (* File cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -446,6 +534,10 @@ let () =
           test_case "many files" `Quick test_fs_many_files_listed;
           test_case "persists across mount" `Quick test_fs_persists_across_mount;
           test_case "mount rejects garbage" `Quick test_fs_mount_rejects_garbage;
+          test_case "bitmap codec matches a per-bit encoder" `Quick
+            test_fs_bitmap_codec;
+          test_case "remount keeps free space and every file" `Quick
+            test_fs_remount_keeps_every_file;
           test_case "lookup matches the listing" `Quick
             test_fs_lookup_matches_listing;
         ] );

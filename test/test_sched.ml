@@ -824,6 +824,56 @@ let test_spawn_inherits_cpu_and_count_is_explicit () =
   Sched.run s;
   check int "child ran on the parent's CPU" 2 !child_cpu
 
+(* Every scheduling point reads each CPU's queued count instead of
+   folding its 32 queues, so the count must follow every link and
+   unlink. Seeded random spawns, blocks, unblocks, priority and
+   affinity changes on four CPUs — spawns pile onto one CPU, so the
+   idle ones steal — with a full audit (counts included) after every
+   step. *)
+let test_random_ops_keep_queued_counts () =
+  let _, _, s = smp_kernel ~cpus:4 () in
+  let rng = Spin_dstruct.Splitmix.create ~seed:20 in
+  let below n = Spin_dstruct.Splitmix.below rng n in
+  let strands = ref [] in
+  let live () = List.filter (fun x -> x.Strand.state <> Strand.Dead) !strands in
+  let any l = List.nth l (below (List.length l)) in
+  let spawn i =
+    let str = Sched.spawn s ~priority:(below (Strand.max_priority + 1))
+        ~name:(Printf.sprintf "r%d" i) (fun () ->
+          for _ = 0 to below 6 do
+            if below 2 = 0 then Sched.yield s else Sched.block_current s
+          done) in
+    strands := str :: !strands in
+  let audit_clean what =
+    check (list string) what [] (audit_reports s) in
+  for i = 1 to 600 do
+    (match below 6, live () with
+     | 0, _ | _, [] -> spawn i
+     | 1, l -> Sched.block s (any l)
+     | 2, l -> Sched.unblock s (any l)
+     | 3, l -> Sched.set_priority s (any l) (below (Strand.max_priority + 1))
+     | 4, l ->
+       Sched.set_affinity s (any l) (if below 2 = 0 then None else Some (below 4))
+     | _ -> ());
+    ignore (Sched.step s);
+    audit_clean (Printf.sprintf "audit after step %d" i)
+  done;
+  (* Wake whatever is still blocked until every strand finishes. *)
+  let rounds = ref 0 in
+  while live () <> [] && !rounds < 10_000 do
+    incr rounds;
+    List.iter
+      (fun x -> if x.Strand.state = Strand.Blocked then Sched.unblock s x)
+      (live ());
+    ignore (Sched.step s);
+    audit_clean (Printf.sprintf "audit after drain step %d" !rounds)
+  done;
+  let st = Sched.stats s in
+  check int "every strand finished" (List.length !strands) st.Sched.completed;
+  check int "queues empty" 0 (Sched.runnable_count s);
+  check bool "idle CPUs stole" true (st.Sched.steals > 0);
+  check bool "wakeups crossed CPUs" true (st.Sched.ipi_wakeups > 0)
+
 let () =
   Alcotest.run "spin_sched"
     [
@@ -902,5 +952,7 @@ let () =
             test_monitor_gauges_are_machine_wide;
           test_case "spawn inherits the parent's CPU" `Quick
             test_spawn_inherits_cpu_and_count_is_explicit;
+          test_case "random ops keep the queued counts" `Quick
+            test_random_ops_keep_queued_counts;
         ] );
     ]

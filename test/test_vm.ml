@@ -142,6 +142,28 @@ let test_phys_invalidate_chain () =
   check int "second subscriber also ran" 1 !second;
   check bool "frames really went back" false (Capability.is_valid p)
 
+let test_phys_raising_invalidate_resets_guard () =
+  (* A reclaim that raises part-way (an invalidate subscriber, once)
+     must still drop the re-entrancy guard, or every later allocation
+     under pressure sees Out_of_memory instead of reclaiming. *)
+  let _, _, vm = boot () in
+  let phys = vm.Vm.phys in
+  let total = Phys_addr.free_pages phys in
+  let _hog =
+    Phys_addr.allocate phys ~owner:"hog" ~bytes:(total * Addr.page_size) in
+  let armed = ref true in
+  Phys_addr.add_invalidate phys (fun _ ->
+    if !armed then begin armed := false; failwith "invalidate" end);
+  (match Phys_addr.allocate phys ~owner:"app" ~bytes:Addr.page_size with
+   | _ -> fail "the raising subscriber's exception should propagate"
+   | exception Failure _ -> ());
+  let p = Phys_addr.allocate phys ~owner:"app" ~bytes:Addr.page_size in
+  check bool "the next allocation under pressure reclaimed" true
+    (Capability.is_valid p);
+  check int "that reclaim was counted" 1 (Phys_addr.reclaims phys);
+  check int "no allocation failed for want of memory" 0
+    (Phys_addr.oom_failures phys)
+
 let test_phys_domain_policy () =
   (* A per-domain policy overrides the global second-chance selector
      for that domain's allocations only. *)
@@ -608,6 +630,8 @@ let () =
           test_case "second-chance victim order" `Quick
             test_phys_second_chance_order;
           test_case "invalidate chain" `Quick test_phys_invalidate_chain;
+          test_case "raising invalidate resets the reclaim guard" `Quick
+            test_phys_raising_invalidate_resets_guard;
           test_case "per-domain policy" `Quick test_phys_domain_policy;
         ] );
       ( "virt_addr",
