@@ -12,13 +12,18 @@ let rec find_root dir =
     let parent = Filename.dirname dir in
     if String.equal parent dir then None else find_root parent
 
+(* A listed path that does not exist fails the run instead of counting
+   as 0 lines, so a stale entry cannot pass for a tiny component. *)
+let present root path =
+  let ok = Sys.file_exists (Filename.concat root path) in
+  Report.require ~name:("missing " ^ path) ok;
+  ok
+
 let source_files dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-      Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
-    |> List.map (Filename.concat dir)
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+    Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+  |> List.map (Filename.concat dir)
 
 let count_lines file =
   let ic = open_in file in
@@ -34,8 +39,10 @@ let count_lines file =
 let component_lines root dirs =
   List.fold_left
     (fun acc d ->
-      List.fold_left (fun acc f -> acc + count_lines f) acc
-        (source_files (Filename.concat root d)))
+      if present root d then
+        List.fold_left (fun acc f -> acc + count_lines f) acc
+          (source_files (Filename.concat root d))
+      else acc)
     0 dirs
 
 (* The paper's five components mapped onto this tree. *)
@@ -97,8 +104,8 @@ let table7 () =
         let lines =
           List.fold_left
             (fun acc f ->
-              let path = Filename.concat root f in
-              if Sys.file_exists path then acc + count_lines path else acc)
+              if present root f then acc + count_lines (Filename.concat root f)
+              else acc)
             0 files in
         Printf.printf "%-28s %10d %10d %10d\n" name paper lines (lines * 32))
       extensions

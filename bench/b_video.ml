@@ -110,8 +110,13 @@ let figure6 () =
     List.map
       (fun n -> (n, spin_utilization ~clients:n, osf_utilization ~clients:n))
       points in
+  let row n sys v =
+    Report.metric ~unit_:"%" ~name:(Printf.sprintf "%d clients %s" n sys) v in
   List.iter
-    (fun (n, spin, osf) -> Printf.printf "%-10d %14.1f %14.1f\n" n spin osf)
+    (fun (n, spin, osf) ->
+      Printf.printf "%-10d %14.1f %14.1f\n" n spin osf;
+      row n "SPIN" spin;
+      row n "DEC OSF/1" osf)
     results;
   (* ASCII rendering of the figure. *)
   print_endline "\n  util%  (s = SPIN, o = DEC OSF/1)";

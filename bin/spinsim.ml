@@ -110,40 +110,6 @@ let video_cmd clients seconds =
     (100. *. float_of_int busy /. float_of_int elapsed);
   `Ok ()
 
-let debug_cmd pa =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let target = Host.create sim ~name:"target" ~addr:addr_b in
-  let console = Host.create sim ~name:"console" ~addr:addr_a in
-  ignore (Host.wire console target ~kind:Nic.Lance);
-  ignore (Netdbg.serve target target.Host.sched);
-  (* Some activity on the target so the statistics say something. *)
-  for i = 1 to 3 do
-    ignore (Sched.spawn target.Host.sched ~name:(Printf.sprintf "job%d" i)
-              (fun () -> Clock.charge clock 5_000))
-  done;
-  Spin_machine.Phys_mem.write_word target.Host.machine.Machine.mem ~pa
-    0x5350494EL;                          (* "SPIN" *)
-  ignore (Sched.spawn console.Host.sched ~name:"debugger" (fun () ->
-    Printf.printf "alive: %b
-" (Netdbg.query_alive console ~dst:addr_b ());
-    (match Netdbg.query_stats console ~dst:addr_b () with
-     | Some r ->
-       Printf.printf
-         "target: %d strands spawned, %d completed, %d failed, %d switches, %d events
-"
-         r.Netdbg.strands_spawned r.Netdbg.strands_completed
-         r.Netdbg.strands_failed r.Netdbg.context_switches
-         r.Netdbg.events_declared
-     | None -> print_endline "no stats reply");
-    (match Netdbg.query_peek console ~dst:addr_b ~pa () with
-     | Some w -> Printf.printf "peek pa=0x%x: 0x%Lx
-" pa w
-     | None -> Printf.printf "peek pa=0x%x refused
-" pa)));
-  Host.run_all [ console; target ];
-  `Ok ()
-
 (* ------------------------------------------------------------------ *)
 
 let boot_t = Term.(ret (const boot_cmd $ const ()))
@@ -165,17 +131,11 @@ let seconds_arg =
 
 let video_t = Term.(ret (const video_cmd $ clients_arg $ seconds_arg))
 
-let pa_arg =
-  Arg.(value & opt int 4096 & info [ "pa" ] ~doc:"Physical address to peek.")
-
-let debug_t = Term.(ret (const debug_cmd $ pa_arg))
-
 let cmds = [
   Cmd.v (Cmd.info "boot" ~doc:"Boot the kernel and report core costs") boot_t;
   Cmd.v (Cmd.info "graph" ~doc:"Print the live protocol graph (Figure 5)") graph_t;
   Cmd.v (Cmd.info "ping" ~doc:"ICMP echo between two simulated hosts") ping_t;
   Cmd.v (Cmd.info "video" ~doc:"Run the video server scenario (Figure 6)") video_t;
-  Cmd.v (Cmd.info "debug" ~doc:"Query a kernel over the network debugger") debug_t;
 ]
 
 let () =

@@ -5,7 +5,7 @@
 
     The extension write-protects a set of pages; the first store to
     any of them logs the page and re-enables access, so a collector
-    (or DSM consistency layer, or checkpointer) can harvest the set of
+    (or a checkpointer) can harvest the set of
     pages dirtied since the last {!rearm}. This is precisely the
     workload the Appel1/Appel2 benchmarks of Table 4 model, running on
     SPIN's fast fault path. *)

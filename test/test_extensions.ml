@@ -1,5 +1,5 @@
-(* Tests for the auxiliary extensions: the network debugger, the
-   passive monitor, and the dispatcher's explicit closure support. *)
+(* Tests for the auxiliary extensions: the passive monitor and the
+   dispatcher's explicit closure support. *)
 
 open Alcotest
 open Spin_net
@@ -15,63 +15,12 @@ module Monitor = Spin.Monitor
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
 
-let host_pair () =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let a = Host.create sim ~name:"a" ~addr:addr_a in
-  let b = Host.create sim ~name:"b" ~addr:addr_b in
-  ignore (Host.wire a b ~kind:Nic.Lance);
-  (clock, a, b)
-
 let run_on hosts host body =
   let failure = ref None in
   ignore (Sched.spawn host.Host.sched ~name:"t" (fun () ->
     try body () with e -> failure := Some e));
   Host.run_all hosts;
   match !failure with Some e -> raise e | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Network debugger                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_netdbg_alive () =
-  let _, a, b = host_pair () in
-  let dbg = Netdbg.serve b b.Host.sched in
-  run_on [ a; b ] a (fun () ->
-    check bool "debugged kernel answers" true
-      (Netdbg.query_alive a ~dst:addr_b ()));
-  check bool "served" true (Netdbg.queries_served dbg >= 1)
-
-let test_netdbg_stats () =
-  let _, a, b = host_pair () in
-  ignore (Netdbg.serve b b.Host.sched);
-  (* Create some activity on b. *)
-  ignore (Sched.spawn b.Host.sched ~name:"w1" (fun () -> ()));
-  ignore (Sched.spawn b.Host.sched ~name:"w2" (fun () -> ()));
-  run_on [ a; b ] a (fun () ->
-    match Netdbg.query_stats a ~dst:addr_b () with
-    | Some r ->
-      check bool "strands observed" true (r.Netdbg.strands_spawned >= 2);
-      check bool "events declared" true (r.Netdbg.events_declared > 5)
-    | None -> fail "no stats reply")
-
-let test_netdbg_peek () =
-  let _, a, b = host_pair () in
-  ignore (Netdbg.serve b b.Host.sched);
-  Spin_machine.Phys_mem.write_word b.Host.machine.Machine.mem ~pa:4096
-    0xDEADBEEFL;
-  run_on [ a; b ] a (fun () ->
-    check (option int64) "peek remote memory" (Some 0xDEADBEEFL)
-      (Netdbg.query_peek a ~dst:addr_b ~pa:4096 ());
-    check (option int64) "out-of-range refused" None
-      (Netdbg.query_peek a ~dst:addr_b ~pa:max_int ()))
-
-let test_netdbg_timeout () =
-  let _, a, b = host_pair () in
-  ignore b;                               (* nobody serves *)
-  run_on [ a; b ] a (fun () ->
-    check bool "no debugger, no answer" false
-      (Netdbg.query_alive a ~dst:addr_b ()))
 
 (* ------------------------------------------------------------------ *)
 (* Monitor                                                            *)
@@ -253,13 +202,6 @@ let test_closure_handler_contexts () =
 let () =
   Alcotest.run "spin_extensions"
     [
-      ( "netdbg",
-        [
-          test_case "alive" `Quick test_netdbg_alive;
-          test_case "stats" `Quick test_netdbg_stats;
-          test_case "peek memory" `Quick test_netdbg_peek;
-          test_case "timeout without server" `Quick test_netdbg_timeout;
-        ] );
       ( "monitor",
         [
           test_case "counts without disturbing" `Quick test_monitor_counts;
