@@ -152,9 +152,9 @@ let guards () =
   Printf.printf "    guards filter before invocation: %7.1f us\n" g;
   Printf.printf "    every handler invoked:           %7.1f us\n" u;
   Printf.printf "    guard evaluation (%d cyc) is cheaper than handler\n"
-    Dispatcher.default_costs.Dispatcher.guard_eval;
+    Dispatcher.costs.Dispatcher.guard_eval;
   Printf.printf "    invocation (%d cyc): dispatcher-side filtering wins %.1fx\n"
-    Dispatcher.default_costs.Dispatcher.handler_invoke (u /. g);
+    Dispatcher.costs.Dispatcher.handler_invoke (u /. g);
   Report.metric ~name:"guards filter before invocation" g;
   Report.metric ~name:"every handler invoked" u;
   Report.metric ~unit_:"x" ~name:"dispatcher-side filtering wins" (u /. g)

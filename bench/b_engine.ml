@@ -6,11 +6,10 @@
    wall second, and minor-heap words allocated per event. Three
    workloads exercise the engine from different angles:
 
-     - a timer storm: an RTO-like arm/cancel/re-arm churn over tens of
-       thousands of timers, run both on today's timer-wheel [Sim] and
-       on an inlined replica of the binary-heap engine it replaced
-       (flag-and-skip cancellation, O(log n) sift per event), so the
-       speedup is measured against a live baseline, not a memory;
+     - a timer storm: an RTO-like arm/cancel/re-arm churn over ten
+       thousand live timers, far more than any measured workload keeps
+       pending, so the heap's O(log n) schedule and cancel are at their
+       deepest;
      - an HTTP load replay: the web fixture's closed-loop GET traffic,
        where engine time is buried under protocol work;
      - a fuzz-campaign slice: seeded schedule fuzzing, the workload
@@ -32,58 +31,7 @@ module Sim = Spin_machine.Sim
 module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Sched_fuzz = Spin_sched.Sched_fuzz
-module Pqueue = Spin_dstruct.Pqueue
 module Host = Spin_net.Host
-
-(* ------------------------------------------------------------------ *)
-(* The heap engine the wheel replaced, as a measurable baseline       *)
-(* ------------------------------------------------------------------ *)
-
-module Heap_engine = struct
-  type ev = {
-    e_time : int;
-    e_action : unit -> unit;
-    mutable e_cancelled : bool;
-  }
-
-  type t = {
-    q : ev Pqueue.t;                (* FIFO tie-break is Pqueue's own *)
-    mutable now : int;
-    mutable fired : int;
-  }
-
-  let create () =
-    { q = Pqueue.create ~cmp:(fun a b -> compare a.e_time b.e_time);
-      now = 0; fired = 0 }
-
-  let at t time action =
-    Pqueue.add t.q
-      { e_time = max time t.now; e_action = action; e_cancelled = false }
-
-  (* The old [Sim.cancel]: flag it, leave it queued until its deadline. *)
-  let cancel e = (Pqueue.value e).e_cancelled <- true
-
-  let advance t time =
-    t.now <- time;
-    let rec fire () =
-      match Pqueue.peek t.q with
-      | Some e when e.e_time <= time ->
-        ignore (Pqueue.pop t.q);
-        if not e.e_cancelled then begin
-          t.fired <- t.fired + 1;
-          e.e_action ()
-        end;
-        fire ()
-      | _ -> () in
-    fire ()
-
-  let drain t =
-    let rec go () =
-      match Pqueue.peek t.q with
-      | Some e -> advance t e.e_time; go ()
-      | None -> () in
-    go ()
-end
 
 (* ------------------------------------------------------------------ *)
 (* Timer storm                                                        *)
@@ -93,9 +41,9 @@ let storm_timers = 10_000
 let storm_rounds = 30
 let storm_step = 2_000                     (* cycles advanced per round *)
 
-(* Deterministic delays so both engines run the identical sequence.
-   Mostly short (wheel level 0-1), every 16th far out (levels 2-3),
-   like a connection table's mix of tick timers and long RTOs. *)
+(* Deterministic delays, so every run is the identical sequence.
+   Mostly short, every 16th far out, like a connection table's mix of
+   tick timers and long RTOs. *)
 let storm_delays =
   let state = ref 0x12345678 in
   let rand () =
@@ -125,7 +73,7 @@ let measured f =
   let words = Gc.minor_words () -. w0 in
   { st_events = events; st_wall_s = wall; st_minor_words = words }
 
-let storm_wheel () =
+let storm () =
   measured (fun () ->
     let clock = Clock.create Cost.alpha_133 in
     let sim = Sim.create clock in
@@ -150,30 +98,6 @@ let storm_wheel () =
     Sim.run sim;
     let s = Sim.stats sim in
     assert (s.Sim.fired + s.Sim.cancelled = !events);
-    !events)
-
-let storm_heap () =
-  measured (fun () ->
-    let t = Heap_engine.create () in
-    let handles = Array.make storm_timers None in
-    let events = ref 0 in
-    let di = ref 0 in
-    let arm i =
-      let d = storm_delays.(!di) in
-      incr di;
-      incr events;
-      handles.(i) <- Some (Heap_engine.at t (t.Heap_engine.now + d) nop) in
-    for i = 0 to storm_timers - 1 do arm i done;
-    for _ = 1 to storm_rounds do
-      Heap_engine.advance t (t.Heap_engine.now + storm_step);
-      for i = 0 to storm_timers - 1 do
-        (match handles.(i) with
-         | Some h -> Heap_engine.cancel h
-         | None -> ());
-        arm i
-      done
-    done;
-    Heap_engine.drain t;
     !events)
 
 (* ------------------------------------------------------------------ *)
@@ -236,29 +160,18 @@ let per_sec n wall = if wall > 0. then float_of_int n /. wall else nan
 let run () =
   Report.header "Engine throughput (host wall clock)";
 
-  ignore (storm_wheel ());                             (* warm up *)
-  let wheel = storm_wheel () in
-  let heap = storm_heap () in
-  let wheel_evs = per_sec wheel.st_events wheel.st_wall_s in
-  let heap_evs = per_sec heap.st_events heap.st_wall_s in
-  let wheel_wpe = wheel.st_minor_words /. float_of_int wheel.st_events in
-  let heap_wpe = heap.st_minor_words /. float_of_int heap.st_events in
+  ignore (storm ());                                   (* warm up *)
+  let st = storm () in
+  let evs = per_sec st.st_events st.st_wall_s in
+  let wpe = st.st_minor_words /. float_of_int st.st_events in
   Printf.printf
     "  timer storm: %d timers, %d rounds of cancel + re-arm\n"
     storm_timers storm_rounds;
-  Printf.printf "    %-18s %12s %16s\n" "" "events/sec" "minor words/ev";
-  Printf.printf "    %-18s %12.0f %16.1f\n" "heap (baseline)" heap_evs heap_wpe;
-  Printf.printf "    %-18s %12.0f %16.1f\n" "timer wheel" wheel_evs wheel_wpe;
-  Printf.printf "    speedup x%.2f, allocation x%.2f\n"
-    (wheel_evs /. heap_evs) (wheel_wpe /. heap_wpe);
+  Printf.printf "    %.0f events/sec, %.1f minor words/event\n" evs wpe;
   Report.metric ~unit_:"count" ~name:"storm events processed"
-    (float_of_int wheel.st_events);
-  Report.host ~unit_:"ev/s" ~name:"storm wheel events/sec" wheel_evs;
-  Report.host ~unit_:"ev/s" ~name:"storm heap events/sec" heap_evs;
-  Report.host ~unit_:"x" ~name:"storm wheel speedup" (wheel_evs /. heap_evs);
-  Report.host ~gate:Ceiling ~unit_:"words"
-    ~name:"storm wheel minor words/event" wheel_wpe;
-  Report.host ~unit_:"words" ~name:"storm heap minor words/event" heap_wpe;
+    (float_of_int st.st_events);
+  Report.host ~unit_:"ev/s" ~name:"storm events/sec" evs;
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"storm minor words/event" wpe;
 
   let http, http_sim_us, http_fired = http_replay () in
   let http_sim_rate =

@@ -15,7 +15,7 @@ type costs = {
    no guard-stack interpretation (a short straight-line compare), no
    overrun stamping around the invocation — the Rex/bpftime observation
    that moving verification offline leaves only the work itself. *)
-let default_costs = {
+let costs = {
   dispatch_fixed = 25;
   guard_eval = 53;
   handler_invoke = 138;
@@ -86,7 +86,6 @@ end
 
 type t = {
   clock : Spin_machine.Clock.t;
-  costs : costs;
   tracer : Trace.t;
   mutable spawn : ((unit -> unit) -> unit) option;
   deferred : (unit -> unit) Queue.t;
@@ -203,8 +202,8 @@ and ('a, 'r) plan =
 
 exception No_handler of string
 
-let create ?(costs = default_costs) clock =
-  { clock; costs; tracer = Trace.of_clock clock; spawn = None;
+let create clock =
+  { clock; tracer = Trace.of_clock clock; spawn = None;
     deferred = Queue.create (); registry = [];
     on_fault = None; on_violation = None; gate_wait = None;
     next_handler_id = 0; s_verifier_rejections = 0 }
@@ -496,7 +495,7 @@ let reinstate_primary e =
 let guards_pass e h arg =
   List.for_all
     (fun g ->
-      Spin_machine.Clock.charge e.disp.clock e.disp.costs.guard_eval;
+      Spin_machine.Clock.charge e.disp.clock costs.guard_eval;
       g arg
       || begin
         e.s_guard_rejections <- e.s_guard_rejections + 1;
@@ -594,7 +593,7 @@ let run_sync e h arg acc =
 let step e arg acc h =
   if not h.active then acc
   else
-    let clock = e.disp.clock and costs = e.disp.costs in
+    let clock = e.disp.clock in
     let admitted =
       match h.trusted with
       | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
@@ -623,7 +622,7 @@ let step e arg acc h =
    cost, the index lookup, and per-handler guard and invoke costs for
    General. *)
 let dispatch e arg =
-  let clock = e.disp.clock and costs = e.disp.costs and tr = e.disp.tracer in
+  let clock = e.disp.clock and tr = e.disp.tracer in
   match e.plan with
   | Direct h ->
     e.s_fast <- e.s_fast + 1;

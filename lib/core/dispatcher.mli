@@ -45,12 +45,12 @@ type costs = {
   trusted_invoke : int;   (** invoking a verified handler: no policing *)
 }
 
-val default_costs : costs
+val costs : costs
 (** Calibrated against section 5.5: ~0.4 us per false guard, ~1.44 us
     per additional invoked handler. The trusted costs reflect a
     compiled predicate (no interpretation) and an unpoliced call. *)
 
-val create : ?costs:costs -> Spin_machine.Clock.t -> t
+val create : Spin_machine.Clock.t -> t
 
 val tracer : t -> Spin_machine.Trace.t
 (** The clock-shared tracer dispatch records into (raise spans tagged

@@ -1,115 +1,124 @@
-type 'a entry = {
-  value : 'a;
-  seq : int;                    (* FIFO tie-break *)
-  mutable index : int;          (* -1 when removed *)
+(* [nodes.(0 .. size-1)] is the heap; [nodes.(size .. allocated-1)]
+   are freed records awaiting reuse, so the pool is the array's tail
+   and recycling a record moves nothing but the record itself. Slots at
+   or above [allocated] alias a record below it (the filler [grow]
+   used) and are never read. *)
+
+type 'a node = {
+  mutable key : int;
+  mutable seq : int;                    (* insertion order; -1 while pooled *)
+  mutable value : 'a;                   (* [dummy] while pooled *)
+  mutable pos : int;                    (* index in [nodes] *)
 }
+
+type 'a handle = { node : 'a node; gen : int }
 
 type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable heap : 'a entry array; (* slots >= size are stale *)
+  dummy : 'a;
+  mutable nodes : 'a node array;
   mutable size : int;
+  mutable allocated : int;
   mutable next_seq : int;
+  mutable hits : int;
+  mutable misses : int;
 }
 
-(* One shared sentinel fills vacated and never-used slots so the array
-   never pins a removed element (or, worse, the element that happened
-   to sit at slot 0 when [grow] ran) against the GC. The cast is safe:
-   every read is bounded by [size], so the sentinel's [value] is never
-   inspected. *)
-let nil : Obj.t entry = { value = Obj.repr 0; seq = -1; index = -2 }
-
-let nil_entry : unit -> 'a entry = fun () -> Obj.magic nil
-
-let create ~cmp = { cmp; heap = [||]; size = 0; next_seq = 0 }
+let create ~dummy =
+  { dummy; nodes = [||]; size = 0; allocated = 0; next_seq = 0;
+    hits = 0; misses = 0 }
 
 let size t = t.size
 
 let is_empty t = t.size = 0
 
-let entry_cmp t a b =
-  let c = t.cmp a.value b.value in
-  if c <> 0 then c else compare a.seq b.seq
+let pool_hits t = t.hits
 
-let swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b; t.heap.(j) <- a;
-  a.index <- j; b.index <- i
+let pool_misses t = t.misses
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_cmp t t.heap.(i) t.heap.(parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
+let before a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+
+let place nodes i n = nodes.(i) <- n; n.pos <- i
+
+(* Both sifts carry [n] into the hole at [i] instead of swapping, so
+   each level writes one slot. *)
+let rec sift_up nodes n i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before n nodes.(parent) then begin
+    place nodes i nodes.(parent);
+    sift_up nodes n parent
+  end
+  else place nodes i n
+
+let rec sift_down nodes size n i =
+  let l = (2 * i) + 1 in
+  if l >= size then place nodes i n
+  else begin
+    let c = if l + 1 < size && before nodes.(l + 1) nodes.(l) then l + 1 else l in
+    if before nodes.(c) n then begin
+      place nodes i nodes.(c);
+      sift_down nodes size n c
     end
+    else place nodes i n
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_cmp t t.heap.(l) t.heap.(!smallest) < 0 then smallest := l;
-  if r < t.size && entry_cmp t t.heap.(r) t.heap.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let grow t =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let ncap = max 8 (2 * cap) in
-    let nheap = Array.make ncap (nil_entry ()) in
-    Array.blit t.heap 0 nheap 0 t.size;
-    t.heap <- nheap
-  end
-
-let add t v =
-  let e = { value = v; seq = t.next_seq; index = t.size } in
-  t.next_seq <- t.next_seq + 1;
-  if Array.length t.heap = 0 then t.heap <- Array.make 8 (nil_entry ())
-  else grow t;
-  t.heap.(t.size) <- e;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  e
-
-let peek t = if t.size = 0 then None else Some t.heap.(0).value
-
-let delete_at t i =
-  let e = t.heap.(i) in
-  e.index <- -1;
-  t.size <- t.size - 1;
-  if i <> t.size then begin
-    let last = t.heap.(t.size) in
-    t.heap.(i) <- last;
-    last.index <- i;
-    sift_down t i;
-    sift_up t last.index
+let fresh t key v =
+  t.misses <- t.misses + 1;
+  let n = { key; seq = -1; value = v; pos = 0 } in
+  if t.allocated = Array.length t.nodes then begin
+    let nodes = Array.make (max 8 (2 * t.allocated)) n in
+    Array.blit t.nodes 0 nodes 0 t.allocated;
+    t.nodes <- nodes
   end;
-  t.heap.(t.size) <- nil_entry ()        (* don't pin the removed entry *)
+  t.allocated <- t.allocated + 1;
+  n
+
+let add t key v =
+  let n =
+    if t.size < t.allocated then begin
+      t.hits <- t.hits + 1;
+      t.nodes.(t.size)
+    end
+    else fresh t key v in
+  n.key <- key;
+  n.seq <- t.next_seq;
+  n.value <- v;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- t.size + 1;
+  sift_up t.nodes n (t.size - 1);
+  { node = n; gen = n.seq }
+
+let min_key t = if t.size = 0 then max_int else t.nodes.(0).key
+
+(* Refill the hole at [i] with the last heap record, then park the
+   removed record at the pool's head with its value dropped. *)
+let delete_at t i =
+  let n = t.nodes.(i) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let m = t.nodes.(last) in
+    if i > 0 && before m t.nodes.((i - 1) / 2) then sift_up t.nodes m i
+    else sift_down t.nodes last m i
+  end;
+  n.seq <- -1;
+  n.value <- t.dummy;
+  place t.nodes last n
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let e = t.heap.(0) in
-    delete_at t 0;
-    Some e.value
-  end
+  if t.size = 0 then invalid_arg "Pqueue.pop: empty";
+  let v = t.nodes.(0).value in
+  delete_at t 0;
+  v
 
-let remove t e = if e.index >= 0 then delete_at t e.index
+let mem h = h.node.seq = h.gen
 
-let mem e = e.index >= 0
-
-let value e = e.value
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do acc := t.heap.(i).value :: !acc done;
-  !acc
+let remove t h =
+  mem h && begin delete_at t h.node.pos; true end
 
 let clear t =
   for i = 0 to t.size - 1 do
-    t.heap.(i).index <- -1;
-    t.heap.(i) <- nil_entry ()
+    let n = t.nodes.(i) in
+    n.seq <- -1;
+    n.value <- t.dummy
   done;
   t.size <- 0

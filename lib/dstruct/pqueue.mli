@@ -1,44 +1,53 @@
-(** Binary-heap priority queues with removable entries.
+(** Int-keyed binary min-heap with pooled records: the discrete-event
+    engine's deadline queue.
 
-    Used for the timer wheel's far-future overflow queue and for
-    priority run queues. Entries added to the heap receive a handle
-    that supports O(log n) removal, which the simulator uses to cancel
-    pending timeouts. Vacated heap slots are nulled with a sentinel,
-    so popped or removed elements are never pinned against the GC by
-    the backing array. *)
+    Elements pop in ascending key order, insertion order among equal
+    keys — the (deadline, insertion) order [Sched_fuzz] seed replay
+    depends on. Keys are compared as ints, with no comparison closure.
+
+    Records are recycled through a free pool, so a steady-state
+    workload allocates only the handle per [add]. A freed record holds
+    the [dummy] given at creation, never a removed value, so the queue
+    pins nothing it no longer holds. Handles carry the insertion
+    number they were born with, which makes removing a popped or
+    removed element — even after its record has been reused — a safe
+    no-op rather than an ABA hazard. *)
 
 type 'a t
-(** A mutable min-heap ordered by the comparison given at creation. *)
 
-type 'a entry
-(** Handle to an element currently (or formerly) in a heap. *)
+type 'a handle
+(** An element added to a heap, usable for removal. *)
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] is an empty heap; the minimum element w.r.t. [cmp]
-    is popped first. Insertion order breaks ties (FIFO). *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty heap; [dummy] fills freed records. *)
 
 val size : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> 'a -> 'a entry
-(** [add t v] inserts [v] and returns its handle. *)
+val add : 'a t -> int -> 'a -> 'a handle
+(** [add t key v] inserts [v] at [key]; O(log n). *)
 
-val peek : 'a t -> 'a option
-(** [peek t] is the minimum element without removing it. *)
+val min_key : 'a t -> int
+(** The smallest key, [max_int] when empty; O(1). *)
 
-val pop : 'a t -> 'a option
-(** [pop t] removes and returns the minimum element. *)
+val pop : 'a t -> 'a
+(** [pop t] removes and returns the element with the smallest key,
+    the earliest added among equals; O(log n).
+    @raise Invalid_argument when empty. *)
 
-val remove : 'a t -> 'a entry -> unit
-(** [remove t e] deletes [e]'s element if still present; no-op otherwise. *)
+val remove : 'a t -> 'a handle -> bool
+(** [remove t h] deletes [h]'s element and frees its record now;
+    [false] (and no effect) if it was already popped or removed.
+    O(log n). *)
 
-val mem : 'a entry -> bool
-(** [mem e] is [true] while [e]'s element is still in its heap. *)
-
-val value : 'a entry -> 'a
-
-val to_list : 'a t -> 'a list
-(** [to_list t] is the heap contents in unspecified order. *)
+val mem : 'a handle -> bool
+(** [mem h] is [true] while [h]'s element is still in its heap. *)
 
 val clear : 'a t -> unit
+
+val pool_hits : 'a t -> int
+(** Adds that reused a freed record. *)
+
+val pool_misses : 'a t -> int
+(** Adds that allocated a fresh record. *)

@@ -33,7 +33,6 @@ type gc_stats = {
 
 type t = {
   clock : Clock.t;
-  page_words : int;
   threshold_words : int;
   objects : (int, obj) Hashtbl.t;        (* address -> object *)
   mutable pages : page list;
@@ -54,18 +53,20 @@ type t = {
 let scan_per_word = 2
 let copy_per_word = 5
 
-let create ?(page_words = 1024) ?(threshold_words = 16384) clock () =
-  if page_words < 2 then invalid_arg "Kheap.create: page too small";
-  { clock; page_words; threshold_words;
+(* Collector page size. *)
+let page_words = 1024
+
+let create ?(threshold_words = 16384) clock () =
+  { clock; threshold_words;
     objects = Hashtbl.create 1024;
     pages = []; next_pid = 0;
     roots = []; ambiguous = [];
     auto = true; since_gc = 0; in_gc = false;
     s_collections = 0; s_copied = 0; s_pinned = 0; s_freed = 0; s_pause = 0 }
 
-let addr_of t page offset = (page.pid * t.page_words) + offset
+let addr_of page offset = (page.pid * page_words) + offset
 
-let page_of_addr t addr = addr / t.page_words
+let page_of_addr addr = addr / page_words
 
 let new_page t =
   let p = { pid = t.next_pid; bump = 0; objs = [] } in
@@ -74,13 +75,13 @@ let new_page t =
   p
 
 let place t page obj words =
-  obj.address <- addr_of t page page.bump;
+  obj.address <- addr_of page page.bump;
   page.bump <- page.bump + words;
   page.objs <- obj :: page.objs;
   Hashtbl.replace t.objects obj.address obj
 
 let find_room t words =
-  match List.find_opt (fun p -> p.bump + words <= t.page_words) t.pages with
+  match List.find_opt (fun p -> p.bump + words <= page_words) t.pages with
   | Some p -> p
   | None -> new_page t
 
@@ -103,7 +104,7 @@ let collect_now t =
       (fun a ->
         match Hashtbl.find_opt t.objects a with
         | Some o ->
-          Hashtbl.replace pinned_pids (page_of_addr t o.address) ();
+          Hashtbl.replace pinned_pids (page_of_addr o.address) ();
           Some o
         | None -> None)
       t.ambiguous in
@@ -177,7 +178,7 @@ let collect t = if not t.in_gc then collect_now t
 (* ------------------------------------------------------------------ *)
 
 let alloc t ~owner ~words =
-  if words < 1 || words > t.page_words then
+  if words < 1 || words > page_words then
     invalid_arg "Kheap.alloc: bad size";
   if t.auto && t.since_gc >= t.threshold_words then collect t;
   let cost = Clock.cost t.clock in

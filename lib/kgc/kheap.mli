@@ -37,18 +37,15 @@ type gc_stats = {
   pause_cycles : int;           (** cumulative stop-the-world time *)
 }
 
-val create :
-  ?page_words:int -> ?threshold_words:int ->
-  Spin_machine.Clock.t -> unit -> t
+val create : ?threshold_words:int -> Spin_machine.Clock.t -> unit -> t
 (** [threshold_words] of allocation between automatic collections
-    (default 16384); [page_words] is the collector page size in words
-    (default 1024). *)
+    (default 16384). Collector pages are 1024 words. *)
 
 val alloc : t -> owner:string -> words:int -> int
 (** Allocate an object of [words] fields (all [Int 0]), charging the
     allocation cost; may first run a collection when the heap is
     enabled and the threshold is reached. Returns its address.
-    Raises [Invalid_argument] for sizes < 1 or > page_words. *)
+    Raises [Invalid_argument] for sizes < 1 or > 1024 (a page). *)
 
 val get_field : t -> addr:int -> int -> value
 (** Raises [Invalid_argument] if the address is not a live object. *)

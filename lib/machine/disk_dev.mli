@@ -1,5 +1,5 @@
-(** A simulated SCSI disk (HP C2247-300 by default: ~10 ms average
-    seek, 5400 rpm, ~2.5 MB/s sustained transfer).
+(** A simulated SCSI disk (an HP C2247-300: ~10 ms average seek,
+    5400 rpm, ~2.5 MB/s sustained transfer).
 
     Requests queue FIFO inside the device; each completion posts the
     disk's interrupt line and parks a completion record for the driver
@@ -14,9 +14,7 @@ type completion =
 val block_size : int
 (** 512 bytes. *)
 
-val create :
-  ?seek_us:float -> ?rotation_us:float -> ?bytes_per_us:float ->
-  Sim.t -> Intr.t -> line:int -> blocks:int -> t
+val create : Sim.t -> Intr.t -> line:int -> blocks:int -> t
 
 val blocks : t -> int
 

@@ -3,7 +3,6 @@ type endpoint = A | B
 type t = {
   sim : Sim.t;
   latency_us : float;
-  frame_overhead : int;
   mbps : float;
   mutable rx_a : (Bytes.t -> unit) option;
   mutable rx_b : (Bytes.t -> unit) option;
@@ -14,9 +13,12 @@ type t = {
   mutable dropped : int;
 }
 
-let create sim ?(latency_us = 5.) ?(frame_overhead = 42) ~mbps () =
+(* Framing bytes per frame: preamble, CRC, inter-frame gap. *)
+let frame_overhead = 42
+
+let create sim ?(latency_us = 5.) ~mbps () =
   if mbps <= 0. then invalid_arg "Link.create: bad line rate";
-  { sim; latency_us; frame_overhead; mbps;
+  { sim; latency_us; mbps;
     rx_a = None; rx_b = None; busy_until_ab = 0; busy_until_ba = 0;
     frames = 0; loss_every = 0; dropped = 0 }
 
@@ -28,7 +30,7 @@ let set_receiver t ep f =
   | B -> t.rx_b <- Some f
 
 let serialization_us t len =
-  float_of_int ((len + t.frame_overhead) * 8) /. t.mbps
+  float_of_int ((len + frame_overhead) * 8) /. t.mbps
 
 let send t ~from frame =
   let clock = Sim.clock t.sim in

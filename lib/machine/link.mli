@@ -9,10 +9,7 @@ type t
 
 type endpoint = A | B
 
-val create : Sim.t -> ?latency_us:float -> ?frame_overhead:int -> mbps:float -> unit -> t
-(** [frame_overhead] is per-frame framing bytes added to the payload
-    when computing serialization time (preamble, CRC, inter-frame
-    gap); default 42. *)
+val create : Sim.t -> ?latency_us:float -> mbps:float -> unit -> t
 
 val mbps : t -> float
 
@@ -24,7 +21,8 @@ val send : t -> from:endpoint -> Bytes.t -> unit
 (** Transmits a frame from one endpoint to the other. *)
 
 val serialization_us : t -> int -> float
-(** Wire time for a payload of the given size. *)
+(** Wire time for a payload of the given size plus 42 framing bytes
+    (preamble, CRC, inter-frame gap). *)
 
 val set_loss : t -> every:int -> unit
 (** Failure injection: drop every [every]-th frame (0 disables).

@@ -1,8 +1,8 @@
-module Timer_wheel = Spin_dstruct.Timer_wheel
+module Pqueue = Spin_dstruct.Pqueue
 
 let nop () = ()
 
-type handle = (unit -> unit) Timer_wheel.handle
+type handle = (unit -> unit) Pqueue.handle
 
 type stats = {
   live : int;
@@ -14,23 +14,21 @@ type stats = {
 
 type t = {
   clock : Clock.t;
-  wheel : (unit -> unit) Timer_wheel.t;
+  queue : (unit -> unit) Pqueue.t;
   mutable firing : bool;
   mutable n_fired : int;
   mutable n_cancelled : int;
 }
 
+(* Re-read the clock each iteration: the action just fired may have
+   charged it (recursion is suppressed by [firing]). *)
 let rec fire_loop t =
-  (* Re-advance each iteration: the action just fired may have charged
-     the clock (recursion is suppressed by [firing]). Advancing to an
-     unchanged time is a single comparison. *)
-  Timer_wheel.advance t.wheel (Clock.now t.clock);
-  match Timer_wheel.pop_due t.wheel with
-  | Some action ->
+  if Pqueue.min_key t.queue <= Clock.now t.clock then begin
+    let action = Pqueue.pop t.queue in
     t.n_fired <- t.n_fired + 1;
     action ();
     fire_loop t
-  | None -> ()
+  end
 
 (* A clock hook, so it runs on every charge: a pass with nothing due
    allocates nothing ([firing] is reset in an exception arm, not in a
@@ -44,18 +42,15 @@ let fire_due t =
   end
 
 let create clock =
-  let wheel = Timer_wheel.create ~start:(Clock.now clock) ~dummy:nop () in
-  let t = { clock; wheel; firing = false; n_fired = 0; n_cancelled = 0 } in
+  let t = { clock; queue = Pqueue.create ~dummy:nop; firing = false;
+            n_fired = 0; n_cancelled = 0 } in
   Clock.add_hook clock (fun _ -> fire_due t);
   t
 
 let clock t = t.clock
 
-let now t = Clock.now t.clock
-
 let at t time action =
-  let time = max time (Clock.now t.clock) in
-  Timer_wheel.add t.wheel ~time action
+  Pqueue.add t.queue (max time (Clock.now t.clock)) action
 
 let after t delta action = at t (Clock.now t.clock + delta) action
 
@@ -63,19 +58,16 @@ let after_us t us action =
   after t (Cost.us_to_cycles (Clock.cost t.clock) us) action
 
 let cancel t h =
-  if Timer_wheel.cancel t.wheel h then t.n_cancelled <- t.n_cancelled + 1
+  if Pqueue.remove t.queue h then t.n_cancelled <- t.n_cancelled + 1
 
-let live t = Timer_wheel.size t.wheel
-
-let pending t = live t
+let pending t = Pqueue.size t.queue
 
 let stats t =
-  let p = Timer_wheel.pool_stats t.wheel in
-  { live = Timer_wheel.size t.wheel;
+  { live = Pqueue.size t.queue;
     fired = t.n_fired;
     cancelled = t.n_cancelled;
-    pool_hits = p.Timer_wheel.pool_hits;
-    pool_misses = p.Timer_wheel.pool_misses }
+    pool_hits = Pqueue.pool_hits t.queue;
+    pool_misses = Pqueue.pool_misses t.queue }
 
 let gauges t =
   let stat f () = f (stats t) in
@@ -85,11 +77,12 @@ let gauges t =
     ("engine.event_pool_hits", stat (fun s -> s.pool_hits));
     ("engine.event_pool_misses", stat (fun s -> s.pool_misses)) ]
 
-let next_deadline t = Timer_wheel.next_deadline t.wheel
-
 let idle_step t =
-  match next_deadline t with
-  | None -> false
-  | Some time -> Clock.skip_to t.clock time; fire_due t; true
+  not (Pqueue.is_empty t.queue)
+  && begin
+    Clock.skip_to t.clock (Pqueue.min_key t.queue);
+    fire_due t;
+    true
+  end
 
 let run t = while idle_step t do () done

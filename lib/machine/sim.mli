@@ -6,13 +6,14 @@
     next instruction boundary. When no strand is runnable the machine
     idles by skipping the clock to the next deadline.
 
-    The deadline structure is a hierarchical {!Spin_dstruct.Timer_wheel}:
-    scheduling and cancellation are O(1), event records are recycled
-    through a free-list pool, and cancellation unlinks eagerly — a
-    cancelled event costs nothing at its deadline and pins nothing
-    until then. Firing order is identical to the previous binary-heap
-    engine (ascending deadline, FIFO among equals), which seeded
-    schedule-fuzz replays depend on. *)
+    The deadline structure is one {!Spin_dstruct.Pqueue}, a binary
+    min-heap: events fire in ascending deadline order, FIFO among
+    equal deadlines, which seeded schedule-fuzz replays depend on.
+    Scheduling and cancellation are O(log n) in the live events (a few
+    dozen at most in any measured workload), the next deadline is the
+    heap's top, event records are recycled through a free pool, and
+    cancellation unlinks eagerly — a cancelled event costs nothing at
+    its deadline and pins nothing until then. *)
 
 type t
 
@@ -24,8 +25,6 @@ type handle
 val create : Clock.t -> t
 
 val clock : t -> Clock.t
-
-val now : t -> int
 
 val at : t -> int -> (unit -> unit) -> handle
 (** [at t time f] schedules [f] at absolute cycle [time] (clamped to
@@ -45,9 +44,6 @@ val cancel : t -> handle -> unit
 val pending : t -> int
 (** Number of scheduled events not yet fired; O(1). *)
 
-val live : t -> int
-(** Alias of {!pending}. *)
-
 type stats = {
   live : int;          (** events scheduled and not yet fired *)
   fired : int;         (** events fired since boot *)
@@ -63,8 +59,6 @@ val gauges : t -> (string * (unit -> int)) list
     simulated: [engine.events_live], [.events_fired],
     [.events_cancelled], [.event_pool_hits] and
     [.event_pool_misses]. *)
-
-val next_deadline : t -> int option
 
 val idle_step : t -> bool
 (** [idle_step t] skips the clock to the next deadline so its events

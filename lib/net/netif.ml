@@ -18,7 +18,6 @@ type t = {
   rx_queues : Pkt.t Queue.t array;        (* one per shard *)
   tx_overhead : int;              (* driver cycles per transmitted frame *)
   rx_overhead : int;              (* driver cycles per received frame *)
-  rx_batch : int;                 (* frames serviced per protocol-thread wakeup *)
   mutable proto_threads : Spin_sched.Strand.t array;  (* empty until start *)
   mutable frames_rx : int;
   mutable frames_tx : int;
@@ -42,9 +41,11 @@ let overheads ~optimized kind =
    same wakeup amortize all but this residue. *)
 let coalesce_divisor = 4
 
-let create ?(optimized = false) ?(rx_batch = 8) ?(rx_shards = 1) machine sched
-    dispatcher nic ~name =
-  if rx_batch < 1 then invalid_arg "Netif.create: rx_batch";
+(* Frames serviced per protocol-thread wakeup. *)
+let rx_batch = 8
+
+let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
+    ~name =
   if rx_shards < 1 then invalid_arg "Netif.create: rx_shards";
   let tx_overhead, rx_overhead = overheads ~optimized (Nic.kind nic) in
   (* The rx event publishes the raw frame as a bytecode payload: a
@@ -60,7 +61,7 @@ let create ?(optimized = false) ?(rx_batch = 8) ?(rx_shards = 1) machine sched
   { machine; sched; nic; name; rx_event;
     rx_shards;
     rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
-    tx_overhead; rx_overhead; rx_batch;
+    tx_overhead; rx_overhead;
     proto_threads = [||]; frames_rx = 0; frames_tx = 0; rx_bursts = 0;
     shard_rx = Array.make rx_shards 0 }
 
@@ -166,7 +167,7 @@ let protocol_loop t shard () =
     | Some pkt ->
       service t ~shard pkt ~first:true;
       let rec burst n =
-        if n >= t.rx_batch then n
+        if n >= rx_batch then n
         else
           match Queue.take_opt rx_queue with
           | Some pkt -> service t ~shard pkt ~first:false; burst (n + 1)

@@ -24,7 +24,7 @@
 
     {2 Batching}
 
-    One protocol-thread wakeup drains up to [rx_batch] queued frames:
+    One protocol-thread wakeup drains up to 8 queued frames:
     the first pays the driver's full receive overhead, the rest only a
     coalesced residue — under load one interrupt services a burst,
     keeping per-packet work near hardware cost. A single outstanding
@@ -43,11 +43,10 @@
 type t
 
 val create :
-  ?optimized:bool -> ?rx_batch:int -> ?rx_shards:int ->
+  ?optimized:bool -> ?rx_shards:int ->
   Spin_machine.Machine.t -> Spin_sched.Sched.t -> Spin_core.Dispatcher.t ->
   Spin_machine.Nic.t -> name:string -> t
-(** [name] prefixes the event ("Ether", "ATM", "T3"). [rx_batch]
-    (default 8) bounds the frames serviced per wakeup. [rx_shards]
+(** [name] prefixes the event ("Ether", "ATM", "T3"). [rx_shards]
     (default 1) is the number of parallel protocol strands;
     {!Host.wire} passes the scheduler's CPU count. *)
 

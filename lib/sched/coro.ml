@@ -16,18 +16,9 @@ type state =
   | Running
   | Finished
 
-type t = {
-  cid : int;
-  mutable state : state;
-}
+type t = { mutable state : state }
 
-let counter = ref 0
-
-let create f =
-  incr counter;
-  { cid = !counter; state = Created f }
-
-let id t = t.cid
+let create f = { state = Created f }
 
 let alive t =
   match t.state with

@@ -16,8 +16,6 @@ type outcome =
 
 val create : (unit -> unit) -> t
 
-val id : t -> int
-
 val run : t -> outcome
 (** Starts or resumes the coroutine until its next suspension point.
     Raises [Invalid_argument] if it is already running or finished. *)

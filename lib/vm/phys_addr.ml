@@ -31,7 +31,6 @@ exception Out_of_memory
 
 type t = {
   machine : Machine.t;
-  colors : int;
   used : Bitset.t;
   referenced : Bitset.t;                 (* per-pfn reference bits *)
   mutable live : page list;              (* candidates, newest first *)
@@ -45,13 +44,16 @@ type t = {
   alloc_cost : int;
 }
 
-let create ?(colors = 8) machine dispatcher =
+(* The cache-color modulus. *)
+let colors = 8
+
+let create machine dispatcher =
   let frames = Phys_mem.frames machine.Machine.mem in
   (* The primary victim selector needs the service record it is part
      of; tie the knot through a forward cell. *)
   let self = ref None in
   let t =
-    { machine; colors;
+    { machine;
       used = Bitset.create frames;
       referenced = Bitset.create frames;
       live = [];
@@ -188,7 +190,7 @@ let find_frames t ~attrib ~n =
       let frames = Bitset.length t.used in
       let rec scan pfn =
         if pfn >= frames then None
-        else if not (Bitset.mem t.used pfn) && pfn mod t.colors = c mod t.colors
+        else if not (Bitset.mem t.used pfn) && pfn mod colors = c mod colors
         then Some [ pfn ]
         else scan (pfn + 1) in
       scan 0

@@ -26,7 +26,7 @@ type run = {
 (** A run of one or more physically contiguous frames. *)
 
 type attrib = {
-  color : int option;           (** pfn mod colors, for cache placement *)
+  color : int option;           (** pfn mod 8, for cache placement *)
   contiguous : bool;            (** require physically adjacent frames *)
 }
 
@@ -42,9 +42,7 @@ type victim_request = {
 
 exception Out_of_memory
 
-val create :
-  ?colors:int -> Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t
-(** [colors] is the cache-color modulus (default 8). *)
+val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t
 
 val allocate : ?attrib:attrib -> t -> owner:string -> bytes:int -> page
 (** Allocates enough frames to cover [bytes]. When the free pool is

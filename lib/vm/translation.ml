@@ -22,14 +22,14 @@ type fault = {
 }
 
 type costs = {
-  map_service : int;
-  protect_base : int;
-  protect_per_page : int;
-  dirty_query : int;
-  fault_classify : int;
+  map_service : int;       (* AddMapping/RemoveMapping bookkeeping *)
+  protect_base : int;      (* first page of a protection change *)
+  protect_per_page : int;  (* each page of a protection change *)
+  dirty_query : int;       (* page-state query (Table 4, "Dirty") *)
+  fault_classify : int;    (* trap decode before the event is raised *)
 }
 
-let default_costs = {
+let costs = {
   map_service = 300;
   protect_base = 1850;
   protect_per_page = 113;
@@ -46,7 +46,6 @@ type stats = {
 
 type t = {
   machine : Machine.t;
-  costs : costs;
   page_not_present : (fault, unit) Dispatcher.event;
   bad_address : (fault, unit) Dispatcher.event;
   protection_fault : (fault, unit) Dispatcher.event;
@@ -64,9 +63,9 @@ let declare_fault_event dispatcher name =
   Dispatcher.declare dispatcher ~name ~owner:"Translation"
     ~combine:(fun _ -> ()) (fun (_ : fault) -> ())
 
-let create ?(costs = default_costs) machine dispatcher phys =
+let create machine dispatcher phys =
   let t = {
-    machine; costs;
+    machine;
     page_not_present = declare_fault_event dispatcher "Translation.PageNotPresent";
     bad_address = declare_fault_event dispatcher "Translation.BadAddress";
     protection_fault = declare_fault_event dispatcher "Translation.ProtectionFault";
@@ -101,7 +100,7 @@ let protection_fault t = t.protection_fault
 let charge t c = Clock.charge t.machine.Machine.clock c
 
 let create_context t ~owner =
-  charge t t.costs.map_service;
+  charge t costs.map_service;
   let mmu_ctx = Mmu.create_context t.machine.Machine.mmu in
   let ctx = { id = Mmu.context_id mmu_ctx; owner; mmu_ctx;
               regions = []; live = true } in
@@ -145,7 +144,7 @@ let rmap_remove t pfn ctx vpn =
     entries := List.filter (fun (c, v) -> not (c.id = ctx.id && v = vpn)) !entries
 
 let map_one t ctx ~va page ~index prot =
-  charge t t.costs.map_service;
+  charge t costs.map_service;
   let run = Phys_addr.page_run page in
   if index < 0 || index >= run.Phys_addr.npages then
     invalid_arg "Translation.map_one: frame index out of run";
@@ -170,7 +169,7 @@ let add_mapping t ctx vaddr page prot =
   done
 
 let remove_mapping t ctx vaddr =
-  charge t t.costs.map_service;
+  charge t costs.map_service;
   let region = Virt_addr.region vaddr in
   for i = 0 to Virt_addr.npages region - 1 do
     let vpn = Addr.vpn_of_va region.Virt_addr.va + i in
@@ -182,29 +181,29 @@ let remove_mapping t ctx vaddr =
   detach_region ctx region
 
 let examine_mapping t ctx ~va =
-  charge t t.costs.dirty_query;
+  charge t costs.dirty_query;
   Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va)
   |> Option.map (fun pte -> pte.Mmu.prot)
 
 let protect t ctx ~va ~npages prot =
-  charge t t.costs.protect_base;
+  charge t costs.protect_base;
   let vpn0 = Addr.vpn_of_va va in
   let changed = ref 0 in
   for i = 0 to npages - 1 do
-    charge t t.costs.protect_per_page;
+    charge t costs.protect_per_page;
     if Mmu.protect t.machine.Machine.mmu ctx.mmu_ctx ~vpn:(vpn0 + i) ~prot then
       incr changed
   done;
   !changed
 
 let is_dirty t ctx ~va =
-  charge t t.costs.dirty_query;
+  charge t costs.dirty_query;
   match Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va) with
   | Some pte -> pte.Mmu.modified
   | None -> false
 
 let is_referenced t ctx ~va =
-  charge t t.costs.dirty_query;
+  charge t costs.dirty_query;
   match Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va) with
   | Some pte -> pte.Mmu.referenced
   | None -> false
@@ -217,7 +216,7 @@ let in_region ctx va =
 let handle_trap t trap =
   match trap with
   | Cpu.Mem_fault { va; access; fault } ->
-    charge t t.costs.fault_classify;
+    charge t costs.fault_classify;
     (* The fault context is the MMU context of the faulting CPU. *)
     (match Cpu.context t.machine.Machine.cpu with
      | None -> false

@@ -19,18 +19,7 @@ type fault = {
   access : Spin_machine.Mmu.access;
 }
 
-type costs = {
-  map_service : int;       (** AddMapping/RemoveMapping bookkeeping *)
-  protect_base : int;      (** first page of a protection change *)
-  protect_per_page : int;  (** each page of a protection change *)
-  dirty_query : int;       (** page-state query (Table 4, "Dirty") *)
-  fault_classify : int;    (** trap decode before the event is raised *)
-}
-
-val default_costs : costs
-
 val create :
-  ?costs:costs ->
   Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> Phys_addr.t -> t
 (** Also hooks the physical service's reclamation: any mappings to a
     reclaimed page are invalidated here. *)

@@ -9,11 +9,11 @@ type t = {
   trans : Translation.t;
 }
 
-let create ?trans_costs machine dispatcher =
+let create machine dispatcher =
   let phys = Phys_addr.create machine dispatcher in
   ignore (Reclaim_policy.install_second_chance phys);
   let virt = Virt_addr.create machine in
-  let trans = Translation.create ?costs:trans_costs machine dispatcher phys in
+  let trans = Translation.create machine dispatcher phys in
   { machine; dispatcher; phys; virt; trans }
 
 let handle_trap t trap = Translation.handle_trap t.trans trap

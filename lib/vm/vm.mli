@@ -9,9 +9,7 @@ type t = {
   trans : Translation.t;
 }
 
-val create :
-  ?trans_costs:Translation.costs ->
-  Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t
+val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t
 
 val handle_trap : t -> Spin_machine.Cpu.trap -> bool
 (** Routes memory faults into translation events; [false] for traps

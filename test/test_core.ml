@@ -371,7 +371,7 @@ let test_dispatch_guard_costs_linear () =
             (fun _ -> ())))
   done;
   let spent = Clock.stamp c (fun () -> Dispatcher.raise_event e ()) in
-  let costs = Dispatcher.default_costs in
+  let costs = Dispatcher.costs in
   let expected =
     costs.Dispatcher.dispatch_fixed
     + (50 * costs.Dispatcher.guard_eval)
@@ -617,7 +617,7 @@ let test_dispatch_indexed () =
   check (list int) "exactly the keyed handlers ran" [ 17; 3 ] (List.rev !log);
   (* Cost: one index evaluation, not 50 guard evaluations. *)
   let spent = Clock.stamp c (fun () -> Dispatcher.raise_event e 17) in
-  let costs = Dispatcher.default_costs in
+  let costs = Dispatcher.costs in
   check bool "dispatch is O(1) in keys" true
     (spent < costs.Dispatcher.dispatch_fixed
              + (3 * costs.Dispatcher.guard_eval)

@@ -1,9 +1,9 @@
 (* Differential test of the event dispatcher against a naive reference
    model. The model keeps each event's handlers in plain lists and
    works every raise out from scratch: which handlers are live, which
-   route the raise takes, and what each step costs, summing
-   [default_costs] itself. QCheck drives random sequences of
-   declarations, installs by spec, uninstalls, added guards, primary
+   route the raise takes, and what each step costs, summing [costs]
+   itself. QCheck drives random sequences of declarations, installs
+   by spec, uninstalls, added guards, primary
    removal and reinstatement, gates (with a swap performed while a
    raise is held), revivals of faulted handlers, raises, and flushes
    of deferred handlers. After every step the real dispatcher must
@@ -21,7 +21,7 @@ module Handler_spec = Dispatcher.Handler_spec
 exception Boom
 exception Primary_failed
 
-let costs = Dispatcher.default_costs
+let costs = Dispatcher.costs
 
 let call_cost = Cost.alpha_133.Cost.cross_module_call
 

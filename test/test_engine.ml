@@ -1,14 +1,14 @@
-(* Engine-swap equivalence: the timer-wheel engine must replay
-   fuzz-seeded workloads bit-identically to the binary-heap engine it
-   replaced.
+(* Golden replay digests: the event engine must replay fuzz-seeded
+   workloads bit-identically, whatever structure holds its deadlines.
 
    The digests below were captured by running exactly this workload on
-   the pre-wheel heap engine (commit 51b2b11): trace record counts, a
-   rolling hash over every (timestamp, category, name) record, the
-   final clock value, and the fuzzer's decision/preemption counts. If
-   the wheel ever fires in a different order — even two same-deadline
-   events swapping places — timestamps shift and these digests
-   change. *)
+   the original binary-heap engine (commit 51b2b11), held through the
+   timer wheel that later replaced it, and hold again on today's
+   pooled heap: trace record counts, a rolling hash over every
+   (timestamp, category, name) record, the final clock value, and the
+   fuzzer's decision/preemption counts. If the engine ever fires in a
+   different order — even two same-deadline events swapping places —
+   timestamps shift and these digests change. *)
 
 module Machine = Spin_machine.Machine
 module Clock = Spin_machine.Clock

@@ -76,7 +76,7 @@ let test_filter_interpretation_costs () =
   check int "per-instruction cost model"
     (List.length program * Pkt_filter.instruction_cost) spent;
   check bool "costlier than a compiled guard" true
-    (spent > Spin_core.Dispatcher.default_costs.Spin_core.Dispatcher.guard_eval)
+    (spent > Spin_core.Dispatcher.costs.Spin_core.Dispatcher.guard_eval)
 
 (* ------------------------------------------------------------------ *)
 (* Write_barrier                                                      *)

@@ -79,7 +79,7 @@ let test_sim_nested_schedule () =
   Sim.run sim;
   check (list string) "chained" [ "first"; "second" ] (List.rev !log)
 
-(* Regression (pre-timer-wheel bug): [cancel] only flagged the event,
+(* Regression (an early engine bug): [cancel] only flagged the event,
    so cancelled events stayed in the queue — counting towards
    [pending] and pinning their closures — until their deadline came
    around. A server arming and disarming timeouts leaked its whole
@@ -125,6 +125,212 @@ let test_sim_pool_recycles () =
      Sim.cancel sim h;
      Sim.cancel sim h;
      (Sim.stats sim).Sim.cancelled - 1)
+
+(* The engine contract, differentially: a random run of schedules,
+   cancels and clock advances against a naive sorted-list model. Events
+   fire in (deadline, insertion) order whenever the clock reaches their
+   deadline, never re-entrantly; an action may charge the clock,
+   schedule more work or cancel any event. After every operation the
+   fire log (event, clock at firing), [pending], [stats] and the clock
+   agree, and so does the next fire time. [Sim] exports no peek, so that
+   time is read from a replay of the same prefix: its [idle_step] fires
+   the next event, which logs its clock. *)
+
+type sim_act = Log | Charge_in of int | Sched_now | Sched_after of int
+             | Cancel_in of int
+
+type sim_op =
+  | At of int * sim_act                  (* clock offset: < 0 past, 0 now *)
+  | After of int * sim_act
+  | Cancel_live of int
+  | Cancel_any of int                    (* live, fired or cancelled *)
+  | Charge of int
+  | Skip of int                          (* [skip_to (now + n)], n may be <= 0 *)
+  | Idle
+
+module Sim_model = struct
+  type t = {
+    mutable now : int;
+    mutable issued : int;                (* event ids and insertion order *)
+    mutable queue : (int * int * sim_act) list;   (* (deadline, id, act) *)
+    mutable firing : bool;
+    mutable fired : int;
+    mutable cancelled : int;
+    mutable log : (int * int) list;      (* (id, time), newest first *)
+  }
+
+  let create () =
+    { now = 0; issued = 0; queue = []; firing = false; fired = 0;
+      cancelled = 0; log = [] }
+
+  let add m time act =
+    let d = max time m.now and id = m.issued in
+    m.issued <- id + 1;
+    let rec insert = function
+      | ((d', _, _) as e) :: rest when d' <= d -> e :: insert rest
+      | rest -> (d, id, act) :: rest in
+    m.queue <- insert m.queue
+
+  let cancel m id =
+    if List.exists (fun (_, i, _) -> i = id) m.queue then begin
+      m.queue <- List.filter (fun (_, i, _) -> i <> id) m.queue;
+      m.cancelled <- m.cancelled + 1
+    end
+
+  let rec fire_due m =
+    if not m.firing then begin
+      m.firing <- true;
+      let rec loop () =
+        match m.queue with
+        | (d, id, act) :: rest when d <= m.now ->
+          m.queue <- rest;
+          m.fired <- m.fired + 1;
+          m.log <- (id, m.now) :: m.log;
+          run_act m act;
+          loop ()
+        | _ -> () in
+      loop ();
+      m.firing <- false
+    end
+
+  and run_act m = function
+    | Log -> ()
+    | Charge_in c -> charge m c
+    | Sched_now -> add m m.now Log
+    | Sched_after d -> add m (m.now + d) Log
+    | Cancel_in j -> cancel m (j mod m.issued)
+
+  and charge m c = if c > 0 then begin m.now <- m.now + c; fire_due m end
+
+  let skip_to m target =
+    if target > m.now then begin m.now <- target; fire_due m end
+
+  let next_fire m =
+    match m.queue with [] -> None | (d, _, _) :: _ -> Some (max d m.now)
+
+  let live m = List.map (fun (_, id, _) -> id) m.queue
+
+  let apply m = function
+    | At (off, act) -> add m (m.now + off) act
+    | After (d, act) -> add m (m.now + d) act
+    | Cancel_live i ->
+      if m.queue <> [] then
+        let _, id, _ = List.nth m.queue (i mod List.length m.queue) in
+        cancel m id
+    | Cancel_any i -> if m.issued > 0 then cancel m (i mod m.issued)
+    | Charge c -> charge m c
+    | Skip n -> skip_to m (m.now + n)
+    | Idle ->
+      (match m.queue with
+       | [] -> ()
+       | (d, _, _) :: _ -> skip_to m d; fire_due m)
+end
+
+type sim_real = {
+  r_clock : Clock.t;
+  r_sim : Sim.t;
+  mutable r_issued : int;
+  r_handles : (int, Sim.handle) Hashtbl.t;
+  mutable r_log : (int * int) list;
+}
+
+let real_fresh () =
+  let clock = Clock.create Cost.alpha_133 in
+  { r_clock = clock; r_sim = Sim.create clock; r_issued = 0;
+    r_handles = Hashtbl.create 16; r_log = [] }
+
+(* [sched] is [Sim.at sim time] or [Sim.after sim delta]. *)
+let rec real_schedule r act sched =
+  let id = r.r_issued in
+  r.r_issued <- id + 1;
+  let action () =
+    r.r_log <- (id, Clock.now r.r_clock) :: r.r_log;
+    match act with
+    | Log -> ()
+    | Charge_in c -> Clock.charge r.r_clock c
+    | Sched_now -> real_schedule r Log (Sim.at r.r_sim (Clock.now r.r_clock))
+    | Sched_after d -> real_schedule r Log (Sim.after r.r_sim d)
+    | Cancel_in j -> real_cancel r (j mod r.r_issued) in
+  Hashtbl.replace r.r_handles id (sched action)
+
+and real_cancel r id = Sim.cancel r.r_sim (Hashtbl.find r.r_handles id)
+
+(* [live] lists the model's pending ids, so both sides cancel the same
+   event. *)
+let real_apply r live = function
+  | At (off, act) ->
+    real_schedule r act (Sim.at r.r_sim (Clock.now r.r_clock + off))
+  | After (d, act) -> real_schedule r act (Sim.after r.r_sim d)
+  | Cancel_live i ->
+    if live <> [] then real_cancel r (List.nth live (i mod List.length live))
+  | Cancel_any i -> if r.r_issued > 0 then real_cancel r (i mod r.r_issued)
+  | Charge c -> Clock.charge r.r_clock c
+  | Skip n -> Clock.skip_to r.r_clock (Clock.now r.r_clock + n)
+  | Idle -> ignore (Sim.idle_step r.r_sim)
+
+let sim_act_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, pure Log);
+        (2, map (fun c -> Charge_in c) (int_range 0 300));
+        (2, pure Sched_now);
+        (1, map (fun d -> Sched_after d) (int_range 0 200));
+        (2, map (fun j -> Cancel_in j) (int_range 0 1000)) ])
+
+let sim_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (2, map2 (fun o a -> At (o, a)) (int_range (-300) (-1)) sim_act_gen);
+        (2, map (fun a -> At (0, a)) sim_act_gen);
+        (3, map2 (fun o a -> At (o, a)) (int_range 1 600) sim_act_gen);
+        (3, map2 (fun d a -> After (d, a)) (int_range 0 600) sim_act_gen);
+        (2, map (fun i -> Cancel_live i) (int_range 0 1000));
+        (2, map (fun i -> Cancel_any i) (int_range 0 1000));
+        (2, map (fun c -> Charge c) (int_range 0 300));
+        (1, map (fun n -> Skip n) (int_range (-100) 400));
+        (2, pure Idle) ])
+
+let prop_sim_matches_model =
+  QCheck2.Test.make ~name:"sim agrees with a sorted-list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 40) sim_op_gen)
+    (fun ops ->
+      let m = Sim_model.create () and r = real_fresh () in
+      let agree () =
+        let s = Sim.stats r.r_sim in
+        r.r_log = m.Sim_model.log
+        && Clock.now r.r_clock = m.Sim_model.now
+        && Sim.pending r.r_sim = List.length m.Sim_model.queue
+        && s.Sim.live = Sim.pending r.r_sim
+        && s.Sim.fired = m.Sim_model.fired
+        && s.Sim.cancelled = m.Sim_model.cancelled in
+      let next_fire prefix =
+        let p = real_fresh () in
+        let pm = Sim_model.create () in
+        List.iter (fun op ->
+          real_apply p (Sim_model.live pm) op;
+          Sim_model.apply pm op) prefix;
+        let before = List.length p.r_log in
+        if Sim.idle_step p.r_sim && List.length p.r_log > before then
+          Some (snd (List.nth p.r_log (List.length p.r_log - before - 1)))
+        else None in
+      let rec go prefix = function
+        | [] -> true
+        | op :: rest ->
+          real_apply r (Sim_model.live m) op;
+          Sim_model.apply m op;
+          let prefix = op :: prefix in
+          agree ()
+          && next_fire (List.rev prefix) = Sim_model.next_fire m
+          && go prefix rest in
+      go [] ops
+      && begin
+        Sim.run r.r_sim;
+        while m.Sim_model.queue <> [] do Sim_model.apply m Idle done;
+        agree () && Sim.pending r.r_sim = 0 end)
+
+let test_sim_matches_model () =
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 1995 |])
+    prop_sim_matches_model
 
 (* ------------------------------------------------------------------ *)
 (* Physical memory                                                    *)
@@ -757,6 +963,8 @@ let () =
           Alcotest.test_case "cancel unlinks eagerly" `Quick
             test_sim_cancel_unlinks_eagerly;
           Alcotest.test_case "event records recycle" `Quick test_sim_pool_recycles;
+          Alcotest.test_case "agrees with a sorted-list model" `Quick
+            test_sim_matches_model;
         ] );
       ( "phys_mem",
         [

@@ -341,7 +341,7 @@ let prop_dllist_matches_model =
       Dllist.to_list dl = List.map Dllist.value !model
       && Dllist.length dl = List.length !model)
 
-(* Pqueue pops in cmp order no matter how adds and handle-removals
+(* Pqueue pops in key order no matter how adds and handle-removals
    interleave. *)
 let prop_pqueue_pops_sorted =
   let open QCheck2.Gen in
@@ -349,19 +349,17 @@ let prop_pqueue_pops_sorted =
     (pair (list_size (int_range 1 40) (int_range 0 9))
        (list_size (int_range 0 10) (int_range 0 30)))
     (fun (adds, removes) ->
-      let q = Pqueue.create ~cmp:compare in
-      let entries = List.map (fun v -> Pqueue.add q v) adds in
+      let q = Pqueue.create ~dummy:0 in
+      let entries = List.map (fun v -> Pqueue.add q v v) adds in
       List.iter
         (fun i ->
           let live = List.filter Pqueue.mem entries in
           if live <> [] then
-            Pqueue.remove q (List.nth live (i mod List.length live)))
+            ignore (Pqueue.remove q (List.nth live (i mod List.length live))))
         removes;
       let live = List.length (List.filter Pqueue.mem entries) in
       let rec drain acc =
-        match Pqueue.pop q with
-        | Some v -> drain (v :: acc)
-        | None -> List.rev acc in
+        if Pqueue.is_empty q then List.rev acc else drain (Pqueue.pop q :: acc) in
       let popped = drain [] in
       popped = List.sort compare popped && List.length popped = live)
 
