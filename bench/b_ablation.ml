@@ -3,7 +3,9 @@
    The paper argues for co-location (extensions in the kernel address
    space), the dispatcher's single-handler fast path, and guard-based
    per-instance dispatch. Each ablation keeps everything else fixed
-   and removes one mechanism. *)
+   and removes one mechanism. The section-2 little-language ablation
+   interprets the verifier bench's bytecode filter program, one per
+   endpoint, instead of compiling it. *)
 
 module Kernel = Spin.Kernel
 module Dispatcher = Spin_core.Dispatcher
@@ -201,8 +203,9 @@ let indexed_dispatch () =
 
 (* Section 2's critique of "little languages" made quantitative: the
    same 64-endpoint UDP demultiplexing implemented with (a) compiled
-   procedure guards, (b) the interpreted packet-filter language, and
-   (c) indexed dispatch. *)
+   procedure guards, (b) one UDP port filter program per endpoint run
+   through the checked bytecode interpreter (the verifier bench's
+   foil), and (c) indexed dispatch. *)
 let little_language () =
   Report.header "Ablation: compiled guards vs interpreted packet filters";
   let k = Kernel.boot ~name:"abl6" () in
@@ -222,11 +225,9 @@ let little_language () =
   done;
   (* (b) interpreted filters, evaluated by a demux handler *)
   let programs =
-    List.init endpoints (fun p -> Spin_net.Pkt_filter.match_udp_port ~port:p) in
-  List.iter Spin_net.Pkt_filter.validate programs;
+    List.init endpoints (fun p -> Spin_net.Udp.frame_port_prog ~port:p) in
   let interpreted pkt =
-    List.iter
-      (fun prog -> ignore (Spin_net.Pkt_filter.run_view clock prog pkt))
+    List.iter (fun prog -> ignore (B_verifier.interpret clock prog pkt))
       programs in
   (* (c) indexed dispatch *)
   let indexed = Dispatcher.declare k.Kernel.dispatcher ~name:"F.I" ~owner:"F"
@@ -250,6 +251,8 @@ let little_language () =
   Report.metric ~unit_:"x" ~name:"interpreted filter programs vs guards"
     (i /. g);
   Report.metric ~name:"indexed dispatch" x;
+  Report.require ~name:"interpreted filters cost more than guards" (i > g);
+  Report.require ~name:"guards cost more than indexed dispatch" (g > x);
   Report.note
     "  Section 2's claim, measured: interpretation overhead dominates,\n\
     \  while compiled guards stay linear and indexing stays flat.\n"

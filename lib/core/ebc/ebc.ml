@@ -474,7 +474,11 @@ let run_counted ~layout ?(caps = [||]) code arg =
         if !res >= 0 then !res else go bstop stop
       | Ret r -> if regs.(r) <> 0 then 1 else 0
     end in
-  (go 0 stop0 = 1, !steps)
+  (* Bind before building the pair: a tuple's components evaluate
+     right to left, so [(go 0 stop0 = 1, !steps)] would read the
+     counter before the program ran. *)
+  let r = go 0 stop0 in
+  (r = 1, !steps)
 
 (* Install-time cost model: one linear verifier pass over the program.
    Cheap enough to pay per install, never per event. *)
@@ -486,6 +490,10 @@ let verify_cycles code =
 (* ~2 cycles per compiled instruction on the simulated Alpha: used to
    turn a caller's cycle bound into a step budget at install time. *)
 let step_cycles = 2
+
+(* Interpreting the same instruction instead: decode, bounds checks
+   and register traffic per step — section 2's little-language foil. *)
+let interp_step_cycles = 18
 
 (* Builders for the predicate shapes the facades compile. Register
    discipline: r0 scratch loads, r1 immediates, r2 accumulator. *)

@@ -151,8 +151,9 @@ val compile :
 val run_counted :
   layout:'a layout -> ?caps:cap_slot array -> program -> 'a -> bool * int
 (** Checked reference interpreter, returning the result and the number
-    of instructions executed — the oracle the certificate is tested
-    against ([steps <= cert.c_steps] for every verified program). *)
+    of instructions executed (each pass of a [Loop] body counts its
+    instructions again) — the oracle the certificate is tested against
+    ([steps <= cert.c_steps] for every verified program). *)
 
 (** {2 Install-time cost} *)
 
@@ -167,6 +168,12 @@ val verify_instruction_cost : int
 val step_cycles : int
 (** Virtual cycles per {e compiled} instruction, used to convert a
     caller's cycle bound into a step budget at install time. *)
+
+val interp_step_cycles : int
+(** Virtual cycles per {e interpreted} instruction: what a caller
+    running {!run_counted} as a per-event guard charges for each step
+    it reports — the section-2 little-language foil, measured on the
+    same program the verified path compiles. *)
 
 (** {2 Program builders} *)
 

@@ -21,8 +21,6 @@ type t = {
   mutable proto_threads : Spin_sched.Strand.t array;  (* empty until start *)
   mutable frames_rx : int;
   mutable frames_tx : int;
-  mutable rx_bursts : int;        (* wakeups that serviced > 1 frame *)
-  shard_rx : int array;           (* frames serviced per shard *)
 }
 
 (* Unoptimized vendor-driver overheads (cycles), per kind. The paper's
@@ -62,8 +60,7 @@ let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
     rx_shards;
     rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
     tx_overhead; rx_overhead;
-    proto_threads = [||]; frames_rx = 0; frames_tx = 0; rx_bursts = 0;
-    shard_rx = Array.make rx_shards 0 }
+    proto_threads = [||]; frames_rx = 0; frames_tx = 0 }
 
 let rx_event t = t.rx_event
 
@@ -142,7 +139,7 @@ let flow_hash pkt =
 
 let shard_of t pkt = if t.rx_shards = 1 then 0 else flow_hash pkt mod t.rx_shards
 
-let service t ~shard pkt ~first =
+let service t pkt ~first =
   let tr = Trace.of_clock t.machine.Machine.clock in
   let sp =
     if Trace.on tr then
@@ -152,7 +149,6 @@ let service t ~shard pkt ~first =
   Clock.charge t.machine.Machine.clock
     (if first then t.rx_overhead else t.rx_overhead / coalesce_divisor);
   t.frames_rx <- t.frames_rx + 1;
-  t.shard_rx.(shard) <- t.shard_rx.(shard) + 1;
   Dispatcher.raise_default t.rx_event () pkt;
   Trace.end_span tr sp
 
@@ -165,15 +161,13 @@ let protocol_loop t shard () =
   let rec loop () =
     match Queue.take_opt rx_queue with
     | Some pkt ->
-      service t ~shard pkt ~first:true;
+      service t pkt ~first:true;
       let rec burst n =
-        if n >= rx_batch then n
-        else
+        if n < rx_batch then
           match Queue.take_opt rx_queue with
-          | Some pkt -> service t ~shard pkt ~first:false; burst (n + 1)
-          | None -> n in
-      let serviced = burst 1 in
-      if serviced > 1 then t.rx_bursts <- t.rx_bursts + 1;
+          | Some pkt -> service t pkt ~first:false; burst (n + 1)
+          | None -> () in
+      burst 1;
       Sched.preempt_point t.sched;
       loop ()
     | None ->
@@ -218,10 +212,6 @@ let start t =
 let frames_rx t = t.frames_rx
 
 let frames_tx t = t.frames_tx
-
-let rx_bursts t = t.rx_bursts
-
-let shard_frames t = Array.copy t.shard_rx
 
 let rx_shards t = t.rx_shards
 

@@ -67,9 +67,8 @@ val add_filter :
 (** Installs a verified packet filter on the receive path: [program]
     is checked once at install (against the frame layout) and then
     runs as the handler's trusted predicate with zero per-frame
-    checks. A program that fails verification installs nothing — the
-    caller decides whether to fall back to a closure guard (e.g. via
-    [Pkt_filter.run_view]). [?spec] supplies policy/async/bound; its
+    checks. A program that fails verification installs nothing and
+    returns [Rejected]. [?spec] supplies policy/async/bound; its
     [verified] field is overwritten with [program]. *)
 
 val name : t -> string
@@ -97,16 +96,8 @@ val frames_rx : t -> int
 
 val frames_tx : t -> int
 
-val rx_bursts : t -> int
-(** Wakeups that serviced more than one frame — how often the
-    coalesced path actually ran. *)
-
 val rx_shards : t -> int
 (** Number of receive shards (1 unless created with [rx_shards]). *)
-
-val shard_frames : t -> int array
-(** Frames serviced per shard — how evenly the flow hash spread the
-    load. *)
 
 val drops : t -> int
 (** Frames the NIC dropped on receive-ring overflow — the device's

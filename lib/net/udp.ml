@@ -67,6 +67,16 @@ let datagram_layout : datagram Ebc.layout =
     ~payload:(fun d -> Pkt.view d.payload)
     ()
 
+(* The port filter over a whole frame, as a receive-path program: IP
+   protocol is UDP and the UDP destination port is [port]. Over this
+   stack's wire format the link header is 2 bytes of ethertype, the IP
+   protocol byte sits at offset 2 and the UDP destination port at
+   2 + 12 + 2. *)
+let frame_port_prog ~port =
+  Ebc.[| Ldb (0, 2); Ldi (1, Ip.proto_udp); Eq (0, 0, 1);
+         Ldw (1, 16); Ldi (2, port); Eq (1, 1, 2);
+         And (0, 0, 1); Ret 0 |]
+
 let create machine dispatcher ip =
   let event =
     Dispatcher.declare dispatcher ~name:"UDP.PacketArrived" ~owner:"UDP"

@@ -1,80 +1,90 @@
-(* Tests for the interpreted packet filter (the section 2 foil) and
-   the write-barrier extension (Appel & Li on the SPIN fault path). *)
+(* Tests for the section 2 packet-filter foil (one UDP port filter
+   program, interpreted by the checked bytecode interpreter or verified
+   and compiled) and the write-barrier extension (Appel & Li on the
+   SPIN fault path). *)
 
 open Alcotest
 open Spin_net
-module Clock = Spin_machine.Clock
-module Cost = Spin_machine.Cost
 module Addr = Spin_machine.Addr
+module Ebc = Spin_core.Ebc
 module Kernel = Spin.Kernel
 module Vm_ext = Spin_vm.Vm_ext
 module Write_barrier = Spin_vm.Write_barrier
 
-let clock () = Clock.create Cost.alpha_133
+(* ------------------------------------------------------------------ *)
+(* Packet filters                                                     *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Pkt_filter                                                         *)
-(* ------------------------------------------------------------------ *)
+(* The receive path's frame layout: the payload is the wire bytes. *)
+let frame_layout : Pkt.t Ebc.layout =
+  Ebc.layout ~name:"Test.PktArrived" ~payload:Pkt.view ()
+
+(* Both ways of running a filter: the verified, compiled form and the
+   checked interpreter must agree before either answer counts. *)
+let eval program pkt =
+  (match Ebc.verify ~layout:frame_layout program with
+   | Ok _ -> ()
+   | Error err -> failf "filter rejected: %s" (Ebc.error_to_string err));
+  let interpreted, _ = Ebc.run_counted ~layout:frame_layout program pkt in
+  check bool "compiled agrees with interpreted" interpreted
+    (Ebc.compile ~layout:frame_layout program pkt);
+  interpreted
 
 let test_filter_basic_predicates () =
-  let c = clock () in
-  let pkt = Bytes.of_string "\x08\x00\x11wxyz" in
-  check bool "byte equality" true
-    (Pkt_filter.run c [ Pkt_filter.Push_byte 2; Push_const 0x11; Eq ] pkt);
-  check bool "byte inequality" false
-    (Pkt_filter.run c [ Pkt_filter.Push_byte 2; Push_const 6; Eq ] pkt);
+  let pkt = Pkt.of_payload (Bytes.of_string "\x08\x00\x11wxyz") in
+  let proto_is v = Ebc.[ Ldb (0, 2); Ldi (1, v); Eq (2, 0, 1) ] in
+  let prog body r = Array.of_list (body @ [ Ebc.Ret r ]) in
+  check bool "byte equality" true (eval (prog (proto_is 0x11) 2) pkt);
+  check bool "byte inequality" false (eval (prog (proto_is 6) 2) pkt);
   check bool "less-than" true
-    (Pkt_filter.run c [ Pkt_filter.Push_byte 2; Push_const 255; Lt ] pkt);
+    (eval Ebc.[| Ldb (0, 2); Ldi (1, 255); Lt (2, 0, 1); Ret 2 |] pkt);
   check bool "negation" true
-    (Pkt_filter.run c [ Pkt_filter.Push_byte 2; Push_const 6; Eq; Not ] pkt);
+    (eval (prog (proto_is 6 @ [ Ebc.Not (2, 2) ]) 2) pkt);
   check bool "disjunction" true
-    (Pkt_filter.run c
-       [ Pkt_filter.Push_byte 2; Push_const 6; Eq;
-         Push_byte 2; Push_const 0x11; Eq; Or ] pkt)
+    (eval
+       (prog
+          (proto_is 6 @ Ebc.[ Ldi (1, 0x11); Eq (3, 0, 1); Or (2, 2, 3) ])
+          2)
+       pkt)
 
 let test_filter_short_packet_reads_zero () =
-  let c = clock () in
   check bool "past the end is zero" true
-    (Pkt_filter.run c [ Pkt_filter.Push_byte 500; Push_const 0; Eq ]
-       (Bytes.create 4))
+    (eval Ebc.[| Ldb (0, 500); Ldi (1, 0); Eq (2, 0, 1); Ret 2 |]
+       (Pkt.of_payload (Bytes.create 4)))
 
 let test_filter_validation () =
   let reject name program =
-    (try
-       Pkt_filter.validate program;
-       fail (name ^ ": accepted")
-     with Pkt_filter.Bad_program _ -> ()) in
-  reject "empty" [];
-  reject "underflow" [ Pkt_filter.Eq ];
-  reject "leftover operands" [ Pkt_filter.Push_const 1; Push_const 2 ];
-  reject "bad offset" [ Pkt_filter.Push_byte (-1); Push_const 0; Eq ];
-  Pkt_filter.validate (Pkt_filter.match_udp_port ~port:53)
+    match Ebc.verify ~layout:frame_layout program with
+    | Ok _ -> fail (name ^ ": accepted")
+    | Error _ -> () in
+  reject "empty" [||];
+  reject "bad offset" Ebc.[| Ldb (0, -1); Ldi (1, 0); Eq (2, 0, 1); Ret 2 |];
+  match Ebc.verify ~layout:frame_layout (Udp.frame_port_prog ~port:53) with
+  | Ok cert -> check int "straight line: one step per instruction" 8 cert.c_steps
+  | Error err -> failf "port filter rejected: %s" (Ebc.error_to_string err)
 
 let test_filter_matches_real_traffic () =
-  (* The canned UDP-port filter agrees with the real stack's own
-     demultiplexing on a captured frame. *)
-  let c = clock () in
+  (* The UDP-port filter agrees with the real stack's own
+     demultiplexing on a captured frame, compiled and interpreted. *)
   let datagram = Udp.encode_datagram ~src_port:9 ~dst_port:53
       (Bytes.of_string "query") in
   let frame = Ip.encode_frame ~src:1 ~dst:2 ~proto:Ip.proto_udp datagram in
-  check bool "matches port 53" true
-    (Pkt_filter.run_view c (Pkt_filter.match_udp_port ~port:53) frame);
+  check bool "matches port 53" true (eval (Udp.frame_port_prog ~port:53) frame);
   check bool "rejects port 80" false
-    (Pkt_filter.run_view c (Pkt_filter.match_udp_port ~port:80) frame);
+    (eval (Udp.frame_port_prog ~port:80) frame);
   let tcp_frame = Ip.encode_frame ~src:1 ~dst:2 ~proto:Ip.proto_tcp datagram in
   check bool "rejects TCP" false
-    (Pkt_filter.run_view c (Pkt_filter.match_udp_port ~port:53) tcp_frame)
+    (eval (Udp.frame_port_prog ~port:53) tcp_frame)
 
 let test_filter_interpretation_costs () =
   (* Section 2: "interpretation overhead can limit performance" — the
      interpreted filter is an order of magnitude above a guard. *)
-  let c = clock () in
   let frame = Ip.encode_frame ~src:1 ~dst:2 ~proto:Ip.proto_udp
       (Udp.encode_datagram ~src_port:9 ~dst_port:53 Bytes.empty) in
-  let program = Pkt_filter.match_udp_port ~port:53 in
-  let spent = Clock.stamp c (fun () -> ignore (Pkt_filter.run_view c program frame)) in
-  check int "per-instruction cost model"
-    (List.length program * Pkt_filter.instruction_cost) spent;
+  let program = Udp.frame_port_prog ~port:53 in
+  let _, steps = Ebc.run_counted ~layout:frame_layout program frame in
+  check int "every instruction executed once" (Array.length program) steps;
+  let spent = steps * Ebc.interp_step_cycles in
   check bool "costlier than a compiled guard" true
     (spent > Spin_core.Dispatcher.costs.Spin_core.Dispatcher.guard_eval)
 

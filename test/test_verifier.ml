@@ -342,6 +342,31 @@ let prog_gen =
     (list_size (int_range 0 10) instr_gen)
     (int_range 0 3)
 
+(* The certificate property below trusts [run_counted]'s step count,
+   so the count itself is pinned exactly: one step per executed
+   instruction, and a Loop body's instructions once per pass. *)
+let test_run_counted_steps () =
+  let ev = { a = 0; b = 0 } in
+  let counted name prog ~steps =
+    let result, n = Ebc.run_counted ~layout prog ev in
+    check bool (name ^ ": result") true result;
+    check int (name ^ ": steps") steps n;
+    match Ebc.verify ~layout prog with
+    | Ok cert ->
+      check bool (name ^ ": within the certificate") true (n <= cert.c_steps)
+    | Error err -> failf "%s rejected: %s" name (Ebc.error_to_string err) in
+  List.iter
+    (fun n ->
+      counted (Printf.sprintf "straight line of %d" n)
+        (Array.init n (fun i -> if i = n - 1 then Ebc.Ret 0 else Ebc.Ldi (0, 1)))
+        ~steps:n)
+    [ 2; 5; 16 ];
+  (* 2 loads, the Loop, 5 passes of a 2-instruction body, the Ret. *)
+  counted "loop"
+    [| Ebc.Ldi (0, 0); Ebc.Ldi (1, 1); Ebc.Loop (5, 2); Ebc.Add (0, 0, 1);
+       Ebc.Add (0, 0, 1); Ebc.Ret 0 |]
+    ~steps:14
+
 let cases = 500
 let accepted = ref 0
 
@@ -445,7 +470,9 @@ let () =
         ] );
       ("capabilities", [ test_case "typed slots" `Quick test_capability_slots ]);
       ( "properties",
-        [ test_case "accepted programs honor their certificate" `Quick
+        [ test_case "run_counted counts every step" `Quick
+            test_run_counted_steps;
+          test_case "accepted programs honor their certificate" `Quick
             test_certificate ] );
       ( "object-files",
         [ test_case "Verified via verify_object" `Quick test_verified_object ]
