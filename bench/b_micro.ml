@@ -83,7 +83,12 @@ let table2 () =
   p "System call" 7. mach_sys "Mach";
   p "Cross-address space call" 89. cross "SPIN";
   p "Cross-address space call" 845. osf_cross "DEC OSF/1";
-  p "Cross-address space call" 104. mach_cross "Mach"
+  p "Cross-address space call" 104. mach_cross "Mach";
+  (* The paper's claims (section 5.1): who wins, not by how much. *)
+  Report.require ~name:"system call: SPIN < OSF/1 < Mach"
+    (syscall < osf_sys && osf_sys < mach_sys);
+  Report.require ~name:"cross-address-space call: SPIN < Mach < OSF/1"
+    (cross < mach_cross && mach_cross < osf_cross)
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                            *)
@@ -186,13 +191,24 @@ let table3 () =
     Printf.printf "%-34s %10.0f %10.1f %10.0f %10.1f\n" name fjp fj ppp pp;
     Report.metric ~name:(name ^ ": fork-join") fj;
     Report.metric ~name:(name ^ ": ping-pong") pp in
-  p "DEC OSF/1 kernel" (198., 21.) (measure_bl_thread_ops Os_costs.osf1 ~user:false);
+  let osf_kernel = measure_bl_thread_ops Os_costs.osf1 ~user:false in
+  p "DEC OSF/1 kernel" (198., 21.) osf_kernel;
   p "DEC OSF/1 user (P-threads)" (1230., 264.) (measure_bl_thread_ops Os_costs.osf1 ~user:true);
-  p "Mach kernel" (101., 71.) (measure_bl_thread_ops Os_costs.mach3 ~user:false);
+  let mach_kernel = measure_bl_thread_ops Os_costs.mach3 ~user:false in
+  p "Mach kernel" (101., 71.) mach_kernel;
   p "Mach user (C-Threads)" (338., 115.) (measure_bl_thread_ops Os_costs.mach3 ~user:true);
-  p "SPIN kernel" (22., 17.) (measure_spin_thread_ops None);
-  p "SPIN user (layered)" (262., 159.) (measure_spin_thread_ops (Some layered));
-  p "SPIN user (integrated)" (111., 85.) (measure_spin_thread_ops (Some integrated))
+  let spin_kernel = measure_spin_thread_ops None in
+  p "SPIN kernel" (22., 17.) spin_kernel;
+  let spin_layered = measure_spin_thread_ops (Some layered) in
+  p "SPIN user (layered)" (262., 159.) spin_layered;
+  let spin_integrated = measure_spin_thread_ops (Some integrated) in
+  p "SPIN user (integrated)" (111., 85.) spin_integrated;
+  (* Faster on both fork-join and ping-pong. *)
+  let beats (fj, pp) (fj', pp') = fj < fj' && pp < pp' in
+  Report.require ~name:"the SPIN kernel beats the OSF/1 and Mach kernels"
+    (beats spin_kernel osf_kernel && beats spin_kernel mach_kernel);
+  Report.require ~name:"integrated C-Threads beat layered"
+    (beats spin_integrated spin_layered)
 
 (* ------------------------------------------------------------------ *)
 (* Table 4                                                            *)
@@ -306,4 +322,9 @@ let table4 () =
   line "Prot100" (fun p o -> cell p.prot100 o.prot100);
   line "Unprot100" (fun p o -> cell p.unprot100 o.unprot100);
   line "Appel1" (fun p o -> cell p.appel1 o.appel1);
-  line "Appel2" (fun p o -> cell p.appel2 o.appel2)
+  line "Appel2" (fun p o -> cell p.appel2 o.appel2);
+  List.iter
+    (fun (op, get) ->
+       Report.require ~name:("SPIN below OSF/1 and Mach: " ^ op)
+         (get spin < get osf && get spin < get mach))
+    ops

@@ -59,7 +59,7 @@ let () =
 
   (* --- The Gatekeeper extension --------------------------------- *)
   let b = Object_file.Builder.create ~name:"gatekeeper.o"
-      ~safety:Object_file.Compiler_signed ~source_lines:24 () in
+      ~safety:Object_file.Compiler_signed () in
   let open_cell = Object_file.Builder.import b
       (Symbol.make ~intf:"Console" ~name:"Open" open_ty) in
   let write_cell = Object_file.Builder.import b

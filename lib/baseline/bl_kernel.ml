@@ -226,11 +226,3 @@ let vm_appel2_per_page t ~pages =
         charge t (hw t).Cost.mem_access
       done) in
   us /. float_of_int pages
-
-(* -------------------- Tables 5-6 ---------------------------------- *)
-
-let user_net_send_overhead t ~bytes =
-  Bl_path.user_send_overhead (clock t) t.os ~bytes
-
-let user_net_recv_overhead t ~bytes =
-  Bl_path.user_recv_overhead (clock t) t.os ~bytes

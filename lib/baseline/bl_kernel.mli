@@ -76,13 +76,3 @@ val vm_appel1 : t -> unit
 val vm_appel2_per_page : t -> pages:int -> float
 (** Protect [pages] pages, fault on each, resolving in the handler;
     returns average us per page. *)
-
-(* -------------------- Tables 5-6: user-level networking ----------- *)
-
-val user_net_send_overhead : t -> bytes:int -> unit
-(** What the OS charges between an application send and the protocol
-    stack: syscall, copyin, socket-layer work. *)
-
-val user_net_recv_overhead : t -> bytes:int -> unit
-(** Between packet arrival and the application: wakeup, copyout,
-    syscall return, socket work. *)

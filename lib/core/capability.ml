@@ -23,8 +23,6 @@ let epoch_cell owner =
     Hashtbl.replace epoch_cells owner cell;
     cell
 
-let current_epoch ~owner = !(epoch_cell owner)
-
 let advance_epoch ~owner =
   let cell = epoch_cell owner in
   incr cell;

@@ -47,9 +47,6 @@ val id : 'a t -> int
 val epoch : 'a t -> int
 (** The owner epoch this capability was minted under. *)
 
-val current_epoch : owner:string -> int
-(** 0 until the first {!advance_epoch}. *)
-
 val advance_epoch : owner:string -> int
 (** Start [owner]'s next epoch and return it. Every capability the
     owner minted before this call becomes stale: {!deref} raises

@@ -62,7 +62,6 @@ module Handler_spec = struct
       on_failure = Uninstall; verified = None; caps = [||] }
 
   let guarded g = { default with guard = Some g }
-  let bounded b = { default with bound_cycles = Some b }
   let indexed key = { default with index_key = Some key }
   let verified ?(caps = [||]) prog =
     { default with verified = Some prog; caps }
@@ -427,10 +426,10 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
                | None -> Ebc.default_budget in
              (match Ebc.verify ~layout:lay ~caps:s.Handler_spec.caps ~budget
                       prog with
-              | Ok _cert ->
+              | Ok v ->
                 (* The install-time price of zero per-event checks. *)
                 Spin_machine.Clock.charge e.disp.clock (Ebc.verify_cycles prog);
-                Ok (Some (Ebc.compile ~layout:lay ~caps:s.Handler_spec.caps prog))
+                Ok (Some (Ebc.compile v))
               | Error err -> Error err)) in
       (match verified with
        | Error err ->
@@ -731,10 +730,6 @@ let stats e = {
 (* -------------------- swap-window gating -------------------------- *)
 
 let set_gate_wait t f = t.gate_wait <- f
-
-let gate e = e.gated <- true
-
-let ungate e = e.gated <- false
 
 let is_gated e = e.gated
 

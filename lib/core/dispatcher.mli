@@ -136,12 +136,11 @@ module Handler_spec : sig
   (** No guard, no bound, synchronous, unindexed, {!Uninstall}. *)
 
   val guarded : ('a -> bool) -> 'a t
-  val bounded : int -> 'a t
   val indexed : int -> 'a t
   val verified : ?caps:Ebc.cap_slot array -> Ebc.program -> 'a t
 
   (** Type-erased per-handler view, enumerable through the dispatcher
-      ({!handler_specs}) so supervisors and swaps see every installed
+      ({!installed_specs}) so supervisors and swaps see every installed
       handler — linear and indexed — without knowing event types. *)
   type info = {
     i_event : string;
@@ -194,9 +193,6 @@ type 'a decision =
       bound_cycles : int option;     (** time bound imposed *)
       force_async : bool;            (** isolate the raiser *)
     }
-
-val allow : 'a decision
-(** [Allow] with no constraints. *)
 
 exception No_handler of string
 (** Raised when an event with no applicable handler needs a result. *)
@@ -328,13 +324,10 @@ val trusted_total : t -> int
 val verifier_rejections : t -> int
 (** Installs refused because their bytecode failed verification. *)
 
-val handler_specs : t -> Handler_spec.info list
-(** Every installed extension handler (linear and indexed, active and
-    quarantined) across every event, in declaration order — the one
-    enumeration supervisors and swap tooling share. *)
-
 val installed_specs : t -> installer:string -> Handler_spec.info list
-(** {!handler_specs} filtered to one installer (a domain). *)
+(** Every installed extension handler of one installer (a domain):
+    linear and indexed, active and quarantined, across every event in
+    declaration order. *)
 
 val gauges : t -> (string * (unit -> int)) list
 (** The trusted path's health: [dispatch.trusted_handlers] (active
@@ -373,13 +366,6 @@ val set_gate_wait : t -> (unit -> bool) option -> unit
     handled by looping) or [false] (the caller is exempt — the swap
     strand itself — and passes through). With no hook installed, gated
     raises pass through: there is no scheduler to park on. *)
-
-val gate : ('a, 'r) event -> unit
-(** Close the event's gate. *)
-
-val ungate : ('a, 'r) event -> unit
-(** Reopen the event's gate. Waiters parked by the {!set_gate_wait}
-    hook must be woken by the caller (the hook's other half). *)
 
 val is_gated : ('a, 'r) event -> bool
 

@@ -54,15 +54,6 @@ let cap_slot ~name ~ty cap =
   { cs_name = name; cs_ty = ty;
     cs_read = (fun () -> if Capability.is_valid cap then Capability.id cap else -1) }
 
-let cap_slots_of_object obj =
-  let exports = Object_file.exports obj in
-  Array.of_list
-    (List.mapi
-       (fun i (sym, _) ->
-         { cs_name = Symbol.full_name sym; cs_ty = sym.Symbol.ty;
-           cs_read = (fun () -> i) })
-       exports)
-
 type rty = Rint | Rbool | Rtext | Rcap of Ty.t
 
 let rty_to_string = function
@@ -129,6 +120,13 @@ type cert = {
   c_field_loads : int;
   c_payload_loads : int;
   c_cap_loads : int;
+}
+
+type 'a verified = {
+  v_layout : 'a layout;
+  v_caps : cap_slot array;
+  v_code : program;        (* a private copy: the caller's array may change *)
+  v_cert : cert;
 }
 
 let default_budget = 4096
@@ -331,15 +329,21 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
     let fall, steps = block 0 n entry in
     if fall <> None then raise (Reject Missing_ret);
     if steps > budget then raise (Reject (Over_budget { steps; budget }));
-    Ok { c_steps = steps; c_loops = !loops; c_field_loads = !field_loads;
-         c_payload_loads = !payload_loads; c_cap_loads = !cap_loads }
+    Ok { v_layout = layout; v_caps = caps; v_code = Array.copy code;
+         v_cert = { c_steps = steps; c_loops = !loops;
+                    c_field_loads = !field_loads;
+                    c_payload_loads = !payload_loads;
+                    c_cap_loads = !cap_loads } }
   with Reject e -> Error e
 
+let certificate v = v.v_cert
+
 (* The trusted-fast interpreter: no register bounds checks, no step
-   counting — the certificate already proved both. Payload reads keep
-   their dynamic length clamp (part of the verified semantics, like a
-   BPF packet read beyond the frame yielding 0). *)
-let compile ~layout ?(caps = [||]) code =
+   counting — the certificate already proved both, for exactly this
+   layout, these slots and this code. Payload reads keep their dynamic
+   length clamp (part of the verified semantics, like a BPF packet read
+   beyond the frame yielding 0). *)
+let compile { v_layout = layout; v_caps = caps; v_code = code; _ } =
   let read_field = layout.l_read in
   let uses_payload =
     Array.exists
@@ -514,29 +518,3 @@ let match_string ?(prefix = false) s =
         @ fail)
       (List.init n Fun.id) in
   Array.of_list (len_check @ char_checks @ [ Ldi (0, 1); Ret 0 ])
-
-(* Bytecode as a first-class export: programs travel through object
-   files like any other typed symbol. *)
-
-let program_ty = Ty.Opaque "Ebc.Program"
-
-let program_tag : program Univ.tag = Univ.tag ~name:"Ebc.Program" ()
-
-let export_program builder ~intf ~name prog =
-  Object_file.Builder.export builder
-    (Symbol.make ~intf ~name program_ty)
-    (Univ.pack program_tag prog)
-
-let verify_object ~layout obj =
-  let caps = cap_slots_of_object obj in
-  let rec check n = function
-    | [] -> Ok n
-    | (sym, v) :: rest ->
-      (match Univ.unpack program_tag v with
-       | None -> check n rest
-       | Some prog ->
-         (match verify ~layout ~caps prog with
-          | Ok _ -> check (n + 1) rest
-          | Error e -> Error (Symbol.full_name sym, e)))
-  in
-  check 0 (Object_file.exports obj)

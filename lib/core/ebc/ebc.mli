@@ -23,8 +23,6 @@
 type reg = int
 (** Register index, [0..7]. *)
 
-val nregs : int
-
 type instr =
   | Ldi of reg * int            (** load immediate *)
   | Ldf of reg * int            (** load typed event field by slot *)
@@ -77,17 +75,9 @@ val cap_slot : name:string -> ty:Ty.t -> 'a Capability.t -> cap_slot
 (** A slot over a live capability: loads the capability's id while it
     is valid, -1 after revocation or an epoch advance. *)
 
-val cap_slots_of_object : Object_file.t -> cap_slot array
-(** The typed symbol table of an object file as capability slots, in
-    export order: slot [i] reads as [i] and carries the export's
-    declared type, so programs verified against a domain's exports
-    cannot name a slot the domain never granted. *)
-
 (** {2 Verification} *)
 
 type rty = Rint | Rbool | Rtext | Rcap of Ty.t
-
-val rty_to_string : rty -> string
 
 type error =
   | Empty
@@ -126,27 +116,32 @@ type cert = {
 val default_budget : int
 (** Step budget when the installer declares no bound (4096). *)
 
-val max_offset : int
-val max_program : int
+type 'a verified
+(** A program {!verify} accepted, together with the layout and
+    capability slots it was checked against. Only {!verify} makes
+    one. *)
 
 val verify :
   layout:'a layout -> ?caps:cap_slot array -> ?budget:int ->
-  program -> (cert, error) result
+  program -> ('a verified, error) result
 (** The install-time verifier. Accepts exactly the programs that (a)
     terminate within [budget] interpreted steps on every input —
     forward-only jumps plus statically bounded [Loop]s make the bound
     a static sum; (b) read only declared, loadable-typed event fields,
     in-range payload offsets, and granted capability slots; (c) never
     read an uninitialized register, compare across types, or fall off
-    the end without [Ret]. *)
+    the end without [Ret]. The result keeps its own copy of the
+    program. *)
 
-val compile :
-  layout:'a layout -> ?caps:cap_slot array -> program -> ('a -> bool)
+val certificate : 'a verified -> cert
+
+val compile : 'a verified -> ('a -> bool)
 (** The trusted-fast form: a closure with no per-event safety checks.
-    {b Only call on a program {!verify} accepted} — compiled code
-    indexes registers unchecked on the strength of the certificate.
-    (Payload reads still honor the datum's dynamic length: bytes
-    beyond the payload read as 0, exactly as {!verify} assumed.) *)
+    Compiled code indexes registers and capability slots unchecked on
+    the strength of the certificate, which is why it takes only what
+    {!verify} returned. (Payload reads still honor the datum's dynamic
+    length: bytes beyond the payload read as 0, exactly as {!verify}
+    assumed.) *)
 
 val run_counted :
   layout:'a layout -> ?caps:cap_slot array -> program -> 'a -> bool * int
@@ -159,11 +154,8 @@ val run_counted :
 
 val verify_cycles : program -> int
 (** Virtual cycles an install charges for verification: one linear
-    pass, [verify_instruction_cost] per instruction plus a fixed
-    entry. This is the cost Table 2-style numbers move from every
-    event to one install. *)
-
-val verify_instruction_cost : int
+    pass, 35 cycles per instruction plus a fixed entry. This is the
+    cost Table 2-style numbers move from every event to one install. *)
 
 val step_cycles : int
 (** Virtual cycles per {e compiled} instruction, used to convert a
@@ -182,27 +174,3 @@ val match_field : slot:int -> int -> program
 
 val match_string : ?prefix:bool -> string -> program
 (** Payload equals the string ([?prefix] drops the length check). *)
-
-(** {2 Verified object files}
-
-    Bytecode travels through domains like any other export: packed
-    under {!program_tag} with type {!program_ty}. {!verify_object}
-    checks every packed program an object file exports, so a file
-    whose extension logic is bytecode can be marked
-    [Object_file.Verified] and admitted to domain creation on the
-    verifier's word rather than the compiler's signature. *)
-
-val program_ty : Ty.t
-
-val program_tag : program Univ.tag
-
-val export_program :
-  Object_file.Builder.t -> intf:string -> name:string -> program -> unit
-
-val verify_object :
-  layout:'a layout -> Object_file.t -> (int, string * error) result
-(** Verifies every exported program against the layout (capability
-    slots are the file's own typed symbol table). Returns how many
-    programs were checked, or the first failing export's name and
-    error. On success the builder may be sealed
-    [Verified { verifier; programs }]. *)

@@ -7,11 +7,10 @@ type t = {
   app : string;
   table : entry Spin_dstruct.Idtable.t;
   mutable epoch : int;
-  mutable s_stale_hits : int;
 }
 
 let create ~app =
-  { app; table = Spin_dstruct.Idtable.create (); epoch = 0; s_stale_hits = 0 }
+  { app; table = Spin_dstruct.Idtable.create (); epoch = 0 }
 
 let app t = t.app
 
@@ -26,9 +25,7 @@ let internalize t tag i =
   | None -> None
   | Some e when e.minted_epoch < t.epoch ->
     (* Minted by a retired instance of the application: the index is
-       dead, not dangling — indistinguishable from a released one to
-       the caller, but counted so swaps are observable. *)
-    t.s_stale_hits <- t.s_stale_hits + 1;
+       dead, not dangling — indistinguishable from a released one. *)
     None
   | Some e -> Univ.unpack tag e.value
 
@@ -37,15 +34,5 @@ let release t i = Spin_dstruct.Idtable.remove t.table i
 let advance_epoch t =
   t.epoch <- t.epoch + 1;
   t.epoch
-
-let sweep_stale t =
-  let stale = ref [] in
-  Spin_dstruct.Idtable.iter
-    (fun i e -> if e.minted_epoch < t.epoch then stale := i :: !stale)
-    t.table;
-  List.iter (Spin_dstruct.Idtable.remove t.table) !stale;
-  List.length !stale
-
-let stale_hits t = t.s_stale_hits
 
 let live t = Spin_dstruct.Idtable.length t.table

@@ -10,8 +10,7 @@
     epoch at externalization, and {!advance_epoch} (called when the
     owning extension is hot-swapped) retires every earlier stamp in
     O(1): a stale index internalizes as [None] — dead, never dangling
-    into the replaced instance — and the miss is counted in
-    {!stale_hits}. *)
+    into the replaced instance. *)
 
 type t
 (** One table per application. *)
@@ -37,13 +36,5 @@ val epoch : t -> int
 val advance_epoch : t -> int
 (** Start the table's next epoch and return it. Every index
     externalized before this call becomes stale. *)
-
-val sweep_stale : t -> int
-(** Frees the slots of stale-epoch entries and returns how many were
-    swept. Optional housekeeping after {!advance_epoch}: staleness is
-    already enforced by {!internalize}. *)
-
-val stale_hits : t -> int
-(** Internalizations denied because the entry's epoch was retired. *)
 
 val live : t -> int

@@ -73,8 +73,6 @@ let unresolved_imports t =
         (Object_file.imports obj))
     t.objects
 
-let unresolved t = List.map (fun i -> i.Object_file.import_symbol) (unresolved_imports t)
-
 let fully_resolved t = unresolved_imports t = []
 
 let resolve ~source ~target =
@@ -100,11 +98,6 @@ let resolve ~source ~target =
   | Ok patches ->
     List.iter (fun (imp, value) -> imp.Object_file.cell := Some value) patches;
     Ok (List.length patches)
-
-let resolve_exn ~source ~target =
-  match resolve ~source ~target with
-  | Ok n -> n
-  | Error e -> raise (Link_error e)
 
 (* A replacement domain must keep every promise the old one made:
    each old export needs a same-named, type-compatible export in the

@@ -40,8 +40,6 @@ val combine : name:string -> t -> t -> t
     Underlying object files are shared, not copied (domains may
     intersect). *)
 
-val combine_all : name:string -> t list -> t
-
 val members : t -> string list
 (** The leaf domains an aggregate was combined from (a leaf's only
     member is itself), in combination order. *)
@@ -54,17 +52,12 @@ val remove_member : t -> member:string -> t
 
 val exports : t -> Symbol.t list
 
-val unresolved : t -> Symbol.t list
-(** Imports not yet patched, across all object files in the domain. *)
-
 val fully_resolved : t -> bool
 
 val resolve : source:t -> target:t -> (int, error) result
 (** [resolve ~source ~target] patches the target's unresolved imports
     from the source's exports and returns how many were patched.
     Does not export additional symbols from the target. *)
-
-val resolve_exn : source:t -> target:t -> int
 
 val export_gaps : t -> exports:Symbol.t list -> string list
 (** [export_gaps replacement ~exports:(exports old)] checks that the

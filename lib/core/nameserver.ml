@@ -11,11 +11,10 @@ type t = {
   clock : Spin_machine.Clock.t;
   table : (string, binding) Hashtbl.t;
   mutable order : string list;          (* reverse registration order *)
-  mutable denials : int;
 }
 
 let create clock =
-  { clock; table = Hashtbl.create 64; order = []; denials = 0 }
+  { clock; table = Hashtbl.create 64; order = [] }
 
 let register t ~name ?authorize domain =
   if not (Hashtbl.mem t.table name) then t.order <- name :: t.order;
@@ -36,12 +35,6 @@ let lookup t ~name identity =
          direct procedure calls — charge one. *)
       Spin_machine.Clock.charge t.clock
         (Spin_machine.Clock.cost t.clock).Spin_machine.Cost.proc_call;
-      if auth identity then Ok domain
-      else begin
-        t.denials <- t.denials + 1;
-        Error Denied
-      end
+      if auth identity then Ok domain else Error Denied
 
 let names t = List.rev t.order
-
-let denials t = t.denials

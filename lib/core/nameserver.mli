@@ -29,5 +29,3 @@ val lookup : t -> name:string -> identity -> (Kdomain.t, lookup_error) result
 
 val names : t -> string list
 (** Registered names, in registration order. *)
-
-val denials : t -> int

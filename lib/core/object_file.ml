@@ -1,7 +1,6 @@
 type safety =
   | Compiler_signed
   | Asserted_safe of string
-  | Verified of { verifier : string; programs : int }
   | Unsigned
 
 type import = {
@@ -16,9 +15,6 @@ type t = {
   exports : (Symbol.t * Univ.t) list;
   imports : import list;
   init : (unit -> unit) option;
-  source_lines : int;
-  text_bytes : int;
-  data_bytes : int;
   mutable initialized : bool;
 }
 
@@ -27,20 +23,15 @@ module Builder = struct
 
   type t = {
     b_name : string;
-    mutable b_safety : safety;
-    b_lines : int;
-    b_text : int;
-    b_data : int;
+    b_safety : safety;
     mutable b_version : int;
     mutable b_exports : (Symbol.t * Univ.t) list;
     mutable b_imports : import list;
     mutable b_init : (unit -> unit) option;
   }
 
-  let create ~name ~safety ?(source_lines = 0) ?(text_bytes = 0)
-      ?(data_bytes = 0) () =
-    { b_name = name; b_safety = safety; b_lines = source_lines;
-      b_text = text_bytes; b_data = data_bytes; b_version = 1;
+  let create ~name ~safety () =
+    { b_name = name; b_safety = safety; b_version = 1;
       b_exports = []; b_imports = []; b_init = None }
 
   let set_version b v =
@@ -59,20 +50,9 @@ module Builder = struct
 
   let set_init b f = b.b_init <- Some f
 
-  (* Verification happens after the exports exist, so safety may be
-     upgraded on the builder once a verifier has seen them. *)
-  let set_safety b s = b.b_safety <- s
-
   let build b =
-    (* Size estimates default to something proportional to the symbol
-       count so that the size reports have sane values even for
-       hand-built test objects. *)
-    let nsyms = List.length b.b_exports + List.length b.b_imports in
-    let text = if b.b_text > 0 then b.b_text else 96 * (1 + nsyms) in
-    let data = if b.b_data > 0 then b.b_data else 64 * (1 + nsyms) in
     { name = b.b_name; safety = b.b_safety; version = b.b_version;
       exports = b.b_exports; imports = b.b_imports; init = b.b_init;
-      source_lines = b.b_lines; text_bytes = text; data_bytes = data;
       initialized = false }
 end
 
@@ -81,9 +61,6 @@ let safety t = t.safety
 let version t = t.version
 let exports t = t.exports
 let imports t = t.imports
-let source_lines t = t.source_lines
-let text_bytes t = t.text_bytes
-let data_bytes t = t.data_bytes
 
 let run_init t =
   if not t.initialized then begin
@@ -93,5 +70,5 @@ let run_init t =
 
 let is_safe t =
   match t.safety with
-  | Compiler_signed | Asserted_safe _ | Verified _ -> true
+  | Compiler_signed | Asserted_safe _ -> true
   | Unsigned -> false

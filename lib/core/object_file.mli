@@ -6,16 +6,11 @@
     Unsigned files are rejected by domain creation.
 
     A file carries typed exports, typed import slots (patched by the
-    linker), an optional initializer, and size accounting used by the
-    Table 1 / Table 7 reports. *)
+    linker) and an optional initializer. *)
 
 type safety =
   | Compiler_signed               (** signed by the Modula-3 compiler *)
   | Asserted_safe of string       (** trusted by fiat; argument says who *)
-  | Verified of { verifier : string; programs : int }
-      (** every exported bytecode program passed an install-time
-          verifier (see [Ebc.verify_object]) — admitted on the
-          verifier's proof rather than the compiler's signature *)
   | Unsigned
 
 type t
@@ -29,9 +24,7 @@ module Builder : sig
   type obj = t
   type t
 
-  val create :
-    name:string -> safety:safety ->
-    ?source_lines:int -> ?text_bytes:int -> ?data_bytes:int -> unit -> t
+  val create : name:string -> safety:safety -> unit -> t
 
   val export : t -> Symbol.t -> Univ.t -> unit
   (** Raises [Invalid_argument] on duplicate export names. *)
@@ -42,10 +35,6 @@ module Builder : sig
 
   val set_init : t -> (unit -> unit) -> unit
   (** Run once when the containing domain is initialized. *)
-
-  val set_safety : t -> safety -> unit
-  (** Upgrade (or downgrade) the builder's safety, e.g. to [Verified]
-      after a verifier has checked the exported programs. *)
 
   val set_version : t -> int -> unit
   (** Version stamp reported by hot-swap tooling; defaults to 1.
@@ -62,9 +51,6 @@ val version : t -> int
 
 val exports : t -> (Symbol.t * Univ.t) list
 val imports : t -> import list
-val source_lines : t -> int
-val text_bytes : t -> int
-val data_bytes : t -> int
 
 val run_init : t -> unit
 (** Runs the initializer on first call; later calls are no-ops. *)

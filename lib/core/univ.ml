@@ -14,8 +14,6 @@ let tag (type s) ~name () : s tag =
   end in
   { witness = (module M); tag_name = name }
 
-let tag_name t = t.tag_name
-
 (* A wrapper constructor pairs the payload with its tag name. *)
 type t += Named of string * t
 

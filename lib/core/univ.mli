@@ -14,8 +14,6 @@ val tag : name:string -> unit -> 'a tag
 (** [tag ~name ()] mints a fresh tag. Two tags never alias, even at
     the same type — branding, as in Modula-3's [BRANDED]. *)
 
-val tag_name : 'a tag -> string
-
 val pack : 'a tag -> 'a -> t
 
 val unpack : 'a tag -> t -> 'a option

@@ -41,21 +41,18 @@ let blit_to t dst off = Bytes.blit t.bits 0 dst off (Bytes.length t.bits)
 
 let rec lowest_bit b k = if b land (1 lsl k) <> 0 then k else lowest_bit b (k + 1)
 
-(* The lowest bit at or after byte [i] that differs from [skip] (0xff
-   finds a clear bit, 0 a set one), a byte at a time. The padding past
-   [nbits] is clear, so a clear "hit" there means none. *)
-let rec first_differing t skip i =
+(* The lowest clear bit at or after byte [i], a byte at a time. The
+   padding past [nbits] is clear, so a "hit" there means none. *)
+let rec first_clear t i =
   if i >= Bytes.length t.bits then None
   else
-    let b = Char.code (Bytes.unsafe_get t.bits i) lxor skip in
-    if b = 0 then first_differing t skip (i + 1)
+    let b = Char.code (Bytes.unsafe_get t.bits i) lxor 0xff in
+    if b = 0 then first_clear t (i + 1)
     else
       let idx = (i * 8) + lowest_bit b 0 in
       if idx < t.nbits then Some idx else None
 
-let find_first_clear t = first_differing t 0xff 0
-
-let find_first_set t = first_differing t 0 0
+let find_first_clear t = first_clear t 0
 
 let find_clear_run t k =
   if k <= 0 then invalid_arg "Bitset.find_clear_run: run must be positive";

@@ -30,8 +30,6 @@ val blit_to : t -> Bytes.t -> int -> unit
 val find_first_clear : t -> int option
 (** Lowest clear bit index, if any. *)
 
-val find_first_set : t -> int option
-
 val find_clear_run : t -> int -> int option
 (** [find_clear_run t k] is the start of the lowest run of [k]
     consecutive clear bits, used for contiguous frame allocation. *)

@@ -16,8 +16,6 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val is_full : 'a t -> bool
-
 val push : 'a t -> 'a -> bool
 (** [push t v] appends [v]; [false] (and no change) when full. *)
 

@@ -13,9 +13,6 @@ type t = {
   reclaims : int;               (** entries torn down under pressure *)
 }
 
-val lookups : t -> int
-(** [hits + misses]. *)
-
 val hit_rate : t -> float
 (** Hits per lookup in [0, 1]; [0.] before any lookup. *)
 

@@ -16,7 +16,6 @@ type t = {
   fs : Simple_fs.t;
   phys : Phys_addr.t;
   owner : string;
-  large_threshold : int;
   capacity_bytes : int;
   cache : (string, entry) Lru.t;
   mutable bytes_held : int;
@@ -59,11 +58,13 @@ let forget t page =
     Lru.remove t.cache k;                 (* no on_evict *)
     t.reclaim_count <- t.reclaim_count + 1
 
-let create ?(capacity_bytes = 4 * 1024 * 1024) ?(large_threshold = 64 * 1024)
-    ?(owner = "FileCache") ~phys fs =
+(* Files larger than this bypass the cache entirely. *)
+let large_threshold = 64 * 1024
+
+let create ?(capacity_bytes = 4 * 1024 * 1024) ?(owner = "FileCache") ~phys fs =
   let rec t =
     lazy
-      { fs; phys; owner; large_threshold; capacity_bytes;
+      { fs; phys; owner; capacity_bytes;
         cache =
           Lru.create
             ~on_evict:(fun _ e ->
@@ -161,7 +162,7 @@ let fetch t ~name =
       let data = Simple_fs.read ~cached:false t.fs ~name in
       try_insert t ~name data;
       Some data in
-    if size > t.large_threshold then begin
+    if size > large_threshold then begin
       (* Large: never cached, read around the buffer cache too. *)
       t.large_count <- t.large_count + 1;
       Some (Simple_fs.read ~cached:false t.fs ~name)

@@ -14,11 +14,11 @@
 type t
 
 val create :
-  ?capacity_bytes:int -> ?large_threshold:int -> ?owner:string ->
+  ?capacity_bytes:int -> ?owner:string ->
   phys:Spin_vm.Phys_addr.t -> Simple_fs.t -> t
-(** Defaults: 4 MB capacity, 64 KB large-file threshold. Registers a
-    volunteer handler on the physical service's [Reclaim] event and
-    an invalidate callback. [owner] names this cache's allocations
+(** Default capacity 4 MB; files over 64 KB bypass the cache.
+    Registers a volunteer handler on the physical service's [Reclaim]
+    event and an invalidate callback. [owner] names this cache's allocations
     (default ["FileCache"]). *)
 
 val fetch : t -> name:string -> Bytes.t option

@@ -322,7 +322,11 @@ let make cache ~ninodes ~blocks ~ibitmap ~dbitmap =
     ibitmap_block; dbitmap_start; dbitmap_blocks; itable_start; data_start;
     ibitmap; dbitmap }
 
-let format cache ?(ninodes = 512) ~blocks () =
+(* Inodes a fresh file system gets; the superblock records the count. *)
+let format_inodes = 512
+
+let format cache ~blocks () =
+  let ninodes = format_inodes in
   let _, _, _, _, data_start = layout ~ninodes ~blocks in
   if data_start + 8 > blocks then invalid_arg "Simple_fs.format: too few blocks";
   let ibitmap = Bitset.create ninodes in

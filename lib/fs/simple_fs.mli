@@ -33,11 +33,9 @@ exception Fs_error of error
 
 val error_to_string : error -> string
 
-val max_file_bytes : int
-
-val format : Block_cache.t -> ?ninodes:int -> blocks:int -> unit -> t
-(** Writes a fresh file system covering [blocks] blocks of the disk
-    and mounts it. *)
+val format : Block_cache.t -> blocks:int -> unit -> t
+(** Writes a fresh file system covering [blocks] blocks of the disk,
+    with 512 inodes, and mounts it. *)
 
 val mount : Block_cache.t -> t
 (** Reads the superblock and bitmaps of a previously formatted disk.

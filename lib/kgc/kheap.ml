@@ -33,7 +33,6 @@ type gc_stats = {
 
 type t = {
   clock : Clock.t;
-  threshold_words : int;
   objects : (int, obj) Hashtbl.t;        (* address -> object *)
   mutable pages : page list;
   mutable next_pid : int;
@@ -56,8 +55,11 @@ let copy_per_word = 5
 (* Collector page size. *)
 let page_words = 1024
 
-let create ?(threshold_words = 16384) clock () =
-  { clock; threshold_words;
+(* Allocation between automatic collections. *)
+let threshold_words = 16384
+
+let create clock () =
+  { clock;
     objects = Hashtbl.create 1024;
     pages = []; next_pid = 0;
     roots = []; ambiguous = [];
@@ -180,7 +182,7 @@ let collect t = if not t.in_gc then collect_now t
 let alloc t ~owner ~words =
   if words < 1 || words > page_words then
     invalid_arg "Kheap.alloc: bad size";
-  if t.auto && t.since_gc >= t.threshold_words then collect t;
+  if t.auto && t.since_gc >= threshold_words then collect t;
   let cost = Clock.cost t.clock in
   Clock.charge t.clock
     (cost.Cost.alloc_fixed + (words * cost.Cost.alloc_per_word));
@@ -194,9 +196,6 @@ let get_field t ~addr i = (obj_at t addr).fields.(i)
 
 let set_field t ~addr i v = (obj_at t addr).fields.(i) <- v
 
-let size_of t ~addr = Array.length (obj_at t addr).fields
-
-let owner_of t ~addr = (obj_at t addr).owner
 
 let is_live t ~addr = Hashtbl.mem t.objects addr
 
@@ -207,15 +206,11 @@ let add_root t ~name v =
 
 let read_root r = r.v
 
-let write_root r v = r.v <- v
-
 let remove_root t r =
   r.registered <- false;
   t.roots <- List.filter (fun x -> x != r) t.roots
 
 let add_ambiguous_root t a = t.ambiguous <- a :: t.ambiguous
-
-let clear_ambiguous_roots t = t.ambiguous <- []
 
 let set_auto t b = t.auto <- b
 

@@ -37,9 +37,9 @@ type gc_stats = {
   pause_cycles : int;           (** cumulative stop-the-world time *)
 }
 
-val create : ?threshold_words:int -> Spin_machine.Clock.t -> unit -> t
-(** [threshold_words] of allocation between automatic collections
-    (default 16384). Collector pages are 1024 words. *)
+val create : Spin_machine.Clock.t -> unit -> t
+(** Automatic collections run every 16384 words of allocation.
+    Collector pages are 1024 words. *)
 
 val alloc : t -> owner:string -> words:int -> int
 (** Allocate an object of [words] fields (all [Int 0]), charging the
@@ -52,24 +52,16 @@ val get_field : t -> addr:int -> int -> value
 
 val set_field : t -> addr:int -> int -> value -> unit
 
-val size_of : t -> addr:int -> int
-
-val owner_of : t -> addr:int -> string
-
 val is_live : t -> addr:int -> bool
 
 val add_root : t -> name:string -> value -> root
 
 val read_root : root -> value
 
-val write_root : root -> value -> unit
-
 val remove_root : t -> root -> unit
 
 val add_ambiguous_root : t -> int -> unit
 (** A word that might be a pointer (stack scanning). *)
-
-val clear_ambiguous_roots : t -> unit
 
 val set_auto : t -> bool -> unit
 (** Disable to measure fast paths without collection (section 5.5's

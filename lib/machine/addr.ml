@@ -4,25 +4,16 @@ let page_mask = page_size - 1
 
 type prot = { read : bool; write : bool; execute : bool }
 
-let prot_none = { read = false; write = false; execute = false }
 let prot_read = { read = true; write = false; execute = false }
 let prot_read_write = { read = true; write = true; execute = false }
-let prot_all = { read = true; write = true; execute = true }
 
 let prot_allows p = function
   | `Read -> p.read
   | `Write -> p.write
   | `Execute -> p.execute
 
-let prot_to_string p =
-  Printf.sprintf "%c%c%c"
-    (if p.read then 'r' else '-')
-    (if p.write then 'w' else '-')
-    (if p.execute then 'x' else '-')
-
 let vpn_of_va va = va lsr page_shift
 let offset_of_va va = va land page_mask
-let va_of_vpn vpn = vpn lsl page_shift
 let page_of_pa pa = pa lsr page_shift
 let pa_of_page p = p lsl page_shift
 let round_up_pages bytes = (bytes + page_size - 1) / page_size

@@ -7,28 +7,19 @@
 val page_size : int
 (** 8192 bytes. *)
 
-val page_shift : int
-
 val page_mask : int
 
 type prot = { read : bool; write : bool; execute : bool }
 
-val prot_none : prot
 val prot_read : prot
 val prot_read_write : prot
-val prot_all : prot
 
 val prot_allows : prot -> [ `Read | `Write | `Execute ] -> bool
-
-val prot_to_string : prot -> string
-(** e.g. ["rw-"]. *)
 
 val vpn_of_va : int -> int
 (** Virtual page number containing a virtual address. *)
 
 val offset_of_va : int -> int
-
-val va_of_vpn : int -> int
 
 val page_of_pa : int -> int
 

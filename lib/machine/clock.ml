@@ -73,10 +73,6 @@ let set_parallel t k =
   if k < 1 then invalid_arg "Clock.set_parallel: need at least one CPU";
   t.parallel <- k
 
-let parallel t = t.parallel
-
-let charge_us t us = charge t (Cost.us_to_cycles t.cost us)
-
 let skip_to t target =
   if target > t.now then begin
     t.idle <- t.idle + (target - t.now);

@@ -33,11 +33,6 @@ val set_parallel : t -> int -> unit
     what makes throughput (work per wall second) scale. Deadlines,
     hooks and {!now} all remain in wall time. *)
 
-val parallel : t -> int
-(** The current concurrency declared by {!set_parallel} (1 initially). *)
-
-val charge_us : t -> float -> unit
-
 val skip_to : t -> int -> unit
 (** [skip_to t cycles] advances directly to an absolute time (used when
     the machine is idle until the next scheduled event). No-op if the

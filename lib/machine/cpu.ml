@@ -104,33 +104,6 @@ let touch t ~va access =
   ignore (resolve t ~va access);
   charge_access t
 
-(* Copies resolve page by page so that each touched page faults
-   independently, as a real copyin/copyout would. *)
-let copy_from_user t ~va ~len =
-  let mem = Mmu.mem t.mmu in
-  let out = Bytes.create len in
-  let rec loop va off remaining =
-    if remaining > 0 then begin
-      let pa = resolve t ~va Mmu.Read in
-      let chunk = min remaining (Addr.page_size - Addr.offset_of_va va) in
-      Bytes.blit (Phys_mem.read_bytes mem ~pa ~len:chunk) 0 out off chunk;
-      loop (va + chunk) (off + chunk) (remaining - chunk)
-    end in
-  loop va 0 len;
-  out
-
-let copy_to_user t ~va src =
-  let mem = Mmu.mem t.mmu in
-  let len = Bytes.length src in
-  let rec loop va off remaining =
-    if remaining > 0 then begin
-      let pa = resolve t ~va Mmu.Write in
-      let chunk = min remaining (Addr.page_size - Addr.offset_of_va va) in
-      Phys_mem.write_bytes mem ~pa (Bytes.sub src off chunk);
-      loop (va + chunk) (off + chunk) (remaining - chunk)
-    end in
-  loop va 0 len
-
 type trap_stats = {
   entries : int;
   exits : int;

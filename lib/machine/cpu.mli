@@ -92,11 +92,3 @@ val store_word : t -> va:int -> int64 -> unit
 
 val touch : t -> va:int -> Mmu.access -> unit
 (** Performs an access for its fault/protection side effects only. *)
-
-val copy_from_user : t -> va:int -> len:int -> Bytes.t
-(** Kernel copy-in across the user/kernel boundary; faults resolve as
-    usual and the copy cost is charged. *)
-
-val copy_to_user : t -> va:int -> Bytes.t -> unit
-(** Kernel copy-out: the mirror of {!copy_from_user}, faulting in and
-    charging each touched page independently. *)

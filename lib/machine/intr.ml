@@ -4,7 +4,6 @@ type t = {
   pending : int Queue.t;
   mutable mask_depth : int;
   mutable delivered : int;
-  mutable spurious : int;
   (* Interprocessor interrupts: one FIFO inbox per CPU. A posted IPI
      charges the send cost immediately (the initiating CPU writes the
      IPI register) but its action runs only when the target CPU drains
@@ -14,8 +13,6 @@ type t = {
      guaranteed between different targets. *)
   n_cpus : int;
   ipi_inbox : (unit -> unit) Queue.t array;
-  mutable ipis_sent : int;
-  mutable ipis_delivered : int;
   (* The CPU the simulation is currently executing on — host-serial
      execution means exactly one at a time. The scheduler updates it
      as it dispatches; kernel services read it to address shootdowns
@@ -31,11 +28,8 @@ let create ?(cpus = 1) clock =
     pending = Queue.create ();
     mask_depth = 0;
     delivered = 0;
-    spurious = 0;
     n_cpus = cpus;
     ipi_inbox = Array.init cpus (fun _ -> Queue.create ());
-    ipis_sent = 0;
-    ipis_delivered = 0;
     active = 0;
   }
 
@@ -61,7 +55,7 @@ let run_masked t action =
 
 let deliver t line =
   match Hashtbl.find_opt t.handlers line with
-  | None -> t.spurious <- t.spurious + 1
+  | None -> ()
   | Some h ->
     let cost = Clock.cost t.clock in
     Clock.charge t.clock cost.Cost.interrupt_entry;
@@ -81,25 +75,13 @@ let post t ~line =
   else deliver t line;
   drain t
 
-let with_masked t f =
-  t.mask_depth <- t.mask_depth + 1;
-  let finally () =
-    t.mask_depth <- t.mask_depth - 1;
-    drain t in
-  Fun.protect ~finally f
-
-let masked t = t.mask_depth > 0
-
 let delivered t = t.delivered
-
-let spurious t = t.spurious
 
 (* --- interprocessor interrupts ------------------------------------- *)
 
 let post_ipi t ~cpu action =
   if cpu < 0 || cpu >= t.n_cpus then invalid_arg "Intr.post_ipi: bad CPU";
   Clock.charge t.clock (Clock.cost t.clock).Cost.ipi_send;
-  t.ipis_sent <- t.ipis_sent + 1;
   Queue.add action t.ipi_inbox.(cpu)
 
 let drain_ipis t ~cpu =
@@ -110,7 +92,6 @@ let drain_ipis t ~cpu =
   while not (Queue.is_empty inbox) do
     let action = Queue.pop inbox in
     Clock.charge t.clock cost.Cost.ipi_deliver;
-    t.ipis_delivered <- t.ipis_delivered + 1;
     incr n;
     (* IPI actions run in interrupt context on the target CPU. *)
     run_masked t action
@@ -120,10 +101,6 @@ let drain_ipis t ~cpu =
 let ipis_pending t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.ipi_inbox
 
-let ipis_pending_on t ~cpu =
-  if cpu < 0 || cpu >= t.n_cpus then invalid_arg "Intr.ipis_pending_on: bad CPU";
-  Queue.length t.ipi_inbox.(cpu)
-
 let broadcast_sync t ~from action =
   if from < 0 || from >= t.n_cpus then
     invalid_arg "Intr.broadcast_sync: bad CPU";
@@ -132,15 +109,9 @@ let broadcast_sync t ~from action =
   for cpu = 0 to t.n_cpus - 1 do
     if cpu <> from then begin
       Clock.charge t.clock cost.Cost.ipi_send;
-      t.ipis_sent <- t.ipis_sent + 1;
       Clock.charge t.clock cost.Cost.ipi_deliver;
-      t.ipis_delivered <- t.ipis_delivered + 1;
       run_masked t (fun () -> action ~cpu);
       incr n
     end
   done;
   !n
-
-let ipis_sent t = t.ipis_sent
-
-let ipis_delivered t = t.ipis_delivered

@@ -50,20 +50,10 @@ val register : t -> line:int -> (unit -> unit) -> unit
 (** Replaces any previous handler on [line]. *)
 
 val post : t -> line:int -> unit
-(** Raises the line. Unhandled lines are counted as spurious. *)
-
-val with_masked : t -> (unit -> 'a) -> 'a
-(** Runs the critical section with interrupts masked; pending lines
-    are delivered afterwards. Nestable. *)
-
-val masked : t -> bool
-(** Whether interrupts are currently masked. *)
+(** Raises the line. Unhandled lines are ignored. *)
 
 val delivered : t -> int
 (** Total device-line interrupts delivered since boot. *)
-
-val spurious : t -> int
-(** Posts to lines with no registered handler. *)
 
 (** {2 Interprocessor interrupts} *)
 
@@ -84,18 +74,9 @@ val ipis_pending : t -> int
     quiescence means a cross-CPU signal was never taken — the SMP
     analogue of a lost wakeup ({!Spin_sched.Sched_fuzz} checks it). *)
 
-val ipis_pending_on : t -> cpu:int -> int
-(** Posted-but-undelivered IPIs on one CPU's inbox. *)
-
 val broadcast_sync : t -> from:int -> (cpu:int -> unit) -> int
 (** [broadcast_sync t ~from action] synchronously runs [action ~cpu]
     on every CPU except [from], charging the send and deliver costs
     per target, and returns the number of targets. This is the TLB
     shootdown discipline: the initiator does not proceed until every
     other CPU has taken the flush and acknowledged. *)
-
-val ipis_sent : t -> int
-(** IPIs posted (including broadcast targets) since boot. *)
-
-val ipis_delivered : t -> int
-(** IPIs whose action has run since boot. *)

@@ -20,10 +20,6 @@ val set_receiver : t -> endpoint -> (Bytes.t -> unit) -> unit
 val send : t -> from:endpoint -> Bytes.t -> unit
 (** Transmits a frame from one endpoint to the other. *)
 
-val serialization_us : t -> int -> float
-(** Wire time for a payload of the given size plus 42 framing bytes
-    (preamble, CRC, inter-frame gap). *)
-
 val set_loss : t -> every:int -> unit
 (** Failure injection: drop every [every]-th frame (0 disables).
     Deterministic, so tests reproduce. *)

@@ -32,7 +32,7 @@ let build sim ~mem_mb ~name ~cpus:ncpus =
   let mmu = Mmu.create clock mem in
   let cpus = Array.init ncpus (fun id -> Cpu.create ~id clock mmu) in
   let intr = Intr.create ~cpus:ncpus clock in
-  let console = Console_dev.create sim intr ~line:0 in
+  let console = Console_dev.create sim in
   let t =
     { name; cost = Clock.cost clock; clock; sim; mem; mmu;
       cpu = cpus.(0); cpus; intr; console;
@@ -51,9 +51,9 @@ let build sim ~mem_mb ~name ~cpus:ncpus =
       t.shootdown_acks <- t.shootdown_acks + acks));
   t
 
-let create ?(cost = Cost.alpha_133) ?(mem_mb = 64) ?cpus ~name () =
+let create ?(mem_mb = 64) ?cpus ~name () =
   let cpus = match cpus with Some n -> n | None -> default_cpus () in
-  let clock = Clock.create cost in
+  let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   build sim ~mem_mb ~name ~cpus
 

@@ -29,15 +29,13 @@ type t = {
   mutable shootdown_acks : int; (** remote flush acknowledgements *)
 }
 
-val default_cpus : unit -> int
-(** The CPU count used when [?cpus] is omitted: the [SPIN_CPUS]
-    environment variable when set (CI runs the test suite under
-    [SPIN_CPUS=4] to exercise the SMP paths), otherwise 1. *)
-
-val create : ?cost:Cost.t -> ?mem_mb:int -> ?cpus:int -> name:string -> unit -> t
-(** Default memory: 64 MB, as in the paper's machines. [cpus]
-    defaults to {!default_cpus}; pass [~cpus:1] explicitly for tests
-    with single-CPU golden timings. *)
+val create : ?mem_mb:int -> ?cpus:int -> name:string -> unit -> t
+(** A machine with the 133 MHz Alpha's costs ({!Cost.alpha_133}).
+    Default memory: 64 MB, as in the paper's machines. [cpus]
+    defaults to the [SPIN_CPUS] environment variable when set (CI runs
+    the test suite under [SPIN_CPUS=4] to exercise the SMP paths),
+    otherwise 1; pass [~cpus:1] explicitly for tests with single-CPU
+    golden timings. *)
 
 val create_on : Sim.t -> ?mem_mb:int -> ?cpus:int -> name:string -> unit -> t
 

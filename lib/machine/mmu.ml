@@ -157,8 +157,4 @@ let translate t ctx ~va access =
       Ok (Addr.pa_of_page pte.pfn + Addr.offset_of_va va)
     end
 
-let tlb_flush_all t =
-  Hashtbl.reset t.tlb;
-  Queue.clear t.tlb_fifo
-
 let tlb_stats t = (t.hits, t.misses)

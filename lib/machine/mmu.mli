@@ -62,8 +62,6 @@ val translate : t -> context -> va:int -> access -> (int, fault) result
     distinguish them, so it reports [Page_not_present] and the
     translation service refines it). *)
 
-val tlb_flush_all : t -> unit
-
 val tlb_stats : t -> int * int
 (** (hits, misses) since boot. *)
 

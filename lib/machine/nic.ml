@@ -49,8 +49,6 @@ let line t = t.line
 
 let mtu t = t.mtu
 
-let io_model t = t.io
-
 let header_allowance = 48
 
 let charge_io ?(rx = false) t len =
@@ -94,8 +92,6 @@ let receive t =
   match Spin_dstruct.Ring.pop t.rx_ring with
   | None -> None
   | Some frame -> charge_io ~rx:true t (Bytes.length frame); Some frame
-
-let rx_pending t = Spin_dstruct.Ring.length t.rx_ring
 
 let rx_dropped t = t.rx_dropped
 

@@ -16,10 +16,6 @@
 
 type kind = Lance | Fore_atm | T3
 
-type io_model =
-  | Pio of { cycles_per_word32 : int }
-  | Dma of { setup_cycles : int }
-
 type t
 
 val create : Sim.t -> Intr.t -> line:int -> kind:kind -> t
@@ -31,8 +27,6 @@ val kind_name : kind -> string
 val line : t -> int
 
 val mtu : t -> int
-
-val io_model : t -> io_model
 
 val link_mbps : kind -> float
 (** Line rate to configure the attached {!Link} with. *)
@@ -51,8 +45,6 @@ val transmit : t -> ?off:int -> ?len:int -> Bytes.t -> bool
 val receive : t -> Bytes.t option
 (** Driver side: pull one received frame, paying the I/O-model receive
     cost. *)
-
-val rx_pending : t -> int
 
 val rx_dropped : t -> int
 

@@ -48,13 +48,6 @@ type summary = {
   max_us : float;
 }
 
-type pool_stats = {
-  ring_reused : int;
-  ring_fresh : int;
-  span_hits : int;
-  span_misses : int;
-}
-
 type t = {
   clock : Clock.t;
   capacity : int;
@@ -123,12 +116,6 @@ let clear t =
     t.buf;
   Hashtbl.reset t.aggs;
   t.agg_order <- []
-
-let pool_stats t =
-  { ring_reused = t.p_ring_reused;
-    ring_fresh = t.p_ring_fresh;
-    span_hits = t.p_span_hits;
-    span_misses = t.p_span_misses }
 
 let gauges t =
   [ ("trace.ring_reused", fun () -> t.p_ring_reused);
@@ -245,26 +232,6 @@ let records t =
   List.init t.len (fun i ->
       let r = t.buf.((start + i) mod t.capacity) in
       { ts = r.ts; kind = r.kind; cat = r.cat; name = r.name; args = r.args })
-
-(* Spans whose Begin and End both survived in the ring, oldest first.
-   Wraparound can orphan either end of a span; orphans are simply not
-   paired (the Chrome export still emits them — async begin/end
-   events tolerate missing partners). *)
-let paired_spans t =
-  let ends = Hashtbl.create 64 in
-  List.iter
-    (fun r -> match r.kind with
-       | End sid -> Hashtbl.replace ends sid r
-       | Instant | Begin _ -> ())
-    (records t);
-  List.filter_map
-    (fun r -> match r.kind with
-       | Begin sid ->
-         (match Hashtbl.find_opt ends sid with
-          | Some e -> Some (r, e)
-          | None -> None)
-       | Instant | End _ -> None)
-    (records t)
 
 (* ------------------------------------------------------------------ *)
 (* Latency aggregates                                                 *)

@@ -103,10 +103,6 @@ val record_latency : t -> key:string -> int -> unit
 val records : t -> record list
 (** Ring contents, oldest first. *)
 
-val paired_spans : t -> (record * record) list
-(** (begin, end) pairs for spans with both endpoints still in the
-    ring; wraparound orphans are omitted here but still exported. *)
-
 type summary = {
   count : int;
   mean_us : float;
@@ -132,18 +128,11 @@ val report : t -> string
 
 (** {2 Allocation pooling} *)
 
-type pool_stats = {
-  ring_reused : int;   (** pushes that rewrote a ring record in place *)
-  ring_fresh : int;    (** pushes that allocated a slot's record *)
-  span_hits : int;     (** span tokens recycled from the free list *)
-  span_misses : int;   (** span tokens freshly allocated *)
-}
-
-val pool_stats : t -> pool_stats
-(** Once the ring has revolved and the span pool warmed, steady-state
-    tracing allocates only argument lists — [ring_fresh] and
-    [span_misses] stop growing. *)
-
 val gauges : t -> (string * (unit -> int)) list
-(** The pool counters as [trace.ring_reused], [.ring_fresh],
-    [.span_pool_hits] and [.span_pool_misses]. *)
+(** The pool counters: [trace.ring_reused] (pushes that rewrote a ring
+    record in place), [.ring_fresh] (pushes that allocated a slot's
+    record), [.span_pool_hits] (span tokens recycled from the free
+    list) and [.span_pool_misses] (span tokens freshly allocated).
+    Once the ring has revolved and the span pool warmed, steady-state
+    tracing allocates only argument lists: [ring_fresh] and
+    [span_pool_misses] stop growing. *)

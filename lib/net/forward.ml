@@ -69,5 +69,3 @@ let remove t =
   | None -> ()
 
 let packets_forwarded t = t.forwarded
-
-let active_flows t = Hashtbl.length t.flows

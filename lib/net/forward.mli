@@ -18,5 +18,3 @@ val create : ?tcp:Tcp.t -> Ip.t -> proto:int -> port:int -> to_:Ip.addr -> t
 val remove : t -> unit
 
 val packets_forwarded : t -> int
-
-val active_flows : t -> int

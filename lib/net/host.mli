@@ -22,8 +22,8 @@ val create :
   ?mem_mb:int -> ?cpus:int -> Spin_machine.Sim.t -> name:string ->
   addr:Ip.addr -> t
 (** [mem_mb] bounds the host's physical memory (the [mem] pressure
-    workload runs its server small). [cpus] (default
-    {!Spin_machine.Machine.default_cpus}) builds a multiprocessor
+    workload runs its server small). [cpus] (default: the
+    [SPIN_CPUS] environment variable or 1) builds a multiprocessor
     host: per-CPU scheduling with IPI wakeups, and {!wire} shards
     receive processing across the CPUs. The host's physical address
     service comes up with the second-chance replacement policy

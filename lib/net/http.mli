@@ -28,11 +28,6 @@ val content_event :
     gracefully degrades to the static fallback page instead of
     dying. *)
 
-val content_layout : string Spin_core.Ebc.layout
-(** The bytecode view of a request published on [HTTP.GenContent]:
-    the path string is the payload, its length the single typed
-    field. *)
-
 val install_route :
   t -> installer:string -> ?prefix:bool ->
   ?spec:string Spin_core.Dispatcher.Handler_spec.t -> path:string ->

@@ -1,8 +1,6 @@
 type t = {
   ip : Ip.t;
   mutable waiting : (int * (unit -> unit)) list;   (* seq -> callback *)
-  mutable served : int;
-  mutable replies : int;
 }
 
 let type_echo_request = 8
@@ -23,14 +21,12 @@ let input t (pkt : Ip.packet) =
     let typ = Pkt.get_u8 b 0 in
     let seq = Pkt.get_u16_le b 2 in
     if typ = type_echo_request then begin
-      t.served <- t.served + 1;
       (* In-place echo: flip the type byte and send the same buffer
          back — the consumed IP/link headers in its headroom are
          overwritten by the reply's. No payload byte moves. *)
       Pkt.set_u8 b 0 type_echo_reply;
       ignore (Ip.send t.ip ~dst:pkt.Ip.src ~proto:Ip.proto_icmp b)
     end else if typ = type_echo_reply then begin
-      t.replies <- t.replies + 1;
       match List.assoc_opt seq t.waiting with
       | Some k ->
         t.waiting <- List.remove_assoc seq t.waiting;
@@ -40,7 +36,7 @@ let input t (pkt : Ip.packet) =
   end
 
 let create _dispatcher ip =
-  let t = { ip; waiting = []; served = 0; replies = 0 } in
+  let t = { ip; waiting = [] } in
   ignore (Ip.attach ip ~proto:Ip.proto_icmp ~installer:"ICMP" (input t));
   t
 
@@ -51,7 +47,3 @@ let ping t ~dst ~seq ?(payload = Bytes.create 16) k =
       (encode ~typ:type_echo_request ~seq payload) in
   if not sent then t.waiting <- List.remove_assoc seq t.waiting;
   sent
-
-let echo_requests_served t = t.served
-
-let replies_received t = t.replies

@@ -12,7 +12,3 @@ val ping :
   (unit -> unit) -> bool
 (** Sends an echo request; the callback runs when the matching reply
     arrives. [false] if the request could not be sent. *)
-
-val echo_requests_served : t -> int
-
-val replies_received : t -> int

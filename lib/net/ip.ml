@@ -100,12 +100,6 @@ let route_toward t dst =
   if is_local t dst then None              (* loopback handled in send *)
   else List.assoc_opt dst t.routes
 
-let mtu_toward t dst =
-  if is_local t dst then Some 65_000
-  else
-    route_toward t dst
-    |> Option.map (fun netif -> Netif.mtu netif - link_header - ip_header)
-
 (* Write the IP and link headers into the packet's headroom — the
    payload bytes never move. On a forwarded or echoed packet the
    headers land exactly where the received ones sat. *)
@@ -151,10 +145,10 @@ let transmit_on t netif pkt =
     false
   end
 
-let send t ?(ttl = 64) ?src ~dst ~proto payload =
+let send t ?src ~dst ~proto payload =
   charge t;
   let src = match src with Some s -> s | None -> local_addr t in
-  let pkt = { src; dst; proto; ttl; payload } in
+  let pkt = { src; dst; proto; ttl = 64; payload } in
   trace_pkt t "send" pkt;
   if is_local t dst then begin
     t.s_sent <- t.s_sent + 1;

@@ -46,18 +46,7 @@ val add_route : t -> dst:addr -> Netif.t -> unit
 val local_addr : t -> addr
 (** The first bound address. Raises [Not_found] if none. *)
 
-val is_local : t -> addr -> bool
-
 val packet_arrived : t -> (packet, unit) Spin_core.Dispatcher.event
-
-val packet_layout : packet Spin_core.Ebc.layout
-(** The bytecode view of a packet, published on [IP.PacketArrived]:
-    typed fields [src]/[dst]/[proto]/[ttl] (slots 0-3), payload = the
-    datagram bytes. *)
-
-val proto_slot : int
-(** The [proto] field's slot in {!packet_layout} — what a
-    protocol-demux program loads. *)
 
 val attach :
   t -> proto:int -> installer:string -> (packet -> unit) ->
@@ -73,15 +62,12 @@ val encode_frame :
     like the video multicast. Copies [payload] once. *)
 
 val send :
-  t -> ?ttl:int -> ?src:addr -> dst:addr -> proto:int -> Pkt.t -> bool
-(** Transmit the packet zero-copy: the IP and link headers are pushed
-    into the packet's headroom and the same buffer goes to the
-    driver. The packet is consumed — do not touch it after the call.
+  t -> ?src:addr -> dst:addr -> proto:int -> Pkt.t -> bool
+(** Transmit the packet zero-copy with TTL 64: the IP and link
+    headers are pushed into the packet's headroom and the same buffer
+    goes to the driver. The packet is consumed — do not touch it after the call.
     [false] when no route exists or the datagram exceeds the route's
     MTU (no fragmentation). Local destinations loop back. *)
-
-val mtu_toward : t -> addr -> int option
-(** Usable payload bytes toward a destination. *)
 
 type stats = {
   received : int;

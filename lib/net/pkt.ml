@@ -59,12 +59,6 @@ let drop t n =
   t.off <- t.off + n;
   t.len <- t.len - n
 
-let pull t n =
-  if n > t.len then invalid_arg "Pkt.pull: short packet";
-  let head = Bytes.sub t.buf t.off n in
-  drop t n;
-  head
-
 let peek t n =
   if n > t.len then invalid_arg "Pkt.peek: short packet";
   Bytes.sub t.buf t.off n

@@ -3,8 +3,8 @@
     A packet is an sk_buff-style {e view}: one backing byte buffer
     allocated with headroom, and a mutable [off, off+len) live window
     over it. A sending layer {!push}es its header by writing into the
-    reserved headroom; a receiving layer {!drop}s or {!pull}s its
-    header by advancing the offset. Neither direction copies the
+    reserved headroom; a receiving layer {!drop}s its header by
+    advancing the offset. Neither direction copies the
     payload — the bytes handed up through ethernet → ip → udp/tcp are
     the same buffer the NIC received (the paper's packets are "pushed
     through the protocol graph by events and pulled by handlers",
@@ -12,9 +12,9 @@
 
     {2 Aliasing and ownership invariants}
 
-    - {!of_frame}, {!sub}, and {!drop}/{!pull}/{!truncate} all {e
-      alias} the backing buffer; {!of_payload}, {!copy}, {!contents},
-      and {!pull}'s returned header are the only copying operations.
+    - {!of_frame}, {!sub}, {!drop} and {!truncate} all {e alias} the
+      backing buffer; {!of_payload}, {!copy}, {!contents} and {!peek}
+      are the only copying operations.
     - A packet handed to a receive handler is owned by that handler
       for the duration of the dispatch. The payload region must be
       treated {b read-only} — other handlers on the same event hold
@@ -33,23 +33,20 @@
 
     {2 Headroom}
 
-    Buffers allocated by this stack reserve {!default_headroom} bytes
+    Buffers allocated by this stack reserve 48 bytes (link 2 + IP 12 +
+    the largest transport header 16, plus slack for extension framing)
     in front of the payload; a received frame's consumed headers play
     the same role. {!push} beyond the available headroom does not fail
     — it falls back to reallocating the backing buffer with a fresh
-    [default_headroom] (one copy), so correctness never depends on
-    headroom arithmetic. Hot paths size their headroom so the fallback
+    48 bytes (one copy), so correctness never depends on headroom
+    arithmetic. Hot paths size their headroom so the fallback
     never runs. *)
 
 type t
 
-val default_headroom : int
-(** 48 bytes: link (2) + IP (12) + largest transport header (16) of
-    this stack's wire format, plus slack for extension framing. *)
-
 val alloc : ?headroom:int -> int -> t
 (** [alloc n] is a fresh packet of [n] uninitialized payload bytes
-    with [headroom] (default {!default_headroom}) reserved in front.
+    with [headroom] (default 48) reserved in front.
     The canonical transmit-side constructor: fill the payload once,
     then let each layer push its header for free. *)
 
@@ -85,13 +82,8 @@ val push_view : t -> int -> Bytes.t * int
     intermediate header allocation. Write all [n] bytes immediately. *)
 
 val drop : t -> int -> unit
-(** Consume the first [n] bytes by advancing the view — zero-copy
-    {!pull}. Raises [Invalid_argument] if the packet is shorter. *)
-
-val pull : t -> int -> Bytes.t
-(** Remove and return (a copy of) the first [n] bytes. Prefer {!drop}
-    plus the offset accessors on hot paths. Raises [Invalid_argument]
-    if the packet is shorter. *)
+(** Consume the first [n] bytes by advancing the view; nothing is
+    copied. Raises [Invalid_argument] if the packet is shorter. *)
 
 val peek : t -> int -> Bytes.t
 (** The first [n] bytes (copied) without consuming them. *)

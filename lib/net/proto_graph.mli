@@ -4,6 +4,3 @@
 val render : Spin_core.Dispatcher.t -> string
 (** An ASCII rendering: each event (oval, in the paper's figure) with
     the handlers installed on it (boxes). *)
-
-val network_events : Spin_core.Dispatcher.t -> (string * string list) list
-(** [(event, handlers)] restricted to the protocol stack's events. *)

@@ -94,15 +94,9 @@ let packet_arrived t = t.event
    wants the handler body policed per event, which is exactly what the
    trusted path forgoes: that case installs the closure guard
    instead. *)
-let listen ?bound_cycles ?(async = false) ?(on_failure = Dispatcher.Uninstall)
-    t ~port ~installer handler =
+let listen t ~port ~installer handler =
   let spec =
-    { Dispatcher.Handler_spec.default with bound_cycles; async; on_failure } in
-  let spec =
-    match bound_cycles with
-    | Some _ -> { spec with guard = Some (fun d -> d.dst_port = port) }
-    | None ->
-      { spec with verified = Some (Ebc.match_field ~slot:dst_port_slot port) } in
+    Dispatcher.Handler_spec.verified (Ebc.match_field ~slot:dst_port_slot port) in
   Dispatcher.ok_exn ~site:"Udp.listen"
     (Dispatcher.install t.event ~installer ~spec handler)
 
@@ -135,8 +129,5 @@ let send t ?src_port ~dst ~port payload =
     (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
        ~bytes:(Bytes.length payload));
   send_pkt t ?src_port ~dst ~port (Pkt.of_payload payload)
-
-let max_payload t ~dst =
-  Ip.mtu_toward t.ip dst |> Option.map (fun m -> m - header_bytes)
 
 let stats t = { sent = t.s_sent; received = t.s_received }

@@ -32,14 +32,13 @@ val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> Ip.t -> t
 val packet_arrived : t -> (datagram, unit) Spin_core.Dispatcher.event
 
 val listen :
-  ?bound_cycles:int -> ?async:bool ->
-  ?on_failure:Spin_core.Dispatcher.failure_policy ->
   t -> port:int -> installer:string -> (datagram -> unit) ->
   (datagram, unit) Spin_core.Dispatcher.handler
-(** [bound_cycles] imposes the paper's bounded-time constraint: a
-    handler that overruns is aborted by the dispatcher. [async]
-    decouples the endpoint from the protocol thread. [on_failure]
-    selects the supervisor policy applied when the endpoint faults. *)
+(** Installs a synchronous endpoint whose port match is a verified
+    {!Spin_core.Ebc} program; a faulting endpoint is uninstalled. An
+    endpoint that needs a cycle bound, asynchrony or another failure
+    policy installs on {!packet_arrived} with its own
+    [Dispatcher.Handler_spec]. *)
 
 val unlisten : t -> (datagram, unit) Spin_core.Dispatcher.handler -> unit
 
@@ -58,8 +57,6 @@ val send_pkt :
     headroom and the same buffer descends the stack. The packet is
     consumed — do not touch it after the call. Echo servers pass the
     received {!datagram} payload back here directly. *)
-
-val max_payload : t -> dst:Ip.addr -> int option
 
 type stats = { sent : int; received : int }
 

@@ -40,18 +40,12 @@ module Mutex = struct
       let me = Sched.self sched in
       ignore (Dllist.push_back m.waiters me);
       Sched.block_current sched;
-      (* Woken by unlock: the lock was handed to us, or race with
-         try_lock: retry. *)
+      (* Woken by unlock, the lock was handed to us; any other wakeup
+         retries. *)
       if not (match m.holder with
               | Some h -> h.Strand.id = me.Strand.id
               | None -> false)
       then lock sched m
-
-  let try_lock sched m =
-    charge sched;
-    match m.holder with
-    | None -> m.holder <- Some (Sched.self sched); true
-    | Some _ -> false
 
   let unlock sched m =
     charge sched;
@@ -68,8 +62,6 @@ module Mutex = struct
   let with_lock sched m f =
     lock sched m;
     Fun.protect ~finally:(fun () -> unlock sched m) f
-
-  let holder m = m.holder
 end
 
 module Condition = struct

@@ -33,14 +33,10 @@ module Mutex : sig
 
   val lock : Sched.t -> m -> unit
 
-  val try_lock : Sched.t -> m -> bool
-
   val unlock : Sched.t -> m -> unit
   (** Raises [Invalid_argument] if the caller does not hold it. *)
 
   val with_lock : Sched.t -> m -> (unit -> 'a) -> 'a
-
-  val holder : m -> Strand.t option
 end
 
 module Condition : sig

@@ -13,17 +13,9 @@ type events = {
   resume : (Strand.t, unit) Dispatcher.event;
 }
 
-type params = {
-  quantum : int;
-  spawn_cost : int;
-  switch_extra : int;
-}
-
-let default_params = {
-  quantum = 50_000;                       (* ~375 us slices *)
-  spawn_cost = 1460;
-  switch_extra = 130;
-}
+let quantum = 50_000                      (* cycles per slice: ~375 us *)
+let spawn_cost = 1460                     (* creating a kernel strand *)
+let switch_extra = 130                    (* bookkeeping beyond the HW switch *)
 
 type stats = {
   switches : int;
@@ -47,7 +39,6 @@ type steal_policy = thief:int -> Strand.t list -> Strand.t option
 type t = {
   sim : Sim.t;
   clock : Clock.t;
-  params : params;
   events : events;
   cpus : int;
   intr : Intr.t option;
@@ -218,7 +209,7 @@ let default_unblock t s =
     report_violation t
       (Printf.sprintf "unblock raised on dead strand %s" (Strand.to_string s))
 
-let create ?(params = default_params) ?cpus ?intr sim dispatcher =
+let create ?cpus ?intr sim dispatcher =
   let cpus =
     match cpus, intr with
     | Some n, _ -> n
@@ -242,7 +233,7 @@ let create ?(params = default_params) ?cpus ?intr sim dispatcher =
          checkpoint = declare "Strand.Checkpoint" (fun _ _ -> ());
          resume = declare "Strand.Resume" (fun _ _ -> ());
        } in
-       { sim; clock; params; events; cpus; intr;
+       { sim; clock; events; cpus; intr;
          queues =
            Array.init cpus (fun _ ->
              Array.init (Strand.max_priority + 1) (fun _ -> Dllist.create ()));
@@ -261,7 +252,7 @@ let create ?(params = default_params) ?cpus ?intr sim dispatcher =
   Clock.add_hook clock (fun clock ->
     match t.current with
     | Some s when s.Strand.state = Strand.Running
-               && Clock.now clock - t.slice_start >= t.params.quantum ->
+               && Clock.now clock - t.slice_start >= quantum ->
       t.preempt_requested <- true
     | Some _ | None -> ());
   (* Asynchronous dispatcher handlers run on fresh kernel strands. *)
@@ -282,7 +273,7 @@ let clock t = t.clock
 let ncpus t = t.cpus
 
 let spawn t ?(owner = owner_name) ?priority ~name body =
-  Clock.charge t.clock t.params.spawn_cost;
+  Clock.charge t.clock spawn_cost;
   t.s_spawned <- t.s_spawned + 1;
   let s = Strand.create ~owner ?priority ~name () in
   s.Strand.coro <- Some (Coro.create body);
@@ -450,7 +441,7 @@ let finish t s outcome =
 
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in
-  Clock.charge t.clock (cost.Cost.context_switch + t.params.switch_extra);
+  Clock.charge t.clock (cost.Cost.context_switch + switch_extra);
   t.s_switches <- t.s_switches + 1;
   t.exec_cpu <- cpu;
   (match t.intr with Some intr -> Intr.set_active_cpu intr cpu | None -> ());

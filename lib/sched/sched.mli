@@ -54,18 +54,7 @@ type events = {
 }
 (** The strand events this scheduler declares on its dispatcher. *)
 
-type params = {
-  quantum : int;          (** cycles per time slice *)
-  spawn_cost : int;       (** creating a kernel strand *)
-  switch_extra : int;     (** scheduler bookkeeping beyond the HW switch *)
-}
-
-val default_params : params
-(** 50k-cycle quanta (~375 us at 133 MHz), measured-in-the-paper-ish
-    spawn and switch overheads. *)
-
 val create :
-  ?params:params ->
   ?cpus:int ->
   ?intr:Spin_machine.Intr.t ->
   Spin_machine.Sim.t -> Spin_core.Dispatcher.t -> t
@@ -204,15 +193,6 @@ val stats : t -> stats
 val runnable_count : t -> int
 (** Strands in run queues, summed across every CPU (counts nodes, so a
     transiently stale entry is included until pruned). *)
-
-val runnable_on : t -> cpu:int -> Strand.t list
-(** One CPU's runnable set, in the order that CPU's selector would see
-    it (highest priority first, FIFO within a level). *)
-
-val pending_wakeup_count : t -> int
-(** Raced block/unblock wakeups currently recorded. Non-zero is only
-    legal while a strand is running; at a scheduling point it means a
-    wakeup leaked. *)
 
 val pending_ipi_count : t -> int
 (** Strands with a wakeup IPI posted but not yet delivered. Non-zero

@@ -35,43 +35,14 @@ val boot : ?mem_mb:int -> ?cpus:int -> ?name:string -> unit -> t
     stream: a quarantined domain's handlers are evicted everywhere and
     its interfaces are withdrawn from [SpinPublic].
 
-    [cpus] (default {!Spin_machine.Machine.default_cpus}, i.e. the
-    [SPIN_CPUS] environment variable or 1) boots a multiprocessor: the
-    scheduler runs per-CPU queues with IPI wakeups, the trap handler
-    is installed on every CPU, and TLB shootdowns are wired. *)
-
-val strand_event_tag :
-  (Spin_sched.Strand.t, unit) Spin_core.Dispatcher.event Spin_core.Univ.tag
+    [cpus] (default: the [SPIN_CPUS] environment variable or 1) boots a
+    multiprocessor: the scheduler runs per-CPU queues with IPI wakeups,
+    the trap handler is installed on every CPU, and TLB shootdowns are
+    wired. *)
 
 val translation_event_tag :
   (Spin_vm.Translation.fault, unit) Spin_core.Dispatcher.event
     Spin_core.Univ.tag
-
-val quarantine_event_tag :
-  (Supervisor.quarantine, unit) Spin_core.Dispatcher.event
-    Spin_core.Univ.tag
-
-val restart_event_tag :
-  (Supervisor.restart, unit) Spin_core.Dispatcher.event
-    Spin_core.Univ.tag
-
-val reclaim_event_tag :
-  (Spin_vm.Phys_addr.page, Spin_vm.Phys_addr.page)
-    Spin_core.Dispatcher.event Spin_core.Univ.tag
-(** The [PhysAddrService] export a service imports to volunteer pages
-    of lesser importance under memory pressure (section 5.2). *)
-
-val select_victim_event_tag :
-  (Spin_vm.Phys_addr.victim_request, Spin_vm.Phys_addr.page option)
-    Spin_core.Dispatcher.event Spin_core.Univ.tag
-(** The replaceable page-replacement policy event; install a handler
-    to override the default second-chance selector. *)
-
-val swap_event_tag :
-  (Swap.outcome, unit) Spin_core.Dispatcher.event Spin_core.Univ.tag
-(** The [SwapService] export: [Swap.DomainSwapped], raised after every
-    committed hot swap so peers can re-mint references to the
-    replaced provider. *)
 
 val trace : t -> Spin_machine.Trace.t
 (** The kernel's tracer — the one every subsystem on this machine's
@@ -102,11 +73,6 @@ val publish :
   Spin_core.Kdomain.t -> unit
 (** Export an interface: register it with the nameserver and fold it
     into [SpinPublic]. *)
-
-val unpublish : t -> name:string -> unit
-(** Withdraw a published interface: unregister it from the nameserver
-    and unlink its domain from [SpinPublic]. The supervisor calls this
-    (via its unlink hook) for every service of a quarantined domain. *)
 
 val load_extension :
   t -> Spin_core.Object_file.t ->

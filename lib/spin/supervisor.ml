@@ -62,8 +62,6 @@ type t = {
   quarantined_ev : (quarantine, unit) Dispatcher.event;
   restarted_ev : (restart, unit) Dispatcher.event;
   mutable unlink : string -> unit;
-  mutable max_restart_delay_us : float;
-  mutable healthy_grace_us : float;
   mutable m_faults : int;
   mutable m_restarts : int;
   mutable m_quarantines : int;
@@ -74,6 +72,15 @@ type t = {
 }
 
 let fault_log_cap = 256
+
+(* Restart backoff never waits longer than one simulated second: a
+   long fault burst would otherwise push the handler out for good. *)
+let max_restart_delay_us = 1_000_000.0
+
+(* A handler fault-free this long (ten simulated seconds) has its
+   restart-attempt count reset, so an old burst does not tax an
+   unrelated new fault. *)
+let healthy_grace_us = 10_000_000.0
 
 (* Budgets only need [max_faults] retained timestamps to trip, so the
    per-domain log cap is raised to the largest [max_faults] any budget
@@ -226,7 +233,7 @@ let on_fault t (f : Dispatcher.fault) =
             instead of from where a long-past burst left off. *)
          (match Hashtbl.find_opt t.fault_times hid with
           | Some last
-            when now -. last >= t.healthy_grace_us
+            when now -. last >= healthy_grace_us
               && Hashtbl.mem t.restarts hid ->
             Hashtbl.remove t.restarts hid;
             t.m_backoff_resets <- t.m_backoff_resets + 1
@@ -239,9 +246,9 @@ let on_fault t (f : Dispatcher.fault) =
               flaky-but-useful handler into a permanently absent one. *)
            let delay = delay_us *. (backoff ** float_of_int n) in
            let delay =
-             if delay > t.max_restart_delay_us then begin
+             if delay > max_restart_delay_us then begin
                t.m_backoff_capped <- t.m_backoff_capped + 1;
-               t.max_restart_delay_us
+               max_restart_delay_us
              end else delay in
            schedule_restart t d f ~delay_us:delay ~attempt:(n + 1)
          end
@@ -272,8 +279,6 @@ let create sim disp =
     fault_times = Hashtbl.create 16;
     quarantined_ev; restarted_ev;
     unlink = (fun _ -> ());
-    max_restart_delay_us = 1_000_000.0;     (* one simulated second *)
-    healthy_grace_us = 10_000_000.0;
     m_faults = 0; m_restarts = 0; m_quarantines = 0; m_gave_up = 0;
     m_backoff_capped = 0; m_backoff_resets = 0; m_revoked = 0;
   } in
@@ -290,11 +295,6 @@ let faults t domain =
   | Some d -> d.d_faults
   | None -> 0
 
-let recent t domain ~window_us =
-  match Hashtbl.find_opt t.domains domain with
-  | Some d -> recent_faults d ~window_us (now_us t)
-  | None -> 0
-
 let ledger t =
   List.map
     (fun name ->
@@ -302,16 +302,6 @@ let ledger t =
       { domain = d.d_name; faults = d.d_faults; restarts = d.d_restarts;
         quarantined = d.d_quarantined; evicted = d.d_evicted })
     t.domain_order
-
-let set_restart_tuning t ?max_delay_us ?healthy_grace_us () =
-  (match max_delay_us with
-   | Some v when v > 0.0 -> t.max_restart_delay_us <- v
-   | Some _ -> invalid_arg "Supervisor: max_delay_us must be positive"
-   | None -> ());
-  match healthy_grace_us with
-  | Some v when v > 0.0 -> t.healthy_grace_us <- v
-  | Some _ -> invalid_arg "Supervisor: healthy_grace_us must be positive"
-  | None -> ()
 
 let cancel_pending t ~domain =
   match Hashtbl.find_opt t.domains domain with

@@ -61,16 +61,6 @@ val set_unlink : t -> (string -> unit) -> unit
     kernel wires this to withdrawing the domain's interfaces from the
     nameserver and SpinPublic. Default: no-op. *)
 
-val set_restart_tuning :
-  t -> ?max_delay_us:float -> ?healthy_grace_us:float -> unit -> unit
-(** [max_delay_us] caps the exponential restart backoff (default one
-    simulated second): without a cap, a long fault burst pushes the
-    delay so far out the handler is effectively gone for good.
-    [healthy_grace_us] (default ten simulated seconds) is how long a
-    handler must run fault-free for its restart-attempt count to reset
-    to zero, so an old burst doesn't tax an unrelated new fault.
-    Raises [Invalid_argument] on non-positive values. *)
-
 val cancel_pending : t -> domain:string -> int
 (** Cancels the domain's scheduled (not yet fired) handler restarts
     and returns how many were cancelled. A hot swap calls this while
@@ -88,23 +78,10 @@ val quarantined_event :
 
 val restarted_event : t -> (restart, unit) Spin_core.Dispatcher.event
 
-(* -------------------- the ledger ---------------------------------- *)
-
-type entry = {
-  domain : string;
-  faults : int;        (** total faults attributed to the domain *)
-  restarts : int;      (** completed handler restarts *)
-  quarantined : bool;
-  evicted : int;       (** handlers evicted at quarantine time *)
-}
-
-val ledger : t -> entry list
-(** Per-domain fault accounting, in first-fault order. *)
+(* -------------------- per-domain accounting ----------------------- *)
 
 val faults : t -> string -> int
-
-val recent : t -> string -> window_us:float -> int
-(** Faults attributed to the domain within the trailing window. *)
+(** Total faults attributed to the domain. *)
 
 val is_quarantined : t -> string -> bool
 
@@ -114,9 +91,9 @@ type stats = {
   s_quarantines : int;
   s_gave_up : int;     (** Restart handlers that exhausted max_restarts *)
   s_backoff_capped : int;
-  (** restart delays clamped to the {!set_restart_tuning} cap *)
+  (** restart delays clamped to the one-second cap *)
   s_backoff_resets : int;
-  (** attempt counts forgotten after a healthy grace period *)
+  (** attempt counts forgotten after ten fault-free seconds *)
   s_revoked : int;
   (** faults that were {!Spin_core.Capability.Revoked} — stale
       references used after revocation or a hot-swap epoch advance *)

@@ -116,8 +116,6 @@ let bringup_cost = 1800      (* initialize + activate the replacement *)
 
 let swapped_event t = t.swapped_ev
 
-let in_progress t = t.in_progress
-
 let create sched disp =
   let swapped_ev =
     Dispatcher.declare disp ~name:"Swap.DomainSwapped" ~owner:"Swap"

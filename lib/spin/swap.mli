@@ -127,9 +127,6 @@ val swapped_event : t -> (outcome, unit) Spin_core.Dispatcher.event
 (** Raised after each committed swap, so peers can re-mint references
     or re-resolve interfaces. *)
 
-val in_progress : t -> string option
-(** The domain mid-swap, if any (swaps do not nest). *)
-
 type stats = {
   swaps : int;            (** committed *)
   failed_swaps : int;

@@ -5,22 +5,23 @@ type t = {
   phys : Phys_addr.t;
   low_water : int;
   high_water : int;
-  interval_us : float;
   mutable sources : (string * (unit -> bool)) list;
   mutable running : bool;
   mutable released : int;
-  mutable scans : int;
 }
 
-let create ?low_water ?high_water ?(interval_us = 200.) sched phys =
+(* The daemon's poll period, in virtual microseconds. *)
+let interval_us = 200.
+
+let create ?low_water ?high_water sched phys =
   let total = Phys_addr.total_pages phys in
   let low =
     match low_water with Some l -> l | None -> max 1 (total / 16) in
   let high =
     match high_water with Some h -> h | None -> max (low + 1) (2 * low) in
   if low < 1 || high <= low then invalid_arg "Pageout.create: water marks";
-  { sched; phys; low_water = low; high_water = high; interval_us;
-    sources = []; running = false; released = 0; scans = 0 }
+  { sched; phys; low_water = low; high_water = high;
+    sources = []; running = false; released = 0 }
 
 let add_source t ~name f = t.sources <- t.sources @ [ (name, f) ]
 
@@ -39,7 +40,6 @@ let start t =
       (Sched.spawn t.sched ~name:"pageout" (fun () ->
            while t.running do
              if Phys_addr.free_pages t.phys < t.low_water then begin
-               t.scans <- t.scans + 1;
                let keep_going = ref true in
                while
                  !keep_going && Phys_addr.free_pages t.phys < t.high_water
@@ -48,15 +48,13 @@ let start t =
                  else keep_going := false
                done
              end;
-             Sched.sleep_us t.sched t.interval_us
+             Sched.sleep_us t.sched interval_us
            done))
   end
 
 let stop t = t.running <- false
 
 let released t = t.released
-
-let scans t = t.scans
 
 let low_water t = t.low_water
 

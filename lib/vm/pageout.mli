@@ -12,7 +12,6 @@ type t
 val create :
   ?low_water:int ->
   ?high_water:int ->
-  ?interval_us:float ->
   Spin_sched.Sched.t ->
   Phys_addr.t ->
   t
@@ -34,9 +33,6 @@ val stop : t -> unit
 
 val released : t -> int
 (** Pages released by the daemon since creation. *)
-
-val scans : t -> int
-(** Times the daemon found the pool under the low-water mark. *)
 
 val low_water : t -> int
 

@@ -90,8 +90,6 @@ let add_invalidate t f = t.invalidates <- t.invalidates @ [ f ]
 
 let set_reclaim_enabled t enabled = t.reclaim_enabled <- enabled
 
-let reclaim_enabled t = t.reclaim_enabled
-
 let reclaims t = t.reclaim_count
 
 let oom_failures t = t.oom_count

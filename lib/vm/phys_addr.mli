@@ -30,8 +30,6 @@ type attrib = {
   contiguous : bool;            (** require physically adjacent frames *)
 }
 
-val default_attrib : attrib
-
 type page = run Spin_core.Capability.t
 
 type victim_request = {
@@ -80,8 +78,6 @@ val force_reclaim : t -> page option
 val set_reclaim_enabled : t -> bool -> unit
 (** When disabled, allocation failure raises {!Out_of_memory}
     immediately (the ablation baseline for the [mem] workload). *)
-
-val reclaim_enabled : t -> bool
 
 val total_pages : t -> int
 

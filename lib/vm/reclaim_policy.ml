@@ -19,12 +19,3 @@ let install_second_chance ?(installer = "SecondChance") phys =
   Dispatcher.ok_exn ~site:"Reclaim_policy.install_second_chance"
     (Dispatcher.install (Phys_addr.select_victim_event phys)
        ~installer (select_second_chance phys))
-
-let install_for_domain phys ~domain select =
-  Dispatcher.ok_exn ~site:"Reclaim_policy.install_for_domain"
-    (Dispatcher.install (Phys_addr.select_victim_event phys)
-       ~installer:domain
-       ~spec:
-         (Dispatcher.Handler_spec.guarded (fun req ->
-              String.equal req.Phys_addr.requester domain))
-       select)

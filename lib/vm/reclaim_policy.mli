@@ -5,13 +5,8 @@
     way replacing [Sched] does: install a later handler and the
     last-result-wins combine makes it authoritative. {!Vm.create} and
     the network hosts install {!install_second_chance} as the system
-    default; an extension can narrow a policy to its own allocations
-    with {!install_for_domain}. *)
-
-val select_second_chance :
-  Phys_addr.t -> Phys_addr.victim_request -> Phys_addr.page option
-(** The bare selector, exposed for tests and for composing custom
-    policies; prefer {!install_second_chance}. *)
+    default; an extension narrows a policy to its own allocations with
+    a guard on the request's [requester]. *)
 
 val install_second_chance :
   ?installer:string ->
@@ -21,12 +16,3 @@ val install_second_chance :
     first: a referenced page loses its bit and is skipped once; the
     first unreferenced page is the victim; when every page was
     referenced the oldest goes. *)
-
-val install_for_domain :
-  Phys_addr.t ->
-  domain:string ->
-  (Phys_addr.victim_request -> Phys_addr.page option) ->
-  (Phys_addr.victim_request, Phys_addr.page option) Spin_core.Dispatcher.handler
-(** Installs [select] guarded to requests whose allocations come from
-    [domain] (the allocation's [owner] string), overriding the global
-    policy for that domain only. *)

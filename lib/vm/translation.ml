@@ -121,8 +121,6 @@ let destroy_context t ctx =
 
 let context_id ctx = ctx.id
 
-let context_owner ctx = ctx.owner
-
 let attach_region ctx region =
   if not (List.mem region ctx.regions) then
     ctx.regions <- region :: ctx.regions
@@ -200,12 +198,6 @@ let is_dirty t ctx ~va =
   charge t costs.dirty_query;
   match Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va) with
   | Some pte -> pte.Mmu.modified
-  | None -> false
-
-let is_referenced t ctx ~va =
-  charge t costs.dirty_query;
-  match Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va) with
-  | Some pte -> pte.Mmu.referenced
   | None -> false
 
 let in_region ctx va =

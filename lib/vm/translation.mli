@@ -35,14 +35,10 @@ val context_id : context -> int
 (** The address-space identifier ([asid] for the virtual address
     service). *)
 
-val context_owner : context -> string
-
 val attach_region : context -> Virt_addr.region -> unit
 (** Declare a virtual region allocated in this context. Accesses
     outside attached regions raise [BadAddress]; unmapped accesses
     inside them raise [PageNotPresent]. *)
-
-val detach_region : context -> Virt_addr.region -> unit
 
 val add_mapping :
   t -> context -> Virt_addr.vaddr -> Phys_addr.page ->
@@ -68,8 +64,6 @@ val protect :
 
 val is_dirty : t -> context -> va:int -> bool
 (** The page-state query of Table 4 ("Dirty"). *)
-
-val is_referenced : t -> context -> va:int -> bool
 
 val handle_trap : t -> Spin_machine.Cpu.trap -> bool
 (** Kernel trap handler leg: classifies a memory fault and raises the

@@ -85,6 +85,3 @@ let deallocate t vaddr =
 let region = Capability.deref
 
 let npages r = Addr.round_up_pages r.bytes
-
-let allocated_bytes t ~asid =
-  List.fold_left (fun acc r -> acc + r.bytes) 0 (space_of t asid).regions

@@ -30,5 +30,3 @@ val deallocate : t -> vaddr -> unit
 val region : vaddr -> region
 
 val npages : region -> int
-
-val allocated_bytes : t -> asid:int -> int

@@ -18,6 +18,3 @@ let create machine dispatcher =
 
 let handle_trap t trap = Translation.handle_trap t.trans trap
 
-let install_trap_handler t =
-  Machine.set_trap_handler t.machine
-    (fun trap -> if handle_trap t trap then 0 else -1)

@@ -13,9 +13,5 @@ val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t
 
 val handle_trap : t -> Spin_machine.Cpu.trap -> bool
 (** Routes memory faults into translation events; [false] for traps
-    this subsystem does not own. *)
-
-val install_trap_handler : t -> unit
-(** Standalone wiring (tests, examples without the full kernel):
-    makes the CPU deliver memory faults to {!handle_trap}; unhandled
-    trap kinds return [-1]. *)
+    this subsystem does not own. The kernel's CPU trap handler calls
+    it; standalone wiring passes it to [Machine.set_trap_handler]. *)

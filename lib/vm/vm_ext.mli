@@ -17,8 +17,6 @@ val destroy : t -> unit
 
 val context : t -> Translation.context
 
-val va_of_page : t -> int -> int
-
 val activate : t -> unit
 (** Make the extension's context current on the CPU (the benchmarks
     run "the application" in this context). *)
@@ -37,7 +35,5 @@ val protect : t -> first:int -> count:int -> Spin_machine.Addr.prot -> unit
 val on_protection_fault : t -> (int -> unit) -> unit
 (** Installs the application's fault procedure; it receives the
     faulting page index. Replaces any previous procedure. *)
-
-val clear_fault_handler : t -> unit
 
 val faults_taken : t -> int

@@ -7,6 +7,7 @@ open Spin_baseline
 
 let osf () = Bl_kernel.create Os_costs.osf1 ~name:"osf1"
 let mach () = Bl_kernel.create Os_costs.mach3 ~name:"mach"
+let clock o = (Bl_kernel.machine o).Spin_machine.Machine.clock
 
 let test_syscall_ordering () =
   (* Table 2: SPIN 4 < OSF 5 < Mach 7 us. *)
@@ -105,16 +106,16 @@ let test_appel_compositions () =
 let test_net_overheads_positive () =
   let o = osf () in
   let send = Bl_kernel.stamp_us o (fun () ->
-    Bl_kernel.user_net_send_overhead o ~bytes:16) in
+    Bl_path.user_send_overhead (clock o) Os_costs.osf1 ~bytes:16) in
   let recv = Bl_kernel.stamp_us o (fun () ->
-    Bl_kernel.user_net_recv_overhead o ~bytes:16) in
+    Bl_path.user_recv_overhead (clock o) Os_costs.osf1 ~bytes:16) in
   (* Per-endpoint boundary overheads that produce the 789-vs-565
      Ethernet RTT gap: roughly 100-230us per round trip. *)
   check bool (Printf.sprintf "send+recv 40-120us (got %.0f)" (send +. recv))
     true (send +. recv > 60. && send +. recv < 160.);
   (* Copies scale the overhead with packet size. *)
   let recv_big = Bl_kernel.stamp_us o (fun () ->
-    Bl_kernel.user_net_recv_overhead o ~bytes:8132) in
+    Bl_path.user_recv_overhead (clock o) Os_costs.osf1 ~bytes:8132) in
   check bool "copy cost visible" true (recv_big > recv +. 20.)
 
 let () =

@@ -10,6 +10,11 @@ module Cost = Spin_machine.Cost
 
 let clock () = Clock.create Cost.alpha_133
 
+let resolve_ok ~source ~target =
+  match Kdomain.resolve ~source ~target with
+  | Ok n -> n
+  | Error e -> fail (Kdomain.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Univ                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -58,14 +63,13 @@ let test_capability_epoch_revocation () =
   (* Generation revocation in O(1): advancing the owner's epoch kills
      every capability minted before it, without touching them. *)
   let owner = "EpochSvc" in
-  let before = Capability.current_epoch ~owner in
   let old_cap = Capability.mint ~owner "gen1" in
-  check int "minted under the current epoch" before
-    (Capability.epoch old_cap);
+  let before = Capability.epoch old_cap in
   let bystander = Capability.mint ~owner:"OtherSvc" "untouched" in
   let e = Capability.advance_epoch ~owner in
   check int "epoch advanced" (before + 1) e;
-  check int "current_epoch agrees" e (Capability.current_epoch ~owner);
+  check int "later mints carry the new epoch" e
+    (Capability.epoch (Capability.mint ~owner "gen2"));
   check bool "stale is invalid" false (Capability.is_valid old_cap);
   check (option string) "deref_opt is None" None
     (Capability.deref_opt old_cap);
@@ -123,15 +127,11 @@ let test_extern_ref_epoch_retires_indices () =
     (Extern_ref.internalize tbl tag i1);
   check (option string) "all earlier stamps retired" None
     (Extern_ref.internalize tbl tag i2);
-  check int "misses counted" 2 (Extern_ref.stale_hits tbl);
-  (* New-epoch entries coexist with stale slots until swept. *)
+  (* New-epoch entries coexist with the stale slots. *)
   let i3 = Extern_ref.externalize tbl tag "three" in
   check (option string) "current epoch lives" (Some "three")
     (Extern_ref.internalize tbl tag i3);
-  check int "sweep frees only the stale slots" 2 (Extern_ref.sweep_stale tbl);
-  check int "live after sweep" 1 (Extern_ref.live tbl);
-  check (option string) "survivor still internalizes" (Some "three")
-    (Extern_ref.internalize tbl tag i3)
+  check int "stale slots still held" 3 (Extern_ref.live tbl)
 
 (* ------------------------------------------------------------------ *)
 (* Object files and domains                                           *)
@@ -180,7 +180,7 @@ let test_domain_resolve_links_and_runs () =
   let obj, cell = gatekeeper_obj () in
   let target = Kdomain.create_exn obj in
   check bool "unresolved before" false (Kdomain.fully_resolved target);
-  let patched = Kdomain.resolve_exn ~source ~target in
+  let patched = resolve_ok ~source ~target in
   check int "one symbol patched" 1 patched;
   check bool "resolved after" true (Kdomain.fully_resolved target);
   (* The client calls through its import cell at memory speed. *)
@@ -233,9 +233,9 @@ let test_domain_resolve_is_directional () =
   let a = Kdomain.create_exn (console_obj out ()) in
   let obj, _ = gatekeeper_obj () in
   let b = Kdomain.create_exn obj in
-  ignore (Kdomain.resolve_exn ~source:b ~target:a);  (* nothing to patch *)
+  ignore (resolve_ok ~source:b ~target:a);  (* nothing to patch *)
   check bool "b still unresolved" false (Kdomain.fully_resolved b);
-  ignore (Kdomain.resolve_exn ~source:a ~target:b);
+  ignore (resolve_ok ~source:a ~target:b);
   check bool "b resolved" true (Kdomain.fully_resolved b)
 
 let test_domain_combine () =
@@ -250,7 +250,7 @@ let test_domain_combine () =
     (Option.is_some (Kdomain.lookup public "Console.Write"));
   let obj, _ = gatekeeper_obj () in
   let client = Kdomain.create_exn obj in
-  ignore (Kdomain.resolve_exn ~source:public ~target:client);
+  ignore (resolve_ok ~source:public ~target:client);
   check bool "client resolved from aggregate" true (Kdomain.fully_resolved client)
 
 let test_domain_init_once () =
@@ -286,8 +286,7 @@ let test_nameserver_authorization () =
    | Error _ -> fail "authorized importer denied");
   (match Nameserver.lookup ns ~name:"DiskService" { Nameserver.who = "game" } with
    | Error Nameserver.Denied -> ()
-   | _ -> fail "unauthorized importer admitted");
-  check int "denial recorded" 1 (Nameserver.denials ns)
+   | _ -> fail "unauthorized importer admitted")
 
 let test_nameserver_reregister () =
   let ns = Nameserver.create (clock ()) in
@@ -398,7 +397,9 @@ let test_dispatch_auth_deny () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Sched.Block" ~owner:"Sched"
       ~auth:(fun ~installer ->
-        if String.equal installer "trusted" then Dispatcher.allow
+        if String.equal installer "trusted" then
+          Dispatcher.Allow
+            { guard = None; bound_cycles = None; force_async = false }
         else Dispatcher.Deny)
       (fun () -> ()) in
   (match Dispatcher.install e ~installer:"rogue" (fun () -> ()) with
@@ -565,7 +566,7 @@ let test_dispatch_bounded_abort () =
   ignore
     (must
        (Dispatcher.install e ~installer:"slow"
-          ~spec:(Dispatcher.Handler_spec.bounded 100)
+          ~spec:{ Dispatcher.Handler_spec.default with bound_cycles = Some 100 }
           (fun () -> Clock.charge c 10_000; "slow")));
   (* The slow handler overruns its bound: aborted, result discarded,
      so the primary's result is the final one. *)
@@ -580,7 +581,7 @@ let test_dispatch_bounded_within () =
   ignore
     (must
        (Dispatcher.install e ~installer:"quick"
-          ~spec:(Dispatcher.Handler_spec.bounded 1000)
+          ~spec:{ Dispatcher.Handler_spec.default with bound_cycles = Some 1000 }
           (fun () -> Clock.charge c 10; "quick")));
   check string "bounded handler in budget" "quick" (Dispatcher.raise_event e ());
   check int "no abort" 0 (Dispatcher.stats e).Dispatcher.aborted
@@ -677,11 +678,11 @@ let test_dispatch_gate_without_hook_passes () =
      raise on: it passes through (and is not counted as a wait). *)
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc" (fun () -> 7) in
-  Dispatcher.gate e;
+  Dispatcher.set_gate_by_name d ~names:[ "Svc.Op" ] true;
   check bool "gated" true (Dispatcher.is_gated e);
   check int "raise passes through" 7 (Dispatcher.raise_event e ());
   check int "no wait counted" 0 (Dispatcher.stats e).Dispatcher.gated_waits;
-  Dispatcher.ungate e;
+  Dispatcher.set_gate_by_name d ~names:[ "Svc.Op" ] false;
   check bool "reopened" false (Dispatcher.is_gated e)
 
 let test_dispatch_gate_installers_and_hook () =

@@ -138,6 +138,9 @@ let with_event w i f =
   | [] -> Done
   | es -> f (List.nth es (i mod List.length es))
 
+(* The swap's gate switch, by event name. *)
+let set_gate w ev v = Dispatcher.set_gate_by_name w.d ~names:[ ev.name ] v
+
 let pick l k = List.nth l (k mod List.length l)
 
 (* ------------------------------------------------------------------ *)
@@ -194,9 +197,9 @@ let real_apply w op =
   | Reinstate_primary i ->
     with_event w i (fun ev -> Dispatcher.reinstate_primary ev.e; Done)
   | Gate (i, swap) ->
-    with_event w i (fun ev -> Dispatcher.gate ev.e; ev.r_swap <- Some swap; Done)
+    with_event w i (fun ev -> set_gate w ev true; ev.r_swap <- Some swap; Done)
   | Ungate i ->
-    with_event w i (fun ev -> Dispatcher.ungate ev.e; ev.r_swap <- None; Done)
+    with_event w i (fun ev -> set_gate w ev false; ev.r_swap <- None; Done)
   | Revive (i, k) ->
     with_handler i k (fun _ h ->
       Option.iter (fun f -> f ())
@@ -221,7 +224,7 @@ let gate_wait w () =
   | Some ev ->
     Option.iter (fun swap -> ignore (real_apply w swap)) ev.r_swap;
     ev.r_swap <- None;
-    Dispatcher.ungate ev.e;
+    set_gate w ev false;
     true
 
 (* ------------------------------------------------------------------ *)

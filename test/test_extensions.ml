@@ -164,8 +164,9 @@ let test_subsystem_gauge_names () =
     (Block_cache.stats bc).Cache_stats.misses (g "block_cache.misses");
   check int "engine.events_fired samples stats" (Sim.stats sim).Sim.fired
     (g "engine.events_fired");
-  check int "trace.span_pool_misses samples pool stats"
-    (Trace.pool_stats tr).Trace.span_misses (g "trace.span_pool_misses");
+  check int "trace.span_pool_misses samples the tracer's gauge"
+    (List.assoc "trace.span_pool_misses" (Trace.gauges tr) ())
+    (g "trace.span_pool_misses");
   check int "Ether.rx_dropped samples the driver" (Netif.drops netif)
     (g "Ether.rx_dropped");
   check bool "report appends the clock's latency aggregates" true

@@ -22,12 +22,12 @@ let frame_layout : Pkt.t Ebc.layout =
 (* Both ways of running a filter: the verified, compiled form and the
    checked interpreter must agree before either answer counts. *)
 let eval program pkt =
-  (match Ebc.verify ~layout:frame_layout program with
-   | Ok _ -> ()
-   | Error err -> failf "filter rejected: %s" (Ebc.error_to_string err));
+  let compiled =
+    match Ebc.verify ~layout:frame_layout program with
+    | Ok v -> Ebc.compile v
+    | Error err -> failf "filter rejected: %s" (Ebc.error_to_string err) in
   let interpreted, _ = Ebc.run_counted ~layout:frame_layout program pkt in
-  check bool "compiled agrees with interpreted" interpreted
-    (Ebc.compile ~layout:frame_layout program pkt);
+  check bool "compiled agrees with interpreted" interpreted (compiled pkt);
   interpreted
 
 let test_filter_basic_predicates () =
@@ -60,7 +60,9 @@ let test_filter_validation () =
   reject "empty" [||];
   reject "bad offset" Ebc.[| Ldb (0, -1); Ldi (1, 0); Eq (2, 0, 1); Ret 2 |];
   match Ebc.verify ~layout:frame_layout (Udp.frame_port_prog ~port:53) with
-  | Ok cert -> check int "straight line: one step per instruction" 8 cert.c_steps
+  | Ok v ->
+    check int "straight line: one step per instruction" 8
+      (Ebc.certificate v).c_steps
   | Error err -> failf "port filter rejected: %s" (Ebc.error_to_string err)
 
 let test_filter_matches_real_traffic () =

@@ -175,10 +175,11 @@ let test_fs_max_file_size_enforced () =
   with_fs_machine (fun _ _ _ cache _ ->
     let fs = Simple_fs.format cache ~blocks:8192 () in
     Simple_fs.create fs ~name:"huge";
-    check bool "max is 70KB" true (Simple_fs.max_file_bytes = 71680);
+    (* 12 direct + 128 indirect blocks of 512 bytes: 71,680 bytes. *)
+    Simple_fs.write fs ~name:"huge" (Bytes.create 71_680);
+    check int "max is 70KB" 71_680 (Simple_fs.size fs ~name:"huge");
     (try
-       Simple_fs.write fs ~name:"huge"
-         (Bytes.create (Simple_fs.max_file_bytes + 1));
+       Simple_fs.write fs ~name:"huge" (Bytes.create 71_681);
        fail "expected File_too_large"
      with Simple_fs.Fs_error Simple_fs.File_too_large -> ()))
 
@@ -414,7 +415,7 @@ let test_file_cache_large_files_bypass () =
     ignore (File_cache.fetch fc ~name:"large");
     ignore (File_cache.fetch fc ~name:"large");
     let st = File_cache.stats fc in
-    check int "no cache traffic" 0 (Cache_stats.lookups st);
+    check int "no cache traffic" 0 (st.Cache_stats.hits + st.Cache_stats.misses);
     check int "both bypassed" 2 (File_cache.large_bypasses fc);
     check int "nothing held" 0 st.Cache_stats.bytes_cached)
 

@@ -94,22 +94,21 @@ let test_try_lock_and_waiters () =
   let s = Sched.create m.Machine.sim d in
   let mu = Kthread.Mutex.create () in
   let cond = Kthread.Condition.create () in
+  let log = ref [] in
   ignore (Sched.spawn s ~name:"a" (fun () ->
-    check bool "try_lock free" true (Kthread.Mutex.try_lock s mu);
-    (* Strands are cyclic (self-capability): compare identities. *)
-    check bool "holder is me" true
-      (match Kthread.Mutex.holder mu, Sched.current s with
-       | Some h, Some me -> h == me
-       | _ -> false);
+    Kthread.Mutex.lock s mu;
     Sched.yield s;
+    log := "a unlocks" :: !log;
     Kthread.Mutex.unlock s mu;
     Kthread.Condition.signal s cond));
   ignore (Sched.spawn s ~name:"b" (fun () ->
-    check bool "try_lock held" false (Kthread.Mutex.try_lock s mu);
     Kthread.Mutex.lock s mu;
+    log := "b holds" :: !log;
     check int "no condition waiters" 0 (Kthread.Condition.waiters cond);
     Kthread.Mutex.unlock s mu));
-  Sched.run s
+  Sched.run s;
+  check (list string) "the holder excludes the waiter"
+    [ "a unlocks"; "b holds" ] (List.rev !log)
 
 (* ------------------------------------------------------------------ *)
 (* Networking odds and ends                                           *)

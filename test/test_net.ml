@@ -41,17 +41,18 @@ let test_pkt_push_pull () =
   let p = Pkt.of_string "payload" in
   Pkt.push p (Bytes.of_string "HDR:");
   check int "grown" 11 (Pkt.length p);
-  check string "pull returns header" "HDR:" (Bytes.to_string (Pkt.pull p 4));
+  check string "peek returns header" "HDR:" (Bytes.to_string (Pkt.peek p 4));
+  Pkt.drop p 4;
   check string "payload intact" "payload" (Pkt.to_string p);
-  check_raises "short pull" (Invalid_argument "Pkt.pull: short packet")
-    (fun () -> ignore (Pkt.pull p 100))
+  check_raises "short drop" (Invalid_argument "Pkt.drop: short packet")
+    (fun () -> Pkt.drop p 100)
 
 let test_pkt_peek_copy () =
   let p = Pkt.of_string "abcdef" in
   check string "peek" "abc" (Bytes.to_string (Pkt.peek p 3));
   check int "peek non-destructive" 6 (Pkt.length p);
   let q = Pkt.copy p in
-  ignore (Pkt.pull p 3);
+  Pkt.drop p 3;
   check int "copy unaffected" 6 (Pkt.length q)
 
 let test_pkt_push_uses_headroom () =
@@ -114,13 +115,11 @@ let test_addr_format () =
 
 let test_ping_round_trip () =
   let _, a, b = two_hosts () in
-  let got_reply = ref false in
+  let replies = ref 0 in
   in_strand [ a; b ] a (fun () ->
     check bool "sent" true
-      (Icmp.ping a.Host.icmp ~dst:addr_b ~seq:1 (fun () -> got_reply := true)));
-  check bool "reply arrived" true !got_reply;
-  check int "b served one echo" 1 (Icmp.echo_requests_served b.Host.icmp);
-  check int "a got one reply" 1 (Icmp.replies_received a.Host.icmp)
+      (Icmp.ping a.Host.icmp ~dst:addr_b ~seq:1 (fun () -> incr replies)));
+  check int "exactly one reply arrived" 1 !replies
 
 let test_ping_rtt_magnitude () =
   (* SPIN's small-packet Ethernet RTT is in the hundreds of us. *)
@@ -174,10 +173,10 @@ let test_udp_echo_rtt () =
 let test_udp_mtu_respected () =
   let _, a, b = two_hosts () in
   in_strand [ a; b ] a (fun () ->
-    let max = Option.get (Udp.max_payload a.Host.udp ~dst:addr_b) in
-    check bool "1500-class mtu" true (max > 1_400 && max < 1_500);
+    check bool "1500-class mtu fits 1,400 bytes" true
+      (Udp.send a.Host.udp ~dst:addr_b ~port:9 (Bytes.create 1_400));
     check bool "oversize refused" false
-      (Udp.send a.Host.udp ~dst:addr_b ~port:9 (Bytes.create (max + 1))))
+      (Udp.send a.Host.udp ~dst:addr_b ~port:9 (Bytes.create 1_500)))
 
 let test_udp_loopback () =
   let _, a, b = two_hosts () in
@@ -531,8 +530,7 @@ let test_forward_udp () =
      check string "reply body" "pong" msg;
      check int "reply appears to come from the forwarder" addr_c from
    | None -> fail "no reply through forwarder");
-  check int "both directions forwarded" 2 (Forward.packets_forwarded f);
-  check int "one flow" 1 (Forward.active_flows f)
+  check int "both directions forwarded" 2 (Forward.packets_forwarded f)
 
 let test_forward_tcp_preserves_semantics () =
   (* Full TCP handshake and teardown through the packet-level
@@ -661,7 +659,9 @@ let test_http_cache_hit_faster_than_miss () =
 let test_proto_graph_reflects_stack () =
   let _, a, _b = two_hosts () in
   ignore (Udp.listen a.Host.udp ~port:80 ~installer:"HTTP" (fun _ -> ()));
-  let events = Proto_graph.network_events a.Host.dispatcher in
+  let events =
+    List.map (fun (name, _, handlers) -> (name, handlers))
+      (Dispatcher.topology a.Host.dispatcher) in
   let find name = List.assoc_opt name events in
   (match find "IP.PacketArrived" with
    | Some handlers ->

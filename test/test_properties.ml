@@ -232,7 +232,11 @@ let prop_pkt_push_pull_identity =
       List.iter (fun h -> Pkt.push p (Bytes.of_string h)) headers;
       let pulled =
         List.rev_map
-          (fun h -> Bytes.to_string (Pkt.pull p (String.length h)))
+          (fun h ->
+            let n = String.length h in
+            let head = Pkt.peek p n in
+            Pkt.drop p n;
+            Bytes.to_string head)
           (List.rev headers) in
       pulled = headers && Pkt.to_string p = payload)
 
@@ -251,7 +255,11 @@ let prop_pkt_roundtrip_at_random_offset =
       List.iter (fun h -> Pkt.push p (Bytes.of_string h)) headers;
       let pulled =
         List.rev_map
-          (fun h -> Bytes.to_string (Pkt.pull p (String.length h)))
+          (fun h ->
+            let n = String.length h in
+            let head = Pkt.peek p n in
+            Pkt.drop p n;
+            Bytes.to_string head)
           (List.rev headers) in
       pulled = headers && Pkt.to_string p = payload)
 

@@ -12,8 +12,6 @@ module Dispatcher = Spin_core.Dispatcher
 module Handler_spec = Dispatcher.Handler_spec
 module Ebc = Spin_core.Ebc
 module Ty = Spin_core.Ty
-module Object_file = Spin_core.Object_file
-module Kdomain = Spin_core.Kdomain
 module Capability = Spin_core.Capability
 module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
@@ -73,7 +71,7 @@ let corpus : (string * Ebc.program * (Ebc.error -> bool)) list =
       [| Ebc.Add (0, 1, 2); Ebc.Ret 0 |],
       function Ebc.Uninitialized _ -> true | _ -> false );
     ( "register index out of range",
-      [| Ebc.Ldi (Ebc.nregs, 1); Ebc.Ret 0 |],
+      [| Ebc.Ldi (8, 1); Ebc.Ret 0 |],
       function Ebc.Bad_register _ -> true | _ -> false );
     ( "jump escaping a loop body",
       [| Ebc.Loop (2, 2); Ebc.Ldi (0, 1); Ebc.Jmp 3; Ebc.Ret 0 |],
@@ -88,7 +86,7 @@ let corpus : (string * Ebc.program * (Ebc.error -> bool)) list =
       [||],
       function Ebc.Empty -> true | _ -> false );
     ( "longer than any declarable program",
-      Array.make (Ebc.max_program + 1) (Ebc.Ldi (0, 0)),
+      Array.make 4097 (Ebc.Ldi (0, 0)),
       function Ebc.Too_long _ -> true | _ -> false );
   ]
 
@@ -279,11 +277,11 @@ let test_capability_slots () =
   let prog =
     [| Ebc.Ldc (0, 0); Ebc.Ldc (1, 0); Ebc.Eq (2, 0, 1); Ebc.Ret 2 |] in
   (match Ebc.verify ~layout ~caps prog with
-   | Ok _ -> ()
+   | Ok v ->
+     check bool "live capability equals itself" true
+       (Ebc.compile v { a = 0; b = 0 })
    | Error err ->
      failf "granted slot rejected: %s" (Ebc.error_to_string err));
-  check bool "live capability equals itself" true
-    (Ebc.compile ~layout ~caps prog { a = 0; b = 0 });
   (match Ebc.verify ~layout ~caps [| Ebc.Ldc (0, 1); Ebc.Ret 0 |] with
    | Error (Ebc.Cap_out_of_range _) -> ()
    | Ok _ -> fail "undeclared capability slot admitted"
@@ -352,8 +350,9 @@ let test_run_counted_steps () =
     check bool (name ^ ": result") true result;
     check int (name ^ ": steps") steps n;
     match Ebc.verify ~layout prog with
-    | Ok cert ->
-      check bool (name ^ ": within the certificate") true (n <= cert.c_steps)
+    | Ok v ->
+      check bool (name ^ ": within the certificate") true
+        (n <= (Ebc.certificate v).c_steps)
     | Error err -> failf "%s rejected: %s" name (Ebc.error_to_string err) in
   List.iter
     (fun n ->
@@ -381,11 +380,11 @@ let prop_certificate =
     (fun (prog, a, b) ->
       match Ebc.verify ~layout prog with
       | Error _ -> true
-      | Ok cert ->
+      | Ok v ->
         incr accepted;
         let ev = { a; b } in
         let result, steps = Ebc.run_counted ~layout prog ev in
-        steps <= cert.c_steps && Ebc.compile ~layout prog ev = result)
+        steps <= (Ebc.certificate v).c_steps && Ebc.compile v ev = result)
 
 (* A fixed seed makes the acceptance count a fact about the generator:
    a property the verifier rejects nearly every case of checks
@@ -395,51 +394,6 @@ let test_certificate () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 1995 |]) prop_certificate;
   if !accepted < 200 then
     failf "only %d of %d programs accepted" !accepted cases
-
-(* ------------------------------------------------------------------ *)
-(* Verified object files                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_verified_object () =
-  let b =
-    Object_file.Builder.create ~name:"filter.o" ~safety:Object_file.Unsigned
-      () in
-  Ebc.export_program b ~intf:"Filter" ~name:"accept"
-    (Ebc.match_field ~slot:0 5);
-  Ebc.export_program b ~intf:"Filter" ~name:"port"
-    (Ebc.match_field ~slot:1 53);
-  let draft = Object_file.Builder.build b in
-  check bool "unsigned draft is unsafe" false (Object_file.is_safe draft);
-  (match Kdomain.create draft with
-   | Error (Kdomain.Unsafe_object _) -> ()
-   | Error err -> failf "wrong refusal: %s" (Kdomain.error_to_string err)
-   | Ok _ -> fail "unsigned object admitted to domain creation");
-  (match Ebc.verify_object ~layout draft with
-   | Ok n -> check int "every exported program checked" 2 n
-   | Error (name, err) ->
-     failf "verify_object %s: %s" name (Ebc.error_to_string err));
-  Object_file.Builder.set_safety b
-    (Object_file.Verified { verifier = "ebc"; programs = 2 });
-  let obj = Object_file.Builder.build b in
-  check bool "verifier's word makes it safe" true (Object_file.is_safe obj);
-  (match Kdomain.create obj with
-   | Ok _ -> ()
-   | Error err ->
-     failf "verified object refused: %s" (Kdomain.error_to_string err));
-  (match Object_file.safety obj with
-   | Object_file.Verified { programs; _ } ->
-     check int "safety records the program count" 2 programs
-   | _ -> fail "safety tag lost");
-  let bad =
-    Object_file.Builder.create ~name:"bad.o" ~safety:Object_file.Unsigned ()
-  in
-  Ebc.export_program bad ~intf:"Filter" ~name:"spin"
-    [| Ebc.Jmp (-1); Ebc.Ret 0 |];
-  match Ebc.verify_object ~layout (Object_file.Builder.build bad) with
-  | Error (_, Ebc.Backward_jump _) -> ()
-  | Error (name, err) ->
-    failf "wrong rejection for %s: %s" name (Ebc.error_to_string err)
-  | Ok _ -> fail "object with a looping export verified"
 
 let () =
   run "verifier"
@@ -474,7 +428,4 @@ let () =
             test_run_counted_steps;
           test_case "accepted programs honor their certificate" `Quick
             test_certificate ] );
-      ( "object-files",
-        [ test_case "Verified via verify_object" `Quick test_verified_object ]
-      );
     ]
