@@ -142,7 +142,7 @@ type ('a, 'r) handler = {
   bound : int option;
   async : bool;
   policy : failure_policy;
-  h_indexed : bool;                      (* lives in an index slot *)
+  h_slot : ('a, 'r) slot option;         (* the index slot it lives in *)
   (* The trusted-fast predicate: present iff the handler's bytecode
      passed the install-time verifier and no runtime check (closure
      guard, cycle bound) was requested alongside it. Dispatch runs it
@@ -161,15 +161,15 @@ and ('a, 'r) event = {
   combine : 'r list -> 'r;
   auth : installer:string -> 'a decision;
   index : ('a -> int) option;
-  indexed : (int, ('a, 'r) handler list ref) Hashtbl.t;
+  indexed : (int, ('a, 'r) slot) Hashtbl.t;
   allow_remove : requester:string -> bool;
   default_handler : ('a, 'r) handler;
   mutable primary_active : bool;
   mutable extra : ('a, 'r) handler list;  (* active, dispatch order *)
   (* Active handlers across all index slots. Slots deliberately
-     retain inactive handlers (dispatch filters on [active], reviving
-     is a flag flip), so [Hashtbl.length indexed] counts keys ever
-     used, not live handlers — the plan must not use it. *)
+     retain inactive handlers (reviving is a flag flip and a refresh of
+     the slot's live list), so [Hashtbl.length indexed] counts keys
+     ever used, not live handlers — the plan must not use it. *)
   mutable n_indexed_active : int;
   mutable plan : ('a, 'r) plan;
   (* Dispatches currently running this event's plan; the invariant
@@ -198,6 +198,14 @@ and ('a, 'r) plan =
   | Direct of ('a, 'r) handler       (* sole unguarded synchronous handler *)
   | Trusted of ('a, 'r) handler * ('a -> bool)  (* sole verified handler *)
   | General of ('a, 'r) handler list (* primary (if active) and extras *)
+
+(* One index key's handlers. Every link and uninstall of a member
+   rebuilds [live], as [replan] rebuilds the plan, so a raise keeps the
+   list it read: a member re-linked mid-raise waits for the next. *)
+and ('a, 'r) slot = {
+  mutable members : ('a, 'r) handler list;  (* install order *)
+  mutable live : ('a, 'r) handler list;     (* the active members *)
+}
 
 exception No_handler of string
 
@@ -228,9 +236,9 @@ let flush_deferred t =
   while not (Queue.is_empty t.deferred) do (Queue.pop t.deferred) () done;
   n
 
-let last_result name results =
-  match List.rev results with
-  | r :: _ -> r
+let rec last_result name = function
+  | [ r ] -> r
+  | _ :: rest -> last_result name rest
   | [] -> raise (No_handler name)
 
 (* A live indexed handler forces the General plan: only its index
@@ -256,22 +264,27 @@ let same_plan a b =
   | General hs, General hs' -> List.equal ( == ) hs hs'
   | (Direct _ | Trusted _ | General _), _ -> false
 
+let refresh h =
+  Option.iter (fun b -> b.live <- List.filter (fun h -> h.active) b.members) h.h_slot
+
 (* Every site that retires a handler funnels through here so the
    active-indexed count stays exact and the plan never names a retired
    handler. An indexed handler stays in its slot. *)
 let uninstall e h =
   if h.active then begin
     h.active <- false;
-    if h.h_indexed then e.n_indexed_active <- e.n_indexed_active - 1
+    if Option.is_some h.h_slot then e.n_indexed_active <- e.n_indexed_active - 1
     else e.extra <- List.filter (fun x -> x != h) e.extra;
+    refresh h;
     replan e
   end
 
 let link e h =
   if not h.active then begin
     h.active <- true;
-    if h.h_indexed then e.n_indexed_active <- e.n_indexed_active + 1
+    if Option.is_some h.h_slot then e.n_indexed_active <- e.n_indexed_active + 1
     else e.extra <- e.extra @ [ h ];
+    refresh h;
     replan e
   end
 
@@ -291,7 +304,7 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
       default_handler =
         { h_id = fresh_handler_id t; installer = owner; fn = default;
           guards = []; bound = None; async = false; policy = Uninstall;
-          h_indexed = false; trusted = None; active = true; h_event = e };
+          h_slot = None; trusted = None; active = true; h_event = e };
       n_indexed_active = 0; plan = General []; in_flight = 0;
       gated = false; s_gated_waits = 0;
       s_raises = 0; s_fast = 0; s_invocations = 0;
@@ -303,12 +316,14 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
      installed (linear and indexed alike). *)
   let spec_info h =
     { Handler_spec.i_event = name; i_installer = h.installer;
-      i_handler_id = h.h_id; i_policy = h.policy; i_indexed = h.h_indexed;
+      i_handler_id = h.h_id; i_policy = h.policy;
+      i_indexed = Option.is_some h.h_slot;
       i_trusted = h.trusted <> None; i_async = h.async; i_bound = h.bound;
       i_guards = List.length h.guards; i_active = h.active } in
   let reg_specs () =
     List.map spec_info e.extra
-    @ Hashtbl.fold (fun _ b acc -> List.map spec_info !b @ acc) e.indexed [] in
+    @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.members @ acc)
+        e.indexed [] in
   let reg_installers () =
     let primary = if e.primary_active then [ owner ] else [] in
     primary
@@ -326,7 +341,7 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
         uninstall e h; incr removed
       end in
     List.iter sweep e.extra;
-    Hashtbl.iter (fun _ b -> List.iter sweep !b) e.indexed;
+    Hashtbl.iter (fun _ b -> List.iter sweep b.members) e.indexed;
     !removed in
   (* Structural-coherence audit, type-erased so the checkers can sweep
      every event: stale inactive handlers in the linear list, a drifted
@@ -345,7 +360,7 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     let live =
       Hashtbl.fold
         (fun _ b acc ->
-          acc + List.length (List.filter (fun h -> h.active) !b))
+          acc + List.length (List.filter (fun h -> h.active) b.members))
         e.indexed 0 in
     if live <> e.n_indexed_active then
       report
@@ -457,18 +472,21 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
              match auth_bound, s.Handler_spec.bound_cycles with
              | None, b | b, None -> b
              | Some a, Some b -> Some (min a b) in
+         let slot =
+           Option.map
+             (fun key ->
+               match Hashtbl.find_opt e.indexed key with
+               | Some b -> b
+               | None ->
+                 let b = { members = []; live = [] } in
+                 Hashtbl.replace e.indexed key b; b)
+             s.Handler_spec.index_key in
          let h =
            { h_id = fresh_handler_id e.disp; installer; fn; guards; bound;
              async = s.Handler_spec.async || force_async;
-             policy = s.Handler_spec.on_failure;
-             h_indexed = s.Handler_spec.index_key <> None;
+             policy = s.Handler_spec.on_failure; h_slot = slot;
              trusted; active = false; h_event = e } in
-         Option.iter
-           (fun key ->
-             match Hashtbl.find_opt e.indexed key with
-             | Some b -> b := !b @ [ h ]
-             | None -> Hashtbl.replace e.indexed key (ref [ h ]))
-           s.Handler_spec.index_key;
+         Option.iter (fun b -> b.members <- b.members @ [ h ]) slot;
          link e h;
          Ok h)
 
@@ -491,19 +509,19 @@ let reinstate_primary e =
   e.primary_active <- true;
   replan e
 
-let guards_pass e h arg =
-  List.for_all
-    (fun g ->
-      Spin_machine.Clock.charge e.disp.clock costs.guard_eval;
-      g arg
-      || begin
-        e.s_guard_rejections <- e.s_guard_rejections + 1;
-        if Trace.on e.disp.tracer then
-          Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
-            ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
-        false
-      end)
-    h.guards
+(* A top-level loop, so a raise builds no closure. *)
+let rec guards_pass e h arg = function
+  | [] -> true
+  | g :: rest ->
+    Spin_machine.Clock.charge e.disp.clock costs.guard_eval;
+    if g arg then guards_pass e h arg rest
+    else begin
+      e.s_guard_rejections <- e.s_guard_rejections + 1;
+      if Trace.on e.disp.tracer then
+        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
+          ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
+      false
+    end
 
 (* The thunk runs after the raise returns — on a freshly spawned strand
    or at the next [flush_deferred] — so the handler can be uninstalled
@@ -536,13 +554,15 @@ let report_fault e h kind ~removed =
    (Quarantine counts faults against the domain's budget), comes back
    after a delay (Restart), or goes away (Uninstall). The primary
    implementation is trusted: its exceptions propagate to the raiser,
-   as a direct procedure call's would. [invoke] answers [None] for a
-   handler that faulted. *)
-let invoke e h arg =
-  if h == e.default_handler then Some (h.fn arg)
+   as a direct procedure call's would. [invoke] conses the handler's
+   result onto [acc], and returns [acc] itself for a handler that
+   faulted. *)
+let invoke e h arg acc =
+  if h == e.default_handler then h.fn arg :: acc
   else
-    try Some (h.fn arg)
-    with exn ->
+    match h.fn arg with
+    | r -> r :: acc
+    | exception exn ->
       e.s_failed <- e.s_failed + 1;
       if Trace.on e.disp.tracer then
         Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
@@ -553,7 +573,7 @@ let invoke e h arg =
         && (match h.policy with Quarantine _ -> true | _ -> false) in
       if not keep_installed then uninstall e h;
       report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
-      None
+      acc
 
 let run_sync e h arg acc =
   let clock = e.disp.clock in
@@ -567,11 +587,10 @@ let run_sync e h arg acc =
          e.e_name h.installer);
   e.s_invocations <- e.s_invocations + 1;
   match h.bound with
-  | None ->
-    (match invoke e h arg with Some r -> r :: acc | None -> acc)
+  | None -> invoke e h arg acc
   | Some bound ->
     let before = Spin_machine.Clock.now clock in
-    let result = invoke e h arg in
+    let result = invoke e h arg acc in
     let spent = Spin_machine.Clock.now clock - before in
     if spent > bound then begin
       (* Overran its quantum: the dispatcher aborts the handler and
@@ -579,11 +598,10 @@ let run_sync e h arg acc =
          stays installed — repeat offenders are the supervisor's call. *)
       e.s_aborted <- e.s_aborted + 1;
       (* [invoke] already reported if the handler threw. *)
-      if h != e.default_handler && result <> None then
+      if h != e.default_handler && result != acc then
         report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
       acc
-    end else
-      match result with Some r -> r :: acc | None -> acc
+    end else result
 
 (* One handler's turn in a General dispatch. A handler evicted
    mid-dispatch (a supervisor quarantine triggered by an earlier
@@ -596,7 +614,7 @@ let step e arg acc h =
     let admitted =
       match h.trusted with
       | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
-      | None -> guards_pass e h arg in
+      | None -> guards_pass e h arg h.guards in
     if not admitted then acc
     else begin
       let trusted = h.trusted <> None in
@@ -614,6 +632,11 @@ let step e arg acc h =
         acc
       end else run_sync e h arg acc
     end
+
+(* A top-level loop, so a General raise builds no closure. *)
+let rec step_all e arg acc = function
+  | [] -> acc
+  | h :: rest -> step_all e arg (step e arg acc h) rest
 
 (* One match on the cached plan. Each route charges what the paper's
    dispatcher would: a procedure call for Direct; the compiled
@@ -659,23 +682,26 @@ let dispatch e arg =
     end
   | General handlers ->
     Spin_machine.Clock.charge clock costs.dispatch_fixed;
-    Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
-      ~args:[ ("path", "slow") ] (fun () ->
-        (* Indexed handlers are found by hashing, not by walking
-           guards: one lookup regardless of how many keys are
-           registered, filtered before any handler runs. *)
-        let indexed =
-          match e.index with
-          | None -> []
-          | Some index ->
-            Spin_machine.Clock.charge clock costs.guard_eval;
-            (match Hashtbl.find_opt e.indexed (index arg) with
-             | Some slot -> List.filter (fun h -> h.active) !slot
-             | None -> []) in
-        let step = step e arg in
-        e.combine
-          (List.rev (List.fold_left step (List.fold_left step [] handlers)
-                       indexed)))
+    let sp =
+      Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
+        ~args:[ ("path", "slow") ] () in
+    (match
+       (* Indexed handlers are found by hashing, not by walking
+          guards: one lookup regardless of how many keys are
+          registered, its live list read before any handler runs. *)
+       let indexed =
+         match e.index with
+         | None -> []
+         | Some index ->
+           Spin_machine.Clock.charge clock costs.guard_eval;
+           let key = index arg in
+           (match Hashtbl.find e.indexed key with
+            | slot -> slot.live
+            | exception Not_found -> []) in
+       e.combine (List.rev (step_all e arg (step_all e arg [] handlers) indexed))
+     with
+     | r -> Trace.end_span tr sp; r
+     | exception exn -> Trace.end_span tr sp; raise exn)
 
 (* Hold at a closed gate until the swap that closed it drains us. A
    wait hook that answers false exempts the caller (the swap strand

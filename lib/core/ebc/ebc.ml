@@ -338,92 +338,99 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
 
 let certificate v = v.v_cert
 
+(* A compiled predicate's state, built once by [compile]: one register
+   file reused by every run, and the payload view each run sets first.
+   Reuse is sound for two reasons. The verifier rejects any read of a
+   register no instruction on the path has written, so a run never
+   sees a value left by the previous one. And a run never overlaps
+   another run of the same predicate: its only calls out are layout
+   and capability reads, which raise no events. *)
+type 'a compiled = {
+  code : program;
+  read : 'a -> int -> int;
+  caps : cap_slot array;
+  regs : int array;
+  mutable buf : Bytes.t;
+  mutable base : int;
+  mutable len : int;
+}
+
 (* The trusted-fast interpreter: no register bounds checks, no step
    counting — the certificate already proved both, for exactly this
    layout, these slots and this code. Payload reads keep their dynamic
    length clamp (part of the verified semantics, like a BPF packet read
-   beyond the frame yielding 0). *)
+   beyond the frame yielding 0). A top-level loop, so a run allocates
+   nothing. Returns -1 when control falls off [stop]; 0/1 for Ret. *)
+let ( .%() ) (regs : int array) r = Array.unsafe_get regs r
+let ( .%()<- ) (regs : int array) r v = Array.unsafe_set regs r v
+
+let rec exec k arg pc stop =
+  if pc >= stop then -1
+  else
+    let regs = k.regs in
+    match Array.unsafe_get k.code pc with
+    | Ldi (r, v) -> regs.%(r) <- v; exec k arg (pc + 1) stop
+    | Ldf (r, slot) -> regs.%(r) <- k.read arg slot; exec k arg (pc + 1) stop
+    | Ldb (r, off) ->
+      regs.%(r) <-
+        (if off < k.len then Char.code (Bytes.unsafe_get k.buf (k.base + off))
+         else 0);
+      exec k arg (pc + 1) stop
+    | Ldw (r, off) ->
+      regs.%(r) <-
+        (if off + 1 < k.len then
+           Char.code (Bytes.unsafe_get k.buf (k.base + off))
+           lor (Char.code (Bytes.unsafe_get k.buf (k.base + off + 1)) lsl 8)
+         else 0);
+      exec k arg (pc + 1) stop
+    | Len r -> regs.%(r) <- k.len; exec k arg (pc + 1) stop
+    | Ldc (r, slot) ->
+      regs.%(r) <- (Array.unsafe_get k.caps slot).cs_read ();
+      exec k arg (pc + 1) stop
+    | Mov (d, s) -> regs.%(d) <- regs.%(s); exec k arg (pc + 1) stop
+    | Add (d, a, b) -> regs.%(d) <- regs.%(a) + regs.%(b); exec k arg (pc + 1) stop
+    | Sub (d, a, b) -> regs.%(d) <- regs.%(a) - regs.%(b); exec k arg (pc + 1) stop
+    | And (d, a, b) ->
+      regs.%(d) <- regs.%(a) land regs.%(b); exec k arg (pc + 1) stop
+    | Or (d, a, b) -> regs.%(d) <- regs.%(a) lor regs.%(b); exec k arg (pc + 1) stop
+    | Eq (d, a, b) ->
+      regs.%(d) <- (if regs.%(a) = regs.%(b) then 1 else 0);
+      exec k arg (pc + 1) stop
+    | Lt (d, a, b) ->
+      regs.%(d) <- (if regs.%(a) < regs.%(b) then 1 else 0);
+      exec k arg (pc + 1) stop
+    | Not (d, s) ->
+      regs.%(d) <- (if regs.%(s) = 0 then 1 else 0); exec k arg (pc + 1) stop
+    | Jmp d -> exec k arg (pc + 1 + d) stop
+    | Jz (r, d) -> exec k arg (if regs.%(r) = 0 then pc + 1 + d else pc + 1) stop
+    | Jnz (r, d) -> exec k arg (if regs.%(r) <> 0 then pc + 1 + d else pc + 1) stop
+    | Loop (count, len) ->
+      let bstop = pc + 1 + len in
+      let res = ref (-1) in
+      let i = ref 0 in
+      while !res = -1 && !i < count do
+        res := exec k arg (pc + 1) bstop;
+        incr i
+      done;
+      if !res >= 0 then !res else exec k arg bstop stop
+    | Ret r -> if regs.%(r) <> 0 then 1 else 0
+
 let compile { v_layout = layout; v_caps = caps; v_code = code; _ } =
-  let read_field = layout.l_read in
+  let k =
+    { code; read = layout.l_read; caps; regs = Array.make nregs 0;
+      buf = Bytes.empty; base = 0; len = 0 } in
+  let stop = Array.length code in
   let uses_payload =
     Array.exists
       (function Ldb _ | Ldw _ | Len _ -> true | _ -> false)
       code in
-  let payload = layout.l_payload in
-  let stop0 = Array.length code in
-  fun arg ->
-    let buf, base, len =
-      if uses_payload then
-        match payload with Some p -> p arg | None -> (Bytes.empty, 0, 0)
-      else (Bytes.empty, 0, 0) in
-    let regs = Array.make nregs 0 in
-    (* Returns -1 when control falls off [stop]; 0/1 for Ret. *)
-    let rec go pc stop =
-      if pc >= stop then -1
-      else
-        match Array.unsafe_get code pc with
-        | Ldi (r, v) -> Array.unsafe_set regs r v; go (pc + 1) stop
-        | Ldf (r, slot) ->
-          Array.unsafe_set regs r (read_field arg slot); go (pc + 1) stop
-        | Ldb (r, off) ->
-          Array.unsafe_set regs r
-            (if off < len then Char.code (Bytes.unsafe_get buf (base + off))
-             else 0);
-          go (pc + 1) stop
-        | Ldw (r, off) ->
-          Array.unsafe_set regs r
-            (if off + 1 < len then
-               Char.code (Bytes.unsafe_get buf (base + off))
-               lor (Char.code (Bytes.unsafe_get buf (base + off + 1)) lsl 8)
-             else 0);
-          go (pc + 1) stop
-        | Len r -> Array.unsafe_set regs r len; go (pc + 1) stop
-        | Ldc (r, slot) ->
-          Array.unsafe_set regs r ((Array.unsafe_get caps slot).cs_read ());
-          go (pc + 1) stop
-        | Mov (d, s) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs s); go (pc + 1) stop
-        | Add (d, a, b) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs a + Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Sub (d, a, b) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs a - Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | And (d, a, b) ->
-          Array.unsafe_set regs d
-            (Array.unsafe_get regs a land Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Or (d, a, b) ->
-          Array.unsafe_set regs d
-            (Array.unsafe_get regs a lor Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Eq (d, a, b) ->
-          Array.unsafe_set regs d
-            (if Array.unsafe_get regs a = Array.unsafe_get regs b then 1 else 0);
-          go (pc + 1) stop
-        | Lt (d, a, b) ->
-          Array.unsafe_set regs d
-            (if Array.unsafe_get regs a < Array.unsafe_get regs b then 1 else 0);
-          go (pc + 1) stop
-        | Not (d, s) ->
-          Array.unsafe_set regs d (if Array.unsafe_get regs s = 0 then 1 else 0);
-          go (pc + 1) stop
-        | Jmp d -> go (pc + 1 + d) stop
-        | Jz (r, d) ->
-          go (if Array.unsafe_get regs r = 0 then pc + 1 + d else pc + 1) stop
-        | Jnz (r, d) ->
-          go (if Array.unsafe_get regs r <> 0 then pc + 1 + d else pc + 1) stop
-        | Loop (count, len_) ->
-          let bstop = pc + 1 + len_ in
-          let res = ref (-1) in
-          let k = ref 0 in
-          while !res = -1 && !k < count do
-            res := go (pc + 1) bstop;
-            incr k
-          done;
-          if !res >= 0 then !res else go bstop stop
-        | Ret r -> if Array.unsafe_get regs r <> 0 then 1 else 0 in
-    go 0 stop0 = 1
+  match layout.l_payload with
+  | Some payload when uses_payload ->
+    fun arg ->
+      let buf, base, len = payload arg in
+      k.buf <- buf; k.base <- base; k.len <- len;
+      exec k arg 0 stop = 1
+  | Some _ | None -> fun arg -> exec k arg 0 stop = 1
 
 (* Checked reference interpreter with a step counter: the oracle the
    certificate is tested against. *)

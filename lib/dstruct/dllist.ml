@@ -66,6 +66,9 @@ let value n = n.value
 
 let is_linked n = n.linked
 
+let first t = t.head
+let next n = n.next
+
 let iter f t =
   let rec loop = function
     | None -> ()

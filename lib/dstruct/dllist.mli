@@ -40,6 +40,10 @@ val value : 'a node -> 'a
 val is_linked : 'a node -> bool
 (** [is_linked n] is [true] while [n] is still in its list. *)
 
+val first : 'a t -> 'a node option
+val next : 'a node -> 'a node option
+(** A walk that allocates nothing: both return options the list holds. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] front to back. *)
 

@@ -92,7 +92,7 @@ let transmit t pkt =
     else Trace.null_span in
   Clock.charge t.machine.Machine.clock t.tx_overhead;
   let ok = transmit_frame t pkt in
-  Trace.end_span tr sp ~args:[ ("ok", string_of_bool ok) ];
+  if Trace.on tr then Trace.end_span tr sp ~args:[ ("ok", string_of_bool ok) ];
   ok
 
 (* A burst pays the full driver overhead once; subsequent frames ride
@@ -115,7 +115,8 @@ let transmit_burst t pkts =
           (t.tx_overhead / coalesce_divisor);
         if transmit_frame t pkt then incr sent)
       rest;
-    Trace.end_span tr sp ~args:[ ("sent", string_of_int !sent) ];
+    if Trace.on tr then
+      Trace.end_span tr sp ~args:[ ("sent", string_of_int !sent) ];
     !sent
 
 (* Flow steering, netisr-style: hash the flow-identifying header

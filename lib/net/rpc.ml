@@ -160,7 +160,7 @@ let call t ?(timeout_us = 1_000_000.) ?(retries = 0) ~dst ~name args =
         ~args:[ ("proc", name); ("attempt", string_of_int (n + 1));
                 ("cause", kind) ] () in
   let finish outcome result =
-    Trace.end_span tr sp ~args:[ ("outcome", outcome) ];
+    if Trace.on tr then Trace.end_span tr sp ~args:[ ("outcome", outcome) ];
     result in
   let rec attempt n timeout =
     match call_once t ~timeout_us:timeout ~dst ~name args with

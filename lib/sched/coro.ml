@@ -25,17 +25,24 @@ let alive t =
   | Created _ | Parked _ | Running -> true
   | Finished -> false
 
-let handler t = {
-  retc = (fun () -> t.state <- Finished; Done);
-  exnc = (fun e -> t.state <- Finished; Failed e);
-  effc = (fun (type a) (eff : a Effect.t) ->
-    match eff with
-    | Suspend reason ->
-      Some (fun (k : (a, outcome) continuation) ->
-        t.state <- Parked k;
-        Suspended reason)
-    | _ -> None);
-}
+let yield_effect = Suspend Yielded and block_effect = Suspend Blocked
+
+(* The park functions are built once per coroutine, at its first run,
+   and the effect values once: a suspension allocates only the
+   runtime's continuation and the [Parked] cell that holds it. *)
+let handler t =
+  let park outcome =
+    Some (fun (k : (unit, outcome) continuation) -> t.state <- Parked k; outcome) in
+  let park_yielded = park (Suspended Yielded) in
+  let park_blocked = park (Suspended Blocked) in
+  { retc = (fun () -> t.state <- Finished; Done);
+    exnc = (fun e -> t.state <- Finished; Failed e);
+    effc = (fun (type a) (eff : a Effect.t)
+      : ((a, outcome) continuation -> outcome) option ->
+      match eff with
+      | Suspend Yielded -> park_yielded
+      | Suspend Blocked -> park_blocked
+      | _ -> None) }
 
 let run t =
   match t.state with
@@ -48,4 +55,4 @@ let run t =
     t.state <- Running;
     continue k ()
 
-let suspend reason = perform (Suspend reason)
+let suspend r = perform (if r = Yielded then yield_effect else block_effect)

@@ -373,29 +373,56 @@ let stealable t ~thief =
         (runnable_on t ~cpu:v))
     victims
 
+(* CPU [c]'s first strand that [thief] may take, in scan order from
+   [node] in priority [p]. It answers with the queue's own option, so
+   the walk allocates nothing. *)
+let rec takeable t ~thief c p node =
+  match node with
+  | Some n ->
+    let s = Dllist.value n in
+    if s.Strand.state = Strand.Runnable
+       && (match s.Strand.affinity with None -> true | Some a -> a = thief)
+    then node
+    else takeable t ~thief c p (Dllist.next n)
+  | None when p > 0 -> takeable t ~thief c (p - 1) (Dllist.first t.queues.(c).(p - 1))
+  | None -> None
+
+(* [stealable]'s head without building it: the first takeable strand of
+   the victim that [stealable] orders first among those that have one
+   (most queued strands, ties to the lower index). *)
+let steal_pick t ~thief =
+  let best = ref None and best_q = ref 2 in
+  for c = t.cpus - 1 downto 0 do
+    let q = t.queued.(c) in
+    if c <> thief && q >= !best_q then
+      let p = Strand.max_priority in
+      match takeable t ~thief c p (Dllist.first t.queues.(c).(p)) with
+      | Some _ as node -> best := node; best_q := q
+      | None -> ()
+  done;
+  Option.map Dllist.value !best
+
 let try_steal t ~thief =
-  match stealable t ~thief with
-  | [] -> ()
-  | candidates ->
-    let pick =
-      match t.steal_policy with
-      | None -> Some (List.hd candidates)
-      | Some policy -> policy ~thief candidates in
-    (match pick with
-     | None -> ()
-     | Some s ->
-       if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
-          && s.Strand.qcpu <> thief
-          && (match s.Strand.affinity with None -> true | Some a -> a = thief)
-          && t.queued.(s.Strand.qcpu) >= 2
-       then begin
-         dequeue t s;
-         enqueue t ~cpu:thief s;
-         t.s_steals <- t.s_steals + 1
-       end else
-         report_violation t
-           (Printf.sprintf "steal policy picked unstealable strand %s"
-              (Strand.to_string s)))
+  let pick =
+    match t.steal_policy with
+    | None -> steal_pick t ~thief
+    | Some policy ->
+      (match stealable t ~thief with [] -> None | c -> policy ~thief c) in
+  match pick with
+  | None -> ()
+  | Some s ->
+    if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
+       && s.Strand.qcpu <> thief
+       && (match s.Strand.affinity with None -> true | Some a -> a = thief)
+       && t.queued.(s.Strand.qcpu) >= 2
+    then begin
+      dequeue t s;
+      enqueue t ~cpu:thief s;
+      t.s_steals <- t.s_steals + 1
+    end else
+      report_violation t
+        (Printf.sprintf "steal policy picked unstealable strand %s"
+           (Strand.to_string s))
 
 (* Whether some CPU at or after [c] holds at least two strands — the
    only state in which [stealable] can offer anything. *)
@@ -510,11 +537,11 @@ let default_pick t =
   if c < t.cpus then c else busy_from t 0
 
 (* Only two or more busy CPUs are a choice: the selector, and the list
-   it is offered, are reached only then. *)
+   it is offered, are reached only then. [-1] when no CPU has work. *)
 let pick_cpu t =
   let first = busy_from t 0 in
-  if first >= t.cpus then None
-  else if busy_from t (first + 1) >= t.cpus then Some first
+  if first >= t.cpus then -1
+  else if busy_from t (first + 1) >= t.cpus then first
   else begin
     let c =
       match t.cpu_selector with
@@ -529,7 +556,7 @@ let pick_cpu t =
            default_pick t
          | None -> default_pick t) in
     t.rr_cpu <- (c + 1) mod t.cpus;
-    Some c
+    c
   end
 
 let drain_all_ipis t =
@@ -541,9 +568,9 @@ let drain_all_ipis t =
     done
 
 let rec try_pick t =
-  match pick_cpu t with
-  | None -> false
-  | Some cpu ->
+  let cpu = pick_cpu t in
+  if cpu < 0 then false
+  else
     match next_runnable t ~cpu with
     | None -> try_pick t                  (* queue held only stale entries *)
     | Some s ->

@@ -248,6 +248,11 @@ type steal_policy = thief:int -> Strand.t list -> Strand.t option
     migrate; [None] declines to steal. The default takes the head —
     the longest-waiting urgent strand of the most loaded CPU. *)
 
+val stealable : t -> thief:int -> Strand.t list
+val steal_pick : t -> thief:int -> Strand.t option
+(** What a {!steal_policy} is offered for [thief], and the default
+    pick, its head, found without building it. *)
+
 val set_steal_policy : t -> steal_policy option -> unit
 (** Installs (or clears) a replacement stealing policy — the same
     extension-point family as {!set_selector}: policy is replaceable,

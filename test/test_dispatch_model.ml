@@ -6,11 +6,12 @@
    by spec, uninstalls, added guards, primary
    removal and reinstatement, gates (with a swap performed while a
    raise is held), revivals of faulted handlers, raises, and flushes
-   of deferred handlers. After every step the real dispatcher must
-   agree with the model on the handlers invoked and their order, the
-   combined result (or [No_handler], or the primary's exception),
-   every event's stats, the virtual cycles charged, and a clean
-   audit. *)
+   of deferred handlers. A handler body may also uninstall or revive
+   an indexed handler of its own event while the raise runs. After
+   every step the real dispatcher must agree with the model on the
+   handlers invoked and their order, the combined result (or
+   [No_handler], or the primary's exception), every event's stats, the
+   virtual cycles charged, and a clean audit. *)
 
 open Spin_core
 module Clock = Spin_machine.Clock
@@ -49,6 +50,9 @@ type hspec = {
   raises_on : int option;    (* the body throws on this argument *)
   quarantine : bool;         (* [Quarantine] policy, else [Uninstall] *)
   evicts : int option;       (* the body sweeps this installer *)
+  meddles : (bool * int) option;
+  (* the body revives (true) or uninstalls (false) this pick among
+     its event's indexed handlers *)
 }
 
 type op =
@@ -109,6 +113,7 @@ type event = {
   layout : bool;
   sum : bool;
   mutable hs : (int, int) Dispatcher.handler list;   (* install order *)
+  mutable keyed : (int, int) Dispatcher.handler list;  (* the indexed ones *)
   mutable r_swap : op option;
   m_primary : mh;
   mutable primary_active : bool;
@@ -147,13 +152,21 @@ let pick l k = List.nth l (k mod List.length l)
 (* The real dispatcher                                                *)
 (* ------------------------------------------------------------------ *)
 
-let body w s id x =
+let body w ev s id x =
   w.log := id :: !(w.log);
   Clock.charge w.clock s.work;
   Option.iter
     (fun i ->
       ignore (Dispatcher.uninstall_installer w.d ~installer:installers.(i)))
     s.evicts;
+  (match s.meddles, ev.keyed with
+   | Some (revive, k), (_ :: _ as keyed) ->
+     let h = pick keyed k in
+     if revive then
+       Option.iter (fun f -> f ())
+         (Hashtbl.find_opt w.revive (Dispatcher.handler_id h))
+     else Dispatcher.uninstall ev.e h
+   | Some _, [] | None, _ -> ());
   if s.raises_on = Some x then raise Boom;
   id
 
@@ -181,9 +194,12 @@ let real_apply w op =
     with_event w i (fun ev ->
       match
         Dispatcher.install ev.e ~installer:installers.(s.installer)
-          ~spec:(to_spec s) (body w s id)
+          ~spec:(to_spec s) (body w ev s id)
       with
-      | Ok h -> ev.hs <- ev.hs @ [ h ]; Installed
+      | Ok h ->
+        ev.hs <- ev.hs @ [ h ];
+        if s.key <> None then ev.keyed <- ev.keyed @ [ h ];
+        Installed
       | Error err -> Install_failed err)
   | Uninstall (i, k) ->
     with_handler i k (fun ev h -> Dispatcher.uninstall ev.e h; Done)
@@ -246,6 +262,21 @@ let sweep w installer =
         ev.all)
     w.events
 
+let revive ev m =
+  if m.faulted && not m.active then begin
+    m.active <- true;
+    if m.spec.key = None then ev.linear <- ev.linear @ [ m ]
+  end
+
+(* A body's revival or uninstall of one of its event's indexed
+   handlers. A revival lands in the slot for later raises only: the
+   raise under way keeps the indexed handlers it started with. *)
+let meddle ev m =
+  match m.spec.meddles, List.filter (fun x -> x.spec.key <> None) ev.all with
+  | Some (true, k), (_ :: _ as keyed) -> revive ev (pick keyed k)
+  | Some (false, k), (_ :: _ as keyed) -> deactivate ev (pick keyed k)
+  | Some _, [] | None, _ -> ()
+
 let combine ev results =
   if ev.sum then Result (List.fold_left ( + ) 0 results)
   else match List.rev results with r :: _ -> Result r | [] -> No_handler
@@ -266,6 +297,7 @@ let run_sync w ev m x =
     w.mlog <- m.id :: w.mlog;
     charge w m.spec.work;
     Option.iter (sweep w) m.spec.evicts;
+    meddle ev m;
     let result =
       if m.spec.raises_on = Some x then begin
         ev.c.failures <- ev.c.failures + 1;
@@ -308,12 +340,7 @@ let rec model_apply w op =
     with_event w i (fun ev -> ev.gated <- true; ev.m_swap <- Some swap; Done)
   | Ungate i -> with_event w i (fun ev -> ev.gated <- false; ev.m_swap <- None; Done)
   | Revive (i, k) ->
-    with_handler i k (fun ev m ->
-      if m.faulted && not m.active then begin
-        m.active <- true;
-        if m.spec.key = None then ev.linear <- ev.linear @ [ m ]
-      end;
-      Done)
+    with_handler i k (fun ev m -> revive ev m; Done)
   | Raise (i, x) ->
     with_event w i (fun ev ->
       match raise_ w ev x with
@@ -327,7 +354,8 @@ let rec model_apply w op =
         if m.active then begin
           w.mlog <- m.id :: w.mlog;
           charge w m.spec.work;
-          Option.iter (sweep w) m.spec.evicts
+          Option.iter (sweep w) m.spec.evicts;
+          meddle ev m
         end else ev.c.stale <- ev.c.stale + 1)
       jobs;
     Flushed (List.length jobs)
@@ -435,7 +463,7 @@ and raise_ w ev x =
 let no_spec =
   { installer = 0; guard = None; bound = None; async = false; key = None;
     verified = None; work = 0; raises_on = None; quarantine = false;
-    evicts = None }
+    evicts = None; meddles = None }
 
 let declare w ~index ~layout:lay ~sum =
   let n = List.length w.events in
@@ -460,7 +488,7 @@ let declare w ~index ~layout:lay ~sum =
       failures = 0; stale = 0; waits = 0; trusted_n = 0 } in
   w.events <-
     w.events
-    @ [ { e; name; index; layout = lay; sum; hs = []; r_swap = None;
+    @ [ { e; name; index; layout = lay; sum; hs = []; keyed = []; r_swap = None;
           m_primary; primary_active = true; linear = []; all = [];
           gated = false; m_swap = None; c } ]
 
@@ -496,10 +524,14 @@ let rec show_op = function
   | Install (i, id, s) ->
     Printf.sprintf
       "install(ev%d #%d %s guard=%s bound=%s async=%b key=%s verified=%s \
-       work=%d raises_on=%s quarantine=%b evicts=%s)"
+       work=%d raises_on=%s quarantine=%b evicts=%s meddles=%s)"
       i id installers.(s.installer) (show_opt s.guard) (show_opt s.bound)
       s.async (show_opt s.key) (show_opt s.verified) s.work
       (show_opt s.raises_on) s.quarantine (show_opt s.evicts)
+      (match s.meddles with
+       | Some (revive, k) ->
+         Printf.sprintf "%s k%d" (if revive then "revive" else "uninstall") k
+       | None -> "-")
   | Uninstall (i, k) -> Printf.sprintf "uninstall(ev%d h%d)" i k
   | Add_guard (i, k, g) -> Printf.sprintf "add_guard(ev%d h%d g%d)" i k g
   | Remove_primary i -> Printf.sprintf "remove_primary(ev%d)" i
@@ -590,11 +622,17 @@ let gen_spec =
   let* work = oneofl [ 0; 0; 10; 150; 600 ] in
   (* Deferred bodies run outside the dispatcher's fault isolation. *)
   let* raises_on =
-    if async then pure None else opt ~ratio:0.25 (int_range 0 7) in
+    if async then pure None
+    else
+      opt ~ratio:0.25
+        (match key with
+         | Some k -> oneofl [ k; k + 4 ]   (* the raises its slot sees *)
+         | None -> int_range 0 7) in
   let* quarantine = bool in
   let* evicts = opt ~ratio:0.1 (int_range 0 2) in
+  let* meddles = opt ~ratio:0.3 (pair bool (int_range 0 3)) in
   pure { installer; guard; bound; async; key; verified; work; raises_on;
-         quarantine; evicts }
+         quarantine; evicts; meddles }
 
 let gen_declare =
   QCheck2.Gen.(
@@ -644,8 +682,47 @@ let print_case (trace, ops) =
 
 let prop_matches_model =
   QCheck2.Test.make ~name:"dispatcher agrees with the reference model"
-    ~count:600 ~print:print_case gen_case run
+    ~count:1000 ~print:print_case gen_case run
+
+(* The snapshot rule on its own: a raise runs the indexed handlers
+   that were active when it began. One re-linked mid-raise sits that
+   raise out and runs from the next; one uninstalled mid-raise is
+   skipped at once. *)
+let test_mid_raise_relink () =
+  let d = Dispatcher.create (Clock.create Cost.alpha_133) in
+  let relink = ref (fun () -> ()) in
+  Dispatcher.set_fault_handler d (fun f -> relink := f.Dispatcher.fault_reinstall);
+  let ran = ref 0 in
+  let e =
+    Dispatcher.declare d ~name:"E" ~owner:"model" ~index:index_of
+      ~combine:(List.fold_left ( + ) 0) (fun _ -> 0) in
+  let install spec fn =
+    Dispatcher.ok_exn ~site:"test"
+      (Dispatcher.install e ~installer:"a" ~spec fn) in
+  let target =
+    install (Handler_spec.indexed 1) (fun x ->
+      incr ran;
+      if x = 5 then raise Boom;
+      1) in
+  ignore
+    (install Handler_spec.default (fun x ->
+       if x = 1 then !relink ();
+       if x = 9 then Dispatcher.uninstall e target;
+       0));
+  let raise_ x = ran := 0; ignore (Dispatcher.raise_event e x) in
+  raise_ 5;
+  Alcotest.(check int) "the fault evicted it" 0 (Dispatcher.indexed_active e);
+  raise_ 1;
+  Alcotest.(check int) "re-linked mid-raise" 1 (Dispatcher.indexed_active e);
+  Alcotest.(check int) "it sat that raise out" 0 !ran;
+  raise_ 1;
+  Alcotest.(check int) "the next raise runs it" 1 !ran;
+  raise_ 9;
+  Alcotest.(check int) "uninstalled mid-raise, skipped" 0 !ran
 
 let () =
   Alcotest.run "spin_dispatch_model"
-    [ ("model", [ QCheck_alcotest.to_alcotest prop_matches_model ]) ]
+    [ ("model",
+       [ QCheck_alcotest.to_alcotest prop_matches_model;
+         Alcotest.test_case "a mid-raise re-link waits for the next raise"
+           `Quick test_mid_raise_relink ]) ]

@@ -891,6 +891,93 @@ let test_direct_raise_allocates_nothing () =
   check int "every raise took the fast path" 10_000
     (Dispatcher.stats e).Dispatcher.fast_path
 
+module Ebc = Spin_core.Ebc
+module Handler_spec = Dispatcher.Handler_spec
+
+let int_layout ?payload () =
+  Ebc.layout ~name:"Ev" ~fields:[ ("x", Spin_core.Ty.Int) ]
+    ~read:(fun x _ -> x) ?payload ()
+
+let test_general_raise_allocates_nothing () =
+  (* A guarded handler and an indexed one force the General plan; the
+     primary is removed so that only they can run. The indexed
+     handler's predicate is verified, so it runs compiled. *)
+  let d = Dispatcher.create (Clock.create Cost.alpha_133) in
+  let e =
+    Dispatcher.declare d ~name:"Ev" ~owner:"M" ~layout:(int_layout ())
+      ~combine:(List.fold_left ( + ) 0) ~index:(fun x -> x land 1)
+      ~allow_remove_primary:(fun ~requester:_ -> true) (fun x -> x) in
+  ignore (Dispatcher.remove_primary e ~requester:"test");
+  ignore
+    (Dispatcher.ok_exn ~site:"test"
+       (Dispatcher.install e ~installer:"g"
+          ~spec:(Handler_spec.guarded (fun x -> x >= 10)) (fun x -> x)));
+  ignore
+    (Dispatcher.ok_exn ~site:"test"
+       (Dispatcher.install e ~installer:"i"
+          ~spec:{ (Handler_spec.verified (Ebc.match_field ~slot:0 12)) with
+                  Handler_spec.index_key = Some 0 }
+          (fun x -> x)));
+  check int "one indexed handler" 1 (Dispatcher.indexed_active e);
+  let per_raise x =
+    minor_words_over 10_000 (fun () -> ignore (Dispatcher.raise_event e x))
+    /. 10_000. in
+  (* 1 hits no index slot, 2 finds the slot; both reject everywhere. *)
+  check (float 0.) "nothing runs, no slot" 0. (per_raise 1);
+  check (float 0.) "nothing runs, slot found" 0. (per_raise 2);
+  (* k handlers run: k result cells and their k-cell reversal. *)
+  let cell = 3. in
+  check (float 0.) "one handler runs" (2. *. cell) (per_raise 11);
+  check (float 0.) "two handlers run" (4. *. cell) (per_raise 12);
+  check int "results combined" 24 (Dispatcher.raise_event e 12);
+  check int "nothing took the fast path" 0
+    (Dispatcher.stats e).Dispatcher.fast_path
+
+let test_compiled_predicate_allocates_nothing () =
+  let compile layout prog =
+    match Ebc.verify ~layout prog with
+    | Ok v -> Ebc.compile v
+    | Error err -> fail (Ebc.error_to_string err) in
+  let field = compile (int_layout ()) (Ebc.match_field ~slot:0 7) in
+  (* A payload accessor that hands back one preallocated view. *)
+  let view = (Bytes.of_string "GET /index.html", 0, 15) in
+  let get =
+    compile (int_layout ~payload:(fun _ -> view) ())
+      (Ebc.match_string ~prefix:true "GET") in
+  check bool "field match" true (field 7);
+  check bool "field mismatch" false (field 8);
+  check bool "payload match" true (get 0);
+  check (float 0.) "minor words over 10,000 field runs" 0.
+    (minor_words_over 10_000 (fun () -> ignore (field 7)));
+  check (float 0.) "minor words over 10,000 payload runs" 0.
+    (minor_words_over 10_000 (fun () -> ignore (get 0)))
+
+(* What one yield and resume of a strand costs the host heap: the
+   suspension's continuation and the [Parked] cell holding it (6), the
+   run-queue node the requeue links and its three options (12), the
+   dequeue's option (2) and the scheduler's [current] option (2). *)
+let yield_words = 22.
+
+let test_strand_yield_words () =
+  let m = fresh () in
+  let sched = Sched.create m.Machine.sim (Dispatcher.create m.Machine.clock) in
+  (* The strand reads the counter itself, into a float array (no
+     boxing), around exactly 10,000 yields, past the first slice that
+     builds the coroutine's handler. *)
+  let marks = Array.make 2 0. in
+  ignore
+    (Sched.spawn sched ~name:"yielder" (fun () ->
+       for i = 1 to 10_100 do
+         if i = 101 then marks.(0) <- Gc.minor_words ();
+         Sched.yield sched
+       done;
+       marks.(1) <- Gc.minor_words ()));
+  Sched.run sched;
+  let per_yield = (marks.(1) -. marks.(0)) /. 10_000. in
+  if per_yield > yield_words then
+    failf "%.4f minor words per yield, over the pinned %.0f" per_yield
+      yield_words
+
 let test_clock_hook_raise_keeps_hooks () =
   let clock = Clock.create Cost.alpha_133 in
   let calls = ref 0 in
@@ -1040,6 +1127,12 @@ let () =
             test_charge_allocates_nothing;
           Alcotest.test_case "direct raise allocates nothing" `Quick
             test_direct_raise_allocates_nothing;
+          Alcotest.test_case "general raise allocates nothing" `Quick
+            test_general_raise_allocates_nothing;
+          Alcotest.test_case "compiled predicate allocates nothing" `Quick
+            test_compiled_predicate_allocates_nothing;
+          Alcotest.test_case "strand yield stays within its pinned words" `Quick
+            test_strand_yield_words;
           Alcotest.test_case "raising clock hook keeps hooks running" `Quick
             test_clock_hook_raise_keeps_hooks;
           Alcotest.test_case "raising sim action does not wedge firing" `Quick

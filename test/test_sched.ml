@@ -873,6 +873,59 @@ let test_random_ops_keep_queued_counts () =
   check bool "idle CPUs stole" true (st.Sched.steals > 0);
   check bool "wakeups crossed CPUs" true (st.Sched.ipi_wakeups > 0)
 
+(* The default steal scans the run queues instead of building the
+   candidate list a steal policy is offered. Over random queues (2-8
+   CPUs, mixed priorities, strands pinned anywhere, stale entries left
+   queued) it must pick that list's head for every thief. *)
+type queued_strand = { cpu : int; prio : int; pin : int option; stale : bool }
+
+let gen_run_queues =
+  let open QCheck2.Gen in
+  let* cpus = int_range 2 8 in
+  let strand =
+    let* cpu = int_range 0 (cpus - 1) in
+    let* prio = oneofl [ 0; 8; 16; 16; 31 ] in
+    let* pin = opt ~ratio:0.3 (int_range 0 (cpus - 1)) in
+    let* stale = frequency [ (5, pure false); (1, pure true) ] in
+    pure { cpu; prio; pin; stale } in
+  let* strands = list_size (int_range 0 24) strand in
+  pure (cpus, strands)
+
+let print_run_queues (cpus, strands) =
+  Printf.sprintf "%d CPUs: %s" cpus
+    (String.concat "; "
+       (List.map
+          (fun q ->
+            Printf.sprintf "cpu%d pri%d pin=%s%s" q.cpu q.prio
+              (match q.pin with Some c -> string_of_int c | None -> "-")
+              (if q.stale then " stale" else ""))
+          strands))
+
+let prop_steal_pick_is_stealable_head =
+  QCheck2.Test.make ~name:"default steal picks the candidate list's head"
+    ~count:500 ~print:print_run_queues gen_run_queues (fun (cpus, strands) ->
+      let clock = Clock.create Spin_machine.Cost.alpha_133 in
+      let s = Sched.create ~cpus (Sim.create clock) (Dispatcher.create clock) in
+      List.iteri
+        (fun i q ->
+          let st =
+            Sched.spawn s ~priority:q.prio ~name:(string_of_int i)
+              (fun () -> ()) in
+          (* Move it to its CPU, then set the pin by hand: a strand
+             pinned to another CPU than the one it is queued on is the
+             case the scan must skip. *)
+          Sched.set_affinity s st (Some q.cpu);
+          st.Strand.affinity <- q.pin;
+          if q.stale then st.Strand.state <- Strand.Blocked)
+        strands;
+      List.for_all
+        (fun thief ->
+          match Sched.steal_pick s ~thief, Sched.stealable s ~thief with
+          | None, [] -> true
+          | Some picked, head :: _ -> picked == head
+          | _ -> false)
+        (List.init cpus Fun.id))
+
 let () =
   Alcotest.run "spin_sched"
     [
@@ -953,5 +1006,6 @@ let () =
             test_spawn_inherits_cpu_and_count_is_explicit;
           test_case "random ops keep the queued counts" `Quick
             test_random_ops_keep_queued_counts;
+          QCheck_alcotest.to_alcotest prop_steal_pick_is_stealable_head;
         ] );
     ]
