@@ -54,9 +54,9 @@ let run_masked t action =
   | exception e -> t.mask_depth <- t.mask_depth - 1; raise e
 
 let deliver t line =
-  match Hashtbl.find_opt t.handlers line with
-  | None -> ()
-  | Some h ->
+  match Hashtbl.find t.handlers line with
+  | exception Not_found -> ()
+  | h ->
     let cost = Clock.cost t.clock in
     Clock.charge t.clock cost.Cost.interrupt_entry;
     t.delivered <- t.delivered + 1;

@@ -70,11 +70,9 @@ let attach t link ep =
       t.rx_dropped <- t.rx_dropped + 1)
 
 (* The device copies the frame out of host memory (DMA or PIO) as it
-   goes onto the wire. This is the packet path's one unavoidable copy:
-   it means a delivered frame never aliases the sender's buffers, so
-   the receive path may use it in place. *)
-let transmit t ?(off = 0) ?len frame =
-  let len = match len with Some l -> l | None -> Bytes.length frame - off in
+   goes onto the wire. A delivered frame therefore never aliases the
+   sender's buffers, and the receive path may use it in place. *)
+let transmit t ~off ~len frame =
   if off < 0 || len < 0 || off + len > Bytes.length frame then
     invalid_arg "Nic.transmit";
   match t.link with
@@ -91,7 +89,7 @@ let transmit t ?(off = 0) ?len frame =
 let receive t =
   match Spin_dstruct.Ring.pop t.rx_ring with
   | None -> None
-  | Some frame -> charge_io ~rx:true t (Bytes.length frame); Some frame
+  | Some frame as r -> charge_io ~rx:true t (Bytes.length frame); r
 
 let rx_dropped t = t.rx_dropped
 

@@ -34,11 +34,11 @@ val link_mbps : kind -> float
 val attach : t -> Link.t -> Link.endpoint -> unit
 (** Plug the NIC into one end of a link. *)
 
-val transmit : t -> ?off:int -> ?len:int -> Bytes.t -> bool
-(** Send the frame at [frame[off, off+len)] (default: all of [frame]):
-    charges the I/O-model cost and hands a device-made copy to the
-    link — the DMA out of host memory is the packet path's single true
-    copy, so a delivered frame never aliases the sender's buffers.
+val transmit : t -> off:int -> len:int -> Bytes.t -> bool
+(** Send the frame at [frame[off, off+len)]: charges the I/O-model
+    cost and hands a device-made copy to the link. The DMA out of host
+    memory is a true copy, so a delivered frame never aliases the
+    sender's buffers.
     [false] if unplugged or larger than the MTU (+ link-level header
     allowance of 48 bytes). *)
 

@@ -176,6 +176,16 @@ let protocol_loop t shard () =
       loop () in
   loop ()
 
+(* The ring frame is the wire's copy (made by the sender's device):
+   alias it straight into the stack. *)
+let rec drain_rx t =
+  match Nic.receive t.nic with
+  | Some frame ->
+    let pkt = Pkt.of_frame frame in
+    Queue.add pkt t.rx_queues.(shard_of t pkt);
+    drain_rx t
+  | None -> ()
+
 let start t =
   if Array.length t.proto_threads = 0 then begin
     t.proto_threads <-
@@ -193,21 +203,11 @@ let start t =
             (Some (shard mod Sched.ncpus t.sched));
         strand);
     Intr.register t.machine.Machine.intr ~line:(Nic.line t.nic) (fun () ->
-      let rec drain () =
-        match Nic.receive t.nic with
-        | Some frame ->
-          (* The ring frame is the wire's copy (made by the sender's
-             device): alias it straight into the stack. *)
-          let pkt = Pkt.of_frame frame in
-          Queue.add pkt t.rx_queues.(shard_of t pkt);
-          drain ()
-        | None -> () in
-      drain ();
-      Array.iteri
-        (fun shard strand ->
-          if not (Queue.is_empty t.rx_queues.(shard)) then
-            Sched.unblock t.sched strand)
-        t.proto_threads)
+      drain_rx t;
+      for shard = 0 to t.rx_shards - 1 do
+        if not (Queue.is_empty t.rx_queues.(shard)) then
+          Sched.unblock t.sched t.proto_threads.(shard)
+      done)
   end
 
 let frames_rx t = t.frames_rx

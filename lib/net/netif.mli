@@ -18,9 +18,11 @@
     graph. Handlers up the stack receive views of that same buffer
     (see {!Pkt} for the aliasing rules) and may reuse its headroom to
     transmit a response in place. Conversely, a packet passed to
-    {!transmit} is handed off for good: the device copies it onto the
-    wire (the path's single true copy, so receivers never alias the
-    sender), but the buffer must not be touched after the call.
+    {!transmit} is handed off: the device copies it onto the wire
+    before the call returns (the path's single true copy, so receivers
+    never alias the sender), and the view must not be reused. TCP
+    keeps its own views of the send buffer and pushes fresh headers in
+    front of them on every retransmit.
 
     {2 Batching}
 

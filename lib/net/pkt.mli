@@ -26,7 +26,10 @@
       the driver; the caller must not touch buffer or view afterwards.
       The NIC performs the single true copy (the device DMA) when the
       frame crosses onto the wire, so received frames never alias a
-      remote sender's memory.
+      remote sender's memory. A loopback [Ip.send] has no device: the
+      receiver gets a view of the sender's own buffer (for TCP, of
+      the connection's send buffer, which the retransmit queue still
+      holds), which is why the read-only payload rule matters there.
     - To retain packet data beyond the current dispatch while others
       may still push into the shared buffer, take a {!copy} (isolated)
       or {!contents} (materialized bytes).
@@ -39,10 +42,15 @@
     the same role. {!push} beyond the available headroom does not fail
     — it falls back to reallocating the backing buffer with a fresh
     48 bytes (one copy), so correctness never depends on headroom
-    arithmetic. Hot paths size their headroom so the fallback
+    arithmetic, except on a {!sub} view whose headroom is someone
+    else's bytes. Hot paths size their headroom so the fallback
     never runs. *)
 
 type t
+
+val default_headroom : int
+(** 48: the headroom {!alloc} reserves, and the gap [Tcp.send] leaves
+    in front of every chunk of its send buffer. *)
 
 val alloc : ?headroom:int -> int -> t
 (** [alloc n] is a fresh packet of [n] uninitialized payload bytes
@@ -96,7 +104,14 @@ val sub : t -> pos:int -> len:int -> t
 (** An aliasing view of a sub-range: shares the backing buffer, so
     writes through either view are visible in both. Used to hand a
     transport payload upward and to cut MSS-sized transmit views out
-    of a send buffer without copying. *)
+    of a send buffer without copying.
+
+    A view's headroom is every byte in front of it in the backing
+    buffer, so a {!push} onto a view writes there, over whatever
+    those bytes hold. [Tcp.send] leaves a private
+    {!default_headroom}-byte gap in front of each chunk of its send
+    buffer; the gaps are what make the headers pushed onto a chunk's
+    view land on no other chunk's payload. *)
 
 val view : t -> Bytes.t * int * int
 (** [(buf, off, len)] — the raw window, for blitting at true copy

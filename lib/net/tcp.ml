@@ -41,9 +41,7 @@ type segment = {
   seq : int;
   ack : int;
   flags : int;
-  data : Pkt.t;
-  (* Receive side: a view of the frame the NIC received. Send side: a
-     view into the application's send buffer (see [chunk]). *)
+  data : Pkt.t;                          (* a view of the received frame *)
 }
 
 type unacked = {
@@ -69,6 +67,7 @@ type conn = {
   mutable opener : Spin_sched.Strand.t option;
   mutable retries : int;
   mutable rto : Sim.handle option;
+  mutable rto_fire : unit -> unit;       (* built once, in [new_conn] *)
   mutable fin_pending : bool;            (* close requested, FIN not sent *)
   mutable delayed_ack : Sim.handle option;
   mutable unacked_rx : int;              (* data segments since last ack *)
@@ -111,22 +110,20 @@ type stats = {
 (* Wire format                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the wire packet: blit the segment's send-buffer view into a
-   fresh headroomed buffer (the transmit path's one true copy — the
-   retransmit queue keeps its views pristine while IP pushes headers
-   into this buffer), then write the TCP header in front. *)
-let encode seg =
-  let dlen = Pkt.length seg.data in
-  let pkt = Pkt.alloc dlen in
-  (if dlen > 0 then
-     let buf, off, _ = Pkt.view pkt in
-     Pkt.blit_to seg.data ~pos:0 buf ~dst_pos:off ~len:dlen);
+(* Frame a segment in place: a fresh view of the send-buffer chunk
+   takes the TCP header in the chunk's private gap, and IP and the
+   link push theirs in front of it. The payload is not copied here
+   (the NIC copies the frame onto the wire), and the retransmit
+   queue's own view never moves, so a retransmit rewrites the gap. *)
+let encode ~sport ~dport ~seq ~ack ~flags data =
+  let dlen = Pkt.length data in
+  let pkt = if dlen = 0 then Pkt.alloc 0 else Pkt.sub data ~pos:0 ~len:dlen in
   let hbuf, hoff = Pkt.push_view pkt header_bytes in
-  Bytes.set_uint16_le hbuf hoff seg.sport;
-  Bytes.set_uint16_le hbuf (hoff + 2) seg.dport;
-  Bytes.set_int32_le hbuf (hoff + 4) (Int32.of_int seg.seq);
-  Bytes.set_int32_le hbuf (hoff + 8) (Int32.of_int seg.ack);
-  Bytes.set_uint8 hbuf (hoff + 12) seg.flags;
+  Bytes.set_uint16_le hbuf hoff sport;
+  Bytes.set_uint16_le hbuf (hoff + 2) dport;
+  Bytes.set_int32_le hbuf (hoff + 4) (Int32.of_int seq);
+  Bytes.set_int32_le hbuf (hoff + 8) (Int32.of_int ack);
+  Bytes.set_uint8 hbuf (hoff + 12) flags;
   Bytes.set_uint16_le hbuf (hoff + 14) dlen;
   pkt
 
@@ -178,19 +175,14 @@ let emit t conn ~seq ~flags data =
       ~args:[ ("seq", string_of_int seq);
               ("flags", flags_to_string flags);
               ("bytes", string_of_int (Pkt.length data)) ] ();
-  (* The blit into the wire frame is a true copy point. *)
+  (* The NIC's copy of the frame onto the wire, a true copy point. *)
   if Pkt.length data > 0 then
     Clock.charge t.machine.Machine.clock
       (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
          ~bytes:(Pkt.length data));
   ignore (Ip.send t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp
-            (encode { sport = conn.l_port; dport = conn.r_port;
-                      seq; ack = conn.rcv_nxt; flags; data }))
-
-let emit_raw t ~src ~dst seg =
-  charge t;
-  t.s_out <- t.s_out + 1;
-  ignore (Ip.send t.ip ~src ~dst ~proto:Ip.proto_tcp (encode seg))
+            (encode ~sport:conn.l_port ~dport:conn.r_port ~seq
+               ~ack:conn.rcv_nxt ~flags data))
 
 let seg_len u = Pkt.length u.u_data + (if u.u_flags land (flag_syn lor flag_fin) <> 0 then 1 else 0)
 
@@ -199,14 +191,12 @@ let cancel_rto t conn =
   | Some h -> Sim.cancel t.machine.Machine.sim h; conn.rto <- None
   | None -> ()
 
-let rec arm_rto t conn =
+let arm_rto t conn =
   cancel_rto t conn;
   if conn.inflight <> [] then
-    conn.rto <- Some (Sim.after_us t.machine.Machine.sim rto_us (fun () ->
-      conn.rto <- None;
-      on_timeout t conn))
+    conn.rto <- Some (Sim.after_us t.machine.Machine.sim rto_us conn.rto_fire)
 
-and on_timeout t conn =
+let rec on_timeout t conn =
   if conn.inflight <> [] && conn.st <> Closed then begin
     conn.retries <- conn.retries + 1;
     if conn.retries > max_retries then begin
@@ -264,6 +254,21 @@ let rec fill_window t conn =
         conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait)
       end
 
+let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
+  let conn = {
+    engine = t;
+    l_port; r_addr; r_port; st;
+    snd_nxt = 0; snd_una = 0; rcv_nxt;
+    inflight = []; pending = [];
+    rx_cb = None; rx_buf = Buffer.create 256;
+    reader = None; opener = None;
+    retries = 0; rto = None; fin_pending = false;
+    rto_fire = ignore; delayed_ack = None; unacked_rx = 0;
+  } in
+  conn.rto_fire <- (fun () -> conn.rto <- None; on_timeout t conn);
+  Hashtbl.replace t.conns (l_port, r_addr, r_port) conn;
+  conn
+
 (* ------------------------------------------------------------------ *)
 (* Receive path                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -285,15 +290,17 @@ let deliver_data t conn data =
        | None -> ())
   end
 
+(* The unacknowledged tail: [l] itself, physically, when [ack] covers
+   no segment. *)
+let rec drop_acked ack = function
+  | u :: rest when u.u_seq + seg_len u <= ack -> drop_acked ack rest
+  | l -> l
+
 let handle_ack t conn ack =
-  let advanced = ref false in
-  let rec drop = function
-    | u :: rest when u.u_seq + seg_len u <= ack ->
-      advanced := true;
-      drop rest
-    | l -> l in
-  conn.inflight <- drop conn.inflight;
-  if !advanced then begin
+  let rest = drop_acked ack conn.inflight in
+  let advanced = rest != conn.inflight in
+  conn.inflight <- rest;
+  if advanced then begin
     conn.snd_una <- max conn.snd_una ack;
     conn.retries <- 0;
     arm_rto t conn;
@@ -351,8 +358,8 @@ let handle_established t conn seg =
   end
 
 let segment_arrived t seg src =
-  match Hashtbl.find_opt t.conns (seg.dport, src, seg.sport) with
-  | Some conn ->
+  match Hashtbl.find t.conns (seg.dport, src, seg.sport) with
+  | conn ->
     (match conn.st with
      | Syn_sent ->
        if seg.flags land flag_rst <> 0 then teardown t conn
@@ -381,29 +388,22 @@ let segment_arrived t seg src =
      | Established | Fin_wait | Close_wait | Last_ack | Time_wait ->
        handle_established t conn seg
      | Listen | Closed -> ())
-  | None ->
+  | exception Not_found ->
     (* New connection to a listener? *)
     if seg.flags land flag_syn <> 0 && seg.flags land flag_ack = 0
        && Hashtbl.mem t.listeners seg.dport then begin
-      let conn = {
-        engine = t;
-        l_port = seg.dport; r_addr = src; r_port = seg.sport;
-        st = Syn_received;
-        snd_nxt = 0; snd_una = 0; rcv_nxt = seg.seq + 1;
-        inflight = []; pending = [];
-        rx_cb = None; rx_buf = Buffer.create 256;
-        reader = None; opener = None;
-        retries = 0; rto = None; fin_pending = false;
-        delayed_ack = None; unacked_rx = 0;
-      } in
-      Hashtbl.replace t.conns (conn.l_port, conn.r_addr, conn.r_port) conn;
+      let conn =
+        new_conn t ~l_port:seg.dport ~r_addr:src ~r_port:seg.sport
+          ~st:Syn_received ~rcv_nxt:(seg.seq + 1) in
       transmit_segment t conn ~flags:flag_syn (Pkt.empty ())
     end else if seg.flags land flag_rst = 0 then begin
       (* No home for it: RST. *)
       t.s_rst <- t.s_rst + 1;
-      emit_raw t ~src:(Ip.local_addr t.ip) ~dst:src
-        { sport = seg.dport; dport = seg.sport;
-          seq = seg.ack; ack = seg.seq; flags = flag_rst; data = Pkt.empty () }
+      charge t;
+      t.s_out <- t.s_out + 1;
+      ignore (Ip.send t.ip ~src:(Ip.local_addr t.ip) ~dst:src ~proto:Ip.proto_tcp
+                (encode ~sport:seg.dport ~dport:seg.sport ~seq:seg.ack
+                   ~ack:seg.seq ~flags:flag_rst (Pkt.empty ())))
     end
 
 let handle_segment t (seg, src) =
@@ -471,18 +471,8 @@ let unlisten t ~port = Hashtbl.remove t.listeners port
 let connect t ~dst ~dst_port =
   let l_port = t.next_port in
   t.next_port <- t.next_port + 1;
-  let conn = {
-    engine = t;
-    l_port; r_addr = dst; r_port = dst_port;
-    st = Syn_sent;
-    snd_nxt = 0; snd_una = 0; rcv_nxt = 0;
-    inflight = []; pending = [];
-    rx_cb = None; rx_buf = Buffer.create 256;
-    reader = None; opener = None;
-    retries = 0; rto = None; fin_pending = false;
-    delayed_ack = None; unacked_rx = 0;
-  } in
-  Hashtbl.replace t.conns (l_port, dst, dst_port) conn;
+  let conn =
+    new_conn t ~l_port ~r_addr:dst ~r_port:dst_port ~st:Syn_sent ~rcv_nxt:0 in
   transmit_segment t conn ~flags:flag_syn (Pkt.empty ());
   (* Loopback handshakes complete synchronously inside the transmit;
      wakeups may be spurious, so wait until the state settles. *)
@@ -493,33 +483,30 @@ let connect t ~dst ~dst_port =
   done;
   if conn.st = Established then Some conn else None
 
-(* Cut MSS-sized aliasing views directly out of the send buffer — no
-   per-segment copies, no repeated [Bytes.sub] of the shrinking tail. *)
-let chunk data =
-  let len = Pkt.length data in
-  let rec cut pos acc =
-    if pos >= len then List.rev acc
-    else
-      let n = min mss (len - pos) in
-      cut (pos + n) (Pkt.sub data ~pos ~len:n :: acc) in
-  cut 0 []
-
-let send_pkt t conn data =
-  if conn.st = Established || conn.st = Close_wait then begin
-    if Pkt.length data > 0 then begin
-      conn.pending <- conn.pending @ chunk data;
+(* Application hand-off: one charged copy of [data] into a send buffer
+   of MSS-sized chunks, each behind a private [Pkt.default_headroom]
+   gap that [encode], IP and the link push their headers into. The
+   window then transmits views of the chunks. *)
+let send t conn data =
+  let len = Bytes.length data in
+  if len > 0 then begin
+    Clock.charge t.machine.Machine.clock
+      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock) ~bytes:len);
+    if conn.st = Established || conn.st = Close_wait then begin
+      let gap = Pkt.default_headroom in
+      let n = (len + mss - 1) / mss in
+      let sbuf = Pkt.alloc ~headroom:0 (len + (n * gap)) in
+      let buf, _, _ = Pkt.view sbuf in
+      let chunks =
+        List.init n (fun i ->
+          let pos = (i * (gap + mss)) + gap in
+          let clen = min mss (len - (i * mss)) in
+          Bytes.blit data (i * mss) buf pos clen;
+          Pkt.sub sbuf ~pos ~len:clen) in
+      conn.pending <- conn.pending @ chunks;
       fill_window t conn
     end
   end
-
-let send t conn data =
-  (* Application hand-off: one charged copy of the whole send buffer;
-     the window then transmits views of it. *)
-  if Bytes.length data > 0 then
-    Clock.charge t.machine.Machine.clock
-      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
-         ~bytes:(Bytes.length data));
-  send_pkt t conn (Pkt.of_payload ~headroom:0 data)
 
 let on_receive conn cb =
   (* Drain anything buffered before switching to callback mode. *)

@@ -54,17 +54,14 @@ val send : t -> conn -> Bytes.t -> unit
     and retransmits on timeout. No-op on a closed connection.
 
     Application hand-off: the data is copied once (charged) into a
-    private send buffer, and the window then transmits MSS-sized
-    {e views} of that buffer — each segment on the wire aliases the
-    send buffer rather than owning a fresh copy, and the retransmit
-    queue holds the same views. The caller keeps ownership of [data]
-    and may reuse it immediately. *)
-
-val send_pkt : t -> conn -> Pkt.t -> unit
-(** Zero-copy [send]: the connection takes ownership of the packet and
-    cuts its MSS-sized segment views directly from it. The buffer must
-    not be mutated by the caller afterwards — the retransmit queue
-    aliases it until every byte is acknowledged. *)
+    private send buffer of MSS-sized chunks, each with a
+    [Pkt.default_headroom]-byte gap in front. A segment goes on the
+    wire as a view of its chunk, with the TCP, IP and link headers
+    pushed into the gap, so the host's only other copy of the payload
+    is the NIC's. The retransmit queue holds views of the same
+    chunks; the gaps only ever hold headers, so a retransmit rewrites
+    them and the payload stays as sent. The caller keeps ownership of
+    [data] and may reuse it immediately. *)
 
 val on_receive : conn -> (Bytes.t -> unit) -> unit
 (** In-order delivery callback (replaces blocking reads when set).

@@ -114,7 +114,7 @@ let test_rx_ring_overflow_drops () =
   let b = Machine.create_on sim ~name:"b" () in
   let nic_a, nic_b = Machine.connect a b ~kind:Nic.Lance () in
   for _ = 1 to 80 do
-    ignore (Nic.transmit nic_a (Bytes.create 64))
+    ignore (Nic.transmit nic_a ~off:0 ~len:64 (Bytes.create 64))
   done;
   Sim.run sim;
   let rec drain n = match Nic.receive nic_b with
@@ -626,7 +626,7 @@ let test_rx_overflow_observable () =
   let m = Monitor.create clock in
   Monitor.watch_gauges m (Netif.gauges nb);
   for _ = 1 to 80 do
-    ignore (Nic.transmit nic_a (Bytes.create 64))
+    ignore (Nic.transmit nic_a ~off:0 ~len:64 (Bytes.create 64))
   done;
   Sim.run sim;
   check int "drops surfaced at the driver" 16 (Netif.drops nb);

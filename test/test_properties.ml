@@ -8,6 +8,7 @@ module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
+module Link = Spin_machine.Link
 module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
@@ -47,6 +48,74 @@ let prop_tcp_stream_integrity =
       Host.run_all [ a; b ];
       !sent_ok
       && Buffer.contents received = String.concat "" chunks)
+
+(* ------------------------------------------------------------------ *)
+(* TCP: send-buffer chunks stay isolated under retransmit             *)
+(* ------------------------------------------------------------------ *)
+
+(* Segments go on the wire as views of the send buffer, with their
+   headers pushed in front of each chunk. A lossy wire makes Go-Back-N
+   re-encode whole windows, after later chunks have pushed theirs:
+   were the chunks not each behind a private gap, those headers would
+   land on an earlier chunk's payload and its retransmission would
+   carry them. *)
+
+let mss = 1024                            (* Tcp's *)
+
+let transfer_size_gen =
+  QCheck2.Gen.(
+    oneof
+      [ oneofl [ 0; 1; mss - 1; mss; mss + 1; (6 * mss) + 7 ];
+        map2 (fun k d -> max 0 ((k * mss) + d)) (int_range 0 6)
+          (int_range (-1) 7) ])
+
+let lossy_pair ~every =
+  let sim = Sim.create (Clock.create Cost.alpha_133) in
+  let a = Host.create sim ~name:"a" ~addr:addr_a in
+  let b = Host.create sim ~name:"b" ~addr:addr_b in
+  let link = Link.create sim ~mbps:(Nic.link_mbps Nic.T3) () in
+  let plug h ep ~peer =
+    let nic = Machine.add_nic h.Host.machine ~kind:Nic.T3 in
+    Nic.attach nic link ep;
+    let nif =
+      Netif.create h.Host.machine h.Host.sched h.Host.dispatcher nic
+        ~name:"T3" in
+    Ip.add_interface h.Host.ip nif ~addr:h.Host.addr;
+    Ip.add_route h.Host.ip ~dst:peer nif;
+    Netif.start nif in
+  plug a Link.A ~peer:addr_b;
+  plug b Link.B ~peer:addr_a;
+  Link.set_loss link ~every;
+  (a, b)
+
+let prop_tcp_chunks_isolated_under_retransmit =
+  QCheck2.Test.make ~name:"send-buffer chunks stay isolated under retransmit"
+    ~count:60
+    ~print:QCheck2.Print.(pair (list int) int)
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 3) transfer_size_gen) (oneofl [ 0; 3; 5 ]))
+    (fun (sizes, every) ->
+      let a, b = lossy_pair ~every in
+      let received = Buffer.create 4096 in
+      Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+        Tcp.on_receive conn (Buffer.add_bytes received));
+      (* Every byte differs from its neighbours in other chunks. *)
+      let transfers =
+        List.mapi
+          (fun j n ->
+            Bytes.init n (fun i -> Char.chr (((i * 7) + j + (i / mss)) land 255)))
+          sizes in
+      let sent_ok = ref false in
+      ignore (Sched.spawn a.Host.sched ~name:"send" (fun () ->
+        match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+        | None -> ()
+        | Some conn ->
+          List.iter (Tcp.send a.Host.tcp conn) transfers;
+          sent_ok := true));
+      Host.run_all [ a; b ];
+      !sent_ok
+      && Buffer.contents received
+         = String.concat "" (List.map Bytes.to_string transfers))
 
 (* ------------------------------------------------------------------ *)
 (* Simple_fs agrees with a map model                                  *)
@@ -448,6 +517,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_tcp_stream_integrity;
+            prop_tcp_chunks_isolated_under_retransmit;
             prop_fs_matches_model;
             prop_dispatcher_guard_semantics;
             prop_dispatcher_uninstall_complete;
