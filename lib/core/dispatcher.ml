@@ -395,7 +395,6 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     :: t.registry;
   e
 
-let event_name e = e.e_name
 
 type install_error =
   | Denied

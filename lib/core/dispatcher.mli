@@ -217,8 +217,6 @@ val declare :
     table and payload to the bytecode verifier; without it, verified
     installs are rejected with [Ebc.No_layout]. *)
 
-val event_name : ('a, 'r) event -> string
-
 type install_error =
   | Denied                 (** the primary module refused the installer *)
   | No_index               (** [index_key] on an event with no index *)

@@ -1,7 +1,7 @@
 (** SplitMix64: tiny, full-period, and stable across platforms, so a
     seed names the same sequence everywhere. No global state — replay
-    depends on nothing but the seed. Shared by the schedule fuzzer
-    (schedule choice) and RPC retry jitter (backoff decorrelation). *)
+    depends on nothing but the seed. The schedule fuzzer draws its
+    choices from it, and spinbench its seeded inputs. *)
 
 type t
 

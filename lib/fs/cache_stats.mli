@@ -1,8 +1,8 @@
 (** The one cache-statistics vocabulary.
 
     Every cache in the tree ({!Block_cache}, {!File_cache}) reports
-    through this record, so consumers — the {!gauges} a monitor
-    registers, the benchmarks — need only one shape. [reclaims] counts
+    through this record, so consumers — the {!gauges} lists, the
+    benchmarks — need only one shape. [reclaims] counts
     entries lost to the physical address service's memory-pressure
     reclamation, as opposed to ordinary capacity eviction. *)
 

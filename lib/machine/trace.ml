@@ -309,20 +309,3 @@ let to_chrome_json t =
   List.iter emit (records t);
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Text report                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let report t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "trace: %d records (%d dropped), %d latency keys\n"
-       t.len t.n_dropped (Hashtbl.length t.aggs));
-  List.iter
-    (fun (key, s) ->
-       Buffer.add_string buf
-         (Printf.sprintf "  %-28s n=%-6d mean=%8.2fus min=%8.2fus max=%8.2fus\n"
-            key s.count s.mean_us s.min_us s.max_us))
-    (summaries t);
-  Buffer.contents buf

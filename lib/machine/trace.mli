@@ -123,9 +123,6 @@ val to_chrome_json : t -> string
     an id) so interleaved spans need not nest; instants become
     ["ph":"i"]. Timestamps are virtual microseconds. *)
 
-val report : t -> string
-(** Human-readable count, mean, min and max per latency key. *)
-
 (** {2 Allocation pooling} *)
 
 val gauges : t -> (string * (unit -> int)) list

@@ -18,21 +18,23 @@ let process_cost = 180                    (* deliberately lean *)
 let input t (pkt : Ip.packet) =
   Clock.charge t.machine.Machine.clock process_cost;
   let b = pkt.Ip.payload in
-  if Pkt.length b >= header then begin
-    let h = Pkt.get_u16_le b 0 in
-    let len = Pkt.get_u16_le b 2 in
+  (* A header cut short or a length running past the payload is
+     malformed: dropped, and counted like an unknown handler. *)
+  let len = if Pkt.length b >= header then Pkt.get_u16_le b 2 else 0 in
+  let handler =
     if Pkt.length b >= header + len then
-      match Spin_dstruct.Idtable.lookup t.handlers h with
-      | Some handler ->
-        t.s_delivered <- t.s_delivered + 1;
-        (* Extension boundary: handlers own their argument, so hand
-           them a private copy (charged — a true copy point). *)
-        Clock.charge t.machine.Machine.clock
-          (Spin_machine.Cost.copy_cycles
-             (Clock.cost t.machine.Machine.clock) ~bytes:len);
-        handler ~src:pkt.Ip.src (Pkt.contents (Pkt.sub b ~pos:header ~len))
-      | None -> t.s_dropped <- t.s_dropped + 1
-  end
+      Spin_dstruct.Idtable.lookup t.handlers (Pkt.get_u16_le b 0)
+    else None in
+  match handler with
+  | Some handler ->
+    t.s_delivered <- t.s_delivered + 1;
+    (* Extension boundary: handlers own their argument, so hand them a
+       private copy (charged — a true copy point). *)
+    Clock.charge t.machine.Machine.clock
+      (Spin_machine.Cost.copy_cycles
+         (Clock.cost t.machine.Machine.clock) ~bytes:len);
+    handler ~src:pkt.Ip.src (Pkt.contents (Pkt.sub b ~pos:header ~len))
+  | None -> t.s_dropped <- t.s_dropped + 1
 
 let create machine dispatcher ip =
   ignore dispatcher;
@@ -45,8 +47,6 @@ let create machine dispatcher ip =
   t
 
 let register t handler = Spin_dstruct.Idtable.insert t.handlers handler
-
-let unregister t i = Spin_dstruct.Idtable.remove t.handlers i
 
 let send t ~dst ~handler payload =
   Clock.charge t.machine.Machine.clock process_cost;

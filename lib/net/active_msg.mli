@@ -13,8 +13,6 @@ val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> Ip.t -> t
 val register : t -> (src:Ip.addr -> Bytes.t -> unit) -> int
 (** Returns the handler index to name in messages. *)
 
-val unregister : t -> int -> unit
-
 val send : t -> dst:Ip.addr -> handler:int -> Bytes.t -> bool
 
 type stats = { sent : int; delivered : int; dropped : int }

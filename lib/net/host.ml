@@ -17,7 +17,6 @@ type t = {
   udp : Udp.t;
   tcp : Tcp.t;
   am : Active_msg.t;
-  rpc : Rpc.t;
   addr : Ip.addr;
 }
 
@@ -32,8 +31,7 @@ let create ?mem_mb ?cpus sim ~name ~addr =
   let udp = Udp.create machine dispatcher ip in
   let tcp = Tcp.create machine sched dispatcher ip in
   let am = Active_msg.create machine dispatcher ip in
-  let rpc = Rpc.create machine sched am in
-  { machine; dispatcher; sched; phys; ip; icmp; udp; tcp; am; rpc; addr }
+  { machine; dispatcher; sched; phys; ip; icmp; udp; tcp; am; addr }
 
 let netif_name kind =
   match kind with

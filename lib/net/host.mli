@@ -14,7 +14,6 @@ type t = {
   udp : Udp.t;
   tcp : Tcp.t;
   am : Active_msg.t;
-  rpc : Rpc.t;
   addr : Ip.addr;
 }
 

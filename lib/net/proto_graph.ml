@@ -5,7 +5,7 @@ let is_network_event name =
     (fun prefix -> String.length name >= String.length prefix
                    && String.sub name 0 (String.length prefix) = prefix)
     [ "Ether."; "ATM."; "T3."; "IP."; "UDP."; "TCP."; "ICMP."; "HTTP.";
-      "Video."; "A.M."; "RPC."; "Forward." ]
+      "Video."; "A.M."; "Forward." ]
 
 let network_events dispatcher =
   Dispatcher.topology dispatcher

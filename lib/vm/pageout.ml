@@ -5,7 +5,6 @@ type t = {
   phys : Phys_addr.t;
   low_water : int;
   high_water : int;
-  mutable sources : (string * (unit -> bool)) list;
   mutable running : bool;
   mutable released : int;
 }
@@ -21,17 +20,7 @@ let create ?low_water ?high_water sched phys =
     match high_water with Some h -> h | None -> max (low + 1) (2 * low) in
   if low < 1 || high <= low then invalid_arg "Pageout.create: water marks";
   { sched; phys; low_water = low; high_water = high;
-    sources = []; running = false; released = 0 }
-
-let add_source t ~name f = t.sources <- t.sources @ [ (name, f) ]
-
-(* Ask each source in turn for one page; fall back to forcing the
-   reclamation protocol directly. *)
-let release_one t =
-  let rec first = function
-    | [] -> Phys_addr.force_reclaim t.phys <> None
-    | (_, f) :: rest -> f () || first rest in
-  first t.sources
+    running = false; released = 0 }
 
 let start t =
   if not t.running then begin
@@ -44,7 +33,8 @@ let start t =
                while
                  !keep_going && Phys_addr.free_pages t.phys < t.high_water
                do
-                 if release_one t then t.released <- t.released + 1
+                 if Phys_addr.force_reclaim t.phys <> None then
+                   t.released <- t.released + 1
                  else keep_going := false
                done
              end;

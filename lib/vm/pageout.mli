@@ -2,10 +2,9 @@
 
     A low-priority strand watches the physical address service's free
     pool. When it sinks under the low-water mark, the daemon releases
-    pages — asking registered sources first (the pager's write-back
-    eviction, typically), then forcing the reclamation protocol — until
-    the pool recovers to the high-water mark. Demand allocations then
-    rarely pay the reclaim latency themselves. *)
+    pages by forcing the reclamation protocol until the pool recovers
+    to the high-water mark. Demand allocations then rarely pay the
+    reclaim latency themselves. *)
 
 type t
 
@@ -17,11 +16,6 @@ val create :
   t
 (** Defaults: low water = total/16 pages, high water = 2 x low water,
     poll interval 200 us of virtual time. *)
-
-val add_source : t -> name:string -> (unit -> bool) -> unit
-(** [f ()] releases one page if it can (e.g. write back and evict one
-    resident pager frame), returning whether it did. Sources are tried
-    in registration order, before {!Phys_addr.force_reclaim}. *)
 
 val start : t -> unit
 (** Spawns the daemon strand; runs until {!stop}. Must be called

@@ -50,7 +50,8 @@ val map_one :
   t -> context -> va:int -> Phys_addr.page -> index:int ->
   Spin_machine.Addr.prot -> unit
 (** Map a single page: virtual page containing [va] to frame [index]
-    of the run (a pager maps pages one at a time). *)
+    of the run (a page-not-present handler maps lazily, one page at a
+    time). *)
 
 val remove_mapping : t -> context -> Virt_addr.vaddr -> unit
 

@@ -60,20 +60,6 @@ let allocate t ~asid ~owner ~bytes =
   s.next_va <- max s.next_va (va + bytes);
   Capability.mint ~owner:"VirtAddr" region
 
-let allocate_at t ~asid ~owner ~va ~bytes =
-  if bytes <= 0 || va < 0 || va land Addr.page_mask <> 0 then
-    invalid_arg "VirtAddr.allocate_at: bad placement";
-  Clock.charge t.machine.Machine.clock t.alloc_cost;
-  let s = space_of t asid in
-  let bytes = round_bytes bytes in
-  if List.exists (overlaps va bytes) s.regions then None
-  else begin
-    let region = { va; bytes; asid; owner } in
-    s.regions <- region :: s.regions;
-    s.next_va <- max s.next_va (va + bytes);
-    Some (Capability.mint ~owner:"VirtAddr" region)
-  end
-
 let deallocate t vaddr =
   match Capability.deref_opt vaddr with
   | None -> ()

@@ -21,10 +21,6 @@ val allocate : t -> asid:int -> owner:string -> bytes:int -> vaddr
 (** Page-aligned, sized up to whole pages. Addresses are unique within
     the address space. *)
 
-val allocate_at : t -> asid:int -> owner:string -> va:int -> bytes:int -> vaddr option
-(** Fixed-address allocation (for UNIX-style exec layouts); [None] if
-    the range overlaps an existing allocation. *)
-
 val deallocate : t -> vaddr -> unit
 
 val region : vaddr -> region

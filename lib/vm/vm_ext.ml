@@ -12,7 +12,6 @@ type t = {
   npages : int;
   mutable user_proc : (int -> unit) option;
   mutable handler : (Translation.fault, unit) Dispatcher.handler option;
-  mutable faults : int;
 }
 
 let create vm ~app ~pages =
@@ -28,7 +27,7 @@ let create vm ~app ~pages =
   Phys_addr.zero vm.Vm.phys page;
   Translation.add_mapping vm.Vm.trans ctx vaddr page Addr.prot_read_write;
   { vm; app; ctx; vaddr; page; npages = pages;
-    user_proc = None; handler = None; faults = 0 }
+    user_proc = None; handler = None }
 
 let context t = t.ctx
 
@@ -68,7 +67,6 @@ let on_protection_fault t proc =
     Dispatcher.install (Translation.protection_fault t.vm.Vm.trans)
       ~installer:t.app ~spec:(Dispatcher.Handler_spec.guarded ours)
       (fun f ->
-        t.faults <- t.faults + 1;
         let page = (f.Translation.va - base_va t) / Addr.page_size in
         match t.user_proc with
         | Some proc -> proc page
@@ -81,5 +79,3 @@ let destroy t =
   Phys_addr.deallocate t.vm.Vm.phys t.page;
   Virt_addr.deallocate t.vm.Vm.virt t.vaddr;
   Translation.destroy_context t.vm.Vm.trans t.ctx
-
-let faults_taken t = t.faults

@@ -35,5 +35,3 @@ val protect : t -> first:int -> count:int -> Spin_machine.Addr.prot -> unit
 val on_protection_fault : t -> (int -> unit) -> unit
 (** Installs the application's fault procedure; it receives the
     faulting page index. Replaces any previous procedure. *)
-
-val faults_taken : t -> int

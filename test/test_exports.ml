@@ -1,20 +1,17 @@
-(* Every value a lib/ interface exports has a caller. For each [val] in
-   lib/**/*.mli, the name must occur as an identifier in some other
-   .ml/.mli under lib, bench (bench/e2e included), bin, examples or
-   test; comments and string literals do not count. A value only its
-   own module uses belongs out of the interface, and one nobody uses
-   belongs out of the tree. The scan is by name, so it can only
-   undercount the offenders, never invent one. *)
+(* Every value a lib/ interface exports has a caller, and every lib/
+   module runs. For each [val] in lib/**/*.mli, the name must occur as
+   an identifier in some other .ml/.mli under lib, bench (bench/e2e
+   included), bin, examples or test; comments and string literals do
+   not count. A value only its own module uses belongs out of the
+   interface, and one nobody uses belongs out of the tree. Each
+   lib/**/*.ml module must be named from another .ml/.mli under lib,
+   bench or bin: one only tests and examples reach is code the system
+   never runs. The scan is by name, so it can only undercount the
+   offenders, never invent one. *)
 
-(* Modules judged whole rather than value by value: the thread
-   packages, user-level schedulers, pager and task/address-space
-   layers that Tables 3 and 4 should run or lose, and the Figure 5
-   RPC and active-message path built on every host. Each is to be
-   wired into a measured table or deleted outright; pruning single
-   exports first would only churn them. *)
-let exempt =
-  [ "cthreads"; "osf_threads"; "app_sched"; "write_barrier"; "pager";
-    "mach_task"; "addr_space"; "monitor"; "rpc"; "active_msg" ]
+(* Table 7's thread packages: b_sizes.ml counts their source files, so
+   they stay whole although nothing runs them. *)
+let exempt = [ "cthreads"; "osf_threads" ]
 
 let roots = [ "../lib"; "../bench"; "../bin"; "../examples"; "../test" ]
 
@@ -101,29 +98,60 @@ let vals text =
 
 let module_of path = Filename.remove_extension (Filename.basename path)
 
+let under root path =
+  let r = root ^ "/" in
+  String.length path > String.length r
+  && String.sub path 0 (String.length r) = r
+
+(* Every source under [roots], stripped, with its set of identifiers. *)
+let scanned =
+  lazy
+    (List.concat_map (fun r -> sources r []) roots
+     |> List.map (fun f ->
+         let text = strip (read f) in
+         (f, text, tokens text)))
+
+(* Whether [name] occurs in a file under [within] other than the .ml
+   and .mli of [own] (a path without its extension). *)
+let named_elsewhere ~within ~own name =
+  List.exists
+    (fun (f, _, t) ->
+      List.exists (fun r -> under r f) within
+      && Filename.remove_extension f <> own
+      && Hashtbl.mem t name)
+    (Lazy.force scanned)
+
 let offenders () =
-  let files = List.concat_map (fun r -> sources r []) roots in
-  let stripped = List.map (fun f -> (f, strip (read f))) files in
-  let toks = List.map (fun (f, text) -> (f, tokens text)) stripped in
   List.concat_map
-    (fun (mli, text) ->
+    (fun (mli, text, _) ->
       let m = module_of mli in
-      let in_lib = String.length mli > 7 && String.sub mli 0 7 = "../lib/" in
-      if not (in_lib && Filename.check_suffix mli ".mli")
+      if not (under "../lib" mli && Filename.check_suffix mli ".mli")
       || List.mem m exempt then []
       else
         let own = Filename.remove_extension mli in
         List.filter_map
           (fun name ->
-            let named_elsewhere =
-              List.exists
-                (fun (f, t) ->
-                  Filename.remove_extension f <> own && Hashtbl.mem t name)
-                toks in
-            if named_elsewhere then None
+            if named_elsewhere ~within:roots ~own name then None
             else Some (String.capitalize_ascii m ^ "." ^ name))
           (vals text))
-    stripped
+    (Lazy.force scanned)
+  |> List.sort_uniq compare
+
+(* A lib/ module that no other library module, benchmark or binary
+   names is code nothing runs: tests and examples exercising it do not
+   make it part of the system. *)
+let unnamed_modules () =
+  List.filter_map
+    (fun (ml, _, _) ->
+      let m = module_of ml in
+      if not (under "../lib" ml && Filename.check_suffix ml ".ml")
+      || List.mem m exempt then None
+      else if
+        named_elsewhere ~within:[ "../lib"; "../bench"; "../bin" ]
+          ~own:(Filename.remove_extension ml) (String.capitalize_ascii m)
+      then None
+      else Some (String.capitalize_ascii m))
+    (Lazy.force scanned)
   |> List.sort_uniq compare
 
 let test_no_dead_exports () =
@@ -133,8 +161,19 @@ let test_no_dead_exports () =
     Alcotest.failf "%d exported values have no caller outside their module:\n  %s"
       (List.length dead) (String.concat "\n  " dead)
 
+let test_every_module_runs () =
+  match unnamed_modules () with
+  | [] -> ()
+  | dead ->
+    Alcotest.failf
+      "%d lib/ modules are named from no other module under lib, bench or \
+       bin:\n  %s"
+      (List.length dead) (String.concat "\n  " dead)
+
 let () =
   Alcotest.run "spin_exports"
     [ ( "interfaces",
         [ Alcotest.test_case "every lib/ export has a caller" `Quick
-            test_no_dead_exports ] ) ]
+            test_no_dead_exports;
+          Alcotest.test_case "every lib/ module has a caller" `Quick
+            test_every_module_runs ] ) ]

@@ -1,5 +1,5 @@
-(* Tests for the auxiliary extensions: the passive monitor and the
-   dispatcher's explicit closure support. *)
+(* Tests for the subsystems' health gauges and the dispatcher's
+   explicit closure support. *)
 
 open Alcotest
 open Spin_net
@@ -10,7 +10,6 @@ module Nic = Spin_machine.Nic
 module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
-module Monitor = Spin.Monitor
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -23,50 +22,12 @@ let run_on hosts host body =
   match !failure with Some e -> raise e | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Monitor                                                            *)
+(* Health gauges                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_monitor_counts () =
-  let clock = Clock.create Cost.alpha_133 in
-  let d = Dispatcher.create clock in
-  let m = Monitor.create clock in
-  let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc" (fun x -> x + 1) in
-  Monitor.watch m e;
-  for i = 1 to 5 do
-    check int "result undisturbed" (i + 1) (Dispatcher.raise_event e i)
-  done;
-  check (list (pair string int)) "counted" [ ("Svc.Op", 5) ] (Monitor.counts m)
-
-let test_monitor_per_instance () =
-  let clock = Clock.create Cost.alpha_133 in
-  let d = Dispatcher.create clock in
-  let m = Monitor.create clock in
-  let e = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  Monitor.watch m e ~interest:(fun proto -> proto = 17);
-  List.iter (Dispatcher.raise_event e) [ 17; 6; 17; 1 ];
-  check (list (pair string int)) "only the instance of interest"
-    [ ("IP.PacketArrived", 2) ] (Monitor.counts m)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-  scan 0
-
-let test_monitor_report_format () =
-  let clock = Clock.create Cost.alpha_133 in
-  let d = Dispatcher.create clock in
-  let m = Monitor.create clock in
-  let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun () -> ()) in
-  Monitor.watch m e;
-  Dispatcher.raise_event e ();
-  Clock.charge clock 133_000;             (* a virtual millisecond *)
-  check bool "mentions the event" true (contains (Monitor.report m) "Ev")
-
-(* Each subsystem names its own gauges, and readers of the monitor's
-   report key on these exact strings, so the test pins every name in
-   order and checks a sample from each list against the subsystem's
-   stats. *)
+(* Each subsystem names its own gauges, and readers key on these exact
+   strings, so the test pins every name in order and checks a sample
+   from each list against the subsystem's stats. *)
 let test_subsystem_gauge_names () =
   let module Trace = Spin_machine.Trace in
   let module Kernel = Spin.Kernel in
@@ -86,7 +47,6 @@ let test_subsystem_gauge_names () =
     Block_cache.create ~phys:a.Host.phys a.Host.machine a.Host.sched disk in
   let fc = ref None in
   let tr = Trace.of_clock clock in
-  Trace.enable tr;
   run_on [ a; b ] a (fun () ->
     let fs = Simple_fs.format bc ~blocks:4096 () in
     Simple_fs.create fs ~name:"f";
@@ -94,8 +54,6 @@ let test_subsystem_gauge_names () =
     let c = File_cache.create ~phys:a.Host.phys fs in
     ignore (File_cache.fetch c ~name:"f");
     ignore (File_cache.fetch c ~name:"f");
-    Trace.with_span tr ~cat:"test" ~name:"span" (fun () ->
-      Clock.charge clock 1330);
     fc := Some c);
   ignore (Kernel.spawn k ~name:"w" (fun () -> Sched.yield k.Kernel.sched));
   Kernel.run k;
@@ -142,12 +100,8 @@ let test_subsystem_gauge_names () =
     (fun (label, gauges, names) ->
       check (list string) (label ^ " gauge names") names (List.map fst gauges))
     subsystems;
-  let m = Monitor.create clock in
-  List.iter (fun (_, gauges, _) -> Monitor.watch_gauges m gauges) subsystems;
-  let g name = List.assoc name (Monitor.gauges m) in
-  check (list string) "monitor keeps registration order"
-    (List.concat_map (fun (_, _, names) -> names) subsystems)
-    (List.map fst (Monitor.gauges m));
+  let all = List.concat_map (fun (_, gauges, _) -> gauges) subsystems in
+  let g name = List.assoc name all () in
   let sched = Sched.stats a.Host.sched in
   check bool "switches counted" true (sched.Sched.switches > 0);
   check int "sched.switches samples stats" sched.Sched.switches
@@ -164,13 +118,8 @@ let test_subsystem_gauge_names () =
     (Block_cache.stats bc).Cache_stats.misses (g "block_cache.misses");
   check int "engine.events_fired samples stats" (Sim.stats sim).Sim.fired
     (g "engine.events_fired");
-  check int "trace.span_pool_misses samples the tracer's gauge"
-    (List.assoc "trace.span_pool_misses" (Trace.gauges tr) ())
-    (g "trace.span_pool_misses");
   check int "Ether.rx_dropped samples the driver" (Netif.drops netif)
-    (g "Ether.rx_dropped");
-  check bool "report appends the clock's latency aggregates" true
-    (contains (Monitor.report m) "test.span")
+    (g "Ether.rx_dropped")
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher closures (paper footnote 1)                             *)
@@ -205,9 +154,6 @@ let () =
     [
       ( "monitor",
         [
-          test_case "counts without disturbing" `Quick test_monitor_counts;
-          test_case "per-instance interest" `Quick test_monitor_per_instance;
-          test_case "report" `Quick test_monitor_report_format;
           test_case "subsystem gauge names" `Quick test_subsystem_gauge_names;
         ] );
       ( "closures",

@@ -18,7 +18,6 @@ module Kdomain = Spin_core.Kdomain
 module Nameserver = Spin_core.Nameserver
 module Supervisor = Spin.Supervisor
 module Kernel = Spin.Kernel
-module Monitor = Spin.Monitor
 
 let must r = Dispatcher.ok_exn ~site:"test_faults" r
 
@@ -409,24 +408,21 @@ let test_supervisor_backoff_resets_after_grace () =
 let test_supervisor_counts_revoked_faults () =
   (* A handler caches a capability whose owner epoch has advanced (as
      a hot-swap does): the deref faults like any handler bug, but the
-     supervisor tallies it apart, and the monitor surfaces it as a
-     gauge — a burst of these after a swap means an extension kept
+     supervisor tallies it apart and surfaces it as a gauge — a burst of these after a swap means an extension kept
      old-instance references instead of re-minting. *)
-  let clock, _, d, sup = supervised_dispatcher () in
+  let _, _, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Use" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let cap = Capability.mint ~owner:"OldGen" "resource" in
   ignore (Capability.advance_epoch ~owner:"OldGen");
   ignore (must @@ Dispatcher.install ev ~installer:"staleuser"
             (fun _ -> ignore (Capability.deref cap)));
-  let m = Monitor.create clock in
-  Monitor.watch_gauges m (Supervisor.gauges sup);
   Dispatcher.raise_event ev 0;
   let st = Supervisor.stats sup in
   check int "revoked use counted apart" 1 st.Supervisor.s_revoked;
   check int "and as an ordinary fault" 1 st.Supervisor.s_faults;
   check bool "gauge surfaces it" true
-    (List.mem ("supervisor.revoked_uses", 1) (Monitor.gauges m))
+    (List.assoc "supervisor.revoked_uses" (Supervisor.gauges sup) () = 1)
 
 let test_supervisor_domain_budget_groups_installers () =
   (* Two installers grouped under one registered domain with a
@@ -612,8 +608,8 @@ let test_http_degrades_when_generator_quarantined () =
 
 let test_rx_overflow_observable () =
   (* The receive-ring overflow of test_rx_ring_overflow_drops, now
-     surfaced through the driver and the monitor: Netif.drops exposes
-     the device counter and a Monitor gauge reports it. *)
+     surfaced through the driver: Netif.drops exposes the device
+     counter and the driver's gauge reports it. *)
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let a = Machine.create_on sim ~name:"a" () in
@@ -623,21 +619,14 @@ let test_rx_overflow_observable () =
   let sched = Sched.create sim disp in
   (* Never started: the ring is never drained, as in a stalled host. *)
   let nb = Netif.create b sched disp nic_b ~name:"Ether" in
-  let m = Monitor.create clock in
-  Monitor.watch_gauges m (Netif.gauges nb);
   for _ = 1 to 80 do
     ignore (Nic.transmit nic_a ~off:0 ~len:64 (Bytes.create 64))
   done;
   Sim.run sim;
   check int "drops surfaced at the driver" 16 (Netif.drops nb);
   check (list (pair string int)) "gauge samples the device counter"
-    [ ("Ether.rx_dropped", 16) ] (Monitor.gauges m);
-  let r = Monitor.report m in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-    scan 0 in
-  check bool "report mentions the drops" true (contains r "Ether.rx_dropped")
+    [ ("Ether.rx_dropped", 16) ]
+    (List.map (fun (name, sample) -> (name, sample ())) (Netif.gauges nb))
 
 let () =
   Alcotest.run "spin_faults"

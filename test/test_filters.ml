@@ -1,15 +1,10 @@
-(* Tests for the section 2 packet-filter foil (one UDP port filter
+(* Tests for the section 2 packet-filter foil: one UDP port filter
    program, interpreted by the checked bytecode interpreter or verified
-   and compiled) and the write-barrier extension (Appel & Li on the
-   SPIN fault path). *)
+   and compiled. *)
 
 open Alcotest
 open Spin_net
-module Addr = Spin_machine.Addr
 module Ebc = Spin_core.Ebc
-module Kernel = Spin.Kernel
-module Vm_ext = Spin_vm.Vm_ext
-module Write_barrier = Spin_vm.Write_barrier
 
 (* ------------------------------------------------------------------ *)
 (* Packet filters                                                     *)
@@ -90,54 +85,6 @@ let test_filter_interpretation_costs () =
   check bool "costlier than a compiled guard" true
     (spent > Spin_core.Dispatcher.costs.Spin_core.Dispatcher.guard_eval)
 
-(* ------------------------------------------------------------------ *)
-(* Write_barrier                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let barrier_fixture () =
-  let k = Kernel.boot ~mem_mb:8 () in
-  let ext = Vm_ext.create k.Kernel.vm ~app:"gc" ~pages:8 in
-  Vm_ext.activate ext;
-  let wb = Write_barrier.create k.Kernel.vm ext in
-  (k, ext, wb)
-
-let test_barrier_logs_first_write () =
-  let _, ext, wb = barrier_fixture () in
-  Write_barrier.arm wb ~pages:[ 0; 1; 2; 3 ];
-  Vm_ext.write ext ~page:2 1L;
-  Vm_ext.write ext ~page:0 2L;
-  Vm_ext.write ext ~page:2 3L;            (* already open: no fault *)
-  check (list int) "dirty set in order" [ 2; 0 ] (Write_barrier.dirty_pages wb);
-  check int "one fault per page" 2 (Write_barrier.faults_taken wb);
-  check int64 "data intact" 3L (Vm_ext.read ext ~page:2)
-
-let test_barrier_untracked_pages_free () =
-  let _, ext, wb = barrier_fixture () in
-  Write_barrier.arm wb ~pages:[ 0 ];
-  Vm_ext.write ext ~page:5 9L;            (* not armed: no fault *)
-  check (list int) "nothing logged" [] (Write_barrier.dirty_pages wb);
-  check int "no faults" 0 (Write_barrier.faults_taken wb)
-
-let test_barrier_rearm_cycle () =
-  let _, ext, wb = barrier_fixture () in
-  Write_barrier.arm wb ~pages:[ 0; 1 ];
-  Vm_ext.write ext ~page:1 1L;
-  check (list int) "cycle 1" [ 1 ] (Write_barrier.dirty_pages wb);
-  Write_barrier.rearm wb;
-  check (list int) "log cleared" [] (Write_barrier.dirty_pages wb);
-  Vm_ext.write ext ~page:1 2L;            (* faults again after rearm *)
-  check (list int) "cycle 2" [ 1 ] (Write_barrier.dirty_pages wb);
-  check int "two faults for the page" 2 (Write_barrier.faults_taken wb)
-
-let test_barrier_cost_is_spin_fault_path () =
-  (* Each barrier hit costs one SPIN fault (~Table 4's Fault row),
-     not a signal delivery. *)
-  let k, ext, wb = barrier_fixture () in
-  Write_barrier.arm wb ~pages:[ 0 ];
-  let us = Kernel.stamp_us k (fun () -> Vm_ext.write ext ~page:0 1L) in
-  check bool (Printf.sprintf "barrier hit ~29us (got %.1f)" us) true
-    (us > 15. && us < 45.)
-
 let () =
   Alcotest.run "spin_filters"
     [
@@ -150,12 +97,5 @@ let () =
             test_filter_matches_real_traffic;
           test_case "interpretation overhead" `Quick
             test_filter_interpretation_costs;
-        ] );
-      ( "write_barrier",
-        [
-          test_case "logs first writes" `Quick test_barrier_logs_first_write;
-          test_case "untracked pages free" `Quick test_barrier_untracked_pages_free;
-          test_case "rearm cycle" `Quick test_barrier_rearm_cycle;
-          test_case "costs one SPIN fault" `Quick test_barrier_cost_is_spin_fault_path;
         ] );
     ]

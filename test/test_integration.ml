@@ -1,8 +1,7 @@
 (* Whole-system integration: one simulated network runs the paper's
    extensions side by side — in-kernel HTTP with the hybrid cache, the
-   video multicast path, packet-level forwarding, and a passive
-   monitor — under a mixed workload, with global invariants checked at
-   the end. *)
+   video multicast path and packet-level forwarding — under a mixed
+   workload, with global invariants checked at the end. *)
 
 open Alcotest
 open Spin_net
@@ -13,7 +12,6 @@ module Nic = Spin_machine.Nic
 module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
-module Monitor = Spin.Monitor
 
 let must r = Dispatcher.ok_exn ~site:"test_integration" r
 
@@ -30,7 +28,6 @@ type world = {
   video : Video.server;
   video_client : Video.client;
   forward : Forward.t;
-  monitor : Monitor.t;
   cache : Spin_fs.File_cache.t;
 }
 
@@ -69,12 +66,8 @@ let build_world () =
       ~to_:addr_client in
   let video_client = Video.create_client client ~port:5004 in
   Video.add_client video addr_fwd;
-  (* Observability extensions. *)
-  let monitor = Monitor.create clock in
-  Monitor.watch monitor (Udp.packet_arrived server.Host.udp);
-  Monitor.watch monitor (Ip.packet_arrived server.Host.ip);
   { clock; server; fwd; client; http; video; video_client; forward;
-    monitor; cache }
+    cache }
 
 let http_get w path =
   match Tcp.connect w.client.Host.tcp ~dst:addr_server ~dst_port:80 with
@@ -119,11 +112,11 @@ let test_mixed_workload () =
      >= Video.frames_displayed w.video_client);
 
   (* Observability agrees with the data path. *)
-  let counts = Monitor.counts w.monitor in
-  let udp_seen = List.assoc "UDP.PacketArrived" counts in
-  let ip_seen = List.assoc "IP.PacketArrived" counts in
+  let raises ev = (Dispatcher.stats ev).Dispatcher.raises in
+  let udp_seen = raises (Udp.packet_arrived w.server.Host.udp) in
+  let ip_seen = raises (Ip.packet_arrived w.server.Host.ip) in
   (* At least a SYN and a request segment per web request. *)
-  check bool "monitor saw the web segments" true (ip_seen >= 8);
+  check bool "the dispatcher saw the web segments" true (ip_seen >= 8);
   check bool "ip raises dominate udp raises" true (ip_seen >= udp_seen);
 
   (* Nothing died, nothing leaked visibly. *)

@@ -1,5 +1,5 @@
 (* Tests for the network stack: packet buffers, device glue, IP
-   routing and forwarding, ICMP, UDP, TCP, Active Messages, RPC, the
+   routing and forwarding, ICMP, UDP, TCP, Active Messages, the
    Forward extension, in-kernel HTTP, and the protocol graph. *)
 
 open Alcotest
@@ -9,7 +9,6 @@ module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
-module Link = Spin_machine.Link
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
 
@@ -317,7 +316,7 @@ let test_tcp_retransmission_on_loss () =
   check int "no spurious retransmits" 0 (Tcp.stats a.Host.tcp).Tcp.retransmits
 
 (* ------------------------------------------------------------------ *)
-(* Active messages and RPC                                            *)
+(* Active messages                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_active_messages () =
@@ -343,160 +342,26 @@ let test_active_message_unknown_handler_dropped () =
               (Bytes.of_string "void")));
   check int "dropped" 1 (Active_msg.stats b.Host.am).Active_msg.dropped
 
-let test_rpc_call () =
+let test_active_message_malformed_dropped () =
+  (* Regression: a payload shorter than the 4-byte header, or one whose
+     declared length runs past its end, was neither delivered nor
+     counted. Both are dropped and counted now. *)
   let _, a, b = two_hosts () in
-  Rpc.export b.Host.rpc ~name:"double" (fun args ->
-    let n = int_of_string (Bytes.to_string args) in
-    Bytes.of_string (string_of_int (2 * n)));
+  let h = Active_msg.register b.Host.am (fun ~src:_ _ ->
+    fail "a malformed message reached its handler") in
+  let overlong = Bytes.create 8 in
+  Bytes.set_uint16_le overlong 0 h;
+  Bytes.set_uint16_le overlong 2 60;
   in_strand [ a; b ] a (fun () ->
-    match Rpc.call a.Host.rpc ~dst:addr_b ~name:"double" (Bytes.of_string "21") with
-    | Some result -> check string "result" "42" (Bytes.to_string result)
-    | None -> fail "call failed");
-  check int "served" 1 (Rpc.stats b.Host.rpc).Rpc.served
-
-let test_rpc_unknown_procedure () =
-  let _, a, b = two_hosts () in
-  in_strand [ a; b ] a (fun () ->
-    check bool "unknown proc returns None" true
-      (Rpc.call a.Host.rpc ~dst:addr_b ~name:"ghost" Bytes.empty = None))
-
-let test_rpc_timeout () =
-  let _, a, b = two_hosts () in
-  (* A procedure that never answers: simulate by exporting on the
-     wrong host — a's call to an address with no AM route... use an
-     unroutable address instead. *)
-  in_strand [ a; b ] a (fun () ->
-    check bool "send failure is immediate None" true
-      (Rpc.call a.Host.rpc ~timeout_us:10_000.
-         ~dst:(Ip.addr_of_quad 99 0 0 1) ~name:"x" Bytes.empty = None))
-
-let test_rpc_send_failure_retries_without_backoff () =
-  (* Regression: a failed send is synchronous — no virtual time passed
-     waiting — yet it used to be treated like a timeout, doubling the
-     next timeout and counting as a backoff retry. Re-sends after a
-     send failure now keep the current timeout and are counted
-     separately from timeout-driven retries. *)
-  let sim, a, b = two_hosts () in
-  let clock = Sim.clock sim in
-  in_strand [ a; b ] a (fun () ->
-    let t0 = Clock.now_us clock in
-    check bool "unroutable call fails" true
-      (Rpc.call a.Host.rpc ~timeout_us:1_000_000. ~retries:1
-         ~dst:(Ip.addr_of_quad 99 0 0 1) ~name:"x" Bytes.empty = None);
-    (* Two synchronous send failures: no timeout was ever waited on. *)
-    check bool "failed synchronously, not after a timeout" true
-      (Clock.now_us clock -. t0 < 1_000_000.));
-  let st = Rpc.stats a.Host.rpc in
-  check int "both attempts counted as send failures" 2 st.Rpc.send_failures;
-  check int "no backoff retries consumed" 0 st.Rpc.retries;
-  check int "no timeouts" 0 st.Rpc.timeouts
-
-let test_rpc_retries_through_outage () =
-  (* The wire is totally dark for the first 25 ms: every early attempt
-     times out. Exponential-backoff retries keep re-sending until the
-     link heals — the caller never sees the outage. *)
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let a = Host.create sim ~name:"a" ~addr:addr_a in
-  let b = Host.create sim ~name:"b" ~addr:addr_b in
-  let nic_a = Machine.add_nic a.Host.machine ~kind:Nic.Lance in
-  let nic_b = Machine.add_nic b.Host.machine ~kind:Nic.Lance in
-  let link = Link.create sim ~mbps:(Nic.link_mbps Nic.Lance) () in
-  Nic.attach nic_a link Link.A;
-  Nic.attach nic_b link Link.B;
-  Link.set_loss link ~every:1;
-  let na = Netif.create a.Host.machine a.Host.sched a.Host.dispatcher nic_a
-      ~name:"Ether" in
-  let nb = Netif.create b.Host.machine b.Host.sched b.Host.dispatcher nic_b
-      ~name:"Ether" in
-  Ip.add_interface a.Host.ip na ~addr:addr_a;
-  Ip.add_interface b.Host.ip nb ~addr:addr_b;
-  Ip.add_route a.Host.ip ~dst:addr_b na;
-  Ip.add_route b.Host.ip ~dst:addr_a nb;
-  Netif.start na;
-  Netif.start nb;
-  Rpc.export b.Host.rpc ~name:"echo" (fun x -> x);
-  ignore (Sim.after_us sim 25_000. (fun () -> Link.set_loss link ~every:0));
-  in_strand [ a; b ] a (fun () ->
-    match
-      Rpc.call a.Host.rpc ~timeout_us:10_000. ~retries:3 ~dst:addr_b
-        ~name:"echo" (Bytes.of_string "still there?")
-    with
-    | Some r ->
-      check string "answered after the outage" "still there?"
-        (Bytes.to_string r)
-    | None -> fail "retries did not survive the outage");
-  let st = Rpc.stats a.Host.rpc in
-  check int "one logical call" 1 st.Rpc.calls;
-  check bool "attempts timed out" true (st.Rpc.timeouts >= 2);
-  check bool "the request was re-sent" true (st.Rpc.retries >= 2);
-  check bool "frames really were lost" true (Link.frames_dropped link >= 2)
-
-let test_rpc_backoff_jitter_range_and_determinism () =
-  (* The retry backoff multiplier is jittered — uniform in [1.5, 2.5),
-     mean 2.0 — from a seeded SplitMix64 stream: peers that timed out
-     together don't re-send in lockstep, yet every run replays
-     exactly, and the draw charges no virtual cycles. *)
-  let module Sm = Spin_dstruct.Splitmix in
-  let rng = Sm.create ~seed:42 and rng' = Sm.create ~seed:42 in
-  let n = 2000 in
-  let sum = ref 0. and spread = ref false in
-  for _ = 1 to n do
-    let f = Rpc.backoff_factor rng in
-    if f < 1.5 || f >= 2.5 then fail (Printf.sprintf "factor %f out of range" f);
-    if f < 1.8 || f > 2.2 then spread := true;
-    sum := !sum +. f;
-    if f <> Rpc.backoff_factor rng' then fail "same seed diverged"
-  done;
-  check bool "mean ~ 2.0 (doubling preserved in expectation)" true
-    (abs_float ((!sum /. float_of_int n) -. 2.0) < 0.02);
-  check bool "draws actually spread over the interval" true !spread;
-  check bool "distinct seeds decorrelate" true
-    (Rpc.backoff_factor (Sm.create ~seed:1)
-     <> Rpc.backoff_factor (Sm.create ~seed:2))
-
-let test_rpc_retry_timing_replays_exactly () =
-  (* Regression: jitter must come only from the per-endpoint seeded
-     stream — two identical fixtures walk the same retry schedule to
-     the microsecond, and the jittered waits stay inside the
-     [1.5, 2.5) envelope of the nominal doubling. *)
-  let run () =
-    let clock = Clock.create Cost.alpha_133 in
-    let sim = Sim.create clock in
-    let a = Host.create sim ~name:"a" ~addr:addr_a in
-    let b = Host.create sim ~name:"b" ~addr:addr_b in
-    let nic_a = Machine.add_nic a.Host.machine ~kind:Nic.Lance in
-    let nic_b = Machine.add_nic b.Host.machine ~kind:Nic.Lance in
-    let link = Link.create sim ~mbps:(Nic.link_mbps Nic.Lance) () in
-    Nic.attach nic_a link Link.A;
-    Nic.attach nic_b link Link.B;
-    Link.set_loss link ~every:1;                 (* dark wire: all lost *)
-    let na = Netif.create a.Host.machine a.Host.sched a.Host.dispatcher
-        nic_a ~name:"Ether" in
-    let nb = Netif.create b.Host.machine b.Host.sched b.Host.dispatcher
-        nic_b ~name:"Ether" in
-    Ip.add_interface a.Host.ip na ~addr:addr_a;
-    Ip.add_interface b.Host.ip nb ~addr:addr_b;
-    Ip.add_route a.Host.ip ~dst:addr_b na;
-    Ip.add_route b.Host.ip ~dst:addr_a nb;
-    Netif.start na;
-    Netif.start nb;
-    let elapsed = ref 0. in
-    in_strand [ a; b ] a (fun () ->
-      let t0 = Clock.now_us clock in
-      check bool "dark wire times out" true
-        (Rpc.call a.Host.rpc ~timeout_us:2_000. ~retries:2 ~dst:addr_b
-           ~name:"echo" Bytes.empty = None);
-      elapsed := Clock.now_us clock -. t0);
-    let st = Rpc.stats a.Host.rpc in
-    check int "three attempts timed out" 3 st.Rpc.timeouts;
-    !elapsed in
-  let e1 = run () and e2 = run () in
-  check (float 0.) "identical fixtures replay identically" e1 e2;
-  (* attempt timeouts: 2000, 2000*f1, 2000*f1*f2 with f in [1.5, 2.5) *)
-  check bool "total wait inside the jitter envelope" true
-    (e1 >= 2_000. *. (1. +. 1.5 +. 2.25)
-     && e1 < 2_000. *. (1. +. 2.5 +. 6.25) +. 2_000.)
+    List.iter
+      (fun payload ->
+        check bool "sent" true
+          (Ip.send a.Host.ip ~dst:addr_b ~proto:Active_msg.proto
+             (Pkt.of_payload payload)))
+      [ Bytes.create 2; overlong ]);
+  let st = Active_msg.stats b.Host.am in
+  check int "both dropped" 2 st.Active_msg.dropped;
+  check int "none delivered" 0 st.Active_msg.delivered
 
 (* ------------------------------------------------------------------ *)
 (* Forward extension                                                  *)
@@ -727,17 +592,8 @@ let () =
           test_case "active message invocation" `Quick test_active_messages;
           test_case "unknown handler dropped" `Quick
             test_active_message_unknown_handler_dropped;
-          test_case "rpc call" `Quick test_rpc_call;
-          test_case "rpc unknown procedure" `Quick test_rpc_unknown_procedure;
-          test_case "rpc unroutable" `Quick test_rpc_timeout;
-          test_case "rpc send failure retries without backoff" `Quick
-            test_rpc_send_failure_retries_without_backoff;
-          test_case "rpc retries through an outage" `Quick
-            test_rpc_retries_through_outage;
-          test_case "rpc backoff jitter range and determinism" `Quick
-            test_rpc_backoff_jitter_range_and_determinism;
-          test_case "rpc retry timing replays exactly" `Quick
-            test_rpc_retry_timing_replays_exactly;
+          test_case "malformed messages dropped" `Quick
+            test_active_message_malformed_dropped;
         ] );
       ( "forward",
         [

@@ -8,7 +8,6 @@ module Sim = Spin_machine.Sim
 module Dispatcher = Spin_core.Dispatcher
 module Capability = Spin_core.Capability
 module Intr = Spin_machine.Intr
-module Monitor = Spin.Monitor
 
 let must r = Dispatcher.ok_exn ~site:"test_sched" r
 
@@ -624,24 +623,6 @@ let test_double_enqueue_reported () =
   check int "redundant unblock counted" 1
     (Sched.stats s).Sched.redundant_unblocks
 
-let test_app_sched_multiplexes () =
-  let _, _, s = kernel () in
-  let app = App_sched.create s ~name:"MyThreads" in
-  let log = ref [] in
-  let task tag () =
-    log := tag :: !log;
-    App_sched.yield app;
-    log := tag :: !log in
-  App_sched.spawn app ~name:"u1" (task "u1");
-  App_sched.spawn app ~name:"u2" (task "u2");
-  App_sched.run app;
-  Sched.run s;
-  check (list string) "user strands interleaved on one kernel strand"
-    [ "u1"; "u2"; "u1"; "u2" ] (List.rev !log);
-  let st = App_sched.stats app in
-  check bool "received the processor" true (st.App_sched.resumes >= 1);
-  check bool "user switches counted" true (st.App_sched.user_switches >= 4)
-
 (* ------------------------------------------------------------------ *)
 (* SMP: per-CPU queues, IPI wakeups, stealing, machine-wide views     *)
 (* ------------------------------------------------------------------ *)
@@ -780,12 +761,12 @@ let test_multi_cpu_runnable_views_and_audit () =
   check (list string) "audit clean at quiescence" [] (audit_reports s)
 
 let test_monitor_gauges_are_machine_wide () =
-  (* Regression for the single-CPU assumption audit: the monitor's
-     scheduler gauges must aggregate over every CPU, and must expose
-     in-flight IPI wakeups (pending work no run-queue depth shows). *)
-  let m, _, s = smp_kernel () in
-  let mon = Monitor.create m.Machine.clock in
-  Monitor.watch_gauges mon (Sched.gauges s);
+  (* Regression for the single-CPU assumption audit: the scheduler's
+     gauges must aggregate over every CPU, and must expose in-flight
+     IPI wakeups (pending work no run-queue depth shows). *)
+  let _, _, s = smp_kernel () in
+  let gauges = Sched.gauges s in
+  let g name = List.assoc name gauges () in
   let sleeper = ref None in
   let mid_flight = ref (-1) in
   let sl = Sched.spawn s ~name:"sleeper" (fun () ->
@@ -795,10 +776,9 @@ let test_monitor_gauges_are_machine_wide () =
   let wk = Sched.spawn s ~name:"waker" (fun () ->
     Sched.unblock s (wait_blocked s sleeper);
     (* Sample while the wakeup IPI is posted but not yet delivered. *)
-    mid_flight := List.assoc "sched.ipis_in_flight" (Monitor.gauges mon)) in
+    mid_flight := g "sched.ipis_in_flight") in
   Sched.set_affinity s wk (Some 1);
   Sched.run s;
-  let g name = List.assoc name (Monitor.gauges mon) in
   check int "in-flight gauge saw the travelling wakeup" 1 !mid_flight;
   check int "in-flight gauge drains to zero" 0 (g "sched.ipis_in_flight");
   check int "IPI wakeup gauge matches scheduler stats"
@@ -971,7 +951,6 @@ let () =
           test_case "osf sleep/wakeup" `Quick test_osf_sleep_wakeup;
           test_case "osf wakeup-one and all" `Quick test_osf_wakeup_all_and_one;
           test_case "cthreads interface" `Quick test_cthreads_interface;
-          test_case "app scheduler stacks on global" `Quick test_app_sched_multiplexes;
         ] );
       ( "invariants",
         [
