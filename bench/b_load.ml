@@ -84,14 +84,17 @@ let zerocopy_echo frame =
   Pkt.drop p ip_hdr;
   let plen = Pkt.length p - udp_hdr in
   let d = Pkt.sub p ~pos:udp_hdr ~len:plen in               (* payload view *)
-  let buf, off = Pkt.push_view d udp_hdr in                 (* echo headers *)
+  let off = Pkt.reserve d udp_hdr in                        (* echo headers *)
+  let buf = Pkt.buffer d in
   Bytes.set_uint16_le buf off 7;
   Bytes.set_uint16_le buf (off + 2) 7;
   Bytes.set_uint16_le buf (off + 4) plen;
   Bytes.set_uint16_le buf (off + 6) 0;
-  let buf, off = Pkt.push_view d ip_hdr in
+  let off = Pkt.reserve d ip_hdr in
+  let buf = Pkt.buffer d in
   Bytes.fill buf off ip_hdr '\000';
-  let buf, off = Pkt.push_view d link_hdr in
+  let off = Pkt.reserve d link_hdr in
+  let buf = Pkt.buffer d in
   Bytes.set_uint16_le buf off 0x0800;
   let buf, off, len = Pkt.view d in
   Bytes.sub buf off len                                     (* device DMA *)

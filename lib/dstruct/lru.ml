@@ -1,66 +1,102 @@
+(* The recency order is a doubly-linked list threaded through the
+   entries themselves, with [Nil] ends: a hit relinks its own entry at
+   the front and allocates nothing. [value] is always [Some]; [find]
+   hands that very option back. *)
+type ('k, 'v) entry =
+  | Nil
+  | Entry of {
+      key : 'k;
+      mutable value : 'v option;
+      mutable prev : ('k, 'v) entry;
+      mutable next : ('k, 'v) entry;
+    }
+
 type ('k, 'v) t = {
   capacity : int;
   on_evict : 'k -> 'v -> unit;
-  table : ('k, ('k * 'v ref) Dllist.node) Hashtbl.t;
-  order : ('k * 'v ref) Dllist.t;     (* front = most recently used *)
+  table : ('k, ('k, 'v) entry) Hashtbl.t;
+  mutable head : ('k, 'v) entry;          (* most recently used *)
+  mutable tail : ('k, 'v) entry;
 }
 
 let create ?(on_evict = fun _ _ -> ()) ~capacity () =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; on_evict; table = Hashtbl.create 64; order = Dllist.create () }
+  { capacity; on_evict; table = Hashtbl.create 64; head = Nil; tail = Nil }
 
 let capacity t = t.capacity
 
 let length t = Hashtbl.length t.table
 
-let touch t node =
-  let v = Dllist.value node in
-  Dllist.remove t.order node;
-  let node' = Dllist.push_front t.order v in
-  Hashtbl.replace t.table (fst v) node'
+let unlink t = function
+  | Nil -> ()
+  | Entry r ->
+    (match r.prev with Nil -> t.head <- r.next | Entry p -> p.next <- r.next);
+    (match r.next with Nil -> t.tail <- r.prev | Entry n -> n.prev <- r.prev);
+    r.prev <- Nil;
+    r.next <- Nil
+
+let push_front t e =
+  match e with
+  | Nil -> ()
+  | Entry r ->
+    r.next <- t.head;
+    (match t.head with Nil -> t.tail <- e | Entry h -> h.prev <- e);
+    t.head <- e
+
+let touch t e =
+  if t.head != e then begin
+    unlink t e;
+    push_front t e
+  end
+
+(* [Hashtbl.find_opt] would box its answer; a miss raises instead. *)
+let entry t k = match Hashtbl.find t.table k with e -> e | exception Not_found -> Nil
+
+let value = function Entry r -> r.value | Nil -> None
 
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some node ->
-    let (_, vref) = Dllist.value node in
-    touch t node;
-    Some !vref
+  let e = entry t k in
+  touch t e;
+  value e
 
-let peek t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some node -> let (_, vref) = Dllist.value node in Some !vref
+let peek t k = value (entry t k)
 
 let evict_lru t =
-  match Dllist.pop_back t.order with
-  | None -> ()
-  | Some (k, vref) ->
-    Hashtbl.remove t.table k;
-    t.on_evict k !vref
+  match t.tail with
+  | Nil -> ()
+  | Entry r as e ->
+    unlink t e;
+    Hashtbl.remove t.table r.key;
+    (match r.value with Some v -> t.on_evict r.key v | None -> ())
 
 let add t k v =
-  (match Hashtbl.find_opt t.table k with
-   | Some node ->
-     let (_, vref) = Dllist.value node in
-     vref := v;
-     touch t node
-   | None ->
-     let node = Dllist.push_front t.order (k, ref v) in
-     Hashtbl.replace t.table k node);
+  (match entry t k with
+   | Entry r as e ->
+     r.value <- Some v;
+     touch t e
+   | Nil ->
+     let e = Entry { key = k; value = Some v; prev = Nil; next = Nil } in
+     push_front t e;
+     Hashtbl.replace t.table k e);
   while Hashtbl.length t.table > t.capacity do evict_lru t done
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> ()
-  | Some node ->
-    Dllist.remove t.order node;
-    Hashtbl.remove t.table k
+  let e = entry t k in
+  unlink t e;
+  Hashtbl.remove t.table k
 
 let mem t k = Hashtbl.mem t.table k
 
-let iter f t = Dllist.iter (fun (k, vref) -> f k !vref) t.order
+let iter f t =
+  let rec loop = function
+    | Nil -> ()
+    | Entry r ->
+      let next = r.next in
+      (match r.value with Some v -> f r.key v | None -> ());
+      loop next in
+  loop t.head
 
 let clear t =
   Hashtbl.reset t.table;
-  Dllist.clear t.order
+  t.head <- Nil;
+  t.tail <- Nil

@@ -16,7 +16,8 @@ val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** [find t k] returns the binding and marks it most recently used. *)
+(** [find t k] returns the binding and marks it most recently used.
+    Allocates nothing, hit or miss. *)
 
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} without touching recency. *)

@@ -137,37 +137,39 @@ let group_of block = block / blocks_per_page
 let slot_of block = block mod blocks_per_page
 let slot_off block = slot_of block * Disk.block_size
 
-let read t ~block =
+(* Cache a block just read from disk in the group's page if one is
+   resident now, else in a fresh page; under hopeless pressure serve
+   it uncached. *)
+let cache_read t ~block ~group ~bit data =
+  (* Re-check after the wait: a concurrent reader of the same group
+     may have cached it while we slept; a second Lru.add would leak
+     its page (replacement bypasses the eviction callback). *)
+  match Lru.find t.cache group with
+  | Some e when Capability.is_valid e.page ->
+    Phys_addr.touch t.phys e.page;
+    Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
+    e.valid <- e.valid lor bit
+  | Some _ | None ->
+    (match Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size with
+     | page ->
+       Phys_addr.touch t.phys page;
+       Phys_addr.fill t.phys page ~off:(slot_off block) data;
+       Lru.add t.cache group { page; valid = bit }
+     | exception Phys_addr.Out_of_memory -> t.degraded <- t.degraded + 1)
+
+(* A hit copies out of the cache page, charged; a miss hands over the
+   device's buffer, already paid for at the disk, uncharged. *)
+let read_into t ~block buf ~pos =
   let group = group_of block in
   let bit = 1 lsl slot_of block in
-  (* Cache a block just read from disk in the group's page if one is
-     resident now, else in a fresh page; under hopeless pressure serve
-     it uncached. *)
-  let cache_read data =
-    (* Re-check after the wait: a concurrent reader of the same group
-       may have cached it while we slept; a second Lru.add would leak
-       its page (replacement bypasses the eviction callback). *)
-    (match Lru.find t.cache group with
-     | Some e when Capability.is_valid e.page ->
-       Phys_addr.touch t.phys e.page;
-       Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-       e.valid <- e.valid lor bit
-     | Some _ | None ->
-       (match Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size with
-        | page ->
-          Phys_addr.touch t.phys page;
-          Phys_addr.fill t.phys page ~off:(slot_off block) data;
-          Lru.add t.cache group { page; valid = bit }
-        | exception Phys_addr.Out_of_memory -> t.degraded <- t.degraded + 1));
-    data in
   match Lru.find t.cache group with
   | Some e when Capability.is_valid e.page ->
     if e.valid land bit <> 0 then begin
       t.hits <- t.hits + 1;
       Phys_addr.touch t.phys e.page;
       (* The hand-off copy out of cache memory — the only charge. *)
-      Phys_addr.read_bytes t.phys e.page ~off:(slot_off block)
-        ~len:Disk.block_size
+      Phys_addr.read_into t.phys e.page ~off:(slot_off block)
+        ~len:Disk.block_size buf ~pos
     end
     else begin
       (* The page is resident but this slot was never filled. *)
@@ -177,18 +179,27 @@ let read t ~block =
       if Capability.is_valid e.page then begin
         Phys_addr.touch t.phys e.page;
         Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-        e.valid <- e.valid lor bit;
-        data
-      end else cache_read data
+        e.valid <- e.valid lor bit
+      end else cache_read t ~block ~group ~bit data;
+      Bytes.blit data 0 buf pos Disk.block_size
     end
   | Some _ ->
     (* Lost the page behind our back; treat as a cold miss. *)
     Lru.remove t.cache group;
     t.misses <- t.misses + 1;
-    cache_read (disk_read t block)
+    let data = disk_read t block in
+    cache_read t ~block ~group ~bit data;
+    Bytes.blit data 0 buf pos Disk.block_size
   | None ->
     t.misses <- t.misses + 1;
-    cache_read (disk_read t block)
+    let data = disk_read t block in
+    cache_read t ~block ~group ~bit data;
+    Bytes.blit data 0 buf pos Disk.block_size
+
+let read t ~block =
+  let buf = Bytes.create Disk.block_size in
+  read_into t ~block buf ~pos:0;
+  buf
 
 let read_uncached t ~block =
   t.misses <- t.misses + 1;

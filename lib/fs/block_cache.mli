@@ -30,8 +30,13 @@ val create :
     [owner] names this cache's page allocations (default
     ["BlockCache"]). *)
 
+val read_into : t -> block:int -> Bytes.t -> pos:int -> unit
+(** [read_into t ~block buf ~pos] copies one block into [buf] at
+    [pos]. Must run in strand context on a miss. A hit allocates
+    nothing. *)
+
 val read : t -> block:int -> Bytes.t
-(** One block; a private copy. Must run in strand context on a miss. *)
+(** {!read_into} a fresh block-sized buffer. *)
 
 val read_uncached : t -> block:int -> Bytes.t
 (** Bypass the cache entirely (the "non-caching file system" mode the

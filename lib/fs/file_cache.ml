@@ -133,19 +133,18 @@ let try_insert t ~name data =
       got;
     t.degraded_count <- t.degraded_count + 1
 
-(* Assemble a hit: the charged copy out of cache pages is the hand-off
-   to the requesting domain. *)
+(* Assemble a hit: the charged copy out of cache pages, straight into
+   the body, is the hand-off to the requesting domain. *)
 let read_out t e =
   let out = Bytes.create e.size in
-  Array.iteri
-    (fun i p ->
-      let off = i * Addr.page_size in
-      let chunk = min Addr.page_size (e.size - off) in
-      if chunk > 0 then
-        Bytes.blit (Phys_addr.read_bytes t.phys p ~off:0 ~len:chunk) 0
-          out off chunk;
-      Phys_addr.touch t.phys p)
-    e.pages;
+  for i = 0 to Array.length e.pages - 1 do
+    let p = e.pages.(i) in
+    let off = i * Addr.page_size in
+    let chunk = min Addr.page_size (e.size - off) in
+    if chunk > 0 then
+      Phys_addr.read_into t.phys p ~off:0 ~len:chunk out ~pos:off;
+    Phys_addr.touch t.phys p
+  done;
   out
 
 let drop t name e =
@@ -153,30 +152,32 @@ let drop t name e =
   dealloc_entry t e;
   Lru.remove t.cache name
 
+let refetch t ~name =
+  t.miss_count <- t.miss_count + 1;
+  let data = Simple_fs.read ~cached:false t.fs ~name in
+  try_insert t ~name data;
+  Some data
+
+let rec all_valid pages i =
+  i = Array.length pages
+  || (Capability.is_valid pages.(i) && all_valid pages (i + 1))
+
 let fetch t ~name =
   if not (Simple_fs.exists t.fs ~name) then None
-  else begin
-    let size = Simple_fs.size t.fs ~name in
-    let refetch () =
-      t.miss_count <- t.miss_count + 1;
-      let data = Simple_fs.read ~cached:false t.fs ~name in
-      try_insert t ~name data;
-      Some data in
-    if size > large_threshold then begin
-      (* Large: never cached, read around the buffer cache too. *)
-      t.large_count <- t.large_count + 1;
-      Some (Simple_fs.read ~cached:false t.fs ~name)
-    end else
-      match Lru.find t.cache name with
-      | Some e when Array.for_all Capability.is_valid e.pages ->
-        t.hit_count <- t.hit_count + 1;
-        Some (read_out t e)
-      | Some e ->
-        (* Lost a page behind our back: re-fetch. *)
-        drop t name e;
-        refetch ()
-      | None -> refetch ()
-  end
+  else if Simple_fs.size t.fs ~name > large_threshold then begin
+    (* Large: never cached, read around the buffer cache too. *)
+    t.large_count <- t.large_count + 1;
+    Some (Simple_fs.read ~cached:false t.fs ~name)
+  end else
+    match Lru.find t.cache name with
+    | Some e when all_valid e.pages 0 ->
+      t.hit_count <- t.hit_count + 1;
+      Some (read_out t e)
+    | Some e ->
+      (* Lost a page behind our back: re-fetch. *)
+      drop t name e;
+      refetch t ~name
+    | None -> refetch t ~name
 
 let invalidate t ~name =
   match Lru.peek t.cache name with

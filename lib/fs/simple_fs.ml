@@ -46,6 +46,8 @@ type t = {
   data_start : int;
   ibitmap : Bitset.t;
   dbitmap : Bitset.t;                     (* indexed by data block ordinal *)
+  scratch : Bytes.t;                      (* one block, for in-place reads *)
+  root_direct : int array;                (* the root's direct pointers *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -269,12 +271,68 @@ let rec find_dirent data name off =
   else if dirent_names data off name 0 then Some off
   else find_dirent data name (off + dirent_size)
 
-let dir_lookup t name =
-  let root = read_inode t root_inode in
-  let data = read_inode_data t root ~off:0 ~len:root.size in
-  match find_dirent data name 0 with
-  | Some off -> Some (get32 data (off + dirent_size - 4))
-  | None -> None
+(* In-place reads. A lookup and a size read go through [t.scratch],
+   one block-sized buffer per file system, instead of a fresh block
+   and a decoded inode per read. The strands that share it switch
+   only where a call blocks, and a [Block_cache.read_into] miss
+   blocks on the disk; so the invariant is: no scratch contents are
+   relied on across a call that can block. Each block is read, then
+   its fields are taken before the next read.
+
+   A directory scan needs the root's block pointers across its block
+   reads, so it keeps them in [t.root_direct]. A concurrent scan may
+   refill that from its own read of the root inode; this is safe
+   because a pointer inside the directory's size never changes (the
+   root is never truncated, and entries are only appended or reused
+   in place), and a scan reads only pointers inside the size it read. *)
+
+let read_scratch t block = Block_cache.read_into t.cache ~block t.scratch ~pos:0
+
+let inode_block t i = t.itable_start + (i / inodes_per_block)
+let inode_off i = (i mod inodes_per_block) * inode_size
+
+(* The size field of inode [i]. *)
+let inode_size_of t i =
+  read_scratch t (inode_block t i);
+  get32 t.scratch (inode_off i)
+
+(* The inode number of the first entry naming [name] among the
+   scratch's first [limit] bytes, or -1. *)
+let rec find_in_scratch t name limit off =
+  if off + dirent_size > limit then -1
+  else if dirent_names t.scratch off name 0 then
+    get32 t.scratch (off + dirent_size - 4)
+  else find_in_scratch t name limit (off + dirent_size)
+
+(* The inode number [name] maps to, or -1. It reads exactly the blocks
+   [read_inode_data] would read for the whole directory, in the same
+   order, and scans each in place. *)
+let dir_find t name =
+  read_scratch t (inode_block t root_inode);
+  let ioff = inode_off root_inode in
+  let size = get32 t.scratch ioff in
+  let indirect = get32 t.scratch (ioff + 4 + (ndirect * 4)) in
+  let nblocks = (size + bs - 1) / bs in
+  for n = 0 to min ndirect nblocks - 1 do
+    t.root_direct.(n) <- get32 t.scratch (ioff + 4 + (n * 4))
+  done;
+  let found = ref (-1) in
+  for n = 0 to nblocks - 1 do
+    let block =
+      if n < ndirect then t.root_direct.(n)
+      else if indirect = 0 then 0
+      else begin
+        read_scratch t indirect;
+        get32 t.scratch ((n - ndirect) * 4)
+      end in
+    (* A hole reads as zeros, which name nothing. *)
+    if block <> 0 then begin
+      read_scratch t block;
+      if !found < 0 then
+        found := find_in_scratch t name (min bs (size - (n * bs))) 0
+    end
+  done;
+  !found
 
 let dir_add t name inum =
   if String.length name > max_name then raise (Fs_error Name_too_long);
@@ -320,7 +378,8 @@ let make cache ~ninodes ~blocks ~ibitmap ~dbitmap =
     layout ~ninodes ~blocks in
   { cache; ninodes; nblocks = blocks;
     ibitmap_block; dbitmap_start; dbitmap_blocks; itable_start; data_start;
-    ibitmap; dbitmap }
+    ibitmap; dbitmap; scratch = Bytes.create bs;
+    root_direct = Array.make ndirect 0 }
 
 (* Inodes a fresh file system gets; the superblock records the count. *)
 let format_inodes = 512
@@ -366,11 +425,10 @@ let mount cache =
   make cache ~ninodes ~blocks ~ibitmap ~dbitmap
 
 let lookup_exn t name =
-  match dir_lookup t name with
-  | Some inum -> inum
-  | None -> raise (Fs_error No_such_file)
+  let inum = dir_find t name in
+  if inum < 0 then raise (Fs_error No_such_file) else inum
 
-let exists t ~name = Option.is_some (dir_lookup t name)
+let exists t ~name = dir_find t name >= 0
 
 let create t ~name =
   if String.length name > max_name then raise (Fs_error Name_too_long);
@@ -400,7 +458,7 @@ let read_range ?(cached = true) t ~name ~off ~len =
   let ino = read_inode t (lookup_exn t name) in
   read_inode_data t ~cached ino ~off ~len
 
-let size t ~name = (read_inode t (lookup_exn t name)).size
+let size t ~name = inode_size_of t (lookup_exn t name)
 
 let delete t ~name =
   let inum = lookup_exn t name in

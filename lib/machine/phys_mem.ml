@@ -31,44 +31,78 @@ let zero_frame t n =
   Bytes.fill (frame_bytes t n) 0 Addr.page_size '\000';
   charge_copy t Addr.page_size
 
-(* Walk the [len] bytes starting at [pa] frame by frame. *)
-let iter_spans t ~pa ~len f =
+let check_range t ~pa ~len =
   if pa < 0 || len < 0 || pa + len > bytes_total t then
-    invalid_arg "Phys_mem: physical range out of bounds";
-  let rec loop pa len off =
-    if len > 0 then begin
-      let frame = Addr.page_of_pa pa in
-      let foff = pa land Addr.page_mask in
-      let chunk = min len (Addr.page_size - foff) in
-      f (frame_bytes t frame) foff off chunk;
-      loop (pa + chunk) (len - chunk) (off + chunk)
-    end in
-  loop pa len 0
+    invalid_arg "Phys_mem: physical range out of bounds"
+
+(* The one span walker, in both directions: copy [len] bytes between
+   physical memory at [pa] and [buf] at [off], frame by frame. No
+   closure, no intermediate buffer; the caller checks the range. *)
+let rec blit_out t ~pa buf off len =
+  if len > 0 then begin
+    let foff = pa land Addr.page_mask in
+    let chunk = min len (Addr.page_size - foff) in
+    Bytes.blit (frame_bytes t (Addr.page_of_pa pa)) foff buf off chunk;
+    blit_out t ~pa:(pa + chunk) buf (off + chunk) (len - chunk)
+  end
+
+let rec blit_in t ~pa buf off len =
+  if len > 0 then begin
+    let foff = pa land Addr.page_mask in
+    let chunk = min len (Addr.page_size - foff) in
+    Bytes.blit buf off (frame_bytes t (Addr.page_of_pa pa)) foff chunk;
+    blit_in t ~pa:(pa + chunk) buf (off + chunk) (len - chunk)
+  end
+
+let read_into t ~pa ~len buf ~pos =
+  check_range t ~pa ~len;
+  if pos < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Phys_mem.read_into: bad buffer range";
+  blit_out t ~pa buf pos len;
+  charge_copy t len
 
 let read_bytes t ~pa ~len =
   let out = Bytes.create len in
-  iter_spans t ~pa ~len (fun fb foff off chunk -> Bytes.blit fb foff out off chunk);
-  charge_copy t len;
+  read_into t ~pa ~len out ~pos:0;
   out
 
 let write_bytes t ~pa src =
   let len = Bytes.length src in
-  iter_spans t ~pa ~len (fun fb foff off chunk -> Bytes.blit src off fb foff chunk);
+  check_range t ~pa ~len;
+  blit_in t ~pa src 0 len;
   charge_copy t len
 
+(* A word inside one frame is read or written in place; one that
+   straddles two frames goes through an 8-byte buffer. *)
+let in_one_frame pa = pa land Addr.page_mask <= Addr.page_size - 8
+
 let read_word t ~pa =
-  let b = Bytes.create 8 in
-  iter_spans t ~pa ~len:8 (fun fb foff off chunk -> Bytes.blit fb foff b off chunk);
-  Bytes.get_int64_le b 0
+  check_range t ~pa ~len:8;
+  if in_one_frame pa then
+    Bytes.get_int64_le (frame_bytes t (Addr.page_of_pa pa))
+      (pa land Addr.page_mask)
+  else begin
+    let b = Bytes.create 8 in
+    blit_out t ~pa b 0 8;
+    Bytes.get_int64_le b 0
+  end
 
 let write_word t ~pa v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  iter_spans t ~pa ~len:8 (fun fb foff off chunk -> Bytes.blit b off fb foff chunk)
+  check_range t ~pa ~len:8;
+  if in_one_frame pa then
+    Bytes.set_int64_le (frame_bytes t (Addr.page_of_pa pa))
+      (pa land Addr.page_mask) v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    blit_in t ~pa b 0 8
+  end
 
 let copy t ~src ~dst ~len =
   (* read side charges once; avoid double charge on write side *)
+  check_range t ~pa:src ~len;
+  check_range t ~pa:dst ~len;
   let data = Bytes.create len in
-  iter_spans t ~pa:src ~len (fun fb foff off chunk -> Bytes.blit fb foff data off chunk);
-  iter_spans t ~pa:dst ~len (fun fb foff off chunk -> Bytes.blit data off fb foff chunk);
+  blit_out t ~pa:src data 0 len;
+  blit_in t ~pa:dst data 0 len;
   charge_copy t len

@@ -20,17 +20,21 @@ val frame_bytes : t -> int -> Bytes.t
 val zero_frame : t -> int -> unit
 (** Clears a frame, charging the copy cost. *)
 
+val read_into : t -> pa:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [read_into t ~pa ~len buf ~pos] copies [len] bytes out of physical
+    memory (may span frames) into [buf] at [pos]; charges copy cost.
+    Allocates nothing. *)
+
 val read_bytes : t -> pa:int -> len:int -> Bytes.t
-(** Copy [len] bytes out of physical memory (may span frames);
-    charges copy cost. *)
+(** {!read_into} a fresh buffer of [len] bytes. *)
 
 val write_bytes : t -> pa:int -> Bytes.t -> unit
 (** Copy bytes into physical memory; charges copy cost. *)
 
 val read_word : t -> pa:int -> int64
-(** Unaligned-tolerant 8-byte load; charges nothing beyond the
-    caller's accounting (word access cost is part of instruction
-    charges). *)
+(** Unaligned-tolerant 8-byte load, read in place unless the word
+    straddles two frames; charges nothing beyond the caller's
+    accounting (word access cost is part of instruction charges). *)
 
 val write_word : t -> pa:int -> int64 -> unit
 

@@ -55,7 +55,8 @@ let send t ~dst ~handler payload =
     (Spin_machine.Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
        ~bytes:(Bytes.length payload));
   let pkt = Pkt.of_payload payload in
-  let buf, off = Pkt.push_view pkt header in
+  let off = Pkt.reserve pkt header in
+  let buf = Pkt.buffer pkt in
   Bytes.set_uint16_le buf off handler;
   Bytes.set_uint16_le buf (off + 2) (Bytes.length payload);
   let ok = Ip.send t.ip ~dst ~proto pkt in

@@ -31,11 +31,35 @@ let parse_request line =
     Some (String.sub path 1 (String.length path - 1))
   | _ -> None
 
+(* The response is built in place, in the one buffer TCP is handed:
+   "HTTP/1.0 <status>\r\nContent-Length: <n>\r\n\r\n", then the body. *)
+let version = "HTTP/1.0 "
+let length_field = "\r\nContent-Length: "
+let head_end = "\r\n\r\n"
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* Writes [s] into [buf] at [pos]; the position after it. *)
+let put buf pos s =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  pos + String.length s
+
+(* Writes the decimal digits of [n] >= 0 so that they end at [stop]. *)
+let rec put_digits buf stop n =
+  Bytes.set buf (stop - 1) (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits buf (stop - 1) (n / 10)
+
 let respond t conn ~status ~body =
+  let n = Bytes.length body in
+  let nd = digits n in
   let head =
-    Printf.sprintf "HTTP/1.0 %s\r\nContent-Length: %d\r\n\r\n"
-      status (Bytes.length body) in
-  Tcp.send t.tcp conn (Bytes.cat (Bytes.of_string head) body);
+    String.length version + String.length status + String.length length_field
+    + nd + String.length head_end in
+  let msg = Bytes.create (head + n) in
+  let pos = put msg (put msg (put msg 0 version) status) length_field + nd in
+  put_digits msg pos n;
+  Bytes.blit body 0 msg (put msg pos head_end) n;
+  Tcp.send t.tcp conn msg;
   Tcp.close t.tcp conn
 
 (* Dynamic content is an event: extensions install generators on

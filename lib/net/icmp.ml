@@ -9,7 +9,8 @@ let header = 4                            (* type, code, seq u16 *)
 
 let encode ~typ ~seq payload =
   let pkt = Pkt.of_payload payload in
-  let buf, off = Pkt.push_view pkt header in
+  let off = Pkt.reserve pkt header in
+  let buf = Pkt.buffer pkt in
   Bytes.set_uint8 buf off typ;
   Bytes.set_uint8 buf (off + 1) 0;
   Bytes.set_uint16_le buf (off + 2) seq;

@@ -89,29 +89,37 @@ let create machine dispatcher =
 
 let packet_arrived t = t.event
 
-let is_local t a = List.exists (fun i -> i.addr = a) t.ifaces
+let rec has_addr a = function
+  | [] -> false
+  | i :: rest -> i.addr = a || has_addr a rest
+
+let is_local t a = has_addr a t.ifaces
 
 let local_addr t =
   match t.ifaces with
   | i :: _ -> i.addr
   | [] -> raise Not_found
 
-let route_toward t dst =
-  if is_local t dst then None              (* loopback handled in send *)
-  else List.assoc_opt dst t.routes
+(* The interface toward a non-local [dst]; raises [Not_found] when
+   there is no route, so a lookup boxes nothing. *)
+let rec route_in dst = function
+  | [] -> raise Not_found
+  | (d, netif) :: rest -> if d = dst then netif else route_in dst rest
 
 (* Write the IP and link headers into the packet's headroom — the
    payload bytes never move. On a forwarded or echoed packet the
    headers land exactly where the received ones sat. *)
 let push_headers pkt ~src ~dst ~proto ~ttl =
   let plen = Pkt.length pkt in
-  let buf, off = Pkt.push_view pkt ip_header in
+  let off = Pkt.reserve pkt ip_header in
+  let buf = Pkt.buffer pkt in
   Bytes.set_uint8 buf off proto;
   Bytes.set_uint8 buf (off + 1) ttl;
   Bytes.set_uint16_le buf (off + 2) plen;
   Bytes.set_int32_le buf (off + 4) (Int32.of_int src);
   Bytes.set_int32_le buf (off + 8) (Int32.of_int dst);
-  let buf, off = Pkt.push_view pkt link_header in
+  let off = Pkt.reserve pkt link_header in
+  let buf = Pkt.buffer pkt in
   Bytes.set_uint16_le buf off ethertype_ip
 
 let encode_frame ~src ~dst ~proto payload =
@@ -121,23 +129,22 @@ let encode_frame ~src ~dst ~proto payload =
 
 let charge t = Clock.charge t.machine.Machine.clock process_cost
 
-let trace_pkt t name pkt =
+let trace_pkt t name ~src ~dst ~proto =
   let tr = Trace.of_clock t.machine.Machine.clock in
   if Trace.on tr then
     Trace.instant tr ~cat:"ip" ~name
-      ~args:[ ("src", addr_to_string pkt.src);
-              ("dst", addr_to_string pkt.dst);
-              ("proto", string_of_int pkt.proto) ] ()
+      ~args:[ ("src", addr_to_string src);
+              ("dst", addr_to_string dst);
+              ("proto", string_of_int proto) ] ()
 
 let deliver t pkt =
   t.s_delivered <- t.s_delivered + 1;
-  trace_pkt t "deliver" pkt;
+  trace_pkt t "deliver" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto;
   Dispatcher.raise_default t.event () pkt
 
-let transmit_on t netif pkt =
-  push_headers pkt.payload ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto
-    ~ttl:pkt.ttl;
-  if Netif.transmit netif pkt.payload then begin
+let transmit_on t netif ~src ~dst ~proto ~ttl payload =
+  push_headers payload ~src ~dst ~proto ~ttl;
+  if Netif.transmit netif payload then begin
     t.s_sent <- t.s_sent + 1;
     true
   end else begin
@@ -145,36 +152,41 @@ let transmit_on t netif pkt =
     false
   end
 
+(* A routed send builds no packet record: the header fields go
+   straight into the headroom. *)
 let send t ?src ~dst ~proto payload =
   charge t;
   let src = match src with Some s -> s | None -> local_addr t in
-  let pkt = { src; dst; proto; ttl = 64; payload } in
-  trace_pkt t "send" pkt;
+  trace_pkt t "send" ~src ~dst ~proto;
   if is_local t dst then begin
     t.s_sent <- t.s_sent + 1;
-    deliver t pkt;
+    deliver t { src; dst; proto; ttl = 64; payload };
     true
   end else
-    match route_toward t dst with
-    | None -> t.s_dropped <- t.s_dropped + 1; false
-    | Some netif ->
+    match route_in dst t.routes with
+    | exception Not_found -> t.s_dropped <- t.s_dropped + 1; false
+    | netif ->
       if Pkt.length payload > Netif.mtu netif - link_header - ip_header
       then begin
         t.s_dropped <- t.s_dropped + 1;
         false
-      end else transmit_on t netif pkt
+      end else transmit_on t netif ~src ~dst ~proto ~ttl:64 payload
+
+let drop t pkt =
+  t.s_dropped <- t.s_dropped + 1;
+  trace_pkt t "drop" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto
 
 let forward t pkt =
-  if pkt.ttl <= 1 then begin
-    t.s_dropped <- t.s_dropped + 1;
-    trace_pkt t "drop" pkt
-  end else
-    match route_toward t pkt.dst with
-    | None -> t.s_dropped <- t.s_dropped + 1; trace_pkt t "drop" pkt
-    | Some netif ->
+  if pkt.ttl <= 1 then drop t pkt
+  else
+    match route_in pkt.dst t.routes with
+    | exception Not_found -> drop t pkt
+    | netif ->
       t.s_forwarded <- t.s_forwarded + 1;
-      trace_pkt t "forward" pkt;
-      ignore (transmit_on t netif { pkt with ttl = pkt.ttl - 1 })
+      trace_pkt t "forward" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto;
+      ignore
+        (transmit_on t netif ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto
+           ~ttl:(pkt.ttl - 1) pkt.payload)
 
 let input t frame =
   charge t;

@@ -78,8 +78,9 @@ let name t = t.name
 let mtu t = Nic.mtu t.nic
 
 let transmit_frame t pkt =
-  let buf, off, len = Pkt.view pkt in
-  let ok = Nic.transmit t.nic ~off ~len buf in
+  let ok =
+    Nic.transmit t.nic ~off:(Pkt.headroom pkt) ~len:(Pkt.length pkt)
+      (Pkt.buffer pkt) in
   if ok then t.frames_tx <- t.frames_tx + 1;
   ok
 
@@ -128,8 +129,8 @@ let transmit_burst t pkts =
    across shards and its segments reorder (TCP then drops the
    out-of-order tail and eats a retransmit timeout per request). *)
 let flow_hash pkt =
-  let buf, off, len = Pkt.view pkt in
-  let stop = min len 18 in
+  let buf = Pkt.buffer pkt and off = Pkt.headroom pkt in
+  let stop = min (Pkt.length pkt) 18 in
   let h = ref 0x811c9dc5 in
   for i = 2 to stop - 1 do
     if i <> 4 && i <> 5 then

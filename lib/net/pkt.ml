@@ -42,17 +42,19 @@ let grow_headroom t need =
   t.buf <- buf;
   t.off <- headroom
 
-let push_view t n =
-  if n < 0 then invalid_arg "Pkt.push_view";
+let reserve t n =
+  if n < 0 then invalid_arg "Pkt.reserve";
   if t.off < n then grow_headroom t n;
   t.off <- t.off - n;
   t.len <- t.len + n;
-  (t.buf, t.off)
+  t.off
+
+let buffer t = t.buf
 
 let push t header =
   let n = Bytes.length header in
-  let buf, off = push_view t n in
-  Bytes.blit header 0 buf off n
+  let off = reserve t n in
+  Bytes.blit header 0 t.buf off n
 
 let drop t n =
   if n < 0 || n > t.len then invalid_arg "Pkt.drop: short packet";

@@ -83,11 +83,17 @@ val push : t -> Bytes.t -> unit
     not O(packet). Falls back to one realloc when headroom is
     exhausted. *)
 
-val push_view : t -> int -> Bytes.t * int
-(** [push_view t n] reserves [n] header bytes in the headroom and
-    returns [(buf, off)] — the backing buffer and the offset of the
-    reserved region — so encoders write fields in place without an
-    intermediate header allocation. Write all [n] bytes immediately. *)
+val reserve : t -> int -> int
+(** [reserve t n] reserves [n] header bytes in the headroom and returns
+    their offset in {!buffer}, so encoders write fields in place
+    without an intermediate header allocation. Write all [n] bytes
+    immediately. Allocates nothing unless the headroom is exhausted. *)
+
+val buffer : t -> Bytes.t
+(** The backing buffer; the live window is its [length t] bytes from
+    offset [headroom t]. A {!reserve} or {!push} may replace it, so
+    read it after them. The region outside the window is not the
+    caller's. *)
 
 val drop : t -> int -> unit
 (** Consume the first [n] bytes by advancing the view; nothing is

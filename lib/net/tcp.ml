@@ -118,7 +118,8 @@ type stats = {
 let encode ~sport ~dport ~seq ~ack ~flags data =
   let dlen = Pkt.length data in
   let pkt = if dlen = 0 then Pkt.alloc 0 else Pkt.sub data ~pos:0 ~len:dlen in
-  let hbuf, hoff = Pkt.push_view pkt header_bytes in
+  let hoff = Pkt.reserve pkt header_bytes in
+  let hbuf = Pkt.buffer pkt in
   Bytes.set_uint16_le hbuf hoff sport;
   Bytes.set_uint16_le hbuf (hoff + 2) dport;
   Bytes.set_int32_le hbuf (hoff + 4) (Int32.of_int seq);

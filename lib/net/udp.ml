@@ -113,7 +113,8 @@ let encode_datagram ~src_port ~dst_port payload =
 let send_pkt t ?(src_port = 0) ~dst ~port payload =
   Clock.charge t.machine.Machine.clock process_cost;
   let plen = Pkt.length payload in
-  let buf, off = Pkt.push_view payload header_bytes in
+  let off = Pkt.reserve payload header_bytes in
+  let buf = Pkt.buffer payload in
   Bytes.set_uint16_le buf off src_port;
   Bytes.set_uint16_le buf (off + 2) port;
   Bytes.set_uint16_le buf (off + 4) plen;

@@ -144,11 +144,11 @@ let check_range fname run ~off ~len =
   if off < 0 || len < 0 || off + len > run.npages * Addr.page_size then
     invalid_arg fname
 
-let read_bytes t page ~off ~len =
+let read_into t page ~off ~len buf ~pos =
   let run = Capability.deref page in
-  check_range "PhysAddr.read_bytes" run ~off ~len;
-  Phys_mem.read_bytes t.machine.Machine.mem
-    ~pa:(Addr.pa_of_page run.first_pfn + off) ~len
+  check_range "PhysAddr.read_into" run ~off ~len;
+  Phys_mem.read_into t.machine.Machine.mem
+    ~pa:(Addr.pa_of_page run.first_pfn + off) ~len buf ~pos
 
 let write_bytes t page ~off data =
   let run = Capability.deref page in

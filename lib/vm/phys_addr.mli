@@ -120,9 +120,11 @@ val clear_referenced : t -> page -> unit
     The caches keep their data in physical pages, not private
     buffers; copies are charged only at true hand-off points. *)
 
-val read_bytes : t -> page -> off:int -> len:int -> Bytes.t
-(** Copy out of the page run, charging the hardware copy cost — the
-    hand-off from cache memory to the requesting domain. *)
+val read_into : t -> page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [read_into t page ~off ~len buf ~pos] copies [len] bytes of the
+    page run at [off] into [buf] at [pos], charging the hardware copy
+    cost — the hand-off from cache memory to the requesting domain.
+    Allocates nothing. *)
 
 val write_bytes : t -> page -> off:int -> Bytes.t -> unit
 (** Copy into the page run, charging the copy cost. *)

@@ -356,6 +356,52 @@ let prop_lru_never_exceeds_capacity =
       List.iter (fun k -> Lru.add c k (k * 10)) keys;
       Lru.length c <= cap)
 
+(* The entries' own links against a list model, most recent first:
+   every answer, the recency order and the evictions agree. *)
+let prop_lru_matches_model =
+  QCheck2.Test.make ~name:"lru agrees with a recency-list model" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 6)
+        (list (pair (int_range 0 3) (int_range 0 9))))
+    (fun (cap, ops) ->
+      let evicted = ref [] and model_evicted = ref [] in
+      let c =
+        Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted)
+          ~capacity:cap () in
+      let model = ref [] in
+      let ok = ref true in
+      List.iteri
+        (fun i (op, k) ->
+          let front v = (k, v) :: List.remove_assoc k !model in
+          match op with
+          | 0 ->
+            model := front i;
+            if List.length !model > cap then begin
+              let rec split = function
+                | [ last ] -> ([], last)
+                | x :: rest -> let keep, last = split rest in (x :: keep, last)
+                | [] -> assert false in
+              let keep, last = split !model in
+              model := keep;
+              model_evicted := last :: !model_evicted
+            end;
+            Lru.add c k i
+          | 1 ->
+            let want = List.assoc_opt k !model in
+            Option.iter (fun v -> model := front v) want;
+            if Lru.find c k <> want then ok := false
+          | 2 -> if Lru.peek c k <> List.assoc_opt k !model then ok := false
+          | _ ->
+            model := List.remove_assoc k !model;
+            Lru.remove c k)
+        ops;
+      let order = ref [] in
+      Lru.iter (fun k v -> order := (k, v) :: !order) c;
+      !ok
+      && List.rev !order = !model
+      && !evicted = !model_evicted
+      && Lru.length c = List.length !model)
+
 (* ------------------------------------------------------------------ *)
 (* Idtable                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -456,6 +502,7 @@ let () =
           prop_pqueue_sorts;
           prop_pqueue_remove_subset;
           prop_lru_never_exceeds_capacity;
+          prop_lru_matches_model;
           prop_idtable_consistent;
         ];
     ]

@@ -388,6 +388,78 @@ let test_fs_remount_keeps_every_file () =
         (Simple_fs.read fs2 ~name))
       files)
 
+(* Regression guard for the lookups' shared scratch block. A lookup
+   reads each directory block into one buffer per file system and
+   scans it before its next read: a read that misses blocks on the
+   disk, and another strand's lookup may then fill the buffer. With a
+   cold block cache, two strands look up different names while a third
+   creates a file, so every lookup blocks between directory blocks.
+   Each file's size is distinct, so [size] returning the right number
+   means the lookup found the inode its directory entry names. *)
+let test_fs_lookups_share_scratch () =
+  let m = Machine.create ~name:"fstest" ~mem_mb:4 () in
+  let d = Dispatcher.create m.Machine.clock in
+  let sched = Sched.create m.Machine.sim d in
+  let phys = Phys_addr.create m d in
+  let disk = Machine.add_disk ~blocks:8192 m in
+  let cache = Block_cache.create ~phys m sched disk in
+  let name i = Printf.sprintf "file%02d" i and size i = 100 + i in
+  let fs = ref None in
+  (* 48 entries fill three directory blocks exactly, so the created
+     file's entry starts a fourth. *)
+  ignore (Sched.spawn sched ~name:"setup" (fun () ->
+    let f = Simple_fs.format cache ~blocks:8192 () in
+    for i = 0 to 47 do
+      Simple_fs.create f ~name:(name i);
+      Simple_fs.write f ~name:(name i) (Bytes.make (size i) 'x')
+    done;
+    fs := Some f));
+  Sched.run sched;
+  let fs = Option.get !fs in
+  Block_cache.flush cache;
+  let misses = (Block_cache.stats cache).Cache_stats.misses in
+  let log = ref [] and failures = ref [] in
+  let strand tag body =
+    ignore (Sched.spawn sched ~name:tag (fun () ->
+      log := `Start :: !log;
+      (try body () with e -> failures := (tag ^ ": " ^ Printexc.to_string e) :: !failures);
+      log := `End :: !log)) in
+  let found = Hashtbl.create 4 in
+  let lookup i =
+    strand (name i) (fun () ->
+      Hashtbl.replace found (name i)
+        (Simple_fs.exists fs ~name:(name i), Simple_fs.size fs ~name:(name i))) in
+  lookup 45;                                    (* in the last block *)
+  lookup 3;                                     (* in the first *)
+  strand "creator" (fun () ->
+    Simple_fs.create fs ~name:"late";
+    Simple_fs.write fs ~name:"late" (Bytes.make 77 'l'));
+  Sched.run sched;
+  check (list string) "no strand failed" [] !failures;
+  check bool "all three started before any finished" true
+    (match List.rev !log with
+     | `Start :: `Start :: `Start :: _ -> true
+     | _ -> false);
+  check bool "the lookups missed, so they blocked" true
+    ((Block_cache.stats cache).Cache_stats.misses >= misses + 4);
+  List.iter (fun i ->
+    check (pair bool int) (name i ^ " found with its own size") (true, size i)
+      (Hashtbl.find found (name i)))
+    [ 45; 3 ];
+  (* And afterwards every name agrees with the decoded listing. *)
+  strand "audit" (fun () ->
+    let listed = Simple_fs.list_files fs in
+    check int "listing" 49 (List.length listed);
+    List.iter (fun n ->
+      check bool (n ^ " exists") true (Simple_fs.exists fs ~name:n))
+      listed;
+    for i = 0 to 47 do
+      check int (name i ^ " size") (size i) (Simple_fs.size fs ~name:(name i))
+    done;
+    check int "late size" 77 (Simple_fs.size fs ~name:"late"));
+  Sched.run sched;
+  check (list string) "the audit passed" [] !failures
+
 (* ------------------------------------------------------------------ *)
 (* File cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +611,8 @@ let () =
             test_fs_bitmap_codec;
           test_case "remount keeps free space and every file" `Quick
             test_fs_remount_keeps_every_file;
+          test_case "concurrent lookups share the scratch block" `Quick
+            test_fs_lookups_share_scratch;
           test_case "lookup matches the listing" `Quick
             test_fs_lookup_matches_listing;
         ] );

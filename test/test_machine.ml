@@ -984,9 +984,10 @@ let test_strand_yield_words () =
 (* Words of a fresh [Bytes.t] of [len] bytes: header, data, padding. *)
 let bytes_words len = float_of_int (1 + ((len + 8) / 8))
 
-(* The link's scheduled delivery: its closure (6), the event handle
-   (3) and the boxed wire time (2). *)
-let link_event_words = 11.
+(* The link's scheduled delivery: the event handle (3) and the frame's
+   cell in its direction's in-flight queue (3). The delivery action is
+   built once per direction and the wire time stays unboxed. *)
+let link_event_words = 6.
 
 let test_nic_transmit_words () =
   let sim, _, _, nic_a, _ = two_hosts Nic.T3 in
@@ -1041,12 +1042,12 @@ module Tcp = Spin_net.Tcp
 module Ip = Spin_net.Ip
 
 (* Minor words a sender allocates beyond the NIC's frame copies to put
-   8 full-MSS segments on the wire: about 71 a segment (the chunk's
-   views, IP's packet record and route lookup, the link event, the
-   retransmit queue's entry and cells), under the 128 of one payload
-   copy. The send buffer itself (8 × 1,072 bytes) is over the minor
+   8 full-MSS segments on the wire: about 37 a segment (the chunk's
+   views, the link event, the retransmit queue's entry and cells), under
+   the 128 of one payload copy. Header pushes and IP add nothing per
+   segment. The send buffer itself (8 × 1,072 bytes) is over the minor
    heap's block limit and goes straight to the major heap. *)
-let tcp_send_words = 569.
+let tcp_send_words = 297.
 
 let test_tcp_send_words () =
   let sim = Sim.create (Clock.create Cost.alpha_133) in
@@ -1079,6 +1080,119 @@ let test_tcp_send_words () =
     (marks.(1) -. marks.(0) -. frames);
   check bool "under one payload copy" true
     (tcp_send_words < float_of_int (k * mss / 8))
+
+(* The request path below HTTP, on a warm cache: a hit reads the cache
+   page straight into the caller's buffer, a directory lookup scans the
+   cached blocks in place, and a routed IP send adds nothing to the
+   frame path. *)
+
+module Lru = Spin_dstruct.Lru
+module Pkt = Spin_net.Pkt
+module Phys_addr = Spin_vm.Phys_addr
+module Block_cache = Spin_fs.Block_cache
+module Simple_fs = Spin_fs.Simple_fs
+module File_cache = Spin_fs.File_cache
+
+let test_lru_hit_allocates_nothing () =
+  let lru = Lru.create ~capacity:4 () in
+  List.iter (fun k -> Lru.add lru k (String.length k)) [ "a"; "bb"; "ccc" ];
+  (* Alternate two keys, so that every hit relinks its entry. *)
+  let a = Sys.opaque_identity "a" and b = Sys.opaque_identity "bb" in
+  check (float 0.) "minor words over 10,000 hits" 0.
+    (minor_words_over 5_000 (fun () ->
+       ignore (Lru.find lru a);
+       ignore (Lru.find lru b)));
+  let keys = ref [] in
+  Lru.iter (fun k _ -> keys := k :: !keys) lru;
+  check (list string) "most recent first" [ "bb"; "a"; "ccc" ] (List.rev !keys);
+  check (option int) "a hit's value" (Some 2) (Lru.find lru b)
+
+(* A formatted file system on a fresh machine; [body] runs in a strand
+   and its failure, if any, is re-raised after the run. *)
+let with_fs body =
+  let m = fresh () in
+  let d = Dispatcher.create m.Machine.clock in
+  let sched = Sched.create m.Machine.sim d in
+  let phys = Phys_addr.create m d in
+  let disk = Machine.add_disk ~blocks:8192 m in
+  let cache = Block_cache.create ~phys m sched disk in
+  let failure = ref None in
+  ignore (Sched.spawn sched ~name:"fs" (fun () ->
+    try body cache phys (Simple_fs.format cache ~blocks:8192 ())
+    with e -> failure := Some e));
+  Sched.run sched;
+  Option.iter raise !failure
+
+let test_block_cache_hit_allocates_nothing () =
+  with_fs (fun cache _ _ ->
+    let block = 8000 and bs = Disk_dev.block_size in
+    Block_cache.write cache ~block (Bytes.make bs 'b');
+    let buf = Bytes.create bs in
+    Block_cache.read_into cache ~block buf ~pos:0;      (* miss: now cached *)
+    check (float 0.) "minor words over 10,000 hits" 0.
+      (minor_words_over 10_000 (fun () ->
+         Block_cache.read_into cache ~block buf ~pos:0));
+    check string "the block" (String.make bs 'b') (Bytes.to_string buf))
+
+let test_fs_lookup_allocates_nothing () =
+  with_fs (fun _ _ fs ->
+    (* 40 entries: the directory spans three blocks. *)
+    for i = 0 to 39 do
+      let name = Printf.sprintf "file%02d" i in
+      Simple_fs.create fs ~name;
+      Simple_fs.write fs ~name (Bytes.make (100 + i) 'x')
+    done;
+    let name = Sys.opaque_identity "file37"
+    and missing = Sys.opaque_identity "file40" in
+    (* The first lookup warms every block it reads. *)
+    check int "size" 137 (Simple_fs.size fs ~name);
+    check bool "missing" false (Simple_fs.exists fs ~name:missing);
+    check (float 0.) "minor words over 1,000 lookups" 0.
+      (minor_words_over 1_000 (fun () ->
+         ignore (Simple_fs.exists fs ~name);
+         ignore (Simple_fs.size fs ~name);
+         ignore (Simple_fs.exists fs ~name:missing))))
+
+let test_file_cache_hit_words () =
+  with_fs (fun _ phys fs ->
+    let fc = File_cache.create ~phys fs in
+    (* Under the minor heap's block limit, so the body counts. *)
+    let size = 1000 in
+    Simple_fs.create fs ~name:"index.html";
+    Simple_fs.write fs ~name:"index.html" (Bytes.make size 'h');
+    ignore (File_cache.fetch fc ~name:"index.html");    (* miss: now cached *)
+    let name = Sys.opaque_identity "index.html" and n = 1000 in
+    check (float 0.) "words per hit: the body and its option"
+      (bytes_words size +. 2.)
+      (minor_words_over n (fun () -> ignore (File_cache.fetch fc ~name))
+       /. float_of_int n);
+    check int "every fetch after the first hit" n
+      (File_cache.stats fc).Spin_fs.Cache_stats.hits)
+
+let test_ip_send_words () =
+  let sim, a, _, nic_a, _ = two_hosts Nic.T3 in
+  let d = Dispatcher.create a.Machine.clock in
+  let sched = Sched.create ~intr:a.Machine.intr sim d in
+  let nif = Netif.create a sched d nic_a ~name:"T3" in
+  let ip = Ip.create a d in
+  let dst = Ip.addr_of_quad 10 0 0 2 in
+  Ip.add_interface ip nif ~addr:(Ip.addr_of_quad 10 0 0 1);
+  Ip.add_route ip ~dst nif;
+  (* A send consumes its packet, so each gets its own, made up front. *)
+  let len = Sys.opaque_identity 1000 and n = 1_000 in
+  let pkts = Array.init (2 * n) (fun _ -> Pkt.alloc len) in
+  let next = ref 0 in
+  let send () =
+    ignore (Ip.send ip ~dst ~proto:Ip.proto_udp pkts.(!next));
+    incr next in
+  (* A first round warms the engine's pooled event records. *)
+  for _ = 1 to n do send () done;
+  Sim.run sim;
+  let headers = 14 in
+  check (float 0.) "words per send: the NIC's frame copy and the link event"
+    (bytes_words (len + headers) +. link_event_words)
+    (minor_words_over n send /. float_of_int n);
+  check int "every frame sent" (2 * n) (Ip.stats ip).Ip.sent
 
 let test_clock_hook_raise_keeps_hooks () =
   let clock = Clock.create Cost.alpha_133 in
@@ -1243,6 +1357,16 @@ let () =
             `Quick test_netif_rx_words;
           Alcotest.test_case "tcp segments are not copied on the host" `Quick
             test_tcp_send_words;
+          Alcotest.test_case "lru hit allocates nothing" `Quick
+            test_lru_hit_allocates_nothing;
+          Alcotest.test_case "block cache hit allocates nothing" `Quick
+            test_block_cache_hit_allocates_nothing;
+          Alcotest.test_case "fs lookup and size allocate nothing" `Quick
+            test_fs_lookup_allocates_nothing;
+          Alcotest.test_case "file cache hit allocates the body" `Quick
+            test_file_cache_hit_words;
+          Alcotest.test_case "ip send allocates the frame copy and link event"
+            `Quick test_ip_send_words;
           Alcotest.test_case "raising clock hook keeps hooks running" `Quick
             test_clock_hook_raise_keeps_hooks;
           Alcotest.test_case "raising sim action does not wedge firing" `Quick

@@ -152,7 +152,21 @@ let prop_fs_matches_model =
       ignore (Sched.spawn sched ~name:"fs" (fun () ->
         let fs = Simple_fs.format cache ~blocks:8192 () in
         let model : (string, string) Hashtbl.t = Hashtbl.create 8 in
+        (* Twenty fillers first: the files under test live in the
+           directory's second block, and lookups scan both in place. *)
+        for i = 1 to 20 do
+          let name = Printf.sprintf "pad%02d" i in
+          Simple_fs.create fs ~name;
+          Hashtbl.replace model name ""
+        done;
         let name k = Printf.sprintf "f%d" k in
+        (* [exists] and [size] agree with the model. *)
+        let agrees name =
+          match Hashtbl.find_opt model name with
+          | Some contents ->
+            Simple_fs.exists fs ~name
+            && Simple_fs.size fs ~name = String.length contents
+          | None -> not (Simple_fs.exists fs ~name) in
         let ensure k =
           if not (Hashtbl.mem model (name k)) then begin
             Simple_fs.create fs ~name:(name k);
@@ -160,7 +174,7 @@ let prop_fs_matches_model =
           end in
         List.iter
           (fun op ->
-            match op with
+            (match op with
             | Op_write (k, s) ->
               ensure k;
               Simple_fs.write fs ~name:(name k) (Bytes.of_string s);
@@ -179,14 +193,18 @@ let prop_fs_matches_model =
                 if Simple_fs.exists fs ~name:(name k) then
                   Some (Bytes.to_string (Simple_fs.read fs ~name:(name k)))
                 else None in
-              if fs_view <> Hashtbl.find_opt model (name k) then good := false)
+              if fs_view <> Hashtbl.find_opt model (name k) then good := false);
+            let (Op_write (k, _) | Op_append (k, _) | Op_delete k | Op_read k) = op in
+            if not (agrees (name k)) then good := false)
           ops;
-        (* Final audit: every model file matches, listing agrees. *)
+        (* Final audit: every model file matches, every name the ops
+           used agrees, listing agrees. *)
         Hashtbl.iter
           (fun name contents ->
             if Bytes.to_string (Simple_fs.read fs ~name) <> contents then
               good := false)
           model;
+        for k = 0 to 5 do if not (agrees (name k)) then good := false done;
         if List.sort compare (Simple_fs.list_files fs)
            <> List.sort compare
                 (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
