@@ -106,7 +106,7 @@ let fast_path () =
     (fun n ->
       let e = Dispatcher.declare k.Kernel.dispatcher
           ~name:(Printf.sprintf "A.N%d" n) ~owner:"A"
-          ~combine:(fun _ -> ()) (fun () -> ()) in
+          (fun () -> ()) in
       for _ = 1 to n do
         install
           (Dispatcher.install e ~installer:"w" ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
@@ -128,7 +128,7 @@ let guards () =
   (* Guarded: the IP idiom — the module attaches a protocol guard to
      each installation; only the matching handler body runs. *)
   let guarded = Dispatcher.declare k.Kernel.dispatcher ~name:"A.G" ~owner:"A"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let hits = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
     install
@@ -138,7 +138,7 @@ let guards () =
   done;
   (* Unguarded: every handler runs and tests the protocol itself. *)
   let unguarded = Dispatcher.declare k.Kernel.dispatcher ~name:"A.U" ~owner:"A"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let hits' = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
     install
@@ -173,7 +173,7 @@ let indexed_dispatch () =
     (fun n ->
       let linear = Dispatcher.declare k.Kernel.dispatcher
           ~name:(Printf.sprintf "L%d" n) ~owner:"A"
-          ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+          (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
         install
           (Dispatcher.install linear ~installer:"svc"
@@ -181,7 +181,7 @@ let indexed_dispatch () =
       done;
       let indexed = Dispatcher.declare k.Kernel.dispatcher
           ~name:(Printf.sprintf "I%d" n) ~owner:"A"
-          ~combine:(fun _ -> ()) ~index:(fun x -> x) (fun (_ : int) -> ()) in
+          ~index:(fun x -> x) (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
         install
           (Dispatcher.install indexed ~installer:"svc"
@@ -217,7 +217,7 @@ let little_language () =
   let port_of pkt = Spin_net.Pkt.get_u16_le pkt 16 in
   (* (a) compiled guards *)
   let guarded = Dispatcher.declare k.Kernel.dispatcher ~name:"F.G" ~owner:"F"
-      ~combine:(fun _ -> ()) (fun (_ : Spin_net.Pkt.t) -> ()) in
+      (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
     install
       (Dispatcher.install guarded ~installer:"svc"
@@ -231,7 +231,7 @@ let little_language () =
       programs in
   (* (c) indexed dispatch *)
   let indexed = Dispatcher.declare k.Kernel.dispatcher ~name:"F.I" ~owner:"F"
-      ~combine:(fun _ -> ()) ~index:port_of (fun (_ : Spin_net.Pkt.t) -> ()) in
+      ~index:port_of (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
     install
       (Dispatcher.install indexed ~installer:"svc"

@@ -34,7 +34,7 @@ let fixture () =
   let disp = Dispatcher.create clock in
   let e =
     Dispatcher.declare disp ~name:"Bench.Probe" ~owner:"bench"
-      ~layout:probe_layout ~combine:(fun _ -> ())
+      ~layout:probe_layout
       ~allow_remove_primary:(fun ~requester:_ -> true)
       (fun (_ : probe) -> ()) in
   (* The installed handler IS the implementation (the Table 2 shape):
@@ -92,7 +92,7 @@ let install_cost () =
 let frame_layout : Pkt.t Ebc.layout =
   Ebc.layout ~name:"Bench.PktArrived" ~fields:[ ("len", Ty.Int) ]
     ~read:(fun pkt _ -> Pkt.length pkt)
-    ~payload:Pkt.view ()
+    ~payload:Pkt.ebc_payload ()
 
 let udp_frame ~port =
   let b = Bytes.make 64 '\000' in
@@ -113,7 +113,7 @@ let filter_cycles ~compiled =
   let disp = Dispatcher.create clock in
   let e =
     Dispatcher.declare disp ~name:"Bench.PktArrived" ~owner:"bench"
-      ~layout:frame_layout ~combine:(fun _ -> ())
+      ~layout:frame_layout
       ~allow_remove_primary:(fun ~requester:_ -> true)
       (fun (_ : Pkt.t) -> ()) in
   (match Dispatcher.remove_primary e ~requester:"bench" with

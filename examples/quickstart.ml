@@ -38,7 +38,6 @@ let () =
      implementation. *)
   let write_event =
     Dispatcher.declare k.Kernel.dispatcher ~name:"Console.Write" ~owner:"Console"
-      ~combine:(fun _ -> ())
       (fun (cap, msg) ->
         (* Only valid capabilities reach the device. *)
         match Capability.deref_opt cap with

@@ -158,7 +158,7 @@ and ('a, 'r) event = {
   e_ty : Ty.t option;
   e_layout : 'a Ebc.layout option;
   disp : t;
-  combine : 'r list -> 'r;
+  combine : 'r -> 'r -> 'r;
   auth : installer:string -> 'a decision;
   index : ('a -> int) option;
   indexed : (int, ('a, 'r) slot) Hashtbl.t;
@@ -209,6 +209,14 @@ and ('a, 'r) slot = {
 
 exception No_handler of string
 
+(* Raised, without a backtrace, where a handler's turn or a whole
+   dispatch yields no result. Constant, so raising it allocates
+   nothing; it never leaves this module: [raise_event] and
+   [raise_default] turn it into their answer for "no result" at the
+   boundary of the raise that produced it, so a nested raise's empty
+   answer never reads as its raiser's. *)
+exception No_result
+
 let create clock =
   { clock; tracer = Trace.of_clock clock; spawn = None;
     deferred = Queue.create (); registry = [];
@@ -236,10 +244,7 @@ let flush_deferred t =
   while not (Queue.is_empty t.deferred) do (Queue.pop t.deferred) () done;
   n
 
-let rec last_result name = function
-  | [ r ] -> r
-  | _ :: rest -> last_result name rest
-  | [] -> raise (No_handler name)
+let keep_last _ r = r
 
 (* A live indexed handler forces the General plan: only its index
    lookup finds the handler. *)
@@ -290,7 +295,7 @@ let link e h =
 
 let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     ?allow_remove_primary default =
-  let combine = match combine with Some f -> f | None -> last_result name in
+  let combine = match combine with Some f -> f | None -> keep_last in
   let auth = match auth with Some f -> f | None -> fun ~installer:_ -> allow in
   let allow_remove =
     match allow_remove_primary with
@@ -553,14 +558,13 @@ let report_fault e h kind ~removed =
    (Quarantine counts faults against the domain's budget), comes back
    after a delay (Restart), or goes away (Uninstall). The primary
    implementation is trusted: its exceptions propagate to the raiser,
-   as a direct procedure call's would. [invoke] conses the handler's
-   result onto [acc], and returns [acc] itself for a handler that
-   faulted. *)
-let invoke e h arg acc =
-  if h == e.default_handler then h.fn arg :: acc
+   as a direct procedure call's would. [invoke] returns the handler's
+   result, and raises [No_result] for a handler that faulted. *)
+let invoke e h arg =
+  if h == e.default_handler then h.fn arg
   else
     match h.fn arg with
-    | r -> r :: acc
+    | r -> r
     | exception exn ->
       e.s_failed <- e.s_failed + 1;
       if Trace.on e.disp.tracer then
@@ -572,10 +576,23 @@ let invoke e h arg acc =
         && (match h.policy with Quarantine _ -> true | _ -> false) in
       if not keep_installed then uninstall e h;
       report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
-      acc
+      raise_notrace No_result
 
-let run_sync e h arg acc =
-  let clock = e.disp.clock in
+(* Overran its quantum: the dispatcher aborts the handler and discards
+   its result. The overrun is reported but the handler stays installed
+   — repeat offenders are the supervisor's call. One that also faulted
+   counts as aborted, and [invoke] has already reported it. *)
+let overran e h ~bound ~before ~faulted =
+  let spent = Spin_machine.Clock.now e.disp.clock - before in
+  spent > bound
+  && begin
+    e.s_aborted <- e.s_aborted + 1;
+    if h != e.default_handler && not faulted then
+      report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
+    true
+  end
+
+let run_sync e h arg =
   (* Checker probe: every synchronous invocation funnels through here,
      so an inactive handler reaching this point means some dispatch
      path skipped the active filter — report it to the concurrency
@@ -586,56 +603,71 @@ let run_sync e h arg acc =
          e.e_name h.installer);
   e.s_invocations <- e.s_invocations + 1;
   match h.bound with
-  | None -> invoke e h arg acc
+  | None -> invoke e h arg
   | Some bound ->
-    let before = Spin_machine.Clock.now clock in
-    let result = invoke e h arg acc in
-    let spent = Spin_machine.Clock.now clock - before in
-    if spent > bound then begin
-      (* Overran its quantum: the dispatcher aborts the handler and
-         discards its result. The overrun is reported but the handler
-         stays installed — repeat offenders are the supervisor's call. *)
-      e.s_aborted <- e.s_aborted + 1;
-      (* [invoke] already reported if the handler threw. *)
-      if h != e.default_handler && result != acc then
-        report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
-      acc
-    end else result
+    let before = Spin_machine.Clock.now e.disp.clock in
+    (match invoke e h arg with
+     | r ->
+       if overran e h ~bound ~before ~faulted:false then
+         raise_notrace No_result
+       else r
+     | exception No_result ->
+       ignore (overran e h ~bound ~before ~faulted:true);
+       raise_notrace No_result)
 
-(* One handler's turn in a General dispatch. A handler evicted
-   mid-dispatch (a supervisor quarantine triggered by an earlier
-   handler's fault) is skipped. A verified handler runs its compiled
-   predicate in place of the guard stack and is invoked unpoliced. *)
-let step e arg acc h =
-  if not h.active then acc
-  else
-    let clock = e.disp.clock in
-    let admitted =
-      match h.trusted with
-      | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
-      | None -> guards_pass e h arg h.guards in
-    if not admitted then acc
-    else begin
-      let trusted = h.trusted <> None in
-      if trusted then e.s_trusted <- e.s_trusted + 1;
-      Spin_machine.Clock.charge clock
-        (if trusted then costs.trusted_invoke else costs.handler_invoke);
-      if Trace.on e.disp.tracer then
-        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"invoke"
-          ~args:[ ("event", e.e_name); ("installer", h.installer);
-                  (if trusted then ("path", "trusted")
-                   else ("async", string_of_bool h.async)) ] ();
-      if h.async then begin
-        e.s_invocations <- e.s_invocations + 1;
-        run_async e h arg;
-        acc
-      end else run_sync e h arg acc
-    end
+(* One handler's turn in a General dispatch: its result, or [No_result]
+   when it has none to give. A handler evicted mid-dispatch (a
+   supervisor quarantine triggered by an earlier handler's fault) is
+   skipped. A verified handler runs its compiled predicate in place of
+   the guard stack and is invoked unpoliced. *)
+let step e arg h =
+  if not h.active then raise_notrace No_result;
+  let clock = e.disp.clock in
+  let admitted =
+    match h.trusted with
+    | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
+    | None -> guards_pass e h arg h.guards in
+  if not admitted then raise_notrace No_result;
+  let trusted = h.trusted <> None in
+  if trusted then e.s_trusted <- e.s_trusted + 1;
+  Spin_machine.Clock.charge clock
+    (if trusted then costs.trusted_invoke else costs.handler_invoke);
+  if Trace.on e.disp.tracer then
+    Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"invoke"
+      ~args:[ ("event", e.e_name); ("installer", h.installer);
+              (if trusted then ("path", "trusted")
+               else ("async", string_of_bool h.async)) ] ();
+  if h.async then begin
+    e.s_invocations <- e.s_invocations + 1;
+    run_async e h arg;
+    raise_notrace No_result
+  end else run_sync e h arg
 
-(* A top-level loop, so a General raise builds no closure. *)
-let rec step_all e arg acc = function
-  | [] -> acc
-  | h :: rest -> step_all e arg (step e arg acc h) rest
+(* The results of a General dispatch, combined in dispatch order: the
+   linear handlers [hs] (primary first), then the [indexed] ones. The
+   first result seeds the fold ([first]); every later one is folded
+   into it ([fold]). Top-level loops over the plan's own lists, so a
+   raise builds no closure, result cell or reversed copy. *)
+let rec fold e arg acc hs indexed =
+  match hs with
+  | [] -> (match indexed with [] -> acc | _ -> fold e arg acc indexed [])
+  | h :: rest ->
+    let acc =
+      match step e arg h with
+      | r -> e.combine acc r
+      | exception No_result -> acc in
+    fold e arg acc rest indexed
+
+let rec first e arg hs indexed =
+  match hs with
+  | [] ->
+    (match indexed with
+     | [] -> raise_notrace No_result
+     | _ -> first e arg indexed [])
+  | h :: rest ->
+    (match step e arg h with
+     | r -> fold e arg r rest indexed
+     | exception No_result -> first e arg rest indexed)
 
 (* One match on the cached plan. Each route charges what the paper's
    dispatcher would: a procedure call for Direct; the compiled
@@ -662,20 +694,20 @@ let dispatch e arg =
        if h == e.default_handler then begin
          e.s_invocations <- e.s_invocations + 1;
          h.fn arg
-       end else e.combine (run_sync e h arg [])
+       end else run_sync e h arg
      with
      | r -> Trace.end_span tr sp; r
      | exception exn -> Trace.end_span tr sp; raise exn)
   | Trusted (h, pred) ->
     Spin_machine.Clock.charge clock costs.trusted_eval;
-    if not (pred arg) then e.combine []
+    if not (pred arg) then raise_notrace No_result
     else begin
       e.s_trusted <- e.s_trusted + 1;
       Spin_machine.Clock.charge clock costs.trusted_invoke;
       let sp =
         Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
           ~args:[ ("path", "trusted") ] () in
-      match e.combine (run_sync e h arg []) with
+      match run_sync e h arg with
       | r -> Trace.end_span tr sp; r
       | exception exn -> Trace.end_span tr sp; raise exn
     end
@@ -697,7 +729,7 @@ let dispatch e arg =
            (match Hashtbl.find e.indexed key with
             | slot -> slot.live
             | exception Not_found -> []) in
-       e.combine (List.rev (step_all e arg (step_all e arg [] handlers) indexed))
+       first e arg handlers indexed
      with
      | r -> Trace.end_span tr sp; r
      | exception exn -> Trace.end_span tr sp; raise exn)
@@ -720,7 +752,8 @@ let gate_hold e =
       let rec hold () = if e.gated && wait () then hold () in
       hold ()
 
-let raise_event e arg =
+(* The raise itself; [No_result] when no handler produced a result. *)
+let run e arg =
   gate_hold e;
   e.s_raises <- e.s_raises + 1;
   (* [in_flight] records the dispatch for the invariant audit. *)
@@ -729,10 +762,17 @@ let raise_event e arg =
   | r -> e.in_flight <- e.in_flight - 1; r
   | exception exn -> e.in_flight <- e.in_flight - 1; raise exn
 
-let raise_default e fallback arg =
-  match raise_event e arg with
+let raise_event e arg =
+  match run e arg with
   | r -> r
-  | exception No_handler _ -> fallback
+  | exception No_result -> raise (No_handler e.e_name)
+
+(* Only this raise's own [No_result] selects the fallback: a
+   [No_handler] from a nested raise inside a handler propagates. *)
+let raise_default e fallback arg =
+  match run e arg with
+  | r -> r
+  | exception No_result -> fallback
 
 let indexed_active e = e.n_indexed_active
 

@@ -30,8 +30,8 @@
     Handlers may be asynchronous (decoupling the raiser from handler
     latency) or bounded in time (aborted — result discarded — when
     they overrun). One result is returned, by default that of the
-    final handler executed; an event may install a result-combination
-    function. Installation goes through one entry point, {!install},
+    final handler executed; an event may declare a result-combination
+    function, a fold over the results in dispatch order. Installation goes through one entry point, {!install},
     taking a {!Handler_spec.t}. *)
 
 type t
@@ -203,16 +203,28 @@ val declare :
   owner:string ->
   ?ty:Ty.t ->
   ?layout:'a Ebc.layout ->
-  ?combine:('r list -> 'r) ->
+  ?combine:('r -> 'r -> 'r) ->
   ?auth:(installer:string -> 'a decision) ->
   ?index:('a -> int) ->
   ?allow_remove_primary:(requester:string -> bool) ->
   ('a -> 'r) ->
   ('a, 'r) event
 (** [declare t ~name ~owner default] declares an event whose default
-    implementation is [default], owned by module [owner]. The default
-    [combine] returns the last result ([No_handler] when none). By
-    default installations are allowed unconstrained and primary
+    implementation is [default], owned by module [owner].
+
+    [combine] folds a raise's results in dispatch order (primary,
+    then the other linear handlers in install order, then the indexed
+    handlers): the first result seeds it, and each later result [r]
+    replaces the accumulator [acc] with [combine acc r]. The default
+    keeps the last result. Only results count: a handler that a guard
+    rejected, that ran asynchronously, that faulted or that overran
+    its bound adds none. A raise no handler answers has no result at
+    all, whatever [combine] is: {!raise_event} raises {!No_handler}
+    and {!raise_default} returns its fallback. While the primary is
+    installed it always answers, so only an event that allows
+    {!remove_primary} can be left with no result.
+
+    By default installations are allowed unconstrained and primary
     removal is denied. [?layout] publishes the event's typed field
     table and payload to the bytecode verifier; without it, verified
     installs are rejected with [Ebc.No_layout]. *)
@@ -273,12 +285,16 @@ val remove_primary :
 val reinstate_primary : ('a, 'r) event -> unit
 
 val raise_event : ('a, 'r) event -> 'a -> 'r
-(** Raise the event. May raise {!No_handler}. *)
+(** Raise the event: its handlers' results, folded by its
+    [combine]. Raises {!No_handler} when no handler produced a result.
+    The primary's exceptions reach the raiser. *)
 
 val raise_default : ('a, 'r) event -> 'r -> 'a -> 'r
 (** [raise_default e fallback arg] is [raise_event e arg], returning
-    [fallback] instead of raising {!No_handler} (useful for unit
-    events with optional listeners). *)
+    [fallback] when no handler of [e] produced a result. Only this
+    raise's own lack of a result selects [fallback]: a {!No_handler}
+    that a handler lets escape from some nested raise propagates to
+    the caller like any other exception. *)
 
 val handler_count : ('a, 'r) event -> int
 (** Active handlers, including the primary. *)

@@ -31,11 +31,17 @@ type instr =
 
 type program = instr array
 
+type 'a payload = {
+  p_buf : 'a -> Bytes.t;
+  p_off : 'a -> int;
+  p_len : 'a -> int;
+}
+
 type 'a layout = {
   l_name : string;
   l_fields : (string * Ty.t) array;
   l_read : 'a -> int -> int;
-  l_payload : ('a -> Bytes.t * int * int) option;
+  l_payload : 'a payload option;
 }
 
 let layout ~name ?(fields = []) ?read ?payload () =
@@ -425,10 +431,9 @@ let compile { v_layout = layout; v_caps = caps; v_code = code; _ } =
       (function Ldb _ | Ldw _ | Len _ -> true | _ -> false)
       code in
   match layout.l_payload with
-  | Some payload when uses_payload ->
+  | Some p when uses_payload ->
     fun arg ->
-      let buf, base, len = payload arg in
-      k.buf <- buf; k.base <- base; k.len <- len;
+      k.buf <- p.p_buf arg; k.base <- p.p_off arg; k.len <- p.p_len arg;
       exec k arg 0 stop = 1
   | Some _ | None -> fun arg -> exec k arg 0 stop = 1
 
@@ -436,7 +441,9 @@ let compile { v_layout = layout; v_caps = caps; v_code = code; _ } =
    certificate is tested against. *)
 let run_counted ~layout ?(caps = [||]) code arg =
   let buf, base, len =
-    match layout.l_payload with Some p -> p arg | None -> (Bytes.empty, 0, 0) in
+    match layout.l_payload with
+    | Some p -> (p.p_buf arg, p.p_off arg, p.p_len arg)
+    | None -> (Bytes.empty, 0, 0) in
   let regs = Array.make nregs 0 in
   let steps = ref 0 in
   let stop0 = Array.length code in

@@ -50,19 +50,27 @@ type program = instr array
 
 (** {2 Event layouts and capability slots} *)
 
+(** Where an event argument's payload bytes lie: three projections
+    rather than one returning a triple, so that a run that reads the
+    payload builds no tuple. *)
+type 'a payload = {
+  p_buf : 'a -> Bytes.t;                (** the buffer holding them *)
+  p_off : 'a -> int;                    (** their offset in it *)
+  p_len : 'a -> int;                    (** how many there are *)
+}
+
 type 'a layout = {
   l_name : string;
   l_fields : (string * Ty.t) array;     (** slot order, typed *)
   l_read : 'a -> int -> int;            (** project a slot to a scalar *)
-  l_payload : ('a -> Bytes.t * int * int) option;
-      (** (buffer, offset, length) — read where the data lies *)
+  l_payload : 'a payload option;        (** read where the data lies *)
 }
 
 val layout :
   name:string ->
   ?fields:(string * Ty.t) list ->
   ?read:('a -> int -> int) ->
-  ?payload:('a -> Bytes.t * int * int) ->
+  ?payload:'a payload ->
   unit -> 'a layout
 
 type cap_slot = {

@@ -122,7 +122,8 @@ let content_layout : string Ebc.layout =
   Ebc.layout ~name:"HTTP.GenContent"
     ~fields:[ ("len", Ty.Int) ]
     ~read:(fun path _ -> String.length path)
-    ~payload:(fun path -> (Bytes.unsafe_of_string path, 0, String.length path))
+    ~payload:{ Ebc.p_buf = Bytes.unsafe_of_string; p_off = (fun _ -> 0);
+               p_len = String.length }
     ()
 
 let create ?(port = 80) ?dispatcher machine sched tcp cache =

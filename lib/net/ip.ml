@@ -75,14 +75,16 @@ let packet_layout : packet Ebc.layout =
       | 2 -> pkt.proto
       | 3 -> pkt.ttl
       | _ -> 0)
-    ~payload:(fun pkt -> Pkt.view pkt.payload)
+    ~payload:{ Ebc.p_buf = (fun pkt -> Pkt.buffer pkt.payload);
+               p_off = (fun pkt -> Pkt.headroom pkt.payload);
+               p_len = (fun pkt -> Pkt.length pkt.payload) }
     ()
 
 let create machine dispatcher =
   let event =
     Dispatcher.declare dispatcher ~name:"IP.PacketArrived" ~owner:"IP"
       ~layout:packet_layout
-      ~combine:(fun _ -> ()) (fun (_ : packet) -> ()) in
+      (fun (_ : packet) -> ()) in
   { machine; event; ifaces = []; routes = [];
     s_received = 0; s_delivered = 0; s_forwarded = 0; s_dropped = 0;
     s_sent = 0 }

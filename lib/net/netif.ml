@@ -54,8 +54,8 @@ let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
       ~layout:(Ebc.layout ~name:(name ^ ".PktArrived")
                  ~fields:[ ("len", Ty.Int) ]
                  ~read:(fun pkt _ -> Pkt.length pkt)
-                 ~payload:Pkt.view ())
-      ~combine:(fun _ -> ()) (fun (_ : Pkt.t) -> ()) in
+                 ~payload:Pkt.ebc_payload ())
+      (fun (_ : Pkt.t) -> ()) in
   { machine; sched; nic; name; rx_event;
     rx_shards;
     rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
@@ -154,28 +154,29 @@ let service t pkt ~first =
   Dispatcher.raise_default t.rx_event () pkt;
   Trace.end_span tr sp
 
+(* The rest of a wakeup's burst: up to [rx_batch] frames in all. A
+   top-level loop, and [Queue.take] behind an emptiness test, so a
+   frame is taken without a closure or an option box. *)
+let rec burst t rx_queue n =
+  if n < rx_batch && not (Queue.is_empty rx_queue) then begin
+    service t (Queue.take rx_queue) ~first:false;
+    burst t rx_queue (n + 1)
+  end
+
 (* One wakeup drains up to [rx_batch] frames from this shard's queue:
    the first pays the full driver receive overhead, the rest only the
    coalesced residue — the load-scaling path where one interrupt
    services a burst. *)
 let protocol_loop t shard () =
   let rx_queue = t.rx_queues.(shard) in
-  let rec loop () =
-    match Queue.take_opt rx_queue with
-    | Some pkt ->
-      service t pkt ~first:true;
-      let rec burst n =
-        if n < rx_batch then
-          match Queue.take_opt rx_queue with
-          | Some pkt -> service t pkt ~first:false; burst (n + 1)
-          | None -> () in
-      burst 1;
-      Sched.preempt_point t.sched;
-      loop ()
-    | None ->
-      Sched.block_current t.sched;
-      loop () in
-  loop ()
+  while true do
+    if Queue.is_empty rx_queue then Sched.block_current t.sched
+    else begin
+      service t (Queue.take rx_queue) ~first:true;
+      burst t rx_queue 1;
+      Sched.preempt_point t.sched
+    end
+  done
 
 (* The ring frame is the wire's copy (made by the sender's device):
    alias it straight into the stack. *)

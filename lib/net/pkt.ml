@@ -99,7 +99,8 @@ let blit_to t ~pos dst ~dst_pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pkt.blit_to";
   Bytes.blit t.buf (t.off + pos) dst dst_pos len
 
-let add_to_buffer b t = Buffer.add_subbytes b t.buf t.off t.len
+let ebc_payload =
+  { Spin_core.Ebc.p_buf = buffer; p_off = headroom; p_len = length }
 
 let contents t = Bytes.sub t.buf t.off t.len
 

@@ -134,9 +134,9 @@ val set_u8 : t -> int -> int -> unit
 val blit_to : t -> pos:int -> Bytes.t -> dst_pos:int -> len:int -> unit
 (** Copy out of the view. *)
 
-val add_to_buffer : Buffer.t -> t -> unit
-(** Append the view to a [Buffer.t] (TCP reassembly) — copies, charge
-    accordingly. *)
+val ebc_payload : t Spin_core.Ebc.payload
+(** The live window as a bytecode payload, read in place: the layout
+    of an event whose argument is a packet. *)
 
 val contents : t -> Bytes.t
 (** The live window as fresh bytes (a copy). *)

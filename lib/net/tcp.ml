@@ -35,23 +35,31 @@ let state_to_string = function
   | Last_ack -> "LAST_ACK"
   | Time_wait -> "TIME_WAIT"
 
-type segment = {
-  sport : int;
-  dport : int;
-  seq : int;
-  ack : int;
-  flags : int;
-  data : Pkt.t;                          (* a view of the received frame *)
-}
-
 type unacked = {
   u_seq : int;
   u_flags : int;
   u_data : Pkt.t;                          (* send-buffer view, retransmit-safe *)
 }
 
+(* A connection's identity: (local port, remote address, remote
+   port). A stored key is the connection's own and never changes; the
+   engine's [probe] is the one key that lookups overwrite. *)
+type key = {
+  mutable k_lport : int;
+  mutable k_raddr : Ip.addr;
+  mutable k_rport : int;
+}
+
+module Conns = Hashtbl.Make (struct
+  type t = key
+  let equal a b =
+    a.k_lport = b.k_lport && a.k_raddr = b.k_raddr && a.k_rport = b.k_rport
+  let hash k = (((k.k_lport * 65599) + k.k_rport) * 65599) + k.k_raddr
+end)
+
 type conn = {
   engine : engine;
+  key : key;
   l_port : int;
   r_addr : Ip.addr;
   r_port : int;
@@ -70,6 +78,7 @@ type conn = {
   mutable rto_fire : unit -> unit;       (* built once, in [new_conn] *)
   mutable fin_pending : bool;            (* close requested, FIN not sent *)
   mutable delayed_ack : Sim.handle option;
+  mutable ack_fire : unit -> unit;       (* built once, in [new_conn] *)
   mutable unacked_rx : int;              (* data segments since last ack *)
 }
 
@@ -77,9 +86,10 @@ and engine = {
   machine : Machine.t;
   sched : Sched.t;
   ip : Ip.t;
-  event : (segment * Ip.addr, unit) Dispatcher.event;
-  mutable demux : (segment * Ip.addr, unit) Dispatcher.handler option;
-  conns : (int * Ip.addr * int, conn) Hashtbl.t;
+  event : (Ip.packet, unit) Dispatcher.event;
+  mutable demux : (Ip.packet, unit) Dispatcher.handler option;
+  conns : conn Conns.t;
+  probe : key;                           (* reused by every lookup *)
   listeners : (int, conn -> unit) Hashtbl.t;
   mutable next_port : int;
   mutable s_out : int;
@@ -128,23 +138,23 @@ let encode ~sport ~dport ~seq ~ack ~flags data =
   Bytes.set_uint16_le hbuf (hoff + 14) dlen;
   pkt
 
-let decode b =
-  if Pkt.length b < header_bytes then None
-  else begin
-    let len = Pkt.get_u16_le b 14 in
-    if Pkt.length b < header_bytes + len then None
-    else
-      Some {
-        sport = Pkt.get_u16_le b 0;
-        dport = Pkt.get_u16_le b 2;
-        seq = Pkt.get_u32_le b 4;
-        ack = Pkt.get_u32_le b 8;
-        flags = Pkt.get_u8 b 12;
-        (* The segment data is a view of the received frame — no copy
-           until it crosses into the application ([deliver_data]). *)
-        data = Pkt.sub b ~pos:header_bytes ~len;
-      }
-  end
+(* A received segment is read where it lies: the header fields at
+   their offsets in the IP payload, the data as the [data_len] bytes
+   after the header. Nothing is decoded into a record and the payload
+   is never trimmed — the IP payload is shared with every other
+   handler of the IP event (Forward's guard reads the ports at offset
+   0). [well_formed] is checked before the TCP event is raised, so
+   the readers below stay in bounds. *)
+let sport b = Pkt.get_u16_le b 0
+let dport b = Pkt.get_u16_le b 2
+let seq_of b = Pkt.get_u32_le b 4
+let ack_of b = Pkt.get_u32_le b 8
+let flags_of b = Pkt.get_u8 b 12
+let data_len b = Pkt.get_u16_le b 14
+
+let well_formed b =
+  Pkt.length b >= header_bytes
+  && Pkt.length b >= header_bytes + data_len b
 
 (* ------------------------------------------------------------------ *)
 (* Transmission                                                       *)
@@ -224,7 +234,7 @@ and teardown t conn =
    | Some h -> Sim.cancel t.machine.Machine.sim h; conn.delayed_ack <- None
    | None -> ());
   conn.st <- Closed;
-  Hashtbl.remove t.conns (conn.l_port, conn.r_addr, conn.r_port);
+  Conns.remove t.conns conn.key;
   (* Wake anything blocked on the connection. *)
   (match conn.reader with
    | Some s -> conn.reader <- None; Sched.unblock t.sched s
@@ -264,28 +274,44 @@ let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
     rx_cb = None; rx_buf = Buffer.create 256;
     reader = None; opener = None;
     retries = 0; rto = None; fin_pending = false;
-    rto_fire = ignore; delayed_ack = None; unacked_rx = 0;
+    key = { k_lport = l_port; k_raddr = r_addr; k_rport = r_port };
+    rto_fire = ignore; delayed_ack = None; ack_fire = ignore; unacked_rx = 0;
   } in
   conn.rto_fire <- (fun () -> conn.rto <- None; on_timeout t conn);
-  Hashtbl.replace t.conns (l_port, r_addr, r_port) conn;
+  conn.ack_fire <-
+    (fun () ->
+      conn.delayed_ack <- None;
+      if conn.st <> Closed then
+        emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ()));
+  Conns.replace t.conns conn.key conn;
   conn
+
+(* The connection a segment from [src] belongs to; raises [Not_found].
+   The probe is rewritten by every lookup, so it is read here only. *)
+let find_conn t ~l_port ~r_addr ~r_port =
+  let k = t.probe in
+  k.k_lport <- l_port;
+  k.k_raddr <- r_addr;
+  k.k_rport <- r_port;
+  Conns.find t.conns k
 
 (* ------------------------------------------------------------------ *)
 (* Receive path                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let deliver_data t conn data =
-  if Pkt.length data > 0 then begin
+(* The [len] data bytes of segment [b], straight out of the frame. *)
+let deliver_data t conn b len =
+  if len > 0 then begin
     (* Application hand-off — the receive path's one true copy: out of
        the NIC frame into the app's callback bytes or the reassembly
        buffer. *)
     Clock.charge t.machine.Machine.clock
-      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
-         ~bytes:(Pkt.length data));
+      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock) ~bytes:len);
+    let pos = Pkt.headroom b + header_bytes in
     match conn.rx_cb with
-    | Some cb -> cb (Pkt.contents data)
+    | Some cb -> cb (Bytes.sub (Pkt.buffer b) pos len)
     | None ->
-      Pkt.add_to_buffer conn.rx_buf data;
+      Buffer.add_subbytes conn.rx_buf (Pkt.buffer b) pos len;
       (match conn.reader with
        | Some s -> conn.reader <- None; Sched.unblock t.sched s
        | None -> ())
@@ -308,16 +334,18 @@ let handle_ack t conn ack =
     fill_window t conn
   end
 
-let handle_established t conn seg =
-  if seg.flags land flag_rst <> 0 then teardown t conn
+let handle_established t conn b =
+  let flags = flags_of b in
+  if flags land flag_rst <> 0 then teardown t conn
   else begin
-    handle_ack t conn seg.ack;
+    handle_ack t conn (ack_of b);
     let expected = conn.rcv_nxt in
-    let fin = seg.flags land flag_fin <> 0 in
-    if seg.seq = expected then begin
-      conn.rcv_nxt <- expected + Pkt.length seg.data + (if fin then 1 else 0);
+    let fin = flags land flag_fin <> 0 in
+    let seq = seq_of b and len = data_len b in
+    if seq = expected then begin
+      conn.rcv_nxt <- expected + len + (if fin then 1 else 0);
       let snd_before = conn.snd_nxt in
-      deliver_data t conn seg.data;
+      deliver_data t conn b len;
       if fin then begin
         (match conn.st with
          | Established -> conn.st <- Close_wait
@@ -335,20 +363,17 @@ let handle_established t conn seg =
          acknowledgements). FINs are acknowledged at once. *)
       if conn.snd_nxt = snd_before then begin
         if fin then emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
-        else if Pkt.length seg.data > 0 then begin
+        else if len > 0 then begin
           conn.unacked_rx <- conn.unacked_rx + 1;
           if conn.unacked_rx >= 2 then
             emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
           else if conn.delayed_ack = None then
             conn.delayed_ack <-
               Some (Sim.after_us t.machine.Machine.sim delayed_ack_us
-                      (fun () ->
-                        conn.delayed_ack <- None;
-                        if conn.st <> Closed then
-                          emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())))
+                      conn.ack_fire)
         end
       end
-    end else if seg.seq < expected && (Pkt.length seg.data > 0 || fin) then
+    end else if seq < expected && (len > 0 || fin) then
       (* Duplicate: re-ack. *)
       emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
     (* Out-of-order beyond rcv_nxt: dropped (Go-Back-N). *);
@@ -358,15 +383,17 @@ let handle_established t conn seg =
      | _ -> ())
   end
 
-let segment_arrived t seg src =
-  match Hashtbl.find t.conns (seg.dport, src, seg.sport) with
+(* [b] is the segment, the IP payload of a packet from [src]. *)
+let segment_arrived t b src =
+  let flags = flags_of b in
+  match find_conn t ~l_port:(dport b) ~r_addr:src ~r_port:(sport b) with
   | conn ->
     (match conn.st with
      | Syn_sent ->
-       if seg.flags land flag_rst <> 0 then teardown t conn
-       else if seg.flags land flag_syn <> 0 then begin
-         conn.rcv_nxt <- seg.seq + 1;
-         handle_ack t conn seg.ack;
+       if flags land flag_rst <> 0 then teardown t conn
+       else if flags land flag_syn <> 0 then begin
+         conn.rcv_nxt <- seq_of b + 1;
+         handle_ack t conn (ack_of b);
          conn.st <- Established;
          emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ());  (* ack *)
          (match conn.opener with
@@ -374,9 +401,9 @@ let segment_arrived t seg src =
           | None -> ())
        end
      | Syn_received ->
-       if seg.flags land flag_rst <> 0 then teardown t conn
+       if flags land flag_rst <> 0 then teardown t conn
        else begin
-         handle_ack t conn seg.ack;
+         handle_ack t conn (ack_of b);
          if conn.snd_una > 0 then begin
            conn.st <- Established;
            t.s_accept <- t.s_accept + 1;
@@ -384,42 +411,43 @@ let segment_arrived t seg src =
            | Some on_accept -> on_accept conn
            | None -> ()
          end;
-         if Pkt.length seg.data > 0 then handle_established t conn seg
+         if data_len b > 0 then handle_established t conn b
        end
      | Established | Fin_wait | Close_wait | Last_ack | Time_wait ->
-       handle_established t conn seg
+       handle_established t conn b
      | Listen | Closed -> ())
   | exception Not_found ->
     (* New connection to a listener? *)
-    if seg.flags land flag_syn <> 0 && seg.flags land flag_ack = 0
-       && Hashtbl.mem t.listeners seg.dport then begin
+    if flags land flag_syn <> 0 && flags land flag_ack = 0
+       && Hashtbl.mem t.listeners (dport b) then begin
       let conn =
-        new_conn t ~l_port:seg.dport ~r_addr:src ~r_port:seg.sport
-          ~st:Syn_received ~rcv_nxt:(seg.seq + 1) in
+        new_conn t ~l_port:(dport b) ~r_addr:src ~r_port:(sport b)
+          ~st:Syn_received ~rcv_nxt:(seq_of b + 1) in
       transmit_segment t conn ~flags:flag_syn (Pkt.empty ())
-    end else if seg.flags land flag_rst = 0 then begin
+    end else if flags land flag_rst = 0 then begin
       (* No home for it: RST. *)
       t.s_rst <- t.s_rst + 1;
       charge t;
       t.s_out <- t.s_out + 1;
       ignore (Ip.send t.ip ~src:(Ip.local_addr t.ip) ~dst:src ~proto:Ip.proto_tcp
-                (encode ~sport:seg.dport ~dport:seg.sport ~seq:seg.ack
-                   ~ack:seg.seq ~flags:flag_rst (Pkt.empty ())))
+                (encode ~sport:(dport b) ~dport:(sport b) ~seq:(ack_of b)
+                   ~ack:(seq_of b) ~flags:flag_rst (Pkt.empty ())))
     end
 
-let handle_segment t (seg, src) =
+let handle_segment t (pkt : Ip.packet) =
+  let b = pkt.Ip.payload in
   t.s_in <- t.s_in + 1;
   charge t;
   let tr = Trace.of_clock t.machine.Machine.clock in
   let sp =
     if Trace.on tr then
       Trace.begin_span tr ~cat:"tcp" ~name:"rx_segment"
-        ~args:[ ("seq", string_of_int seg.seq);
-                ("flags", flags_to_string seg.flags);
-                ("dport", string_of_int seg.dport);
-                ("bytes", string_of_int (Pkt.length seg.data)) ] ()
+        ~args:[ ("seq", string_of_int (seq_of b));
+                ("flags", flags_to_string (flags_of b));
+                ("dport", string_of_int (dport b));
+                ("bytes", string_of_int (data_len b)) ] ()
     else Trace.null_span in
-  match segment_arrived t seg src with
+  match segment_arrived t b pkt.Ip.src with
   | () -> Trace.end_span tr sp
   | exception e -> Trace.end_span tr sp; raise e
 
@@ -430,10 +458,11 @@ let handle_segment t (seg, src) =
 let create machine sched dispatcher ip =
   let event =
     Dispatcher.declare dispatcher ~name:"TCP.PacketArrived" ~owner:"TCP"
-      ~combine:(fun _ -> ()) (fun (_ : segment * Ip.addr) -> ()) in
+      (fun (_ : Ip.packet) -> ()) in
   let t = {
     machine; sched; ip; event; demux = None;
-    conns = Hashtbl.create 64;
+    conns = Conns.create 64;
+    probe = { k_lport = 0; k_raddr = 0; k_rport = 0 };
     listeners = Hashtbl.create 16;
     next_port = 32768;
     s_out = 0; s_in = 0; s_rexmit = 0; s_rst = 0; s_accept = 0;
@@ -441,10 +470,8 @@ let create machine sched dispatcher ip =
   ignore
     (Ip.attach ip ~proto:Ip.proto_tcp ~installer:"TCP"
        (fun pkt ->
-         match decode pkt.Ip.payload with
-         | Some seg ->
-           Dispatcher.raise_default t.event () (seg, pkt.Ip.src)
-         | None -> ()));
+         if well_formed pkt.Ip.payload then
+           Dispatcher.raise_default t.event () pkt));
   t.demux <-
     Some
       (Dispatcher.ok_exn ~site:"Tcp.create"
@@ -458,8 +485,9 @@ let add_demux_filter t claimed =
   match t.demux with
   | Some h ->
     Dispatcher.add_guard h
-      (fun ((seg : segment), _src) ->
-        not (claimed ~dport:seg.dport ~sport:seg.sport))
+      (fun (pkt : Ip.packet) ->
+        let b = pkt.Ip.payload in
+        not (claimed ~dport:(dport b) ~sport:(sport b)))
   | None -> ()
 
 let listen t ~port ~on_accept =

@@ -64,7 +64,9 @@ let datagram_layout : datagram Ebc.layout =
       | 1 -> d.src_port
       | 2 -> d.dst_port
       | _ -> 0)
-    ~payload:(fun d -> Pkt.view d.payload)
+    ~payload:{ Ebc.p_buf = (fun d -> Pkt.buffer d.payload);
+               p_off = (fun d -> Pkt.headroom d.payload);
+               p_len = (fun d -> Pkt.length d.payload) }
     ()
 
 (* The port filter over a whole frame, as a receive-path program: IP
@@ -81,7 +83,7 @@ let create machine dispatcher ip =
   let event =
     Dispatcher.declare dispatcher ~name:"UDP.PacketArrived" ~owner:"UDP"
       ~layout:datagram_layout
-      ~combine:(fun _ -> ()) (fun (_ : datagram) -> ()) in
+      (fun (_ : datagram) -> ()) in
   let t = { machine; ip; event; s_sent = 0; s_received = 0 } in
   ignore (Ip.attach ip ~proto:Ip.proto_udp ~installer:"UDP" (input t));
   t

@@ -62,7 +62,7 @@ let create_server ?(mcast = true) host ~fs ~netif ~port =
       { host; fs; cache; netif; port;
         send_packet =
           Dispatcher.declare host.Host.dispatcher ~name:"Video.SendPacket"
-            ~owner:"VideoSend" ~combine:(List.fold_left ( + ) 0)
+            ~owner:"VideoSend" ~combine:( + )
             (fun arg -> default_send (Lazy.force server) arg);
         clients = []; nframes = 0; frame_bytes = 0;
         packets = 0; frames = 0; seq = 0; busy = 0 } in

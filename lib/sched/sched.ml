@@ -225,7 +225,6 @@ let create ?cpus ?intr sim dispatcher =
     lazy
       (let declare name default =
          Dispatcher.declare dispatcher ~name ~owner:owner_name
-           ~combine:(fun _ -> ())
            (fun s -> default (Lazy.force t) s) in
        let events = {
          block = declare "Strand.Block" default_block;

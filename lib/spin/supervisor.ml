@@ -266,12 +266,10 @@ let on_fault t (f : Dispatcher.fault) =
 let create sim disp =
   let quarantined_ev =
     Dispatcher.declare disp ~name:"Supervisor.ExtensionQuarantined"
-      ~owner:"Supervisor" ~combine:(fun _ -> ())
-      (fun (_ : quarantine) -> ()) in
+      ~owner:"Supervisor" (fun (_ : quarantine) -> ()) in
   let restarted_ev =
     Dispatcher.declare disp ~name:"Supervisor.ExtensionRestarted"
-      ~owner:"Supervisor" ~combine:(fun _ -> ())
-      (fun (_ : restart) -> ()) in
+      ~owner:"Supervisor" (fun (_ : restart) -> ()) in
   let t = {
     sim; disp;
     domains = Hashtbl.create 16; domain_order = [];

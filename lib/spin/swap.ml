@@ -119,7 +119,7 @@ let swapped_event t = t.swapped_ev
 let create sched disp =
   let swapped_ev =
     Dispatcher.declare disp ~name:"Swap.DomainSwapped" ~owner:"Swap"
-      ~combine:(fun _ -> ()) (fun (_ : outcome) -> ()) in
+      (fun (_ : outcome) -> ()) in
   let t = {
     sched; disp; clock = Sched.clock sched;
     swapped_ev; waiters = Queue.create ();

@@ -61,7 +61,7 @@ let declare_fault_event dispatcher name =
   (* Default implementation: an unhandled fault is simply counted by
      the raiser; real policy comes from handlers. *)
   Dispatcher.declare dispatcher ~name ~owner:"Translation"
-    ~combine:(fun _ -> ()) (fun (_ : fault) -> ())
+    (fun (_ : fault) -> ())
 
 let create machine dispatcher phys =
   let t = {

@@ -338,7 +338,7 @@ let test_dispatch_guards () =
   let _, d = mk_dispatcher () in
   let log = ref [] in
   let e = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   ignore
     (must
        (Dispatcher.install e ~installer:"UDP"
@@ -361,7 +361,7 @@ let test_dispatch_guard_costs_linear () =
   (* Section 5.5: cost grows linearly in the number of false guards. *)
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"UDP.PacketArrived" ~owner:"UDP"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   for _ = 1 to 50 do
     ignore
       (must
@@ -381,7 +381,7 @@ let test_dispatch_stacked_guards_conjoin () =
   let _, d = mk_dispatcher () in
   let hits = ref 0 in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   let h =
     must
       (Dispatcher.install e ~installer:"ext"
@@ -418,7 +418,6 @@ let test_dispatch_auth_imposed_guard () =
   let _, d = mk_dispatcher () in
   let seen = ref [] in
   let e = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
-      ~combine:(fun _ -> ())
       ~auth:(fun ~installer:_ ->
         Dispatcher.Allow {
           guard = Some (fun proto -> proto = 17);
@@ -461,10 +460,33 @@ let test_dispatch_no_handler () =
    with Dispatcher.No_handler "Ev2" -> ());
   check int "raise_default falls back" 9 (Dispatcher.raise_default e2 9 ())
 
+(* Regression: [raise_default] used to catch any [No_handler], so an
+   empty event raised inside the primary read as the outer event having
+   no handler: the fallback came back and the rest of the primary was
+   skipped. *)
+let test_raise_default_keeps_nested_no_handler () =
+  let _, d = mk_dispatcher () in
+  let inner = Dispatcher.declare d ~name:"Inner" ~owner:"M"
+      ~allow_remove_primary:(fun ~requester:_ -> true) (fun (_ : int) -> 0) in
+  ignore (Dispatcher.remove_primary inner ~requester:"M");
+  let finished = ref false in
+  let outer = Dispatcher.declare d ~name:"Outer" ~owner:"M" (fun x ->
+      let r = Dispatcher.raise_event inner x in
+      finished := true;
+      r) in
+  (match Dispatcher.raise_default outer (-1) 5 with
+   | r -> failf "the fallback hid the inner No_handler: got %d" r
+   | exception Dispatcher.No_handler "Inner" -> ());
+  check bool "the primary stopped where the inner raise failed" false !finished;
+  (* An answered inner raise lets the outer one finish normally. *)
+  ignore (Dispatcher.install inner ~installer:"x" (fun x -> x * 2));
+  check int "outer result" 10 (Dispatcher.raise_default outer (-1) 5);
+  check bool "the primary ran to the end" true !finished
+
 let test_dispatch_combiner () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Sum" ~owner:"M"
-      ~combine:(List.fold_left ( + ) 0) (fun x -> x) in
+      ~combine:( + ) (fun x -> x) in
   ignore (must (Dispatcher.install e ~installer:"a" (fun x -> x * 10)));
   ignore (must (Dispatcher.install e ~installer:"b" (fun x -> x * 100)));
   check int "combined result" 333 (Dispatcher.raise_event e 3)
@@ -473,7 +495,7 @@ let test_dispatch_async_deferred () =
   let _, d = mk_dispatcher () in
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)));
   Dispatcher.raise_event e ();
   check bool "raiser not blocked on handler" false !ran;
@@ -487,7 +509,7 @@ let test_dispatch_async_uninstall_before_flush () =
   let _, d = mk_dispatcher () in
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   let h = must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)) in
   Dispatcher.raise_event e ();
   Dispatcher.uninstall e h;
@@ -502,7 +524,7 @@ let test_dispatch_uninstall_during_raise () =
   let _, d = mk_dispatcher () in
   let order = ref [] in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> order := "primary" :: !order) in
+      (fun _ -> order := "primary" :: !order) in
   let violations = ref [] in
   Dispatcher.set_violation_hook d (Some (fun m -> violations := m :: !violations));
   ignore
@@ -529,7 +551,7 @@ let test_dispatch_uninstall_during_raise () =
 let test_dispatch_audit_clean_after_churn () =
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) ~index:(fun x -> x) (fun (_ : int) -> ()) in
+      ~index:(fun x -> x) (fun (_ : int) -> ()) in
   let hs =
     List.init 8 (fun i ->
       must
@@ -555,7 +577,7 @@ let test_dispatch_async_spawn_hook () =
   let spawned = ref 0 in
   Dispatcher.set_async_spawn d (fun thunk -> incr spawned; thunk ());
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ())));
   Dispatcher.raise_event e ();
   check int "spawned through hook" 1 !spawned
@@ -590,7 +612,7 @@ let test_dispatch_uninstall () =
   let _, d = mk_dispatcher () in
   let hits = ref 0 in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   let h = must (Dispatcher.install e ~installer:"x" (fun _ -> incr hits)) in
   Dispatcher.raise_event e ();
   Dispatcher.uninstall e h;
@@ -602,7 +624,6 @@ let test_dispatch_indexed () =
      hash lookup. *)
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Pkt.Demux" ~owner:"Filter"
-      ~combine:(fun _ -> ())
       ~index:(fun proto -> proto)
       (fun _ -> ()) in
   let log = ref [] in
@@ -631,7 +652,6 @@ let test_dispatch_fast_path_resumes_after_indexed_uninstall () =
      so one indexed install must not disable the fast path forever. *)
   let _, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Pkt.Demux" ~owner:"Filter"
-      ~combine:(fun _ -> ())
       ~index:(fun proto -> proto)
       (fun _ -> ()) in
   Dispatcher.raise_event e 1;
@@ -664,9 +684,9 @@ let test_dispatch_indexed_requires_index () =
 let test_dispatch_topology () =
   let _, d = mk_dispatcher () in
   let e1 = Dispatcher.declare d ~name:"Ether.PktArrived" ~owner:"Ether"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   let _e2 = Dispatcher.declare d ~name:"IP.PacketArrived" ~owner:"IP"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   ignore (must (Dispatcher.install e1 ~installer:"IP" (fun _ -> ())));
   (match Dispatcher.topology d with
    | [ ("Ether.PktArrived", "Ether", handlers); ("IP.PacketArrived", "IP", _) ] ->
@@ -691,9 +711,9 @@ let test_dispatch_gate_installers_and_hook () =
      and proceeds once the gate reopens. *)
   let _, d = mk_dispatcher () in
   let hot = Dispatcher.declare d ~name:"Svc.Hot" ~owner:"Svc"
-      ~combine:(fun rs -> List.fold_left ( + ) 0 rs) (fun (_ : int) -> 0) in
+      ~combine:( + ) (fun (_ : int) -> 0) in
   let cold = Dispatcher.declare d ~name:"Svc.Cold" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   ignore (must (Dispatcher.install hot ~installer:"ext" (fun _ -> 7)));
   let gated = Dispatcher.gate_installers d ~installers:[ "ext" ] in
   check (list string) "only the installer's event closed" [ "Svc.Hot" ] gated;
@@ -764,6 +784,8 @@ let () =
           test_case "primary removal" `Quick test_dispatch_remove_primary;
           test_case "no handler" `Quick test_dispatch_no_handler;
           test_case "result combination" `Quick test_dispatch_combiner;
+          test_case "raise_default keeps a nested No_handler" `Quick
+            test_raise_default_keeps_nested_no_handler;
           test_case "async defers" `Quick test_dispatch_async_deferred;
           test_case "async skips uninstalled handler" `Quick
             test_dispatch_async_uninstall_before_flush;

@@ -277,9 +277,16 @@ let meddle ev m =
   | Some (false, k), (_ :: _ as keyed) -> deactivate ev (pick keyed k)
   | Some _, [] | None, _ -> ()
 
+(* The [sum] events' combine. It does not commute, so a dispatcher that
+   folds in any order but dispatch order disagrees with the model. *)
+let mix acc r = (acc * 31) + r
+
+(* [results] in dispatch order: the first seeds the fold. *)
 let combine ev results =
-  if ev.sum then Result (List.fold_left ( + ) 0 results)
-  else match List.rev results with r :: _ -> Result r | [] -> No_handler
+  match results with
+  | [] -> No_handler
+  | r :: rest ->
+    Result (List.fold_left (if ev.sum then mix else fun _ r -> r) r rest)
 
 let call_primary w ev m x =
   ev.c.invocations <- ev.c.invocations + 1;
@@ -476,7 +483,7 @@ let declare w ~index ~layout:lay ~sum =
   let e =
     Dispatcher.declare w.d ~name ~owner:"model"
       ?layout:(if lay then Some layout else None)
-      ?combine:(if sum then Some (List.fold_left ( + ) 0) else None)
+      ?combine:(if sum then Some mix else None)
       ?index:(if index then Some index_of else None)
       ~allow_remove_primary:(fun ~requester:_ -> true)
       primary in
@@ -695,7 +702,7 @@ let test_mid_raise_relink () =
   let ran = ref 0 in
   let e =
     Dispatcher.declare d ~name:"E" ~owner:"model" ~index:index_of
-      ~combine:(List.fold_left ( + ) 0) (fun _ -> 0) in
+      ~combine:( + ) (fun _ -> 0) in
   let install spec fn =
     Dispatcher.ok_exn ~site:"test"
       (Dispatcher.install e ~installer:"a" ~spec fn) in

@@ -129,7 +129,7 @@ let test_closure_handler_contexts () =
   let clock = Clock.create Cost.alpha_133 in
   let d = Dispatcher.create clock in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let log = ref [] in
   (* One handler procedure serves two contexts: each install partially
      applies it to its own closure. *)

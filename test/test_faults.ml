@@ -130,7 +130,7 @@ let test_handler_exception_isolated () =
   let clock = Clock.create Cost.alpha_133 in
   let d = Dispatcher.create clock in
   let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let healthy = ref 0 in
   ignore (must @@ Dispatcher.install e ~installer:"rogue"
             (fun _ -> failwith "rogue extension bug"));
@@ -165,7 +165,6 @@ let test_fast_path_sole_extension_fault_contained () =
   let clock = Clock.create Cost.alpha_133 in
   let d = Dispatcher.create clock in
   let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ())
       ~allow_remove_primary:(fun ~requester:_ -> true)
       (fun (_ : int) -> ()) in
   check bool "primary removed" true
@@ -173,12 +172,12 @@ let test_fast_path_sole_extension_fault_contained () =
   ignore (must @@ Dispatcher.install e ~installer:"ext"
             (fun _ -> failwith "sole extension bug"));
   (* Must not escape, even though dispatch collapses to the fast path. *)
-  Dispatcher.raise_event e 1;
+  Dispatcher.raise_default e () 1;
   let st = Dispatcher.stats e in
   check bool "fast path was taken" true (st.Dispatcher.fast_path >= 1);
   check int "failure caught and counted" 1 st.Dispatcher.handler_failures;
   (* Uninstall policy applied: the rogue handler never runs again. *)
-  Dispatcher.raise_event e 2;
+  Dispatcher.raise_default e () 2;
   check int "evicted after the fault" 1
     (Dispatcher.stats e).Dispatcher.handler_failures
 
@@ -252,9 +251,9 @@ let test_supervisor_quarantines_domain () =
      while an unrelated peer extension is untouched. *)
   let _, _, d, sup = supervised_dispatcher () in
   let ev_a = Dispatcher.declare d ~name:"Net.A" ~owner:"Net"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let ev_b = Dispatcher.declare d ~name:"Net.B" ~owner:"Net"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   ignore (must @@ Dispatcher.install ev_a ~installer:"filter"
             ~spec:(with_policy @@ Dispatcher.Quarantine
                            { window_us = 1_000_000.; max_faults = 3 })
@@ -297,7 +296,7 @@ let test_supervisor_restart_with_backoff () =
      backed-off delay. Once its bug clears, it serves again. *)
   let clock, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let attempts = ref [] in
   ignore (must @@ Dispatcher.install (Supervisor.restarted_event sup)
             ~installer:"watcher"
@@ -332,7 +331,7 @@ let test_supervisor_restart_gives_up () =
   (* A hopeless handler exhausts its restart budget and stays gone. *)
   let _, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   ignore (must @@ Dispatcher.install ev ~installer:"hopeless"
             ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 500.; backoff = 2.; max_restarts = 2 })
@@ -353,7 +352,7 @@ let test_supervisor_backoff_cap () =
      absence, and every clamped delay is counted. *)
   let clock, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   ignore (must @@ Dispatcher.install ev ~installer:"flaky"
             ~spec:(with_policy @@ Dispatcher.Restart
                            { delay_us = 300_000.; backoff = 4.; max_restarts = 5 })
@@ -382,7 +381,7 @@ let test_supervisor_backoff_resets_after_grace () =
      the base delay, not from where the old burst left off. *)
   let clock, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let calls = ref 0 in
   ignore (must @@ Dispatcher.install ev ~installer:"flaky"
             ~spec:(with_policy @@ Dispatcher.Restart
@@ -412,7 +411,7 @@ let test_supervisor_counts_revoked_faults () =
      old-instance references instead of re-minting. *)
   let _, _, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Use" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let cap = Capability.mint ~owner:"OldGen" "resource" in
   ignore (Capability.advance_epoch ~owner:"OldGen");
   ignore (must @@ Dispatcher.install ev ~installer:"staleuser"
@@ -431,9 +430,9 @@ let test_supervisor_domain_budget_groups_installers () =
      Uninstall. *)
   let _, _, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   let ev2 = Dispatcher.declare d ~name:"Svc.Other" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   Supervisor.register_domain sup ~name:"plugins"
     ~installers:[ "plug-a"; "plug-b" ]
     ~budget:{ Supervisor.window_us = 1_000_000.; max_faults = 2 } ();
@@ -463,7 +462,7 @@ let test_supervisor_budget_beyond_log_cap () =
      largest budget that needs it. *)
   let _, _, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      (fun (_ : int) -> ()) in
   Supervisor.register_domain sup ~name:"chatty" ~installers:[ "chatty" ]
     ~budget:{ Supervisor.window_us = 1_000_000_000.; max_faults = 300 } ();
   (* A tolerant per-handler policy keeps the handler installed so every
@@ -491,7 +490,7 @@ let test_kernel_quarantine_unlinks_service () =
   let filter = Kdomain.create_from_module ~name:"Filter" ~exports:[] in
   Kernel.publish k ~name:"FilterService" filter;
   let ev = Dispatcher.declare k.Kernel.dispatcher ~name:"Net.Filter"
-      ~owner:"Net" ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+      ~owner:"Net" (fun (_ : int) -> ()) in
   ignore (must @@ Dispatcher.install ev ~installer:"Filter"
             ~spec:(with_policy @@ Dispatcher.Quarantine
                            { window_us = 1_000_000.; max_faults = 1 })

@@ -12,7 +12,7 @@ module Ebc = Spin_core.Ebc
 
 (* The receive path's frame layout: the payload is the wire bytes. *)
 let frame_layout : Pkt.t Ebc.layout =
-  Ebc.layout ~name:"Test.PktArrived" ~payload:Pkt.view ()
+  Ebc.layout ~name:"Test.PktArrived" ~payload:Pkt.ebc_payload ()
 
 (* Both ways of running a filter: the verified, compiled form and the
    checked interpreter must agree before either answer counts. *)

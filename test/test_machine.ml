@@ -905,7 +905,7 @@ let test_general_raise_allocates_nothing () =
   let d = Dispatcher.create (Clock.create Cost.alpha_133) in
   let e =
     Dispatcher.declare d ~name:"Ev" ~owner:"M" ~layout:(int_layout ())
-      ~combine:(List.fold_left ( + ) 0) ~index:(fun x -> x land 1)
+      ~combine:( + ) ~index:(fun x -> x land 1)
       ~allow_remove_primary:(fun ~requester:_ -> true) (fun x -> x) in
   ignore (Dispatcher.remove_primary e ~requester:"test");
   ignore
@@ -920,15 +920,18 @@ let test_general_raise_allocates_nothing () =
           (fun x -> x)));
   check int "one indexed handler" 1 (Dispatcher.indexed_active e);
   let per_raise x =
-    minor_words_over 10_000 (fun () -> ignore (Dispatcher.raise_event e x))
+    minor_words_over 10_000 (fun () ->
+      ignore (Dispatcher.raise_default e (-1) x))
     /. 10_000. in
-  (* 1 hits no index slot, 2 finds the slot; both reject everywhere. *)
+  (* 1 hits no index slot, 2 finds the slot; both reject everywhere, so
+     the fallback answers. *)
+  check int "no result" (-1) (Dispatcher.raise_default e (-1) 1);
   check (float 0.) "nothing runs, no slot" 0. (per_raise 1);
   check (float 0.) "nothing runs, slot found" 0. (per_raise 2);
-  (* k handlers run: k result cells and their k-cell reversal. *)
-  let cell = 3. in
-  check (float 0.) "one handler runs" (2. *. cell) (per_raise 11);
-  check (float 0.) "two handlers run" (4. *. cell) (per_raise 12);
+  (* k handlers run: their results fold in place, with no cell, no
+     reversed copy and no exception allocated. *)
+  check (float 0.) "one handler runs" 0. (per_raise 11);
+  check (float 0.) "two handlers run" 0. (per_raise 12);
   check int "results combined" 24 (Dispatcher.raise_event e 12);
   check int "nothing took the fast path" 0
     (Dispatcher.stats e).Dispatcher.fast_path
@@ -939,10 +942,14 @@ let test_compiled_predicate_allocates_nothing () =
     | Ok v -> Ebc.compile v
     | Error err -> fail (Ebc.error_to_string err) in
   let field = compile (int_layout ()) (Ebc.match_field ~slot:0 7) in
-  (* A payload accessor that hands back one preallocated view. *)
-  let view = (Bytes.of_string "GET /index.html", 0, 15) in
+  (* A payload read in place: the projections return the buffer, the
+     offset and the length, and build no triple. *)
+  let buf = Bytes.of_string "GET /index.html" in
   let get =
-    compile (int_layout ~payload:(fun _ -> view) ())
+    compile
+      (int_layout
+         ~payload:{ Ebc.p_buf = (fun _ -> buf); p_off = (fun _ -> 0);
+                    p_len = (fun _ -> Bytes.length buf) } ())
       (Ebc.match_string ~prefix:true "GET") in
   check bool "field match" true (field 7);
   check bool "field mismatch" false (field 8);
@@ -1194,6 +1201,124 @@ let test_ip_send_words () =
     (minor_words_over n send /. float_of_int n);
   check int "every frame sent" (2 * n) (Ip.stats ip).Ip.sent
 
+(* The receive path, from the frame Netif's rx service raises to the
+   application: IP reads its header into its packet record, and TCP
+   reads the segment in the frame and finds its connection with no
+   tuple key. Host [b] runs the stack; its peer is a bare machine
+   whose frames the test writes by hand. *)
+
+(* A TCP segment's frame as this stack's wire format lays it out: the
+   ethertype (2 bytes), the IP header (proto, ttl, length, src, dst:
+   12 bytes), the TCP header (sport, dport, seq, ack, flags, pad,
+   data length: 16 bytes), then the data. *)
+let tcp_frame ~src ~dst ~sport ~dport ~seq ~ack ~flags data =
+  let dlen = Bytes.length data in
+  let f = Bytes.make (2 + 12 + Tcp.header_bytes + dlen) '\000' in
+  Bytes.set_uint16_le f 0 0x0800;
+  Bytes.set_uint8 f 2 Ip.proto_tcp;
+  Bytes.set_uint8 f 3 64;
+  Bytes.set_uint16_le f 4 (Tcp.header_bytes + dlen);
+  Bytes.set_int32_le f 6 (Int32.of_int src);
+  Bytes.set_int32_le f 10 (Int32.of_int dst);
+  Bytes.set_uint16_le f 14 sport;
+  Bytes.set_uint16_le f 16 dport;
+  Bytes.set_int32_le f 18 (Int32.of_int seq);
+  Bytes.set_int32_le f 22 (Int32.of_int ack);
+  Bytes.set_uint8 f 26 flags;
+  Bytes.set_uint16_le f 28 dlen;
+  Bytes.blit data 0 f 30 dlen;
+  Pkt.of_frame f
+
+(* IP's per-packet record ({src; dst; proto; ttl; payload}), which
+   [Ip.input] builds for every frame it delivers. *)
+let ip_packet_words = 6.
+
+(* [b] with an established connection from port 40000 of its peer to
+   its port 80, the peer's next sequence number 1; [on_receive] gets
+   the connection's data. *)
+let tcp_receiver on_receive =
+  let sim = Sim.create (Clock.create Cost.alpha_133) in
+  let a_addr = Ip.addr_of_quad 10 0 0 1 and b_addr = Ip.addr_of_quad 10 0 0 2 in
+  let a = Machine.create_on sim ~mem_mb:4 ~name:"a" () in
+  let b = Host.create sim ~name:"b" ~addr:b_addr in
+  let _, nic_b = Machine.connect a b.Host.machine ~kind:Nic.T3 () in
+  let nif = Netif.create b.Host.machine b.Host.sched b.Host.dispatcher nic_b ~name:"T3" in
+  Ip.add_interface b.Host.ip nif ~addr:b_addr;
+  Ip.add_route b.Host.ip ~dst:a_addr nif;
+  let conn = ref None in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun c ->
+    conn := Some c;
+    Tcp.on_receive c on_receive);
+  let segment ~seq ~ack ~flags data =
+    tcp_frame ~src:a_addr ~dst:b_addr ~sport:40000 ~dport:80 ~seq ~ack ~flags
+      data in
+  (* What Netif's rx service does with a frame, less its receive
+     overhead charge. *)
+  let arrive pkt = Dispatcher.raise_event (Netif.rx_event nif) pkt in
+  let syn = 1 and ack = 2 in
+  arrive (segment ~seq:0 ~ack:0 ~flags:syn Bytes.empty);
+  arrive (segment ~seq:1 ~ack:1 ~flags:ack Bytes.empty);
+  match !conn with
+  | None -> fail "handshake did not complete"
+  | Some c ->
+    check string "established" "ESTABLISHED"
+      (Tcp.state_to_string (Tcp.state c));
+    (sim, b, c, segment, arrive)
+
+let test_tcp_receive_words () =
+  let len = 1000 and n = 64 in
+  let marks = Array.make 2 0. and received = ref 0 in
+  let sim, _, _, segment, arrive =
+    tcp_receiver (fun data ->
+      marks.(1) <- Gc.minor_words ();
+      received := !received + Bytes.length data) in
+  let frames =
+    Array.init n (fun i ->
+      segment ~seq:(1 + (i * len)) ~ack:1 ~flags:2 (Bytes.make len 'd')) in
+  Array.iteri
+    (fun i pkt ->
+      (* Fire whatever the previous segment scheduled (an ACK on the
+         wire, a delayed ACK) outside the measurement. *)
+      Sim.run sim;
+      marks.(0) <- Gc.minor_words ();
+      arrive pkt;
+      (* The first segments warm the engine's pools. *)
+      if i >= 8 then
+        check (float 0.)
+          (Printf.sprintf "segment %d: the application copy and IP's record" i)
+          (bytes_words len +. ip_packet_words)
+          (marks.(1) -. marks.(0)))
+    frames;
+  check int "every byte delivered" (n * len) !received
+
+(* A pure ACK that acknowledges part of what is in flight re-arms the
+   retransmit timer: the timer's event handle (3 words) and the [Some]
+   that holds it (2). *)
+let rto_handle_words = 5.
+
+let test_tcp_ack_receive_words () =
+  let sim, b, c, segment, arrive = tcp_receiver (fun _ -> ()) in
+  let mss = 1024 and k = 40 in
+  Tcp.send b.Host.tcp c (Bytes.make (k * mss) 's');
+  (* Fire the link's deliveries, and leave the retransmit timer, the
+     one event due 200 ms out, pending. *)
+  let settle () = while Sim.pending sim > 1 do ignore (Sim.idle_step sim) done in
+  let acks =
+    Array.init k (fun i ->
+      segment ~seq:1 ~ack:(1 + ((i + 1) * mss)) ~flags:2 Bytes.empty) in
+  (* The window keeps 8 segments in flight: each ACK frees one, and
+     the window sends the next until none waits. The last ACKs before
+     the final one free a segment, send nothing and leave some in
+     flight. *)
+  for i = 0 to k - 9 do settle (); arrive acks.(i) done;
+  for i = k - 8 to k - 2 do
+    settle ();
+    let words = minor_words_over 1 (fun () -> arrive acks.(i)) in
+    check (float 0.)
+      (Printf.sprintf "ack %d: IP's record and the RTO handle" i)
+      (ip_packet_words +. rto_handle_words) words
+  done
+
 let test_clock_hook_raise_keeps_hooks () =
   let clock = Clock.create Cost.alpha_133 in
   let calls = ref 0 in
@@ -1367,6 +1492,11 @@ let () =
             test_file_cache_hit_words;
           Alcotest.test_case "ip send allocates the frame copy and link event"
             `Quick test_ip_send_words;
+          Alcotest.test_case
+            "tcp receive allocates the app copy and ip's record" `Quick
+            test_tcp_receive_words;
+          Alcotest.test_case "a pure ack adds only the rto handle" `Quick
+            test_tcp_ack_receive_words;
           Alcotest.test_case "raising clock hook keeps hooks running" `Quick
             test_clock_hook_raise_keeps_hooks;
           Alcotest.test_case "raising sim action does not wedge firing" `Quick

@@ -11,6 +11,7 @@ module Sim = Spin_machine.Sim
 module Nic = Spin_machine.Nic
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
+module Trace = Spin_machine.Trace
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -286,6 +287,109 @@ let test_tcp_teardown_states () =
         (Tcp.state_to_string (Tcp.state conn));
       check string "server side closed" "CLOSED"
         (Tcp.state_to_string (Tcp.state sconn)))
+
+(* TCP reads a segment in its frame, so it must check the frame first:
+   a payload shorter than the header, or one whose data-length field
+   runs past its end, is dropped before the TCP event is raised. A
+   well-formed reset for no connection is raised, and ignored (so no
+   host answers anything; the tracer counts both hosts' raises). *)
+let test_tcp_malformed_segments_dropped () =
+  let _, a, b = two_hosts () in
+  let tr = Dispatcher.tracer b.Host.dispatcher in
+  Trace.enable tr;
+  let segment ~len ~data =
+    let p = Bytes.make (Tcp.header_bytes + data) '\000' in
+    Bytes.set_uint16_le p 0 40000;
+    Bytes.set_uint16_le p 2 80;
+    Bytes.set_uint8 p 12 8;                (* RST *)
+    Bytes.set_uint16_le p 14 len;
+    p in
+  in_strand [ a; b ] a (fun () ->
+    List.iter
+      (fun payload ->
+        check bool "sent" true
+          (Ip.send a.Host.ip ~dst:addr_b ~proto:Ip.proto_tcp
+             (Pkt.of_payload payload)))
+      [ Bytes.create (Tcp.header_bytes - 1);
+        segment ~len:21 ~data:20;
+        segment ~len:20 ~data:20 ]);
+  let raises =
+    match Trace.summary tr ~key:"dispatcher.TCP.PacketArrived" with
+    | Some s -> s.Trace.count
+    | None -> 0 in
+  check int "only the well-formed segment raised the event" 1 raises;
+  let st = Tcp.stats b.Host.tcp in
+  check int "only it reached TCP" 1 st.Tcp.segments_received;
+  check int "and nothing answered it" 0 st.Tcp.segments_sent
+
+(* Every handler of the IP event sees one payload. TCP reads its
+   segment there and must leave it whole: a handler after TCP's (as
+   Forward's guard is) still finds the ports at offset 0 and the data
+   after the header. *)
+let test_tcp_leaves_ip_payload_whole () =
+  let _, a, b = two_hosts () in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (fun _ -> ()));
+  let seen = ref [] in
+  ignore
+    (Dispatcher.ok_exn ~site:"test"
+       (Dispatcher.install (Ip.packet_arrived b.Host.ip) ~installer:"probe"
+          ~spec:(Dispatcher.Handler_spec.guarded (fun p ->
+            p.Ip.proto = Ip.proto_tcp))
+          (fun p ->
+            let b = p.Ip.payload in
+            seen := (Pkt.get_u16_le b 2, Pkt.length b, Pkt.to_string b) :: !seen)));
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send a.Host.tcp conn (Bytes.of_string "hello");
+      Sched.sleep_us a.Host.sched 50_000.);
+  match
+    List.find_opt (fun (_, len, _) -> len = Tcp.header_bytes + 5) !seen
+  with
+  | None -> fail "the data segment never reached the probe"
+  | Some (dport, _, bytes) ->
+    check int "the ports still at offset 0" 80 dport;
+    check string "the data still after the header" "hello"
+      (String.sub bytes Tcp.header_bytes 5)
+
+(* The connection table is searched with one reused key, and each
+   connection keeps a key of its own. Many loopback connections share
+   the table's buckets, and the first one's receive callback sends on
+   the last, so that delivery's lookup runs inside the first's. Were a
+   stored key the reused one, it would match every lookup in its
+   bucket and misroute the data. *)
+let test_tcp_lookup_inside_receive () =
+  let _, a, b = two_hosts () in
+  let n = 24 in
+  let got = Array.make n "" in
+  let clients = Array.make n None in
+  let accepted = ref 0 in
+  let client i = Option.get clients.(i) in
+  Tcp.listen a.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    let i = !accepted in
+    incr accepted;
+    Tcp.on_receive conn (fun data ->
+      got.(i) <- got.(i) ^ Bytes.to_string data;
+      if i = 0 && got.(0) = "0" then
+        Tcp.send a.Host.tcp (client (n - 1)) (Bytes.of_string "nested+")));
+  in_strand [ a; b ] a (fun () ->
+    for i = 0 to n - 1 do
+      match Tcp.connect a.Host.tcp ~dst:addr_a ~dst_port:80 with
+      | Some c -> clients.(i) <- Some c
+      | None -> fail "loopback connect failed"
+    done;
+    for i = 0 to n - 1 do
+      Tcp.send a.Host.tcp (client i) (Bytes.of_string (string_of_int i))
+    done;
+    Sched.sleep_us a.Host.sched 50_000.);
+  check int "every connection accepted" n !accepted;
+  Array.iteri
+    (fun i s ->
+      let want = if i = n - 1 then "nested+" ^ string_of_int i else string_of_int i in
+      check string (Printf.sprintf "connection %d's data" i) want s)
+    got
 
 let test_tcp_retransmission_on_loss () =
   (* Unplug the wire briefly by sending into a dead link: simulate
@@ -586,6 +690,12 @@ let () =
           test_case "large transfer" `Quick test_tcp_large_transfer_segments;
           test_case "teardown states" `Quick test_tcp_teardown_states;
           test_case "no spurious retransmits" `Quick test_tcp_retransmission_on_loss;
+          test_case "malformed segments dropped before the raise" `Quick
+            test_tcp_malformed_segments_dropped;
+          test_case "the IP payload stays whole" `Quick
+            test_tcp_leaves_ip_payload_whole;
+          test_case "a lookup inside a receive callback" `Quick
+            test_tcp_lookup_inside_receive;
         ] );
       ( "am_rpc",
         [

@@ -229,7 +229,7 @@ let prop_dispatcher_guard_semantics =
       let clock = Clock.create Cost.alpha_133 in
       let d = Dispatcher.create clock in
       let e = Dispatcher.declare d ~name:"P.E" ~owner:"P"
-          ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
+          (fun (_ : int) -> ()) in
       let fired = ref [] in
       List.iteri
         (fun i (m, r) ->
@@ -252,7 +252,7 @@ let prop_dispatcher_uninstall_complete =
       let clock = Clock.create Cost.alpha_133 in
       let d = Dispatcher.create clock in
       let e = Dispatcher.declare d ~name:"P.U" ~owner:"P"
-          ~combine:(fun _ -> ()) (fun () -> ()) in
+          (fun () -> ()) in
       let fired = ref [] in
       let handlers =
         List.mapi

@@ -230,7 +230,7 @@ let test_async_dispatcher_handlers_run_on_strands () =
   let _, d, s = kernel () in
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
-      ~combine:(fun _ -> ()) (fun _ -> ()) in
+      (fun _ -> ()) in
   ignore (must @@ Dispatcher.install e ~installer:"bg"
             ~spec:{ Dispatcher.Handler_spec.default with async = true }
             (fun _ -> ran := true));

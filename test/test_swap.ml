@@ -24,7 +24,7 @@ let fixture () =
   let k = Kernel.boot ~mem_mb:8 () in
   let tick =
     Dispatcher.declare k.Kernel.dispatcher ~name:"Work.Tick" ~owner:"Work"
-      ~combine:(fun _ -> ()) (fun () -> ()) in
+      (fun () -> ()) in
   (k, tick)
 
 (* One generation of the "Counter" extension: counts Work.Tick raises,

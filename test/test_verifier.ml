@@ -24,7 +24,8 @@ let layout : ev Ebc.layout =
   Ebc.layout ~name:"Test.Ev"
     ~fields:[ ("a", Ty.Int); ("b", Ty.Int) ]
     ~read:(fun e slot -> if slot = 0 then e.a else e.b)
-    ~payload:(fun _ -> (Bytes.of_string "spin!", 0, 5))
+    ~payload:{ Ebc.p_buf = (fun _ -> Bytes.of_string "spin!");
+               p_off = (fun _ -> 0); p_len = (fun _ -> 5) }
     ()
 
 (* No payload, and slot 1 has a type no register can hold. *)
@@ -121,7 +122,6 @@ let fixture () =
 
 let declare ?(name = "Test.Ev") d =
   Dispatcher.declare d ~name ~owner:"test" ~layout
-    ~combine:(fun _ -> ())
     ~allow_remove_primary:(fun ~requester:_ -> true)
     (fun (_ : ev) -> ())
 
@@ -155,7 +155,6 @@ let test_install_without_layout () =
   let _, d = fixture () in
   let e =
     Dispatcher.declare d ~name:"Test.NoLayout" ~owner:"test"
-      ~combine:(fun _ -> ())
       (fun (_ : ev) -> ()) in
   match
     Dispatcher.install e ~installer:"ext"
