@@ -270,9 +270,9 @@ let gc_pause () =
       let h = Kheap.create clock () in
       Kheap.set_auto h false;
       let roots =
-        List.init live_objects (fun i ->
+        List.init live_objects (fun _ ->
           let a = Kheap.alloc h ~owner:"app" ~words:32 in
-          Kheap.add_root h ~name:(string_of_int i) (Kheap.Ptr a)) in
+          Kheap.add_root h (Kheap.Ptr a)) in
       ignore roots;
       for _ = 1 to 500 do ignore (Kheap.alloc h ~owner:"garbage" ~words:32) done;
       let pause =

@@ -102,7 +102,7 @@ let gc_impact () =
   let heap = k.Kernel.heap in
   (* A live working set survives each collection (and is copied). *)
   let live = Kheap.alloc heap ~owner:"tcp" ~words:512 in
-  let _root = Kheap.add_root heap ~name:"tcp-state" (Kheap.Ptr live) in
+  let _root = Kheap.add_root heap (Kheap.Ptr live) in
   for _ = 1 to 3000 do
     ignore (Kheap.alloc heap ~owner:"rogue-ext" ~words:16)
   done;

@@ -177,26 +177,37 @@ let table5 () =
     Printf.printf "%-22s %-12s %10.1f %10.1f\n" metric (sys_name sys)
       paper measured;
     Report.metric ~unit_
-      ~name:(Printf.sprintf "%s %s%s" metric (sys_name sys) qual) measured in
-  row "Ethernet latency" Osf_sys 789. (udp_latency Osf_sys Nic.Lance);
-  row "Ethernet latency" Spin_sys 565. (udp_latency Spin_sys Nic.Lance);
-  row "ATM latency" Osf_sys 631. (udp_latency Osf_sys Nic.Fore_atm);
-  row "ATM latency" Spin_sys 421. (udp_latency Spin_sys Nic.Fore_atm);
-  row ~unit_:"Mb/s" "Ethernet bandwidth" Osf_sys 8.9
-    (udp_bandwidth Osf_sys Nic.Lance ~payload_bytes:1400 ~bursts:12);
-  row ~unit_:"Mb/s" "Ethernet bandwidth" Spin_sys 8.9
-    (udp_bandwidth Spin_sys Nic.Lance ~payload_bytes:1400 ~bursts:12);
-  row ~unit_:"Mb/s" "ATM bandwidth" Osf_sys 27.9
-    (udp_bandwidth Osf_sys Nic.Fore_atm ~payload_bytes:8078 ~bursts:12);
-  row ~unit_:"Mb/s" "ATM bandwidth" Spin_sys 33.
-    (udp_bandwidth Spin_sys Nic.Fore_atm ~payload_bytes:8078 ~bursts:12);
+      ~name:(Printf.sprintf "%s %s%s" metric (sys_name sys) qual) measured;
+    measured in
+  (* The paper's claim for both links: SPIN's round trip is shorter. *)
+  let latency link kind ~osf_paper ~spin_paper =
+    let osf = row link Osf_sys osf_paper (udp_latency Osf_sys kind) in
+    let spin = row link Spin_sys spin_paper (udp_latency Spin_sys kind) in
+    Report.require ~name:(link ^ ": SPIN below OSF/1") (spin < osf) in
+  latency "Ethernet latency" Nic.Lance ~osf_paper:789. ~spin_paper:565.;
+  latency "ATM latency" Nic.Fore_atm ~osf_paper:631. ~spin_paper:421.;
+  ignore
+    (row ~unit_:"Mb/s" "Ethernet bandwidth" Osf_sys 8.9
+       (udp_bandwidth Osf_sys Nic.Lance ~payload_bytes:1400 ~bursts:12));
+  ignore
+    (row ~unit_:"Mb/s" "Ethernet bandwidth" Spin_sys 8.9
+       (udp_bandwidth Spin_sys Nic.Lance ~payload_bytes:1400 ~bursts:12));
+  let atm_osf =
+    row ~unit_:"Mb/s" "ATM bandwidth" Osf_sys 27.9
+      (udp_bandwidth Osf_sys Nic.Fore_atm ~payload_bytes:8078 ~bursts:12) in
+  let atm_spin =
+    row ~unit_:"Mb/s" "ATM bandwidth" Spin_sys 33.
+      (udp_bandwidth Spin_sys Nic.Fore_atm ~payload_bytes:8078 ~bursts:12) in
+  Report.require ~name:"ATM bandwidth: SPIN above OSF/1" (atm_spin > atm_osf);
   (* The paper's footnote: with drivers optimized for latency, SPIN
      reaches 337 us on Ethernet and 241 us on ATM. *)
   Printf.printf "  (optimized drivers, SPIN only:)\n";
-  row ~qual:" optimized" "Ethernet latency" Spin_sys 337.
-    (udp_latency ~optimized:true Spin_sys Nic.Lance);
-  row ~qual:" optimized" "ATM latency" Spin_sys 241.
-    (udp_latency ~optimized:true Spin_sys Nic.Fore_atm)
+  ignore
+    (row ~qual:" optimized" "Ethernet latency" Spin_sys 337.
+       (udp_latency ~optimized:true Spin_sys Nic.Lance));
+  ignore
+    (row ~qual:" optimized" "ATM latency" Spin_sys 241.
+       (udp_latency ~optimized:true Spin_sys Nic.Fore_atm))
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: protocol forwarding                                       *)
@@ -311,15 +322,22 @@ let table6 () =
   Printf.printf "%-26s %-12s %10s %10s\n" "path" "system" "paper" "measured";
   let row path sys paper v =
     Printf.printf "%-26s %-12s %10.0f %10.0f\n" path (sys_name sys) paper v;
-    Report.metric ~name:(path ^ " " ^ sys_name sys) v in
-  row "TCP over Ethernet" Osf_sys 2080. (forward_tcp_latency Osf_sys Nic.Lance);
-  row "TCP over Ethernet" Spin_sys 1420. (forward_tcp_latency Spin_sys Nic.Lance);
-  row "TCP over ATM" Osf_sys 1730. (forward_tcp_latency Osf_sys Nic.Fore_atm);
-  row "TCP over ATM" Spin_sys 1067. (forward_tcp_latency Spin_sys Nic.Fore_atm);
-  row "UDP over Ethernet" Osf_sys 1607. (forward_udp_latency Osf_sys Nic.Lance);
-  row "UDP over Ethernet" Spin_sys 1344. (forward_udp_latency Spin_sys Nic.Lance);
-  row "UDP over ATM" Osf_sys 1389. (forward_udp_latency Osf_sys Nic.Fore_atm);
-  row "UDP over ATM" Spin_sys 1024. (forward_udp_latency Spin_sys Nic.Fore_atm)
+    Report.metric ~name:(path ^ " " ^ sys_name sys) v;
+    v in
+  (* The paper's claim on every path: forwarding in the kernel beats
+     the user-level splice. *)
+  let path name run kind ~osf_paper ~spin_paper =
+    let osf = row name Osf_sys osf_paper (run Osf_sys kind) in
+    let spin = row name Spin_sys spin_paper (run Spin_sys kind) in
+    Report.require ~name:(name ^ ": SPIN below OSF/1") (spin < osf) in
+  path "TCP over Ethernet" forward_tcp_latency Nic.Lance
+    ~osf_paper:2080. ~spin_paper:1420.;
+  path "TCP over ATM" forward_tcp_latency Nic.Fore_atm
+    ~osf_paper:1730. ~spin_paper:1067.;
+  path "UDP over Ethernet" forward_udp_latency Nic.Lance
+    ~osf_paper:1607. ~spin_paper:1344.;
+  path "UDP over ATM" forward_udp_latency Nic.Fore_atm
+    ~osf_paper:1389. ~spin_paper:1024.
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: the protocol graph                                       *)

@@ -101,6 +101,20 @@ let osf_utilization ~clients =
   let s = build () in
   osf_stream_second s ~clients
 
+(* The least-squares line through the points: its slope and R². *)
+let fit points =
+  let n = float_of_int (List.length points) in
+  let mean f = List.fold_left (fun a p -> a +. f p) 0. points /. n in
+  let mx = mean fst and my = mean snd in
+  let sxy = mean (fun (x, y) -> (x -. mx) *. (y -. my))
+  and sxx = mean (fun (x, _) -> (x -. mx) ** 2.)
+  and syy = mean (fun (_, y) -> (y -. my) ** 2.) in
+  (sxy /. sxx, sxy *. sxy /. (sxx *. syy))
+
+(* How close to a straight line each curve must be: the paper's
+   utilization grows linearly with the number of streams. *)
+let linear_r2 = 0.99
+
 let figure6 () =
   Report.header
     "Figure 6: video server CPU utilization vs client streams (T3, DMA)";
@@ -118,6 +132,18 @@ let figure6 () =
       row n "SPIN" spin;
       row n "DEC OSF/1" osf)
     results;
+  let spin_slope, spin_r2 =
+    fit (List.map (fun (n, s, _) -> (float_of_int n, s)) results)
+  and osf_slope, osf_r2 =
+    fit (List.map (fun (n, _, o) -> (float_of_int n, o)) results) in
+  Printf.printf
+    "least-squares slope (points/client): SPIN %.3f (R² %.4f), \
+     OSF/1 %.3f (R² %.4f)\n"
+    spin_slope spin_r2 osf_slope osf_r2;
+  Report.require ~name:"SPIN's utilization slope below OSF/1's"
+    (spin_slope < osf_slope);
+  Report.require ~name:"SPIN's utilization is linear" (spin_r2 >= linear_r2);
+  Report.require ~name:"OSF/1's utilization is linear" (osf_r2 >= linear_r2);
   (* ASCII rendering of the figure. *)
   print_endline "\n  util%  (s = SPIN, o = DEC OSF/1)";
   let max_util =

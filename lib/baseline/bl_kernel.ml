@@ -11,7 +11,6 @@ module Kthread = Spin_sched.Kthread
 type t = {
   os : Os_costs.t;
   machine : Machine.t;
-  dispatcher : Dispatcher.t;
   sched : Sched.t;
   (* Two translation contexts stand in for two processes (client and
      server of the cross-address-space call). *)
@@ -19,29 +18,21 @@ type t = {
   ctx_b : Mmu.context;
   (* The VM benchmark arena. *)
   mutable arena : Mmu.context option;
-  mutable arena_pages : int;
 }
 
-let create ?(mem_mb = 16) os ~name =
-  let machine = Machine.create ~mem_mb ~name () in
+let create os ~name =
+  let machine = Machine.create ~mem_mb:16 ~name () in
   let dispatcher = Dispatcher.create machine.Machine.clock in
   let sched = Sched.create machine.Machine.sim dispatcher in
   let ctx_a = Mmu.create_context machine.Machine.mmu in
   let ctx_b = Mmu.create_context machine.Machine.mmu in
-  { os; machine; dispatcher; sched; ctx_a; ctx_b;
-    arena = None; arena_pages = 0 }
+  { os; machine; sched; ctx_a; ctx_b; arena = None }
 
 let machine t = t.machine
-
-let sched t = t.sched
-
-let costs t = t.os
 
 let clock t = t.machine.Machine.clock
 
 let charge t c = Clock.charge (clock t) c
-
-let elapsed_us t = Clock.now_us (clock t)
 
 let stamp_us t f =
   Cost.cycles_to_us t.machine.Machine.cost (Clock.stamp (clock t) f)
@@ -147,7 +138,6 @@ let vm_setup t ~pages =
     Mmu.map mmu ctx ~vpn:i ~pfn:(i + 8) ~prot:Addr.prot_read_write
   done;
   t.arena <- Some ctx;
-  t.arena_pages <- pages;
   Cpu.set_context t.machine.Machine.cpu (Some ctx)
 
 let vm_protect t ~first ~count ~writable =

@@ -11,15 +11,9 @@
 
 type t
 
-val create : ?mem_mb:int -> Os_costs.t -> name:string -> t
+val create : Os_costs.t -> name:string -> t
 
 val machine : t -> Spin_machine.Machine.t
-
-val sched : t -> Spin_sched.Sched.t
-
-val costs : t -> Os_costs.t
-
-val elapsed_us : t -> float
 
 val stamp_us : t -> (unit -> unit) -> float
 (** Virtual microseconds consumed by the thunk. *)

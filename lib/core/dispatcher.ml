@@ -30,11 +30,10 @@ type failure_policy =
 
 type fault_kind =
   | Handler_exception of exn
-  | Handler_overrun of { bound : int; spent : int }
+  | Handler_overrun
 
 type fault = {
   fault_event : string;
-  fault_owner : string;
   fault_installer : string;
   fault_policy : failure_policy;
   fault_kind : fault_kind;
@@ -54,29 +53,22 @@ module Handler_spec = struct
     index_key : int option;
     on_failure : failure_policy;
     verified : Ebc.program option;
-    caps : Ebc.cap_slot array;
   }
 
   let default =
     { guard = None; bound_cycles = None; async = false; index_key = None;
-      on_failure = Uninstall; verified = None; caps = [||] }
+      on_failure = Uninstall; verified = None }
 
   let guarded g = { default with guard = Some g }
   let indexed key = { default with index_key = Some key }
-  let verified ?(caps = [||]) prog =
-    { default with verified = Some prog; caps }
+  let verified prog = { default with verified = Some prog }
 
   (* Type-erased per-handler view, exported through the registry so
-     supervisors and swaps can enumerate what is installed without
-     knowing event types. *)
+     the topology, audits and tests can enumerate what is installed
+     without knowing event types. *)
   type info = {
-    i_event : string;
     i_installer : string;
-    i_handler_id : int;
-    i_policy : failure_policy;
-    i_indexed : bool;
     i_trusted : bool;
-    i_async : bool;
     i_bound : int option;
     i_guards : int;
     i_active : bool;
@@ -154,8 +146,6 @@ type ('a, 'r) handler = {
 
 and ('a, 'r) event = {
   e_name : string;
-  e_owner : string;
-  e_ty : Ty.t option;
   e_layout : 'a Ebc.layout option;
   disp : t;
   combine : 'r -> 'r -> 'r;
@@ -293,7 +283,7 @@ let link e h =
     replan e
   end
 
-let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
+let declare t ~name ~owner ?layout ?combine ?auth ?index
     ?allow_remove_primary default =
   let combine = match combine with Some f -> f | None -> keep_last in
   let auth = match auth with Some f -> f | None -> fun ~installer:_ -> allow in
@@ -302,7 +292,7 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     | Some f -> f
     | None -> fun ~requester:_ -> false in
   let rec e =
-    { e_name = name; e_owner = owner; e_ty = ty; e_layout = layout;
+    { e_name = name; e_layout = layout;
       disp = t; combine; auth;
       index; indexed = Hashtbl.create 8;
       allow_remove; primary_active = true; extra = [];
@@ -320,10 +310,8 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
      hot-swap gating, supervisor sweeps, and audits agree on what is
      installed (linear and indexed alike). *)
   let spec_info h =
-    { Handler_spec.i_event = name; i_installer = h.installer;
-      i_handler_id = h.h_id; i_policy = h.policy;
-      i_indexed = Option.is_some h.h_slot;
-      i_trusted = h.trusted <> None; i_async = h.async; i_bound = h.bound;
+    { Handler_spec.i_installer = h.installer;
+      i_trusted = h.trusted <> None; i_bound = h.bound;
       i_guards = List.length h.guards; i_active = h.active } in
   let reg_specs () =
     List.map spec_info e.extra
@@ -400,7 +388,6 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     :: t.registry;
   e
 
-
 type install_error =
   | Denied
   | No_index
@@ -443,7 +430,7 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
                match s.Handler_spec.bound_cycles with
                | Some b -> max 1 (b / Ebc.step_cycles)
                | None -> Ebc.default_budget in
-             (match Ebc.verify ~layout:lay ~caps:s.Handler_spec.caps ~budget
+             (match Ebc.verify ~layout:lay ~budget
                       prog with
               | Ok v ->
                 (* The install-time price of zero per-event checks. *)
@@ -544,9 +531,8 @@ let report_fault e h kind ~removed =
   match e.disp.on_fault with
   | None -> ()
   | Some f ->
-    f { fault_event = e.e_name; fault_owner = e.e_owner;
-        fault_installer = h.installer; fault_policy = h.policy;
-        fault_kind = kind; fault_handler_id = h.h_id;
+    f { fault_event = e.e_name; fault_installer = h.installer;
+        fault_policy = h.policy; fault_kind = kind; fault_handler_id = h.h_id;
         fault_removed = removed; fault_reinstall = (fun () -> link e h) }
 
 (* A failing extension handler is isolated: the exception is caught,
@@ -588,7 +574,7 @@ let overran e h ~bound ~before ~faulted =
   && begin
     e.s_aborted <- e.s_aborted + 1;
     if h != e.default_handler && not faulted then
-      report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
+      report_fault e h Handler_overrun ~removed:false;
     true
   end
 
@@ -847,14 +833,3 @@ let installed_specs t ~installer =
     (fun (i : Handler_spec.info) ->
       String.equal i.Handler_spec.i_installer installer)
     (handler_specs t)
-
-let gauges t =
-  [ ("dispatch.trusted_handlers",
-     fun () ->
-       List.length
-         (List.filter
-            (fun (i : Handler_spec.info) ->
-              i.Handler_spec.i_trusted && i.Handler_spec.i_active)
-            (handler_specs t)));
-    ("dispatch.trusted_fast", fun () -> trusted_total t);
-    ("dispatch.verifier_rejections", fun () -> verifier_rejections t) ]

@@ -89,11 +89,10 @@ type failure_policy =
 
 type fault_kind =
   | Handler_exception of exn
-  | Handler_overrun of { bound : int; spent : int }
+  | Handler_overrun
 
 type fault = {
   fault_event : string;        (** event the handler was installed on *)
-  fault_owner : string;        (** the event's primary module *)
   fault_installer : string;    (** the faulting handler's installer *)
   fault_policy : failure_policy;
   fault_kind : fault_kind;
@@ -128,8 +127,6 @@ module Handler_spec : sig
         (** bytecode predicate, verified at install; on success and
             with no [guard]/authorizer constraints the handler takes
             the trusted-fast path *)
-    caps : Ebc.cap_slot array;
-        (** capability slots the program may name *)
   }
 
   val default : 'a t
@@ -137,19 +134,15 @@ module Handler_spec : sig
 
   val guarded : ('a -> bool) -> 'a t
   val indexed : int -> 'a t
-  val verified : ?caps:Ebc.cap_slot array -> Ebc.program -> 'a t
+  val verified : Ebc.program -> 'a t
 
   (** Type-erased per-handler view, enumerable through the dispatcher
-      ({!installed_specs}) so supervisors and swaps see every installed
-      handler — linear and indexed — without knowing event types. *)
+      ({!installed_specs}) so the topology, audits and tests see every
+      installed handler — linear and indexed — without knowing event
+      types. *)
   type info = {
-    i_event : string;
     i_installer : string;
-    i_handler_id : int;
-    i_policy : failure_policy;
-    i_indexed : bool;
     i_trusted : bool;
-    i_async : bool;
     i_bound : int option;
     i_guards : int;
     i_active : bool;
@@ -201,7 +194,6 @@ val declare :
   t ->
   name:string ->
   owner:string ->
-  ?ty:Ty.t ->
   ?layout:'a Ebc.layout ->
   ?combine:('r -> 'r -> 'r) ->
   ?auth:(installer:string -> 'a decision) ->
@@ -342,13 +334,6 @@ val installed_specs : t -> installer:string -> Handler_spec.info list
 (** Every installed extension handler of one installer (a domain):
     linear and indexed, active and quarantined, across every event in
     declaration order. *)
-
-val gauges : t -> (string * (unit -> int)) list
-(** The trusted path's health: [dispatch.trusted_handlers] (active
-    handlers dispatching with zero per-event checks),
-    [.trusted_fast] ({!trusted_total}) and [.verifier_rejections]. A
-    nonzero rejection gauge during a fuzz campaign means some
-    extension is feeding the verifier garbage. *)
 
 val topology : t -> (string * string * string list) list
 (** [(event, owner, handler installers)] for every declared event, in

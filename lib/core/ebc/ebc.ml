@@ -51,13 +51,12 @@ let layout ~name ?(fields = []) ?read ?payload () =
     l_payload = payload }
 
 type cap_slot = {
-  cs_name : string;
   cs_ty : Ty.t;
   cs_read : unit -> int;
 }
 
-let cap_slot ~name ~ty cap =
-  { cs_name = name; cs_ty = ty;
+let cap_slot ~ty cap =
+  { cs_ty = ty;
     cs_read = (fun () -> if Capability.is_valid cap then Capability.id cap else -1) }
 
 type rty = Rint | Rbool | Rtext | Rcap of Ty.t
@@ -120,13 +119,7 @@ let error_to_string = function
   | Missing_ret -> "control can fall off the end without Ret"
   | No_layout ev -> Printf.sprintf "event %s published no layout" ev
 
-type cert = {
-  c_steps : int;
-  c_loops : int;
-  c_field_loads : int;
-  c_payload_loads : int;
-  c_cap_loads : int;
-}
+type cert = { c_steps : int }
 
 type 'a verified = {
   v_layout : 'a layout;
@@ -177,8 +170,6 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
   let nfields = Array.length layout.l_fields in
   let has_payload = layout.l_payload <> None in
   let ncaps = Array.length caps in
-  let loops = ref 0 and field_loads = ref 0 and payload_loads = ref 0
-  and cap_loads = ref 0 in
   let check_reg pc r =
     if r < 0 || r >= nregs then raise (Reject (Bad_register { pc; reg = r })) in
   let read st pc r =
@@ -228,7 +219,6 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
               if states.(b - pc0) <> None then
                 raise (Reject (Jump_out_of_block { pc; target = b }))
             done;
-            incr loops;
             (* Iterate the body's entry state to a fixpoint: the state
                reaching iteration k+1 is the merge of the entry with
                iteration k's exit. The lattice only moves registers
@@ -259,16 +249,13 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
                let rt =
                  match fty with
                  | Ty.Int -> Rint
-                 | Ty.Bool -> Rbool
                  | Ty.Text -> Rtext
                  | ty -> raise (Reject (Ill_typed_field { pc; slot; ty })) in
-               incr field_loads;
                set (pc + 1) (write st pc r rt)
              | Ldb (r, off) | Ldw (r, off) ->
                if not has_payload then raise (Reject (No_payload { pc }));
                if off < 0 || off >= max_offset then
                  raise (Reject (Payload_out_of_range { pc; off }));
-               incr payload_loads;
                set (pc + 1) (write st pc r Rint)
              | Len r ->
                if not has_payload then raise (Reject (No_payload { pc }));
@@ -276,7 +263,6 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
              | Ldc (r, slot) ->
                if slot < 0 || slot >= ncaps then
                  raise (Reject (Cap_out_of_range { pc; slot; caps = ncaps }));
-               incr cap_loads;
                set (pc + 1) (write st pc r (Rcap caps.(slot).cs_ty))
              | Mov (d, s) ->
                let t = read st pc s in
@@ -336,10 +322,7 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
     if fall <> None then raise (Reject Missing_ret);
     if steps > budget then raise (Reject (Over_budget { steps; budget }));
     Ok { v_layout = layout; v_caps = caps; v_code = Array.copy code;
-         v_cert = { c_steps = steps; c_loops = !loops;
-                    c_field_loads = !field_loads;
-                    c_payload_loads = !payload_loads;
-                    c_cap_loads = !cap_loads } }
+         v_cert = { c_steps = steps } }
   with Reject e -> Error e
 
 let certificate v = v.v_cert
@@ -439,7 +422,7 @@ let compile { v_layout = layout; v_caps = caps; v_code = code; _ } =
 
 (* Checked reference interpreter with a step counter: the oracle the
    certificate is tested against. *)
-let run_counted ~layout ?(caps = [||]) code arg =
+let run_counted ~layout code arg =
   let buf, base, len =
     match layout.l_payload with
     | Some p -> (p.p_buf arg, p.p_off arg, p.p_len arg)
@@ -466,7 +449,7 @@ let run_counted ~layout ?(caps = [||]) code arg =
            else 0);
         go (pc + 1) stop
       | Len r -> regs.(r) <- len; go (pc + 1) stop
-      | Ldc (r, slot) -> regs.(r) <- caps.(slot).cs_read (); go (pc + 1) stop
+      | Ldc _ -> invalid_arg "Ebc.run_counted: no capability slots"
       | Mov (d, s) -> regs.(d) <- regs.(s); go (pc + 1) stop
       | Add (d, a, b) -> regs.(d) <- regs.(a) + regs.(b); go (pc + 1) stop
       | Sub (d, a, b) -> regs.(d) <- regs.(a) - regs.(b); go (pc + 1) stop

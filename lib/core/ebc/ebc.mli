@@ -74,12 +74,11 @@ val layout :
   unit -> 'a layout
 
 type cap_slot = {
-  cs_name : string;
   cs_ty : Ty.t;
   cs_read : unit -> int;        (** current id, or -1 once revoked *)
 }
 
-val cap_slot : name:string -> ty:Ty.t -> 'a Capability.t -> cap_slot
+val cap_slot : ty:Ty.t -> 'a Capability.t -> cap_slot
 (** A slot over a live capability: loads the capability's id while it
     is valid, -1 after revocation or an epoch advance. *)
 
@@ -113,13 +112,7 @@ type error =
 
 val error_to_string : error -> string
 
-type cert = {
-  c_steps : int;          (** static bound on instructions executed *)
-  c_loops : int;
-  c_field_loads : int;
-  c_payload_loads : int;
-  c_cap_loads : int;
-}
+type cert = { c_steps : int (** static bound on instructions executed *) }
 
 val default_budget : int
 (** Step budget when the installer declares no bound (4096). *)
@@ -152,11 +145,12 @@ val compile : 'a verified -> ('a -> bool)
     assumed.) *)
 
 val run_counted :
-  layout:'a layout -> ?caps:cap_slot array -> program -> 'a -> bool * int
+  layout:'a layout -> program -> 'a -> bool * int
 (** Checked reference interpreter, returning the result and the number
     of instructions executed (each pass of a [Loop] body counts its
     instructions again) — the oracle the certificate is tested against
-    ([steps <= cert.c_steps] for every verified program). *)
+    ([steps <= cert.c_steps] for every verified program). It grants no
+    capability slots: an [Ldc] raises [Invalid_argument]. *)
 
 (** {2 Install-time cost} *)
 

@@ -4,15 +4,11 @@ type entry = {
 }
 
 type t = {
-  app : string;
   table : entry Spin_dstruct.Idtable.t;
   mutable epoch : int;
 }
 
-let create ~app =
-  { app; table = Spin_dstruct.Idtable.create (); epoch = 0 }
-
-let app t = t.app
+let create () = { table = Spin_dstruct.Idtable.create (); epoch = 0 }
 
 let epoch t = t.epoch
 

@@ -15,9 +15,7 @@
 type t
 (** One table per application. *)
 
-val create : app:string -> t
-
-val app : t -> string
+val create : unit -> t
 
 val externalize : t -> 'a Univ.tag -> 'a -> int
 (** Stores the reference, returning the external index to pass to

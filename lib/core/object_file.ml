@@ -57,7 +57,6 @@ module Builder = struct
 end
 
 let name t = t.name
-let safety t = t.safety
 let version t = t.version
 let exports t = t.exports
 let imports t = t.imports

@@ -44,7 +44,6 @@ module Builder : sig
 end
 
 val name : t -> string
-val safety : t -> safety
 
 val version : t -> int
 (** See {!Builder.set_version}. *)

@@ -7,5 +7,3 @@ let full_name s = s.intf ^ "." ^ s.name
 let same_name a b = String.equal (full_name a) (full_name b)
 
 let compatible ~expected ~found = Ty.equal expected.ty found.ty
-
-let to_string s = full_name s ^ " : " ^ Ty.to_string s.ty

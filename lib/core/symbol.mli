@@ -16,5 +16,3 @@ val same_name : t -> t -> bool
     checks types). *)
 
 val compatible : expected:t -> found:t -> bool
-
-val to_string : t -> string

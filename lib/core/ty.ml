@@ -1,41 +1,23 @@
 type t =
   | Unit
-  | Bool
   | Int
   | Text
-  | Bytes
   | Opaque of string
-  | Ref of t
-  | Array of t
   | Proc of t list * t
-  | Record of (string * t) list
 
 let rec equal a b =
   match a, b with
-  | Unit, Unit | Bool, Bool | Int, Int | Text, Text | Bytes, Bytes -> true
+  | Unit, Unit | Int, Int | Text, Text -> true
   | Opaque x, Opaque y -> String.equal x y
-  | Ref x, Ref y | Array x, Array y -> equal x y
   | Proc (xs, x), Proc (ys, y) ->
     List.length xs = List.length ys && List.for_all2 equal xs ys && equal x y
-  | Record xs, Record ys ->
-    List.length xs = List.length ys
-    && List.for_all2
-         (fun (nx, tx) (ny, ty) -> String.equal nx ny && equal tx ty)
-         xs ys
-  | (Unit | Bool | Int | Text | Bytes | Opaque _ | Ref _ | Array _
-    | Proc _ | Record _), _ -> false
+  | (Unit | Int | Text | Opaque _ | Proc _), _ -> false
 
 let rec to_string = function
   | Unit -> "unit"
-  | Bool -> "bool"
   | Int -> "int"
   | Text -> "text"
-  | Bytes -> "bytes"
   | Opaque n -> n
-  | Ref t -> "ref " ^ to_string t
-  | Array t -> to_string t ^ " array"
   | Proc (args, r) ->
     let args = match args with [] -> "unit" | _ -> String.concat " * " (List.map to_string args) in
     "(" ^ args ^ " -> " ^ to_string r ^ ")"
-  | Record fields ->
-    "{" ^ String.concat "; " (List.map (fun (n, t) -> n ^ " : " ^ to_string t) fields) ^ "}"

@@ -10,15 +10,10 @@
 
 type t =
   | Unit
-  | Bool
   | Int
   | Text
-  | Bytes
   | Opaque of string            (** a branded opaque type, e.g. "Console.T" *)
-  | Ref of t
-  | Array of t
   | Proc of t list * t          (** procedure: argument types and result *)
-  | Record of (string * t) list
 
 val equal : t -> t -> bool
 

@@ -69,12 +69,6 @@ let is_linked n = n.linked
 let first t = t.head
 let next n = n.next
 
-let iter f t =
-  let rec loop = function
-    | None -> ()
-    | Some n -> let next = n.next in f n.value; loop next in
-  loop t.head
-
 let fold f acc t =
   let rec loop acc = function
     | None -> acc

@@ -44,9 +44,6 @@ val first : 'a t -> 'a node option
 val next : 'a node -> 'a node option
 (** A walk that allocates nothing: both return options the list holds. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f] front to back. *)
-
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val exists : ('a -> bool) -> 'a t -> bool

@@ -38,6 +38,3 @@ let remove t i =
       t.live <- t.live - 1
 
 let length t = t.live
-
-let iter f t =
-  Array.iteri (fun i slot -> match slot with Some v -> f i v | None -> ()) t.slots

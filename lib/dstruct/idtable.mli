@@ -20,5 +20,3 @@ val remove : 'a t -> int -> unit
 
 val length : 'a t -> int
 (** Number of live entries. *)
-
-val iter : (int -> 'a -> unit) -> 'a t -> unit

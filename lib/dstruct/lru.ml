@@ -23,8 +23,6 @@ let create ?(on_evict = fun _ _ -> ()) ~capacity () =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
   { capacity; on_evict; table = Hashtbl.create 64; head = Nil; tail = Nil }
 
-let capacity t = t.capacity
-
 let length t = Hashtbl.length t.table
 
 let unlink t = function

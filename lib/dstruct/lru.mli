@@ -11,8 +11,6 @@ val create : ?on_evict:('k -> 'v -> unit) -> capacity:int -> unit -> ('k, 'v) t
     entries beyond [capacity]. Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
-val capacity : ('k, 'v) t -> int
-
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option

@@ -8,8 +8,6 @@ let create n =
   if n <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { slots = Array.make n None; head = 0; len = 0 }
 
-let capacity t = Array.length t.slots
-
 let length t = t.len
 
 let is_empty t = t.len = 0
@@ -34,8 +32,6 @@ let pop t =
     t.len <- t.len - 1;
     v
   end
-
-let peek t = if t.len = 0 then None else t.slots.(t.head)
 
 let iter f t =
   let cap = Array.length t.slots in

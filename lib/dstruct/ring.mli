@@ -10,8 +10,6 @@ val create : int -> 'a t
 (** [create n] is an empty ring holding at most [n] elements.
     Raises [Invalid_argument] if [n <= 0]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
@@ -21,8 +19,6 @@ val push : 'a t -> 'a -> bool
 
 val pop : 'a t -> 'a option
 (** [pop t] removes and returns the oldest element. *)
-
-val peek : 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] oldest-first. *)

@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
   let z = t.state in

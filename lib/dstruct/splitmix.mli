@@ -7,14 +7,8 @@ type t
 
 val create : seed:int -> t
 
-val copy : t -> t
-(** An independent generator that continues the same sequence. *)
-
-val next : t -> int64
-(** The next 64 raw bits. *)
-
 val below : t -> int -> int
 (** [below t n] is uniform in [0, n); returns 0 for [n <= 1]. *)
 
 val float : t -> float
-(** Uniform in [0, 1), from the top 53 bits of {!next}. *)
+(** Uniform in [0, 1), from the top 53 bits of the next draw. *)

@@ -23,12 +23,13 @@ type entry = {
   mutable valid : int;
 }
 
+(* The owner of this cache's page allocations. *)
+let owner = "BlockCache"
+
 type t = {
-  machine : Machine.t;
   sched : Sched.t;
   disk : Disk.t;
   phys : Phys_addr.t;
-  owner : string;
   cache : (int, entry) Lru.t;             (* block group -> page *)
   pending : (int, pending) Hashtbl.t;     (* block -> in-flight I/O + waiters *)
   mutable hits : int;
@@ -56,11 +57,10 @@ let forget t page =
     t.reclaims <- t.reclaims + 1
   | None -> ()
 
-let create ?(capacity_blocks = 2048) ?(owner = "BlockCache") ~phys
-    machine sched disk =
+let create ?(capacity_blocks = 2048) ~phys machine sched disk =
   let capacity_pages = max 1 (capacity_blocks / blocks_per_page) in
   let t = {
-    machine; sched; disk; phys; owner;
+    sched; disk; phys;
     cache =
       Lru.create
         ~on_evict:(fun _ e -> Phys_addr.deallocate phys e.page)
@@ -150,7 +150,7 @@ let cache_read t ~block ~group ~bit data =
     Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
     e.valid <- e.valid lor bit
   | Some _ | None ->
-    (match Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size with
+    (match Phys_addr.allocate t.phys ~owner ~bytes:Addr.page_size with
      | page ->
        Phys_addr.touch t.phys page;
        Phys_addr.fill t.phys page ~off:(slot_off block) data;

@@ -20,15 +20,13 @@ type t
 
 val create :
   ?capacity_blocks:int ->
-  ?owner:string ->
   phys:Spin_vm.Phys_addr.t ->
   Spin_machine.Machine.t -> Spin_sched.Sched.t -> Spin_machine.Disk_dev.t ->
   t
 (** Default capacity: 2048 blocks (1 MB of pages). Registers the
     disk's completion interrupt handler, a volunteer handler on the
     physical service's [Reclaim] event, and an invalidate callback.
-    [owner] names this cache's page allocations (default
-    ["BlockCache"]). *)
+    The cache's page allocations are owned by ["BlockCache"]. *)
 
 val read_into : t -> block:int -> Bytes.t -> pos:int -> unit
 (** [read_into t ~block buf ~pos] copies one block into [buf] at

@@ -10,9 +10,3 @@ let lookups t = t.hits + t.misses
 let hit_rate t =
   let n = lookups t in
   if n = 0 then 0. else float_of_int t.hits /. float_of_int n
-
-let gauges ~name sample =
-  [ (name ^ ".hits", fun () -> (sample ()).hits);
-    (name ^ ".misses", fun () -> (sample ()).misses);
-    (name ^ ".bytes_cached", fun () -> (sample ()).bytes_cached);
-    (name ^ ".reclaims", fun () -> (sample ()).reclaims) ]

@@ -1,10 +1,10 @@
 (** The one cache-statistics vocabulary.
 
     Every cache in the tree ({!Block_cache}, {!File_cache}) reports
-    through this record, so consumers — the {!gauges} lists, the
-    benchmarks — need only one shape. [reclaims] counts
-    entries lost to the physical address service's memory-pressure
-    reclamation, as opposed to ordinary capacity eviction. *)
+    through this record, so consumers — the benchmarks and tests —
+    need only one shape. [reclaims] counts entries lost to the
+    physical address service's memory-pressure reclamation, as opposed
+    to ordinary capacity eviction. *)
 
 type t = {
   hits : int;
@@ -15,8 +15,3 @@ type t = {
 
 val hit_rate : t -> float
 (** Hits per lookup in [0, 1]; [0.] before any lookup. *)
-
-val gauges : name:string -> (unit -> t) -> (string * (unit -> int)) list
-(** [name.hits], [.misses], [.bytes_cached] and [.reclaims] over any
-    cache's stats sampler, e.g.
-    [gauges ~name:"block_cache" (fun () -> Block_cache.stats c)]. *)

@@ -12,10 +12,12 @@ type entry = {
   size : int;
 }
 
+(* The owner of this cache's page allocations. *)
+let owner = "FileCache"
+
 type t = {
   fs : Simple_fs.t;
   phys : Phys_addr.t;
-  owner : string;
   capacity_bytes : int;
   cache : (string, entry) Lru.t;
   mutable bytes_held : int;
@@ -61,10 +63,10 @@ let forget t page =
 (* Files larger than this bypass the cache entirely. *)
 let large_threshold = 64 * 1024
 
-let create ?(capacity_bytes = 4 * 1024 * 1024) ?(owner = "FileCache") ~phys fs =
+let create ?(capacity_bytes = 4 * 1024 * 1024) ~phys fs =
   let rec t =
     lazy
-      { fs; phys; owner; capacity_bytes;
+      { fs; phys; capacity_bytes;
         cache =
           Lru.create
             ~on_evict:(fun _ e ->
@@ -110,7 +112,7 @@ let try_insert t ~name data =
   match
     for i = 0 to n - 1 do
       got.(i) <-
-        Some (Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size)
+        Some (Phys_addr.allocate t.phys ~owner ~bytes:Addr.page_size)
     done
   with
   | () ->

@@ -14,12 +14,12 @@
 type t
 
 val create :
-  ?capacity_bytes:int -> ?owner:string ->
+  ?capacity_bytes:int ->
   phys:Spin_vm.Phys_addr.t -> Simple_fs.t -> t
 (** Default capacity 4 MB; files over 64 KB bypass the cache.
     Registers a volunteer handler on the physical service's [Reclaim]
-    event and an invalidate callback. [owner] names this cache's allocations
-    (default ["FileCache"]). *)
+    event and an invalidate callback. The cache's allocations are owned
+    by ["FileCache"]. *)
 
 val fetch : t -> name:string -> Bytes.t option
 (** The file's contents, from cache when possible; [None] if the file

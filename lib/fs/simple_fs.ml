@@ -22,13 +22,6 @@ type error =
 
 exception Fs_error of error
 
-let error_to_string = function
-  | No_such_file -> "no such file"
-  | File_exists -> "file exists"
-  | No_space -> "no space on device"
-  | File_too_large -> "file too large"
-  | Name_too_long -> "name too long"
-
 type inode = {
   mutable size : int;
   direct : int array;                     (* block numbers; 0 = hole *)
@@ -37,11 +30,8 @@ type inode = {
 
 type t = {
   cache : Block_cache.t;
-  ninodes : int;
-  nblocks : int;
   ibitmap_block : int;
   dbitmap_start : int;
-  dbitmap_blocks : int;
   itable_start : int;
   data_start : int;
   ibitmap : Bitset.t;
@@ -374,10 +364,9 @@ let layout ~ninodes ~blocks =
   (ibitmap_block, dbitmap_start, dbitmap_blocks, itable_start, data_start)
 
 let make cache ~ninodes ~blocks ~ibitmap ~dbitmap =
-  let ibitmap_block, dbitmap_start, dbitmap_blocks, itable_start, data_start =
+  let ibitmap_block, dbitmap_start, _, itable_start, data_start =
     layout ~ninodes ~blocks in
-  { cache; ninodes; nblocks = blocks;
-    ibitmap_block; dbitmap_start; dbitmap_blocks; itable_start; data_start;
+  { cache; ibitmap_block; dbitmap_start; itable_start; data_start;
     ibitmap; dbitmap; scratch = Bytes.create bs;
     root_direct = Array.make ndirect 0 }
 
@@ -454,9 +443,9 @@ let read ?(cached = true) t ~name =
   let ino = read_inode t (lookup_exn t name) in
   read_inode_data t ~cached ino ~off:0 ~len:ino.size
 
-let read_range ?(cached = true) t ~name ~off ~len =
+let read_range t ~name ~off ~len =
   let ino = read_inode t (lookup_exn t name) in
-  read_inode_data t ~cached ino ~off ~len
+  read_inode_data t ino ~off ~len
 
 let size t ~name = inode_size_of t (lookup_exn t name)
 

@@ -31,8 +31,6 @@ type error =
 
 exception Fs_error of error
 
-val error_to_string : error -> string
-
 val format : Block_cache.t -> blocks:int -> unit -> t
 (** Writes a fresh file system covering [blocks] blocks of the disk,
     with 512 inodes, and mounts it. *)
@@ -54,7 +52,7 @@ val read : ?cached:bool -> t -> name:string -> Bytes.t
 (** Whole-file read; [cached:false] (default [true]) bypasses the
     buffer cache. *)
 
-val read_range : ?cached:bool -> t -> name:string -> off:int -> len:int -> Bytes.t
+val read_range : t -> name:string -> off:int -> len:int -> Bytes.t
 
 val size : t -> name:string -> int
 

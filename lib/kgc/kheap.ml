@@ -17,15 +17,10 @@ type page = {
   mutable objs : obj list;
 }
 
-type root = {
-  root_name : string;
-  mutable v : value;
-  mutable registered : bool;
-}
+type root = { mutable v : value }
 
 type gc_stats = {
   collections : int;
-  words_copied : int;
   pages_pinned : int;
   words_freed : int;
   pause_cycles : int;
@@ -42,7 +37,6 @@ type t = {
   mutable since_gc : int;
   mutable in_gc : bool;
   mutable s_collections : int;
-  mutable s_copied : int;
   mutable s_pinned : int;
   mutable s_freed : int;
   mutable s_pause : int;
@@ -64,7 +58,7 @@ let create clock () =
     pages = []; next_pid = 0;
     roots = []; ambiguous = [];
     auto = true; since_gc = 0; in_gc = false;
-    s_collections = 0; s_copied = 0; s_pinned = 0; s_freed = 0; s_pause = 0 }
+    s_collections = 0; s_pinned = 0; s_freed = 0; s_pause = 0 }
 
 let addr_of page offset = (page.pid * page_words) + offset
 
@@ -144,7 +138,6 @@ let collect_now t =
             let target = find_room t words in
             place t target o words;
             Hashtbl.replace forwarding old o.address;
-            t.s_copied <- t.s_copied + words;
             work := !work + (words * copy_per_word)
           end else begin
             Hashtbl.remove t.objects old;
@@ -196,18 +189,16 @@ let get_field t ~addr i = (obj_at t addr).fields.(i)
 
 let set_field t ~addr i v = (obj_at t addr).fields.(i) <- v
 
-
 let is_live t ~addr = Hashtbl.mem t.objects addr
 
-let add_root t ~name v =
-  let r = { root_name = name; v; registered = true } in
+let add_root t v =
+  let r = { v } in
   t.roots <- r :: t.roots;
   r
 
 let read_root r = r.v
 
 let remove_root t r =
-  r.registered <- false;
   t.roots <- List.filter (fun x -> x != r) t.roots
 
 let add_ambiguous_root t a = t.ambiguous <- a :: t.ambiguous
@@ -243,7 +234,6 @@ let owner_words t ~owner =
 
 let stats t = {
   collections = t.s_collections;
-  words_copied = t.s_copied;
   pages_pinned = t.s_pinned;
   words_freed = t.s_freed;
   pause_cycles = t.s_pause;

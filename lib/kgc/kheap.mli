@@ -31,7 +31,6 @@ type root
 
 type gc_stats = {
   collections : int;
-  words_copied : int;
   pages_pinned : int;           (** cumulative, over all collections *)
   words_freed : int;
   pause_cycles : int;           (** cumulative stop-the-world time *)
@@ -54,7 +53,7 @@ val set_field : t -> addr:int -> int -> value -> unit
 
 val is_live : t -> addr:int -> bool
 
-val add_root : t -> name:string -> value -> root
+val add_root : t -> value -> root
 
 val read_root : root -> value
 

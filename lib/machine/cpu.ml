@@ -1,8 +1,6 @@
-type mode = User | Kernel
-
 type trap =
   | Syscall of { number : int; args : int array }
-  | Mem_fault of { va : int; access : Mmu.access; fault : Mmu.fault }
+  | Mem_fault of { va : int; fault : Mmu.fault }
   | Illegal of string
 
 exception Unhandled_trap of trap
@@ -11,7 +9,6 @@ type t = {
   id : int;
   clock : Clock.t;
   mmu : Mmu.t;
-  mutable mode : mode;
   mutable ctx : Mmu.context option;
   mutable handler : (trap -> int) option;
   mutable trap_entries : int;
@@ -20,26 +17,18 @@ type t = {
 }
 
 let create ?(id = 0) clock mmu =
-  { id; clock; mmu; mode = Kernel; ctx = None; handler = None;
+  { id; clock; mmu; ctx = None; handler = None;
     trap_entries = 0; trap_exits = 0; trap_depth = 0 }
 
 let id t = t.id
 
-let clock t = t.clock
-
-let mmu t = t.mmu
-
-let mode t = t.mode
-
 let set_trap_handler t h = t.handler <- Some h
 
 (* Entry and exit costs are charged symmetrically: the return-from-trap
-   sequence (mode restore, pipeline drain) executes whether the handler
-   returns or raises, so [trap_exit] runs on both arms alongside the
-   mode restore. A handler that raises used to skip it, which
-   undercharged every fault path that aborts. *)
-let trap_exit t saved =
-  t.mode <- saved;
+   sequence (pipeline drain) executes whether the handler returns or
+   raises, so [trap_exit] runs on both arms. A handler that raises used
+   to skip it, which undercharged every fault path that aborts. *)
+let trap_exit t =
   t.trap_depth <- t.trap_depth - 1;
   t.trap_exits <- t.trap_exits + 1;
   Clock.charge t.clock (Clock.cost t.clock).Cost.trap_exit
@@ -51,11 +40,9 @@ let trap t tr =
     Clock.charge t.clock (Clock.cost t.clock).Cost.trap_entry;
     t.trap_entries <- t.trap_entries + 1;
     t.trap_depth <- t.trap_depth + 1;
-    let saved = t.mode in
-    t.mode <- Kernel;
     match handler tr with
-    | r -> trap_exit t saved; r
-    | exception e -> trap_exit t saved; raise e
+    | r -> trap_exit t; r
+    | exception e -> trap_exit t; raise e
 
 let syscall t ~number ~args = trap t (Syscall { number; args })
 
@@ -80,11 +67,11 @@ let resolve t ~va access =
   | Some ctx ->
     let rec attempt n =
       if n > max_fault_retries then
-        raise (Unhandled_trap (Mem_fault { va; access; fault = Mmu.Page_not_present }));
+        raise (Unhandled_trap (Mem_fault { va; fault = Mmu.Page_not_present }));
       match Mmu.translate t.mmu ctx ~va access with
       | Ok pa -> pa
       | Error fault ->
-        ignore (trap t (Mem_fault { va; access; fault }));
+        ignore (trap t (Mem_fault { va; fault }));
         attempt (n + 1) in
     attempt 0
 
@@ -99,10 +86,6 @@ let store_word t ~va v =
   let pa = resolve t ~va Mmu.Write in
   charge_access t;
   Phys_mem.write_word (Mmu.mem t.mmu) ~pa v
-
-let touch t ~va access =
-  ignore (resolve t ~va access);
-  charge_access t
 
 type trap_stats = {
   entries : int;

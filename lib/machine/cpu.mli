@@ -10,19 +10,16 @@
     share the clock, physical memory and MMU (page tables are common
     to the machine; the TLB is modelled as unified, with cross-CPU
     coherence paid for through {!Intr} shootdown IPIs — see
-    {!Mmu.set_shootdown}). Each CPU keeps its own mode, translation
-    context, trap handler and trap accounting. *)
+    {!Mmu.set_shootdown}). Each CPU keeps its own translation context,
+    trap handler and trap accounting. *)
 
 type t
 (** One simulated processor. *)
 
-type mode = User | Kernel
-(** The privilege mode the CPU currently executes in. *)
-
 type trap =
   | Syscall of { number : int; args : int array }
       (** An explicit kernel call from user code. *)
-  | Mem_fault of { va : int; access : Mmu.access; fault : Mmu.fault }
+  | Mem_fault of { va : int; fault : Mmu.fault }
       (** A failed translation, delivered for fault-and-resume. *)
   | Illegal of string
       (** An operation the hardware cannot perform (e.g. a user access
@@ -41,25 +38,9 @@ val id : t -> int
 (** The processor number, fixed at creation. The scheduler uses it to
     index per-CPU run queues and to address IPIs. *)
 
-val clock : t -> Clock.t
-(** The machine clock this CPU charges (shared by all of a machine's
-    CPUs). *)
-
-val mmu : t -> Mmu.t
-(** The machine's MMU (shared by all of its CPUs). *)
-
-val mode : t -> mode
-(** The current privilege mode. *)
-
 val set_trap_handler : t -> (trap -> int) -> unit
 (** Installs the kernel's trap entry point. The handler's integer
     result is delivered as the trap's return value (syscall result). *)
-
-val trap : t -> trap -> int
-(** Takes a trap: charges entry cost, runs the handler in kernel mode,
-    charges exit cost. Entry and exit are charged symmetrically even
-    when the handler raises — the exception propagates after the
-    return-from-trap cost is paid. *)
 
 type trap_stats = {
   entries : int;   (** trap entries charged since boot *)
@@ -73,7 +54,10 @@ val trap_stats : t -> trap_stats
     imbalance means some path skipped the return-from-trap charge. *)
 
 val syscall : t -> number:int -> args:int array -> int
-(** Issues a system call trap from the current mode. *)
+(** Issues a system call trap: charges entry cost, runs the handler,
+    charges exit cost. Entry and exit are charged symmetrically even
+    when the handler raises — the exception propagates after the
+    return-from-trap cost is paid. *)
 
 val set_context : t -> Mmu.context option -> unit
 (** Switches the user translation context, charging the address-space
@@ -89,6 +73,3 @@ val load_word : t -> va:int -> int64
 val store_word : t -> va:int -> int64 -> unit
 (** User-context 8-byte store; faults are trapped and the access
     retried. Charges the per-access cost. *)
-
-val touch : t -> va:int -> Mmu.access -> unit
-(** Performs an access for its fault/protection side effects only. *)

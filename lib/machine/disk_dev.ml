@@ -1,8 +1,8 @@
 let block_size = 512
 
 type completion =
-  | Read_done of { block : int; count : int; data : Bytes.t }
-  | Write_done of { block : int; count : int }
+  | Read_done of { block : int; data : Bytes.t }
+  | Write_done of { block : int }
 
 type op =
   | Read of { block : int; count : int }
@@ -33,8 +33,6 @@ let create sim intr ~line ~blocks =
     store = Hashtbl.create 1024; queue = Queue.create ();
     completions = Queue.create (); busy = false; head = 0;
     reads = 0; writes = 0 }
-
-let blocks t = t.nblocks
 
 let line t = t.line
 
@@ -75,13 +73,13 @@ and complete t op block count =
      for i = 0 to count - 1 do
        Bytes.blit (block_data t (block + i)) 0 data (i * block_size) block_size
      done;
-     Queue.add (Read_done { block; count; data }) t.completions
+     Queue.add (Read_done { block; data }) t.completions
    | Write { data; _ } ->
      t.writes <- t.writes + 1;
      for i = 0 to count - 1 do
        Bytes.blit data (i * block_size) (block_data t (block + i)) 0 block_size
      done;
-     Queue.add (Write_done { block; count }) t.completions);
+     Queue.add (Write_done { block }) t.completions);
   t.head <- block + count;
   t.busy <- false;
   Intr.post t.intr ~line:t.line;

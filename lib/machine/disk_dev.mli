@@ -8,15 +8,13 @@
 type t
 
 type completion =
-  | Read_done of { block : int; count : int; data : Bytes.t }
-  | Write_done of { block : int; count : int }
+  | Read_done of { block : int; data : Bytes.t }
+  | Write_done of { block : int }
 
 val block_size : int
 (** 512 bytes. *)
 
 val create : Sim.t -> Intr.t -> line:int -> blocks:int -> t
-
-val blocks : t -> int
 
 val line : t -> int
 

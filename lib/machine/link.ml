@@ -2,7 +2,6 @@ type endpoint = A | B
 
 type t = {
   sim : Sim.t;
-  latency_us : float;
   mbps : float;
   mutable rx_a : (Bytes.t -> unit) option;
   mutable rx_b : (Bytes.t -> unit) option;
@@ -20,6 +19,9 @@ type t = {
 (* Framing bytes per frame: preamble, CRC, inter-frame gap. *)
 let frame_overhead = 42
 
+(* Propagation delay of every wire. *)
+let latency_us = 5.
+
 (* A frame sent from [from] reaches the other end. Frames in one
    direction arrive in the order they were sent (each one's arrival
    is no earlier than the previous one's, and the engine fires equal
@@ -30,17 +32,15 @@ let arrive t from =
   | None -> ()                                 (* unplugged: frame lost *)
   | Some f -> f frame
 
-let create sim ?(latency_us = 5.) ~mbps () =
+let create sim ~mbps () =
   if mbps <= 0. then invalid_arg "Link.create: bad line rate";
   let rec t =
-    { sim; latency_us; mbps;
+    { sim; mbps;
       rx_a = None; rx_b = None; busy_until_ab = 0; busy_until_ba = 0;
       wire_ab = Queue.create (); wire_ba = Queue.create ();
       arrive_ab = (fun () -> arrive t A); arrive_ba = (fun () -> arrive t B);
       frames = 0; loss_every = 0; dropped = 0 } in
   t
-
-let mbps t = t.mbps
 
 let set_receiver t ep f =
   match ep with
@@ -57,7 +57,7 @@ let send t ~from frame =
       (Float.round
          (float_of_int ((Bytes.length frame + frame_overhead) * 8)
           /. t.mbps *. float_of_int cost.Cost.cycles_per_us)) in
-  let lat = Cost.us_to_cycles cost t.latency_us in
+  let lat = Cost.us_to_cycles cost latency_us in
   let busy = match from with A -> t.busy_until_ab | B -> t.busy_until_ba in
   let start = max (Clock.now clock) busy in
   let done_tx = start + ser in

@@ -9,9 +9,8 @@ type t
 
 type endpoint = A | B
 
-val create : Sim.t -> ?latency_us:float -> mbps:float -> unit -> t
-
-val mbps : t -> float
+val create : Sim.t -> mbps:float -> unit -> t
+(** A wire of [mbps] line rate and 5 us propagation delay. *)
 
 val set_receiver : t -> endpoint -> (Bytes.t -> unit) -> unit
 (** Installs the delivery callback for frames arriving *at* that

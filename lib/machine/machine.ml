@@ -9,8 +9,6 @@ type t = {
   cpus : Cpu.t array;
   intr : Intr.t;
   console : Console_dev.t;
-  mutable disks : Disk_dev.t list;
-  mutable nics : Nic.t list;
   mutable next_line : int;
   mutable shootdowns : int;
   mutable shootdown_acks : int;
@@ -36,8 +34,7 @@ let build sim ~mem_mb ~name ~cpus:ncpus =
   let t =
     { name; cost = Clock.cost clock; clock; sim; mem; mmu;
       cpu = cpus.(0); cpus; intr; console;
-      disks = []; nics = []; next_line = 1;
-      shootdowns = 0; shootdown_acks = 0 } in
+      next_line = 1; shootdowns = 0; shootdown_acks = 0 } in
   if ncpus > 1 then
     (* Removing a translation must be visible machine-wide before the
        operation returns: interrupt every other CPU, charge its flush,
@@ -61,8 +58,6 @@ let create_on sim ?(mem_mb = 64) ?cpus ~name () =
   let cpus = match cpus with Some n -> n | None -> default_cpus () in
   build sim ~mem_mb ~name ~cpus
 
-let ncpus t = Array.length t.cpus
-
 let set_trap_handler t h =
   Array.iter (fun cpu -> Cpu.set_trap_handler cpu h) t.cpus
 
@@ -74,23 +69,16 @@ let fresh_line t =
   line
 
 let add_disk ?(blocks = 32768) t =
-  let disk = Disk_dev.create t.sim t.intr ~line:(fresh_line t) ~blocks in
-  t.disks <- t.disks @ [ disk ];
-  disk
+  Disk_dev.create t.sim t.intr ~line:(fresh_line t) ~blocks
 
-let add_nic t ~kind =
-  let nic = Nic.create t.sim t.intr ~line:(fresh_line t) ~kind in
-  t.nics <- t.nics @ [ nic ];
-  nic
+let add_nic t ~kind = Nic.create t.sim t.intr ~line:(fresh_line t) ~kind
 
-let connect a b ~kind ?(latency_us = 5.) ?mbps () =
+let connect a b ~kind ?mbps () =
   if a.sim != b.sim then
     invalid_arg "Machine.connect: machines must share a simulation";
   let nic_a = add_nic a ~kind and nic_b = add_nic b ~kind in
   let mbps = match mbps with Some m -> m | None -> Nic.link_mbps kind in
-  let link = Link.create a.sim ~latency_us ~mbps () in
+  let link = Link.create a.sim ~mbps () in
   Nic.attach nic_a link Link.A;
   Nic.attach nic_b link Link.B;
   (nic_a, nic_b)
-
-let elapsed_us t = Clock.now_us t.clock

@@ -22,8 +22,6 @@ type t = {
   cpus : Cpu.t array;          (** all processors, indexed by CPU id *)
   intr : Intr.t;
   console : Console_dev.t;
-  mutable disks : Disk_dev.t list;
-  mutable nics : Nic.t list;
   mutable next_line : int;
   mutable shootdowns : int;    (** TLB shootdown broadcasts initiated *)
   mutable shootdown_acks : int; (** remote flush acknowledgements *)
@@ -38,9 +36,6 @@ val create : ?mem_mb:int -> ?cpus:int -> name:string -> unit -> t
     golden timings. *)
 
 val create_on : Sim.t -> ?mem_mb:int -> ?cpus:int -> name:string -> unit -> t
-
-val ncpus : t -> int
-(** Number of CPUs (length of [cpus]). *)
 
 val set_trap_handler : t -> (Cpu.trap -> int) -> unit
 (** Installs the kernel trap entry point on {e every} CPU — a trap
@@ -59,12 +54,10 @@ val add_nic : t -> kind:Nic.kind -> Nic.t
     {!Nic.attach}. *)
 
 val connect :
-  t -> t -> kind:Nic.kind -> ?latency_us:float -> ?mbps:float -> unit ->
+  t -> t -> kind:Nic.kind -> ?mbps:float -> unit ->
   Nic.t * Nic.t
 (** [connect a b ~kind ()] gives each machine a NIC of [kind] and
     wires them with a link of the kind's line rate ([mbps] overrides
     it — experiments that must not be line-rate-bound, like the SMP
     scaling ramp, run the same device model over a faster wire). The
     machines must share a simulation (build them with {!create_on}). *)
-
-val elapsed_us : t -> float

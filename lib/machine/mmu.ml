@@ -1,7 +1,6 @@
-type access = Read | Write | Execute
+type access = Read | Write
 
 type fault =
-  | Bad_address
   | Page_not_present
   | Protection_violation
 
@@ -132,7 +131,6 @@ let lookup ctx ~vpn = Hashtbl.find_opt ctx.table vpn
 let access_right = function
   | Read -> `Read
   | Write -> `Write
-  | Execute -> `Execute
 
 let translate t ctx ~va access =
   let vpn = Addr.vpn_of_va va in

@@ -10,10 +10,9 @@ type t
 
 type context
 
-type access = Read | Write | Execute
+type access = Read | Write
 
 type fault =
-  | Bad_address          (** no virtual allocation backs the address *)
   | Page_not_present     (** allocated but unmapped *)
   | Protection_violation (** mapped without the required right *)
 
@@ -57,10 +56,10 @@ val lookup : context -> vpn:int -> pte option
 val translate : t -> context -> va:int -> access -> (int, fault) result
 (** [translate t ctx ~va access] is the physical address, charging a
     TLB fill on misses, and recording reference/modify bits. A miss on
-    an unmapped page is [Page_not_present]; [Bad_address] is reported
-    by higher layers that know about allocations (the MMU cannot
-    distinguish them, so it reports [Page_not_present] and the
-    translation service refines it). *)
+    an unmapped page is [Page_not_present], whether or not a virtual
+    allocation backs it: the MMU cannot tell, so the translation
+    service, which knows the allocations, raises its bad-address event
+    for an address outside every region. *)
 
 val tlb_stats : t -> int * int
 (** (hits, misses) since boot. *)

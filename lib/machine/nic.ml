@@ -93,8 +93,6 @@ let receive t =
 
 let rx_dropped t = t.rx_dropped
 
-let gauges t = [ (kind_name t.kind ^ ".rx_dropped", fun () -> t.rx_dropped) ]
-
 let frames_tx t = t.frames_tx
 
 let frames_rx t = t.frames_rx

@@ -48,10 +48,6 @@ val receive : t -> Bytes.t option
 
 val rx_dropped : t -> int
 
-val gauges : t -> (string * (unit -> int)) list
-(** [<kind>.rx_dropped]: receive-ring overflow is observable rather
-    than a silent drop. *)
-
 val frames_tx : t -> int
 
 val frames_rx : t -> int

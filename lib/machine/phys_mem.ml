@@ -1,12 +1,11 @@
 type t = {
   clock : Clock.t;
   frames : Bytes.t option array;
-  mutable allocated : int;
 }
 
 let create clock ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: no frames";
-  { clock; frames = Array.make frames None; allocated = 0 }
+  { clock; frames = Array.make frames None }
 
 let frames t = Array.length t.frames
 
@@ -20,7 +19,6 @@ let frame_bytes t n =
   | None ->
     let b = Bytes.make Addr.page_size '\000' in
     t.frames.(n) <- Some b;
-    t.allocated <- t.allocated + 1;
     b
 
 let charge_copy t len =
@@ -97,12 +95,3 @@ let write_word t ~pa v =
     Bytes.set_int64_le b 0 v;
     blit_in t ~pa b 0 8
   end
-
-let copy t ~src ~dst ~len =
-  (* read side charges once; avoid double charge on write side *)
-  check_range t ~pa:src ~len;
-  check_range t ~pa:dst ~len;
-  let data = Bytes.create len in
-  blit_out t ~pa:src data 0 len;
-  blit_in t ~pa:dst data 0 len;
-  charge_copy t len

@@ -37,6 +37,3 @@ val read_word : t -> pa:int -> int64
     accounting (word access cost is part of instruction charges). *)
 
 val write_word : t -> pa:int -> int64 -> unit
-
-val copy : t -> src:int -> dst:int -> len:int -> unit
-(** Physical memory to physical memory copy; charges copy cost. *)

@@ -69,14 +69,6 @@ let stats t =
     pool_hits = Pqueue.pool_hits t.queue;
     pool_misses = Pqueue.pool_misses t.queue }
 
-let gauges t =
-  let stat f () = f (stats t) in
-  [ ("engine.events_live", stat (fun s -> s.live));
-    ("engine.events_fired", stat (fun s -> s.fired));
-    ("engine.events_cancelled", stat (fun s -> s.cancelled));
-    ("engine.event_pool_hits", stat (fun s -> s.pool_hits));
-    ("engine.event_pool_misses", stat (fun s -> s.pool_misses)) ]
-
 let idle_step t =
   not (Pqueue.is_empty t.queue)
   && begin

@@ -54,12 +54,6 @@ type stats = {
 
 val stats : t -> stats
 
-val gauges : t -> (string * (unit -> int)) list
-(** The engine's own host-side health, not that of anything
-    simulated: [engine.events_live], [.events_fired],
-    [.events_cancelled], [.event_pool_hits] and
-    [.event_pool_misses]. *)
-
 val idle_step : t -> bool
 (** [idle_step t] skips the clock to the next deadline so its events
     fire; [false] when nothing is pending. *)

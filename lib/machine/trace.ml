@@ -58,10 +58,6 @@ type t = {
   mutable n_dropped : int;
   mutable next_span : int;
   mutable span_pool : span;               (* free list over [s_link] *)
-  mutable p_ring_reused : int;
-  mutable p_ring_fresh : int;
-  mutable p_span_hits : int;
-  mutable p_span_misses : int;
   aggs : (string, agg) Hashtbl.t;
   mutable agg_order : string list;        (* first-use order *)
 }
@@ -75,7 +71,6 @@ let create ?(capacity = 16384) clock =
   { clock; capacity; buf = Array.make capacity dummy;
     on = false; head = 0; len = 0; n_dropped = 0; next_span = 1;
     span_pool = null_span;
-    p_ring_reused = 0; p_ring_fresh = 0; p_span_hits = 0; p_span_misses = 0;
     aggs = Hashtbl.create 32; agg_order = [] }
 
 (* One tracer per clock: subsystems sharing a clock (every machine on
@@ -91,8 +86,6 @@ let of_clock ?capacity clock =
     let t = create ?capacity clock in
     Clock.set_tracer clock (Tracer t);
     t
-
-let clock t = t.clock
 
 let capacity t = t.capacity
 
@@ -117,12 +110,6 @@ let clear t =
   Hashtbl.reset t.aggs;
   t.agg_order <- []
 
-let gauges t =
-  [ ("trace.ring_reused", fun () -> t.p_ring_reused);
-    ("trace.ring_fresh", fun () -> t.p_ring_fresh);
-    ("trace.span_pool_hits", fun () -> t.p_span_hits);
-    ("trace.span_pool_misses", fun () -> t.p_span_misses) ]
-
 let dropped t = t.n_dropped
 
 (* ------------------------------------------------------------------ *)
@@ -134,12 +121,8 @@ let push t ~ts ~kind ~cat ~name ~args =
   else t.len <- t.len + 1;
   let r = t.buf.(t.head) in
   let r =
-    if r != dummy then begin
-      t.p_ring_reused <- t.p_ring_reused + 1;
-      r
-    end
+    if r != dummy then r
     else begin
-      t.p_ring_fresh <- t.p_ring_fresh + 1;
       let r = { ts; kind; cat; name; args } in
       t.buf.(t.head) <- r;
       r
@@ -189,13 +172,10 @@ let begin_span t ~cat ~name ?(args = []) () =
       s.t0 <- now;
       s.scat <- cat;
       s.sname <- name;
-      t.p_span_hits <- t.p_span_hits + 1;
       s
     end
-    else begin
-      t.p_span_misses <- t.p_span_misses + 1;
+    else
       { sid; t0 = now; scat = cat; sname = name; s_link = null_span }
-    end
   end
 
 let end_span ?(args = []) t s =

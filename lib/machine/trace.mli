@@ -54,8 +54,6 @@ val of_clock : ?capacity:int -> Clock.t -> t
 (** The shared tracer for this clock, created on first use.
     [capacity] only applies to that first creation. *)
 
-val clock : t -> Clock.t
-
 val capacity : t -> int
 
 val enable : t -> unit
@@ -122,14 +120,3 @@ val to_chrome_json : t -> string
     Spans become async begin/end pairs (["ph":"b"]/["ph":"e"] sharing
     an id) so interleaved spans need not nest; instants become
     ["ph":"i"]. Timestamps are virtual microseconds. *)
-
-(** {2 Allocation pooling} *)
-
-val gauges : t -> (string * (unit -> int)) list
-(** The pool counters: [trace.ring_reused] (pushes that rewrote a ring
-    record in place), [.ring_fresh] (pushes that allocated a slot's
-    record), [.span_pool_hits] (span tokens recycled from the free
-    list) and [.span_pool_misses] (span tokens freshly allocated).
-    Once the ring has revolved and the span pool warmed, steady-state
-    tracing allocates only argument lists: [ring_fresh] and
-    [span_pool_misses] stop growing. *)

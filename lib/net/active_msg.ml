@@ -8,7 +8,6 @@ type t = {
   machine : Machine.t;
   ip : Ip.t;
   handlers : (src:Ip.addr -> Bytes.t -> unit) Spin_dstruct.Idtable.t;
-  mutable s_sent : int;
   mutable s_delivered : int;
   mutable s_dropped : int;
 }
@@ -41,7 +40,7 @@ let create machine dispatcher ip =
   let t = {
     machine; ip;
     handlers = Spin_dstruct.Idtable.create ();
-    s_sent = 0; s_delivered = 0; s_dropped = 0;
+    s_delivered = 0; s_dropped = 0;
   } in
   ignore (Ip.attach ip ~proto ~installer:"A.M." (input t));
   t
@@ -59,10 +58,8 @@ let send t ~dst ~handler payload =
   let buf = Pkt.buffer pkt in
   Bytes.set_uint16_le buf off handler;
   Bytes.set_uint16_le buf (off + 2) (Bytes.length payload);
-  let ok = Ip.send t.ip ~dst ~proto pkt in
-  if ok then t.s_sent <- t.s_sent + 1;
-  ok
+  Ip.send t.ip ~dst ~proto pkt
 
-type stats = { sent : int; delivered : int; dropped : int }
+type stats = { delivered : int; dropped : int }
 
-let stats t = { sent = t.s_sent; delivered = t.s_delivered; dropped = t.s_dropped }
+let stats t = { delivered = t.s_delivered; dropped = t.s_dropped }

@@ -39,9 +39,8 @@ let netif_name kind =
   | Nic.Fore_atm -> "ATM"
   | Nic.T3 -> "T3"
 
-let wire ?(optimized = false) ?(latency_us = 5.) ?mbps a b ~kind =
-  let nic_a, nic_b =
-    Machine.connect a.machine b.machine ~kind ~latency_us ?mbps () in
+let wire ?(optimized = false) ?mbps a b ~kind =
+  let nic_a, nic_b = Machine.connect a.machine b.machine ~kind ?mbps () in
   let name = netif_name kind in
   (* One receive shard per CPU: protocol processing scales with the
      host's processors (a 1-CPU host keeps the single classic strand). *)
@@ -60,8 +59,6 @@ let wire ?(optimized = false) ?(latency_us = 5.) ?mbps a b ~kind =
   (na, nb)
 
 let add_route t ~dst netif = Ip.add_route t.ip ~dst netif
-
-let run ?until t = Sched.run ?until t.sched
 
 let run_all ?(until = fun () -> false) hosts =
   match hosts with

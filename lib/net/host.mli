@@ -29,7 +29,7 @@ val create :
     installed. *)
 
 val wire :
-  ?optimized:bool -> ?latency_us:float -> ?mbps:float ->
+  ?optimized:bool -> ?mbps:float ->
   t -> t -> kind:Spin_machine.Nic.kind -> Netif.t * Netif.t
 (** Gives both hosts an interface of [kind], links them, installs
     routes in both directions, and starts the protocol threads — one
@@ -37,9 +37,6 @@ val wire :
     line rate (see {!Spin_machine.Machine.connect}). *)
 
 val add_route : t -> dst:Ip.addr -> Netif.t -> unit
-
-val run : ?until:(unit -> bool) -> t -> unit
-(** Runs this host's scheduler alone (single-host experiments). *)
 
 val run_all : ?until:(unit -> bool) -> t list -> unit
 (** Co-simulates several hosts: interleaves their schedulers on the

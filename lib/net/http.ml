@@ -12,7 +12,6 @@ type t = {
   sched : Sched.t;
   tcp : Tcp.t;
   cache : File_cache.t;
-  port : int;
   content : (string, Bytes.t option) Dispatcher.event option;
   mutable fallback : Bytes.t option;
   mutable s_requests : int;
@@ -20,7 +19,6 @@ type t = {
   mutable s_not_found : int;
   mutable s_dynamic : int;
   mutable s_fallbacks : int;
-  mutable s_bytes : int;
 }
 
 let parse_cost = 250                      (* request-line handling *)
@@ -76,7 +74,6 @@ let serve_miss t conn name =
   | Some body ->
     t.s_ok <- t.s_ok + 1;
     t.s_dynamic <- t.s_dynamic + 1;
-    t.s_bytes <- t.s_bytes + Bytes.length body;
     respond t conn ~status:"200 OK" ~body
   | None ->
     match t.fallback with
@@ -94,7 +91,6 @@ let serve t conn request =
     match File_cache.fetch t.cache ~name with
     | Some body ->
       t.s_ok <- t.s_ok + 1;
-      t.s_bytes <- t.s_bytes + Bytes.length body;
       respond t conn ~status:"200 OK" ~body
     | None -> serve_miss t conn name
 
@@ -126,7 +122,7 @@ let content_layout : string Ebc.layout =
                p_len = String.length }
     ()
 
-let create ?(port = 80) ?dispatcher machine sched tcp cache =
+let create ?dispatcher machine sched tcp cache =
   let content =
     Option.map
       (fun d ->
@@ -135,11 +131,11 @@ let create ?(port = 80) ?dispatcher machine sched tcp cache =
           (fun (_ : string) -> None))
       dispatcher in
   let t = {
-    machine; sched; tcp; cache; port; content; fallback = None;
+    machine; sched; tcp; cache; content; fallback = None;
     s_requests = 0; s_ok = 0; s_not_found = 0; s_dynamic = 0;
-    s_fallbacks = 0; s_bytes = 0;
+    s_fallbacks = 0;
   } in
-  Tcp.listen tcp ~port ~on_accept:(fun conn ->
+  Tcp.listen tcp ~port:80 ~on_accept:(fun conn ->
     let pending = Buffer.create 128 in
     let started = ref false in
     Tcp.on_receive conn (fun data ->
@@ -156,38 +152,24 @@ let create ?(port = 80) ?dispatcher machine sched tcp cache =
       | Some _ | None -> ()));
   t
 
-let port t = t.port
-
 let content_event t = t.content
 
 (* The router: the path predicate compiles to bytecode and verifies at
    install, so route matching dispatches trusted-fast — the generator
    body runs only on its own paths, and no guard stack is walked per
-   request. Routes with a runtime bound, or the (theoretical) case of
-   a path too long to compile, install the same predicate as a
-   closure guard. *)
-let install_route t ~installer ?(prefix = false) ?(spec = Dispatcher.Handler_spec.default)
-    ~path handler =
+   request. The (theoretical) case of a path too long to compile
+   installs the same predicate as a closure guard. *)
+let install_route t ~installer ~path handler =
   match t.content with
   | None -> None
   | Some ev ->
-    let closure_guard req =
-      if prefix then
-        String.length req >= String.length path
-        && String.sub req 0 (String.length path) = path
-      else req = path in
     let install spec = Dispatcher.install ev ~installer ~spec handler in
-    let closure_install () =
-      Dispatcher.ok_exn ~site:"Http.install_route"
-        (install
-           { spec with Dispatcher.Handler_spec.guard = Some closure_guard }) in
-    match spec.Dispatcher.Handler_spec.bound_cycles with
-    | Some _ -> Some (closure_install ())
-    | None ->
-      let prog = Ebc.match_string ~prefix path in
-      (match install { spec with verified = Some prog } with
-       | Ok h -> Some h
-       | Error _ -> Some (closure_install ()))
+    match install (Dispatcher.Handler_spec.verified (Ebc.match_string path)) with
+    | Ok h -> Some h
+    | Error _ ->
+      Some
+        (Dispatcher.ok_exn ~site:"Http.install_route"
+           (install (Dispatcher.Handler_spec.guarded (fun req -> req = path))))
 
 let set_fallback t body = t.fallback <- Some body
 
@@ -197,7 +179,6 @@ type stats = {
   not_found : int;
   dynamic : int;
   fallbacks : int;
-  bytes_served : int;
 }
 
 let stats t = {
@@ -206,5 +187,4 @@ let stats t = {
   not_found = t.s_not_found;
   dynamic = t.s_dynamic;
   fallbacks = t.s_fallbacks;
-  bytes_served = t.s_bytes;
 }

@@ -5,10 +5,10 @@
 type t
 
 val create :
-  ?port:int -> ?dispatcher:Spin_core.Dispatcher.t ->
+  ?dispatcher:Spin_core.Dispatcher.t ->
   Spin_machine.Machine.t -> Spin_sched.Sched.t -> Tcp.t ->
   Spin_fs.File_cache.t -> t
-(** Listens (default port 80). Request format: [GET /name HTTP/1.0].
+(** Listens on port 80. Request format: [GET /name HTTP/1.0].
     Each request is served on its own kernel strand, so a cache miss
     blocks that request on the disk without stalling the protocol
     input thread.
@@ -16,8 +16,6 @@ val create :
     With [dispatcher], the server also declares the [HTTP.GenContent]
     event (see {!content_event}): paths not found in the file cache
     are offered to dynamic content generators. *)
-
-val port : t -> int
 
 val content_event :
   t -> (string, Bytes.t option) Spin_core.Dispatcher.event option
@@ -29,19 +27,15 @@ val content_event :
     dying. *)
 
 val install_route :
-  t -> installer:string -> ?prefix:bool ->
-  ?spec:string Spin_core.Dispatcher.Handler_spec.t -> path:string ->
+  t -> installer:string -> path:string ->
   (string -> Bytes.t option) ->
   (string, Bytes.t option) Spin_core.Dispatcher.handler option
 (** Installs a content generator behind a verified route predicate:
-    the path match ([= path], or [path] as a prefix with
-    [~prefix:true]) compiles to {!Spin_core.Ebc.match_string},
-    verifies at install, and dispatches on the trusted-fast path —
-    per-request routing walks no guard stack. [?spec] supplies
-    policy/async; a spec with [bound_cycles] keeps the per-event
-    policing the trusted path forgoes, so that case (and any
-    verification failure) installs the same predicate as a closure
-    guard. [None] when the server was created without a
+    the path match ([= path]) compiles to
+    {!Spin_core.Ebc.match_string}, verifies at install, and dispatches
+    on the trusted-fast path — per-request routing walks no guard
+    stack. A verification failure installs the same predicate as a
+    closure guard. [None] when the server was created without a
     dispatcher. *)
 
 val set_fallback : t -> Bytes.t -> unit
@@ -56,7 +50,6 @@ type stats = {
   not_found : int;
   dynamic : int;     (** responses produced by content generators *)
   fallbacks : int;   (** degraded responses (static error page) *)
-  bytes_served : int;
 }
 
 val stats : t -> stats

@@ -41,10 +41,10 @@ let create _dispatcher ip =
   ignore (Ip.attach ip ~proto:Ip.proto_icmp ~installer:"ICMP" (input t));
   t
 
-let ping t ~dst ~seq ?(payload = Bytes.create 16) k =
+let ping t ~dst ~seq k =
   t.waiting <- (seq, k) :: t.waiting;
   let sent =
     Ip.send t.ip ~dst ~proto:Ip.proto_icmp
-      (encode ~typ:type_echo_request ~seq payload) in
+      (encode ~typ:type_echo_request ~seq (Bytes.create 16)) in
   if not sent then t.waiting <- List.remove_assoc seq t.waiting;
   sent

@@ -8,7 +8,6 @@ type t
 val create : Spin_core.Dispatcher.t -> Ip.t -> t
 
 val ping :
-  t -> dst:Ip.addr -> seq:int -> ?payload:Bytes.t ->
-  (unit -> unit) -> bool
-(** Sends an echo request; the callback runs when the matching reply
+  t -> dst:Ip.addr -> seq:int -> (unit -> unit) -> bool
+(** Sends an echo request with a 16-byte payload; the callback runs when the matching reply
     arrives. [false] if the request could not be sent. *)

@@ -32,14 +32,7 @@ let ethertype_ip = 0x0800
 let link_header = 2                       (* ethertype only: p2p links *)
 let ip_header = 12
 
-type iface = {
-  netif : Netif.t;
-  addr : addr;
-}
-
 type stats = {
-  received : int;
-  delivered : int;
   forwarded : int;
   dropped : int;
   sent : int;
@@ -48,10 +41,8 @@ type stats = {
 type t = {
   machine : Machine.t;
   event : (packet, unit) Dispatcher.event;
-  mutable ifaces : iface list;
+  mutable addrs : addr list;               (* this host's, one per interface *)
   mutable routes : (addr * Netif.t) list;
-  mutable s_received : int;
-  mutable s_delivered : int;
   mutable s_forwarded : int;
   mutable s_dropped : int;
   mutable s_sent : int;
@@ -85,21 +76,20 @@ let create machine dispatcher =
     Dispatcher.declare dispatcher ~name:"IP.PacketArrived" ~owner:"IP"
       ~layout:packet_layout
       (fun (_ : packet) -> ()) in
-  { machine; event; ifaces = []; routes = [];
-    s_received = 0; s_delivered = 0; s_forwarded = 0; s_dropped = 0;
-    s_sent = 0 }
+  { machine; event; addrs = []; routes = [];
+    s_forwarded = 0; s_dropped = 0; s_sent = 0 }
 
 let packet_arrived t = t.event
 
 let rec has_addr a = function
   | [] -> false
-  | i :: rest -> i.addr = a || has_addr a rest
+  | d :: rest -> d = a || has_addr a rest
 
-let is_local t a = has_addr a t.ifaces
+let is_local t a = has_addr a t.addrs
 
 let local_addr t =
-  match t.ifaces with
-  | i :: _ -> i.addr
+  match t.addrs with
+  | a :: _ -> a
   | [] -> raise Not_found
 
 (* The interface toward a non-local [dst]; raises [Not_found] when
@@ -140,7 +130,6 @@ let trace_pkt t name ~src ~dst ~proto =
               ("proto", string_of_int proto) ] ()
 
 let deliver t pkt =
-  t.s_delivered <- t.s_delivered + 1;
   trace_pkt t "deliver" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto;
   Dispatcher.raise_default t.event () pkt
 
@@ -192,7 +181,6 @@ let forward t pkt =
 
 let input t frame =
   charge t;
-  t.s_received <- t.s_received + 1;
   Pkt.drop frame link_header;
   let proto = Pkt.get_u8 frame 0 in
   let ttl = Pkt.get_u8 frame 1 in
@@ -215,7 +203,7 @@ let frame_is_ip_prog =
   Ebc.[| Ldw (0, 0); Ldi (1, ethertype_ip); Eq (2, 0, 1); Ret 2 |]
 
 let add_interface t netif ~addr =
-  t.ifaces <- t.ifaces @ [ { netif; addr } ];
+  t.addrs <- t.addrs @ [ addr ];
   ignore
     (Dispatcher.ok_exn ~site:"Ip.add_interface"
        (Netif.add_filter netif ~installer:"IP" frame_is_ip_prog
@@ -238,8 +226,6 @@ let attach t ~proto ~installer handler =
        handler)
 
 let stats t = {
-  received = t.s_received;
-  delivered = t.s_delivered;
   forwarded = t.s_forwarded;
   dropped = t.s_dropped;
   sent = t.s_sent;

@@ -70,8 +70,6 @@ val send :
     MTU (no fragmentation). Local destinations loop back. *)
 
 type stats = {
-  received : int;
-  delivered : int;
   forwarded : int;
   dropped : int;
   sent : int;

@@ -19,8 +19,6 @@ type t = {
   tx_overhead : int;              (* driver cycles per transmitted frame *)
   rx_overhead : int;              (* driver cycles per received frame *)
   mutable proto_threads : Spin_sched.Strand.t array;  (* empty until start *)
-  mutable frames_rx : int;
-  mutable frames_tx : int;
 }
 
 (* Unoptimized vendor-driver overheads (cycles), per kind. The paper's
@@ -60,29 +58,22 @@ let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
     rx_shards;
     rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
     tx_overhead; rx_overhead;
-    proto_threads = [||]; frames_rx = 0; frames_tx = 0 }
+    proto_threads = [||] }
 
 let rx_event t = t.rx_event
 
 (* Install a verified packet filter on the receive path: the program
    is checked at install time and dispatches trusted-fast, with zero
    per-frame guard or bound checks. Rejections install nothing. *)
-let add_filter t ~installer ?(spec = Dispatcher.Handler_spec.default) program
-    handler =
+let add_filter t ~installer program handler =
   Dispatcher.install t.rx_event ~installer
-    ~spec:{ spec with Dispatcher.Handler_spec.verified = Some program }
-    handler
-
-let name t = t.name
+    ~spec:(Dispatcher.Handler_spec.verified program) handler
 
 let mtu t = Nic.mtu t.nic
 
 let transmit_frame t pkt =
-  let ok =
-    Nic.transmit t.nic ~off:(Pkt.headroom pkt) ~len:(Pkt.length pkt)
-      (Pkt.buffer pkt) in
-  if ok then t.frames_tx <- t.frames_tx + 1;
-  ok
+  Nic.transmit t.nic ~off:(Pkt.headroom pkt) ~len:(Pkt.length pkt)
+    (Pkt.buffer pkt)
 
 let transmit t pkt =
   let tr = Trace.of_clock t.machine.Machine.clock in
@@ -150,7 +141,6 @@ let service t pkt ~first =
     else Trace.null_span in
   Clock.charge t.machine.Machine.clock
     (if first then t.rx_overhead else t.rx_overhead / coalesce_divisor);
-  t.frames_rx <- t.frames_rx + 1;
   Dispatcher.raise_default t.rx_event () pkt;
   Trace.end_span tr sp
 
@@ -212,12 +202,4 @@ let start t =
       done)
   end
 
-let frames_rx t = t.frames_rx
-
-let frames_tx t = t.frames_tx
-
-let rx_shards t = t.rx_shards
-
 let drops t = Nic.rx_dropped t.nic
-
-let gauges t = [ (t.name ^ ".rx_dropped", fun () -> drops t) ]

@@ -61,7 +61,6 @@ val rx_event : t -> (Pkt.t, unit) Spin_core.Dispatcher.event
 val add_filter :
   t ->
   installer:string ->
-  ?spec:Pkt.t Spin_core.Dispatcher.Handler_spec.t ->
   Spin_core.Ebc.program ->
   (Pkt.t -> unit) ->
   ((Pkt.t, unit) Spin_core.Dispatcher.handler,
@@ -70,10 +69,7 @@ val add_filter :
     is checked once at install (against the frame layout) and then
     runs as the handler's trusted predicate with zero per-frame
     checks. A program that fails verification installs nothing and
-    returns [Rejected]. [?spec] supplies policy/async/bound; its
-    [verified] field is overwritten with [program]. *)
-
-val name : t -> string
+    returns [Rejected]. *)
 
 val mtu : t -> int
 
@@ -94,17 +90,7 @@ val start : t -> unit
     registers the receive interrupt handler. Call once, before
     [Sched.run]. *)
 
-val frames_rx : t -> int
-
-val frames_tx : t -> int
-
-val rx_shards : t -> int
-(** Number of receive shards (1 unless created with [rx_shards]). *)
-
 val drops : t -> int
 (** Frames the NIC dropped on receive-ring overflow — the device's
     {!Spin_machine.Nic.rx_dropped}, surfaced at the driver so overload
-    is observable (e.g. via {!gauges}) instead of a silent drop. *)
-
-val gauges : t -> (string * (unit -> int)) list
-(** [<name>.rx_dropped], sampling {!drops}. *)
+    is observable instead of a silent drop. *)

@@ -95,10 +95,6 @@ let set_u8 t i v =
   if i < 0 || i >= t.len then invalid_arg "Pkt.set_u8";
   Bytes.set_uint8 t.buf (t.off + i) v
 
-let blit_to t ~pos dst ~dst_pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pkt.blit_to";
-  Bytes.blit t.buf (t.off + pos) dst dst_pos len
-
 let ebc_payload =
   { Spin_core.Ebc.p_buf = buffer; p_off = headroom; p_len = length }
 

@@ -131,9 +131,6 @@ val get_u32_le : t -> int -> int
 val get_i64_le : t -> int -> int64
 val set_u8 : t -> int -> int -> unit
 
-val blit_to : t -> pos:int -> Bytes.t -> dst_pos:int -> len:int -> unit
-(** Copy out of the view. *)
-
 val ebc_payload : t Spin_core.Ebc.payload
 (** The live window as a bytecode payload, read in place: the layout
     of an event whose argument is a packet. *)

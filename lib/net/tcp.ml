@@ -15,7 +15,6 @@ let flag_rst = 8
 
 type state =
   | Closed
-  | Listen
   | Syn_sent
   | Syn_received
   | Established
@@ -26,7 +25,6 @@ type state =
 
 let state_to_string = function
   | Closed -> "CLOSED"
-  | Listen -> "LISTEN"
   | Syn_sent -> "SYN_SENT"
   | Syn_received -> "SYN_RCVD"
   | Established -> "ESTABLISHED"
@@ -58,7 +56,6 @@ module Conns = Hashtbl.Make (struct
 end)
 
 type conn = {
-  engine : engine;
   key : key;
   l_port : int;
   r_addr : Ip.addr;
@@ -267,7 +264,6 @@ let rec fill_window t conn =
 
 let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
   let conn = {
-    engine = t;
     l_port; r_addr; r_port; st;
     snd_nxt = 0; snd_una = 0; rcv_nxt;
     inflight = []; pending = [];
@@ -415,7 +411,7 @@ let segment_arrived t b src =
        end
      | Established | Fin_wait | Close_wait | Last_ack | Time_wait ->
        handle_established t conn b
-     | Listen | Closed -> ())
+     | Closed -> ())
   | exception Not_found ->
     (* New connection to a listener? *)
     if flags land flag_syn <> 0 && flags land flag_ack = 0
@@ -495,8 +491,6 @@ let listen t ~port ~on_accept =
     invalid_arg "Tcp.listen: port in use";
   Hashtbl.replace t.listeners port on_accept
 
-let unlisten t ~port = Hashtbl.remove t.listeners port
-
 let connect t ~dst ~dst_port =
   let l_port = t.next_port in
   t.next_port <- t.next_port + 1;
@@ -562,7 +556,7 @@ let close t conn =
   | Established | Close_wait | Syn_received ->
     conn.fin_pending <- true;
     fill_window t conn
-  | Syn_sent | Listen -> teardown t conn
+  | Syn_sent -> teardown t conn
   | Fin_wait | Last_ack | Time_wait | Closed -> ()
 
 let abort t conn =
@@ -573,8 +567,6 @@ let abort t conn =
   end
 
 let state conn = conn.st
-
-let peer conn = (conn.r_addr, conn.r_port)
 
 let stats t = {
   segments_sent = t.s_out;

@@ -17,7 +17,6 @@ type conn
 
 type state =
   | Closed
-  | Listen
   | Syn_sent
   | Syn_received
   | Established
@@ -42,8 +41,6 @@ val add_demux_filter : t -> (dport:int -> sport:int -> bool) -> unit
 
 val listen : t -> port:int -> on_accept:(conn -> unit) -> unit
 (** Raises [Invalid_argument] if the port already has a listener. *)
-
-val unlisten : t -> port:int -> unit
 
 val connect : t -> dst:Ip.addr -> dst_port:int -> conn option
 (** Active open; blocks the calling strand until established, or
@@ -80,8 +77,6 @@ val abort : t -> conn -> unit
 (** RST out, connection dropped. *)
 
 val state : conn -> state
-
-val peer : conn -> Ip.addr * int
 
 type stats = {
   segments_sent : int;

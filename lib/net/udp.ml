@@ -15,14 +15,10 @@ type datagram = {
 
 let header_bytes = 8
 
-type stats = { sent : int; received : int }
-
 type t = {
   machine : Machine.t;
   ip : Ip.t;
   event : (datagram, unit) Dispatcher.event;
-  mutable s_sent : int;
-  mutable s_received : int;
 }
 
 let process_cost = 380
@@ -35,7 +31,6 @@ let input t (pkt : Ip.packet) =
     let dst_port = Pkt.get_u16_le b 2 in
     let len = Pkt.get_u16_le b 4 in
     if Pkt.length b >= header_bytes + len then begin
-      t.s_received <- t.s_received + 1;
       (* The datagram payload is a view of the received frame — the
          endpoint sees the packet in place, headroom intact for an
          in-place reply. *)
@@ -84,7 +79,7 @@ let create machine dispatcher ip =
     Dispatcher.declare dispatcher ~name:"UDP.PacketArrived" ~owner:"UDP"
       ~layout:datagram_layout
       (fun (_ : datagram) -> ()) in
-  let t = { machine; ip; event; s_sent = 0; s_received = 0 } in
+  let t = { machine; ip; event } in
   ignore (Ip.attach ip ~proto:Ip.proto_udp ~installer:"UDP" (input t));
   t
 
@@ -121,9 +116,7 @@ let send_pkt t ?(src_port = 0) ~dst ~port payload =
   Bytes.set_uint16_le buf (off + 2) port;
   Bytes.set_uint16_le buf (off + 4) plen;
   Bytes.set_uint16_le buf (off + 6) 0;
-  let ok = Ip.send t.ip ~dst ~proto:Ip.proto_udp payload in
-  if ok then t.s_sent <- t.s_sent + 1;
-  ok
+  Ip.send t.ip ~dst ~proto:Ip.proto_udp payload
 
 let send t ?src_port ~dst ~port payload =
   (* Application hand-off: one charged copy into a headroomed buffer,
@@ -132,5 +125,3 @@ let send t ?src_port ~dst ~port payload =
     (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
        ~bytes:(Bytes.length payload));
   send_pkt t ?src_port ~dst ~port (Pkt.of_payload payload)
-
-let stats t = { sent = t.s_sent; received = t.s_received }

@@ -57,7 +57,3 @@ val send_pkt :
     headroom and the same buffer descends the stack. The packet is
     consumed — do not touch it after the call. Echo servers pass the
     received {!datagram} payload back here directly. *)
-
-type stats = { sent : int; received : int }
-
-val stats : t -> stats

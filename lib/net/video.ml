@@ -133,7 +133,6 @@ let stream server ~fps ~duration_s =
 let server_busy_cycles server = server.busy
 
 type client = {
-  c_host : Host.t;
   mutable displayed : int;
   mutable displayed_bytes : int;
 }
@@ -143,7 +142,7 @@ type client = {
 let decompress_per_word = 6
 
 let create_client host ~port =
-  let c = { c_host = host; displayed = 0; displayed_bytes = 0 } in
+  let c = { displayed = 0; displayed_bytes = 0 } in
   ignore
     (Udp.listen host.Host.udp ~port ~installer:"VideoClient" (fun d ->
        let clock = host.Host.machine.Machine.clock in

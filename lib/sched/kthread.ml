@@ -7,10 +7,8 @@ let sync_op_cost = 100
 
 let charge sched = Clock.charge (Sched.clock sched) sync_op_cost
 
-let fork sched ?priority ?(name = "kthread") body =
-  { strand = Sched.spawn sched ~owner:"Kthread" ?priority ~name body }
-
-let strand t = t.strand
+let fork sched ?(name = "kthread") body =
+  { strand = Sched.spawn sched ~owner:"Kthread" ~name body }
 
 let alive t = t.strand.Strand.state <> Strand.Dead
 

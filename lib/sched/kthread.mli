@@ -8,16 +8,12 @@
 type t
 (** A kernel thread handle. *)
 
-val fork : Sched.t -> ?priority:int -> ?name:string -> (unit -> unit) -> t
+val fork : Sched.t -> ?name:string -> (unit -> unit) -> t
 (** Creates and schedules a kernel thread. *)
 
 val join : Sched.t -> t -> unit
 (** Blocks the calling thread until the target terminates. Immediate
     if it already has. *)
-
-val strand : t -> Strand.t
-
-val alive : t -> bool
 
 val failure : t -> exn option
 (** The exception that killed the thread, if any — extension failures

@@ -20,7 +20,6 @@ let switch_extra = 130                    (* bookkeeping beyond the HW switch *)
 type stats = {
   switches : int;
   preemptions : int;
-  spawned : int;
   completed : int;
   failed : int;
   redundant_unblocks : int;
@@ -74,7 +73,6 @@ type t = {
   mutable on_violation : (string -> unit) option;
   mutable s_switches : int;
   mutable s_preempt : int;
-  mutable s_spawned : int;
   mutable s_completed : int;
   mutable s_failed : int;
   mutable s_redundant_unblocks : int;
@@ -243,7 +241,7 @@ let create ?cpus ?intr sim dispatcher =
          slice_start = 0; preempt_requested = false;
          selector = None; cpu_selector = None; steal_policy = None;
          probe = None; on_violation = None;
-         s_switches = 0; s_preempt = 0; s_spawned = 0; s_completed = 0;
+         s_switches = 0; s_preempt = 0; s_completed = 0;
          s_failed = 0; s_redundant_unblocks = 0; s_dead_unblocks = 0;
          s_steals = 0; s_ipi_wakeups = 0; s_ipi_dropped = 0 }) in
   let t = Lazy.force t in
@@ -256,7 +254,6 @@ let create ?cpus ?intr sim dispatcher =
     | Some _ | None -> ());
   (* Asynchronous dispatcher handlers run on fresh kernel strands. *)
   Dispatcher.set_async_spawn dispatcher (fun thunk ->
-    t.s_spawned <- t.s_spawned + 1;
     let s = Strand.create ~owner:owner_name ~name:"async-handler" () in
     s.Strand.coro <- Some (Coro.create thunk);
     s.Strand.last_cpu <- t.exec_cpu;
@@ -273,7 +270,6 @@ let ncpus t = t.cpus
 
 let spawn t ?(owner = owner_name) ?priority ~name body =
   Clock.charge t.clock spawn_cost;
-  t.s_spawned <- t.s_spawned + 1;
   let s = Strand.create ~owner ?priority ~name () in
   s.Strand.coro <- Some (Coro.create body);
   (* Spawn locality: the child starts on the spawner's CPU; stealing
@@ -683,7 +679,6 @@ let install_handler_guarded event ~installer ~cap fn =
 let stats t = {
   switches = t.s_switches;
   preemptions = t.s_preempt;
-  spawned = t.s_spawned;
   completed = t.s_completed;
   failed = t.s_failed;
   redundant_unblocks = t.s_redundant_unblocks;
@@ -721,15 +716,6 @@ let pending_ipi_count t = Hashtbl.length t.ipi_pending
 
 let ipis_undelivered t =
   match t.intr with Some intr -> Intr.ipis_pending intr | None -> 0
-
-let gauges t =
-  [ ("sched.runnable", fun () -> runnable_count t);
-    ("sched.switches", fun () -> t.s_switches);
-    ("sched.preemptions", fun () -> t.s_preempt);
-    ("sched.steals", fun () -> t.s_steals);
-    ("sched.ipi_wakeups", fun () -> t.s_ipi_wakeups);
-    ("sched.ipis_in_flight", fun () -> pending_ipi_count t);
-    ("sched.pending_wakeups", fun () -> pending_wakeup_count t) ]
 
 let audit t report =
   (* Run-queue membership: every queued strand is Runnable with a live

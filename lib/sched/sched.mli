@@ -169,7 +169,6 @@ val install_handler_guarded :
 type stats = {
   switches : int;          (** context switches (slices started) *)
   preemptions : int;       (** involuntary yields at preemption points *)
-  spawned : int;           (** strands created through this scheduler *)
   completed : int;         (** strand bodies that returned *)
   failed : int;            (** strand bodies that raised *)
   redundant_unblocks : int;
@@ -202,12 +201,9 @@ val ipis_undelivered : t -> int
 (** IPIs sitting in the interrupt controller's inboxes (0 without an
     [intr]); the transport-level view of {!pending_ipi_count}. *)
 
-val gauges : t -> (string * (unit -> int)) list
-(** Health gauges, summed across every CPU: [sched.runnable],
-    [.switches], [.preemptions], [.steals], [.ipi_wakeups],
-    [.ipis_in_flight] and [.pending_wakeups]. The in-flight gauge
-    matters on multiprocessors: a wakeup travelling as an IPI is
-    pending work that no run-queue depth shows. *)
+val pending_wakeup_count : t -> int
+(** Wakeups banked for strands that had not blocked yet. Non-zero
+    after {!run} drains means a wakeup raced its strand and leaked. *)
 
 (** {2 Schedule exploration and invariant checking}
 

@@ -185,12 +185,4 @@ let stats t = {
   violations = t.n_violations;
 }
 
-let gauges t =
-  [ ("fuzz.seed", fun () -> t.fz_seed);
-    ("fuzz.decisions", fun () -> t.n_decisions);
-    ("fuzz.injected_preempts", fun () -> t.n_injected);
-    ("fuzz.violations", fun () -> t.n_violations) ]
-
-let seed t = t.fz_seed
-
 let violations t = List.of_seq (Queue.to_seq t.violation_log)

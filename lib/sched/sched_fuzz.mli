@@ -74,13 +74,6 @@ type stats = {
 
 val stats : t -> stats
 
-val gauges : t -> (string * (unit -> int)) list
-(** [fuzz.seed], [.decisions], [.injected_preempts] and
-    [.violations]. *)
-
-val seed : t -> int
-(** The seed this fuzzer was attached with. *)
-
 val violations : t -> string list
 (** Chronological violation reports (capped at 100; {!stats} has the
     true count), each prefixed with the virtual cycle it fired at. *)

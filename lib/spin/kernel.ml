@@ -235,21 +235,10 @@ let hot_swap t ~domain ~replacement =
       ~unlink:(unlink_domain t)
       ~supervisor:t.supervisor ()
 
-(* The kernel's install facade: one Handler_spec carries guard, bound,
-   bytecode and fault policy, and the installer is attributed to a
-   supervisor domain in the same call — so restart/quarantine policy,
-   hot-swap gating, and the verifier all read from one spec instead of
-   scattered optional arguments. *)
-let install t event ~installer ?domain ?spec fn =
-  let domain = Option.value domain ~default:installer in
-  Supervisor.register_domain t.supervisor ~name:domain
-    ~installers:[ installer ] ();
-  Dispatcher.install event ~installer ?spec fn
-
-let attach_fuzz ?mean_period ~seed t =
+let attach_fuzz ~seed t =
   Spin_sched.Sched_fuzz.attach ~cpus:(Array.to_list t.machine.Machine.cpus)
-    ~dispatcher:t.dispatcher ?mean_period ~seed t.sched
+    ~dispatcher:t.dispatcher ~seed t.sched
 
-let run ?until t = Sched.run ?until t.sched
+let run t = Sched.run t.sched
 
-let spawn t ?priority ~name body = Sched.spawn t.sched ?priority ~name body
+let spawn t ~name body = Sched.spawn t.sched ~name body

@@ -94,29 +94,15 @@ val hot_swap :
     externalized references minted by the old instance are revoked by
     epoch. See {!Swap} for the protocol and failure modes. *)
 
-val install :
-  t -> ('a, 'r) Spin_core.Dispatcher.event -> installer:string ->
-  ?domain:string -> ?spec:'a Spin_core.Dispatcher.Handler_spec.t ->
-  ('a -> 'r) ->
-  (('a, 'r) Spin_core.Dispatcher.handler,
-   Spin_core.Dispatcher.install_error) result
-(** {!Spin_core.Dispatcher.install} with the supervisor wired in: the
-    installer is attributed to [domain] (default: itself) in the fault
-    ledger before the handler goes live, so the spec's [on_failure]
-    policy, hot-swap gating, and quarantine sweeps all see the same
-    domain. The spec's [verified] bytecode, if any, is checked at
-    install and dispatches trusted-fast. *)
-
-val attach_fuzz :
-  ?mean_period:int -> seed:int -> t -> Spin_sched.Sched_fuzz.t
+val attach_fuzz : seed:int -> t -> Spin_sched.Sched_fuzz.t
 (** Installs the schedule fuzzer ({!Spin_sched.Sched_fuzz}) on this
     kernel's scheduler, dispatcher, and CPU: random strand selection
     under the given seed, preemption injection at charge boundaries,
     and the concurrency invariant checkers. Attach to a freshly booted
     kernel, one per seed, so replaying a seed replays its schedule. *)
 
-val run : ?until:(unit -> bool) -> t -> unit
+val run : t -> unit
 (** Drive the kernel's scheduler and device events. *)
 
 val spawn :
-  t -> ?priority:int -> name:string -> (unit -> unit) -> Spin_sched.Strand.t
+  t -> name:string -> (unit -> unit) -> Spin_sched.Strand.t

@@ -3,20 +3,9 @@ module Sim = Spin_machine.Sim
 module Clock = Spin_machine.Clock
 module Trace = Spin_machine.Trace
 
-type quarantine = {
-  q_domain : string;
-  q_faults : int;       (* total faults attributed when the axe fell *)
-  q_evicted : int;      (* handlers removed across all events *)
-  q_at_us : float;
-}
+type quarantine = { q_domain : string }
 
-type restart = {
-  r_domain : string;
-  r_installer : string;
-  r_event : string;
-  r_attempt : int;      (* 1 = first restart *)
-  r_at_us : float;
-}
+type restart = { r_attempt : int (* 1 = first restart *) }
 
 type budget = { window_us : float; max_faults : int }
 
@@ -27,24 +16,14 @@ type domain_state = {
   mutable d_fault_log : (float * string) list;   (* (at_us, event), newest first *)
   mutable d_log_cap : int;              (* raised to cover large budgets *)
   mutable d_faults : int;
-  mutable d_restarts : int;
   mutable d_pending : Sim.handle list;  (* scheduled restarts *)
   mutable d_quarantined : bool;
   mutable d_evicted : int;
 }
 
-type entry = {
-  domain : string;
-  faults : int;
-  restarts : int;
-  quarantined : bool;
-  evicted : int;
-}
-
 type stats = {
   s_faults : int;
   s_restarts : int;
-  s_quarantines : int;
   s_gave_up : int;
   s_backoff_capped : int;
   s_backoff_resets : int;
@@ -55,7 +34,6 @@ type t = {
   sim : Sim.t;
   disp : Dispatcher.t;
   domains : (string, domain_state) Hashtbl.t;
-  mutable domain_order : string list;            (* first-seen order *)
   owners : (string, string) Hashtbl.t;           (* installer -> domain *)
   restarts : (int, int) Hashtbl.t;               (* handler id -> count *)
   fault_times : (int, float) Hashtbl.t;          (* handler id -> last fault *)
@@ -64,7 +42,6 @@ type t = {
   mutable unlink : string -> unit;
   mutable m_faults : int;
   mutable m_restarts : int;
-  mutable m_quarantines : int;
   mutable m_gave_up : int;
   mutable m_backoff_capped : int;
   mutable m_backoff_resets : int;
@@ -115,10 +92,9 @@ let state t name =
   | None ->
     let d = { d_name = name; d_installers = []; d_budget = None;
               d_fault_log = []; d_log_cap = fault_log_cap; d_faults = 0;
-              d_restarts = 0; d_pending = []; d_quarantined = false;
+              d_pending = []; d_quarantined = false;
               d_evicted = 0 } in
     Hashtbl.replace t.domains name d;
-    t.domain_order <- t.domain_order @ [ name ];
     d
 
 let attribute d installer =
@@ -147,7 +123,6 @@ let recent_faults d ~window_us now =
 let quarantine t d =
   if not d.d_quarantined then begin
     d.d_quarantined <- true;
-    t.m_quarantines <- t.m_quarantines + 1;
     List.iter (fun h -> Sim.cancel t.sim h) d.d_pending;
     d.d_pending <- [];
     let installers =
@@ -164,9 +139,7 @@ let quarantine t d =
                 ("faults", string_of_int d.d_faults);
                 ("evicted", string_of_int d.d_evicted) ] ();
     t.unlink d.d_name;
-    Dispatcher.raise_event t.quarantined_ev
-      { q_domain = d.d_name; q_faults = d.d_faults;
-        q_evicted = d.d_evicted; q_at_us = now_us t }
+    Dispatcher.raise_event t.quarantined_ev { q_domain = d.d_name }
   end
 
 let schedule_restart t d (f : Dispatcher.fault) ~delay_us ~attempt =
@@ -178,7 +151,6 @@ let schedule_restart t d (f : Dispatcher.fault) ~delay_us ~attempt =
     if not d.d_quarantined then begin
       f.Dispatcher.fault_reinstall ();
       Hashtbl.replace t.restarts f.Dispatcher.fault_handler_id attempt;
-      d.d_restarts <- d.d_restarts + 1;
       t.m_restarts <- t.m_restarts + 1;
       let tr = tracer t in
       if Trace.on tr then
@@ -187,11 +159,7 @@ let schedule_restart t d (f : Dispatcher.fault) ~delay_us ~attempt =
                   ("installer", f.Dispatcher.fault_installer);
                   ("event", f.Dispatcher.fault_event);
                   ("attempt", string_of_int attempt) ] ();
-      Dispatcher.raise_event t.restarted_ev
-        { r_domain = d.d_name;
-          r_installer = f.Dispatcher.fault_installer;
-          r_event = f.Dispatcher.fault_event;
-          r_attempt = attempt; r_at_us = now_us t }
+      Dispatcher.raise_event t.restarted_ev { r_attempt = attempt }
     end) in
   handle := Some h;
   d.d_pending <- h :: d.d_pending
@@ -218,7 +186,7 @@ let on_fault t (f : Dispatcher.fault) =
         apart: a burst after a swap means some extension cached
         old-instance references instead of re-minting. *)
      t.m_revoked <- t.m_revoked + 1
-   | Dispatcher.Handler_exception _ | Dispatcher.Handler_overrun _ -> ());
+   | Dispatcher.Handler_exception _ | Dispatcher.Handler_overrun -> ());
   if not d.d_quarantined then begin
     (match f.Dispatcher.fault_policy with
      | Dispatcher.Uninstall -> ()      (* dispatcher already evicted it *)
@@ -272,12 +240,12 @@ let create sim disp =
       ~owner:"Supervisor" (fun (_ : restart) -> ()) in
   let t = {
     sim; disp;
-    domains = Hashtbl.create 16; domain_order = [];
+    domains = Hashtbl.create 16;
     owners = Hashtbl.create 16; restarts = Hashtbl.create 16;
     fault_times = Hashtbl.create 16;
     quarantined_ev; restarted_ev;
     unlink = (fun _ -> ());
-    m_faults = 0; m_restarts = 0; m_quarantines = 0; m_gave_up = 0;
+    m_faults = 0; m_restarts = 0; m_gave_up = 0;
     m_backoff_capped = 0; m_backoff_resets = 0; m_revoked = 0;
   } in
   Dispatcher.set_fault_handler disp (on_fault t);
@@ -292,14 +260,6 @@ let faults t domain =
   match Hashtbl.find_opt t.domains domain with
   | Some d -> d.d_faults
   | None -> 0
-
-let ledger t =
-  List.map
-    (fun name ->
-      let d = Hashtbl.find t.domains name in
-      { domain = d.d_name; faults = d.d_faults; restarts = d.d_restarts;
-        quarantined = d.d_quarantined; evicted = d.d_evicted })
-    t.domain_order
 
 let cancel_pending t ~domain =
   match Hashtbl.find_opt t.domains domain with
@@ -320,34 +280,8 @@ let installers t ~domain =
 let stats t = {
   s_faults = t.m_faults;
   s_restarts = t.m_restarts;
-  s_quarantines = t.m_quarantines;
   s_gave_up = t.m_gave_up;
   s_backoff_capped = t.m_backoff_capped;
   s_backoff_resets = t.m_backoff_resets;
   s_revoked = t.m_revoked;
 }
-
-let gauges t =
-  [ ("supervisor.faults", fun () -> t.m_faults);
-    ("supervisor.restarts", fun () -> t.m_restarts);
-    ("supervisor.quarantines", fun () -> t.m_quarantines);
-    ("supervisor.backoff_capped", fun () -> t.m_backoff_capped);
-    ("supervisor.backoff_resets", fun () -> t.m_backoff_resets);
-    ("supervisor.revoked_uses", fun () -> t.m_revoked) ]
-
-let report t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "supervisor: %d faults, %d restarts, %d quarantines, %d gave up\n"
-       t.m_faults t.m_restarts t.m_quarantines t.m_gave_up);
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-20s faults=%-4d restarts=%-3d %s\n"
-           e.domain e.faults e.restarts
-           (if e.quarantined then
-              Printf.sprintf "QUARANTINED (%d handlers evicted)" e.evicted
-            else "ok")))
-    (ledger t);
-  Buffer.contents buf

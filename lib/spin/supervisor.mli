@@ -27,20 +27,9 @@
 
 type t
 
-type quarantine = {
-  q_domain : string;
-  q_faults : int;     (** total faults attributed when the axe fell *)
-  q_evicted : int;    (** handlers removed across all events *)
-  q_at_us : float;
-}
+type quarantine = { q_domain : string }
 
-type restart = {
-  r_domain : string;
-  r_installer : string;
-  r_event : string;
-  r_attempt : int;    (** 1 = first restart *)
-  r_at_us : float;
-}
+type restart = { r_attempt : int (** 1 = first restart *) }
 
 type budget = { window_us : float; max_faults : int }
 
@@ -88,7 +77,6 @@ val is_quarantined : t -> string -> bool
 type stats = {
   s_faults : int;
   s_restarts : int;
-  s_quarantines : int;
   s_gave_up : int;     (** Restart handlers that exhausted max_restarts *)
   s_backoff_capped : int;
   (** restart delays clamped to the one-second cap *)
@@ -100,11 +88,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val gauges : t -> (string * (unit -> int)) list
-(** [supervisor.faults], [.restarts], [.quarantines],
-    [.backoff_capped], [.backoff_resets] and [.revoked_uses] (the
-    [s_revoked] count). *)
-
-val report : t -> string
-(** Human-readable ledger. *)

@@ -52,13 +52,11 @@ type outcome = {
   sw_gated_events : string list;
   sw_held_raises : int;
   sw_handlers_swept : int;
-  sw_verified_swept : int;
   sw_restarts_cancelled : int;
   sw_cap_epoch : int;
   sw_extern_epoch : int option;
   sw_checkpointed : bool;
   sw_pause_us : float;
-  sw_at_us : float;
 }
 
 type error =
@@ -86,7 +84,6 @@ type stats = {
   swaps : int;
   failed_swaps : int;
   held_raises : int;
-  swept_handlers : int;
 }
 
 type t = {
@@ -101,7 +98,6 @@ type t = {
   mutable s_swaps : int;
   mutable s_failed : int;
   mutable s_held : int;
-  mutable s_swept : int;
 }
 
 (* The window's virtual-time cost model, charged while the gates are
@@ -124,7 +120,7 @@ let create sched disp =
     sched; disp; clock = Sched.clock sched;
     swapped_ev; waiters = Queue.create ();
     swapper = None; in_progress = None; window_held = 0;
-    s_swaps = 0; s_failed = 0; s_held = 0; s_swept = 0;
+    s_swaps = 0; s_failed = 0; s_held = 0;
   } in
   (* The gate's parking half: a strand raising into a gated event
      blocks here until the swap commits and drains the queue. The swap
@@ -241,29 +237,11 @@ let hot_swap t ~old_domain ~replacement
                  handlers everywhere, cancel restarts aimed at them,
                  unlink the old domain, and bring the replacement
                  up (its initializer installs the new handlers). *)
-              (* Count the trusted-path handlers going down with the
-                 old instance — read from the registry's Handler_spec
-                 view before the sweep destroys it. The replacement
-                 must re-verify its own bytecode at install; a drop in
-                 this number after a swap means the new version fell
-                 back to guarded closures. *)
-              let verified_swept =
-                List.fold_left
-                  (fun acc i ->
-                     acc
-                     + List.length
-                         (List.filter
-                            (fun (s : Dispatcher.Handler_spec.info) ->
-                              s.Dispatcher.Handler_spec.i_trusted
-                              && s.Dispatcher.Handler_spec.i_active)
-                            (Dispatcher.installed_specs t.disp ~installer:i)))
-                  0 installers in
               let swept =
                 List.fold_left
                   (fun acc i ->
                      acc + Dispatcher.uninstall_installer t.disp ~installer:i)
                   0 installers in
-              t.s_swept <- t.s_swept + swept;
               Clock.charge t.clock (sweep_cost * swept);
               let cancelled =
                 match supervisor with
@@ -302,7 +280,6 @@ let hot_swap t ~old_domain ~replacement
                 sw_gated_events = gated;
                 sw_held_raises = held;
                 sw_handlers_swept = swept;
-                sw_verified_swept = verified_swept;
                 sw_restarts_cancelled = cancelled;
                 sw_cap_epoch = cap_epoch;
                 sw_extern_epoch = extern_epoch;
@@ -310,7 +287,6 @@ let hot_swap t ~old_domain ~replacement
                 sw_pause_us =
                   Spin_machine.Cost.cycles_to_us (Clock.cost t.clock)
                     pause_cycles;
-                sw_at_us = Clock.now_us t.clock;
               } in
               if Trace.on tr then
                 Trace.instant tr ~cat:"swap" ~name:"committed"
@@ -333,11 +309,4 @@ let stats t = {
   swaps = t.s_swaps;
   failed_swaps = t.s_failed;
   held_raises = t.s_held;
-  swept_handlers = t.s_swept;
 }
-
-let gauges t =
-  [ ("swap.swaps", fun () -> t.s_swaps);
-    ("swap.failed", fun () -> t.s_failed);
-    ("swap.held_raises", fun () -> t.s_held);
-    ("swap.swept_handlers", fun () -> t.s_swept) ]

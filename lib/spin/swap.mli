@@ -68,16 +68,11 @@ type outcome = {
   sw_gated_events : string list;  (** events closed for the window *)
   sw_held_raises : int;           (** strands parked, then drained *)
   sw_handlers_swept : int;        (** old handlers evicted *)
-  sw_verified_swept : int;
-      (** of those, how many dispatched trusted-fast (verified
-          bytecode) — the replacement re-verifies at install, so a
-          drop here means the new version fell back to closures *)
   sw_restarts_cancelled : int;    (** pending restarts aimed at them *)
   sw_cap_epoch : int;             (** the domain's new capability epoch *)
   sw_extern_epoch : int option;   (** new extern-table epoch, if exported *)
   sw_checkpointed : bool;         (** state moved via checkpoint/restore *)
   sw_pause_us : float;            (** window length (virtual time) *)
-  sw_at_us : float;
 }
 
 type error =
@@ -131,10 +126,6 @@ type stats = {
   swaps : int;            (** committed *)
   failed_swaps : int;
   held_raises : int;      (** strands parked across all windows *)
-  swept_handlers : int;
 }
 
 val stats : t -> stats
-
-val gauges : t -> (string * (unit -> int)) list
-(** [swap.swaps], [.failed], [.held_raises] and [.swept_handlers]. *)

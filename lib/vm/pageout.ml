@@ -46,6 +46,4 @@ let stop t = t.running <- false
 
 let released t = t.released
 
-let low_water t = t.low_water
-
 let high_water t = t.high_water

@@ -28,6 +28,4 @@ val stop : t -> unit
 val released : t -> int
 (** Pages released by the daemon since creation. *)
 
-val low_water : t -> int
-
 val high_water : t -> int

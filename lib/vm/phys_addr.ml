@@ -22,10 +22,7 @@ let default_attrib = { color = None; contiguous = false }
 
 type page = run Capability.t
 
-type victim_request = {
-  requester : string;
-  needed_pages : int;
-}
+type victim_request = { requester : string }
 
 exception Out_of_memory
 
@@ -94,12 +91,6 @@ let reclaims t = t.reclaim_count
 
 let oom_failures t = t.oom_count
 
-let gauges t =
-  [ ("mem.total_pages", fun () -> total_pages t);
-    ("mem.free_pages", fun () -> free_pages t);
-    ("mem.reclaims", fun () -> t.reclaim_count);
-    ("mem.oom_failures", fun () -> t.oom_count) ]
-
 let live_pages t = t.live
 
 let page_run = Capability.deref
@@ -150,12 +141,6 @@ let read_into t page ~off ~len buf ~pos =
   Phys_mem.read_into t.machine.Machine.mem
     ~pa:(Addr.pa_of_page run.first_pfn + off) ~len buf ~pos
 
-let write_bytes t page ~off data =
-  let run = Capability.deref page in
-  check_range "PhysAddr.write_bytes" run ~off ~len:(Bytes.length data);
-  Phys_mem.write_bytes t.machine.Machine.mem
-    ~pa:(Addr.pa_of_page run.first_pfn + off) data
-
 let fill t page ~off data =
   let run = Capability.deref page in
   let len = Bytes.length data in
@@ -199,9 +184,9 @@ let release_frames t run =
     Bitset.clear t.referenced i
   done
 
-let pick_and_release t ~requester ~needed =
+let pick_and_release t ~requester =
   match
-    Dispatcher.raise_event t.select_victim { requester; needed_pages = needed }
+    Dispatcher.raise_event t.select_victim { requester }
   with
   | None -> None
   | Some candidate ->
@@ -221,7 +206,7 @@ let pick_and_release t ~requester ~needed =
       t.reclaim_count <- t.reclaim_count + 1;
       Some victim
 
-let do_reclaim t ~requester ~needed =
+let do_reclaim t ~requester =
   (* A reclaim handler that itself allocates must see a clean
      Out_of_memory, never recurse back in here. [in_reclaim] is reset
      in an exception arm, not in a [Fun.protect] closure per call. *)
@@ -234,7 +219,7 @@ let do_reclaim t ~requester ~needed =
         Trace.begin_span tr ~cat:"vm" ~name:"reclaim"
           ~args:[ ("requester", requester) ] ()
       else Trace.null_span in
-    match pick_and_release t ~requester ~needed with
+    match pick_and_release t ~requester with
     | outcome ->
       t.in_reclaim <- false;
       if Trace.on tr then
@@ -245,7 +230,7 @@ let do_reclaim t ~requester ~needed =
     | exception e -> t.in_reclaim <- false; raise e
   end
 
-let force_reclaim t = do_reclaim t ~requester:"PhysAddr" ~needed:1
+let force_reclaim t = do_reclaim t ~requester:"PhysAddr"
 
 let rec alloc_loop t ~attrib ~owner ~bytes =
   let n = Addr.round_up_pages bytes in
@@ -259,7 +244,7 @@ let rec alloc_loop t ~attrib ~owner ~bytes =
     cap
   | None ->
     (* Memory pressure: reclaim a victim and retry once per victim. *)
-    match do_reclaim t ~requester:owner ~needed:n with
+    match do_reclaim t ~requester:owner with
     | Some _ -> alloc_loop t ~attrib ~owner ~bytes
     | None ->
       t.oom_count <- t.oom_count + 1;

@@ -34,7 +34,6 @@ type page = run Spin_core.Capability.t
 
 type victim_request = {
   requester : string;           (** owner string of the failed allocation *)
-  needed_pages : int;
 }
 (** Argument of the [SelectVictim] event. *)
 
@@ -89,10 +88,6 @@ val reclaims : t -> int
 val oom_failures : t -> int
 (** Allocations that raised {!Out_of_memory}. *)
 
-val gauges : t -> (string * (unit -> int)) list
-(** [mem.total_pages], [.free_pages], [.reclaims] and
-    [.oom_failures]. *)
-
 val live_pages : t -> page list
 (** Live allocations, newest first. Policy handlers walk this. *)
 
@@ -125,9 +120,6 @@ val read_into : t -> page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
     page run at [off] into [buf] at [pos], charging the hardware copy
     cost — the hand-off from cache memory to the requesting domain.
     Allocates nothing. *)
-
-val write_bytes : t -> page -> off:int -> Bytes.t -> unit
-(** Copy into the page run, charging the copy cost. *)
 
 val fill : t -> page -> off:int -> Bytes.t -> unit
 (** Device-side fill (DMA discipline): stores bytes into the run

@@ -15,7 +15,7 @@ let select_second_chance phys (_ : Phys_addr.victim_request) =
       else Some p in
   scan oldest_first
 
-let install_second_chance ?(installer = "SecondChance") phys =
+let install_second_chance phys =
   Dispatcher.ok_exn ~site:"Reclaim_policy.install_second_chance"
     (Dispatcher.install (Phys_addr.select_victim_event phys)
-       ~installer (select_second_chance phys))
+       ~installer:"SecondChance" (select_second_chance phys))

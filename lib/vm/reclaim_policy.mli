@@ -9,7 +9,6 @@
     a guard on the request's [requester]. *)
 
 val install_second_chance :
-  ?installer:string ->
   Phys_addr.t ->
   (Phys_addr.victim_request, Phys_addr.page option) Spin_core.Dispatcher.handler
 (** Classic clock/second-chance over the service's live list, oldest

@@ -18,7 +18,6 @@ type context = {
 type fault = {
   ctx : context;
   va : int;
-  access : Mmu.access;
 }
 
 type costs = {
@@ -207,7 +206,7 @@ let in_region ctx va =
 
 let handle_trap t trap =
   match trap with
-  | Cpu.Mem_fault { va; access; fault } ->
+  | Cpu.Mem_fault { va; fault } ->
     charge t costs.fault_classify;
     (* The fault context is the MMU context of the faulting CPU. *)
     (match Cpu.context t.machine.Machine.cpu with
@@ -216,7 +215,7 @@ let handle_trap t trap =
        (match Hashtbl.find_opt t.contexts_tbl (Mmu.context_id mmu_ctx) with
         | None -> false
         | Some ctx ->
-          let f = { ctx; va; access } in
+          let f = { ctx; va } in
           let tr = Trace.of_clock t.machine.Machine.clock in
           let mark kind =
             if Trace.on tr then
@@ -229,7 +228,7 @@ let handle_trap t trap =
              t.s_prot <- t.s_prot + 1;
              mark "protection_fault";
              Dispatcher.raise_default t.protection_fault () f
-           | Mmu.Page_not_present | Mmu.Bad_address ->
+           | Mmu.Page_not_present ->
              if in_region ctx va then begin
                t.s_np <- t.s_np + 1;
                mark "page_not_present";

@@ -16,7 +16,6 @@ type context
 type fault = {
   ctx : context;
   va : int;
-  access : Spin_machine.Mmu.access;
 }
 
 val create :

@@ -7,7 +7,6 @@ type region = {
   va : int;
   bytes : int;
   asid : int;
-  owner : string;
 }
 
 type vaddr = region Capability.t
@@ -41,7 +40,7 @@ let overlaps a_va a_bytes r =
 
 let round_bytes bytes = Addr.round_up_pages bytes * Addr.page_size
 
-let allocate t ~asid ~owner ~bytes =
+let allocate t ~asid ~bytes =
   if bytes <= 0 then invalid_arg "VirtAddr.allocate: no bytes";
   Clock.charge t.machine.Machine.clock t.alloc_cost;
   let s = space_of t asid in
@@ -55,7 +54,7 @@ let allocate t ~asid ~owner ~bytes =
         if r.va - cursor >= bytes then cursor else gaps (r.va + r.bytes) rest in
     gaps base_va sorted in
   let va = if List.exists (overlaps va bytes) s.regions then s.next_va else va in
-  let region = { va; bytes; asid; owner } in
+  let region = { va; bytes; asid } in
   s.regions <- region :: s.regions;
   s.next_va <- max s.next_va (va + bytes);
   Capability.mint ~owner:"VirtAddr" region

@@ -10,14 +10,13 @@ type region = {
   va : int;
   bytes : int;
   asid : int;
-  owner : string;
 }
 
 type vaddr = region Spin_core.Capability.t
 
 val create : Spin_machine.Machine.t -> t
 
-val allocate : t -> asid:int -> owner:string -> bytes:int -> vaddr
+val allocate : t -> asid:int -> bytes:int -> vaddr
 (** Page-aligned, sized up to whole pages. Addresses are unique within
     the address space. *)
 

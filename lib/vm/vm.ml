@@ -3,7 +3,6 @@ module Machine = Spin_machine.Machine
 
 type t = {
   machine : Machine.t;
-  dispatcher : Spin_core.Dispatcher.t;
   phys : Phys_addr.t;
   virt : Virt_addr.t;
   trans : Translation.t;
@@ -14,7 +13,6 @@ let create machine dispatcher =
   ignore (Reclaim_policy.install_second_chance phys);
   let virt = Virt_addr.create machine in
   let trans = Translation.create machine dispatcher phys in
-  { machine; dispatcher; phys; virt; trans }
+  { machine; phys; virt; trans }
 
 let handle_trap t trap = Translation.handle_trap t.trans trap
-

@@ -3,7 +3,6 @@
 
 type t = {
   machine : Spin_machine.Machine.t;
-  dispatcher : Spin_core.Dispatcher.t;
   phys : Phys_addr.t;
   virt : Virt_addr.t;
   trans : Translation.t;

@@ -19,7 +19,7 @@ let create vm ~app ~pages =
   let ctx = Translation.create_context vm.Vm.trans ~owner:app in
   let vaddr =
     Virt_addr.allocate vm.Vm.virt ~asid:(Translation.context_id ctx)
-      ~owner:app ~bytes:(pages * Addr.page_size) in
+      ~bytes:(pages * Addr.page_size) in
   let page =
     Phys_addr.allocate vm.Vm.phys
       ~attrib:{ Phys_addr.color = None; contiguous = true }

@@ -91,7 +91,7 @@ let test_capability_epoch_revocation () =
 
 let test_extern_ref_roundtrip () =
   let tag : string Univ.tag = Univ.tag ~name:"PhysAddr.T" () in
-  let tbl = Extern_ref.create ~app:"dbase" in
+  let tbl = Extern_ref.create () in
   let i = Extern_ref.externalize tbl tag "page-7" in
   check (option string) "internalize" (Some "page-7")
     (Extern_ref.internalize tbl tag i);
@@ -100,7 +100,7 @@ let test_extern_ref_roundtrip () =
 let test_extern_ref_forgery () =
   let tag : string Univ.tag = Univ.tag ~name:"PhysAddr.T" () in
   let other : string Univ.tag = Univ.tag ~name:"VirtAddr.T" () in
-  let tbl = Extern_ref.create ~app:"dbase" in
+  let tbl = Extern_ref.create () in
   let i = Extern_ref.externalize tbl tag "page-7" in
   check (option string) "forged index" None
     (Extern_ref.internalize tbl tag (i + 1000));
@@ -112,13 +112,13 @@ let test_extern_ref_forgery () =
 
 let test_extern_ref_per_app_isolation () =
   let tag : int Univ.tag = Univ.tag ~name:"Strand.T" () in
-  let a = Extern_ref.create ~app:"a" and b = Extern_ref.create ~app:"b" in
+  let a = Extern_ref.create () and b = Extern_ref.create () in
   let i = Extern_ref.externalize a tag 5 in
   check (option int) "other app's table" None (Extern_ref.internalize b tag i)
 
 let test_extern_ref_epoch_retires_indices () =
   let tag : string Univ.tag = Univ.tag ~name:"Res.T" () in
-  let tbl = Extern_ref.create ~app:"usr" in
+  let tbl = Extern_ref.create () in
   let i1 = Extern_ref.externalize tbl tag "one" in
   let i2 = Extern_ref.externalize tbl tag "two" in
   check int "epoch starts at zero" 0 (Extern_ref.epoch tbl);

@@ -1,179 +1,336 @@
-(* Every value a lib/ interface exports has a caller, and every lib/
-   module runs. For each [val] in lib/**/*.mli, the name must occur as
-   an identifier in some other .ml/.mli under lib, bench (bench/e2e
-   included), bin, examples or test; comments and string literals do
-   not count. A value only its own module uses belongs out of the
-   interface, and one nobody uses belongs out of the tree. Each
-   lib/**/*.ml module must be named from another .ml/.mli under lib,
-   bench or bin: one only tests and examples reach is code the system
-   never runs. The scan is by name, so it can only undercount the
-   offenders, never invent one. *)
+(* Every name lib/ declares has a use, as the compiler resolved it. The
+   scan reads the typed trees (.cmt/.cmti) of lib, bench (bench/e2e
+   included), bin, examples and test, and keys each declaration by
+   where it is declared, never by its name, so a local [capacity] is
+   not a use of [Lru.capacity]. A declaration in an .ml and its copy
+   in the .mli are one declaration. It reports five kinds of dead code
+   in lib/:
+   - a [val] in an .mli that no other module uses;
+   - a record field that no [r.f] or [{ f = p }] pattern reads (a
+     field copied through [{ r with ... }] is not read, nor is one read
+     only to compute its own next value, as in [r.f <- r.f + 1]);
+   - a variant constructor that no expression builds;
+   - an optional argument that no call passes (an omitted one is the
+     [None] the type checker fills in, at a ghost location);
+   - a module that nothing under lib, bench or bin names: one only
+     tests and examples reach is code the system never runs.
+   Uses from tests and examples count for the first four. Polymorphic
+   [=], [compare] and [Hashtbl.hash] read fields the scan cannot see;
+   such a field goes in [exempt] with that reason. *)
 
 (* Table 7's thread packages: b_sizes.ml counts their source files, so
    they stay whole although nothing runs them. *)
-let exempt = [ "cthreads"; "osf_threads" ]
+let exempt_modules = [ "Cthreads"; "Osf_threads" ]
+
+(* Findings kept on purpose, each with its reason. *)
+let exempt =
+  [ ( "Ebc.layout.l_name",
+      "bench/e2e/kernel_ops.ml passes Ebc.layout ~name, and spinbench's \
+       sources stay as the benchmark runs them" ) ]
 
 let roots = [ "../lib"; "../bench"; "../bin"; "../examples"; "../test" ]
 
-let rec sources dir acc =
+let rec typed_trees dir acc =
   Array.fold_left
     (fun acc name ->
       let path = Filename.concat dir name in
-      if name <> "" && name.[0] = '.' then acc
-      else if Sys.is_directory path then sources path acc
-      else if Filename.check_suffix name ".ml"
-           || Filename.check_suffix name ".mli" then path :: acc
+      if Sys.is_directory path then typed_trees path acc
+      else if Filename.check_suffix name ".cmt"
+           || Filename.check_suffix name ".cmti" then path :: acc
       else acc)
     acc (Sys.readdir dir)
 
-let read path = In_channel.with_open_bin path In_channel.input_all
+(* Each typed tree with its source file, relative to the workspace
+   root (lib/net/tcp.ml). Dune's generated alias modules are skipped. *)
+let units =
+  lazy
+    (List.concat_map (fun r -> typed_trees r []) roots
+     |> List.filter_map (fun path ->
+         let cmt = Cmt_format.read_cmt path in
+         match cmt.cmt_sourcefile with
+         | Some src when Filename.check_suffix src ".ml"
+                         || Filename.check_suffix src ".mli" ->
+           Some (src, cmt.cmt_modname, cmt.cmt_annots)
+         | _ -> None))
 
-(* Blank out comments (nested) and string and character literals. *)
-let strip src =
-  let n = String.length src in
-  let out = Buffer.create n in
-  let rec skip_string i =
-    if i >= n then i
-    else match src.[i] with
-      | '\\' -> skip_string (i + 2)
-      | '"' -> i + 1
-      | _ -> skip_string (i + 1) in
-  let rec code i depth =
-    if i >= n then ()
-    else if i + 1 < n && src.[i] = '(' && src.[i + 1] = '*'
-            && not (i + 2 < n && src.[i + 2] = ')') then code (i + 2) (depth + 1)
-    else if depth > 0 && i + 1 < n && src.[i] = '*' && src.[i + 1] = ')' then begin
-      if depth = 1 then Buffer.add_char out ' ';
-      code (i + 2) (depth - 1)
-    end
-    else if src.[i] = '"' then begin
-      if depth = 0 then Buffer.add_char out ' ';
-      code (skip_string (i + 1)) depth
-    end
-    else if depth = 0 && src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then begin
-      Buffer.add_char out ' ';
-      code (i + 3) depth
-    end
-    else if depth = 0 && src.[i] = '\'' && i + 1 < n && src.[i + 1] = '\\' then begin
-      Buffer.add_char out ' ';
-      code (String.index_from src (i + 3) '\'' + 1) depth
-    end
-    else begin
-      if depth = 0 then Buffer.add_char out src.[i];
-      code (i + 1) depth
-    end in
-  code 0 0;
-  Buffer.contents out
+let module_of src =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename src))
 
-let is_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident c = is_start c || (c >= '0' && c <= '9') || c = '\''
+let under root src =
+  String.length src > String.length root
+  && String.sub src 0 (String.length root + 1) = root ^ "/"
 
-let tokens text =
-  let seen = Hashtbl.create 1024 in
-  let n = String.length text in
-  let rec go i =
-    if i < n then
-      if is_start text.[i] then begin
-        let j = ref i in
-        while !j < n && is_ident text.[!j] do incr j done;
-        Hashtbl.replace seen (String.sub text i (!j - i)) ();
-        go !j
-      end
-      else go (i + 1) in
-  go 0;
-  seen
+let in_lib src = under "lib" src && not (List.mem (module_of src) exempt_modules)
 
-(* The names an interface declares with [val]. *)
-let vals text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-      match String.split_on_char ' ' (String.trim line) with
-      | "val" :: name :: _ when name <> "" && is_start name.[0] ->
-        let name =
-          match String.index_opt name ':' with
-          | Some k -> String.sub name 0 k
-          | None -> name in
-        Some name
-      | _ -> None)
+let loc_key (l : Location.t) =
+  (l.loc_start.pos_fname, l.loc_start.pos_cnum, l.loc_end.pos_cnum)
 
-let module_of path = Filename.remove_extension (Filename.basename path)
+(* Declarations, from lib/ only: each maps a key to the name a finding
+   reports, such as [Tcp.conn.engine]. The key is the declaration's
+   location, or the name itself for options and modules. *)
+let exports = Hashtbl.create 1024 (* .mli [val]s *)
+let values = Hashtbl.create 4096 (* every top-level value, .ml and .mli *)
+let fields = Hashtbl.create 1024
+let constructors = Hashtbl.create 512
+let options = Hashtbl.create 256 (* [Mod.fn ?label] *)
+let lib_modules = Hashtbl.create 128
 
-let under root path =
-  let r = root ^ "/" in
-  String.length path > String.length r
-  && String.sub path 0 (String.length r) = r
+(* Uses, from every tree, by finding name. *)
+let used = Hashtbl.create 4096
+let read = Hashtbl.create 1024
+let built = Hashtbl.create 512
+let passed = Hashtbl.create 256
+let named = Hashtbl.create 256 (* named from lib, bench or bin *)
 
-(* Every source under [roots], stripped, with its set of identifiers. *)
+let option_name f l = f ^ " ?" ^ l
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
+let declare_value name ty locs =
+  List.iter (fun l -> Hashtbl.replace values (loc_key l) name) locs;
+  List.iter (fun l -> let o = option_name name l in Hashtbl.replace options o o)
+    (optional_labels ty)
+
+let declare_type prefix (td : Typedtree.type_declaration) =
+  let ty = prefix ^ td.typ_name.txt ^ "." in
+  let labels owner =
+    List.iter (fun (ld : Typedtree.label_declaration) ->
+        Hashtbl.replace fields (loc_key ld.ld_loc) (owner ^ ld.ld_name.txt)) in
+  match td.typ_kind with
+  | Ttype_record lds -> labels ty lds
+  | Ttype_variant cds ->
+    List.iter (fun (cd : Typedtree.constructor_declaration) ->
+        Hashtbl.replace constructors (loc_key cd.cd_loc) (ty ^ cd.cd_name.txt);
+        match cd.cd_args with
+        | Cstr_record lds -> labels (ty ^ cd.cd_name.txt ^ ".") lds
+        | Cstr_tuple _ -> ())
+      cds
+  | Ttype_abstract | Ttype_open -> ()
+
+let rec declare_structure prefix (str : Typedtree.structure) =
+  List.iter (fun (item : Typedtree.structure_item) ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) ->
+        List.iter (fun (vb : Typedtree.value_binding) ->
+            List.iter (fun (_, (name : string Location.loc), ty) ->
+                declare_value (prefix ^ name.txt) ty
+                  [ name.loc; vb.vb_pat.pat_loc ])
+              (Typedtree.let_bound_idents_full [ vb ]))
+          vbs
+      | Tstr_type (_, tds) -> List.iter (declare_type prefix) tds
+      | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } ->
+        declare_module_expr (prefix ^ m ^ ".") mb_expr
+      | _ -> ())
+    str.str_items
+
+and declare_module_expr prefix (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_structure str -> declare_structure prefix str
+  | Tmod_constraint (me, _, _, _) -> declare_module_expr prefix me
+  | _ -> ()
+
+let rec declare_signature prefix (sg : Typedtree.signature) =
+  List.iter (fun (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        let name = prefix ^ vd.val_name.txt in
+        Hashtbl.replace exports (loc_key vd.val_val.val_loc) name;
+        declare_value name vd.val_val.val_type [ vd.val_val.val_loc ]
+      | Tsig_type (_, tds) -> List.iter (declare_type prefix) tds
+      | Tsig_module { md_name = { txt = Some m; _ };
+                      md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+        declare_signature (prefix ^ m ^ ".") sg
+      | _ -> ())
+    sg.sig_items
+
+(* The library prefixes dune gives lib/ modules ([Spin_net] for
+   [Spin_net__Tcp]). *)
+let lib_prefixes = Hashtbl.create 16
+
+(* [Spin_net__Tcp] is [Some ("Spin_net", "Tcp")]. *)
+let wrapped name =
+  let n = String.length name in
+  let rec find i =
+    if i + 1 >= n then None
+    else if name.[i] = '_' && name.[i + 1] = '_' then
+      Some (String.sub name 0 i, String.sub name (i + 2) (n - i - 2))
+    else find (i + 1) in
+  find 0
+
+(* The lib/ module a resolved path names, if any: [Spin_net__Tcp.x],
+   [Spin_net.Tcp.x] or, inside the library, [Tcp.x]. *)
+let module_of_path p =
+  let lib m = if Hashtbl.mem lib_modules m then Some m else None in
+  match Path.flatten p with
+  | `Ok (id, rest) when Ident.global id -> (
+      let head = Ident.name id in
+      match wrapped head, rest with
+      | Some (_, m), _ -> lib m
+      | None, m :: _ when Hashtbl.mem lib_prefixes head -> lib m
+      | None, _ -> lib head)
+  | _ -> None
+
+let module_of_loc (l : Location.t) =
+  let f = l.loc_start.pos_fname in
+  if under "lib" f then Some (module_of f) else None
+
+(* An omitted optional argument: the type checker's ghost [None]. *)
+let omitted (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> e.exp_loc.loc_ghost
+  | _ -> false
+
+let scan src annots =
+  let own = module_of src in
+  let names_modules =
+    under "lib" src || under "bench" src || under "bin" src in
+  let name m =
+    match m with
+    | Some m when names_modules && m <> own -> Hashtbl.replace named m ()
+    | _ -> () in
+  let mark tbl decls l =
+    match Hashtbl.find_opt decls (loc_key l) with
+    | Some n -> Hashtbl.replace tbl n ()
+    | None -> () in
+  (* The fields being assigned around the expression being walked: a
+     field read only to compute its own next value is still unread. *)
+  let assigning = ref [] in
+  let open Tast_iterator in
+  let expr sub (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_setfield (r, _, lbl, v) ->
+      name (module_of_loc lbl.lbl_loc);
+      sub.expr sub r;
+      let outer = !assigning in
+      assigning := loc_key lbl.lbl_loc :: outer;
+      sub.expr sub v;
+      assigning := outer
+    | desc ->
+      (match desc with
+       | Texp_ident (p, _, vd) ->
+         mark used exports vd.val_loc;
+         name (module_of_path p);
+         name (module_of_loc vd.val_loc)
+       | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) -> (
+           match Hashtbl.find_opt values (loc_key vd.val_loc) with
+           | Some f ->
+             List.iter (function
+                 | Asttypes.Optional l, Some a when not (omitted a) ->
+                   Hashtbl.replace passed (option_name f l) ()
+                 | _ -> ())
+               args
+           | None -> ())
+       | Texp_field (_, _, lbl) ->
+         if not (List.mem (loc_key lbl.lbl_loc) !assigning) then
+           mark read fields lbl.lbl_loc;
+         name (module_of_loc lbl.lbl_loc)
+       | Texp_construct (_, cd, _) ->
+         mark built constructors cd.cstr_loc;
+         name (module_of_loc cd.cstr_loc)
+       | Texp_record { fields = fs; _ } ->
+         Array.iter (fun ((lbl : Types.label_description), _) ->
+             name (module_of_loc lbl.lbl_loc))
+           fs
+       | _ -> ());
+      default_iterator.expr sub e in
+  let pat : type k. iterator -> k Typedtree.general_pattern -> unit =
+    fun sub p ->
+    (match p.pat_desc with
+     | Tpat_record (fs, _) ->
+       List.iter (fun (_, (lbl : Types.label_description), q) ->
+           name (module_of_loc lbl.lbl_loc);
+           match (q : _ Typedtree.general_pattern).pat_desc with
+           | Tpat_any -> ()
+           | _ -> mark read fields lbl.lbl_loc)
+         fs
+     | Tpat_construct (_, cd, _, _) -> name (module_of_loc cd.cstr_loc)
+     | _ -> ());
+    default_iterator.pat sub p in
+  let typ sub (t : Typedtree.core_type) =
+    (match t.ctyp_desc with
+     | Ttyp_constr (p, _, _) -> name (module_of_path p)
+     | _ -> ());
+    default_iterator.typ sub t in
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+     | Tmod_ident (p, _) -> name (module_of_path p)
+     | _ -> ());
+    default_iterator.module_expr sub me in
+  let module_type sub (mt : Typedtree.module_type) =
+    (match mt.mty_desc with
+     | Tmty_ident (p, _) | Tmty_alias (p, _) -> name (module_of_path p)
+     | _ -> ());
+    default_iterator.module_type sub mt in
+  let it = { default_iterator with expr; pat; typ; module_expr; module_type } in
+  match (annots : Cmt_format.binary_annots) with
+  | Implementation str -> it.structure it str
+  | Interface sg -> it.signature it sg
+  | _ -> ()
+
 let scanned =
   lazy
-    (List.concat_map (fun r -> sources r []) roots
-     |> List.map (fun f ->
-         let text = strip (read f) in
-         (f, text, tokens text)))
+    (let units = Lazy.force units in
+     List.iter (fun (src, modname, annots) ->
+         if in_lib src then begin
+           Hashtbl.replace lib_modules (module_of src) (module_of src);
+           Option.iter (fun (lib, _) -> Hashtbl.replace lib_prefixes lib ())
+             (wrapped modname);
+           match (annots : Cmt_format.binary_annots) with
+           | Implementation str -> declare_structure (module_of src ^ ".") str
+           | Interface sg -> declare_signature (module_of src ^ ".") sg
+           | _ -> ()
+         end)
+       units;
+     List.iter (fun (src, _, annots) -> scan src annots) units)
 
-(* Whether [name] occurs in a file under [within] other than the .ml
-   and .mli of [own] (a path without its extension). *)
-let named_elsewhere ~within ~own name =
-  List.exists
-    (fun (f, _, t) ->
-      List.exists (fun r -> under r f) within
-      && Filename.remove_extension f <> own
-      && Hashtbl.mem t name)
-    (Lazy.force scanned)
+(* The declared names with no use. *)
+let unused decls uses =
+  Lazy.force scanned;
+  Seq.filter (fun n -> not (Hashtbl.mem uses n)) (decls ())
+  |> List.of_seq |> List.sort_uniq compare
 
-let offenders () =
-  List.concat_map
-    (fun (mli, text, _) ->
-      let m = module_of mli in
-      if not (under "../lib" mli && Filename.check_suffix mli ".mli")
-      || List.mem m exempt then []
-      else
-        let own = Filename.remove_extension mli in
-        List.filter_map
-          (fun name ->
-            if named_elsewhere ~within:roots ~own name then None
-            else Some (String.capitalize_ascii m ^ "." ^ name))
-          (vals text))
-    (Lazy.force scanned)
-  |> List.sort_uniq compare
-
-(* A lib/ module that no other library module, benchmark or binary
-   names is code nothing runs: tests and examples exercising it do not
-   make it part of the system. *)
-let unnamed_modules () =
-  List.filter_map
-    (fun (ml, _, _) ->
-      let m = module_of ml in
-      if not (under "../lib" ml && Filename.check_suffix ml ".ml")
-      || List.mem m exempt then None
-      else if
-        named_elsewhere ~within:[ "../lib"; "../bench"; "../bin" ]
-          ~own:(Filename.remove_extension ml) (String.capitalize_ascii m)
-      then None
-      else Some (String.capitalize_ascii m))
-    (Lazy.force scanned)
-  |> List.sort_uniq compare
-
-let test_no_dead_exports () =
-  match offenders () with
+let report what decls uses =
+  let exempted f = List.mem_assoc f exempt in
+  match List.filter (fun f -> not (exempted f)) (unused decls uses) with
   | [] -> ()
   | dead ->
-    Alcotest.failf "%d exported values have no caller outside their module:\n  %s"
-      (List.length dead) (String.concat "\n  " dead)
+    Alcotest.failf "%d %s:\n  %s" (List.length dead) what
+      (String.concat "\n  " dead)
 
-let test_every_module_runs () =
-  match unnamed_modules () with
+let names tbl () = Hashtbl.to_seq_values tbl
+
+let cases =
+  [ ("every lib/ export has a caller",
+     "exported values have no use outside their module", names exports, used);
+    ("every lib/ module has a caller",
+     "lib/ modules are named from no other module under lib, bench or bin",
+     names lib_modules, named);
+    ("every lib/ field is read", "record fields are read nowhere",
+     names fields, read);
+    ("every lib/ constructor is built",
+     "variant constructors are built nowhere", names constructors, built);
+    ("every lib/ option is passed",
+     "optional arguments are passed by no call", names options, passed) ]
+
+(* An exempt entry must still be a finding, or it goes. *)
+let test_exempt_current () =
+  let findings =
+    List.concat_map (fun (_, _, decls, uses) -> unused decls uses) cases in
+  match List.filter (fun (f, _) -> not (List.mem f findings)) exempt with
   | [] -> ()
-  | dead ->
-    Alcotest.failf
-      "%d lib/ modules are named from no other module under lib, bench or \
-       bin:\n  %s"
-      (List.length dead) (String.concat "\n  " dead)
+  | stale ->
+    Alcotest.failf "exempt entries that are no longer findings:\n  %s"
+      (String.concat "\n  " (List.map fst stale))
 
 let () =
   Alcotest.run "spin_exports"
     [ ( "interfaces",
-        [ Alcotest.test_case "every lib/ export has a caller" `Quick
-            test_no_dead_exports;
-          Alcotest.test_case "every lib/ module has a caller" `Quick
-            test_every_module_runs ] ) ]
+        List.map (fun (case, what, decls, uses) ->
+            Alcotest.test_case case `Quick (fun () -> report what decls uses))
+          cases
+        @ [ Alcotest.test_case "every exempt entry is a finding" `Quick
+              test_exempt_current ] ) ]

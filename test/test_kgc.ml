@@ -26,7 +26,7 @@ let test_alloc_and_fields () =
 let test_collect_frees_garbage () =
   let _, h = heap () in
   let keep = Kheap.alloc h ~owner:"ext" ~words:8 in
-  let root = Kheap.add_root h ~name:"keep" (Kheap.Ptr keep) in
+  let root = Kheap.add_root h (Kheap.Ptr keep) in
   for _ = 1 to 50 do ignore (Kheap.alloc h ~owner:"ext" ~words:8) done;
   check int "heap holds everything" (51 * 8) (Kheap.heap_words h);
   Kheap.collect h;
@@ -44,7 +44,7 @@ let test_references_keep_objects () =
   let a = Kheap.alloc h ~owner:"ext" ~words:2 in
   Kheap.set_field h ~addr:a 0 (Kheap.Ptr b);
   Kheap.set_field h ~addr:b 0 (Kheap.Ptr c);
-  let _root = Kheap.add_root h ~name:"list" (Kheap.Ptr a) in
+  let _root = Kheap.add_root h (Kheap.Ptr a) in
   ignore (Kheap.alloc h ~owner:"ext" ~words:64);  (* garbage *)
   Kheap.collect h;
   check int "chain survives" 6 (Kheap.heap_words h)
@@ -55,7 +55,7 @@ let test_copying_updates_references () =
   let a = Kheap.alloc h ~owner:"ext" ~words:2 in
   Kheap.set_field h ~addr:a 0 (Kheap.Ptr b);
   Kheap.set_field h ~addr:a 1 (Kheap.Int 7);
-  let root = Kheap.add_root h ~name:"a" (Kheap.Ptr a) in
+  let root = Kheap.add_root h (Kheap.Ptr a) in
   Kheap.collect h;                        (* everything moves *)
   let a' = match Kheap.read_root root with
     | Kheap.Ptr x -> x
@@ -103,7 +103,7 @@ let test_false_ambiguous_root_harmless () =
 let test_root_removal_releases () =
   let _, h = heap () in
   let a = Kheap.alloc h ~owner:"ext" ~words:4 in
-  let root = Kheap.add_root h ~name:"tmp" (Kheap.Ptr a) in
+  let root = Kheap.add_root h (Kheap.Ptr a) in
   Kheap.collect h;
   check bool "held" true (Kheap.heap_words h = 4);
   Kheap.remove_root h root;
@@ -115,11 +115,11 @@ let test_extension_death_reclaims () =
      its roots is enough for the collector to reclaim its memory. *)
   let _, h = heap () in
   let ext_roots =
-    List.init 10 (fun i ->
+    List.init 10 (fun _ ->
       let a = Kheap.alloc h ~owner:"video-ext" ~words:16 in
-      Kheap.add_root h ~name:(Printf.sprintf "video%d" i) (Kheap.Ptr a)) in
+      Kheap.add_root h (Kheap.Ptr a)) in
   let other = Kheap.alloc h ~owner:"tcp" ~words:8 in
-  let _other_root = Kheap.add_root h ~name:"tcp" (Kheap.Ptr other) in
+  let _other_root = Kheap.add_root h (Kheap.Ptr other) in
   Kheap.collect h;
   check int "extension memory accounted" 160 (Kheap.owner_words h ~owner:"video-ext");
   (* The extension terminates: the kernel drops its roots. *)
@@ -144,7 +144,7 @@ let test_disable_auto () =
 let test_collection_charges_time () =
   let clock, h = heap () in
   let live = Kheap.alloc h ~owner:"x" ~words:100 in
-  let _root = Kheap.add_root h ~name:"l" (Kheap.Ptr live) in
+  let _root = Kheap.add_root h (Kheap.Ptr live) in
   for _ = 1 to 20 do ignore (Kheap.alloc h ~owner:"x" ~words:100) done;
   let spent = Clock.stamp clock (fun () -> Kheap.collect h) in
   check bool "pause visible on the clock" true (spent > 500);
@@ -185,7 +185,7 @@ let prop_collect_preserves_rooted_graph =
           | Some _ | None -> ())
         spec;
       (* Root the first object only. *)
-      let root = Kheap.add_root h ~name:"r" (Kheap.Ptr arr.(0)) in
+      let root = Kheap.add_root h (Kheap.Ptr arr.(0)) in
       let before = Kheap.live_words h in
       Kheap.collect h;
       let after = Kheap.live_words h in

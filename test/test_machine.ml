@@ -498,7 +498,7 @@ let test_cpu_fault_resume () =
   Cpu.set_context cpu (Some ctx);
   let faults = ref 0 in
   Cpu.set_trap_handler cpu (function
-    | Cpu.Mem_fault { va; fault = Mmu.Page_not_present; _ } ->
+    | Cpu.Mem_fault { va; fault = Mmu.Page_not_present } ->
       incr faults;
       Mmu.map mmu ctx ~vpn:(Addr.vpn_of_va va) ~pfn:7 ~prot:Addr.prot_read_write;
       0
@@ -526,7 +526,7 @@ let test_cpu_copy_user () =
   Cpu.set_context cpu (Some ctx);
   let faults = ref 0 in
   Cpu.set_trap_handler cpu (function
-    | Cpu.Mem_fault { va; fault = Mmu.Page_not_present; _ } ->
+    | Cpu.Mem_fault { va; fault = Mmu.Page_not_present } ->
       incr faults;
       let vpn = Addr.vpn_of_va va in
       Mmu.map mmu ctx ~vpn ~pfn:vpn ~prot:Addr.prot_read_write;

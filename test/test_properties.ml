@@ -285,7 +285,7 @@ let prop_virt_regions_disjoint =
       let live = ref [] in
       List.iter
         (fun (bytes, free_one) ->
-          let cap = Virt_addr.allocate va ~asid:1 ~owner:"p" ~bytes in
+          let cap = Virt_addr.allocate va ~asid:1 ~bytes in
           live := cap :: !live;
           if free_one then
             match !live with

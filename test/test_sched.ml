@@ -11,10 +11,6 @@ module Intr = Spin_machine.Intr
 
 let must r = Dispatcher.ok_exn ~site:"test_sched" r
 
-(* Wakeups banked for strands that had not blocked yet, read through
-   the scheduler's own gauge. *)
-let pending_wakeups s = List.assoc "sched.pending_wakeups" (Sched.gauges s) ()
-
 let kernel () =
   let m = Machine.create ~name:"t" ~mem_mb:4 () in
   let d = Dispatcher.create m.Machine.clock in
@@ -528,7 +524,7 @@ let test_finish_dequeues_requeued_strand () =
   ignore (Sched.step s);
   check (list string) "no dead strand left queued" [] (audit_reports s);
   check int "queue empty" 0 (Sched.runnable_count s);
-  check int "no leaked wakeup" 0 (pending_wakeups s)
+  check int "no leaked wakeup" 0 (Sched.pending_wakeup_count s)
 
 let test_yield_clears_raced_wakeup () =
   (* Regression: an unblock that lands while a strand is running
@@ -553,7 +549,7 @@ let test_yield_clears_raced_wakeup () =
     | None -> fail "racer never registered"));
   Sched.run s;
   check int "both completed" 2 (Sched.stats s).Sched.completed;
-  check int "no leaked wakeup" 0 (pending_wakeups s)
+  check int "no leaked wakeup" 0 (Sched.pending_wakeup_count s)
 
 let test_dead_unblock_counted_and_reported () =
   let _, _, s = kernel () in
@@ -699,7 +695,7 @@ let test_cross_cpu_ping_pong_loses_no_wakeup () =
   check int "none dropped" 0 st.Sched.ipi_dropped;
   check int "none in flight at quiescence" 0 (Sched.pending_ipi_count s);
   check int "inboxes drained" 0 (Sched.ipis_undelivered s);
-  check int "no banked wakeup leaked" 0 (pending_wakeups s)
+  check int "no banked wakeup leaked" 0 (Sched.pending_wakeup_count s)
 
 let test_steal_spreads_unpinned_load () =
   let m, _, s = smp_kernel () in
@@ -760,13 +756,11 @@ let test_multi_cpu_runnable_views_and_audit () =
   check int "all completed" 3 (Sched.stats s).Sched.completed;
   check (list string) "audit clean at quiescence" [] (audit_reports s)
 
-let test_monitor_gauges_are_machine_wide () =
+let test_counts_are_machine_wide () =
   (* Regression for the single-CPU assumption audit: the scheduler's
-     gauges must aggregate over every CPU, and must expose in-flight
+     counts must aggregate over every CPU, and must expose in-flight
      IPI wakeups (pending work no run-queue depth shows). *)
   let _, _, s = smp_kernel () in
-  let gauges = Sched.gauges s in
-  let g name = List.assoc name gauges () in
   let sleeper = ref None in
   let mid_flight = ref (-1) in
   let sl = Sched.spawn s ~name:"sleeper" (fun () ->
@@ -776,17 +770,17 @@ let test_monitor_gauges_are_machine_wide () =
   let wk = Sched.spawn s ~name:"waker" (fun () ->
     Sched.unblock s (wait_blocked s sleeper);
     (* Sample while the wakeup IPI is posted but not yet delivered. *)
-    mid_flight := g "sched.ipis_in_flight") in
+    mid_flight := Sched.pending_ipi_count s) in
   Sched.set_affinity s wk (Some 1);
   Sched.run s;
-  check int "in-flight gauge saw the travelling wakeup" 1 !mid_flight;
-  check int "in-flight gauge drains to zero" 0 (g "sched.ipis_in_flight");
-  check int "IPI wakeup gauge matches scheduler stats"
-    (Sched.stats s).Sched.ipi_wakeups (g "sched.ipi_wakeups");
-  check int "runnable gauge empty at quiescence" 0 (g "sched.runnable");
-  check bool "switches gauge counted both CPUs' slices" true
-    (g "sched.switches" >= 2);
-  check int "no raced wakeup banked" 0 (g "sched.pending_wakeups")
+  check int "in-flight count saw the travelling wakeup" 1 !mid_flight;
+  check int "in-flight count drains to zero" 0 (Sched.pending_ipi_count s);
+  let st = Sched.stats s in
+  check int "the wakeup travelled as an IPI" 1 st.Sched.ipi_wakeups;
+  check int "run queues empty at quiescence" 0 (Sched.runnable_count s);
+  check bool "switches counted both CPUs' slices" true
+    (st.Sched.switches >= 2);
+  check int "no raced wakeup banked" 0 (Sched.pending_wakeup_count s)
 
 let test_spawn_inherits_cpu_and_count_is_explicit () =
   let m, _, s = smp_kernel ~cpus:4 () in
@@ -979,8 +973,8 @@ let () =
             test_affinity_exempts_from_stealing;
           test_case "machine-wide runnable views and audit" `Quick
             test_multi_cpu_runnable_views_and_audit;
-          test_case "monitor gauges are machine-wide" `Quick
-            test_monitor_gauges_are_machine_wide;
+          test_case "counts are machine-wide" `Quick
+            test_counts_are_machine_wide;
           test_case "spawn inherits the parent's CPU" `Quick
             test_spawn_inherits_cpu_and_count_is_explicit;
           test_case "random ops keep the queued counts" `Quick

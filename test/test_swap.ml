@@ -218,7 +218,7 @@ let test_extern_refs_retired_by_swap () =
   (* Indices the old generation externalized to user space die with
      its epoch: internalization misses (counted), never dangles. *)
   let k, tick = fixture () in
-  let table = Extern_ref.create ~app:"usr" in
+  let table = Extern_ref.create () in
   let rtag : string Univ.tag = Univ.tag ~name:"Counter.Res" () in
   let obj1, _ = counter ~version:1 ~externs:table tick in
   ignore (load_exn k obj1);

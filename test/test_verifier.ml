@@ -271,7 +271,7 @@ let test_bound_becomes_budget () =
 
 let test_capability_slots () =
   let cap = Capability.mint ~owner:"test" 42 in
-  let slot = Ebc.cap_slot ~name:"c" ~ty:Ty.Int cap in
+  let slot = Ebc.cap_slot ~ty:Ty.Int cap in
   let caps = [| slot |] in
   let prog =
     [| Ebc.Ldc (0, 0); Ebc.Ldc (1, 0); Ebc.Eq (2, 0, 1); Ebc.Ret 2 |] in

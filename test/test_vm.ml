@@ -198,8 +198,8 @@ let test_phys_domain_policy () =
 
 let test_virt_alloc_unique () =
   let _, _, vm = boot () in
-  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~owner:"t" ~bytes:100 in
-  let b = Virt_addr.allocate vm.Vm.virt ~asid:1 ~owner:"t" ~bytes:100 in
+  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~bytes:100 in
+  let b = Virt_addr.allocate vm.Vm.virt ~asid:1 ~bytes:100 in
   let ra = Virt_addr.region a and rb = Virt_addr.region b in
   check bool "disjoint" true
     (ra.Virt_addr.va + ra.Virt_addr.bytes <= rb.Virt_addr.va
@@ -211,17 +211,17 @@ let test_virt_same_va_different_asid () =
   (* The asid makes the address unique (paper: capability referent is
      va, length, and address space identifier). *)
   let _, _, vm = boot () in
-  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~owner:"t" ~bytes:4096 in
-  let b = Virt_addr.allocate vm.Vm.virt ~asid:2 ~owner:"t" ~bytes:4096 in
+  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~bytes:4096 in
+  let b = Virt_addr.allocate vm.Vm.virt ~asid:2 ~bytes:4096 in
   check int "same va in different spaces"
     (Virt_addr.region a).Virt_addr.va (Virt_addr.region b).Virt_addr.va
 
 let test_virt_dealloc_reuse () =
   let _, _, vm = boot () in
-  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~owner:"t" ~bytes:8192 in
+  let a = Virt_addr.allocate vm.Vm.virt ~asid:1 ~bytes:8192 in
   let va = (Virt_addr.region a).Virt_addr.va in
   Virt_addr.deallocate vm.Vm.virt a;
-  let b = Virt_addr.allocate vm.Vm.virt ~asid:1 ~owner:"t" ~bytes:8192 in
+  let b = Virt_addr.allocate vm.Vm.virt ~asid:1 ~bytes:8192 in
   check int "hole reused" va (Virt_addr.region b).Virt_addr.va
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +231,7 @@ let test_virt_dealloc_reuse () =
 let make_mapped vm ~pages =
   let ctx = Translation.create_context vm.Vm.trans ~owner:"t" in
   let vaddr = Virt_addr.allocate vm.Vm.virt ~asid:(Translation.context_id ctx)
-      ~owner:"t" ~bytes:(pages * Addr.page_size) in
+      ~bytes:(pages * Addr.page_size) in
   let page = Phys_addr.allocate vm.Vm.phys
       ~attrib:{ Phys_addr.color = None; contiguous = true }
       ~owner:"t" ~bytes:(pages * Addr.page_size) in
@@ -279,7 +279,7 @@ let test_translation_page_not_present_event () =
   let m, _, vm = boot () in
   let ctx = Translation.create_context vm.Vm.trans ~owner:"t" in
   let vaddr = Virt_addr.allocate vm.Vm.virt
-      ~asid:(Translation.context_id ctx) ~owner:"t" ~bytes:Addr.page_size in
+      ~asid:(Translation.context_id ctx) ~bytes:Addr.page_size in
   Translation.attach_region ctx (Virt_addr.region vaddr);
   Cpu.set_context m.Machine.cpu (Some (Translation.mmu_context ctx));
   (* Lazy mapping: fault in a zero page on first touch. *)
