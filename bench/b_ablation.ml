@@ -44,7 +44,8 @@ let colocation () =
       end in
     let service_call () =
       if not colocated then
-        Clock.charge clock (hw.Cost.trap_entry + hw.Cost.trap_exit + 105) in
+        Clock.charge clock
+          (hw.Cost.trap_entry + hw.Cost.trap_exit + Kernel.syscall_glue) in
     Vm_ext.on_protection_fault ext (fun page ->
       crossing ();
       service_call ();

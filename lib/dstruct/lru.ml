@@ -85,6 +85,11 @@ let remove t k =
 
 let mem t k = Hashtbl.mem t.table k
 
+let least_recent t =
+  match t.tail with
+  | Entry { key; value = Some v; _ } -> Some (key, v)
+  | Entry { value = None; _ } | Nil -> None
+
 let iter f t =
   let rec loop = function
     | Nil -> ()

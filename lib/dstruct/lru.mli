@@ -29,6 +29,10 @@ val remove : ('k, 'v) t -> 'k -> unit
 
 val mem : ('k, 'v) t -> 'k -> bool
 
+val least_recent : ('k, 'v) t -> ('k * 'v) option
+(** The least-recently-used binding — the next to be evicted — without
+    touching recency. O(1). *)
+
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Most-recently-used first. *)
 

@@ -39,10 +39,8 @@ type t = {
 }
 
 let coldest_page t =
-  let last = ref None in
-  Lru.iter (fun _ e -> last := Some e.page) t.cache;
-  match !last with
-  | Some p -> p
+  match Lru.least_recent t.cache with
+  | Some (_, e) -> e.page
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 (* The reclamation protocol chose one of our pages; drop whatever

@@ -33,10 +33,8 @@ let entry_bytes e = Array.length e.pages * Addr.page_size
 let dealloc_entry t e = Array.iter (Phys_addr.deallocate t.phys) e.pages
 
 let coldest_page t =
-  let last = ref None in
-  Lru.iter (fun _ e -> last := Some e.pages.(0)) t.cache;
-  match !last with
-  | Some p -> p
+  match Lru.least_recent t.cache with
+  | Some (_, e) -> e.pages.(0)
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 (* One of our pages is being reclaimed: the whole entry it belonged
@@ -90,18 +88,15 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ~phys fs =
   Phys_addr.add_invalidate phys (forget t);
   t
 
-let evict_to_budget t =
-  while t.bytes_held > t.capacity_bytes && Lru.length t.cache > 0 do
-    (* Walk to the cold end of the LRU (last in iteration order). *)
-    let last = ref None in
-    Lru.iter (fun k e -> last := Some (k, e)) t.cache;
-    match !last with
-    | None -> t.bytes_held <- 0
+let rec evict_to_budget t =
+  if t.bytes_held > t.capacity_bytes then
+    match Lru.least_recent t.cache with
+    | None -> ()
     | Some (k, e) ->
       t.bytes_held <- t.bytes_held - entry_bytes e;
       dealloc_entry t e;
-      Lru.remove t.cache k
-  done
+      Lru.remove t.cache k;
+      evict_to_budget t
 
 (* Take pages for [data] and insert it; under hopeless pressure give
    back whatever we got and stay uncached. *)

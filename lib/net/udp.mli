@@ -20,6 +20,9 @@ type datagram = {
 
 val header_bytes : int
 
+val process_cost : int
+(** Cycles of UDP processing charged per datagram. *)
+
 val frame_port_prog : port:int -> Spin_core.Ebc.program
 (** A receive-path packet filter over a whole frame ({!Netif.rx_event}'s
     layout): the IP protocol is UDP and the UDP destination port is

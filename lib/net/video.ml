@@ -109,7 +109,8 @@ let stream_frame server frame_index =
     if off < len then begin
       let chunk = min mtu (len - off) in
       (* Protocol-graph traversal, once per packet. *)
-      Clock.charge server.host.Host.machine.Machine.clock (420 + 380);
+      Clock.charge server.host.Host.machine.Machine.clock
+        (Ip.process_cost + Udp.process_cost);
       server.seq <- server.seq + 1;
       let payload = Bytes.sub data off chunk in
       let delivered =

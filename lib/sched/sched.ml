@@ -29,11 +29,7 @@ type stats = {
   ipi_dropped : int;
 }
 
-type selector = Strand.t list -> Strand.t option
-
-type cpu_selector = int list -> int option
-
-type steal_policy = thief:int -> Strand.t list -> Strand.t option
+type choice = Strand | Cpu | Steal
 
 type t = {
   sim : Sim.t;
@@ -63,12 +59,9 @@ type t = {
   mutable slice_start : int;
   mutable preempt_requested : bool;
   (* Scheduler-replacement extension point (paper, section 5.2): when
-     installed, the selector picks the next strand from the runnable
-     set instead of the default highest-priority-FIFO scan. *)
-  mutable selector : selector option;
-  (* The SMP members of the same extension-point family. *)
-  mutable cpu_selector : cpu_selector option;
-  mutable steal_policy : steal_policy option;
+     installed, the chooser picks the strand, the CPU and the steal by
+     index among the candidates the scheduler's own walks offer. *)
+  mutable chooser : (choice -> int -> int) option;
   mutable probe : (unit -> unit) option;  (* runs at every scheduling point *)
   mutable on_violation : (string -> unit) option;
   mutable s_switches : int;
@@ -186,7 +179,7 @@ let default_unblock t s =
   | Strand.Blocked | Strand.Created ->
     let cpu = target_cpu t s in
     (match t.intr with
-     | Some intr when t.cpus > 1 && cpu <> t.exec_cpu ->
+     | Some intr when cpu <> t.exec_cpu ->
        (* The strand belongs on another CPU's queue: signal that CPU
           instead of reaching into its queue from here. *)
        Hashtbl.replace t.ipi_pending s.Strand.id ();
@@ -207,17 +200,8 @@ let default_unblock t s =
     report_violation t
       (Printf.sprintf "unblock raised on dead strand %s" (Strand.to_string s))
 
-let create ?cpus ?intr sim dispatcher =
-  let cpus =
-    match cpus, intr with
-    | Some n, _ -> n
-    | None, Some i -> Intr.cpus i
-    | None, None -> 1 in
-  if cpus < 1 then invalid_arg "Sched.create: need at least one CPU";
-  (match intr with
-   | Some i when Intr.cpus i < cpus ->
-     invalid_arg "Sched.create: more CPUs than the interrupt controller routes"
-   | Some _ | None -> ());
+let create ?intr sim dispatcher =
+  let cpus = match intr with Some i -> Intr.cpus i | None -> 1 in
   let clock = Sim.clock sim in
   let rec t =
     lazy
@@ -239,7 +223,7 @@ let create ?cpus ?intr sim dispatcher =
          pending_wakeups = Hashtbl.create 16;
          ipi_pending = Hashtbl.create 16;
          slice_start = 0; preempt_requested = false;
-         selector = None; cpu_selector = None; steal_policy = None;
+         chooser = None;
          probe = None; on_violation = None;
          s_switches = 0; s_preempt = 0; s_completed = 0;
          s_failed = 0; s_redundant_unblocks = 0; s_dead_unblocks = 0;
@@ -285,17 +269,6 @@ let self t =
   | Some s -> s
   | None -> invalid_arg "Sched.self: not in strand context"
 
-let runnable_on t ~cpu =
-  if cpu < 0 || cpu >= t.cpus then invalid_arg "Sched.runnable_on: bad CPU";
-  let acc = ref [] in
-  for p = 0 to Strand.max_priority do
-    (* Build high-priority-first, FIFO within a priority level. *)
-    List.iter
-      (fun s -> if s.Strand.state = Strand.Runnable then acc := s :: !acc)
-      (Dllist.to_list t.queues.(cpu).(Strand.max_priority - p))
-  done;
-  List.rev !acc
-
 let runnable_strands t =
   let acc = ref [] in
   for p = 0 to Strand.max_priority do
@@ -321,106 +294,116 @@ let rec scan_from t ~cpu p =
 
 let scan t ~cpu = scan_from t ~cpu Strand.max_priority
 
+(* The chooser's answer, checked against the [n] candidates offered. *)
+let choose f kind n =
+  let i = f kind n in
+  if i < 0 || i >= n then invalid_arg "Sched: chooser index out of range";
+  i
+
+(* --- candidate walks ----------------------------------------------- *)
+
+(* Whether CPU [cpu] may run [s], queued on CPU [c]: any runnable strand
+   of its own queue, and from another CPU's only one not pinned
+   elsewhere. *)
+let offered ~cpu c s =
+  s.Strand.state = Strand.Runnable
+  && (cpu = c
+      || match s.Strand.affinity with None -> true | Some a -> a = cpu)
+
+(* The victim after [c] in steal order, [-1] after the last (start
+   from [-1]): CPUs other than the thief holding at least two strands
+   (never the victim's last — a lone strand keeps its cache locality),
+   most queued first, ties to the lower index. *)
+let next_victim t ~thief c =
+  let q = if c < 0 then max_int else t.queued.(c) in
+  let best = ref (-1) in
+  for v = t.cpus - 1 downto 0 do
+    let qv = t.queued.(v) in
+    if v <> thief && qv >= 2 && (qv < q || (qv = q && v > c))
+       && (!best < 0 || qv >= t.queued.(!best))
+    then best := v
+  done;
+  !best
+
+(* The candidates CPU [cpu] is offered, walked in place from [node] in
+   priority [p] of CPU [c]'s queues: from its own queue ([c = cpu]) its
+   runnable strands in scan order, highest priority first and FIFO
+   within a level; otherwise what it may steal, victim after victim.
+   A walk starts above the top level ([p = top], no node). [nth]
+   answers with the queue's own option, so neither walk allocates. *)
+let top = Strand.max_priority + 1
+
+let rec nth t ~cpu c i p node =
+  match node with
+  | Some n ->
+    if not (offered ~cpu c (Dllist.value n)) then
+      nth t ~cpu c i p (Dllist.next n)
+    else if i = 0 then node
+    else nth t ~cpu c (i - 1) p (Dllist.next n)
+  | None when p > 0 ->
+    nth t ~cpu c i (p - 1) (Dllist.first t.queues.(c).(p - 1))
+  | None ->
+    let c = if c = cpu then -1 else next_victim t ~thief:cpu c in
+    if c < 0 then None else nth t ~cpu c i top None
+
+let rec count t ~cpu c k p node =
+  match node with
+  | Some n ->
+    let k = if offered ~cpu c (Dllist.value n) then k + 1 else k in
+    count t ~cpu c k p (Dllist.next n)
+  | None when p > 0 ->
+    count t ~cpu c k (p - 1) (Dllist.first t.queues.(c).(p - 1))
+  | None ->
+    let c = if c = cpu then -1 else next_victim t ~thief:cpu c in
+    if c < 0 then k else count t ~cpu c k top None
+
+(* A chosen strand is unlinked alone: pruning stale entries here would
+   change the queued counts, and so every later choice. *)
 let next_runnable t ~cpu =
-  match t.selector with
+  match t.chooser with
   | None -> scan t ~cpu
-  | Some select ->
-    (* Replaced scheduler: the selector sees this CPU's runnable set
-       (in default scan order) and picks any member. Picks outside the
-       set are invariant breaks; fall back to the default policy. *)
-    (match runnable_on t ~cpu with
-     | [] -> scan t ~cpu                   (* prunes any stale entries *)
-     | candidates ->
-       (match select candidates with
-        | None -> scan t ~cpu
-        | Some s ->
-          if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
-             && s.Strand.qcpu = cpu
-          then (dequeue t s; Some s)
-          else begin
-            report_violation t
-              (Printf.sprintf "selector picked non-runnable strand %s"
-                 (Strand.to_string s));
-            scan t ~cpu
-          end))
+  | Some f ->
+    (match count t ~cpu cpu 0 top None with
+     | 0 -> scan t ~cpu                   (* prunes any stale entries *)
+     | n ->
+       (match nth t ~cpu cpu (choose f Strand n) top None with
+        | Some node ->
+          let s = Dllist.value node in
+          dequeue t s;
+          Some s
+        | None -> None))
 
 (* --- work stealing ------------------------------------------------- *)
 
-(* What an idle [thief] may take: strands queued on CPUs holding at
-   least two (never the victim's last strand — a lone strand keeps its
-   cache locality), not pinned elsewhere. Longest victim first, each
-   victim's strands in scan order, so the default policy — take the
-   head — steals the longest-waiting urgent strand from the most
-   overloaded CPU. *)
-let stealable t ~thief =
-  let victims =
-    List.init t.cpus (fun c -> c)
-    |> List.filter (fun c -> c <> thief && t.queued.(c) >= 2)
-    |> List.stable_sort
-         (fun a b -> compare t.queued.(b) t.queued.(a)) in
-  List.concat_map
-    (fun v ->
-      List.filter
-        (fun s ->
-          match s.Strand.affinity with
-          | None -> true
-          | Some a -> a = thief)
-        (runnable_on t ~cpu:v))
-    victims
+let stealable_nth t ~thief i =
+  let v = next_victim t ~thief (-1) in
+  if v < 0 then None
+  else Option.map Dllist.value (nth t ~cpu:thief v i top None)
 
-(* CPU [c]'s first strand that [thief] may take, in scan order from
-   [node] in priority [p]. It answers with the queue's own option, so
-   the walk allocates nothing. *)
-let rec takeable t ~thief c p node =
-  match node with
-  | Some n ->
-    let s = Dllist.value n in
-    if s.Strand.state = Strand.Runnable
-       && (match s.Strand.affinity with None -> true | Some a -> a = thief)
-    then node
-    else takeable t ~thief c p (Dllist.next n)
-  | None when p > 0 -> takeable t ~thief c (p - 1) (Dllist.first t.queues.(c).(p - 1))
-  | None -> None
-
-(* [stealable]'s head without building it: the first takeable strand of
-   the victim that [stealable] orders first among those that have one
-   (most queued strands, ties to the lower index). *)
-let steal_pick t ~thief =
-  let best = ref None and best_q = ref 2 in
-  for c = t.cpus - 1 downto 0 do
-    let q = t.queued.(c) in
-    if c <> thief && q >= !best_q then
-      let p = Strand.max_priority in
-      match takeable t ~thief c p (Dllist.first t.queues.(c).(p)) with
-      | Some _ as node -> best := node; best_q := q
-      | None -> ()
-  done;
-  Option.map Dllist.value !best
-
+(* The default takes candidate 0, the longest-waiting urgent strand of
+   the most overloaded CPU; a chooser is offered one more index than
+   there are candidates, and index 0 declines. *)
 let try_steal t ~thief =
-  let pick =
-    match t.steal_policy with
-    | None -> steal_pick t ~thief
-    | Some policy ->
-      (match stealable t ~thief with [] -> None | c -> policy ~thief c) in
-  match pick with
-  | None -> ()
-  | Some s ->
-    if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
-       && s.Strand.qcpu <> thief
-       && (match s.Strand.affinity with None -> true | Some a -> a = thief)
-       && t.queued.(s.Strand.qcpu) >= 2
-    then begin
-      dequeue t s;
-      enqueue t ~cpu:thief s;
-      t.s_steals <- t.s_steals + 1
-    end else
-      report_violation t
-        (Printf.sprintf "steal policy picked unstealable strand %s"
-           (Strand.to_string s))
+  let v = next_victim t ~thief (-1) in
+  if v >= 0 then
+    let i =
+      match t.chooser with
+      | None -> 0
+      | Some f ->
+        (match count t ~cpu:thief v 0 top None with
+         | 0 -> -1
+         | n -> choose f Steal (n + 1) - 1) in
+    if i >= 0 then
+      match nth t ~cpu:thief v i top None with
+      | Some node ->
+        let s = Dllist.value node in
+        dequeue t s;
+        enqueue t ~cpu:thief s;
+        t.s_steals <- t.s_steals + 1
+      | None -> ()
 
 (* Whether some CPU at or after [c] holds at least two strands — the
-   only state in which [stealable] can offer anything. *)
+   only state in which a thief can find a victim. *)
 let rec surplus_from t c =
   c < t.cpus && (t.queued.(c) >= 2 || surplus_from t (c + 1))
 
@@ -518,38 +501,30 @@ let execute t ~cpu s =
 let rec busy_from t c =
   if c >= t.cpus || t.queued.(c) > 0 then c else busy_from t (c + 1)
 
-(* The list a {!cpu_selector} is offered: busy CPUs, ascending. *)
-let busy_cpus t =
-  let acc = ref [] in
-  for c = t.cpus - 1 downto 0 do
-    if t.queued.(c) > 0 then acc := c :: !acc
-  done;
-  !acc
+(* The [i]th busy CPU at or after [c], ascending; and how many there
+   are from [c] on. *)
+let rec nth_busy t c i =
+  let c = busy_from t c in
+  if i = 0 || c >= t.cpus then c else nth_busy t (c + 1) (i - 1)
 
-let default_pick t =
-  (* First busy CPU at or after the round-robin cursor, wrapping. *)
-  let c = busy_from t t.rr_cpu in
-  if c < t.cpus then c else busy_from t 0
+let rec busy_count t c =
+  let c = busy_from t c in
+  if c >= t.cpus then 0 else 1 + busy_count t (c + 1)
 
-(* Only two or more busy CPUs are a choice: the selector, and the list
-   it is offered, are reached only then. [-1] when no CPU has work. *)
+(* Only two or more busy CPUs are a choice: the chooser is asked only
+   then. [-1] when no CPU has work. *)
 let pick_cpu t =
   let first = busy_from t 0 in
   if first >= t.cpus then -1
   else if busy_from t (first + 1) >= t.cpus then first
   else begin
     let c =
-      match t.cpu_selector with
-      | None -> default_pick t
-      | Some select ->
-        let candidates = busy_cpus t in
-        (match select candidates with
-         | Some c when List.mem c candidates -> c
-         | Some c ->
-           report_violation t
-             (Printf.sprintf "cpu selector picked CPU %d with no work" c);
-           default_pick t
-         | None -> default_pick t) in
+      match t.chooser with
+      | None ->
+        (* First busy CPU at or after the round-robin cursor, wrapping. *)
+        let c = busy_from t t.rr_cpu in
+        if c < t.cpus then c else first
+      | Some f -> nth_busy t 0 (choose f Cpu (busy_count t 0)) in
     t.rr_cpu <- (c + 1) mod t.cpus;
     c
   end
@@ -698,11 +673,7 @@ let runnable_count t =
 (* Extension points for schedule exploration (Sched_fuzz) and
    replacement policies. *)
 
-let set_selector t sel = t.selector <- sel
-
-let set_cpu_selector t sel = t.cpu_selector <- sel
-
-let set_steal_policy t policy = t.steal_policy <- policy
+let set_chooser t f = t.chooser <- f
 
 let set_schedule_probe t probe = t.probe <- probe
 

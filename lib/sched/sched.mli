@@ -21,7 +21,7 @@
 
     {2 The SMP model}
 
-    With [cpus > 1] (pass [~cpus] or [~intr] to {!create}) each CPU
+    With more than one CPU (an [~intr] routing several) each CPU
     owns a private run queue; the ownership discipline is that {e no
     CPU ever mutates another CPU's queue from its own context}:
 
@@ -55,18 +55,14 @@ type events = {
 (** The strand events this scheduler declares on its dispatcher. *)
 
 val create :
-  ?cpus:int ->
   ?intr:Spin_machine.Intr.t ->
   Spin_machine.Sim.t -> Spin_core.Dispatcher.t -> t
 (** Declares the strand events on the dispatcher and installs itself
     as their default implementation; also installs the dispatcher's
     asynchronous-handler spawn hook.
 
-    [cpus] is the number of CPUs to schedule (default: the interrupt
-    controller's CPU count when [intr] is given, else 1). [intr]
-    carries cross-CPU wakeups and must route at least [cpus] CPUs;
-    without it remote wakeups fall back to direct enqueue (fine for
-    single-CPU kernels, which never take that path). *)
+    The scheduler runs one CPU per CPU [intr] routes, and carries
+    cross-CPU wakeups through it; without [intr] it runs one CPU. *)
 
 val events : t -> events
 
@@ -96,7 +92,7 @@ val self : t -> Strand.t
 val step : t -> bool
 (** One scheduling point: deliver pending IPIs on every CPU, let idle
     CPUs steal, pick a CPU with work (round-robin, or the installed
-    {!cpu_selector}) and execute one slice of its next strand; [false]
+    {!set_chooser}) and execute one slice of its next strand; [false]
     when no CPU has work (multi-kernel co-simulation interleaves via
     [step]). *)
 
@@ -213,52 +209,38 @@ val pending_wakeup_count : t -> int
     default to [None], so an un-instrumented kernel behaves (and
     costs) exactly as before. *)
 
-type selector = Strand.t list -> Strand.t option
-(** Receives the scheduled CPU's runnable set in default scan order
-    (highest priority first, FIFO within a priority level) and picks
-    the strand to run next. Returning [None] defers to the default
-    policy. *)
+type choice =
+  | Strand  (** which runnable strand the scheduled CPU runs *)
+  | Cpu     (** which CPU with work advances *)
+  | Steal   (** whether an idle CPU steals, and what *)
 
-val set_selector : t -> selector option -> unit
-(** Installs (or clears) a replacement scheduling policy. Picking a
-    strand outside the offered set is reported as a violation and
-    falls back to the default scan. *)
+val set_chooser : t -> (choice -> int -> int) option -> unit
+(** Installs (or clears) a replacement scheduling policy. [f kind n]
+    answers an index in [\[0, n)] into the candidates the scheduler's
+    own walk offers, and is asked only where there is a choice:
+    - [Strand]: the scheduled CPU's runnable strands in default scan
+      order (highest priority first, FIFO within a level), when it has
+      at least one;
+    - [Cpu]: the CPUs with queued work, ascending, when two or more
+      have some;
+    - [Steal]: for an idle CPU, index 0 declines and [i] takes the
+      [(i-1)]th strand of {!stealable_nth}'s order, when it offers at
+      least one.
+    Without a chooser each answer is the default: the scan's head, the
+    round-robin rotor, and candidate 0. On one CPU only [Strand] is
+    ever asked. An index out of range raises [Invalid_argument]. *)
 
-type cpu_selector = int list -> int option
-(** Receives the CPUs that currently have queued work (ascending) and
-    picks which one advances at this scheduling point. [None] defers
-    to the default round-robin rotor. Only consulted when more than
-    one CPU has work, so single-CPU schedules (and their replay
-    digests) are unaffected by installing one. *)
-
-val set_cpu_selector : t -> cpu_selector option -> unit
-(** Installs (or clears) the CPU-interleaving policy — {!Sched_fuzz}
-    uses it to explore cross-CPU interleavings under a seed. Picking a
-    CPU with no work is reported as a violation and falls back to the
-    rotor. *)
-
-type steal_policy = thief:int -> Strand.t list -> Strand.t option
-(** Receives the idle [thief] CPU and the stealable candidates
-    (strands queued on CPUs holding at least two, longest victim
-    first, excluding strands pinned elsewhere) and picks which to
-    migrate; [None] declines to steal. The default takes the head —
-    the longest-waiting urgent strand of the most loaded CPU. *)
-
-val stealable : t -> thief:int -> Strand.t list
-val steal_pick : t -> thief:int -> Strand.t option
-(** What a {!steal_policy} is offered for [thief], and the default
-    pick, its head, found without building it. *)
-
-val set_steal_policy : t -> steal_policy option -> unit
-(** Installs (or clears) a replacement stealing policy — the same
-    extension-point family as {!set_selector}: policy is replaceable,
-    the migration mechanism is not. Picking an unstealable strand is
-    reported as a violation and no steal happens. *)
+val stealable_nth : t -> thief:int -> int -> Strand.t option
+(** The [i]th strand (from 0) an idle [thief] may steal: from CPUs
+    other than [thief] holding at least two strands, most queued
+    first (ties to the lower index), each victim's runnable strands
+    not pinned elsewhere, in scan order. Candidate 0 is the default
+    steal: the longest-waiting urgent strand of the most loaded CPU. *)
 
 val runnable_strands : t -> Strand.t list
 (** The machine-wide runnable set: highest priority first, CPUs in
     index order within a level, FIFO within a CPU. On one CPU this is
-    exactly the set a {!selector} sees. *)
+    exactly the set a [Strand] choice indexes. *)
 
 val set_schedule_probe : t -> (unit -> unit) option -> unit
 (** Runs at every scheduling point, after IPI delivery and before the
@@ -267,10 +249,8 @@ val set_schedule_probe : t -> (unit -> unit) option -> unit
     during fuzzing. *)
 
 val set_violation_hook : t -> (string -> unit) option -> unit
-(** Sink for scheduler invariant breaks: double enqueue, a selector
-    picking a non-runnable strand, a CPU selector picking an idle CPU,
-    a steal policy picking an unstealable strand, an unblock raised on
-    a dead strand. *)
+(** Sink for scheduler invariant breaks: double enqueue, an unblock
+    raised on a dead strand. *)
 
 val request_preempt : t -> unit
 (** Flags the running strand for preemption at its next preemption

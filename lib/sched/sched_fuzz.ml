@@ -13,8 +13,8 @@ module Rng = Spin_dstruct.Splitmix
 
 type stats = {
   seed : int;
-  decisions : int;           (* scheduling choices made by the selector *)
-  cpu_decisions : int;       (* CPU interleaving choices (0 on one CPU) *)
+  decisions : int;           (* strand choices *)
+  cpu_decisions : int;       (* CPU and steal choices (0 on one CPU) *)
   injected_preempts : int;   (* preemptions forced at charge boundaries *)
   violations : int;
 }
@@ -78,31 +78,19 @@ let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
     (e, Dispatcher.ok_exn ~site:"Sched_fuzz.attach"
           (Dispatcher.install e ~installer:owner track)) in
   t.trackers <- [ tracker ev.Sched.resume; tracker ev.Sched.block ];
-  (* Random schedule: replace the policy, not the mechanism. *)
-  Sched.set_selector sched
-    (Some (fun candidates ->
-       t.n_decisions <- t.n_decisions + 1;
-       Some (List.nth candidates (Rng.below t.rng (List.length candidates)))));
-  (* On a multiprocessor the seed also drives which CPU advances at
-     each scheduling point, and whether an idle CPU steals (and what).
-     All draws come from the one RNG, in scheduling order, so a seed
-     still names exactly one schedule — and on one CPU neither policy
-     is consulted, so single-CPU draws (and their golden replay
-     digests) are untouched. *)
-  if Sched.ncpus sched > 1 then begin
-    Sched.set_cpu_selector sched
-      (Some (fun candidates ->
-         t.n_cpu_decisions <- t.n_cpu_decisions + 1;
-         Some (List.nth candidates (Rng.below t.rng (List.length candidates)))));
-    Sched.set_steal_policy sched
-      (Some (fun ~thief:_ candidates ->
-         t.n_cpu_decisions <- t.n_cpu_decisions + 1;
-         (* One draw decides decline-vs-victim: index 0 declines the
-            steal, i picks candidate i-1. *)
-         match Rng.below t.rng (List.length candidates + 1) with
-         | 0 -> None
-         | i -> Some (List.nth candidates (i - 1))))
-  end;
+  (* Random schedule: replace the policy, not the mechanism. Every
+     choice — the strand, and on a multiprocessor the CPU that advances
+     and whether (and what) an idle CPU steals — draws from the one RNG
+     in scheduling order, so a seed names exactly one schedule; on one
+     CPU only strands are chosen, so single-CPU draws (and their golden
+     replay digests) do not depend on the SMP choices. *)
+  Sched.set_chooser sched
+    (Some (fun kind n ->
+       (match kind with
+        | Sched.Strand -> t.n_decisions <- t.n_decisions + 1
+        | Sched.Cpu | Sched.Steal ->
+          t.n_cpu_decisions <- t.n_cpu_decisions + 1);
+       Rng.below t.rng n));
   Sched.set_violation_hook sched (Some (fun m -> record t ("sched: " ^ m)));
   Dispatcher.set_violation_hook dispatcher
     (Some (fun m -> record t ("dispatcher: " ^ m)));
@@ -121,9 +109,7 @@ let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
 
 let detach t =
   t.enabled <- false;
-  Sched.set_selector t.sched None;
-  Sched.set_cpu_selector t.sched None;
-  Sched.set_steal_policy t.sched None;
+  Sched.set_chooser t.sched None;
   Sched.set_schedule_probe t.sched None;
   Sched.set_violation_hook t.sched None;
   Dispatcher.set_violation_hook t.dispatcher None;

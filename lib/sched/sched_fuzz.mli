@@ -3,22 +3,21 @@
     The whole simulation is virtual-time deterministic, so the only
     nondeterminism worth exploring is the schedule itself. This module
     explores it the way the paper replaces the global scheduler
-    (section 5.2): it installs a {!Sched.selector} that picks the next
-    runnable strand with a seeded PRNG, and a clock hook that forces
-    preemption at random {!Spin_machine.Clock.charge} boundaries — so
-    every charged instruction is a potential interrupt point.
-
-    On a multiprocessor it additionally installs a
-    {!Sched.cpu_selector} (which CPU advances at each scheduling
-    point) and a {!Sched.steal_policy} (whether — and what — an idle
-    CPU steals), both drawing from the same PRNG in scheduling order.
+    (section 5.2): it installs a {!Sched.set_chooser} closure that
+    answers every scheduling choice — the next runnable strand, and on
+    a multiprocessor which CPU advances and whether (and what) an idle
+    CPU steals — with a seeded PRNG draw in scheduling order, and a
+    clock hook that forces preemption at random
+    {!Spin_machine.Clock.charge} boundaries, so every charged
+    instruction is a potential interrupt point. A decision is just
+    the choice, the candidate count and the index drawn.
 
     A seed fully names a schedule — including the CPU interleaving:
     running the same workload under the same seed replays the
     identical interleaving (and the identical trace), so a failing
     seed from a fuzzing campaign is a deterministic regression test.
-    On one CPU the SMP policies are never consulted, so single-CPU
-    seeds draw exactly the sequence they always did.
+    On one CPU the scheduler never asks for a CPU or a steal, so
+    single-CPU seeds draw exactly the sequence they always did.
 
     While fuzzing, invariant checkers run at every scheduling point:
     - run-queue membership, double-enqueue, per-CPU queue/affinity
@@ -50,10 +49,10 @@ val attach :
     forced switches per default quantum). *)
 
 val detach : t -> unit
-(** Uninstalls the selector, CPU selector, steal policy, probes,
-    violation hooks, and tracking handlers. The kernel reverts to the
-    default scheduler with zero virtual-time impact (the remaining
-    clock hook reads one flag and charges nothing). *)
+(** Uninstalls the chooser, probes, violation hooks, and tracking
+    handlers. The kernel reverts to the default scheduler with zero
+    virtual-time impact (the remaining clock hook reads one flag and
+    charges nothing). *)
 
 val check_quiescence : ?exempt:(Strand.t -> bool) -> t -> unit
 (** Run after {!Sched.run} drains: audits the scheduler and
@@ -66,7 +65,7 @@ val check_quiescence : ?exempt:(Strand.t -> bool) -> t -> unit
 
 type stats = {
   seed : int;
-  decisions : int;           (** scheduling choices made by the selector *)
+  decisions : int;           (** strand choices *)
   cpu_decisions : int;       (** CPU-interleaving and steal choices (0 on one CPU) *)
   injected_preempts : int;   (** preemptions forced at charge boundaries *)
   violations : int;

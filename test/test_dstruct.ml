@@ -357,7 +357,8 @@ let prop_lru_never_exceeds_capacity =
       Lru.length c <= cap)
 
 (* The entries' own links against a list model, most recent first:
-   every answer, the recency order and the evictions agree. *)
+   every answer, the recency order, the least-recent binding after
+   every operation, and the evictions agree. *)
 let prop_lru_matches_model =
   QCheck2.Test.make ~name:"lru agrees with a recency-list model" ~count:300
     QCheck2.Gen.(
@@ -373,7 +374,7 @@ let prop_lru_matches_model =
       List.iteri
         (fun i (op, k) ->
           let front v = (k, v) :: List.remove_assoc k !model in
-          match op with
+          (match op with
           | 0 ->
             model := front i;
             if List.length !model > cap then begin
@@ -393,7 +394,10 @@ let prop_lru_matches_model =
           | 2 -> if Lru.peek c k <> List.assoc_opt k !model then ok := false
           | _ ->
             model := List.remove_assoc k !model;
-            Lru.remove c k)
+            Lru.remove c k);
+          let coldest =
+            match List.rev !model with last :: _ -> Some last | [] -> None in
+          if Lru.least_recent c <> coldest then ok := false)
         ops;
       let order = ref [] in
       Lru.iter (fun k v -> order := (k, v) :: !order) c;

@@ -562,20 +562,19 @@ let test_dead_unblock_counted_and_reported () =
   check bool "reported through the hook" true
     (List.exists (fun m -> String.length m > 0) !violations)
 
-let test_selector_overrides_policy () =
-  (* The paper's replaceable scheduler: a selector that always picks
+let test_chooser_overrides_policy () =
+  (* The paper's replaceable scheduler: a chooser that always picks
      the LAST candidate inverts FIFO order within a priority level. *)
   let _, _, s = kernel () in
   let order = ref [] in
   let mk name = ignore (Sched.spawn s ~name (fun () ->
     order := name :: !order)) in
   mk "a"; mk "b"; mk "c";
-  Sched.set_selector s
-    (Some (fun candidates -> Some (List.nth candidates (List.length candidates - 1))));
+  Sched.set_chooser s (Some (fun _ n -> n - 1));
   Sched.run s;
   check (list string) "reverse spawn order" [ "c"; "b"; "a" ]
     (List.rev !order);
-  Sched.set_selector s None;
+  Sched.set_chooser s None;
   let order2 = ref [] in
   let mk2 name = ignore (Sched.spawn s ~name (fun () ->
     order2 := name :: !order2)) in
@@ -583,6 +582,37 @@ let test_selector_overrides_policy () =
   Sched.run s;
   check (list string) "default FIFO restored" [ "a"; "b"; "c" ]
     (List.rev !order2)
+
+(* Eight strands spawned on CPU 0 of four: the idle CPUs steal unless
+   the chooser declines every steal. *)
+let overloaded_steals chooser =
+  let m, _, s = smp_kernel ~cpus:4 () in
+  Sched.set_chooser s chooser;
+  for i = 1 to 8 do
+    ignore (Sched.spawn s ~name:(Printf.sprintf "w%d" i) (fun () ->
+      for _ = 1 to 4 do
+        Clock.charge m.Machine.clock 1_000;
+        Sched.yield s
+      done))
+  done;
+  Sched.run s;
+  check int "every strand finished" 8 (Sched.stats s).Sched.completed;
+  (Sched.stats s).Sched.steals
+
+let test_chooser_declines_steals () =
+  (* Index 0 runs the first strand or CPU offered, and declines a
+     steal. *)
+  check int "declining chooser: no steal" 0
+    (overloaded_steals (Some (fun _ _ -> 0)));
+  check bool "default policy steals" true (overloaded_steals None > 0)
+
+let test_chooser_out_of_range_raises () =
+  let _, _, s = kernel () in
+  ignore (Sched.spawn s ~name:"a" (fun () -> ()));
+  Sched.set_chooser s (Some (fun _ n -> n));
+  match Sched.run s with
+  | () -> fail "an index out of range was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_runnable_strands_order () =
   let _, _, s = kernel () in
@@ -847,10 +877,12 @@ let test_random_ops_keep_queued_counts () =
   check bool "idle CPUs stole" true (st.Sched.steals > 0);
   check bool "wakeups crossed CPUs" true (st.Sched.ipi_wakeups > 0)
 
-(* The default steal scans the run queues instead of building the
-   candidate list a steal policy is offered. Over random queues (2-8
-   CPUs, mixed priorities, strands pinned anywhere, stale entries left
-   queued) it must pick that list's head for every thief. *)
+(* The steal walk runs in place over the run queues. Over random
+   queues (2-8 CPUs, mixed priorities, strands pinned anywhere, stale
+   entries left queued) its every index must match a model that builds
+   the candidate list: victims holding at least two queue entries
+   (stale ones included), most first with ties to the lower index, each
+   victim's runnable strands in scan order unless pinned elsewhere. *)
 type queued_strand = { cpu : int; prio : int; pin : int option; stale : bool }
 
 let gen_run_queues =
@@ -875,29 +907,56 @@ let print_run_queues (cpus, strands) =
               (if q.stale then " stale" else ""))
           strands))
 
-let prop_steal_pick_is_stealable_head =
-  QCheck2.Test.make ~name:"default steal picks the candidate list's head"
+(* [placed] pairs each generated strand with the strand spawned for it,
+   in spawn order, which is each queue's FIFO order. *)
+let stealable_model ~cpus placed ~thief =
+  let queued c = List.length (List.filter (fun (q, _) -> q.cpu = c) placed) in
+  let victims =
+    List.init cpus Fun.id
+    |> List.filter (fun c -> c <> thief && queued c >= 2)
+    |> List.stable_sort (fun a b -> compare (queued b) (queued a)) in
+  List.concat_map
+    (fun v ->
+      List.filter
+        (fun (q, _) ->
+          q.cpu = v && (not q.stale)
+          && match q.pin with None -> true | Some a -> a = thief)
+        placed
+      |> List.stable_sort (fun (a, _) (b, _) -> compare b.prio a.prio)
+      |> List.map snd)
+    victims
+
+let prop_steal_walk_indexes_model =
+  QCheck2.Test.make ~name:"steal walk indexes the candidate-list model"
     ~count:500 ~print:print_run_queues gen_run_queues (fun (cpus, strands) ->
       let clock = Clock.create Spin_machine.Cost.alpha_133 in
-      let s = Sched.create ~cpus (Sim.create clock) (Dispatcher.create clock) in
-      List.iteri
-        (fun i q ->
-          let st =
-            Sched.spawn s ~priority:q.prio ~name:(string_of_int i)
-              (fun () -> ()) in
-          (* Move it to its CPU, then set the pin by hand: a strand
-             pinned to another CPU than the one it is queued on is the
-             case the scan must skip. *)
-          Sched.set_affinity s st (Some q.cpu);
-          st.Strand.affinity <- q.pin;
-          if q.stale then st.Strand.state <- Strand.Blocked)
-        strands;
+      let s =
+        Sched.create ~intr:(Intr.create ~cpus clock) (Sim.create clock)
+          (Dispatcher.create clock) in
+      let placed =
+        List.mapi
+          (fun i q ->
+            let st =
+              Sched.spawn s ~priority:q.prio ~name:(string_of_int i)
+                (fun () -> ()) in
+            (* Move it to its CPU, then set the pin by hand: a strand
+               pinned to another CPU than the one it is queued on is the
+               case the walk must skip. *)
+            Sched.set_affinity s st (Some q.cpu);
+            st.Strand.affinity <- q.pin;
+            if q.stale then st.Strand.state <- Strand.Blocked;
+            (q, st))
+          strands in
       List.for_all
         (fun thief ->
-          match Sched.steal_pick s ~thief, Sched.stealable s ~thief with
-          | None, [] -> true
-          | Some picked, head :: _ -> picked == head
-          | _ -> false)
+          let model = stealable_model ~cpus placed ~thief in
+          List.for_all
+            (fun i ->
+              match Sched.stealable_nth s ~thief i, List.nth_opt model i with
+              | None, None -> true
+              | Some got, Some want -> got == want
+              | _ -> false)
+            (List.init (List.length model + 1) Fun.id))
         (List.init cpus Fun.id))
 
 let () =
@@ -954,8 +1013,10 @@ let () =
             test_yield_clears_raced_wakeup;
           test_case "dead unblock counted and reported" `Quick
             test_dead_unblock_counted_and_reported;
-          test_case "selector replaces the policy" `Quick
-            test_selector_overrides_policy;
+          test_case "chooser replaces the policy" `Quick
+            test_chooser_overrides_policy;
+          test_case "chooser index out of range raises" `Quick
+            test_chooser_out_of_range_raises;
           test_case "runnable set is priority-FIFO ordered" `Quick
             test_runnable_strands_order;
           test_case "double enqueue reported" `Quick
@@ -979,6 +1040,8 @@ let () =
             test_spawn_inherits_cpu_and_count_is_explicit;
           test_case "random ops keep the queued counts" `Quick
             test_random_ops_keep_queued_counts;
-          QCheck_alcotest.to_alcotest prop_steal_pick_is_stealable_head;
+          test_case "declining chooser stops steals" `Quick
+            test_chooser_declines_steals;
+          QCheck_alcotest.to_alcotest prop_steal_walk_indexes_model;
         ] );
     ]
