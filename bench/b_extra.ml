@@ -60,11 +60,14 @@ let dispatcher_scaling () =
   let row name paper v =
     Printf.printf "%-42s %10.0f %10.1f\n" name paper v;
     Report.metric ~name v in
-  row "no extra handlers" 565. (udp_rtt_with_watchers ~count:0 ~pass:false);
-  row "50 handlers, all guards false" 585.
-    (udp_rtt_with_watchers ~count:50 ~pass:false);
-  row "50 handlers, all guards true" 637.
-    (udp_rtt_with_watchers ~count:50 ~pass:true);
+  let base = udp_rtt_with_watchers ~count:0 ~pass:false in
+  row "no extra handlers" 565. base;
+  let rejected = udp_rtt_with_watchers ~count:50 ~pass:false in
+  row "50 handlers, all guards false" 585. rejected;
+  let invoked = udp_rtt_with_watchers ~count:50 ~pass:true in
+  row "50 handlers, all guards true" 637. invoked;
+  Report.require ~name:"each false guard and each invoked handler adds time"
+    (base < rejected && rejected < invoked);
   Report.note
     "  Dispatch grows linearly with installed guards and handlers.\n"
 

@@ -177,5 +177,9 @@ let web () =
   let row name paper v =
     Printf.printf "%-42s %10.0f %10.2f\n" name paper v;
     Report.metric ~unit_:"ms" ~name v in
-  row "SPIN in-kernel HTTP + hybrid cache" 5. (latency ~user_level:false);
-  row "user-level server on the caching FS" 8. (latency ~user_level:true)
+  let in_kernel = latency ~user_level:false in
+  row "SPIN in-kernel HTTP + hybrid cache" 5. in_kernel;
+  let user = latency ~user_level:true in
+  row "user-level server on the caching FS" 8. user;
+  Report.require ~name:"in-kernel server below the user-level server"
+    (in_kernel < user)

@@ -12,8 +12,8 @@
     dereference checks the mint epoch against the owner's current one.
     Hot-swapping an extension advances its epoch, so every reference
     the old instance handed out dies cleanly — a stale use raises the
-    typed {!Revoked} fault (routed to the supervisor when it escapes a
-    handler) instead of dangling into the retired domain (the
+    typed {!Revoked} fault (caught and counted by the dispatcher when
+    it escapes a handler) instead of dangling into the retired domain (the
     Capstone / CapablePtrs discipline). *)
 
 type 'a t

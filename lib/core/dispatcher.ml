@@ -23,41 +23,20 @@ let costs = {
   trusted_invoke = 40;
 }
 
-type failure_policy =
-  | Uninstall
-  | Restart of { delay_us : float; backoff : float; max_restarts : int }
-  | Quarantine of { window_us : float; max_faults : int }
-
-type fault_kind =
-  | Handler_exception of exn
-  | Handler_overrun
-
-type fault = {
-  fault_event : string;
-  fault_installer : string;
-  fault_policy : failure_policy;
-  fault_kind : fault_kind;
-  fault_handler_id : int;
-  fault_removed : bool;
-  fault_reinstall : unit -> unit;
-}
-
 (* The one install surface: everything a handler can ask for, in a
-   record, so facades stop re-plumbing optional arguments and the
-   restart/hot-swap machinery reads policies from one place. *)
+   record, so facades stop re-plumbing optional arguments. *)
 module Handler_spec = struct
   type 'a t = {
     guard : ('a -> bool) option;
     bound_cycles : int option;
     async : bool;
     index_key : int option;
-    on_failure : failure_policy;
     verified : Ebc.program option;
   }
 
   let default =
     { guard = None; bound_cycles = None; async = false; index_key = None;
-      on_failure = Uninstall; verified = None }
+      verified = None }
 
   let guarded g = { default with guard = Some g }
   let indexed key = { default with index_key = Some key }
@@ -71,7 +50,6 @@ module Handler_spec = struct
     i_trusted : bool;
     i_bound : int option;
     i_guards : int;
-    i_active : bool;
   }
 end
 
@@ -81,14 +59,12 @@ type t = {
   mutable spawn : ((unit -> unit) -> unit) option;
   deferred : (unit -> unit) Queue.t;
   mutable registry : registration list;   (* reverse declaration order *)
-  mutable on_fault : (fault -> unit) option;
   mutable on_violation : (string -> unit) option;
   (* Provided by the scheduler layer: hold the calling strand while a
      gated event's handlers are being hot-swapped. Returns true after
      a wait (re-check the gate), false to pass through (the caller is
      exempt — e.g. the swap itself). *)
   mutable gate_wait : (unit -> bool) option;
-  mutable next_handler_id : int;
   mutable s_verifier_rejections : int;
 }
 
@@ -127,13 +103,11 @@ type 'a decision =
 let allow = Allow { guard = None; bound_cycles = None; force_async = false }
 
 type ('a, 'r) handler = {
-  h_id : int;
   installer : string;
   fn : 'a -> 'r;
   mutable guards : ('a -> bool) list;
   bound : int option;
   async : bool;
-  policy : failure_policy;
   h_slot : ('a, 'r) slot option;         (* the index slot it lives in *)
   (* The trusted-fast predicate: present iff the handler's bytecode
      passed the install-time verifier and no runtime check (closure
@@ -156,10 +130,9 @@ and ('a, 'r) event = {
   default_handler : ('a, 'r) handler;
   mutable primary_active : bool;
   mutable extra : ('a, 'r) handler list;  (* active, dispatch order *)
-  (* Active handlers across all index slots. Slots deliberately
-     retain inactive handlers (reviving is a flag flip and a refresh of
-     the slot's live list), so [Hashtbl.length indexed] counts keys
-     ever used, not live handlers — the plan must not use it. *)
+  (* Active handlers across all index slots. Slots are never removed,
+     so [Hashtbl.length indexed] counts keys ever used, not live
+     handlers — the plan must not use it. *)
   mutable n_indexed_active : int;
   mutable plan : ('a, 'r) plan;
   (* Dispatches currently running this event's plan; the invariant
@@ -189,13 +162,11 @@ and ('a, 'r) plan =
   | Trusted of ('a, 'r) handler * ('a -> bool)  (* sole verified handler *)
   | General of ('a, 'r) handler list (* primary (if active) and extras *)
 
-(* One index key's handlers. Every link and uninstall of a member
-   rebuilds [live], as [replan] rebuilds the plan, so a raise keeps the
-   list it read: a member re-linked mid-raise waits for the next. *)
-and ('a, 'r) slot = {
-  mutable members : ('a, 'r) handler list;  (* install order *)
-  mutable live : ('a, 'r) handler list;     (* the active members *)
-}
+(* One index key's active handlers, in install order. Every link and
+   uninstall rebuilds [live], as [replan] rebuilds the plan, so a raise
+   keeps the list it read: a handler installed mid-raise waits for the
+   next. *)
+and ('a, 'r) slot = { mutable live : ('a, 'r) handler list }
 
 exception No_handler of string
 
@@ -210,24 +181,16 @@ exception No_result
 let create clock =
   { clock; tracer = Trace.of_clock clock; spawn = None;
     deferred = Queue.create (); registry = [];
-    on_fault = None; on_violation = None; gate_wait = None;
-    next_handler_id = 0; s_verifier_rejections = 0 }
+    on_violation = None; gate_wait = None; s_verifier_rejections = 0 }
 
 let tracer t = t.tracer
 
 let set_async_spawn t f = t.spawn <- Some f
 
-let set_fault_handler t f = t.on_fault <- Some f
-
 let set_violation_hook t f = t.on_violation <- f
 
 let report_violation t msg =
   match t.on_violation with Some f -> f msg | None -> ()
-
-let fresh_handler_id t =
-  let id = t.next_handler_id in
-  t.next_handler_id <- id + 1;
-  id
 
 let flush_deferred t =
   let n = Queue.length t.deferred in
@@ -259,29 +222,28 @@ let same_plan a b =
   | General hs, General hs' -> List.equal ( == ) hs hs'
   | (Direct _ | Trusted _ | General _), _ -> false
 
-let refresh h =
-  Option.iter (fun b -> b.live <- List.filter (fun h -> h.active) b.members) h.h_slot
-
 (* Every site that retires a handler funnels through here so the
    active-indexed count stays exact and the plan never names a retired
-   handler. An indexed handler stays in its slot. *)
+   handler. *)
 let uninstall e h =
   if h.active then begin
     h.active <- false;
-    if Option.is_some h.h_slot then e.n_indexed_active <- e.n_indexed_active - 1
-    else e.extra <- List.filter (fun x -> x != h) e.extra;
-    refresh h;
+    (match h.h_slot with
+     | Some b ->
+       e.n_indexed_active <- e.n_indexed_active - 1;
+       b.live <- List.filter (fun x -> x != h) b.live
+     | None -> e.extra <- List.filter (fun x -> x != h) e.extra);
     replan e
   end
 
 let link e h =
-  if not h.active then begin
-    h.active <- true;
-    if Option.is_some h.h_slot then e.n_indexed_active <- e.n_indexed_active + 1
-    else e.extra <- e.extra @ [ h ];
-    refresh h;
-    replan e
-  end
+  h.active <- true;
+  (match h.h_slot with
+   | Some b ->
+     e.n_indexed_active <- e.n_indexed_active + 1;
+     b.live <- b.live @ [ h ]
+   | None -> e.extra <- e.extra @ [ h ]);
+  replan e
 
 let declare t ~name ~owner ?layout ?combine ?auth ?index
     ?allow_remove_primary default =
@@ -297,9 +259,9 @@ let declare t ~name ~owner ?layout ?combine ?auth ?index
       index; indexed = Hashtbl.create 8;
       allow_remove; primary_active = true; extra = [];
       default_handler =
-        { h_id = fresh_handler_id t; installer = owner; fn = default;
-          guards = []; bound = None; async = false; policy = Uninstall;
-          h_slot = None; trusted = None; active = true; h_event = e };
+        { installer = owner; fn = default; guards = []; bound = None;
+          async = false; h_slot = None; trusted = None; active = true;
+          h_event = e };
       n_indexed_active = 0; plan = General []; in_flight = 0;
       gated = false; s_gated_waits = 0;
       s_raises = 0; s_fast = 0; s_invocations = 0;
@@ -307,26 +269,23 @@ let declare t ~name ~owner ?layout ?combine ?auth ?index
       s_stale_skips = 0; s_trusted = 0 } in
   replan e;
   (* Every per-handler enumeration below reads from this one view, so
-     hot-swap gating, supervisor sweeps, and audits agree on what is
-     installed (linear and indexed alike). *)
+     hot-swap gating, sweeps and audits agree on what is installed
+     (linear and indexed alike). *)
   let spec_info h =
     { Handler_spec.i_installer = h.installer;
       i_trusted = h.trusted <> None; i_bound = h.bound;
-      i_guards = List.length h.guards; i_active = h.active } in
+      i_guards = List.length h.guards } in
   let reg_specs () =
     List.map spec_info e.extra
-    @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.members @ acc)
+    @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.live @ acc)
         e.indexed [] in
   let reg_installers () =
     let primary = if e.primary_active then [ owner ] else [] in
     primary
-    @ List.filter_map
-        (fun (i : Handler_spec.info) ->
-          if i.Handler_spec.i_active then Some i.Handler_spec.i_installer
-          else None)
+    @ List.map (fun (i : Handler_spec.info) -> i.Handler_spec.i_installer)
         (reg_specs ()) in
-  (* Per-installer eviction, type-erased: the supervisor quarantines a
-     whole domain by sweeping every event through the registry. *)
+  (* Per-installer eviction, type-erased: a hot swap retires a whole
+     domain by sweeping every event through the registry. *)
   let reg_remove installer =
     let removed = ref 0 in
     let sweep h =
@@ -334,27 +293,24 @@ let declare t ~name ~owner ?layout ?combine ?auth ?index
         uninstall e h; incr removed
       end in
     List.iter sweep e.extra;
-    Hashtbl.iter (fun _ b -> List.iter sweep b.members) e.indexed;
+    Hashtbl.iter (fun _ b -> List.iter sweep b.live) e.indexed;
     !removed in
   (* Structural-coherence audit, type-erased so the checkers can sweep
-     every event: stale inactive handlers in the linear list, a drifted
+     every event: stale inactive handlers in a handler list, a drifted
      active-indexed count, a cached plan that a fresh recompute
      disagrees with, or a dispatch recorded as still in flight all
      indicate handler-list mutation went around the safe paths. *)
   let reg_audit report =
-    List.iter
-      (fun h ->
-        if not h.active then
-          report
-            (Printf.sprintf
-               "%s: inactive handler from %s lingers in the handler list"
-               name h.installer))
-      e.extra;
+    let lingering h =
+      if not h.active then
+        report
+          (Printf.sprintf
+             "%s: inactive handler from %s lingers in the handler list"
+             name h.installer) in
+    List.iter lingering e.extra;
+    Hashtbl.iter (fun _ b -> List.iter lingering b.live) e.indexed;
     let live =
-      Hashtbl.fold
-        (fun _ b acc ->
-          acc + List.length (List.filter (fun h -> h.active) b.members))
-        e.indexed 0 in
+      Hashtbl.fold (fun _ b acc -> acc + List.length b.live) e.indexed 0 in
     if live <> e.n_indexed_active then
       report
         (Printf.sprintf "%s: indexed-active count %d disagrees with recount %d"
@@ -469,15 +425,13 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
                match Hashtbl.find_opt e.indexed key with
                | Some b -> b
                | None ->
-                 let b = { members = []; live = [] } in
+                 let b = { live = [] } in
                  Hashtbl.replace e.indexed key b; b)
              s.Handler_spec.index_key in
          let h =
-           { h_id = fresh_handler_id e.disp; installer; fn; guards; bound;
-             async = s.Handler_spec.async || force_async;
-             policy = s.Handler_spec.on_failure; h_slot = slot;
+           { installer; fn; guards; bound;
+             async = s.Handler_spec.async || force_async; h_slot = slot;
              trusted; active = false; h_event = e } in
-         Option.iter (fun b -> b.members <- b.members @ [ h ]) slot;
          link e h;
          Ok h)
 
@@ -516,9 +470,9 @@ let rec guards_pass e h arg = function
 
 (* The thunk runs after the raise returns — on a freshly spawned strand
    or at the next [flush_deferred] — so the handler can be uninstalled
-   (or its whole domain quarantined) in between. Re-check [active] at
-   run time: dispatching to a dead handler would resurrect exactly the
-   extension the supervisor evicted. *)
+   (or its whole domain swept by a hot swap) in between. Re-check
+   [active] at run time: dispatching to a dead handler would resurrect
+   exactly the extension that was evicted. *)
 let run_async e h arg =
   let thunk () =
     if h.active then ignore (h.fn arg)
@@ -527,25 +481,14 @@ let run_async e h arg =
   | Some spawn -> spawn thunk
   | None -> Queue.add thunk e.disp.deferred
 
-let report_fault e h kind ~removed =
-  match e.disp.on_fault with
-  | None -> ()
-  | Some f ->
-    f { fault_event = e.e_name; fault_installer = h.installer;
-        fault_policy = h.policy; fault_kind = kind; fault_handler_id = h.h_id;
-        fault_removed = removed; fault_reinstall = (fun () -> link e h) }
-
 (* A failing extension handler is isolated: the exception is caught,
-   counted, and reported — "the failure of an extension is no more
-   catastrophic than the failure of code executing in the runtime
-   libraries" (paper, section 4.3). With no supervisor attached the
-   faulting handler is uninstalled on the spot; with one attached, the
-   handler's [on_failure] policy decides whether it stays installed
-   (Quarantine counts faults against the domain's budget), comes back
-   after a delay (Restart), or goes away (Uninstall). The primary
-   implementation is trusted: its exceptions propagate to the raiser,
-   as a direct procedure call's would. [invoke] returns the handler's
-   result, and raises [No_result] for a handler that faulted. *)
+   counted, traced, and the handler uninstalled on the spot — "the
+   failure of an extension is no more catastrophic than the failure of
+   code executing in the runtime libraries" (paper, section 4.3). The
+   primary implementation is trusted: its exceptions propagate to the
+   raiser, as a direct procedure call's would. [invoke] returns the
+   handler's result, and raises [No_result] for a handler that
+   faulted. *)
 let invoke e h arg =
   if h == e.default_handler then h.fn arg
   else
@@ -557,26 +500,15 @@ let invoke e h arg =
         Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
           ~args:[ ("event", e.e_name); ("installer", h.installer);
                   ("exn", Printexc.to_string exn) ] ();
-      let keep_installed =
-        e.disp.on_fault <> None
-        && (match h.policy with Quarantine _ -> true | _ -> false) in
-      if not keep_installed then uninstall e h;
-      report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
+      uninstall e h;
       raise_notrace No_result
 
 (* Overran its quantum: the dispatcher aborts the handler and discards
-   its result. The overrun is reported but the handler stays installed
-   — repeat offenders are the supervisor's call. One that also faulted
-   counts as aborted, and [invoke] has already reported it. *)
-let overran e h ~bound ~before ~faulted =
-  let spent = Spin_machine.Clock.now e.disp.clock - before in
-  spent > bound
-  && begin
-    e.s_aborted <- e.s_aborted + 1;
-    if h != e.default_handler && not faulted then
-      report_fault e h Handler_overrun ~removed:false;
-    true
-  end
+   its result, and the handler stays installed. One that also faulted
+   counts as aborted too. *)
+let overran e ~bound ~before =
+  Spin_machine.Clock.now e.disp.clock - before > bound
+  && begin e.s_aborted <- e.s_aborted + 1; true end
 
 let run_sync e h arg =
   (* Checker probe: every synchronous invocation funnels through here,
@@ -593,19 +525,16 @@ let run_sync e h arg =
   | Some bound ->
     let before = Spin_machine.Clock.now e.disp.clock in
     (match invoke e h arg with
-     | r ->
-       if overran e h ~bound ~before ~faulted:false then
-         raise_notrace No_result
-       else r
+     | r -> if overran e ~bound ~before then raise_notrace No_result else r
      | exception No_result ->
-       ignore (overran e h ~bound ~before ~faulted:true);
+       ignore (overran e ~bound ~before);
        raise_notrace No_result)
 
 (* One handler's turn in a General dispatch: its result, or [No_result]
-   when it has none to give. A handler evicted mid-dispatch (a
-   supervisor quarantine triggered by an earlier handler's fault) is
-   skipped. A verified handler runs its compiled predicate in place of
-   the guard stack and is invoked unpoliced. *)
+   when it has none to give. A handler evicted mid-dispatch (by an
+   earlier handler that uninstalled it) is skipped. A verified handler
+   runs its compiled predicate in place of the guard stack and is
+   invoked unpoliced. *)
 let step e arg h =
   if not h.active then raise_notrace No_result;
   let clock = e.disp.clock in
@@ -784,13 +713,13 @@ let set_gate_wait t f = t.gate_wait <- f
 
 let is_gated e = e.gated
 
-(* The supervisor-style registry sweep, for gates: close every event
-   on which any of [installers] has an active handler, returning the
-   names closed so the swap can reopen exactly those. *)
-let gate_installers t ~installers =
+(* The registry sweep, for gates: close every event on which
+   [installer] has an active handler, returning the names closed so
+   the swap can reopen exactly those. *)
+let gate_installer t ~installer =
   List.filter_map
     (fun r ->
-      if List.exists (fun i -> List.mem i (r.reg_installers ())) installers
+      if List.mem installer (r.reg_installers ())
       then begin r.reg_set_gate true; Some r.reg_name end
       else None)
     t.registry
@@ -812,8 +741,6 @@ let topology t =
   List.rev_map
     (fun r -> (r.reg_name, r.reg_owner, r.reg_installers ()))
     t.registry
-
-let handler_id h = h.h_id
 
 let uninstall_installer t ~installer =
   List.fold_left (fun acc r -> acc + r.reg_remove installer) 0 t.registry

@@ -8,8 +8,8 @@
     permit removal of the primary handler.
 
     Each event keeps a {e dispatch plan}, rebuilt whenever its handler
-    set changes (install, uninstall, eviction, revival, an added
-    guard, primary removal or reinstatement) and never on a raise. A
+    set changes (install, uninstall, eviction, an added guard,
+    primary removal or reinstatement) and never on a raise. A
     raise is one match on the plan:
     - [Direct]: a single unguarded, unbounded synchronous handler and
       no live indexed handler — the raise is a direct procedure call
@@ -29,7 +29,9 @@
 
     Handlers may be asynchronous (decoupling the raiser from handler
     latency) or bounded in time (aborted — result discarded — when
-    they overrun). One result is returned, by default that of the
+    they overrun). An extension handler that raises is caught,
+    counted, traced and uninstalled; the raise carries on without it
+    (section 4.3). One result is returned, by default that of the
     final handler executed; an event may declare a result-combination
     function, a fold over the results in dispatch order. Installation goes through one entry point, {!install},
     taking a {!Handler_spec.t}. *)
@@ -63,54 +65,10 @@ val set_async_spawn : t -> ((unit -> unit) -> unit) -> unit
     Before a scheduler exists, asynchronous handlers queue and run at
     the next {!flush_deferred}. *)
 
-(** {2 Failure policies and fault reporting}
-
-    Every installed handler carries an [on_failure] policy. With no
-    fault handler attached (no supervisor), all policies degrade to
-    today's behavior: a faulting handler is caught, counted, and
-    uninstalled. With a fault handler attached (see
-    {!set_fault_handler}), exceptions and time-bound overruns are
-    routed to it, carrying the policy, the installer identity, and a
-    reinstall closure, so a supervisor can quarantine domains and
-    restart handlers. *)
-
-type failure_policy =
-  | Uninstall
-      (** Evict the handler on its first exception (the default). *)
-  | Restart of { delay_us : float; backoff : float; max_restarts : int }
-      (** Evict on exception, but ask the supervisor to re-install
-          after [delay_us * backoff^n] (n = restarts so far), at most
-          [max_restarts] times. *)
-  | Quarantine of { window_us : float; max_faults : int }
-      (** Keep the handler installed across faults (each invocation
-          stays isolated), but when its domain accumulates
-          [max_faults] faults within [window_us], the supervisor
-          evicts the whole domain everywhere. *)
-
-type fault_kind =
-  | Handler_exception of exn
-  | Handler_overrun
-
-type fault = {
-  fault_event : string;        (** event the handler was installed on *)
-  fault_installer : string;    (** the faulting handler's installer *)
-  fault_policy : failure_policy;
-  fault_kind : fault_kind;
-  fault_handler_id : int;      (** stable across restarts *)
-  fault_removed : bool;        (** handler was evicted by the dispatcher *)
-  fault_reinstall : unit -> unit;  (** re-install the evicted handler *)
-}
-
-val set_fault_handler : t -> (fault -> unit) -> unit
-(** Routes handler faults to a supervisor. Only extension handlers
-    report; the primary implementation is trusted and its exceptions
-    propagate to the raiser. *)
-
 (** {2 Handler specifications}
 
     Everything an installation can ask for, in one record — the single
-    install surface the facades build on, and the one place restart
-    and hot-swap machinery reads policies from. *)
+    install surface the facades build on. *)
 
 module Handler_spec : sig
   type 'a t = {
@@ -122,7 +80,6 @@ module Handler_spec : sig
     async : bool;
     index_key : int option;
         (** install into the event's index slot for this key *)
-    on_failure : failure_policy;
     verified : Ebc.program option;
         (** bytecode predicate, verified at install; on success and
             with no [guard]/authorizer constraints the handler takes
@@ -130,7 +87,7 @@ module Handler_spec : sig
   }
 
   val default : 'a t
-  (** No guard, no bound, synchronous, unindexed, {!Uninstall}. *)
+  (** No guard, no bound, synchronous, unindexed, unverified. *)
 
   val guarded : ('a -> bool) -> 'a t
   val indexed : int -> 'a t
@@ -145,7 +102,6 @@ module Handler_spec : sig
     i_trusted : bool;
     i_bound : int option;
     i_guards : int;
-    i_active : bool;
   }
 end
 
@@ -158,13 +114,13 @@ end
 val set_violation_hook : t -> (string -> unit) option -> unit
 (** Installs (or clears) the invariant-violation sink. The dispatcher
     reports through it when an internal invariant breaks — e.g. an
-    inactive (uninstalled or quarantined) handler reaching an
+    inactive (uninstalled or evicted) handler reaching an
     invocation site, which means a dispatch path skipped the
     active-handler filter. Charges no virtual cycles. *)
 
 val audit : t -> (string -> unit) -> unit
 (** Sweeps every declared event and reports structural violations:
-    inactive handlers lingering in a linear handler list, an
+    inactive handlers lingering in a handler list, an
     active-indexed count that disagrees with a recount of the index
     slots, a cached dispatch plan that differs from a fresh
     recompute, or dispatches still marked in flight at a quiescent
@@ -292,9 +248,8 @@ val handler_count : ('a, 'r) event -> int
 (** Active handlers, including the primary. *)
 
 val indexed_active : ('a, 'r) event -> int
-(** Active handlers across the event's index slots (slots retain
-    uninstalled handlers). Any live one forces the [General] plan; at 0
-    the fast path resumes. *)
+(** Active handlers across the event's index slots. Any live one
+    forces the [General] plan; at 0 the fast path resumes. *)
 
 type stats = {
   raises : int;
@@ -303,13 +258,14 @@ type stats = {
   guard_rejections : int;
   aborted : int;        (** bounded handlers that overran *)
   handler_failures : int;
-  (** extension handlers that raised: caught, counted, uninstalled —
-      failure is isolated to the extension (paper, section 4.3).
-      Primary-handler exceptions propagate (the default implementation
-      is trusted). *)
+  (** extension handlers that raised: caught, counted, traced and
+      uninstalled — failure is isolated to the extension (paper,
+      section 4.3). An overrun is counted in [aborted] instead, and
+      its handler stays installed. Primary-handler exceptions
+      propagate (the default implementation is trusted). *)
   stale_skips : int;
   (** asynchronous handler invocations skipped because the handler was
-      uninstalled (or its domain quarantined) between the raise and the
+      uninstalled (or evicted) between the raise and the
       deferred thunk running — the dispatch-during-uninstall race,
       detected and resolved in the handler's disfavor. *)
   gated_waits : int;
@@ -332,21 +288,16 @@ val verifier_rejections : t -> int
 
 val installed_specs : t -> installer:string -> Handler_spec.info list
 (** Every installed extension handler of one installer (a domain):
-    linear and indexed, active and quarantined, across every event in
-    declaration order. *)
+    linear and indexed, across every event in declaration order. *)
 
 val topology : t -> (string * string * string list) list
 (** [(event, owner, handler installers)] for every declared event, in
     declaration order — the data behind Figure 5. *)
 
-val handler_id : ('a, 'r) handler -> int
-(** Stable identity assigned at install, preserved across supervisor
-    restarts of the handler. *)
-
 val uninstall_installer : t -> installer:string -> int
 (** Evicts every handler installed under [installer] across every
-    declared event (linear and indexed) — the primitive behind domain
-    quarantine. Returns how many handlers were evicted. Primary
+    declared event (linear and indexed) — the primitive behind a hot
+    swap's sweep of the old domain. Returns how many handlers were evicted. Primary
     (default) handlers are never touched. *)
 
 (** {2 Swap-window gating}
@@ -368,14 +319,14 @@ val set_gate_wait : t -> (unit -> bool) option -> unit
 
 val is_gated : ('a, 'r) event -> bool
 
-val gate_installers : t -> installers:string list -> string list
-(** Closes the gate of every event on which any of [installers] has an
-    active handler, and returns the names of the events closed — the
-    exact set to reopen once the swap commits. *)
+val gate_installer : t -> installer:string -> string list
+(** Closes the gate of every event on which [installer] has an active
+    handler, and returns the names of the events closed — the exact
+    set to reopen once the swap commits. *)
 
 val set_gate_by_name : t -> names:string list -> bool -> unit
 (** Sets the gate of every named event — [true] closes, [false]
-    reopens. Used with the list {!gate_installers} returned. *)
+    reopens. Used with the list {!gate_installer} returned. *)
 
 val in_flight_by_name : t -> names:string list -> int
 (** Dispatches currently executing inside the named events. New raises

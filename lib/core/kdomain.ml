@@ -36,7 +36,7 @@ let version t =
   List.fold_left (fun acc o -> max acc (Object_file.version o)) 1 t.objects
 
 (* An aggregate remembers which leaf domains it was combined from, so
-   a member can later be unlinked (supervisor quarantine) without
+   a member can later be unlinked (a hot swap's unlink) without
    losing the rest. *)
 let leaf_parts t = if t.parts = [] then [ t ] else t.parts
 

@@ -47,7 +47,7 @@ val members : t -> string list
 val remove_member : t -> member:string -> t
 (** [remove_member aggregate ~member] rebuilds the aggregate without
     the named leaf domain — the unlink half of {!combine}, used when a
-    quarantined extension's interfaces are withdrawn from SpinPublic.
+    hot-swapped extension's interfaces are withdrawn from SpinPublic.
     Unknown members are ignored. *)
 
 val exports : t -> Symbol.t list

@@ -62,9 +62,9 @@ let respond t conn ~status ~body =
 
 (* Dynamic content is an event: extensions install generators on
    [HTTP.GenContent]; the primary implementation answers [None]. When
-   a generator faults it is contained by the dispatcher/supervisor —
-   a quarantined generator simply stops answering, and requests fall
-   back to the static error page instead of taking the server down. *)
+   a generator faults the dispatcher contains it — the evicted
+   generator simply stops answering, and requests fall back to the
+   static error page instead of taking the server down. *)
 let serve_miss t conn name =
   let generated =
     match t.content with

@@ -20,11 +20,10 @@ val create :
 val content_event :
   t -> (string, Bytes.t option) Spin_core.Dispatcher.event option
 (** The dynamic-content event (present when [create] was given a
-    dispatcher). Extensions install generators on it — typically with
-    an [on_failure] policy so a buggy generator is contained: when its
-    handlers are evicted or its domain quarantined, the server
-    gracefully degrades to the static fallback page instead of
-    dying. *)
+    dispatcher). Extensions install generators on it. A buggy
+    generator is contained by the dispatcher: its first fault evicts
+    it, and the server degrades to the static fallback page instead
+    of dying. *)
 
 val install_route :
   t -> installer:string -> path:string ->
@@ -41,7 +40,7 @@ val install_route :
 val set_fallback : t -> Bytes.t -> unit
 (** Static error page served with [503 Service Unavailable] when a
     path misses both the file cache and every content generator
-    (e.g. after the generator's domain was quarantined). Without a
+    (e.g. after a faulting generator was evicted). Without a
     fallback such requests get an empty [404]. *)
 
 type stats = {

@@ -487,13 +487,13 @@ let execute t ~cpu s =
        drop it, or the entry goes stale and short-circuits an
        unrelated later block. *)
     Hashtbl.remove t.pending_wakeups s.Strand.id;
-    if s.Strand.state = Strand.Running then enqueue t ~cpu s
+    if s.Strand.state = Strand.Running then enqueue t ~cpu:(target_cpu t s) s
     (* else: someone blocked it while it was being preempted *)
   | Coro.Suspended Coro.Blocked ->
     if Hashtbl.mem t.pending_wakeups s.Strand.id then begin
       (* A wakeup raced the suspension: resume immediately. *)
       Hashtbl.remove t.pending_wakeups s.Strand.id;
-      enqueue t ~cpu s
+      enqueue t ~cpu:(target_cpu t s) s
     end else if s.Strand.state = Strand.Running then
       s.Strand.state <- Strand.Blocked
 

@@ -22,7 +22,6 @@ type t = {
   sched : Sched.t;
   vm : Vm.t;
   heap : Kheap.t;
-  supervisor : Supervisor.t;
   swap : Swap.t;
   syscall_event : (int * int array, int) Dispatcher.event;
   syscalls : (int, int array -> int) Hashtbl.t;
@@ -44,14 +43,6 @@ let strand_event_tag : (Spin_sched.Strand.t, unit) Dispatcher.event Univ.tag =
 let translation_event_tag
   : (Translation.fault, unit) Dispatcher.event Univ.tag =
   Univ.tag ~name:"Translation.Event" ()
-
-let quarantine_event_tag
-  : (Supervisor.quarantine, unit) Dispatcher.event Univ.tag =
-  Univ.tag ~name:"Supervisor.QuarantineEvent" ()
-
-let restart_event_tag
-  : (Supervisor.restart, unit) Dispatcher.event Univ.tag =
-  Univ.tag ~name:"Supervisor.RestartEvent" ()
 
 let reclaim_event_tag
   : (Phys_addr.page, Phys_addr.page) Dispatcher.event Univ.tag =
@@ -78,8 +69,8 @@ let unpublish t ~name =
     t.published <- List.remove_assoc name t.published;
     t.public <- Kdomain.remove_member t.public ~member:(Kdomain.name domain)
 
-(* Quarantine unlink: withdraw every service the domain exported and
-   the domain itself from SpinPublic, and forget the extension. *)
+(* A hot swap's unlink: withdraw every service the old domain exported
+   and the domain itself from SpinPublic, and forget the extension. *)
 let unlink_domain t dname =
   List.iter
     (fun (svc, d) -> if String.equal (Kdomain.name d) dname then unpublish t ~name:svc)
@@ -95,7 +86,6 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
     Sched.create ~intr:machine.Machine.intr machine.Machine.sim dispatcher in
   let vm = Vm.create machine dispatcher in
   let heap = Kheap.create machine.Machine.clock () in
-  let supervisor = Supervisor.create machine.Machine.sim dispatcher in
   let swap = Swap.create sched dispatcher in
   let syscalls : (int, int array -> int) Hashtbl.t = Hashtbl.create 32 in
   (* One installed handler: the raise is a fast-path procedure call
@@ -107,10 +97,9 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
         | Some fn -> fn args
         | None -> -1) in
   let public = Kdomain.create_from_module ~name:"SpinPublic" ~exports:[] in
-  let t = { machine; dispatcher; nameserver; sched; vm; heap; supervisor;
-            swap; syscall_event; syscalls; public; published = [];
+  let t = { machine; dispatcher; nameserver; sched; vm; heap; swap;
+            syscall_event; syscalls; public; published = [];
             extensions = [] } in
-  Supervisor.set_unlink supervisor (unlink_domain t);
   (* Every CPU traps into the same kernel entry point. *)
   Machine.set_trap_handler machine (fun trap ->
     match trap with
@@ -148,17 +137,6 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
         (event_ty "Translation" "ProtectionFault",
          Univ.pack translation_event_tag (Translation.protection_fault vm.Vm.trans));
       ] in
-  (* Failure is observable: extensions import the supervisor's events
-     from SpinPublic and degrade gracefully when a peer is quarantined
-     or comes back. *)
-  let supervisor_domain =
-    Kdomain.create_from_module ~name:"Supervisor"
-      ~exports:[
-        (event_ty "Supervisor" "ExtensionQuarantined",
-         Univ.pack quarantine_event_tag (Supervisor.quarantined_event supervisor));
-        (event_ty "Supervisor" "ExtensionRestarted",
-         Univ.pack restart_event_tag (Supervisor.restarted_event supervisor));
-      ] in
   (* Memory pressure is extensible the same way: services import
      Reclaim to volunteer pages, SelectVictim to replace the paging
      policy (section 5.2). *)
@@ -171,8 +149,8 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
          Univ.pack select_victim_event_tag
            (Phys_addr.select_victim_event vm.Vm.phys));
       ] in
-  (* Live update is observable the same way failure is: peers import
-     DomainSwapped and re-mint references when a provider changes. *)
+  (* Live update is observable: peers import DomainSwapped and re-mint
+     references when a provider changes. *)
   let swap_domain =
     Kdomain.create_from_module ~name:"Swap"
       ~exports:[
@@ -181,7 +159,6 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
       ] in
   publish t ~name:"StrandService" strand_domain;
   publish t ~name:"TranslationService" translation_domain;
-  publish t ~name:"SupervisorService" supervisor_domain;
   publish t ~name:"PhysAddrService" physaddr_domain;
   publish t ~name:"SwapService" swap_domain;
   t
@@ -207,10 +184,6 @@ let load_extension t obj =
     | Ok _patched ->
       Kdomain.initialize domain;
       t.extensions <- domain :: t.extensions;
-      (* Faults from handlers installed under the domain's name are
-         attributed to it; register so the ledger names it even before
-         the first fault. *)
-      Supervisor.register_domain t.supervisor ~name:(Kdomain.name domain) ();
       Ok domain
 
 let extension_count t = List.length t.extensions
@@ -229,11 +202,8 @@ let hot_swap t ~domain ~replacement =
           (match Kdomain.resolve ~source:t.public ~target:d with
            | Error _ as e -> e
            | Ok _patched -> Ok d))
-      ~activate:(fun d ->
-        t.extensions <- d :: t.extensions;
-        Supervisor.register_domain t.supervisor ~name:(Kdomain.name d) ())
-      ~unlink:(unlink_domain t)
-      ~supervisor:t.supervisor ()
+      ~activate:(fun d -> t.extensions <- d :: t.extensions)
+      ~unlink:(unlink_domain t) ()
 
 let attach_fuzz ~seed t =
   Spin_sched.Sched_fuzz.attach ~cpus:(Array.to_list t.machine.Machine.cpus)

@@ -18,7 +18,6 @@ type t = {
   sched : Spin_sched.Sched.t;
   vm : Spin_vm.Vm.t;
   heap : Spin_kgc.Kheap.t;
-  supervisor : Supervisor.t;
   swap : Swap.t;
   syscall_event :
     (int * int array, int) Spin_core.Dispatcher.event;
@@ -29,11 +28,10 @@ type t = {
 }
 
 val boot : ?mem_mb:int -> ?cpus:int -> ?name:string -> unit -> t
-(** Boots with the Strand, Translation and Supervisor event interfaces
-    already published (importable from [SpinPublic] under the tags
-    below), and the supervisor attached to the dispatcher's fault
-    stream: a quarantined domain's handlers are evicted everywhere and
-    its interfaces are withdrawn from [SpinPublic].
+(** Boots with the Strand, Translation, PhysAddr and Swap event
+    interfaces already published (importable from [SpinPublic]). An
+    extension handler that faults is contained by the dispatcher
+    itself: caught, counted and uninstalled (section 4.3).
 
     [cpus] (default: the [SPIN_CPUS] environment variable or 1) boots a
     multiprocessor: the scheduler runs per-CPU queues with IPI wakeups,
@@ -92,7 +90,8 @@ val hot_swap :
   (Swap.outcome, Swap.error) result
 (** Replace the loaded extension [domain] with [replacement] while the
     system runs: the {!Swap} protocol with the kernel's linking
-    ([SpinPublic]), supervisor, and namespace wired in. Requests
+    ([SpinPublic]) and namespace wired in: the old domain's published
+    services leave the nameserver and [SpinPublic]. Requests
     raised into the domain's events during the window park at the
     gate and complete against the replacement; capabilities and
     externalized references minted by the old instance are revoked by

@@ -52,7 +52,6 @@ type outcome = {
   sw_gated_events : string list;
   sw_held_raises : int;
   sw_handlers_swept : int;
-  sw_restarts_cancelled : int;
   sw_cap_epoch : int;
   sw_extern_epoch : int option;
   sw_checkpointed : bool;
@@ -159,8 +158,7 @@ let reopen t ~gated =
   t.in_progress <- None
 
 let hot_swap t ~old_domain ~replacement
-    ~prepare ?(activate = fun _ -> ()) ?(unlink = fun _ -> ())
-    ?supervisor () =
+    ~prepare ?(activate = fun _ -> ()) ?(unlink = fun _ -> ()) () =
   let name = Kdomain.name old_domain in
   match t.in_progress with
   | Some d -> t.s_failed <- t.s_failed + 1; Error (Swap_in_progress d)
@@ -189,11 +187,7 @@ let hot_swap t ~old_domain ~replacement
            t.swapper <- Sched.current t.sched;
            t.window_held <- 0;
            let pause_start = Clock.now t.clock in
-           let installers =
-             match supervisor with
-             | Some sup -> Supervisor.installers sup ~domain:name
-             | None -> [ name ] in
-           let gated = Dispatcher.gate_installers t.disp ~installers in
+           let gated = Dispatcher.gate_installer t.disp ~installer:name in
            Clock.charge t.clock (gate_cost * List.length gated);
            let tr = Trace.of_clock t.clock in
            if Trace.on tr then
@@ -234,19 +228,12 @@ let hot_swap t ~old_domain ~replacement
               Error e
             | Ok state ->
               (* Phase 4 — the point of no return: evict the old
-                 handlers everywhere, cancel restarts aimed at them,
-                 unlink the old domain, and bring the replacement
-                 up (its initializer installs the new handlers). *)
+                 handlers everywhere, unlink the old domain, and bring
+                 the replacement up (its initializer installs the new
+                 handlers). *)
               let swept =
-                List.fold_left
-                  (fun acc i ->
-                     acc + Dispatcher.uninstall_installer t.disp ~installer:i)
-                  0 installers in
+                Dispatcher.uninstall_installer t.disp ~installer:name in
               Clock.charge t.clock (sweep_cost * swept);
-              let cancelled =
-                match supervisor with
-                | Some sup -> Supervisor.cancel_pending sup ~domain:name
-                | None -> 0 in
               unlink name;
               Clock.charge t.clock bringup_cost;
               Kdomain.initialize new_domain;
@@ -280,7 +267,6 @@ let hot_swap t ~old_domain ~replacement
                 sw_gated_events = gated;
                 sw_held_raises = held;
                 sw_handlers_swept = swept;
-                sw_restarts_cancelled = cancelled;
                 sw_cap_epoch = cap_epoch;
                 sw_extern_epoch = extern_epoch;
                 sw_checkpointed = (match restored with Ok b -> b | Error _ -> false);
@@ -296,8 +282,7 @@ let hot_swap t ~old_domain ~replacement
               (match restored with
                | Error e ->
                  (* The replacement is live but empty-handed: surface
-                    the restore failure to the caller (the supervisor
-                    ledger will see any faults that follow). *)
+                    the restore failure to the caller. *)
                  t.s_failed <- t.s_failed + 1;
                  Error e
                | Ok _ ->

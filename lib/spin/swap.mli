@@ -7,7 +7,7 @@
 
     - {b where do in-flight requests go?} Every event the outgoing
       instance handles is *gated* for the swap window
-      ({!Spin_core.Dispatcher.gate_installers}): a strand raising into
+      ({!Spin_core.Dispatcher.gate_installer}): a strand raising into
       a gated event parks at the event's edge — before any handler is
       consulted — and completes against the replacement once the swap
       commits. Nothing is dropped, nothing runs half-old-half-new.
@@ -25,13 +25,14 @@
       exported its {!Spin_core.Extern_ref} table as ["Swap.externs"],
       the table's epoch too. Every reference the old instance minted
       dies in O(1): a stale use raises the typed
-      [Capability.Revoked] fault (counted by the supervisor) or
+      [Capability.Revoked] fault (caught and counted by the dispatcher
+      when a handler lets it escape) or
       internalizes as [None] — never a dangle into retired code.
 
     The swap protocol: prepare (link the replacement; failures leave
     the old instance untouched) → verify the replacement covers the
     old exports ({!Spin_core.Kdomain.export_gaps}) → gate → checkpoint
-    → sweep old handlers and cancel their pending restarts → unlink →
+    → sweep old handlers → unlink →
     initialize the replacement (its initializer installs the new
     handlers) → restore → advance epochs → ungate and drain parked
     strands. The window's length is recorded under the tracer's ["swap.pause"]
@@ -68,7 +69,6 @@ type outcome = {
   sw_gated_events : string list;  (** events closed for the window *)
   sw_held_raises : int;           (** strands parked, then drained *)
   sw_handlers_swept : int;        (** old handlers evicted *)
-  sw_restarts_cancelled : int;    (** pending restarts aimed at them *)
   sw_cap_epoch : int;             (** the domain's new capability epoch *)
   sw_extern_epoch : int option;   (** new extern-table epoch, if exported *)
   sw_checkpointed : bool;         (** state moved via checkpoint/restore *)
@@ -107,15 +107,13 @@ val hot_swap :
      (Spin_core.Kdomain.t, Spin_core.Kdomain.error) result) ->
   ?activate:(Spin_core.Kdomain.t -> unit) ->
   ?unlink:(string -> unit) ->
-  ?supervisor:Supervisor.t ->
   unit ->
   (outcome, error) result
 (** Runs the swap protocol. [prepare] creates and links the
     replacement domain (the kernel resolves against [SpinPublic]);
     [activate] publishes the new domain after restore; [unlink]
-    withdraws the old one. With [supervisor], the gate and sweep cover
-    every installer attributed to the domain, and restarts pending
-    against old handlers are cancelled. Call {!Kernel.hot_swap}
+    withdraws the old one. The gate and the sweep cover the handlers
+    installed under the old domain's name. Call {!Kernel.hot_swap}
     rather than this when a kernel is running. *)
 
 val swapped_event : t -> (outcome, unit) Spin_core.Dispatcher.event

@@ -503,7 +503,7 @@ let test_dispatch_async_deferred () =
   check bool "ran at flush" true !ran
 
 let test_dispatch_async_uninstall_before_flush () =
-  (* Regression: an async handler uninstalled (or quarantined) between
+  (* Regression: an async handler uninstalled (or evicted) between
      the raise and the deferred thunk running still executed — dispatch
      after uninstall. The thunk must re-check liveness at run time. *)
   let _, d = mk_dispatcher () in
@@ -518,8 +518,8 @@ let test_dispatch_async_uninstall_before_flush () =
   check int "skip recorded" 1 (Dispatcher.stats e).Dispatcher.stale_skips
 
 let test_dispatch_uninstall_during_raise () =
-  (* A handler that evicts its whole domain mid-dispatch (what a
-     quarantine sweep does) must not corrupt the iteration: later
+  (* A handler that evicts its whole domain mid-dispatch (what a hot
+     swap's sweep does) must not corrupt the iteration: later
      handlers of the evicted domain are skipped, others still run. *)
   let _, d = mk_dispatcher () in
   let order = ref [] in
@@ -706,7 +706,7 @@ let test_dispatch_gate_without_hook_passes () =
   check bool "reopened" false (Dispatcher.is_gated e)
 
 let test_dispatch_gate_installers_and_hook () =
-  (* gate_installers closes exactly the events an installer touches;
+  (* gate_installer closes exactly the events an installer touches;
      a raise into a closed gate consults the hook before any handler,
      and proceeds once the gate reopens. *)
   let _, d = mk_dispatcher () in
@@ -715,7 +715,7 @@ let test_dispatch_gate_installers_and_hook () =
   let cold = Dispatcher.declare d ~name:"Svc.Cold" ~owner:"Svc"
       (fun (_ : int) -> ()) in
   ignore (must (Dispatcher.install hot ~installer:"ext" (fun _ -> 7)));
-  let gated = Dispatcher.gate_installers d ~installers:[ "ext" ] in
+  let gated = Dispatcher.gate_installer d ~installer:"ext" in
   check (list string) "only the installer's event closed" [ "Svc.Hot" ] gated;
   check bool "other event untouched" false (Dispatcher.is_gated cold);
   let waits = ref 0 in

@@ -5,9 +5,9 @@
    itself. QCheck drives random sequences of declarations, installs
    by spec, uninstalls, added guards, primary
    removal and reinstatement, gates (with a swap performed while a
-   raise is held), revivals of faulted handlers, raises, and flushes
-   of deferred handlers. A handler body may also uninstall or revive
-   an indexed handler of its own event while the raise runs. After
+   raise is held), raises, and flushes of deferred handlers. A handler
+   body may also uninstall an indexed handler of its own event while
+   the raise runs. After
    every step the real dispatcher must agree with the model on the
    handlers invoked and their order, the combined result (or
    [No_handler], or the primary's exception), every event's stats, the
@@ -48,11 +48,9 @@ type hspec = {
   verified : int option;     (* [Ebc.match_field ~slot:0 v] *)
   work : int;                (* cycles the body charges *)
   raises_on : int option;    (* the body throws on this argument *)
-  quarantine : bool;         (* [Quarantine] policy, else [Uninstall] *)
   evicts : int option;       (* the body sweeps this installer *)
-  meddles : (bool * int) option;
-  (* the body revives (true) or uninstalls (false) this pick among
-     its event's indexed handlers *)
+  meddles : int option;
+  (* the body uninstalls this pick among its event's indexed handlers *)
 }
 
 type op =
@@ -64,7 +62,6 @@ type op =
   | Reinstate_primary of int
   | Gate of int * op                  (* the swap a held raise waits out *)
   | Ungate of int
-  | Revive of int * int
   | Raise of int * int
   | Flush
 
@@ -91,7 +88,6 @@ type mh = {
   mutable trusted : int option;      (* verified value, trusted path *)
   bound : int option;
   mutable active : bool;
-  mutable faulted : bool;            (* a fault handed out a reinstall *)
 }
 
 type counters = {
@@ -129,7 +125,6 @@ type world = {
   d : Dispatcher.t;
   mutable events : event list;       (* declaration order *)
   log : int list ref;                (* real bodies run, newest first *)
-  revive : (int, unit -> unit) Hashtbl.t;
   mutable raising : event option;
   violations : string list ref;
   mutable mlog : int list;
@@ -160,12 +155,7 @@ let body w ev s id x =
       ignore (Dispatcher.uninstall_installer w.d ~installer:installers.(i)))
     s.evicts;
   (match s.meddles, ev.keyed with
-   | Some (revive, k), (_ :: _ as keyed) ->
-     let h = pick keyed k in
-     if revive then
-       Option.iter (fun f -> f ())
-         (Hashtbl.find_opt w.revive (Dispatcher.handler_id h))
-     else Dispatcher.uninstall ev.e h
+   | Some k, (_ :: _ as keyed) -> Dispatcher.uninstall ev.e (pick keyed k)
    | Some _, [] | None, _ -> ());
   if s.raises_on = Some x then raise Boom;
   id
@@ -179,11 +169,7 @@ let to_spec s : int Handler_spec.t =
     Handler_spec.guard = Option.map guard_of s.guard;
     bound_cycles = s.bound;
     async = s.async;
-    index_key = s.key;
-    on_failure =
-      (if s.quarantine then
-         Dispatcher.Quarantine { window_us = 1e9; max_faults = max_int }
-       else Dispatcher.Uninstall) }
+    index_key = s.key }
 
 let real_apply w op =
   let with_handler i k f =
@@ -216,11 +202,6 @@ let real_apply w op =
     with_event w i (fun ev -> set_gate w ev true; ev.r_swap <- Some swap; Done)
   | Ungate i ->
     with_event w i (fun ev -> set_gate w ev false; ev.r_swap <- None; Done)
-  | Revive (i, k) ->
-    with_handler i k (fun _ h ->
-      Option.iter (fun f -> f ())
-        (Hashtbl.find_opt w.revive (Dispatcher.handler_id h));
-      Done)
   | Raise (i, x) ->
     with_event w i (fun ev ->
       w.raising <- Some ev;
@@ -262,19 +243,10 @@ let sweep w installer =
         ev.all)
     w.events
 
-let revive ev m =
-  if m.faulted && not m.active then begin
-    m.active <- true;
-    if m.spec.key = None then ev.linear <- ev.linear @ [ m ]
-  end
-
-(* A body's revival or uninstall of one of its event's indexed
-   handlers. A revival lands in the slot for later raises only: the
-   raise under way keeps the indexed handlers it started with. *)
+(* A body's uninstall of one of its event's indexed handlers. *)
 let meddle ev m =
   match m.spec.meddles, List.filter (fun x -> x.spec.key <> None) ev.all with
-  | Some (true, k), (_ :: _ as keyed) -> revive ev (pick keyed k)
-  | Some (false, k), (_ :: _ as keyed) -> deactivate ev (pick keyed k)
+  | Some k, (_ :: _ as keyed) -> deactivate ev (pick keyed k)
   | Some _, [] | None, _ -> ()
 
 (* The [sum] events' combine. It does not commute, so a dispatcher that
@@ -294,9 +266,9 @@ let call_primary w ev m x =
   if primary_fails x then raise Primary_failed;
   1000 + x
 
-(* A synchronous invocation: faults are caught and, unless the policy
-   is Quarantine, evict the handler; a bounded body that overran has
-   its result discarded. The primary is trusted and runs bare. *)
+(* A synchronous invocation: faults are caught and evict the handler;
+   a bounded body that overran has its result discarded. The primary
+   is trusted and runs bare. *)
 let run_sync w ev m x =
   if m.primary then Some (call_primary w ev m x)
   else begin
@@ -308,14 +280,12 @@ let run_sync w ev m x =
     let result =
       if m.spec.raises_on = Some x then begin
         ev.c.failures <- ev.c.failures + 1;
-        m.faulted <- true;
-        if not m.spec.quarantine then deactivate ev m;
+        deactivate ev m;
         None
       end else Some m.id in
     match m.bound with
     | Some b when m.spec.work > b ->
       ev.c.aborted <- ev.c.aborted + 1;
-      if result <> None then m.faulted <- true;
       None
     | Some _ | None -> result
   end
@@ -346,8 +316,6 @@ let rec model_apply w op =
   | Gate (i, swap) ->
     with_event w i (fun ev -> ev.gated <- true; ev.m_swap <- Some swap; Done)
   | Ungate i -> with_event w i (fun ev -> ev.gated <- false; ev.m_swap <- None; Done)
-  | Revive (i, k) ->
-    with_handler i k (fun ev m -> revive ev m; Done)
   | Raise (i, x) ->
     with_event w i (fun ev ->
       match raise_ w ev x with
@@ -397,7 +365,7 @@ and install w ev id s =
         { id; spec = s; primary = false;
           guards = demoted @ Option.to_list (Option.map guard_of s.guard);
           trusted; bound = (if trusted <> None then None else s.bound);
-          active = true; faulted = false } in
+          active = true } in
       ev.all <- ev.all @ [ m ];
       if s.key = None then ev.linear <- ev.linear @ [ m ];
       Installed
@@ -469,8 +437,8 @@ and raise_ w ev x =
 
 let no_spec =
   { installer = 0; guard = None; bound = None; async = false; key = None;
-    verified = None; work = 0; raises_on = None; quarantine = false;
-    evicts = None; meddles = None }
+    verified = None; work = 0; raises_on = None; evicts = None;
+    meddles = None }
 
 let declare w ~index ~layout:lay ~sum =
   let n = List.length w.events in
@@ -489,7 +457,7 @@ let declare w ~index ~layout:lay ~sum =
       primary in
   let m_primary =
     { id = pid; spec = no_spec; primary = true; guards = []; trusted = None;
-      bound = None; active = true; faulted = false } in
+      bound = None; active = true } in
   let c =
     { raises = 0; fast = 0; invocations = 0; rejections = 0; aborted = 0;
       failures = 0; stale = 0; waits = 0; trusted_n = 0 } in
@@ -531,21 +499,16 @@ let rec show_op = function
   | Install (i, id, s) ->
     Printf.sprintf
       "install(ev%d #%d %s guard=%s bound=%s async=%b key=%s verified=%s \
-       work=%d raises_on=%s quarantine=%b evicts=%s meddles=%s)"
+       work=%d raises_on=%s evicts=%s uninstalls=%s)"
       i id installers.(s.installer) (show_opt s.guard) (show_opt s.bound)
       s.async (show_opt s.key) (show_opt s.verified) s.work
-      (show_opt s.raises_on) s.quarantine (show_opt s.evicts)
-      (match s.meddles with
-       | Some (revive, k) ->
-         Printf.sprintf "%s k%d" (if revive then "revive" else "uninstall") k
-       | None -> "-")
+      (show_opt s.raises_on) (show_opt s.evicts) (show_opt s.meddles)
   | Uninstall (i, k) -> Printf.sprintf "uninstall(ev%d h%d)" i k
   | Add_guard (i, k, g) -> Printf.sprintf "add_guard(ev%d h%d g%d)" i k g
   | Remove_primary i -> Printf.sprintf "remove_primary(ev%d)" i
   | Reinstate_primary i -> Printf.sprintf "reinstate_primary(ev%d)" i
   | Gate (i, swap) -> Printf.sprintf "gate(ev%d, %s)" i (show_op swap)
   | Ungate i -> Printf.sprintf "ungate(ev%d)" i
-  | Revive (i, k) -> Printf.sprintf "revive(ev%d h%d)" i k
   | Raise (i, x) -> Printf.sprintf "raise(ev%d %d)" i x
   | Flush -> "flush"
 
@@ -600,12 +563,8 @@ let run (trace, ops) =
   let d = Dispatcher.create clock in
   if trace then Trace.enable (Dispatcher.tracer d);
   let w =
-    { clock; d; events = []; log = ref []; revive = Hashtbl.create 16;
-      raising = None; violations = ref []; mlog = []; mcycles = 0;
+    { clock; d; events = []; log = ref []; raising = None; violations = ref []; mlog = []; mcycles = 0;
       queued = []; m_rejections = 0 } in
-  Dispatcher.set_fault_handler d (fun f ->
-    Hashtbl.replace w.revive f.Dispatcher.fault_handler_id
-      f.Dispatcher.fault_reinstall);
   Dispatcher.set_violation_hook d
     (Some (fun m -> w.violations := m :: !(w.violations)));
   Dispatcher.set_gate_wait d (Some (gate_wait w));
@@ -635,11 +594,10 @@ let gen_spec =
         (match key with
          | Some k -> oneofl [ k; k + 4 ]   (* the raises its slot sees *)
          | None -> int_range 0 7) in
-  let* quarantine = bool in
   let* evicts = opt ~ratio:0.1 (int_range 0 2) in
-  let* meddles = opt ~ratio:0.3 (pair bool (int_range 0 3)) in
+  let* meddles = opt ~ratio:0.15 (int_range 0 3) in
   pure { installer; guard; bound; async; key; verified; work; raises_on;
-         quarantine; evicts; meddles }
+         evicts; meddles }
 
 let gen_declare =
   QCheck2.Gen.(
@@ -653,8 +611,7 @@ let gen_mutation =
       (2, map2 (fun i k -> Uninstall (i, k)) ev pick);
       (1, map3 (fun i k g -> Add_guard (i, k, g)) ev pick (int_range 0 2));
       (1, map (fun i -> Remove_primary i) ev);
-      (1, map (fun i -> Reinstate_primary i) ev);
-      (1, map2 (fun i k -> Revive (i, k)) ev pick) ]
+      (1, map (fun i -> Reinstate_primary i) ev) ]
 
 let gen_op =
   let open QCheck2.Gen in
@@ -692,13 +649,11 @@ let prop_matches_model =
     ~count:1000 ~print:print_case gen_case run
 
 (* The snapshot rule on its own: a raise runs the indexed handlers
-   that were active when it began. One re-linked mid-raise sits that
-   raise out and runs from the next; one uninstalled mid-raise is
-   skipped at once. *)
+   that were active when it began. One linked into the raised slot
+   mid-raise sits that raise out and runs from the next; one
+   uninstalled mid-raise is skipped at once. *)
 let test_mid_raise_relink () =
   let d = Dispatcher.create (Clock.create Cost.alpha_133) in
-  let relink = ref (fun () -> ()) in
-  Dispatcher.set_fault_handler d (fun f -> relink := f.Dispatcher.fault_reinstall);
   let ran = ref 0 in
   let e =
     Dispatcher.declare d ~name:"E" ~owner:"model" ~index:index_of
@@ -706,21 +661,22 @@ let test_mid_raise_relink () =
   let install spec fn =
     Dispatcher.ok_exn ~site:"test"
       (Dispatcher.install e ~installer:"a" ~spec fn) in
-  let target =
+  let indexed () =
     install (Handler_spec.indexed 1) (fun x ->
       incr ran;
       if x = 5 then raise Boom;
       1) in
+  let target = ref (indexed ()) in
   ignore
     (install Handler_spec.default (fun x ->
-       if x = 1 then !relink ();
-       if x = 9 then Dispatcher.uninstall e target;
+       if x = 1 && Dispatcher.indexed_active e = 0 then target := indexed ();
+       if x = 9 then Dispatcher.uninstall e !target;
        0));
   let raise_ x = ran := 0; ignore (Dispatcher.raise_event e x) in
   raise_ 5;
   Alcotest.(check int) "the fault evicted it" 0 (Dispatcher.indexed_active e);
   raise_ 1;
-  Alcotest.(check int) "re-linked mid-raise" 1 (Dispatcher.indexed_active e);
+  Alcotest.(check int) "linked mid-raise" 1 (Dispatcher.indexed_active e);
   Alcotest.(check int) "it sat that raise out" 0 !ran;
   raise_ 1;
   Alcotest.(check int) "the next raise runs it" 1 !ran;

@@ -14,7 +14,11 @@
      [None] the type checker fills in, at a ghost location);
    - a module that nothing under lib, bench or bin names: one only
      tests and examples reach is code the system never runs.
-   Uses from tests and examples count for the first four. Polymorphic
+   Uses from tests and examples count for the first four. A sixth case
+   covers bench/ (bench/e2e aside, whose sources stay as the benchmark
+   runs them): a top-level value that no expression reads, in its own
+   module or any other. A read inside the value's own definition (a
+   recursive call) does not count. Polymorphic
    [=], [compare] and [Hashtbl.hash] read fields the scan cannot see;
    such a field goes in [exempt] with that reason. *)
 
@@ -62,6 +66,8 @@ let under root src =
 
 let in_lib src = under "lib" src && not (List.mem (module_of src) exempt_modules)
 
+let in_bench src = under "bench" src && not (under "bench/e2e" src)
+
 let loc_key (l : Location.t) =
   (l.loc_start.pos_fname, l.loc_start.pos_cnum, l.loc_end.pos_cnum)
 
@@ -74,6 +80,7 @@ let fields = Hashtbl.create 1024
 let constructors = Hashtbl.create 512
 let options = Hashtbl.create 256 (* [Mod.fn ?label] *)
 let lib_modules = Hashtbl.create 128
+let bench_values = Hashtbl.create 512 (* top-level, bench/*.ml *)
 
 (* Uses, from every tree, by finding name. *)
 let used = Hashtbl.create 4096
@@ -81,6 +88,7 @@ let read = Hashtbl.create 1024
 let built = Hashtbl.create 512
 let passed = Hashtbl.create 256
 let named = Hashtbl.create 256 (* named from lib, bench or bin *)
+let bench_read = Hashtbl.create 512
 
 let option_name f l = f ^ " ?" ^ l
 
@@ -147,6 +155,24 @@ let rec declare_signature prefix (sg : Typedtree.signature) =
       | _ -> ())
     sg.sig_items
 
+(* A top-level binding's names, each keyed by its location. *)
+let bound (vb : Typedtree.value_binding) =
+  List.map (fun (_, (name : string Location.loc), _) ->
+      (loc_key name.loc, name.txt))
+    (Typedtree.let_bound_idents_full [ vb ])
+
+let declare_bench src (str : Typedtree.structure) =
+  List.iter (fun (item : Typedtree.structure_item) ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) ->
+        List.iter (fun vb ->
+            List.iter (fun (k, n) ->
+                Hashtbl.replace bench_values k (module_of src ^ "." ^ n))
+              (bound vb))
+          vbs
+      | _ -> ())
+    str.str_items
+
 (* The library prefixes dune gives lib/ modules ([Spin_net] for
    [Spin_net__Tcp]). *)
 let lib_prefixes = Hashtbl.create 16
@@ -199,6 +225,9 @@ let scan src annots =
   (* The fields being assigned around the expression being walked: a
      field read only to compute its own next value is still unread. *)
   let assigning = ref [] in
+  (* The top-level binding being walked: its own recursive calls are
+     not reads. *)
+  let defining = ref [] in
   let open Tast_iterator in
   let expr sub (e : Typedtree.expression) =
     match e.exp_desc with
@@ -213,6 +242,8 @@ let scan src annots =
       (match desc with
        | Texp_ident (p, _, vd) ->
          mark used exports vd.val_loc;
+         if not (List.mem (loc_key vd.val_loc) !defining) then
+           mark bench_read bench_values vd.val_loc;
          name (module_of_path p);
          name (module_of_loc vd.val_loc)
        | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) -> (
@@ -267,7 +298,17 @@ let scan src annots =
     default_iterator.module_type sub mt in
   let it = { default_iterator with expr; pat; typ; module_expr; module_type } in
   match (annots : Cmt_format.binary_annots) with
-  | Implementation str -> it.structure it str
+  | Implementation str ->
+    List.iter (fun (item : Typedtree.structure_item) ->
+        match item.str_desc with
+        | Tstr_value (_, vbs) ->
+          List.iter (fun vb ->
+              defining := List.map fst (bound vb);
+              it.value_binding it vb)
+            vbs;
+          defining := []
+        | _ -> it.structure_item it item)
+      str.str_items
   | Interface sg -> it.signature it sg
   | _ -> ()
 
@@ -283,7 +324,11 @@ let scanned =
            | Implementation str -> declare_structure (module_of src ^ ".") str
            | Interface sg -> declare_signature (module_of src ^ ".") sg
            | _ -> ()
-         end)
+         end
+         else if in_bench src then
+           match (annots : Cmt_format.binary_annots) with
+           | Implementation str -> declare_bench src str
+           | _ -> ())
        units;
      List.iter (fun (src, _, annots) -> scan src annots) units)
 
@@ -314,7 +359,10 @@ let cases =
     ("every lib/ constructor is built",
      "variant constructors are built nowhere", names constructors, built);
     ("every lib/ option is passed",
-     "optional arguments are passed by no call", names options, passed) ]
+     "optional arguments are passed by no call", names options, passed);
+    ("every bench/ top-level value is read",
+     "bench/ top-level values are read nowhere", names bench_values,
+     bench_read) ]
 
 (* An exempt entry must still be a finding, or it goes. *)
 let test_exempt_current () =

@@ -16,12 +16,10 @@ module Dispatcher = Spin_core.Dispatcher
 module Capability = Spin_core.Capability
 module Kdomain = Spin_core.Kdomain
 module Nameserver = Spin_core.Nameserver
-module Supervisor = Spin.Supervisor
+module Object_file = Spin_core.Object_file
 module Kernel = Spin.Kernel
 
 let must r = Dispatcher.ok_exn ~site:"test_faults" r
-
-let with_policy on_failure = { Dispatcher.Handler_spec.default with on_failure }
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -233,183 +231,16 @@ let test_bounded_udp_handler_aborted () =
   check int "other endpoints fine" 1 !healthy
 
 (* ------------------------------------------------------------------ *)
-(* The supervisor: quarantine and restart-with-backoff                *)
+(* Contained faults, end to end                                       *)
 (* ------------------------------------------------------------------ *)
 
-let supervised_dispatcher () =
-  let clock = Clock.create Cost.alpha_133 in
-  let sim = Sim.create clock in
-  let d = Dispatcher.create clock in
-  let sup = Supervisor.create sim d in
-  (clock, sim, d, sup)
-
-let test_supervisor_quarantines_domain () =
-  (* A filter extension installs handlers on two events; the one on
-     Net.A is buggy, with a Quarantine policy: faults are tolerated
-     (the handler stays) until the third inside the window, then the
-     WHOLE domain goes — both handlers, on both events, atomically —
-     while an unrelated peer extension is untouched. *)
-  let _, _, d, sup = supervised_dispatcher () in
-  let ev_a = Dispatcher.declare d ~name:"Net.A" ~owner:"Net"
-      (fun (_ : int) -> ()) in
-  let ev_b = Dispatcher.declare d ~name:"Net.B" ~owner:"Net"
-      (fun (_ : int) -> ()) in
-  ignore (must @@ Dispatcher.install ev_a ~installer:"filter"
-            ~spec:(with_policy @@ Dispatcher.Quarantine
-                           { window_us = 1_000_000.; max_faults = 3 })
-            (fun _ -> failwith "filter bug"));
-  let filter_b = ref 0 and peer = ref 0 in
-  ignore (must @@ Dispatcher.install ev_b ~installer:"filter"
-            (fun _ -> incr filter_b));
-  ignore (must @@ Dispatcher.install ev_a ~installer:"peer" (fun _ -> incr peer));
-  let announced = ref [] in
-  ignore (must @@ Dispatcher.install (Supervisor.quarantined_event sup)
-            ~installer:"watcher"
-            (fun q -> announced := q.Supervisor.q_domain :: !announced));
-  (* Two faults: tolerated, the handler stays installed. *)
-  Dispatcher.raise_event ev_a 1;
-  Dispatcher.raise_event ev_a 2;
-  check bool "not yet quarantined" false (Supervisor.is_quarantined sup "filter");
-  check int "faults on the ledger" 2 (Supervisor.faults sup "filter");
-  check int "still installed after tolerated faults" 3
-    (Dispatcher.handler_count ev_a);
-  (* Third fault inside the window: the axe falls. *)
-  Dispatcher.raise_event ev_a 3;
-  check bool "quarantined" true (Supervisor.is_quarantined sup "filter");
-  check (list string) "quarantine announced as an event" [ "filter" ] !announced;
-  check int "evicted from the faulting event" 2 (Dispatcher.handler_count ev_a);
-  check int "and from every other event it touched" 1
-    (Dispatcher.handler_count ev_b);
-  check int "all three faults were caught" 3
-    (Dispatcher.stats ev_a).Dispatcher.handler_failures;
-  (* Peers keep dispatching; the quarantined domain is gone for good. *)
-  Dispatcher.raise_event ev_a 4;
-  Dispatcher.raise_event ev_b 5;
-  check int "peer unharmed" 4 !peer;
-  check int "quarantined handler never ran again" 0 !filter_b;
-  check int "faults attributed" 3 (Supervisor.faults sup "filter");
-  check bool "quarantined" true (Supervisor.is_quarantined sup "filter")
-
-let test_supervisor_restart_with_backoff () =
-  (* A transiently-buggy handler with a Restart policy: each fault
-     evicts it and schedules a reinstall after an exponentially
-     backed-off delay. Once its bug clears, it serves again. *)
-  let clock, sim, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  let attempts = ref [] in
-  ignore (must @@ Dispatcher.install (Supervisor.restarted_event sup)
-            ~installer:"watcher"
-            (fun r -> attempts := r.Supervisor.r_attempt :: !attempts));
-  let calls = ref 0 and served = ref 0 in
-  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
-            ~spec:(with_policy @@ Dispatcher.Restart
-                           { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
-            (fun _ ->
-              incr calls;
-              if !calls <= 2 then failwith "transient bug";
-              incr served));
-  Dispatcher.raise_event ev 1;                     (* fault #1: evicted *)
-  check int "evicted after the fault" 1 (Dispatcher.handler_count ev);
-  let t0 = Clock.now_us clock in
-  Sim.run sim;                                     (* deferred reinstall fires *)
-  check bool "came back only after the delay" true
-    (Clock.now_us clock -. t0 >= 1_000.);
-  check int "reinstalled" 2 (Dispatcher.handler_count ev);
-  Dispatcher.raise_event ev 2;                     (* fault #2: evicted again *)
-  let t1 = Clock.now_us clock in
-  Sim.run sim;                                     (* backoff doubled *)
-  check bool "second delay backed off" true (Clock.now_us clock -. t1 >= 2_000.);
-  Dispatcher.raise_event ev 3;                     (* bug cleared *)
-  check int "serves after recovery" 1 !served;
-  check (list int) "restarts announced with attempt numbers" [ 2; 1 ] !attempts;
-  check int "ledger counts the restarts" 2
-    (Supervisor.stats sup).Supervisor.s_restarts;
-  check bool "never quarantined" false (Supervisor.is_quarantined sup "flaky")
-
-let test_supervisor_restart_gives_up () =
-  (* A hopeless handler exhausts its restart budget and stays gone. *)
-  let _, sim, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  ignore (must @@ Dispatcher.install ev ~installer:"hopeless"
-            ~spec:(with_policy @@ Dispatcher.Restart
-                           { delay_us = 500.; backoff = 2.; max_restarts = 2 })
-            (fun _ -> failwith "always broken"));
-  for i = 1 to 4 do
-    Dispatcher.raise_event ev i;    (* fault (if installed) ... *)
-    Sim.run sim                     (* ... then any pending restart *)
-  done;
-  let st = Supervisor.stats sup in
-  check int "two restarts granted" 2 st.Supervisor.s_restarts;
-  check int "then the supervisor gave up" 1 st.Supervisor.s_gave_up;
-  check int "handler stays gone" 1 (Dispatcher.handler_count ev);
-  check int "three faults in total" 3 (Supervisor.faults sup "hopeless")
-
-let test_supervisor_backoff_cap () =
-  (* Exponential backoff under the one-second ceiling: the clamp keeps
-     a flaky-but-useful handler from backing off into permanent
-     absence, and every clamped delay is counted. *)
-  let clock, sim, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
-            ~spec:(with_policy @@ Dispatcher.Restart
-                           { delay_us = 300_000.; backoff = 4.; max_restarts = 5 })
-            (fun _ -> failwith "still broken"));
-  Dispatcher.raise_event ev 1;               (* fault #1: delay 0.3 s *)
-  let t0 = Clock.now_us clock in
-  Sim.run sim;
-  check bool "first delay uncapped" true
-    (let w = Clock.now_us clock -. t0 in w >= 300_000. && w < 1_000_000.);
-  Dispatcher.raise_event ev 2;               (* fault #2: 1.2 s -> clamped *)
-  let t1 = Clock.now_us clock in
-  Sim.run sim;
-  check bool "second delay clamped to the cap" true
-    (let w = Clock.now_us clock -. t1 in w >= 1_000_000. && w < 1_200_000.);
-  Dispatcher.raise_event ev 3;               (* fault #3: 4.8 s -> clamped *)
-  let t2 = Clock.now_us clock in
-  Sim.run sim;
-  check bool "third delay still at the cap" true
-    (let w = Clock.now_us clock -. t2 in w >= 1_000_000. && w < 1_200_000.);
-  check int "clamps counted" 2
-    (Supervisor.stats sup).Supervisor.s_backoff_capped
-
-let test_supervisor_backoff_resets_after_grace () =
-  (* A handler that stays healthy past the grace window earns its
-     restart budget back: the next (unrelated) fault backs off from
-     the base delay, not from where the old burst left off. *)
-  let clock, sim, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  let calls = ref 0 in
-  ignore (must @@ Dispatcher.install ev ~installer:"flaky"
-            ~spec:(with_policy @@ Dispatcher.Restart
-                           { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
-            (fun _ ->
-              incr calls;
-              if !calls = 1 || !calls = 3 then failwith "transient bug"));
-  Dispatcher.raise_event ev 1;               (* fault #1: delay 1000 *)
-  Sim.run sim;
-  Dispatcher.raise_event ev 2;               (* healthy service *)
-  ignore (Sim.after_us sim 11_000_000. (fun () -> ()));  (* 11 s of uptime *)
-  Sim.run sim;
-  Dispatcher.raise_event ev 3;               (* fault #2, past the grace *)
-  let t1 = Clock.now_us clock in
-  Sim.run sim;
-  check bool "delay back at base after healthy grace" true
-    (let w = Clock.now_us clock -. t1 in w >= 1_000. && w < 2_000.);
-  check int "reset counted" 1
-    (Supervisor.stats sup).Supervisor.s_backoff_resets;
-  Dispatcher.raise_event ev 4;
-  check int "serves after the second recovery" 4 !calls
-
-let test_supervisor_counts_revoked_faults () =
+let test_revoked_deref_contained () =
   (* A handler caches a capability whose owner epoch has advanced (as
-     a hot-swap does): the deref faults like any handler bug, but the
-     supervisor tallies it apart and surfaces it as a gauge — a burst of these after a swap means an extension kept
-     old-instance references instead of re-minting. *)
-  let _, _, d, sup = supervised_dispatcher () in
+     a hot swap does): the deref raises the typed Revoked fault, which
+     the dispatcher contains like any handler bug — caught, counted
+     and the stale handler evicted — while the raise completes. *)
+  let clock = Clock.create Cost.alpha_133 in
+  let d = Dispatcher.create clock in
   let ev = Dispatcher.declare d ~name:"Svc.Use" ~owner:"Svc"
       (fun (_ : int) -> ()) in
   let cap = Capability.mint ~owner:"OldGen" "resource" in
@@ -417,108 +248,66 @@ let test_supervisor_counts_revoked_faults () =
   ignore (must @@ Dispatcher.install ev ~installer:"staleuser"
             (fun _ -> ignore (Capability.deref cap)));
   Dispatcher.raise_event ev 0;
-  let st = Supervisor.stats sup in
-  check int "revoked use counted apart" 1 st.Supervisor.s_revoked;
-  check int "and as an ordinary fault" 1 st.Supervisor.s_faults
-
-let test_supervisor_domain_budget_groups_installers () =
-  (* Two installers grouped under one registered domain with a
-     domain-level budget: their faults pool, and the budget trips the
-     quarantine even though each handler's own policy is the default
-     Uninstall. *)
-  let _, _, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  let ev2 = Dispatcher.declare d ~name:"Svc.Other" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  Supervisor.register_domain sup ~name:"plugins"
-    ~installers:[ "plug-a"; "plug-b" ]
-    ~budget:{ Supervisor.window_us = 1_000_000.; max_faults = 2 } ();
-  ignore (must @@ Dispatcher.install ev ~installer:"plug-a"
-            (fun _ -> failwith "a is broken"));
-  ignore (must @@ Dispatcher.install ev ~installer:"plug-b"
-            (fun _ -> failwith "b is broken"));
-  let healthy_runs = ref 0 in
-  ignore (must @@ Dispatcher.install ev2 ~installer:"plug-b"
-            (fun _ -> incr healthy_runs));
-  (* One raise: both broken handlers fault, pooling two faults on the
-     "plugins" domain — which is exactly its budget. *)
+  check int "revoked use counted as a handler failure" 1
+    (Dispatcher.stats ev).Dispatcher.handler_failures;
+  check int "stale handler evicted" 1 (Dispatcher.handler_count ev);
   Dispatcher.raise_event ev 1;
-  check bool "domain quarantined on pooled faults" true
-    (Supervisor.is_quarantined sup "plugins");
-  check int "domain-level fault count" 2 (Supervisor.faults sup "plugins");
-  (* The healthy handler of a member installer is swept too. *)
-  Dispatcher.raise_event ev2 2;
-  check int "member's healthy handler evicted" 0 !healthy_runs;
-  check int "only the primary remains" 1 (Dispatcher.handler_count ev2)
+  check int "and never faults again" 1
+    (Dispatcher.stats ev).Dispatcher.handler_failures
 
-let test_supervisor_budget_beyond_log_cap () =
-  (* Regression: the per-domain fault log was truncated at a fixed 256
-     entries, so a registered budget with max_faults > 256 could never
-     trip — the recent-fault count saturated below the threshold and
-     the domain hammered on forever. The log cap now stretches to the
-     largest budget that needs it. *)
-  let _, _, d, sup = supervised_dispatcher () in
-  let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
-      (fun (_ : int) -> ()) in
-  Supervisor.register_domain sup ~name:"chatty" ~installers:[ "chatty" ]
-    ~budget:{ Supervisor.window_us = 1_000_000_000.; max_faults = 300 } ();
-  (* A tolerant per-handler policy keeps the handler installed so every
-     raise produces a fresh fault against the domain budget. *)
-  ignore (must @@ Dispatcher.install ev ~installer:"chatty"
-            ~spec:(with_policy @@ Dispatcher.Quarantine
-                           { window_us = 1_000_000_000.; max_faults = max_int })
-            (fun _ -> failwith "chatty bug"));
-  for i = 1 to 299 do
-    Dispatcher.raise_event ev i
-  done;
-  check bool "299 faults: budget not yet exhausted" false
-    (Supervisor.is_quarantined sup "chatty");
-  check int "ledger kept every fault, past the old cap" 299
-    (Supervisor.faults sup "chatty");
-  Dispatcher.raise_event ev 300;
-  check bool "300th fault trips the 300-fault budget" true
-    (Supervisor.is_quarantined sup "chatty")
-
-let test_kernel_quarantine_unlinks_service () =
-  (* End to end through the kernel: a quarantined extension's
-     published service disappears from the nameserver and its domain
-     is unlinked from SpinPublic. *)
+let test_hot_swap_unlinks_service () =
+  (* End to end through the kernel: a faulting extension handler is
+     evicted, but its domain stays linked; swapping the extension out
+     withdraws the service it published from the nameserver and
+     unlinks its domain from SpinPublic. *)
   let k = Kernel.boot ~mem_mb:8 () in
-  let filter = Kdomain.create_from_module ~name:"Filter" ~exports:[] in
-  Kernel.publish k ~name:"FilterService" filter;
   let ev = Dispatcher.declare k.Kernel.dispatcher ~name:"Net.Filter"
       ~owner:"Net" (fun (_ : int) -> ()) in
-  ignore (must @@ Dispatcher.install ev ~installer:"Filter"
-            ~spec:(with_policy @@ Dispatcher.Quarantine
-                           { window_us = 1_000_000.; max_faults = 1 })
-            (fun _ -> failwith "filter bug"));
+  let filter ~version fn =
+    let b =
+      Object_file.Builder.create ~name:"Filter"
+        ~safety:Object_file.Compiler_signed () in
+    Object_file.Builder.set_version b version;
+    Object_file.Builder.set_init b (fun () ->
+      ignore (must @@ Dispatcher.install ev ~installer:"Filter" fn));
+    Object_file.Builder.build b in
+  let old =
+    match Kernel.load_extension k (filter ~version:1 (fun _ -> failwith "filter bug")) with
+    | Ok d -> d
+    | Error e -> fail (Kdomain.error_to_string e) in
+  Kernel.publish k ~name:"FilterService" old;
   let me = { Nameserver.who = "test" } in
-  check bool "service resolvable before the fault" true
-    (Result.is_ok (Nameserver.lookup k.Kernel.nameserver ~name:"FilterService" me));
-  check bool "domain linked into SpinPublic" true
-    (List.mem "Filter" (Kdomain.members k.Kernel.public));
+  let resolvable () =
+    Result.is_ok (Nameserver.lookup k.Kernel.nameserver ~name:"FilterService" me) in
+  let linked () = List.mem "Filter" (Kdomain.members k.Kernel.public) in
   Dispatcher.raise_event ev 1;
-  check bool "quarantined" true
-    (Supervisor.is_quarantined k.Kernel.supervisor "Filter");
-  check bool "service withdrawn from the nameserver" true
-    (Nameserver.lookup k.Kernel.nameserver ~name:"FilterService" me
-     = Error Nameserver.Unknown_name);
-  check bool "domain unlinked from SpinPublic" false
-    (List.mem "Filter" (Kdomain.members k.Kernel.public))
+  check int "the faulting handler was evicted" 1 (Dispatcher.handler_count ev);
+  check bool "its service still resolves" true (resolvable ());
+  check bool "its domain still linked into SpinPublic" true (linked ());
+  let served = ref 0 in
+  (match
+     Kernel.hot_swap k ~domain:"Filter"
+       ~replacement:(filter ~version:2 (fun _ -> incr served))
+   with
+   | Ok _ -> ()
+   | Error e -> fail (Spin.Swap.error_to_string e));
+  check bool "service withdrawn from the nameserver" false (resolvable ());
+  check bool "domain unlinked from SpinPublic" false (linked ());
+  Dispatcher.raise_event ev 2;
+  check int "the replacement serves" 1 !served
 
-let test_http_degrades_when_generator_quarantined () =
+let test_http_degrades_when_generator_evicted () =
   (* The consumer proving graceful degradation: an in-kernel HTTP
      server offers cache misses to dynamic content generators via the
-     HTTP.GenContent event. A buggy CMS generator gets quarantined;
-     requests it used to crash on degrade to the static 503 fallback,
-     while a peer generator and plain static files keep serving. *)
+     HTTP.GenContent event. A buggy CMS generator is evicted on its
+     first fault; requests it used to crash on degrade to the static
+     503 fallback, while a peer generator and plain static files keep
+     serving. *)
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let server = Host.create sim ~name:"server" ~addr:addr_b in
   let client = Host.create sim ~name:"client" ~addr:addr_a in
   ignore (Host.wire client server ~kind:Nic.Lance);
-  let sup = Supervisor.create sim server.Host.dispatcher in
   let disk = Machine.add_disk ~blocks:16384 server.Host.machine in
   let bc =
     Spin_fs.Block_cache.create ~phys:server.Host.phys server.Host.machine server.Host.sched disk in
@@ -535,8 +324,6 @@ let test_http_degrades_when_generator_quarantined () =
     (match Http.content_event h with
      | Some ev ->
        ignore (must @@ Dispatcher.install ev ~installer:"cms"
-                 ~spec:(with_policy @@ Dispatcher.Quarantine
-                                { window_us = 1_000_000_000.; max_faults = 2 })
                  (fun path ->
                     if path = "boom" then failwith "cms bug" else None));
        ignore (must @@ Dispatcher.install ev ~installer:"status-page"
@@ -572,8 +359,8 @@ let test_http_degrades_when_generator_quarantined () =
       log := [
         ("static before", status "index.html");
         ("dynamic before", status "status");
-        ("crash 1", status "boom");
-        ("crash 2", status "boom");      (* second fault: quarantine *)
+        ("crash 1", status "boom");      (* the fault evicts cms *)
+        ("crash 2", status "boom");
         ("dynamic after", status "status");
         ("degraded after", status "boom");
         ("static after", status "index.html");
@@ -588,17 +375,16 @@ let test_http_degrades_when_generator_quarantined () =
   expect "static before" "200";
   expect "dynamic before" "200";
   expect "crash 1" "503";               (* fault contained, degraded *)
-  expect "crash 2" "503";
+  expect "crash 2" "503";               (* cms gone; fallback serves *)
   expect "dynamic after" "200";         (* peer generator untouched *)
   expect "degraded after" "503";        (* cms gone; fallback serves *)
   expect "static after" "200";
-  check bool "cms quarantined" true (Supervisor.is_quarantined sup "cms");
   let h = Option.get !http in
   let st = Http.stats h in
   check int "three degraded responses" 3 st.Http.fallbacks;
   check int "two dynamic responses" 2 st.Http.dynamic;
   let ev = Option.get (Http.content_event h) in
-  check int "both faults were caught by the dispatcher" 2
+  check int "one fault, caught by the dispatcher" 1
     (Dispatcher.stats ev).Dispatcher.handler_failures;
   check int "cms evicted, status-page still installed" 2
     (Dispatcher.handler_count ev)
@@ -633,6 +419,8 @@ let () =
           test_case "tcp gives up on a dead wire" `Quick
             test_tcp_gives_up_on_dead_wire;
           test_case "rx ring overflow" `Quick test_rx_ring_overflow_drops;
+          test_case "rx overflow is observable" `Quick
+            test_rx_overflow_observable;
         ] );
       ( "extensions",
         [
@@ -646,30 +434,11 @@ let () =
             test_rogue_packet_handler_does_not_kill_network;
           test_case "bounded handler aborted" `Quick
             test_bounded_udp_handler_aborted;
-        ] );
-      ( "supervisor",
-        [
-          test_case "quarantine sweeps the whole domain" `Quick
-            test_supervisor_quarantines_domain;
-          test_case "restart with exponential backoff" `Quick
-            test_supervisor_restart_with_backoff;
-          test_case "restart budget exhausted" `Quick
-            test_supervisor_restart_gives_up;
-          test_case "backoff clamped at the tuned cap" `Quick
-            test_supervisor_backoff_cap;
-          test_case "backoff resets after a healthy grace" `Quick
-            test_supervisor_backoff_resets_after_grace;
-          test_case "stale-epoch derefs counted apart" `Quick
-            test_supervisor_counts_revoked_faults;
-          test_case "domain budget pools installers" `Quick
-            test_supervisor_domain_budget_groups_installers;
-          test_case "budget larger than the old log cap still trips" `Quick
-            test_supervisor_budget_beyond_log_cap;
-          test_case "quarantine unlinks published services" `Quick
-            test_kernel_quarantine_unlinks_service;
-          test_case "http degrades around a quarantined generator" `Quick
-            test_http_degrades_when_generator_quarantined;
-          test_case "rx overflow is observable" `Quick
-            test_rx_overflow_observable;
+          test_case "stale-epoch deref contained and counted" `Quick
+            test_revoked_deref_contained;
+          test_case "hot swap unlinks published services" `Quick
+            test_hot_swap_unlinks_service;
+          test_case "http degrades around an evicted generator" `Quick
+            test_http_degrades_when_generator_evicted;
         ] );
     ]

@@ -812,6 +812,33 @@ let test_counts_are_machine_wide () =
     (st.Sched.switches >= 2);
   check int "no raced wakeup banked" 0 (Sched.pending_wakeup_count s)
 
+(* A strand on CPU 0 pins itself to CPU 1 and then stops running: it
+   must be requeued on CPU 1, where its pin says, not on the CPU it
+   ran on. [stop] is how it stops: a yield, or a block whose wakeup
+   raced it. *)
+let self_pin_requeue stop () =
+  let m, _, s = smp_kernel () in
+  let reports = ref [] in
+  Sched.set_schedule_probe s
+    (Some (fun () -> reports := !reports @ audit_reports s));
+  let ran_on = ref [] in
+  let a = Sched.spawn s ~name:"a" (fun () ->
+    ran_on := Intr.active_cpu m.Machine.intr :: !ran_on;
+    Sched.set_affinity s (Sched.self s) (Some 1);
+    stop s;
+    ran_on := Intr.active_cpu m.Machine.intr :: !ran_on) in
+  Sched.set_affinity s a (Some 0);
+  Sched.run s;
+  check (list string) "audit clean at every scheduling point" [] !reports;
+  check (list int) "ran on CPU 0, then on its new pin" [ 1; 0 ] !ran_on
+
+let test_self_pin_then_yield = self_pin_requeue Sched.yield
+
+let test_self_pin_then_raced_wakeup =
+  self_pin_requeue (fun s ->
+    Sched.unblock s (Sched.self s);   (* raced wakeup while Running *)
+    Sched.block_current s)
+
 let test_spawn_inherits_cpu_and_count_is_explicit () =
   let m, _, s = smp_kernel ~cpus:4 () in
   check int "scheduler matches the machine" 4 (Sched.ncpus s);
@@ -1036,6 +1063,10 @@ let () =
             test_multi_cpu_runnable_views_and_audit;
           test_case "counts are machine-wide" `Quick
             test_counts_are_machine_wide;
+          test_case "self-pinned yield requeues on the pinned CPU" `Quick
+            test_self_pin_then_yield;
+          test_case "self-pinned raced wakeup requeues on the pinned CPU"
+            `Quick test_self_pin_then_raced_wakeup;
           test_case "spawn inherits the parent's CPU" `Quick
             test_spawn_inherits_cpu_and_count_is_explicit;
           test_case "random ops keep the queued counts" `Quick

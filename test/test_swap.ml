@@ -237,37 +237,6 @@ let test_extern_refs_retired_by_swap () =
   check (option string) "new generation externalizes fine"
     (Some "resource-2") (Extern_ref.internalize table rtag idx2)
 
-let test_swap_cancels_pending_restart () =
-  (* A restart scheduled against the old generation's handlers must
-     not fire after the replacement takes over. *)
-  let k, tick = fixture () in
-  let calls = ref 0 in
-  let b =
-    Object_file.Builder.create ~name:"Counter"
-      ~safety:Object_file.Compiler_signed () in
-  Object_file.Builder.set_init b (fun () ->
-    ignore
-      (must @@ Dispatcher.install tick ~installer:"Counter"
-         ~spec:
-           { Dispatcher.Handler_spec.default with
-             on_failure =
-               Dispatcher.Restart
-                 { delay_us = 1_000.; backoff = 2.; max_restarts = 3 } }
-         (fun () -> incr calls; failwith "flaky")));
-  ignore (load_exn k (Object_file.Builder.build b));
-  Dispatcher.raise_event tick ();   (* fault: a restart is now pending *)
-  check int "flaky handler evicted" 1 (Dispatcher.handler_count tick);
-  let obj2, c2 = counter ~version:2 tick in
-  (match Kernel.hot_swap k ~domain:"Counter" ~replacement:obj2 with
-   | Error e -> fail (Swap.error_to_string e)
-   | Ok o -> check int "pending restart cancelled" 1 o.Swap.sw_restarts_cancelled);
-  Kernel.run k;                     (* the cancelled restart would fire here *)
-  check int "old flaky handler never resurrected" 2
-    (Dispatcher.handler_count tick);
-  check int "it never ran again" 1 !calls;
-  Dispatcher.raise_event tick ();
-  check int "replacement serves" 1 !c2
-
 let test_swap_in_progress_and_unknown_domain () =
   let k, tick = fixture () in
   let obj2, _ = counter ~version:2 tick in
@@ -295,8 +264,6 @@ let () =
             test_checkpoint_failure_rolls_back;
           test_case "extern refs retired by epoch" `Quick
             test_extern_refs_retired_by_swap;
-          test_case "pending restart cancelled by swap" `Quick
-            test_swap_cancels_pending_restart;
           test_case "unknown domain refused" `Quick
             test_swap_in_progress_and_unknown_domain;
         ] );
