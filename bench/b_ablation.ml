@@ -45,7 +45,7 @@ let colocation () =
     let service_call () =
       if not colocated then
         Clock.charge clock
-          (hw.Cost.trap_entry + hw.Cost.trap_exit + Kernel.syscall_glue) in
+          (hw.Cost.trap_entry + hw.Cost.trap_exit + hw.Cost.syscall_glue) in
     Vm_ext.on_protection_fault ext (fun page ->
       crossing ();
       service_call ();
@@ -154,10 +154,11 @@ let guards () =
     protocols protocols;
   Printf.printf "    guards filter before invocation: %7.1f us\n" g;
   Printf.printf "    every handler invoked:           %7.1f us\n" u;
+  let hw = k.Kernel.machine.Machine.cost in
   Printf.printf "    guard evaluation (%d cyc) is cheaper than handler\n"
-    Dispatcher.costs.Dispatcher.guard_eval;
+    hw.Cost.guard_eval;
   Printf.printf "    invocation (%d cyc): dispatcher-side filtering wins %.1fx\n"
-    Dispatcher.costs.Dispatcher.handler_invoke (u /. g);
+    hw.Cost.handler_invoke (u /. g);
   Report.metric ~name:"guards filter before invocation" g;
   Report.metric ~name:"every handler invoked" u;
   Report.metric ~unit_:"x" ~name:"dispatcher-side filtering wins" (u /. g)

@@ -60,16 +60,28 @@ let dispatcher_scaling () =
   let row name paper v =
     Printf.printf "%-42s %10.0f %10.1f\n" name paper v;
     Report.metric ~name v in
-  let base = udp_rtt_with_watchers ~count:0 ~pass:false in
+  (* The RTT at 0, 10, ..., 50 watchers, every guard false or every
+     guard true. *)
+  let sweep pass =
+    List.map
+      (fun n -> (float_of_int n, udp_rtt_with_watchers ~count:n ~pass))
+      [ 0; 10; 20; 30; 40; 50 ] in
+  let rejecting = sweep false and invoking = sweep true in
+  let base = List.assoc 0. rejecting in
   row "no extra handlers" 565. base;
-  let rejected = udp_rtt_with_watchers ~count:50 ~pass:false in
+  let rejected = List.assoc 50. rejecting in
   row "50 handlers, all guards false" 585. rejected;
-  let invoked = udp_rtt_with_watchers ~count:50 ~pass:true in
+  let invoked = List.assoc 50. invoking in
   row "50 handlers, all guards true" 637. invoked;
   Report.require ~name:"each false guard and each invoked handler adds time"
     (base < rejected && rejected < invoked);
-  Report.note
-    "  Dispatch grows linearly with installed guards and handlers.\n"
+  let r2 points = snd (B_video.fit points) in
+  Report.note "  Linear in 0 to 50 watchers: R^2 %.4f (false), %.4f (true).\n"
+    (r2 rejecting) (r2 invoking);
+  Report.require ~name:"the RTT is linear in false guards"
+    (r2 rejecting >= B_video.linear_r2);
+  Report.require ~name:"the RTT is linear in invoked handlers"
+    (r2 invoking >= B_video.linear_r2)
 
 (* ------------------------------------------------------------------ *)
 (* Impact of automatic storage management                              *)

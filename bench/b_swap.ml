@@ -142,8 +142,8 @@ let codec ~version video =
       ~safety:Object_file.Compiler_signed () in
   Object_file.Builder.set_version b version;
   Object_file.Builder.set_init b (fun () ->
-    let patch_cost = if version >= 2 then 38 else 45 in
-    ignore (Video.install_mcast ~patch_cost video ~installer:"VideoCodec"));
+    let patch_cost = if version >= 2 then Some 38 else None in
+    ignore (Video.install_mcast ?patch_cost video ~installer:"VideoCodec"));
   Object_file.Builder.build b
 
 let video_half () =

@@ -105,7 +105,7 @@ let udp_frame ~port =
    interpret [program] over the frame, charging each executed step. *)
 let interpret clock program pkt =
   let ok, steps = Ebc.run_counted ~layout:frame_layout program pkt in
-  Clock.charge clock (steps * Ebc.interp_step_cycles);
+  Clock.charge clock (steps * (Clock.cost clock).Cost.ebc_interp_step);
   ok
 
 let filter_cycles ~compiled =

@@ -3,53 +3,35 @@
     These are *structural* software overheads (in cycles) layered on
     the shared hardware cost model: what a monolithic UNIX or a
     microkernel executes beyond the raw traps, copies and context
-    switches that the simulated machine already charges. SPIN has no
-    equivalent table — its paths are the real code in [spin_core] and
-    friends.
+    switches that the simulated machine already charges. SPIN's own
+    per-step path lengths are in {!Spin_machine.Cost}; its operation
+    totals, like these systems', come from executing the paths.
 
     Calibration targets are the baseline columns of Tables 2-6 of the
-    paper; see EXPERIMENTS.md for the resulting numbers. *)
+    paper; each field names the row it was fitted to, or says "origin
+    unrecorded". See EXPERIMENTS.md for the resulting numbers. *)
 
 type t = {
-  os_name : string;
-  syscall_dispatch : int;
-  (** generic trap-to-handler layer beyond the hardware trap *)
-  socket_op : int;
-  (** socket-layer bookkeeping per cross-address-space RPC leg *)
-  net_socket_send : int;
-  (** socket work per datagram sent by an application *)
-  net_socket_recv : int;
-  (** socket work per datagram delivered to an application *)
-  sunrpc_marshal : int;
-  (** SUN RPC stub work per call leg (OSF/1 cross-address-space) *)
-  message_ipc : int;
-  (** one-way protected message (Mach's optimized RPC path) *)
-  signal_path : int;
-  (** deliver a signal to a user handler (fault reflection, OSF) *)
-  exception_msg : int;
-  (** deliver an exception message to a user handler (Mach) *)
-  sigreturn : int;
-  (** return from a user fault handler and retry *)
-  pager_reply : int;
-  (** external-pager lock/supply reply granting access (Mach) *)
-  vm_layer_base : int;
-  (** generic vm_map/vm_object work to start a protection change *)
-  vm_layer_per_page : int;
-  (** ditto, per page *)
-  lazy_unprotect : bool;
-  (** Mach evaluates unprotection lazily (Table 4's cheap Unprot100) *)
-  thread_create_extra : int;
-  (** kernel thread creation beyond SPIN's strand spawn *)
-  thread_sync_extra : int;
-  (** kernel-thread block/wakeup bookkeeping per operation *)
-  user_fork_layer : int;
-  (** user-level thread library work to create/join a thread *)
-  user_sync_layer : int;
-  (** user-level thread library work per synchronization operation *)
-  user_thread_syscalls : int;
-  (** user/kernel crossings a user-level thread op needs *)
-  process_wakeup : int;
-  (** wake a user process blocked in the kernel (select/recv) *)
+  os_name : string; (** the paper's column label; not fitted *)
+  syscall_dispatch : int; (** trap-to-handler layer; Table 2, System call *)
+  socket_op : int; (** socket layer per RPC leg; Table 2, Cross-AS call *)
+  net_socket_send : int; (** socket work per datagram sent; Table 5 *)
+  net_socket_recv : int; (** socket work per datagram delivered; Table 5 *)
+  sunrpc_marshal : int; (** SUN RPC stubs per leg; Table 2, Cross-AS call *)
+  message_ipc : int; (** one-way Mach message; Table 2, Cross-AS call *)
+  signal_path : int; (** signal to a user handler (OSF/1); Table 4, Trap *)
+  exception_msg : int; (** exception message (Mach); Table 4, Trap *)
+  sigreturn : int; (** return from a fault handler; Table 4, Fault *)
+  pager_reply : int; (** external-pager reply granting access; Table 4, Fault *)
+  vm_layer_base : int; (** vm_map/vm_object work to start; Table 4, Prot1 *)
+  vm_layer_per_page : int; (** the same, per page; Table 4, Prot100 *)
+  lazy_unprotect : bool; (** Mach's lazy unprotection; Table 4, Unprot100 *)
+  thread_create_extra : int; (** beyond a spawn; Table 3, kernel Fork-Join *)
+  thread_sync_extra : int; (** block/wakeup per op; Table 3, kernel Ping-Pong *)
+  user_fork_layer : int; (** library create/join; Table 3, user Fork-Join *)
+  user_sync_layer : int; (** library sync, per op; Table 3, user Ping-Pong *)
+  user_thread_syscalls : int; (** crossings per thread op; origin unrecorded *)
+  process_wakeup : int; (** wake a blocked process; origin unrecorded *)
 }
 
 val osf1 : t

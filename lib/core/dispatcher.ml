@@ -1,27 +1,5 @@
+module Cost = Spin_machine.Cost
 module Trace = Spin_machine.Trace
-
-type costs = {
-  dispatch_fixed : int;
-  guard_eval : int;
-  handler_invoke : int;
-  trusted_eval : int;
-  trusted_invoke : int;
-}
-
-(* Section 5.5: 50 false guards add ~20 us to an Ethernet RTT (one
-   dispatch per receiving host: ~0.4 us/guard); 50 invoked handlers add
-   ~72 us (~1.44 us each beyond the guard). The trusted costs model a
-   handler whose predicate was verified at install time and compiled:
-   no guard-stack interpretation (a short straight-line compare), no
-   overrun stamping around the invocation — the Rex/bpftime observation
-   that moving verification offline leaves only the work itself. *)
-let costs = {
-  dispatch_fixed = 25;
-  guard_eval = 53;
-  handler_invoke = 138;
-  trusted_eval = 12;
-  trusted_invoke = 40;
-}
 
 (* The one install surface: everything a handler can ask for, in a
    record, so facades stop re-plumbing optional arguments. *)
@@ -184,6 +162,8 @@ let create clock =
     on_violation = None; gate_wait = None; s_verifier_rejections = 0 }
 
 let tracer t = t.tracer
+
+let cost e = Spin_machine.Clock.cost e.disp.clock
 
 let set_async_spawn t f = t.spawn <- Some f
 
@@ -384,13 +364,14 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
            | Some lay ->
              let budget =
                match s.Handler_spec.bound_cycles with
-               | Some b -> max 1 (b / Ebc.step_cycles)
+               | Some b -> max 1 (b / (cost e).Cost.ebc_step)
                | None -> Ebc.default_budget in
              (match Ebc.verify ~layout:lay ~budget
                       prog with
               | Ok v ->
                 (* The install-time price of zero per-event checks. *)
-                Spin_machine.Clock.charge e.disp.clock (Ebc.verify_cycles prog);
+                Spin_machine.Clock.charge e.disp.clock
+                  (Ebc.verify_cycles (cost e) prog);
                 Ok (Some (Ebc.compile v))
               | Error err -> Error err)) in
       (match verified with
@@ -458,7 +439,7 @@ let reinstate_primary e =
 let rec guards_pass e h arg = function
   | [] -> true
   | g :: rest ->
-    Spin_machine.Clock.charge e.disp.clock costs.guard_eval;
+    Spin_machine.Clock.charge e.disp.clock (cost e).Cost.guard_eval;
     if g arg then guards_pass e h arg rest
     else begin
       e.s_guard_rejections <- e.s_guard_rejections + 1;
@@ -467,19 +448,6 @@ let rec guards_pass e h arg = function
           ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
       false
     end
-
-(* The thunk runs after the raise returns — on a freshly spawned strand
-   or at the next [flush_deferred] — so the handler can be uninstalled
-   (or its whole domain swept by a hot swap) in between. Re-check
-   [active] at run time: dispatching to a dead handler would resurrect
-   exactly the extension that was evicted. *)
-let run_async e h arg =
-  let thunk () =
-    if h.active then ignore (h.fn arg)
-    else e.s_stale_skips <- e.s_stale_skips + 1 in
-  match e.disp.spawn with
-  | Some spawn -> spawn thunk
-  | None -> Queue.add thunk e.disp.deferred
 
 (* A failing extension handler is isolated: the exception is caught,
    counted, traced, and the handler uninstalled on the spot — "the
@@ -502,6 +470,21 @@ let invoke e h arg =
                   ("exn", Printexc.to_string exn) ] ();
       uninstall e h;
       raise_notrace No_result
+
+(* The thunk runs after the raise returns — on a freshly spawned strand
+   or at the next [flush_deferred] — so the handler can be uninstalled
+   (or its whole domain swept by a hot swap) in between. Re-check
+   [active] at run time: dispatching to a dead handler would resurrect
+   exactly the extension that was evicted. The body runs through
+   [invoke], so a fault is contained as a synchronous handler's is. *)
+let run_async e h arg =
+  let thunk () =
+    if h.active then
+      (match invoke e h arg with _ -> () | exception No_result -> ())
+    else e.s_stale_skips <- e.s_stale_skips + 1 in
+  match e.disp.spawn with
+  | Some spawn -> spawn thunk
+  | None -> Queue.add thunk e.disp.deferred
 
 (* Overran its quantum: the dispatcher aborts the handler and discards
    its result, and the handler stays installed. One that also faulted
@@ -537,16 +520,16 @@ let run_sync e h arg =
    invoked unpoliced. *)
 let step e arg h =
   if not h.active then raise_notrace No_result;
-  let clock = e.disp.clock in
+  let clock = e.disp.clock and c = cost e in
   let admitted =
     match h.trusted with
-    | Some pred -> Spin_machine.Clock.charge clock costs.trusted_eval; pred arg
+    | Some pred -> Spin_machine.Clock.charge clock c.Cost.trusted_eval; pred arg
     | None -> guards_pass e h arg h.guards in
   if not admitted then raise_notrace No_result;
   let trusted = h.trusted <> None in
   if trusted then e.s_trusted <- e.s_trusted + 1;
   Spin_machine.Clock.charge clock
-    (if trusted then costs.trusted_invoke else costs.handler_invoke);
+    (if trusted then c.Cost.trusted_invoke else c.Cost.handler_invoke);
   if Trace.on e.disp.tracer then
     Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"invoke"
       ~args:[ ("event", e.e_name); ("installer", h.installer);
@@ -594,8 +577,7 @@ let dispatch e arg =
   match e.plan with
   | Direct h ->
     e.s_fast <- e.s_fast + 1;
-    Spin_machine.Clock.charge clock
-      (Spin_machine.Clock.cost clock).Spin_machine.Cost.cross_module_call;
+    Spin_machine.Clock.charge clock (cost e).Cost.cross_module_call;
     (* The fast path builds no closure: the span is opened and closed
        around a plain match, a null token when tracing is off. *)
     let sp =
@@ -614,11 +596,11 @@ let dispatch e arg =
      | r -> Trace.end_span tr sp; r
      | exception exn -> Trace.end_span tr sp; raise exn)
   | Trusted (h, pred) ->
-    Spin_machine.Clock.charge clock costs.trusted_eval;
+    Spin_machine.Clock.charge clock (cost e).Cost.trusted_eval;
     if not (pred arg) then raise_notrace No_result
     else begin
       e.s_trusted <- e.s_trusted + 1;
-      Spin_machine.Clock.charge clock costs.trusted_invoke;
+      Spin_machine.Clock.charge clock (cost e).Cost.trusted_invoke;
       let sp =
         Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
           ~args:[ ("path", "trusted") ] () in
@@ -627,7 +609,7 @@ let dispatch e arg =
       | exception exn -> Trace.end_span tr sp; raise exn
     end
   | General handlers ->
-    Spin_machine.Clock.charge clock costs.dispatch_fixed;
+    Spin_machine.Clock.charge clock (cost e).Cost.dispatch_fixed;
     let sp =
       Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
         ~args:[ ("path", "slow") ] () in
@@ -639,7 +621,7 @@ let dispatch e arg =
          match e.index with
          | None -> []
          | Some index ->
-           Spin_machine.Clock.charge clock costs.guard_eval;
+           Spin_machine.Clock.charge clock (cost e).Cost.guard_eval;
            let key = index arg in
            (match Hashtbl.find e.indexed key with
             | slot -> slot.live

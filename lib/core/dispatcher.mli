@@ -31,26 +31,16 @@
     latency) or bounded in time (aborted — result discarded — when
     they overrun). An extension handler that raises is caught,
     counted, traced and uninstalled; the raise carries on without it
-    (section 4.3). One result is returned, by default that of the
-    final handler executed; an event may declare a result-combination
-    function, a fold over the results in dispatch order. Installation goes through one entry point, {!install},
+    (section 4.3). An asynchronous one is caught the same way when its
+    deferred body runs, so its fault neither reaches the strand nor
+    escapes {!flush_deferred}. One result is returned, by default that
+    of the final handler executed; an event may declare a
+    result-combination function, a fold over the results in dispatch
+    order. Installation goes through one entry point, {!install},
     taking a {!Handler_spec.t}. *)
 
 type t
 (** A dispatcher instance (one per kernel). *)
-
-type costs = {
-  dispatch_fixed : int;   (** slow-path entry bookkeeping *)
-  guard_eval : int;       (** evaluating one guard predicate *)
-  handler_invoke : int;   (** invoking one handler beyond its body *)
-  trusted_eval : int;     (** running one verified, compiled predicate *)
-  trusted_invoke : int;   (** invoking a verified handler: no policing *)
-}
-
-val costs : costs
-(** Calibrated against section 5.5: ~0.4 us per false guard, ~1.44 us
-    per additional invoked handler. The trusted costs reflect a
-    compiled predicate (no interpretation) and an unpoliced call. *)
 
 val create : Spin_machine.Clock.t -> t
 

@@ -483,18 +483,8 @@ let run_counted ~layout code arg =
 
 (* Install-time cost model: one linear verifier pass over the program.
    Cheap enough to pay per install, never per event. *)
-let verify_instruction_cost = 35
-let verify_fixed_cost = 250
-let verify_cycles code =
-  verify_fixed_cost + (verify_instruction_cost * Array.length code)
-
-(* ~2 cycles per compiled instruction on the simulated Alpha: used to
-   turn a caller's cycle bound into a step budget at install time. *)
-let step_cycles = 2
-
-(* Interpreting the same instruction instead: decode, bounds checks
-   and register traffic per step — section 2's little-language foil. *)
-let interp_step_cycles = 18
+let verify_cycles (c : Spin_machine.Cost.t) code =
+  c.ebc_verify_fixed + (c.ebc_verify_per_instr * Array.length code)
 
 (* Builders for the predicate shapes the facades compile. Register
    discipline: r0 scratch loads, r1 immediates, r2 accumulator. *)

@@ -154,20 +154,11 @@ val run_counted :
 
 (** {2 Install-time cost} *)
 
-val verify_cycles : program -> int
+val verify_cycles : Spin_machine.Cost.t -> program -> int
 (** Virtual cycles an install charges for verification: one linear
-    pass, 35 cycles per instruction plus a fixed entry. This is the
-    cost Table 2-style numbers move from every event to one install. *)
-
-val step_cycles : int
-(** Virtual cycles per {e compiled} instruction, used to convert a
-    caller's cycle bound into a step budget at install time. *)
-
-val interp_step_cycles : int
-(** Virtual cycles per {e interpreted} instruction: what a caller
-    running {!run_counted} as a per-event guard charges for each step
-    it reports — the section-2 little-language foil, measured on the
-    same program the verified path compiles. *)
+    pass, [ebc_verify_per_instr] per instruction plus
+    [ebc_verify_fixed]. This is the cost Table 2-style numbers move
+    from every event to one install. *)
 
 (** {2 Program builders} *)
 

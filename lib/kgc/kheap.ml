@@ -42,10 +42,6 @@ type t = {
   mutable s_pause : int;
 }
 
-(* Collector work costs (cycles). *)
-let scan_per_word = 2
-let copy_per_word = 5
-
 (* Collector page size. *)
 let page_words = 1024
 
@@ -92,7 +88,7 @@ let obj_at t addr =
 
 let collect_now t =
   t.in_gc <- true;
-  let work = ref 0 in
+  let cost = Clock.cost t.clock and work = ref 0 in
   (* 1. Ambiguous roots pin the pages of their referents. *)
   let pinned_pids = Hashtbl.create 16 in
   let ambiguous_objs =
@@ -116,7 +112,7 @@ let collect_now t =
         | None -> ()                      (* dangling: ignore, ambiguous *)
         | Some o ->
           Hashtbl.replace live a ();
-          work := !work + (Array.length o.fields * scan_per_word);
+          work := !work + (Array.length o.fields * cost.Cost.gc_scan_per_word);
           Array.iter trace o.fields in
   List.iter (fun r -> trace r.v) t.roots;
   List.iter (fun o -> trace (Ptr o.address)) ambiguous_objs;
@@ -138,7 +134,7 @@ let collect_now t =
             let target = find_room t words in
             place t target o words;
             Hashtbl.replace forwarding old o.address;
-            work := !work + (words * copy_per_word)
+            work := !work + (words * cost.Cost.gc_copy_per_word)
           end else begin
             Hashtbl.remove t.objects old;
             freed := !freed + words;
@@ -159,8 +155,9 @@ let collect_now t =
     t.objects;
   List.iter (fun r -> r.v <- forward r.v) t.roots;
   (* 6. Account the pause. *)
-  Clock.charge t.clock (200 + !work);
-  t.s_pause <- t.s_pause + 200 + !work;
+  let pause = cost.Cost.gc_pause + !work in
+  Clock.charge t.clock pause;
+  t.s_pause <- t.s_pause + pause;
   t.s_collections <- t.s_collections + 1;
   t.since_gc <- 0;
   t.in_gc <- false;

@@ -12,10 +12,12 @@ type t = {
   mutable s_dropped : int;
 }
 
-let process_cost = 180                    (* deliberately lean *)
+let charge t =
+  let clock = t.machine.Machine.clock in
+  Clock.charge clock (Clock.cost clock).Spin_machine.Cost.am_process
 
 let input t (pkt : Ip.packet) =
-  Clock.charge t.machine.Machine.clock process_cost;
+  charge t;
   let b = pkt.Ip.payload in
   (* A header cut short or a length running past the payload is
      malformed: dropped, and counted like an unknown handler. *)
@@ -48,7 +50,7 @@ let create machine dispatcher ip =
 let register t handler = Spin_dstruct.Idtable.insert t.handlers handler
 
 let send t ~dst ~handler payload =
-  Clock.charge t.machine.Machine.clock process_cost;
+  charge t;
   (* Application hand-off: one charged copy, then zero-copy down. *)
   Clock.charge t.machine.Machine.clock
     (Spin_machine.Cost.copy_cycles (Clock.cost t.machine.Machine.clock)

@@ -21,8 +21,6 @@ type t = {
   mutable s_fallbacks : int;
 }
 
-let parse_cost = 250                      (* request-line handling *)
-
 let parse_request line =
   match String.split_on_char ' ' (String.trim line) with
   | "GET" :: path :: _ when String.length path > 1 && path.[0] = '/' ->
@@ -95,7 +93,8 @@ let serve t conn request =
     | None -> serve_miss t conn name
 
 let handle_request t conn request =
-  Clock.charge t.machine.Machine.clock parse_cost;
+  Clock.charge t.machine.Machine.clock
+    (Clock.cost t.machine.Machine.clock).Spin_machine.Cost.http_parse;
   t.s_requests <- t.s_requests + 1;
   let tr = Trace.of_clock t.machine.Machine.clock in
   let sp =

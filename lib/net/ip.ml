@@ -48,8 +48,6 @@ type t = {
   mutable s_sent : int;
 }
 
-let process_cost = 420                    (* header handling per packet *)
-
 (* The bytecode view of a packet: header fields as typed slots, the
    payload as wire bytes. Slot numbers are part of the event's ABI —
    [proto_slot] is what every protocol-demux program loads. *)
@@ -119,7 +117,9 @@ let encode_frame ~src ~dst ~proto payload =
   push_headers frame ~src ~dst ~proto ~ttl:64;
   frame
 
-let charge t = Clock.charge t.machine.Machine.clock process_cost
+let charge t =
+  let clock = t.machine.Machine.clock in
+  Clock.charge clock (Clock.cost clock).Spin_machine.Cost.ip_process
 
 let trace_pkt t name ~src ~dst ~proto =
   let tr = Trace.of_clock t.machine.Machine.clock in

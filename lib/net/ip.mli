@@ -32,9 +32,6 @@ val proto_icmp : int
 val proto_tcp : int
 val proto_udp : int
 
-val process_cost : int
-(** Cycles of IP header handling charged per packet. *)
-
 type t
 
 val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> t

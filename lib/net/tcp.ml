@@ -98,7 +98,6 @@ and engine = {
 
 type t = engine
 
-let process_cost = 700                    (* per-segment protocol work *)
 let window_segments = 8
 let mss = 1024
 let rto_us = 200_000.
@@ -157,7 +156,9 @@ let well_formed b =
 (* Transmission                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let charge t = Clock.charge t.machine.Machine.clock process_cost
+let charge t =
+  let clock = t.machine.Machine.clock in
+  Clock.charge clock (Clock.cost clock).Cost.tcp_process
 
 let flags_to_string flags =
   String.concat ""

@@ -21,10 +21,12 @@ type t = {
   event : (datagram, unit) Dispatcher.event;
 }
 
-let process_cost = 380
+let charge t =
+  let clock = t.machine.Machine.clock in
+  Clock.charge clock (Clock.cost clock).Cost.udp_process
 
 let input t (pkt : Ip.packet) =
-  Clock.charge t.machine.Machine.clock process_cost;
+  charge t;
   let b = pkt.Ip.payload in
   if Pkt.length b >= header_bytes then begin
     let src_port = Pkt.get_u16_le b 0 in
@@ -108,7 +110,7 @@ let encode_datagram ~src_port ~dst_port payload =
   b
 
 let send_pkt t ?(src_port = 0) ~dst ~port payload =
-  Clock.charge t.machine.Machine.clock process_cost;
+  charge t;
   let plen = Pkt.length payload in
   let off = Pkt.reserve payload header_bytes in
   let buf = Pkt.buffer payload in

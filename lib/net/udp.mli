@@ -20,15 +20,12 @@ type datagram = {
 
 val header_bytes : int
 
-val process_cost : int
-(** Cycles of UDP processing charged per datagram. *)
-
 val frame_port_prog : port:int -> Spin_core.Ebc.program
 (** A receive-path packet filter over a whole frame ({!Netif.rx_event}'s
     layout): the IP protocol is UDP and the UDP destination port is
     [port]. The section-2 foil runs this one program both ways —
     verified and compiled, or interpreted by {!Spin_core.Ebc.run_counted}
-    at {!Spin_core.Ebc.interp_step_cycles} per step. *)
+    at {!Spin_machine.Cost.t}'s [ebc_interp_step] per step. *)
 
 val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> Ip.t -> t
 

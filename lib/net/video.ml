@@ -36,7 +36,12 @@ let default_send server (payload, _seq) =
    installer (and per-client patch cost) so a hot swap can retire one
    codec generation's handler and install the next under the
    replacement domain's name. *)
-let install_mcast ?(patch_cost = 45) server ~installer =
+let install_mcast ?patch_cost server ~installer =
+  let clock = server.host.Host.machine.Machine.clock in
+  let patch_cost =
+    match patch_cost with
+    | Some c -> c
+    | None -> (Clock.cost clock).Spin_machine.Cost.mcast_patch in
   Dispatcher.ok_exn ~site:"Video.install_mcast" @@
   Dispatcher.install server.send_packet ~installer
     (fun (payload, _seq) ->
@@ -49,7 +54,7 @@ let install_mcast ?(patch_cost = 45) server ~installer =
           (fun client ->
             (* Header patch (tiny): each client's frame copies the
                encoded datagram once and gets its own addressing. *)
-            Clock.charge server.host.Host.machine.Machine.clock patch_cost;
+            Clock.charge clock patch_cost;
             Ip.encode_frame ~src ~dst:client ~proto:Ip.proto_udp datagram)
           server.clients in
       (* One driver doorbell for the whole fan-out. *)
@@ -105,12 +110,13 @@ let stream_frame server frame_index =
     | None -> Bytes.create server.frame_bytes in
   server.frames <- server.frames + 1;
   let len = Bytes.length data in
+  let clock = server.host.Host.machine.Machine.clock in
+  let c = Clock.cost clock in
   let rec packets off =
     if off < len then begin
       let chunk = min mtu (len - off) in
       (* Protocol-graph traversal, once per packet. *)
-      Clock.charge server.host.Host.machine.Machine.clock
-        (Ip.process_cost + Udp.process_cost);
+      Clock.charge clock Spin_machine.Cost.(c.ip_process + c.udp_process);
       server.seq <- server.seq + 1;
       let payload = Bytes.sub data off chunk in
       let delivered =
@@ -138,19 +144,16 @@ type client = {
   mutable displayed_bytes : int;
 }
 
-(* Decompression cost per 8 bytes of video, and the copy into the
-   frame buffer. *)
-let decompress_per_word = 6
-
 let create_client host ~port =
   let c = { displayed = 0; displayed_bytes = 0 } in
   ignore
     (Udp.listen host.Host.udp ~port ~installer:"VideoClient" (fun d ->
        let clock = host.Host.machine.Machine.clock in
+       let cost = Clock.cost clock in
        let words = (Pkt.length d.Udp.payload + 7) / 8 in
-       Clock.charge clock (words * decompress_per_word);
-       Clock.charge clock
-         (words * (Clock.cost clock).Spin_machine.Cost.copy_per_word);
+       (* Decompress each 8 bytes, then copy into the frame buffer. *)
+       Clock.charge clock (words * cost.Spin_machine.Cost.video_decompress);
+       Clock.charge clock (words * cost.Spin_machine.Cost.copy_per_word);
        c.displayed <- c.displayed + 1;
        c.displayed_bytes <- c.displayed_bytes + Pkt.length d.Udp.payload));
   c

@@ -27,10 +27,10 @@ val install_mcast :
   (Bytes.t * int, int) Spin_core.Dispatcher.handler
 (** Installs the client fan-out handler on [Video.SendPacket] under
     [installer]. [patch_cost] is the per-client header-patch charge
-    (default 45 cycles) — a newer codec generation can install a
-    cheaper one. Separate from {!create_server} so a hot swap can
-    sweep one generation's handler and have the replacement install
-    its own. *)
+    (default the cost table's [mcast_patch]) — a newer codec
+    generation can install a cheaper one. Separate from
+    {!create_server} so a hot swap can sweep one generation's handler
+    and have the replacement install its own. *)
 
 val load_frames :
   server -> count:int -> frame_bytes:int -> unit

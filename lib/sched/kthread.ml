@@ -3,9 +3,9 @@ module Dllist = Spin_dstruct.Dllist
 
 type t = { strand : Strand.t }
 
-let sync_op_cost = 100
-
-let charge sched = Clock.charge (Sched.clock sched) sync_op_cost
+let charge sched =
+  let clock = Sched.clock sched in
+  Clock.charge clock (Clock.cost clock).Spin_machine.Cost.kthread_sync
 
 let fork sched ?(name = "kthread") body =
   { strand = Sched.spawn sched ~owner:"Kthread" ~name body }

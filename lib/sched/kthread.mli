@@ -19,9 +19,6 @@ val failure : t -> exn option
 (** The exception that killed the thread, if any — extension failures
     are isolated, not fatal to the kernel (paper, section 4.3). *)
 
-val sync_op_cost : int
-(** Cycles charged per lock/unlock/signal/wait bookkeeping. *)
-
 module Mutex : sig
   type m
 

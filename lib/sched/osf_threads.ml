@@ -19,7 +19,9 @@ let queue_of t ch =
 
 let kernel_thread t body = Kthread.fork t.sched ~name:"osf-kthread" body
 
-let charge t = Spin_machine.Clock.charge (Sched.clock t.sched) Kthread.sync_op_cost
+let charge t =
+  let clock = Sched.clock t.sched in
+  Spin_machine.(Clock.charge clock (Clock.cost clock).Cost.kthread_sync)
 
 let thread_sleep t ch =
   charge t;

@@ -14,8 +14,6 @@ type events = {
 }
 
 let quantum = 50_000                      (* cycles per slice: ~375 us *)
-let spawn_cost = 1460                     (* creating a kernel strand *)
-let switch_extra = 130                    (* bookkeeping beyond the HW switch *)
 
 type stats = {
   switches : int;
@@ -253,7 +251,7 @@ let clock t = t.clock
 let ncpus t = t.cpus
 
 let spawn t ?(owner = owner_name) ?priority ~name body =
-  Clock.charge t.clock spawn_cost;
+  Clock.charge t.clock (Clock.cost t.clock).Cost.strand_spawn;
   let s = Strand.create ~owner ?priority ~name () in
   s.Strand.coro <- Some (Coro.create body);
   (* Spawn locality: the child starts on the spawner's CPU; stealing
@@ -446,7 +444,7 @@ let finish t s outcome =
 
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in
-  Clock.charge t.clock (cost.Cost.context_switch + switch_extra);
+  Clock.charge t.clock (cost.Cost.context_switch + cost.Cost.switch_extra);
   t.s_switches <- t.s_switches + 1;
   t.exec_cpu <- cpu;
   (match t.intr with Some intr -> Intr.set_active_cpu intr cpu | None -> ());

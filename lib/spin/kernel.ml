@@ -30,10 +30,6 @@ type t = {
   mutable extensions : Kdomain.t list;
 }
 
-(* Decode and raise work in the trap handler, beyond the hardware trap
-   cost (calibrated so a SPIN system call lands at Table 2's 4 us). *)
-let syscall_glue = 105
-
 (* The tags under which core-service events travel through domains:
    an extension that imports "Translation.PageNotPresent" from
    SpinPublic unpacks the event with the matching tag. *)
@@ -104,7 +100,8 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
   Machine.set_trap_handler machine (fun trap ->
     match trap with
     | Cpu.Syscall { number; args } ->
-      Clock.charge machine.Machine.clock syscall_glue;
+      let clock = machine.Machine.clock in
+      Clock.charge clock (Clock.cost clock).Cost.syscall_glue;
       Dispatcher.raise_default t.syscall_event (-1) (number, args)
     | Cpu.Mem_fault _ ->
       if Vm.handle_trap t.vm trap then 0 else -1

@@ -57,10 +57,6 @@ val syscall : t -> number:int -> args:int array -> int
 (** Enter the kernel from user level: hardware trap, then the
     [Trap.SystemCall] event. Unknown numbers return [-1]. *)
 
-val syscall_glue : int
-(** Cycles of decode and raise work a system call adds to the hardware
-    trap. *)
-
 val register_syscall : t -> number:int -> (int array -> int) -> unit
 (** Binds a number in the system call table consulted by the
     [Trap.SystemCall] handler — an application-specific system call

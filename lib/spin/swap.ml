@@ -9,6 +9,7 @@ module Univ = Spin_core.Univ
 module Sched = Spin_sched.Sched
 module Strand = Spin_sched.Strand
 module Clock = Spin_machine.Clock
+module Cost = Spin_machine.Cost
 module Trace = Spin_machine.Trace
 
 (* ------------------ the Checkpointable convention ----------------- *)
@@ -101,13 +102,11 @@ type t = {
 
 (* The window's virtual-time cost model, charged while the gates are
    closed so the ["swap.pause"] histogram reflects what a request
-   arriving mid-swap actually waits: registry walks per gate flip and
-   per evicted handler, and the domain bring-up (run init, fix up the
-   dispatch tables). Checkpoint/restore closures charge their own
-   cost. *)
-let gate_cost = 120          (* close or reopen one event's gate *)
-let sweep_cost = 290         (* evict one handler across the registry *)
-let bringup_cost = 1800      (* initialize + activate the replacement *)
+   arriving mid-swap actually waits: registry walks per gate flip
+   ([swap_gate]) and per evicted handler ([swap_sweep]), and the
+   domain bring-up ([swap_bringup]: run init, fix up the dispatch
+   tables). Checkpoint/restore closures charge their own cost. *)
+let cost t = Clock.cost t.clock
 
 let swapped_event t = t.swapped_ev
 
@@ -151,7 +150,7 @@ let drain t =
    exit path — commit or rollback — funnels through here so a failed
    swap can never leave the system gated. *)
 let reopen t ~gated =
-  Clock.charge t.clock (gate_cost * List.length gated);
+  Clock.charge t.clock ((cost t).Cost.swap_gate * List.length gated);
   Dispatcher.set_gate_by_name t.disp ~names:gated false;
   drain t;
   t.swapper <- None;
@@ -188,7 +187,7 @@ let hot_swap t ~old_domain ~replacement
            t.window_held <- 0;
            let pause_start = Clock.now t.clock in
            let gated = Dispatcher.gate_installer t.disp ~installer:name in
-           Clock.charge t.clock (gate_cost * List.length gated);
+           Clock.charge t.clock ((cost t).Cost.swap_gate * List.length gated);
            let tr = Trace.of_clock t.clock in
            if Trace.on tr then
              Trace.instant tr ~cat:"swap" ~name:"window_open"
@@ -233,9 +232,9 @@ let hot_swap t ~old_domain ~replacement
                  handlers). *)
               let swept =
                 Dispatcher.uninstall_installer t.disp ~installer:name in
-              Clock.charge t.clock (sweep_cost * swept);
+              Clock.charge t.clock ((cost t).Cost.swap_sweep * swept);
               unlink name;
-              Clock.charge t.clock bringup_cost;
+              Clock.charge t.clock (cost t).Cost.swap_bringup;
               Kdomain.initialize new_domain;
               let restored =
                 match state, restore with
@@ -270,9 +269,7 @@ let hot_swap t ~old_domain ~replacement
                 sw_cap_epoch = cap_epoch;
                 sw_extern_epoch = extern_epoch;
                 sw_checkpointed = (match restored with Ok b -> b | Error _ -> false);
-                sw_pause_us =
-                  Spin_machine.Cost.cycles_to_us (Clock.cost t.clock)
-                    pause_cycles;
+                sw_pause_us = Cost.cycles_to_us (cost t) pause_cycles;
               } in
               if Trace.on tr then
                 Trace.instant tr ~cat:"swap" ~name:"committed"

@@ -38,7 +38,6 @@ type t = {
   mutable reclaim_enabled : bool;
   mutable reclaim_count : int;
   mutable oom_count : int;
-  alloc_cost : int;
 }
 
 (* The cache-color modulus. *)
@@ -70,8 +69,7 @@ let create machine dispatcher =
       in_reclaim = false;
       reclaim_enabled = true;
       reclaim_count = 0;
-      oom_count = 0;
-      alloc_cost = 120 } in
+      oom_count = 0 } in
   self := Some t;
   t
 
@@ -234,7 +232,8 @@ let force_reclaim t = do_reclaim t ~requester:"PhysAddr"
 
 let rec alloc_loop t ~attrib ~owner ~bytes =
   let n = Addr.round_up_pages bytes in
-  Clock.charge t.machine.Machine.clock t.alloc_cost;
+  Clock.charge t.machine.Machine.clock
+    (Clock.cost t.machine.Machine.clock).Spin_machine.Cost.phys_alloc;
   match find_frames t ~attrib ~n with
   | Some frames ->
     List.iter (Bitset.set t.used) frames;

@@ -3,6 +3,7 @@ module Mmu = Spin_machine.Mmu
 module Cpu = Spin_machine.Cpu
 module Addr = Spin_machine.Addr
 module Clock = Spin_machine.Clock
+module Cost = Spin_machine.Cost
 module Trace = Spin_machine.Trace
 module Capability = Spin_core.Capability
 module Dispatcher = Spin_core.Dispatcher
@@ -18,22 +19,6 @@ type context = {
 type fault = {
   ctx : context;
   va : int;
-}
-
-type costs = {
-  map_service : int;       (* AddMapping/RemoveMapping bookkeeping *)
-  protect_base : int;      (* first page of a protection change *)
-  protect_per_page : int;  (* each page of a protection change *)
-  dirty_query : int;       (* page-state query (Table 4, "Dirty") *)
-  fault_classify : int;    (* trap decode before the event is raised *)
-}
-
-let costs = {
-  map_service = 300;
-  protect_base = 1850;
-  protect_per_page = 113;
-  dirty_query = 230;
-  fault_classify = 500;
 }
 
 type stats = {
@@ -97,9 +82,10 @@ let bad_address t = t.bad_address
 let protection_fault t = t.protection_fault
 
 let charge t c = Clock.charge t.machine.Machine.clock c
+let cost t = Clock.cost t.machine.Machine.clock
 
 let create_context t ~owner =
-  charge t costs.map_service;
+  charge t (cost t).Cost.map_service;
   let mmu_ctx = Mmu.create_context t.machine.Machine.mmu in
   let ctx = { id = Mmu.context_id mmu_ctx; owner; mmu_ctx;
               regions = []; live = true } in
@@ -141,7 +127,7 @@ let rmap_remove t pfn ctx vpn =
     entries := List.filter (fun (c, v) -> not (c.id = ctx.id && v = vpn)) !entries
 
 let map_one t ctx ~va page ~index prot =
-  charge t costs.map_service;
+  charge t (cost t).Cost.map_service;
   let run = Phys_addr.page_run page in
   if index < 0 || index >= run.Phys_addr.npages then
     invalid_arg "Translation.map_one: frame index out of run";
@@ -166,7 +152,7 @@ let add_mapping t ctx vaddr page prot =
   done
 
 let remove_mapping t ctx vaddr =
-  charge t costs.map_service;
+  charge t (cost t).Cost.map_service;
   let region = Virt_addr.region vaddr in
   for i = 0 to Virt_addr.npages region - 1 do
     let vpn = Addr.vpn_of_va region.Virt_addr.va + i in
@@ -178,23 +164,23 @@ let remove_mapping t ctx vaddr =
   detach_region ctx region
 
 let examine_mapping t ctx ~va =
-  charge t costs.dirty_query;
+  charge t (cost t).Cost.dirty_query;
   Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va)
   |> Option.map (fun pte -> pte.Mmu.prot)
 
 let protect t ctx ~va ~npages prot =
-  charge t costs.protect_base;
+  charge t (cost t).Cost.protect_base;
   let vpn0 = Addr.vpn_of_va va in
   let changed = ref 0 in
   for i = 0 to npages - 1 do
-    charge t costs.protect_per_page;
+    charge t (cost t).Cost.protect_per_page;
     if Mmu.protect t.machine.Machine.mmu ctx.mmu_ctx ~vpn:(vpn0 + i) ~prot then
       incr changed
   done;
   !changed
 
 let is_dirty t ctx ~va =
-  charge t costs.dirty_query;
+  charge t (cost t).Cost.dirty_query;
   match Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va) with
   | Some pte -> pte.Mmu.modified
   | None -> false
@@ -207,7 +193,7 @@ let in_region ctx va =
 let handle_trap t trap =
   match trap with
   | Cpu.Mem_fault { va; fault } ->
-    charge t costs.fault_classify;
+    charge t (cost t).Cost.fault_classify;
     (* The fault context is the MMU context of the faulting CPU. *)
     (match Cpu.context t.machine.Machine.cpu with
      | None -> false

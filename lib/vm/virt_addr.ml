@@ -19,13 +19,12 @@ type space = {
 type t = {
   machine : Machine.t;
   spaces : (int, space) Hashtbl.t;
-  alloc_cost : int;
 }
 
 (* User regions start above a guard gap so that va 0 never maps. *)
 let base_va = 0x1_0000
 
-let create machine = { machine; spaces = Hashtbl.create 16; alloc_cost = 90 }
+let create machine = { machine; spaces = Hashtbl.create 16 }
 
 let space_of t asid =
   match Hashtbl.find_opt t.spaces asid with
@@ -42,7 +41,8 @@ let round_bytes bytes = Addr.round_up_pages bytes * Addr.page_size
 
 let allocate t ~asid ~bytes =
   if bytes <= 0 then invalid_arg "VirtAddr.allocate: no bytes";
-  Clock.charge t.machine.Machine.clock t.alloc_cost;
+  Clock.charge t.machine.Machine.clock
+    (Clock.cost t.machine.Machine.clock).Spin_machine.Cost.virt_alloc;
   let s = space_of t asid in
   let bytes = round_bytes bytes in
   (* First fit in the gaps, else bump the frontier. *)

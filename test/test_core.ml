@@ -370,11 +370,11 @@ let test_dispatch_guard_costs_linear () =
             (fun _ -> ())))
   done;
   let spent = Clock.stamp c (fun () -> Dispatcher.raise_event e ()) in
-  let costs = Dispatcher.costs in
+  let costs = Clock.cost c in
   let expected =
-    costs.Dispatcher.dispatch_fixed
-    + (50 * costs.Dispatcher.guard_eval)
-    + costs.Dispatcher.handler_invoke (* the primary still runs *) in
+    costs.Cost.dispatch_fixed
+    + (50 * costs.Cost.guard_eval)
+    + costs.Cost.handler_invoke (* the primary still runs *) in
   check int "50 false guards" expected spent
 
 let test_dispatch_stacked_guards_conjoin () =
@@ -582,6 +582,46 @@ let test_dispatch_async_spawn_hook () =
   Dispatcher.raise_event e ();
   check int "spawned through hook" 1 !spawned
 
+(* Regression: an asynchronous handler's fault escaped the dispatcher.
+   Not counted, not evicted (so it faulted again on every raise), and
+   with no spawn hook it escaped [flush_deferred], stranding the thunks
+   queued after it. Its deferred body now runs through the same catch,
+   count and evict path as a synchronous handler's. *)
+let test_dispatch_async_fault_deferred () =
+  let _, d = mk_dispatcher () in
+  let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun _ -> ()) in
+  ignore (must (Dispatcher.install e ~installer:"bad" ~spec:async
+                  (fun _ -> failwith "async bug")));
+  let ran = ref 0 in
+  ignore (must (Dispatcher.install e ~installer:"rec" ~spec:async
+                  (fun _ -> incr ran)));
+  Dispatcher.raise_event e ();
+  Dispatcher.raise_event e ();
+  (match Dispatcher.flush_deferred d with
+   | n -> check int "every thunk ran" 4 n
+   | exception exn -> failf "escaped flush_deferred: %s" (Printexc.to_string exn));
+  check int "one failure" 1 (Dispatcher.stats e).Dispatcher.handler_failures;
+  check int "evicted: the second thunk skips it" 1
+    (Dispatcher.stats e).Dispatcher.stale_skips;
+  check int "the failing handler is uninstalled" 2 (Dispatcher.handler_count e);
+  check int "every recording thunk ran" 2 !ran
+
+let test_dispatch_async_fault_on_strand () =
+  let clock = clock () in
+  let sim = Spin_machine.Sim.create clock in
+  let d = Dispatcher.create clock in
+  let sched = Spin_sched.Sched.create sim d in
+  let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun _ -> ()) in
+  ignore (must (Dispatcher.install e ~installer:"bad" ~spec:async
+                  (fun _ -> failwith "async bug")));
+  Dispatcher.raise_event e ();
+  Spin_sched.Sched.run sched;
+  let st = Spin_sched.Sched.stats sched in
+  check int "the strand completed" 1 st.Spin_sched.Sched.completed;
+  check int "the strand did not fail" 0 st.Spin_sched.Sched.failed;
+  check int "one failure" 1 (Dispatcher.stats e).Dispatcher.handler_failures;
+  check int "evicted" 1 (Dispatcher.handler_count e)
+
 let test_dispatch_bounded_abort () =
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun () -> "primary") in
@@ -639,12 +679,12 @@ let test_dispatch_indexed () =
   check (list int) "exactly the keyed handlers ran" [ 17; 3 ] (List.rev !log);
   (* Cost: one index evaluation, not 50 guard evaluations. *)
   let spent = Clock.stamp c (fun () -> Dispatcher.raise_event e 17) in
-  let costs = Dispatcher.costs in
+  let costs = Clock.cost c in
   check bool "dispatch is O(1) in keys" true
-    (spent < costs.Dispatcher.dispatch_fixed
-             + (3 * costs.Dispatcher.guard_eval)
-             + (2 * costs.Dispatcher.handler_invoke)
-             + Spin_machine.Cost.alpha_133.Spin_machine.Cost.cross_module_call + 200)
+    (spent < costs.Cost.dispatch_fixed
+             + (3 * costs.Cost.guard_eval)
+             + (2 * costs.Cost.handler_invoke)
+             + costs.Cost.cross_module_call + 200)
 
 let test_dispatch_fast_path_resumes_after_indexed_uninstall () =
   (* The fast-path guard must count *active* indexed handlers, not
@@ -794,6 +834,10 @@ let () =
           test_case "audit clean after churn" `Quick
             test_dispatch_audit_clean_after_churn;
           test_case "async spawn hook" `Quick test_dispatch_async_spawn_hook;
+          test_case "async fault contained at flush" `Quick
+            test_dispatch_async_fault_deferred;
+          test_case "async fault contained on a strand" `Quick
+            test_dispatch_async_fault_on_strand;
           test_case "bounded handler aborts" `Quick test_dispatch_bounded_abort;
           test_case "bounded handler within budget" `Quick test_dispatch_bounded_within;
           test_case "uninstall" `Quick test_dispatch_uninstall;

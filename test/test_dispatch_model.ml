@@ -22,9 +22,9 @@ module Handler_spec = Dispatcher.Handler_spec
 exception Boom
 exception Primary_failed
 
-let costs = Dispatcher.costs
+let costs = Cost.alpha_133
 
-let call_cost = Cost.alpha_133.Cost.cross_module_call
+let call_cost = costs.Cost.cross_module_call
 
 let layout : int Ebc.layout =
   Ebc.layout ~name:"Model.Ev" ~fields:[ ("x", Ty.Int) ] ~read:(fun x _ -> x) ()
@@ -210,7 +210,10 @@ let real_apply w op =
       | exception Dispatcher.No_handler _ -> No_handler
       | exception Primary_failed -> Primary_raised
       | exception exn -> Escaped (Printexc.to_string exn))
-  | Flush -> Flushed (Dispatcher.flush_deferred w.d)
+  | Flush ->
+    (match Dispatcher.flush_deferred w.d with
+     | n -> Flushed n
+     | exception exn -> Escaped (Printexc.to_string exn))
 
 (* The scheduler's half of a hot swap, in miniature: the held raise
    parks here while the swap re-points handlers, then re-checks the
@@ -293,7 +296,7 @@ let run_sync w ev m x =
 let guards_pass w ev m x =
   List.for_all
     (fun g ->
-      charge w costs.Dispatcher.guard_eval;
+      charge w costs.Cost.guard_eval;
       g x || (ev.c.rejections <- ev.c.rejections + 1; false))
     m.guards
 
@@ -324,13 +327,19 @@ let rec model_apply w op =
   | Flush ->
     let jobs = List.rev w.queued in
     w.queued <- [];
+    (* A deferred body's fault is contained as a synchronous one's:
+       counted, and the handler evicted. *)
     List.iter
-      (fun (ev, m, _) ->
+      (fun (ev, m, x) ->
         if m.active then begin
           w.mlog <- m.id :: w.mlog;
           charge w m.spec.work;
           Option.iter (sweep w) m.spec.evicts;
-          meddle ev m
+          meddle ev m;
+          if m.spec.raises_on = Some x then begin
+            ev.c.failures <- ev.c.failures + 1;
+            deactivate ev m
+          end
         end else ev.c.stale <- ev.c.stale + 1)
       jobs;
     Flushed (List.length jobs)
@@ -346,10 +355,10 @@ and install w ev id s =
         let prog = Ebc.match_field ~slot:0 v in
         let budget =
           match s.bound with
-          | Some b -> max 1 (b / Ebc.step_cycles)
+          | Some b -> max 1 (b / costs.Cost.ebc_step)
           | None -> Ebc.default_budget in
         (match Ebc.verify ~layout ~budget prog with
-         | Ok _ -> charge w (Ebc.verify_cycles prog); Ok (Some v)
+         | Ok _ -> charge w (Ebc.verify_cycles costs prog); Ok (Some v)
          | Error err -> Error err) in
     match verdict with
     | Error err ->
@@ -388,10 +397,10 @@ and raise_ w ev x =
     List.exists (fun m -> m.active && m.spec.key <> None) ev.all in
   match linear with
   | [ m ] when m.trusted <> None && not m.spec.async && not live_indexed ->
-    charge w costs.Dispatcher.trusted_eval;
+    charge w costs.Cost.trusted_eval;
     if m.trusted = Some x then begin
       ev.c.trusted_n <- ev.c.trusted_n + 1;
-      charge w costs.Dispatcher.trusted_invoke;
+      charge w costs.Cost.trusted_invoke;
       combine ev (Option.to_list (run_sync w ev m x))
     end else combine ev []
   | [ m ]
@@ -402,10 +411,10 @@ and raise_ w ev x =
     if m.primary then Result (call_primary w ev m x)
     else combine ev (Option.to_list (run_sync w ev m x))
   | _ ->
-    charge w costs.Dispatcher.dispatch_fixed;
+    charge w costs.Cost.dispatch_fixed;
     let indexed =
       if ev.index then begin
-        charge w costs.Dispatcher.guard_eval;
+        charge w costs.Cost.guard_eval;
         List.filter
           (fun m -> m.active && m.spec.key = Some (index_of x)) ev.all
       end else [] in
@@ -414,14 +423,14 @@ and raise_ w ev x =
       else
         let passed =
           match m.trusted with
-          | Some v -> charge w costs.Dispatcher.trusted_eval; x = v
+          | Some v -> charge w costs.Cost.trusted_eval; x = v
           | None -> guards_pass w ev m x in
         if not passed then acc
         else begin
           if m.trusted <> None then begin
             ev.c.trusted_n <- ev.c.trusted_n + 1;
-            charge w costs.Dispatcher.trusted_invoke
-          end else charge w costs.Dispatcher.handler_invoke;
+            charge w costs.Cost.trusted_invoke
+          end else charge w costs.Cost.handler_invoke;
           if m.spec.async then begin
             ev.c.invocations <- ev.c.invocations + 1;
             w.queued <- (ev, m, x) :: w.queued;
@@ -586,14 +595,11 @@ let gen_spec =
   let* key = opt ~ratio:0.3 (int_range 0 3) in
   let* verified = opt ~ratio:0.35 (int_range 0 7) in
   let* work = oneofl [ 0; 0; 10; 150; 600 ] in
-  (* Deferred bodies run outside the dispatcher's fault isolation. *)
   let* raises_on =
-    if async then pure None
-    else
-      opt ~ratio:0.25
-        (match key with
-         | Some k -> oneofl [ k; k + 4 ]   (* the raises its slot sees *)
-         | None -> int_range 0 7) in
+    opt ~ratio:0.25
+      (match key with
+       | Some k -> oneofl [ k; k + 4 ]   (* the raises its slot sees *)
+       | None -> int_range 0 7) in
   let* evicts = opt ~ratio:0.1 (int_range 0 2) in
   let* meddles = opt ~ratio:0.15 (int_range 0 3) in
   pure { installer; guard; bound; async; key; verified; work; raises_on;

@@ -81,9 +81,10 @@ let test_filter_interpretation_costs () =
   let program = Udp.frame_port_prog ~port:53 in
   let _, steps = Ebc.run_counted ~layout:frame_layout program frame in
   check int "every instruction executed once" (Array.length program) steps;
-  let spent = steps * Ebc.interp_step_cycles in
+  let cost = Spin_machine.Cost.alpha_133 in
+  let spent = steps * cost.Spin_machine.Cost.ebc_interp_step in
   check bool "costlier than a compiled guard" true
-    (spent > Spin_core.Dispatcher.costs.Spin_core.Dispatcher.guard_eval)
+    (spent > cost.Spin_machine.Cost.guard_eval)
 
 let () =
   Alcotest.run "spin_filters"
