@@ -15,8 +15,6 @@ let install r = ignore (Dispatcher.ok_exn ~site:"b_ablation" r)
 module Clock = Spin_machine.Clock
 module Cost = Spin_machine.Cost
 module Machine = Spin_machine.Machine
-module Addr = Spin_machine.Addr
-module Vm_ext = Spin_vm.Vm_ext
 module Kheap = Spin_kgc.Kheap
 
 (* ------------------------------------------------------------------ *)
@@ -26,43 +24,23 @@ module Kheap = Spin_kgc.Kheap
 (* Without co-location, each handler invocation is an upcall to user
    space (boundary crossings and an address-space switch each way),
    and each service call from the handler is a system call — the
-   microkernel structure. We install exactly that structure and rerun
-   the Table 4 "Fault" and "Appel1" workloads. *)
+   microkernel structure. We charge exactly that structure inside the
+   Table 4 workload and compare its "Fault" and "Appel1" rows. *)
 let colocation () =
   Report.header "Ablation: co-location (Table 4 workloads, us)";
-  let measure ~colocated =
-    let k = Kernel.boot ~name:"abl" () in
-    let clock = k.Kernel.machine.Machine.clock in
-    let hw = k.Kernel.machine.Machine.cost in
-    let ext = Vm_ext.create k.Kernel.vm ~app:"abl" ~pages:8 in
-    Vm_ext.activate ext;
-    let crossing () =
-      if not colocated then begin
+  let boot () = Kernel.boot ~cpus:1 ~name:"abl" () in
+  let co = B_micro.measure_spin_vm (boot ()) ~upcall:ignore ~service_call:ignore in
+  let k = boot () in
+  let charge = Clock.charge k.Kernel.machine.Machine.clock in
+  let hw = k.Kernel.machine.Machine.cost in
+  let user =
+    B_micro.measure_spin_vm k
+      ~upcall:(fun () ->
         (* kernel -> user upcall and back, with address-space switches *)
-        Clock.charge clock (2 * (hw.Cost.trap_entry + hw.Cost.trap_exit));
-        Clock.charge clock (2 * hw.Cost.addr_space_switch)
-      end in
-    let service_call () =
-      if not colocated then
-        Clock.charge clock
-          (hw.Cost.trap_entry + hw.Cost.trap_exit + hw.Cost.syscall_glue) in
-    Vm_ext.on_protection_fault ext (fun page ->
-      crossing ();
-      service_call ();
-      Vm_ext.protect ext ~first:page ~count:1 Addr.prot_read_write);
-    Vm_ext.protect ext ~first:0 ~count:1 Addr.prot_read;
-    let fault = Kernel.stamp_us k (fun () -> Vm_ext.write ext ~page:0 1L) in
-    Vm_ext.on_protection_fault ext (fun page ->
-      crossing ();
-      service_call ();
-      Vm_ext.protect ext ~first:page ~count:1 Addr.prot_read_write;
-      service_call ();
-      Vm_ext.protect ext ~first:((page + 1) mod 8) ~count:1 Addr.prot_read);
-    Vm_ext.protect ext ~first:2 ~count:1 Addr.prot_read;
-    let appel1 = Kernel.stamp_us k (fun () -> Vm_ext.write ext ~page:2 1L) in
-    (fault, appel1) in
-  let (f1, a1) = measure ~colocated:true in
-  let (f0, a0) = measure ~colocated:false in
+        charge (2 * (hw.Cost.trap_entry + hw.Cost.trap_exit));
+        charge (2 * hw.Cost.addr_space_switch))
+      ~service_call:(fun () ->
+        charge (hw.Cost.trap_entry + hw.Cost.trap_exit + hw.Cost.syscall_glue)) in
   Printf.printf "%-34s %12s %12s %8s\n" "workload" "co-located" "user-level"
     "ratio";
   let row name colocated user =
@@ -71,8 +49,8 @@ let colocation () =
     Report.metric ~name:(name ^ " co-located") colocated;
     Report.metric ~name:(name ^ " user-level") user;
     Report.metric ~unit_:"x" ~name:(name ^ " ratio") (user /. colocated) in
-  row "Fault" f1 f0;
-  row "Appel1" a1 a0;
+  row "Fault" co.B_micro.fault user.B_micro.fault;
+  row "Appel1" co.B_micro.appel1 user.B_micro.appel1;
   Report.note
     "  Boundary crossings alone double the fault path. The baselines\n\
     \  are another ~5x worse again because their *generic* delivery\n\
@@ -85,9 +63,9 @@ let colocation () =
 
 let fast_path () =
   Report.header "Ablation: dispatcher fast path";
-  let k = Kernel.boot ~name:"abl2" () in
-  let fast = Dispatcher.declare k.Kernel.dispatcher ~name:"A.Fast" ~owner:"A"
-      (fun () -> ()) in
+  let k = Kernel.boot ~cpus:1 ~name:"abl2" () in
+  (* The unguarded handler is Table 2's protected in-kernel call. *)
+  let f, _ = B_micro.spin_fast_paths k in
   let slow = Dispatcher.declare k.Kernel.dispatcher ~name:"A.Slow" ~owner:"A"
       (fun () -> ()) in
   (* Any guard forces the dispatcher to take an active role. *)
@@ -95,7 +73,6 @@ let fast_path () =
   install
     (Dispatcher.install slow ~installer:"A" ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
        (fun () -> ()));
-  let f = Kernel.stamp_us k (fun () -> Dispatcher.raise_event fast ()) in
   let s = Kernel.stamp_us k (fun () -> Dispatcher.raise_event slow ()) in
   Printf.printf "  single unguarded handler (procedure call): %5.2f us\n" f;
   Printf.printf "  same handler behind one guard:             %5.2f us\n" s;
@@ -124,7 +101,7 @@ let fast_path () =
 
 let guards () =
   Report.header "Ablation: guard-based vs handler-side demultiplexing";
-  let k = Kernel.boot ~name:"abl3" () in
+  let k = Kernel.boot ~cpus:1 ~name:"abl3" () in
   let protocols = 12 in
   (* Guarded: the IP idiom — the module attaches a protocol guard to
      each installation; only the matching handler body runs. *)
@@ -169,7 +146,7 @@ let guards () =
 
 let indexed_dispatch () =
   Report.header "Ablation: linear guards vs indexed dispatch (5.5 future work)";
-  let k = Kernel.boot ~name:"abl5" () in
+  let k = Kernel.boot ~cpus:1 ~name:"abl5" () in
   Printf.printf "  %8s %14s %14s\n" "keys" "guards (us)" "indexed (us)";
   List.iter
     (fun n ->
@@ -210,7 +187,7 @@ let indexed_dispatch () =
    foil), and (c) indexed dispatch. *)
 let little_language () =
   Report.header "Ablation: compiled guards vs interpreted packet filters";
-  let k = Kernel.boot ~name:"abl6" () in
+  let k = Kernel.boot ~cpus:1 ~name:"abl6" () in
   let clock = k.Kernel.machine.Machine.clock in
   let endpoints = 64 in
   let frame port =
@@ -303,7 +280,7 @@ let gc_pause () =
    virtual-cycle neutrality asserted alongside. *)
 let trace_overhead () =
   Report.header "Ablation: tracing overhead (dispatcher fast path, host time)";
-  let k = Kernel.boot ~name:"abl7" () in
+  let k = Kernel.boot ~cpus:1 ~name:"abl7" () in
   let tr = Kernel.trace k in
   let e = Dispatcher.declare k.Kernel.dispatcher ~name:"A.T" ~owner:"A"
       (fun () -> ()) in
@@ -346,7 +323,7 @@ let trace_overhead () =
 let fuzz_overhead () =
   Report.header "Ablation: schedule-fuzzing hooks, fuzzing disabled";
   let workload ~fuzzed =
-    let k = Kernel.boot ~name:"abl8" () in
+    let k = Kernel.boot ~cpus:1 ~name:"abl8" () in
     let fz =
       if fuzzed then Some (Kernel.attach_fuzz ~seed:1 k) else None in
     (match fz with Some fz -> Spin_sched.Sched_fuzz.detach fz | None -> ());

@@ -128,7 +128,7 @@ let fuzz_slice () =
   let r =
     measured (fun () ->
       for seed = 1 to fuzz_seeds do
-        let m = Machine.create ~name:"engine-fuzz" ~mem_mb:4 () in
+        let m = Machine.create ~cpus:1 ~name:"engine-fuzz" ~mem_mb:4 () in
         let d = Spin_core.Dispatcher.create m.Machine.clock in
         let s = Sched.create m.Machine.sim d in
         let fz =

@@ -14,6 +14,7 @@ module Sched = Spin_sched.Sched
 module Bl_path = Spin_baseline.Bl_path
 module Os_costs = Spin_baseline.Os_costs
 module Machine = Spin_machine.Machine
+module Dispatcher = Spin_core.Dispatcher
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -26,8 +27,8 @@ let sys_name = function Spin_sys -> "SPIN" | Osf_sys -> "DEC OSF/1"
 let fresh_pair ?(optimized = false) kind =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let a = Host.create sim ~name:"a" ~addr:addr_a in
-  let b = Host.create sim ~name:"b" ~addr:addr_b in
+  let a = Host.create ~cpus:1 sim ~name:"a" ~addr:addr_a in
+  let b = Host.create ~cpus:1 sim ~name:"b" ~addr:addr_b in
   ignore (Host.wire ~optimized a b ~kind);
   (clock, a, b)
 
@@ -35,10 +36,22 @@ let fresh_pair ?(optimized = false) kind =
 (* Table 5: latency                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let udp_latency ?optimized sys kind =
+(* The mean RTT of 16-byte UDP echoes between two hosts, the first of
+   five probes discarded as warm-up. Each of [watchers] is the guard
+   of one more handler on the server's UDP arrival event (section
+   5.5's dispatcher scalability). *)
+let udp_latency ?optimized ?(watchers = []) sys kind =
   let clock, a, b = fresh_pair ?optimized kind in
   let osf = Os_costs.osf1 in
   let bclock = b.Host.machine.Machine.clock in
+  List.iter
+    (fun guard ->
+       ignore
+         (Dispatcher.ok_exn ~site:"b_net"
+            (Dispatcher.install (Udp.packet_arrived b.Host.udp)
+               ~installer:"watcher"
+               ~spec:(Dispatcher.Handler_spec.guarded guard) ignore)))
+    watchers;
   (* Echo server on b. *)
   ignore (Udp.listen b.Host.udp ~port:7 ~installer:"echo" (fun d ->
     (match sys with
@@ -87,8 +100,8 @@ let udp_latency ?optimized sys kind =
 let measure_tx sys ~kind ~payload_bytes =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let a = Host.create sim ~name:"tx" ~addr:addr_a in
-  let b = Machine.create_on sim ~name:"mute" () in
+  let a = Host.create ~cpus:1 sim ~name:"tx" ~addr:addr_a in
+  let b = Machine.create_on sim ~cpus:1 ~name:"mute" () in
   let nic_a, _nic_b = Machine.connect a.Host.machine b ~kind () in
   let na = Netif.create a.Host.machine a.Host.sched a.Host.dispatcher nic_a
       ~name:"probe" in
@@ -216,9 +229,9 @@ let table5 () =
 let fresh_triple kind =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let client = Host.create sim ~name:"client" ~addr:addr_a in
-  let fwd = Host.create sim ~name:"fwd" ~addr:addr_c in
-  let server = Host.create sim ~name:"server" ~addr:addr_b in
+  let client = Host.create ~cpus:1 sim ~name:"client" ~addr:addr_a in
+  let fwd = Host.create ~cpus:1 sim ~name:"fwd" ~addr:addr_c in
+  let server = Host.create ~cpus:1 sim ~name:"server" ~addr:addr_b in
   ignore (Host.wire client fwd ~kind);
   ignore (Host.wire fwd server ~kind);
   (clock, client, fwd, server)
@@ -347,8 +360,8 @@ let figure5 () =
   Report.header "Figure 5: protocol graph from live dispatcher registrations";
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let host = Host.create sim ~name:"graph" ~addr:addr_a in
-  let peer = Host.create sim ~name:"peer" ~addr:addr_b in
+  let host = Host.create ~cpus:1 sim ~name:"graph" ~addr:addr_a in
+  let peer = Host.create ~cpus:1 sim ~name:"peer" ~addr:addr_b in
   let nic, _ = Host.wire host peer ~kind:Nic.Lance in
   ignore (Host.wire host peer ~kind:Nic.Fore_atm);
   (* Populate the stack the way Figure 5 draws it. *)

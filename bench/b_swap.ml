@@ -149,8 +149,8 @@ let codec ~version video =
 let video_half () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let server = Host.create sim ~name:"vserver" ~addr:addr_vserver in
-  let sink = Host.create sim ~name:"vsink" ~addr:addr_vsink in
+  let server = Host.create ~cpus:1 sim ~name:"vserver" ~addr:addr_vserver in
+  let sink = Host.create ~cpus:1 sim ~name:"vsink" ~addr:addr_vsink in
   let nic, _ = Host.wire server sink ~kind:Nic.T3 in
   let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
   let bc =

@@ -36,8 +36,8 @@ type setup = {
 let build () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let server = Host.create sim ~name:"server" ~addr:addr_server in
-  let sink = Host.create sim ~name:"sink" ~addr:addr_sink in
+  let server = Host.create ~cpus:1 sim ~name:"server" ~addr:addr_server in
+  let sink = Host.create ~cpus:1 sim ~name:"sink" ~addr:addr_sink in
   let nic, _ = Host.wire server sink ~kind:Nic.T3 in
   let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
   let bc = Spin_fs.Block_cache.create ~phys:server.Host.phys server.Host.machine server.Host.sched disk in

@@ -37,15 +37,16 @@ type t = {
 (* The server ("www") formats a disk, writes [files] (name, size) and
    serves them through the file cache. Its dispatcher is passed to
    [Http.create], so [HTTP.GenContent] is declared and loadable
-   extensions can serve dynamic paths. [mem_mb] sizes the server only;
-   the capacities default to the caches' own. Returns once setup has
+   extensions can serve dynamic paths. Both hosts have [cpus] CPUs
+   (default 1). [mem_mb] sizes the server only; the capacities default
+   to the caches' own. Returns once setup has
    run to quiescence. *)
-let fixture ?cpus ?(kind = Nic.Lance) ?mbps ?mem_mb ?cache_blocks
+let fixture ?(cpus = 1) ?(kind = Nic.Lance) ?mbps ?mem_mb ?cache_blocks
     ?cache_bytes ?(files = [ ("index.html", 2048) ]) () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  let server = Host.create ?cpus ?mem_mb sim ~name:"www" ~addr:addr_server in
-  let client = Host.create ?cpus sim ~name:"client" ~addr:addr_client in
+  let server = Host.create ~cpus ?mem_mb sim ~name:"www" ~addr:addr_server in
+  let client = Host.create ~cpus sim ~name:"client" ~addr:addr_client in
   ignore (Host.wire ?mbps client server ~kind);
   let disk = Machine.add_disk ~blocks:65536 server.Host.machine in
   let block_cache =

@@ -2,7 +2,6 @@
    paper's tables on the same 133 cycles/us clock. *)
 
 type t = {
-  os_name : string;
   syscall_dispatch : int;
   socket_op : int;
   net_socket_send : int;
@@ -25,7 +24,6 @@ type t = {
 }
 
 let osf1 = {
-  os_name = "DEC OSF/1";
   syscall_dispatch = 255;          (* 5 us syscall total (Table 2) *)
   socket_op = 15_800;              (* sockets + SUN RPC give 845 us *)
   net_socket_send = 4_400;         (* per-packet socket work: Table 5 *)
@@ -48,7 +46,6 @@ let osf1 = {
 }
 
 let mach3 = {
-  os_name = "Mach 3.0";
   syscall_dispatch = 521;          (* 7 us syscall *)
   socket_op = 0;
   net_socket_send = 0;

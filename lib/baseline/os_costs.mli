@@ -12,7 +12,6 @@
     unrecorded". See EXPERIMENTS.md for the resulting numbers. *)
 
 type t = {
-  os_name : string; (** the paper's column label; not fitted *)
   syscall_dispatch : int; (** trap-to-handler layer; Table 2, System call *)
   socket_op : int; (** socket layer per RPC leg; Table 2, Cross-AS call *)
   net_socket_send : int; (** socket work per datagram sent; Table 5 *)

@@ -5,7 +5,7 @@ type t = {
   guard_eval : int; handler_invoke : int;
   trusted_eval : int; trusted_invoke : int;
   context_switch : int; addr_space_switch : int; strand_spawn : int;
-  switch_extra : int; kthread_sync : int;
+  switch_extra : int; kthread_sync : int; ipc_handoff : int;
   tlb_fill : int; mmu_map_op : int; mem_access : int; tlb_shootdown : int;
   map_service : int; protect_base : int; protect_per_page : int;
   dirty_query : int; fault_classify : int;
@@ -18,6 +18,7 @@ type t = {
   ebc_verify_fixed : int; ebc_verify_per_instr : int;
   ebc_step : int; ebc_interp_step : int;
   swap_gate : int; swap_sweep : int; swap_bringup : int; mcast_patch : int;
+  ipc_leg_bookkeeping : int;
   interrupt_entry : int; interrupt_exit : int;
   ipi_send : int; ipi_deliver : int; console_register : int;
 }
@@ -37,7 +38,7 @@ let alpha_133 = {
   trusted_eval = 12; trusted_invoke = 40;
   (* Sched. *)
   context_switch = 450; addr_space_switch = 1400; strand_spawn = 1460;
-  switch_extra = 130; kthread_sync = 100;
+  switch_extra = 130; kthread_sync = 100; ipc_handoff = 160;
   (* VM. A shootdown is the remote flush itself (PAL tbi) plus the ack
      write the initiator spins on. *)
   tlb_fill = 40; mmu_map_op = 160; mem_access = 3; tlb_shootdown = 120;
@@ -56,6 +57,7 @@ let alpha_133 = {
   ebc_verify_fixed = 250; ebc_verify_per_instr = 35;
   ebc_step = 2; ebc_interp_step = 18;
   swap_gate = 120; swap_sweep = 290; swap_bringup = 1800; mcast_patch = 45;
+  ipc_leg_bookkeeping = 2970;
   (* Device. Cross-CPU signalling on the 21064-era SMP boxes: writing
      the interprocessor-interrupt register is cheap; the receiving
      processor pays an interrupt-class entry before the handler. *)

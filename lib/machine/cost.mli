@@ -38,6 +38,9 @@ type t = {
   strand_spawn : int; (** creating a kernel strand; origin unrecorded *)
   switch_extra : int; (** scheduler work beyond a switch; origin unrecorded *)
   kthread_sync : int; (** a lock/unlock/signal/wait; origin unrecorded *)
+  ipc_handoff : int;
+  (** parking an IPC caller and running its peer, beyond the context
+      switch; origin unrecorded *)
   (* VM: MMU, translation, allocators and the kernel heap. *)
   tlb_fill : int; (** PAL-code TLB fill after a miss; origin unrecorded *)
   mmu_map_op : int; (** install or remove one PTE; origin unrecorded *)
@@ -64,7 +67,7 @@ type t = {
   (* Copy. *)
   copy_per_word : int; (** memory-to-memory, per 8 bytes; origin unrecorded *)
   video_decompress : int; (** video decoding, per 8 bytes; origin unrecorded *)
-  (* Extension: the verifier, hot swap and the video codec. *)
+  (* Extension: the verifier, hot swap, the video codec and IPC. *)
   ebc_verify_fixed : int; (** a verifier pass, fixed; not fitted *)
   ebc_verify_per_instr : int; (** a verifier pass, per instr.; not fitted *)
   ebc_step : int; (** one compiled instruction (bound to budget); not fitted *)
@@ -73,6 +76,9 @@ type t = {
   swap_sweep : int; (** evict one handler across the registry; not fitted *)
   swap_bringup : int; (** initialize + activate a replacement; not fitted *)
   mcast_patch : int; (** video multicast patch, per client; origin unrecorded *)
+  ipc_leg_bookkeeping : int;
+  (** the IPC extension's per-leg reference and argument checks;
+      Table 2, Cross-address space call, SPIN (89 us) *)
   (* Device: interrupts, IPIs and device registers. *)
   interrupt_entry : int; (** device interrupt taken; origin unrecorded *)
   interrupt_exit : int; (** device interrupt return; origin unrecorded *)
