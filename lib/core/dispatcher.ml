@@ -31,6 +31,28 @@ module Handler_spec = struct
   }
 end
 
+type 'a decision =
+  | Deny
+  | Allow of {
+      guard : ('a -> bool) option;
+      bound_cycles : int option;
+      force_async : bool;
+    }
+
+let allow = Allow { guard = None; bound_cycles = None; force_async = false }
+
+type stats = {
+  mutable raises : int;
+  mutable fast_path : int;
+  mutable invocations : int;
+  mutable guard_rejections : int;
+  mutable aborted : int;
+  mutable handler_failures : int;
+  mutable stale_skips : int;
+  mutable gated_waits : int;
+  mutable trusted_fast : int;
+}
+
 type t = {
   clock : Spin_machine.Clock.t;
   tracer : Trace.t;
@@ -46,41 +68,11 @@ type t = {
   mutable s_verifier_rejections : int;
 }
 
-and registration = {
-  reg_name : string;
-  reg_owner : string;
-  reg_installers : unit -> string list;
-  reg_remove : string -> int;
-  reg_audit : (string -> unit) -> unit;
-  reg_set_gate : bool -> unit;
-  reg_in_flight : unit -> int;
-  reg_specs : unit -> Handler_spec.info list;
-  reg_trusted : unit -> int;
-}
+(* One declared event, its type hidden, so hot-swap gating, sweeps and
+   audits can walk every event of the dispatcher. *)
+and registration = Reg : ('a, 'r) event -> registration
 
-type stats = {
-  raises : int;
-  fast_path : int;
-  invocations : int;
-  guard_rejections : int;
-  aborted : int;
-  handler_failures : int;
-  stale_skips : int;
-  gated_waits : int;
-  trusted_fast : int;
-}
-
-type 'a decision =
-  | Deny
-  | Allow of {
-      guard : ('a -> bool) option;
-      bound_cycles : int option;
-      force_async : bool;
-    }
-
-let allow = Allow { guard = None; bound_cycles = None; force_async = false }
-
-type ('a, 'r) handler = {
+and ('a, 'r) handler = {
   installer : string;
   fn : 'a -> 'r;
   mutable guards : ('a -> bool) list;
@@ -120,15 +112,7 @@ and ('a, 'r) event = {
      (via the scheduler's [gate_wait]) until the replacement handlers
      are installed, then drain against the new domain. *)
   mutable gated : bool;
-  mutable s_gated_waits : int;
-  mutable s_raises : int;
-  mutable s_fast : int;
-  mutable s_invocations : int;
-  mutable s_guard_rejections : int;
-  mutable s_aborted : int;
-  mutable s_failed : int;
-  mutable s_stale_skips : int;
-  mutable s_trusted : int;
+  stats : stats;
 }
 
 (* How a raise dispatches, worked out whenever the handler set changes
@@ -225,6 +209,79 @@ let link e h =
    | None -> e.extra <- e.extra @ [ h ]);
   replan e
 
+(* Every per-handler enumeration below reads from this one view, so
+   hot-swap gating, sweeps and audits agree on what is installed
+   (linear and indexed alike). *)
+let spec_info h =
+  { Handler_spec.i_installer = h.installer;
+    i_trusted = h.trusted <> None; i_bound = h.bound;
+    i_guards = List.length h.guards }
+
+let specs e =
+  List.map spec_info e.extra
+  @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.live @ acc)
+      e.indexed []
+
+let installers e =
+  (if e.primary_active then [ e.default_handler.installer ] else [])
+  @ List.map (fun (i : Handler_spec.info) -> i.Handler_spec.i_installer)
+      (specs e)
+
+(* Per-installer eviction: a hot swap retires a whole domain by
+   sweeping every event through the registry. *)
+let remove_installer e installer =
+  let removed = ref 0 in
+  let sweep h =
+    if h.active && String.equal h.installer installer then begin
+      uninstall e h; incr removed
+    end in
+  List.iter sweep e.extra;
+  Hashtbl.iter (fun _ b -> List.iter sweep b.live) e.indexed;
+  !removed
+
+(* Structural-coherence audit, so the checkers can sweep every event:
+   stale inactive handlers in a handler list, a drifted active-indexed
+   count, a cached plan that a fresh recompute disagrees with, or a
+   dispatch recorded as still in flight all indicate handler-list
+   mutation went around the safe paths. *)
+let audit_event e report =
+  let name = e.e_name in
+  let lingering h =
+    if not h.active then
+      report
+        (Printf.sprintf
+           "%s: inactive handler from %s lingers in the handler list"
+           name h.installer) in
+  List.iter lingering e.extra;
+  Hashtbl.iter (fun _ b -> List.iter lingering b.live) e.indexed;
+  let live =
+    Hashtbl.fold (fun _ b acc -> acc + List.length b.live) e.indexed 0 in
+  if live <> e.n_indexed_active then
+    report
+      (Printf.sprintf "%s: indexed-active count %d disagrees with recount %d"
+         name e.n_indexed_active live);
+  if not (same_plan e.plan (plan_of e)) then
+    report
+      (Printf.sprintf "%s: cached dispatch plan disagrees with a recompute"
+         name);
+  if e.in_flight <> 0 then
+    report
+      (Printf.sprintf "%s: %d raise(s) still marked in flight at audit"
+         name e.in_flight);
+  (* A trusted handler's whole point is zero per-event checks: if one
+     carries a guard stack or a runtime bound, some path installed or
+     mutated it around the demotion logic. *)
+  List.iter
+    (fun (i : Handler_spec.info) ->
+      if i.Handler_spec.i_trusted
+         && (i.Handler_spec.i_guards > 0 || i.Handler_spec.i_bound <> None)
+      then
+        report
+          (Printf.sprintf
+             "%s: trusted handler from %s carries runtime checks"
+             name i.Handler_spec.i_installer))
+    (specs e)
+
 let declare t ~name ~owner ?layout ?combine ?auth ?index
     ?allow_remove_primary default =
   let combine = match combine with Some f -> f | None -> keep_last in
@@ -243,85 +300,13 @@ let declare t ~name ~owner ?layout ?combine ?auth ?index
           async = false; h_slot = None; trusted = None; active = true;
           h_event = e };
       n_indexed_active = 0; plan = General []; in_flight = 0;
-      gated = false; s_gated_waits = 0;
-      s_raises = 0; s_fast = 0; s_invocations = 0;
-      s_guard_rejections = 0; s_aborted = 0; s_failed = 0;
-      s_stale_skips = 0; s_trusted = 0 } in
+      gated = false;
+      stats =
+        { raises = 0; fast_path = 0; invocations = 0; guard_rejections = 0;
+          aborted = 0; handler_failures = 0; stale_skips = 0;
+          gated_waits = 0; trusted_fast = 0 } } in
   replan e;
-  (* Every per-handler enumeration below reads from this one view, so
-     hot-swap gating, sweeps and audits agree on what is installed
-     (linear and indexed alike). *)
-  let spec_info h =
-    { Handler_spec.i_installer = h.installer;
-      i_trusted = h.trusted <> None; i_bound = h.bound;
-      i_guards = List.length h.guards } in
-  let reg_specs () =
-    List.map spec_info e.extra
-    @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.live @ acc)
-        e.indexed [] in
-  let reg_installers () =
-    let primary = if e.primary_active then [ owner ] else [] in
-    primary
-    @ List.map (fun (i : Handler_spec.info) -> i.Handler_spec.i_installer)
-        (reg_specs ()) in
-  (* Per-installer eviction, type-erased: a hot swap retires a whole
-     domain by sweeping every event through the registry. *)
-  let reg_remove installer =
-    let removed = ref 0 in
-    let sweep h =
-      if h.active && String.equal h.installer installer then begin
-        uninstall e h; incr removed
-      end in
-    List.iter sweep e.extra;
-    Hashtbl.iter (fun _ b -> List.iter sweep b.live) e.indexed;
-    !removed in
-  (* Structural-coherence audit, type-erased so the checkers can sweep
-     every event: stale inactive handlers in a handler list, a drifted
-     active-indexed count, a cached plan that a fresh recompute
-     disagrees with, or a dispatch recorded as still in flight all
-     indicate handler-list mutation went around the safe paths. *)
-  let reg_audit report =
-    let lingering h =
-      if not h.active then
-        report
-          (Printf.sprintf
-             "%s: inactive handler from %s lingers in the handler list"
-             name h.installer) in
-    List.iter lingering e.extra;
-    Hashtbl.iter (fun _ b -> List.iter lingering b.live) e.indexed;
-    let live =
-      Hashtbl.fold (fun _ b acc -> acc + List.length b.live) e.indexed 0 in
-    if live <> e.n_indexed_active then
-      report
-        (Printf.sprintf "%s: indexed-active count %d disagrees with recount %d"
-           name e.n_indexed_active live);
-    if not (same_plan e.plan (plan_of e)) then
-      report
-        (Printf.sprintf "%s: cached dispatch plan disagrees with a recompute"
-           name);
-    if e.in_flight <> 0 then
-      report
-        (Printf.sprintf "%s: %d raise(s) still marked in flight at audit"
-           name e.in_flight);
-    (* A trusted handler's whole point is zero per-event checks: if one
-       carries a guard stack or a runtime bound, some path installed or
-       mutated it around the demotion logic. *)
-    List.iter
-      (fun (i : Handler_spec.info) ->
-        if i.Handler_spec.i_trusted
-           && (i.Handler_spec.i_guards > 0 || i.Handler_spec.i_bound <> None)
-        then
-          report
-            (Printf.sprintf
-               "%s: trusted handler from %s carries runtime checks"
-               name i.Handler_spec.i_installer))
-      (reg_specs ()) in
-  t.registry <-
-    { reg_name = name; reg_owner = owner; reg_installers; reg_remove;
-      reg_audit; reg_set_gate = (fun v -> e.gated <- v);
-      reg_in_flight = (fun () -> e.in_flight);
-      reg_specs; reg_trusted = (fun () -> e.s_trusted) }
-    :: t.registry;
+  t.registry <- Reg e :: t.registry;
   e
 
 type install_error =
@@ -442,7 +427,7 @@ let rec guards_pass e h arg = function
     Spin_machine.Clock.charge e.disp.clock (cost e).Cost.guard_eval;
     if g arg then guards_pass e h arg rest
     else begin
-      e.s_guard_rejections <- e.s_guard_rejections + 1;
+      e.stats.guard_rejections <- e.stats.guard_rejections + 1;
       if Trace.on e.disp.tracer then
         Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
           ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
@@ -463,7 +448,7 @@ let invoke e h arg =
     match h.fn arg with
     | r -> r
     | exception exn ->
-      e.s_failed <- e.s_failed + 1;
+      e.stats.handler_failures <- e.stats.handler_failures + 1;
       if Trace.on e.disp.tracer then
         Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
           ~args:[ ("event", e.e_name); ("installer", h.installer);
@@ -481,7 +466,7 @@ let run_async e h arg =
   let thunk () =
     if h.active then
       (match invoke e h arg with _ -> () | exception No_result -> ())
-    else e.s_stale_skips <- e.s_stale_skips + 1 in
+    else e.stats.stale_skips <- e.stats.stale_skips + 1 in
   match e.disp.spawn with
   | Some spawn -> spawn thunk
   | None -> Queue.add thunk e.disp.deferred
@@ -491,7 +476,7 @@ let run_async e h arg =
    counts as aborted too. *)
 let overran e ~bound ~before =
   Spin_machine.Clock.now e.disp.clock - before > bound
-  && begin e.s_aborted <- e.s_aborted + 1; true end
+  && begin e.stats.aborted <- e.stats.aborted + 1; true end
 
 let run_sync e h arg =
   (* Checker probe: every synchronous invocation funnels through here,
@@ -502,7 +487,7 @@ let run_sync e h arg =
     report_violation e.disp
       (Printf.sprintf "%s: invoking inactive handler from %s"
          e.e_name h.installer);
-  e.s_invocations <- e.s_invocations + 1;
+  e.stats.invocations <- e.stats.invocations + 1;
   match h.bound with
   | None -> invoke e h arg
   | Some bound ->
@@ -527,7 +512,7 @@ let step e arg h =
     | None -> guards_pass e h arg h.guards in
   if not admitted then raise_notrace No_result;
   let trusted = h.trusted <> None in
-  if trusted then e.s_trusted <- e.s_trusted + 1;
+  if trusted then e.stats.trusted_fast <- e.stats.trusted_fast + 1;
   Spin_machine.Clock.charge clock
     (if trusted then c.Cost.trusted_invoke else c.Cost.handler_invoke);
   if Trace.on e.disp.tracer then
@@ -536,7 +521,7 @@ let step e arg h =
               (if trusted then ("path", "trusted")
                else ("async", string_of_bool h.async)) ] ();
   if h.async then begin
-    e.s_invocations <- e.s_invocations + 1;
+    e.stats.invocations <- e.stats.invocations + 1;
     run_async e h arg;
     raise_notrace No_result
   end else run_sync e h arg
@@ -576,7 +561,7 @@ let dispatch e arg =
   let clock = e.disp.clock and tr = e.disp.tracer in
   match e.plan with
   | Direct h ->
-    e.s_fast <- e.s_fast + 1;
+    e.stats.fast_path <- e.stats.fast_path + 1;
     Spin_machine.Clock.charge clock (cost e).Cost.cross_module_call;
     (* The fast path builds no closure: the span is opened and closed
        around a plain match, a null token when tracing is off. *)
@@ -589,7 +574,7 @@ let dispatch e arg =
        faults are caught, counted, and reported. *)
     (match
        if h == e.default_handler then begin
-         e.s_invocations <- e.s_invocations + 1;
+         e.stats.invocations <- e.stats.invocations + 1;
          h.fn arg
        end else run_sync e h arg
      with
@@ -599,7 +584,7 @@ let dispatch e arg =
     Spin_machine.Clock.charge clock (cost e).Cost.trusted_eval;
     if not (pred arg) then raise_notrace No_result
     else begin
-      e.s_trusted <- e.s_trusted + 1;
+      e.stats.trusted_fast <- e.stats.trusted_fast + 1;
       Spin_machine.Clock.charge clock (cost e).Cost.trusted_invoke;
       let sp =
         Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
@@ -642,7 +627,7 @@ let gate_hold e =
     match e.disp.gate_wait with
     | None -> ()
     | Some wait ->
-      e.s_gated_waits <- e.s_gated_waits + 1;
+      e.stats.gated_waits <- e.stats.gated_waits + 1;
       if Trace.on e.disp.tracer then
         Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"gate_hold"
           ~args:[ ("event", e.e_name) ] ();
@@ -652,7 +637,7 @@ let gate_hold e =
 (* The raise itself; [No_result] when no handler produced a result. *)
 let run e arg =
   gate_hold e;
-  e.s_raises <- e.s_raises + 1;
+  e.stats.raises <- e.stats.raises + 1;
   (* [in_flight] records the dispatch for the invariant audit. *)
   e.in_flight <- e.in_flight + 1;
   match dispatch e arg with
@@ -677,17 +662,7 @@ let handler_count e =
   (if e.primary_active then 1 else 0)
   + List.length e.extra + e.n_indexed_active
 
-let stats e = {
-  raises = e.s_raises;
-  fast_path = e.s_fast;
-  invocations = e.s_invocations;
-  guard_rejections = e.s_guard_rejections;
-  aborted = e.s_aborted;
-  handler_failures = e.s_failed;
-  stale_skips = e.s_stale_skips;
-  gated_waits = e.s_gated_waits;
-  trusted_fast = e.s_trusted;
-}
+let stats e = { e.stats with raises = e.stats.raises }
 
 (* -------------------- swap-window gating -------------------------- *)
 
@@ -700,45 +675,46 @@ let is_gated e = e.gated
    the swap can reopen exactly those. *)
 let gate_installer t ~installer =
   List.filter_map
-    (fun r ->
-      if List.mem installer (r.reg_installers ())
-      then begin r.reg_set_gate true; Some r.reg_name end
+    (fun (Reg e) ->
+      if List.mem installer (installers e)
+      then begin e.gated <- true; Some e.e_name end
       else None)
     t.registry
 
 let set_gate_by_name t ~names v =
   List.iter
-    (fun r -> if List.mem r.reg_name names then r.reg_set_gate v)
+    (fun (Reg e) -> if List.mem e.e_name names then e.gated <- v)
     t.registry
 
 let in_flight_by_name t ~names =
   List.fold_left
-    (fun acc r ->
-      if List.mem r.reg_name names then acc + r.reg_in_flight () else acc)
+    (fun acc (Reg e) ->
+      if List.mem e.e_name names then acc + e.in_flight else acc)
     0 t.registry
 
-let audit t report = List.iter (fun r -> r.reg_audit report) t.registry
+let audit t report = List.iter (fun (Reg e) -> audit_event e report) t.registry
 
 let topology t =
   List.rev_map
-    (fun r -> (r.reg_name, r.reg_owner, r.reg_installers ()))
+    (fun (Reg e) -> (e.e_name, e.default_handler.installer, installers e))
     t.registry
 
 let uninstall_installer t ~installer =
-  List.fold_left (fun acc r -> acc + r.reg_remove installer) 0 t.registry
+  List.fold_left
+    (fun acc (Reg e) -> acc + remove_installer e installer) 0 t.registry
 
 (* ------------------ trusted-path observability -------------------- *)
 
 let trusted_total t =
-  List.fold_left (fun acc r -> acc + r.reg_trusted ()) 0 t.registry
+  List.fold_left (fun acc (Reg e) -> acc + e.stats.trusted_fast) 0 t.registry
 
 let verifier_rejections t = t.s_verifier_rejections
 
-let handler_specs t =
-  List.concat_map (fun r -> r.reg_specs ()) (List.rev t.registry)
-
 let installed_specs t ~installer =
-  List.filter
-    (fun (i : Handler_spec.info) ->
-      String.equal i.Handler_spec.i_installer installer)
-    (handler_specs t)
+  List.concat_map
+    (fun (Reg e) ->
+      List.filter
+        (fun (i : Handler_spec.info) ->
+          String.equal i.Handler_spec.i_installer installer)
+        (specs e))
+    (List.rev t.registry)

@@ -242,32 +242,34 @@ val indexed_active : ('a, 'r) event -> int
     forces the [General] plan; at 0 the fast path resumes. *)
 
 type stats = {
-  raises : int;
-  fast_path : int;      (** raises that collapsed to a direct call *)
-  invocations : int;    (** handler bodies executed *)
-  guard_rejections : int;
-  aborted : int;        (** bounded handlers that overran *)
-  handler_failures : int;
+  mutable raises : int;
+  mutable fast_path : int;      (** raises that collapsed to a direct call *)
+  mutable invocations : int;    (** handler bodies executed *)
+  mutable guard_rejections : int;
+  mutable aborted : int;        (** bounded handlers that overran *)
+  mutable handler_failures : int;
   (** extension handlers that raised: caught, counted, traced and
       uninstalled — failure is isolated to the extension (paper,
       section 4.3). An overrun is counted in [aborted] instead, and
       its handler stays installed. Primary-handler exceptions
       propagate (the default implementation is trusted). *)
-  stale_skips : int;
+  mutable stale_skips : int;
   (** asynchronous handler invocations skipped because the handler was
       uninstalled (or evicted) between the raise and the
       deferred thunk running — the dispatch-during-uninstall race,
       detected and resolved in the handler's disfavor. *)
-  gated_waits : int;
+  mutable gated_waits : int;
   (** raises that arrived while the event was gated (a hot-swap window)
       and were held until the gate reopened. *)
-  trusted_fast : int;
+  mutable trusted_fast : int;
   (** dispatches delivered through the trusted-fast path: a verified
       predicate matched and the handler ran with zero per-event
       guard/bound checks. *)
 }
 
 val stats : ('a, 'r) event -> stats
+(** A copy of the event's counters: a snapshot that later raises do
+    not move. *)
 
 val trusted_total : t -> int
 (** Trusted-fast dispatches summed across every declared event — the

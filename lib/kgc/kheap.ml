@@ -20,10 +20,10 @@ type page = {
 type root = { mutable v : value }
 
 type gc_stats = {
-  collections : int;
-  pages_pinned : int;
-  words_freed : int;
-  pause_cycles : int;
+  mutable collections : int;
+  mutable pages_pinned : int;
+  mutable words_freed : int;
+  mutable pause_cycles : int;
 }
 
 type t = {
@@ -36,10 +36,7 @@ type t = {
   mutable auto : bool;
   mutable since_gc : int;
   mutable in_gc : bool;
-  mutable s_collections : int;
-  mutable s_pinned : int;
-  mutable s_freed : int;
-  mutable s_pause : int;
+  stats : gc_stats;
 }
 
 (* Collector page size. *)
@@ -54,7 +51,9 @@ let create clock () =
     pages = []; next_pid = 0;
     roots = []; ambiguous = [];
     auto = true; since_gc = 0; in_gc = false;
-    s_collections = 0; s_pinned = 0; s_freed = 0; s_pause = 0 }
+    stats =
+      { collections = 0; pages_pinned = 0; words_freed = 0;
+        pause_cycles = 0 } }
 
 let addr_of page offset = (page.pid * page_words) + offset
 
@@ -100,7 +99,7 @@ let collect_now t =
           Some o
         | None -> None)
       t.ambiguous in
-  t.s_pinned <- t.s_pinned + Hashtbl.length pinned_pids;
+  t.stats.pages_pinned <- t.stats.pages_pinned + Hashtbl.length pinned_pids;
   (* 2. Trace reachability from unambiguous + ambiguous roots. *)
   let live : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let rec trace v =
@@ -138,7 +137,7 @@ let collect_now t =
           end else begin
             Hashtbl.remove t.objects old;
             freed := !freed + words;
-            t.s_freed <- t.s_freed + words
+            t.stats.words_freed <- t.stats.words_freed + words
           end)
         p.objs)
     from_pages;
@@ -157,8 +156,8 @@ let collect_now t =
   (* 6. Account the pause. *)
   let pause = cost.Cost.gc_pause + !work in
   Clock.charge t.clock pause;
-  t.s_pause <- t.s_pause + pause;
-  t.s_collections <- t.s_collections + 1;
+  t.stats.pause_cycles <- t.stats.pause_cycles + pause;
+  t.stats.collections <- t.stats.collections + 1;
   t.since_gc <- 0;
   t.in_gc <- false;
   ignore !freed
@@ -229,9 +228,4 @@ let owner_words t ~owner =
       if String.equal o.owner owner then acc + Array.length o.fields else acc)
     t.objects 0
 
-let stats t = {
-  collections = t.s_collections;
-  pages_pinned = t.s_pinned;
-  words_freed = t.s_freed;
-  pause_cycles = t.s_pause;
-}
+let stats t = { t.stats with collections = t.stats.collections }

@@ -30,10 +30,10 @@ type root
     moves. *)
 
 type gc_stats = {
-  collections : int;
-  pages_pinned : int;           (** cumulative, over all collections *)
-  words_freed : int;
-  pause_cycles : int;           (** cumulative stop-the-world time *)
+  mutable collections : int;
+  mutable pages_pinned : int;   (** cumulative, over all collections *)
+  mutable words_freed : int;
+  mutable pause_cycles : int;   (** cumulative stop-the-world time *)
 }
 
 val create : Spin_machine.Clock.t -> unit -> t

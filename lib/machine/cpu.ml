@@ -5,20 +5,24 @@ type trap =
 
 exception Unhandled_trap of trap
 
+type trap_stats = {
+  mutable entries : int;
+  mutable exits : int;
+  mutable depth : int;
+}
+
 type t = {
   id : int;
   clock : Clock.t;
   mmu : Mmu.t;
   mutable ctx : Mmu.context option;
   mutable handler : (trap -> int) option;
-  mutable trap_entries : int;
-  mutable trap_exits : int;
-  mutable trap_depth : int;
+  traps : trap_stats;
 }
 
 let create ?(id = 0) clock mmu =
   { id; clock; mmu; ctx = None; handler = None;
-    trap_entries = 0; trap_exits = 0; trap_depth = 0 }
+    traps = { entries = 0; exits = 0; depth = 0 } }
 
 let id t = t.id
 
@@ -29,8 +33,8 @@ let set_trap_handler t h = t.handler <- Some h
    raises, so [trap_exit] runs on both arms. A handler that raises used
    to skip it, which undercharged every fault path that aborts. *)
 let trap_exit t =
-  t.trap_depth <- t.trap_depth - 1;
-  t.trap_exits <- t.trap_exits + 1;
+  t.traps.depth <- t.traps.depth - 1;
+  t.traps.exits <- t.traps.exits + 1;
   Clock.charge t.clock (Clock.cost t.clock).Cost.trap_exit
 
 let trap t tr =
@@ -38,8 +42,8 @@ let trap t tr =
   | None -> raise (Unhandled_trap tr)
   | Some handler ->
     Clock.charge t.clock (Clock.cost t.clock).Cost.trap_entry;
-    t.trap_entries <- t.trap_entries + 1;
-    t.trap_depth <- t.trap_depth + 1;
+    t.traps.entries <- t.traps.entries + 1;
+    t.traps.depth <- t.traps.depth + 1;
     match handler tr with
     | r -> trap_exit t; r
     | exception e -> trap_exit t; raise e
@@ -87,11 +91,4 @@ let store_word t ~va v =
   charge_access t;
   Phys_mem.write_word (Mmu.mem t.mmu) ~pa v
 
-type trap_stats = {
-  entries : int;
-  exits : int;
-  depth : int;
-}
-
-let trap_stats t =
-  { entries = t.trap_entries; exits = t.trap_exits; depth = t.trap_depth }
+let trap_stats t = { t.traps with entries = t.traps.entries }

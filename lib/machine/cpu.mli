@@ -43,9 +43,9 @@ val set_trap_handler : t -> (trap -> int) -> unit
     result is delivered as the trap's return value (syscall result). *)
 
 type trap_stats = {
-  entries : int;   (** trap entries charged since boot *)
-  exits : int;     (** trap exits charged since boot *)
-  depth : int;     (** currently nested traps (0 when quiescent) *)
+  mutable entries : int;  (** trap entries charged since boot *)
+  mutable exits : int;    (** trap exits charged since boot *)
+  mutable depth : int;    (** currently nested traps (0 when quiescent) *)
 }
 
 val trap_stats : t -> trap_stats

@@ -4,12 +4,13 @@ module Clock = Spin_machine.Clock
 let proto = 200
 let header = 4                            (* handler u16, len u16 *)
 
+type stats = { mutable delivered : int; mutable dropped : int }
+
 type t = {
   machine : Machine.t;
   ip : Ip.t;
   handlers : (src:Ip.addr -> Bytes.t -> unit) Spin_dstruct.Idtable.t;
-  mutable s_delivered : int;
-  mutable s_dropped : int;
+  stats : stats;
 }
 
 let charge t =
@@ -28,21 +29,21 @@ let input t (pkt : Ip.packet) =
     else None in
   match handler with
   | Some handler ->
-    t.s_delivered <- t.s_delivered + 1;
+    t.stats.delivered <- t.stats.delivered + 1;
     (* Extension boundary: handlers own their argument, so hand them a
        private copy (charged — a true copy point). *)
     Clock.charge t.machine.Machine.clock
       (Spin_machine.Cost.copy_cycles
          (Clock.cost t.machine.Machine.clock) ~bytes:len);
     handler ~src:pkt.Ip.src (Pkt.contents (Pkt.sub b ~pos:header ~len))
-  | None -> t.s_dropped <- t.s_dropped + 1
+  | None -> t.stats.dropped <- t.stats.dropped + 1
 
 let create machine dispatcher ip =
   ignore dispatcher;
   let t = {
     machine; ip;
     handlers = Spin_dstruct.Idtable.create ();
-    s_delivered = 0; s_dropped = 0;
+    stats = { delivered = 0; dropped = 0 };
   } in
   ignore (Ip.attach ip ~proto ~installer:"A.M." (input t));
   t
@@ -62,6 +63,4 @@ let send t ~dst ~handler payload =
   Bytes.set_uint16_le buf (off + 2) (Bytes.length payload);
   Ip.send t.ip ~dst ~proto pkt
 
-type stats = { delivered : int; dropped : int }
-
-let stats t = { delivered = t.s_delivered; dropped = t.s_dropped }
+let stats t = { t.stats with delivered = t.stats.delivered }

@@ -15,6 +15,6 @@ val register : t -> (src:Ip.addr -> Bytes.t -> unit) -> int
 
 val send : t -> dst:Ip.addr -> handler:int -> Bytes.t -> bool
 
-type stats = { delivered : int; dropped : int }
+type stats = { mutable delivered : int; mutable dropped : int }
 
 val stats : t -> stats

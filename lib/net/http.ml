@@ -7,6 +7,14 @@ module Dispatcher = Spin_core.Dispatcher
 module Ebc = Spin_core.Ebc
 module Ty = Spin_core.Ty
 
+type stats = {
+  mutable requests : int;
+  mutable ok : int;
+  mutable not_found : int;
+  mutable dynamic : int;
+  mutable fallbacks : int;
+}
+
 type t = {
   machine : Machine.t;
   sched : Sched.t;
@@ -14,11 +22,7 @@ type t = {
   cache : File_cache.t;
   content : (string, Bytes.t option) Dispatcher.event option;
   mutable fallback : Bytes.t option;
-  mutable s_requests : int;
-  mutable s_ok : int;
-  mutable s_not_found : int;
-  mutable s_dynamic : int;
-  mutable s_fallbacks : int;
+  stats : stats;
 }
 
 let parse_request line =
@@ -70,16 +74,16 @@ let serve_miss t conn name =
     | Some ev -> Dispatcher.raise_event ev name in
   match generated with
   | Some body ->
-    t.s_ok <- t.s_ok + 1;
-    t.s_dynamic <- t.s_dynamic + 1;
+    t.stats.ok <- t.stats.ok + 1;
+    t.stats.dynamic <- t.stats.dynamic + 1;
     respond t conn ~status:"200 OK" ~body
   | None ->
     match t.fallback with
     | Some body ->
-      t.s_fallbacks <- t.s_fallbacks + 1;
+      t.stats.fallbacks <- t.stats.fallbacks + 1;
       respond t conn ~status:"503 Service Unavailable" ~body
     | None ->
-      t.s_not_found <- t.s_not_found + 1;
+      t.stats.not_found <- t.stats.not_found + 1;
       respond t conn ~status:"404 Not Found" ~body:Bytes.empty
 
 let serve t conn request =
@@ -88,14 +92,14 @@ let serve t conn request =
   | Some name ->
     match File_cache.fetch t.cache ~name with
     | Some body ->
-      t.s_ok <- t.s_ok + 1;
+      t.stats.ok <- t.stats.ok + 1;
       respond t conn ~status:"200 OK" ~body
     | None -> serve_miss t conn name
 
 let handle_request t conn request =
   Clock.charge t.machine.Machine.clock
     (Clock.cost t.machine.Machine.clock).Spin_machine.Cost.http_parse;
-  t.s_requests <- t.s_requests + 1;
+  t.stats.requests <- t.stats.requests + 1;
   let tr = Trace.of_clock t.machine.Machine.clock in
   let sp =
     if Trace.on tr then
@@ -131,8 +135,8 @@ let create ?dispatcher machine sched tcp cache =
       dispatcher in
   let t = {
     machine; sched; tcp; cache; content; fallback = None;
-    s_requests = 0; s_ok = 0; s_not_found = 0; s_dynamic = 0;
-    s_fallbacks = 0;
+    stats =
+      { requests = 0; ok = 0; not_found = 0; dynamic = 0; fallbacks = 0 };
   } in
   Tcp.listen tcp ~port:80 ~on_accept:(fun conn ->
     let pending = Buffer.create 128 in
@@ -172,18 +176,4 @@ let install_route t ~installer ~path handler =
 
 let set_fallback t body = t.fallback <- Some body
 
-type stats = {
-  requests : int;
-  ok : int;
-  not_found : int;
-  dynamic : int;
-  fallbacks : int;
-}
-
-let stats t = {
-  requests = t.s_requests;
-  ok = t.s_ok;
-  not_found = t.s_not_found;
-  dynamic = t.s_dynamic;
-  fallbacks = t.s_fallbacks;
-}
+let stats t = { t.stats with requests = t.stats.requests }

@@ -44,11 +44,11 @@ val set_fallback : t -> Bytes.t -> unit
     fallback such requests get an empty [404]. *)
 
 type stats = {
-  requests : int;
-  ok : int;
-  not_found : int;
-  dynamic : int;     (** responses produced by content generators *)
-  fallbacks : int;   (** degraded responses (static error page) *)
+  mutable requests : int;
+  mutable ok : int;
+  mutable not_found : int;
+  mutable dynamic : int;     (** responses produced by content generators *)
+  mutable fallbacks : int;   (** degraded responses (static error page) *)
 }
 
 val stats : t -> stats

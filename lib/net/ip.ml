@@ -33,9 +33,9 @@ let link_header = 2                       (* ethertype only: p2p links *)
 let ip_header = 12
 
 type stats = {
-  forwarded : int;
-  dropped : int;
-  sent : int;
+  mutable forwarded : int;
+  mutable dropped : int;
+  mutable sent : int;
 }
 
 type t = {
@@ -43,9 +43,7 @@ type t = {
   event : (packet, unit) Dispatcher.event;
   mutable addrs : addr list;               (* this host's, one per interface *)
   mutable routes : (addr * Netif.t) list;
-  mutable s_forwarded : int;
-  mutable s_dropped : int;
-  mutable s_sent : int;
+  stats : stats;
 }
 
 (* The bytecode view of a packet: header fields as typed slots, the
@@ -75,7 +73,7 @@ let create machine dispatcher =
       ~layout:packet_layout
       (fun (_ : packet) -> ()) in
   { machine; event; addrs = []; routes = [];
-    s_forwarded = 0; s_dropped = 0; s_sent = 0 }
+    stats = { forwarded = 0; dropped = 0; sent = 0 } }
 
 let packet_arrived t = t.event
 
@@ -136,10 +134,10 @@ let deliver t pkt =
 let transmit_on t netif ~src ~dst ~proto ~ttl payload =
   push_headers payload ~src ~dst ~proto ~ttl;
   if Netif.transmit netif payload then begin
-    t.s_sent <- t.s_sent + 1;
+    t.stats.sent <- t.stats.sent + 1;
     true
   end else begin
-    t.s_dropped <- t.s_dropped + 1;
+    t.stats.dropped <- t.stats.dropped + 1;
     false
   end
 
@@ -150,21 +148,21 @@ let send t ?src ~dst ~proto payload =
   let src = match src with Some s -> s | None -> local_addr t in
   trace_pkt t "send" ~src ~dst ~proto;
   if is_local t dst then begin
-    t.s_sent <- t.s_sent + 1;
+    t.stats.sent <- t.stats.sent + 1;
     deliver t { src; dst; proto; ttl = 64; payload };
     true
   end else
     match route_in dst t.routes with
-    | exception Not_found -> t.s_dropped <- t.s_dropped + 1; false
+    | exception Not_found -> t.stats.dropped <- t.stats.dropped + 1; false
     | netif ->
       if Pkt.length payload > Netif.mtu netif - link_header - ip_header
       then begin
-        t.s_dropped <- t.s_dropped + 1;
+        t.stats.dropped <- t.stats.dropped + 1;
         false
       end else transmit_on t netif ~src ~dst ~proto ~ttl:64 payload
 
 let drop t pkt =
-  t.s_dropped <- t.s_dropped + 1;
+  t.stats.dropped <- t.stats.dropped + 1;
   trace_pkt t "drop" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto
 
 let forward t pkt =
@@ -173,32 +171,40 @@ let forward t pkt =
     match route_in pkt.dst t.routes with
     | exception Not_found -> drop t pkt
     | netif ->
-      t.s_forwarded <- t.s_forwarded + 1;
+      t.stats.forwarded <- t.stats.forwarded + 1;
       trace_pkt t "forward" ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto;
       ignore
         (transmit_on t netif ~src:pkt.src ~dst:pkt.dst ~proto:pkt.proto
            ~ttl:(pkt.ttl - 1) pkt.payload)
 
+(* A frame too short for its headers is dropped before any header is
+   read: a read past its end would fault this handler, and the
+   dispatcher would evict IP from the interface. *)
 let input t frame =
   charge t;
-  Pkt.drop frame link_header;
-  let proto = Pkt.get_u8 frame 0 in
-  let ttl = Pkt.get_u8 frame 1 in
-  let len = Pkt.get_u16_le frame 2 in
-  let src = Pkt.get_u32_le frame 4 in
-  let dst = Pkt.get_u32_le frame 8 in
-  Pkt.drop frame ip_header;
-  if Pkt.length frame < len then t.s_dropped <- t.s_dropped + 1
+  if Pkt.length frame < link_header + ip_header then
+    t.stats.dropped <- t.stats.dropped + 1
   else begin
-    (* The payload is the received frame itself, trimmed — the consumed
-       headers remain in its headroom for an in-place response. *)
-    Pkt.truncate frame len;
-    let pkt = { src; dst; proto; ttl; payload = frame } in
-    if is_local t dst then deliver t pkt else forward t pkt
+    Pkt.drop frame link_header;
+    let proto = Pkt.get_u8 frame 0 in
+    let ttl = Pkt.get_u8 frame 1 in
+    let len = Pkt.get_u16_le frame 2 in
+    let src = Pkt.get_u32_le frame 4 in
+    let dst = Pkt.get_u32_le frame 8 in
+    Pkt.drop frame ip_header;
+    if Pkt.length frame < len then t.stats.dropped <- t.stats.dropped + 1
+    else begin
+      (* The payload is the received frame itself, trimmed — the
+         consumed headers remain in its headroom for an in-place
+         response. *)
+      Pkt.truncate frame len;
+      let pkt = { src; dst; proto; ttl; payload = frame } in
+      if is_local t dst then deliver t pkt else forward t pkt
+    end
   end
 
-(* The ethertype check as bytecode: a short-frame [Ldw] reads 0, which
-   is not the ethertype, so the length test is implied. *)
+(* The ethertype check as bytecode: an [Ldw] past a frame's end reads
+   0, which is not the ethertype. [input] checks the IP header's room. *)
 let frame_is_ip_prog =
   Ebc.[| Ldw (0, 0); Ldi (1, ethertype_ip); Eq (2, 0, 1); Ret 2 |]
 
@@ -225,8 +231,4 @@ let attach t ~proto ~installer handler =
             (Ebc.match_field ~slot:proto_slot proto))
        handler)
 
-let stats t = {
-  forwarded = t.s_forwarded;
-  dropped = t.s_dropped;
-  sent = t.s_sent;
-}
+let stats t = { t.stats with sent = t.stats.sent }

@@ -70,9 +70,9 @@ val send :
     MTU (no fragmentation). Local destinations loop back. *)
 
 type stats = {
-  forwarded : int;
-  dropped : int;
-  sent : int;
+  mutable forwarded : int;
+  mutable dropped : int;
+  mutable sent : int;
 }
 
 val stats : t -> stats

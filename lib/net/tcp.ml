@@ -55,6 +55,14 @@ module Conns = Hashtbl.Make (struct
   let hash k = (((k.k_lport * 65599) + k.k_rport) * 65599) + k.k_raddr
 end)
 
+type stats = {
+  mutable segments_sent : int;
+  mutable segments_received : int;
+  mutable retransmits : int;
+  mutable resets : int;
+  mutable accepted : int;
+}
+
 type conn = {
   key : key;
   l_port : int;
@@ -89,11 +97,7 @@ and engine = {
   probe : key;                           (* reused by every lookup *)
   listeners : (int, conn -> unit) Hashtbl.t;
   mutable next_port : int;
-  mutable s_out : int;
-  mutable s_in : int;
-  mutable s_rexmit : int;
-  mutable s_rst : int;
-  mutable s_accept : int;
+  stats : stats;
 }
 
 type t = engine
@@ -103,14 +107,6 @@ let mss = 1024
 let rto_us = 200_000.
 let delayed_ack_us = 10_000.
 let max_retries = 8
-
-type stats = {
-  segments_sent : int;
-  segments_received : int;
-  retransmits : int;
-  resets : int;
-  accepted : int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Wire format                                                        *)
@@ -172,7 +168,7 @@ let emit t conn ~seq ~flags data =
    | Some h -> Sim.cancel t.machine.Machine.sim h; conn.delayed_ack <- None
    | None -> ());
   conn.unacked_rx <- 0;
-  t.s_out <- t.s_out + 1;
+  t.stats.segments_sent <- t.stats.segments_sent + 1;
   (* Everything carries an ACK except the very first SYN (nothing has
      been received yet, so there is nothing to acknowledge). *)
   let flags =
@@ -214,7 +210,7 @@ let rec on_timeout t conn =
       (* Go-Back-N: resend everything outstanding. *)
       List.iter
         (fun u ->
-          t.s_rexmit <- t.s_rexmit + 1;
+          t.stats.retransmits <- t.stats.retransmits + 1;
           let tr = Trace.of_clock t.machine.Machine.clock in
           if Trace.on tr then
             Trace.instant tr ~cat:"tcp" ~name:"retransmit"
@@ -403,7 +399,7 @@ let segment_arrived t b src =
          handle_ack t conn (ack_of b);
          if conn.snd_una > 0 then begin
            conn.st <- Established;
-           t.s_accept <- t.s_accept + 1;
+           t.stats.accepted <- t.stats.accepted + 1;
            match Hashtbl.find_opt t.listeners conn.l_port with
            | Some on_accept -> on_accept conn
            | None -> ()
@@ -423,9 +419,9 @@ let segment_arrived t b src =
       transmit_segment t conn ~flags:flag_syn (Pkt.empty ())
     end else if flags land flag_rst = 0 then begin
       (* No home for it: RST. *)
-      t.s_rst <- t.s_rst + 1;
+      t.stats.resets <- t.stats.resets + 1;
       charge t;
-      t.s_out <- t.s_out + 1;
+      t.stats.segments_sent <- t.stats.segments_sent + 1;
       ignore (Ip.send t.ip ~src:(Ip.local_addr t.ip) ~dst:src ~proto:Ip.proto_tcp
                 (encode ~sport:(dport b) ~dport:(sport b) ~seq:(ack_of b)
                    ~ack:(seq_of b) ~flags:flag_rst (Pkt.empty ())))
@@ -433,7 +429,7 @@ let segment_arrived t b src =
 
 let handle_segment t (pkt : Ip.packet) =
   let b = pkt.Ip.payload in
-  t.s_in <- t.s_in + 1;
+  t.stats.segments_received <- t.stats.segments_received + 1;
   charge t;
   let tr = Trace.of_clock t.machine.Machine.clock in
   let sp =
@@ -462,7 +458,9 @@ let create machine sched dispatcher ip =
     probe = { k_lport = 0; k_raddr = 0; k_rport = 0 };
     listeners = Hashtbl.create 16;
     next_port = 32768;
-    s_out = 0; s_in = 0; s_rexmit = 0; s_rst = 0; s_accept = 0;
+    stats =
+      { segments_sent = 0; segments_received = 0; retransmits = 0;
+        resets = 0; accepted = 0 };
   } in
   ignore
     (Ip.attach ip ~proto:Ip.proto_tcp ~installer:"TCP"
@@ -562,17 +560,11 @@ let close t conn =
 
 let abort t conn =
   if conn.st <> Closed then begin
-    t.s_rst <- t.s_rst + 1;
+    t.stats.resets <- t.stats.resets + 1;
     emit t conn ~seq:conn.snd_nxt ~flags:flag_rst (Pkt.empty ());
     teardown t conn
   end
 
 let state conn = conn.st
 
-let stats t = {
-  segments_sent = t.s_out;
-  segments_received = t.s_in;
-  retransmits = t.s_rexmit;
-  resets = t.s_rst;
-  accepted = t.s_accept;
-}
+let stats t = { t.stats with segments_sent = t.stats.segments_sent }

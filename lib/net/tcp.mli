@@ -79,11 +79,11 @@ val abort : t -> conn -> unit
 val state : conn -> state
 
 type stats = {
-  segments_sent : int;
-  segments_received : int;
-  retransmits : int;
-  resets : int;
-  accepted : int;
+  mutable segments_sent : int;
+  mutable segments_received : int;
+  mutable retransmits : int;
+  mutable resets : int;
+  mutable accepted : int;
 }
 
 val stats : t -> stats

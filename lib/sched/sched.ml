@@ -16,15 +16,15 @@ type events = {
 let quantum = 50_000                      (* cycles per slice: ~375 us *)
 
 type stats = {
-  switches : int;
-  preemptions : int;
-  completed : int;
-  failed : int;
-  redundant_unblocks : int;
-  dead_unblocks : int;
-  steals : int;
-  ipi_wakeups : int;
-  ipi_dropped : int;
+  mutable switches : int;
+  mutable preemptions : int;
+  mutable completed : int;
+  mutable failed : int;
+  mutable redundant_unblocks : int;
+  mutable dead_unblocks : int;
+  mutable steals : int;
+  mutable ipi_wakeups : int;
+  mutable ipi_dropped : int;
 }
 
 type choice = Strand | Cpu | Steal
@@ -62,15 +62,7 @@ type t = {
   mutable chooser : (choice -> int -> int) option;
   mutable probe : (unit -> unit) option;  (* runs at every scheduling point *)
   mutable on_violation : (string -> unit) option;
-  mutable s_switches : int;
-  mutable s_preempt : int;
-  mutable s_completed : int;
-  mutable s_failed : int;
-  mutable s_redundant_unblocks : int;
-  mutable s_dead_unblocks : int;
-  mutable s_steals : int;
-  mutable s_ipi_wakeups : int;
-  mutable s_ipi_dropped : int;
+  stats : stats;
 }
 
 let owner_name = "GlobalSched"
@@ -153,7 +145,7 @@ let deliver_ipi_wakeup t ~cpu s =
     (* [finish] cleared the marker: the strand died with the IPI in
        flight. Dropping the late interrupt is correct, not a
        violation — count it for the curious. *)
-    t.s_ipi_dropped <- t.s_ipi_dropped + 1
+    t.stats.ipi_dropped <- t.stats.ipi_dropped + 1
   else begin
     Hashtbl.remove t.ipi_pending s.Strand.id;
     match s.Strand.state with
@@ -164,15 +156,16 @@ let deliver_ipi_wakeup t ~cpu s =
          immediately — the lost-wakeup race, closed the same way as on
          one CPU. *)
       Hashtbl.replace t.pending_wakeups s.Strand.id ()
-    | Strand.Runnable -> t.s_redundant_unblocks <- t.s_redundant_unblocks + 1
-    | Strand.Dead -> t.s_ipi_dropped <- t.s_ipi_dropped + 1
+    | Strand.Runnable ->
+      t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
+    | Strand.Dead -> t.stats.ipi_dropped <- t.stats.ipi_dropped + 1
   end
 
 let default_unblock t s =
   if Hashtbl.mem t.ipi_pending s.Strand.id then
     (* A wakeup IPI is already in flight for this strand; this unblock
        is satisfied by that delivery. *)
-    t.s_redundant_unblocks <- t.s_redundant_unblocks + 1
+    t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
   else match s.Strand.state with
   | Strand.Blocked | Strand.Created ->
     let cpu = target_cpu t s in
@@ -181,7 +174,7 @@ let default_unblock t s =
        (* The strand belongs on another CPU's queue: signal that CPU
           instead of reaching into its queue from here. *)
        Hashtbl.replace t.ipi_pending s.Strand.id ();
-       t.s_ipi_wakeups <- t.s_ipi_wakeups + 1;
+       t.stats.ipi_wakeups <- t.stats.ipi_wakeups + 1;
        Intr.post_ipi intr ~cpu (fun () -> deliver_ipi_wakeup t ~cpu s)
      | Some _ | None -> enqueue_wakeup t ~cpu s)
   | Strand.Running ->
@@ -189,12 +182,13 @@ let default_unblock t s =
        interrupt handler woke it early): remember the wakeup so the
        suspension returns immediately instead of losing it. *)
     Hashtbl.replace t.pending_wakeups s.Strand.id ()
-  | Strand.Runnable -> t.s_redundant_unblocks <- t.s_redundant_unblocks + 1
+  | Strand.Runnable ->
+    t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
   | Strand.Dead ->
     (* Waking the dead is a use-after-free in spirit: some package
        kept a strand reference past its lifetime (e.g. an uncancelled
        timer). Harmless here, but the fuzzer flags it. *)
-    t.s_dead_unblocks <- t.s_dead_unblocks + 1;
+    t.stats.dead_unblocks <- t.stats.dead_unblocks + 1;
     report_violation t
       (Printf.sprintf "unblock raised on dead strand %s" (Strand.to_string s))
 
@@ -223,9 +217,10 @@ let create ?intr sim dispatcher =
          slice_start = 0; preempt_requested = false;
          chooser = None;
          probe = None; on_violation = None;
-         s_switches = 0; s_preempt = 0; s_completed = 0;
-         s_failed = 0; s_redundant_unblocks = 0; s_dead_unblocks = 0;
-         s_steals = 0; s_ipi_wakeups = 0; s_ipi_dropped = 0 }) in
+         stats =
+           { switches = 0; preemptions = 0; completed = 0; failed = 0;
+             redundant_unblocks = 0; dead_unblocks = 0; steals = 0;
+             ipi_wakeups = 0; ipi_dropped = 0 } }) in
   let t = Lazy.force t in
   (* Quantum accounting: request preemption when the slice expires. *)
   Clock.add_hook clock (fun clock ->
@@ -397,7 +392,7 @@ let try_steal t ~thief =
         let s = Dllist.value node in
         dequeue t s;
         enqueue t ~cpu:thief s;
-        t.s_steals <- t.s_steals + 1
+        t.stats.steals <- t.stats.steals + 1
       | None -> ()
 
 (* Whether some CPU at or after [c] holds at least two strands — the
@@ -428,8 +423,8 @@ let finish t s outcome =
   (match outcome with
    | Coro.Failed e ->
      s.Strand.failure <- Some e;
-     t.s_failed <- t.s_failed + 1
-   | Coro.Done -> t.s_completed <- t.s_completed + 1
+     t.stats.failed <- t.stats.failed + 1
+   | Coro.Done -> t.stats.completed <- t.stats.completed + 1
    | Coro.Suspended _ -> assert false);
   (* Capability dies with the strand. *)
   Spin_core.Capability.revoke (Strand.capability s);
@@ -445,7 +440,7 @@ let finish t s outcome =
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in
   Clock.charge t.clock (cost.Cost.context_switch + cost.Cost.switch_extra);
-  t.s_switches <- t.s_switches + 1;
+  t.stats.switches <- t.stats.switches + 1;
   t.exec_cpu <- cpu;
   (match t.intr with Some intr -> Intr.set_active_cpu intr cpu | None -> ());
   s.Strand.last_cpu <- cpu;
@@ -611,7 +606,7 @@ let preempt_point t =
   if t.preempt_requested then begin
     match t.current with
     | Some _ ->
-      t.s_preempt <- t.s_preempt + 1;
+      t.stats.preemptions <- t.stats.preemptions + 1;
       t.preempt_requested <- false;
       Coro.suspend Coro.Yielded
     | None -> t.preempt_requested <- false
@@ -649,17 +644,7 @@ let install_handler_guarded event ~installer ~cap fn =
        ~spec:(Dispatcher.Handler_spec.guarded (Strand.holds_capability cap))
        fn)
 
-let stats t = {
-  switches = t.s_switches;
-  preemptions = t.s_preempt;
-  completed = t.s_completed;
-  failed = t.s_failed;
-  redundant_unblocks = t.s_redundant_unblocks;
-  dead_unblocks = t.s_dead_unblocks;
-  steals = t.s_steals;
-  ipi_wakeups = t.s_ipi_wakeups;
-  ipi_dropped = t.s_ipi_dropped;
-}
+let stats t = { t.stats with switches = t.stats.switches }
 
 let runnable_count t =
   let n = ref 0 in

@@ -163,22 +163,22 @@ val install_handler_guarded :
     capability. *)
 
 type stats = {
-  switches : int;          (** context switches (slices started) *)
-  preemptions : int;       (** involuntary yields at preemption points *)
-  completed : int;         (** strand bodies that returned *)
-  failed : int;            (** strand bodies that raised *)
-  redundant_unblocks : int;
+  mutable switches : int;     (** context switches (slices started) *)
+  mutable preemptions : int;  (** involuntary yields at preemption points *)
+  mutable completed : int;    (** strand bodies that returned *)
+  mutable failed : int;       (** strand bodies that raised *)
+  mutable redundant_unblocks : int;
       (** unblocks of already-runnable strands, or unblocks satisfied
           by a wakeup IPI already in flight (benign, but noisy wakeup
           protocols show up here) *)
-  dead_unblocks : int;
+  mutable dead_unblocks : int;
       (** unblocks of dead strands — a strand reference kept past its
           lifetime (also reported through the violation hook) *)
-  steals : int;
+  mutable steals : int;
       (** strands migrated to an idle CPU by the steal path *)
-  ipi_wakeups : int;
+  mutable ipi_wakeups : int;
       (** wakeups that travelled cross-CPU as IPIs *)
-  ipi_dropped : int;
+  mutable ipi_dropped : int;
       (** wakeup IPIs delivered after their strand finished — correct
           to drop, counted for the curious *)
 }

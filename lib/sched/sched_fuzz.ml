@@ -13,10 +13,10 @@ module Rng = Spin_dstruct.Splitmix
 
 type stats = {
   seed : int;
-  decisions : int;           (* strand choices *)
-  cpu_decisions : int;       (* CPU and steal choices (0 on one CPU) *)
-  injected_preempts : int;   (* preemptions forced at charge boundaries *)
-  violations : int;
+  mutable decisions : int;          (* strand choices *)
+  mutable cpu_decisions : int;      (* CPU and steal choices (0 on one CPU) *)
+  mutable injected_preempts : int;  (* forced at charge boundaries *)
+  mutable violations : int;
 }
 
 type t = {
@@ -26,14 +26,10 @@ type t = {
   cpus : Cpu.t list;
   dispatcher : Dispatcher.t;
   rng : Rng.t;
-  fz_seed : int;
   mean_period : int;
   mutable enabled : bool;
   mutable next_preempt : int;
-  mutable n_decisions : int;
-  mutable n_cpu_decisions : int;
-  mutable n_injected : int;
-  mutable n_violations : int;
+  stats : stats;
   violation_log : string Queue.t;            (* capped at [max_log] *)
   strands : (int, Strand.t) Hashtbl.t;       (* every strand ever seen *)
   mutable trackers :
@@ -44,7 +40,7 @@ type t = {
 let max_log = 100
 
 let record t msg =
-  t.n_violations <- t.n_violations + 1;
+  t.stats.violations <- t.stats.violations + 1;
   if Queue.length t.violation_log < max_log then
     Queue.add (Printf.sprintf "[cycle %d] %s" (Clock.now t.clock) msg)
       t.violation_log
@@ -62,9 +58,10 @@ let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
     sched; clock = Sched.clock sched; sim = Sched.sim sched;
     cpus; dispatcher;
     rng = Rng.create ~seed;
-    fz_seed = seed; mean_period;
-    enabled = true; next_preempt = 0;
-    n_decisions = 0; n_cpu_decisions = 0; n_injected = 0; n_violations = 0;
+    mean_period; enabled = true; next_preempt = 0;
+    stats =
+      { seed; decisions = 0; cpu_decisions = 0; injected_preempts = 0;
+        violations = 0 };
     violation_log = Queue.create ();
     strands = Hashtbl.create 64;
     trackers = [];
@@ -87,9 +84,9 @@ let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
   Sched.set_chooser sched
     (Some (fun kind n ->
        (match kind with
-        | Sched.Strand -> t.n_decisions <- t.n_decisions + 1
+        | Sched.Strand -> t.stats.decisions <- t.stats.decisions + 1
         | Sched.Cpu | Sched.Steal ->
-          t.n_cpu_decisions <- t.n_cpu_decisions + 1);
+          t.stats.cpu_decisions <- t.stats.cpu_decisions + 1);
        Rng.below t.rng n));
   Sched.set_violation_hook sched (Some (fun m -> record t ("sched: " ^ m)));
   Dispatcher.set_violation_hook dispatcher
@@ -101,7 +98,7 @@ let attach ~cpus ~dispatcher ?(mean_period = 2_000) ~seed sched =
      only reads a flag when disabled and never charges cycles. *)
   Clock.add_hook t.clock (fun clock ->
     if t.enabled && Clock.now clock >= t.next_preempt then begin
-      t.n_injected <- t.n_injected + 1;
+      t.stats.injected_preempts <- t.stats.injected_preempts + 1;
       Sched.request_preempt sched;
       schedule_next_preempt t
     end);
@@ -163,12 +160,6 @@ let check_quiescence ?(exempt = fun _ -> false) t =
         t.cpus
   end
 
-let stats t = {
-  seed = t.fz_seed;
-  decisions = t.n_decisions;
-  cpu_decisions = t.n_cpu_decisions;
-  injected_preempts = t.n_injected;
-  violations = t.n_violations;
-}
+let stats t = { t.stats with seed = t.stats.seed }
 
 let violations t = List.of_seq (Queue.to_seq t.violation_log)

@@ -65,10 +65,12 @@ val check_quiescence : ?exempt:(Strand.t -> bool) -> t -> unit
 
 type stats = {
   seed : int;
-  decisions : int;           (** strand choices *)
-  cpu_decisions : int;       (** CPU-interleaving and steal choices (0 on one CPU) *)
-  injected_preempts : int;   (** preemptions forced at charge boundaries *)
-  violations : int;
+  mutable decisions : int;  (** strand choices *)
+  mutable cpu_decisions : int;
+      (** CPU-interleaving and steal choices (0 on one CPU) *)
+  mutable injected_preempts : int;
+      (** preemptions forced at charge boundaries *)
+  mutable violations : int;
 }
 
 val stats : t -> stats

@@ -81,9 +81,9 @@ let error_to_string = function
   | Restore_failure e -> "restore raised: " ^ Printexc.to_string e
 
 type stats = {
-  swaps : int;
-  failed_swaps : int;
-  held_raises : int;
+  mutable swaps : int;
+  mutable failed_swaps : int;
+  mutable held_raises : int;
 }
 
 type t = {
@@ -95,9 +95,7 @@ type t = {
   mutable swapper : Strand.t option;   (* exempt from the gate *)
   mutable in_progress : string option;
   mutable window_held : int;           (* raises held in this window *)
-  mutable s_swaps : int;
-  mutable s_failed : int;
-  mutable s_held : int;
+  stats : stats;
 }
 
 (* The window's virtual-time cost model, charged while the gates are
@@ -118,7 +116,7 @@ let create sched disp =
     sched; disp; clock = Sched.clock sched;
     swapped_ev; waiters = Queue.create ();
     swapper = None; in_progress = None; window_held = 0;
-    s_swaps = 0; s_failed = 0; s_held = 0;
+    stats = { swaps = 0; failed_swaps = 0; held_raises = 0 };
   } in
   (* The gate's parking half: a strand raising into a gated event
      blocks here until the swap commits and drains the queue. The swap
@@ -133,7 +131,7 @@ let create sched disp =
           | Some sw when sw.Strand.id = s.Strand.id -> false
           | Some _ | None ->
             t.window_held <- t.window_held + 1;
-            t.s_held <- t.s_held + 1;
+            t.stats.held_raises <- t.stats.held_raises + 1;
             Queue.push s t.waiters;
             Sched.block_current sched;
             true)));
@@ -156,28 +154,32 @@ let reopen t ~gated =
   t.swapper <- None;
   t.in_progress <- None
 
+(* A swap that stops short of its commit: counted, and its error
+   returned. *)
+let fail t e =
+  t.stats.failed_swaps <- t.stats.failed_swaps + 1;
+  Error e
+
 let hot_swap t ~old_domain ~replacement
     ~prepare ?(activate = fun _ -> ()) ?(unlink = fun _ -> ()) () =
   let name = Kdomain.name old_domain in
   match t.in_progress with
-  | Some d -> t.s_failed <- t.s_failed + 1; Error (Swap_in_progress d)
+  | Some d -> fail t (Swap_in_progress d)
   | None ->
     (* Phase 1 — prepare. Create and link the replacement before
        touching the old instance: a bad object file or a type conflict
        must leave the running extension exactly as it was. *)
     match prepare replacement with
-    | Error e -> t.s_failed <- t.s_failed + 1; Error (Link_failure e)
+    | Error e -> fail t (Link_failure e)
     | Ok new_domain ->
       match Kdomain.export_gaps new_domain
               ~exports:(Kdomain.exports old_domain) with
-      | _ :: _ as gaps -> t.s_failed <- t.s_failed + 1; Error (Export_gap gaps)
+      | _ :: _ as gaps -> fail t (Export_gap gaps)
       | [] ->
         let ckpt = checkpoint_fn old_domain in
         let restore = restore_fn new_domain in
         (match ckpt, restore with
-         | Some _, None ->
-           t.s_failed <- t.s_failed + 1;
-           Error (Not_restorable name)
+         | Some _, None -> fail t (Not_restorable name)
          | _ ->
            (* Phase 2 — close the window. Every event the old instance
               handles is gated: raises arriving from here on park at
@@ -221,10 +223,7 @@ let hot_swap t ~old_domain ~replacement
              | Some f ->
                (try Ok (Some (f ())) with e -> Error (Checkpoint_failure e)) in
            (match state with
-            | Error e ->
-              t.s_failed <- t.s_failed + 1;
-              reopen t ~gated;
-              Error e
+            | Error e -> reopen t ~gated; fail t e
             | Ok state ->
               (* Phase 4 — the point of no return: evict the old
                  handlers everywhere, unlink the old domain, and bring
@@ -280,15 +279,10 @@ let hot_swap t ~old_domain ~replacement
                | Error e ->
                  (* The replacement is live but empty-handed: surface
                     the restore failure to the caller. *)
-                 t.s_failed <- t.s_failed + 1;
-                 Error e
+                 fail t e
                | Ok _ ->
-                 t.s_swaps <- t.s_swaps + 1;
+                 t.stats.swaps <- t.stats.swaps + 1;
                  Dispatcher.raise_default t.swapped_ev () outcome;
                  Ok outcome)))
 
-let stats t = {
-  swaps = t.s_swaps;
-  failed_swaps = t.s_failed;
-  held_raises = t.s_held;
-}
+let stats t = { t.stats with swaps = t.stats.swaps }

@@ -121,9 +121,9 @@ val swapped_event : t -> (outcome, unit) Spin_core.Dispatcher.event
     or re-resolve interfaces. *)
 
 type stats = {
-  swaps : int;            (** committed *)
-  failed_swaps : int;
-  held_raises : int;      (** strands parked across all windows *)
+  mutable swaps : int;            (** committed *)
+  mutable failed_swaps : int;
+  mutable held_raises : int;      (** strands parked across all windows *)
 }
 
 val stats : t -> stats

@@ -22,10 +22,10 @@ type fault = {
 }
 
 type stats = {
-  faults_not_present : int;
-  faults_bad_address : int;
-  faults_protection : int;
-  invalidations : int;
+  mutable faults_not_present : int;
+  mutable faults_bad_address : int;
+  mutable faults_protection : int;
+  mutable invalidations : int;
 }
 
 type t = {
@@ -35,10 +35,7 @@ type t = {
   protection_fault : (fault, unit) Dispatcher.event;
   contexts_tbl : (int, context) Hashtbl.t;
   rmap : (int, (context * int) list ref) Hashtbl.t;  (* pfn -> mappings *)
-  mutable s_np : int;
-  mutable s_bad : int;
-  mutable s_prot : int;
-  mutable s_inval : int;
+  stats : stats;
 }
 
 let declare_fault_event dispatcher name =
@@ -55,7 +52,9 @@ let create machine dispatcher phys =
     protection_fault = declare_fault_event dispatcher "Translation.ProtectionFault";
     contexts_tbl = Hashtbl.create 16;
     rmap = Hashtbl.create 256;
-    s_np = 0; s_bad = 0; s_prot = 0; s_inval = 0;
+    stats =
+      { faults_not_present = 0; faults_bad_address = 0;
+        faults_protection = 0; invalidations = 0 };
   } in
   (* The translation service ultimately invalidates any mappings to a
      reclaimed page (paper, section 4.1). *)
@@ -70,7 +69,7 @@ let create machine dispatcher phys =
           (fun (ctx, vpn) ->
             if ctx.live then begin
               Mmu.unmap t.machine.Machine.mmu ctx.mmu_ctx ~vpn;
-              t.s_inval <- t.s_inval + 1
+              t.stats.invalidations <- t.stats.invalidations + 1
             end)
           !entries;
         Hashtbl.remove t.rmap pfn
@@ -211,16 +210,16 @@ let handle_trap t trap =
                         ("owner", ctx.owner) ] () in
           (match fault with
            | Mmu.Protection_violation ->
-             t.s_prot <- t.s_prot + 1;
+             t.stats.faults_protection <- t.stats.faults_protection + 1;
              mark "protection_fault";
              Dispatcher.raise_default t.protection_fault () f
            | Mmu.Page_not_present ->
              if in_region ctx va then begin
-               t.s_np <- t.s_np + 1;
+               t.stats.faults_not_present <- t.stats.faults_not_present + 1;
                mark "page_not_present";
                Dispatcher.raise_default t.page_not_present () f
              end else begin
-               t.s_bad <- t.s_bad + 1;
+               t.stats.faults_bad_address <- t.stats.faults_bad_address + 1;
                mark "bad_address";
                Dispatcher.raise_default t.bad_address () f
              end);
@@ -231,9 +230,4 @@ let mmu_context ctx = ctx.mmu_ctx
 
 let contexts t = Hashtbl.length t.contexts_tbl
 
-let stats t = {
-  faults_not_present = t.s_np;
-  faults_bad_address = t.s_bad;
-  faults_protection = t.s_prot;
-  invalidations = t.s_inval;
-}
+let stats t = { t.stats with invalidations = t.stats.invalidations }

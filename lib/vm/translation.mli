@@ -75,10 +75,10 @@ val mmu_context : context -> Spin_machine.Mmu.context
 val contexts : t -> int
 
 type stats = {
-  faults_not_present : int;
-  faults_bad_address : int;
-  faults_protection : int;
-  invalidations : int;     (** mappings dropped by reclamation *)
+  mutable faults_not_present : int;
+  mutable faults_bad_address : int;
+  mutable faults_protection : int;
+  mutable invalidations : int;     (** mappings dropped by reclamation *)
 }
 
 val stats : t -> stats

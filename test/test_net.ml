@@ -219,6 +219,30 @@ let test_ip_no_route_drops () =
          (Bytes.of_string "lost")));
   check bool "drop counted" true ((Ip.stats a.Host.ip).Ip.dropped > 0)
 
+(* A 4-byte frame with IP's ethertype passes IP's frame filter but is
+   too short for the IP header. IP must drop it rather than fault: a
+   faulting handler is evicted from the interface, and no datagram
+   sent after it would arrive. *)
+let test_ip_short_frame_dropped () =
+  let clock = Clock.create Cost.alpha_133 in
+  let sim = Sim.create clock in
+  let a = Host.create sim ~name:"a" ~addr:addr_a in
+  let b = Host.create sim ~name:"b" ~addr:addr_b in
+  let na, nb = Host.wire a b ~kind:Nic.Lance in
+  let got = ref 0 in
+  ignore (Udp.listen b.Host.udp ~port:9 ~installer:"sink"
+            (fun _ -> incr got));
+  in_strand [ a; b ] a (fun () ->
+    check bool "short frame sent" true
+      (Netif.transmit na (Pkt.of_string "\x00\x08\x11\x40"));
+    for _ = 1 to 3 do
+      ignore (Udp.send a.Host.udp ~dst:addr_b ~port:9 (Bytes.of_string "x"))
+    done);
+  check int "every datagram delivered" 3 !got;
+  check int "short frame dropped" 1 (Ip.stats b.Host.ip).Ip.dropped;
+  check int "IP's handler never faulted" 0
+    (Dispatcher.stats (Netif.rx_event nb)).Dispatcher.handler_failures
+
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -670,6 +694,8 @@ let () =
           test_case "forwarding through a router" `Quick
             test_ip_forwarding_through_middle_host;
           test_case "no route drops" `Quick test_ip_no_route_drops;
+          test_case "a short IP frame is dropped and IP keeps receiving" `Quick
+            test_ip_short_frame_dropped;
         ] );
       ( "icmp",
         [
