@@ -62,10 +62,3 @@ let find_clear_run t k =
     else if mem t i then scan (i + 1) 0 (i + 1)
     else scan start (run + 1) (i + 1) in
   scan 0 0 0
-
-let fill t =
-  for i = 0 to t.nbits - 1 do set t i done
-
-let reset t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
-  t.set_count <- 0

@@ -33,9 +33,3 @@ val find_first_clear : t -> int option
 val find_clear_run : t -> int -> int option
 (** [find_clear_run t k] is the start of the lowest run of [k]
     consecutive clear bits, used for contiguous frame allocation. *)
-
-val fill : t -> unit
-(** Set every bit. *)
-
-val reset : t -> unit
-(** Clear every bit. *)

@@ -18,15 +18,6 @@ let is_empty t = t.len = 0
 
 let length t = t.len
 
-let push_front t v =
-  let n = { value = v; owner = t; prev = None; next = t.head; linked = true } in
-  (match t.head with
-   | None -> t.tail <- Some n
-   | Some h -> h.prev <- Some n);
-  t.head <- Some n;
-  t.len <- t.len + 1;
-  n
-
 let push_back t v =
   let n = { value = v; owner = t; prev = t.tail; next = None; linked = true } in
   (match t.tail with
@@ -57,11 +48,6 @@ let pop_front t =
   | None -> None
   | Some n -> unlink t n; Some n.value
 
-let pop_back t =
-  match t.tail with
-  | None -> None
-  | Some n -> unlink t n; Some n.value
-
 let value n = n.value
 
 let is_linked n = n.linked
@@ -75,26 +61,4 @@ let fold f acc t =
     | Some n -> loop (f acc n.value) n.next in
   loop acc t.head
 
-let exists p t =
-  let rec loop = function
-    | None -> false
-    | Some n -> p n.value || loop n.next in
-  loop t.head
-
-let find p t =
-  let rec loop = function
-    | None -> None
-    | Some n -> if p n.value then Some n.value else loop n.next in
-  loop t.head
-
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-
-let clear t =
-  let rec loop = function
-    | None -> ()
-    | Some n ->
-      let next = n.next in
-      n.prev <- None; n.next <- None; n.linked <- false;
-      loop next in
-  loop t.head;
-  t.head <- None; t.tail <- None; t.len <- 0

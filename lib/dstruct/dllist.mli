@@ -1,7 +1,7 @@
 (** Doubly-linked lists with O(1) insertion, removal and node handles.
 
     The kernel uses these for run queues, wait queues and cache chains.
-    A node handle returned by {!push_front}/{!push_back} can be removed
+    A node handle returned by {!push_back} can be removed
     from its list in constant time; removing a node twice is a no-op. *)
 
 type 'a t
@@ -18,17 +18,11 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 (** [length t] is the number of elements; O(1). *)
 
-val push_front : 'a t -> 'a -> 'a node
-(** [push_front t v] prepends [v] and returns its handle. *)
-
 val push_back : 'a t -> 'a -> 'a node
 (** [push_back t v] appends [v] and returns its handle. *)
 
 val pop_front : 'a t -> 'a option
 (** [pop_front t] removes and returns the first element. *)
-
-val pop_back : 'a t -> 'a option
-(** [pop_back t] removes and returns the last element. *)
 
 val remove : 'a t -> 'a node -> unit
 (** [remove t n] unlinks [n] from [t]. No-op if already removed.
@@ -44,14 +38,5 @@ val first : 'a t -> 'a node option
 val next : 'a node -> 'a node option
 (** A walk that allocates nothing: both return options the list holds. *)
 
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val find : ('a -> bool) -> 'a t -> 'a option
-
 val to_list : 'a t -> 'a list
 (** [to_list t] is the elements front to back. *)
-
-val clear : 'a t -> unit
-(** [clear t] unlinks every node. *)

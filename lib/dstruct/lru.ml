@@ -98,8 +98,3 @@ let iter f t =
       (match r.value with Some v -> f r.key v | None -> ());
       loop next in
   loop t.head
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- Nil;
-  t.tail <- Nil

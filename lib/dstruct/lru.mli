@@ -35,5 +35,3 @@ val least_recent : ('k, 'v) t -> ('k * 'v) option
 
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Most-recently-used first. *)
-
-val clear : ('k, 'v) t -> unit

@@ -114,11 +114,3 @@ let mem h = h.node.seq = h.gen
 
 let remove t h =
   mem h && begin delete_at t h.node.pos; true end
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    let n = t.nodes.(i) in
-    n.seq <- -1;
-    n.value <- t.dummy
-  done;
-  t.size <- 0

@@ -44,8 +44,6 @@ val remove : 'a t -> 'a handle -> bool
 val mem : 'a handle -> bool
 (** [mem h] is [true] while [h]'s element is still in its heap. *)
 
-val clear : 'a t -> unit
-
 val pool_hits : 'a t -> int
 (** Adds that reused a freed record. *)
 

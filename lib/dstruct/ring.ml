@@ -8,8 +8,6 @@ let create n =
   if n <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { slots = Array.make n None; head = 0; len = 0 }
 
-let length t = t.len
-
 let is_empty t = t.len = 0
 
 let is_full t = t.len = Array.length t.slots
@@ -40,8 +38,3 @@ let iter f t =
     | Some v -> f v
     | None -> assert false
   done
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  t.head <- 0;
-  t.len <- 0

@@ -10,8 +10,6 @@ val create : int -> 'a t
 (** [create n] is an empty ring holding at most [n] elements.
     Raises [Invalid_argument] if [n <= 0]. *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
@@ -22,5 +20,3 @@ val pop : 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] oldest-first. *)
-
-val clear : 'a t -> unit

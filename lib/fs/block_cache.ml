@@ -217,12 +217,6 @@ let write t ~block data =
   | Some _ -> Lru.remove t.cache (group_of block)
   | None -> ()
 
-let flush t =
-  (* [Lru.clear] skips the eviction callback; return the pages by
-     hand. *)
-  Lru.iter (fun _ e -> Phys_addr.deallocate t.phys e.page) t.cache;
-  Lru.clear t.cache
-
 let stats t =
   { Cache_stats.hits = t.hits;
     misses = t.misses;

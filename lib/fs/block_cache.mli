@@ -44,9 +44,6 @@ val write : t -> block:int -> Bytes.t -> unit
 (** Write-through; updates the cached page when the block's group is
     resident. *)
 
-val flush : t -> unit
-(** Drop every cached block and return the pages. *)
-
 val stats : t -> Cache_stats.t
 (** [bytes_cached] counts whole resident pages; [reclaims] counts
     pages lost to memory pressure. *)

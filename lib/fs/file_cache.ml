@@ -151,7 +151,7 @@ let drop t name e =
 
 let refetch t ~name =
   t.miss_count <- t.miss_count + 1;
-  let data = Simple_fs.read ~cached:false t.fs ~name in
+  let data = Simple_fs.read t.fs ~name in
   try_insert t ~name data;
   Some data
 
@@ -164,7 +164,7 @@ let fetch t ~name =
   else if Simple_fs.size t.fs ~name > large_threshold then begin
     (* Large: never cached, read around the buffer cache too. *)
     t.large_count <- t.large_count + 1;
-    Some (Simple_fs.read ~cached:false t.fs ~name)
+    Some (Simple_fs.read t.fs ~name)
   end else
     match Lru.find t.cache name with
     | Some e when all_valid e.pages 0 ->

@@ -68,14 +68,6 @@ let encode_bitset set =
   Bitset.blit_to set b 0;
   b
 
-let decode_bitset b nbits =
-  let set = Bitset.create nbits in
-  for i = 0 to nbits - 1 do
-    if Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0 then
-      Bitset.set set i
-  done;
-  set
-
 (* ------------------------------------------------------------------ *)
 (* Metadata I/O                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -184,19 +176,20 @@ let truncate_inode t ino =
 (* Inode-level read and write                                         *)
 (* ------------------------------------------------------------------ *)
 
-let read_inode_data t ?(cached = true) ino ~off ~len =
-  let len = max 0 (min len (ino.size - off)) in
+(* The inode's whole contents. A directory is read through the buffer
+   cache; a file read goes around it ([cached:false]). *)
+let read_inode_data t ~cached ino =
+  let len = ino.size in
   let out = Bytes.create len in
   let fetch block =
     if cached then Block_cache.read t.cache ~block
     else Block_cache.read_uncached t.cache ~block in
   let rec loop pos =
     if pos < len then begin
-      let file_off = off + pos in
-      let n = file_off / bs and boff = file_off mod bs in
-      let chunk = min (len - pos) (bs - boff) in
+      let n = pos / bs in
+      let chunk = min (len - pos) bs in
       (match block_of t ino n with
-       | Some block -> Bytes.blit (fetch block) boff out pos chunk
+       | Some block -> Bytes.blit (fetch block) 0 out pos chunk
        | None -> ());                      (* hole reads as zeros *)
       loop (pos + chunk)
     end in
@@ -226,26 +219,25 @@ let write_inode_data t ino ~off data =
 (* Directory (single root)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let decode_dirent data off =
+let dirent_name data off =
   let rec name_len i = if i >= max_name || Bytes.get data (off + i) = '\000'
     then i else name_len (i + 1) in
   let len = name_len 0 in
-  if len = 0 then None
-  else Some (Bytes.sub_string data off len, get32 data (off + dirent_size - 4))
+  if len = 0 then None else Some (Bytes.sub_string data off len)
 
-let dir_entries t =
+let list_files t =
   let root = read_inode t root_inode in
-  let data = read_inode_data t root ~off:0 ~len:root.size in
+  let data = read_inode_data t ~cached:true root in
   let rec loop off acc =
     if off + dirent_size > Bytes.length data then List.rev acc
     else
-      match decode_dirent data off with
+      match dirent_name data off with
       | Some e -> loop (off + dirent_size) (e :: acc)
       | None -> loop (off + dirent_size) acc in
   loop 0 []
 
 (* Whether the dirent at [off] names [name], compared in place over
-   the directory bytes: it matches [decode_dirent]'s name (stops at the
+   the directory bytes: it matches [dirent_name] (stops at the
    first NUL or at [max_name]) without building it. *)
 let rec dirent_names data off name i =
   if i = String.length name then
@@ -254,12 +246,6 @@ let rec dirent_names data off name i =
     i < max_name
     && (let c = Bytes.get data (off + i) in c <> '\000' && c = name.[i])
     && dirent_names data off name (i + 1)
-
-(* Offset of the first dirent at or after [off] naming [name]. *)
-let rec find_dirent data name off =
-  if off + dirent_size > Bytes.length data then None
-  else if dirent_names data off name 0 then Some off
-  else find_dirent data name (off + dirent_size)
 
 (* In-place reads. A lookup and a size read go through [t.scratch],
    one block-sized buffer per file system, instead of a fresh block
@@ -273,8 +259,8 @@ let rec find_dirent data name off =
    reads, so it keeps them in [t.root_direct]. A concurrent scan may
    refill that from its own read of the root inode; this is safe
    because a pointer inside the directory's size never changes (the
-   root is never truncated, and entries are only appended or reused
-   in place), and a scan reads only pointers inside the size it read. *)
+   root is never truncated, and entries are only appended), and a
+   scan reads only pointers inside the size it read. *)
 
 let read_scratch t block = Block_cache.read_into t.cache ~block t.scratch ~pos:0
 
@@ -327,59 +313,34 @@ let dir_find t name =
 let dir_add t name inum =
   if String.length name > max_name then raise (Fs_error Name_too_long);
   let root = read_inode t root_inode in
-  let data = read_inode_data t root ~off:0 ~len:root.size in
-  (* Reuse a tombstone slot if one exists. *)
-  let rec find_slot off =
-    if off + dirent_size > Bytes.length data then root.size
-    else if decode_dirent data off = None then off
-    else find_slot (off + dirent_size) in
-  let slot = find_slot 0 in
   let entry = Bytes.make dirent_size '\000' in
   Bytes.blit_string name 0 entry 0 (String.length name);
   set32 entry (dirent_size - 4) inum;
-  write_inode_data t root ~off:slot entry;
+  write_inode_data t root ~off:root.size entry;
   write_inode t root_inode root
-
-let dir_remove t name =
-  let root = read_inode t root_inode in
-  let data = read_inode_data t root ~off:0 ~len:root.size in
-  match find_dirent data name 0 with
-  | Some off ->
-    write_inode_data t root ~off (Bytes.make dirent_size '\000');
-    write_inode t root_inode root
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let layout ~ninodes ~blocks =
-  let ibitmap_block = 1 in
-  let dbitmap_start = 2 in
-  (* One bit per block of the whole device keeps the math simple. *)
-  let dbitmap_blocks = (((blocks + 7) / 8) + bs - 1) / bs in
-  let itable_start = dbitmap_start + dbitmap_blocks in
-  let itable_blocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
-  let data_start = itable_start + itable_blocks in
-  (ibitmap_block, dbitmap_start, dbitmap_blocks, itable_start, data_start)
-
-let make cache ~ninodes ~blocks ~ibitmap ~dbitmap =
-  let ibitmap_block, dbitmap_start, _, itable_start, data_start =
-    layout ~ninodes ~blocks in
-  { cache; ibitmap_block; dbitmap_start; itable_start; data_start;
-    ibitmap; dbitmap; scratch = Bytes.create bs;
-    root_direct = Array.make ndirect 0 }
 
 (* Inodes a fresh file system gets; the superblock records the count. *)
 let format_inodes = 512
 
 let format cache ~blocks () =
   let ninodes = format_inodes in
-  let _, _, _, _, data_start = layout ~ninodes ~blocks in
+  let ibitmap_block = 1 and dbitmap_start = 2 in
+  (* One bit per block of the whole device keeps the math simple. *)
+  let dbitmap_blocks = (((blocks + 7) / 8) + bs - 1) / bs in
+  let itable_start = dbitmap_start + dbitmap_blocks in
+  let itable_blocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
+  let data_start = itable_start + itable_blocks in
   if data_start + 8 > blocks then invalid_arg "Simple_fs.format: too few blocks";
   let ibitmap = Bitset.create ninodes in
   let dbitmap = Bitset.create (blocks - data_start) in
-  let t = make cache ~ninodes ~blocks ~ibitmap ~dbitmap in
+  let t =
+    { cache; ibitmap_block; dbitmap_start; itable_start; data_start;
+      ibitmap; dbitmap; scratch = Bytes.create bs;
+      root_direct = Array.make ndirect 0 } in
   (* Superblock. *)
   let sb = Bytes.make bs '\000' in
   set32 sb 0 magic;
@@ -391,27 +352,11 @@ let format cache ~blocks () =
   sync_ibitmap t;
   sync_dbitmap t;
   (* Zero the inode table. *)
-  let itable_blocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
   for i = 0 to itable_blocks - 1 do
-    Block_cache.write cache ~block:(t.itable_start + i) (Bytes.make bs '\000')
+    Block_cache.write cache ~block:(itable_start + i) (Bytes.make bs '\000')
   done;
   write_inode t root_inode { size = 0; direct = Array.make ndirect 0; indirect = 0 };
   t
-
-let mount cache =
-  let sb = Block_cache.read cache ~block:0 in
-  if get32 sb 0 <> magic then raise (Fs_error No_such_file);
-  let ninodes = get32 sb 4 and blocks = get32 sb 8 in
-  let ibitmap_block, dbitmap_start, dbitmap_blocks, _, data_start =
-    layout ~ninodes ~blocks in
-  let ibm_data = Block_cache.read cache ~block:ibitmap_block in
-  let ibitmap = decode_bitset ibm_data ninodes in
-  let dbm = Buffer.create (dbitmap_blocks * bs) in
-  for i = 0 to dbitmap_blocks - 1 do
-    Buffer.add_bytes dbm (Block_cache.read cache ~block:(dbitmap_start + i))
-  done;
-  let dbitmap = decode_bitset (Buffer.to_bytes dbm) (blocks - data_start) in
-  make cache ~ninodes ~blocks ~ibitmap ~dbitmap
 
 let lookup_exn t name =
   let inum = dir_find t name in
@@ -433,31 +378,9 @@ let write t ~name data =
   write_inode_data t ino ~off:0 data;
   write_inode t inum ino
 
-let append t ~name data =
-  let inum = lookup_exn t name in
-  let ino = read_inode t inum in
-  write_inode_data t ino ~off:ino.size data;
-  write_inode t inum ino
-
-let read ?(cached = true) t ~name =
-  let ino = read_inode t (lookup_exn t name) in
-  read_inode_data t ~cached ino ~off:0 ~len:ino.size
-
-let read_range t ~name ~off ~len =
-  let ino = read_inode t (lookup_exn t name) in
-  read_inode_data t ino ~off ~len
+let read t ~name =
+  read_inode_data t ~cached:false (read_inode t (lookup_exn t name))
 
 let size t ~name = inode_size_of t (lookup_exn t name)
-
-let delete t ~name =
-  let inum = lookup_exn t name in
-  let ino = read_inode t inum in
-  truncate_inode t ino;
-  write_inode t inum ino;
-  Bitset.clear t.ibitmap inum;
-  sync_ibitmap t;
-  dir_remove t name
-
-let list_files t = List.map fst (dir_entries t)
 
 let free_blocks t = Bitset.length t.dbitmap - Bitset.count t.dbitmap

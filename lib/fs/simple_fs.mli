@@ -16,9 +16,10 @@
     (inode 0) maps names to inodes.
 
     All operations must run in strand context (they block on disk
-    I/O). Reads can bypass the buffer cache, which is how the SPIN
-    web server runs on a non-caching file system and manages its own
-    object cache instead. *)
+    I/O). A file read always goes around the buffer cache, which is
+    how the SPIN web server runs on a non-caching file system and
+    manages its own object cache ({!File_cache}) instead; metadata
+    (inodes, bitmaps, the directory) goes through it. *)
 
 type t
 
@@ -33,11 +34,7 @@ exception Fs_error of error
 
 val format : Block_cache.t -> blocks:int -> unit -> t
 (** Writes a fresh file system covering [blocks] blocks of the disk,
-    with 512 inodes, and mounts it. *)
-
-val mount : Block_cache.t -> t
-(** Reads the superblock and bitmaps of a previously formatted disk.
-    Raises [Fs_error No_such_file] if the magic is wrong. *)
+    with 512 inodes, and returns it. *)
 
 val create : t -> name:string -> unit
 (** Creates an empty file. Raises [Fs_error File_exists] or
@@ -46,19 +43,12 @@ val create : t -> name:string -> unit
 val write : t -> name:string -> Bytes.t -> unit
 (** Replaces the file's contents. *)
 
-val append : t -> name:string -> Bytes.t -> unit
-
-val read : ?cached:bool -> t -> name:string -> Bytes.t
-(** Whole-file read; [cached:false] (default [true]) bypasses the
-    buffer cache. *)
-
-val read_range : t -> name:string -> off:int -> len:int -> Bytes.t
+val read : t -> name:string -> Bytes.t
+(** Whole-file read, around the buffer cache. *)
 
 val size : t -> name:string -> int
 
 val exists : t -> name:string -> bool
-
-val delete : t -> name:string -> unit
 
 val list_files : t -> string list
 

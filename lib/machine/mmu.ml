@@ -7,7 +7,6 @@ type fault =
 type pte = {
   mutable pfn : int;
   mutable prot : Addr.prot;
-  mutable referenced : bool;
   mutable modified : bool;
 }
 
@@ -91,7 +90,7 @@ let destroy_context t ctx =
 let map t ctx ~vpn ~pfn ~prot =
   if pfn < 0 || pfn >= Phys_mem.frames t.mem then
     invalid_arg "Mmu.map: bad frame number";
-  let pte = { pfn; prot; referenced = false; modified = false } in
+  let pte = { pfn; prot; modified = false } in
   Hashtbl.replace ctx.table vpn pte;
   tlb_drop t (ctx.id, vpn);
   charge_map t
@@ -150,7 +149,6 @@ let translate t ctx ~va access =
     if not (Addr.prot_allows pte.prot (access_right access)) then
       Error Protection_violation
     else begin
-      pte.referenced <- true;
       if access = Write then pte.modified <- true;
       Ok (Addr.pa_of_page pte.pfn + Addr.offset_of_va va)
     end

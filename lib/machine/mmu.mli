@@ -19,7 +19,6 @@ type fault =
 type pte = {
   mutable pfn : int;
   mutable prot : Addr.prot;
-  mutable referenced : bool;
   mutable modified : bool;
 }
 

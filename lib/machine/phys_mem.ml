@@ -59,17 +59,6 @@ let read_into t ~pa ~len buf ~pos =
   blit_out t ~pa buf pos len;
   charge_copy t len
 
-let read_bytes t ~pa ~len =
-  let out = Bytes.create len in
-  read_into t ~pa ~len out ~pos:0;
-  out
-
-let write_bytes t ~pa src =
-  let len = Bytes.length src in
-  check_range t ~pa ~len;
-  blit_in t ~pa src 0 len;
-  charge_copy t len
-
 (* A word inside one frame is read or written in place; one that
    straddles two frames goes through an 8-byte buffer. *)
 let in_one_frame pa = pa land Addr.page_mask <= Addr.page_size - 8

@@ -25,12 +25,6 @@ val read_into : t -> pa:int -> len:int -> Bytes.t -> pos:int -> unit
     memory (may span frames) into [buf] at [pos]; charges copy cost.
     Allocates nothing. *)
 
-val read_bytes : t -> pa:int -> len:int -> Bytes.t
-(** {!read_into} a fresh buffer of [len] bytes. *)
-
-val write_bytes : t -> pa:int -> Bytes.t -> unit
-(** Copy bytes into physical memory; charges copy cost. *)
-
 val read_word : t -> pa:int -> int64
 (** Unaligned-tolerant 8-byte load, read in place unless the word
     straddles two frames; charges nothing beyond the caller's

@@ -66,24 +66,23 @@ type t = {
    aliasing and allocates the slot's own record exactly once. *)
 let dummy = { ts = 0; kind = Instant; cat = ""; name = ""; args = [] }
 
-let create ?(capacity = 16384) clock =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { clock; capacity; buf = Array.make capacity dummy;
-    on = false; head = 0; len = 0; n_dropped = 0; next_span = 1;
-    span_pool = null_span;
-    aggs = Hashtbl.create 32; agg_order = [] }
-
 (* One tracer per clock: subsystems sharing a clock (every machine on
    one simulation) share a timeline, so cross-host packet flows land
    in one trace. The tracer sits in the clock's own slot, so a
    finished simulation takes its tracer with it. *)
 type Clock.tracer += Tracer of t
 
-let of_clock ?capacity clock =
+let of_clock ?(capacity = 16384) clock =
   match Clock.tracer clock with
   | Some (Tracer t) -> t
   | Some _ | None ->
-    let t = create ?capacity clock in
+    if capacity <= 0 then
+      invalid_arg "Trace.of_clock: capacity must be positive";
+    let t =
+      { clock; capacity; buf = Array.make capacity dummy;
+        on = false; head = 0; len = 0; n_dropped = 0; next_span = 1;
+        span_pool = null_span;
+        aggs = Hashtbl.create 32; agg_order = [] } in
     Clock.set_tracer clock (Tracer t);
     t
 

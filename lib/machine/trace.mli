@@ -45,14 +45,11 @@ val null_span : span
 (** The token {!begin_span} returns while tracing is disabled;
     {!end_span} ignores it. *)
 
-val create : ?capacity:int -> Clock.t -> t
-(** A fresh tracer over the clock's timeline. [capacity] bounds the
-    ring (default 16384 records); older records are dropped on
-    overflow. *)
-
 val of_clock : ?capacity:int -> Clock.t -> t
 (** The shared tracer for this clock, created on first use.
-    [capacity] only applies to that first creation. *)
+    [capacity] only applies to that first creation: it bounds the
+    ring (default 16384 records); older records are dropped on
+    overflow. *)
 
 val capacity : t -> int
 

@@ -38,8 +38,7 @@ let input t (pkt : Ip.packet) =
     handler ~src:pkt.Ip.src (Pkt.contents (Pkt.sub b ~pos:header ~len))
   | None -> t.stats.dropped <- t.stats.dropped + 1
 
-let create machine dispatcher ip =
-  ignore dispatcher;
+let create machine ip =
   let t = {
     machine; ip;
     handlers = Spin_dstruct.Idtable.create ();

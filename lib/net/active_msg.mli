@@ -8,7 +8,7 @@ type t
 val proto : int
 (** The IP protocol number the extension claims. *)
 
-val create : Spin_machine.Machine.t -> Spin_core.Dispatcher.t -> Ip.t -> t
+val create : Spin_machine.Machine.t -> Ip.t -> t
 
 val register : t -> (src:Ip.addr -> Bytes.t -> unit) -> int
 (** Returns the handler index to name in messages. *)

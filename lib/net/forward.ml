@@ -55,8 +55,7 @@ let create ?tcp ip ~proto ~port ~to_ =
             (reroute t)));
   (match tcp with
    | Some engine ->
-     Tcp.add_demux_filter engine (fun ~dport ~sport ->
-       ignore sport;
+     Tcp.add_demux_filter engine (fun ~dport ->
        dport = t.port || Hashtbl.mem t.flows dport)
    | None -> ());
   t

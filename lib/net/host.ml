@@ -27,10 +27,10 @@ let create ?mem_mb ?cpus sim ~name ~addr =
   let phys = Phys_addr.create machine dispatcher in
   ignore (Reclaim_policy.install_second_chance phys);
   let ip = Ip.create machine dispatcher in
-  let icmp = Icmp.create dispatcher ip in
+  let icmp = Icmp.create ip in
   let udp = Udp.create machine dispatcher ip in
   let tcp = Tcp.create machine sched dispatcher ip in
-  let am = Active_msg.create machine dispatcher ip in
+  let am = Active_msg.create machine ip in
   { machine; dispatcher; sched; phys; ip; icmp; udp; tcp; am; addr }
 
 let netif_name kind =
@@ -57,8 +57,6 @@ let wire ?(optimized = false) ?mbps a b ~kind =
   Netif.start na;
   Netif.start nb;
   (na, nb)
-
-let add_route t ~dst netif = Ip.add_route t.ip ~dst netif
 
 let run_all ?(until = fun () -> false) hosts =
   match hosts with

@@ -36,8 +36,6 @@ val wire :
     receive shard per CPU on each side. [mbps] overrides the kind's
     line rate (see {!Spin_machine.Machine.connect}). *)
 
-val add_route : t -> dst:Ip.addr -> Netif.t -> unit
-
 val run_all : ?until:(unit -> bool) -> t list -> unit
 (** Co-simulates several hosts: interleaves their schedulers on the
     shared virtual timeline until all are idle (or [until]). *)

@@ -36,7 +36,7 @@ let input t (pkt : Ip.packet) =
     end
   end
 
-let create _dispatcher ip =
+let create ip =
   let t = { ip; waiting = [] } in
   ignore (Ip.attach ip ~proto:Ip.proto_icmp ~installer:"ICMP" (input t));
   t

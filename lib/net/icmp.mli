@@ -5,7 +5,7 @@
 
 type t
 
-val create : Spin_core.Dispatcher.t -> Ip.t -> t
+val create : Ip.t -> t
 
 val ping :
   t -> dst:Ip.addr -> seq:int -> (unit -> unit) -> bool

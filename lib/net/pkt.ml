@@ -25,8 +25,6 @@ let of_payload ?headroom b =
 
 let of_frame b = { buf = b; off = 0; len = Bytes.length b }
 
-let of_string s = of_payload (Bytes.of_string s)
-
 let empty () = { buf = Bytes.empty; off = 0; len = 0 }
 
 let length t = t.len
@@ -51,19 +49,10 @@ let reserve t n =
 
 let buffer t = t.buf
 
-let push t header =
-  let n = Bytes.length header in
-  let off = reserve t n in
-  Bytes.blit header 0 t.buf off n
-
 let drop t n =
   if n < 0 || n > t.len then invalid_arg "Pkt.drop: short packet";
   t.off <- t.off + n;
   t.len <- t.len - n
-
-let peek t n =
-  if n > t.len then invalid_arg "Pkt.peek: short packet";
-  Bytes.sub t.buf t.off n
 
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Pkt.truncate";
@@ -101,8 +90,3 @@ let ebc_payload =
 let contents t = Bytes.sub t.buf t.off t.len
 
 let to_string t = Bytes.sub_string t.buf t.off t.len
-
-let copy t =
-  let c = alloc ~headroom:(min t.off default_headroom) t.len in
-  Bytes.blit t.buf t.off c.buf c.off t.len;
-  c

@@ -2,8 +2,8 @@
 
     A packet is an sk_buff-style {e view}: one backing byte buffer
     allocated with headroom, and a mutable [off, off+len) live window
-    over it. A sending layer {!push}es its header by writing into the
-    reserved headroom; a receiving layer {!drop}s its header by
+    over it. A sending layer {!reserve}s its header in the headroom
+    and writes it in place; a receiving layer {!drop}s its header by
     advancing the offset. Neither direction copies the
     payload — the bytes handed up through ethernet → ip → udp/tcp are
     the same buffer the NIC received (the paper's packets are "pushed
@@ -13,8 +13,8 @@
     {2 Aliasing and ownership invariants}
 
     - {!of_frame}, {!sub}, {!drop} and {!truncate} all {e alias} the
-      backing buffer; {!of_payload}, {!copy}, {!contents} and {!peek}
-      are the only copying operations.
+      backing buffer; {!of_payload} and {!contents} are the only
+      copying operations.
     - A packet handed to a receive handler is owned by that handler
       for the duration of the dispatch. The payload region must be
       treated {b read-only} — other handlers on the same event hold
@@ -31,17 +31,17 @@
       the connection's send buffer, which the retransmit queue still
       holds), which is why the read-only payload rule matters there.
     - To retain packet data beyond the current dispatch while others
-      may still push into the shared buffer, take a {!copy} (isolated)
-      or {!contents} (materialized bytes).
+      may still push into the shared buffer, take its {!contents}
+      (materialized bytes).
 
     {2 Headroom}
 
     Buffers allocated by this stack reserve 48 bytes (link 2 + IP 12 +
     the largest transport header 16, plus slack for extension framing)
     in front of the payload; a received frame's consumed headers play
-    the same role. {!push} beyond the available headroom does not fail
-    — it falls back to reallocating the backing buffer with a fresh
-    48 bytes (one copy), so correctness never depends on headroom
+    the same role. A {!reserve} beyond the available headroom does not
+    fail — it falls back to reallocating the backing buffer with a
+    fresh 48 bytes (one copy), so correctness never depends on headroom
     arithmetic, except on a {!sub} view whose headroom is someone
     else's bytes. Hot paths size their headroom so the fallback
     never runs. *)
@@ -68,39 +68,31 @@ val of_frame : Bytes.t -> t
     the packet: the receive path wraps the DMA buffer the NIC wrote
     without copying. *)
 
-val of_string : string -> t
-
 val empty : unit -> t
 (** A fresh zero-length packet (no backing storage). *)
 
 val length : t -> int
 
 val headroom : t -> int
-(** Bytes available in front of the live window for {!push}. *)
-
-val push : t -> Bytes.t -> unit
-(** Prepend a header by blitting it into the headroom — O(header),
-    not O(packet). Falls back to one realloc when headroom is
-    exhausted. *)
+(** Bytes available in front of the live window for {!reserve}. *)
 
 val reserve : t -> int -> int
-(** [reserve t n] reserves [n] header bytes in the headroom and returns
+(** [reserve t n] prepends [n] header bytes in the headroom and returns
     their offset in {!buffer}, so encoders write fields in place
-    without an intermediate header allocation. Write all [n] bytes
-    immediately. Allocates nothing unless the headroom is exhausted. *)
+    without an intermediate header allocation — O(header), not
+    O(packet). Write all [n] bytes immediately. Allocates nothing
+    unless the headroom is exhausted; then it falls back to one
+    realloc. *)
 
 val buffer : t -> Bytes.t
 (** The backing buffer; the live window is its [length t] bytes from
-    offset [headroom t]. A {!reserve} or {!push} may replace it, so
+    offset [headroom t]. A {!reserve} may replace it, so
     read it after them. The region outside the window is not the
     caller's. *)
 
 val drop : t -> int -> unit
 (** Consume the first [n] bytes by advancing the view; nothing is
     copied. Raises [Invalid_argument] if the packet is shorter. *)
-
-val peek : t -> int -> Bytes.t
-(** The first [n] bytes (copied) without consuming them. *)
 
 val truncate : t -> int -> unit
 (** Shrink the view to its first [n] bytes (drops link-layer padding
@@ -113,7 +105,7 @@ val sub : t -> pos:int -> len:int -> t
     of a send buffer without copying.
 
     A view's headroom is every byte in front of it in the backing
-    buffer, so a {!push} onto a view writes there, over whatever
+    buffer, so a {!reserve} onto a view writes there, over whatever
     those bytes hold. [Tcp.send] leaves a private
     {!default_headroom}-byte gap in front of each chunk of its send
     buffer; the gaps are what make the headers pushed onto a chunk's
@@ -139,7 +131,3 @@ val contents : t -> Bytes.t
 (** The live window as fresh bytes (a copy). *)
 
 val to_string : t -> string
-
-val copy : t -> t
-(** Deep copy with its own backing buffer — the isolation escape
-    hatch when a handler must retain data past its dispatch. *)

@@ -482,7 +482,7 @@ let add_demux_filter t claimed =
     Dispatcher.add_guard h
       (fun (pkt : Ip.packet) ->
         let b = pkt.Ip.payload in
-        not (claimed ~dport:(dport b) ~sport:(sport b)))
+        not (claimed ~dport:(dport b)))
   | None -> ()
 
 let listen t ~port ~on_accept =

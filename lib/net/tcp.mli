@@ -33,7 +33,7 @@ val create :
   Spin_machine.Machine.t -> Spin_sched.Sched.t -> Spin_core.Dispatcher.t ->
   Ip.t -> t
 
-val add_demux_filter : t -> (dport:int -> sport:int -> bool) -> unit
+val add_demux_filter : t -> (dport:int -> bool) -> unit
 (** Stack a guard on the engine's demultiplexer: segments for which
     [claimed] is true are invisible to this TCP (no RSTs, no
     delivery). The Forward extension uses this to take over a port

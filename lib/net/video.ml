@@ -25,10 +25,7 @@ let frame_name i = Printf.sprintf "frame%03d" i
 
 (* The sender's default implementation: one transmission, no client
    fan-out (a handler replaces the fan-out). *)
-let default_send server (payload, _seq) =
-  ignore payload;
-  ignore server;
-  0
+let default_send _ = 0
 
 (* The multicast extension: one raise fans out to every client at the
    driver level. The UDP payload is encoded once; per client only the
@@ -62,16 +59,13 @@ let install_mcast ?patch_cost server ~installer =
 
 let create_server ?(mcast = true) host ~fs ~netif ~port =
   let cache = File_cache.create ~phys:host.Host.phys fs in
-  let rec server =
-    lazy
-      { host; fs; cache; netif; port;
-        send_packet =
-          Dispatcher.declare host.Host.dispatcher ~name:"Video.SendPacket"
-            ~owner:"VideoSend" ~combine:( + )
-            (fun arg -> default_send (Lazy.force server) arg);
-        clients = []; nframes = 0; frame_bytes = 0;
-        packets = 0; frames = 0; seq = 0; busy = 0 } in
-  let server = Lazy.force server in
+  let server =
+    { host; fs; cache; netif; port;
+      send_packet =
+        Dispatcher.declare host.Host.dispatcher ~name:"Video.SendPacket"
+          ~owner:"VideoSend" ~combine:( + ) default_send;
+      clients = []; nframes = 0; frame_bytes = 0;
+      packets = 0; frames = 0; seq = 0; busy = 0 } in
   if mcast then ignore (install_mcast server ~installer:"VideoMcast");
   server
 

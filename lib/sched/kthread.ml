@@ -91,33 +91,3 @@ module Condition = struct
 
   let waiters c = Dllist.length c.waiters
 end
-
-module Semaphore = struct
-  type s = {
-    mutable count : int;
-    waiters : Strand.t Dllist.t;
-  }
-
-  let create count =
-    if count < 0 then invalid_arg "Kthread.Semaphore.create: negative";
-    { count; waiters = Dllist.create () }
-
-  let rec p sched s =
-    charge sched;
-    if s.count > 0 then s.count <- s.count - 1
-    else begin
-      let me = Sched.self sched in
-      ignore (Dllist.push_back s.waiters me);
-      Sched.block_current sched;
-      p sched s
-    end
-
-  let v sched s =
-    charge sched;
-    s.count <- s.count + 1;
-    match Dllist.pop_front s.waiters with
-    | None -> ()
-    | Some w -> Sched.unblock sched w
-
-  let value s = s.count
-end

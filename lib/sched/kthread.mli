@@ -2,8 +2,8 @@
     Modula-3 thread interface (paper, section 4.2).
 
     Built directly on strands and the global scheduler. Synchronization
-    follows Modula-3: mutexes, condition variables (Mesa semantics:
-    waiters re-acquire and should re-check), and counting semaphores. *)
+    follows Modula-3: mutexes and condition variables (Mesa semantics:
+    waiters re-acquire and should re-check). *)
 
 type t
 (** A kernel thread handle. *)
@@ -47,17 +47,4 @@ module Condition : sig
   val broadcast : Sched.t -> c -> unit
 
   val waiters : c -> int
-end
-
-module Semaphore : sig
-  type s
-
-  val create : int -> s
-
-  val p : Sched.t -> s -> unit
-  (** Decrement, blocking at zero. *)
-
-  val v : Sched.t -> s -> unit
-
-  val value : s -> int
 end

@@ -560,11 +560,10 @@ let step t =
   rebalance t;
   try_pick t
 
-let run ?(until = fun () -> false) t =
+let run t =
   let rec loop () =
-    if not (until ()) then
-      if step t then loop ()
-      else if Sim.idle_step t.sim then loop () in
+    if step t then loop ()
+    else if Sim.idle_step t.sim then loop () in
   loop ()
 
 let yield t =
@@ -637,12 +636,6 @@ let set_affinity t s affinity =
     dequeue t s;
     enqueue t ~cpu:c s
   | Some _ | None -> ()
-
-let install_handler_guarded event ~installer ~cap fn =
-  Dispatcher.ok_exn ~site:"Sched.install_handler_guarded"
-    (Dispatcher.install event ~installer
-       ~spec:(Dispatcher.Handler_spec.guarded (Strand.holds_capability cap))
-       fn)
 
 let stats t = { t.stats with switches = t.stats.switches }
 

@@ -96,11 +96,10 @@ val step : t -> bool
     when no CPU has work (multi-kernel co-simulation interleaves via
     [step]). *)
 
-val run : ?until:(unit -> bool) -> t -> unit
+val run : t -> unit
 (** Executes runnable strands (idling the simulated clock forward when
     none is runnable but device events are pending) until both the run
-    queues and the event queue drain, or [until] becomes true (checked
-    between slices). Because {!step} drains IPI inboxes first, the
+    queues and the event queue drain. Because {!step} drains IPI inboxes first, the
     loop cannot terminate with a wakeup still in flight. *)
 
 val yield : t -> unit
@@ -150,17 +149,6 @@ val set_affinity : t -> Strand.t -> int option -> unit
     only ever enqueued on its CPU and is exempt from stealing; a
     runnable strand moves immediately. Raises [Invalid_argument] for a
     CPU the scheduler does not own. *)
-
-val install_handler_guarded :
-  (Strand.t, unit) Spin_core.Dispatcher.event ->
-  installer:string ->
-  cap:Strand.t Spin_core.Capability.t ->
-  (Strand.t -> unit) ->
-  (Strand.t, unit) Spin_core.Dispatcher.handler
-(** Installs a handler that only fires for the strand designated by
-    [cap] — the trusted package's guard from the paper: extensions do
-    not install handlers on strands for which they hold no
-    capability. *)
 
 type stats = {
   mutable switches : int;     (** context switches (slices started) *)

@@ -13,12 +13,9 @@ type run = {
   owner : string;
 }
 
-type attrib = {
-  color : int option;
-  contiguous : bool;
-}
+type attrib = { contiguous : bool }
 
-let default_attrib = { color = None; contiguous = false }
+let default_attrib = { contiguous = false }
 
 type page = run Capability.t
 
@@ -39,9 +36,6 @@ type t = {
   mutable reclaim_count : int;
   mutable oom_count : int;
 }
-
-(* The cache-color modulus. *)
-let colors = 8
 
 let create machine dispatcher =
   let frames = Phys_mem.frames machine.Machine.mem in
@@ -164,17 +158,7 @@ let find_frames t ~attrib ~n =
   if attrib.contiguous || n > 1 then
     Bitset.find_clear_run t.used n
     |> Option.map (fun start -> List.init n (fun i -> start + i))
-  else
-    match attrib.color with
-    | None -> Bitset.find_first_clear t.used |> Option.map (fun f -> [ f ])
-    | Some c ->
-      let frames = Bitset.length t.used in
-      let rec scan pfn =
-        if pfn >= frames then None
-        else if not (Bitset.mem t.used pfn) && pfn mod colors = c mod colors
-        then Some [ pfn ]
-        else scan (pfn + 1) in
-      scan 0
+  else Bitset.find_first_clear t.used |> Option.map (fun f -> [ f ])
 
 let release_frames t run =
   for i = run.first_pfn to run.first_pfn + run.npages - 1 do

@@ -3,8 +3,7 @@
     Controls use and allocation of physical pages. Clients receive a
     capability for the memory, never a frame number — a physical page
     "is not a nameable entity" outside the service. Allocation takes
-    attributes expressing machine-specific preferences (page color for
-    cache placement, contiguity).
+    attributes expressing machine-specific preferences (contiguity).
 
     When memory runs low the service runs the reclamation protocol
     (section 5.2): the [PhysAddr.SelectVictim] event picks a victim —
@@ -26,7 +25,6 @@ type run = {
 (** A run of one or more physically contiguous frames. *)
 
 type attrib = {
-  color : int option;           (** pfn mod 8, for cache placement *)
   contiguous : bool;            (** require physically adjacent frames *)
 }
 

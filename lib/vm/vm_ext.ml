@@ -22,7 +22,7 @@ let create vm ~app ~pages =
       ~bytes:(pages * Addr.page_size) in
   let page =
     Phys_addr.allocate vm.Vm.phys
-      ~attrib:{ Phys_addr.color = None; contiguous = true }
+      ~attrib:{ Phys_addr.contiguous = true }
       ~owner:app ~bytes:(pages * Addr.page_size) in
   Phys_addr.zero vm.Vm.phys page;
   Translation.add_mapping vm.Vm.trans ctx vaddr page Addr.prot_read_write;

@@ -11,14 +11,14 @@ open Alcotest
 let test_dllist_basic () =
   let l = Dllist.create () in
   check bool "empty" true (Dllist.is_empty l);
+  let _ = Dllist.push_back l 0 in
   let _ = Dllist.push_back l 1 in
   let _ = Dllist.push_back l 2 in
-  let _ = Dllist.push_front l 0 in
   check (list int) "order" [ 0; 1; 2 ] (Dllist.to_list l);
   check int "length" 3 (Dllist.length l);
   check (option int) "pop_front" (Some 0) (Dllist.pop_front l);
-  check (option int) "pop_back" (Some 2) (Dllist.pop_back l);
   check (option int) "pop_front 2" (Some 1) (Dllist.pop_front l);
+  check (option int) "pop_front 3" (Some 2) (Dllist.pop_front l);
   check (option int) "drained" None (Dllist.pop_front l);
   check bool "empty again" true (Dllist.is_empty l)
 
@@ -52,15 +52,6 @@ let test_dllist_foreign_node () =
     (Invalid_argument "Dllist.remove: node from another list")
     (fun () -> Dllist.remove l2 n)
 
-let test_dllist_iter_fold () =
-  let l = Dllist.create () in
-  List.iter (fun v -> ignore (Dllist.push_back l v)) [ 1; 2; 3; 4 ];
-  check int "fold sum" 10 (Dllist.fold ( + ) 0 l);
-  check bool "exists" true (Dllist.exists (fun v -> v = 3) l);
-  check (option int) "find" (Some 2) (Dllist.find (fun v -> v mod 2 = 0) l);
-  Dllist.clear l;
-  check bool "cleared" true (Dllist.is_empty l)
-
 let prop_dllist_mirrors_list =
   (* A random sequence of queue operations matches a list model. *)
   QCheck2.Test.make ~name:"dllist mirrors list model" ~count:300
@@ -68,17 +59,19 @@ let prop_dllist_mirrors_list =
     (fun ops ->
       let l = Dllist.create () in
       let model = ref [] in
-      List.iter
-        (fun (front, v) ->
-          if front then begin
-            ignore (Dllist.push_front l v);
-            model := v :: !model
+      List.for_all
+        (fun (pop, v) ->
+          if pop then begin
+            let expect = match !model with [] -> None | x :: _ -> Some x in
+            model := (match !model with [] -> [] | _ :: rest -> rest);
+            Dllist.pop_front l = expect
           end else begin
             ignore (Dllist.push_back l v);
-            model := !model @ [ v ]
+            model := !model @ [ v ];
+            true
           end)
-        ops;
-      Dllist.to_list l = !model && Dllist.length l = List.length !model)
+        ops
+      && Dllist.to_list l = !model && Dllist.length l = List.length !model)
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                             *)
@@ -187,13 +180,6 @@ let test_pqueue_pop_releases () =
   check int "popped values collectable" 0 (weak_live w);
   ignore (Sys.opaque_identity q)           (* keep the queue itself live *)
 
-let test_pqueue_clear_releases () =
-  let w = Weak.create 6 in
-  let q, _ = pq_fill w 6 in
-  Pqueue.clear q;
-  check int "cleared values collectable" 0 (weak_live w);
-  ignore (Sys.opaque_identity q)
-
 let test_pqueue_grow_releases () =
   (* 20 adds force two array growths; the padding slots of the grown
      arrays must not alias a live value. *)
@@ -240,9 +226,7 @@ let test_ring_iter () =
   List.iter (fun v -> ignore (Ring.push r v)) [ 1; 2; 3 ];
   let acc = ref [] in
   Ring.iter (fun v -> acc := v :: !acc) r;
-  check (list int) "oldest first" [ 1; 2; 3 ] (List.rev !acc);
-  Ring.clear r;
-  check int "cleared" 0 (Ring.length r)
+  check (list int) "oldest first" [ 1; 2; 3 ] (List.rev !acc)
 
 let test_ring_invalid () =
   Alcotest.check_raises "zero capacity"
@@ -272,10 +256,10 @@ let test_bitset_find () =
   let b = Bitset.create 8 in
   Bitset.set b 0; Bitset.set b 1; Bitset.set b 2;
   check (option int) "first clear" (Some 3) (Bitset.find_first_clear b);
-  Bitset.fill b;
+  for i = 3 to 7 do Bitset.set b i done;
   check (option int) "none clear" None (Bitset.find_first_clear b);
-  Bitset.reset b;
-  check (option int) "all clear after reset" (Some 0) (Bitset.find_first_clear b)
+  for i = 0 to 7 do Bitset.clear b i done;
+  check (option int) "all clear again" (Some 0) (Bitset.find_first_clear b)
 
 let test_bitset_run () =
   let b = Bitset.create 16 in
@@ -455,7 +439,6 @@ let () =
           Alcotest.test_case "remove middle node" `Quick test_dllist_remove_middle;
           Alcotest.test_case "remove end nodes" `Quick test_dllist_remove_ends;
           Alcotest.test_case "foreign node rejected" `Quick test_dllist_foreign_node;
-          Alcotest.test_case "iter/fold/clear" `Quick test_dllist_iter_fold;
         ] );
       ( "pqueue",
         [
@@ -466,7 +449,6 @@ let () =
           Alcotest.test_case "stale handle is ABA-safe" `Quick
             test_pqueue_stale_handle;
           Alcotest.test_case "pop releases values" `Quick test_pqueue_pop_releases;
-          Alcotest.test_case "clear releases values" `Quick test_pqueue_clear_releases;
           Alcotest.test_case "grow padding releases values" `Quick
             test_pqueue_grow_releases;
           Alcotest.test_case "remove releases values" `Quick

@@ -3,7 +3,7 @@
    included), bin, examples and test, and keys each declaration by
    where it is declared, never by its name, so a local [capacity] is
    not a use of [Lru.capacity]. A declaration in an .ml and its copy
-   in the .mli are one declaration. It reports five kinds of dead code
+   in the .mli are one declaration. It reports six kinds of dead code
    in lib/:
    - a [val] in an .mli that no other module uses;
    - a record field that no [r.f] or [{ f = p }] pattern reads (a
@@ -14,7 +14,10 @@
      [None] the type checker fills in, at a ghost location);
    - a module that nothing under lib, bench or bin names: one only
      tests and examples reach is code the system never runs.
-   Uses from tests and examples count for the first four. A sixth case
+   - a named parameter of a function that its body never reads: a
+     top-level or submodule binding's parameters, [_]-prefixed names
+     included (the bare [_] is no name), and [ignore p] is no read.
+   Uses from tests and examples count for the first four. A seventh case
    covers bench/ (bench/e2e aside, whose sources stay as the benchmark
    runs them): a top-level value that no expression reads, in its own
    module or any other. A read inside the value's own definition (a
@@ -81,6 +84,7 @@ let constructors = Hashtbl.create 512
 let options = Hashtbl.create 256 (* [Mod.fn ?label] *)
 let lib_modules = Hashtbl.create 128
 let bench_values = Hashtbl.create 512 (* top-level, bench/*.ml *)
+let unread_params = Hashtbl.create 16 (* [Mod.fn p], findings already *)
 
 (* Uses, from every tree, by finding name. *)
 let used = Hashtbl.create 4096
@@ -102,6 +106,39 @@ let declare_value name ty locs =
   List.iter (fun l -> Hashtbl.replace values (loc_key l) name) locs;
   List.iter (fun l -> let o = option_name name l in Hashtbl.replace options o o)
     (optional_labels ty)
+
+(* Whether [e] reads [id]; [ignore id] alone does not. *)
+let reads id (e : Typedtree.expression) =
+  let found = ref false in
+  let open Tast_iterator in
+  let expr sub (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_ident (Pident x, _, _) when Ident.same x id -> found := true
+    | Texp_apply ({ exp_desc = Texp_ident (f, _, _); _ },
+                  [ (Nolabel, Some { exp_desc = Texp_ident (Pident _, _, _); _ }) ])
+      when Path.name f = "Stdlib.ignore" -> ()
+    | _ -> default_iterator.expr sub e in
+  let it = { default_iterator with expr } in
+  it.expr it e;
+  !found
+
+(* The parameters of function [fn] its body never reads. A curried
+   [fun x -> fun y -> e] binds [x] over [fun y -> e]; compiler-made
+   names such as [*opt*] are skipped. *)
+let rec check_params fn (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function { cases; _ } ->
+    List.iter (fun (c : Typedtree.value Typedtree.case) ->
+        List.iter (fun (id, _, _) ->
+            let p = Ident.name id in
+            if p.[0] <> '*'
+               && not (reads id c.c_rhs
+                       || Option.fold ~none:false ~some:(reads id) c.c_guard)
+            then (let f = fn ^ " " ^ p in Hashtbl.replace unread_params f f))
+          (Typedtree.pat_bound_idents_full c.c_lhs);
+        check_params fn c.c_rhs)
+      cases
+  | _ -> ()
 
 let declare_type prefix (td : Typedtree.type_declaration) =
   let ty = prefix ^ td.typ_name.txt ^ "." in
@@ -126,7 +163,8 @@ let rec declare_structure prefix (str : Typedtree.structure) =
         List.iter (fun (vb : Typedtree.value_binding) ->
             List.iter (fun (_, (name : string Location.loc), ty) ->
                 declare_value (prefix ^ name.txt) ty
-                  [ name.loc; vb.vb_pat.pat_loc ])
+                  [ name.loc; vb.vb_pat.pat_loc ];
+                check_params (prefix ^ name.txt) vb.vb_expr)
               (Typedtree.let_bound_idents_full [ vb ]))
           vbs
       | Tstr_type (_, tds) -> List.iter (declare_type prefix) tds
@@ -362,7 +400,11 @@ let cases =
      "optional arguments are passed by no call", names options, passed);
     ("every bench/ top-level value is read",
      "bench/ top-level values are read nowhere", names bench_values,
-     bench_read) ]
+     bench_read);
+    (* Its findings are made during the scan: nothing "uses" one. *)
+    ("every lib/ function reads its parameters",
+     "function parameters are never read", names unread_params,
+     Hashtbl.create 0) ]
 
 (* An exempt entry must still be a finding, or it goes. *)
 let test_exempt_current () =

@@ -42,7 +42,7 @@ let build_world () =
   (* The client reaches the web server through the middle host at the
      IP layer; video flows server->fwd and is forwarded in the stack. *)
   let via_server, _ = (server_nic, ()) in
-  Host.add_route client ~dst:addr_server
+  Ip.add_route client.Host.ip ~dst:addr_server
     (match Host.wire client server ~kind:Nic.Lance with n, _ -> n);
   ignore via_server;
   (* Server-side storage and services. *)

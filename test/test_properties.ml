@@ -123,20 +123,32 @@ let prop_tcp_chunks_isolated_under_retransmit =
 
 type fs_op =
   | Op_write of int * string
-  | Op_append of int * string
-  | Op_delete of int
   | Op_read of int
+
+(* File sizes on both sides of [File_cache]'s 64 KB bypass: most are
+   small, some past 64 KB up to the file system's 71,680-byte limit. *)
+let fs_contents_gen =
+  QCheck2.Gen.(
+    frequency [
+      (4, string_size (int_range 0 600));
+      (1, map2 (fun n seed ->
+             String.init n (fun i -> Char.chr ((i * 7 + seed) land 0xff)))
+            (int_range ((64 * 1024) + 1) 71_680) (int_range 0 255));
+    ])
 
 let fs_op_gen =
   QCheck2.Gen.(
     oneof [
-      map2 (fun k s -> Op_write (k, s)) (int_range 0 5)
-        (string_size (int_range 0 600));
-      map2 (fun k s -> Op_append (k, s)) (int_range 0 5)
-        (string_size (int_range 0 200));
-      map (fun k -> Op_delete k) (int_range 0 5);
+      map2 (fun k s -> Op_write (k, s)) (int_range 0 5) fs_contents_gen;
       map (fun k -> Op_read k) (int_range 0 5);
     ])
+
+(* Data blocks a file of [n] bytes holds: its blocks, plus the
+   indirect block past the 12 direct ones. *)
+let fs_blocks n =
+  let bs = Spin_machine.Disk_dev.block_size in
+  let blocks = (n + bs - 1) / bs in
+  blocks + (if blocks > 12 then 1 else 0)
 
 let prop_fs_matches_model =
   QCheck2.Test.make ~name:"file system agrees with a map model" ~count:25
@@ -151,6 +163,7 @@ let prop_fs_matches_model =
       let good = ref true in
       ignore (Sched.spawn sched ~name:"fs" (fun () ->
         let fs = Simple_fs.format cache ~blocks:8192 () in
+        let free0 = Simple_fs.free_blocks fs in
         let model : (string, string) Hashtbl.t = Hashtbl.create 8 in
         (* Twenty fillers first: the files under test live in the
            directory's second block, and lookups scan both in place. *)
@@ -160,6 +173,13 @@ let prop_fs_matches_model =
           Hashtbl.replace model name ""
         done;
         let name k = Printf.sprintf "f%d" k in
+        (* [free_blocks] is the formatted space less the directory's
+           blocks (one 32-byte entry per file) and every file's. *)
+        let free_agrees () =
+          let used =
+            Hashtbl.fold (fun _ s acc -> acc + fs_blocks (String.length s))
+              model (fs_blocks (32 * Hashtbl.length model)) in
+          Simple_fs.free_blocks fs = free0 - used in
         (* [exists] and [size] agree with the model. *)
         let agrees name =
           match Hashtbl.find_opt model name with
@@ -179,23 +199,14 @@ let prop_fs_matches_model =
               ensure k;
               Simple_fs.write fs ~name:(name k) (Bytes.of_string s);
               Hashtbl.replace model (name k) s
-            | Op_append (k, s) ->
-              ensure k;
-              Simple_fs.append fs ~name:(name k) (Bytes.of_string s);
-              Hashtbl.replace model (name k) (Hashtbl.find model (name k) ^ s)
-            | Op_delete k ->
-              if Hashtbl.mem model (name k) then begin
-                Simple_fs.delete fs ~name:(name k);
-                Hashtbl.remove model (name k)
-              end
             | Op_read k ->
               let fs_view =
                 if Simple_fs.exists fs ~name:(name k) then
                   Some (Bytes.to_string (Simple_fs.read fs ~name:(name k)))
                 else None in
               if fs_view <> Hashtbl.find_opt model (name k) then good := false);
-            let (Op_write (k, _) | Op_append (k, _) | Op_delete k | Op_read k) = op in
-            if not (agrees (name k)) then good := false)
+            let (Op_write (k, _) | Op_read k) = op in
+            if not (agrees (name k) && free_agrees ()) then good := false)
           ops;
         (* Final audit: every model file matches, every name the ops
            used agrees, listing agrees. *)
@@ -208,7 +219,24 @@ let prop_fs_matches_model =
         if List.sort compare (Simple_fs.list_files fs)
            <> List.sort compare
                 (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
-        then good := false));
+        then good := false;
+        (* The servers' read path: a fresh file cache serves every file
+           as the model has it, twice (a miss, then a hit below 64 KB
+           or a second bypass above), and no file that was never
+           created. *)
+        let fc = Spin_fs.File_cache.create ~phys fs in
+        let large = ref 0 in
+        for _ = 1 to 2 do
+          Hashtbl.iter
+            (fun name contents ->
+              if String.length contents > 64 * 1024 then incr large;
+              if Option.map Bytes.to_string
+                   (Spin_fs.File_cache.fetch fc ~name) <> Some contents
+              then good := false)
+            model
+        done;
+        if Spin_fs.File_cache.fetch fc ~name:"never" <> None then good := false;
+        if Spin_fs.File_cache.large_bypasses fc <> !large then good := false));
       Sched.run sched;
       !good)
 
@@ -310,20 +338,29 @@ let prop_virt_regions_disjoint =
 (* Pkt: header push/pull is an identity                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A header push: reserve it in the headroom and write it in place. *)
+let push p h =
+  let n = String.length h in
+  let off = Pkt.reserve p n in
+  Bytes.blit_string h 0 (Pkt.buffer p) off n
+
+(* The first [n] bytes, without consuming them. *)
+let peek p n = Pkt.to_string (Pkt.sub p ~pos:0 ~len:n)
+
 let prop_pkt_push_pull_identity =
   QCheck2.Test.make ~name:"packet header push/pull roundtrips" ~count:200
     QCheck2.Gen.(pair (list_size (int_range 0 5) (string_size (int_range 1 32)))
                    (string_size (int_range 0 256)))
     (fun (headers, payload) ->
-      let p = Pkt.of_string payload in
-      List.iter (fun h -> Pkt.push p (Bytes.of_string h)) headers;
+      let p = Pkt.of_payload (Bytes.of_string payload) in
+      List.iter (push p) headers;
       let pulled =
         List.rev_map
           (fun h ->
             let n = String.length h in
-            let head = Pkt.peek p n in
+            let head = peek p n in
             Pkt.drop p n;
-            Bytes.to_string head)
+            head)
           (List.rev headers) in
       pulled = headers && Pkt.to_string p = payload)
 
@@ -339,33 +376,33 @@ let prop_pkt_roundtrip_at_random_offset =
     (fun (consumed, payload, headers) ->
       let p = Pkt.of_frame (Bytes.of_string (consumed ^ payload)) in
       Pkt.drop p (String.length consumed);
-      List.iter (fun h -> Pkt.push p (Bytes.of_string h)) headers;
+      List.iter (push p) headers;
       let pulled =
         List.rev_map
           (fun h ->
             let n = String.length h in
-            let head = Pkt.peek p n in
+            let head = peek p n in
             Pkt.drop p n;
-            Bytes.to_string head)
+            head)
           (List.rev headers) in
       pulled = headers && Pkt.to_string p = payload)
 
-(* Sub-views alias the backing buffer; [copy] isolates. *)
+(* Sub-views alias the backing buffer; [contents] isolates. *)
 let prop_pkt_view_aliases_copy_isolates =
   QCheck2.Test.make ~name:"packet views alias, copies do not" ~count:200
     QCheck2.Gen.(string_size (int_range 1 128))
     (fun s ->
-      let p = Pkt.of_string s in
+      let p = Pkt.of_payload (Bytes.of_string s) in
       let n = Pkt.length p in
       let pos = (n - 1) / 2 in
       let len = n - pos in
       let v = Pkt.sub p ~pos ~len in
-      let c = Pkt.copy v in
+      let c = Pkt.contents v in
       let before = Pkt.get_u8 v 0 in
       Pkt.set_u8 v 0 ((before + 1) land 0xff);
       Pkt.get_u8 p pos = ((before + 1) land 0xff)   (* write seen via p *)
-      && Pkt.get_u8 c 0 = before                    (* copy untouched *)
-      && Pkt.length c = len)
+      && Bytes.get_uint8 c 0 = before               (* copy untouched *)
+      && Bytes.length c = len)
 
 (* Pushing past the reserved headroom must not fail — it falls back to
    one realloc and the packet still reads back exactly. *)
@@ -376,7 +413,7 @@ let prop_pkt_headroom_exhaustion_reallocs =
                    (list_size (int_range 1 6) (string_size (int_range 1 40))))
     (fun (headroom, payload, headers) ->
       let p = Pkt.of_payload ~headroom (Bytes.of_string payload) in
-      List.iter (fun h -> Pkt.push p (Bytes.of_string h)) headers;
+      List.iter (push p) headers;
       let expect = String.concat "" (List.rev headers @ [ payload ]) in
       Pkt.length p = String.length expect && Pkt.to_string p = expect)
 
@@ -399,9 +436,7 @@ let prop_dllist_matches_model =
   let op_gen =
     frequency
       [ (3, map (fun v -> `Push_back v) (int_range 0 99));
-        (2, map (fun v -> `Push_front v) (int_range 0 99));
         (2, pure `Pop_front);
-        (1, pure `Pop_back);
         (2, map (fun i -> `Remove i) (int_range 0 30)) ] in
   QCheck2.Test.make ~name:"dllist agrees with a deque model" ~count:200
     (list_size (int_range 1 60) op_gen)
@@ -414,18 +449,11 @@ let prop_dllist_matches_model =
         (fun op ->
           match op with
           | `Push_back v -> model := !model @ [ Dllist.push_back dl v ]
-          | `Push_front v -> model := Dllist.push_front dl v :: !model
           | `Pop_front ->
             (match Dllist.pop_front dl, !model with
              | Some v, m :: rest when v = Dllist.value m -> model := rest
              | None, [] -> ()
              | _ -> failwith "pop_front diverged")
-          | `Pop_back ->
-            (match Dllist.pop_back dl, List.rev !model with
-             | Some v, m :: rest when v = Dllist.value m ->
-               model := List.rev rest
-             | None, [] -> ()
-             | _ -> failwith "pop_back diverged")
           | `Remove i ->
             if !model <> [] then begin
               let n = List.nth !model (i mod List.length !model) in

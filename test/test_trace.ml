@@ -18,7 +18,7 @@ let addr_b = Ip.addr_of_quad 10 0 0 2
 
 let fresh_tracer ?capacity () =
   let clock = Clock.create Cost.alpha_133 in
-  let t = Trace.create ?capacity clock in
+  let t = Trace.of_clock ?capacity clock in
   Trace.enable t;
   (clock, t)
 
@@ -110,7 +110,7 @@ let test_end_span_feeds_histogram () =
 
 let test_disabled_tracer_records_nothing () =
   let clock = Clock.create Cost.alpha_133 in
-  let t = Trace.create clock in
+  let t = Trace.of_clock clock in
   check bool "off by default" false (Trace.on t);
   Trace.instant t ~cat:"test" ~name:"ghost" ();
   let sp = Trace.begin_span t ~cat:"test" ~name:"ghost" () in

@@ -16,6 +16,11 @@ module Sched = Spin_sched.Sched
 
 let must r = Dispatcher.ok_exn ~site:"test_vm" r
 
+(* [Sched.run] that stops once [until] holds, checked between slices. *)
+let rec run_until sim s until =
+  if not (until ()) && (Sched.step s || Spin_machine.Sim.idle_step sim) then
+    run_until sim s until
+
 let boot () =
   let m = Machine.create ~name:"vmtest" ~mem_mb:2 () in
   let d = Dispatcher.create m.Machine.clock in
@@ -39,16 +44,10 @@ let test_phys_alloc_dealloc () =
   check bool "capability dead" false (Capability.is_valid p);
   Phys_addr.deallocate vm.Vm.phys p      (* idempotent *)
 
-let test_phys_color_attrib () =
-  let _, _, vm = boot () in
-  let attrib = { Phys_addr.color = Some 3; contiguous = false } in
-  let p = Phys_addr.allocate vm.Vm.phys ~attrib ~owner:"t" ~bytes:100 in
-  check int "colored frame" 3 ((Phys_addr.page_run p).Phys_addr.first_pfn mod 8)
-
 let test_phys_contiguous () =
   let _, _, vm = boot () in
   let p = Phys_addr.allocate vm.Vm.phys
-      ~attrib:{ Phys_addr.color = None; contiguous = true }
+      ~attrib:{ Phys_addr.contiguous = true }
       ~owner:"t" ~bytes:(8 * Addr.page_size) in
   check int "eight adjacent frames" 8 (Phys_addr.page_run p).Phys_addr.npages
 
@@ -233,7 +232,7 @@ let make_mapped vm ~pages =
   let vaddr = Virt_addr.allocate vm.Vm.virt ~asid:(Translation.context_id ctx)
       ~bytes:(pages * Addr.page_size) in
   let page = Phys_addr.allocate vm.Vm.phys
-      ~attrib:{ Phys_addr.color = None; contiguous = true }
+      ~attrib:{ Phys_addr.contiguous = true }
       ~owner:"t" ~bytes:(pages * Addr.page_size) in
   Translation.add_mapping vm.Vm.trans ctx vaddr page Addr.prot_read_write;
   (ctx, vaddr, page)
@@ -304,10 +303,6 @@ let test_translation_dirty_tracking () =
   check bool "clean before" false (Translation.is_dirty vm.Vm.trans ctx ~va);
   ignore (Cpu.load_word m.Machine.cpu ~va);
   check bool "read does not dirty" false (Translation.is_dirty vm.Vm.trans ctx ~va);
-  check bool "but references" true
-    (match Mmu.lookup (Translation.mmu_context ctx) ~vpn:(Addr.vpn_of_va va) with
-     | Some pte -> pte.Mmu.referenced
-     | None -> false);
   Cpu.store_word m.Machine.cpu ~va 1L;
   check bool "write dirties" true (Translation.is_dirty vm.Vm.trans ctx ~va)
 
@@ -377,8 +372,8 @@ let test_pageout_low_water () =
   let pd =
     Pageout.create ~low_water:8 ~high_water:16 sched phys in
   Pageout.start pd;
-  Sched.run sched
-    ~until:(fun () ->
+  run_until m.Machine.sim sched
+    (fun () ->
       Phys_addr.free_pages phys >= Pageout.high_water pd
       || Clock.now_us m.Machine.clock > 1_000_000.);
   Pageout.stop pd;
@@ -446,7 +441,6 @@ let () =
       ( "phys_addr",
         [
           test_case "allocate/deallocate" `Quick test_phys_alloc_dealloc;
-          test_case "color attribute" `Quick test_phys_color_attrib;
           test_case "contiguous attribute" `Quick test_phys_contiguous;
           test_case "reclaim event with volunteer" `Quick test_phys_reclaim_event;
           test_case "out of memory" `Quick test_phys_out_of_memory;
