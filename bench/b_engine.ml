@@ -15,10 +15,15 @@
      - a fuzz-campaign slice: seeded schedule fuzzing, the workload
        whose wall-clock cost bounds how many seeds a campaign covers.
 
+   A fourth workload replays the Tables 2-4 kernel paths: protecting
+   and unprotecting 100 pages, an Appel1 fault, a fork/join and a
+   ping-pong, step after step on one one-CPU kernel.
+
    The counted rows (events processed, events fired, fuzz decisions)
    are virtual work, so the gate pins them exactly. Every other row is
-   a host row: minor words per event and per request fail as ceilings
-   (allocation crept back into the hot path), and the wall-clock rates
+   a host row: minor words per event, per request and per kernel step
+   fail as ceilings (allocation crept back into the hot path), and the
+   wall-clock rates
    are trended in the JSON artifact but not gated — CI machines are
    too noisy to fail a build on host throughput.
 
@@ -32,6 +37,9 @@ module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Sched_fuzz = Spin_sched.Sched_fuzz
 module Host = Spin_net.Host
+module Kernel = Spin.Kernel
+module Addr = Spin_machine.Addr
+module Vm_ext = Spin_vm.Vm_ext
 
 (* ------------------------------------------------------------------ *)
 (* Timer storm                                                        *)
@@ -152,6 +160,41 @@ let fuzz_slice () =
   (r, !sim_us)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel paths                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let kernel_steps = 64
+
+(* Minor words per step of the fixed Tables 2-4 mix, read by the
+   stepping strand itself (into a float array: no boxing) past a first
+   step that warms every path. The Appel1 walk covers pages [100, 128),
+   disjoint from the protected range, one read-only page at a time. *)
+let kernel_words () =
+  let k = Kernel.boot ~cpus:1 ~name:"engine-kernel" () in
+  let vm = Vm_ext.create k.Kernel.vm ~app:"engine" ~pages:128 in
+  Vm_ext.activate vm;
+  let next page = 100 + ((page - 99) mod 28) in
+  Vm_ext.on_protection_fault vm (fun page ->
+    Vm_ext.protect vm ~first:page ~count:1 Addr.prot_read_write;
+    Vm_ext.protect vm ~first:(next page) ~count:1 Addr.prot_read);
+  Vm_ext.protect vm ~first:100 ~count:1 Addr.prot_read;
+  let threads = B_micro.kernel_threads k in
+  let step i =
+    Vm_ext.protect vm ~first:0 ~count:100 Addr.prot_read;
+    Vm_ext.protect vm ~first:0 ~count:100 Addr.prot_read_write;
+    Vm_ext.write vm ~page:(100 + (i mod 28)) 1L;
+    B_micro.fork_join k threads;
+    B_micro.ping_pong k threads in
+  let marks = Array.make 2 0. in
+  ignore (Kernel.spawn k ~name:"steps" (fun () ->
+    step 0;
+    marks.(0) <- Gc.minor_words ();
+    for i = 1 to kernel_steps do step i done;
+    marks.(1) <- Gc.minor_words ()));
+  Kernel.run k;
+  (marks.(1) -. marks.(0)) /. float_of_int kernel_steps
+
+(* ------------------------------------------------------------------ *)
 (* The experiment                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -202,4 +245,10 @@ let run () =
   Report.host ~unit_:"dec/s" ~name:"fuzz decisions/sec"
     (per_sec fuzz.st_events fuzz.st_wall_s);
   Report.host ~unit_:"us/s" ~name:"fuzz sim-us per wall-second"
-    fuzz_sim_rate
+    fuzz_sim_rate;
+
+  let kw = kernel_words () in
+  Printf.printf "  kernel paths: %d steps of Prot100, Appel1, fork/join, ping-pong\n"
+    kernel_steps;
+  Printf.printf "    %.1f minor words/step\n" kw;
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"kernel minor words/step" kw

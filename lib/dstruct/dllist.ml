@@ -1,30 +1,46 @@
+(* Each node and each list holds [Some] of itself, built once at
+   creation: linking stores those options in the neighbours' fields,
+   so linking, unlinking and popping allocate nothing. *)
 type 'a node = {
   value : 'a;
-  owner : 'a t;
+  mutable owner : 'a t option;          (* the list's [me]; [None] unlinked *)
   mutable prev : 'a node option;
   mutable next : 'a node option;
-  mutable linked : bool;
+  me : 'a node option;
 }
 
 and 'a t = {
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable len : int;
+  self : 'a t option;
 }
 
-let create () = { head = None; tail = None; len = 0 }
+let create () =
+  let rec t = { head = None; tail = None; len = 0; self = Some t } in
+  t
+
+let node v =
+  let rec n = { value = v; owner = None; prev = None; next = None; me = Some n } in
+  n
 
 let is_empty t = t.len = 0
 
 let length t = t.len
 
-let push_back t v =
-  let n = { value = v; owner = t; prev = t.tail; next = None; linked = true } in
+let link_back t n =
+  if n.owner != None then invalid_arg "Dllist.link_back: node already linked";
+  n.owner <- t.self;
+  n.prev <- t.tail;
   (match t.tail with
-   | None -> t.head <- Some n
-   | Some last -> last.next <- Some n);
-  t.tail <- Some n;
-  t.len <- t.len + 1;
+   | None -> t.head <- n.me
+   | Some last -> last.next <- n.me);
+  t.tail <- n.me;
+  t.len <- t.len + 1
+
+let push_back t v =
+  let n = node v in
+  link_back t n;
   n
 
 let unlink t n =
@@ -36,21 +52,24 @@ let unlink t n =
    | Some s -> s.prev <- n.prev);
   n.prev <- None;
   n.next <- None;
-  n.linked <- false;
+  n.owner <- None;
   t.len <- t.len - 1
 
 let remove t n =
-  if n.owner != t then invalid_arg "Dllist.remove: node from another list";
-  if n.linked then unlink t n
+  match n.owner with
+  | None -> ()
+  | Some o ->
+    if o != t then invalid_arg "Dllist.remove: node from another list";
+    unlink t n
 
 let pop_front t =
   match t.head with
   | None -> None
-  | Some n -> unlink t n; Some n.value
+  | Some n as first -> unlink t n; first
 
 let value n = n.value
 
-let is_linked n = n.linked
+let is_linked n = n.owner != None
 
 let first t = t.head
 let next n = n.next

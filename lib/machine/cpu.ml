@@ -65,19 +65,21 @@ let context t = t.ctx
 
 let max_fault_retries = 16
 
+(* Top level, not a local [let rec]: a closure over the access would be
+   allocated by every load and store. *)
+let rec resolve_in t ctx ~va access n =
+  if n > max_fault_retries then
+    raise (Unhandled_trap (Mem_fault { va; fault = Mmu.Page_not_present }));
+  match Mmu.translate t.mmu ctx ~va access with
+  | pa -> pa
+  | exception Mmu.Fault fault ->
+    ignore (trap t (Mem_fault { va; fault }));
+    resolve_in t ctx ~va access (n + 1)
+
 let resolve t ~va access =
   match t.ctx with
   | None -> raise (Unhandled_trap (Illegal "user access with no context"))
-  | Some ctx ->
-    let rec attempt n =
-      if n > max_fault_retries then
-        raise (Unhandled_trap (Mem_fault { va; fault = Mmu.Page_not_present }));
-      match Mmu.translate t.mmu ctx ~va access with
-      | Ok pa -> pa
-      | Error fault ->
-        ignore (trap t (Mem_fault { va; fault }));
-        attempt (n + 1) in
-    attempt 0
+  | Some ctx -> resolve_in t ctx ~va access 0
 
 let charge_access t = Clock.charge t.clock (Clock.cost t.clock).Cost.mem_access
 

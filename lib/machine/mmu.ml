@@ -4,6 +4,12 @@ type fault =
   | Page_not_present
   | Protection_violation
 
+exception Fault of fault
+
+(* Raised as they are, so a fault allocates nothing either. *)
+let not_present = Fault Page_not_present
+let protection_violation = Fault Protection_violation
+
 type pte = {
   mutable pfn : int;
   mutable prot : Addr.prot;
@@ -15,13 +21,28 @@ type context = {
   table : (int, pte) Hashtbl.t;       (* vpn -> pte *)
 }
 
+(* A TLB entry's tag: (context id, vpn). A stored key is its entry's
+   own and never changes; [probe] is the one key that lookups and
+   drops overwrite, so only a fill allocates one. *)
+type key = {
+  mutable k_ctx : int;
+  mutable k_vpn : int;
+}
+
+module Tlb = Hashtbl.Make (struct
+  type t = key
+  let equal a b = a.k_ctx = b.k_ctx && a.k_vpn = b.k_vpn
+  let hash k = (k.k_ctx * 65599) + k.k_vpn
+end)
+
 type t = {
   clock : Clock.t;
   mem : Phys_mem.t;
   mutable next_ctx : int;
   mutable live_ctx : int;
-  tlb : (int * int, pte) Hashtbl.t;   (* (ctx id, vpn) -> pte *)
-  tlb_fifo : (int * int) Queue.t;
+  tlb : pte Tlb.t;
+  tlb_fifo : key Queue.t;             (* insertion order, stale keys kept *)
+  probe : key;
   tlb_capacity : int;
   mutable hits : int;
   mutable misses : int;
@@ -37,8 +58,9 @@ let create clock mem = {
   clock; mem;
   next_ctx = 0;
   live_ctx = 0;
-  tlb = Hashtbl.create 256;
+  tlb = Tlb.create 256;
   tlb_fifo = Queue.create ();
+  probe = { k_ctx = 0; k_vpn = 0 };
   tlb_capacity = 128;
   hits = 0;
   misses = 0;
@@ -65,23 +87,26 @@ let context_id ctx = ctx.id
 
 let contexts t = t.live_ctx
 
-let tlb_drop t key =
-  if Hashtbl.mem t.tlb key then begin
-    Hashtbl.remove t.tlb key;
-    (* leave the stale key in the FIFO; eviction skips missing keys *)
-  end
+let probe t ctx vpn =
+  let k = t.probe in
+  k.k_ctx <- ctx.id;
+  k.k_vpn <- vpn;
+  k
 
-let tlb_insert t key pte =
-  while Hashtbl.length t.tlb >= t.tlb_capacity do
-    match Queue.take_opt t.tlb_fifo with
-    | None -> Hashtbl.reset t.tlb
-    | Some old -> Hashtbl.remove t.tlb old
+(* The stale key stays in the FIFO; eviction skips missing keys. *)
+let tlb_drop t ctx vpn = Tlb.remove t.tlb (probe t ctx vpn)
+
+let tlb_insert t ctx vpn pte =
+  while Tlb.length t.tlb >= t.tlb_capacity do
+    if Queue.is_empty t.tlb_fifo then Tlb.reset t.tlb
+    else Tlb.remove t.tlb (Queue.take t.tlb_fifo)
   done;
-  Hashtbl.replace t.tlb key pte;
+  let key = { k_ctx = ctx.id; k_vpn = vpn } in
+  Tlb.replace t.tlb key pte;
   Queue.add key t.tlb_fifo
 
 let destroy_context t ctx =
-  Hashtbl.iter (fun vpn _ -> tlb_drop t (ctx.id, vpn)) ctx.table;
+  Hashtbl.iter (fun vpn _ -> tlb_drop t ctx vpn) ctx.table;
   Hashtbl.reset ctx.table;
   t.live_ctx <- t.live_ctx - 1;
   charge_map t;
@@ -92,12 +117,12 @@ let map t ctx ~vpn ~pfn ~prot =
     invalid_arg "Mmu.map: bad frame number";
   let pte = { pfn; prot; modified = false } in
   Hashtbl.replace ctx.table vpn pte;
-  tlb_drop t (ctx.id, vpn);
+  tlb_drop t ctx vpn;
   charge_map t
 
 let unmap t ctx ~vpn =
   Hashtbl.remove ctx.table vpn;
-  tlb_drop t (ctx.id, vpn);
+  tlb_drop t ctx vpn;
   charge_map t;
   (* The unmap must not return while another CPU can still translate
      through the dead entry: shoot it down now, synchronously. *)
@@ -110,12 +135,12 @@ let narrows ~old_prot ~prot =
   || (old_prot.execute && not prot.execute)
 
 let protect ?(charge = true) t ctx ~vpn ~prot =
-  match Hashtbl.find_opt ctx.table vpn with
-  | None -> false
-  | Some pte ->
+  match Hashtbl.find ctx.table vpn with
+  | exception Not_found -> false
+  | pte ->
     let old_prot = pte.prot in
     pte.prot <- prot;
-    tlb_drop t (ctx.id, vpn);
+    tlb_drop t ctx vpn;
     if charge then charge_map t;
     (* Only a narrowing needs machine-wide visibility before returning:
        a remote TLB entry with stale, {e wider} rights is a protection
@@ -133,24 +158,18 @@ let access_right = function
 
 let translate t ctx ~va access =
   let vpn = Addr.vpn_of_va va in
-  let key = (ctx.id, vpn) in
   let pte =
-    match Hashtbl.find_opt t.tlb key with
-    | Some pte -> t.hits <- t.hits + 1; Some pte
-    | None ->
+    match Tlb.find t.tlb (probe t ctx vpn) with
+    | pte -> t.hits <- t.hits + 1; pte
+    | exception Not_found ->
       t.misses <- t.misses + 1;
       Clock.charge t.clock (Clock.cost t.clock).Cost.tlb_fill;
-      match Hashtbl.find_opt ctx.table vpn with
-      | Some pte -> tlb_insert t key pte; Some pte
-      | None -> None in
-  match pte with
-  | None -> Error Page_not_present
-  | Some pte ->
-    if not (Addr.prot_allows pte.prot (access_right access)) then
-      Error Protection_violation
-    else begin
-      if access = Write then pte.modified <- true;
-      Ok (Addr.pa_of_page pte.pfn + Addr.offset_of_va va)
-    end
+      match Hashtbl.find ctx.table vpn with
+      | pte -> tlb_insert t ctx vpn pte; pte
+      | exception Not_found -> raise_notrace not_present in
+  if not (Addr.prot_allows pte.prot (access_right access)) then
+    raise_notrace protection_violation;
+  if access = Write then pte.modified <- true;
+  Addr.pa_of_page pte.pfn + Addr.offset_of_va va
 
 let tlb_stats t = (t.hits, t.misses)

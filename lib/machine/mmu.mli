@@ -2,9 +2,17 @@
     software-modelled TLB.
 
     Translation contexts correspond to the Alpha's address space
-    numbers. The MMU reports faults as values; the CPU turns them
-    into traps, and SPIN's translation service turns the traps into
-    dispatcher events. *)
+    numbers. The MMU reports faults as a {!Fault} exception; the CPU
+    turns them into traps, and SPIN's translation service turns the
+    traps into dispatcher events.
+
+    The TLB holds 128 entries tagged (context, vpn) and replaces them
+    first in, first out. Dropping an entry (a remap, unmap, protection
+    change or context teardown) leaves its key in the FIFO; eviction
+    skips keys no longer present, and empties the whole TLB if the
+    FIFO runs out first. A TLB hit, a protection change and a dropped
+    entry allocate nothing on the host; a fill allocates only its
+    entry. *)
 
 type t
 
@@ -15,6 +23,10 @@ type access = Read | Write
 type fault =
   | Page_not_present     (** allocated but unmapped *)
   | Protection_violation (** mapped without the required right *)
+
+exception Fault of fault
+(** Raised by {!translate}. Its two values are preallocated, so a
+    fault allocates nothing either. *)
 
 type pte = {
   mutable pfn : int;
@@ -52,13 +64,14 @@ val lookup : context -> vpn:int -> pte option
 (** Page-table inspection; free of charge (used by the Dirty query,
     whose service-level cost is charged by the VM extension). *)
 
-val translate : t -> context -> va:int -> access -> (int, fault) result
+val translate : t -> context -> va:int -> access -> int
 (** [translate t ctx ~va access] is the physical address, charging a
-    TLB fill on misses, and recording reference/modify bits. A miss on
-    an unmapped page is [Page_not_present], whether or not a virtual
-    allocation backs it: the MMU cannot tell, so the translation
-    service, which knows the allocations, raises its bad-address event
-    for an address outside every region. *)
+    TLB fill on misses, and recording the modify bit; raises {!Fault}
+    when the access cannot proceed. A miss on an unmapped page is
+    [Page_not_present], whether or not a virtual allocation backs it:
+    the MMU cannot tell, so the translation service, which knows the
+    allocations, raises its bad-address event for an address outside
+    every region. *)
 
 val tlb_stats : t -> int * int
 (** (hits, misses) since boot. *)

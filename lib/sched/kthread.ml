@@ -7,6 +7,19 @@ let charge sched =
   let clock = Sched.clock sched in
   Clock.charge clock (Clock.cost clock).Spin_machine.Cost.kthread_sync
 
+(* Every wait links the caller's one wait node, so a wait allocates
+   nothing. [enter] links it at the back of [q]; [sleep] blocks until
+   a wakeup, and unlinks the node if that wakeup came from elsewhere
+   than a pop of [q]: a strand waits on one queue at most. *)
+let enter q me =
+  let n = Strand.wait_node me in
+  Dllist.link_back q n;
+  n
+
+let sleep sched q n =
+  Sched.block_current sched;
+  Dllist.remove q n
+
 let fork sched ?(name = "kthread") body =
   { strand = Sched.spawn sched ~owner:"Kthread" ~name body }
 
@@ -16,45 +29,41 @@ let failure t = t.strand.Strand.failure
 
 let join sched t =
   charge sched;
+  let q = t.strand.Strand.joiners in
   while alive t do
-    let me = Sched.self sched in
-    ignore (Dllist.push_back t.strand.Strand.joiners me);
-    Sched.block_current sched
+    sleep sched q (enter q (Sched.self sched))
   done
 
 module Mutex = struct
   type m = {
-    mutable holder : Strand.t option;
+    mutable holder : int;                 (* strand id; [free] when none *)
     waiters : Strand.t Dllist.t;
   }
 
-  let create () = { holder = None; waiters = Dllist.create () }
+  let free = 0                            (* strand ids start at 1 *)
+
+  let create () = { holder = free; waiters = Dllist.create () }
 
   let rec lock sched m =
     charge sched;
-    match m.holder with
-    | None -> m.holder <- Some (Sched.self sched)
-    | Some _ ->
-      let me = Sched.self sched in
-      ignore (Dllist.push_back m.waiters me);
-      Sched.block_current sched;
+    let me = Sched.self sched in
+    if m.holder = free then m.holder <- me.Strand.id
+    else begin
+      sleep sched m.waiters (enter m.waiters me);
       (* Woken by unlock, the lock was handed to us; any other wakeup
          retries. *)
-      if not (match m.holder with
-              | Some h -> h.Strand.id = me.Strand.id
-              | None -> false)
-      then lock sched m
+      if m.holder <> me.Strand.id then lock sched m
+    end
 
   let unlock sched m =
     charge sched;
-    let me = Sched.self sched in
-    (match m.holder with
-     | Some h when h.Strand.id = me.Strand.id -> ()
-     | Some _ | None -> invalid_arg "Kthread.Mutex.unlock: not the holder");
+    if m.holder <> (Sched.self sched).Strand.id then
+      invalid_arg "Kthread.Mutex.unlock: not the holder";
     match Dllist.pop_front m.waiters with
-    | None -> m.holder <- None
-    | Some next ->
-      m.holder <- Some next;              (* direct hand-off *)
+    | None -> m.holder <- free
+    | Some n ->
+      let next = Dllist.value n in
+      m.holder <- next.Strand.id;         (* direct hand-off *)
       Sched.unblock sched next
 
   let with_lock sched m f =
@@ -69,24 +78,23 @@ module Condition = struct
 
   let wait sched m c =
     charge sched;
-    let me = Sched.self sched in
-    ignore (Dllist.push_back c.waiters me);
+    let n = enter c.waiters (Sched.self sched) in
     Mutex.unlock sched m;
-    Sched.block_current sched;
+    sleep sched c.waiters n;
     Mutex.lock sched m
 
   let signal sched c =
     charge sched;
     match Dllist.pop_front c.waiters with
     | None -> ()
-    | Some s -> Sched.unblock sched s
+    | Some n -> Sched.unblock sched (Dllist.value n)
 
   let broadcast sched c =
     charge sched;
     let rec wake () =
       match Dllist.pop_front c.waiters with
       | None -> ()
-      | Some s -> Sched.unblock sched s; wake () in
+      | Some n -> Sched.unblock sched (Dllist.value n); wake () in
     wake ()
 
   let waiters c = Dllist.length c.waiters

@@ -35,13 +35,13 @@ let thread_wakeup t ch =
   let rec wake n =
     match Dllist.pop_front q with
     | None -> n
-    | Some s -> Sched.unblock t.sched s; wake (n + 1) in
+    | Some s -> Sched.unblock t.sched (Dllist.value s); wake (n + 1) in
   wake 0
 
 let thread_wakeup_one t ch =
   charge t;
   match Dllist.pop_front (queue_of t ch) with
   | None -> false
-  | Some s -> Sched.unblock t.sched s; true
+  | Some s -> Sched.unblock t.sched (Dllist.value s); true
 
 let sleepers t ch = Dllist.length (queue_of t ch)

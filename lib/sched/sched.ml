@@ -70,35 +70,28 @@ let owner_name = "GlobalSched"
 let report_violation t msg =
   match t.on_violation with Some f -> f msg | None -> ()
 
-(* Unlinks [s]'s queue node, counting it only if it was still linked. *)
-let unlink_node t s node =
+(* Unlinks [s]'s run-queue node if it is queued. *)
+let dequeue t s =
+  let node = Strand.run_node s in
   if Dllist.is_linked node then begin
     let cpu = s.Strand.qcpu in
     Dllist.remove t.queues.(cpu).(s.Strand.priority) node;
     t.queued.(cpu) <- t.queued.(cpu) - 1
   end
 
+(* Links the strand's own node: an enqueue allocates nothing. *)
 let enqueue t ~cpu s =
-  (* Double enqueue would strand a stale node in the run queue (the
-     handle in [qnode] is overwritten); every enqueue site guards on
-     state, so reaching here queued is an invariant break. *)
-  (match s.Strand.qnode with
-   | Some node ->
-     report_violation t
-       (Printf.sprintf "double enqueue of %s" (Strand.to_string s));
-     unlink_node t s node
-   | None -> ());
+  (* Every enqueue site guards on state, so reaching here queued is an
+     invariant break: report it and move the node. *)
+  if Dllist.is_linked (Strand.run_node s) then begin
+    report_violation t
+      (Printf.sprintf "double enqueue of %s" (Strand.to_string s));
+    dequeue t s
+  end;
   s.Strand.state <- Strand.Runnable;
   s.Strand.qcpu <- cpu;
-  s.Strand.qnode <- Some (Dllist.push_back t.queues.(cpu).(s.Strand.priority) s);
+  Dllist.link_back t.queues.(cpu).(s.Strand.priority) (Strand.run_node s);
   t.queued.(cpu) <- t.queued.(cpu) + 1
-
-let dequeue t s =
-  match s.Strand.qnode with
-  | Some node ->
-    unlink_node t s node;
-    s.Strand.qnode <- None
-  | None -> ()
 
 (* Where an unblocked strand goes: its pinned CPU if any, else the CPU
    it last ran on (cache locality — stealing redistributes if that CPU
@@ -274,15 +267,16 @@ let runnable_strands t =
   List.rev !acc
 
 (* Top level, not a local [let rec]: a closure over [t] would be
-   allocated at every scheduling point. *)
+   allocated at every scheduling point. The answer is the popped node,
+   in the option the queue held. *)
 let rec scan_from t ~cpu p =
   if p < 0 then None
   else
     match Dllist.pop_front t.queues.(cpu).(p) with
-    | Some s ->
+    | Some n as popped ->
       t.queued.(cpu) <- t.queued.(cpu) - 1;
-      s.Strand.qnode <- None;
-      if s.Strand.state = Strand.Runnable then Some s else scan_from t ~cpu p
+      if (Dllist.value n).Strand.state = Strand.Runnable then popped
+      else scan_from t ~cpu p
     | None -> scan_from t ~cpu (p - 1)
 
 let scan t ~cpu = scan_from t ~cpu Strand.max_priority
@@ -350,8 +344,9 @@ let rec count t ~cpu c k p node =
     let c = if c = cpu then -1 else next_victim t ~thief:cpu c in
     if c < 0 then k else count t ~cpu c k top None
 
-(* A chosen strand is unlinked alone: pruning stale entries here would
-   change the queued counts, and so every later choice. *)
+(* The next strand's node, unlinked. A chosen strand is unlinked alone:
+   pruning stale entries here would change the queued counts, and so
+   every later choice. *)
 let next_runnable t ~cpu =
   match t.chooser with
   | None -> scan t ~cpu
@@ -360,10 +355,7 @@ let next_runnable t ~cpu =
      | 0 -> scan t ~cpu                   (* prunes any stale entries *)
      | n ->
        (match nth t ~cpu cpu (choose f Strand n) top None with
-        | Some node ->
-          let s = Dllist.value node in
-          dequeue t s;
-          Some s
+        | Some node as chosen -> dequeue t (Dllist.value node); chosen
         | None -> None))
 
 (* --- work stealing ------------------------------------------------- *)
@@ -433,7 +425,7 @@ let finish t s outcome =
     match Dllist.pop_front s.Strand.joiners with
     | None -> ()
     | Some j ->
-      Dispatcher.raise_default t.events.unblock () j;
+      Dispatcher.raise_default t.events.unblock () (Dllist.value j);
       wake () in
   wake ()
 
@@ -455,7 +447,7 @@ let execute t ~cpu s =
   end;
   Dispatcher.raise_default t.events.resume () s;
   s.Strand.state <- Strand.Running;
-  t.current <- Some s;
+  t.current <- s.Strand.me;
   t.slice_start <- Clock.now t.clock;
   t.preempt_requested <- false;
   let coro =
@@ -536,7 +528,8 @@ let rec try_pick t =
   else
     match next_runnable t ~cpu with
     | None -> try_pick t                  (* queue held only stale entries *)
-    | Some s ->
+    | Some n ->
+      let s = Dllist.value n in
       (* Wall-clock concurrency: every other CPU with queued work runs
          its own slice during this one, so work cycles charged here
          advance wall time at 1/K. *)
@@ -614,7 +607,8 @@ let preempt_point t =
 let set_priority t s priority =
   if priority < 0 || priority > Strand.max_priority then
     invalid_arg "Sched.set_priority: out of range";
-  if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None then begin
+  if s.Strand.state = Strand.Runnable
+     && Dllist.is_linked (Strand.run_node s) then begin
     let cpu = s.Strand.qcpu in
     dequeue t s;
     s.Strand.priority <- priority;
@@ -631,8 +625,8 @@ let set_affinity t s affinity =
   (* A queued strand moves to its pinned CPU immediately. *)
   match affinity with
   | Some c
-    when s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
-         && s.Strand.qcpu <> c ->
+    when s.Strand.state = Strand.Runnable
+         && Dllist.is_linked (Strand.run_node s) && s.Strand.qcpu <> c ->
     dequeue t s;
     enqueue t ~cpu:c s
   | Some _ | None -> ()
@@ -665,17 +659,19 @@ let ipis_undelivered t =
   match t.intr with Some intr -> Intr.ipis_pending intr | None -> 0
 
 let audit t report =
-  (* Run-queue membership: every queued strand is Runnable with a live
-     back-pointer, queued on the CPU its [qcpu] claims (and its pinned
-     CPU if any), no strand is queued twice machine-wide, and each
-     CPU's queued count equals its queue lengths. *)
+  (* Run-queue membership: every queued strand is Runnable and queued
+     through its own run-queue node, on the CPU its [qcpu] claims (and
+     its pinned CPU if any), no strand is queued twice machine-wide,
+     and each CPU's queued count equals its queue lengths. *)
   let seen = Hashtbl.create 16 in
   Array.iteri
     (fun cpu per_prio ->
       Array.iteri
         (fun p q ->
-          List.iter
-            (fun s ->
+          let rec walk = function
+            | None -> ()
+            | Some n ->
+              let s = Dllist.value n in
               if Hashtbl.mem seen s.Strand.id then
                 report
                   (Printf.sprintf "strand %s queued twice" (Strand.to_string s));
@@ -684,8 +680,8 @@ let audit t report =
                 report (Printf.sprintf "%s strand %s in run queue"
                           (Strand.state_to_string s.Strand.state)
                           (Strand.to_string s));
-              if s.Strand.qnode = None then
-                report (Printf.sprintf "queued strand %s has no queue node"
+              if n != Strand.run_node s then
+                report (Printf.sprintf "strand %s queued through a foreign node"
                           (Strand.to_string s));
               if s.Strand.priority <> p then
                 report (Printf.sprintf "strand %s queued at priority %d"
@@ -693,12 +689,13 @@ let audit t report =
               if s.Strand.qcpu <> cpu then
                 report (Printf.sprintf "strand %s queued on CPU %d, qcpu says %d"
                           (Strand.to_string s) cpu s.Strand.qcpu);
-              match s.Strand.affinity with
-              | Some a when a <> cpu ->
-                report (Printf.sprintf "strand %s pinned to CPU %d queued on %d"
-                          (Strand.to_string s) a cpu)
-              | Some _ | None -> ())
-            (Dllist.to_list q))
+              (match s.Strand.affinity with
+               | Some a when a <> cpu ->
+                 report (Printf.sprintf "strand %s pinned to CPU %d queued on %d"
+                           (Strand.to_string s) a cpu)
+               | Some _ | None -> ());
+              walk (Dllist.next n) in
+          walk (Dllist.first q))
         per_prio;
       (* The O(1) load count every scheduling point reads. *)
       let len = Array.fold_left (fun n q -> n + Dllist.length q) 0 per_prio in

@@ -20,8 +20,15 @@ type t = {
   joiners : t Spin_dstruct.Dllist.t;  (** strands waiting for death *)
   mutable failure : exn option;  (** set when the body raised *)
   mutable cap : t Spin_core.Capability.t option;  (** set at creation *)
+  me : t option;
+  (** [Some] this strand, built once: the scheduler's [current] holds
+      it, so a dispatch allocates nothing. *)
   mutable qnode : t Spin_dstruct.Dllist.node option;
-  (** run-queue position, owned by the scheduler *)
+  (** set at creation: the strand's one run-queue node, linked while
+      the strand is queued. Owned by the scheduler; see {!run_node}. *)
+  mutable wnode : t Spin_dstruct.Dllist.node option;
+  (** set at the first wait: the node a thread package links into the
+      one wait queue the strand blocks on; see {!wait_node}. *)
   mutable affinity : int option;
   (** pinned CPU: when set, the strand is only ever enqueued on (and
       never stolen from) this CPU — per-CPU daemons like the netisr
@@ -34,13 +41,22 @@ type t = {
       re-enqueues the strand there. Owned by the scheduler. *)
   mutable qcpu : int;
   (** which CPU's run queue [qnode] lives in; meaningful only while
-      [qnode <> None]. Owned by the scheduler — only the code that
-      links [qnode] may write it. *)
+      it is linked. Owned by the scheduler — only the code that links
+      [qnode] may write it. *)
 }
 
 val create : owner:string -> ?priority:int -> name:string -> unit -> t
 (** Default priority 16. The new strand is [Created], unqueued, with
     no affinity. *)
+
+val run_node : t -> t Spin_dstruct.Dllist.node
+(** The strand's run-queue node; the scheduler re-links it at every
+    enqueue. *)
+
+val wait_node : t -> t Spin_dstruct.Dllist.node
+(** The strand's wait-queue node, built at the first call. A strand
+    blocks on at most one wait queue at a time, so one node serves
+    every mutex, condition and join it waits on. *)
 
 val capability : t -> t Spin_core.Capability.t
 (** The unforgeable reference guarding this strand. *)

@@ -37,6 +37,18 @@ type t = {
   mutable oom_count : int;
 }
 
+(* The last of [pages], the oldest live allocation, reached without the
+   reversed copy. *)
+let rec oldest = function
+  | [] -> None
+  | [ p ] -> Some p
+  | _ :: rest -> oldest rest
+
+(* Whether [pages] holds [page], with no closure built per test. *)
+let rec tracks page = function
+  | [] -> false
+  | p :: rest -> Capability.equal p page || tracks page rest
+
 let create machine dispatcher =
   let frames = Phys_mem.frames machine.Machine.mem in
   (* The primary victim selector needs the service record it is part
@@ -57,8 +69,7 @@ let create machine dispatcher =
             (* Default policy: FIFO — oldest live allocation. *)
             match !self with
             | None -> None
-            | Some t ->
-              (match List.rev t.live with [] -> None | oldest :: _ -> Some oldest));
+            | Some t -> oldest t.live);
       invalidates = [];
       in_reclaim = false;
       reclaim_enabled = true;
@@ -176,7 +187,7 @@ let pick_and_release t ~requester =
     (* A handler may only substitute a page this service minted and
        still tracks; anything else falls back to the candidate. *)
     let victim =
-      if List.exists (Capability.equal victim) t.live then victim
+      if tracks victim t.live then victim
       else candidate in
     match Capability.deref_opt victim with
     | None -> None

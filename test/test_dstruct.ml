@@ -16,10 +16,11 @@ let test_dllist_basic () =
   let _ = Dllist.push_back l 2 in
   check (list int) "order" [ 0; 1; 2 ] (Dllist.to_list l);
   check int "length" 3 (Dllist.length l);
-  check (option int) "pop_front" (Some 0) (Dllist.pop_front l);
-  check (option int) "pop_front 2" (Some 1) (Dllist.pop_front l);
-  check (option int) "pop_front 3" (Some 2) (Dllist.pop_front l);
-  check (option int) "drained" None (Dllist.pop_front l);
+  let pop () = Option.map Dllist.value (Dllist.pop_front l) in
+  check (option int) "pop_front" (Some 0) (pop ());
+  check (option int) "pop_front 2" (Some 1) (pop ());
+  check (option int) "pop_front 3" (Some 2) (pop ());
+  check (option int) "drained" None (pop ());
   check bool "empty again" true (Dllist.is_empty l)
 
 let test_dllist_remove_middle () =
@@ -52,26 +53,73 @@ let test_dllist_foreign_node () =
     (Invalid_argument "Dllist.remove: node from another list")
     (fun () -> Dllist.remove l2 n)
 
+(* Queue operations on two lists, over a pool of nodes that are
+   unlinked and linked again (a strand's run-queue node moves between
+   queues), match a model of the two lists; linking a node that is
+   already linked, or removing it through another list, raises. *)
+type dllist_op =
+  | Push of int * int                     (* list, value: a fresh node *)
+  | Pop of int
+  | Link of int * int                     (* pool node, list *)
+  | Remove of int * int                   (* pool node, list *)
+
+let pool_size = 4
+
 let prop_dllist_mirrors_list =
-  (* A random sequence of queue operations matches a list model. *)
-  QCheck2.Test.make ~name:"dllist mirrors list model" ~count:300
-    QCheck2.Gen.(list (pair bool small_int))
+  let open QCheck2.Gen in
+  let op =
+    let l = int_bound 1 and k = int_bound (pool_size - 1) in
+    frequency
+      [ (2, map2 (fun i v -> Push (i, v)) l small_int);
+        (2, map (fun i -> Pop i) l);
+        (3, map2 (fun k i -> Link (k, i)) k l);
+        (3, map2 (fun k i -> Remove (k, i)) k l) ] in
+  QCheck2.Test.make ~name:"dllist mirrors list model" ~count:300 (list op)
     (fun ops ->
-      let l = Dllist.create () in
-      let model = ref [] in
+      let lists = [| Dllist.create (); Dllist.create () |] in
+      let pool = Array.init pool_size (fun k -> Dllist.node (-1 - k)) in
+      (* The model holds each list's nodes, front first. *)
+      let model = [| []; [] |] in
+      let holder n =
+        if List.memq n model.(0) then Some 0
+        else if List.memq n model.(1) then Some 1
+        else None in
+      let raises f =
+        match f () with () -> false | exception Invalid_argument _ -> true in
+      let step = function
+        | Push (i, v) ->
+          model.(i) <- model.(i) @ [ Dllist.push_back lists.(i) v ];
+          true
+        | Pop i ->
+          (match Dllist.pop_front lists.(i), model.(i) with
+           | Some n, m :: rest when n == m -> model.(i) <- rest; true
+           | None, [] -> true
+           | _ -> false)
+        | Link (k, i) ->
+          let n = pool.(k) in
+          (match holder n with
+           | Some _ -> raises (fun () -> Dllist.link_back lists.(i) n)
+           | None ->
+             Dllist.link_back lists.(i) n;
+             model.(i) <- model.(i) @ [ n ];
+             true)
+        | Remove (k, i) ->
+          let n = pool.(k) in
+          (match holder n with
+           | Some j when j <> i -> raises (fun () -> Dllist.remove lists.(i) n)
+           | Some _ ->
+             Dllist.remove lists.(i) n;
+             model.(i) <- List.filter (fun m -> m != n) model.(i);
+             true
+           | None -> Dllist.remove lists.(i) n; true) in
+      let agrees i =
+        Dllist.to_list lists.(i) = List.map Dllist.value model.(i)
+        && Dllist.length lists.(i) = List.length model.(i) in
       List.for_all
-        (fun (pop, v) ->
-          if pop then begin
-            let expect = match !model with [] -> None | x :: _ -> Some x in
-            model := (match !model with [] -> [] | _ :: rest -> rest);
-            Dllist.pop_front l = expect
-          end else begin
-            ignore (Dllist.push_back l v);
-            model := !model @ [ v ];
-            true
-          end)
-        ops
-      && Dllist.to_list l = !model && Dllist.length l = List.length !model)
+        (fun o ->
+          step o && agrees 0 && agrees 1
+          && Array.for_all (fun n -> Dllist.is_linked n = (holder n <> None)) pool)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                             *)

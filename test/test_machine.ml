@@ -380,10 +380,10 @@ let test_mmu_translate () =
   let ctx = Mmu.create_context mmu in
   Mmu.map mmu ctx ~vpn:10 ~pfn:3 ~prot:Addr.prot_read_write;
   (match Mmu.translate mmu ctx ~va:((10 * Addr.page_size) + 24) Mmu.Read with
-   | Ok pa -> check int "pa" (Addr.pa_of_page 3 + 24) pa
-   | Error _ -> Alcotest.fail "unexpected fault");
+   | pa -> check int "pa" (Addr.pa_of_page 3 + 24) pa
+   | exception Mmu.Fault _ -> Alcotest.fail "unexpected fault");
   (match Mmu.translate mmu ctx ~va:((11 * Addr.page_size)) Mmu.Read with
-   | Error Mmu.Page_not_present -> ()
+   | exception Mmu.Fault Mmu.Page_not_present -> ()
    | _ -> Alcotest.fail "expected page-not-present")
 
 let test_mmu_protection () =
@@ -392,13 +392,14 @@ let test_mmu_protection () =
   let ctx = Mmu.create_context mmu in
   Mmu.map mmu ctx ~vpn:1 ~pfn:1 ~prot:Addr.prot_read;
   (match Mmu.translate mmu ctx ~va:((1 * Addr.page_size)) Mmu.Write with
-   | Error Mmu.Protection_violation -> ()
+   | exception Mmu.Fault Mmu.Protection_violation -> ()
    | _ -> Alcotest.fail "expected protection violation");
   check bool "protect upgrades" true
     (Mmu.protect mmu ctx ~vpn:1 ~prot:Addr.prot_read_write);
   (match Mmu.translate mmu ctx ~va:((1 * Addr.page_size)) Mmu.Write with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "write should succeed after protect");
+   | _ -> ()
+   | exception Mmu.Fault _ ->
+     Alcotest.fail "write should succeed after protect");
   check bool "protect of unmapped fails" false
     (Mmu.protect mmu ctx ~vpn:77 ~prot:Addr.prot_read)
 
@@ -437,7 +438,7 @@ let test_mmu_context_isolation () =
   let c1 = Mmu.create_context mmu and c2 = Mmu.create_context mmu in
   Mmu.map mmu c1 ~vpn:9 ~pfn:1 ~prot:Addr.prot_read;
   (match Mmu.translate mmu c2 ~va:((9 * Addr.page_size)) Mmu.Read with
-   | Error Mmu.Page_not_present -> ()
+   | exception Mmu.Fault Mmu.Page_not_present -> ()
    | _ -> Alcotest.fail "contexts must be isolated");
   Mmu.destroy_context mmu c1;
   check int "context count" 1 (Mmu.contexts mmu)
@@ -864,6 +865,8 @@ let test_machine_isolated_clocks () =
 
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
+module Strand = Spin_sched.Strand
+module Kthread = Spin_sched.Kthread
 
 (* Minor words allocated by [n] calls of [f]. Native code keeps both
    readings unboxed, so the measurement itself allocates nothing. *)
@@ -961,31 +964,114 @@ let test_compiled_predicate_allocates_nothing () =
   check (float 0.) "minor words over 10,000 payload runs" 0.
     (minor_words_over 10_000 (fun () -> ignore (get 0)))
 
-(* What one yield and resume of a strand costs the host heap: the
-   suspension's continuation and the [Parked] cell holding it (6), the
-   run-queue node the requeue links and its three options (12), the
-   dequeue's option (2) and the scheduler's [current] option (2). *)
-let yield_words = 22.
+(* What one suspension of a strand costs the host heap: the runtime's
+   continuation and the [Parked] cell holding it, 4 words in all. The
+   run-queue node a requeue links, the option a dispatch pops and the
+   scheduler's [current] are the strand's own, built once. *)
+let suspend_words = 4.
 
-let test_strand_yield_words () =
-  let m = fresh () in
+(* Words per iteration of [body] in a strand of a fresh one-CPU
+   scheduler, read by the strand itself into a float array (no boxing)
+   around [n] iterations, past a first hundred that build the
+   coroutine's handler. [others] spawns the strands it runs beside. *)
+let strand_words ?(others = fun _ -> ()) n body =
+  let m = Machine.create ~cpus:1 ~name:"test" ~mem_mb:4 () in
   let sched = Sched.create m.Machine.sim (Dispatcher.create m.Machine.clock) in
-  (* The strand reads the counter itself, into a float array (no
-     boxing), around exactly 10,000 yields, past the first slice that
-     builds the coroutine's handler. *)
   let marks = Array.make 2 0. in
   ignore
-    (Sched.spawn sched ~name:"yielder" (fun () ->
-       for i = 1 to 10_100 do
+    (Sched.spawn sched ~name:"measured" (fun () ->
+       for i = 1 to n + 100 do
          if i = 101 then marks.(0) <- Gc.minor_words ();
-         Sched.yield sched
+         body sched
        done;
        marks.(1) <- Gc.minor_words ()));
+  others sched;
   Sched.run sched;
-  let per_yield = (marks.(1) -. marks.(0)) /. 10_000. in
-  if per_yield > yield_words then
-    failf "%.4f minor words per yield, over the pinned %.0f" per_yield
-      yield_words
+  (marks.(1) -. marks.(0)) /. float_of_int n
+
+let test_strand_yield_words () =
+  check (float 0.) "words per yield and resume" suspend_words
+    (strand_words 10_000 Sched.yield)
+
+let test_strand_block_words () =
+  (* The measured strand blocks; a peer unblocks it and yields. Each
+     round suspends both, and the peer's unblock and both requeues
+     link nodes the strands own. *)
+  let blocked = ref None in
+  let peer sched =
+    ignore
+      (Sched.spawn sched ~name:"peer" (fun () ->
+         let rec loop () =
+           match !blocked with
+           | Some s when s.Strand.state = Strand.Dead -> ()
+           | Some s ->
+             if s.Strand.state = Strand.Blocked then Sched.unblock sched s;
+             Sched.yield sched;
+             loop ()
+           | None -> Sched.yield sched; loop () in
+         loop ())) in
+  let body sched =
+    (match !blocked with
+     | None -> blocked := Some (Sched.self sched)
+     | Some _ -> ());
+    Sched.block_current sched in
+  check (float 0.) "words per block, unblock and re-enqueue"
+    (2. *. suspend_words) (strand_words ~others:peer 10_000 body)
+
+(* One [Kthread] condition exchange, the Table 3 ping-pong: each thread
+   takes its turn, signals its partner and waits on the condition. The
+   two waits suspend, and link the threads' own wait nodes. *)
+let test_condition_exchange_words () =
+  let mu = Kthread.Mutex.create () and cond = Kthread.Condition.create () in
+  let turn = ref 0 in
+  let player me sched =
+    Kthread.Mutex.lock sched mu;
+    while !turn <> me do Kthread.Condition.wait sched mu cond done;
+    turn := 1 - me;
+    Kthread.Condition.signal sched cond;
+    Kthread.Mutex.unlock sched mu in
+  let n = 10_000 in
+  let partner sched =
+    ignore (Sched.spawn sched ~name:"partner" (fun () ->
+      for _ = 1 to n + 100 do player 1 sched done)) in
+  check (float 0.) "words per exchange" (2. *. suspend_words)
+    (strand_words ~others:partner n (player 0))
+
+(* The VM paths of Table 4. A TLB hit allocates nothing, and a fill
+   only its entry: the key (3 words), its table bucket (4) and its FIFO
+   cell (3). Lookups and drops go through one reused probe key. *)
+let tlb_fill_words = 10.
+
+let test_mmu_translate_words () =
+  let m = fresh () in
+  let mmu = m.Machine.mmu in
+  let ctx = Mmu.create_context mmu in
+  Mmu.map mmu ctx ~vpn:5 ~pfn:5 ~prot:Addr.prot_read_write;
+  let va = Sys.opaque_identity ((5 * Addr.page_size) + 8) in
+  let prot = Sys.opaque_identity Addr.prot_read_write in
+  ignore (Mmu.translate mmu ctx ~va Mmu.Read);
+  check (float 0.) "minor words over 10,000 hits" 0.
+    (minor_words_over 10_000 (fun () ->
+       ignore (Mmu.translate mmu ctx ~va Mmu.Write)));
+  (* The protection change drops the entry; the next access refills. *)
+  let h0, m0 = Mmu.tlb_stats mmu in
+  check (float 0.) "words per drop and fill" tlb_fill_words
+    (minor_words_over 1_000 (fun () ->
+       ignore (Mmu.protect mmu ctx ~vpn:5 ~prot);
+       ignore (Mmu.translate mmu ctx ~va Mmu.Read))
+     /. 1_000.);
+  let h1, m1 = Mmu.tlb_stats mmu in
+  check (pair int int) "every access missed" (0, 1_000) (h1 - h0, m1 - m0)
+
+let test_protect_words () =
+  let k = Spin.Kernel.boot ~cpus:1 ~name:"test" () in
+  let vm = Spin_vm.Vm_ext.create k.Spin.Kernel.vm ~app:"test" ~pages:128 in
+  let ro = Sys.opaque_identity Addr.prot_read
+  and rw = Sys.opaque_identity Addr.prot_read_write in
+  check (float 0.) "minor words over 1,000 protections of 100 pages" 0.
+    (minor_words_over 500 (fun () ->
+       Spin_vm.Vm_ext.protect vm ~first:0 ~count:100 ro;
+       Spin_vm.Vm_ext.protect vm ~first:0 ~count:100 rw))
 
 (* The frame path: a device copy per transmitted frame, a view and a
    queue cell per received one, and nothing else. *)
@@ -1476,6 +1562,14 @@ let () =
             test_compiled_predicate_allocates_nothing;
           Alcotest.test_case "strand yield stays within its pinned words" `Quick
             test_strand_yield_words;
+          Alcotest.test_case "strand block and unblock link owned nodes" `Quick
+            test_strand_block_words;
+          Alcotest.test_case "condition exchange allocates two suspensions"
+            `Quick test_condition_exchange_words;
+          Alcotest.test_case "tlb hit allocates nothing, a fill its entry"
+            `Quick test_mmu_translate_words;
+          Alcotest.test_case "protecting 100 pages allocates nothing" `Quick
+            test_protect_words;
           Alcotest.test_case "nic transmit allocates the frame copy and link event"
             `Quick test_nic_transmit_words;
           Alcotest.test_case "interrupt delivery allocates nothing" `Quick

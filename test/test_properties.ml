@@ -451,7 +451,7 @@ let prop_dllist_matches_model =
           | `Push_back v -> model := !model @ [ Dllist.push_back dl v ]
           | `Pop_front ->
             (match Dllist.pop_front dl, !model with
-             | Some v, m :: rest when v = Dllist.value m -> model := rest
+             | Some n, m :: rest when n == m -> model := rest
              | None, [] -> ()
              | _ -> failwith "pop_front diverged")
           | `Remove i ->
@@ -548,6 +548,125 @@ let prop_fuzz_seed_replays_identically =
           st.Spin_sched.Sched_fuzz.injected_preempts ) in
       observe () = observe ())
 
+(* The MMU against a plain model: page tables as tables of mutable
+   entries, the TLB as an association list from (context, vpn) to the
+   entry it caches, and its FIFO as a key list that keeps the keys of
+   dropped entries, as the hardware model does. Programs run over three
+   contexts and enough pages to overflow the 128-entry TLB. *)
+module Mmu = Spin_machine.Mmu
+module Addr = Spin_machine.Addr
+
+type mmu_op =
+  | Map of int * int * int * bool         (* ctx, vpn, pfn, writable *)
+  | Unmap of int * int
+  | Protect of int * int * bool
+  | Translate of int * int * int * bool   (* ctx, vpn, offset, write *)
+  | Destroy of int
+
+type model_pte = { m_pfn : int; mutable m_prot : Addr.prot; mutable m_mod : bool }
+
+let mmu_contexts = 3
+let mmu_pages = 100
+let tlb_capacity = 128
+
+let prop_mmu_matches_model =
+  let open QCheck2.Gen in
+  let c = int_bound (mmu_contexts - 1) and v = int_bound (mmu_pages - 1) in
+  let op =
+    frequency
+      [ (10, map (fun (c, v, p, w) -> Map (c, v, p, w))
+               (quad c v (int_bound 255) bool));
+        (5, map2 (fun c v -> Unmap (c, v)) c v);
+        (10, map3 (fun c v w -> Protect (c, v, w)) c v bool);
+        (150, map (fun (c, v, o, w) -> Translate (c, v, o, w))
+                (quad c v (int_bound (Addr.page_size - 1)) bool));
+        (1, map (fun c -> Destroy c) c) ] in
+  (* Unshrunk: a failing program of a thousand steps would take minutes
+     to shrink, and the property prints no instance. *)
+  QCheck2.Test.make ~name:"mmu and tlb agree with a fifo model" ~count:40
+    (no_shrink (list_size (int_range 200 1000) op))
+    (fun ops ->
+      let m = Machine.create ~cpus:1 ~name:"mmu" ~mem_mb:4 () in
+      let mmu = m.Machine.mmu in
+      let ctxs = Array.init mmu_contexts (fun _ -> Mmu.create_context mmu) in
+      let pt = Array.init mmu_contexts (fun _ -> Hashtbl.create 64) in
+      let tlb = ref [] and fifo = ref [] in
+      let hits = ref 0 and misses = ref 0 and live = ref mmu_contexts in
+      let prot w = if w then Addr.prot_read_write else Addr.prot_read in
+      let drop key = tlb := List.remove_assoc key !tlb in
+      let map c vpn pfn w =
+        Mmu.map mmu ctxs.(c) ~vpn ~pfn ~prot:(prot w);
+        Hashtbl.replace pt.(c) vpn { m_pfn = pfn; m_prot = prot w; m_mod = false };
+        drop (c, vpn) in
+      (* Every page starts mapped, so translations fill the TLB. *)
+      for c = 0 to mmu_contexts - 1 do
+        for vpn = 0 to mmu_pages - 1 do map c vpn vpn true done
+      done;
+      let translate c vpn off w =
+        let pte =
+          match List.assoc_opt (c, vpn) !tlb with
+          | Some pte -> incr hits; Some pte
+          | None ->
+            incr misses;
+            (match Hashtbl.find_opt pt.(c) vpn with
+             | None -> None
+             | Some pte ->
+               while List.length !tlb >= tlb_capacity do
+                 match !fifo with
+                 | [] -> tlb := []
+                 | old :: rest -> fifo := rest; drop old
+               done;
+               tlb := ((c, vpn), pte) :: !tlb;
+               fifo := !fifo @ [ (c, vpn) ];
+               Some pte) in
+        match pte with
+        | None -> Error Mmu.Page_not_present
+        | Some pte ->
+          if not (Addr.prot_allows pte.m_prot (if w then `Write else `Read)) then
+            Error Mmu.Protection_violation
+          else begin
+            if w then pte.m_mod <- true;
+            Ok (Addr.pa_of_page pte.m_pfn + off)
+          end in
+      let same_entry c vpn =
+        match Mmu.lookup ctxs.(c) ~vpn, Hashtbl.find_opt pt.(c) vpn with
+        | None, None -> true
+        | Some p, Some q ->
+          p.Mmu.pfn = q.m_pfn && p.Mmu.prot = q.m_prot && p.Mmu.modified = q.m_mod
+        | _ -> false in
+      let step = function
+        | Map (c, vpn, pfn, w) -> map c vpn pfn w; same_entry c vpn
+        | Unmap (c, vpn) ->
+          Mmu.unmap mmu ctxs.(c) ~vpn;
+          Hashtbl.remove pt.(c) vpn;
+          drop (c, vpn);
+          same_entry c vpn
+        | Protect (c, vpn, w) ->
+          let expect =
+            match Hashtbl.find_opt pt.(c) vpn with
+            | None -> false
+            | Some pte -> pte.m_prot <- prot w; drop (c, vpn); true in
+          Mmu.protect mmu ctxs.(c) ~vpn ~prot:(prot w) = expect && same_entry c vpn
+        | Translate (c, vpn, off, w) ->
+          let va = (vpn * Addr.page_size) + off in
+          let got =
+            match Mmu.translate mmu ctxs.(c) ~va (if w then Mmu.Write else Mmu.Read) with
+            | pa -> Ok pa
+            | exception Mmu.Fault f -> Error f in
+          got = translate c vpn off w && same_entry c vpn
+        | Destroy c ->
+          Mmu.destroy_context mmu ctxs.(c);
+          Hashtbl.iter (fun vpn _ -> drop (c, vpn)) pt.(c);
+          Hashtbl.reset pt.(c);
+          decr live;
+          Mmu.contexts mmu = !live in
+      List.for_all
+        (fun o -> step o && Mmu.tlb_stats mmu = (!hits, !misses))
+        ops
+      && List.for_all
+           (fun c -> List.for_all (same_entry c) (List.init mmu_pages Fun.id))
+           (List.init mmu_contexts Fun.id))
+
 let prop_ip_addr_roundtrip =
   QCheck2.Test.make ~name:"ip address quad/string roundtrip" ~count:200
     QCheck2.Gen.(quad (int_range 0 255) (int_range 0 255) (int_range 0 255)
@@ -577,5 +696,6 @@ let () =
             prop_runnable_strands_ordered;
             prop_fuzz_seed_replays_identically;
             prop_ip_addr_roundtrip;
+            prop_mmu_matches_model;
           ] );
     ]

@@ -893,6 +893,51 @@ let test_random_ops_keep_queued_counts () =
   check bool "idle CPUs stole" true (st.Sched.steals > 0);
   check bool "wakeups crossed CPUs" true (st.Sched.ipi_wakeups > 0)
 
+(* Each strand owns one run-queue node for life. On four CPUs, strands
+   spawned onto one CPU are stolen by the idle ones, change their own
+   priority before yielding and are moved between levels while queued:
+   after every scheduling point the audit is clean, every strand still
+   queues through the node it was born with, and that node is linked
+   exactly while the strand is runnable. *)
+let test_run_nodes_follow_steals_and_priorities () =
+  let _, _, s = smp_kernel ~cpus:4 () in
+  let n = 12 in
+  let strands =
+    List.init n (fun i ->
+      Sched.spawn s ~priority:(8 + (i mod 4)) ~name:(Printf.sprintf "m%d" i)
+        (fun () ->
+          for r = 1 to 20 do
+            if r mod 5 = 0 then
+              Sched.set_priority s (Sched.self s) ((i + r) mod (Strand.max_priority + 1));
+            Sched.yield s
+          done)) in
+  let nodes = List.map Strand.run_node strands in
+  let cpus = Array.make n 0 in               (* bit set of CPUs queued on *)
+  let steps = ref 0 in
+  while Sched.step s do
+    incr steps;
+    List.iteri
+      (fun i x ->
+        if x.Strand.state = Strand.Runnable && (!steps + i) mod 7 = 0 then
+          Sched.set_priority s x ((!steps * 3 + i) mod (Strand.max_priority + 1)))
+      strands;
+    check (list string) (Printf.sprintf "audit after step %d" !steps) []
+      (audit_reports s);
+    List.iteri
+      (fun i (x, node) ->
+        if Strand.run_node x != node then fail "a strand's run-queue node changed";
+        if Spin_dstruct.Dllist.is_linked node <> (x.Strand.state = Strand.Runnable)
+        then fail (Printf.sprintf "%s: node linked <> runnable" (Strand.to_string x));
+        if Spin_dstruct.Dllist.is_linked node then
+          cpus.(i) <- cpus.(i) lor (1 lsl x.Strand.qcpu))
+      (List.combine strands nodes)
+  done;
+  let st = Sched.stats s in
+  check int "every strand finished" n st.Sched.completed;
+  check bool "idle CPUs stole" true (st.Sched.steals > 0);
+  check bool "some strand queued on two CPUs" true
+    (Array.exists (fun m -> m land (m - 1) <> 0) cpus)
+
 (* The steal walk runs in place over the run queues. Over random
    queues (2-8 CPUs, mixed priorities, strands pinned anywhere, stale
    entries left queued) its every index must match a model that builds
@@ -1059,6 +1104,8 @@ let () =
             test_spawn_inherits_cpu_and_count_is_explicit;
           test_case "random ops keep the queued counts" `Quick
             test_random_ops_keep_queued_counts;
+          test_case "run-queue nodes follow steals and priorities" `Quick
+            test_run_nodes_follow_steals_and_priorities;
           test_case "declining chooser stops steals" `Quick
             test_chooser_declines_steals;
           QCheck_alcotest.to_alcotest prop_steal_walk_indexes_model;
