@@ -17,13 +17,17 @@
 
    A fourth workload replays the Tables 2-4 kernel paths: protecting
    and unprotecting 100 pages, an Appel1 fault, a fork/join and a
-   ping-pong, step after step on one one-CPU kernel.
+   ping-pong, step after step on one one-CPU kernel. A fifth replays
+   the mem experiment's pressure case untraced: the fetch loop beside
+   the allocation hog and the pageout daemon, which sleep, reclaim and
+   release pages. Its eight files stay cached, so the cold disk path
+   is pinned in test_machine's "hot paths" instead.
 
    The counted rows (events processed, events fired, fuzz decisions)
    are virtual work, so the gate pins them exactly. Every other row is
-   a host row: minor words per event, per request and per kernel step
-   fail as ceilings (allocation crept back into the hot path), and the
-   wall-clock rates
+   a host row: minor words per event, per request, per kernel step and
+   per fetch fail as ceilings (allocation crept back into the hot
+   path), and the wall-clock rates
    are trended in the JSON artifact but not gated — CI machines are
    too noisy to fail a build on host throughput.
 
@@ -251,4 +255,11 @@ let run () =
   Printf.printf "  kernel paths: %d steps of Prot100, Appel1, fork/join, ping-pong\n"
     kernel_steps;
   Printf.printf "    %.1f minor words/step\n" kw;
-  Report.host ~gate:Ceiling ~unit_:"words" ~name:"kernel minor words/step" kw
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"kernel minor words/step" kw;
+
+  let mem = B_mem.run_case ~traced:false ~hog:true ~reclaim:true in
+  Printf.printf "  memory pressure: %d fetches beside the hog and pageout\n"
+    B_mem.requests;
+  Printf.printf "    %.1f minor words/fetch\n" mem.B_mem.words_per_fetch;
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"mem minor words/fetch"
+    mem.B_mem.words_per_fetch

@@ -33,11 +33,13 @@ type outcome = {
   fetch_failures : int;                 (* short or failed responses *)
   degraded : int;                       (* cache inserts refused *)
   reclaim_span : Trace.summary option;  (* the vm.reclaim aggregate *)
+  words_per_fetch : float;              (* host minor words, measured loop *)
 }
 
 (* One run: [hog] turns the allocation antagonist on; [reclaim] is
-   the ablation switch for the whole reclamation protocol. *)
-let run_case ~hog ~reclaim =
+   the ablation switch for the whole reclamation protocol; [traced]
+   records the trace the reclaim span comes from. *)
+let run_case ~traced ~hog ~reclaim =
   (* A small server: 2 MB of physical memory (256 pages) so cache
      capacity and hog pressure meet quickly. *)
   let files =
@@ -50,7 +52,7 @@ let run_case ~hog ~reclaim =
   let phys = server.Host.phys in
   if not reclaim then Phys_addr.set_reclaim_enabled phys false;
   let tr = Trace.of_clock clock in
-  Trace.enable tr;
+  if traced then Trace.enable tr;
   let stop = ref false in
   let hog_oom = ref 0 in
   let hog_pages = ref [] in
@@ -81,6 +83,8 @@ let run_case ~hog ~reclaim =
     end else None in
   let fetch_failures = ref 0 in
   let latencies = E2e.Stats.samples () in
+  (* Read by the fetching strand itself, into a float array: no boxing. *)
+  let words = Array.make 2 0. in
   ignore (Sched.spawn client.Host.sched ~name:"driver" (fun () ->
     (* Let the hog empty the pool first, then warm the caches under
        pressure (the warm pass is not measured). *)
@@ -88,12 +92,14 @@ let run_case ~hog ~reclaim =
     for i = 0 to n_files - 1 do
       ignore (fetch w ~path:(Printf.sprintf "f%d.html" i))
     done;
+    words.(0) <- Gc.minor_words ();
     for r = 0 to requests - 1 do
       let path = Printf.sprintf "f%d.html" (r mod n_files) in
       let t0 = Clock.now clock in
       if not (fetch w ~path) then incr fetch_failures;
       E2e.Stats.add latencies (Clock.now clock - t0)
     done;
+    words.(1) <- Gc.minor_words ();
     stop := true;
     Option.iter Pageout.stop pd));
   B_web.run w;
@@ -110,14 +116,15 @@ let run_case ~hog ~reclaim =
       Spin_fs.File_cache.degraded w.B_web.file_cache
       + Spin_fs.Block_cache.degraded w.B_web.block_cache;
     reclaim_span = Trace.summary tr ~key:"vm.reclaim";
+    words_per_fetch = (words.(1) -. words.(0)) /. float_of_int requests;
   }
 
 let run () =
   Report.header
     "Memory pressure: page-backed caches under an allocation hog (5.2)";
-  let control = run_case ~hog:false ~reclaim:true in
-  let pressure = run_case ~hog:true ~reclaim:true in
-  let ablation = run_case ~hog:true ~reclaim:false in
+  let control = run_case ~traced:true ~hog:false ~reclaim:true in
+  let pressure = run_case ~traced:true ~hog:true ~reclaim:true in
+  let ablation = run_case ~traced:true ~hog:true ~reclaim:false in
   Printf.printf "%-26s %10s %10s %8s %9s %8s %8s\n"
     "case" "p50 (us)" "p99 (us)" "hit%" "reclaims" "hog-oom" "failed";
   let row name o =

@@ -38,6 +38,16 @@ let link_back t n =
   t.tail <- n.me;
   t.len <- t.len + 1
 
+let link_front t n =
+  if n.owner != None then invalid_arg "Dllist.link_front: node already linked";
+  n.owner <- t.self;
+  n.next <- t.head;
+  (match t.head with
+   | None -> t.tail <- n.me
+   | Some first -> first.prev <- n.me);
+  t.head <- n.me;
+  t.len <- t.len + 1
+
 let push_back t v =
   let n = node v in
   link_back t n;

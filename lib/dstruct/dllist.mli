@@ -28,6 +28,10 @@ val link_back : 'a t -> 'a node -> unit
 (** [link_back t n] appends [n]. Raises [Invalid_argument] if [n] is
     already linked, into [t] or another list. *)
 
+val link_front : 'a t -> 'a node -> unit
+(** [link_front t n] prepends [n]. Raises [Invalid_argument] if [n] is
+    already linked. *)
+
 val push_back : 'a t -> 'a -> 'a node
 (** [push_back t v] appends a fresh node carrying [v] and returns it. *)
 

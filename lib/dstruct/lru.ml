@@ -85,6 +85,19 @@ let remove t k =
 
 let mem t k = Hashtbl.mem t.table k
 
+(* Top level, not a local [let rec]: a walk builds no closure. *)
+let rec remove_from t p x = function
+  | Nil -> None
+  | Entry r as e ->
+    (match r.value with
+     | Some v when p v x ->
+       unlink t e;
+       Hashtbl.remove t.table r.key;
+       r.value
+     | Some _ | None -> remove_from t p x r.next)
+
+let remove_first t p x = remove_from t p x t.head
+
 let least_recent t =
   match t.tail with
   | Entry { key; value = Some v; _ } -> Some (key, v)

@@ -29,6 +29,12 @@ val remove : ('k, 'v) t -> 'k -> unit
 
 val mem : ('k, 'v) t -> 'k -> bool
 
+val remove_first : ('k, 'v) t -> ('v -> 'a -> bool) -> 'a -> 'v option
+(** [remove_first t p x] removes the most recently used binding whose
+    value [v] has [p v x], without invoking the eviction callback, and
+    returns its value; [None] when no binding has it. The walk
+    allocates nothing unless [p] does. *)
+
 val least_recent : ('k, 'v) t -> ('k * 'v) option
 (** The least-recently-used binding — the next to be evicted — without
     touching recency. O(1). *)

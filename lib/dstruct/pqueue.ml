@@ -11,7 +11,9 @@ type 'a node = {
   mutable pos : int;                    (* index in [nodes] *)
 }
 
-type 'a handle = { node : 'a node; gen : int }
+(* Refilled in place by [readd]: one handle can carry an element
+   after element. *)
+type 'a handle = { mutable node : 'a node; mutable gen : int }
 
 type 'a t = {
   dummy : 'a;
@@ -72,7 +74,7 @@ let fresh t key v =
   t.allocated <- t.allocated + 1;
   n
 
-let add t key v =
+let insert t key v =
   let n =
     if t.size < t.allocated then begin
       t.hits <- t.hits + 1;
@@ -85,6 +87,10 @@ let add t key v =
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t.nodes n (t.size - 1);
+  n
+
+let add t key v =
+  let n = insert t key v in
   { node = n; gen = n.seq }
 
 let min_key t = if t.size = 0 then max_int else t.nodes.(0).key
@@ -111,6 +117,12 @@ let pop t =
   v
 
 let mem h = h.node.seq = h.gen
+
+let readd t h key v =
+  if mem h then invalid_arg "Pqueue.readd: element still queued";
+  let n = insert t key v in
+  h.node <- n;
+  h.gen <- n.seq
 
 let remove t h =
   mem h && begin delete_at t h.node.pos; true end

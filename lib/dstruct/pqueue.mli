@@ -6,7 +6,8 @@
     depends on. Keys are compared as ints, with no comparison closure.
 
     Records are recycled through a free pool, so a steady-state
-    workload allocates only the handle per [add]. A freed record holds
+    workload allocates only the handle per [add], and nothing per
+    {!readd}. A freed record holds
     the [dummy] given at creation, never a removed value, so the queue
     pins nothing it no longer holds. Handles carry the insertion
     number they were born with, which makes removing a popped or
@@ -35,6 +36,13 @@ val pop : 'a t -> 'a
 (** [pop t] removes and returns the element with the smallest key,
     the earliest added among equals; O(log n).
     @raise Invalid_argument when empty. *)
+
+val readd : 'a t -> 'a handle -> int -> 'a -> unit
+(** [readd t h key v] inserts [v] at [key] through [h] itself, exactly
+    as {!add} would (the next insertion number), and allocates nothing
+    once the pool is warm: [h] now designates the new element. [h]'s
+    previous element must be gone (popped or removed); raises
+    [Invalid_argument] otherwise. *)
 
 val remove : 'a t -> 'a handle -> bool
 (** [remove t h] deletes [h]'s element and frees its record now;

@@ -10,7 +10,9 @@
     memory to the caller.
 
     Reads and writes block the calling strand on the disk when they
-    miss; cached reads cost only the memory copy. Writes are
+    miss; cached reads cost only the memory copy. Concurrent reads of
+    one block share a single disk request; a write waits out any
+    request in flight on its block and then submits its own. Writes are
     write-through (the cache never holds dirty data), which keeps the
     web-server experiment's "double buffering" story honest: caching
     happens either here or in the file cache, and both can be turned
@@ -36,9 +38,12 @@ val read_into : t -> block:int -> Bytes.t -> pos:int -> unit
 val read : t -> block:int -> Bytes.t
 (** {!read_into} a fresh block-sized buffer. *)
 
-val read_uncached : t -> block:int -> Bytes.t
-(** Bypass the cache entirely (the "non-caching file system" mode the
-    SPIN web server runs on). *)
+val read_uncached : t -> block:int -> Bytes.t -> pos:int -> len:int -> unit
+(** [read_uncached t ~block buf ~pos ~len] copies the first [len]
+    bytes of the block into [buf] at [pos], bypassing the cache
+    entirely (the "non-caching file system" mode the SPIN web server
+    runs on). Must run in strand context. The device reads into a
+    block buffer the cache reuses, so a read allocates nothing. *)
 
 val write : t -> block:int -> Bytes.t -> unit
 (** Write-through; updates the cached page when the block's group is

@@ -37,25 +37,24 @@ let coldest_page t =
   | Some (_, e) -> e.pages.(0)
   | None -> assert false (* handler guarded on a non-empty cache *)
 
+let rec holds_from pages page i =
+  i < Array.length pages
+  && (Capability.equal pages.(i) page || holds_from pages page (i + 1))
+
+let holds e page = holds_from e.pages page 0
+
 (* One of our pages is being reclaimed: the whole entry it belonged
    to goes (the service frees the chosen page; siblings go back by
    hand). *)
 let forget t page =
-  let found = ref None in
-  Lru.iter
-    (fun k e ->
-      if Array.exists (fun p -> Capability.equal p page) e.pages then
-        found := Some (k, e))
-    t.cache;
-  match !found with
+  match Lru.remove_first t.cache holds page with   (* no on_evict *)
   | None -> ()
-  | Some (k, e) ->
+  | Some e ->
     t.bytes_held <- t.bytes_held - entry_bytes e;
-    Array.iter
-      (fun p ->
-        if not (Capability.equal p page) then Phys_addr.deallocate t.phys p)
-      e.pages;
-    Lru.remove t.cache k;                 (* no on_evict *)
+    for i = 0 to Array.length e.pages - 1 do
+      let p = e.pages.(i) in
+      if not (Capability.equal p page) then Phys_addr.deallocate t.phys p
+    done;
     t.reclaim_count <- t.reclaim_count + 1
 
 (* Files larger than this bypass the cache entirely. *)
@@ -76,10 +75,7 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ~phys fs =
         reclaim_count = 0; degraded_count = 0 } in
   let t = Lazy.force t in
   let ours candidate =
-    Lru.length t.cache > 0
-    && (match Phys_addr.page_owner candidate with
-        | Some o -> String.equal o owner
-        | None -> false) in
+    Lru.length t.cache > 0 && Phys_addr.owned_by candidate owner in
   ignore
     (Dispatcher.ok_exn ~site:"File_cache.create"
        (Dispatcher.install (Phys_addr.reclaim_event phys) ~installer:owner
@@ -98,37 +94,45 @@ let rec evict_to_budget t =
       Lru.remove t.cache k;
       evict_to_budget t
 
-(* Take pages for [data] and insert it; under hopeless pressure give
-   back whatever we got and stay uncached. *)
+let allocate t = Phys_addr.allocate t.phys ~owner ~bytes:Addr.page_size
+
+(* Allocates [pages] from [i] on: the index it stopped at, short of the
+   end when memory ran out. *)
+let rec take_pages t pages i =
+  if i = Array.length pages then i
+  else
+    match allocate t with
+    | p -> pages.(i) <- p; take_pages t pages (i + 1)
+    | exception Phys_addr.Out_of_memory -> i
+
+(* Take pages for [data] and insert it, each page filled straight from
+   [data]; under hopeless pressure give back whatever we got and stay
+   uncached. *)
 let try_insert t ~name data =
   let size = Bytes.length data in
   let n = max 1 (Addr.round_up_pages size) in
-  let got = Array.make n None in
-  match
-    for i = 0 to n - 1 do
-      got.(i) <-
-        Some (Phys_addr.allocate t.phys ~owner ~bytes:Addr.page_size)
-    done
-  with
-  | () ->
-    let pages = Array.map Option.get got in
-    Array.iteri
-      (fun i p ->
+  match allocate t with
+  | exception Phys_addr.Out_of_memory -> t.degraded_count <- t.degraded_count + 1
+  | first ->
+    let pages = Array.make n first in
+    let got = take_pages t pages 1 in
+    if got < n then begin
+      for i = 0 to got - 1 do Phys_addr.deallocate t.phys pages.(i) done;
+      t.degraded_count <- t.degraded_count + 1
+    end
+    else begin
+      for i = 0 to n - 1 do
+        let p = pages.(i) in
         Phys_addr.touch t.phys p;
         let off = i * Addr.page_size in
         let chunk = min Addr.page_size (size - off) in
-        if chunk > 0 then
-          Phys_addr.fill t.phys p ~off:0 (Bytes.sub data off chunk))
-      pages;
-    let e = { pages; size } in
-    Lru.add t.cache name e;
-    t.bytes_held <- t.bytes_held + entry_bytes e;
-    evict_to_budget t
-  | exception Phys_addr.Out_of_memory ->
-    Array.iter
-      (function Some p -> Phys_addr.deallocate t.phys p | None -> ())
-      got;
-    t.degraded_count <- t.degraded_count + 1
+        if chunk > 0 then Phys_addr.fill t.phys p ~off:0 ~len:chunk data ~pos:off
+      done;
+      let e = { pages; size } in
+      Lru.add t.cache name e;
+      t.bytes_held <- t.bytes_held + entry_bytes e;
+      evict_to_budget t
+    end
 
 (* Assemble a hit: the charged copy out of cache pages, straight into
    the body, is the hand-off to the requesting domain. *)

@@ -55,9 +55,11 @@ let encode_inode ino =
   b
 
 let decode_inode b off =
-  { size = get32 b off;
-    direct = Array.init ndirect (fun i -> get32 b (off + 4 + (i * 4)));
-    indirect = get32 b (off + 4 + (ndirect * 4)) }
+  let direct = Array.make ndirect 0 in
+  for i = 0 to ndirect - 1 do
+    direct.(i) <- get32 b (off + 4 + (i * 4))
+  done;
+  { size = get32 b off; direct; indirect = get32 b (off + 4 + (ndirect * 4)) }
 
 let encode_bitset set =
   (* One bit per entry, packed into whole blocks: [Bitset]'s own layout
@@ -85,10 +87,30 @@ let sync_ibitmap t = write_blocks t t.ibitmap_block (encode_bitset t.ibitmap)
 
 let sync_dbitmap t = write_blocks t t.dbitmap_start (encode_bitset t.dbitmap)
 
+(* In-place reads. A lookup, a size read, an inode read and an
+   indirect pointer go through [t.scratch], one block-sized buffer per
+   file system, instead of a fresh block per read. The strands that
+   share it switch only where a call blocks, and a
+   [Block_cache.read_into] miss blocks on the disk; so the invariant
+   is: no scratch contents are relied on across a call that can block.
+   Each block is read, then its fields are taken before the next
+   read.
+
+   A directory scan needs the root's block pointers across its block
+   reads, so it keeps them in [t.root_direct]. A concurrent scan may
+   refill that from its own read of the root inode; this is safe
+   because a pointer inside the directory's size never changes (the
+   root is never truncated, and entries are only appended), and a
+   scan reads only pointers inside the size it read. *)
+
+let read_scratch t block = Block_cache.read_into t.cache ~block t.scratch ~pos:0
+
+let inode_block t i = t.itable_start + (i / inodes_per_block)
+let inode_off i = (i mod inodes_per_block) * inode_size
+
 let read_inode t i =
-  let block = t.itable_start + (i / inodes_per_block) in
-  let data = Block_cache.read t.cache ~block in
-  decode_inode data ((i mod inodes_per_block) * inode_size)
+  read_scratch t (inode_block t i);
+  decode_inode t.scratch (inode_off i)
 
 let write_inode t i ino =
   let block = t.itable_start + (i / inodes_per_block) in
@@ -127,20 +149,19 @@ let indirect_table t ino =
   if ino.indirect = 0 then None
   else Some (Block_cache.read t.cache ~block:ino.indirect)
 
+(* The disk block of the inode's [n]th, 0 for a hole. *)
 let block_of t ino n =
-  if n < ndirect then (if ino.direct.(n) = 0 then None else Some ino.direct.(n))
+  if n < ndirect then ino.direct.(n)
   else if n >= max_file_blocks then raise (Fs_error File_too_large)
-  else
-    match indirect_table t ino with
-    | None -> None
-    | Some table ->
-      let blk = get32 table ((n - ndirect) * 4) in
-      if blk = 0 then None else Some blk
+  else if ino.indirect = 0 then 0
+  else begin
+    read_scratch t ino.indirect;
+    get32 t.scratch ((n - ndirect) * 4)
+  end
 
 let ensure_block t ino n =
   match block_of t ino n with
-  | Some blk -> blk
-  | None ->
+  | 0 ->
     let blk = alloc_data_block t in
     if n < ndirect then ino.direct.(n) <- blk
     else begin
@@ -153,6 +174,7 @@ let ensure_block t ino n =
       Block_cache.write t.cache ~block:ino.indirect table
     end;
     blk
+  | blk -> blk
 
 let truncate_inode t ino =
   for n = 0 to ndirect - 1 do
@@ -177,23 +199,20 @@ let truncate_inode t ino =
 (* ------------------------------------------------------------------ *)
 
 (* The inode's whole contents. A directory is read through the buffer
-   cache; a file read goes around it ([cached:false]). *)
+   cache; a file read goes around it ([cached:false]), each block
+   copied straight into the result. *)
 let read_inode_data t ~cached ino =
   let len = ino.size in
   let out = Bytes.create len in
-  let fetch block =
-    if cached then Block_cache.read t.cache ~block
-    else Block_cache.read_uncached t.cache ~block in
-  let rec loop pos =
-    if pos < len then begin
-      let n = pos / bs in
-      let chunk = min (len - pos) bs in
-      (match block_of t ino n with
-       | Some block -> Bytes.blit (fetch block) 0 out pos chunk
-       | None -> ());                      (* hole reads as zeros *)
-      loop (pos + chunk)
-    end in
-  loop 0;
+  for n = 0 to ((len + bs - 1) / bs) - 1 do
+    let pos = n * bs in
+    let chunk = min (len - pos) bs in
+    match block_of t ino n with
+    | 0 -> ()                             (* hole reads as zeros *)
+    | block ->
+      if cached then Bytes.blit (Block_cache.read t.cache ~block) 0 out pos chunk
+      else Block_cache.read_uncached t.cache ~block out ~pos ~len:chunk
+  done;
   out
 
 let write_inode_data t ino ~off data =
@@ -246,26 +265,6 @@ let rec dirent_names data off name i =
     i < max_name
     && (let c = Bytes.get data (off + i) in c <> '\000' && c = name.[i])
     && dirent_names data off name (i + 1)
-
-(* In-place reads. A lookup and a size read go through [t.scratch],
-   one block-sized buffer per file system, instead of a fresh block
-   and a decoded inode per read. The strands that share it switch
-   only where a call blocks, and a [Block_cache.read_into] miss
-   blocks on the disk; so the invariant is: no scratch contents are
-   relied on across a call that can block. Each block is read, then
-   its fields are taken before the next read.
-
-   A directory scan needs the root's block pointers across its block
-   reads, so it keeps them in [t.root_direct]. A concurrent scan may
-   refill that from its own read of the root inode; this is safe
-   because a pointer inside the directory's size never changes (the
-   root is never truncated, and entries are only appended), and a
-   scan reads only pointers inside the size it read. *)
-
-let read_scratch t block = Block_cache.read_into t.cache ~block t.scratch ~pos:0
-
-let inode_block t i = t.itable_start + (i / inodes_per_block)
-let inode_off i = (i mod inodes_per_block) * inode_size
 
 (* The size field of inode [i]. *)
 let inode_size_of t i =

@@ -60,6 +60,16 @@ let after_us t us action =
 let cancel t h =
   if Pqueue.remove t.queue h then t.n_cancelled <- t.n_cancelled + 1
 
+let rearm t h delta action =
+  cancel t h;
+  let now = Clock.now t.clock in
+  Pqueue.readd t.queue h (max (now + delta) now) action
+
+let rearm_us t h us action =
+  rearm t h (Cost.us_to_cycles (Clock.cost t.clock) us) action
+
+let scheduled h = Pqueue.mem h
+
 let pending t = Pqueue.size t.queue
 
 let stats t =

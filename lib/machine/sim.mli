@@ -18,9 +18,10 @@
 type t
 
 type handle
-(** A scheduled event, usable for cancellation. Stale handles (fired
-    or cancelled) are detected; cancelling one is a safe no-op even
-    after the event record has been recycled. *)
+(** A scheduled event, usable for cancellation and re-arming. Stale
+    handles (fired or cancelled) are detected; cancelling one is a
+    safe no-op even after the event record has been recycled. A timer
+    that fires again and again keeps one handle and {!rearm}s it. *)
 
 val create : Clock.t -> t
 
@@ -40,6 +41,20 @@ val cancel : t -> handle -> unit
     The event is unlinked immediately: it stops counting towards
     {!pending} and its closure is released to the GC now, not at its
     deadline. *)
+
+val rearm : t -> handle -> int -> (unit -> unit) -> unit
+(** [rearm t h delta f] schedules [f] [delta] cycles from now through
+    [h] itself: it cancels [h]'s event if still pending (counted as a
+    {!cancel}), then schedules exactly as {!after} does, FIFO after
+    every event already scheduled at the same time. It allocates
+    nothing once the event pool is warm. *)
+
+val rearm_us : t -> handle -> float -> (unit -> unit) -> unit
+(** {!rearm} in virtual microseconds, as {!after_us}. *)
+
+val scheduled : handle -> bool
+(** Whether [h]'s event is pending: armed, and neither fired nor
+    cancelled. *)
 
 val pending : t -> int
 (** Number of scheduled events not yet fired; O(1). *)

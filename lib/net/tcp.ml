@@ -72,18 +72,21 @@ type conn = {
   mutable snd_nxt : int;
   mutable snd_una : int;
   mutable rcv_nxt : int;
-  mutable inflight : unacked list;       (* oldest first *)
+  inflight : unacked Queue.t;           (* oldest first *)
   mutable pending : Pkt.t list;          (* send-buffer views beyond the window *)
   mutable rx_cb : (Bytes.t -> unit) option;
   rx_buf : Buffer.t;
   mutable reader : Spin_sched.Strand.t option;
   mutable opener : Spin_sched.Strand.t option;
   mutable retries : int;
+  (* The two timers: each handle is built at its first arming and
+     re-armed in place after that, with its action built once, in
+     [new_conn]. *)
   mutable rto : Sim.handle option;
-  mutable rto_fire : unit -> unit;       (* built once, in [new_conn] *)
+  mutable rto_fire : unit -> unit;
   mutable fin_pending : bool;            (* close requested, FIN not sent *)
   mutable delayed_ack : Sim.handle option;
-  mutable ack_fire : unit -> unit;       (* built once, in [new_conn] *)
+  mutable ack_fire : unit -> unit;
   mutable unacked_rx : int;              (* data segments since last ack *)
 }
 
@@ -162,11 +165,22 @@ let flags_to_string flags =
        (fun (bit, c) -> if flags land bit <> 0 then Some c else None)
        [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R") ])
 
+(* [timer] armed [us] from now to run [fire]: its own handle, re-armed,
+   once it has one. *)
+let arm t timer us fire =
+  match timer with
+  | Some h -> Sim.rearm_us t.machine.Machine.sim h us fire; timer
+  | None -> Some (Sim.after_us t.machine.Machine.sim us fire)
+
+let armed = function Some h -> Sim.scheduled h | None -> false
+
+let disarm t = function
+  | Some h -> Sim.cancel t.machine.Machine.sim h
+  | None -> ()
+
 let emit t conn ~seq ~flags data =
   charge t;
-  (match conn.delayed_ack with
-   | Some h -> Sim.cancel t.machine.Machine.sim h; conn.delayed_ack <- None
-   | None -> ());
+  disarm t conn.delayed_ack;
   conn.unacked_rx <- 0;
   t.stats.segments_sent <- t.stats.segments_sent + 1;
   (* Everything carries an ACK except the very first SYN (nothing has
@@ -191,23 +205,19 @@ let emit t conn ~seq ~flags data =
 
 let seg_len u = Pkt.length u.u_data + (if u.u_flags land (flag_syn lor flag_fin) <> 0 then 1 else 0)
 
-let cancel_rto t conn =
-  match conn.rto with
-  | Some h -> Sim.cancel t.machine.Machine.sim h; conn.rto <- None
-  | None -> ()
-
 let arm_rto t conn =
-  cancel_rto t conn;
-  if conn.inflight <> [] then
-    conn.rto <- Some (Sim.after_us t.machine.Machine.sim rto_us conn.rto_fire)
+  disarm t conn.rto;
+  if not (Queue.is_empty conn.inflight) then
+    conn.rto <- arm t conn.rto rto_us conn.rto_fire
 
 let rec on_timeout t conn =
-  if conn.inflight <> [] && conn.st <> Closed then begin
+  if not (Queue.is_empty conn.inflight) && conn.st <> Closed then begin
     conn.retries <- conn.retries + 1;
     if conn.retries > max_retries then begin
       teardown t conn
     end else begin
-      (* Go-Back-N: resend everything outstanding. *)
+      (* Go-Back-N: resend everything outstanding. A resend can take
+         an ACK that moves the queue, so walk a copy of it. *)
       List.iter
         (fun u ->
           t.stats.retransmits <- t.stats.retransmits + 1;
@@ -217,16 +227,14 @@ let rec on_timeout t conn =
               ~args:[ ("seq", string_of_int u.u_seq);
                       ("retries", string_of_int conn.retries) ] ();
           emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data)
-        conn.inflight;
+        (List.of_seq (Queue.to_seq conn.inflight));
       arm_rto t conn
     end
   end
 
 and teardown t conn =
-  cancel_rto t conn;
-  (match conn.delayed_ack with
-   | Some h -> Sim.cancel t.machine.Machine.sim h; conn.delayed_ack <- None
-   | None -> ());
+  disarm t conn.rto;
+  disarm t conn.delayed_ack;
   conn.st <- Closed;
   Conns.remove t.conns conn.key;
   (* Wake anything blocked on the connection. *)
@@ -240,13 +248,13 @@ and teardown t conn =
 let transmit_segment t conn ~flags data =
   let u = { u_seq = conn.snd_nxt; u_flags = flags; u_data = data } in
   conn.snd_nxt <- conn.snd_nxt + seg_len u;
-  conn.inflight <- conn.inflight @ [ u ];
+  Queue.add u conn.inflight;
   emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data;
-  if conn.rto = None then arm_rto t conn
+  if not (armed conn.rto) then arm_rto t conn
 
 (* Push queued data into the window. *)
 let rec fill_window t conn =
-  if List.length conn.inflight < window_segments then
+  if Queue.length conn.inflight < window_segments then
     match conn.pending with
     | chunk :: rest ->
       conn.pending <- rest;
@@ -263,17 +271,16 @@ let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
   let conn = {
     l_port; r_addr; r_port; st;
     snd_nxt = 0; snd_una = 0; rcv_nxt;
-    inflight = []; pending = [];
+    inflight = Queue.create (); pending = [];
     rx_cb = None; rx_buf = Buffer.create 256;
     reader = None; opener = None;
     retries = 0; rto = None; fin_pending = false;
     key = { k_lport = l_port; k_raddr = r_addr; k_rport = r_port };
     rto_fire = ignore; delayed_ack = None; ack_fire = ignore; unacked_rx = 0;
   } in
-  conn.rto_fire <- (fun () -> conn.rto <- None; on_timeout t conn);
+  conn.rto_fire <- (fun () -> on_timeout t conn);
   conn.ack_fire <-
     (fun () ->
-      conn.delayed_ack <- None;
       if conn.st <> Closed then
         emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ()));
   Conns.replace t.conns conn.key conn;
@@ -310,17 +317,19 @@ let deliver_data t conn b len =
        | None -> ())
   end
 
-(* The unacknowledged tail: [l] itself, physically, when [ack] covers
-   no segment. *)
-let rec drop_acked ack = function
-  | u :: rest when u.u_seq + seg_len u <= ack -> drop_acked ack rest
-  | l -> l
+(* Drops the segments [ack] covers from the front of [q]; whether it
+   covered any. *)
+let rec drop_acked ack q advanced =
+  if (not (Queue.is_empty q))
+     && (let u = Queue.peek q in u.u_seq + seg_len u <= ack)
+  then begin
+    ignore (Queue.take q);
+    drop_acked ack q true
+  end
+  else advanced
 
 let handle_ack t conn ack =
-  let rest = drop_acked ack conn.inflight in
-  let advanced = rest != conn.inflight in
-  conn.inflight <- rest;
-  if advanced then begin
+  if drop_acked ack conn.inflight false then begin
     conn.snd_una <- max conn.snd_una ack;
     conn.retries <- 0;
     arm_rto t conn;
@@ -360,10 +369,9 @@ let handle_established t conn b =
           conn.unacked_rx <- conn.unacked_rx + 1;
           if conn.unacked_rx >= 2 then
             emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
-          else if conn.delayed_ack = None then
+          else if not (armed conn.delayed_ack) then
             conn.delayed_ack <-
-              Some (Sim.after_us t.machine.Machine.sim delayed_ack_us
-                      conn.ack_fire)
+              arm t conn.delayed_ack delayed_ack_us conn.ack_fire
         end
       end
     end else if seq < expected && (len > 0 || fin) then
@@ -371,8 +379,8 @@ let handle_established t conn b =
       emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
     (* Out-of-order beyond rcv_nxt: dropped (Go-Back-N). *);
     (match conn.st with
-     | Last_ack when conn.inflight = [] -> teardown t conn
-     | Time_wait when conn.inflight = [] -> teardown t conn
+     | Last_ack when Queue.is_empty conn.inflight -> teardown t conn
+     | Time_wait when Queue.is_empty conn.inflight -> teardown t conn
      | _ -> ())
   end
 

@@ -1,5 +1,7 @@
 type state = Created | Runnable | Running | Blocked | Dead
 
+type timer = { handle : Spin_machine.Sim.handle; wake : unit -> unit }
+
 type t = {
   id : int;
   name : string;
@@ -10,9 +12,10 @@ type t = {
   joiners : t Spin_dstruct.Dllist.t;
   mutable failure : exn option;
   mutable cap : t Spin_core.Capability.t option;
-  me : t option;
+  mutable me : t option;
   mutable qnode : t Spin_dstruct.Dllist.node option;
   mutable wnode : t Spin_dstruct.Dllist.node option;
+  mutable timer : timer option;
   mutable affinity : int option;
   mutable last_cpu : int;
   mutable qcpu : int;
@@ -26,11 +29,14 @@ let create ~owner ?(priority = 16) ~name () =
   if priority < 0 || priority > max_priority then
     invalid_arg "Strand.create: priority out of range";
   incr counter;
-  let rec t =
+  (* [me] is set after the record is built, not by a recursive
+     definition, which would build the record twice. *)
+  let t =
     { id = !counter; name; owner; priority; state = Created; coro = None;
       joiners = Spin_dstruct.Dllist.create (); failure = None; cap = None;
-      me = Some t; qnode = None; wnode = None; affinity = None;
+      me = None; qnode = None; wnode = None; timer = None; affinity = None;
       last_cpu = 0; qcpu = 0 } in
+  t.me <- Some t;
   t.cap <- Some (Spin_core.Capability.mint ~owner t);
   t.qnode <- Some (Spin_dstruct.Dllist.node t);
   t

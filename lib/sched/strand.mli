@@ -10,6 +10,13 @@ type state = Created | Runnable | Running | Blocked | Dead
 (** The run-state lifecycle. [Created] strands become [Runnable] on
     their first unblock (or at spawn); [Dead] is terminal. *)
 
+type timer = {
+  handle : Spin_machine.Sim.handle;
+  wake : unit -> unit;         (** what the handle fires *)
+}
+(** A strand's wakeup timer: one event handle that every timed sleep
+    re-arms with the same action. *)
+
 type t = {
   id : int;                    (** unique, never reused *)
   name : string;
@@ -20,15 +27,19 @@ type t = {
   joiners : t Spin_dstruct.Dllist.t;  (** strands waiting for death *)
   mutable failure : exn option;  (** set when the body raised *)
   mutable cap : t Spin_core.Capability.t option;  (** set at creation *)
-  me : t option;
-  (** [Some] this strand, built once: the scheduler's [current] holds
-      it, so a dispatch allocates nothing. *)
+  mutable me : t option;
+  (** [Some] this strand, set once at creation: the scheduler's
+      [current] holds it, so a dispatch allocates nothing. *)
   mutable qnode : t Spin_dstruct.Dllist.node option;
   (** set at creation: the strand's one run-queue node, linked while
       the strand is queued. Owned by the scheduler; see {!run_node}. *)
   mutable wnode : t Spin_dstruct.Dllist.node option;
   (** set at the first wait: the node a thread package links into the
       one wait queue the strand blocks on; see {!wait_node}. *)
+  mutable timer : timer option;
+  (** set at the first timed sleep ({!Sched.sleep_us}), which builds
+      the wake action once; every later sleep re-arms it. Owned by the
+      scheduler. *)
   mutable affinity : int option;
   (** pinned CPU: when set, the strand is only ever enqueued on (and
       never stolen from) this CPU — per-CPU daemons like the netisr

@@ -23,11 +23,21 @@ type victim_request = { requester : string }
 
 exception Out_of_memory
 
+(* The live set is threaded through arrays indexed by a page's first
+   frame: [slots.(pfn)] holds the [Some] of the page whose run starts
+   there, built once at its allocation, and [older]/[newer] link those
+   first frames in allocation order, [-1] ending the chain. A release
+   unlinks its page in place. The arrays grow to the highest first
+   frame allocated, not the machine's frame count. *)
 type t = {
   machine : Machine.t;
   used : Bitset.t;
   referenced : Bitset.t;                 (* per-pfn reference bits *)
-  mutable live : page list;              (* candidates, newest first *)
+  mutable slots : page option array;
+  mutable older : int array;
+  mutable newer : int array;
+  mutable newest : int;
+  mutable oldest : int;
   reclaim : (page, page) Dispatcher.event;
   select_victim : (victim_request, page option) Dispatcher.event;
   mutable invalidates : (page -> unit) list;
@@ -37,17 +47,42 @@ type t = {
   mutable oom_count : int;
 }
 
-(* The last of [pages], the oldest live allocation, reached without the
-   reversed copy. *)
-let rec oldest = function
-  | [] -> None
-  | [ p ] -> Some p
-  | _ :: rest -> oldest rest
+let oldest t = if t.oldest < 0 then None else t.slots.(t.oldest)
 
-(* Whether [pages] holds [page], with no closure built per test. *)
-let rec tracks page = function
-  | [] -> false
-  | p :: rest -> Capability.equal p page || tracks page rest
+(* Whether [page] is live here: this service minted it and has not
+   released it. *)
+let tracks t page =
+  match Capability.deref_opt page with
+  | None -> false
+  | Some run ->
+    run.first_pfn < Array.length t.slots
+    && (match t.slots.(run.first_pfn) with
+        | Some p -> Capability.equal p page
+        | None -> false)
+
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let link t pfn page =
+  if pfn >= Array.length t.slots then begin
+    let n = max (2 * Array.length t.slots) (pfn + 1) in
+    t.slots <- grow t.slots n None;
+    t.older <- grow t.older n (-1);
+    t.newer <- grow t.newer n (-1)
+  end;
+  t.slots.(pfn) <- page;
+  t.older.(pfn) <- t.newest;
+  t.newer.(pfn) <- -1;
+  if t.newest >= 0 then t.newer.(t.newest) <- pfn else t.oldest <- pfn;
+  t.newest <- pfn
+
+let unlink t pfn =
+  let o = t.older.(pfn) and n = t.newer.(pfn) in
+  if o >= 0 then t.newer.(o) <- n else t.oldest <- n;
+  if n >= 0 then t.older.(n) <- o else t.newest <- o;
+  t.slots.(pfn) <- None
 
 let create machine dispatcher =
   let frames = Phys_mem.frames machine.Machine.mem in
@@ -58,7 +93,11 @@ let create machine dispatcher =
     { machine;
       used = Bitset.create frames;
       referenced = Bitset.create frames;
-      live = [];
+      slots = Array.make 64 None;
+      older = Array.make 64 (-1);
+      newer = Array.make 64 (-1);
+      newest = -1;
+      oldest = -1;
       reclaim =
         Dispatcher.declare dispatcher ~name:"PhysAddr.Reclaim" ~owner:"PhysAddr"
           (fun candidate -> candidate);
@@ -69,7 +108,7 @@ let create machine dispatcher =
             (* Default policy: FIFO — oldest live allocation. *)
             match !self with
             | None -> None
-            | Some t -> oldest t.live);
+            | Some t -> oldest t);
       invalidates = [];
       in_reclaim = false;
       reclaim_enabled = true;
@@ -94,12 +133,26 @@ let reclaims t = t.reclaim_count
 
 let oom_failures t = t.oom_count
 
-let live_pages t = t.live
+(* Walks oldest to newest, consing, so the list comes out newest
+   first. *)
+let rec newest_first t pfn acc =
+  if pfn < 0 then acc
+  else
+    match t.slots.(pfn) with
+    | Some p -> newest_first t t.newer.(pfn) (p :: acc)
+    | None -> assert false                (* every linked frame holds its page *)
+
+let live_pages t = newest_first t t.oldest []
 
 let page_run = Capability.deref
 
 let page_owner page =
   Option.map (fun r -> r.owner) (Capability.deref_opt page)
+
+let owned_by page owner =
+  match Capability.deref_opt page with
+  | Some r -> String.equal r.owner owner
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Reference bits (for second-chance and friends)                     *)
@@ -144,32 +197,33 @@ let read_into t page ~off ~len buf ~pos =
   Phys_mem.read_into t.machine.Machine.mem
     ~pa:(Addr.pa_of_page run.first_pfn + off) ~len buf ~pos
 
-let fill t page ~off data =
+let fill t page ~off ~len src ~pos =
   let run = Capability.deref page in
-  let len = Bytes.length data in
   check_range "PhysAddr.fill" run ~off ~len;
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let frame = run.first_pfn + abs / Addr.page_size in
-      let foff = abs mod Addr.page_size in
-      let chunk = min (len - pos) (Addr.page_size - foff) in
-      Bytes.blit data pos
-        (Phys_mem.frame_bytes t.machine.Machine.mem frame) foff chunk;
-      loop (pos + chunk)
-    end in
-  loop 0
+  if pos < 0 || pos + len > Bytes.length src then invalid_arg "PhysAddr.fill";
+  let copied = ref 0 in
+  while !copied < len do
+    let abs = off + !copied in
+    let frame = run.first_pfn + abs / Addr.page_size in
+    let foff = abs mod Addr.page_size in
+    let chunk = min (len - !copied) (Addr.page_size - foff) in
+    Bytes.blit src (pos + !copied)
+      (Phys_mem.frame_bytes t.machine.Machine.mem frame) foff chunk;
+    copied := !copied + chunk
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Allocation and reclamation                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Find [n] frames honouring the attributes, or None. *)
+(* The first of [n] frames honouring the attributes, or -1. *)
 let find_frames t ~attrib ~n =
-  if attrib.contiguous || n > 1 then
-    Bitset.find_clear_run t.used n
-    |> Option.map (fun start -> List.init n (fun i -> start + i))
-  else Bitset.find_first_clear t.used |> Option.map (fun f -> [ f ])
+  match
+    if attrib.contiguous || n > 1 then Bitset.find_clear_run t.used n
+    else Bitset.find_first_clear t.used
+  with
+  | Some first -> first
+  | None -> -1
 
 let release_frames t run =
   for i = run.first_pfn to run.first_pfn + run.npages - 1 do
@@ -177,29 +231,32 @@ let release_frames t run =
     Bitset.clear t.referenced i
   done
 
-let pick_and_release t ~requester =
-  match
-    Dispatcher.raise_event t.select_victim { requester }
-  with
+let rec invalidate page = function
+  | [] -> ()
+  | f :: rest -> f page; invalidate page rest
+
+(* The answer is the released page's own [Some], from its slot. *)
+let pick_and_release t request =
+  match Dispatcher.raise_event t.select_victim request with
   | None -> None
   | Some candidate ->
     let victim = Dispatcher.raise_event t.reclaim candidate in
     (* A handler may only substitute a page this service minted and
        still tracks; anything else falls back to the candidate. *)
-    let victim =
-      if tracks victim t.live then victim
-      else candidate in
+    let victim = if tracks t victim then victim else candidate in
     match Capability.deref_opt victim with
+    | Some _ when not (tracks t victim) -> None
     | None -> None
     | Some run ->
-      List.iter (fun f -> f victim) t.invalidates;
+      let released = t.slots.(run.first_pfn) in
+      invalidate victim t.invalidates;
       release_frames t run;
       Capability.revoke victim;
-      t.live <- List.filter (fun p -> not (Capability.equal p victim)) t.live;
+      unlink t run.first_pfn;
       t.reclaim_count <- t.reclaim_count + 1;
-      Some victim
+      released
 
-let do_reclaim t ~requester =
+let do_reclaim t request =
   (* A reclaim handler that itself allocates must see a clean
      Out_of_memory, never recurse back in here. [in_reclaim] is reset
      in an exception arm, not in a [Fun.protect] closure per call. *)
@@ -210,9 +267,9 @@ let do_reclaim t ~requester =
     let sp =
       if Trace.on tr then
         Trace.begin_span tr ~cat:"vm" ~name:"reclaim"
-          ~args:[ ("requester", requester) ] ()
+          ~args:[ ("requester", request.requester) ] ()
       else Trace.null_span in
-    match pick_and_release t ~requester with
+    match pick_and_release t request with
     | outcome ->
       t.in_reclaim <- false;
       if Trace.on tr then
@@ -223,22 +280,23 @@ let do_reclaim t ~requester =
     | exception e -> t.in_reclaim <- false; raise e
   end
 
-let force_reclaim t = do_reclaim t ~requester:"PhysAddr"
+let service_request = { requester = "PhysAddr" }
+
+let force_reclaim t = do_reclaim t service_request
 
 let rec alloc_loop t ~attrib ~owner ~bytes =
   let n = Addr.round_up_pages bytes in
   Clock.charge t.machine.Machine.clock
     (Clock.cost t.machine.Machine.clock).Spin_machine.Cost.phys_alloc;
-  match find_frames t ~attrib ~n with
-  | Some frames ->
-    List.iter (Bitset.set t.used) frames;
-    let run = { first_pfn = List.hd frames; npages = n; owner } in
-    let cap = Capability.mint ~owner:"PhysAddr" run in
-    t.live <- cap :: t.live;
+  let first = find_frames t ~attrib ~n in
+  if first >= 0 then begin
+    for pfn = first to first + n - 1 do Bitset.set t.used pfn done;
+    let cap = Capability.mint ~owner:"PhysAddr" { first_pfn = first; npages = n; owner } in
+    link t first (Some cap);
     cap
-  | None ->
+  end else
     (* Memory pressure: reclaim a victim and retry once per victim. *)
-    match do_reclaim t ~requester:owner with
+    match do_reclaim t { requester = owner } with
     | Some _ -> alloc_loop t ~attrib ~owner ~bytes
     | None ->
       t.oom_count <- t.oom_count + 1;
@@ -252,9 +310,9 @@ let deallocate t page =
   match Capability.deref_opt page with
   | None -> ()
   | Some run ->
+    if tracks t page then unlink t run.first_pfn;
     release_frames t run;
-    Capability.revoke page;
-    t.live <- List.filter (fun p -> not (Capability.equal p page)) t.live
+    Capability.revoke page
 
 let zero t page =
   let run = Capability.deref page in

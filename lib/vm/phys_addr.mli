@@ -70,7 +70,9 @@ val add_invalidate : t -> (page -> unit) -> unit
 val force_reclaim : t -> page option
 (** Reclaims one victim page now (for tests and the pageout daemon).
     The returned page has been invalidated and freed; [None] when no
-    live page remains (idempotent at exhaustion). *)
+    live page remains (idempotent at exhaustion). The reclaim itself
+    allocates nothing: the answer is an option the service built when
+    it allocated the page. *)
 
 val set_reclaim_enabled : t -> bool -> unit
 (** When disabled, allocation failure raises {!Out_of_memory}
@@ -87,7 +89,10 @@ val oom_failures : t -> int
 (** Allocations that raised {!Out_of_memory}. *)
 
 val live_pages : t -> page list
-(** Live allocations, newest first. Policy handlers walk this. *)
+(** Live allocations, newest first. Policy handlers walk this. The
+    service keeps the live set in place, so each call builds the list
+    afresh (one cell per live page); allocation and release touch no
+    list. *)
 
 val page_run : page -> run
 (** Sibling-service access to the frame numbers. Raises
@@ -95,6 +100,10 @@ val page_run : page -> run
 
 val page_owner : page -> string option
 (** Owner string of a live page, [None] once revoked. *)
+
+val owned_by : page -> string -> bool
+(** [owned_by page owner]: whether [page] is live and allocated to
+    [owner]. Allocates nothing. *)
 
 (** {2 Reference bits}
 
@@ -119,10 +128,12 @@ val read_into : t -> page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
     cost — the hand-off from cache memory to the requesting domain.
     Allocates nothing. *)
 
-val fill : t -> page -> off:int -> Bytes.t -> unit
-(** Device-side fill (DMA discipline): stores bytes into the run
+val fill : t -> page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [fill t page ~off ~len src ~pos] stores [len] bytes of [src] from
+    [pos] into the run at [off]: a device-side fill (DMA discipline),
     without a charged copy, the way the NIC writes frames. Used when
-    the data was already paid for at its source (disk transfer). *)
+    the data was already paid for at its source (disk transfer).
+    Allocates nothing. *)
 
 val zero : t -> page -> unit
 (** Zero-fill the pages (charging the copy cost). *)

@@ -184,10 +184,19 @@ let is_dirty t ctx ~va =
   | Some pte -> pte.Mmu.modified
   | None -> false
 
-let in_region ctx va =
-  List.exists
-    (fun r -> va >= r.Virt_addr.va && va < r.Virt_addr.va + r.Virt_addr.bytes)
-    ctx.regions
+let rec in_regions va = function
+  | [] -> false
+  | r :: rest ->
+    (va >= r.Virt_addr.va && va < r.Virt_addr.va + r.Virt_addr.bytes)
+    || in_regions va rest
+
+(* A fault's trace mark; the caller tests [Trace.on], so a fault with
+   tracing off builds nothing for it. *)
+let mark tr ctx va kind =
+  Trace.instant tr ~cat:"vm" ~name:kind
+    ~args:[ ("va", Printf.sprintf "0x%x" va);
+            ("ctx", string_of_int ctx.id);
+            ("owner", ctx.owner) ] ()
 
 let handle_trap t trap =
   match trap with
@@ -197,30 +206,24 @@ let handle_trap t trap =
     (match Cpu.context t.machine.Machine.cpu with
      | None -> false
      | Some mmu_ctx ->
-       (match Hashtbl.find_opt t.contexts_tbl (Mmu.context_id mmu_ctx) with
-        | None -> false
-        | Some ctx ->
+       (match Hashtbl.find t.contexts_tbl (Mmu.context_id mmu_ctx) with
+        | exception Not_found -> false
+        | ctx ->
           let f = { ctx; va } in
           let tr = Trace.of_clock t.machine.Machine.clock in
-          let mark kind =
-            if Trace.on tr then
-              Trace.instant tr ~cat:"vm" ~name:kind
-                ~args:[ ("va", Printf.sprintf "0x%x" va);
-                        ("ctx", string_of_int ctx.id);
-                        ("owner", ctx.owner) ] () in
           (match fault with
            | Mmu.Protection_violation ->
              t.stats.faults_protection <- t.stats.faults_protection + 1;
-             mark "protection_fault";
+             if Trace.on tr then mark tr ctx va "protection_fault";
              Dispatcher.raise_default t.protection_fault () f
            | Mmu.Page_not_present ->
-             if in_region ctx va then begin
+             if in_regions va ctx.regions then begin
                t.stats.faults_not_present <- t.stats.faults_not_present + 1;
-               mark "page_not_present";
+               if Trace.on tr then mark tr ctx va "page_not_present";
                Dispatcher.raise_default t.page_not_present () f
              end else begin
                t.stats.faults_bad_address <- t.stats.faults_bad_address + 1;
-               mark "bad_address";
+               if Trace.on tr then mark tr ctx va "bad_address";
                Dispatcher.raise_default t.bad_address () f
              end);
           true))

@@ -51,8 +51,9 @@ let test_block_cache_hits () =
 
 let test_block_cache_uncached_bypasses () =
   with_fs_machine (fun _ _ _ cache _ ->
-    ignore (Block_cache.read_uncached cache ~block:9);
-    ignore (Block_cache.read_uncached cache ~block:9);
+    let buf = Bytes.create Disk.block_size in
+    Block_cache.read_uncached cache ~block:9 buf ~pos:0 ~len:Disk.block_size;
+    Block_cache.read_uncached cache ~block:9 buf ~pos:0 ~len:Disk.block_size;
     check int "no hits" 0 (Block_cache.stats cache).Cache_stats.hits)
 
 let test_block_cache_hit_is_fast () =
@@ -107,6 +108,31 @@ let test_block_cache_concurrent_same_block () =
   check int "all readers woken" 3 !completed;
   (* One request in flight, everyone joined it. *)
   check int "single disk read" 1 (Disk.reads disk)
+
+(* Regression: a write that found a read of its block in flight joined
+   that read instead of submitting its own, so it never reached the
+   disk and the block read back stale once the cache no longer held
+   it. A write now waits the read out, then writes. *)
+let test_block_cache_write_during_read () =
+  let m = Machine.create ~name:"fstest" ~mem_mb:4 () in
+  let d = Dispatcher.create m.Machine.clock in
+  let sched = Sched.create m.Machine.sim d in
+  let phys = Phys_addr.create m d in
+  let disk = Machine.add_disk ~blocks:8192 m in
+  let cache = Block_cache.create ~phys m sched disk in
+  let data = Bytes.make Disk.block_size 'w' in
+  ignore (Sched.spawn sched ~name:"reader" (fun () ->
+    ignore (Block_cache.read cache ~block:42)));
+  ignore (Sched.spawn sched ~name:"writer" (fun () ->
+    Block_cache.write cache ~block:42 data));
+  Sched.run sched;
+  check int "the write reached the disk" 1 (Disk.writes disk);
+  let back = Bytes.create Disk.block_size in
+  ignore (Sched.spawn sched ~name:"check" (fun () ->
+    Block_cache.read_uncached cache ~block:42 back ~pos:0
+      ~len:Disk.block_size));
+  Sched.run sched;
+  check bytes "the disk holds the write" data back
 
 (* Regression: reading a resident page's unfilled slot waits on the
    disk, and reclaim may take the page during that wait. Filling the
@@ -496,6 +522,8 @@ let () =
             test_block_cache_concurrent_same_block;
           test_case "page reclaimed during a fill" `Quick
             test_block_cache_page_reclaimed_during_fill;
+          test_case "a write waits out a read in flight" `Quick
+            test_block_cache_write_during_read;
         ] );
       ( "simple_fs",
         [

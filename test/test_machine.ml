@@ -721,31 +721,34 @@ let test_console_io () =
 let test_disk_roundtrip () =
   let m = fresh () in
   let disk = Machine.add_disk m in
-  let got = ref None in
+  let completed = ref [] in
   Intr.register m.Machine.intr ~line:(Disk_dev.line disk) (fun () ->
-    match Disk_dev.take_completion disk with
-    | Some (Disk_dev.Read_done { data; _ }) -> got := Some data
-    | Some (Disk_dev.Write_done _) | None -> ());
+    completed := Disk_dev.take_completion disk :: !completed);
   let payload = Bytes.make Disk_dev.block_size 'd' in
   Disk_dev.submit_write disk ~block:10 payload;
   Sim.run m.Machine.sim;
-  Disk_dev.submit_read disk ~block:10 ~count:1;
+  (* The read lands in the reader's buffer, at its offset. *)
+  let buf = Bytes.make (Disk_dev.block_size + 8) '-' in
+  Disk_dev.submit_read disk ~block:10 buf ~pos:8;
   Sim.run m.Machine.sim;
-  (match !got with
-   | Some data -> check bytes "disk data" payload data
-   | None -> Alcotest.fail "read never completed");
+  check (list int) "both requests completed" [ 10; 10 ] !completed;
+  check bytes "disk data" payload (Bytes.sub buf 8 Disk_dev.block_size);
+  check string "bytes before the offset untouched" "--------"
+    (Bytes.sub_string buf 0 8);
+  check int "nothing more to collect" (-1) (Disk_dev.take_completion disk);
   check int "one read" 1 (Disk_dev.reads disk);
   check int "one write" 1 (Disk_dev.writes disk)
 
 let test_disk_latency_model () =
   let m = fresh () in
   let disk = Machine.add_disk m in
-  Disk_dev.submit_read disk ~block:100 ~count:1;
+  let buf = Bytes.create Disk_dev.block_size in
+  Disk_dev.submit_read disk ~block:100 buf ~pos:0;
   Sim.run m.Machine.sim;
   let first = Clock.now_us m.Machine.clock in
   check bool "random access costs ms" true (first > 10_000.);
   (* Sequential follow-up skips the seek. *)
-  Disk_dev.submit_read disk ~block:101 ~count:1;
+  Disk_dev.submit_read disk ~block:101 buf ~pos:0;
   Sim.run m.Machine.sim;
   let second = Clock.now_us m.Machine.clock -. first in
   check bool "sequential is cheap" true (second < 1_000.)
@@ -755,12 +758,11 @@ let test_disk_fifo_queue () =
   let disk = Machine.add_disk m in
   let order = ref [] in
   Intr.register m.Machine.intr ~line:(Disk_dev.line disk) (fun () ->
-    match Disk_dev.take_completion disk with
-    | Some (Disk_dev.Read_done { block; _ }) -> order := block :: !order
-    | _ -> ());
-  Disk_dev.submit_read disk ~block:5 ~count:1;
-  Disk_dev.submit_read disk ~block:500 ~count:1;
-  Disk_dev.submit_read disk ~block:50 ~count:1;
+    order := Disk_dev.take_completion disk :: !order);
+  let buf = Bytes.create Disk_dev.block_size in
+  Disk_dev.submit_read disk ~block:5 buf ~pos:0;
+  Disk_dev.submit_read disk ~block:500 buf ~pos:0;
+  Disk_dev.submit_read disk ~block:50 buf ~pos:0;
   check int "queued" 3 (Disk_dev.in_flight disk);
   Sim.run m.Machine.sim;
   check (list int) "fifo completion" [ 5; 500; 50 ] (List.rev !order)
@@ -1018,6 +1020,12 @@ let test_strand_block_words () =
   check (float 0.) "words per block, unblock and re-enqueue"
     (2. *. suspend_words) (strand_words ~others:peer 10_000 body)
 
+(* A timed sleep re-arms the strand's own timer, with the wake action
+   built at its first sleep: the suspension is all a round allocates. *)
+let test_sleep_words () =
+  check (float 0.) "words per timed sleep" suspend_words
+    (strand_words 10_000 (fun sched -> Sched.sleep_us sched 1.))
+
 (* One [Kthread] condition exchange, the Table 3 ping-pong: each thread
    takes its turn, signals its partner and waits on the condition. The
    two waits suspend, and link the threads' own wait nodes. *)
@@ -1072,6 +1080,40 @@ let test_protect_words () =
     (minor_words_over 500 (fun () ->
        Spin_vm.Vm_ext.protect vm ~first:0 ~count:100 ro;
        Spin_vm.Vm_ext.protect vm ~first:0 ~count:100 rw))
+
+(* One Appel1 fault (Table 4): the store misses the TLB (its page's
+   entry went when the previous fault protected it) and traps, the
+   handler unprotects the page and protects the next, and the retried
+   store misses again. The CPU's trap record (3 words), the fault
+   event's record (3) and the two TLB fills are all it allocates:
+   neither the fault's trace marks nor its context lookup allocate
+   with tracing off. *)
+let appel1_fault_words = 3. +. 3. +. (2. *. tlb_fill_words)
+
+let test_appel1_fault_words () =
+  let k = Spin.Kernel.boot ~cpus:1 ~name:"test" () in
+  let vm = Spin_vm.Vm_ext.create k.Spin.Kernel.vm ~app:"test" ~pages:128 in
+  Spin_vm.Vm_ext.activate vm;
+  let ro = Sys.opaque_identity Addr.prot_read
+  and rw = Sys.opaque_identity Addr.prot_read_write in
+  let next page = (page + 1) mod 128 in
+  Spin_vm.Vm_ext.on_protection_fault vm (fun page ->
+    Spin_vm.Vm_ext.protect vm ~first:page ~count:1 rw;
+    Spin_vm.Vm_ext.protect vm ~first:(next page) ~count:1 ro);
+  Spin_vm.Vm_ext.protect vm ~first:0 ~count:1 ro;
+  let page = ref 0 and v = Sys.opaque_identity 1L in
+  let fault () =
+    Spin_vm.Vm_ext.write vm ~page:!page v;
+    page := next !page in
+  (* A first lap over the arena warms every page's TLB entry slot. *)
+  for _ = 1 to 128 do fault () done;
+  let faults0 = (Spin_vm.Translation.stats k.Spin.Kernel.vm.Spin_vm.Vm.trans)
+                  .Spin_vm.Translation.faults_protection in
+  check (float 0.) "words per fault" appel1_fault_words
+    (minor_words_over 1_000 fault /. 1_000.);
+  check int "every store faulted" 1_000
+    ((Spin_vm.Translation.stats k.Spin.Kernel.vm.Spin_vm.Vm.trans)
+       .Spin_vm.Translation.faults_protection - faults0)
 
 (* The frame path: a device copy per transmitted frame, a view and a
    queue cell per received one, and nothing else. *)
@@ -1137,12 +1179,13 @@ module Tcp = Spin_net.Tcp
 module Ip = Spin_net.Ip
 
 (* Minor words a sender allocates beyond the NIC's frame copies to put
-   8 full-MSS segments on the wire: about 37 a segment (the chunk's
-   views, the link event, the retransmit queue's entry and cells), under
-   the 128 of one payload copy. Header pushes and IP add nothing per
-   segment. The send buffer itself (8 × 1,072 bytes) is over the minor
-   heap's block limit and goes straight to the major heap. *)
-let tcp_send_words = 297.
+   8 full-MSS segments on the wire: 26 a segment (the chunk's views, the
+   link event, the retransmit queue's entry and its one cell), under the
+   128 of one payload copy. Header pushes and IP add nothing per
+   segment, and the retransmit timer is re-armed in place. The send
+   buffer itself (8 × 1,072 bytes) is over the minor heap's block limit
+   and goes straight to the major heap. *)
+let tcp_send_words = 208.
 
 let test_tcp_send_words () =
   let sim = Sim.create (Clock.create Cost.alpha_133) in
@@ -1247,6 +1290,68 @@ let test_fs_lookup_allocates_nothing () =
          ignore (Simple_fs.exists fs ~name);
          ignore (Simple_fs.size fs ~name);
          ignore (Simple_fs.exists fs ~name:missing))))
+
+(* The memory-pressure path below HTTP, on a cold cache. An uncached
+   block read waits on the disk: the device copies the block into a
+   buffer the cache reuses, and the wait links the strand's own node,
+   so the suspension is all it allocates. A whole-file read adds only
+   the file's bytes and its decoded inode (the record, 4 words, and its
+   12 block pointers, 13). *)
+let inode_words = 4. +. 13.
+
+let test_uncached_read_words () =
+  with_fs (fun cache _ fs ->
+    let bs = Disk_dev.block_size in
+    Block_cache.write cache ~block:8000 (Bytes.make bs 'u');
+    let buf = Bytes.create bs and n = 100 in
+    let read () = Block_cache.read_uncached cache ~block:8000 buf ~pos:0 ~len:bs in
+    read ();                                        (* builds the request *)
+    check (float 0.) "words per uncached block read" suspend_words
+      (minor_words_over n read /. float_of_int n);
+    check string "the block" (String.make bs 'u') (Bytes.to_string buf);
+    let size = 300 in
+    Simple_fs.create fs ~name:"one-block";
+    Simple_fs.write fs ~name:"one-block" (Bytes.make size 'f');
+    let name = Sys.opaque_identity "one-block" in
+    ignore (Simple_fs.read fs ~name);               (* warms the lookup *)
+    check (float 0.) "words per one-block file read"
+      (bytes_words size +. inode_words +. suspend_words)
+      (minor_words_over n (fun () -> ignore (Simple_fs.read fs ~name))
+       /. float_of_int n))
+
+(* A reclaim whose victim neither cache holds: both caches' guards
+   decline it and their invalidate hooks walk their entries, and the
+   answer is the option the service built when it allocated the page.
+   It allocates nothing. *)
+let test_force_reclaim_words () =
+  let m = fresh () in
+  let d = Dispatcher.create m.Machine.clock in
+  let sched = Sched.create m.Machine.sim d in
+  let phys = Phys_addr.create m d in
+  (* The oldest pages, so the default policy takes them first. *)
+  let k = 32 in
+  for _ = 1 to k do
+    ignore (Phys_addr.allocate phys ~owner:"hog" ~bytes:Addr.page_size)
+  done;
+  let disk = Machine.add_disk ~blocks:8192 m in
+  let cache = Block_cache.create ~phys m sched disk in
+  let words = ref nan and caches = ref (0, 0) in
+  ignore (Sched.spawn sched ~name:"fs" (fun () ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    let fc = File_cache.create ~phys fs in
+    for i = 0 to 3 do
+      let name = Printf.sprintf "f%d" i in
+      Simple_fs.create fs ~name;
+      Simple_fs.write fs ~name (Bytes.make 3000 'c');
+      ignore (File_cache.fetch fc ~name)
+    done;
+    words := minor_words_over k (fun () -> ignore (Phys_addr.force_reclaim phys));
+    caches := ((Block_cache.stats cache).Spin_fs.Cache_stats.reclaims,
+               (File_cache.stats fc).Spin_fs.Cache_stats.reclaims)));
+  Sched.run sched;
+  check (float 0.) "minor words over the reclaims" 0. !words;
+  check int "every reclaim freed a page" k (Phys_addr.reclaims phys);
+  check (pair int int) "neither cache lost a page" (0, 0) !caches
 
 let test_file_cache_hit_words () =
   with_fs (fun _ phys fs ->
@@ -1380,10 +1485,8 @@ let test_tcp_receive_words () =
   check int "every byte delivered" (n * len) !received
 
 (* A pure ACK that acknowledges part of what is in flight re-arms the
-   retransmit timer: the timer's event handle (3 words) and the [Some]
-   that holds it (2). *)
-let rto_handle_words = 5.
-
+   retransmit timer through the connection's own handle: IP's record is
+   all it allocates. *)
 let test_tcp_ack_receive_words () =
   let sim, b, c, segment, arrive = tcp_receiver (fun _ -> ()) in
   let mss = 1024 and k = 40 in
@@ -1403,8 +1506,8 @@ let test_tcp_ack_receive_words () =
     settle ();
     let words = minor_words_over 1 (fun () -> arrive acks.(i)) in
     check (float 0.)
-      (Printf.sprintf "ack %d: IP's record and the RTO handle" i)
-      (ip_packet_words +. rto_handle_words) words
+      (Printf.sprintf "ack %d: IP's record alone" i)
+      ip_packet_words words
   done
 
 let test_clock_hook_raise_keeps_hooks () =
@@ -1570,6 +1673,10 @@ let () =
             `Quick test_mmu_translate_words;
           Alcotest.test_case "protecting 100 pages allocates nothing" `Quick
             test_protect_words;
+          Alcotest.test_case "a timed sleep allocates its suspension" `Quick
+            test_sleep_words;
+          Alcotest.test_case "an appel1 fault allocates its records and fill"
+            `Quick test_appel1_fault_words;
           Alcotest.test_case "nic transmit allocates the frame copy and link event"
             `Quick test_nic_transmit_words;
           Alcotest.test_case "interrupt delivery allocates nothing" `Quick
@@ -1586,12 +1693,16 @@ let () =
             test_fs_lookup_allocates_nothing;
           Alcotest.test_case "file cache hit allocates the body" `Quick
             test_file_cache_hit_words;
+          Alcotest.test_case "an uncached read allocates its suspension" `Quick
+            test_uncached_read_words;
+          Alcotest.test_case "a reclaim past both caches allocates nothing"
+            `Quick test_force_reclaim_words;
           Alcotest.test_case "ip send allocates the frame copy and link event"
             `Quick test_ip_send_words;
           Alcotest.test_case
             "tcp receive allocates the app copy and ip's record" `Quick
             test_tcp_receive_words;
-          Alcotest.test_case "a pure ack adds only the rto handle" `Quick
+          Alcotest.test_case "a pure ack re-arms the rto in place" `Quick
             test_tcp_ack_receive_words;
           Alcotest.test_case "raising clock hook keeps hooks running" `Quick
             test_clock_hook_raise_keeps_hooks;

@@ -14,6 +14,8 @@ module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
 module Virt_addr = Spin_vm.Virt_addr
 module Simple_fs = Spin_fs.Simple_fs
+module Phys_addr = Spin_vm.Phys_addr
+module Capability = Spin_core.Capability
 
 let must r = Dispatcher.ok_exn ~site:"test_properties" r
 
@@ -667,6 +669,75 @@ let prop_mmu_matches_model =
            (fun c -> List.for_all (same_entry c) (List.init mmu_pages Fun.id))
            (List.init mmu_contexts Fun.id))
 
+(* ------------------------------------------------------------------ *)
+(* Phys_addr: the live set agrees with a list model                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [live_pages] is the live set newest first and never holds a
+   released page; the default victim is the oldest. mem-pressure's
+   victim handler walks the list in exactly this order. A 1 MB machine
+   (128 frames) runs out, so allocations also reclaim: each takes the
+   model's oldest pages, as many as the service counts. *)
+type phys_op = Alloc of int | Dealloc of int | Reclaim
+
+let prop_live_pages_match_model =
+  QCheck2.Test.make ~name:"phys_addr live pages agree with a list model"
+    ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 150)
+        (frequency
+           [ (5, map (fun n -> Alloc n) (int_range 1 3));
+             (3, map (fun i -> Dealloc i) (int_range 0 1000));
+             (2, pure Reclaim) ]))
+    (fun ops ->
+      let m = Machine.create ~name:"prop" ~mem_mb:1 () in
+      let phys = Phys_addr.create m (Dispatcher.create m.Machine.clock) in
+      let model = ref [] and released = ref [] in
+      let drop_oldest k =
+        let keep = List.length !model - k in
+        released := List.filteri (fun i _ -> i >= keep) !model @ !released;
+        model := List.filteri (fun i _ -> i < keep) !model in
+      let step = function
+        | Alloc n ->
+          let before = Phys_addr.reclaims phys in
+          let got =
+            match
+              Phys_addr.allocate phys ~owner:"prop"
+                ~bytes:(n * Spin_machine.Addr.page_size)
+            with
+            | p -> Some p
+            | exception Phys_addr.Out_of_memory -> None in
+          drop_oldest (Phys_addr.reclaims phys - before);
+          Option.iter (fun p -> model := p :: !model) got;
+          true
+        | Dealloc i ->
+          (match !model with
+           | [] -> ()
+           | live ->
+             let p = List.nth live (i mod List.length live) in
+             Phys_addr.deallocate phys p;
+             model := List.filter (fun q -> q != p) live;
+             released := p :: !released);
+          true
+        | Reclaim ->
+          let oldest =
+            match List.rev !model with [] -> None | p :: _ -> Some p in
+          let victim = Phys_addr.force_reclaim phys in
+          (match victim with Some _ -> drop_oldest 1 | None -> ());
+          (match victim, oldest with
+           | Some v, Some o -> v == o
+           | None, None -> true
+           | Some _, None | None, Some _ -> false) in
+      List.for_all
+        (fun op ->
+          step op
+          && (let live = Phys_addr.live_pages phys in
+              List.length live = List.length !model
+              && List.for_all2 ( == ) live !model
+              && List.for_all Capability.is_valid live
+              && not (List.exists Capability.is_valid !released)))
+        ops)
+
 let prop_ip_addr_roundtrip =
   QCheck2.Test.make ~name:"ip address quad/string roundtrip" ~count:200
     QCheck2.Gen.(quad (int_range 0 255) (int_range 0 255) (int_range 0 255)
@@ -697,5 +768,6 @@ let () =
             prop_fuzz_seed_replays_identically;
             prop_ip_addr_roundtrip;
             prop_mmu_matches_model;
+            prop_live_pages_match_model;
           ] );
     ]
