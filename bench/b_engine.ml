@@ -67,9 +67,9 @@ let storm_delays =
 
 let nop () = ()
 
-(* Each round: every timer disarms whatever it had pending (fired or
-   not — the caller can't know, which is exactly why stale-handle
-   cancel must be cheap and safe) and re-arms at now + delay. *)
+(* Each round: every timer re-arms at now + delay, cancelling whatever
+   it had pending (fired or not — the caller can't know, which is
+   exactly why arming a fired timer must be cheap and safe). *)
 type storm_result = {
   st_events : int;                         (* arms, = fires + cancels *)
   st_wall_s : float;
@@ -89,23 +89,18 @@ let storm () =
   measured (fun () ->
     let clock = Clock.create Cost.alpha_133 in
     let sim = Sim.create clock in
-    let handles = Array.make storm_timers None in
+    let timers = Array.init storm_timers (fun _ -> Sim.timer sim) in
     let events = ref 0 in
     let di = ref 0 in
-    let arm i =
+    let arm tm =
       let d = storm_delays.(!di) in
       incr di;
       incr events;
-      handles.(i) <- Some (Sim.after sim d nop) in
-    for i = 0 to storm_timers - 1 do arm i done;
+      Sim.arm sim tm d nop in
+    Array.iter arm timers;
     for _ = 1 to storm_rounds do
       Clock.skip_to clock (Clock.now clock + storm_step);
-      for i = 0 to storm_timers - 1 do
-        (match handles.(i) with
-         | Some h -> Sim.cancel sim h
-         | None -> ());
-        arm i
-      done
+      Array.iter arm timers
     done;
     Sim.run sim;
     let s = Sim.stats sim in

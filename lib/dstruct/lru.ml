@@ -59,7 +59,7 @@ let find t k =
 
 let peek t k = value (entry t k)
 
-let evict_lru t =
+let evict t =
   match t.tail with
   | Nil -> ()
   | Entry r as e ->
@@ -76,7 +76,7 @@ let add t k v =
      let e = Entry { key = k; value = Some v; prev = Nil; next = Nil } in
      push_front t e;
      Hashtbl.replace t.table k e);
-  while Hashtbl.length t.table > t.capacity do evict_lru t done
+  while Hashtbl.length t.table > t.capacity do evict t done
 
 let remove t k =
   let e = entry t k in
@@ -98,10 +98,7 @@ let rec remove_from t p x = function
 
 let remove_first t p x = remove_from t p x t.head
 
-let least_recent t =
-  match t.tail with
-  | Entry { key; value = Some v; _ } -> Some (key, v)
-  | Entry { value = None; _ } | Nil -> None
+let least_recent t = value t.tail
 
 let iter f t =
   let rec loop = function

@@ -35,9 +35,14 @@ val remove_first : ('k, 'v) t -> ('v -> 'a -> bool) -> 'a -> 'v option
     returns its value; [None] when no binding has it. The walk
     allocates nothing unless [p] does. *)
 
-val least_recent : ('k, 'v) t -> ('k * 'v) option
-(** The least-recently-used binding — the next to be evicted — without
-    touching recency. O(1). *)
+val least_recent : ('k, 'v) t -> 'v option
+(** The least-recently-used value — the next to be evicted — without
+    touching recency; [None] when empty. O(1), and allocates nothing,
+    as {!find}. *)
+
+val evict : ('k, 'v) t -> unit
+(** Evicts the least-recently-used binding through the eviction
+    callback; no-op when empty. *)
 
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Most-recently-used first. *)

@@ -11,12 +11,14 @@ type 'a node = {
   mutable pos : int;                    (* index in [nodes] *)
 }
 
-(* Refilled in place by [readd]: one handle can carry an element
-   after element. *)
+(* Refilled in place by [arm]: one handle carries element after
+   element. An unarmed handle points at the heap's [idle] record, which
+   is never queued, with a generation no record ever carries. *)
 type 'a handle = { mutable node : 'a node; mutable gen : int }
 
 type 'a t = {
   dummy : 'a;
+  idle : 'a node;
   mutable nodes : 'a node array;
   mutable size : int;
   mutable allocated : int;
@@ -26,8 +28,9 @@ type 'a t = {
 }
 
 let create ~dummy =
-  { dummy; nodes = [||]; size = 0; allocated = 0; next_seq = 0;
-    hits = 0; misses = 0 }
+  { dummy; idle = { key = 0; seq = -1; value = dummy; pos = 0 };
+    nodes = [||]; size = 0; allocated = 0; next_seq = 0; hits = 0;
+    misses = 0 }
 
 let size t = t.size
 
@@ -89,9 +92,9 @@ let insert t key v =
   sift_up t.nodes n (t.size - 1);
   n
 
-let add t key v =
-  let n = insert t key v in
-  { node = n; gen = n.seq }
+let add t key v = ignore (insert t key v)
+
+let handle t = { node = t.idle; gen = -2 }
 
 let min_key t = if t.size = 0 then max_int else t.nodes.(0).key
 
@@ -118,8 +121,8 @@ let pop t =
 
 let mem h = h.node.seq = h.gen
 
-let readd t h key v =
-  if mem h then invalid_arg "Pqueue.readd: element still queued";
+let arm t h key v =
+  if mem h then invalid_arg "Pqueue.arm: element still queued";
   let n = insert t key v in
   h.node <- n;
   h.gen <- n.seq

@@ -6,18 +6,18 @@
     depends on. Keys are compared as ints, with no comparison closure.
 
     Records are recycled through a free pool, so a steady-state
-    workload allocates only the handle per [add], and nothing per
-    {!readd}. A freed record holds
-    the [dummy] given at creation, never a removed value, so the queue
-    pins nothing it no longer holds. Handles carry the insertion
-    number they were born with, which makes removing a popped or
-    removed element — even after its record has been reused — a safe
-    no-op rather than an ABA hazard. *)
+    workload allocates nothing per {!add} or {!arm}. A freed record
+    holds the [dummy] given at creation, never a removed value, so the
+    queue pins nothing it no longer holds. An element that may be
+    removed is inserted through a {!handle}, which carries its
+    element's insertion number: removing a popped or removed element —
+    even after its record has been reused — is a safe no-op rather
+    than an ABA hazard. *)
 
 type 'a t
 
 type 'a handle
-(** An element added to a heap, usable for removal. *)
+(** A reusable slot for one removable element of a heap at a time. *)
 
 val create : dummy:'a -> 'a t
 (** [create ~dummy] is an empty heap; [dummy] fills freed records. *)
@@ -26,8 +26,17 @@ val size : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> int -> 'a -> 'a handle
+val add : 'a t -> int -> 'a -> unit
 (** [add t key v] inserts [v] at [key]; O(log n). *)
+
+val handle : 'a t -> 'a handle
+(** A handle for [t] with no element yet. *)
+
+val arm : 'a t -> 'a handle -> int -> 'a -> unit
+(** [arm t h key v] inserts [v] at [key] exactly as {!add} does (the
+    next insertion number), and [h] now designates it. [h]'s previous
+    element, if any, must be gone (popped or removed); raises
+    [Invalid_argument] otherwise. *)
 
 val min_key : 'a t -> int
 (** The smallest key, [max_int] when empty; O(1). *)
@@ -36,13 +45,6 @@ val pop : 'a t -> 'a
 (** [pop t] removes and returns the element with the smallest key,
     the earliest added among equals; O(log n).
     @raise Invalid_argument when empty. *)
-
-val readd : 'a t -> 'a handle -> int -> 'a -> unit
-(** [readd t h key v] inserts [v] at [key] through [h] itself, exactly
-    as {!add} would (the next insertion number), and allocates nothing
-    once the pool is warm: [h] now designates the new element. [h]'s
-    previous element must be gone (popped or removed); raises
-    [Invalid_argument] otherwise. *)
 
 val remove : 'a t -> 'a handle -> bool
 (** [remove t h] deletes [h]'s element and frees its record now;

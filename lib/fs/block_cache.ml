@@ -51,7 +51,7 @@ type t = {
 
 let coldest_page t =
   match Lru.least_recent t.cache with
-  | Some (_, e) -> e.page
+  | Some e -> e.page
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 let holds e page = Capability.equal e.page page
@@ -129,16 +129,17 @@ let rec free_request t i =
 let release r = r.users <- r.users - 1
 
 (* Holds [r] until [release] and waits for it to complete, submitting
-   it first when [submit]. The waiter is linked before the request can
-   complete; wakeups can be spurious (e.g. the caller is a protocol
-   thread that network interrupts also unblock), so it waits for
-   completion itself. *)
+   it first when [submit]: a write's block is copied into [r]'s own
+   buffer, which the device stores at completion. The waiter is linked
+   before the request can complete; wakeups can be spurious (e.g. the
+   caller is a protocol thread that network interrupts also unblock),
+   so it waits for completion itself. *)
 let wait_on t r ~submit ~write block data =
   r.users <- r.users + 1;
   Dllist.link_front r.waiters (Strand.wait_node (Sched.self t.sched));
   if submit then begin
-    if write then Disk.submit_write t.disk ~block data
-    else Disk.submit_read t.disk ~block r.buf ~pos:0
+    if write then Bytes.blit data 0 r.buf 0 Disk.block_size;
+    Disk.submit t.disk ~write ~block r.buf
   end;
   while not r.complete do
     Sched.block_current t.sched

@@ -10,13 +10,15 @@
     memory to the caller.
 
     Reads and writes block the calling strand on the disk when they
-    miss; cached reads cost only the memory copy. Concurrent reads of
-    one block share a single disk request; a write waits out any
-    request in flight on its block and then submits its own. Writes are
-    write-through (the cache never holds dirty data), which keeps the
-    web-server experiment's "double buffering" story honest: caching
-    happens either here or in the file cache, and both can be turned
-    off. *)
+    miss; cached reads cost only the memory copy. Every disk request is
+    one block in a buffer of the cache's own request record: a read
+    lands there and a write is copied there before it is submitted.
+    Concurrent reads of one block share a single disk request; a write
+    waits out any request in flight on its block and then submits its
+    own. Writes are write-through (the cache never holds dirty data),
+    which keeps the web-server experiment's "double buffering" story
+    honest: caching happens either here or in the file cache, and both
+    can be turned off. *)
 
 type t
 
@@ -46,8 +48,9 @@ val read_uncached : t -> block:int -> Bytes.t -> pos:int -> len:int -> unit
     block buffer the cache reuses, so a read allocates nothing. *)
 
 val write : t -> block:int -> Bytes.t -> unit
-(** Write-through; updates the cached page when the block's group is
-    resident. *)
+(** Write-through of one block; updates the cached page when the
+    block's group is resident. Must run in strand context. On an idle
+    disk it allocates only the suspension. *)
 
 val stats : t -> Cache_stats.t
 (** [bytes_cached] counts whole resident pages; [reclaims] counts

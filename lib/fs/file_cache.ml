@@ -34,7 +34,7 @@ let dealloc_entry t e = Array.iter (Phys_addr.deallocate t.phys) e.pages
 
 let coldest_page t =
   match Lru.least_recent t.cache with
-  | Some (_, e) -> e.pages.(0)
+  | Some e -> e.pages.(0)
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 let rec holds_from pages page i =
@@ -84,15 +84,12 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ~phys fs =
   Phys_addr.add_invalidate phys (forget t);
   t
 
+(* Each eviction gives its pages back through the cache's [on_evict]. *)
 let rec evict_to_budget t =
-  if t.bytes_held > t.capacity_bytes then
-    match Lru.least_recent t.cache with
-    | None -> ()
-    | Some (k, e) ->
-      t.bytes_held <- t.bytes_held - entry_bytes e;
-      dealloc_entry t e;
-      Lru.remove t.cache k;
-      evict_to_budget t
+  if t.bytes_held > t.capacity_bytes && Lru.length t.cache > 0 then begin
+    Lru.evict t.cache;
+    evict_to_budget t
+  end
 
 let allocate t = Phys_addr.allocate t.phys ~owner ~bytes:Addr.page_size
 

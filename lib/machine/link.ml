@@ -69,9 +69,8 @@ let send t ~from frame =
     t.dropped <- t.dropped + 1
   else begin
     Queue.push frame (match from with A -> t.wire_ab | B -> t.wire_ba);
-    ignore
-      (Sim.at t.sim (done_tx + lat)
-         (match from with A -> t.arrive_ab | B -> t.arrive_ba))
+    Sim.at t.sim (done_tx + lat)
+      (match from with A -> t.arrive_ab | B -> t.arrive_ba)
   end
 
 let set_loss t ~every =

@@ -2,7 +2,7 @@ module Pqueue = Spin_dstruct.Pqueue
 
 let nop () = ()
 
-type handle = (unit -> unit) Pqueue.handle
+type timer = (unit -> unit) Pqueue.handle
 
 type stats = {
   live : int;
@@ -54,19 +54,18 @@ let at t time action =
 
 let after t delta action = at t (Clock.now t.clock + delta) action
 
-let after_us t us action =
-  after t (Cost.us_to_cycles (Clock.cost t.clock) us) action
+let timer t = Pqueue.handle t.queue
 
 let cancel t h =
   if Pqueue.remove t.queue h then t.n_cancelled <- t.n_cancelled + 1
 
-let rearm t h delta action =
+let arm t h delta action =
   cancel t h;
   let now = Clock.now t.clock in
-  Pqueue.readd t.queue h (max (now + delta) now) action
+  Pqueue.arm t.queue h (max (now + delta) now) action
 
-let rearm_us t h us action =
-  rearm t h (Cost.us_to_cycles (Clock.cost t.clock) us) action
+let arm_us t h us action =
+  arm t h (Cost.us_to_cycles (Clock.cost t.clock) us) action
 
 let scheduled h = Pqueue.mem h
 

@@ -13,48 +13,54 @@
     dozen at most in any measured workload), the next deadline is the
     heap's top, event records are recycled through a free pool, and
     cancellation unlinks eagerly — a cancelled event costs nothing at
-    its deadline and pins nothing until then. *)
+    its deadline and pins nothing until then.
+
+    There are two ways to schedule: a fire-and-forget event ({!at},
+    {!after}) returns nothing, and a cancellable one goes through a
+    {!timer} that its owner builds once and re-arms. Neither allocates
+    once the event pool is warm, beyond the action itself. *)
 
 type t
 
-type handle
-(** A scheduled event, usable for cancellation and re-arming. Stale
-    handles (fired or cancelled) are detected; cancelling one is a
-    safe no-op even after the event record has been recycled. A timer
-    that fires again and again keeps one handle and {!rearm}s it. *)
+type timer
+(** A cancellable event slot. Its owner builds it once and {!arm}s it
+    for each firing; the action is passed at each arming and held only
+    by the queued event, so a fired or cancelled timer pins nothing.
+    Cancelling a timer that is not pending is a safe no-op. *)
 
 val create : Clock.t -> t
 
 val clock : t -> Clock.t
 
-val at : t -> int -> (unit -> unit) -> handle
+val at : t -> int -> (unit -> unit) -> unit
 (** [at t time f] schedules [f] at absolute cycle [time] (clamped to
-    now). *)
+    now). The event cannot be cancelled; use a {!timer} for that. *)
 
-val after : t -> int -> (unit -> unit) -> handle
+val after : t -> int -> (unit -> unit) -> unit
 (** [after t delta f] schedules [f] [delta] cycles from now. *)
 
-val after_us : t -> float -> (unit -> unit) -> handle
+val timer : t -> timer
+(** A timer of [t], not yet armed. *)
 
-val cancel : t -> handle -> unit
-(** Cancels a pending event; no-op if already fired or cancelled.
-    The event is unlinked immediately: it stops counting towards
-    {!pending} and its closure is released to the GC now, not at its
-    deadline. *)
-
-val rearm : t -> handle -> int -> (unit -> unit) -> unit
-(** [rearm t h delta f] schedules [f] [delta] cycles from now through
-    [h] itself: it cancels [h]'s event if still pending (counted as a
+val arm : t -> timer -> int -> (unit -> unit) -> unit
+(** [arm t tm delta f] schedules [f] [delta] cycles from now through
+    [tm]: it cancels [tm]'s event if still pending (counted as a
     {!cancel}), then schedules exactly as {!after} does, FIFO after
     every event already scheduled at the same time. It allocates
     nothing once the event pool is warm. *)
 
-val rearm_us : t -> handle -> float -> (unit -> unit) -> unit
-(** {!rearm} in virtual microseconds, as {!after_us}. *)
+val arm_us : t -> timer -> float -> (unit -> unit) -> unit
+(** {!arm} in virtual microseconds. *)
 
-val scheduled : handle -> bool
-(** Whether [h]'s event is pending: armed, and neither fired nor
-    cancelled. *)
+val cancel : t -> timer -> unit
+(** [cancel t tm] cancels [tm]'s pending event; no-op if it already fired, was
+    cancelled or was never armed. The event is unlinked immediately:
+    it stops counting towards {!pending} and its closure is released
+    to the GC now, not at its deadline. *)
+
+val scheduled : timer -> bool
+(** Whether the timer's event is pending: armed, and neither fired
+    nor cancelled. *)
 
 val pending : t -> int
 (** Number of scheduled events not yet fired; O(1). *)
@@ -62,7 +68,7 @@ val pending : t -> int
 type stats = {
   live : int;          (** events scheduled and not yet fired *)
   fired : int;         (** events fired since boot *)
-  cancelled : int;     (** events eagerly unlinked by {!cancel} *)
+  cancelled : int;     (** events eagerly unlinked by {!cancel} or {!arm} *)
   pool_hits : int;     (** event records recycled from the pool *)
   pool_misses : int;   (** event records freshly allocated *)
 }

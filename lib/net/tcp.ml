@@ -79,13 +79,11 @@ type conn = {
   mutable reader : Spin_sched.Strand.t option;
   mutable opener : Spin_sched.Strand.t option;
   mutable retries : int;
-  (* The two timers: each handle is built at its first arming and
-     re-armed in place after that, with its action built once, in
-     [new_conn]. *)
-  mutable rto : Sim.handle option;
+  (* The two timers and their actions, all built once, in [new_conn]. *)
+  rto : Sim.timer;
   mutable rto_fire : unit -> unit;
   mutable fin_pending : bool;            (* close requested, FIN not sent *)
-  mutable delayed_ack : Sim.handle option;
+  delayed_ack : Sim.timer;
   mutable ack_fire : unit -> unit;
   mutable unacked_rx : int;              (* data segments since last ack *)
 }
@@ -165,22 +163,9 @@ let flags_to_string flags =
        (fun (bit, c) -> if flags land bit <> 0 then Some c else None)
        [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R") ])
 
-(* [timer] armed [us] from now to run [fire]: its own handle, re-armed,
-   once it has one. *)
-let arm t timer us fire =
-  match timer with
-  | Some h -> Sim.rearm_us t.machine.Machine.sim h us fire; timer
-  | None -> Some (Sim.after_us t.machine.Machine.sim us fire)
-
-let armed = function Some h -> Sim.scheduled h | None -> false
-
-let disarm t = function
-  | Some h -> Sim.cancel t.machine.Machine.sim h
-  | None -> ()
-
 let emit t conn ~seq ~flags data =
   charge t;
-  disarm t conn.delayed_ack;
+  Sim.cancel t.machine.Machine.sim conn.delayed_ack;
   conn.unacked_rx <- 0;
   t.stats.segments_sent <- t.stats.segments_sent + 1;
   (* Everything carries an ACK except the very first SYN (nothing has
@@ -206,9 +191,9 @@ let emit t conn ~seq ~flags data =
 let seg_len u = Pkt.length u.u_data + (if u.u_flags land (flag_syn lor flag_fin) <> 0 then 1 else 0)
 
 let arm_rto t conn =
-  disarm t conn.rto;
-  if not (Queue.is_empty conn.inflight) then
-    conn.rto <- arm t conn.rto rto_us conn.rto_fire
+  let sim = t.machine.Machine.sim in
+  if Queue.is_empty conn.inflight then Sim.cancel sim conn.rto
+  else Sim.arm_us sim conn.rto rto_us conn.rto_fire
 
 let rec on_timeout t conn =
   if not (Queue.is_empty conn.inflight) && conn.st <> Closed then begin
@@ -233,8 +218,8 @@ let rec on_timeout t conn =
   end
 
 and teardown t conn =
-  disarm t conn.rto;
-  disarm t conn.delayed_ack;
+  Sim.cancel t.machine.Machine.sim conn.rto;
+  Sim.cancel t.machine.Machine.sim conn.delayed_ack;
   conn.st <- Closed;
   Conns.remove t.conns conn.key;
   (* Wake anything blocked on the connection. *)
@@ -250,7 +235,7 @@ let transmit_segment t conn ~flags data =
   conn.snd_nxt <- conn.snd_nxt + seg_len u;
   Queue.add u conn.inflight;
   emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data;
-  if not (armed conn.rto) then arm_rto t conn
+  if not (Sim.scheduled conn.rto) then arm_rto t conn
 
 (* Push queued data into the window. *)
 let rec fill_window t conn =
@@ -274,9 +259,10 @@ let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
     inflight = Queue.create (); pending = [];
     rx_cb = None; rx_buf = Buffer.create 256;
     reader = None; opener = None;
-    retries = 0; rto = None; fin_pending = false;
+    retries = 0; rto = Sim.timer t.machine.Machine.sim; fin_pending = false;
     key = { k_lport = l_port; k_raddr = r_addr; k_rport = r_port };
-    rto_fire = ignore; delayed_ack = None; ack_fire = ignore; unacked_rx = 0;
+    rto_fire = ignore; delayed_ack = Sim.timer t.machine.Machine.sim;
+    ack_fire = ignore; unacked_rx = 0;
   } in
   conn.rto_fire <- (fun () -> on_timeout t conn);
   conn.ack_fire <-
@@ -369,9 +355,9 @@ let handle_established t conn b =
           conn.unacked_rx <- conn.unacked_rx + 1;
           if conn.unacked_rx >= 2 then
             emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
-          else if not (armed conn.delayed_ack) then
-            conn.delayed_ack <-
-              arm t conn.delayed_ack delayed_ack_us conn.ack_fire
+          else if not (Sim.scheduled conn.delayed_ack) then
+            Sim.arm_us t.machine.Machine.sim conn.delayed_ack delayed_ack_us
+              conn.ack_fire
         end
       end
     end else if seq < expected && (len > 0 || fin) then

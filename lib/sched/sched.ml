@@ -580,22 +580,22 @@ let block_current t =
   block t s;
   Coro.suspend Coro.Blocked
 
-(* The strand's own timer, armed [us] from now: built at its first
-   sleep, re-armed in place by every later one. *)
-let arm_timer t s us =
+(* The strand's own timer, built at its first sleep. *)
+let timer t s =
   match s.Strand.timer with
-  | Some tm -> Sim.rearm_us t.sim tm.Strand.handle us tm.Strand.wake; tm
+  | Some tm -> tm
   | None ->
     let wake () = unblock t s in
-    let tm = { Strand.handle = Sim.after_us t.sim us wake; wake } in
+    let tm = { Strand.event = Sim.timer t.sim; wake } in
     s.Strand.timer <- Some tm;
     tm
 
 let sleep_us t us =
   let s = self t in
-  let deadline =
-    Clock.now t.clock + Cost.us_to_cycles (Clock.cost t.clock) us in
-  let tm = arm_timer t s us in
+  let delta = Cost.us_to_cycles (Clock.cost t.clock) us in
+  let deadline = Clock.now t.clock + delta in
+  let tm = timer t s in
+  Sim.arm t.sim tm.Strand.event delta tm.Strand.wake;
   (* Tolerate spurious wakeups: sleep again until the deadline. *)
   while Clock.now t.clock < deadline do
     block_current t
@@ -603,7 +603,7 @@ let sleep_us t us =
   (* A spurious wakeup whose resumption costs carry the clock past the
      deadline exits the loop with the timer still pending; cancel it
      so it cannot fire at [s] after [s] has moved on (or died). *)
-  Sim.cancel t.sim tm.Strand.handle
+  Sim.cancel t.sim tm.Strand.event
 
 let preempt_point t =
   if t.preempt_requested then begin

@@ -1,6 +1,6 @@
 type state = Created | Runnable | Running | Blocked | Dead
 
-type timer = { handle : Spin_machine.Sim.handle; wake : unit -> unit }
+type timer = { event : Spin_machine.Sim.timer; wake : unit -> unit }
 
 type t = {
   id : int;

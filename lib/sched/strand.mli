@@ -11,11 +11,11 @@ type state = Created | Runnable | Running | Blocked | Dead
     their first unblock (or at spawn); [Dead] is terminal. *)
 
 type timer = {
-  handle : Spin_machine.Sim.handle;
-  wake : unit -> unit;         (** what the handle fires *)
+  event : Spin_machine.Sim.timer;
+  wake : unit -> unit;         (** what [event] fires *)
 }
-(** A strand's wakeup timer: one event handle that every timed sleep
-    re-arms with the same action. *)
+(** A strand's wakeup timer: one engine timer that every timed sleep
+    arms with the same action. *)
 
 type t = {
   id : int;                    (** unique, never reused *)
@@ -38,8 +38,8 @@ type t = {
       one wait queue the strand blocks on; see {!wait_node}. *)
   mutable timer : timer option;
   (** set at the first timed sleep ({!Sched.sleep_us}), which builds
-      the wake action once; every later sleep re-arms it. Owned by the
-      scheduler. *)
+      the timer and its wake action once; every sleep arms it. Owned
+      by the scheduler. *)
   mutable affinity : int option;
   (** pinned CPU: when set, the strand is only ever enqueued on (and
       never stolen from) this CPU — per-CPU daemons like the netisr

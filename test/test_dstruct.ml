@@ -133,8 +133,14 @@ let pq_drain q =
 
 let pq_of_keys xs =
   let q = Pqueue.create ~dummy:0 in
-  List.iter (fun k -> ignore (Pqueue.add q k k)) xs;
+  List.iter (fun k -> Pqueue.add q k k) xs;
   q
+
+(* [v] at [k] through a fresh handle, returned for removal. *)
+let pq_arm q k v =
+  let h = Pqueue.handle q in
+  Pqueue.arm q h k v;
+  h
 
 let test_pqueue_order () =
   let q = pq_of_keys [ 5; 1; 4; 1; 3 ] in
@@ -148,14 +154,14 @@ let test_pqueue_order () =
 let test_pqueue_fifo_ties () =
   (* Equal keys pop in insertion order. *)
   let q = Pqueue.create ~dummy:"" in
-  List.iter (fun v -> ignore (Pqueue.add q 1 v)) [ "x"; "y"; "z" ];
+  List.iter (fun v -> Pqueue.add q 1 v) [ "x"; "y"; "z" ];
   check (list string) "fifo" [ "x"; "y"; "z" ] (pq_drain q)
 
 let test_pqueue_remove () =
   let q = Pqueue.create ~dummy:0 in
-  let _e1 = Pqueue.add q 1 1 in
-  let e2 = Pqueue.add q 2 2 in
-  let _e3 = Pqueue.add q 3 3 in
+  Pqueue.add q 1 1;
+  let e2 = pq_arm q 2 2 in
+  Pqueue.add q 3 3;
   check bool "remove succeeds" true (Pqueue.remove q e2);
   check bool "mem after remove" false (Pqueue.mem e2);
   check bool "re-remove is a no-op" false (Pqueue.remove q e2);
@@ -164,8 +170,8 @@ let test_pqueue_remove () =
 
 let test_pqueue_remove_min () =
   let q = Pqueue.create ~dummy:0 in
-  let e1 = Pqueue.add q 1 1 in
-  let _ = Pqueue.add q 2 2 in
+  let e1 = pq_arm q 1 1 in
+  Pqueue.add q 2 2;
   ignore (Pqueue.remove q e1);
   check int "heap repaired" 2 (Pqueue.min_key q)
 
@@ -173,15 +179,33 @@ let test_pqueue_stale_handle () =
   (* A popped element's record is reused by the next add; the old
      handle must not remove the new element. *)
   let q = Pqueue.create ~dummy:0 in
-  let h = Pqueue.add q 10 1 in
+  let h = pq_arm q 10 1 in
   check int "pops" 1 (Pqueue.pop q);
-  let h2 = Pqueue.add q 20 2 in
+  let h2 = pq_arm q 20 2 in
   check int "record recycled" 1 (Pqueue.pool_hits q);
   check int "one record allocated" 1 (Pqueue.pool_misses q);
   check bool "stale handle" false (Pqueue.mem h);
   check bool "stale remove refused" false (Pqueue.remove q h);
   check bool "new element untouched" true (Pqueue.mem h2);
   check (list int) "new element pops" [ 2 ] (pq_drain q)
+
+let test_pqueue_arm () =
+  (* A handle carries element after element, each with the next
+     insertion number, and refuses a second one while the first is
+     queued. *)
+  let q = Pqueue.create ~dummy:"" in
+  let h = Pqueue.handle q in
+  check bool "unarmed" false (Pqueue.mem h);
+  check bool "unarmed remove refused" false (Pqueue.remove q h);
+  Pqueue.arm q h 1 "a";
+  check_raises "arm while queued"
+    (Invalid_argument "Pqueue.arm: element still queued")
+    (fun () -> Pqueue.arm q h 1 "b");
+  Pqueue.add q 1 "b";
+  check bool "removed" true (Pqueue.remove q h);
+  Pqueue.arm q h 1 "c";
+  check (list string) "re-armed behind earlier adds" [ "b"; "c" ] (pq_drain q);
+  check bool "popped" false (Pqueue.mem h)
 
 let prop_pqueue_sorts =
   QCheck2.Test.make ~name:"pqueue drains sorted" ~count:300
@@ -193,7 +217,7 @@ let prop_pqueue_remove_subset =
     QCheck2.Gen.(list (pair small_int bool))
     (fun xs ->
       let q = Pqueue.create ~dummy:0 in
-      let entries = List.map (fun (v, kill) -> (Pqueue.add q v v, v, kill)) xs in
+      let entries = List.map (fun (v, kill) -> (pq_arm q v v, v, kill)) xs in
       List.iter (fun (e, _, kill) -> if kill then ignore (Pqueue.remove q e)) entries;
       let expect =
         List.filter_map (fun (_, v, kill) -> if kill then None else Some v) entries
@@ -218,7 +242,7 @@ let pq_fill w n =
     List.init n (fun i ->
       let v = Bytes.make 32 (Char.chr (65 + (i mod 26))) in
       Weak.set w i (Some v);
-      Pqueue.add q i v) in
+      pq_arm q i v) in
   (q, handles)
 
 let test_pqueue_pop_releases () =
@@ -389,13 +413,13 @@ let prop_lru_never_exceeds_capacity =
       Lru.length c <= cap)
 
 (* The entries' own links against a list model, most recent first:
-   every answer, the recency order, the least-recent binding after
-   every operation, and the evictions agree. *)
+   every answer, the recency order, the least-recent value after every
+   operation, and the evictions, by capacity or asked for, agree. *)
 let prop_lru_matches_model =
   QCheck2.Test.make ~name:"lru agrees with a recency-list model" ~count:300
     QCheck2.Gen.(
       pair (int_range 1 6)
-        (list (pair (int_range 0 3) (int_range 0 9))))
+        (list (pair (int_range 0 4) (int_range 0 9))))
     (fun (cap, ops) ->
       let evicted = ref [] and model_evicted = ref [] in
       let c =
@@ -424,11 +448,18 @@ let prop_lru_matches_model =
             Option.iter (fun v -> model := front v) want;
             if Lru.find c k <> want then ok := false
           | 2 -> if Lru.peek c k <> List.assoc_opt k !model then ok := false
-          | _ ->
+          | 3 ->
             model := List.remove_assoc k !model;
-            Lru.remove c k);
+            Lru.remove c k
+          | _ ->
+            (match List.rev !model with
+             | last :: rest ->
+               model := List.rev rest;
+               model_evicted := last :: !model_evicted
+             | [] -> ());
+            Lru.evict c);
           let coldest =
-            match List.rev !model with last :: _ -> Some last | [] -> None in
+            match List.rev !model with (_, v) :: _ -> Some v | [] -> None in
           if Lru.least_recent c <> coldest then ok := false)
         ops;
       let order = ref [] in
@@ -501,6 +532,7 @@ let () =
             test_pqueue_grow_releases;
           Alcotest.test_case "remove releases values" `Quick
             test_pqueue_remove_releases;
+          Alcotest.test_case "a handle re-arms" `Quick test_pqueue_arm;
         ] );
       ( "ring",
         [

@@ -41,9 +41,9 @@ let test_sim_fires_in_order () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let log = ref [] in
-  ignore (Sim.at sim 300 (fun () -> log := 3 :: !log));
-  ignore (Sim.at sim 100 (fun () -> log := 1 :: !log));
-  ignore (Sim.at sim 200 (fun () -> log := 2 :: !log));
+  Sim.at sim 300 (fun () -> log := 3 :: !log);
+  Sim.at sim 100 (fun () -> log := 1 :: !log);
+  Sim.at sim 200 (fun () -> log := 2 :: !log);
   Sim.run sim;
   check (list int) "deadline order" [ 1; 2; 3 ] (List.rev !log);
   check int "clock at last deadline" 300 (Clock.now clock)
@@ -52,7 +52,7 @@ let test_sim_fire_on_charge () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let fired = ref false in
-  ignore (Sim.after sim 100 (fun () -> fired := true));
+  Sim.after sim 100 (fun () -> fired := true);
   Clock.charge clock 50;
   check bool "not yet due" false !fired;
   Clock.charge clock 60;                  (* passes the deadline *)
@@ -62,8 +62,9 @@ let test_sim_cancel () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let fired = ref false in
-  let h = Sim.after sim 100 (fun () -> fired := true) in
-  Sim.cancel sim h;
+  let tm = Sim.timer sim in
+  Sim.arm sim tm 100 (fun () -> fired := true);
+  Sim.cancel sim tm;
   Sim.run sim;
   check bool "cancelled" false !fired;
   check int "pending empty" 0 (Sim.pending sim)
@@ -73,9 +74,9 @@ let test_sim_nested_schedule () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let log = ref [] in
-  ignore (Sim.after sim 10 (fun () ->
+  Sim.after sim 10 (fun () ->
     log := "first" :: !log;
-    ignore (Sim.after sim 10 (fun () -> log := "second" :: !log))));
+    Sim.after sim 10 (fun () -> log := "second" :: !log));
   Sim.run sim;
   check (list string) "chained" [ "first"; "second" ] (List.rev !log)
 
@@ -89,14 +90,16 @@ let test_sim_cancel_unlinks_eagerly () =
   let sim = Sim.create clock in
   let n = 64 in
   let weaks = Weak.create n in
-  let handles =
+  let timers =
     Array.init n (fun i ->
       let payload = Bytes.make 64 'x' in
       Weak.set weaks i (Some payload);
-      Sim.after sim (1_000_000 + i) (fun () ->
-        ignore (Sys.opaque_identity payload))) in
+      let tm = Sim.timer sim in
+      Sim.arm sim tm (1_000_000 + i) (fun () ->
+        ignore (Sys.opaque_identity payload));
+      tm) in
   check int "all pending" n (Sim.pending sim);
-  Array.iter (fun h -> Sim.cancel sim h) handles;
+  Array.iter (fun tm -> Sim.cancel sim tm) timers;
   check int "no residency after mass cancel" 0 (Sim.pending sim);
   check int "stats agree" 0 (Sim.stats sim).Sim.live;
   check int "all counted cancelled" n (Sim.stats sim).Sim.cancelled;
@@ -105,45 +108,52 @@ let test_sim_cancel_unlinks_eagerly () =
   let alive = ref 0 in
   for i = 0 to n - 1 do if Weak.check weaks i then incr alive done;
   check int "closures released before the deadline" 0 !alive;
-  ignore (Sys.opaque_identity (sim, handles))
+  ignore (Sys.opaque_identity (sim, timers))
 
 let test_sim_pool_recycles () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
-  for i = 1 to 50 do ignore (Sim.after sim i (fun () -> ())) done;
+  for i = 1 to 50 do Sim.after sim i (fun () -> ()) done;
   Sim.run sim;
   let s1 = Sim.stats sim in
   check int "first wave fired" 50 s1.Sim.fired;
-  for i = 1 to 50 do ignore (Sim.after sim i (fun () -> ())) done;
+  for i = 1 to 50 do Sim.after sim i (fun () -> ()) done;
   let s2 = Sim.stats sim in
   check int "second wave recycles records" 50
     (s2.Sim.pool_hits - s1.Sim.pool_hits);
   check int "no fresh records" s1.Sim.pool_misses s2.Sim.pool_misses;
   Sim.run sim;
   check int "double cancel counted once" 0
-    (let h = Sim.after sim 10 (fun () -> ()) in
-     Sim.cancel sim h;
-     Sim.cancel sim h;
+    (let tm = Sim.timer sim in
+     Sim.arm sim tm 10 (fun () -> ());
+     Sim.cancel sim tm;
+     Sim.cancel sim tm;
      (Sim.stats sim).Sim.cancelled - 1)
 
 (* The engine contract, differentially: a random run of schedules,
-   cancels and clock advances against a naive sorted-list model. Events
-   fire in (deadline, insertion) order whenever the clock reaches their
-   deadline, never re-entrantly; an action may charge the clock,
-   schedule more work or cancel any event. After every operation the
-   fire log (event, clock at firing), [pending], [stats] and the clock
-   agree, and so does the next fire time. [Sim] exports no peek, so that
-   time is read from a replay of the same prefix: its [idle_step] fires
-   the next event, which logs its clock. *)
+   timer arms and cancels, and clock advances against a naive
+   sorted-list model. Events fire in (deadline, insertion) order
+   whenever the clock reaches their deadline, never re-entrantly; an
+   action may charge the clock, schedule more work, or arm or cancel
+   any timer. Arming is a cancel of the timer's pending event, if any,
+   followed by a schedule with a fresh insertion number, whether the
+   timer is pending, has fired or was never armed. After every
+   operation the fire log (event, clock at firing), [pending], [stats]
+   and the clock agree, and so does the next fire time. [Sim] exports
+   no peek, so that time is read from a replay of the same prefix: its
+   [idle_step] fires the next event, which logs its clock. *)
+
+let sim_timers = 3
 
 type sim_act = Log | Charge_in of int | Sched_now | Sched_after of int
-             | Cancel_in of int
+             | Arm_in of int * int           (* timer, delta *)
+             | Cancel_in of int              (* timer *)
 
 type sim_op =
   | At of int * sim_act                  (* clock offset: < 0 past, 0 now *)
   | After of int * sim_act
-  | Cancel_live of int
-  | Cancel_any of int                    (* live, fired or cancelled *)
+  | Arm of int * int * sim_act           (* timer, delta (< 0 past), action *)
+  | Cancel of int                        (* timer: pending, fired or never armed *)
   | Charge of int
   | Skip of int                          (* [skip_to (now + n)], n may be <= 0 *)
   | Idle
@@ -153,6 +163,7 @@ module Sim_model = struct
     mutable now : int;
     mutable issued : int;                (* event ids and insertion order *)
     mutable queue : (int * int * sim_act) list;   (* (deadline, id, act) *)
+    timers : int array;                  (* each timer's last event id, or -1 *)
     mutable firing : bool;
     mutable fired : int;
     mutable cancelled : int;
@@ -160,8 +171,8 @@ module Sim_model = struct
   }
 
   let create () =
-    { now = 0; issued = 0; queue = []; firing = false; fired = 0;
-      cancelled = 0; log = [] }
+    { now = 0; issued = 0; queue = []; timers = Array.make sim_timers (-1);
+      firing = false; fired = 0; cancelled = 0; log = [] }
 
   let add m time act =
     let d = max time m.now and id = m.issued in
@@ -169,13 +180,19 @@ module Sim_model = struct
     let rec insert = function
       | ((d', _, _) as e) :: rest when d' <= d -> e :: insert rest
       | rest -> (d, id, act) :: rest in
-    m.queue <- insert m.queue
+    m.queue <- insert m.queue;
+    id
 
-  let cancel m id =
+  let cancel m k =
+    let id = m.timers.(k) in
     if List.exists (fun (_, i, _) -> i = id) m.queue then begin
       m.queue <- List.filter (fun (_, i, _) -> i <> id) m.queue;
       m.cancelled <- m.cancelled + 1
     end
+
+  let arm m k delta act =
+    cancel m k;
+    m.timers.(k) <- add m (m.now + delta) act
 
   let rec fire_due m =
     if not m.firing then begin
@@ -196,9 +213,10 @@ module Sim_model = struct
   and run_act m = function
     | Log -> ()
     | Charge_in c -> charge m c
-    | Sched_now -> add m m.now Log
-    | Sched_after d -> add m (m.now + d) Log
-    | Cancel_in j -> cancel m (j mod m.issued)
+    | Sched_now -> ignore (add m m.now Log)
+    | Sched_after d -> ignore (add m (m.now + d) Log)
+    | Arm_in (k, d) -> arm m k d Log
+    | Cancel_in k -> cancel m k
 
   and charge m c = if c > 0 then begin m.now <- m.now + c; fire_due m end
 
@@ -208,16 +226,11 @@ module Sim_model = struct
   let next_fire m =
     match m.queue with [] -> None | (d, _, _) :: _ -> Some (max d m.now)
 
-  let live m = List.map (fun (_, id, _) -> id) m.queue
-
   let apply m = function
-    | At (off, act) -> add m (m.now + off) act
-    | After (d, act) -> add m (m.now + d) act
-    | Cancel_live i ->
-      if m.queue <> [] then
-        let _, id, _ = List.nth m.queue (i mod List.length m.queue) in
-        cancel m id
-    | Cancel_any i -> if m.issued > 0 then cancel m (i mod m.issued)
+    | At (off, act) -> ignore (add m (m.now + off) act)
+    | After (d, act) -> ignore (add m (m.now + d) act)
+    | Arm (k, d, act) -> arm m k d act
+    | Cancel k -> cancel m k
     | Charge c -> charge m c
     | Skip n -> skip_to m (m.now + n)
     | Idle ->
@@ -229,44 +242,45 @@ end
 type sim_real = {
   r_clock : Clock.t;
   r_sim : Sim.t;
+  r_timers : Sim.timer array;
   mutable r_issued : int;
-  r_handles : (int, Sim.handle) Hashtbl.t;
   mutable r_log : (int * int) list;
 }
 
 let real_fresh () =
   let clock = Clock.create Cost.alpha_133 in
-  { r_clock = clock; r_sim = Sim.create clock; r_issued = 0;
-    r_handles = Hashtbl.create 16; r_log = [] }
+  let sim = Sim.create clock in
+  { r_clock = clock; r_sim = sim;
+    r_timers = Array.init sim_timers (fun _ -> Sim.timer sim);
+    r_issued = 0; r_log = [] }
 
-(* [sched] is [Sim.at sim time] or [Sim.after sim delta]. *)
-let rec real_schedule r act sched =
+(* The action of the next event scheduled, numbered as the model
+   numbers it; [schedule] is [Sim.at sim time], [Sim.after sim delta]
+   or [Sim.arm sim timer delta]. *)
+let rec real_schedule r act schedule =
   let id = r.r_issued in
   r.r_issued <- id + 1;
-  let action () =
+  schedule (fun () ->
     r.r_log <- (id, Clock.now r.r_clock) :: r.r_log;
     match act with
     | Log -> ()
     | Charge_in c -> Clock.charge r.r_clock c
     | Sched_now -> real_schedule r Log (Sim.at r.r_sim (Clock.now r.r_clock))
     | Sched_after d -> real_schedule r Log (Sim.after r.r_sim d)
-    | Cancel_in j -> real_cancel r (j mod r.r_issued) in
-  Hashtbl.replace r.r_handles id (sched action)
+    | Arm_in (k, d) -> real_schedule r Log (Sim.arm r.r_sim r.r_timers.(k) d)
+    | Cancel_in k -> Sim.cancel r.r_sim r.r_timers.(k))
 
-and real_cancel r id = Sim.cancel r.r_sim (Hashtbl.find r.r_handles id)
-
-(* [live] lists the model's pending ids, so both sides cancel the same
-   event. *)
-let real_apply r live = function
+let real_apply r = function
   | At (off, act) ->
     real_schedule r act (Sim.at r.r_sim (Clock.now r.r_clock + off))
   | After (d, act) -> real_schedule r act (Sim.after r.r_sim d)
-  | Cancel_live i ->
-    if live <> [] then real_cancel r (List.nth live (i mod List.length live))
-  | Cancel_any i -> if r.r_issued > 0 then real_cancel r (i mod r.r_issued)
+  | Arm (k, d, act) -> real_schedule r act (Sim.arm r.r_sim r.r_timers.(k) d)
+  | Cancel k -> Sim.cancel r.r_sim r.r_timers.(k)
   | Charge c -> Clock.charge r.r_clock c
   | Skip n -> Clock.skip_to r.r_clock (Clock.now r.r_clock + n)
   | Idle -> ignore (Sim.idle_step r.r_sim)
+
+let sim_timer_gen = QCheck2.Gen.int_range 0 (sim_timers - 1)
 
 let sim_act_gen =
   QCheck2.Gen.(
@@ -275,7 +289,8 @@ let sim_act_gen =
         (2, map (fun c -> Charge_in c) (int_range 0 300));
         (2, pure Sched_now);
         (1, map (fun d -> Sched_after d) (int_range 0 200));
-        (2, map (fun j -> Cancel_in j) (int_range 0 1000)) ])
+        (1, map2 (fun k d -> Arm_in (k, d)) sim_timer_gen (int_range (-50) 200));
+        (2, map (fun k -> Cancel_in k) sim_timer_gen) ])
 
 let sim_op_gen =
   QCheck2.Gen.(
@@ -283,9 +298,11 @@ let sim_op_gen =
       [ (2, map2 (fun o a -> At (o, a)) (int_range (-300) (-1)) sim_act_gen);
         (2, map (fun a -> At (0, a)) sim_act_gen);
         (3, map2 (fun o a -> At (o, a)) (int_range 1 600) sim_act_gen);
-        (3, map2 (fun d a -> After (d, a)) (int_range 0 600) sim_act_gen);
-        (2, map (fun i -> Cancel_live i) (int_range 0 1000));
-        (2, map (fun i -> Cancel_any i) (int_range 0 1000));
+        (2, map2 (fun d a -> After (d, a)) (int_range 0 600) sim_act_gen);
+        (2, map2 (fun k a -> Arm (k, 0, a)) sim_timer_gen sim_act_gen);
+        (3, map3 (fun k d a -> Arm (k, d, a)) sim_timer_gen (int_range (-300) 600)
+              sim_act_gen);
+        (2, map (fun k -> Cancel k) sim_timer_gen);
         (2, map (fun c -> Charge c) (int_range 0 300));
         (1, map (fun n -> Skip n) (int_range (-100) 400));
         (2, pure Idle) ])
@@ -305,10 +322,7 @@ let prop_sim_matches_model =
         && s.Sim.cancelled = m.Sim_model.cancelled in
       let next_fire prefix =
         let p = real_fresh () in
-        let pm = Sim_model.create () in
-        List.iter (fun op ->
-          real_apply p (Sim_model.live pm) op;
-          Sim_model.apply pm op) prefix;
+        List.iter (real_apply p) prefix;
         let before = List.length p.r_log in
         if Sim.idle_step p.r_sim && List.length p.r_log > before then
           Some (snd (List.nth p.r_log (List.length p.r_log - before - 1)))
@@ -316,7 +330,7 @@ let prop_sim_matches_model =
       let rec go prefix = function
         | [] -> true
         | op :: rest ->
-          real_apply r (Sim_model.live m) op;
+          real_apply r op;
           Sim_model.apply m op;
           let prefix = op :: prefix in
           agree ()
@@ -725,16 +739,14 @@ let test_disk_roundtrip () =
   Intr.register m.Machine.intr ~line:(Disk_dev.line disk) (fun () ->
     completed := Disk_dev.take_completion disk :: !completed);
   let payload = Bytes.make Disk_dev.block_size 'd' in
-  Disk_dev.submit_write disk ~block:10 payload;
+  Disk_dev.submit disk ~write:true ~block:10 payload;
   Sim.run m.Machine.sim;
-  (* The read lands in the reader's buffer, at its offset. *)
-  let buf = Bytes.make (Disk_dev.block_size + 8) '-' in
-  Disk_dev.submit_read disk ~block:10 buf ~pos:8;
+  (* The read lands in the reader's buffer. *)
+  let buf = Bytes.make Disk_dev.block_size '-' in
+  Disk_dev.submit disk ~write:false ~block:10 buf;
   Sim.run m.Machine.sim;
   check (list int) "both requests completed" [ 10; 10 ] !completed;
-  check bytes "disk data" payload (Bytes.sub buf 8 Disk_dev.block_size);
-  check string "bytes before the offset untouched" "--------"
-    (Bytes.sub_string buf 0 8);
+  check bytes "disk data" payload buf;
   check int "nothing more to collect" (-1) (Disk_dev.take_completion disk);
   check int "one read" 1 (Disk_dev.reads disk);
   check int "one write" 1 (Disk_dev.writes disk)
@@ -743,12 +755,12 @@ let test_disk_latency_model () =
   let m = fresh () in
   let disk = Machine.add_disk m in
   let buf = Bytes.create Disk_dev.block_size in
-  Disk_dev.submit_read disk ~block:100 buf ~pos:0;
+  Disk_dev.submit disk ~write:false ~block:100 buf;
   Sim.run m.Machine.sim;
   let first = Clock.now_us m.Machine.clock in
   check bool "random access costs ms" true (first > 10_000.);
   (* Sequential follow-up skips the seek. *)
-  Disk_dev.submit_read disk ~block:101 buf ~pos:0;
+  Disk_dev.submit disk ~write:false ~block:101 buf;
   Sim.run m.Machine.sim;
   let second = Clock.now_us m.Machine.clock -. first in
   check bool "sequential is cheap" true (second < 1_000.)
@@ -760,9 +772,9 @@ let test_disk_fifo_queue () =
   Intr.register m.Machine.intr ~line:(Disk_dev.line disk) (fun () ->
     order := Disk_dev.take_completion disk :: !order);
   let buf = Bytes.create Disk_dev.block_size in
-  Disk_dev.submit_read disk ~block:5 buf ~pos:0;
-  Disk_dev.submit_read disk ~block:500 buf ~pos:0;
-  Disk_dev.submit_read disk ~block:50 buf ~pos:0;
+  Disk_dev.submit disk ~write:false ~block:5 buf;
+  Disk_dev.submit disk ~write:false ~block:500 buf;
+  Disk_dev.submit disk ~write:false ~block:50 buf;
   check int "queued" 3 (Disk_dev.in_flight disk);
   Sim.run m.Machine.sim;
   check (list int) "fifo completion" [ 5; 500; 50 ] (List.rev !order)
@@ -850,7 +862,7 @@ let test_idle_accounting () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   Clock.charge clock 100;                 (* busy *)
-  ignore (Sim.after sim 500 (fun () -> ()));
+  Sim.after sim 500 (fun () -> ());
   Sim.run sim;                            (* idles to the deadline *)
   check int "idle counted" 500 (Clock.idle_cycles clock);
   check int "busy = now - idle" 100 (Clock.now clock - Clock.idle_cycles clock)
@@ -884,7 +896,7 @@ let test_charge_allocates_nothing () =
   let m = fresh () in
   let clock = m.Machine.clock in
   ignore (Sched.create m.Machine.sim (Dispatcher.create clock));
-  ignore (Sim.after m.Machine.sim 1_000_000_000 (fun () -> ()));
+  Sim.after m.Machine.sim 1_000_000_000 (fun () -> ());
   let charge () = Clock.charge clock 1 in
   check (float 0.) "minor words over 10,000 charges" 0.
     (minor_words_over 10_000 charge)
@@ -1020,8 +1032,8 @@ let test_strand_block_words () =
   check (float 0.) "words per block, unblock and re-enqueue"
     (2. *. suspend_words) (strand_words ~others:peer 10_000 body)
 
-(* A timed sleep re-arms the strand's own timer, with the wake action
-   built at its first sleep: the suspension is all a round allocates. *)
+(* A timed sleep arms the strand's own timer, built with its wake
+   action at the first sleep: the suspension is all a round allocates. *)
 let test_sleep_words () =
   check (float 0.) "words per timed sleep" suspend_words
     (strand_words 10_000 (fun sched -> Sched.sleep_us sched 1.))
@@ -1115,16 +1127,29 @@ let test_appel1_fault_words () =
     ((Spin_vm.Translation.stats k.Spin.Kernel.vm.Spin_vm.Vm.trans)
        .Spin_vm.Translation.faults_protection - faults0)
 
+(* A one-shot event on a warm engine: a pooled record takes the
+   action, and nothing comes back to the caller. *)
+let test_sim_at_words () =
+  let clock = Clock.create Cost.alpha_133 in
+  let sim = Sim.create clock in
+  let n = 1_000 and nop () = () in
+  let schedule () = Sim.at sim (Clock.now clock + 10) nop in
+  for _ = 1 to n do schedule () done;
+  Sim.run sim;                            (* the pool now holds [n] records *)
+  check (float 0.) "words per one-shot event" 0.
+    (minor_words_over n schedule /. float_of_int n)
+
 (* The frame path: a device copy per transmitted frame, a view and a
    queue cell per received one, and nothing else. *)
 
 (* Words of a fresh [Bytes.t] of [len] bytes: header, data, padding. *)
 let bytes_words len = float_of_int (1 + ((len + 8) / 8))
 
-(* The link's scheduled delivery: the event handle (3) and the frame's
-   cell in its direction's in-flight queue (3). The delivery action is
-   built once per direction and the wire time stays unboxed. *)
-let link_event_words = 6.
+(* The link's scheduled delivery: the frame's cell in its direction's
+   in-flight queue (3). The delivery event returns no handle, its
+   action is built once per direction and the wire time stays
+   unboxed. *)
+let link_event_words = 3.
 
 let test_nic_transmit_words () =
   let sim, _, _, nic_a, _ = two_hosts Nic.T3 in
@@ -1179,13 +1204,14 @@ module Tcp = Spin_net.Tcp
 module Ip = Spin_net.Ip
 
 (* Minor words a sender allocates beyond the NIC's frame copies to put
-   8 full-MSS segments on the wire: 26 a segment (the chunk's views, the
+   8 full-MSS segments on the wire: 23 a segment (the chunk's views, the
    link event, the retransmit queue's entry and its one cell), under the
    128 of one payload copy. Header pushes and IP add nothing per
-   segment, and the retransmit timer is re-armed in place. The send
+   segment, and the retransmit timer is the connection's own, armed in
+   place. The send
    buffer itself (8 × 1,072 bytes) is over the minor heap's block limit
    and goes straight to the major heap. *)
-let tcp_send_words = 208.
+let tcp_send_words = 184.
 
 let test_tcp_send_words () =
   let sim = Sim.create (Clock.create Cost.alpha_133) in
@@ -1318,6 +1344,38 @@ let test_uncached_read_words () =
       (bytes_words size +. inode_words +. suspend_words)
       (minor_words_over n (fun () -> ignore (Simple_fs.read fs ~name))
        /. float_of_int n))
+
+(* A write on an idle disk: the block goes into the cache's own request
+   buffer, which the device stores at completion, so the suspension is
+   all it allocates. *)
+let test_block_write_words () =
+  with_fs (fun cache _ _ ->
+    let data = Bytes.make Disk_dev.block_size 'w' and n = 100 in
+    let write () = Block_cache.write cache ~block:8000 data in
+    write ();                                       (* builds the request *)
+    check (float 0.) "words per block write" suspend_words
+      (minor_words_over n write /. float_of_int n);
+    let buf = Bytes.create Disk_dev.block_size in
+    Block_cache.read_into cache ~block:8000 buf ~pos:0;
+    check bytes "the block" data buf)
+
+(* A reclaim that takes a buffer-cache page: the cache's guard accepts
+   the candidate, its handler answers the coldest page, read in place,
+   and its invalidate hook drops that page's entry. It allocates
+   nothing. *)
+let test_reclaim_cache_page_words () =
+  with_fs (fun cache phys _ ->
+    let k = 4 and buf = Bytes.create Disk_dev.block_size in
+    let per_page = Addr.page_size / Disk_dev.block_size in
+    for g = 0 to k do
+      Block_cache.read_into cache ~block:(g * per_page) buf ~pos:0
+    done;
+    ignore (Phys_addr.force_reclaim phys);          (* warms the walk *)
+    let reclaims () = (Block_cache.stats cache).Spin_fs.Cache_stats.reclaims in
+    let before = reclaims () in
+    check (float 0.) "minor words over the reclaims" 0.
+      (minor_words_over k (fun () -> ignore (Phys_addr.force_reclaim phys)));
+    check int "every reclaim took a cache page" k (reclaims () - before))
 
 (* A reclaim whose victim neither cache holds: both caches' guards
    decline it and their invalidate hooks walk their entries, and the
@@ -1485,8 +1543,8 @@ let test_tcp_receive_words () =
   check int "every byte delivered" (n * len) !received
 
 (* A pure ACK that acknowledges part of what is in flight re-arms the
-   retransmit timer through the connection's own handle: IP's record is
-   all it allocates. *)
+   connection's own retransmit timer: IP's record is all it
+   allocates. *)
 let test_tcp_ack_receive_words () =
   let sim, b, c, segment, arrive = tcp_receiver (fun _ -> ()) in
   let mss = 1024 and k = 40 in
@@ -1525,8 +1583,8 @@ let test_sim_raising_action_does_not_wedge () =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let later = ref false in
-  ignore (Sim.after sim 10 (fun () -> failwith "action"));
-  ignore (Sim.after sim 100 (fun () -> later := true));
+  Sim.after sim 10 (fun () -> failwith "action");
+  Sim.after sim 100 (fun () -> later := true);
   check_raises "the action's exception reaches the charger" (Failure "action")
     (fun () -> Clock.charge clock 20);
   Clock.charge clock 200;
@@ -1712,5 +1770,11 @@ let () =
             test_intr_raising_handler_unmasks;
           Alcotest.test_case "raising direct handler closes its span" `Quick
             test_direct_raise_closes_span;
+          Alcotest.test_case "a one-shot event allocates nothing" `Quick
+            test_sim_at_words;
+          Alcotest.test_case "a block write allocates its suspension" `Quick
+            test_block_write_words;
+          Alcotest.test_case "a reclaim of a cache page allocates nothing"
+            `Quick test_reclaim_cache_page_words;
         ] );
     ]

@@ -475,7 +475,9 @@ let prop_pqueue_pops_sorted =
        (list_size (int_range 0 10) (int_range 0 30)))
     (fun (adds, removes) ->
       let q = Pqueue.create ~dummy:0 in
-      let entries = List.map (fun v -> Pqueue.add q v v) adds in
+      let entries =
+        List.map (fun v -> let h = Pqueue.handle q in Pqueue.arm q h v v; h)
+          adds in
       List.iter
         (fun i ->
           let live = List.filter Pqueue.mem entries in
