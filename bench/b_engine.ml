@@ -21,15 +21,17 @@
    the mem experiment's pressure case untraced: the fetch loop beside
    the allocation hog and the pageout daemon, which sleep, reclaim and
    release pages. Its eight files stay cached, so the cold disk path
-   is pinned in test_machine's "hot paths" instead.
+   is pinned in test_machine's "hot paths" instead. A sixth replays
+   Table 5's SPIN UDP echo over Ethernet untraced, one probe at a
+   time: the per-packet netif, IP, UDP and dispatcher path alone.
 
    The counted rows (events processed, events fired, fuzz decisions)
    are virtual work, so the gate pins them exactly. Every other row is
-   a host row: minor words per event, per request, per kernel step and
-   per fetch fail as ceilings (allocation crept back into the hot
-   path), and the wall-clock rates
-   are trended in the JSON artifact but not gated — CI machines are
-   too noisy to fail a build on host throughput.
+   a host row: minor words per event, per request, per kernel step,
+   per fetch and per echo fail as ceilings (allocation crept back
+   into the hot path), and the wall-clock rates are trended in the
+   JSON artifact but not gated — CI machines are too noisy to fail a
+   build on host throughput.
 
      dune exec bench/main.exe engine
      dune exec bench/main.exe -- --json BENCH_engine.json engine *)
@@ -194,6 +196,12 @@ let kernel_words () =
   (marks.(1) -. marks.(0)) /. float_of_int kernel_steps
 
 (* ------------------------------------------------------------------ *)
+(* UDP echo                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let udp_probes = 64
+
+(* ------------------------------------------------------------------ *)
 (* The experiment                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -257,4 +265,11 @@ let run () =
     B_mem.requests;
   Printf.printf "    %.1f minor words/fetch\n" mem.B_mem.words_per_fetch;
   Report.host ~gate:Ceiling ~unit_:"words" ~name:"mem minor words/fetch"
-    mem.B_mem.words_per_fetch
+    mem.B_mem.words_per_fetch;
+
+  let _, udp_words =
+    B_net.udp_echo ~probes:udp_probes B_net.Spin_sys Spin_machine.Nic.Lance in
+  Printf.printf "  UDP echo: %d probes over Ethernet\n" udp_probes;
+  Printf.printf "    %.1f minor words/echo\n" udp_words;
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"udp minor words/echo"
+    udp_words

@@ -36,11 +36,12 @@ let fresh_pair ?(optimized = false) kind =
 (* Table 5: latency                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The mean RTT of 16-byte UDP echoes between two hosts, the first of
-   five probes discarded as warm-up. Each of [watchers] is the guard
-   of one more handler on the server's UDP arrival event (section
-   5.5's dispatcher scalability). *)
-let udp_latency ?optimized ?(watchers = []) sys kind =
+(* [probes] 16-byte UDP echoes between two hosts, one at a time: the
+   mean RTT of all but the last, and the host's minor words per echo
+   after the first. Each of [watchers] is the guard of one more
+   handler on the server's UDP arrival event (section 5.5's dispatcher
+   scalability). *)
+let udp_echo ?optimized ?(watchers = []) ~probes sys kind =
   let clock, a, b = fresh_pair ?optimized kind in
   let osf = Os_costs.osf1 in
   let bclock = b.Host.machine.Machine.clock in
@@ -72,9 +73,10 @@ let udp_latency ?optimized ?(watchers = []) sys kind =
        Bl_path.user_recv_overhead clock osf ~bytes:(Pkt.length d.Udp.payload));
     rtts := (Clock.now_us clock -. !t0) :: !rtts;
     decr pending));
-  let probes = 5 in
+  let marks = Array.make 2 0. in
   ignore (Sched.spawn a.Host.sched ~name:"probe" (fun () ->
-    for _ = 1 to probes do
+    for i = 1 to probes do
+      if i = 2 then marks.(0) <- Gc.minor_words ();
       t0 := Clock.now_us clock;
       incr pending;
       (match sys with
@@ -84,11 +86,18 @@ let udp_latency ?optimized ?(watchers = []) sys kind =
                 (Bytes.create 16));
       (* Wait for this echo before the next probe. *)
       while !pending > 0 do Sched.sleep_us a.Host.sched 50. done
-    done));
+    done;
+    marks.(1) <- Gc.minor_words ()));
   Host.run_all [ a; b ];
-  match !rtts with
-  | [] -> nan
-  | _ :: warm -> Report.mean (if warm = [] then !rtts else warm)
+  let mean =
+    match !rtts with
+    | [] -> nan
+    | _ :: warm -> Report.mean (if warm = [] then !rtts else warm) in
+  (mean, (marks.(1) -. marks.(0)) /. float_of_int (probes - 1))
+
+(* Table 5's latency: the mean RTT of five probes. *)
+let udp_latency ?optimized ?watchers sys kind =
+  fst (udp_echo ?optimized ?watchers ~probes:5 sys kind)
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: bandwidth                                                 *)

@@ -1,22 +1,33 @@
-(** Fixed-capacity circular buffers.
+(** Growable circular FIFOs that allocate nothing per element.
 
-    Device transmit/receive queues and the console input queue are
-    rings: producers fail (rather than block or grow) when the ring
-    is full, modelling bounded hardware queues that drop on overflow. *)
+    The frame path queues through rings: each direction of a [Link]'s
+    wire, the [Nic]'s receive ring and [Netif]'s per-shard queues.
+    The slots are a plain array, so an element is stored in place
+    with no option box and no list cell; a taken slot is refilled
+    with the ring's [dummy] so it pins nothing. A full ring doubles
+    its array. The ring itself never refuses an element: a bounded
+    hardware queue checks {!length} first, as [Nic.attach]'s receiver
+    does for its 64-frame receive ring, dropping and counting the
+    frame past the bound. *)
 
 type 'a t
 
-val create : int -> 'a t
-(** [create n] is an empty ring holding at most [n] elements.
+val create : dummy:'a -> int -> 'a t
+(** [create ~dummy n] is an empty ring with room for [n] elements
+    before it first grows; [dummy] fills every free slot.
     Raises [Invalid_argument] if [n <= 0]. *)
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> 'a -> bool
-(** [push t v] appends [v]; [false] (and no change) when full. *)
+val length : 'a t -> int
 
-val pop : 'a t -> 'a option
-(** [pop t] removes and returns the oldest element. *)
+val add : 'a t -> 'a -> unit
+(** [add t v] appends [v], doubling the slots first when they are all
+    in use. *)
+
+val take : 'a t -> 'a
+(** [take t] removes and returns the oldest element.
+    Raises [Invalid_argument] if [t] is empty. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] oldest-first. *)

@@ -1,3 +1,5 @@
+module Ring = Spin_dstruct.Ring
+
 type endpoint = A | B
 
 type t = {
@@ -7,8 +9,9 @@ type t = {
   mutable rx_b : (Bytes.t -> unit) option;
   mutable busy_until_ab : int;   (* cycles: wire free time, A->B direction *)
   mutable busy_until_ba : int;
-  wire_ab : Bytes.t Queue.t;     (* frames in flight A->B, oldest first *)
-  wire_ba : Bytes.t Queue.t;
+  wire_ab : Bytes.t Ring.t;      (* frames in flight A->B, oldest first;
+                                    room for 32 before it grows *)
+  wire_ba : Bytes.t Ring.t;
   arrive_ab : unit -> unit;      (* each direction's one delivery action *)
   arrive_ba : unit -> unit;
   mutable frames : int;
@@ -27,7 +30,7 @@ let latency_us = 5.
    is no earlier than the previous one's, and the engine fires equal
    deadlines in FIFO order), so each firing takes the oldest. *)
 let arrive t from =
-  let frame = Queue.pop (match from with A -> t.wire_ab | B -> t.wire_ba) in
+  let frame = Ring.take (match from with A -> t.wire_ab | B -> t.wire_ba) in
   match (match from with A -> t.rx_b | B -> t.rx_a) with
   | None -> ()                                 (* unplugged: frame lost *)
   | Some f -> f frame
@@ -37,7 +40,8 @@ let create sim ~mbps () =
   let rec t =
     { sim; mbps;
       rx_a = None; rx_b = None; busy_until_ab = 0; busy_until_ba = 0;
-      wire_ab = Queue.create (); wire_ba = Queue.create ();
+      wire_ab = Ring.create ~dummy:Bytes.empty 32;
+      wire_ba = Ring.create ~dummy:Bytes.empty 32;
       arrive_ab = (fun () -> arrive t A); arrive_ba = (fun () -> arrive t B);
       frames = 0; loss_every = 0; dropped = 0 } in
   t
@@ -68,7 +72,7 @@ let send t ~from frame =
   if t.loss_every > 0 && t.frames mod t.loss_every = 0 then
     t.dropped <- t.dropped + 1
   else begin
-    Queue.push frame (match from with A -> t.wire_ab | B -> t.wire_ba);
+    Ring.add (match from with A -> t.wire_ab | B -> t.wire_ba) frame;
     Sim.at t.sim (done_tx + lat)
       (match from with A -> t.arrive_ab | B -> t.arrive_ba)
   end

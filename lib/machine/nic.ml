@@ -1,3 +1,5 @@
+module Ring = Spin_dstruct.Ring
+
 type kind = Lance | Fore_atm | T3
 
 type io_model =
@@ -11,7 +13,7 @@ type t = {
   kind : kind;
   mtu : int;
   io : io_model;
-  rx_ring : Bytes.t Spin_dstruct.Ring.t;
+  rx_ring : Bytes.t Ring.t;
   mutable link : (Link.t * Link.endpoint) option;
   mutable rx_dropped : int;
   mutable frames_tx : int;
@@ -38,9 +40,13 @@ let kind_name = function
   | Fore_atm -> "fore-atm"
   | T3 -> "t3-dma"
 
+(* Frames the receive ring holds; the device drops any past these. *)
+let rx_ring_size = 64
+
 let create sim intr ~line ~kind =
   { sim; intr; line; kind; mtu = mtu_of kind; io = io_of kind;
-    rx_ring = Spin_dstruct.Ring.create 64; link = None;
+    rx_ring = Ring.create ~dummy:Bytes.empty rx_ring_size;
+    link = None;
     rx_dropped = 0; frames_tx = 0; frames_rx = 0 }
 
 let kind t = t.kind
@@ -63,7 +69,8 @@ let charge_io ?(rx = false) t len =
 let attach t link ep =
   t.link <- Some (link, ep);
   Link.set_receiver link ep (fun frame ->
-    if Spin_dstruct.Ring.push t.rx_ring frame then begin
+    if Ring.length t.rx_ring < rx_ring_size then begin
+      Ring.add t.rx_ring frame;
       t.frames_rx <- t.frames_rx + 1;
       Intr.post t.intr ~line:t.line
     end else
@@ -86,10 +93,12 @@ let transmit t ~off ~len frame =
       true
     end
 
+let rx_pending t = not (Ring.is_empty t.rx_ring)
+
 let receive t =
-  match Spin_dstruct.Ring.pop t.rx_ring with
-  | None -> None
-  | Some frame as r -> charge_io ~rx:true t (Bytes.length frame); r
+  let frame = Ring.take t.rx_ring in
+  charge_io ~rx:true t (Bytes.length frame);
+  frame
 
 let rx_dropped t = t.rx_dropped
 

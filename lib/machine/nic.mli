@@ -11,8 +11,9 @@
 
     A PIO interface charges CPU cycles per 32-bit word on both
     transmit and receive; DMA interfaces charge only a fixed setup.
-    Received frames queue in a bounded ring and raise the NIC's
-    interrupt line. *)
+    Received frames queue in a 64-frame receive ring and raise the
+    NIC's interrupt line; a frame that finds the ring full is dropped
+    and counted in {!rx_dropped}. *)
 
 type kind = Lance | Fore_atm | T3
 
@@ -42,9 +43,12 @@ val transmit : t -> off:int -> len:int -> Bytes.t -> bool
     [false] if unplugged or larger than the MTU (+ link-level header
     allowance of 48 bytes). *)
 
-val receive : t -> Bytes.t option
-(** Driver side: pull one received frame, paying the I/O-model receive
-    cost. *)
+val rx_pending : t -> bool
+(** Whether the receive ring holds a frame. *)
+
+val receive : t -> Bytes.t
+(** Driver side: take the oldest received frame, paying the I/O-model
+    receive cost. Raises [Invalid_argument] unless {!rx_pending}. *)
 
 val rx_dropped : t -> int
 

@@ -52,8 +52,6 @@ let clock t = t.clock
 let at t time action =
   Pqueue.add t.queue (max time (Clock.now t.clock)) action
 
-let after t delta action = at t (Clock.now t.clock + delta) action
-
 let timer t = Pqueue.handle t.queue
 
 let cancel t h =

@@ -15,8 +15,8 @@
     cancellation unlinks eagerly — a cancelled event costs nothing at
     its deadline and pins nothing until then.
 
-    There are two ways to schedule: a fire-and-forget event ({!at},
-    {!after}) returns nothing, and a cancellable one goes through a
+    There are two ways to schedule: a fire-and-forget event ({!at})
+    returns nothing, and a cancellable one goes through a
     {!timer} that its owner builds once and re-arms. Neither allocates
     once the event pool is warm, beyond the action itself. *)
 
@@ -36,18 +36,15 @@ val at : t -> int -> (unit -> unit) -> unit
 (** [at t time f] schedules [f] at absolute cycle [time] (clamped to
     now). The event cannot be cancelled; use a {!timer} for that. *)
 
-val after : t -> int -> (unit -> unit) -> unit
-(** [after t delta f] schedules [f] [delta] cycles from now. *)
-
 val timer : t -> timer
 (** A timer of [t], not yet armed. *)
 
 val arm : t -> timer -> int -> (unit -> unit) -> unit
 (** [arm t tm delta f] schedules [f] [delta] cycles from now through
     [tm]: it cancels [tm]'s event if still pending (counted as a
-    {!cancel}), then schedules exactly as {!after} does, FIFO after
-    every event already scheduled at the same time. It allocates
-    nothing once the event pool is warm. *)
+    {!cancel}), then schedules exactly as {!at} at now + [delta] does,
+    FIFO after every event already scheduled at the same time. It
+    allocates nothing once the event pool is warm. *)
 
 val arm_us : t -> timer -> float -> (unit -> unit) -> unit
 (** {!arm} in virtual microseconds. *)

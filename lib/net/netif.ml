@@ -7,6 +7,7 @@ module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
 module Ebc = Spin_core.Ebc
 module Ty = Spin_core.Ty
+module Ring = Spin_dstruct.Ring
 
 type t = {
   machine : Machine.t;
@@ -15,7 +16,7 @@ type t = {
   name : string;
   rx_event : (Pkt.t, unit) Dispatcher.event;
   rx_shards : int;
-  rx_queues : Pkt.t Queue.t array;        (* one per shard *)
+  rx_queues : Pkt.t Ring.t array;         (* one per shard, room for 32 *)
   tx_overhead : int;              (* driver cycles per transmitted frame *)
   rx_overhead : int;              (* driver cycles per received frame *)
   mutable proto_threads : Spin_sched.Strand.t array;  (* empty until start *)
@@ -56,7 +57,8 @@ let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
       (fun (_ : Pkt.t) -> ()) in
   { machine; sched; nic; name; rx_event;
     rx_shards;
-    rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
+    rx_queues =
+      Array.init rx_shards (fun _ -> Ring.create ~dummy:(Pkt.empty ()) 32);
     tx_overhead; rx_overhead;
     proto_threads = [||] }
 
@@ -145,11 +147,11 @@ let service t pkt ~first =
   Trace.end_span tr sp
 
 (* The rest of a wakeup's burst: up to [rx_batch] frames in all. A
-   top-level loop, and [Queue.take] behind an emptiness test, so a
+   top-level loop, and [Ring.take] behind an emptiness test, so a
    frame is taken without a closure or an option box. *)
 let rec burst t rx_queue n =
-  if n < rx_batch && not (Queue.is_empty rx_queue) then begin
-    service t (Queue.take rx_queue) ~first:false;
+  if n < rx_batch && not (Ring.is_empty rx_queue) then begin
+    service t (Ring.take rx_queue) ~first:false;
     burst t rx_queue (n + 1)
   end
 
@@ -160,9 +162,9 @@ let rec burst t rx_queue n =
 let protocol_loop t shard () =
   let rx_queue = t.rx_queues.(shard) in
   while true do
-    if Queue.is_empty rx_queue then Sched.block_current t.sched
+    if Ring.is_empty rx_queue then Sched.block_current t.sched
     else begin
-      service t (Queue.take rx_queue) ~first:true;
+      service t (Ring.take rx_queue) ~first:true;
       burst t rx_queue 1;
       Sched.preempt_point t.sched
     end
@@ -171,12 +173,11 @@ let protocol_loop t shard () =
 (* The ring frame is the wire's copy (made by the sender's device):
    alias it straight into the stack. *)
 let rec drain_rx t =
-  match Nic.receive t.nic with
-  | Some frame ->
-    let pkt = Pkt.of_frame frame in
-    Queue.add pkt t.rx_queues.(shard_of t pkt);
+  if Nic.rx_pending t.nic then begin
+    let pkt = Pkt.of_frame (Nic.receive t.nic) in
+    Ring.add t.rx_queues.(shard_of t pkt) pkt;
     drain_rx t
-  | None -> ()
+  end
 
 let start t =
   if Array.length t.proto_threads = 0 then begin
@@ -197,7 +198,7 @@ let start t =
     Intr.register t.machine.Machine.intr ~line:(Nic.line t.nic) (fun () ->
       drain_rx t;
       for shard = 0 to t.rx_shards - 1 do
-        if not (Queue.is_empty t.rx_queues.(shard)) then
+        if not (Ring.is_empty t.rx_queues.(shard)) then
           Sched.unblock t.sched t.proto_threads.(shard)
       done)
   end

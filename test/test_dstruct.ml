@@ -274,28 +274,39 @@ let test_pqueue_remove_releases () =
 (* Ring                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A bounded queue over the growable ring, as the NIC's receive ring
+   is: the producer checks the length and refuses past the bound. *)
+let bounded_push r ~bound v = Ring.length r < bound && (Ring.add r v; true)
+
 let test_ring_bounds () =
-  let r = Ring.create 2 in
-  check bool "push 1" true (Ring.push r 1);
-  check bool "push 2" true (Ring.push r 2);
-  check bool "full rejects" false (Ring.push r 3);
-  check (option int) "fifo pop" (Some 1) (Ring.pop r);
-  check bool "room again" true (Ring.push r 4);
-  check (option int) "pop 2" (Some 2) (Ring.pop r);
-  check (option int) "pop 4" (Some 4) (Ring.pop r);
-  check (option int) "drained" None (Ring.pop r)
+  let r = Ring.create ~dummy:0 2 in
+  check bool "push 1" true (bounded_push r ~bound:2 1);
+  check bool "push 2" true (bounded_push r ~bound:2 2);
+  check bool "full rejects" false (bounded_push r ~bound:2 3);
+  check int "fifo pop" 1 (Ring.take r);
+  check bool "room again" true (bounded_push r ~bound:2 4);
+  check int "pop 2" 2 (Ring.take r);
+  check int "pop 4" 4 (Ring.take r);
+  check bool "drained" true (Ring.is_empty r);
+  check_raises "take on a drained ring" (Invalid_argument "Ring.take: empty")
+    (fun () -> ignore (Ring.take r));
+  (* Unbounded, the ring grows past its initial room instead. *)
+  List.iter (Ring.add r) [ 5; 6; 7 ];
+  check int "grown past its initial room" 3 (Ring.length r);
+  check (list int) "fifo across growth" [ 5; 6; 7 ]
+    (List.init 3 (fun _ -> Ring.take r))
 
 let test_ring_wraparound () =
-  let r = Ring.create 3 in
+  let r = Ring.create ~dummy:0 3 in
   for round = 0 to 9 do
-    check bool "push" true (Ring.push r round);
-    check (option int) "pop" (Some round) (Ring.pop r)
+    Ring.add r round;
+    check int "pop" round (Ring.take r)
   done;
   check bool "empty at end" true (Ring.is_empty r)
 
 let test_ring_iter () =
-  let r = Ring.create 4 in
-  List.iter (fun v -> ignore (Ring.push r v)) [ 1; 2; 3 ];
+  let r = Ring.create ~dummy:0 4 in
+  List.iter (Ring.add r) [ 1; 2; 3 ];
   let acc = ref [] in
   Ring.iter (fun v -> acc := v :: !acc) r;
   check (list int) "oldest first" [ 1; 2; 3 ] (List.rev !acc)
@@ -303,7 +314,37 @@ let test_ring_iter () =
 let test_ring_invalid () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Ring.create: capacity must be positive")
-    (fun () -> ignore (Ring.create 0))
+    (fun () -> ignore (Ring.create ~dummy:0 0))
+
+(* Adds and takes against a list model, from a small initial room so
+   the ops cross both growth and wrap-around. After every op the
+   ring's emptiness, length and iteration agree with the model. *)
+let prop_ring_matches_model =
+  let open QCheck2.Gen in
+  let op = frequency [ (3, map Option.some small_int); (2, pure None) ] in
+  QCheck2.Test.make ~name:"ring agrees with a list model" ~count:300
+    (pair (int_range 1 4) (list_size (int_bound 200) op))
+    (fun (room, ops) ->
+      let r = Ring.create ~dummy:(-1) room in
+      let model = ref [] in
+      let agrees () =
+        let seen = ref [] in
+        Ring.iter (fun v -> seen := v :: !seen) r;
+        Ring.is_empty r = (!model = [])
+        && Ring.length r = List.length !model
+        && List.rev !seen = !model in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op, !model with
+            | Some v, m -> Ring.add r v; model := m @ [ v ]; true
+            | None, [] ->
+              (match Ring.take r with
+               | _ -> false
+               | exception Invalid_argument _ -> true)
+            | None, v :: rest -> model := rest; Ring.take r = v in
+          ok && agrees ())
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                             *)
@@ -570,5 +611,6 @@ let () =
           prop_lru_never_exceeds_capacity;
           prop_lru_matches_model;
           prop_idtable_consistent;
+          prop_ring_matches_model;
         ];
     ]

@@ -114,9 +114,9 @@ let test_rx_ring_overflow_drops () =
     ignore (Nic.transmit nic_a ~off:0 ~len:64 (Bytes.create 64))
   done;
   Sim.run sim;
-  let rec drain n = match Nic.receive nic_b with
-    | Some _ -> drain (n + 1)
-    | None -> n in
+  let rec drain n =
+    if Nic.rx_pending nic_b then (ignore (Nic.receive nic_b); drain (n + 1))
+    else n in
   check int "ring holds its capacity" 64 (drain 0);
   check int "the rest were dropped" 16 (Nic.rx_dropped nic_b)
 
