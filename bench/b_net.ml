@@ -37,10 +37,10 @@ let fresh_pair ?(optimized = false) kind =
 (* ------------------------------------------------------------------ *)
 
 (* [probes] 16-byte UDP echoes between two hosts, one at a time: the
-   mean RTT of all but the last, and the host's minor words per echo
-   after the first. Each of [watchers] is the guard of one more
-   handler on the server's UDP arrival event (section 5.5's dispatcher
-   scalability). *)
+   mean RTT of all but the first, which warms the engine's pools, and
+   the host's minor words per echo after the first. Each of [watchers]
+   is the guard of one more handler on the server's UDP arrival event
+   (section 5.5's dispatcher scalability). *)
 let udp_echo ?optimized ?(watchers = []) ~probes sys kind =
   let clock, a, b = fresh_pair ?optimized kind in
   let osf = Os_costs.osf1 in
@@ -90,7 +90,7 @@ let udp_echo ?optimized ?(watchers = []) ~probes sys kind =
     marks.(1) <- Gc.minor_words ()));
   Host.run_all [ a; b ];
   let mean =
-    match !rtts with
+    match List.rev !rtts with
     | [] -> nan
     | _ :: warm -> Report.mean (if warm = [] then !rtts else warm) in
   (mean, (marks.(1) -. marks.(0)) /. float_of_int (probes - 1))
