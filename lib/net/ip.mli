@@ -46,6 +46,10 @@ val add_route : t -> dst:addr -> Netif.t -> unit
 val local_addr : t -> addr
 (** The first bound address. Raises [Not_found] if none. *)
 
+val is_local : t -> addr -> bool
+(** Whether [addr] is bound here: a {!send} to it loops back, with no
+    device copy. *)
+
 val packet_arrived : t -> (packet, unit) Spin_core.Dispatcher.event
 
 val attach :

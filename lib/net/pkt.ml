@@ -62,6 +62,13 @@ let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pkt.sub";
   { buf = t.buf; off = t.off + pos; len }
 
+let aim t buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Pkt.aim";
+  t.buf <- buf;
+  t.off <- off;
+  t.len <- len
+
 let view t = (t.buf, t.off, t.len)
 
 let get_u8 t i =

@@ -26,10 +26,14 @@
       the driver; the caller must not touch buffer or view afterwards.
       The NIC performs the single true copy (the device DMA) when the
       frame crosses onto the wire, so received frames never alias a
-      remote sender's memory. A loopback [Ip.send] has no device: the
-      receiver gets a view of the sender's own buffer (for TCP, of
-      the connection's send buffer, which the retransmit queue still
-      holds), which is why the read-only payload rule matters there.
+      remote sender's memory, and a sender may {!aim} the same record
+      at its next frame once [Ip.send] has returned. A loopback
+      [Ip.send] has no device: the receiver gets the sender's packet
+      itself, and may keep it. A sender therefore hands it a fresh
+      view, never a record it will re-aim. For TCP that is a view of
+      a chunk of the connection's send buffer, which a retransmission
+      reads again, which is why the read-only payload rule matters
+      there.
     - To retain packet data beyond the current dispatch while others
       may still push into the shared buffer, take its {!contents}
       (materialized bytes).
@@ -101,15 +105,23 @@ val truncate : t -> int -> unit
 val sub : t -> pos:int -> len:int -> t
 (** An aliasing view of a sub-range: shares the backing buffer, so
     writes through either view are visible in both. Used to hand a
-    transport payload upward and to cut MSS-sized transmit views out
-    of a send buffer without copying.
+    transport payload upward.
 
     A view's headroom is every byte in front of it in the backing
     buffer, so a {!reserve} onto a view writes there, over whatever
-    those bytes hold. [Tcp.send] leaves a private
+    those bytes hold. *)
+
+val aim : t -> Bytes.t -> off:int -> len:int -> unit
+(** [aim t buf ~off ~len] re-aims [t] at the [len] bytes from [off]
+    in [buf], with the [off] bytes in front as its headroom. Nothing
+    is allocated: a sender that frames many packets in turn, each dead
+    once the driver has copied it, re-aims one record rather than
+    building a view per packet. As with {!sub}, the headroom is
+    someone's bytes: [Tcp.send] leaves a private
     {!default_headroom}-byte gap in front of each chunk of its send
-    buffer; the gaps are what make the headers pushed onto a chunk's
-    view land on no other chunk's payload. *)
+    buffer, so the headers pushed onto a frame aimed at a chunk land
+    on no other chunk's payload. Raises [Invalid_argument] if the
+    range is outside [buf]. *)
 
 val view : t -> Bytes.t * int * int
 (** [(buf, off, len)] — the raw window, for blitting at true copy

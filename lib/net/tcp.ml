@@ -33,10 +33,28 @@ let state_to_string = function
   | Last_ack -> "LAST_ACK"
   | Time_wait -> "TIME_WAIT"
 
-type unacked = {
-  u_seq : int;
-  u_flags : int;
-  u_data : Pkt.t;                          (* send-buffer view, retransmit-safe *)
+(* The send stream is a chain of runs, oldest first: one per [send]
+   call and one per SYN or FIN. A segment is never stored: its
+   sequence number, position and length are computed from its run
+   ([seg_span], [emit_segment]). A data run's buffer holds its bytes in
+   MSS-sized chunks, each behind a private [Pkt.default_headroom] gap
+   that the segment's headers are pushed into. *)
+type run = {
+  r_seq : int;                      (* its first byte's, or the SYN/FIN's *)
+  r_len : int;                      (* data bytes; 0 for a SYN or FIN *)
+  r_flags : int;                    (* 0, [flag_syn] or [flag_fin] *)
+  r_buf : Bytes.t;
+  mutable r_next : run;             (* [no_run] until one is appended *)
+}
+
+let rec no_run =
+  { r_seq = 0; r_len = 0; r_flags = 0; r_buf = Bytes.empty; r_next = no_run }
+
+(* An engine-owned transmit frame: re-aimed at each routed segment, or
+   at its own header buffer for a segment without data. *)
+type frame = {
+  f_pkt : Pkt.t;
+  f_hdr : Bytes.t;
 }
 
 (* A connection's identity: (local port, remote address, remote
@@ -70,10 +88,12 @@ type conn = {
   r_port : int;
   mutable st : state;
   mutable snd_nxt : int;
-  mutable snd_una : int;
+  mutable snd_una : int;                 (* oldest unacknowledged segment's *)
   mutable rcv_nxt : int;
-  inflight : unacked Queue.t;           (* oldest first *)
-  mutable pending : Pkt.t list;          (* send-buffer views beyond the window *)
+  mutable in_flight : int;               (* segments from snd_una to snd_nxt *)
+  mutable una_run : run;                 (* holds snd_una, or [no_run] *)
+  mutable nxt_run : run;                 (* holds snd_nxt, or [no_run] *)
+  mutable last_run : run;
   mutable rx_cb : (Bytes.t -> unit) option;
   rx_buf : Buffer.t;
   mutable reader : Spin_sched.Strand.t option;
@@ -99,6 +119,8 @@ and engine = {
   listeners : (int, conn -> unit) Hashtbl.t;
   mutable next_port : int;
   stats : stats;
+  mutable frames : frame array;          (* a stack: [depth] in use *)
+  mutable depth : int;
 }
 
 type t = engine
@@ -113,14 +135,11 @@ let max_retries = 8
 (* Wire format                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Frame a segment in place: a fresh view of the send-buffer chunk
-   takes the TCP header in the chunk's private gap, and IP and the
-   link push theirs in front of it. The payload is not copied here
-   (the NIC copies the frame onto the wire), and the retransmit
-   queue's own view never moves, so a retransmit rewrites the gap. *)
-let encode ~sport ~dport ~seq ~ack ~flags data =
-  let dlen = Pkt.length data in
-  let pkt = if dlen = 0 then Pkt.alloc 0 else Pkt.sub data ~pos:0 ~len:dlen in
+(* Write a segment's header in place, into the headroom in front of
+   [pkt]'s data: a send-buffer chunk's private gap, or a frame's own
+   header buffer. IP and the link push theirs in front of it. *)
+let encode pkt ~sport ~dport ~seq ~ack ~flags =
+  let dlen = Pkt.length pkt in
   let hoff = Pkt.reserve pkt header_bytes in
   let hbuf = Pkt.buffer pkt in
   Bytes.set_uint16_le hbuf hoff sport;
@@ -128,8 +147,7 @@ let encode ~sport ~dport ~seq ~ack ~flags data =
   Bytes.set_int32_le hbuf (hoff + 4) (Int32.of_int seq);
   Bytes.set_int32_le hbuf (hoff + 8) (Int32.of_int ack);
   Bytes.set_uint8 hbuf (hoff + 12) flags;
-  Bytes.set_uint16_le hbuf (hoff + 14) dlen;
-  pkt
+  Bytes.set_uint16_le hbuf (hoff + 14) dlen
 
 (* A received segment is read where it lies: the header fields at
    their offsets in the IP payload, the data as the [data_len] bytes
@@ -163,7 +181,43 @@ let flags_to_string flags =
        (fun (bit, c) -> if flags land bit <> 0 then Some c else None)
        [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R") ])
 
-let emit t conn ~seq ~flags data =
+let new_frame () =
+  let f_pkt = Pkt.alloc 0 in
+  { f_pkt; f_hdr = Pkt.buffer f_pkt }
+
+(* Frame a segment and hand it to IP. A routed segment goes out in an
+   engine frame aimed at its data, which the NIC copies onto the wire
+   before [Ip.send] returns, so the frame is free again then. Timers
+   fire inside the charges on the way down and may emit meanwhile, so
+   the frames are a stack, one per nesting depth. A loopback receiver
+   gets no device copy and may keep what it is handed, so it gets a
+   fresh view ({!Pkt}'s aliasing rule). *)
+let output t ~dst ~sport ~dport ~seq ~ack ~flags buf ~pos ~len =
+  if Ip.is_local t.ip dst then begin
+    let pkt =
+      if len = 0 then Pkt.alloc 0
+      else (let p = Pkt.empty () in Pkt.aim p buf ~off:pos ~len; p) in
+    encode pkt ~sport ~dport ~seq ~ack ~flags;
+    ignore (Ip.send t.ip ~dst ~proto:Ip.proto_tcp pkt)
+  end else begin
+    let d = t.depth in
+    if d = Array.length t.frames then
+      t.frames <-
+        Array.append t.frames (Array.init (d + 1) (fun _ -> new_frame ()));
+    let f = t.frames.(d) in
+    t.depth <- d + 1;
+    if len = 0 then
+      Pkt.aim f.f_pkt f.f_hdr ~off:(Bytes.length f.f_hdr) ~len:0
+    else Pkt.aim f.f_pkt buf ~off:pos ~len;
+    encode f.f_pkt ~sport ~dport ~seq ~ack ~flags;
+    match Ip.send t.ip ~dst ~proto:Ip.proto_tcp f.f_pkt with
+    | (_ : bool) -> t.depth <- d
+    | exception e -> t.depth <- d; raise e
+  end
+
+(* [len] data bytes from [pos] in [buf]; a segment without data has
+   [len = 0]. *)
+let emit t conn ~seq ~flags buf ~pos ~len =
   charge t;
   Sim.cancel t.machine.Machine.sim conn.delayed_ack;
   conn.unacked_rx <- 0;
@@ -178,41 +232,75 @@ let emit t conn ~seq ~flags data =
     Trace.instant tr ~cat:"tcp" ~name:"tx"
       ~args:[ ("seq", string_of_int seq);
               ("flags", flags_to_string flags);
-              ("bytes", string_of_int (Pkt.length data)) ] ();
+              ("bytes", string_of_int len) ] ();
   (* The NIC's copy of the frame onto the wire, a true copy point. *)
-  if Pkt.length data > 0 then
+  if len > 0 then
     Clock.charge t.machine.Machine.clock
-      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
-         ~bytes:(Pkt.length data));
-  ignore (Ip.send t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp
-            (encode ~sport:conn.l_port ~dport:conn.r_port ~seq
-               ~ack:conn.rcv_nxt ~flags data))
+      (Cost.copy_cycles (Clock.cost t.machine.Machine.clock) ~bytes:len);
+  output t ~dst:conn.r_addr ~sport:conn.l_port ~dport:conn.r_port ~seq
+    ~ack:conn.rcv_nxt ~flags buf ~pos ~len
 
-let seg_len u = Pkt.length u.u_data + (if u.u_flags land (flag_syn lor flag_fin) <> 0 then 1 else 0)
+let send_ack t conn =
+  emit t conn ~seq:conn.snd_nxt ~flags:0 Bytes.empty ~pos:0 ~len:0
+
+(* A run's sequence space ends after its data, or after its SYN or
+   FIN, which counts one. *)
+let run_end r = r.r_seq + (if r.r_flags = 0 then r.r_len else 1)
+
+(* The data bytes of the segment at [seq] in data run [r]. *)
+let seg_data r seq =
+  let rest = r.r_len - (seq - r.r_seq) in
+  if rest < mss then rest else mss
+
+let seg_span r seq = if r.r_flags = 0 then seg_data r seq else 1
+
+(* The run holding [seq], the end of a segment of run [r]. *)
+let run_after r seq = if seq = run_end r then r.r_next else r
+
+(* Segments start at chunk boundaries; chunk [i] sits behind [i + 1]
+   gaps. *)
+let emit_segment t conn r seq =
+  if r.r_flags = 0 then begin
+    let gap = Pkt.default_headroom in
+    let pos = ((seq - r.r_seq) / mss * (gap + mss)) + gap in
+    emit t conn ~seq ~flags:0 r.r_buf ~pos ~len:(seg_data r seq)
+  end else emit t conn ~seq ~flags:r.r_flags Bytes.empty ~pos:0 ~len:0
+
+let append conn r =
+  if conn.last_run != no_run then conn.last_run.r_next <- r;
+  conn.last_run <- r;
+  if conn.una_run == no_run then conn.una_run <- r;
+  if conn.nxt_run == no_run then conn.nxt_run <- r
 
 let arm_rto t conn =
   let sim = t.machine.Machine.sim in
-  if Queue.is_empty conn.inflight then Sim.cancel sim conn.rto
+  if conn.in_flight = 0 then Sim.cancel sim conn.rto
   else Sim.arm_us sim conn.rto rto_us conn.rto_fire
 
+(* Resend the segments from [seq] in run [r] up to [stop]. *)
+let rec resend t conn r seq stop =
+  if seq < stop then begin
+    t.stats.retransmits <- t.stats.retransmits + 1;
+    let tr = Trace.of_clock t.machine.Machine.clock in
+    if Trace.on tr then
+      Trace.instant tr ~cat:"tcp" ~name:"retransmit"
+        ~args:[ ("seq", string_of_int seq);
+                ("retries", string_of_int conn.retries) ] ();
+    emit_segment t conn r seq;
+    let next = seq + seg_span r seq in
+    resend t conn (run_after r next) next stop
+  end
+
 let rec on_timeout t conn =
-  if not (Queue.is_empty conn.inflight) && conn.st <> Closed then begin
+  if conn.in_flight > 0 && conn.st <> Closed then begin
     conn.retries <- conn.retries + 1;
     if conn.retries > max_retries then begin
       teardown t conn
     end else begin
       (* Go-Back-N: resend everything outstanding. A resend can take
-         an ACK that moves the queue, so walk a copy of it. *)
-      List.iter
-        (fun u ->
-          t.stats.retransmits <- t.stats.retransmits + 1;
-          let tr = Trace.of_clock t.machine.Machine.clock in
-          if Trace.on tr then
-            Trace.instant tr ~cat:"tcp" ~name:"retransmit"
-              ~args:[ ("seq", string_of_int u.u_seq);
-                      ("retries", string_of_int conn.retries) ] ();
-          emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data)
-        (List.of_seq (Queue.to_seq conn.inflight));
+         an ACK that moves the head, so the walk runs between where
+         the head and [snd_nxt] were when it began. *)
+      resend t conn conn.una_run conn.snd_una conn.snd_nxt;
       arm_rto t conn
     end
   end
@@ -230,34 +318,40 @@ and teardown t conn =
    | Some s -> conn.opener <- None; Sched.unblock t.sched s
    | None -> ())
 
-let transmit_segment t conn ~flags data =
-  let u = { u_seq = conn.snd_nxt; u_flags = flags; u_data = data } in
-  conn.snd_nxt <- conn.snd_nxt + seg_len u;
-  Queue.add u conn.inflight;
-  emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data;
+(* Send the segment at [snd_nxt]. *)
+let transmit_next t conn =
+  let r = conn.nxt_run and seq = conn.snd_nxt in
+  conn.snd_nxt <- seq + seg_span r seq;
+  conn.nxt_run <- run_after r conn.snd_nxt;
+  conn.in_flight <- conn.in_flight + 1;
+  emit_segment t conn r seq;
   if not (Sim.scheduled conn.rto) then arm_rto t conn
+
+(* A SYN or FIN is a run of its own, sent at once. *)
+let transmit_control t conn flags =
+  append conn
+    { r_seq = conn.snd_nxt; r_len = 0; r_flags = flags; r_buf = Bytes.empty;
+      r_next = no_run };
+  transmit_next t conn
 
 (* Push queued data into the window. *)
 let rec fill_window t conn =
-  if Queue.length conn.inflight < window_segments then
-    match conn.pending with
-    | chunk :: rest ->
-      conn.pending <- rest;
-      transmit_segment t conn ~flags:0 chunk;
+  if conn.in_flight < window_segments then
+    if conn.nxt_run != no_run then begin
+      transmit_next t conn;
       fill_window t conn
-    | [] ->
-      if conn.fin_pending then begin
-        conn.fin_pending <- false;
-        transmit_segment t conn ~flags:flag_fin (Pkt.empty ());
-        conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait)
-      end
+    end else if conn.fin_pending then begin
+      conn.fin_pending <- false;
+      transmit_control t conn flag_fin;
+      conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait)
+    end
 
 let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
   let conn = {
     l_port; r_addr; r_port; st;
     snd_nxt = 0; snd_una = 0; rcv_nxt;
-    inflight = Queue.create (); pending = [];
-    rx_cb = None; rx_buf = Buffer.create 256;
+    in_flight = 0; una_run = no_run; nxt_run = no_run; last_run = no_run;
+    rx_cb = None; rx_buf = Buffer.create 1;
     reader = None; opener = None;
     retries = 0; rto = Sim.timer t.machine.Machine.sim; fin_pending = false;
     key = { k_lport = l_port; k_raddr = r_addr; k_rport = r_port };
@@ -265,10 +359,7 @@ let new_conn t ~l_port ~r_addr ~r_port ~st ~rcv_nxt =
     ack_fire = ignore; unacked_rx = 0;
   } in
   conn.rto_fire <- (fun () -> on_timeout t conn);
-  conn.ack_fire <-
-    (fun () ->
-      if conn.st <> Closed then
-        emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ()));
+  conn.ack_fire <- (fun () -> if conn.st <> Closed then send_ack t conn);
   Conns.replace t.conns conn.key conn;
   conn
 
@@ -303,20 +394,24 @@ let deliver_data t conn b len =
        | None -> ())
   end
 
-(* Drops the segments [ack] covers from the front of [q]; whether it
-   covered any. *)
-let rec drop_acked ack q advanced =
-  if (not (Queue.is_empty q))
-     && (let u = Queue.peek q in u.u_seq + seg_len u <= ack)
-  then begin
-    ignore (Queue.take q);
-    drop_acked ack q true
+(* Drops the segments [ack] covers from the head; whether it covered
+   any. *)
+let rec drop_acked conn ack advanced =
+  if conn.in_flight = 0 then advanced
+  else begin
+    let r = conn.una_run in
+    let next = conn.snd_una + seg_span r conn.snd_una in
+    if next > ack then advanced
+    else begin
+      conn.snd_una <- next;
+      conn.una_run <- run_after r next;
+      conn.in_flight <- conn.in_flight - 1;
+      drop_acked conn ack true
+    end
   end
-  else advanced
 
 let handle_ack t conn ack =
-  if drop_acked ack conn.inflight false then begin
-    conn.snd_una <- max conn.snd_una ack;
+  if drop_acked conn ack false then begin
     conn.retries <- 0;
     arm_rto t conn;
     fill_window t conn
@@ -350,11 +445,10 @@ let handle_established t conn b =
          hoping to piggyback them on upcoming data (standard delayed
          acknowledgements). FINs are acknowledged at once. *)
       if conn.snd_nxt = snd_before then begin
-        if fin then emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
+        if fin then send_ack t conn
         else if len > 0 then begin
           conn.unacked_rx <- conn.unacked_rx + 1;
-          if conn.unacked_rx >= 2 then
-            emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
+          if conn.unacked_rx >= 2 then send_ack t conn
           else if not (Sim.scheduled conn.delayed_ack) then
             Sim.arm_us t.machine.Machine.sim conn.delayed_ack delayed_ack_us
               conn.ack_fire
@@ -362,11 +456,11 @@ let handle_established t conn b =
       end
     end else if seq < expected && (len > 0 || fin) then
       (* Duplicate: re-ack. *)
-      emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
+      send_ack t conn
     (* Out-of-order beyond rcv_nxt: dropped (Go-Back-N). *);
     (match conn.st with
-     | Last_ack when Queue.is_empty conn.inflight -> teardown t conn
-     | Time_wait when Queue.is_empty conn.inflight -> teardown t conn
+     | Last_ack when conn.in_flight = 0 -> teardown t conn
+     | Time_wait when conn.in_flight = 0 -> teardown t conn
      | _ -> ())
   end
 
@@ -382,7 +476,7 @@ let segment_arrived t b src =
          conn.rcv_nxt <- seq_of b + 1;
          handle_ack t conn (ack_of b);
          conn.st <- Established;
-         emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ());  (* ack *)
+         send_ack t conn;
          (match conn.opener with
           | Some s -> conn.opener <- None; Sched.unblock t.sched s
           | None -> ())
@@ -410,15 +504,14 @@ let segment_arrived t b src =
       let conn =
         new_conn t ~l_port:(dport b) ~r_addr:src ~r_port:(sport b)
           ~st:Syn_received ~rcv_nxt:(seq_of b + 1) in
-      transmit_segment t conn ~flags:flag_syn (Pkt.empty ())
+      transmit_control t conn flag_syn
     end else if flags land flag_rst = 0 then begin
       (* No home for it: RST. *)
       t.stats.resets <- t.stats.resets + 1;
       charge t;
       t.stats.segments_sent <- t.stats.segments_sent + 1;
-      ignore (Ip.send t.ip ~src:(Ip.local_addr t.ip) ~dst:src ~proto:Ip.proto_tcp
-                (encode ~sport:(dport b) ~dport:(sport b) ~seq:(ack_of b)
-                   ~ack:(seq_of b) ~flags:flag_rst (Pkt.empty ())))
+      output t ~dst:src ~sport:(dport b) ~dport:(sport b) ~seq:(ack_of b)
+        ~ack:(seq_of b) ~flags:flag_rst Bytes.empty ~pos:0 ~len:0
     end
 
 let handle_segment t (pkt : Ip.packet) =
@@ -452,6 +545,7 @@ let create machine sched dispatcher ip =
     probe = { k_lport = 0; k_raddr = 0; k_rport = 0 };
     listeners = Hashtbl.create 16;
     next_port = 32768;
+    frames = Array.init 2 (fun _ -> new_frame ()); depth = 0;
     stats =
       { segments_sent = 0; segments_received = 0; retransmits = 0;
         resets = 0; accepted = 0 };
@@ -489,7 +583,7 @@ let connect t ~dst ~dst_port =
   t.next_port <- t.next_port + 1;
   let conn =
     new_conn t ~l_port ~r_addr:dst ~r_port:dst_port ~st:Syn_sent ~rcv_nxt:0 in
-  transmit_segment t conn ~flags:flag_syn (Pkt.empty ());
+  transmit_control t conn flag_syn;
   (* Loopback handshakes complete synchronously inside the transmit;
      wakeups may be spurious, so wait until the state settles. *)
   while conn.st = Syn_sent do
@@ -499,10 +593,10 @@ let connect t ~dst ~dst_port =
   done;
   if conn.st = Established then Some conn else None
 
-(* Application hand-off: one charged copy of [data] into a send buffer
-   of MSS-sized chunks, each behind a private [Pkt.default_headroom]
-   gap that [encode], IP and the link push their headers into. The
-   window then transmits views of the chunks. *)
+(* Application hand-off: one charged copy of [data] into a run's
+   buffer of MSS-sized chunks, each behind a private
+   [Pkt.default_headroom] gap that [encode], IP and the link push their
+   headers into. The window then sends the run's segments. *)
 let send t conn data =
   let len = Bytes.length data in
   if len > 0 then begin
@@ -511,15 +605,14 @@ let send t conn data =
     if conn.st = Established || conn.st = Close_wait then begin
       let gap = Pkt.default_headroom in
       let n = (len + mss - 1) / mss in
-      let sbuf = Pkt.alloc ~headroom:0 (len + (n * gap)) in
-      let buf, _, _ = Pkt.view sbuf in
-      let chunks =
-        List.init n (fun i ->
-          let pos = (i * (gap + mss)) + gap in
-          let clen = min mss (len - (i * mss)) in
-          Bytes.blit data (i * mss) buf pos clen;
-          Pkt.sub sbuf ~pos ~len:clen) in
-      conn.pending <- conn.pending @ chunks;
+      let buf = Bytes.create (len + (n * gap)) in
+      for i = 0 to n - 1 do
+        Bytes.blit data (i * mss) buf ((i * (gap + mss)) + gap)
+          (min mss (len - (i * mss)))
+      done;
+      append conn
+        { r_seq = run_end conn.last_run; r_len = len; r_flags = 0; r_buf = buf;
+          r_next = no_run };
       fill_window t conn
     end
   end
@@ -555,7 +648,7 @@ let close t conn =
 let abort t conn =
   if conn.st <> Closed then begin
     t.stats.resets <- t.stats.resets + 1;
-    emit t conn ~seq:conn.snd_nxt ~flags:flag_rst (Pkt.empty ());
+    emit t conn ~seq:conn.snd_nxt ~flags:flag_rst Bytes.empty ~pos:0 ~len:0;
     teardown t conn
   end
 

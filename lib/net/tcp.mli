@@ -47,18 +47,21 @@ val connect : t -> dst:Ip.addr -> dst_port:int -> conn option
     [None] after the handshake retries give out. *)
 
 val send : t -> conn -> Bytes.t -> unit
-(** Segments and queues the data; transmission respects the window
-    and retransmits on timeout. No-op on a closed connection.
+(** Queues the data as one run of the send stream; transmission
+    respects the window and retransmits on timeout. No-op on a closed
+    connection.
 
-    Application hand-off: the data is copied once (charged) into a
-    private send buffer of MSS-sized chunks, each with a
-    [Pkt.default_headroom]-byte gap in front. A segment goes on the
-    wire as a view of its chunk, with the TCP, IP and link headers
-    pushed into the gap, so the host's only other copy of the payload
-    is the NIC's. The retransmit queue holds views of the same
-    chunks; the gaps only ever hold headers, so a retransmit rewrites
-    them and the payload stays as sent. The caller keeps ownership of
-    [data] and may reuse it immediately. *)
+    Application hand-off: the data is copied once (charged) into the
+    run's private buffer of MSS-sized chunks, each with a
+    [Pkt.default_headroom]-byte gap in front. No segment is stored or
+    allocated: its sequence number, chunk and length are computed from
+    its run, on first transmission and on Go-Back-N retransmission
+    alike. A routed segment goes out in one of the engine's frames,
+    re-aimed at its chunk, with the TCP, IP and link headers pushed
+    into the gap, so the host's only other copy of the payload is the
+    NIC's. The gaps only ever hold headers, so a retransmission
+    rewrites them and the payload stays as sent. The caller keeps
+    ownership of [data] and may reuse it immediately. *)
 
 val on_receive : conn -> (Bytes.t -> unit) -> unit
 (** In-order delivery callback (replaces blocking reads when set).

@@ -1208,14 +1208,15 @@ module Tcp = Spin_net.Tcp
 module Ip = Spin_net.Ip
 
 (* Minor words a sender allocates beyond the NIC's frame copies to put
-   8 full-MSS segments on the wire: 20 a segment (the chunk's views, the
-   retransmit queue's entry and its one cell), under the 128 of one
-   payload copy. The link queues the frames in place. Header pushes and IP add nothing per
-   segment, and the retransmit timer is the connection's own, armed in
-   place. The send
-   buffer itself (8 × 1,072 bytes) is over the minor heap's block limit
-   and goes straight to the major heap. *)
-let tcp_send_words = 160.
+   8 full-MSS segments on the wire: the send's run record, 6 words, and
+   nothing per segment. A segment's sequence number, position and
+   length are computed from its run, and it goes out in a frame the
+   engine re-aims at it. The link queues the frames in place. Header
+   pushes and IP add nothing per segment, and the retransmit timer is
+   the connection's own, armed in place. The send buffer itself (8 ×
+   1,072 bytes) is over the minor heap's block limit and goes straight
+   to the major heap. *)
+let tcp_send_words = 6.
 
 let test_tcp_send_words () =
   let sim = Sim.create (Clock.create Cost.alpha_133) in
@@ -1613,6 +1614,59 @@ let test_frame_path_words () =
   done;
   check int "every frame delivered" n !delivered
 
+(* A data segment that completes a pair is acknowledged at once. Beyond
+   the application copy and IP's record, the ACK allocates the NIC's
+   copy of its frame alone: the engine frames it in a header buffer of
+   its own. *)
+let test_tcp_immediate_ack_words () =
+  let len = 1000 and n = 32 in
+  let sim, _, _, segment, arrive = tcp_receiver (fun _ -> ()) in
+  let frames =
+    Array.init n (fun i ->
+      segment ~seq:(1 + (i * len)) ~ack:1 ~flags:2 (Bytes.make len 'd')) in
+  let ack_frame = 2 + 12 + Tcp.header_bytes in
+  Array.iteri
+    (fun i pkt ->
+      if i mod 2 = 0 then begin
+        (* Deliver the previous ACK outside the measurement. The first
+           segment of a pair arms the delayed ACK, which must not fire
+           before the second arrives. *)
+        Sim.run sim;
+        arrive pkt
+      end else begin
+        let words = minor_words_over 1 (fun () -> arrive pkt) in
+        (* The first pairs warm the engine's pools. *)
+        if i >= 8 then
+          check (float 0.)
+            (Printf.sprintf
+               "segment %d: the application copy, IP's record and the \
+                ACK's frame copy" i)
+            (bytes_words len +. ip_packet_words +. bytes_words ack_frame)
+            words
+      end)
+    frames
+
+(* A Go-Back-N timeout over 8 segments in flight resends each from its
+   run, in a re-aimed frame, and re-arms the connection's own timer:
+   it allocates the NIC's copies of the 8 frames alone. *)
+let test_tcp_timeout_resend_words () =
+  let sim, b, c, _, _ = tcp_receiver (fun _ -> ()) in
+  let mss = 1024 and k = 8 in
+  Tcp.send b.Host.tcp c (Bytes.make (k * mss) 'r');
+  (* The peer never acknowledges. Fire the link's deliveries, leaving
+     the retransmit timer, the one event due 200 ms out, then fire
+     it. *)
+  let timeout () =
+    while Sim.pending sim > 1 do ignore (Sim.idle_step sim) done;
+    minor_words_over 1 (fun () -> ignore (Sim.idle_step sim)) in
+  (* The first timeout warms the engine's pools. *)
+  ignore (timeout ());
+  check (float 0.) "8 segments resent: their frame copies alone"
+    (float_of_int k *. bytes_words (mss + 2 + 12 + Tcp.header_bytes))
+    (timeout ());
+  check int "each timeout resent the window" (2 * k)
+    (Tcp.stats b.Host.tcp).Tcp.retransmits
+
 let test_clock_hook_raise_keeps_hooks () =
   let clock = Clock.create Cost.alpha_133 in
   let calls = ref 0 in
@@ -1823,5 +1877,11 @@ let () =
             `Quick test_reclaim_cache_page_words;
           Alcotest.test_case "a received frame allocates its view and ip's record"
             `Quick test_frame_path_words;
+          Alcotest.test_case
+            "an immediate ack allocates its frame copy alone" `Quick
+            test_tcp_immediate_ack_words;
+          Alcotest.test_case
+            "a go-back-n timeout allocates the frame copies alone" `Quick
+            test_tcp_timeout_resend_words;
         ] );
     ]

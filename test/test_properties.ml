@@ -748,6 +748,77 @@ let prop_ip_addr_roundtrip =
       let addr = Ip.addr_of_quad a b c d in
       Ip.addr_to_string addr = Printf.sprintf "%d.%d.%d.%d" a b c d)
 
+(* ------------------------------------------------------------------ *)
+(* TCP: segments computed from runs survive loss, and both sides close *)
+(* ------------------------------------------------------------------ *)
+
+(* A sender keeps each [send] as one run and computes every segment
+   from it, first transmissions and Go-Back-N resends alike. Over a
+   link that drops every k-th frame, sends of sizes around the MSS
+   boundaries arrive intact, and once both sides close, both
+   connections reach CLOSED. The receiver reads through the blocking
+   path (the connection's receive buffer) until the end of the stream,
+   then closes.
+
+   Every fourth frame lost is the exception: the handshake's three
+   frames put the first data segment on the fourth, and once a whole
+   Go-Back-N round is a multiple of four frames the round's first
+   segment is lost every time, the receiver sends nothing back, and
+   the sender gives up after its retries. There, what arrives is still
+   a prefix of what was sent, and the sender still ends CLOSED. *)
+
+let send_size_gen =
+  QCheck2.Gen.(
+    oneof
+      [ oneofl [ 1; mss - 1; mss; mss + 1; 12 * 1024 ];
+        int_range 1 (12 * 1024) ])
+
+let prop_tcp_runs_survive_loss_and_close =
+  QCheck2.Test.make ~name:"tcp runs arrive intact over loss, then close"
+    ~count:60
+    ~print:QCheck2.Print.(pair (list int) int)
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 4) send_size_gen)
+        (oneofl [ 0; 3; 4; 5; 6; 7; 8; 9 ]))
+    (fun (sizes, every) ->
+      let a, b = lossy_pair ~every in
+      let received = Buffer.create 4096 in
+      let sender = ref None and receiver = ref None in
+      Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+        receiver := Some conn;
+        ignore (Sched.spawn b.Host.sched ~name:"reader" (fun () ->
+          let rec drain () =
+            let data = Tcp.read b.Host.tcp conn in
+            if Bytes.length data > 0 then begin
+              Buffer.add_bytes received data;
+              drain ()
+            end in
+          drain ();
+          Tcp.close b.Host.tcp conn)));
+      let transfers =
+        List.mapi
+          (fun j n ->
+            Bytes.init n (fun i ->
+              Char.chr (((i * 13) + j + (i / mss)) land 255)))
+          sizes in
+      ignore (Sched.spawn a.Host.sched ~name:"send" (fun () ->
+        match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+        | None -> ()
+        | Some conn ->
+          sender := Some conn;
+          List.iter (Tcp.send a.Host.tcp conn) transfers;
+          Tcp.close a.Host.tcp conn));
+      Host.run_all [ a; b ];
+      let sent = String.concat "" (List.map Bytes.to_string transfers)
+      and got = Buffer.contents received in
+      let closed = function
+        | Some c -> Tcp.state c = Tcp.Closed
+        | None -> false in
+      String.length got <= String.length sent
+      && String.sub sent 0 (String.length got) = got
+      && closed !sender
+      && (every = 4 || (got = sent && closed !receiver)))
+
 let () =
   Alcotest.run "spin_properties"
     [
@@ -771,5 +842,6 @@ let () =
             prop_ip_addr_roundtrip;
             prop_mmu_matches_model;
             prop_live_pages_match_model;
+            prop_tcp_runs_survive_loss_and_close;
           ] );
     ]
