@@ -1,27 +1,31 @@
-(* Each node and each list holds [Some] of itself, built once at
+(* Each node and each list holds [Some] of itself, set once at
    creation: linking stores those options in the neighbours' fields,
-   so linking, unlinking and popping allocate nothing. *)
+   so linking, unlinking and popping allocate nothing. The option is
+   set after the record is built, not by a recursive definition,
+   which would build the record twice. *)
 type 'a node = {
   value : 'a;
-  mutable owner : 'a t option;          (* the list's [me]; [None] unlinked *)
+  mutable owner : 'a t option;          (* the list's [self]; [None] unlinked *)
   mutable prev : 'a node option;
   mutable next : 'a node option;
-  me : 'a node option;
+  mutable me : 'a node option;
 }
 
 and 'a t = {
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable len : int;
-  self : 'a t option;
+  mutable self : 'a t option;
 }
 
 let create () =
-  let rec t = { head = None; tail = None; len = 0; self = Some t } in
+  let t = { head = None; tail = None; len = 0; self = None } in
+  t.self <- Some t;
   t
 
 let node v =
-  let rec n = { value = v; owner = None; prev = None; next = None; me = Some n } in
+  let n = { value = v; owner = None; prev = None; next = None; me = None } in
+  n.me <- Some n;
   n
 
 let is_empty t = t.len = 0

@@ -1,7 +1,9 @@
+module Ring = Spin_dstruct.Ring
+
 type t = {
   clock : Clock.t;
   handlers : (int, unit -> unit) Hashtbl.t;
-  pending : int Queue.t;
+  pending : int Ring.t;                   (* lines latched while masked *)
   mutable mask_depth : int;
   mutable delivered : int;
   (* Interprocessor interrupts: one FIFO inbox per CPU. A posted IPI
@@ -12,7 +14,7 @@ type t = {
      boundary". Per-target FIFO order is guaranteed; no order is
      guaranteed between different targets. *)
   n_cpus : int;
-  ipi_inbox : (unit -> unit) Queue.t array;
+  ipi_inbox : (unit -> unit) Ring.t array;
   (* The CPU the simulation is currently executing on — host-serial
      execution means exactly one at a time. The scheduler updates it
      as it dispatches; kernel services read it to address shootdowns
@@ -25,11 +27,11 @@ let create ?(cpus = 1) clock =
   {
     clock;
     handlers = Hashtbl.create 16;
-    pending = Queue.create ();
+    pending = Ring.create ~dummy:0 8;
     mask_depth = 0;
     delivered = 0;
     n_cpus = cpus;
-    ipi_inbox = Array.init cpus (fun _ -> Queue.create ());
+    ipi_inbox = Array.init cpus (fun _ -> Ring.create ~dummy:ignore 8);
     active = 0;
   }
 
@@ -65,13 +67,13 @@ let deliver t line =
     Clock.charge t.clock cost.Cost.interrupt_exit
 
 let rec drain t =
-  if t.mask_depth = 0 then
-    match Queue.take_opt t.pending with
-    | None -> ()
-    | Some line -> deliver t line; drain t
+  if t.mask_depth = 0 && not (Ring.is_empty t.pending) then begin
+    deliver t (Ring.take t.pending);
+    drain t
+  end
 
 let post t ~line =
-  if t.mask_depth > 0 then Queue.add line t.pending
+  if t.mask_depth > 0 then Ring.add t.pending line
   else deliver t line;
   drain t
 
@@ -82,15 +84,15 @@ let delivered t = t.delivered
 let post_ipi t ~cpu action =
   if cpu < 0 || cpu >= t.n_cpus then invalid_arg "Intr.post_ipi: bad CPU";
   Clock.charge t.clock (Clock.cost t.clock).Cost.ipi_send;
-  Queue.add action t.ipi_inbox.(cpu)
+  Ring.add t.ipi_inbox.(cpu) action
 
 let drain_ipis t ~cpu =
   if cpu < 0 || cpu >= t.n_cpus then invalid_arg "Intr.drain_ipis: bad CPU";
   let inbox = t.ipi_inbox.(cpu) in
   let n = ref 0 in
   let cost = Clock.cost t.clock in
-  while not (Queue.is_empty inbox) do
-    let action = Queue.pop inbox in
+  while not (Ring.is_empty inbox) do
+    let action = Ring.take inbox in
     Clock.charge t.clock cost.Cost.ipi_deliver;
     incr n;
     (* IPI actions run in interrupt context on the target CPU. *)
@@ -99,7 +101,7 @@ let drain_ipis t ~cpu =
   !n
 
 let ipis_pending t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.ipi_inbox
+  Array.fold_left (fun acc q -> acc + Ring.length q) 0 t.ipi_inbox
 
 let broadcast_sync t ~from action =
   if from < 0 || from >= t.n_cpus then

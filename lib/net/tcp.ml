@@ -4,6 +4,7 @@ module Cost = Spin_machine.Cost
 module Trace = Spin_machine.Trace
 module Sim = Spin_machine.Sim
 module Sched = Spin_sched.Sched
+module Strand = Spin_sched.Strand
 module Dispatcher = Spin_core.Dispatcher
 
 let header_bytes = 16
@@ -96,8 +97,8 @@ type conn = {
   mutable last_run : run;
   mutable rx_cb : (Bytes.t -> unit) option;
   rx_buf : Buffer.t;
-  mutable reader : Spin_sched.Strand.t option;
-  mutable opener : Spin_sched.Strand.t option;
+  mutable reader : Strand.t option;
+  mutable opener : Strand.t option;
   mutable retries : int;
   (* The two timers and their actions, all built once, in [new_conn]. *)
   rto : Sim.timer;
@@ -587,7 +588,7 @@ let connect t ~dst ~dst_port =
   (* Loopback handshakes complete synchronously inside the transmit;
      wakeups may be spurious, so wait until the state settles. *)
   while conn.st = Syn_sent do
-    conn.opener <- Some (Sched.self t.sched);
+    conn.opener <- (Sched.self t.sched).Strand.me;
     Sched.block_current t.sched;
     conn.opener <- None
   done;
@@ -625,11 +626,12 @@ let on_receive conn cb =
   end;
   conn.rx_cb <- Some cb
 
+let at_eof conn =
+  conn.st = Closed || conn.st = Close_wait || conn.st = Time_wait
+
 let read t conn =
-  let eof () =
-    conn.st = Closed || conn.st = Close_wait || conn.st = Time_wait in
-  while Buffer.length conn.rx_buf = 0 && not (eof ()) do
-    conn.reader <- Some (Sched.self t.sched);
+  while Buffer.length conn.rx_buf = 0 && not (at_eof conn) do
+    conn.reader <- (Sched.self t.sched).Strand.me;
     Sched.block_current t.sched;
     conn.reader <- None
   done;

@@ -18,7 +18,9 @@ val create : (unit -> unit) -> t
 
 val run : t -> outcome
 (** Starts or resumes the coroutine until its next suspension point.
-    Raises [Invalid_argument] if it is already running or finished. *)
+    Raises [Invalid_argument] if it is already running or finished.
+    A running coroutine may run another; a suspension inside the
+    inner one returns to the outer one's [run]. *)
 
 val suspend : reason -> unit
 (** Called from inside a running coroutine. *)

@@ -5,6 +5,7 @@ module Sim = Spin_machine.Sim
 module Intr = Spin_machine.Intr
 module Trace = Spin_machine.Trace
 module Dllist = Spin_dstruct.Dllist
+module Ring = Spin_dstruct.Ring
 
 type events = {
   block : (Strand.t, unit) Dispatcher.event;
@@ -48,12 +49,18 @@ type t = {
   mutable current : Strand.t option;
   mutable exec_cpu : int;                 (* CPU currently dispatching *)
   mutable rr_cpu : int;                   (* round-robin CPU cursor *)
-  pending_wakeups : (int, unit) Hashtbl.t;  (* unblocks that raced a block *)
-  (* Wakeups travelling as IPIs: strand id -> posted marker. Exactly
-     one wakeup IPI is in flight per strand (a second unblock while
-     one is posted is redundant); [finish] clears the marker so a late
-     IPI for a finished strand drops silently. *)
-  ipi_pending : (int, unit) Hashtbl.t;
+  (* How many strands carry each [Strand.wakeup] flag: [banked] marks
+     an unblock that raced a block, [posted] a wakeup travelling as an
+     IPI. Exactly one wakeup IPI is in flight per strand (a second
+     unblock while one is posted is redundant); [finish] clears both
+     flags, so a late IPI for a finished strand drops silently. *)
+  mutable banked_count : int;
+  mutable posted_count : int;
+  (* Per CPU, the strands whose wakeup IPIs are in flight to it, in
+     post order, and the one action each of those IPIs runs: it takes
+     the oldest strand of that CPU's ring. *)
+  wake_rings : Strand.t Ring.t array;
+  wake_actions : (unit -> unit) array;
   mutable slice_start : int;
   mutable preempt_requested : bool;
   (* Scheduler-replacement extension point (paper, section 5.2): when
@@ -103,6 +110,27 @@ let target_cpu t s =
     let c = s.Strand.last_cpu in
     if c >= 0 && c < t.cpus then c else 0
 
+(* The [Strand.wakeup] flags, each counted while set. *)
+let banked = 1 and posted = 2
+
+let flagged s flag = s.Strand.wakeup land flag <> 0
+
+let tally t flag d =
+  if flag = banked then t.banked_count <- t.banked_count + d
+  else t.posted_count <- t.posted_count + d
+
+let set_flag t s flag =
+  if not (flagged s flag) then begin
+    s.Strand.wakeup <- s.Strand.wakeup lor flag;
+    tally t flag 1
+  end
+
+let clear_flag t s flag =
+  if flagged s flag then begin
+    s.Strand.wakeup <- s.Strand.wakeup land lnot flag;
+    tally t flag (-1)
+  end
+
 (* Default handlers: the global scheduler's own run-state management. *)
 let default_block t s =
   match s.Strand.state with
@@ -134,13 +162,13 @@ let enqueue_wakeup t ~cpu s =
    at delivery time — it may have been satisfied, finished, or blocked
    again between post and delivery. *)
 let deliver_ipi_wakeup t ~cpu s =
-  if not (Hashtbl.mem t.ipi_pending s.Strand.id) then
-    (* [finish] cleared the marker: the strand died with the IPI in
+  if not (flagged s posted) then
+    (* [finish] cleared the flag: the strand died with the IPI in
        flight. Dropping the late interrupt is correct, not a
        violation — count it for the curious. *)
     t.stats.ipi_dropped <- t.stats.ipi_dropped + 1
   else begin
-    Hashtbl.remove t.ipi_pending s.Strand.id;
+    clear_flag t s posted;
     match s.Strand.state with
     | Strand.Blocked | Strand.Created -> enqueue_wakeup t ~cpu s
     | Strand.Running ->
@@ -148,14 +176,14 @@ let deliver_ipi_wakeup t ~cpu s =
          and suspending): record the wakeup so the suspension returns
          immediately — the lost-wakeup race, closed the same way as on
          one CPU. *)
-      Hashtbl.replace t.pending_wakeups s.Strand.id ()
+      set_flag t s banked
     | Strand.Runnable ->
       t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
     | Strand.Dead -> t.stats.ipi_dropped <- t.stats.ipi_dropped + 1
   end
 
 let default_unblock t s =
-  if Hashtbl.mem t.ipi_pending s.Strand.id then
+  if flagged s posted then
     (* A wakeup IPI is already in flight for this strand; this unblock
        is satisfied by that delivery. *)
     t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
@@ -166,15 +194,16 @@ let default_unblock t s =
      | Some intr when cpu <> t.exec_cpu ->
        (* The strand belongs on another CPU's queue: signal that CPU
           instead of reaching into its queue from here. *)
-       Hashtbl.replace t.ipi_pending s.Strand.id ();
+       set_flag t s posted;
        t.stats.ipi_wakeups <- t.stats.ipi_wakeups + 1;
-       Intr.post_ipi intr ~cpu (fun () -> deliver_ipi_wakeup t ~cpu s)
+       Ring.add t.wake_rings.(cpu) s;
+       Intr.post_ipi intr ~cpu t.wake_actions.(cpu)
      | Some _ | None -> enqueue_wakeup t ~cpu s)
   | Strand.Running ->
     (* The strand is between raising Block and suspending (an
        interrupt handler woke it early): remember the wakeup so the
        suspension returns immediately instead of losing it. *)
-    Hashtbl.replace t.pending_wakeups s.Strand.id ()
+    set_flag t s banked
   | Strand.Runnable ->
     t.stats.redundant_unblocks <- t.stats.redundant_unblocks + 1
   | Strand.Dead ->
@@ -184,6 +213,16 @@ let default_unblock t s =
     t.stats.dead_unblocks <- t.stats.dead_unblocks + 1;
     report_violation t
       (Printf.sprintf "unblock raised on dead strand %s" (Strand.to_string s))
+
+(* A queued kernel strand running [body]. Spawn locality: it starts on
+   the spawner's CPU; stealing redistributes it if that CPU is
+   overloaded. *)
+let make_strand t ~owner ?priority ~name body =
+  let s = Strand.create ~owner ?priority ~name () in
+  s.Strand.coro <- Some (Coro.create body);
+  s.Strand.last_cpu <- t.exec_cpu;
+  enqueue t ~cpu:t.exec_cpu s;
+  s
 
 let create ?intr sim dispatcher =
   let cpus = match intr with Some i -> Intr.cpus i | None -> 1 in
@@ -205,8 +244,11 @@ let create ?intr sim dispatcher =
              Array.init (Strand.max_priority + 1) (fun _ -> Dllist.create ()));
          queued = Array.make cpus 0;
          current = None; exec_cpu = 0; rr_cpu = 0;
-         pending_wakeups = Hashtbl.create 16;
-         ipi_pending = Hashtbl.create 16;
+         banked_count = 0; posted_count = 0;
+         wake_rings =
+           (let placeholder = Strand.placeholder () in
+            Array.init cpus (fun _ -> Ring.create ~dummy:placeholder 8));
+         wake_actions = Array.make cpus ignore;
          slice_start = 0; preempt_requested = false;
          chooser = None;
          probe = None; on_violation = None;
@@ -215,6 +257,10 @@ let create ?intr sim dispatcher =
              redundant_unblocks = 0; dead_unblocks = 0; steals = 0;
              ipi_wakeups = 0; ipi_dropped = 0 } }) in
   let t = Lazy.force t in
+  for cpu = 0 to cpus - 1 do
+    t.wake_actions.(cpu) <- (fun () ->
+      deliver_ipi_wakeup t ~cpu (Ring.take t.wake_rings.(cpu)))
+  done;
   (* Quantum accounting: request preemption when the slice expires. *)
   Clock.add_hook clock (fun clock ->
     match t.current with
@@ -222,12 +268,10 @@ let create ?intr sim dispatcher =
                && Clock.now clock - t.slice_start >= quantum ->
       t.preempt_requested <- true
     | Some _ | None -> ());
-  (* Asynchronous dispatcher handlers run on fresh kernel strands. *)
+  (* Asynchronous dispatcher handlers run on fresh kernel strands,
+     uncharged. *)
   Dispatcher.set_async_spawn dispatcher (fun thunk ->
-    let s = Strand.create ~owner:owner_name ~name:"async-handler" () in
-    s.Strand.coro <- Some (Coro.create thunk);
-    s.Strand.last_cpu <- t.exec_cpu;
-    enqueue t ~cpu:t.exec_cpu s);
+    ignore (make_strand t ~owner:owner_name ~name:"async-handler" thunk));
   t
 
 let events t = t.events
@@ -240,13 +284,7 @@ let ncpus t = t.cpus
 
 let spawn t ?(owner = owner_name) ?priority ~name body =
   Clock.charge t.clock (Clock.cost t.clock).Cost.strand_spawn;
-  let s = Strand.create ~owner ?priority ~name () in
-  s.Strand.coro <- Some (Coro.create body);
-  (* Spawn locality: the child starts on the spawner's CPU; stealing
-     redistributes it if that CPU is overloaded. *)
-  s.Strand.last_cpu <- t.exec_cpu;
-  enqueue t ~cpu:t.exec_cpu s;
-  s
+  make_strand t ~owner ?priority ~name body
 
 let current t = t.current
 
@@ -402,15 +440,23 @@ let rebalance t =
 
 (* --- dispatch ------------------------------------------------------ *)
 
+(* Top level, not a local [let rec]: a closure over [t] and [s] would
+   be allocated at every strand's death. *)
+let rec wake_joiners t s =
+  match Dllist.pop_front s.Strand.joiners with
+  | None -> ()
+  | Some j ->
+    Dispatcher.raise_default t.events.unblock () (Dllist.value j);
+    wake_joiners t s
+
 let finish t s outcome =
   (* The strand is leaving for good: unlink it from the run queue (a
      block/unblock race while it ran can leave it queued) and drop any
      raced wakeup or in-flight wakeup IPI, or the queue retains a dead
-     strand and the next occupant of this id inherits a spurious
-     wakeup. *)
+     strand and the counts a wakeup that never lands. *)
   dequeue t s;
-  Hashtbl.remove t.pending_wakeups s.Strand.id;
-  Hashtbl.remove t.ipi_pending s.Strand.id;
+  clear_flag t s banked;
+  clear_flag t s posted;
   s.Strand.state <- Strand.Dead;
   (match outcome with
    | Coro.Failed e ->
@@ -418,16 +464,11 @@ let finish t s outcome =
      t.stats.failed <- t.stats.failed + 1
    | Coro.Done -> t.stats.completed <- t.stats.completed + 1
    | Coro.Suspended _ -> assert false);
-  (* Capability dies with the strand. *)
-  Spin_core.Capability.revoke (Strand.capability s);
-  (* Wake joiners. *)
-  let rec wake () =
-    match Dllist.pop_front s.Strand.joiners with
-    | None -> ()
-    | Some j ->
-      Dispatcher.raise_default t.events.unblock () (Dllist.value j);
-      wake () in
-  wake ()
+  (* Capability dies with the strand, if it was ever minted. *)
+  (match s.Strand.cap with
+   | Some cap -> Spin_core.Capability.revoke cap
+   | None -> ());
+  wake_joiners t s
 
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in
@@ -471,13 +512,13 @@ let execute t ~cpu s =
        staying runnable (and void if it was blocked after the wakeup):
        drop it, or the entry goes stale and short-circuits an
        unrelated later block. *)
-    Hashtbl.remove t.pending_wakeups s.Strand.id;
+    clear_flag t s banked;
     if s.Strand.state = Strand.Running then enqueue t ~cpu:(target_cpu t s) s
     (* else: someone blocked it while it was being preempted *)
   | Coro.Suspended Coro.Blocked ->
-    if Hashtbl.mem t.pending_wakeups s.Strand.id then begin
+    if flagged s banked then begin
       (* A wakeup raced the suspension: resume immediately. *)
-      Hashtbl.remove t.pending_wakeups s.Strand.id;
+      clear_flag t s banked;
       enqueue t ~cpu:(target_cpu t s) s
     end else if s.Strand.state = Strand.Running then
       s.Strand.state <- Strand.Blocked
@@ -662,9 +703,9 @@ let set_violation_hook t hook = t.on_violation <- hook
 
 let request_preempt t = t.preempt_requested <- true
 
-let pending_wakeup_count t = Hashtbl.length t.pending_wakeups
+let pending_wakeup_count t = t.banked_count
 
-let pending_ipi_count t = Hashtbl.length t.ipi_pending
+let pending_ipi_count t = t.posted_count
 
 let ipis_undelivered t =
   match t.intr with Some intr -> Intr.ipis_pending intr | None -> 0
@@ -705,6 +746,10 @@ let audit t report =
                  report (Printf.sprintf "strand %s pinned to CPU %d queued on %d"
                            (Strand.to_string s) a cpu)
                | Some _ | None -> ());
+              if Option.is_none t.current && flagged s banked then
+                report (Printf.sprintf
+                          "stale pending wakeup for strand id %d at scheduling point"
+                          s.Strand.id);
               walk (Dllist.next n) in
           walk (Dllist.first q))
         per_prio;
@@ -714,25 +759,32 @@ let audit t report =
         report (Printf.sprintf "CPU %d queued count %d, its queues hold %d"
                   cpu t.queued.(cpu) len))
     t.queues;
-  (* Raced-wakeup entries exist only for Running strands; with no
-     strand running, a surviving entry is a leak. *)
+  (* A raced wakeup is banked only on the strand being run, and its
+     slice's end consumes it: with no strand running, a banked wakeup
+     is a leak. The walk above names a queued culprit; a blocked one
+     shows in the count alone. *)
   (match t.current with
    | Some _ -> ()
+   | None when t.banked_count = 0 -> ()
    | None ->
-     Hashtbl.iter
-       (fun id () ->
-         report (Printf.sprintf
-                   "stale pending wakeup for strand id %d at scheduling point" id))
-       t.pending_wakeups);
-  (* Every wakeup-in-flight marker must be backed by an IPI actually
-     sitting in an inbox; with the inboxes drained, a surviving marker
-     means a wakeup was marked but never posted (or delivered without
-     clearing it) — a lost wakeup in the making. *)
+     report (Printf.sprintf "%d stale pending wakeup(s) at scheduling point"
+               t.banked_count));
+  (* Every wakeup-in-flight flag must be backed by its strand in a wake
+     ring, and every ring entry by an IPI in an inbox. With the inboxes
+     drained, a surviving entry or flag means a wakeup was marked but
+     never delivered — a lost wakeup in the making. *)
+  let marked = ref 0 in
+  Array.iter (Ring.iter (fun s -> if flagged s posted then incr marked))
+    t.wake_rings;
+  if !marked <> t.posted_count then
+    report (Printf.sprintf "%d wakeup marker(s), %d marked strand(s) in the \
+                            wake rings" t.posted_count !marked);
   match t.intr with
   | Some intr when Intr.ipis_pending intr = 0 ->
-    Hashtbl.iter
-      (fun id () ->
-        report (Printf.sprintf
-                  "wakeup marker for strand id %d with no IPI in flight" id))
-      t.ipi_pending
+    Array.iter
+      (Ring.iter (fun s ->
+         report (Printf.sprintf
+                   "wakeup marker for strand id %d with no IPI in flight"
+                   s.Strand.id)))
+      t.wake_rings
   | Some _ | None -> ()

@@ -19,11 +19,18 @@ type t = {
   mutable affinity : int option;
   mutable last_cpu : int;
   mutable qcpu : int;
+  mutable wakeup : int;
 }
 
 let max_priority = 31
 
 let counter = ref 0
+
+let record ~id ~owner ~priority ~name state =
+  { id; name; owner; priority; state; coro = None;
+    joiners = Spin_dstruct.Dllist.create (); failure = None; cap = None;
+    me = None; qnode = None; wnode = None; timer = None; affinity = None;
+    last_cpu = 0; qcpu = 0; wakeup = 0 }
 
 let create ~owner ?(priority = 16) ~name () =
   if priority < 0 || priority > max_priority then
@@ -31,18 +38,17 @@ let create ~owner ?(priority = 16) ~name () =
   incr counter;
   (* [me] is set after the record is built, not by a recursive
      definition, which would build the record twice. *)
-  let t =
-    { id = !counter; name; owner; priority; state = Created; coro = None;
-      joiners = Spin_dstruct.Dllist.create (); failure = None; cap = None;
-      me = None; qnode = None; wnode = None; timer = None; affinity = None;
-      last_cpu = 0; qcpu = 0 } in
+  let t = record ~id:!counter ~owner ~priority ~name Created in
   t.me <- Some t;
-  t.cap <- Some (Spin_core.Capability.mint ~owner t);
   t.qnode <- Some (Spin_dstruct.Dllist.node t);
   t
 
-(* The run-queue node and the capability are set at creation; the wait
-   node at the first wait, so a strand that never waits has none. *)
+(* Id 0, which no strand takes, and no node: it fills a ring's free
+   slots and is never scheduled. *)
+let placeholder () = record ~id:0 ~owner:"" ~priority:0 ~name:"placeholder" Dead
+
+(* The run-queue node is set at creation; the wait node at the first
+   wait, so a strand that never waits has none. *)
 let run_node t = match t.qnode with Some n -> n | None -> assert false
 
 let wait_node t =
@@ -53,10 +59,16 @@ let wait_node t =
     t.wnode <- Some n;
     n
 
+(* Minted at the first request: few strands are ever asked for theirs.
+   A dead strand's is minted revoked, as it would have been at death. *)
 let capability t =
   match t.cap with
   | Some cap -> cap
-  | None -> assert false                  (* set at creation *)
+  | None ->
+    let cap = Spin_core.Capability.mint ~owner:t.owner t in
+    if t.state = Dead then Spin_core.Capability.revoke cap;
+    t.cap <- Some cap;
+    cap
 
 let holds_capability cap t =
   Spin_core.Capability.is_valid cap

@@ -3,8 +3,9 @@
     A strand has no requisite kernel state other than a name (paper,
     section 4.2); kernel threads attach a coroutine to theirs, while
     user-level thread packages manage bare strands. Each strand is
-    protected by a capability minted at creation — schedulers demand
-    it before letting an extension handle the strand's events. *)
+    protected by a capability, minted when first asked for —
+    schedulers demand it before letting an extension handle the
+    strand's events. *)
 
 type state = Created | Runnable | Running | Blocked | Dead
 (** The run-state lifecycle. [Created] strands become [Runnable] on
@@ -26,7 +27,8 @@ type t = {
   mutable coro : Coro.t option;  (** kernel context, if a kernel thread *)
   joiners : t Spin_dstruct.Dllist.t;  (** strands waiting for death *)
   mutable failure : exn option;  (** set when the body raised *)
-  mutable cap : t Spin_core.Capability.t option;  (** set at creation *)
+  mutable cap : t Spin_core.Capability.t option;
+  (** set by the first {!capability} call *)
   mutable me : t option;
   (** [Some] this strand, set once at creation: the scheduler's
       [current] holds it, so a dispatch allocates nothing. *)
@@ -54,11 +56,20 @@ type t = {
   (** which CPU's run queue [qnode] lives in; meaningful only while
       it is linked. Owned by the scheduler — only the code that links
       [qnode] may write it. *)
+  mutable wakeup : int;
+  (** the scheduler's wakeup flag bits: a wakeup banked while the
+      strand ran, and a wakeup IPI in flight. Owned by the
+      scheduler. *)
 }
 
 val create : owner:string -> ?priority:int -> name:string -> unit -> t
 (** Default priority 16. The new strand is [Created], unqueued, with
     no affinity. *)
+
+val placeholder : unit -> t
+(** A [Dead] strand with id 0, which no strand takes, and no run-queue
+    node: the filler of a ring's free slots. It does not advance the
+    id counter. *)
 
 val run_node : t -> t Spin_dstruct.Dllist.node
 (** The strand's run-queue node; the scheduler re-links it at every
@@ -70,7 +81,9 @@ val wait_node : t -> t Spin_dstruct.Dllist.node
     every mutex, condition and join it waits on. *)
 
 val capability : t -> t Spin_core.Capability.t
-(** The unforgeable reference guarding this strand. *)
+(** The unforgeable reference guarding this strand, minted by the
+    first call. The scheduler revokes it when the strand dies; a dead
+    strand's first call returns it already revoked. *)
 
 val holds_capability : t Spin_core.Capability.t -> t -> bool
 (** Does this capability designate this strand (and remain valid)? *)

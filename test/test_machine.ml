@@ -981,15 +981,16 @@ let test_compiled_predicate_allocates_nothing () =
     (minor_words_over 10_000 (fun () -> ignore (get 0)))
 
 (* What one suspension of a strand costs the host heap: the runtime's
-   continuation and the [Parked] cell holding it, 4 words in all. The
+   continuation alone, 2 words. The coroutine's [Parked] cell is
+   refilled in place, every coroutine shares one handler, and the
    run-queue node a requeue links, the option a dispatch pops and the
    scheduler's [current] are the strand's own, built once. *)
-let suspend_words = 4.
+let suspend_words = 2.
 
 (* Words per iteration of [body] in a strand of a fresh one-CPU
    scheduler, read by the strand itself into a float array (no boxing)
    around [n] iterations, past a first hundred that build the
-   coroutine's handler. [others] spawns the strands it runs beside. *)
+   coroutine's [Parked] cell. [others] spawns the strands it runs beside. *)
 let strand_words ?(others = fun _ -> ()) n body =
   let m = Machine.create ~cpus:1 ~name:"test" ~mem_mb:4 () in
   let sched = Sched.create m.Machine.sim (Dispatcher.create m.Machine.clock) in
@@ -1058,6 +1059,54 @@ let test_condition_exchange_words () =
       for _ = 1 to n + 100 do player 1 sched done)) in
   check (float 0.) "words per exchange" (2. *. suspend_words)
     (strand_words ~others:partner n (player 0))
+
+(* A strand's whole life: spawn, a first run that yields, and a resume
+   that returns. The spawn builds the strand's record (18 words) and
+   its [me] option (2), its joiners list (7 with the list's own
+   option), its run-queue node (8) and the option holding it (2), and
+   its coroutine (3), the coroutine's [Created] body (2) and the
+   option holding it (2). The first run makes the runtime's 5-word
+   effect closure for the new fiber; the first suspension its
+   continuation (2) and the coroutine's [Parked] cell (2), refilled by
+   every later one. The capability is never asked for, so never
+   minted, and the exit allocates nothing. *)
+let strand_life_words = 44. +. 5. +. 4.
+
+let test_strand_life_words () =
+  let m = Machine.create ~cpus:1 ~name:"test" ~mem_mb:4 () in
+  let sched = Sched.create m.Machine.sim (Dispatcher.create m.Machine.clock) in
+  let body () = Sched.yield sched in
+  (* [Sched.step], not [Sched.run], whose loop is a closure. *)
+  let life () =
+    ignore (Sched.spawn sched ~name:"life" body);
+    ignore (Sched.step sched);
+    ignore (Sched.step sched) in
+  for _ = 1 to 100 do life () done;
+  check (float 0.) "words per strand life" strand_life_words
+    (minor_words_over 1_000 life /. 1_000.);
+  check int "every strand completed" 1_100 (Sched.stats sched).Sched.completed
+
+(* A wakeup that crosses CPUs: the unblock on CPU 0 marks the strand,
+   queues it on CPU 1's wakeup ring and posts that CPU's one wakeup
+   action; the delivery enqueues it there. *)
+let test_ipi_wakeup_words () =
+  let m = Machine.create ~cpus:2 ~name:"test" ~mem_mb:4 () in
+  let sched =
+    Sched.create ~intr:m.Machine.intr m.Machine.sim
+      (Dispatcher.create m.Machine.clock) in
+  let s = Sched.spawn sched ~name:"pinned" (fun () -> ()) in
+  Sched.set_affinity sched s (Some 1);
+  Sched.block sched s;
+  let round () =
+    Sched.unblock sched s;
+    ignore (Intr.drain_ipis m.Machine.intr ~cpu:1);
+    Sched.block sched s in
+  for _ = 1 to 100 do round () done;
+  check (float 0.) "words over 10,000 IPI wakeups" 0.
+    (minor_words_over 10_000 round);
+  check int "each travelled as an IPI" 10_100
+    (Sched.stats sched).Sched.ipi_wakeups;
+  check int "none left in flight" 0 (Sched.pending_ipi_count sched)
 
 (* The VM paths of Table 4. A TLB hit allocates nothing, and a fill
    only its entry: the key (3 words), its table bucket (4) and its FIFO
@@ -1883,5 +1932,9 @@ let () =
           Alcotest.test_case
             "a go-back-n timeout allocates the frame copies alone" `Quick
             test_tcp_timeout_resend_words;
+          Alcotest.test_case "a strand's life allocates its records" `Quick
+            test_strand_life_words;
+          Alcotest.test_case "an ipi wakeup allocates nothing" `Quick
+            test_ipi_wakeup_words;
         ] );
     ]

@@ -74,6 +74,63 @@ let test_coro_run_finished_rejected () =
   check_raises "rerun rejected" (Invalid_argument "Coro.run: finished")
     (fun () -> ignore (Coro.run c))
 
+let outcome_to_string = function
+  | Coro.Suspended Coro.Yielded -> "yielded"
+  | Coro.Suspended Coro.Blocked -> "blocked"
+  | Coro.Done -> "done"
+  | Coro.Failed e -> "failed " ^ Printexc.to_string e
+
+(* A coroutine that runs another inside its own slice: every coroutine
+   shares one handler, which must find the outer one again once the
+   inner slice has ended. *)
+let test_coro_nested_run () =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let inner = Coro.create (fun () ->
+    note "inner 1";
+    Coro.suspend Coro.Blocked;
+    note "inner 2") in
+  let outer = Coro.create (fun () ->
+    note "outer 1";
+    note ("inner ran: " ^ outcome_to_string (Coro.run inner));
+    Coro.suspend Coro.Yielded;
+    note "outer 2") in
+  check string "outer suspends itself" "yielded"
+    (outcome_to_string (Coro.run outer));
+  check bool "both alive" true (Coro.alive outer && Coro.alive inner);
+  check string "inner resumes to its end" "done"
+    (outcome_to_string (Coro.run inner));
+  check string "outer resumes to its end" "done"
+    (outcome_to_string (Coro.run outer));
+  check (list string) "each half ran once, in order"
+    [ "outer 1"; "inner 1"; "inner ran: blocked"; "inner 2"; "outer 2" ]
+    (List.rev !log)
+
+(* The inner coroutine raises, and the outer one then asks to run it
+   again, which raises out of [Coro.run] itself: neither leaves the
+   outer coroutine unable to suspend and resume. *)
+let test_coro_nested_run_raises () =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let inner = Coro.create (fun () -> failwith "inner boom") in
+  let outer = Coro.create (fun () ->
+    note ("inner ran: " ^ outcome_to_string (Coro.run inner));
+    (match Coro.run inner with
+     | _ -> note "rerun accepted"
+     | exception Invalid_argument msg -> note msg);
+    Coro.suspend Coro.Yielded;
+    note "outer resumed") in
+  check string "outer suspends itself" "yielded"
+    (outcome_to_string (Coro.run outer));
+  check bool "inner finished" false (Coro.alive inner);
+  check bool "outer alive" true (Coro.alive outer);
+  check string "outer resumes to its end" "done"
+    (outcome_to_string (Coro.run outer));
+  check (list string) "the failure and the refusal seen, then the resume"
+    [ "inner ran: failed Failure(\"inner boom\")"; "Coro.run: finished";
+      "outer resumed" ]
+    (List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler basics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -843,6 +900,15 @@ let test_spawn_inherits_cpu_and_count_is_explicit () =
   Sched.run s;
   check int "child ran on the parent's CPU" 2 !child_cpu
 
+(* The wakeup rings' placeholder strand takes no id: strand ids, which
+   traces and violation reports name, stay what they were before a
+   multiprocessor scheduler was built. *)
+let test_wake_rings_take_no_strand_id () =
+  let before = Strand.create ~owner:"test" ~name:"before" () in
+  ignore (smp_kernel ~cpus:4 ());
+  let after = Strand.create ~owner:"test" ~name:"after" () in
+  check int "consecutive ids" (before.Strand.id + 1) after.Strand.id
+
 (* Every scheduling point reads each CPU's queued count instead of
    folding its 32 queues, so the count must follow every link and
    unlink. Seeded random spawns, blocks, unblocks, priority and
@@ -1029,6 +1095,9 @@ let () =
           test_case "suspend and resume" `Quick test_coro_suspend_resume;
           test_case "failure captured" `Quick test_coro_failure_captured;
           test_case "finished cannot rerun" `Quick test_coro_run_finished_rejected;
+          test_case "nested run restores the outer" `Quick test_coro_nested_run;
+          test_case "nested run that raises restores the outer" `Quick
+            test_coro_nested_run_raises;
         ] );
       ( "scheduler",
         [
@@ -1102,6 +1171,8 @@ let () =
             `Quick test_self_pin_then_raced_wakeup;
           test_case "spawn inherits the parent's CPU" `Quick
             test_spawn_inherits_cpu_and_count_is_explicit;
+          test_case "wake rings take no strand id" `Quick
+            test_wake_rings_take_no_strand_id;
           test_case "random ops keep the queued counts" `Quick
             test_random_ops_keep_queued_counts;
           test_case "run-queue nodes follow steals and priorities" `Quick
