@@ -416,10 +416,6 @@ let remove_primary e ~requester =
     Ok ()
   end else Error `Denied
 
-let reinstate_primary e =
-  e.primary_active <- true;
-  replan e
-
 (* A top-level loop, so a raise builds no closure. *)
 let rec guards_pass e h arg = function
   | [] -> true

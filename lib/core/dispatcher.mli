@@ -220,8 +220,6 @@ val remove_primary :
 (** Removes the default handler from dispatch, if the primary module
     allows it. *)
 
-val reinstate_primary : ('a, 'r) event -> unit
-
 val raise_event : ('a, 'r) event -> 'a -> 'r
 (** Raise the event: its handlers' results, folded by its
     [combine]. Raises {!No_handler} when no handler produced a result.

@@ -492,12 +492,10 @@ let verify_cycles (c : Spin_machine.Cost.t) code =
 let match_field ~slot v =
   [| Ldf (0, slot); Ldi (1, v); Eq (2, 0, 1); Ret 2 |]
 
-let match_string ?(prefix = false) s =
+let match_string s =
   let n = String.length s in
   let fail = [ Ldi (0, 0); Ret 0 ] in
-  let len_check =
-    if prefix then []
-    else [ Len 0; Ldi (1, n); Eq (2, 0, 1); Jnz (2, 2) ] @ fail in
+  let len_check = [ Len 0; Ldi (1, n); Eq (2, 0, 1); Jnz (2, 2) ] @ fail in
   let char_checks =
     List.concat_map
       (fun i ->

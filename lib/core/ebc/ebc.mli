@@ -165,5 +165,5 @@ val verify_cycles : Spin_machine.Cost.t -> program -> int
 val match_field : slot:int -> int -> program
 (** [field slot = v]. *)
 
-val match_string : ?prefix:bool -> string -> program
-(** Payload equals the string ([?prefix] drops the length check). *)
+val match_string : string -> program
+(** Payload equals the string. *)

@@ -14,13 +14,12 @@ type t = {
   name : string;
   objects : Object_file.t list;   (* shared across aggregates *)
   extra_exports : (Symbol.t * Univ.t) list;
-  parts : t list;                 (* leaf constituents; [] for leaves *)
 }
 
 let create obj =
   if not (Object_file.is_safe obj) then Error (Unsafe_object (Object_file.name obj))
   else Ok { name = Object_file.name obj; objects = [ obj ];
-            extra_exports = []; parts = [] }
+            extra_exports = [] }
 
 let create_exn obj =
   match create obj with
@@ -28,37 +27,17 @@ let create_exn obj =
   | Error e -> raise (Link_error e)
 
 let create_from_module ~name ~exports =
-  { name; objects = []; extra_exports = exports; parts = [] }
+  { name; objects = []; extra_exports = exports }
 
 let name t = t.name
 
 let version t =
   List.fold_left (fun acc o -> max acc (Object_file.version o)) 1 t.objects
 
-(* An aggregate remembers which leaf domains it was combined from, so
-   a member can later be unlinked (a hot swap's unlink) without
-   losing the rest. *)
-let leaf_parts t = if t.parts = [] then [ t ] else t.parts
-
 let combine ~name a b =
   { name;
     objects = a.objects @ b.objects;
-    extra_exports = a.extra_exports @ b.extra_exports;
-    parts = leaf_parts a @ leaf_parts b }
-
-let combine_all ~name = function
-  | [] -> create_from_module ~name ~exports:[]
-  | ds ->
-    { name;
-      objects = List.concat_map (fun d -> d.objects) ds;
-      extra_exports = List.concat_map (fun d -> d.extra_exports) ds;
-      parts = List.concat_map leaf_parts ds }
-
-let members t = List.map (fun p -> p.name) (leaf_parts t)
-
-let remove_member t ~member =
-  let keep = List.filter (fun p -> not (String.equal p.name member)) (leaf_parts t) in
-  combine_all ~name:t.name keep
+    extra_exports = a.extra_exports @ b.extra_exports }
 
 let export_list t =
   t.extra_exports

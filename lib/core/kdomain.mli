@@ -40,16 +40,6 @@ val combine : name:string -> t -> t -> t
     Underlying object files are shared, not copied (domains may
     intersect). *)
 
-val members : t -> string list
-(** The leaf domains an aggregate was combined from (a leaf's only
-    member is itself), in combination order. *)
-
-val remove_member : t -> member:string -> t
-(** [remove_member aggregate ~member] rebuilds the aggregate without
-    the named leaf domain — the unlink half of {!combine}, used when a
-    hot-swapped extension's interfaces are withdrawn from SpinPublic.
-    Unknown members are ignored. *)
-
 val exports : t -> Symbol.t list
 
 val fully_resolved : t -> bool

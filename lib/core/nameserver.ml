@@ -10,19 +10,12 @@ type binding = {
 type t = {
   clock : Spin_machine.Clock.t;
   table : (string, binding) Hashtbl.t;
-  mutable order : string list;          (* reverse registration order *)
 }
 
-let create clock =
-  { clock; table = Hashtbl.create 64; order = [] }
+let create clock = { clock; table = Hashtbl.create 64 }
 
 let register t ~name ?authorize domain =
-  if not (Hashtbl.mem t.table name) then t.order <- name :: t.order;
   Hashtbl.replace t.table name { domain; authorize }
-
-let unregister t ~name =
-  Hashtbl.remove t.table name;
-  t.order <- List.filter (fun n -> not (String.equal n name)) t.order
 
 let lookup t ~name identity =
   match Hashtbl.find_opt t.table name with
@@ -37,4 +30,3 @@ let lookup t ~name identity =
         (Spin_machine.Clock.cost t.clock).Spin_machine.Cost.proc_call;
       if auth identity then Ok domain else Error Denied
 
-let names t = List.rev t.order

@@ -21,11 +21,6 @@ val register :
 (** Re-registering a name replaces the binding (a new version of the
     service). *)
 
-val unregister : t -> name:string -> unit
-
 val lookup : t -> name:string -> identity -> (Kdomain.t, lookup_error) result
 (** Charges a procedure call for the authorizer upcall when one is
     installed. *)
-
-val names : t -> string list
-(** Registered names, in registration order. *)

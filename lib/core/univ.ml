@@ -26,7 +26,3 @@ let unpack (type s) (tag : s tag) u : s option =
   match u with
   | Named (_, M.T v) -> Some v
   | _ -> None
-
-let name = function
-  | Named (n, _) -> n
-  | _ -> "<raw>"

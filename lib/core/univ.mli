@@ -19,6 +19,3 @@ val pack : 'a tag -> 'a -> t
 val unpack : 'a tag -> t -> 'a option
 (** [unpack tag u] recovers the value iff [u] was packed with exactly
     [tag]. *)
-
-val name : t -> string
-(** The tag name a value was packed with (for diagnostics). *)

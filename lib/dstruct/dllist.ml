@@ -28,7 +28,6 @@ let node v =
   n.me <- Some n;
   n
 
-let is_empty t = t.len = 0
 
 let length t = t.len
 

@@ -19,8 +19,6 @@ val create : unit -> 'a t
 val node : 'a -> 'a node
 (** [node v] is a fresh unlinked node carrying [v]. *)
 
-val is_empty : 'a t -> bool
-
 val length : 'a t -> int
 (** [length t] is the number of elements; O(1). *)
 

@@ -177,11 +177,6 @@ let fetch t ~name =
       refetch t ~name
     | None -> refetch t ~name
 
-let invalidate t ~name =
-  match Lru.peek t.cache name with
-  | Some e -> drop t name e
-  | None -> ()
-
 let stats t =
   { Cache_stats.hits = t.hit_count;
     misses = t.miss_count;

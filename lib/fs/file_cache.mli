@@ -27,8 +27,6 @@ val fetch : t -> name:string -> Bytes.t option
     when no pages can be had even after reclamation); large files
     always go to the file system (uncached at both levels). *)
 
-val invalidate : t -> name:string -> unit
-
 val stats : t -> Cache_stats.t
 (** [bytes_cached] counts whole resident pages; [reclaims] counts
     entries lost to memory pressure. *)

@@ -49,10 +49,6 @@ val shootdown_stats : t -> int * int
 val add_disk : ?blocks:int -> t -> Disk_dev.t
 (** Attaches a disk (default ~16 MB) on a fresh interrupt line. *)
 
-val add_nic : t -> kind:Nic.kind -> Nic.t
-(** Attaches a NIC on a fresh interrupt line; plug it into a link with
-    {!Nic.attach}. *)
-
 val connect :
   t -> t -> kind:Nic.kind -> ?mbps:float -> unit ->
   Nic.t * Nic.t

@@ -16,8 +16,6 @@ type t = {
   rx_ring : Bytes.t Ring.t;
   mutable link : (Link.t * Link.endpoint) option;
   mutable rx_dropped : int;
-  mutable frames_tx : int;
-  mutable frames_rx : int;
 }
 
 let mtu_of = function
@@ -47,7 +45,7 @@ let create sim intr ~line ~kind =
   { sim; intr; line; kind; mtu = mtu_of kind; io = io_of kind;
     rx_ring = Ring.create ~dummy:Bytes.empty rx_ring_size;
     link = None;
-    rx_dropped = 0; frames_tx = 0; frames_rx = 0 }
+    rx_dropped = 0 }
 
 let kind t = t.kind
 
@@ -71,7 +69,6 @@ let attach t link ep =
   Link.set_receiver link ep (fun frame ->
     if Ring.length t.rx_ring < rx_ring_size then begin
       Ring.add t.rx_ring frame;
-      t.frames_rx <- t.frames_rx + 1;
       Intr.post t.intr ~line:t.line
     end else
       t.rx_dropped <- t.rx_dropped + 1)
@@ -88,7 +85,6 @@ let transmit t ~off ~len frame =
     if len > t.mtu + header_allowance then false
     else begin
       charge_io t len;
-      t.frames_tx <- t.frames_tx + 1;
       Link.send link ~from:ep (Bytes.sub frame off len);
       true
     end
@@ -102,6 +98,4 @@ let receive t =
 
 let rx_dropped t = t.rx_dropped
 
-let frames_tx t = t.frames_tx
 
-let frames_rx t = t.frames_rx

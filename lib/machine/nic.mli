@@ -51,7 +51,3 @@ val receive : t -> Bytes.t
     receive cost. Raises [Invalid_argument] unless {!rx_pending}. *)
 
 val rx_dropped : t -> int
-
-val frames_tx : t -> int
-
-val frames_rx : t -> int

@@ -6,7 +6,6 @@ type t = {
   port : int;
   secondary : Ip.addr;
   flows : (int, Ip.addr) Hashtbl.t;       (* client source port -> client *)
-  mutable handler : (Ip.packet, unit) Dispatcher.handler option;
   mutable forwarded : int;
 }
 
@@ -44,27 +43,18 @@ let create ?tcp ip ~proto ~port ~to_ =
   let t = {
     ip; proto; port; secondary = to_;
     flows = Hashtbl.create 16;
-    handler = None;
     forwarded = 0;
   } in
-  t.handler <-
-    Some
-      (Dispatcher.ok_exn ~site:"Forward.create"
-         (Dispatcher.install (Ip.packet_arrived ip) ~installer:"Forward"
-            ~spec:(Dispatcher.Handler_spec.guarded (interesting t))
-            (reroute t)));
+  ignore
+    (Dispatcher.ok_exn ~site:"Forward.create"
+       (Dispatcher.install (Ip.packet_arrived ip) ~installer:"Forward"
+          ~spec:(Dispatcher.Handler_spec.guarded (interesting t))
+          (reroute t)));
   (match tcp with
    | Some engine ->
      Tcp.add_demux_filter engine (fun ~dport ->
        dport = t.port || Hashtbl.mem t.flows dport)
    | None -> ());
   t
-
-let remove t =
-  match t.handler with
-  | Some h ->
-    Dispatcher.uninstall (Ip.packet_arrived t.ip) h;
-    t.handler <- None
-  | None -> ()
 
 let packets_forwarded t = t.forwarded

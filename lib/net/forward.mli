@@ -15,6 +15,4 @@ val create : ?tcp:Tcp.t -> Ip.t -> proto:int -> port:int -> to_:Ip.addr -> t
     back along the recorded flow. [proto] is [Ip.proto_tcp] or
     [Ip.proto_udp] (both carry ports in the same header slots). *)
 
-val remove : t -> unit
-
 val packets_forwarded : t -> int

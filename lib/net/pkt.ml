@@ -14,12 +14,12 @@ type t = {
    push their own framing. *)
 let default_headroom = 48
 
-let alloc ?(headroom = default_headroom) n =
-  if n < 0 || headroom < 0 then invalid_arg "Pkt.alloc";
-  { buf = Bytes.create (headroom + n); off = headroom; len = n }
+let alloc n =
+  if n < 0 then invalid_arg "Pkt.alloc";
+  { buf = Bytes.create (default_headroom + n); off = default_headroom; len = n }
 
-let of_payload ?headroom b =
-  let t = alloc ?headroom (Bytes.length b) in
+let of_payload b =
+  let t = alloc (Bytes.length b) in
   Bytes.blit b 0 t.buf t.off (Bytes.length b);
   t
 

@@ -56,13 +56,13 @@ val default_headroom : int
 (** 48: the headroom {!alloc} reserves, and the gap [Tcp.send] leaves
     in front of every chunk of its send buffer. *)
 
-val alloc : ?headroom:int -> int -> t
+val alloc : int -> t
 (** [alloc n] is a fresh packet of [n] uninitialized payload bytes
-    with [headroom] (default 48) reserved in front.
+    with {!default_headroom} reserved in front.
     The canonical transmit-side constructor: fill the payload once,
     then let each layer push its header for free. *)
 
-val of_payload : ?headroom:int -> Bytes.t -> t
+val of_payload : Bytes.t -> t
 (** Copies [b] into a fresh buffer with headroom; the caller keeps
     ownership of [b]. One copy — the charged "application hand-off"
     constructor. *)

@@ -647,13 +647,6 @@ let close t conn =
   | Syn_sent -> teardown t conn
   | Fin_wait | Last_ack | Time_wait | Closed -> ()
 
-let abort t conn =
-  if conn.st <> Closed then begin
-    t.stats.resets <- t.stats.resets + 1;
-    emit t conn ~seq:conn.snd_nxt ~flags:flag_rst Bytes.empty ~pos:0 ~len:0;
-    teardown t conn
-  end
-
 let state conn = conn.st
 
 let stats t = { t.stats with segments_sent = t.stats.segments_sent }

@@ -76,9 +76,6 @@ val read : t -> conn -> Bytes.t
 val close : t -> conn -> unit
 (** Sends FIN; teardown completes asynchronously. *)
 
-val abort : t -> conn -> unit
-(** RST out, connection dropped. *)
-
 val state : conn -> state
 
 type stats = {

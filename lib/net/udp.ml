@@ -99,7 +99,6 @@ let listen t ~port ~installer handler =
   Dispatcher.ok_exn ~site:"Udp.listen"
     (Dispatcher.install t.event ~installer ~spec handler)
 
-let unlisten t h = Dispatcher.uninstall t.event h
 
 let encode_datagram ~src_port ~dst_port payload =
   let b = Bytes.make (header_bytes + Bytes.length payload) '\000' in

@@ -40,8 +40,6 @@ val listen :
     policy installs on {!packet_arrived} with its own
     [Dispatcher.Handler_spec]. *)
 
-val unlisten : t -> (datagram, unit) Spin_core.Dispatcher.handler -> unit
-
 val encode_datagram : src_port:int -> dst_port:int -> Bytes.t -> Bytes.t
 (** Build the UDP wire payload without sending (no charges). *)
 

@@ -26,13 +26,12 @@ type t = {
   syscall_event : (int * int array, int) Dispatcher.event;
   syscalls : (int, int array -> int) Hashtbl.t;
   mutable public : Kdomain.t;
-  mutable published : (string * Kdomain.t) list;
   mutable extensions : Kdomain.t list;
 }
 
 (* The tags under which core-service events travel through domains:
-   an extension that imports "Translation.PageNotPresent" from
-   SpinPublic unpacks the event with the matching tag. *)
+   an import of "Translation.PageNotPresent" from SpinPublic resolves
+   to the event packed with the matching tag. *)
 let strand_event_tag : (Spin_sched.Strand.t, unit) Dispatcher.event Univ.tag =
   Univ.tag ~name:"Strand.Event" ()
 
@@ -54,28 +53,10 @@ let swap_event_tag : (Swap.outcome, unit) Dispatcher.event Univ.tag =
 
 let publish t ~name ?authorize domain =
   Nameserver.register t.nameserver ~name ?authorize domain;
-  t.published <- t.published @ [ (name, domain) ];
   t.public <- Kdomain.combine ~name:"SpinPublic" t.public domain
 
-let unpublish t ~name =
-  match List.assoc_opt name t.published with
-  | None -> ()
-  | Some domain ->
-    Nameserver.unregister t.nameserver ~name;
-    t.published <- List.remove_assoc name t.published;
-    t.public <- Kdomain.remove_member t.public ~member:(Kdomain.name domain)
-
-(* A hot swap's unlink: withdraw every service the old domain exported
-   and the domain itself from SpinPublic, and forget the extension. *)
-let unlink_domain t dname =
-  List.iter
-    (fun (svc, d) -> if String.equal (Kdomain.name d) dname then unpublish t ~name:svc)
-    t.published;
-  t.public <- Kdomain.remove_member t.public ~member:dname;
-  t.extensions <- List.filter (fun d -> Kdomain.name d <> dname) t.extensions
-
-let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
-  let machine = Machine.create ~mem_mb ?cpus ~name () in
+let boot ?cpus ?(name = "spin") () =
+  let machine = Machine.create ?cpus ~name () in
   let dispatcher = Dispatcher.create machine.Machine.clock in
   let nameserver = Nameserver.create machine.Machine.clock in
   let sched =
@@ -94,8 +75,7 @@ let boot ?(mem_mb = 64) ?cpus ?(name = "spin") () =
         | None -> -1) in
   let public = Kdomain.create_from_module ~name:"SpinPublic" ~exports:[] in
   let t = { machine; dispatcher; nameserver; sched; vm; heap; swap;
-            syscall_event; syscalls; public; published = [];
-            extensions = [] } in
+            syscall_event; syscalls; public; extensions = [] } in
   (* Every CPU traps into the same kernel entry point. *)
   Machine.set_trap_handler machine (fun trap ->
     match trap with
@@ -184,23 +164,6 @@ let load_extension t obj =
       Ok domain
 
 let extension_count t = List.length t.extensions
-
-let hot_swap t ~domain ~replacement =
-  match
-    List.find_opt (fun d -> String.equal (Kdomain.name d) domain) t.extensions
-  with
-  | None -> Error (Swap.Unknown_domain domain)
-  | Some old_domain ->
-    Swap.hot_swap t.swap ~old_domain ~replacement
-      ~prepare:(fun obj ->
-        match Kdomain.create obj with
-        | Error _ as e -> e
-        | Ok d ->
-          (match Kdomain.resolve ~source:t.public ~target:d with
-           | Error _ as e -> e
-           | Ok _patched -> Ok d))
-      ~activate:(fun d -> t.extensions <- d :: t.extensions)
-      ~unlink:(unlink_domain t) ()
 
 let attach_fuzz ~seed t =
   Spin_sched.Sched_fuzz.attach ~cpus:(Array.to_list t.machine.Machine.cpus)

@@ -23,11 +23,10 @@ type t = {
     (int * int array, int) Spin_core.Dispatcher.event;
   syscalls : (int, int array -> int) Hashtbl.t;
   mutable public : Spin_core.Kdomain.t;
-  mutable published : (string * Spin_core.Kdomain.t) list;
   mutable extensions : Spin_core.Kdomain.t list;
 }
 
-val boot : ?mem_mb:int -> ?cpus:int -> ?name:string -> unit -> t
+val boot : ?cpus:int -> ?name:string -> unit -> t
 (** Boots with the Strand, Translation, PhysAddr and Swap event
     interfaces already published (importable from [SpinPublic]). An
     extension handler that faults is contained by the dispatcher
@@ -37,10 +36,6 @@ val boot : ?mem_mb:int -> ?cpus:int -> ?name:string -> unit -> t
     multiprocessor: the scheduler runs per-CPU queues with IPI wakeups,
     the trap handler is installed on every CPU, and TLB shootdowns are
     wired. *)
-
-val translation_event_tag :
-  (Spin_vm.Translation.fault, unit) Spin_core.Dispatcher.event
-    Spin_core.Univ.tag
 
 val trace : t -> Spin_machine.Trace.t
 (** The kernel's tracer — the one every subsystem on this machine's
@@ -80,18 +75,6 @@ val load_extension :
     initializer. *)
 
 val extension_count : t -> int
-
-val hot_swap :
-  t -> domain:string -> replacement:Spin_core.Object_file.t ->
-  (Swap.outcome, Swap.error) result
-(** Replace the loaded extension [domain] with [replacement] while the
-    system runs: the {!Swap} protocol with the kernel's linking
-    ([SpinPublic]) and namespace wired in: the old domain's published
-    services leave the nameserver and [SpinPublic]. Requests
-    raised into the domain's events during the window park at the
-    gate and complete against the replacement; capabilities and
-    externalized references minted by the old instance are revoked by
-    epoch. See {!Swap} for the protocol and failure modes. *)
 
 val attach_fuzz : seed:int -> t -> Spin_sched.Sched_fuzz.t
 (** Installs the schedule fuzzer ({!Spin_sched.Sched_fuzz}) on this

@@ -60,7 +60,6 @@ type outcome = {
 }
 
 type error =
-  | Unknown_domain of string
   | Swap_in_progress of string
   | Link_failure of Kdomain.error
   | Export_gap of string list
@@ -69,7 +68,6 @@ type error =
   | Restore_failure of exn
 
 let error_to_string = function
-  | Unknown_domain d -> Printf.sprintf "no extension domain named %s" d
   | Swap_in_progress d -> Printf.sprintf "a swap of %s is already in progress" d
   | Link_failure e -> Kdomain.error_to_string e
   | Export_gap gaps ->
@@ -161,7 +159,7 @@ let fail t e =
   Error e
 
 let hot_swap t ~old_domain ~replacement
-    ~prepare ?(activate = fun _ -> ()) ?(unlink = fun _ -> ()) () =
+    ~prepare ?(activate = fun _ -> ()) () =
   let name = Kdomain.name old_domain in
   match t.in_progress with
   | Some d -> fail t (Swap_in_progress d)
@@ -226,13 +224,11 @@ let hot_swap t ~old_domain ~replacement
             | Error e -> reopen t ~gated; fail t e
             | Ok state ->
               (* Phase 4 — the point of no return: evict the old
-                 handlers everywhere, unlink the old domain, and bring
-                 the replacement up (its initializer installs the new
-                 handlers). *)
+                 handlers everywhere and bring the replacement up (its
+                 initializer installs the new handlers). *)
               let swept =
                 Dispatcher.uninstall_installer t.disp ~installer:name in
               Clock.charge t.clock ((cost t).Cost.swap_sweep * swept);
-              unlink name;
               Clock.charge t.clock (cost t).Cost.swap_bringup;
               Kdomain.initialize new_domain;
               let restored =

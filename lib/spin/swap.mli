@@ -32,7 +32,7 @@
     The swap protocol: prepare (link the replacement; failures leave
     the old instance untouched) → verify the replacement covers the
     old exports ({!Spin_core.Kdomain.export_gaps}) → gate → checkpoint
-    → sweep old handlers → unlink →
+    → sweep old handlers →
     initialize the replacement (its initializer installs the new
     handlers) → restore → advance epochs → ungate and drain parked
     strands. The window's length is recorded under the tracer's ["swap.pause"]
@@ -76,7 +76,6 @@ type outcome = {
 }
 
 type error =
-  | Unknown_domain of string
   | Swap_in_progress of string
   | Link_failure of Spin_core.Kdomain.error
   | Export_gap of string list
@@ -106,15 +105,13 @@ val hot_swap :
     (Spin_core.Object_file.t ->
      (Spin_core.Kdomain.t, Spin_core.Kdomain.error) result) ->
   ?activate:(Spin_core.Kdomain.t -> unit) ->
-  ?unlink:(string -> unit) ->
   unit ->
   (outcome, error) result
 (** Runs the swap protocol. [prepare] creates and links the
-    replacement domain (the kernel resolves against [SpinPublic]);
-    [activate] publishes the new domain after restore; [unlink]
-    withdraws the old one. The gate and the sweep cover the handlers
-    installed under the old domain's name. Call {!Kernel.hot_swap}
-    rather than this when a kernel is running. *)
+    replacement domain (a kernel's extension resolves against
+    [SpinPublic]); [activate] publishes the new domain after restore.
+    The gate and the sweep cover the handlers installed under the old
+    domain's name. *)
 
 val swapped_event : t -> (outcome, unit) Spin_core.Dispatcher.event
 (** Raised after each committed swap, so peers can re-mint references

@@ -46,4 +46,3 @@ let stop t = t.running <- false
 
 let released t = t.released
 
-let high_water t = t.high_water

@@ -27,5 +27,3 @@ val stop : t -> unit
 
 val released : t -> int
 (** Pages released by the daemon since creation. *)
-
-val high_water : t -> int

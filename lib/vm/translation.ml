@@ -109,9 +109,6 @@ let attach_region ctx region =
   if not (List.mem region ctx.regions) then
     ctx.regions <- region :: ctx.regions
 
-let detach_region ctx region =
-  ctx.regions <- List.filter (fun r -> r <> region) ctx.regions
-
 let rmap_add t pfn ctx vpn =
   let entries =
     match Hashtbl.find_opt t.rmap pfn with
@@ -125,20 +122,6 @@ let rmap_remove t pfn ctx vpn =
   | Some entries ->
     entries := List.filter (fun (c, v) -> not (c.id = ctx.id && v = vpn)) !entries
 
-let map_one t ctx ~va page ~index prot =
-  charge t (cost t).Cost.map_service;
-  let run = Phys_addr.page_run page in
-  if index < 0 || index >= run.Phys_addr.npages then
-    invalid_arg "Translation.map_one: frame index out of run";
-  let vpn = Addr.vpn_of_va va in
-  let pfn = run.Phys_addr.first_pfn + index in
-  (* Replace any previous mapping of this vpn. *)
-  (match Mmu.lookup ctx.mmu_ctx ~vpn with
-   | Some pte -> rmap_remove t pte.Mmu.pfn ctx vpn
-   | None -> ());
-  Mmu.map t.machine.Machine.mmu ctx.mmu_ctx ~vpn ~pfn ~prot;
-  rmap_add t pfn ctx vpn
-
 let add_mapping t ctx vaddr page prot =
   let region = Virt_addr.region vaddr in
   let run = Phys_addr.page_run page in
@@ -147,25 +130,16 @@ let add_mapping t ctx vaddr page prot =
     invalid_arg "Translation.add_mapping: region and run sizes differ";
   attach_region ctx region;
   for i = 0 to n - 1 do
-    map_one t ctx ~va:(region.Virt_addr.va + (i * Addr.page_size)) page ~index:i prot
-  done
-
-let remove_mapping t ctx vaddr =
-  charge t (cost t).Cost.map_service;
-  let region = Virt_addr.region vaddr in
-  for i = 0 to Virt_addr.npages region - 1 do
-    let vpn = Addr.vpn_of_va region.Virt_addr.va + i in
+    charge t (cost t).Cost.map_service;
+    let vpn = Addr.vpn_of_va (region.Virt_addr.va + (i * Addr.page_size)) in
+    let pfn = run.Phys_addr.first_pfn + i in
+    (* Replace any previous mapping of this vpn. *)
     (match Mmu.lookup ctx.mmu_ctx ~vpn with
      | Some pte -> rmap_remove t pte.Mmu.pfn ctx vpn
      | None -> ());
-    Mmu.unmap t.machine.Machine.mmu ctx.mmu_ctx ~vpn
-  done;
-  detach_region ctx region
-
-let examine_mapping t ctx ~va =
-  charge t (cost t).Cost.dirty_query;
-  Mmu.lookup ctx.mmu_ctx ~vpn:(Addr.vpn_of_va va)
-  |> Option.map (fun pte -> pte.Mmu.prot)
+    Mmu.map t.machine.Machine.mmu ctx.mmu_ctx ~vpn ~pfn ~prot;
+    rmap_add t pfn ctx vpn
+  done
 
 let protect t ctx ~va ~npages prot =
   charge t (cost t).Cost.protect_base;

@@ -45,17 +45,6 @@ val add_mapping :
 (** Maps the region's pages to the run's frames (sizes must agree) and
     attaches the region. *)
 
-val map_one :
-  t -> context -> va:int -> Phys_addr.page -> index:int ->
-  Spin_machine.Addr.prot -> unit
-(** Map a single page: virtual page containing [va] to frame [index]
-    of the run (a page-not-present handler maps lazily, one page at a
-    time). *)
-
-val remove_mapping : t -> context -> Virt_addr.vaddr -> unit
-
-val examine_mapping : t -> context -> va:int -> Spin_machine.Addr.prot option
-
 val protect :
   t -> context -> va:int -> npages:int -> Spin_machine.Addr.prot -> int
 (** Change protection on a range; returns how many pages were actually

@@ -8,7 +8,6 @@ type t = {
   app : string;
   ctx : Translation.context;
   vaddr : Virt_addr.vaddr;
-  page : Phys_addr.page;                   (* contiguous run backing it *)
   npages : int;
   mutable user_proc : (int -> unit) option;
   mutable handler : (Translation.fault, unit) Dispatcher.handler option;
@@ -26,7 +25,7 @@ let create vm ~app ~pages =
       ~owner:app ~bytes:(pages * Addr.page_size) in
   Phys_addr.zero vm.Vm.phys page;
   Translation.add_mapping vm.Vm.trans ctx vaddr page Addr.prot_read_write;
-  { vm; app; ctx; vaddr; page; npages = pages;
+  { vm; app; ctx; vaddr; npages = pages;
     user_proc = None; handler = None }
 
 let context t = t.ctx
@@ -73,9 +72,3 @@ let on_protection_fault t proc =
         | None -> ()) in
   t.handler <- Some (Dispatcher.ok_exn ~site:"Vm_ext.on_protection_fault" h)
 
-let destroy t =
-  clear_fault_handler t;
-  Translation.remove_mapping t.vm.Vm.trans t.ctx t.vaddr;
-  Phys_addr.deallocate t.vm.Vm.phys t.page;
-  Virt_addr.deallocate t.vm.Vm.virt t.vaddr;
-  Translation.destroy_context t.vm.Vm.trans t.ctx

@@ -13,8 +13,6 @@ type t
 val create : Vm.t -> app:string -> pages:int -> t
 (** Allocates and maps [pages] zeroed read-write pages. *)
 
-val destroy : t -> unit
-
 val context : t -> Translation.context
 
 val activate : t -> unit

@@ -24,8 +24,7 @@ let test_univ_roundtrip () =
   let ts : string Univ.tag = Univ.tag ~name:"string" () in
   let u = Univ.pack ti 42 in
   check (option int) "same tag" (Some 42) (Univ.unpack ti u);
-  check (option string) "wrong tag" None (Univ.unpack ts (Univ.pack ti 1));
-  check string "carries name" "int" (Univ.name u)
+  check (option string) "wrong tag" None (Univ.unpack ts (Univ.pack ti 1))
 
 let test_univ_branding () =
   (* Two tags at the same type do not alias: branding. *)
@@ -296,10 +295,7 @@ let test_nameserver_reregister () =
   Nameserver.register ns ~name:"Svc" v2;
   (match Nameserver.lookup ns ~name:"Svc" { Nameserver.who = "x" } with
    | Ok d -> check string "new version wins" "v2" (Kdomain.name d)
-   | Error _ -> fail "lookup failed");
-  check (list string) "names list deduplicated" [ "Svc" ] (Nameserver.names ns);
-  Nameserver.unregister ns ~name:"Svc";
-  check (list string) "unregistered" [] (Nameserver.names ns)
+   | Error _ -> fail "lookup failed")
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                         *)
@@ -441,9 +437,7 @@ let test_dispatch_remove_primary () =
    | Ok () -> ()
    | Error `Denied -> fail "authorized removal denied");
   check string "replacement serves" "new" (Dispatcher.raise_event e ());
-  check int "one handler left" 1 (Dispatcher.handler_count e);
-  Dispatcher.reinstate_primary e;
-  check int "primary back" 2 (Dispatcher.handler_count e)
+  check int "one handler left" 1 (Dispatcher.handler_count e)
 
 let test_dispatch_no_handler () =
   let _, d = mk_dispatcher () in

@@ -4,7 +4,7 @@
    route the raise takes, and what each step costs, summing [costs]
    itself. QCheck drives random sequences of declarations, installs
    by spec, uninstalls, added guards, primary
-   removal and reinstatement, gates (with a swap performed while a
+   removal, gates (with a swap performed while a
    raise is held), raises, and flushes of deferred handlers. A handler
    body may also uninstall an indexed handler of its own event while
    the raise runs. After
@@ -59,7 +59,6 @@ type op =
   | Uninstall of int * int            (* event, handler pick *)
   | Add_guard of int * int * int      (* event, handler pick, guard *)
   | Remove_primary of int
-  | Reinstate_primary of int
   | Gate of int * op                  (* the swap a held raise waits out *)
   | Ungate of int
   | Raise of int * int
@@ -196,8 +195,6 @@ let real_apply w op =
       match Dispatcher.remove_primary ev.e ~requester:"model" with
       | Ok () -> Done
       | Error `Denied -> Escaped "removal denied")
-  | Reinstate_primary i ->
-    with_event w i (fun ev -> Dispatcher.reinstate_primary ev.e; Done)
   | Gate (i, swap) ->
     with_event w i (fun ev -> set_gate w ev true; ev.r_swap <- Some swap; Done)
   | Ungate i ->
@@ -315,7 +312,6 @@ let rec model_apply w op =
       m.guards <- m.guards @ [ guard_of g ];
       Done)
   | Remove_primary i -> with_event w i (fun ev -> ev.primary_active <- false; Done)
-  | Reinstate_primary i -> with_event w i (fun ev -> ev.primary_active <- true; Done)
   | Gate (i, swap) ->
     with_event w i (fun ev -> ev.gated <- true; ev.m_swap <- Some swap; Done)
   | Ungate i -> with_event w i (fun ev -> ev.gated <- false; ev.m_swap <- None; Done)
@@ -515,7 +511,6 @@ let rec show_op = function
   | Uninstall (i, k) -> Printf.sprintf "uninstall(ev%d h%d)" i k
   | Add_guard (i, k, g) -> Printf.sprintf "add_guard(ev%d h%d g%d)" i k g
   | Remove_primary i -> Printf.sprintf "remove_primary(ev%d)" i
-  | Reinstate_primary i -> Printf.sprintf "reinstate_primary(ev%d)" i
   | Gate (i, swap) -> Printf.sprintf "gate(ev%d, %s)" i (show_op swap)
   | Ungate i -> Printf.sprintf "ungate(ev%d)" i
   | Raise (i, x) -> Printf.sprintf "raise(ev%d %d)" i x
@@ -616,8 +611,7 @@ let gen_mutation =
     [ (6, map2 (fun i s -> Install (i, 0, s)) ev gen_spec);
       (2, map2 (fun i k -> Uninstall (i, k)) ev pick);
       (1, map3 (fun i k g -> Add_guard (i, k, g)) ev pick (int_range 0 2));
-      (1, map (fun i -> Remove_primary i) ev);
-      (1, map (fun i -> Reinstate_primary i) ev) ]
+      (1, map (fun i -> Remove_primary i) ev) ]
 
 let gen_op =
   let open QCheck2.Gen in

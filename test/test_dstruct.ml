@@ -10,7 +10,7 @@ open Alcotest
 
 let test_dllist_basic () =
   let l = Dllist.create () in
-  check bool "empty" true (Dllist.is_empty l);
+  check bool "empty" true (Dllist.length l = 0);
   let _ = Dllist.push_back l 0 in
   let _ = Dllist.push_back l 1 in
   let _ = Dllist.push_back l 2 in
@@ -21,7 +21,7 @@ let test_dllist_basic () =
   check (option int) "pop_front 2" (Some 1) (pop ());
   check (option int) "pop_front 3" (Some 2) (pop ());
   check (option int) "drained" None (pop ());
-  check bool "empty again" true (Dllist.is_empty l)
+  check bool "empty again" true (Dllist.length l = 0)
 
 let test_dllist_remove_middle () =
   let l = Dllist.create () in
@@ -41,7 +41,7 @@ let test_dllist_remove_ends () =
   Dllist.remove l a;
   check (list int) "head removed" [ 2 ] (Dllist.to_list l);
   Dllist.remove l b;
-  check bool "now empty" true (Dllist.is_empty l);
+  check bool "now empty" true (Dllist.length l = 0);
   let c = Dllist.push_back l 3 in
   check (list int) "reusable after drain" [ 3 ] (Dllist.to_list l);
   Dllist.remove l c

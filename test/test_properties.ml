@@ -75,9 +75,11 @@ let lossy_pair ~every =
   let sim = Sim.create (Clock.create Cost.alpha_133) in
   let a = Host.create sim ~name:"a" ~addr:addr_a in
   let b = Host.create sim ~name:"b" ~addr:addr_b in
+  (* Machine.connect hides its link: move the NICs to a lossy one. *)
+  let nic_a, nic_b =
+    Machine.connect a.Host.machine b.Host.machine ~kind:Nic.T3 () in
   let link = Link.create sim ~mbps:(Nic.link_mbps Nic.T3) () in
-  let plug h ep ~peer =
-    let nic = Machine.add_nic h.Host.machine ~kind:Nic.T3 in
+  let plug h nic ep ~peer =
     Nic.attach nic link ep;
     let nif =
       Netif.create h.Host.machine h.Host.sched h.Host.dispatcher nic
@@ -85,8 +87,8 @@ let lossy_pair ~every =
     Ip.add_interface h.Host.ip nif ~addr:h.Host.addr;
     Ip.add_route h.Host.ip ~dst:peer nif;
     Netif.start nif in
-  plug a Link.A ~peer:addr_b;
-  plug b Link.B ~peer:addr_a;
+  plug a nic_a Link.A ~peer:addr_b;
+  plug b nic_b Link.B ~peer:addr_a;
   Link.set_loss link ~every;
   (a, b)
 
@@ -414,9 +416,13 @@ let prop_pkt_headroom_exhaustion_reallocs =
     QCheck2.Gen.(triple (int_range 0 8) (string_size (int_range 0 64))
                    (list_size (int_range 1 6) (string_size (int_range 1 40))))
     (fun (headroom, payload, headers) ->
-      let p = Pkt.of_payload ~headroom (Bytes.of_string payload) in
+      let p = Pkt.of_payload (Bytes.of_string payload) in
+      (* A filler push leaves [headroom] bytes before the headers. *)
+      let filler = String.make (Pkt.default_headroom - headroom) '.' in
+      push p filler;
       List.iter (push p) headers;
-      let expect = String.concat "" (List.rev headers @ [ payload ]) in
+      let expect =
+        String.concat "" (List.rev headers @ [ filler; payload ]) in
       Pkt.length p = String.length expect && Pkt.to_string p = expect)
 
 (* ------------------------------------------------------------------ *)

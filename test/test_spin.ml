@@ -12,12 +12,12 @@ module Univ = Spin_core.Univ
 module Nameserver = Spin_core.Nameserver
 
 let test_boot () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   check bool "clock at boot" true (Kernel.elapsed_us k >= 0.);
   check int "no extensions" 0 (Kernel.extension_count k)
 
 let test_syscall_dispatch () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   Kernel.register_syscall k ~number:42 (fun args -> args.(0) * 2);
   Kernel.register_syscall k ~number:43 (fun _ -> 1000);
   check int "routed by number" 14 (Kernel.syscall k ~number:42 ~args:[| 7 |]);
@@ -25,7 +25,7 @@ let test_syscall_dispatch () =
   check int "unknown number" (-1) (Kernel.syscall k ~number:99 ~args:[||])
 
 let test_syscall_cost_near_4us () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   Kernel.register_syscall k ~number:0 (fun _ -> 0);
   (* Warm: the first raise may take the slow path with 2 handlers. *)
   ignore (Kernel.syscall k ~number:0 ~args:[||]);
@@ -36,7 +36,7 @@ let test_syscall_cost_near_4us () =
     (us > 3.0 && us < 5.0)
 
 let test_load_extension_resolves_public () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   (* A service module exports Console.Write through the kernel. *)
   let tag : (string -> unit) Univ.tag = Univ.tag ~name:"write" () in
   let out = ref [] in
@@ -66,7 +66,7 @@ let test_load_extension_resolves_public () =
   check int "counted" 1 (Kernel.extension_count k)
 
 let test_load_unsigned_rejected () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   let b = Object_file.Builder.create ~name:"rogue.o"
       ~safety:Object_file.Unsigned () in
   (match Kernel.load_extension k (Object_file.Builder.build b) with
@@ -76,7 +76,7 @@ let test_load_unsigned_rejected () =
   check int "not counted" 0 (Kernel.extension_count k)
 
 let test_nameserver_authorization_via_kernel () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   let d = Kdomain.create_from_module ~name:"Secret" ~exports:[] in
   Kernel.publish k ~name:"SecretService"
     ~authorize:(fun { Nameserver.who } -> who = "trusted") d;
@@ -90,7 +90,7 @@ let test_nameserver_authorization_via_kernel () =
    | _ -> fail "rogue admitted")
 
 let test_kernel_strands_run () =
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   let n = ref 0 in
   for _ = 1 to 3 do ignore (Kernel.spawn k ~name:"w" (fun () -> incr n)) done;
   Kernel.run k;
@@ -98,7 +98,7 @@ let test_kernel_strands_run () =
 
 let test_in_kernel_call_is_fast () =
   (* Table 2, line 1: protected in-kernel call = 0.13 us. *)
-  let k = Kernel.boot ~mem_mb:8 () in
+  let k = Kernel.boot () in
   let e = Dispatcher.declare k.Kernel.dispatcher ~name:"Svc.Null" ~owner:"Svc"
       (fun () -> ()) in
   let us = Kernel.stamp_us k (fun () -> Dispatcher.raise_event e ()) in

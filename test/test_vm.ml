@@ -243,9 +243,7 @@ let test_translation_roundtrip () =
   let va = (Virt_addr.region vaddr).Virt_addr.va in
   Cpu.set_context m.Machine.cpu (Some (Translation.mmu_context ctx));
   Cpu.store_word m.Machine.cpu ~va 123L;
-  check int64 "store/load through mapping" 123L (Cpu.load_word m.Machine.cpu ~va);
-  check bool "examine shows rw" true
-    (Translation.examine_mapping vm.Vm.trans ctx ~va = Some Addr.prot_read_write)
+  check int64 "store/load through mapping" 123L (Cpu.load_word m.Machine.cpu ~va)
 
 let test_translation_events_classified () =
   let m, _, vm = boot () in
@@ -287,8 +285,8 @@ let test_translation_page_not_present_event () =
             (fun f ->
               let page = Phys_addr.allocate vm.Vm.phys ~owner:"lazy"
                   ~bytes:Addr.page_size in
-              Translation.map_one vm.Vm.trans f.Translation.ctx
-                ~va:f.Translation.va page ~index:0 Addr.prot_read_write));
+              Translation.add_mapping vm.Vm.trans f.Translation.ctx vaddr page
+                Addr.prot_read_write));
   let va = (Virt_addr.region vaddr).Virt_addr.va in
   Cpu.store_word m.Machine.cpu ~va 9L;
   check int64 "lazily mapped" 9L (Cpu.load_word m.Machine.cpu ~va);
@@ -334,7 +332,7 @@ let test_translation_reclaim_invalidates () =
    | Some victim -> check bool "our page died" true (Capability.equal victim page)
    | None -> fail "nothing reclaimed");
   check bool "mapping gone" true
-    (Translation.examine_mapping vm.Vm.trans ctx ~va = None);
+    (Mmu.lookup (Translation.mmu_context ctx) ~vpn:(Addr.vpn_of_va va) = None);
   check bool "invalidations counted" true
     ((Translation.stats vm.Vm.trans).Translation.invalidations > 0)
 
@@ -369,18 +367,18 @@ let test_pageout_low_water () =
     hogs :=
       Phys_addr.allocate phys ~owner:"hog" ~bytes:Addr.page_size :: !hogs
   done;
-  let pd =
-    Pageout.create ~low_water:8 ~high_water:16 sched phys in
+  let high_water = 16 in
+  let pd = Pageout.create ~low_water:8 ~high_water sched phys in
   Pageout.start pd;
   run_until m.Machine.sim sched
     (fun () ->
-      Phys_addr.free_pages phys >= Pageout.high_water pd
+      Phys_addr.free_pages phys >= high_water
       || Clock.now_us m.Machine.clock > 1_000_000.);
   Pageout.stop pd;
   Sched.run sched;                            (* drain the daemon strand *)
   check bool "daemon released pages" true (Pageout.released pd > 0);
   check bool "pool recovered past high water" true
-    (Phys_addr.free_pages phys >= Pageout.high_water pd)
+    (Phys_addr.free_pages phys >= high_water)
 
 (* ------------------------------------------------------------------ *)
 (* Vm_ext (Table 4 extension)                                         *)
@@ -392,8 +390,7 @@ let test_vm_ext_dirty () =
   Vm_ext.activate ext;
   check bool "clean" false (Vm_ext.dirty ext ~page:2);
   Vm_ext.write ext ~page:2 1L;
-  check bool "dirty" true (Vm_ext.dirty ext ~page:2);
-  Vm_ext.destroy ext
+  check bool "dirty" true (Vm_ext.dirty ext ~page:2)
 
 let test_vm_ext_fault_reflection () =
   (* The Appel1 pattern: protect a page, fault on it, resolve in the
@@ -415,8 +412,7 @@ let test_vm_ext_fault_reflection () =
     incr faults;
     Vm_ext.protect ext ~first:page ~count:1 Addr.prot_read_write);
   Vm_ext.write ext ~page:1 6L;
-  check int "second fault" 2 !faults;
-  Vm_ext.destroy ext
+  check int "second fault" 2 !faults
 
 let test_vm_ext_guard_isolation () =
   (* Two applications' handlers do not see each other's faults. *)
@@ -432,8 +428,7 @@ let test_vm_ext_guard_isolation () =
   Vm_ext.activate a;
   Vm_ext.write a ~page:0 1L;
   check int "a handled" 1 !a_faults;
-  check int "b undisturbed" 0 !b_faults;
-  Vm_ext.destroy a; Vm_ext.destroy b
+  check int "b undisturbed" 0 !b_faults
 
 let () =
   Alcotest.run "spin_vm"
