@@ -2,7 +2,6 @@ module Disk = Spin_machine.Disk_dev
 module Bitset = Spin_dstruct.Bitset
 
 let bs = Disk.block_size
-let magic = 0x53504653                    (* "SPFS" *)
 let ndirect = 12
 let nindirect = bs / 4                    (* 128 pointers *)
 let max_file_blocks = ndirect + nindirect
@@ -322,7 +321,7 @@ let dir_add t name inum =
 (* Public interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Inodes a fresh file system gets; the superblock records the count. *)
+(* Inodes a fresh file system gets. *)
 let format_inodes = 512
 
 let format cache ~blocks () =
@@ -340,12 +339,6 @@ let format cache ~blocks () =
     { cache; ibitmap_block; dbitmap_start; itable_start; data_start;
       ibitmap; dbitmap; scratch = Bytes.create bs;
       root_direct = Array.make ndirect 0 } in
-  (* Superblock. *)
-  let sb = Bytes.make bs '\000' in
-  set32 sb 0 magic;
-  set32 sb 4 ninodes;
-  set32 sb 8 blocks;
-  Block_cache.write cache ~block:0 sb;
   (* Root directory: inode 0, empty. *)
   Bitset.set ibitmap root_inode;
   sync_ibitmap t;

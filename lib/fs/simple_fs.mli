@@ -3,7 +3,7 @@
 
     Classic layout on the simulated disk:
     {v
-      block 0            superblock
+      block 0            unused (no superblock: nothing reads one back)
       block 1            inode bitmap (4096 inodes)
       blocks 2..k        data-block bitmap
       blocks k+1..m      inode table (8 inodes per 512-byte block)
