@@ -108,10 +108,9 @@ val hot_swap :
   unit ->
   (outcome, error) result
 (** Runs the swap protocol. [prepare] creates and links the
-    replacement domain (a kernel's extension resolves against
-    [SpinPublic]); [activate] publishes the new domain after restore.
-    The gate and the sweep cover the handlers installed under the old
-    domain's name. *)
+    replacement domain; [activate] publishes the new domain after
+    restore. The gate and the sweep cover the handlers installed under
+    the old domain's name. *)
 
 val swapped_event : t -> (outcome, unit) Spin_core.Dispatcher.event
 (** Raised after each committed swap, so peers can re-mint references

@@ -52,8 +52,7 @@ type bin =
 (* Names with no use outside test/, each group with its bin and the
    ROADMAP item, PAPER.md section or test that keeps it. *)
 let test_only : (bin * string * string list) list =
-  [ (* Paper mechanisms, each waiting for the row that measures it. *)
-    ( Mechanism,
+  [ ( Mechanism,
       "ROADMAP item 8: the safety rows run a verified Loop and Jz \
        against its certificate's step bound, and an Ldc capability load",
       [ "Ebc.instr.Add"; "Ebc.instr.Jmp"; "Ebc.instr.Jz"; "Ebc.instr.Ldc";
@@ -114,19 +113,19 @@ let test_only : (bin * string * string list) list =
       "PAPER.md section 1 item 3: asynchronous handlers on a dispatcher \
        with no scheduler run when deferred work is flushed",
       [ "Dispatcher.flush_deferred" ] );
-    (* Test observers: a state or count a test asserts on to check other
-       code. *)
     ( Observer,
-      "test_core, test_faults, test_verifier and test_dispatch_model \
-       check dispatch, eviction, gating and verified installs by the \
-       dispatcher's handler lists, counters and trace",
+      "test_core, test_faults, test_verifier, test_swap, test_net, \
+       test_machine and test_dispatch_model check dispatch, eviction, \
+       gating and verified installs by the dispatcher's handler lists, \
+       counters and trace",
       [ "Dispatcher.handler_count"; "Dispatcher.indexed_active";
         "Dispatcher.installed_specs"; "Dispatcher.is_gated";
         "Dispatcher.tracer"; "Dispatcher.stats.guard_rejections";
         "Dispatcher.stats.handler_failures"; "Dispatcher.stats.stale_skips" ] );
     ( Observer,
-      "test_sched and test_properties check wakeups, steals, IPIs, \
-       failures and the run queues by the scheduler's counts and queues",
+      "test_sched, test_core, test_more, test_fuzz, test_integration and \
+       test_properties check wakeups, steals, IPIs, failures, locks and \
+       the run queues by the scheduler's counts and queues",
       [ "Sched.pending_wakeup_count"; "Sched.runnable_strands";
         "Sched.stealable_nth"; "Sched.stats.completed";
         "Sched.stats.dead_unblocks"; "Sched.stats.failed";
@@ -150,7 +149,7 @@ let test_only : (bin * string * string list) list =
        creation and destruction by the live context counts",
       [ "Mmu.contexts"; "Translation.contexts" ] );
     ( Observer,
-      "test_net, test_more, test_machine and test_properties check TCP \
+      "test_net, test_machine and test_properties check TCP \
        and IP by connection states, counts, the header size and packet \
        contents",
       [ "Tcp.state"; "Tcp.state_to_string"; "Tcp.header_bytes";
