@@ -3,33 +3,38 @@
    included), bin, examples and test, and keys each declaration by
    where it is declared, never by its name, so a local [capacity] is
    not a use of [Lru.capacity]. A declaration in an .ml and its copy
-   in the .mli are one declaration. It reports six kinds of dead code
-   in lib/:
-   - a [val] in an .mli that no other module uses;
-   - a record field that no [r.f] or [{ f = p }] pattern reads (a
-     field copied through [{ r with ... }] is not read, nor is one read
-     only to compute its own next value, as in [r.f <- r.f + 1]);
-   - a variant constructor that no expression builds;
-   - an optional argument that no call passes (an omitted one is the
-     [None] the type checker fills in, at a ghost location);
-   - a module that nothing under lib, bench or bin names: one only
-     tests and examples reach is code the system never runs.
-   - a named parameter of a function that its body never reads: a
-     top-level or submodule binding's parameters, [_]-prefixed names
-     included (the bare [_] is no name), and [ignore p] is no read.
-   Uses from lib, bench, bin, examples and test all count for the first
-   four; the fifth counts only lib, bench and bin. A seventh case
-   covers bench/ (bench/e2e aside, whose sources stay as the benchmark
-   runs them): a top-level value that no expression reads, in its own
-   module or any other. A read inside the value's own definition (a
-   recursive call) does not count. The ninth case is the first four
-   again with uses from test/ left out (examples still count): a name
-   only tests use must be listed in [test_only], as a paper mechanism
-   waiting for its measured row or as an observer a test asserts on.
-   The eighth keeps both lists current: every [exempt] entry is still
-   a finding, and every [test_only] entry a finding of the ninth.
-   Polymorphic [=], [compare] and [Hashtbl.hash] read fields the scan
-   cannot see; such a field goes in [exempt] with that reason. *)
+   in the .mli are one declaration. It has ten cases, one test each:
+   1. a [val] in a lib/ .mli that no other module uses;
+   2. a lib/ module that nothing under lib, bench or bin names: one
+      only tests and examples reach is code the system never runs;
+   3. a lib/ record field that no [r.f] or [{ f = p }] pattern reads
+      (a field copied through [{ r with ... }] is not read, nor is one
+      read only to compute its own next value, as in [r.f <- r.f + 1]);
+   4. a lib/ variant or extension ([type t += C]) constructor that no
+      expression builds;
+   5. a lib/ optional argument that no call passes (an omitted one is
+      the [None] the type checker fills in, at a ghost location);
+   6. a top-level value in bench/ (bench/e2e aside, whose sources stay
+      as the benchmark runs them) that no expression reads, in its own
+      module or any other; a read inside the value's own definition (a
+      recursive call) does not count;
+   7. a named parameter of a lib/ function that its body never reads:
+      a top-level or submodule binding's parameters, [_]-prefixed
+      names included (the bare [_] is no name), and [ignore p] is no
+      read;
+   8. every [exempt] entry is still a finding, and every [test_only]
+      entry a finding of the ninth;
+   9. cases 1, 3, 4 and 5 again with uses from test/ left out (examples
+      still count): a name only tests use must be listed in
+      [test_only], as a paper mechanism waiting for its measured row or
+      as an observer a test asserts on;
+   10. a tuple argument of a case-4 constructor that every pattern
+      binds to [_]. Exceptions are not declared, since [Printexc]
+      reads their arguments where the scan cannot see.
+   Uses from lib, bench, bin, examples and test all count for cases 1,
+   3, 4, 5 and 10. Polymorphic [=], [compare] and [Hashtbl.hash] read
+   fields the scan cannot see; such a field goes in [exempt] with that
+   reason. *)
 
 (* Table 7's thread packages: b_sizes.ml counts their source files, so
    they stay whole although nothing runs them. *)
@@ -221,6 +226,7 @@ let exports = Hashtbl.create 1024 (* .mli [val]s *)
 let values = Hashtbl.create 4096 (* every top-level value, .ml and .mli *)
 let fields = Hashtbl.create 1024
 let constructors = Hashtbl.create 512
+let args = Hashtbl.create 512 (* a constructor's tuple arguments, by index *)
 let options = Hashtbl.create 256 (* [Mod.fn ?label] *)
 let lib_modules = Hashtbl.create 128
 let bench_values = Hashtbl.create 512 (* top-level, bench/*.ml *)
@@ -231,6 +237,7 @@ let unread_params = Hashtbl.create 16 (* [Mod.fn p], findings already *)
 let used = Hashtbl.create 4096
 let read = Hashtbl.create 1024
 let built = Hashtbl.create 512
+let args_read = Hashtbl.create 512
 let passed = Hashtbl.create 256
 let named = Hashtbl.create 256 (* named from lib, bench or bin *)
 let bench_read = Hashtbl.create 512
@@ -281,21 +288,41 @@ let rec check_params fn (e : Typedtree.expression) =
       cases
   | _ -> ()
 
+let labels owner =
+  List.iter (fun (ld : Typedtree.label_declaration) ->
+      Hashtbl.replace fields (loc_key ld.ld_loc) (owner ^ ld.ld_name.txt))
+
+(* A variant or extension constructor [name] declared at [loc], its
+   tuple arguments keyed by their index. *)
+let declare_constructor name loc (cargs : Typedtree.constructor_arguments) =
+  Hashtbl.replace constructors (loc_key loc) name;
+  match cargs with
+  | Cstr_record lds -> labels (name ^ ".") lds
+  | Cstr_tuple tys ->
+    List.iteri (fun i _ ->
+        Hashtbl.replace args (loc_key loc, i)
+          (Printf.sprintf "%s arg %d" name (i + 1)))
+      tys
+
 let declare_type prefix (td : Typedtree.type_declaration) =
   let ty = prefix ^ td.typ_name.txt ^ "." in
-  let labels owner =
-    List.iter (fun (ld : Typedtree.label_declaration) ->
-        Hashtbl.replace fields (loc_key ld.ld_loc) (owner ^ ld.ld_name.txt)) in
   match td.typ_kind with
   | Ttype_record lds -> labels ty lds
   | Ttype_variant cds ->
     List.iter (fun (cd : Typedtree.constructor_declaration) ->
-        Hashtbl.replace constructors (loc_key cd.cd_loc) (ty ^ cd.cd_name.txt);
-        match cd.cd_args with
-        | Cstr_record lds -> labels (ty ^ cd.cd_name.txt ^ ".") lds
-        | Cstr_tuple _ -> ())
+        declare_constructor (ty ^ cd.cd_name.txt) cd.cd_loc cd.cd_args)
       cds
   | Ttype_abstract | Ttype_open -> ()
+
+(* [type t += C of ...]: named [Mod.C]. Exceptions are not declared:
+   [Printexc] reads their arguments where the scan cannot see. *)
+let declare_typext prefix (te : Typedtree.type_extension) =
+  List.iter (fun (ec : Typedtree.extension_constructor) ->
+      match ec.ext_kind with
+      | Text_decl (_, cargs, _) ->
+        declare_constructor (prefix ^ ec.ext_name.txt) ec.ext_loc cargs
+      | Text_rebind _ -> ())
+    te.tyext_constructors
 
 let rec declare_structure prefix (str : Typedtree.structure) =
   List.iter (fun (item : Typedtree.structure_item) ->
@@ -309,6 +336,7 @@ let rec declare_structure prefix (str : Typedtree.structure) =
               (Typedtree.let_bound_idents_full [ vb ]))
           vbs
       | Tstr_type (_, tds) -> List.iter (declare_type prefix) tds
+      | Tstr_typext te -> declare_typext prefix te
       | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } ->
         declare_module_expr (prefix ^ m ^ ".") mb_expr
       | _ -> ())
@@ -328,6 +356,7 @@ let rec declare_signature prefix (sg : Typedtree.signature) =
         Hashtbl.replace exports (loc_key vd.val_val.val_loc) name;
         declare_value name vd.val_val.val_type [ vd.val_val.val_loc ]
       | Tsig_type (_, tds) -> List.iter (declare_type prefix) tds
+      | Tsig_typext te -> declare_typext prefix te
       | Tsig_module { md_name = { txt = Some m; _ };
                       md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
         declare_signature (prefix ^ m ^ ".") sg
@@ -460,7 +489,16 @@ let scan src annots =
            | Tpat_any -> ()
            | _ -> mark read fields lbl.lbl_loc)
          fs
-     | Tpat_construct (_, cd, _, _) -> name (module_of_loc cd.cstr_loc)
+     | Tpat_construct (_, cd, ps, _) ->
+       name (module_of_loc cd.cstr_loc);
+       (* [C (_, x)] reads the second argument, not the first. *)
+       List.iteri (fun i (q : Typedtree.pattern) ->
+           match q.pat_desc with
+           | Tpat_any -> ()
+           | _ ->
+             Option.iter (note args_read)
+               (Hashtbl.find_opt args (loc_key cd.cstr_loc, i)))
+         ps
      | _ -> ());
     default_iterator.pat sub p in
   let typ sub (t : Typedtree.core_type) =
@@ -554,7 +592,10 @@ let cases =
     (* Its findings are made during the scan: nothing "uses" one. *)
     ("every lib/ function reads its parameters",
      "function parameters are never read", names unread_params,
-     fun _ -> false) ]
+     fun _ -> false);
+    ("every lib/ constructor argument is read",
+     "constructor arguments are bound to _ by every pattern", names args,
+     Hashtbl.mem args_read) ]
 
 (* The first four cases' names, with only uses from outside test/. *)
 let outside_test =
