@@ -1,6 +1,6 @@
 type safety =
   | Compiler_signed
-  | Asserted_safe of string
+  | Asserted_safe
   | Unsigned
 
 type import = {
@@ -69,5 +69,5 @@ let run_init t =
 
 let is_safe t =
   match t.safety with
-  | Compiler_signed | Asserted_safe _ -> true
+  | Compiler_signed | Asserted_safe -> true
   | Unsigned -> false

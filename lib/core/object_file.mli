@@ -10,7 +10,7 @@
 
 type safety =
   | Compiler_signed               (** signed by the Modula-3 compiler *)
-  | Asserted_safe of string       (** trusted by fiat; argument says who *)
+  | Asserted_safe                 (** trusted by fiat *)
   | Unsigned
 
 type t

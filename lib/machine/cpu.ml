@@ -1,7 +1,7 @@
 type trap =
   | Syscall of { number : int; args : int array }
   | Mem_fault of { va : int; fault : Mmu.fault }
-  | Illegal of string
+  | Illegal
 
 exception Unhandled_trap of trap
 
@@ -78,7 +78,7 @@ let rec resolve_in t ctx ~va access n =
 
 let resolve t ~va access =
   match t.ctx with
-  | None -> raise (Unhandled_trap (Illegal "user access with no context"))
+  | None -> raise (Unhandled_trap Illegal)
   | Some ctx -> resolve_in t ctx ~va access 0
 
 let charge_access t = Clock.charge t.clock (Clock.cost t.clock).Cost.mem_access

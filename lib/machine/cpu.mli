@@ -21,9 +21,9 @@ type trap =
       (** An explicit kernel call from user code. *)
   | Mem_fault of { va : int; fault : Mmu.fault }
       (** A failed translation, delivered for fault-and-resume. *)
-  | Illegal of string
-      (** An operation the hardware cannot perform (e.g. a user access
-          with no translation context installed). *)
+  | Illegal
+      (** An operation the hardware cannot perform: a user access with
+          no translation context installed. *)
 
 exception Unhandled_trap of trap
 (** Raised when no handler is installed, or a faulting access cannot

@@ -85,7 +85,7 @@ let boot ?cpus ?(name = "spin") () =
       Dispatcher.raise_default t.syscall_event (-1) (number, args)
     | Cpu.Mem_fault _ ->
       if Vm.handle_trap t.vm trap then 0 else -1
-    | Cpu.Illegal _ -> -1);
+    | Cpu.Illegal -> -1);
   (* Export the core-service events through domains, so extensions
      import them by name from SpinPublic — event names are protected
      by the domain machinery (paper, section 3.2). *)

@@ -201,7 +201,7 @@ let handle_trap t trap =
                Dispatcher.raise_default t.bad_address () f
              end);
           true))
-  | Cpu.Syscall _ | Cpu.Illegal _ -> false
+  | Cpu.Syscall _ | Cpu.Illegal -> false
 
 let mmu_context ctx = ctx.mmu_ctx
 

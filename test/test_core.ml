@@ -169,7 +169,7 @@ let test_domain_rejects_unsigned () =
 let test_domain_accepts_asserted () =
   (* The DEC OSF/1 C drivers path: safe by kernel assertion. *)
   let out = ref [] in
-  match Kdomain.create (console_obj ~safety:(Object_file.Asserted_safe "kernel") out ()) with
+  match Kdomain.create (console_obj ~safety:Object_file.Asserted_safe out ()) with
   | Ok _ -> ()
   | Error e -> fail (Kdomain.error_to_string e)
 

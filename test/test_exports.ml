@@ -58,25 +58,25 @@ type bin =
    ROADMAP item, PAPER.md section or test that keeps it. *)
 let test_only : (bin * string * string list) list =
   [ ( Mechanism,
-      "ROADMAP item 8: the safety rows run a verified Loop and Jz \
+      "ROADMAP item 9: the safety rows run a verified Loop and Jz \
        against its certificate's step bound, and an Ldc capability load",
       [ "Ebc.instr.Add"; "Ebc.instr.Jmp"; "Ebc.instr.Jz"; "Ebc.instr.Ldc";
         "Ebc.instr.Loop"; "Ebc.instr.Lt"; "Ebc.instr.Mov"; "Ebc.instr.Not";
         "Ebc.instr.Or"; "Ebc.instr.Sub"; "Ebc.cap_slot"; "Ebc.certificate";
         "Ebc.cert.c_steps"; "Ebc.verify ?caps" ] );
     ( Mechanism,
-      "ROADMAP item 8: link-time safety refuses an Unsigned object file \
+      "ROADMAP item 9: link-time safety refuses an Unsigned object file \
        and links an Asserted_safe driver (PAPER.md section 2)",
       [ "Object_file.safety.Asserted_safe"; "Object_file.safety.Unsigned" ] );
     ( Mechanism,
-      "ROADMAP item 8: an authorizer denies an install or an import, and \
+      "ROADMAP item 9: an authorizer denies an install or an import, and \
        a time-bounded handler's overrun is aborted and counted",
       [ "Dispatcher.decision.Deny"; "Dispatcher.declare ?auth";
         "Dispatcher.stats.aborted"; "Dispatcher.Handler_spec.default";
         "Kernel.publish ?authorize"; "Nameserver.lookup";
         "Nameserver.identity.who" ] );
     ( Mechanism,
-      "ROADMAP item 8: a capability or externalized reference that a \
+      "ROADMAP item 9: a capability or externalized reference that a \
        swapped kernel extension minted is revoked by epoch",
       [ "Extern_ref.create"; "Extern_ref.epoch"; "Extern_ref.externalize";
         "Extern_ref.internalize"; "Extern_ref.live"; "Extern_ref.release";
@@ -84,18 +84,18 @@ let test_only : (bin * string * string list) list =
         "Capability.owner"; "Strand.capability"; "Strand.holds_capability";
         "Kernel.t.swap" ] );
     ( Mechanism,
-      "ROADMAP item 7: the scheduler model property blocks and unblocks \
+      "ROADMAP item 8: the scheduler model property blocks and unblocks \
        other strands and changes priorities",
       [ "Sched.block"; "Sched.set_priority" ] );
     ( Mechanism,
-      "ROADMAP item 10: fault fuzzing drives link loss from the fuzz seed",
+      "ROADMAP item 12: fault fuzzing drives link loss from the fuzz seed",
       [ "Link.set_loss"; "Link.frames_dropped" ] );
     ( Mechanism,
-      "ROADMAP item 5: Active Messages gets a measured row or goes",
+      "ROADMAP item 4: Active Messages gets a measured row or goes",
       [ "Active_msg.proto"; "Active_msg.register"; "Active_msg.send";
         "Active_msg.stats"; "Active_msg.stats.dropped"; "Host.t.am" ] );
     ( Mechanism,
-      "ROADMAP item 5: Table 3 runs the thread packages, whose join \
+      "ROADMAP item 4: Table 3 runs the thread packages, whose join \
        reports the joined thread's failure",
       [ "Kthread.failure" ] );
     ( Mechanism,
