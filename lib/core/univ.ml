@@ -5,24 +5,23 @@ module type Tag = sig
   type t += T of a
 end
 
-type 'a tag = { witness : (module Tag with type a = 'a); tag_name : string }
+type 'a tag = (module Tag with type a = 'a)
 
+(* The name only documents the tag at its definition: a narrow is
+   checked by the constructor's identity. *)
 let tag (type s) ~name () : s tag =
-  let module M = struct
+  ignore name;
+  (module struct
     type a = s
     type t += T of a
-  end in
-  { witness = (module M); tag_name = name }
-
-(* A wrapper constructor pairs the payload with its tag name. *)
-type t += Named of string * t
+  end)
 
 let pack (type s) (tag : s tag) (v : s) =
-  let module M = (val tag.witness) in
-  Named (tag.tag_name, M.T v)
+  let module M = (val tag) in
+  M.T v
 
 let unpack (type s) (tag : s tag) u : s option =
-  let module M = (val tag.witness) in
+  let module M = (val tag) in
   match u with
-  | Named (_, M.T v) -> Some v
+  | M.T v -> Some v
   | _ -> None

@@ -12,7 +12,9 @@ type 'a tag
 
 val tag : name:string -> unit -> 'a tag
 (** [tag ~name ()] mints a fresh tag. Two tags never alias, even at
-    the same type — branding, as in Modula-3's [BRANDED]. *)
+    the same type — branding, as in Modula-3's [BRANDED]. The name
+    documents the tag where it is minted and is not kept: a narrow
+    checks the tag's identity. *)
 
 val pack : 'a tag -> 'a -> t
 

@@ -45,6 +45,9 @@ let exempt =
   [ ( "Ebc.layout.l_name",
       "bench/e2e/kernel_ops.ml passes Ebc.layout ~name, and spinbench's \
        sources stay as the benchmark runs them" );
+    ( "Univ.tag name",
+      "bench/e2e/ext_churn.ml passes Univ.tag ~name, and spinbench's \
+       sources stay as the benchmark runs them" );
     ( "Machine.t.name",
       "it stores Kernel.boot ~name and Host.create ~name, which bench/e2e \
        passes, and spinbench's sources stay as the benchmark runs them" ) ]
