@@ -35,10 +35,6 @@ let clear t i =
 
 let count t = t.set_count
 
-(* [set]/[clear] never touch the bits past [nbits] in the last byte, so
-   they read as zero. *)
-let blit_to t dst off = Bytes.blit t.bits 0 dst off (Bytes.length t.bits)
-
 let rec lowest_bit b k = if b land (1 lsl k) <> 0 then k else lowest_bit b (k + 1)
 
 (* The lowest clear bit at or after byte [i], a byte at a time. The

@@ -20,13 +20,6 @@ val mem : t -> int -> bool
 val count : t -> int
 (** Number of set bits. *)
 
-val blit_to : t -> Bytes.t -> int -> unit
-(** [blit_to t dst off] writes the packed bits into the
-    [(length t + 7) / 8] bytes of [dst] starting at [off]: bit [i] is
-    bit [i mod 8] of byte [off + i / 8], and the bits past [length t]
-    in the last byte are zero. Raises [Invalid_argument] if [dst] is
-    too short. *)
-
 val find_first_clear : t -> int option
 (** Lowest clear bit index, if any. *)
 

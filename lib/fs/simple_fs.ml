@@ -29,11 +29,9 @@ type inode = {
 
 type t = {
   cache : Block_cache.t;
-  ibitmap_block : int;
-  dbitmap_start : int;
   itable_start : int;
   data_start : int;
-  ibitmap : Bitset.t;
+  ibitmap : Bitset.t;                     (* in memory only *)
   dbitmap : Bitset.t;                     (* indexed by data block ordinal *)
   scratch : Bytes.t;                      (* one block, for in-place reads *)
   root_direct : int array;                (* the root's direct pointers *)
@@ -60,31 +58,9 @@ let decode_inode b off =
   done;
   { size = get32 b off; direct; indirect = get32 b (off + 4 + (ndirect * 4)) }
 
-let encode_bitset set =
-  (* One bit per entry, packed into whole blocks: [Bitset]'s own layout
-     (bit i at byte i/8, bit i mod 8), so one blit. *)
-  let nbits = Bitset.length set in
-  let blocks = (((nbits + 7) / 8) + bs - 1) / bs in
-  let b = Bytes.make (blocks * bs) '\000' in
-  Bitset.blit_to set b 0;
-  b
-
 (* ------------------------------------------------------------------ *)
 (* Metadata I/O                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let write_blocks t start data =
-  let nblocks = (Bytes.length data + bs - 1) / bs in
-  for i = 0 to nblocks - 1 do
-    let chunk = Bytes.make bs '\000' in
-    let len = min bs (Bytes.length data - (i * bs)) in
-    Bytes.blit data (i * bs) chunk 0 len;
-    Block_cache.write t.cache ~block:(start + i) chunk
-  done
-
-let sync_ibitmap t = write_blocks t t.ibitmap_block (encode_bitset t.ibitmap)
-
-let sync_dbitmap t = write_blocks t t.dbitmap_start (encode_bitset t.dbitmap)
 
 (* In-place reads. A lookup, a size read, an inode read and an
    indirect pointer go through [t.scratch], one block-sized buffer per
@@ -123,7 +99,6 @@ let alloc_inode t =
   | None -> raise (Fs_error No_space)
   | Some i ->
     Bitset.set t.ibitmap i;
-    sync_ibitmap t;
     i
 
 let alloc_data_block t =
@@ -131,14 +106,10 @@ let alloc_data_block t =
   | None -> raise (Fs_error No_space)
   | Some ordinal ->
     Bitset.set t.dbitmap ordinal;
-    sync_dbitmap t;
     t.data_start + ordinal
 
 let free_data_block t block =
-  if block >= t.data_start then begin
-    Bitset.clear t.dbitmap (block - t.data_start);
-    sync_dbitmap t
-  end
+  if block >= t.data_start then Bitset.clear t.dbitmap (block - t.data_start)
 
 (* ------------------------------------------------------------------ *)
 (* Block mapping through an inode                                     *)
@@ -326,23 +297,22 @@ let format_inodes = 512
 
 let format cache ~blocks () =
   let ninodes = format_inodes in
-  let ibitmap_block = 1 and dbitmap_start = 2 in
-  (* One bit per block of the whole device keeps the math simple. *)
-  let dbitmap_blocks = (((blocks + 7) / 8) + bs - 1) / bs in
-  let itable_start = dbitmap_start + dbitmap_blocks in
+  (* Blocks 1..k are reserved and never written, as block 0 is: room
+     for an inode bitmap block and a data bitmap of one bit per device
+     block. The allocation maps live in memory alone, but dropping the
+     reserve would shift every data block against the buffer cache's
+     8-block pages. *)
+  let itable_start = 2 + ((((blocks + 7) / 8) + bs - 1) / bs) in
   let itable_blocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
   let data_start = itable_start + itable_blocks in
   if data_start + 8 > blocks then invalid_arg "Simple_fs.format: too few blocks";
   let ibitmap = Bitset.create ninodes in
   let dbitmap = Bitset.create (blocks - data_start) in
   let t =
-    { cache; ibitmap_block; dbitmap_start; itable_start; data_start;
-      ibitmap; dbitmap; scratch = Bytes.create bs;
-      root_direct = Array.make ndirect 0 } in
+    { cache; itable_start; data_start; ibitmap; dbitmap;
+      scratch = Bytes.create bs; root_direct = Array.make ndirect 0 } in
   (* Root directory: inode 0, empty. *)
   Bitset.set ibitmap root_inode;
-  sync_ibitmap t;
-  sync_dbitmap t;
   (* Zero the inode table. *)
   for i = 0 to itable_blocks - 1 do
     Block_cache.write cache ~block:(itable_start + i) (Bytes.make bs '\000')

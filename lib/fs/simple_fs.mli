@@ -3,12 +3,17 @@
 
     Classic layout on the simulated disk:
     {v
-      block 0            unused (no superblock: nothing reads one back)
-      block 1            inode bitmap (4096 inodes)
-      blocks 2..k        data-block bitmap
+      blocks 0..k        reserved, never written
       blocks k+1..m      inode table (8 inodes per 512-byte block)
       blocks m+1..       data
     v}
+    where [k] is 1 plus the blocks a bitmap of one bit per device block
+    needs. Nothing reads a superblock or an allocation bitmap back, so
+    none is written: the inode and data-block maps live in memory.
+    Blocks 1..k stay reserved all the same, because the buffer cache
+    holds 8-block pages: with the inode table at block 1, every data
+    block moved against those pages, and the memory-pressure
+    benchmark's p99 latency rose by a third.
 
     Inodes hold 12 direct block pointers and one indirect block (128
     pointers), so a file holds up to 71,680 bytes — enough for the
@@ -19,7 +24,7 @@
     I/O). A file read always goes around the buffer cache, which is
     how the SPIN web server runs on a non-caching file system and
     manages its own object cache ({!File_cache}) instead; metadata
-    (inodes, bitmaps, the directory) goes through it. *)
+    (inodes, indirect blocks, the directory) goes through it. *)
 
 type t
 
@@ -53,7 +58,3 @@ val exists : t -> name:string -> bool
 val list_files : t -> string list
 
 val free_blocks : t -> int
-
-val encode_bitset : Spin_dstruct.Bitset.t -> Bytes.t
-(** The on-disk form of an inode or data-block bitmap: bit [i] at bit
-    [i mod 8] of byte [i / 8], zero-padded to whole blocks. *)

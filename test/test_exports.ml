@@ -148,8 +148,9 @@ let test_only : (bin * string * string list) list =
        the tracer recorded",
       [ "Trace.records"; "Trace.capacity" ] );
     ( Observer,
-      "test_machine checks interrupt delivery, trap nesting, the disk \
-       queue and the event queue by their counts",
+      "test_machine and test_fs check interrupt delivery, trap nesting, \
+       the disk queue, the file system's disk writes and the event queue \
+       by their counts",
       [ "Intr.delivered"; "Cpu.trap_stats.depth"; "Disk_dev.in_flight";
         "Disk_dev.reads"; "Disk_dev.writes"; "Sim.stats.live" ] );
     ( Observer,
@@ -165,10 +166,9 @@ let test_only : (bin * string * string list) list =
         "Ip.stats.forwarded"; "Pkt.to_string" ] );
     ( Observer,
       "test_fs, test_machine and test_properties check the caches and \
-       the file system by reclaim counts, free space, the file list and \
-       the bitmap blocks format writes",
+       the file system by reclaim counts, free space and the file list",
       [ "Cache_stats.t.reclaims"; "Simple_fs.free_blocks";
-        "Simple_fs.list_files"; "Simple_fs.encode_bitset" ] );
+        "Simple_fs.list_files" ] );
     ( Observer,
       "test_dstruct and test_machine check LRU order and eviction by its \
        contents",

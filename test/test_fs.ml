@@ -9,7 +9,6 @@ module Clock = Spin_machine.Clock
 module Dispatcher = Spin_core.Dispatcher
 module Sched = Spin_sched.Sched
 module Phys_addr = Spin_vm.Phys_addr
-module Bitset = Spin_dstruct.Bitset
 
 (* Everything runs in strand context; this helper boots a machine and
    runs the body as a kernel thread. The caches are page-backed, so
@@ -271,49 +270,18 @@ let test_fs_lookup_matches_listing () =
         queries
     done)
 
-(* The bitmap codec blits [Bitset]'s bytes; the reference packs one
-   [Bitset.mem] at a time into whole zeroed blocks. Lengths straddle
-   byte and block edges, and each is tried all-clear, all-set, random,
-   and all-set with random bits cleared again (clears must leave the
-   last byte's padding zero). *)
-let reference_encode set =
-  let nbits = Bitset.length set in
-  let blocks = (((nbits + 7) / 8) + Disk.block_size - 1) / Disk.block_size in
-  let b = Bytes.make (blocks * Disk.block_size) '\000' in
-  for i = 0 to nbits - 1 do
-    if Bitset.mem set i then
-      Bytes.set b (i / 8)
-        (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
-  done;
-  b
-
-let test_fs_bitmap_codec () =
-  let rng = Random.State.make [| 20 |] in
-  List.iter (fun n ->
-    let random () =
-      let set = Bitset.create n in
-      for i = 0 to n - 1 do
-        if Random.State.bool rng then Bitset.set set i
-      done;
-      set in
-    let full () =
-      let set = Bitset.create n in
-      for i = 0 to n - 1 do Bitset.set set i done;
-      set in
-    let cleared () =
-      let set = full () in
-      for i = 0 to n - 1 do
-        if Random.State.bool rng then Bitset.clear set i
-      done;
-      set in
-    List.iter (fun (what, make) ->
-      let set = make () in
-      check bytes (Printf.sprintf "%d bits, %s" n what)
-        (reference_encode set) (Simple_fs.encode_bitset set))
-      [ ("all clear", (fun () -> Bitset.create n)); ("all set", full);
-        ("random", random); ("random again", random);
-        ("set then cleared", cleared) ])
-    [ 0; 1; 7; 8; 9; 63; 100; 511; 4095; 4096; 4097; 4103; 8183; 8192 ]
+(* Every metadata write is one disk write through the buffer cache;
+   the allocation maps live in memory and are never written. Creating
+   a file writes its inode, the root's new directory block and the
+   root's inode; writing one block of it writes the data block and the
+   file's inode again. *)
+let test_fs_one_block_file_writes () =
+  with_fs_machine (fun _ _ disk cache _ ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    let before = Disk.writes disk in
+    Simple_fs.create fs ~name:"one";
+    Simple_fs.write fs ~name:"one" (Bytes.make Disk.block_size 'b');
+    check int "disk writes" 5 (Disk.writes disk - before))
 
 (* Regression guard for the lookups' shared scratch block. A lookup
    reads each directory block into one buffer per file system and
@@ -519,8 +487,8 @@ let () =
           test_case "max size enforced" `Quick test_fs_max_file_size_enforced;
           test_case "error cases" `Quick test_fs_errors;
           test_case "many files" `Quick test_fs_many_files_listed;
-          test_case "bitmap codec matches a per-bit encoder" `Quick
-            test_fs_bitmap_codec;
+          test_case "a one-block file's disk writes" `Quick
+            test_fs_one_block_file_writes;
           test_case "concurrent lookups share the scratch block" `Quick
             test_fs_lookups_share_scratch;
           test_case "lookup matches the listing" `Quick
