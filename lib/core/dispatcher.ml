@@ -56,8 +56,7 @@ type stats = {
 type t = {
   clock : Spin_machine.Clock.t;
   tracer : Trace.t;
-  mutable spawn : ((unit -> unit) -> unit) option;
-  deferred : (unit -> unit) Queue.t;
+  mutable spawn : (unit -> unit) -> unit;
   mutable registry : registration list;   (* reverse declaration order *)
   mutable on_violation : (string -> unit) option;
   (* Provided by the scheduler layer: hold the calling strand while a
@@ -140,26 +139,26 @@ exception No_handler of string
    answer never reads as its raiser's. *)
 exception No_result
 
+(* The spawn hook until a scheduler installs its own. *)
+let no_scheduler _ =
+  invalid_arg
+    "Dispatcher: an asynchronous handler needs a scheduler \
+     (Sched.create installs the spawn hook)"
+
 let create clock =
-  { clock; tracer = Trace.of_clock clock; spawn = None;
-    deferred = Queue.create (); registry = [];
+  { clock; tracer = Trace.of_clock clock; spawn = no_scheduler; registry = [];
     on_violation = None; gate_wait = None; s_verifier_rejections = 0 }
 
 let tracer t = t.tracer
 
 let cost e = Spin_machine.Clock.cost e.disp.clock
 
-let set_async_spawn t f = t.spawn <- Some f
+let set_async_spawn t f = t.spawn <- f
 
 let set_violation_hook t f = t.on_violation <- f
 
 let report_violation t msg =
   match t.on_violation with Some f -> f msg | None -> ()
-
-let flush_deferred t =
-  let n = Queue.length t.deferred in
-  while not (Queue.is_empty t.deferred) do (Queue.pop t.deferred) () done;
-  n
 
 let keep_last _ r = r
 
@@ -452,9 +451,9 @@ let invoke e h arg =
       uninstall e h;
       raise_notrace No_result
 
-(* The thunk runs after the raise returns — on a freshly spawned strand
-   or at the next [flush_deferred] — so the handler can be uninstalled
-   (or its whole domain swept by a hot swap) in between. Re-check
+(* The thunk runs after the raise returns, on a freshly spawned strand,
+   so the handler can be uninstalled (or its whole domain swept by a
+   hot swap) in between. Re-check
    [active] at run time: dispatching to a dead handler would resurrect
    exactly the extension that was evicted. The body runs through
    [invoke], so a fault is contained as a synchronous handler's is. *)
@@ -463,9 +462,7 @@ let run_async e h arg =
     if h.active then
       (match invoke e h arg with _ -> () | exception No_result -> ())
     else e.stats.stale_skips <- e.stats.stale_skips + 1 in
-  match e.disp.spawn with
-  | Some spawn -> spawn thunk
-  | None -> Queue.add thunk e.disp.deferred
+  e.disp.spawn thunk
 
 (* Overran its quantum: the dispatcher aborts the handler and discards
    its result, and the handler stays installed. One that also faulted

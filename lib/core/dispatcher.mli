@@ -31,9 +31,9 @@
     latency) or bounded in time (aborted — result discarded — when
     they overrun). An extension handler that raises is caught,
     counted, traced and uninstalled; the raise carries on without it
-    (section 4.3). An asynchronous one is caught the same way when its
-    deferred body runs, so its fault neither reaches the strand nor
-    escapes {!flush_deferred}. One result is returned, by default that
+    (section 4.3). An asynchronous one runs on a strand of its own,
+    through the spawn hook the scheduler installs, and is caught the
+    same way there, so its fault never reaches that strand. One result is returned, by default that
     of the final handler executed; an event may declare a
     result-combination function, a fold over the results in dispatch
     order. Installation goes through one entry point, {!install},
@@ -51,9 +51,10 @@ val tracer : t -> Spin_machine.Trace.t
     bool check per site. *)
 
 val set_async_spawn : t -> ((unit -> unit) -> unit) -> unit
-(** Installs the thread-spawn hook used for asynchronous handlers.
-    Before a scheduler exists, asynchronous handlers queue and run at
-    the next {!flush_deferred}. *)
+(** Installs the thread-spawn hook that runs each asynchronous
+    handler's body ({!Spin_sched.Sched.create} installs one). Until a
+    hook is installed, raising an event with an asynchronous handler
+    raises [Invalid_argument], naming the missing scheduler. *)
 
 (** {2 Handler specifications}
 
@@ -116,10 +117,6 @@ val audit : t -> (string -> unit) -> unit
     recompute, or dispatches still marked in flight at a quiescent
     point. Cheap enough to run after every test; the fuzzer runs it at
     every scheduling point. *)
-
-val flush_deferred : t -> int
-(** Runs handlers deferred while no spawn hook was installed; returns
-    how many ran. *)
 
 type ('a, 'r) event
 

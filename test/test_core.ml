@@ -309,6 +309,17 @@ let must r = Dispatcher.ok_exn ~site:"test_core" r
 
 let async = { Dispatcher.Handler_spec.default with async = true }
 
+(* A stand-in for the scheduler's spawn hook: each asynchronous body is
+   queued, and the returned flush runs the queue in order and says how
+   many ran. *)
+let deferring d =
+  let q = Queue.create () in
+  Dispatcher.set_async_spawn d (fun thunk -> Queue.add thunk q);
+  fun () ->
+    let n = Queue.length q in
+    while not (Queue.is_empty q) do (Queue.pop q) () done;
+    n
+
 let test_dispatch_fast_path_is_a_call () =
   let c, d = mk_dispatcher () in
   let e = Dispatcher.declare d ~name:"Console.Write" ~owner:"Console"
@@ -487,13 +498,14 @@ let test_dispatch_combiner () =
 
 let test_dispatch_async_deferred () =
   let _, d = mk_dispatcher () in
+  let flush = deferring d in
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       (fun _ -> ()) in
   ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)));
   Dispatcher.raise_event e ();
   check bool "raiser not blocked on handler" false !ran;
-  check int "one deferred" 1 (Dispatcher.flush_deferred d);
+  check int "one deferred" 1 (flush ());
   check bool "ran at flush" true !ran
 
 let test_dispatch_async_uninstall_before_flush () =
@@ -501,13 +513,14 @@ let test_dispatch_async_uninstall_before_flush () =
      the raise and the deferred thunk running still executed — dispatch
      after uninstall. The thunk must re-check liveness at run time. *)
   let _, d = mk_dispatcher () in
+  let flush = deferring d in
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       (fun _ -> ()) in
   let h = must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ran := true)) in
   Dispatcher.raise_event e ();
   Dispatcher.uninstall e h;
-  ignore (Dispatcher.flush_deferred d);
+  ignore (flush ());
   check bool "uninstalled handler must not run" false !ran;
   check int "skip recorded" 1 (Dispatcher.stats e).Dispatcher.stale_skips
 
@@ -578,11 +591,12 @@ let test_dispatch_async_spawn_hook () =
 
 (* Regression: an asynchronous handler's fault escaped the dispatcher.
    Not counted, not evicted (so it faulted again on every raise), and
-   with no spawn hook it escaped [flush_deferred], stranding the thunks
-   queued after it. Its deferred body now runs through the same catch,
-   count and evict path as a synchronous handler's. *)
+   it escaped the spawn hook, stranding the thunks queued after it. Its
+   deferred body now runs through the same catch, count and evict path
+   as a synchronous handler's. *)
 let test_dispatch_async_fault_deferred () =
   let _, d = mk_dispatcher () in
+  let flush = deferring d in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun _ -> ()) in
   ignore (must (Dispatcher.install e ~installer:"bad" ~spec:async
                   (fun _ -> failwith "async bug")));
@@ -591,14 +605,24 @@ let test_dispatch_async_fault_deferred () =
                   (fun _ -> incr ran)));
   Dispatcher.raise_event e ();
   Dispatcher.raise_event e ();
-  (match Dispatcher.flush_deferred d with
+  (match flush () with
    | n -> check int "every thunk ran" 4 n
-   | exception exn -> failf "escaped flush_deferred: %s" (Printexc.to_string exn));
+   | exception exn -> failf "escaped the flush: %s" (Printexc.to_string exn));
   check int "one failure" 1 (Dispatcher.stats e).Dispatcher.handler_failures;
   check int "evicted: the second thunk skips it" 1
     (Dispatcher.stats e).Dispatcher.stale_skips;
   check int "the failing handler is uninstalled" 2 (Dispatcher.handler_count e);
   check int "every recording thunk ran" 2 !ran
+
+(* With no scheduler there is nowhere to run an asynchronous body: the
+   raise says so rather than dropping or queueing it. *)
+let test_dispatch_async_needs_scheduler () =
+  let _, d = mk_dispatcher () in
+  let e = Dispatcher.declare d ~name:"Ev" ~owner:"M" (fun _ -> ()) in
+  ignore (must (Dispatcher.install e ~installer:"bg" ~spec:async (fun _ -> ())));
+  match Dispatcher.raise_event e () with
+  | () -> fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_dispatch_async_fault_on_strand () =
   let clock = clock () in
@@ -830,6 +854,8 @@ let () =
           test_case "async spawn hook" `Quick test_dispatch_async_spawn_hook;
           test_case "async fault contained at flush" `Quick
             test_dispatch_async_fault_deferred;
+          test_case "async without a scheduler raises" `Quick
+            test_dispatch_async_needs_scheduler;
           test_case "async fault contained on a strand" `Quick
             test_dispatch_async_fault_on_strand;
           test_case "bounded handler aborts" `Quick test_dispatch_bounded_abort;

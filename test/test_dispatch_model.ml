@@ -125,6 +125,7 @@ type world = {
   mutable events : event list;       (* declaration order *)
   log : int list ref;                (* real bodies run, newest first *)
   mutable raising : event option;
+  deferred : (unit -> unit) Queue.t;  (* asynchronous bodies, spawn order *)
   violations : string list ref;
   mutable mlog : int list;
   mutable mcycles : int;
@@ -208,9 +209,11 @@ let real_apply w op =
       | exception Primary_failed -> Primary_raised
       | exception exn -> Escaped (Printexc.to_string exn))
   | Flush ->
-    (match Dispatcher.flush_deferred w.d with
-     | n -> Flushed n
-     | exception exn -> Escaped (Printexc.to_string exn))
+    let n = Queue.length w.deferred in
+    (try
+       while not (Queue.is_empty w.deferred) do (Queue.pop w.deferred) () done;
+       Flushed n
+     with exn -> Escaped (Printexc.to_string exn))
 
 (* The scheduler's half of a hot swap, in miniature: the held raise
    parks here while the swap re-points handlers, then re-checks the
@@ -567,8 +570,12 @@ let run (trace, ops) =
   let d = Dispatcher.create clock in
   if trace then Trace.enable (Dispatcher.tracer d);
   let w =
-    { clock; d; events = []; log = ref []; raising = None; violations = ref []; mlog = []; mcycles = 0;
+    { clock; d; events = []; log = ref []; raising = None;
+      deferred = Queue.create (); violations = ref []; mlog = []; mcycles = 0;
       queued = []; m_rejections = 0 } in
+  (* The scheduler's spawn hook, in miniature: an asynchronous body
+     waits in [deferred] until a [Flush] runs it. *)
+  Dispatcher.set_async_spawn d (fun thunk -> Queue.add thunk w.deferred);
   Dispatcher.set_violation_hook d
     (Some (fun m -> w.violations := m :: !(w.violations)));
   Dispatcher.set_gate_wait d (Some (gate_wait w));

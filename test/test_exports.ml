@@ -117,10 +117,6 @@ let test_only : (bin * string * string list) list =
       "PAPER.md section 1 item 5: extensions stack on the video server's \
        SendPacket event",
       [ "Video.send_packet_event" ] );
-    ( Mechanism,
-      "PAPER.md section 1 item 3: asynchronous handlers on a dispatcher \
-       with no scheduler run when deferred work is flushed",
-      [ "Dispatcher.flush_deferred" ] );
     ( Observer,
       "test_core, test_faults, test_verifier, test_swap, test_net, \
        test_machine and test_dispatch_model check dispatch, eviction, \
