@@ -27,9 +27,16 @@ let alive t = t.strand.Strand.state <> Strand.Dead
 
 let failure t = t.strand.Strand.failure
 
+(* The joiners list is built at the first join: few strands have one. *)
 let join sched t =
   charge sched;
-  let q = t.strand.Strand.joiners in
+  let q =
+    match t.strand.Strand.joiners with
+    | Some q -> q
+    | None ->
+      let q = Dllist.create () in
+      t.strand.Strand.joiners <- Some q;
+      q in
   while alive t do
     sleep sched q (enter q (Sched.self sched))
   done

@@ -442,12 +442,12 @@ let rebalance t =
 
 (* Top level, not a local [let rec]: a closure over [t] and [s] would
    be allocated at every strand's death. *)
-let rec wake_joiners t s =
-  match Dllist.pop_front s.Strand.joiners with
+let rec wake_joiners t q =
+  match Dllist.pop_front q with
   | None -> ()
   | Some j ->
     Dispatcher.raise_default t.events.unblock () (Dllist.value j);
-    wake_joiners t s
+    wake_joiners t q
 
 let finish t s outcome =
   (* The strand is leaving for good: unlink it from the run queue (a
@@ -468,7 +468,7 @@ let finish t s outcome =
   (match s.Strand.cap with
    | Some cap -> Spin_core.Capability.revoke cap
    | None -> ());
-  wake_joiners t s
+  match s.Strand.joiners with Some q -> wake_joiners t q | None -> ()
 
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in

@@ -9,7 +9,7 @@ type t = {
   mutable priority : int;
   mutable state : state;
   mutable coro : Coro.t option;
-  joiners : t Spin_dstruct.Dllist.t;
+  mutable joiners : t Spin_dstruct.Dllist.t option;
   mutable failure : exn option;
   mutable cap : t Spin_core.Capability.t option;
   mutable me : t option;
@@ -28,7 +28,7 @@ let counter = ref 0
 
 let record ~id ~owner ~priority ~name state =
   { id; name; owner; priority; state; coro = None;
-    joiners = Spin_dstruct.Dllist.create (); failure = None; cap = None;
+    joiners = None; failure = None; cap = None;
     me = None; qnode = None; wnode = None; timer = None; affinity = None;
     last_cpu = 0; qcpu = 0; wakeup = 0 }
 

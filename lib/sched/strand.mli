@@ -25,7 +25,9 @@ type t = {
   mutable priority : int;      (** 0..31; higher runs first *)
   mutable state : state;
   mutable coro : Coro.t option;  (** kernel context, if a kernel thread *)
-  joiners : t Spin_dstruct.Dllist.t;  (** strands waiting for death *)
+  mutable joiners : t Spin_dstruct.Dllist.t option;
+  (** set at the first {!Kthread.join}: the strands waiting for this
+      one's death. Few strands are ever joined. *)
   mutable failure : exn option;  (** set when the body raised *)
   mutable cap : t Spin_core.Capability.t option;
   (** set by the first {!capability} call *)

@@ -1060,15 +1060,15 @@ let test_condition_exchange_words () =
 
 (* A strand's whole life: spawn, a first run that yields, and a resume
    that returns. The spawn builds the strand's record (18 words) and
-   its [me] option (2), its joiners list (7 with the list's own
-   option), its run-queue node (8) and the option holding it (2), and
-   its coroutine (3), the coroutine's [Created] body (2) and the
-   option holding it (2). The first run makes the runtime's 5-word
+   its [me] option (2), its run-queue node (8) and the option holding
+   it (2), and its coroutine (3), the coroutine's [Created] body (2)
+   and the option holding it (2); no joiners list, which the first
+   [Kthread.join] builds. The first run makes the runtime's 5-word
    effect closure for the new fiber; the first suspension its
    continuation (2) and the coroutine's [Parked] cell (2), refilled by
    every later one. The capability is never asked for, so never
    minted, and the exit allocates nothing. *)
-let strand_life_words = 44. +. 5. +. 4.
+let strand_life_words = 37. +. 5. +. 4.
 
 let test_strand_life_words () =
   let m = Machine.create ~cpus:1 ~name:"test" ~mem_mb:4 () in
