@@ -30,13 +30,9 @@ let failure t = t.strand.Strand.failure
 (* The joiners list is built at the first join: few strands have one. *)
 let join sched t =
   charge sched;
-  let q =
-    match t.strand.Strand.joiners with
-    | Some q -> q
-    | None ->
-      let q = Dllist.create () in
-      t.strand.Strand.joiners <- Some q;
-      q in
+  if t.strand.Strand.joiners == Strand.no_joiners then
+    t.strand.Strand.joiners <- Dllist.create ();
+  let q = t.strand.Strand.joiners in
   while alive t do
     sleep sched q (enter q (Sched.self sched))
   done

@@ -468,7 +468,7 @@ let finish t s outcome =
   (match s.Strand.cap with
    | Some cap -> Spin_core.Capability.revoke cap
    | None -> ());
-  match s.Strand.joiners with Some q -> wake_joiners t q | None -> ()
+  wake_joiners t s.Strand.joiners
 
 let execute t ~cpu s =
   let cost = Clock.cost t.clock in

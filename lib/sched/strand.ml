@@ -9,7 +9,7 @@ type t = {
   mutable priority : int;
   mutable state : state;
   mutable coro : Coro.t option;
-  mutable joiners : t Spin_dstruct.Dllist.t option;
+  mutable joiners : t Spin_dstruct.Dllist.t;
   mutable failure : exn option;
   mutable cap : t Spin_core.Capability.t option;
   mutable me : t option;
@@ -26,9 +26,13 @@ let max_priority = 31
 
 let counter = ref 0
 
+(* Shared by every strand nobody has joined, so a strand is born
+   without a list; [Kthread.join] replaces it before linking. *)
+let no_joiners : t Spin_dstruct.Dllist.t = Spin_dstruct.Dllist.create ()
+
 let record ~id ~owner ~priority ~name state =
   { id; name; owner; priority; state; coro = None;
-    joiners = None; failure = None; cap = None;
+    joiners = no_joiners; failure = None; cap = None;
     me = None; qnode = None; wnode = None; timer = None; affinity = None;
     last_cpu = 0; qcpu = 0; wakeup = 0 }
 

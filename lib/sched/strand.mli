@@ -25,9 +25,10 @@ type t = {
   mutable priority : int;      (** 0..31; higher runs first *)
   mutable state : state;
   mutable coro : Coro.t option;  (** kernel context, if a kernel thread *)
-  mutable joiners : t Spin_dstruct.Dllist.t option;
-  (** set at the first {!Kthread.join}: the strands waiting for this
-      one's death. Few strands are ever joined. *)
+  mutable joiners : t Spin_dstruct.Dllist.t;
+  (** the strands waiting for this one's death: {!no_joiners} until
+      the first {!Kthread.join} gives the strand a list of its own.
+      Few strands are ever joined. *)
   mutable failure : exn option;  (** set when the body raised *)
   mutable cap : t Spin_core.Capability.t option;
   (** set by the first {!capability} call *)
@@ -63,6 +64,10 @@ type t = {
       strand ran, and a wakeup IPI in flight. Owned by the
       scheduler. *)
 }
+
+val no_joiners : t Spin_dstruct.Dllist.t
+(** The joiners list every strand starts with: always empty, shared,
+    and never linked into. *)
 
 val create : owner:string -> ?priority:int -> name:string -> unit -> t
 (** Default priority 16. The new strand is [Created], unqueued, with

@@ -1063,7 +1063,8 @@ let test_condition_exchange_words () =
    its [me] option (2), its run-queue node (8) and the option holding
    it (2), and its coroutine (3), the coroutine's [Created] body (2)
    and the option holding it (2); no joiners list, which the first
-   [Kthread.join] builds. The first run makes the runtime's 5-word
+   [Kthread.join] builds (the strand starts with the shared empty
+   [Strand.no_joiners]). The first run makes the runtime's 5-word
    effect closure for the new fiber; the first suspension its
    continuation (2) and the coroutine's [Parked] cell (2), refilled by
    every later one. The capability is never asked for, so never
