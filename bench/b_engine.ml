@@ -23,12 +23,15 @@
    release pages. Its eight files stay cached, so the cold disk path
    is pinned in test_machine's "hot paths" instead. A sixth replays
    Table 5's SPIN UDP echo over Ethernet untraced, one probe at a
-   time: the per-packet netif, IP, UDP and dispatcher path alone.
+   time: the per-packet netif, IP, UDP and dispatcher path alone. A
+   seventh churns route installs on the web fixture's content event
+   as spinbench's ext-churn does: each installs a verified route and
+   retires the oldest of the 16 the event holds.
 
    The counted rows (events processed, events fired, fuzz decisions)
    are virtual work, so the gate pins them exactly. Every other row is
    a host row: minor words per event, per request, per kernel step,
-   per fetch and per echo fail as ceilings (allocation crept back
+   per fetch, per echo and per route fail as ceilings (allocation crept back
    into the hot path), and the wall-clock rates are trended in the
    JSON artifact but not gated — CI machines are too noisy to fail a
    build on host throughput.
@@ -43,6 +46,7 @@ module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Sched_fuzz = Spin_sched.Sched_fuzz
 module Host = Spin_net.Host
+module Http = Spin_net.Http
 module Kernel = Spin.Kernel
 module Addr = Spin_machine.Addr
 module Vm_ext = Spin_vm.Vm_ext
@@ -202,6 +206,38 @@ let kernel_words () =
 let udp_probes = 64
 
 (* ------------------------------------------------------------------ *)
+(* Route installs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let routes = 16
+let route_rounds = 256
+
+(* Minor words per route churned: [Http.install_route] (build, verify,
+   compile and link a [match_string] program) and [Dispatcher.uninstall]
+   of the oldest route, past a first round that warms both. The paths
+   are built beforehand and the handler captures nothing, so the row
+   is the install path's alone. *)
+let install_words () =
+  let w = B_web.fixture () in
+  let http = w.B_web.http in
+  let content = Option.get (Http.content_event http) in
+  let paths = Array.init routes (Printf.sprintf "r%02d") in
+  let install i =
+    Option.get
+      (Http.install_route http ~installer:"routes" ~path:paths.(i) (fun _ ->
+           None)) in
+  let live = Array.init routes install in
+  let churn n =
+    let i = n mod routes in
+    let oldest = live.(i) in
+    live.(i) <- install i;
+    Spin_core.Dispatcher.uninstall content oldest in
+  churn 0;
+  let w0 = Gc.minor_words () in
+  for n = 1 to route_rounds do churn n done;
+  (Gc.minor_words () -. w0) /. float_of_int route_rounds
+
+(* ------------------------------------------------------------------ *)
 (* The experiment                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -272,4 +308,10 @@ let run () =
   Printf.printf "  UDP echo: %d probes over Ethernet\n" udp_probes;
   Printf.printf "    %.1f minor words/echo\n" udp_words;
   Report.host ~gate:Ceiling ~unit_:"words" ~name:"udp minor words/echo"
-    udp_words
+    udp_words;
+
+  let iw = install_words () in
+  Printf.printf "  route installs: %d rounds on an event holding %d routes\n"
+    route_rounds routes;
+  Printf.printf "    %.1f minor words/route\n" iw;
+  Report.host ~gate:Ceiling ~unit_:"words" ~name:"install minor words/route" iw

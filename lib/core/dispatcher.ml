@@ -185,6 +185,11 @@ let same_plan a b =
   | General hs, General hs' -> List.equal ( == ) hs hs'
   | (Direct _ | Trusted _ | General _), _ -> false
 
+(* [hs] without [h], copying only the cells before it. *)
+let rec without h = function
+  | [] -> []
+  | x :: rest -> if x == h then rest else x :: without h rest
+
 (* Every site that retires a handler funnels through here so the
    active-indexed count stays exact and the plan never names a retired
    handler. *)
@@ -194,8 +199,8 @@ let uninstall e h =
     (match h.h_slot with
      | Some b ->
        e.n_indexed_active <- e.n_indexed_active - 1;
-       b.live <- List.filter (fun x -> x != h) b.live
-     | None -> e.extra <- List.filter (fun x -> x != h) e.extra);
+       b.live <- without h b.live
+     | None -> e.extra <- without h e.extra);
     replan e
   end
 
@@ -221,22 +226,25 @@ let specs e =
   @ Hashtbl.fold (fun _ b acc -> List.map spec_info b.live @ acc)
       e.indexed []
 
-let installers e =
-  (if e.primary_active then [ e.default_handler.installer ] else [])
-  @ List.map (fun (i : Handler_spec.info) -> i.Handler_spec.i_installer)
-      (specs e)
+(* A hot swap's registry walks, gating then evicting a domain, allocate
+   only the names they return and what an eviction keeps; an index table
+   is folded, with a closure, only while it holds live handlers.
+   [installed_by] counts [installer]'s non-primary handlers on [e]. *)
+let rec sweep ~evict e installer n = function
+  | [] -> n
+  | h :: rest ->
+    let hit = h.active && String.equal h.installer installer in
+    if hit && evict then uninstall e h;
+    sweep ~evict e installer (if hit then n + 1 else n) rest
 
-(* Per-installer eviction: a hot swap retires a whole domain by
-   sweeping every event through the registry. *)
-let remove_installer e installer =
-  let removed = ref 0 in
-  let sweep h =
-    if h.active && String.equal h.installer installer then begin
-      uninstall e h; incr removed
-    end in
-  List.iter sweep e.extra;
-  Hashtbl.iter (fun _ b -> List.iter sweep b.live) e.indexed;
-  !removed
+let installed_by ~evict e installer =
+  let n = sweep ~evict e installer 0 e.extra in
+  if e.n_indexed_active = 0 then n
+  else Hashtbl.fold (fun _ b n -> sweep ~evict e installer n b.live) e.indexed n
+
+let has_installer e installer =
+  (e.primary_active && String.equal e.default_handler.installer installer)
+  || installed_by ~evict:false e installer > 0
 
 (* Structural-coherence audit, so the checkers can sweep every event:
    stale inactive handlers in a handler list, a drifted active-indexed
@@ -666,13 +674,14 @@ let is_gated e = e.gated
 (* The registry sweep, for gates: close every event on which
    [installer] has an active handler, returning the names closed so
    the swap can reopen exactly those. *)
-let gate_installer t ~installer =
-  List.filter_map
-    (fun (Reg e) ->
-      if List.mem installer (installers e)
-      then begin e.gated <- true; Some e.e_name end
-      else None)
-    t.registry
+let rec gate_in installer = function
+  | [] -> []
+  | Reg e :: rest when has_installer e installer ->
+    e.gated <- true;
+    e.e_name :: gate_in installer rest
+  | _ :: rest -> gate_in installer rest
+
+let gate_installer t ~installer = gate_in installer t.registry
 
 let set_gate_by_name t ~names v =
   List.iter
@@ -689,12 +698,18 @@ let audit t report = List.iter (fun (Reg e) -> audit_event e report) t.registry
 
 let topology t =
   List.rev_map
-    (fun (Reg e) -> (e.e_name, e.default_handler.installer, installers e))
+    (fun (Reg e) ->
+      (e.e_name, e.default_handler.installer,
+       (if e.primary_active then [ e.default_handler.installer ] else [])
+       @ List.map (fun i -> i.Handler_spec.i_installer) (specs e)))
     t.registry
 
-let uninstall_installer t ~installer =
-  List.fold_left
-    (fun acc (Reg e) -> acc + remove_installer e installer) 0 t.registry
+let rec uninstall_in installer n = function
+  | [] -> n
+  | Reg e :: rest ->
+    uninstall_in installer (n + installed_by ~evict:true e installer) rest
+
+let uninstall_installer t ~installer = uninstall_in installer 0 t.registry
 
 (* ------------------ trusted-path observability -------------------- *)
 

@@ -134,28 +134,7 @@ let max_program = 4096
 
 exception Reject of error
 
-(* Verifier state: per-register [None] = uninitialized. *)
-
-let rty_equal a b =
-  match a, b with
-  | Rcap x, Rcap y -> Ty.equal x y
-  | a, b -> a = b
-
-let merge_state a b =
-  Array.init nregs (fun i ->
-    match a.(i), b.(i) with
-    | Some x, Some y when rty_equal x y -> Some x
-    | _ -> None)
-
-let state_equal a b =
-  let ok = ref true in
-  for i = 0 to nregs - 1 do
-    (match a.(i), b.(i) with
-     | Some x, Some y when rty_equal x y -> ()
-     | None, None -> ()
-     | _ -> ok := false)
-  done;
-  !ok
+let reject e = raise (Reject e)
 
 (* Saturating arithmetic so nested Loop multipliers can't overflow. *)
 let sat_cap = 1 lsl 40
@@ -165,162 +144,194 @@ let sat_mul a b =
   else if a > sat_cap / b then sat_cap
   else a * b
 
+(* The verifier's state is one [Bytes] of rows: a 16-bit type code per
+   register, then a reached byte. Codes are 0 uninitialized, 1 int,
+   2 bool, 3 text and 4 + k for the k-th capability type distinct per
+   [Ty.equal]; an [Ldc] meets at most one new type, so 16 bits hold
+   them. Rows 0 to n are the pcs and the end. Each loop depth owns two
+   more: its entry state and its body's fall-through, which cannot be
+   the outer block's row at that pc: an earlier jump may reach it. *)
+type 'a vstate = {
+  s_code : program;
+  s_layout : 'a layout;
+  s_caps : cap_slot array;
+  s_tys : Ty.t array;                   (* the type of code 4 + k *)
+  mutable s_ntys : int;
+  s_rows : Bytes.t;
+}
+
+let c_int = 1 and c_bool = 2 and c_text = 3
+let row_bytes = (2 * nregs) + 1
+let at row r = (row * row_bytes) + (2 * r)
+let code_at s row r = Bytes.get_uint16_le s.s_rows (at row r)
+let set_code s row r c = Bytes.set_uint16_le s.s_rows (at row r) c
+let reached s row = Bytes.get_uint8 s.s_rows (at row nregs) = 1
+let set_reached s row b = Bytes.set_uint8 s.s_rows (at row nregs) (Bool.to_int b)
+
+let rty_of s = function
+  | 1 -> Rint | 2 -> Rbool | 3 -> Rtext | c -> Rcap s.s_tys.(c - 4)
+
+let rec cap_code s ty k =
+  if k = s.s_ntys then (s.s_tys.(k) <- ty; s.s_ntys <- k + 1);
+  if Ty.equal s.s_tys.(k) ty then 4 + k else cap_code s ty (k + 1)
+
+(* Control passes from the reached row [src] to [dst], register [reg]
+   (-1 for none) set to [c]: a first arrival copies the row, later ones
+   keep the registers all paths agree on. Returns whether [dst] changed. *)
+let flow s src dst reg c =
+  if not (reached s dst) then begin
+    Bytes.blit s.s_rows (at src 0) s.s_rows (at dst 0) row_bytes;
+    if reg >= 0 then set_code s dst reg c;
+    true
+  end
+  else begin
+    let changed = ref false in
+    for r = 0 to nregs - 1 do
+      let v = if r = reg then c else code_at s src r in
+      if code_at s dst r <> v && code_at s dst r <> 0 then
+        (set_code s dst r 0; changed := true)
+    done;
+    !changed
+  end
+
+let jump s src dst = ignore (flow s src dst (-1) 0)
+
+let row_of stop last pc = if pc = stop then last else pc
+
+let check_reg pc r =
+  if r < 0 || r >= nregs then reject (Bad_register { pc; reg = r })
+
+let read s pc r =
+  check_reg pc r;
+  let c = code_at s pc r in
+  if c = 0 then reject (Uninitialized { pc; reg = r });
+  c
+
+let write s pc stop last r c =
+  check_reg pc r;
+  ignore (flow s pc (row_of stop last (pc + 1)) r c)
+
+let expect s pc c want =
+  if c <> want then
+    reject (Ill_typed { pc; expected = rty_of s want; found = rty_of s c })
+
+(* Branches and [Ret] test an int or a bool. *)
+let expect_test s pc c = if c <> c_int then expect s pc c c_bool
+
+let check_target pc stop d =
+  let target = pc + 1 + d in
+  if d < 0 then reject (Backward_jump { pc; target });
+  if target > stop then reject (Jump_out_of_block { pc; target });
+  target
+
+(* One reached instruction other than [Loop], at row [pc]. *)
+let step s pc stop last = function
+  | Ldi (r, _) -> write s pc stop last r c_int
+  | Ldf (r, slot) ->
+    let nfields = Array.length s.s_layout.l_fields in
+    if slot < 0 || slot >= nfields then
+      reject (Field_out_of_range { pc; slot; fields = nfields });
+    (match snd s.s_layout.l_fields.(slot) with
+     | Ty.Int -> write s pc stop last r c_int
+     | Ty.Text -> write s pc stop last r c_text
+     | ty -> reject (Ill_typed_field { pc; slot; ty }))
+  | Ldb (r, off) | Ldw (r, off) ->
+    if s.s_layout.l_payload = None then reject (No_payload { pc });
+    if off < 0 || off >= max_offset then
+      reject (Payload_out_of_range { pc; off });
+    write s pc stop last r c_int
+  | Len r ->
+    if s.s_layout.l_payload = None then reject (No_payload { pc });
+    write s pc stop last r c_int
+  | Ldc (r, slot) ->
+    let ncaps = Array.length s.s_caps in
+    if slot < 0 || slot >= ncaps then
+      reject (Cap_out_of_range { pc; slot; caps = ncaps });
+    write s pc stop last r (cap_code s s.s_caps.(slot).cs_ty 0)
+  | Mov (d, src) -> write s pc stop last d (read s pc src)
+  | Add (d, a, b) | Sub (d, a, b) | Lt (d, a, b) as i ->
+    expect s pc (read s pc a) c_int;
+    expect s pc (read s pc b) c_int;
+    write s pc stop last d (match i with Lt _ -> c_bool | _ -> c_int)
+  | And (d, a, b) | Or (d, a, b) ->
+    let ca = read s pc a in
+    let cb = read s pc b in
+    if ca <> cb || (ca <> c_int && ca <> c_bool) then
+      reject (Ill_typed { pc; expected = rty_of s ca; found = rty_of s cb });
+    write s pc stop last d ca
+  | Eq (d, a, b) ->
+    let ca = read s pc a in
+    let cb = read s pc b in
+    if ca <> cb then
+      reject (Ill_typed_compare { pc; left = rty_of s ca; right = rty_of s cb });
+    write s pc stop last d c_bool
+  | Not (d, src) ->
+    expect s pc (read s pc src) c_bool;
+    write s pc stop last d c_bool
+  | Jmp d -> jump s pc (row_of stop last (check_target pc stop d))
+  | Jz (r, d) | Jnz (r, d) ->
+    expect_test s pc (read s pc r);
+    jump s pc (row_of stop last (check_target pc stop d));
+    jump s pc (row_of stop last (pc + 1))
+  | Ret r -> expect_test s pc (read s pc r)
+  | Loop _ -> assert false
+
+(* Verify a block ending at [stop] from [pc] on, adding a saturating
+   bound on executed steps to [steps]. Its end row is [last], reached
+   iff control can fall off the block, and its loops use the rows after
+   [last]. Jumps stay within the block and may not land inside a
+   reachable Loop body: only its Loop instruction enters it. *)
+let rec walk s pc stop last steps =
+  if pc >= stop then steps
+  else if not (reached s pc) then walk s (pc + 1) stop last (sat_add steps 1)
+  else
+    match s.s_code.(pc) with
+    | Loop (count, len) ->
+      if count < 0 || len < 1 || pc + 1 + len > stop then
+        reject (Bad_loop { pc });
+      (* The body's rows are this block's, and no earlier jump may have
+         reached them: at run time the only way in is this Loop. *)
+      for b = pc + 1 to pc + len do
+        if reached s b then reject (Jump_out_of_block { pc; target = b })
+      done;
+      let entry = last + 1 in
+      set_reached s entry false;
+      jump s pc entry;
+      let body = fixpoint s (pc + 1) (pc + 1 + len) entry in
+      jump s entry (row_of stop last (pc + 1 + len));
+      walk s (pc + 1 + len) stop last
+        (sat_add steps (sat_add 1 (sat_mul count (sat_add body 1))))
+    | instr ->
+      step s pc stop last instr;
+      walk s (pc + 1) stop last (sat_add steps 1)
+
+(* Iterate the body's entry state to a fixpoint, merging in each
+   round's exit. Merges only move registers toward uninitialized, so
+   this stops within nregs+1 rounds. Returns the body's step bound. *)
+and fixpoint s pc0 stop entry =
+  for row = pc0 to stop - 1 do set_reached s row false done;
+  set_reached s (entry + 1) false;
+  jump s entry pc0;
+  let steps = walk s pc0 stop (entry + 1) 0 in
+  if reached s (entry + 1) && flow s (entry + 1) entry (-1) 0 then
+    fixpoint s pc0 stop entry
+  else steps
+
 let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
   let n = Array.length code in
-  let nfields = Array.length layout.l_fields in
-  let has_payload = layout.l_payload <> None in
-  let ncaps = Array.length caps in
-  let check_reg pc r =
-    if r < 0 || r >= nregs then raise (Reject (Bad_register { pc; reg = r })) in
-  let read st pc r =
-    check_reg pc r;
-    match st.(r) with
-    | Some t -> t
-    | None -> raise (Reject (Uninitialized { pc; reg = r })) in
-  let write st pc r t =
-    check_reg pc r;
-    let st' = Array.copy st in
-    st'.(r) <- Some t;
-    st' in
-  (* Verify the block [pc0, stop) entered with [entry]; return the
-     state with which control can fall off the end of the block (None
-     if every path Rets) and a saturating upper bound on executed
-     steps. Jump targets must stay within the block and may not land
-     inside a reachable Loop body — the interpreter enters bodies only
-     through their Loop instruction. *)
-  let rec block pc0 stop entry =
-    let states = Array.make (stop - pc0 + 1) None in
-    let set i st =
-      let idx = i - pc0 in
-      states.(idx) <-
-        (match states.(idx) with
-         | None -> Some st
-         | Some old -> Some (merge_state old st)) in
-    set pc0 entry;
-    let steps = ref 0 in
-    let check_target pc d =
-      let target = pc + 1 + d in
-      if d < 0 then raise (Reject (Backward_jump { pc; target }));
-      if target > stop then raise (Reject (Jump_out_of_block { pc; target }));
-      target in
-    let i = ref pc0 in
-    while !i < stop do
-      let pc = !i in
-      (match states.(pc - pc0) with
-       | None -> steps := sat_add !steps 1; incr i
-       | Some st ->
-         (match code.(pc) with
-          | Loop (count, len) ->
-            if count < 0 || len < 1 || pc + 1 + len > stop then
-              raise (Reject (Bad_loop { pc }));
-            (* No earlier jump may have targeted the body's interior:
-               at run time the only way in is through this Loop. *)
-            for b = pc + 1 to pc + len do
-              if states.(b - pc0) <> None then
-                raise (Reject (Jump_out_of_block { pc; target = b }))
-            done;
-            (* Iterate the body's entry state to a fixpoint: the state
-               reaching iteration k+1 is the merge of the entry with
-               iteration k's exit. The lattice only moves registers
-               toward uninitialized, so this terminates in <= nregs+1
-               rounds. *)
-            let s = ref st in
-            let body_steps = ref 0 in
-            let stable = ref false in
-            while not !stable do
-              let fall, bsteps = block (pc + 1) (pc + 1 + len) !s in
-              body_steps := bsteps;
-              let exit = match fall with Some f -> f | None -> !s in
-              let merged = merge_state !s exit in
-              if state_equal merged !s then stable := true else s := merged
-            done;
-            steps :=
-              sat_add !steps (sat_add 1 (sat_mul count (sat_add !body_steps 1)));
-            set (pc + 1 + len) !s;
-            i := pc + 1 + len
-          | instr ->
-            steps := sat_add !steps 1;
-            (match instr with
-             | Ldi (r, _) -> set (pc + 1) (write st pc r Rint)
-             | Ldf (r, slot) ->
-               if slot < 0 || slot >= nfields then
-                 raise (Reject (Field_out_of_range { pc; slot; fields = nfields }));
-               let _, fty = layout.l_fields.(slot) in
-               let rt =
-                 match fty with
-                 | Ty.Int -> Rint
-                 | Ty.Text -> Rtext
-                 | ty -> raise (Reject (Ill_typed_field { pc; slot; ty })) in
-               set (pc + 1) (write st pc r rt)
-             | Ldb (r, off) | Ldw (r, off) ->
-               if not has_payload then raise (Reject (No_payload { pc }));
-               if off < 0 || off >= max_offset then
-                 raise (Reject (Payload_out_of_range { pc; off }));
-               set (pc + 1) (write st pc r Rint)
-             | Len r ->
-               if not has_payload then raise (Reject (No_payload { pc }));
-               set (pc + 1) (write st pc r Rint)
-             | Ldc (r, slot) ->
-               if slot < 0 || slot >= ncaps then
-                 raise (Reject (Cap_out_of_range { pc; slot; caps = ncaps }));
-               set (pc + 1) (write st pc r (Rcap caps.(slot).cs_ty))
-             | Mov (d, s) ->
-               let t = read st pc s in
-               set (pc + 1) (write st pc d t)
-             | Add (d, a, b) | Sub (d, a, b) ->
-               (match read st pc a with
-                | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rint; found = t })));
-               (match read st pc b with
-                | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rint; found = t })));
-               set (pc + 1) (write st pc d Rint)
-             | And (d, a, b) | Or (d, a, b) ->
-               let ta = read st pc a and tb = read st pc b in
-               (match ta, tb with
-                | Rint, Rint -> set (pc + 1) (write st pc d Rint)
-                | Rbool, Rbool -> set (pc + 1) (write st pc d Rbool)
-                | _ ->
-                  raise (Reject (Ill_typed { pc; expected = ta; found = tb })))
-             | Eq (d, a, b) ->
-               let ta = read st pc a and tb = read st pc b in
-               if not (rty_equal ta tb) then
-                 raise (Reject (Ill_typed_compare { pc; left = ta; right = tb }));
-               set (pc + 1) (write st pc d Rbool)
-             | Lt (d, a, b) ->
-               (match read st pc a with
-                | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rint; found = t })));
-               (match read st pc b with
-                | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rint; found = t })));
-               set (pc + 1) (write st pc d Rbool)
-             | Not (d, s) ->
-               (match read st pc s with
-                | Rbool -> set (pc + 1) (write st pc d Rbool)
-                | t -> raise (Reject (Ill_typed { pc; expected = Rbool; found = t })))
-             | Jmp d -> set (check_target pc d) st
-             | Jz (r, d) | Jnz (r, d) ->
-               (match read st pc r with
-                | Rbool | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rbool; found = t })));
-               set (check_target pc d) st;
-               set (pc + 1) st
-             | Ret r ->
-               (match read st pc r with
-                | Rbool | Rint -> ()
-                | t -> raise (Reject (Ill_typed { pc; expected = Rbool; found = t })))
-             | Loop _ -> assert false);
-            incr i));
-    done;
-    (states.(stop - pc0), !steps) in
   try
-    if n = 0 then raise (Reject Empty);
-    if n > max_program then raise (Reject (Too_long n));
-    let entry = Array.make nregs None in
-    let fall, steps = block 0 n entry in
-    if fall <> None then raise (Reject Missing_ret);
-    if steps > budget then raise (Reject (Over_budget { steps; budget }));
+    if n = 0 then reject Empty;
+    if n > max_program then reject (Too_long n);
+    let loops =
+      Array.fold_left (fun k i -> match i with Loop _ -> k + 1 | _ -> k) 0 code in
+    let s =
+      { s_code = code; s_layout = layout; s_caps = caps;
+        s_tys = Array.make (min n (Array.length caps)) Ty.Unit; s_ntys = 0;
+        s_rows = Bytes.make ((n + 1 + (2 * loops)) * row_bytes) '\000' } in
+    set_reached s 0 true;
+    let steps = walk s 0 n n 0 in
+    if reached s n then reject Missing_ret;
+    if steps > budget then reject (Over_budget { steps; budget });
     Ok { v_layout = layout; v_caps = caps; v_code = Array.copy code;
          v_cert = { c_steps = steps } }
   with Reject e -> Error e
@@ -494,12 +505,16 @@ let match_field ~slot v =
 
 let match_string s =
   let n = String.length s in
-  let fail = [ Ldi (0, 0); Ret 0 ] in
-  let len_check = [ Len 0; Ldi (1, n); Eq (2, 0, 1); Jnz (2, 2) ] @ fail in
-  let char_checks =
-    List.concat_map
-      (fun i ->
-        [ Ldb (0, i); Ldi (1, Char.code s.[i]); Eq (2, 0, 1); Jnz (2, 2) ]
-        @ fail)
-      (List.init n Fun.id) in
-  Array.of_list (len_check @ char_checks @ [ Ldi (0, 1); Ret 0 ])
+  let code = Array.make ((6 * n) + 8) (Ret 0) in
+  (* The length, then each byte: load it into r0, compare it with an
+     immediate, and skip the failing [Ldi (0, 0); Ret 0] when equal. *)
+  for i = -1 to n - 1 do
+    let at = 6 * (i + 1) in
+    code.(at) <- (if i < 0 then Len 0 else Ldb (0, i));
+    code.(at + 1) <- Ldi (1, if i < 0 then n else Char.code s.[i]);
+    code.(at + 2) <- Eq (2, 0, 1);
+    code.(at + 3) <- Jnz (2, 2);
+    code.(at + 4) <- Ldi (0, 0)
+  done;
+  code.((6 * n) + 6) <- Ldi (0, 1);
+  code

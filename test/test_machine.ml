@@ -1255,6 +1255,69 @@ module Host = Spin_net.Host
 module Tcp = Spin_net.Tcp
 module Ip = Spin_net.Ip
 
+(* The install path keeps what it allocates. Verifying a loop-free
+   program builds the verifier's state, one 6-field record (7 words)
+   and one [Bytes] of 17-byte rows, one per pc and one for the end, and
+   keeps its result: the [Ok] (2), the verified record (5), the
+   certificate (2) and the program's private copy. *)
+let verify_words n =
+  7. +. bytes_words ((n + 1) * 17) +. 2. +. 5. +. 2. +. float_of_int (n + 1)
+
+let test_verify_match_field_words () =
+  let layout = int_layout () in
+  let prog = Ebc.match_field ~slot:0 7 in
+  let verify () = ignore (Sys.opaque_identity (Ebc.verify ~layout prog)) in
+  check (float 0.) "words per verify of match_field" (verify_words 4)
+    (minor_words_over 1 verify)
+
+(* [match_string "r05"] fills its 26-instruction array (27 words) in
+   place: the length's [Ldi] (3 words) and each character's [Ldb] and
+   [Ldi] (3 each) are its only other blocks, the rest are constants. *)
+let test_match_string_words () =
+  let layout =
+    int_layout
+      ~payload:{ Ebc.p_buf = (fun _ -> Bytes.empty); p_off = (fun _ -> 0);
+                 p_len = (fun _ -> 0) } () in
+  let path = Sys.opaque_identity "r05" in
+  let build () = ignore (Sys.opaque_identity (Ebc.match_string path)) in
+  check (float 0.) "words per build" (27. +. 3. +. (3. *. 6.))
+    (minor_words_over 1 build);
+  let prog = Ebc.match_string path in
+  check int "instructions" 26 (Array.length prog);
+  let verify () = ignore (Sys.opaque_identity (Ebc.verify ~layout prog)) in
+  check (float 0.) "words per verify" (verify_words 26)
+    (minor_words_over 1 verify)
+
+(* A hot swap's registry walks: [gate_installer] closes the events an
+   installer handles and [uninstall_installer] evicts its handlers.
+   They allocate the returned names (3 words each) and, per handler
+   evicted, what its event keeps: the rebuilt handler list (here the
+   primary alone, 3 words) and plan (2). Events the installer never
+   touched cost nothing. *)
+let test_swap_sweep_words () =
+  let d = Dispatcher.create (Clock.create Cost.alpha_133) in
+  let events =
+    Array.init 6 (fun i ->
+      Dispatcher.declare d ~name:(Printf.sprintf "Ev%d" i) ~owner:"M"
+        (fun x -> x)) in
+  let install i installer =
+    ignore
+      (Dispatcher.ok_exn ~site:"test"
+         (Dispatcher.install events.(i) ~installer (fun x -> x))) in
+  install 1 "ext";
+  install 2 "other";
+  install 4 "ext";
+  install 4 "other";
+  let installer = Sys.opaque_identity "ext" in
+  let gated = ref [] and swept = ref 0 in
+  let sweep () =
+    gated := Dispatcher.gate_installer d ~installer;
+    swept := Dispatcher.uninstall_installer d ~installer in
+  let words = minor_words_over 1 sweep in
+  check (list string) "gated" [ "Ev4"; "Ev1" ] !gated;
+  check int "swept" 2 !swept;
+  check (float 0.) "words per sweep" ((2. *. 3.) +. (2. *. (3. +. 2.))) words
+
 (* Minor words a sender allocates beyond the NIC's frame copies to put
    8 full-MSS segments on the wire: the send's run record, 6 words, and
    nothing per segment. A segment's sequence number, position and
@@ -1935,5 +1998,11 @@ let () =
             test_strand_life_words;
           Alcotest.test_case "an ipi wakeup allocates nothing" `Quick
             test_ipi_wakeup_words;
+          Alcotest.test_case "verifying match_field allocates its state"
+            `Quick test_verify_match_field_words;
+          Alcotest.test_case "match_string fills its program in place" `Quick
+            test_match_string_words;
+          Alcotest.test_case "a swap's registry walks allocate what they keep"
+            `Quick test_swap_sweep_words;
         ] );
     ]

@@ -394,6 +394,210 @@ let test_certificate () =
   if !accepted < 200 then
     failf "only %d of %d programs accepted" !accepted cases
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the packed verifier against the reference model      *)
+(* ------------------------------------------------------------------ *)
+
+(* A text field and a procedure-typed one beside an int, and a payload;
+   the bare layout has one int field and no payload. *)
+let wide_layout : ev Ebc.layout =
+  Ebc.layout ~name:"Test.Wide"
+    ~fields:[ ("a", Ty.Int); ("t", Ty.Text); ("fn", Ty.Proc ([], Ty.Int)) ]
+    ~read:(fun e _ -> e.a)
+    ~payload:{ Ebc.p_buf = (fun _ -> Bytes.of_string "spin!");
+               p_off = (fun _ -> 0); p_len = (fun _ -> 5) }
+    ()
+
+let narrow_layout : ev Ebc.layout =
+  Ebc.layout ~name:"Test.Narrow" ~fields:[ ("a", Ty.Int) ]
+    ~read:(fun e _ -> e.a) ()
+
+(* Slots 0 and 2 hold equal types built apart, so only [Ty.equal] can
+   tell they agree; slots 1 and 3 hold two other types. *)
+let diff_caps =
+  let slot ty = { Ebc.cs_ty = ty; cs_read = (fun () -> 0) } in
+  [| slot (Ty.Proc ([ Ty.Int ], Ty.Opaque "Port"));
+     slot (Ty.Opaque "Port");
+     slot (Ty.Proc ([ Ty.Int ], Ty.Opaque ("Po" ^ "rt")));
+     slot Ty.Int |]
+
+(* A program as nested items: a jump to its block's end or past the
+   next item gets its offset when the items are laid out, so jumps
+   land on a loop's end as often as anywhere else. *)
+type item =
+  | Op of Ebc.instr
+  | To_end of (int -> Ebc.instr)
+  | Over of (int -> Ebc.instr)
+  | Body of int * item list               (* a Loop and the items it runs *)
+
+(* Lay out [items], last first: [after] instructions follow in the
+   block, and the next item takes [next]. *)
+let rec lay_out items =
+  let place item (code, after, next) =
+    match item with
+    | Op i -> (i :: code, after + 1, 1)
+    | To_end jump -> (jump after :: code, after + 1, 1)
+    | Over jump -> (jump next :: code, after + 1, 1)
+    | Body (count, body) ->
+      let b = lay_out body in
+      let len = List.length b in
+      ((Ebc.Loop (count, len) :: b) @ code, after + 1 + len, 1 + len) in
+  let code, _, _ = List.fold_right place items ([], 0, 0) in
+  code
+
+(* Registers 0-5 mostly, sometimes one out of range. Every opcode is
+   drawn, with field slots, payload offsets, capability slots, jump
+   offsets and loop shapes reaching past their valid ranges. *)
+let item_gen =
+  let open QCheck2.Gen in
+  let reg = frequency [ (20, int_range 0 5); (1, oneofl [ -1; 8 ]) ] in
+  let test = int_range 0 5 in
+  let op g = map (fun i -> Op i) g in
+  let jump r = frequency [ (3, pure None); (1, map Option.some r) ] in
+  let branch c k =
+    match c with
+    | None -> Ebc.Jmp k
+    | Some (true, r) -> Ebc.Jz (r, k)
+    | Some (false, r) -> Ebc.Jnz (r, k) in
+  let cond = jump (pair bool test) in
+  sized_size (int_range 0 3) @@ fix (fun self depth ->
+      let leaf =
+        [ (3, op (map2 (fun r v -> Ebc.Ldi (r, v)) reg (int_range (-2) 3)));
+          (2, op (map2 (fun r s -> Ebc.Ldf (r, s)) reg (int_range (-1) 3)));
+          (1, op (map2 (fun r o -> Ebc.Ldb (r, o)) reg
+                    (oneofl [ -1; 0; 3; 9; 65535; 65536 ])));
+          (1, op (map2 (fun r o -> Ebc.Ldw (r, o)) reg (int_range (-1) 6)));
+          (1, op (map (fun r -> Ebc.Len r) reg));
+          (2, op (map2 (fun r s -> Ebc.Ldc (r, s)) reg (int_range (-1) 4)));
+          (2, op (map2 (fun d s -> Ebc.Mov (d, s)) reg test));
+          (1, op (map3 (fun d a b -> Ebc.Add (d, a, b)) reg test test));
+          (1, op (map3 (fun d a b -> Ebc.Sub (d, a, b)) reg test test));
+          (1, op (map3 (fun d a b -> Ebc.And (d, a, b)) reg test test));
+          (1, op (map3 (fun d a b -> Ebc.Or (d, a, b)) reg test test));
+          (3, op (map3 (fun d a b -> Ebc.Eq (d, a, b)) reg test test));
+          (1, op (map3 (fun d a b -> Ebc.Lt (d, a, b)) reg test test));
+          (1, op (map2 (fun d s -> Ebc.Not (d, s)) reg test));
+          (1, op (map (fun r -> Ebc.Ret r) reg));
+          (2, op (map2 branch cond (int_range (-2) 5)));
+          (2, map (fun c -> To_end (branch c)) cond);
+          (2, map (fun c -> Over (branch c)) cond);
+          (1, op (map2 (fun n k -> Ebc.Loop (n, k)) (int_range (-1) 3)
+                    (int_range 0 4))) ] in
+      if depth = 0 then frequency leaf
+      else
+        frequency
+          ((2, map2 (fun n body -> Body (n, body)) (int_range 0 4)
+                 (list_size (int_range 0 4) (self (depth - 1))))
+           :: leaf))
+
+(* Most programs start by loading r0-r5, some with a capability; the
+   rest start cold. Most end in a Ret; a few are empty or too long. *)
+let diff_prog_gen =
+  let open QCheck2.Gen in
+  let prologue =
+    frequency
+      [ (3, map (List.mapi (fun r v -> Ebc.Ldi (r, v)))
+              (list_repeat 6 (int_range 0 2)));
+        (1, map2 (fun s t -> [ Ebc.Ldi (0, 1); Ebc.Ldi (1, 0); Ebc.Ldc (2, s);
+                               Ebc.Ldc (3, t); Ebc.Ldi (4, 1); Ebc.Ldi (5, 0) ])
+              (int_range 0 3) (int_range 0 3));
+        (1, pure []) ] in
+  let body =
+    map3
+      (fun pre items ret ->
+        Array.of_list (pre @ lay_out items @ Option.to_list ret))
+      prologue
+      (list_size (int_range 0 12) item_gen)
+      (frequency [ (8, map (fun r -> Some (Ebc.Ret r)) (int_range 0 5));
+                   (1, pure None) ]) in
+  frequency
+    [ (200, body); (1, pure [||]);
+      (1, pure (Array.make 4097 (Ebc.Ldi (0, 0)))) ]
+
+let diff_cases = 20_000
+
+(* How many draws the model answered with each outcome kind. *)
+let diff_seen : (string, int) Hashtbl.t = Hashtbl.create 16
+
+(* The constructor an outcome reports, so the test can require that
+   every one the verifier can return was drawn. *)
+let outcome_kind = function
+  | Ok _ -> "Ok"
+  | Error e ->
+    (match e with
+     | Ebc.Empty -> "Empty" | Ebc.Too_long _ -> "Too_long"
+     | Ebc.Bad_register _ -> "Bad_register"
+     | Ebc.Uninitialized _ -> "Uninitialized"
+     | Ebc.Field_out_of_range _ -> "Field_out_of_range"
+     | Ebc.Ill_typed_field _ -> "Ill_typed_field"
+     | Ebc.No_payload _ -> "No_payload"
+     | Ebc.Payload_out_of_range _ -> "Payload_out_of_range"
+     | Ebc.Cap_out_of_range _ -> "Cap_out_of_range"
+     | Ebc.Ill_typed _ -> "Ill_typed"
+     | Ebc.Ill_typed_compare _ -> "Ill_typed_compare"
+     | Ebc.Backward_jump _ -> "Backward_jump"
+     | Ebc.Jump_out_of_block _ -> "Jump_out_of_block"
+     | Ebc.Bad_loop _ -> "Bad_loop"
+     | Ebc.Over_budget _ -> "Over_budget"
+     | Ebc.Missing_ret -> "Missing_ret"
+     | Ebc.No_layout _ -> "No_layout")
+
+let show_outcome = function
+  | Ok steps -> Printf.sprintf "Ok %d steps" steps
+  | Error e -> "Error: " ^ Ebc.error_to_string e
+
+(* [Ebc.verify] returns the model's certificate, or its error with the
+   same pc and fields, on every program, layout, slot table and
+   budget drawn. *)
+let prop_matches_model =
+  QCheck2.Test.make ~name:"verify agrees with the reference model"
+    ~count:diff_cases
+    ~print:(fun (prog, wide, budget) ->
+      Printf.sprintf "%s layout, budget %d, %d instructions"
+        (if wide then "wide" else "narrow") budget (Array.length prog))
+    QCheck2.Gen.(triple diff_prog_gen bool
+                   (frequency [ (3, pure Ebc.default_budget);
+                                (1, int_range 1 40) ]))
+    (fun (prog, wide, budget) ->
+      let layout = if wide then wide_layout else narrow_layout in
+      let got =
+        Result.map
+          (fun v -> (Ebc.certificate v).Ebc.c_steps)
+          (Ebc.verify ~layout ~caps:diff_caps ~budget prog) in
+      let want = Ebc_model.verify ~layout ~caps:diff_caps ~budget prog in
+      let k = outcome_kind want in
+      let seen = Option.value ~default:0 (Hashtbl.find_opt diff_seen k) in
+      Hashtbl.replace diff_seen k (seen + 1);
+      got = want
+      || QCheck2.Test.fail_reportf "verify: %s; model: %s" (show_outcome got)
+           (show_outcome want))
+
+let test_matches_model () =
+  Hashtbl.reset diff_seen;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 1995 |])
+    prop_matches_model;
+  List.iter
+    (fun kind ->
+      if not (Hashtbl.mem diff_seen kind) then
+        failf "the generator never drew an outcome of kind %s" kind)
+    [ "Ok"; "Empty"; "Too_long"; "Bad_register"; "Uninitialized";
+      "Field_out_of_range"; "Ill_typed_field"; "No_payload";
+      "Payload_out_of_range"; "Cap_out_of_range"; "Ill_typed";
+      "Ill_typed_compare"; "Backward_jump"; "Jump_out_of_block"; "Bad_loop";
+      "Over_budget"; "Missing_ret" ];
+  let accepted = Hashtbl.find diff_seen "Ok" in
+  if accepted * 10 < diff_cases then
+    failf "only %d of %d programs accepted" accepted diff_cases
+
+(* The builders' output is what [verify_cycles] and execution steps,
+   and so every virtual row, are computed from. *)
+let test_match_string_pinned () =
+  List.iter
+    (fun s ->
+      if Ebc.match_string s <> Ebc_model.match_string s then
+        failf "match_string %S differs from the list-built program" s)
+    [ ""; "a"; "r05"; "live"; "GET /index.html" ]
+
 let () =
   run "verifier"
     [
@@ -426,5 +630,9 @@ let () =
         [ test_case "run_counted counts every step" `Quick
             test_run_counted_steps;
           test_case "accepted programs honor their certificate" `Quick
-            test_certificate ] );
+            test_certificate;
+          test_case "verify agrees with the reference model" `Quick
+            test_matches_model;
+          test_case "match programs equal the list-built ones" `Quick
+            test_match_string_pinned ] );
     ]
