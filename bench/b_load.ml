@@ -78,7 +78,7 @@ let legacy_echo frame =
    are pushed into the consumed headroom, and the only copy left is
    the device DMA when the frame goes back on the wire. *)
 let zerocopy_echo frame =
-  let p = Pkt.of_frame frame in
+  let p = Pkt.of_frame frame ~len:(Bytes.length frame) in
   ignore (Pkt.get_u16_le p 0);                              (* guard in place *)
   Pkt.drop p link_hdr;
   Pkt.drop p ip_hdr;

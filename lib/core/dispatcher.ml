@@ -65,6 +65,8 @@ type t = {
      exempt — e.g. the swap itself). *)
   mutable gate_wait : (unit -> bool) option;
   mutable s_verifier_rejections : int;
+  (* Asynchronous handler bodies handed to [spawn], on every event. *)
+  mutable async_starts : int;
 }
 
 (* One declared event, its type hidden, so hot-swap gating, sweeps and
@@ -147,7 +149,8 @@ let no_scheduler _ =
 
 let create clock =
   { clock; tracer = Trace.of_clock clock; spawn = no_scheduler; registry = [];
-    on_violation = None; gate_wait = None; s_verifier_rejections = 0 }
+    on_violation = None; gate_wait = None; s_verifier_rejections = 0;
+    async_starts = 0 }
 
 let tracer t = t.tracer
 
@@ -466,6 +469,7 @@ let invoke e h arg =
    exactly the extension that was evicted. The body runs through
    [invoke], so a fault is contained as a synchronous handler's is. *)
 let run_async e h arg =
+  e.disp.async_starts <- e.disp.async_starts + 1;
   let thunk () =
     if h.active then
       (match invoke e h arg with _ -> () | exception No_result -> ())
@@ -717,6 +721,8 @@ let trusted_total t =
   List.fold_left (fun acc (Reg e) -> acc + e.stats.trusted_fast) 0 t.registry
 
 let verifier_rejections t = t.s_verifier_rejections
+
+let async_starts t = t.async_starts
 
 let installed_specs t ~installer =
   List.concat_map

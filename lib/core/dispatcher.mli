@@ -56,6 +56,14 @@ val set_async_spawn : t -> ((unit -> unit) -> unit) -> unit
     hook is installed, raising an event with an asynchronous handler
     raises [Invalid_argument], naming the missing scheduler. *)
 
+val async_starts : t -> int
+(** Asynchronous handler bodies started so far, on every event of the
+    dispatcher. A raiser that lends its argument for the dispatch
+    alone compares it before and after the raise: an unchanged count
+    means no asynchronous body, started by this raise or a nested one
+    on the same dispatcher, will see the argument after it returns.
+    [Netif] does, to recycle a received frame's buffer. *)
+
 (** {2 Handler specifications}
 
     Everything an installation can ask for, in one record — the single

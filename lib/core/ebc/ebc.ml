@@ -175,12 +175,28 @@ let rec cap_code s ty k =
   if k = s.s_ntys then (s.s_tys.(k) <- ty; s.s_ntys <- k + 1);
   if Ty.equal s.s_tys.(k) ty then 4 + k else cap_code s ty (k + 1)
 
+(* The 8-byte moves of [copy_row], as primitives: the word read
+   passes to the write unboxed. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* [copy_row] moves a row as 16 bytes of register codes (8 registers)
+   and a reached byte. *)
+let () = assert (row_bytes = 17)
+
+(* Row [src] over row [dst]: two 64-bit moves, then the reached byte. *)
+let copy_row s src dst =
+  let rows = s.s_rows and a = at src 0 and b = at dst 0 in
+  set64 rows b (get64 rows a);
+  set64 rows (b + 8) (get64 rows (a + 8));
+  Bytes.set_uint8 rows (b + 16) (Bytes.get_uint8 rows (a + 16))
+
 (* Control passes from the reached row [src] to [dst], register [reg]
    (-1 for none) set to [c]: a first arrival copies the row, later ones
    keep the registers all paths agree on. Returns whether [dst] changed. *)
 let flow s src dst reg c =
   if not (reached s dst) then begin
-    Bytes.blit s.s_rows (at src 0) s.s_rows (at dst 0) row_bytes;
+    copy_row s src dst;
     if reg >= 0 then set_code s dst reg c;
     true
   end

@@ -40,6 +40,18 @@ let take t =
   t.len <- t.len - 1;
   v
 
+let pop t =
+  if t.len = 0 then invalid_arg "Ring.pop: empty";
+  t.len <- t.len - 1;
+  let i = index t t.len in
+  let v = t.slots.(i) in
+  t.slots.(i) <- t.dummy;
+  v
+
+let peek t =
+  if t.len = 0 then invalid_arg "Ring.peek: empty";
+  t.slots.(t.head)
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.slots.(index t i)

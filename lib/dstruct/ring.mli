@@ -1,7 +1,9 @@
 (** Growable circular FIFOs that allocate nothing per element.
 
     The frame path queues through rings: each direction of a [Link]'s
-    wire, the [Nic]'s receive ring and [Netif]'s per-shard queues.
+    wire, the [Nic]'s receive ring and [Netif]'s per-shard queues. A
+    [Link]'s free list of frame buffers is a ring used as a stack
+    ({!pop}).
     The slots are a plain array, so an element is stored in place
     with no option box and no list cell; a taken slot is refilled
     with the ring's [dummy] so it pins nothing. A full ring doubles
@@ -27,6 +29,15 @@ val add : 'a t -> 'a -> unit
 
 val take : 'a t -> 'a
 (** [take t] removes and returns the oldest element.
+    Raises [Invalid_argument] if [t] is empty. *)
+
+val pop : 'a t -> 'a
+(** [pop t] removes and returns the newest element, so a ring that
+    only {!add}s and {!pop}s is a stack.
+    Raises [Invalid_argument] if [t] is empty. *)
+
+val peek : 'a t -> 'a
+(** [peek t] is the oldest element, left in place.
     Raises [Invalid_argument] if [t] is empty. *)
 
 val iter : ('a -> unit) -> 'a t -> unit

@@ -13,7 +13,8 @@ type t = {
   kind : kind;
   mtu : int;
   io : io_model;
-  rx_ring : Bytes.t Ring.t;
+  rx_ring : Bytes.t Ring.t;     (* received frames' buffers, oldest first *)
+  rx_lens : int Ring.t;         (* and their lengths, kept in step *)
   mutable link : (Link.t * Link.endpoint) option;
   mutable rx_dropped : int;
 }
@@ -44,6 +45,7 @@ let rx_ring_size = 64
 let create sim intr ~line ~kind =
   { sim; intr; line; kind; mtu = mtu_of kind; io = io_of kind;
     rx_ring = Ring.create ~dummy:Bytes.empty rx_ring_size;
+    rx_lens = Ring.create ~dummy:0 rx_ring_size;
     link = None;
     rx_dropped = 0 }
 
@@ -66,16 +68,21 @@ let charge_io ?(rx = false) t len =
 
 let attach t link ep =
   t.link <- Some (link, ep);
-  Link.set_receiver link ep (fun frame ->
-    if Ring.length t.rx_ring < rx_ring_size then begin
-      Ring.add t.rx_ring frame;
-      Intr.post t.intr ~line:t.line
-    end else
-      t.rx_dropped <- t.rx_dropped + 1)
+  Link.set_receiver link ep ~max_frame:(t.mtu + header_allowance)
+    (fun frame len ->
+      if Ring.length t.rx_ring < rx_ring_size then begin
+        Ring.add t.rx_ring frame;
+        Ring.add t.rx_lens len;
+        Intr.post t.intr ~line:t.line
+      end else begin
+        t.rx_dropped <- t.rx_dropped + 1;
+        Link.release link frame
+      end)
 
 (* The device copies the frame out of host memory (DMA or PIO) as it
-   goes onto the wire. A delivered frame therefore never aliases the
-   sender's buffers, and the receive path may use it in place. *)
+   goes onto the wire, into a frame buffer of the link's. A delivered
+   frame therefore never aliases the sender's buffers, and the receive
+   path may use it in place until its driver releases it. *)
 let transmit t ~off ~len frame =
   if off < 0 || len < 0 || off + len > Bytes.length frame then
     invalid_arg "Nic.transmit";
@@ -85,17 +92,24 @@ let transmit t ~off ~len frame =
     if len > t.mtu + header_allowance then false
     else begin
       charge_io t len;
-      Link.send link ~from:ep (Bytes.sub frame off len);
+      let buf = Link.buffer link in
+      Bytes.blit frame off buf 0 len;
+      Link.send link ~from:ep buf ~len;
       true
     end
 
 let rx_pending t = not (Ring.is_empty t.rx_ring)
 
+let rx_length t = Ring.peek t.rx_lens
+
 let receive t =
   let frame = Ring.take t.rx_ring in
-  charge_io ~rx:true t (Bytes.length frame);
+  charge_io ~rx:true t (Ring.take t.rx_lens);
   frame
 
+let release t frame =
+  match t.link with
+  | Some (link, _) -> Link.release link frame
+  | None -> ()
+
 let rx_dropped t = t.rx_dropped
-
-

@@ -13,6 +13,7 @@ type t = {
   machine : Machine.t;
   sched : Sched.t;
   nic : Nic.t;
+  dispatcher : Dispatcher.t;
   name : string;
   rx_event : (Pkt.t, unit) Dispatcher.event;
   rx_shards : int;
@@ -55,7 +56,7 @@ let create ?(optimized = false) ?(rx_shards = 1) machine sched dispatcher nic
                  ~read:(fun pkt _ -> Pkt.length pkt)
                  ~payload:Pkt.ebc_payload ())
       (fun (_ : Pkt.t) -> ()) in
-  { machine; sched; nic; name; rx_event;
+  { machine; sched; nic; dispatcher; name; rx_event;
     rx_shards;
     rx_queues =
       Array.init rx_shards (fun _ -> Ring.create ~dummy:(Pkt.empty ()) 32);
@@ -143,7 +144,16 @@ let service t pkt ~first =
     else Trace.null_span in
   Clock.charge t.machine.Machine.clock
     (if first then t.rx_overhead else t.rx_overhead / coalesce_divisor);
+  (* The frame is lent to the raise: read its buffer now (a handler's
+     [Pkt.reserve] may move the view to a new one), and hand it back
+     to the device once the raise returns, unless an asynchronous
+     handler started meanwhile, which may read it later; that buffer
+     is left to the collector. *)
+  let frame = Pkt.buffer pkt
+  and async_starts = Dispatcher.async_starts t.dispatcher in
   Dispatcher.raise_default t.rx_event () pkt;
+  if Dispatcher.async_starts t.dispatcher = async_starts then
+    Nic.release t.nic frame;
   Trace.end_span tr sp
 
 (* The rest of a wakeup's burst: up to [rx_batch] frames in all. A
@@ -171,10 +181,11 @@ let protocol_loop t shard () =
   done
 
 (* The ring frame is the wire's copy (made by the sender's device):
-   alias it straight into the stack. *)
+   view its bytes in place, straight into the stack. *)
 let rec drain_rx t =
   if Nic.rx_pending t.nic then begin
-    let pkt = Pkt.of_frame (Nic.receive t.nic) in
+    let len = Nic.rx_length t.nic in
+    let pkt = Pkt.of_frame (Nic.receive t.nic) ~len in
     Ring.add t.rx_queues.(shard_of t pkt) pkt;
     drain_rx t
   end

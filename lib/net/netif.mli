@@ -13,11 +13,18 @@
 
     {2 Buffer ownership}
 
-    The packets raised on {!rx_event} alias the DMA buffer the NIC
+    The packets raised on {!rx_event} alias the frame buffer the NIC
     wrote — no copy is made between the device ring and the protocol
     graph. Handlers up the stack receive views of that same buffer
     (see {!Pkt} for the aliasing rules) and may reuse its headroom to
-    transmit a response in place. Conversely, a packet passed to
+    transmit a response in place. The buffer is lent for the dispatch:
+    when the raise returns, the driver hands it back to the link's
+    free list and a later frame lands in it, so a handler that keeps
+    data takes a copy ({!Pkt.contents}) before it returns. The one
+    exception is a raise that started an asynchronous handler
+    (counted by {!Spin_core.Dispatcher.async_starts}): its buffer is
+    never handed back, so the strand reads intact bytes whenever it
+    runs. Conversely, a packet passed to
     {!transmit} is handed off: the device copies it onto the wire
     before the call returns (the path's single true copy, so receivers
     never alias the sender), and the view must not be reused. TCP

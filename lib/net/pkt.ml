@@ -23,7 +23,9 @@ let of_payload b =
   Bytes.blit b 0 t.buf t.off (Bytes.length b);
   t
 
-let of_frame b = { buf = b; off = 0; len = Bytes.length b }
+let of_frame b ~len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Pkt.of_frame";
+  { buf = b; off = 0; len }
 
 let empty () = { buf = Bytes.empty; off = 0; len = 0 }
 

@@ -15,10 +15,14 @@
     - {!of_frame}, {!sub}, {!drop} and {!truncate} all {e alias} the
       backing buffer; {!of_payload} and {!contents} are the only
       copying operations.
-    - A packet handed to a receive handler is owned by that handler
-      for the duration of the dispatch. The payload region must be
-      treated {b read-only} — other handlers on the same event hold
-      views into the same buffer. The {e headroom} (the consumed
+    - A received packet is {b lent} to its receive handlers for the
+      duration of the dispatch, and no longer: its buffer is one of
+      the link's frame buffers, which the driver hands back when the
+      raise returns and the device then fills with a later frame
+      (unless an asynchronous handler started during the raise; that
+      buffer is never reused). During the dispatch the payload region
+      must be treated {b read-only} — other handlers on the same event
+      hold views into the same buffer. The {e headroom} (the consumed
       headers below [off]) is scratch space: echoing a packet by
       pushing fresh headers into it is legal and is how the stack
       achieves copy-free forwarding.
@@ -34,9 +38,9 @@
       a chunk of the connection's send buffer, which a retransmission
       reads again, which is why the read-only payload rule matters
       there.
-    - To retain packet data beyond the current dispatch while others
-      may still push into the shared buffer, take its {!contents}
-      (materialized bytes).
+    - To retain packet data beyond the current dispatch, take its
+      {!contents} (materialized bytes) during it: a view kept past the
+      dispatch reads whatever frame the buffer holds next.
 
     {2 Headroom}
 
@@ -67,10 +71,11 @@ val of_payload : Bytes.t -> t
     ownership of [b]. One copy — the charged "application hand-off"
     constructor. *)
 
-val of_frame : Bytes.t -> t
-(** Aliases [b] (off = 0, no headroom). Ownership of [b] transfers to
-    the packet: the receive path wraps the DMA buffer the NIC wrote
-    without copying. *)
+val of_frame : Bytes.t -> len:int -> t
+(** [of_frame b ~len] aliases the first [len] bytes of [b] (off = 0,
+    no headroom): the receive path wraps the frame buffer the NIC
+    wrote without copying, and the bytes past [len] are not the
+    packet's. Raises [Invalid_argument] if [len] is outside [b]. *)
 
 val empty : unit -> t
 (** A fresh zero-length packet (no backing storage). *)

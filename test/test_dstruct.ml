@@ -316,12 +316,21 @@ let test_ring_invalid () =
     (Invalid_argument "Ring.create: capacity must be positive")
     (fun () -> ignore (Ring.create ~dummy:0 0))
 
-(* Adds and takes against a list model, from a small initial room so
-   the ops cross both growth and wrap-around. After every op the
-   ring's emptiness, length and iteration agree with the model. *)
+(* Adds, takes (oldest), pops (newest) and peeks against a list model,
+   from a small initial room so the ops cross both growth and
+   wrap-around. After every op the ring's emptiness, length and
+   iteration agree with the model. *)
+type ring_op = Add of int | Take | Pop | Peek
+
 let prop_ring_matches_model =
   let open QCheck2.Gen in
-  let op = frequency [ (3, map Option.some small_int); (2, pure None) ] in
+  let op =
+    frequency
+      [ (6, map (fun v -> Add v) small_int); (2, pure Take); (1, pure Pop);
+        (1, pure Peek) ] in
+  (* On an empty ring, each of take, pop and peek raises. *)
+  let empty_raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true in
   QCheck2.Test.make ~name:"ring agrees with a list model" ~count:300
     (pair (int_range 1 4) (list_size (int_bound 200) op))
     (fun (room, ops) ->
@@ -337,12 +346,16 @@ let prop_ring_matches_model =
         (fun op ->
           let ok =
             match op, !model with
-            | Some v, m -> Ring.add r v; model := m @ [ v ]; true
-            | None, [] ->
-              (match Ring.take r with
-               | _ -> false
-               | exception Invalid_argument _ -> true)
-            | None, v :: rest -> model := rest; Ring.take r = v in
+            | Add v, m -> Ring.add r v; model := m @ [ v ]; true
+            | Take, [] -> empty_raises (fun () -> Ring.take r)
+            | Pop, [] -> empty_raises (fun () -> Ring.pop r)
+            | Peek, [] -> empty_raises (fun () -> Ring.peek r)
+            | Take, v :: rest -> model := rest; Ring.take r = v
+            | Pop, m ->
+              let rev = List.rev m in
+              model := List.rev (List.tl rev);
+              Ring.pop r = List.hd rev
+            | Peek, v :: _ -> Ring.peek r = v in
           ok && agrees ())
         ops)
 

@@ -794,12 +794,13 @@ let test_nic_delivery () =
   ignore a;
   let got = ref None in
   Intr.register b.Machine.intr ~line:(Nic.line nic_b) (fun () ->
-    got := Some (Nic.receive nic_b));
+    let len = Nic.rx_length nic_b in
+    got := Some (Bytes.sub_string (Nic.receive nic_b) 0 len));
   let frame = Bytes.of_string "ping" in
   check bool "tx ok" true (Nic.transmit nic_a ~off:0 ~len:4 frame);
   Sim.run sim;
   (match !got with
-   | Some f -> check string "payload" "ping" (Bytes.to_string f)
+   | Some f -> check string "payload" "ping" f
    | None -> Alcotest.fail "frame not delivered")
 
 let test_nic_mtu () =
@@ -1189,11 +1190,19 @@ let test_sim_at_words () =
   check (float 0.) "words per one-shot event" 0.
     (minor_words_over n schedule /. float_of_int n)
 
-(* The frame path: a device copy per transmitted frame, a view per
-   received one, and nothing else. *)
+(* The frame path: a device copy per transmitted frame, into a frame
+   buffer the link recycles, a view per received one, and nothing
+   else. *)
 
 (* Words of a fresh [Bytes.t] of [len] bytes: header, data, padding. *)
 let bytes_words len = float_of_int (1 + ((len + 8) / 8))
+
+(* Words of one of a T3 link's frame buffers: the device's MTU plus
+   the 48-byte link-level allowance. *)
+let t3_buffer_words = bytes_words (1500 + 48)
+
+(* Frames a NIC's receive ring holds before it drops. *)
+let rx_ring_size = 64
 
 (* The link's scheduled delivery: nothing. The frame waits in its
    direction's in-flight ring in place, the delivery event returns no
@@ -1202,19 +1211,51 @@ let bytes_words len = float_of_int (1 + ((len + 8) / 8))
 let link_event_words = 0.
 
 let test_nic_transmit_words () =
-  let sim, _, _, nic_a, _ = two_hosts Nic.T3 in
+  let sim, a, b, nic_a, _ = two_hosts Nic.T3 in
   (* A frame inside a larger buffer, at an offset and length the
      compiler cannot see, as a driver's are. *)
   let off = Sys.opaque_identity 18 and len = Sys.opaque_identity 1000 in
   let buf = Bytes.create (off + len) and n = 1_000 in
-  let send () = ignore (Nic.transmit nic_a ~off ~len buf) in
+  let send nic () = ignore (Nic.transmit nic ~off ~len buf) in
   (* Deliver a first round into a ring nobody drains, so the measured
-     round reuses the engine's pooled event records. *)
-  for _ = 1 to n do send () done;
+     round reuses the engine's pooled event records. The ring keeps
+     64 frames and drops the rest, whose buffers go back to the
+     link's free list. *)
+  for _ = 1 to n do send nic_a () done;
   Sim.run sim;
-  check (float 0.) "words per transmit: the frame copy alone"
-    (bytes_words len +. link_event_words)
-    (minor_words_over n send /. float_of_int n)
+  check (float 0.) "words over 936 sends: each copy lands in a free buffer"
+    (float_of_int (n - rx_ring_size) *. link_event_words)
+    (minor_words_over (n - rx_ring_size) (send nic_a));
+  Sim.run sim;
+  (* A second link on the same engine has no free buffer yet: each
+     copy takes a fresh one, as long as the device's largest frame. *)
+  let nic_c, _ = Machine.connect a b ~kind:Nic.T3 () in
+  check (float 0.) "words over 16 sends on a new link: a device buffer each"
+    (16. *. (t3_buffer_words +. link_event_words))
+    (minor_words_over 16 (send nic_c))
+
+(* A warm pair, a driver that hands each frame back as soon as it is
+   received: every frame's copy lands in a buffer an earlier frame
+   used, and neither [Nic.transmit], the link nor the receive ring
+   allocates. *)
+let test_frame_recycling_words () =
+  let sim, _, b, nic_a, nic_b = two_hosts Nic.T3 in
+  let received = ref 0 in
+  Intr.register b.Machine.intr ~line:(Nic.line nic_b) (fun () ->
+    while Nic.rx_pending nic_b do
+      received := !received + Nic.rx_length nic_b;
+      Nic.release nic_b (Nic.receive nic_b)
+    done);
+  let len = Sys.opaque_identity 1000 in
+  let buf = Bytes.create len in
+  let frame () =
+    ignore (Nic.transmit nic_a ~off:0 ~len buf);
+    Sim.run sim in
+  (* The first frames warm the engine's pools and the free list. *)
+  for _ = 1 to 16 do frame () done;
+  check (float 0.) "words over 10,000 frames" 0.
+    (minor_words_over 10_000 frame);
+  check int "every frame received" (10_016 * len) !received
 
 let test_intr_deliver_allocates_nothing () =
   let m = fresh () in
@@ -1355,9 +1396,10 @@ let test_tcp_send_words () =
   Host.run_all [ a; b ];
   check string "both transfers arrive intact"
     (Bytes.to_string data ^ Bytes.to_string data) (Buffer.contents got);
-  let frames = float_of_int k *. bytes_words (mss + 30) in
-  check (float 0.) "words beyond the frame copies" tcp_send_words
-    (marks.(1) -. marks.(0) -. frames);
+  (* The receiver handed the first transfer's frames back to the
+     link, and the second's copies land in them. *)
+  check (float 0.) "words of the send: the frames' buffers are recycled"
+    tcp_send_words (marks.(1) -. marks.(0));
   check bool "under one payload copy" true
     (tcp_send_words < float_of_int (k * mss / 8))
 
@@ -1559,14 +1601,17 @@ let test_ip_send_words () =
   let send () =
     ignore (Ip.send ip ~dst ~proto:Ip.proto_udp pkts.(!next));
     incr next in
-  (* A first round warms the engine's pooled event records. *)
+  (* A first round warms the engine's pooled event records. The peer
+     never drains its receive ring: it keeps 64 frames and hands the
+     rest back to the link's free list. *)
   for _ = 1 to n do send () done;
   Sim.run sim;
-  let headers = 14 in
-  check (float 0.) "words per send: the NIC's frame copy alone"
-    (bytes_words (len + headers) +. link_event_words)
-    (minor_words_over n send /. float_of_int n);
-  check int "every frame sent" (2 * n) (Ip.stats ip).Ip.sent
+  (* The NIC copies each frame into one of those buffers. *)
+  let m = n - rx_ring_size in
+  check (float 0.) "words per send: the NIC's frame copy, recycled"
+    link_event_words
+    (minor_words_over m send /. float_of_int m);
+  check int "every frame sent" (n + m) (Ip.stats ip).Ip.sent
 
 (* The receive path, from the frame Netif's rx service raises to the
    application: IP reads its header into its packet record, and TCP
@@ -1594,7 +1639,7 @@ let tcp_frame ~src ~dst ~sport ~dport ~seq ~ack ~flags data =
   Bytes.set_uint8 f 26 flags;
   Bytes.set_uint16_le f 28 dlen;
   Bytes.blit data 0 f 30 dlen;
-  Pkt.of_frame f
+  Pkt.of_frame f ~len:(Bytes.length f)
 
 (* IP's per-packet record ({src; dst; proto; ttl; payload}), which
    [Ip.input] builds for every frame it delivers. *)
@@ -1608,7 +1653,12 @@ let tcp_receiver on_receive =
   let a_addr = Ip.addr_of_quad 10 0 0 1 and b_addr = Ip.addr_of_quad 10 0 0 2 in
   let a = Machine.create_on sim ~mem_mb:4 ~name:"a" () in
   let b = Host.create sim ~name:"b" ~addr:b_addr in
-  let _, nic_b = Machine.connect a b.Host.machine ~kind:Nic.T3 () in
+  let nic_a, nic_b = Machine.connect a b.Host.machine ~kind:Nic.T3 () in
+  (* The peer's driver hands every frame [b] sends straight back to
+     the link, so [b]'s frames recycle its buffers as a live peer's
+     would. *)
+  Intr.register a.Machine.intr ~line:(Nic.line nic_a) (fun () ->
+    while Nic.rx_pending nic_a do Nic.release nic_a (Nic.receive nic_a) done);
   let nif = Netif.create b.Host.machine b.Host.sched b.Host.dispatcher nic_b ~name:"T3" in
   Ip.add_interface b.Host.ip nif ~addr:b_addr;
   Ip.add_route b.Host.ip ~dst:a_addr nif;
@@ -1687,10 +1737,12 @@ let test_tcp_ack_receive_words () =
 (* The whole receive queueing path, end to end: a frame one NIC sends
    crosses the link, waits in the peer's receive ring, is drained by a
    started [Netif] into its shard queue and taken by the protocol
-   strand, and [Ip.input] raises it. Beyond the sender's device copy,
-   that allocates the frame's view and IP's record: no queue on the
-   way builds a cell or an option. The protocol strand blocks again
-   (its suspension) only after IP's handler has read the count. *)
+   strand, and [Ip.input] raises it. That allocates the frame's view
+   and IP's record: the sender's device copy lands in the buffer the
+   previous frame used, which [Netif] handed back after its raise, and
+   no queue on the way builds a cell or an option. The protocol strand
+   blocks again (its suspension) only after IP's handler has read the
+   count. *)
 let test_frame_path_words () =
   let sim, _, b, nic_a, nic_b = two_hosts Nic.T3 in
   let d = Dispatcher.create b.Machine.clock in
@@ -1719,23 +1771,23 @@ let test_frame_path_words () =
     (* The first frames warm the engine's pools. *)
     if i > 8 then
       check (float 0.)
-        (Printf.sprintf "frame %d: the device copy, its view and IP's record" i)
-        (bytes_words len +. view +. ip_packet_words)
+        (Printf.sprintf "frame %d: its view and IP's record" i)
+        (view +. ip_packet_words)
         (marks.(1) -. marks.(0))
   done;
   check int "every frame delivered" n !delivered
 
 (* A data segment that completes a pair is acknowledged at once. Beyond
-   the application copy and IP's record, the ACK allocates the NIC's
-   copy of its frame alone: the engine frames it in a header buffer of
-   its own. *)
+   the application copy and IP's record, the ACK's frame is the NIC's
+   copy alone: the engine frames it in a header buffer of its own, and
+   the copy lands in the buffer the previous ACK used, so it allocates
+   nothing. *)
 let test_tcp_immediate_ack_words () =
   let len = 1000 and n = 32 in
   let sim, _, _, segment, arrive = tcp_receiver (fun _ -> ()) in
   let frames =
     Array.init n (fun i ->
       segment ~seq:(1 + (i * len)) ~ack:1 ~flags:2 (Bytes.make len 'd')) in
-  let ack_frame = 2 + 12 + Tcp.header_bytes in
   Array.iteri
     (fun i pkt ->
       if i mod 2 = 0 then begin
@@ -1750,16 +1802,18 @@ let test_tcp_immediate_ack_words () =
         if i >= 8 then
           check (float 0.)
             (Printf.sprintf
-               "segment %d: the application copy, IP's record and the \
-                ACK's frame copy" i)
-            (bytes_words len +. ip_packet_words +. bytes_words ack_frame)
+               "segment %d: the application copy and IP's record; the \
+                ACK's frame copy is recycled" i)
+            (bytes_words len +. ip_packet_words)
             words
       end)
     frames
 
 (* A Go-Back-N timeout over 8 segments in flight resends each from its
-   run, in a re-aimed frame, and re-arms the connection's own timer:
-   it allocates the NIC's copies of the 8 frames alone. *)
+   run, in a re-aimed frame, and re-arms the connection's own timer.
+   The NIC's copies of the 8 frames are all it does beyond that, and
+   they land in the buffers the previous round's frames used: it
+   allocates nothing. *)
 let test_tcp_timeout_resend_words () =
   let sim, b, c, _, _ = tcp_receiver (fun _ -> ()) in
   let mss = 1024 and k = 8 in
@@ -1772,8 +1826,7 @@ let test_tcp_timeout_resend_words () =
     minor_words_over 1 (fun () -> ignore (Sim.idle_step sim)) in
   (* The first timeout warms the engine's pools. *)
   ignore (timeout ());
-  check (float 0.) "8 segments resent: their frame copies alone"
-    (float_of_int k *. bytes_words (mss + 2 + 12 + Tcp.header_bytes))
+  check (float 0.) "8 segments resent: their frame copies are recycled" 0.
     (timeout ());
   check int "each timeout resent the window" (2 * k)
     (Tcp.stats b.Host.tcp).Tcp.retransmits
@@ -2004,5 +2057,7 @@ let () =
             test_match_string_words;
           Alcotest.test_case "a swap's registry walks allocate what they keep"
             `Quick test_swap_sweep_words;
+          Alcotest.test_case "frames through a warm pair allocate nothing"
+            `Quick test_frame_recycling_words;
         ] );
     ]

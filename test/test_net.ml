@@ -76,7 +76,7 @@ let test_pkt_drop_is_zero_copy () =
      same backing buffer, and the dropped header stays reusable as
      headroom for a response. *)
   let frame = Bytes.of_string "HDRpayload" in
-  let p = Pkt.of_frame frame in
+  let p = Pkt.of_frame frame ~len:(Bytes.length frame) in
   Pkt.drop p 3;
   let backing, off, _ = Pkt.view p in
   check bool "still the NIC's buffer" true (backing == frame);
@@ -190,6 +190,72 @@ let test_udp_loopback () =
   in_strand [ a; b ] a (fun () ->
     ignore (Udp.send a.Host.udp ~dst:addr_a ~port:4 (Bytes.of_string "hi me")));
   check (option string) "local destinations loop back" (Some "hi me") !got
+
+(* A received frame is lent to its dispatch: the driver hands its
+   buffer back to the link when the raise returns, and a later frame
+   lands in it. *)
+
+(* Datagram [i]'s payload: bytes that differ from every other's, and a
+   length that rises and falls, so a copy of the wrong frame, or of
+   stale bytes past its own end, shows. *)
+let lent_payload i =
+  Bytes.init (1 + (i * 37 mod 700)) (fun j -> Char.chr ((i * 7 + j) land 0xff))
+
+(* The datagrams, numbered from 1 in arrival order, whose copy is not
+   [lent_payload] of their number. *)
+let wrong_copies copies =
+  List.filteri (fun i s -> s <> Bytes.to_string (lent_payload (i + 1))) copies
+  |> List.length
+
+(* The listener acknowledges each datagram before it copies the
+   payload: the frame stays its own until the dispatch ends, past its
+   own transmit, whose device copy takes a recycled buffer. *)
+let test_udp_lent_frames_copy_exactly () =
+  let _, a, b = two_hosts () in
+  let n = 200 in
+  let got = ref [] and acks = ref 0 in
+  ignore (Udp.listen b.Host.udp ~port:9 ~installer:"copier" (fun d ->
+    ignore (Udp.send b.Host.udp ~src_port:9 ~dst:d.Udp.src ~port:9091
+              (Bytes.of_string "ack"));
+    got := Pkt.to_string d.Udp.payload :: !got));
+  ignore (Udp.listen a.Host.udp ~port:9091 ~installer:"acks" (fun _ ->
+    incr acks));
+  in_strand [ a; b ] a (fun () ->
+    for i = 1 to n do
+      ignore (Udp.send a.Host.udp ~dst:addr_b ~port:9 (lent_payload i))
+    done);
+  check int "datagrams copied" n (List.length !got);
+  check int "copies that differ from their datagram" 0
+    (wrong_copies (List.rev !got));
+  check int "every datagram acknowledged" n !acks
+
+(* An asynchronous handler's strand reads its payload only after later
+   frames have arrived: a raise that started it never hands the frame's
+   buffer back, so the bytes are the datagram's own. *)
+let test_udp_async_handler_reads_intact_frame () =
+  let _, a, b = two_hosts () in
+  let n = 16 in
+  let arrived = ref 0 and got = ref [] in
+  ignore (Udp.listen b.Host.udp ~port:9 ~installer:"counter" (fun _ ->
+    incr arrived));
+  ignore
+    (Dispatcher.ok_exn ~site:"test"
+       (Dispatcher.install (Udp.packet_arrived b.Host.udp) ~installer:"late"
+          ~spec:{ Dispatcher.Handler_spec.default with async = true }
+          (fun d ->
+            Sched.sleep_us b.Host.sched 20_000.;
+            got := (!arrived, Pkt.to_string d.Udp.payload) :: !got)));
+  in_strand [ a; b ] a (fun () ->
+    for i = 1 to n do
+      ignore (Udp.send a.Host.udp ~dst:addr_b ~port:9 (lent_payload i));
+      Sched.sleep_us a.Host.sched 2_000.
+    done);
+  let got = List.rev !got in
+  check int "payloads read" n (List.length got);
+  check int "payloads that differ from their datagram" 0
+    (wrong_copies (List.map snd got));
+  check bool "the first was read after later frames arrived" true
+    (fst (List.hd got) > 1)
 
 (* ------------------------------------------------------------------ *)
 (* IP routing / forwarding                                            *)
@@ -702,6 +768,10 @@ let () =
           test_case "echo RTT" `Quick test_udp_echo_rtt;
           test_case "mtu respected" `Quick test_udp_mtu_respected;
           test_case "loopback" `Quick test_udp_loopback;
+          test_case "a copying listener gets exact bytes as frames recycle"
+            `Quick test_udp_lent_frames_copy_exactly;
+          test_case "an asynchronous handler reads its frame intact" `Quick
+            test_udp_async_handler_reads_intact_frame;
         ] );
       ( "tcp",
         [

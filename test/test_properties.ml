@@ -378,7 +378,8 @@ let prop_pkt_roundtrip_at_random_offset =
                    (string_size (int_range 0 256))
                    (list_size (int_range 0 4) (string_size (int_range 1 24))))
     (fun (consumed, payload, headers) ->
-      let p = Pkt.of_frame (Bytes.of_string (consumed ^ payload)) in
+      let frame = Bytes.of_string (consumed ^ payload) in
+      let p = Pkt.of_frame frame ~len:(Bytes.length frame) in
       Pkt.drop p (String.length consumed);
       List.iter (push p) headers;
       let pulled =
